@@ -77,6 +77,12 @@ MIN_RTL_SPEEDUP = 100.0
 # the bench row as the before/after reference.
 TELEMETRY_OVERHEAD_BEFORE_PCT = 12.0
 
+# codegen_pps of the two windowed apps on the generated cycle loop,
+# before their serialization window got closed-form stall timing and
+# with it the _STREAM path; kept in their rows as the before/after
+# reference.
+WINDOWED_CODEGEN_PPS_BEFORE = {"ct_firewall": 14290, "syn_cookie": 8777}
+
 SERVE_PACKETS = 20_000
 SERVE_FLOWS = 100_000
 SERVE_SWAPS = 3
@@ -344,6 +350,8 @@ def _bench_app_matrix():
                     options=SimOptions(engine=engine, keep_records=False,
                                        input_queue_capacity=len(frames)),
                 )
+                if engine == "codegen":
+                    codegen_path = sim.engine_path()
                 gc.collect()
                 start = time.perf_counter()
                 report = sim.run_packets(frames)
@@ -357,13 +365,14 @@ def _bench_app_matrix():
                     == reps[engine].action_counts), name
         report = reps["codegen"]
         assert report.packets_dropped_queue == 0, name
-        rows.append({
+        row = {
             "app": name,
             "workload": spec.describe(),
             "packets": APP_MATRIX_PACKETS,
             "workload_flows": spec.flows,
             "n_stages": pipeline.n_stages,
             "serial_windows": len(pipeline.serial_windows),
+            "codegen_path": codegen_path,
             "codegen_pps": round(APP_MATRIX_PACKETS / best["codegen"]),
             "fast_pps": round(APP_MATRIX_PACKETS / best["fast"]),
             "interpreted_pps": round(
@@ -372,7 +381,11 @@ def _bench_app_matrix():
             "cycles_per_packet": round(
                 report.cycles / APP_MATRIX_PACKETS, 2),
             "action_counts": dict(report.action_counts),
-        })
+        }
+        if name in WINDOWED_CODEGEN_PPS_BEFORE:
+            row["codegen_pps_before_window_stream"] = \
+                WINDOWED_CODEGEN_PPS_BEFORE[name]
+        rows.append(row)
     return rows
 
 

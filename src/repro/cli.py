@@ -294,6 +294,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"ILP: max {pipeline.max_ilp}, avg {pipeline.avg_ilp:.2f}")
     print(f"max per-stage state: {pipeline.max_state_bytes} B")
     print(hazard_summary(pipeline))
+    # The path `repro run --engine codegen` takes with nothing attached.
+    from .hwsim import PipelineSimulator, SimOptions
+
+    probe = PipelineSimulator(
+        pipeline, options=SimOptions(engine="codegen", telemetry=False))
+    print(f"engine path: {probe.engine_path()}")
     print(f"resources (Alveo U50, incl. Corundum): "
           f"{estimate_resources(pipeline).summary()}")
     analysis = analyze_pipeline(pipeline)
@@ -413,7 +419,10 @@ def _gen_frames(args: argparse.Namespace) -> list:
 def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
               setup=None):
     """One timed simulator pass; returns (report, wall_seconds,
-    shard_sizes) — shard_sizes is ``None`` on the single-worker path.
+    shard_sizes, engine_path) — shard_sizes is ``None`` on the
+    single-worker path; engine_path is the code path the numbers came
+    from (``PipelineSimulator.engine_path``; every parallel worker is
+    one such simulator under the same options).
 
     ``engine`` is a pipeline backend from the registry ("interpreted",
     "fast", "codegen"). With ``workers > 1`` the parallel engine shards
@@ -442,12 +451,15 @@ def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
             print(f"WARNING: {len(parallel_report.conflicts)} map merge "
                   "conflicts (program not flow-partitionable?)",
                   file=sys.stderr)
-        return parallel_report.report, elapsed, parallel_report.shard_sizes
+        path = PipelineSimulator(pipeline, options=options).engine_path()
+        return (parallel_report.report, elapsed,
+                parallel_report.shard_sizes, path)
     sim = PipelineSimulator(pipeline, maps=maps, options=options)
+    path = sim.engine_path()
     start = time.perf_counter()
     report = sim.run_packets(frames)
     elapsed = time.perf_counter() - start
-    return report, elapsed, None
+    return report, elapsed, None, path
 
 
 def _resolve_engine(args: argparse.Namespace) -> str:
@@ -486,9 +498,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    report, elapsed, shard_sizes = _run_once(pipeline, program, frames,
-                                             engine, workers=args.workers,
-                                             setup=setup)
+    report, elapsed, shard_sizes, path = _run_once(
+        pipeline, program, frames, engine, workers=args.workers, setup=setup)
     if profiler is not None:
         profiler.disable()
     mode = engine
@@ -497,6 +508,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(report.summary())
     print(f"engine: {mode}, wall {elapsed * 1e3:.1f} ms, "
           f"{len(frames) / elapsed:,.0f} packets/s")
+    print(f"engine path: {path}")
     if collect:
         publish_report(report, telemetry.get_registry(), app=program.name,
                        engine="hwsim", shard_sizes=shard_sizes)
@@ -528,7 +540,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f"{'speedup':>8s}")
     slow_dt = results["interpreted"][1]
     for engine in engines:
-        report, dt, _ = results[engine]
+        report, dt = results[engine][:2]
         if report.cycles != ref_report.cycles or \
                 report.action_counts != ref_report.action_counts:
             print(f"ERROR: {engine}/interpreted engines diverged",
@@ -536,10 +548,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"{engine:<14s}  {dt * 1e3:>9.1f}  "
               f"{len(frames) / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
-    fast_report, fast_dt, _ = results["fast"]
+    fast_report, fast_dt = results["fast"][:2]
     shard_sizes = None
     if args.workers > 1:
-        par_report, par_dt, shard_sizes = _run_once(
+        par_report, par_dt, shard_sizes, _path = _run_once(
             pipeline, program, frames, "fast", workers=args.workers,
             setup=setup)
         if par_report.action_counts != fast_report.action_counts:

@@ -27,8 +27,13 @@ Layout of a generated module:
   loop unrolled; the simulator binds it into the run loop only when
   telemetry is enabled at construction, so a disabled run carries zero
   telemetry branches in generated code;
-* ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` — the tuple
-  and bindings :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
+* ``_stream`` — where :func:`stream_blocker` finds no obstacle: every
+  stage fused into one per-packet body, packets run front-to-back, the
+  cycle accounting (including one serialization window's stalls)
+  computed arithmetically instead of simulated;
+* ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` /
+  ``_STREAM`` — the tuple and bindings
+  :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
 
 The emitted semantics mirror :mod:`repro.hwsim.kernels` statement for
 statement (which in turn mirrors the interpreted path), so a codegen run
@@ -50,7 +55,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, List, Optional, Tuple
+import re
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
@@ -66,7 +72,9 @@ from ..telemetry import get_registry
 # v2: adds the _STREAM straight-line path for hazard-free pipelines.
 # v3: constant-offset load/store folding from verifier labels; dead
 #     read-tracking elided when no hazard plan exists.
-CODEGEN_VERSION = 3
+# v4: _STREAM for pipelines whose hazard plans sit inside one
+#     serialization window, with the window's stall timing closed-form.
+CODEGEN_VERSION = 4
 
 # Helpers whose results depend on the global interleaving of calls
 # (shared clock, shared PRNG state): running packets to completion would
@@ -122,6 +130,77 @@ def _ind(lines: List[str], levels: int = 1) -> List[str]:
     return [pad + ln if ln else ln for ln in lines]
 
 
+class _StreamTiming(NamedTuple):
+    """The cycle-accounting lines one timing model contributes to the
+    generated ``_stream`` (the packet body between them is the same)."""
+
+    init: List[str]      # before the frame loop
+    head: List[str]      # per frame, before the packet executes
+    record: Tuple[str, str, str]  # arrival, inject, exit cycle expressions
+    cycles: str          # report.cycles once at least one packet ran
+    drops: List[str]     # queue-drop accounting after the loop
+    sums: Tuple[str, str]  # sum_total_cycles, sum_pipeline_cycles addends
+
+
+def stream_blocker(pipeline: Pipeline) -> Optional[str]:
+    """Why the straight-line ``_STREAM`` path cannot run this pipeline:
+    one line naming the first obstacle, or ``None`` when it can.
+
+    The path runs each packet front-to-back to completion and
+    reconstructs the cycle accounting arithmetically. That is
+    sequentially consistent when no packet can observe another
+    in-flight packet's partial map state, which holds for a map that is
+    only looked up and updated by in-place atomics (possibly at several
+    stages — maglev reads at 17 and adds at 21 — nothing pends, nothing
+    squashes), and for a map with a flush plan or write stages whose
+    every access lies inside one serialization window ``[lo, hi]``: at
+    most one packet is then between its first and last access, so its
+    flush blocks can never fire and every write is committed before the
+    next packet's first read. Direct stores to such a map are refused
+    all the same — they may stay WAR-buffered past ``hi``, while
+    ``map_update`` commits at once. Order-sensitive helpers (shared
+    clock / PRNG state) and unknown-helper fallbacks would observe the
+    changed interleaving. The timing is closed-form for no window, or
+    for a single window with ``lo >= 2`` (see ``_window_timing``).
+    """
+    windows = pipeline.serial_windows
+    direct_stores: Dict[int, int] = {}
+    helper_ids: List[int] = []
+    for stage in pipeline.stages:
+        for op in stage.ops or ():
+            label = op.label
+            if (label is not None and label.region is Region.MAP_VALUE
+                    and label.is_write and not label.is_atomic):
+                direct_stores.setdefault(label.map_fd, stage.number)
+            if op.insn.is_call:
+                helper_ids.append(op.insn.imm)
+    for fd, plan in sorted(pipeline.map_hazards.items()):
+        if not (plan.needs_flush or plan.write_stages):
+            continue
+        touching = plan.read_stages + plan.write_stages + plan.atomic_stages
+        first, last = min(touching), max(touching)
+        if not any(lo <= first and last <= hi for lo, hi in windows):
+            what = "flush plan" if plan.needs_flush else "buffered write"
+            return (f"{what} on map {fd} (stages {first}-{last}) "
+                    "not covered by a window")
+        if fd in direct_stores:
+            return (f"direct store to map {fd} at stage "
+                    f"{direct_stores[fd]} may stay WAR-buffered")
+    if len(windows) > 1:
+        return (f"{len(windows)} serialization windows (the closed-form "
+                "timing covers one)")
+    if windows and windows[0][0] < 2:
+        return "serialization window starts at stage 1"
+    for helper_id in helper_ids:
+        try:
+            helper_spec(helper_id)
+        except HelperError:
+            return f"helper {helper_id} is unknown (generic call)"
+        if helper_id in _ORDER_SENSITIVE_HELPERS:
+            return f"helper {helper_id} is order-sensitive"
+    return None
+
+
 class _Emitter:
     """Builds the generated module's source for one pipeline."""
 
@@ -175,7 +254,7 @@ class _Emitter:
         self.uses_sim_error = False
         self.uses_pass = False
         self.uses_stream = False
-        self.uses_generic_call = False
+        self.uses_deque = False
         # Stream-body emission mode: predication as local boolean flags
         # (_e<block>) instead of the shared pkt.enabled set.
         self.pred_flags = False
@@ -704,7 +783,6 @@ class _Emitter:
             spec = helper_spec(helper_id)
         except HelperError:
             # Unknown helper: fail at execution time, like the interpreter.
-            self.uses_generic_call = True
             self.pkt_writes = True
             call = f"sim._call(pkt, {helper_id})"
             return ([f"_se = {call}" if flush else call], True)
@@ -1007,50 +1085,115 @@ class _Emitter:
             ]
         return out
 
-    def stream_eligible(self) -> bool:
-        """Whether the straight-line _STREAM path preserves semantics.
-
-        When the hazard analysis emits no plan at all (nothing pends,
-        nothing flushes), no packet can observe another in-flight
-        packet's partial state — pipelined execution is sequentially
-        consistent, every map's accesses sit in a single stage and hence
-        retire in packet order. Each packet may then run front-to-back
-        to completion, with the (stall-free, deterministic) cycle
-        accounting reconstructed arithmetically. Order-sensitive helpers
-        (shared clock / PRNG state) and unknown-helper fallbacks would
-        still observe the changed interleaving, so they disable the path.
-        """
-        return (
-            not self.any_flush
-            and not self.may_pend
-            and not self.uses_generic_call
-            and not (set(self.helpers) & _ORDER_SENSITIVE_HELPERS)
-            # Interlocked (LRU-window) pipelines stall, so the
-            # closed-form cycle accounting would diverge.
-            and not self.pipeline.serial_windows
+    def _line_rate_timing(self) -> _StreamTiming:
+        """Cycle accounting of a stall-free pipeline: every packet is
+        injected the cycle it arrives (``i * gap``) and exits
+        ``n_stages`` later, so nothing queues, nothing drops and the
+        tally sums are closed-form in the packet count."""
+        n = self.pipeline.n_stages
+        return _StreamTiming(
+            init=["cycle = 0"],
+            head=[
+                f"if cycle + {n} >= _max:",
+                '    raise SimError("simulation exceeded %d cycles" % _max)',
+            ],
+            record=("cycle", "cycle", f"cycle + {n}"),
+            cycles=f"report.cycles = (pid - 1) * gap + {n + 1}",
+            drops=[],
+            sums=(f"pid * {n}", f"pid * {n}"),
         )
 
-    def stream_body(
-        self,
-        stage_bodies: List[Optional[Tuple[List[str], bool]]],
-        entry: Optional[List[str]],
-    ) -> List[str]:
+    def _window_timing(self, lo: int, hi: int) -> _StreamTiming:
+        """Cycle accounting of a pipeline with one serialization window
+        ``[lo, hi]``, ``lo >= 2``. Window occupancy never depends on
+        packet bytes, so the cycle loop's stalls reduce to a recurrence
+        over accepted packets ``k`` (``W = hi - lo + 1``):
+
+        * the input queue holds the accepted packets not injected
+          strictly before the arrival cycle; a frame arriving to a full
+          queue is dropped and never executes;
+        * ``inj[k] = max(arr, inj[k-1] + 1, ent[k-(lo-1)])`` — the
+          ``lo - 1`` stages ahead of the window back up behind it, so
+          stage 1 frees when the packet ``lo - 1`` places ahead enters;
+        * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + W)`` — the window
+          admits packet ``k`` the cycle packet ``k-1`` leaves stage
+          ``hi`` (deepest-first shifting vacates it in the same cycle);
+        * ``exit[k] = ent[k] + n - lo + 1`` — past the window packets
+          are at least ``W`` apart and never meet again.
+        """
+        n = self.pipeline.n_stages
+        width = hi - lo + 1
+        self.uses_deque = True
+        return _StreamTiming(
+            init=[
+                "cycle = 0",
+                "_cap = sim.options.input_queue_capacity",
+                "_inq = _deque()",
+                f"_ring = [0] * {lo - 1}",
+                "_ri = 0",
+                "_inj = -1",
+                f"_went = {-width}",
+                "_exit = _drops = _tot = _pip = 0",
+            ],
+            head=[
+                "while _inq and _inq[0] < cycle:",
+                "    _inq.popleft()",
+                "if len(_inq) >= _cap:",
+                "    _drops += 1",
+                "    cycle += gap",
+                "    continue",
+                "_inj += 1",
+                "if cycle > _inj:",
+                "    _inj = cycle",
+                "if _ring[_ri] > _inj:",
+                "    _inj = _ring[_ri]",
+                "_inq.append(_inj)",
+                f"_went += {width}",
+                f"if _inj + {lo - 1} > _went:",
+                f"    _went = _inj + {lo - 1}",
+                "_ring[_ri] = _went",
+                "_ri += 1",
+                f"if _ri == {lo - 1}:",
+                "    _ri = 0",
+                f"_exit = _went + {n - lo + 1}",
+                "if _exit >= _max:",
+                '    raise SimError("simulation exceeded %d cycles" % _max)',
+                "_tot += _exit - cycle",
+                "_pip += _exit - _inj",
+            ],
+            record=("cycle", "_inj", "_exit"),
+            cycles="report.cycles = _exit + 1",
+            drops=["report.packets_dropped_queue += _drops"],
+            sums=("_tot", "_pip"),
+        )
+
+    def stream_body(self) -> List[str]:
         """One packet per loop iteration, all stages fused, cycle counts
         computed closed-form. Mirrors run()'s per-packet event order:
         entry length checks, entry ops, stage 1..N bodies, finalize,
-        record/tally — with inject = arrival = ``i * gap`` and exit =
-        ``inject + n_stages`` (exact for a stall-free pipeline)."""
+        record/tally. Only called when ``stream_blocker`` found no
+        obstacle, so at most one window exists and it starts past
+        stage 1."""
         pipeline = self.pipeline
-        n = pipeline.n_stages
         self.uses_stream = True
         self.uses_sim_error = True
         self.uses_actions = True
         self.uses_pass = True
+        windows = pipeline.serial_windows
+        timing = (
+            self._window_timing(*windows[0]) if windows
+            else self._line_rate_timing()
+        )
 
         # Re-emit entry + stage bodies in pred_flags mode: with the whole
         # packet lifetime in one scope, block predication becomes local
-        # boolean stores instead of pkt.enabled set mutations.
+        # boolean stores instead of pkt.enabled set mutations. Flush
+        # checks, snapshots and read tracking are provably dead here
+        # (no plan at all, or every plan inside the window — see
+        # stream_blocker), so they are elided either way.
+        hazard_modes = self.any_flush, self.maintain
         self.pred_flags = True
+        self.any_flush = self.maintain = False
         try:
             entry = self.entry_body()
             stage_bodies = [
@@ -1058,11 +1201,9 @@ class _Emitter:
             ]
         finally:
             self.pred_flags = False
+            self.any_flush, self.maintain = hazard_modes
 
-        blk: List[str] = [
-            f"if cycle + {n} >= _max:",
-            '    raise SimError("simulation exceeded %d cycles" % _max)',
-        ]
+        blk: List[str] = list(timing.head)
         # In-place per-packet reset of the single reused _InFlight: only
         # state the emitted ops can observe is restored. inject_cycle,
         # enabled, position and the read/write tracking dicts are never
@@ -1121,10 +1262,11 @@ class _Emitter:
             # Initialize every referenced block flag; only the entry
             # block starts enabled.
             entry_bid = pipeline.cfg.entry.block_id
+            used = _idents(body_lines)
             flag_ids = sorted(
                 b.block_id
                 for b in pipeline.cfg.blocks
-                if _needs(body_lines, f"_e{b.block_id}")
+                if f"_e{b.block_id}" in used
             )
             guard += [
                 f"_e{bid} = {bid == entry_bid}" for bid in flag_ids
@@ -1134,10 +1276,10 @@ class _Emitter:
 
         # Finalize (inlined sim._finalize: no pending writes possible on
         # this path unless a fallback made some) + exit accounting. The
-        # per-packet aggregates are batched: every stream packet has
-        # arrival = inject and exit = inject + n_stages, so the tally
-        # sums are closed-form in pid and only the action histogram
-        # needs per-packet work.
+        # per-packet aggregates are batched: the cycle sums come from the
+        # timing model and only the action histogram needs per-packet
+        # work.
+        arrival, inject, exit_ = timing.record
         blk += [
             "if pkt.pending_writes:",
             "    sim._finalize(pkt)",
@@ -1149,15 +1291,14 @@ class _Emitter:
             "_cnt[_act] = _cnt.get(_act, 0) + 1",
             "if keep_records:",
             "    _recs.append(_PR(pid=pid, action=_act, "
-            "data=bytes(_c.packet), arrival_cycle=cycle, "
-            f"inject_cycle=cycle, exit_cycle=cycle + {n}, restarts=0))",
+            f"data=bytes(_c.packet), arrival_cycle={arrival}, "
+            f"inject_cycle={inject}, exit_cycle={exit_}, restarts=0))",
             "pid += 1",
             "cycle += gap",
         ]
 
-        out = [
-            "pid = 0",
-            "cycle = 0",
+        total, in_pipeline = timing.sums
+        out = ["pid = 0"] + timing.init + [
             "_max = sim.options.max_cycles",
             'pkt = _IF(0, b"", 0)',
             "_c = pkt.ctx",
@@ -1167,32 +1308,43 @@ class _Emitter:
             "for frame in frames:",
         ]
         out += _ind(blk)
-        out += [
-            "if pid:",
-            f"    report.cycles = (pid - 1) * gap + {n + 1}",
+        out += ["if pid:", "    " + timing.cycles] + [
             "report.packets_in += pid",
             "report.packets_out += pid",
+        ] + timing.drops + [
             "_ac = report.action_counts",
             "for _k, _v in _cnt.items():",
             "    _ac[_k] = _ac.get(_k, 0) + _v",
-            f"report.sum_total_cycles += pid * {n}",
-            f"report.sum_pipeline_cycles += pid * {n}",
+            f"report.sum_total_cycles += {total}",
+            f"report.sum_pipeline_cycles += {in_pipeline}",
             "return pid",
         ]
         return out
 
 
-def _needs(lines: List[str], token: str) -> bool:
-    import re
+_IDENT_RUN = re.compile(r"[A-Za-z0-9_]+")
 
-    pat = re.compile(r"(?<![A-Za-z0-9_])" + re.escape(token) + r"(?![A-Za-z0-9_])")
-    return any(pat.search(ln) for ln in lines)
+
+def _idents(lines: List[str]) -> FrozenSet[str]:
+    """Every maximal identifier-character run in ``lines``: one scan per
+    body, after which "does this body name X" is a set lookup."""
+    return frozenset(_IDENT_RUN.findall("\n".join(lines)))
+
+
+def _hoists(lines: List[str]) -> List[str]:
+    """Local aliases of pkt.regs / pkt.enabled, for a body naming them."""
+    named = _idents(lines)
+    return (
+        (["regs = pkt.regs"] if "regs" in named else [])
+        + (["enabled = pkt.enabled"] if "enabled" in named else [])
+    )
 
 
 def _fn(name: str, params: List[str], body: List[str], binds: List[str]) -> List[str]:
     """Assemble a def with module-level names re-bound as keyword-default
     locals (LOAD_FAST beats LOAD_GLOBAL on the hot path)."""
-    used = [b for b in binds if _needs(body, b)]
+    named = _idents(body)
+    used = [b for b in binds if b in named]
     sig = ", ".join(params + [f"{b}={b}" for b in used])
     return [f"def {name}({sig}):"] + _ind(body) + [""]
 
@@ -1213,21 +1365,24 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     entry = em.entry_body()
     observe = em.observe_body(n_stages)
 
+    # Scanned once per stage body: the stage function and the advance
+    # function both hoist.
+    hoists = [
+        _hoists(body[0]) if body is not None else []
+        for body in stage_bodies
+    ]
+
     # -- stage functions ------------------------------------------------------
     fn_sections: List[List[str]] = []
     stage_fn_names: List[str] = []
     stage_params = ["sim", "pkt", "slots", "barrier_queues", "input_queue",
                     "report"]
-    for stage, body in zip(pipeline.stages, stage_bodies):
+    for stage, body, hoist in zip(pipeline.stages, stage_bodies, hoists):
         if body is None:
             stage_fn_names.append("None")
             continue
         lines, has_flush = body
-        fn_body = ["if pkt.done:", "    return False"]
-        if _needs(lines, "regs"):
-            fn_body.append("regs = pkt.regs")
-        if _needs(lines, "enabled"):
-            fn_body.append("enabled = pkt.enabled")
+        fn_body = ["if pkt.done:", "    return False"] + hoist
         if has_flush:
             fn_body.append("flushed = False")
         fn_body += lines
@@ -1238,52 +1393,40 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
 
     # -- entry ----------------------------------------------------------------
     if entry is not None:
-        fn_body = []
-        if _needs(entry, "regs"):
-            fn_body.append("regs = pkt.regs")
-        if _needs(entry, "enabled"):
-            fn_body.append("enabled = pkt.enabled")
-        fn_body += entry
-        fn_sections.append(("_entry", ["sim", "pkt"], fn_body))
+        fn_sections.append(
+            ("_entry", ["sim", "pkt"], _hoists(entry) + entry))
 
     # -- advance --------------------------------------------------------------
     # The whole hazard-free shift phase of one cycle, deepest first, with
     # each stage's body inlined at its shift site: zero per-stage dispatch.
-    adv: List[str] = []
-    any_stage_flush = any(b is not None and b[1] for b in stage_bodies)
-    if any_stage_flush:
-        adv.append("flushed = False")
-    for npos in range(n_stages, 1, -1):
-        pos = npos - 1
-        body = stage_bodies[npos - 1]  # stage number npos
-        adv.append(f"pkt = slots[{pos}]")
-        adv.append("if pkt is not None:")
-        blk = [
-            f"slots[{pos}] = None",
-            f"slots[{npos}] = pkt",
-        ]
-        if em.maintain:
-            blk.append(f"pkt.position = {npos}")
-            blk.append("if pkt.pending_writes:")
-            blk.append(f"    sim._commit_pending(pkt, {npos})")
-        if body is not None:
-            lines, _has_flush = body
-            blk.append("if not pkt.done:")
-            inner = []
-            if _needs(lines, "regs"):
-                inner.append("regs = pkt.regs")
-            if _needs(lines, "enabled"):
-                inner.append("enabled = pkt.enabled")
-            inner += lines
-            blk += _ind(inner)
-        adv += _ind(blk)
-    adv.append("return flushed" if any_stage_flush else "return False")
     # LRU serialization windows: the unrolled whole-cycle advance knows
     # nothing about interlock stalls, so windowed pipelines fall back to
     # the simulator's generic shift loop (which dispatches _STAGE_FNS as
     # kernels) — identical stall timing on every engine by construction.
     serial = bool(pipeline.serial_windows)
     if not serial:
+        adv: List[str] = []
+        any_stage_flush = any(b is not None and b[1] for b in stage_bodies)
+        if any_stage_flush:
+            adv.append("flushed = False")
+        for npos in range(n_stages, 1, -1):
+            pos = npos - 1
+            body = stage_bodies[npos - 1]  # stage number npos
+            adv.append(f"pkt = slots[{pos}]")
+            adv.append("if pkt is not None:")
+            blk = [
+                f"slots[{pos}] = None",
+                f"slots[{npos}] = pkt",
+            ]
+            if em.maintain:
+                blk.append(f"pkt.position = {npos}")
+                blk.append("if pkt.pending_writes:")
+                blk.append(f"    sim._commit_pending(pkt, {npos})")
+            if body is not None:
+                blk.append("if not pkt.done:")
+                blk += _ind(hoists[npos - 1] + body[0])
+            adv += _ind(blk)
+        adv.append("return flushed" if any_stage_flush else "return False")
         fn_sections.append(
             ("_advance", ["sim", "slots", "barrier_queues", "input_queue",
                           "report"], adv)
@@ -1294,14 +1437,14 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
                         observe))
 
     # -- stream ---------------------------------------------------------------
-    # Straight-line per-packet execution for hazard-free pipelines (see
-    # stream_eligible): the 10x path — no slots, no per-cycle loop.
-    stream_ok = em.stream_eligible()
+    # Straight-line per-packet execution wherever stream_blocker finds no
+    # obstacle: the 10x path — no slots, no per-cycle loop.
+    stream_ok = stream_blocker(pipeline) is None
     if stream_ok:
         fn_sections.append(
             ("_stream",
              ["sim", "frames", "gap", "report", "keep_records"],
-             em.stream_body(stage_bodies, entry))
+             em.stream_body())
         )
 
     # -- preamble -------------------------------------------------------------
@@ -1322,6 +1465,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if em.unpack_widths or em.pack_widths:
         imports.append("import struct")
         imports.append("")
+    if em.uses_deque:
+        imports.append("from collections import deque as _deque")
+        binds.append("_deque")
     if em.helpers:
         imports.append("from repro.ebpf.helpers import helper_impl")
     if em.insns:

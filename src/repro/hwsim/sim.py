@@ -709,29 +709,52 @@ class PipelineSimulator:
             return report
         return self.run((i * gap, f) for i, f in enumerate(frames))
 
-    def _try_stream(
-        self, frames: Iterable[bytes], gap: int
-    ) -> Optional[SimReport]:
-        """Codegen engine's straight-line path, when the generated module
-        proved it equivalent (see ``codegen.stream_eligible``) and nothing
-        cycle-bound is attached to this run: no per-cycle observer or
-        tracer, no scheduled host map ops, telemetry off (the metrics
-        histogram is per-cycle by construction). Cycle accounting and the
-        report are bit-identical to the cycle loop's."""
-        stream = self._stream_fn
-        if stream is None or gap < 1:
-            return None
+    def stream_blocker(self, gap: int = 1) -> Optional[str]:
+        """Why ``run_packets``/``run_stream`` would run the cycle loop
+        on this simulator as it stands — one line — or ``None`` when
+        they take the codegen engine's straight-line ``_STREAM`` path.
+        Either the generated module could not prove the path equivalent
+        (see ``codegen.stream_blocker``), or something cycle-bound is
+        attached to the run: telemetry (the metrics are per-cycle by
+        construction), a per-cycle observer or tracer, scheduled host
+        map ops."""
+        if self.engine != "codegen":
+            return f"engine {self.engine!r} has no stream path"
+        if self._stream_fn is None:
+            from .codegen import stream_blocker
+
+            return stream_blocker(self.pipeline)
         options = self.options
         collect = options.telemetry
         if collect is None:
             collect = get_registry().enabled
-        if (
-            collect
-            or self.observer is not None
-            or self.host_ops
-            or options.input_queue_capacity < 1
-        ):
+        if collect:
+            return "telemetry is on"
+        if self.observer is not None:
+            return "a per-cycle observer is attached"
+        if self.host_ops:
+            return "host map ops are scheduled"
+        if gap < 1 or options.input_queue_capacity < 1:
+            return "gap or input queue capacity below 1"
+        return None
+
+    def engine_path(self, gap: int = 1) -> str:
+        """``stream`` or ``cycle-loop (<reason>)``: the code path a run
+        of this simulator takes, for attributing its numbers."""
+        reason = self.stream_blocker(gap)
+        return "stream" if reason is None else f"cycle-loop ({reason})"
+
+    def _try_stream(
+        self, frames: Iterable[bytes], gap: int
+    ) -> Optional[SimReport]:
+        """Codegen engine's straight-line path, when nothing blocks it
+        (see :meth:`stream_blocker`). Cycle accounting and the report
+        are bit-identical to the cycle loop's."""
+        # _stream_fn first: naming a pipeline-level obstacle rescans the
+        # ops, and an ineligible pipeline comes through here every batch.
+        if self._stream_fn is None or self.stream_blocker(gap) is not None:
             return None
+        options = self.options
         report = SimReport(
             clock_mhz=options.clock_mhz,
             n_stages=self.pipeline.n_stages,
@@ -741,7 +764,7 @@ class PipelineSimulator:
         # No packets are ever in flight together on this path; the map
         # channel's store-forwarding scan must see an empty pipeline.
         self._slots = ()
-        stream(self, frames, gap, report, options.keep_records)
+        self._stream_fn(self, frames, gap, report, options.keep_records)
         # The cycle loop leaves the wall clock at the last cycle boundary.
         self.time_ns += int(report.cycles * (1000.0 / options.clock_mhz))
         return report

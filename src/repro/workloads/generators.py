@@ -22,6 +22,7 @@ Registered kinds:
 from __future__ import annotations
 
 import random
+from struct import Struct
 from typing import Dict, Iterator, List, Type
 
 from ..net.packet import (
@@ -39,6 +40,11 @@ from .zipf import make_sampler
 
 _IP_OFF = ETH_HLEN        # IPv4 header offset in the synth templates
 _L4_OFF = ETH_HLEN + 20   # L4 header offset (no IP options in templates)
+
+_ADDRS = Struct("!II")          # IPv4 source, destination
+_PORTS = Struct("!HH")          # L4 source, destination
+_IP_WORDS = Struct("!10H")      # the option-less IPv4 header, for its sum
+_U16 = Struct("!H")
 
 #: Standard VXLAN UDP destination port (RFC 7348).
 VXLAN_PORT = 4789
@@ -70,18 +76,14 @@ class Workload:
 def patch_ipv4_flow(template: bytearray, flow) -> bytes:
     """Patch a UDP/TCP template's addresses/ports to ``flow`` and fix
     the IPv4 checksum (L4 checksum left 0 = "not computed")."""
-    template[_IP_OFF + 12:_IP_OFF + 16] = flow.src_ip.to_bytes(4, "big")
-    template[_IP_OFF + 16:_IP_OFF + 20] = flow.dst_ip.to_bytes(4, "big")
-    template[_L4_OFF:_L4_OFF + 2] = flow.sport.to_bytes(2, "big")
-    template[_L4_OFF + 2:_L4_OFF + 4] = flow.dport.to_bytes(2, "big")
-    template[_IP_OFF + 10:_IP_OFF + 12] = b"\x00\x00"
-    total = 0
-    for off in range(_IP_OFF, _IP_OFF + 20, 2):
-        total += int.from_bytes(template[off:off + 2], "big")
+    _ADDRS.pack_into(template, _IP_OFF + 12, flow.src_ip, flow.dst_ip)
+    _PORTS.pack_into(template, _L4_OFF, flow.sport, flow.dport)
+    _U16.pack_into(template, _IP_OFF + 10, 0)
+    total = sum(_IP_WORDS.unpack_from(template, _IP_OFF))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
-    template[_IP_OFF + 10:_IP_OFF + 12] = (~total & 0xFFFF).to_bytes(2, "big")
-    template[_L4_OFF + 6:_L4_OFF + 8] = b"\x00\x00"
+    _U16.pack_into(template, _IP_OFF + 10, ~total & 0xFFFF)
+    _U16.pack_into(template, _L4_OFF + 6, 0)
     return bytes(template)
 
 

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (22 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 3); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 4); flush machinery elided, position/commit tracking elided. Do not edit.
 """
 
 import struct

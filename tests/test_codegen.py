@@ -11,29 +11,50 @@ machinery around the generated source itself:
   with the pipeline (compile-cache hits and parallel workers exec() it
   instead of re-emitting), and every regeneration outside the compiler
   increments ``ehdl_codegen_recompile_total``;
-* the ``_STREAM`` straight-line path: emitted only for hazard-free
-  pipelines without order-sensitive helpers, and observably equivalent
-  to the generated cycle loop.
+* the ``_STREAM`` straight-line path: emitted only where
+  ``stream_blocker`` finds no obstacle (no hazard plan at all, or every
+  plan inside one serialization window; no order-sensitive helpers),
+  and observably equivalent to the cycle loop — for windowed pipelines
+  down to every packet's arrival/inject/exit cycle, the queue drops and
+  the LRU recency order.
 """
 
+import copy
+import dataclasses
 import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.apps import firewall, leaky_bucket, toy_counter
+from repro.apps import (
+    APP_WORKLOADS,
+    ct_firewall,
+    dnat,
+    firewall,
+    leaky_bucket,
+    syn_cookie,
+    toy_counter,
+)
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import compile_program
+from repro.ebpf.asm import assemble_program
+from repro.ebpf.isa import MapSpec
+from repro.ebpf.maps import MapSet
 from repro.hwsim import PipelineSimulator, SimOptions
 from repro.hwsim.codegen import (
     CODEGEN_VERSION,
     ensure_source,
     generate_pipeline_source,
     load_pipeline_module,
+    stream_blocker,
     write_debug_source,
 )
+from repro.workloads import make_workload, parse_workload_spec
 from tests.test_rtl import APP_CASES
+from tests.test_second_gen_apps import _key_frames, _tiny_lru_program
 
 _COUNTER = "ehdl_codegen_recompile_total"
 
@@ -48,16 +69,21 @@ class TestGolden:
     ``firewall`` exercises the ``_STREAM`` straight-line path plus
     constant-offset folding; ``router_rmw`` has read-modify-write hazard
     plans, so its module carries the predication/snapshot/flush logic
-    the firewall's elides. Regenerate intentionally with
-    ``pytest --update-golden``.
+    the firewall's elides; ``ct_firewall`` has one LRU serialization
+    window, so its ``_stream`` carries the window timing recurrence and
+    its cycle-loop half the flush machinery the stream body elides.
+    Regenerate intentionally with ``pytest --update-golden``.
     """
 
-    APPS = ["firewall", "router_rmw"]
+    BUILDS = {
+        "firewall": APP_CASES["firewall"][0],
+        "router_rmw": APP_CASES["router_rmw"][0],
+        "ct_firewall": ct_firewall.build,
+    }
 
-    @pytest.mark.parametrize("app", APPS)
+    @pytest.mark.parametrize("app", sorted(BUILDS))
     def test_snapshot(self, app, request):
-        build, _setup, _frames = APP_CASES[app]
-        text = generate_pipeline_source(compile_program(build()))
+        text = generate_pipeline_source(compile_program(self.BUILDS[app]()))
         path = Path(__file__).parent / "corpus" / "codegen" / f"{app}.py"
         if request.config.getoption("--update-golden"):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -155,8 +181,9 @@ class TestStreamPath:
         # firewall: no flush plans, no order-sensitive helpers
         fw = generate_pipeline_source(compile_program(firewall.build()))
         assert "_STREAM = _stream" in fw
-        # leaky bucket calls bpf_ktime_get_ns: packets must observe the
-        # clock in injection order, which the straight-line path breaks
+        # leaky bucket: a flush plan no window covers (and it calls
+        # bpf_ktime_get_ns: packets must observe the clock in injection
+        # order, which the straight-line path breaks)
         lb = generate_pipeline_source(compile_program(leaky_bucket.build()))
         assert "_STREAM = None" in lb
 
@@ -201,6 +228,294 @@ class TestStreamPath:
              r.inject_cycle, r.exit_cycle, r.restarts)
             for r in loop.records
         ]
+
+
+def _observed(pipeline, program, frames, engine, gap=1, capacity=4096,
+              setup=None, stream_input=False, **options):
+    """Everything two runs of one cycle model must agree on, down to
+    each packet's arrival/inject/exit cycle and the LRU recency order
+    of the final map contents; plus the path the run took."""
+    maps = MapSet(program.maps)
+    if setup is not None:
+        setup(maps)
+    sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
+        engine=engine, keep_records=True, input_queue_capacity=capacity,
+        **options))
+    path = sim.engine_path(gap)
+    if stream_input:
+        report = sim.run_stream((f for f in frames), gap=gap)
+    else:
+        report = sim.run_packets(frames, gap=gap)
+    return path, {
+        "cycles": report.cycles,
+        "in/out/dropped": (report.packets_in, report.packets_out,
+                           report.packets_dropped_queue),
+        "sums": (report.sum_total_cycles, report.sum_pipeline_cycles,
+                 report.sum_restarts),
+        "hazards": (report.flush_events, report.squashed_packets,
+                    report.stall_cycles),
+        "actions": dict(report.action_counts),
+        "records": [
+            (r.pid, r.action, bytes(r.data), r.arrival_cycle,
+             r.inject_cycle, r.exit_cycle, r.restarts)
+            for r in report.records
+        ],
+        # items() of an LruHashMap is oldest-first recency order
+        "maps": {fd: list(maps[fd].items()) for fd in maps},
+        "time_ns": sim.time_ns,
+    }
+
+
+def _assert_same(got, want):
+    for field in want:
+        assert got[field] == want[field], field
+
+
+def _rewindowed(pipeline, fd, window):
+    """A copy of ``pipeline`` whose map ``fd`` interlocks over
+    ``window`` instead of its own access span, source regenerated."""
+    clone = copy.deepcopy(pipeline)
+    clone.map_hazards[fd].serial_window = window
+    clone.codegen_source = None
+    return clone
+
+
+_WINDOWED_APPS = {"ct_firewall": ct_firewall, "syn_cookie": syn_cookie}
+_GAPS = (1, 2, 5, 20, 21, 22, 23, 40)
+_CAPACITIES = (1, 4, 64, 3000)
+
+_TWO_LRU_MAPS = {
+    "a": MapSpec("a", "lru_hash", key_size=4, value_size=8, max_entries=4),
+    "b": MapSpec("b", "lru_hash", key_size=4, value_size=8, max_entries=4),
+}
+# lookup + in-place add on two lru_hash maps in turn: two windows
+_TWO_LRU_SRC = """
+    r7 = *(u32 *)(r1 + 4)
+    r6 = *(u32 *)(r1 + 0)
+    r2 = r6
+    r2 += 18
+    if r2 > r7 goto out
+    r2 = *(u32 *)(r6 + 14)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[a]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto second
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+second:
+    r1 = map[b]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+out:
+    r0 = 2
+    exit
+"""
+
+
+def _seed_two_lru(maps):
+    for fd in maps:
+        for key in (1, 2, 3):
+            maps[fd].update(key.to_bytes(4, "little"), bytes(8))
+
+
+class TestWindowedStream:
+    """A pipeline whose hazard plans all sit inside one serialization
+    window streams, and its stall timing is reproduced arithmetically:
+    the ``interpreted`` engine's cycle loop is the reference."""
+
+    TINY = _tiny_lru_program()
+    TINY_PIPELINE = compile_program(TINY)
+
+    @staticmethod
+    def _app(name, packets=160):
+        module = _WINDOWED_APPS[name]
+        program = module.build()
+        spec = dataclasses.replace(
+            parse_workload_spec(APP_WORKLOADS[name]), packets=packets)
+        return (program, compile_program(program),
+                getattr(module, "default_setup", None),
+                make_workload(spec).materialize())
+
+    @pytest.mark.parametrize("name", sorted(_WINDOWED_APPS))
+    def test_apps_stream(self, name):
+        _program, pipeline, _setup, _frames = self._app(name, packets=1)
+        assert pipeline.serial_windows
+        assert stream_blocker(pipeline) is None
+        assert "_STREAM = _stream" in pipeline.codegen_source
+        # the cycle-loop half of the module still has no whole-cycle
+        # advance: the generic shift loop owns the interlock
+        assert "_ADVANCE = None" in pipeline.codegen_source
+
+    @pytest.mark.parametrize("name", sorted(_WINDOWED_APPS))
+    def test_app_timing_matches_interpreted(self, name):
+        program, pipeline, setup, frames = self._app(name)
+        for gap in _GAPS:
+            for capacity in _CAPACITIES:
+                path, got = _observed(pipeline, program, frames, "codegen",
+                                      gap, capacity, setup)
+                assert path == "stream"
+                _path, want = _observed(pipeline, program, frames,
+                                        "interpreted", gap, capacity, setup)
+                _assert_same(got, want)
+        # the sweep genuinely crossed the drop regime and the stall-free one
+        assert want["in/out/dropped"][2] == 0
+        _path, tight = _observed(pipeline, program, frames, "codegen", 1, 1,
+                                 setup)
+        assert tight["in/out/dropped"][2] > 0
+
+    # Any window containing the map's own access span is a valid
+    # interlock, so the tiny program covers shapes no app has: lo == 2,
+    # a window ending at the last stage, a one-stage lead-in.
+    def _tiny_windows(self):
+        (lo, hi), = self.TINY_PIPELINE.serial_windows
+        n = self.TINY_PIPELINE.n_stages
+        assert lo > 2 and hi < n
+        return [(lo, hi), (2, hi), (lo, n), (2, n)]
+
+    def test_tiny_lru_window_shapes(self):
+        keys = [1, 2, 3, 4, 1, 5, 6, 2, 7, 8, 9, 5, 1, 1, 3] * 3
+        frames = _key_frames(keys)
+        fd = next(iter(self.TINY_PIPELINE.map_hazards))
+        for window in self._tiny_windows():
+            pipeline = _rewindowed(self.TINY_PIPELINE, fd, window)
+            assert pipeline.serial_windows == [window]
+            width = window[1] - window[0] + 1
+            for gap in (1, 2, width - 1, width, width + 1):
+                for capacity in (1, 2, 64):
+                    path, got = _observed(pipeline, self.TINY, frames,
+                                          "codegen", gap, capacity)
+                    assert path == "stream", window
+                    _path, want = _observed(pipeline, self.TINY, frames,
+                                            "interpreted", gap, capacity)
+                    _assert_same(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keys=st.lists(st.integers(min_value=1, max_value=9),
+                      min_size=0, max_size=40),
+        gap=st.integers(min_value=1, max_value=30),
+        capacity=st.integers(min_value=1, max_value=8),
+    )
+    def test_timing_property(self, keys, gap, capacity):
+        frames = _key_frames(keys)
+        _path, got = _observed(self.TINY_PIPELINE, self.TINY, frames,
+                               "codegen", gap, capacity)
+        _path, want = _observed(self.TINY_PIPELINE, self.TINY, frames,
+                                "interpreted", gap, capacity)
+        _assert_same(got, want)
+
+    def test_run_stream_takes_a_generator(self):
+        program, pipeline, setup, frames = self._app("ct_firewall")
+        path, got = _observed(pipeline, program, frames, "codegen", 3, 8,
+                              setup, stream_input=True)
+        assert path == "stream"
+        _path, want = _observed(pipeline, program, frames, "interpreted",
+                                3, 8, setup)
+        _assert_same(got, want)
+
+    def test_telemetry_takes_the_cycle_loop_with_equal_numbers(self):
+        program, pipeline, setup, frames = self._app("ct_firewall")
+        path, loop = _observed(pipeline, program, frames, "codegen", 2, 16,
+                               setup, telemetry=True)
+        assert path == "cycle-loop (telemetry is on)"
+        path, stream = _observed(pipeline, program, frames, "codegen", 2, 16,
+                                 setup, telemetry=False)
+        assert path == "stream"
+        _assert_same(stream, loop)
+
+    def test_stale_stamp_regenerates_with_the_stream(self):
+        # a v3 emitter left windowed pipelines on the cycle loop; its
+        # cached source must not be trusted under the current stamp
+        _program, pipeline, _setup, _frames = self._app("ct_firewall", 1)
+        pipeline.codegen_source = pipeline.codegen_source.replace(
+            "_STREAM = _stream", "_STREAM = None")
+        pipeline.codegen_version = 3
+        with telemetry.scoped(enabled=True) as reg:
+            sim = PipelineSimulator(
+                pipeline, options=SimOptions(engine="codegen",
+                                             telemetry=False))
+            assert _recompiles(reg, pipeline) == 1
+        assert pipeline.codegen_version == CODEGEN_VERSION
+        assert sim.engine_path() == "stream"
+
+
+class TestStreamBlockers:
+    """Pipelines the proof does not cover say why, and run the cycle
+    loop to the same numbers as the reference."""
+
+    def _check_cycle_loop(self, pipeline, program, frames, reason,
+                          setup=None):
+        assert reason in stream_blocker(pipeline)
+        assert "_STREAM = None" in generate_pipeline_source(pipeline)
+        path, got = _observed(pipeline, program, frames, "codegen",
+                              setup=setup)
+        assert path == f"cycle-loop ({stream_blocker(pipeline)})"
+        _path, want = _observed(pipeline, program, frames, "interpreted",
+                                setup=setup)
+        _assert_same(got, want)
+
+    @pytest.mark.parametrize("app,module,reason", [
+        ("leaky_bucket", leaky_bucket,
+         "flush plan on map 1 (stages 8-25) not covered by a window"),
+        ("dnat", dnat,
+         "flush plan on map 1 (stages 8-21) not covered by a window"),
+    ])
+    def test_flush_plan_without_a_window(self, app, module, reason):
+        _build, setup, frames = APP_CASES[app]
+        program = module.build()
+        self._check_cycle_loop(compile_program(program), program,
+                               frames * 5, reason, setup)
+
+    def test_order_sensitive_helper(self):
+        program = assemble_program("""
+            call 7
+            r0 = 2
+            exit
+        """, name="prandom")
+        self._check_cycle_loop(compile_program(program), program,
+                               _key_frames([1, 2, 3]),
+                               "helper 7 is order-sensitive")
+
+    def test_access_outside_the_window(self):
+        tiny = TestWindowedStream.TINY
+        pipeline = TestWindowedStream.TINY_PIPELINE
+        fd = next(iter(pipeline.map_hazards))
+        (lo, hi), = pipeline.serial_windows
+        narrowed = _rewindowed(pipeline, fd, (lo + 1, hi))
+        self._check_cycle_loop(
+            narrowed, tiny, _key_frames([1, 2, 1, 3, 4, 5, 1]),
+            f"flush plan on map {fd} (stages {lo}-{hi}) not covered")
+
+    def test_window_from_stage_one(self):
+        tiny = TestWindowedStream.TINY
+        pipeline = TestWindowedStream.TINY_PIPELINE
+        fd = next(iter(pipeline.map_hazards))
+        (_lo, hi), = pipeline.serial_windows
+        self._check_cycle_loop(
+            _rewindowed(pipeline, fd, (1, hi)), tiny,
+            _key_frames([1, 2, 1, 3, 4, 5, 1]),
+            "serialization window starts at stage 1")
+
+    def test_two_windows(self):
+        program = assemble_program(_TWO_LRU_SRC, maps=_TWO_LRU_MAPS,
+                                   name="two_lru")
+        pipeline = compile_program(program)
+        assert len(pipeline.serial_windows) == 2
+        self._check_cycle_loop(
+            pipeline, program, _key_frames([1, 2, 9, 3, 1, 1, 2]),
+            "2 serialization windows", _seed_two_lru)
+
+    def test_non_codegen_engine(self):
+        sim = PipelineSimulator(compile_program(firewall.build()),
+                                options=SimOptions(engine="fast"))
+        assert sim.engine_path() \
+            == "cycle-loop (engine 'fast' has no stream path)"
 
 
 class TestParallelReuse:

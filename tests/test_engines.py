@@ -185,7 +185,24 @@ class TestCliEngineFlag:
 
         assert main(["run", prog_file, "--packets", "40",
                      "--engine", "codegen"]) == 0
-        assert "engine: codegen" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine: codegen" in out
+        assert "engine path: stream" in out
+
+    def test_run_and_stats_say_which_path_and_why_not(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "app:ct_firewall", "--workload", "auto",
+                     "--packets", "60", "--engine", "codegen"]) == 0
+        assert "engine path: stream" in capsys.readouterr().out
+        assert main(["run", "app:ct_firewall", "--workload", "auto",
+                     "--packets", "60", "--engine", "fast"]) == 0
+        assert "engine path: cycle-loop (engine 'fast' has no stream path)" \
+            in capsys.readouterr().out
+        assert main(["stats", "app:leaky_bucket"]) == 0
+        assert ("engine path: cycle-loop (flush plan on map 1 "
+                "(stages 8-25) not covered by a window)") \
+            in capsys.readouterr().out
 
     def test_run_engine_vm_reference(self, capsys, prog_file):
         from repro.cli import main

@@ -1,6 +1,9 @@
 """Tests of the repro.workloads subsystem (spec, sampler, generators)."""
 
+import dataclasses
+import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -90,12 +93,56 @@ class TestZipfSampler:
         assert all(0 <= r < 1_000_000 for r in ranks)
         # Zipf: rank 0 must dominate a uniform draw's hit rate
         assert ranks.count(0) >= 1
+        # The table, bit for bit: every Zipfian trace in the tree (and
+        # every replay-verified serve journal) is a function of it.
+        assert hashlib.sha256(
+            array("d", sampler._cum).tobytes()).hexdigest() == \
+            "476bc882cc5b87eccd556acac923a2c1dc94f5cb078352633d52ed9189903d00"
+        # 8 bytes a flow, not a list of a million float objects
+        assert sampler._cum.itemsize * len(sampler._cum) == 8_000_000
 
     def test_uniform_sampler(self):
         sampler = make_sampler(100, "uniform", 1.0)
         a = [sampler.sample(random.Random(5)) for _ in range(3)]
         b = [sampler.sample(random.Random(5)) for _ in range(3)]
         assert a == b
+
+
+# sha256 over (2-byte length, frame) of `<kind>:flows=1000,packets=2000`.
+_FRAME_DIGESTS = {
+    ("flow-churn", 1): "49ae36b8880ba82ec7d74096606a29f6f81327f151c9f62f099f060eb6d88b67",
+    ("flow-churn", 7): "6859d4f9a2882e93436cd00f0db324e027396794ecb2095c761b3336421a93e5",
+    ("syn-flood", 1): "12ef8dd1d28cc1bbb44bbcf7317f3a5d90d8c0642cd63172ea447000f0641599",
+    ("syn-flood", 7): "37362216bb41c77ad6c7a108c25023b0d98c57d578e571114575ad81cbe7fe8e",
+    ("tcp-handshake", 1): "d469219a0b0a15d3a3f0e831e30a360246974232cb1b26e233c81e6b60d4880e",
+    ("tcp-handshake", 7): "bb77bcce9ee21c08caa050de2914c9e7bfe049d953838f9d25217cc616380c62",
+    ("tunnel-encap", 1): "ba29442cdec23c71204e9940e4a7e81984148db2b9e869f51fb16ff88cae6e04",
+    ("tunnel-encap", 7): "9e33bf3963306ce45725f5e5612e1d88e635852fd46ff50fabaac9bdf55da3f0",
+    ("udp-zipf", 1): "9b598cc0fa7a1d1d285fffcd76922b3ae1bc718153a86fc8e3a3bec05e685c29",
+    ("udp-zipf", 7): "da79a7a2bcec3c3baad51908ce7cb873a624bcf8eb8ffcc5eb877367515f03b4",
+    ("udp6-nat64", 1): "a66904648a683f09343419fddb829c4e103ad7188e7d905dbbeaf8d3fbb1755b",
+    ("udp6-nat64", 7): "5241ef64bed81e247697666180da0c93e6ad3a706b3387705b5e000ffb723216",
+}
+
+
+class TestFrameDigests:
+    """Golden frame sequences per (kind, seed): a generator change that
+    moves one byte of one frame moves every EXPERIMENTS.md table and
+    every replay-verified journal built on it, so it must show here."""
+
+    def test_every_kind_is_pinned(self):
+        assert {kind for kind, _seed in _FRAME_DIGESTS} == set(WORKLOADS)
+
+    @pytest.mark.parametrize("kind,seed", sorted(_FRAME_DIGESTS))
+    def test_frame_sequence_digest(self, kind, seed):
+        spec = dataclasses.replace(
+            parse_workload_spec(f"{kind}:flows=1000,packets=2000"),
+            seed=seed)
+        digest = hashlib.sha256()
+        for frame in make_workload(spec).frames():
+            digest.update(len(frame).to_bytes(2, "big"))
+            digest.update(frame)
+        assert digest.hexdigest() == _FRAME_DIGESTS[(kind, seed)]
 
 
 class TestGenerators:
