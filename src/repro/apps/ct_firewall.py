@@ -16,7 +16,7 @@ recency), and the miss path then *updates* the same map from a later
 pipeline stage, the compiler plans a serialization window over the
 conntrack stages — at most one packet in flight between first and last
 access — which is the structural hazard this application exists to
-exercise end-to-end (VM, fast/codegen simulators and RTL must agree on
+exercise end-to-end (VM, pipeline simulators and RTL must agree on
 eviction order bit-for-bit).
 
 Map ``conntrack``: lru_hash, key 16 B = src(4) dst(4) sport(2) dport(2)

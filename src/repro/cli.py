@@ -294,11 +294,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"ILP: max {pipeline.max_ilp}, avg {pipeline.avg_ilp:.2f}")
     print(f"max per-stage state: {pipeline.max_state_bytes} B")
     print(hazard_summary(pipeline))
-    # The path `repro run --engine codegen` takes with nothing attached.
+    # The path `repro run` takes with nothing attached.
     from .hwsim import PipelineSimulator, SimOptions
 
-    probe = PipelineSimulator(
-        pipeline, options=SimOptions(engine="codegen", telemetry=False))
+    probe = PipelineSimulator(pipeline, options=SimOptions(telemetry=False))
     print(f"engine path: {probe.engine_path()}")
     print(f"resources (Alveo U50, incl. Corundum): "
           f"{estimate_resources(pipeline).summary()}")
@@ -424,8 +423,8 @@ def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
     from (``PipelineSimulator.engine_path``; every parallel worker is
     one such simulator under the same options).
 
-    ``engine`` is a pipeline backend from the registry ("interpreted",
-    "fast", "codegen"). With ``workers > 1`` the parallel engine shards
+    ``engine`` is a pipeline backend from the registry ("interpreted"
+    or "codegen"). With ``workers > 1`` the parallel engine shards
     the trace RSS-style over that many replica processes and the merged
     report is returned.
     """
@@ -462,21 +461,13 @@ def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
     return report, elapsed, None, path
 
 
-def _resolve_engine(args: argparse.Namespace) -> str:
-    """``--engine`` wins; otherwise the legacy ``--fast`` boolean."""
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        return engine
-    return "fast" if getattr(args, "fast", True) else "interpreted"
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     collect = _telemetry_setup(args)
     program = load_program(args.program)
     pipeline = _compile(args, program)
     frames = _gen_frames(args)
     setup = _app_setup(args.program)
-    engine = _resolve_engine(args)
+    engine = args.engine
     spec = get_engine(engine)
     if spec.kind != "pipeline":
         # Reference/RTL engines: no worker sharding, no record-free mode
@@ -528,7 +519,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     frames = _gen_frames(args)
     setup = _app_setup(args.program)
     # Every registered pipeline engine runs the identical workload; the
-    # interpreted engine is the parity reference (all three must agree on
+    # interpreted engine is the parity reference (both must agree on
     # cycle counts and verdicts — they model the same hardware).
     engines = pipeline_engine_names()
     results = {}
@@ -548,25 +539,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"{engine:<14s}  {dt * 1e3:>9.1f}  "
               f"{len(frames) / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
-    fast_report, fast_dt = results["fast"][:2]
+    codegen_report, codegen_dt = results["codegen"][:2]
     shard_sizes = None
     if args.workers > 1:
         par_report, par_dt, shard_sizes, _path = _run_once(
-            pipeline, program, frames, "fast", workers=args.workers,
+            pipeline, program, frames, "codegen", workers=args.workers,
             setup=setup)
-        if par_report.action_counts != fast_report.action_counts:
+        if par_report.action_counts != codegen_report.action_counts:
             print("ERROR: parallel engine action counts diverged",
                   file=sys.stderr)
             return 1
-        label = f"fast x{args.workers}"
+        label = f"codegen x{args.workers}"
         print(f"{label:<14s}  {par_dt * 1e3:>9.1f}  "
               f"{len(frames) / par_dt:>12,.0f}  {slow_dt / par_dt:>7.2f}x")
-        print(f"parallel scaling: {fast_dt / par_dt:.2f}x over 1 worker")
+        print(f"parallel scaling: {codegen_dt / par_dt:.2f}x over 1 worker")
     print(f"parity OK: {ref_report.cycles} cycles, "
           f"{sum(ref_report.action_counts.values())} packets on "
           f"{len(engines)} engines")
     if collect:
-        publish_report(fast_report, telemetry.get_registry(),
+        publish_report(codegen_report, telemetry.get_registry(),
                        app=program.name, engine="hwsim",
                        shard_sizes=shard_sizes)
         _export_telemetry(args)
@@ -765,12 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_compile_flags(p_run)
     _add_traffic_flags(p_run)
-    p_run.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="use the pre-compiled stage kernels (default on; "
-                            "shorthand for --engine fast/interpreted)")
-    p_run.add_argument("--engine", choices=engine_names(), default=None,
-                       help="execution backend (overrides --fast): "
+    p_run.add_argument("--engine", choices=engine_names(), default="codegen",
+                       help="execution backend (default codegen): "
                             + ", ".join(engine_names()))
     p_run.add_argument("--workers", type=int, default=1,
                        help="pipeline replicas: RSS-shard the trace across "
@@ -812,9 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_traffic_flags(p_verify, packets=64, flows=8)
     _add_metrics_flag(p_verify)
     p_verify.add_argument("--engine", choices=pipeline_engine_names(),
-                          default=None,
+                          default="codegen",
                           help="pipeline-simulator backend for the hwsim "
-                               "leg (default: fast)")
+                               "leg (default: codegen)")
     p_verify.add_argument("--rtl-engine", choices=list(RTL_ENGINES),
                           default="rtl", dest="rtl_engine",
                           help="RTL-leg simulation engine (default: "

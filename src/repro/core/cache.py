@@ -7,8 +7,7 @@ start-up time for repeated experiment runs over the same applications
 is a pure function of the bytecode, the map definitions and the compile
 options, so it can be memoised on disk: the cache key is a SHA-256 over
 exactly those inputs plus a format version, and the value is the pickled
-pipeline (stage kernels are excluded from pickling and re-derived on
-first simulation, see ``Stage.__getstate__``).
+pipeline, generated execution source included.
 
 Layout: one ``<digest>.pipeline.pkl`` file per entry under
 ``$EHDL_CACHE_DIR`` (default ``~/.cache/ehdl-repro``). Writes go through
@@ -35,7 +34,8 @@ from .pipeline import Pipeline
 # Bump when the Pipeline IR or the compiler's observable output changes
 # in a way that makes old pickles stale.
 # v3: Pipeline carries codegen_source/codegen_version (hwsim.codegen).
-_CACHE_VERSION = 4
+# v5: Stage drops its ``kernel`` field and pickling carve-out.
+_CACHE_VERSION = 5
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

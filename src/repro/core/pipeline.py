@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -62,19 +62,6 @@ class Stage:
     # relative to R10.
     live_in_regs: FrozenSet[int] = frozenset()
     live_in_stack: Tuple[Tuple[int, int], ...] = ()
-    # Fast-path execution kernel compiled by repro.hwsim.kernels; a plain
-    # closure, so it is excluded from equality and never pickled (cached
-    # pipelines recompile kernels on load).
-    kernel: Optional[Any] = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["kernel"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("kernel", None)
 
     @property
     def width(self) -> int:
@@ -163,10 +150,10 @@ class Pipeline:
     entry_checks: Tuple = ()
     loops_unrolled: int = 0
     # Generated execution source for the codegen engine (see
-    # repro.hwsim.codegen). Plain text, so — unlike the stage kernels —
-    # it survives pickling: cached pipelines and parallel workers reuse
-    # it instead of regenerating. ``codegen_version`` stamps the emitter
-    # that produced it; a mismatch triggers regeneration on load.
+    # repro.hwsim.codegen). Plain text, so it survives pickling: cached
+    # pipelines and parallel workers reuse it instead of regenerating.
+    # ``codegen_version`` stamps the emitter that produced it; a mismatch
+    # triggers regeneration on load.
     codegen_source: Optional[str] = field(default=None, compare=False,
                                           repr=False)
     codegen_version: int = field(default=0, compare=False)

@@ -1,11 +1,10 @@
-"""Specialized operator closures for the fast-path execution engine.
+"""Specialized operator closures for the reference VM's fast path.
 
-Both the reference VM (:mod:`repro.ebpf.vm`) and the pipeline simulator
-(:mod:`repro.hwsim.kernels`) interpret the same ALU/compare semantics.
-The interpreted paths re-decode each instruction per packet; the fast
-paths instead call :func:`make_alu_fn` / :func:`make_cmp_fn` once per
-instruction to bake the opcode dispatch, operand source (register vs.
-sign-extended immediate), width masks and shift masks into a closure.
+The VM's interpreted loop (:mod:`repro.ebpf.vm`) re-decodes each
+instruction per packet; its fast path instead calls
+:func:`make_alu_fn` / :func:`make_cmp_fn` once per instruction to bake
+the opcode dispatch, operand source (register vs. sign-extended
+immediate), width masks and shift masks into a closure.
 
 The closures are built from the *same* primitive semantics as
 ``Vm._alu`` / ``Vm._compare`` — div-by-zero yields zero, mod-by-zero
@@ -18,7 +17,7 @@ the canonical errors for genuinely unknown opcodes).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from . import isa
 from .isa import MASK32, MASK64, Instruction, to_signed32
@@ -241,121 +240,3 @@ def make_cmp_fn(insn: Instruction) -> Optional[CmpFn]:
         return fn
     return None
 
-
-def make_branch_fn(
-    insn: Instruction,
-    taken: Tuple[int, ...],
-    fall: Tuple[int, ...],
-) -> Optional[Callable]:
-    """Build ``fn(pkt)`` evaluating a conditional jump and enabling the
-    matching successor set in one frame (the simulator fast path's
-    terminator handling). The unsigned relations are fully inlined; the
-    signed ones wrap the :func:`make_cmp_fn` closure. ``None`` when the
-    opcode has no specialization at all."""
-    is64 = insn.opclass == isa.BPF_JMP
-    mask = MASK64 if is64 else MASK32
-    op = insn.op
-    dst = insn.dst
-    src = insn.src
-    use_reg = insn.uses_reg_src
-    imm = to_signed32(insn.imm) & mask
-
-    if op == isa.BPF_JEQ:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) == (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) == imm else fall
-                )
-        return fn
-    if op == isa.BPF_JNE:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) != (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) != imm else fall
-                )
-        return fn
-    if op == isa.BPF_JGT:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) > (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) > imm else fall
-                )
-        return fn
-    if op == isa.BPF_JGE:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) >= (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) >= imm else fall
-                )
-        return fn
-    if op == isa.BPF_JLT:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) < (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) < imm else fall
-                )
-        return fn
-    if op == isa.BPF_JLE:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if (regs[dst] & mask) <= (regs[src] & mask) else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if (pkt.regs[dst] & mask) <= imm else fall
-                )
-        return fn
-    if op == isa.BPF_JSET:
-        if use_reg:
-            def fn(pkt):
-                regs = pkt.regs
-                pkt.enabled.update(
-                    taken if regs[dst] & regs[src] & mask else fall
-                )
-        else:
-            def fn(pkt):
-                pkt.enabled.update(
-                    taken if pkt.regs[dst] & imm else fall
-                )
-        return fn
-
-    cmp = make_cmp_fn(insn)
-    if cmp is None:
-        return None
-
-    def fn(pkt):
-        pkt.enabled.update(taken if cmp(pkt.regs) else fall)
-    return fn

@@ -1,21 +1,19 @@
 """Source-emitting execution backend for the pipeline simulator.
 
-The ``fast`` engine (:mod:`repro.hwsim.kernels`) already decodes every
-:class:`~repro.core.pipeline.PipeOp` once at construction — but it still
-pays one closure call per op per packet per cycle, plus a kernel call
-per stage. This module goes the rest of the way, in the spirit of the
-paper's own argument (compiling the program into specialized hardware
-beats interpreting it on NIC cores): each stage's op list is translated
-into *generated Python source* — ops inlined as statements, widths,
-offsets, masks and immediates folded into literals, predication and
-snapshot/flush logic emitted only for pipelines whose hazard plans need
-them — and the per-stage bodies are additionally stitched into a single
-generated cycle-advance function so the hot shift loop runs without any
-per-stage dispatch at all.
+The interpreted simulator decodes every
+:class:`~repro.core.pipeline.PipeOp` per packet per cycle. This module
+decodes once, in the spirit of the paper's own argument (compiling the
+program into specialized hardware beats interpreting it on NIC cores):
+each stage's op list is translated into *generated Python source* — ops
+inlined as statements, widths, offsets, masks and immediates folded
+into literals, predication and snapshot/flush logic emitted only for
+pipelines whose hazard plans need them — and the per-stage bodies are
+additionally stitched into a single generated cycle-advance function so
+the hot shift loop runs without any per-stage dispatch at all.
 
 Layout of a generated module:
 
-* ``_s<N>`` — stage N's body with the stage-kernel contract
+* ``_s<N>`` — stage N's body with the stage-function contract
   ``fn(sim, pkt, slots, barrier_queues, input_queue, report) -> bool``
   (used by the barrier-release / stalled paths, and for stage 1 at
   injection);
@@ -35,18 +33,19 @@ Layout of a generated module:
   ``_STREAM`` — the tuple and bindings
   :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
 
-The emitted semantics mirror :mod:`repro.hwsim.kernels` statement for
-statement (which in turn mirrors the interpreted path), so a codegen run
-is bit-identical — same XDP actions, packet bytes, map state AND cycle
-counts. Anything the kernels defer to the simulator (WAR-buffered map
-stores, complex atomics, unknown helpers, flush checks) is emitted as a
-call to the same ``sim._*`` fallback.
+The emitted semantics mirror the interpreted path
+(:meth:`PipelineSimulator._execute_op`) instruction for instruction —
+predication, snapshot-on-side-effect, flush checks, bounds-violation
+drops, successor enabling — so a codegen run is bit-identical: same XDP
+actions, packet bytes, map state AND cycle counts. Anything not worth
+specializing (WAR-buffered map stores, complex atomics, unknown
+helpers, flush checks) is emitted as a call to the interpreted path's
+own ``sim._*`` method.
 
-Unlike kernels — which are closures and therefore unpicklable — the
-generated *source text* persists: the compiler attaches it to the
+The generated *source text* persists: the compiler attaches it to the
 :class:`~repro.core.pipeline.Pipeline` (``codegen_source``), the compile
 cache pickles it with the pipeline, and parallel workers inherit it, so
-cache hits and worker startup skip kernel compilation entirely.
+cache hits and worker startup skip generation entirely.
 Regenerations outside the compiler are counted by the
 ``ehdl_codegen_recompile_total`` telemetry counter.
 """
@@ -218,7 +217,7 @@ class _Emitter:
         # position consumer (sim._mem_store's WAR threshold) gets a
         # just-in-time position write right before the fallback call.
         self.maintain = self.any_flush or self.may_pend
-        # Packets executing any kernel op already passed every entry
+        # Packets executing any stage op already passed every entry
         # length comparator, so constant packet accesses below the
         # largest entry threshold need no bounds check — unless the
         # program can change the packet length mid-flight (adjust_head/
@@ -514,7 +513,7 @@ class _Emitter:
             "ctx": (f"{_CTX_LO} <= _a < {_CTX_HI}", ctx_body),
         }
         # The regions are range-disjoint, so test order is free: put the
-        # labeled region first and keep the kernels' order for the rest.
+        # labeled region first and keep a fixed order for the rest.
         order = ["packet", "stack", "map", "ctx"]
         label = op.label
         if label is not None:
@@ -561,7 +560,7 @@ class _Emitter:
                 return None
             if off + size <= self.pkt_min_len:
                 # Subsumed by the entry length comparators: every packet
-                # reaching kernel ops is at least pkt_min_len bytes.
+                # reaching stage ops is at least pkt_min_len bytes.
                 return [f"{D} = {self._unpack(size)}(pkt.ctx.packet, {off})[0]"]
             # Offset is relative to the current data pointer, exactly
             # like the dynamic path's _a - DATA0 - head_adjust; only the
@@ -914,7 +913,8 @@ class _Emitter:
     # -- op -> statements ----------------------------------------------------
 
     def op_may_side_effect(self, op: PipeOp) -> bool:
-        """Mirror of the kernels' may_side_effect flags."""
+        """Whether ``op`` can return a side-effect descriptor (a map
+        write to snapshot and flush-check)."""
         insn = op.insn
         cls = insn.opclass
         if cls in (isa.BPF_ST, isa.BPF_STX):
@@ -1025,7 +1025,7 @@ class _Emitter:
         Returns (lines, has_flush) or None when the stage has nothing to
         execute. The caller guarantees ``pkt.done`` is False on entry
         (prologue or shift-loop guard), so done is only re-checked after
-        ops that can set it — exactly the kernels' per-op break.
+        ops that can set it — the interpreted path's per-op break.
         """
         if stage.kind is not StageKind.OPS or not stage.ops:
             return None
@@ -1054,8 +1054,8 @@ class _Emitter:
 
     def entry_body(self) -> Optional[List[str]]:
         """Entry ops run unconditionally, with no inter-op done checks
-        (mirrors compile_entry_kernel); side effects are impossible for
-        ctx loads and are ignored."""
+        (like ``_run_entry_ops``); side effects are impossible for ctx
+        loads and are ignored."""
         if not self.pipeline.entry_ops:
             return None
         out: List[str] = []
@@ -1401,8 +1401,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     # each stage's body inlined at its shift site: zero per-stage dispatch.
     # LRU serialization windows: the unrolled whole-cycle advance knows
     # nothing about interlock stalls, so windowed pipelines fall back to
-    # the simulator's generic shift loop (which dispatches _STAGE_FNS as
-    # kernels) — identical stall timing on every engine by construction.
+    # the simulator's generic shift loop (which dispatches _STAGE_FNS
+    # per position) — identical stall timing on both engines by
+    # construction.
     serial = bool(pipeline.serial_windows)
     if not serial:
         adv: List[str] = []

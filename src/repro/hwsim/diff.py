@@ -78,7 +78,7 @@ def run_differential(
     rate, the most hazard-prone schedule). ``setup(maps)`` — if given — is
     applied to both sides' fresh map sets before execution (host-installed
     state such as routes or ACL entries). ``engine`` picks the pipeline
-    execution backend ("interpreted", "fast" or "codegen"; see
+    execution backend ("interpreted" or "codegen", the default; see
     :mod:`repro.hwsim.engines`) without touching the other sim options.
     """
     if pipeline is None:

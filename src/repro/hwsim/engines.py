@@ -1,24 +1,23 @@
 """Execution-backend registry: every way this repo can execute an XDP
 program, behind one interface.
 
-Historically the choice of executor was scattered across booleans —
-``SimOptions.fast``, ad-hoc ``Vm`` legs in the differential harnesses,
-a separate RTL runner — so each new backend (and each new consumer:
-CLI, benches, differential tests) re-invented enumeration. The registry
-makes the set explicit:
+Without it the choice of executor is scattered — simulator options,
+ad-hoc ``Vm`` legs in the differential harnesses, a separate RTL
+runner — and each new consumer (CLI, benches, differential tests)
+re-invents enumeration. The registry makes the set explicit:
 
 =========== ========== ============================================
 name        kind       executor
 =========== ========== ============================================
 vm          reference  sequential interpreter (:class:`repro.ebpf.vm.Vm`)
 interpreted pipeline   cycle-level simulator, per-op decode
-fast        pipeline   simulator + precompiled closure kernels
 codegen     pipeline   simulator + generated/compile()d source
 rtl         rtl        compiled levelized schedule over the emitted VHDL
 rtl-interp  rtl        delta-cycle interpreter over the same netlist
 =========== ========== ============================================
 
-The three ``pipeline`` engines are different executions of the *same*
+The two ``pipeline`` engines (``interpreted`` is the reference,
+``codegen`` the default) are different executions of the *same*
 cycle-level model and must agree on everything — XDP actions, packet
 bytes, map state AND cycle counts (``cycle_exact``). The ``vm`` and
 ``rtl*`` engines share the end-to-end observables (actions, bytes,
@@ -32,7 +31,7 @@ baseline for differential testing of the compiled schedule.
 returns a normalized :class:`EngineRun`; :func:`compare_runs` diffs two
 of them, honouring ``cycle_exact``. The differential harnesses, the
 ``--engine`` CLI flag and the perf bench all enumerate engines through
-this module instead of hard-coding ``fast=True`` booleans.
+this module.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ ENGINES: Dict[str, EngineSpec] = {
         EngineSpec(
             "interpreted", "pipeline",
             "cycle-level pipeline simulator with per-op decode", True,
-        ),
-        EngineSpec(
-            "fast", "pipeline",
-            "pipeline simulator with precompiled closure kernels", True,
         ),
         EngineSpec(
             "codegen", "pipeline",

@@ -87,8 +87,8 @@ class MultiProgramNic:
             raise ValueError("one MapSet per pipeline required")
         self.maps = list(maps)
         # Execution backend for the persistent serving simulators (see
-        # process_batch); None keeps the SimOptions default ("fast").
-        self.engine = engine
+        # process_batch); None means the SimOptions default.
+        self.engine = engine or SimOptions.engine
         self._sims: List[Optional[PipelineSimulator]] = [None] * len(self.pipelines)
 
     @classmethod
@@ -243,9 +243,9 @@ class MultiProgramNic:
 
         Unlike :meth:`run_stream` (which builds fresh simulators per
         call), the simulators persist across batches: map state, the
-        wall clock and compiled kernels carry over, so a long-lived
-        serving loop pays one classify pass plus one run per non-empty
-        slot per batch. Every slot drains fully before this returns —
+        wall clock and the loaded generated module carry over, so a
+        long-lived serving loop pays one classify pass plus one run per
+        non-empty slot per batch. Every slot drains fully before this returns —
         the batch boundary is a full synchronization point with no
         frame in flight, which is what makes control-plane changes
         applied *between* batches deterministic and replayable.

@@ -384,10 +384,9 @@ class ParallelPipelineSimulator:
         gap: int,
         batch_size: int,
     ) -> Tuple[List[SimReport], List[Dict[int, Dict[bytes, bytes]]]]:
-        if self.options.resolved_engine() == "codegen":
-            # Generate once in the parent: the source text (unlike stage
-            # kernels, which Stage.__getstate__ drops) pickles with the
-            # pipeline, so workers exec() it instead of re-emitting.
+        if self.options.engine == "codegen":
+            # Generate once in the parent: the source text pickles with
+            # the pipeline, so workers exec() it instead of re-emitting.
             from .codegen import ensure_source
 
             ensure_source(self.pipeline)

@@ -70,7 +70,7 @@ class NicSystem:
                 clock_mhz=self.shell.clock_mhz,
                 input_queue_capacity=self.shell.input_queue_capacity,
                 keep_records=keep_records,
-                engine=engine,
+                engine=engine or SimOptions.engine,
             ),
         )
 

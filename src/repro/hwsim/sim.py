@@ -52,10 +52,6 @@ class SimOptions:
     reload_overhead: int = 4  # cycles lost after a flush (Appendix A.1)
     max_cycles: int = 50_000_000
     keep_records: bool = True
-    # Execute stages through pre-compiled kernels (repro.hwsim.kernels)
-    # instead of per-op interpretation. Bit-identical results either way;
-    # the interpreted path remains as the differential reference.
-    fast: bool = True
     # Pipeline replicas (simulated RX queues). 1 = the classic
     # single-queue simulator; >1 is honoured by the parallel engine
     # (repro.hwsim.parallel), which shards flows RSS-style across worker
@@ -67,15 +63,11 @@ class SimOptions:
     # spawned workers — which do not inherit the parent's registry
     # state — still collect when the caller asked for metrics.
     telemetry: Optional[bool] = None
-    # Execution backend (see repro.hwsim.engines): "interpreted", "fast"
-    # or "codegen". None keeps the legacy ``fast`` boolean in charge, so
-    # existing callers are unaffected.
-    engine: Optional[str] = None
-
-    def resolved_engine(self) -> str:
-        if self.engine is not None:
-            return self.engine
-        return "fast" if self.fast else "interpreted"
+    # Execution backend (see repro.hwsim.engines): "codegen" runs the
+    # pipeline's generated source; "interpreted" decodes every op per
+    # packet per cycle and is the differential reference. Bit-identical
+    # results either way.
+    engine: str = "codegen"
 
 
 class SimError(RuntimeError):
@@ -311,38 +303,32 @@ class PipelineSimulator:
             default=0,
         )
         # Per-fd (map, key_size, value_size, value_addr_base) tuples for
-        # the specialized helper-call kernels; per-simulator because the
-        # kernels are shared by every simulator over the same pipeline.
+        # the generated helper-call sites; per-simulator because the
+        # generated module is shared by every simulator over the same
+        # pipeline.
         self._map_entry: Dict[int, Tuple] = {}
         # Execution backend: "interpreted" re-decodes ops per packet per
-        # cycle; "fast" compiles each stage to a kernel closure here;
-        # "codegen" exec()s the pipeline's generated source module and
-        # additionally gets a whole-cycle advance function.
-        engine = self.options.resolved_engine()
-        if engine not in ("interpreted", "fast", "codegen"):
+        # cycle; "codegen" exec()s the pipeline's generated source module
+        # (per-stage functions plus a whole-cycle advance function).
+        engine = self.options.engine
+        if engine not in ("interpreted", "codegen"):
             raise SimError(
                 f"unknown simulator engine {engine!r} "
-                "(expected interpreted, fast or codegen)"
+                "(expected interpreted or codegen)"
             )
         self.engine = engine
-        self._fast = engine != "interpreted"
-        self._entry_kernel = None
-        self._kernels: List[Optional[Callable]] = [None] * pipeline.n_stages
+        self._generated = engine == "codegen"
+        self._entry_fn: Optional[Callable] = None
+        self._stage_fns: List[Optional[Callable]] = []
         self._advance_fn: Optional[Callable] = None
         self._observe_fn: Optional[Callable] = None
         self._stream_fn: Optional[Callable] = None
-        if engine == "fast":
-            from .kernels import compile_entry_kernel, install_stage_kernels
-
-            install_stage_kernels(pipeline)
-            self._kernels = [stage.kernel for stage in pipeline.stages]
-            self._entry_kernel = compile_entry_kernel(pipeline)
-        elif engine == "codegen":
+        if self._generated:
             from .codegen import load_pipeline_module
 
             module = load_pipeline_module(pipeline)
-            self._kernels = list(module["_STAGE_FNS"])
-            self._entry_kernel = module["_ENTRY"]
+            self._stage_fns = list(module["_STAGE_FNS"])
+            self._entry_fn = module["_ENTRY"]
             self._advance_fn = module["_ADVANCE"]
             self._stream_fn = module.get("_STREAM")
             # Binding the generated observer is free; whether any
@@ -352,7 +338,7 @@ class PipelineSimulator:
             self._observe_fn = module["_OBSERVE"]
 
     def _map_entry_for(self, fd: int) -> Optional[Tuple]:
-        """Resolve and cache a map's hot-path constants for the kernels.
+        """Resolve and cache a map's hot-path constants for generated code.
 
         Returns ``None`` for unknown fds (the caller drops the packet,
         like ``_map_channel_call``)."""
@@ -380,7 +366,7 @@ class PipelineSimulator:
     def invalidate_map_cache(self) -> None:
         """Forget the cached per-fd map handles (``_map_entry``).
 
-        The kernel/codegen hot paths cache ``(map, key_size, value_size,
+        The generated hot paths cache ``(map, key_size, value_size,
         base, bound-lookup)`` per fd on first use. In-place mutation
         through the host port (``HostMap.update``/``delete``) stays
         visible through those handles, but *replacing* a ``Map`` object
@@ -445,14 +431,14 @@ class PipelineSimulator:
         cycle_ns = 1000.0 / options.clock_mhz
 
         host_ops = list(self.host_ops)
-        # Fast path: per-position kernel table (kernels[pos] executes
-        # stages[pos], i.e. stage number pos+1), dispatched inline below
-        # to skip the _execute_stage indirection on the hot shift loop.
-        # The codegen engine additionally supplies a generated advance
-        # function covering the entire hazard-free shift phase, and a
-        # generated observer with the stage-busy loop unrolled.
-        fast = self._fast
-        kernels = self._kernels if fast else []
+        # Codegen engine: a generated advance function covers the entire
+        # hazard-free shift phase; stall cycles and windowed pipelines
+        # dispatch the per-position stage functions (stage_fns[pos]
+        # executes stages[pos], i.e. stage number pos+1) inline below,
+        # skipping the _execute_stage indirection. The generated observer
+        # has the stage-busy loop unrolled.
+        generated = self._generated
+        stage_fns = self._stage_fns
         advance = self._advance_fn
         observe = None
         if metrics is not None:
@@ -470,9 +456,9 @@ class PipelineSimulator:
         shift_range = range(n_stages - 1, 0, -1)
         observer = self.observer
         # LRU interlock windows. When present, the whole-cycle advance
-        # paths are bypassed (codegen emits _ADVANCE=None for windowed
-        # pipelines; the fast hot loop is gated below) so every engine
-        # runs the same generic shift loop and stalls identically.
+        # path is bypassed (codegen emits _ADVANCE=None for windowed
+        # pipelines) so both engines run the same generic shift loop and
+        # stall identically.
         windows = self._serial_windows
 
         def window_blocked(stage_no: int) -> bool:
@@ -553,24 +539,6 @@ class PipelineSimulator:
                 # per-stage dispatch at all.
                 if advance(self, slots, barrier_queues, input_queue, report):
                     reload_stall = max(reload_stall, reload_overhead)
-            elif fast and stall_below < 0 and not windows:
-                # Hot shift loop: no barrier stalls in flight, kernels
-                # dispatched inline (the overwhelmingly common cycle).
-                for pos in shift_range:
-                    pkt = slots[pos]
-                    if pkt is None:
-                        continue
-                    npos = pos + 1
-                    slots[pos] = None
-                    slots[npos] = pkt
-                    pkt.position = npos
-                    if pkt.pending_writes:
-                        self._commit_pending(pkt, npos)
-                    kernel = kernels[pos]
-                    if kernel is not None and kernel(
-                        self, pkt, slots, barrier_queues, input_queue, report
-                    ):
-                        reload_stall = max(reload_stall, reload_overhead)
             else:
                 for pos in shift_range:
                     pkt = slots[pos]
@@ -601,11 +569,11 @@ class PipelineSimulator:
                     slots[pos] = None
                     slots[npos] = pkt
                     pkt.position = npos
-                    if fast:
+                    if generated:
                         if pkt.pending_writes:
                             self._commit_pending(pkt, npos)
-                        kernel = kernels[pos]
-                        flushed = kernel is not None and kernel(
+                        stage_fn = stage_fns[pos]
+                        flushed = stage_fn is not None and stage_fn(
                             self, pkt, slots, barrier_queues, input_queue, report
                         )
                     else:
@@ -664,10 +632,10 @@ class PipelineSimulator:
                 if not pkt.done:
                     self._run_entry_ops(pkt)
                 slots[1] = pkt
-                if fast:
+                if generated:
                     # Fresh packets carry no pending writes; skip commit.
-                    kernel = kernels[0]
-                    flushed = kernel is not None and kernel(
+                    stage_fn = stage_fns[0]
+                    flushed = stage_fn is not None and stage_fn(
                         self, pkt, slots, barrier_queues, input_queue, report
                     )
                 else:
@@ -785,47 +753,50 @@ class PipelineSimulator:
         of an iterator round-trip per packet. Cycle accounting is
         identical to ``run_packets(frames, gap)``.
         """
-        from itertools import islice
+        from itertools import count, islice
+        from operator import itemgetter
 
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-        report = self._try_stream(frames, gap)
-        if report is not None:
-            return report
-
-        progress = {"read": 0}
+        # C-level tally of the frames pulled so far: zip draws a frame,
+        # then a count, so next(consumed) is how many were read.
+        consumed = count()
+        counted = map(itemgetter(0), zip(frames, consumed))
 
         def arrivals() -> Iterable[Tuple[int, bytes]]:
-            it = iter(frames)
             cycle = 0
             while True:
-                batch = list(islice(it, batch_size))
+                batch = list(islice(counted, batch_size))
                 if not batch:
                     return
-                progress["read"] += len(batch)
                 for frame in batch:
                     yield (cycle, frame)
                     cycle += gap
 
+        prefetch = 1  # the stream path pulls one frame at a time
         try:
-            return self.run(arrivals())
+            report = self._try_stream(counted, gap)
+            if report is None:
+                prefetch = batch_size
+                report = self.run(arrivals())
+            return report
         except SimError as exc:
             # Streaming sources are often generators the caller cannot
-            # rewind; anchor the failure to the trace position. The batch
-            # prefetch means the offending frame is at most batch_size
-            # behind the last one read.
-            read = progress["read"]
+            # rewind; anchor the failure to the trace position. The
+            # offending frame is at most ``prefetch`` behind the last
+            # one read.
+            read = next(consumed)
             raise SimError(
                 f"{exc} (while streaming: {read} frames read, offending "
-                f"frame index < {read}, >= {max(0, read - batch_size)})"
+                f"frame index < {read}, >= {max(0, read - prefetch)})"
             ) from exc
 
     # -- per-stage execution ---------------------------------------------------
 
     def _run_entry_ops(self, pkt: _InFlight) -> None:
-        if self._entry_kernel is not None:
-            self._entry_kernel(self, pkt)
+        if self._entry_fn is not None:
+            self._entry_fn(self, pkt)
             return
         self._current = pkt
         try:
@@ -850,11 +821,11 @@ class PipelineSimulator:
         # later flush resumes by re-executing this stage's (possibly
         # stale) reads instead of replaying the committed write.
         self._commit_pending(pkt, stage.number)
-        if self._fast:
-            kernel = self._kernels[stage.number - 1]
-            if kernel is None:
+        if self._generated:
+            stage_fn = self._stage_fns[stage.number - 1]
+            if stage_fn is None:
                 return False
-            return kernel(self, pkt, slots, barrier_queues, input_queue, report)
+            return stage_fn(self, pkt, slots, barrier_queues, input_queue, report)
         if stage.kind is not StageKind.OPS:
             return False
         flushed = False

@@ -86,8 +86,8 @@ def run_three_way(
     same host-installed state. ``vhdl_text`` lets callers diff an
     already-emitted (possibly hand-edited) design; by default the
     pipeline is re-emitted. ``engine`` selects the pipeline-simulator
-    execution backend for the hwsim leg ("interpreted", "fast" or
-    "codegen"; see :mod:`repro.hwsim.engines`); ``rtl_engine`` selects
+    execution backend for the hwsim leg ("interpreted" or "codegen",
+    the default; see :mod:`repro.hwsim.engines`); ``rtl_engine`` selects
     the RTL leg's simulation engine ("rtl" for the compiled levelized
     schedule, "rtl-interp" for the delta-cycle interpreter).
     """
@@ -106,7 +106,8 @@ def run_three_way(
     hw_maps = _leg_maps(program, setup)
     hw_sim = PipelineSimulator(
         pipeline, maps=hw_maps,
-        options=SimOptions(clock_mhz=_FROZEN_CLOCK_MHZ, engine=engine),
+        options=SimOptions(clock_mhz=_FROZEN_CLOCK_MHZ,
+                           engine=engine or SimOptions.engine),
         time_ns=time_ns,
     )
     hw_report = hw_sim.run_packets(list(frames), gap=gap)

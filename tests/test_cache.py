@@ -121,6 +121,48 @@ class TestCompileCached:
         compile_cached(prog, cache=cache)
         assert cache.misses == 1
 
+    def test_previous_version_directory_is_a_clean_miss(self, cache,
+                                                        monkeypatch):
+        """A directory shared by two versions of the code: entries the
+        previous version wrote are keyed under its format version, so
+        this one never unpickles their (differently shaped) pipelines —
+        it misses, recompiles and then hits its own entry."""
+        from repro.core import cache as cache_mod
+
+        prog = toy_counter.build()
+        current = cache_mod._CACHE_VERSION
+        monkeypatch.setattr(cache_mod, "_CACHE_VERSION", current - 1)
+        old_path = cache.directory / f"{cache_key(prog)}.pipeline.pkl"
+        monkeypatch.setattr(cache_mod, "_CACHE_VERSION", current)
+        cache.directory.mkdir(parents=True)
+        old_blob = pickle.dumps(_UnpickleTripwire())
+        old_path.write_bytes(old_blob)
+
+        compile_cached(prog, cache=cache)
+        assert (cache.misses, cache.stores, cache.hits) == (1, 1, 0)
+        cold = CompileCache(cache.directory)
+        assert compile_cached(prog, cache=cold).n_stages > 0
+        assert (cold.misses, cold.hits) == (0, 1)
+        assert not _UNPICKLED
+        # the other version's entry is still there for it to use
+        assert old_path.read_bytes() == old_blob
+        assert cache.stats()["disk_entries"] == 2
+
+
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+
+
+class _UnpickleTripwire:
+    """Stands in for a pipeline pickled by another code version: loading
+    it is observable (``get`` would swallow an exception as a miss)."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
+
 
 class TestLru:
     def test_eviction_order(self, cache):

@@ -157,13 +157,15 @@ out:
 
 
 class TestRunAndBench:
-    def test_run_fast_default(self, capsys, prog_file):
+    def test_run_default_engine_is_codegen(self, capsys, prog_file):
         assert main(["run", prog_file, "--packets", "60", "--flows", "4"]) == 0
         out = capsys.readouterr().out
-        assert "engine: fast" in out and "packets/s" in out
+        assert "engine: codegen" in out and "packets/s" in out
+        assert "engine path: " in out
 
     def test_run_interpreted(self, capsys, prog_file):
-        assert main(["run", prog_file, "--packets", "40", "--no-fast"]) == 0
+        assert main(["run", prog_file, "--packets", "40",
+                     "--engine", "interpreted"]) == 0
         assert "engine: interpreted" in capsys.readouterr().out
 
     def test_run_profile_prints_top_functions(self, capsys, prog_file):
@@ -175,7 +177,7 @@ class TestRunAndBench:
         assert main(["bench", prog_file, "--packets", "80",
                      "--flows", "4"]) == 0
         out = capsys.readouterr().out
-        assert "fast" in out and "interpreted" in out
+        assert "codegen" in out and "interpreted" in out
         assert "speedup" in out and "parity OK" in out
 
     def test_run_with_workers(self, capsys, prog_file):
@@ -188,7 +190,7 @@ class TestRunAndBench:
         assert main(["bench", prog_file, "--packets", "80", "--flows", "4",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "fast x2" in out and "parallel scaling" in out
+        assert "codegen x2" in out and "parallel scaling" in out
 
 
 class TestRtlCommands:

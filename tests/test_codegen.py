@@ -513,9 +513,9 @@ class TestStreamBlockers:
 
     def test_non_codegen_engine(self):
         sim = PipelineSimulator(compile_program(firewall.build()),
-                                options=SimOptions(engine="fast"))
+                                options=SimOptions(engine="interpreted"))
         assert sim.engine_path() \
-            == "cycle-loop (engine 'fast' has no stream path)"
+            == "cycle-loop (engine 'interpreted' has no stream path)"
 
 
 class TestParallelReuse:

@@ -3,8 +3,8 @@
 The registry is the single enumeration point for every way the repo can
 execute an XDP program. Two properties are load-bearing and pinned here:
 
-* the three ``pipeline`` engines (interpreted, fast, codegen) are
-  different executions of the *same* cycle-level model and must be
+* the two ``pipeline`` engines (interpreted, codegen) are different
+  executions of the *same* cycle-level model and must be
   bit-identical — XDP actions, packet bytes, final map state AND
   per-packet inject/exit cycles — on every evaluation app;
 * the ``vm`` and ``rtl`` engines share the end-to-end observables
@@ -37,31 +37,37 @@ from tests.test_rtl import APP_CASES
 # bpf_ktime_get_ns on the cycle-counting engines as on the VM.
 _FROZEN = SimOptions(clock_mhz=1e9)
 
-# Every unordered pair with at least one pipeline engine; the three
-# pipeline pairs additionally compare cycle structure.
+# The pipeline pair additionally compares cycle structure.
 PIPELINE_PAIRS = [
-    ("interpreted", "fast"),
     ("interpreted", "codegen"),
-    ("fast", "codegen"),
 ]
 REFERENCE_PAIRS = [
     ("vm", "codegen"),
-    ("vm", "fast"),
 ]
 
 
 class TestRegistry:
     def test_engine_names(self):
         assert engine_names() == [
-            "vm", "interpreted", "fast", "codegen", "rtl", "rtl-interp"
+            "vm", "interpreted", "codegen", "rtl", "rtl-interp"
         ]
 
     def test_pipeline_engine_names(self):
-        assert pipeline_engine_names() == ["interpreted", "fast", "codegen"]
+        assert pipeline_engine_names() == ["interpreted", "codegen"]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             get_engine("verilog")
+
+    def test_retired_fast_engine_rejected(self):
+        from repro.apps import toy_counter
+        from repro.hwsim import PipelineSimulator, SimError
+
+        with pytest.raises(ValueError, match="unknown engine 'fast'"):
+            get_engine("fast")
+        pipeline = compile_program(toy_counter.build())
+        with pytest.raises(SimError, match="interpreted or codegen"):
+            PipelineSimulator(pipeline, options=SimOptions(engine="fast"))
 
     def test_cycle_exactness_split(self):
         # only the pipeline engines promise identical cycle structure
@@ -196,13 +202,21 @@ class TestCliEngineFlag:
                      "--packets", "60", "--engine", "codegen"]) == 0
         assert "engine path: stream" in capsys.readouterr().out
         assert main(["run", "app:ct_firewall", "--workload", "auto",
-                     "--packets", "60", "--engine", "fast"]) == 0
-        assert "engine path: cycle-loop (engine 'fast' has no stream path)" \
-            in capsys.readouterr().out
+                     "--packets", "60", "--engine", "interpreted"]) == 0
+        assert ("engine path: cycle-loop (engine 'interpreted' has no "
+                "stream path)") in capsys.readouterr().out
         assert main(["stats", "app:leaky_bucket"]) == 0
         assert ("engine path: cycle-loop (flush plan on map 1 "
                 "(stages 8-25) not covered by a window)") \
             in capsys.readouterr().out
+
+    def test_run_engine_fast_rejected_by_argparse(self, capsys, prog_file):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", prog_file, "--packets", "10", "--engine", "fast"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
     def test_run_engine_vm_reference(self, capsys, prog_file):
         from repro.cli import main
@@ -220,7 +234,7 @@ class TestCliEngineFlag:
         out = capsys.readouterr().out
         for engine in pipeline_engine_names():
             assert engine in out
-        assert "parity OK" in out and "3 engines" in out
+        assert "parity OK" in out and "2 engines" in out
 
     def test_verify_engine_codegen(self, capsys, prog_file):
         from repro.cli import main

@@ -1,9 +1,10 @@
-"""Fast-path execution engine: pre-compiled kernels ≡ the interpreted path.
+"""Specialized execution ≡ the interpreted path.
 
-The simulator and the reference VM each grow a specialization layer
-(stage kernels / a jump-threaded dispatch table). These tests pin the
-central contract: with ``fast`` on or off, every observable — XDP
-actions, packet bytes, map state, and *cycle counts* — is identical.
+The simulator and the reference VM each have a specialization layer
+(generated source on the ``codegen`` engine / a jump-threaded dispatch
+table under ``Vm(fast=True)``). These tests pin the central contract:
+production path or reference, every observable — XDP actions, packet
+bytes, map state, and *cycle counts* — is identical.
 """
 
 import pytest
@@ -42,40 +43,41 @@ F1 = FiveTuple(ipv4("10.0.0.1"), ipv4("192.168.0.1"), 17, 1000, 53)
 
 
 def run_both(program, frames, setup=None, gap=1, keep_records=True):
-    """Run frames through the pipeline with fast on and off; assert every
-    observable matches and return the (fast, interpreted) reports."""
+    """Run frames through the pipeline on the codegen and interpreted
+    engines; assert every observable matches and return the (codegen,
+    interpreted) reports."""
     pipeline = compile_program(program)
     reports = []
     map_sets = []
-    for fast in (True, False):
+    for engine in ("codegen", "interpreted"):
         maps = MapSet(program.maps)
         if setup is not None:
             setup(maps)
         sim = PipelineSimulator(
             pipeline, maps=maps,
-            options=SimOptions(fast=fast, keep_records=keep_records),
+            options=SimOptions(engine=engine, keep_records=keep_records),
         )
         reports.append(sim.run_packets(list(frames), gap=gap))
         map_sets.append(maps)
 
-    fast_rep, slow_rep = reports
-    assert fast_rep.cycles == slow_rep.cycles
-    assert fast_rep.action_counts == slow_rep.action_counts
-    assert fast_rep.flush_events == slow_rep.flush_events
-    assert fast_rep.squashed_packets == slow_rep.squashed_packets
-    assert fast_rep.stall_cycles == slow_rep.stall_cycles
-    assert fast_rep.sum_total_cycles == slow_rep.sum_total_cycles
-    assert fast_rep.sum_pipeline_cycles == slow_rep.sum_pipeline_cycles
-    assert fast_rep.sum_restarts == slow_rep.sum_restarts
+    gen_rep, ref_rep = reports
+    assert gen_rep.cycles == ref_rep.cycles
+    assert gen_rep.action_counts == ref_rep.action_counts
+    assert gen_rep.flush_events == ref_rep.flush_events
+    assert gen_rep.squashed_packets == ref_rep.squashed_packets
+    assert gen_rep.stall_cycles == ref_rep.stall_cycles
+    assert gen_rep.sum_total_cycles == ref_rep.sum_total_cycles
+    assert gen_rep.sum_pipeline_cycles == ref_rep.sum_pipeline_cycles
+    assert gen_rep.sum_restarts == ref_rep.sum_restarts
     if keep_records:
-        assert len(fast_rep.records) == len(slow_rep.records)
-        for a, b in zip(fast_rep.records, slow_rep.records):
+        assert len(gen_rep.records) == len(ref_rep.records)
+        for a, b in zip(gen_rep.records, ref_rep.records):
             assert (a.pid, a.action, a.data) == (b.pid, b.action, b.data)
             assert a.exit_cycle == b.exit_cycle
             assert a.restarts == b.restarts
     for fd in program.maps:
         assert bytes(map_sets[0][fd].storage) == bytes(map_sets[1][fd].storage)
-    return fast_rep, slow_rep
+    return gen_rep, ref_rep
 
 
 class TestAppParity:
@@ -108,8 +110,8 @@ class TestAppParity:
             # back-to-back routed packets share the stats slot: the RAW
             # hazard fires flushes, and parity must hold through them
             storm = [udp_packet(dst_ip="192.168.1.200", size=64)] * 30
-            fast_rep, _ = run_both(router.build(False), storm, setup=setup)
-            assert fast_rep.flush_events > 0
+            gen_rep, _ = run_both(router.build(False), storm, setup=setup)
+            assert gen_rep.flush_events > 0
 
     def test_tunnel(self):
         def setup(maps):
@@ -136,13 +138,13 @@ class TestAppParity:
 class TestHazardParity:
     def test_rmw_flush_storm(self):
         prog = assemble_program(RMW, maps=MAPS)
-        fast_rep, _ = run_both(prog, [PKT] * 40)
-        assert fast_rep.flush_events > 0
+        gen_rep, _ = run_both(prog, [PKT] * 40)
+        assert gen_rep.flush_events > 0
 
     def test_rmw_spaced_no_flush(self):
         prog = assemble_program(RMW, maps=MAPS)
-        fast_rep, _ = run_both(prog, [PKT] * 10, gap=40)
-        assert fast_rep.flush_events == 0
+        gen_rep, _ = run_both(prog, [PKT] * 10, gap=40)
+        assert gen_rep.flush_events == 0
 
     def test_atomic_counter(self):
         source = """
@@ -160,8 +162,8 @@ class TestHazardParity:
             exit
         """
         prog = assemble_program(source, maps=MAPS)
-        fast_rep, _ = run_both(prog, [PKT] * 40)
-        assert fast_rep.flush_events == 0
+        gen_rep, _ = run_both(prog, [PKT] * 40)
+        assert gen_rep.flush_events == 0
 
     def test_keep_records_false_aggregates(self):
         prog = assemble_program(RMW, maps=MAPS)
@@ -169,8 +171,8 @@ class TestHazardParity:
 
 
 class TestSnapshotRoundTrip:
-    """_InFlight snapshot/restore under the fast path, with pending WAR
-    writes in flight at snapshot time."""
+    """_InFlight snapshot/restore, with pending WAR writes in flight at
+    snapshot time."""
 
     def _packet(self, pid=0):
         from repro.hwsim.sim import _InFlight
@@ -221,12 +223,11 @@ class TestSnapshotRoundTrip:
 
     def test_war_write_survives_flush_restart(self):
         # end-to-end: a WAR-buffered store flushed mid-pipeline must
-        # replay exactly once under the fast path (counter stays exact)
+        # replay exactly once on the default engine (counter stays exact)
         prog = assemble_program(RMW, maps=MAPS)
         pipeline = compile_program(prog)
         maps = MapSet(prog.maps)
-        sim = PipelineSimulator(pipeline, maps=maps,
-                                options=SimOptions(fast=True))
+        sim = PipelineSimulator(pipeline, maps=maps)
         rep = sim.run_packets([PKT] * 40)
         assert rep.flush_events > 0
         value = int.from_bytes(maps.by_name("m").lookup(bytes(4)), "little")

@@ -474,11 +474,20 @@ class TestWorkerFailures:
         self, firewall_setup
     ):
         program, pipeline, frames, setup = firewall_setup
-        maps = MapSet(program.maps)
-        setup(maps)
-        sim = PipelineSimulator(
-            pipeline, maps=maps,
-            options=SimOptions(keep_records=False, max_cycles=3),
-        )
-        with pytest.raises(SimError, match="while streaming"):
-            sim.run_stream(iter(frames), batch_size=32)
+        # codegen streams the firewall frame by frame; the interpreted
+        # cycle loop prefetches a batch — the window says which
+        for engine, window in (
+            ("codegen", "1 frames read, offending frame index < 1, >= 0"),
+            ("interpreted",
+             "32 frames read, offending frame index < 32, >= 0"),
+        ):
+            maps = MapSet(program.maps)
+            setup(maps)
+            sim = PipelineSimulator(
+                pipeline, maps=maps,
+                options=SimOptions(engine=engine, keep_records=False,
+                                   max_cycles=3),
+            )
+            with pytest.raises(SimError, match="while streaming") as excinfo:
+                sim.run_stream(iter(frames), batch_size=32)
+            assert window in str(excinfo.value), engine

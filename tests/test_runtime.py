@@ -149,8 +149,7 @@ class TestStreamBatchBoundaries:
                                     on_batch=allow_after_first_batch)
         return report
 
-    @pytest.mark.parametrize("engine", [None, "interpreted", "fast",
-                                        "codegen"])
+    @pytest.mark.parametrize("engine", [None, "interpreted", "codegen"])
     def test_boundary_write_splits_batches_exactly(self, engine):
         report = self._run(engine)
         # batch 0 (32 frames): unknown flow -> DROP; the hook's write is
@@ -162,7 +161,7 @@ class TestStreamBatchBoundaries:
     def test_engines_agree_bit_for_bit(self):
         reports = {
             engine: self._run(engine)
-            for engine in (None, "interpreted", "fast", "codegen")
+            for engine in (None, "interpreted", "codegen")
         }
         reference = reports.pop(None)
         for engine, report in reports.items():

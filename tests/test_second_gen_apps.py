@@ -402,7 +402,7 @@ class TestEngineDifferentials:
 
     @pytest.mark.parametrize("name", SECOND_GEN)
     def test_pipeline_engines_cycle_exact(self, name):
-        # interpreted/fast/codegen are one model: identical cycles too,
+        # interpreted and codegen are one model: identical cycles too,
         # including the LRU serialization-window stalls.
         prog = SECOND_GEN_APPS[name].build()
         pipeline = compile_program(prog)
