@@ -17,6 +17,13 @@ floor on the firewall; the telemetry row times the codegen engine with
 metrics on vs off and records the code path each side took (metrics
 are per-cycle, so the enabled side always runs the cycle loop).
 
+The ``workload_gen`` row times trace synthesis on its own — the cold
+Zipf table build and ``make_workload + materialize`` for the three
+template-kernel kinds over 1M flows, cold (table cache emptied first,
+which is what every pass cost before the tables were interned) and
+warm, in interleaved rounds with median and spread — and carries the
+parent commit's figures beside them.
+
 Also times the multi-queue parallel engine at 1 vs. 4 workers on the
 firewall and records the scaling ratio; the >= 2x floor at 4 workers is
 enforced only on hosts that actually have >= 4 CPUs (fork + IPC overhead
@@ -29,6 +36,7 @@ import gc
 import json
 import os
 import pathlib
+import statistics
 import threading
 import time
 
@@ -84,6 +92,26 @@ SERVE_SWAPS = 3
 # (repro.apps.APP_WORKLOADS — Zipfian, million-flow populations),
 # truncated so the interpreted engine keeps the whole matrix cheap.
 APP_MATRIX_PACKETS = 6_000
+
+
+# Trace synthesis: the populations the bench workloads draw from.
+WORKLOAD_GEN_FLOWS = 1_000_000
+WORKLOAD_GEN_PACKETS = 20_000
+WORKLOAD_GEN_ROUNDS = 5
+WORKLOAD_GEN_KINDS = ("udp-zipf", "flow-churn", "tunnel-encap")
+# The same make_workload + materialize loop on the parent commit
+# (df5d6ec: table rebuilt every pass, per-packet flow_at +
+# patch_ipv4_flow), measured alternately with this tree on one host.
+WORKLOAD_GEN_BEFORE = {
+    "cold_table_build_ms": 255.8,
+    "frames_per_s": {"udp-zipf": 60741, "flow-churn": 59231,
+                     "tunnel-encap": 36271},
+}
+# warm over cold frames/s on udp-zipf (measured ~14x: a pass that finds
+# its table interned skips 2M pow calls); not asserted when the rounds
+# spread by more than the margin.
+MIN_WARM_OVER_COLD = 4.0
+WORKLOAD_GEN_SPREAD_MARGIN = 0.25
 
 
 def _host_cpus():
@@ -382,6 +410,93 @@ def _bench_app_matrix():
     return rows
 
 
+def _median_spread(samples):
+    """Median and relative spread ``(max - min) / median``."""
+    median = statistics.median(samples)
+    return median, (max(samples) - min(samples)) / median
+
+
+def _bench_workload_gen():
+    """Trace synthesis off the engine: see the module docstring. One
+    round visits every kind once, cold then warm, so host-speed drift
+    lands on all of them alike. Memo hit rates are counted from outside
+    (a miss is an entry the template's memo gained) on one pass from an
+    empty memo and the pass after it."""
+    from repro.workloads import (
+        ZipfSampler,
+        ipv4_template,
+        make_workload,
+        parse_workload_spec,
+    )
+    from repro.workloads.zipf import cumulative_table
+
+    specs = {
+        kind: parse_workload_spec(
+            f"{kind}:flows={WORKLOAD_GEN_FLOWS},"
+            f"packets={WORKLOAD_GEN_PACKETS}")
+        for kind in WORKLOAD_GEN_KINDS
+    }
+
+    def timed_pass(spec):
+        gc.collect()
+        start = time.perf_counter()
+        frames = make_workload(spec).materialize()
+        elapsed = time.perf_counter() - start
+        assert len(frames) == WORKLOAD_GEN_PACKETS
+        return WORKLOAD_GEN_PACKETS / elapsed
+
+    build_ms = []
+    cold = {kind: [] for kind in specs}
+    warm = {kind: [] for kind in specs}
+    for _ in range(WORKLOAD_GEN_ROUNDS):
+        cumulative_table.cache_clear()
+        start = time.perf_counter()
+        ZipfSampler(WORKLOAD_GEN_FLOWS, 1.0)
+        build_ms.append((time.perf_counter() - start) * 1e3)
+        for kind, spec in specs.items():
+            cumulative_table.cache_clear()
+            cold[kind].append(timed_pass(spec))
+            warm[kind].append(timed_pass(spec))
+
+    memo = ipv4_template(specs["udp-zipf"].packet_size).memo
+    kinds = []
+    for kind, spec in specs.items():
+        memo.clear()
+        make_workload(spec).materialize()
+        first_misses = len(memo)
+        make_workload(spec).materialize()
+        second_misses = len(memo) - first_misses
+        cold_fps, _ = _median_spread(cold[kind])
+        warm_fps, spread = _median_spread(warm[kind])
+        kinds.append({
+            "kind": kind,
+            "cold_frames_per_s": round(cold_fps),
+            "warm_frames_per_s": round(warm_fps),
+            "warm_min_frames_per_s": round(min(warm[kind])),
+            "warm_spread": round(spread, 3),
+            "frames_per_s_before": WORKLOAD_GEN_BEFORE["frames_per_s"][kind],
+            "memo_hit_rate_first_pass": round(
+                1 - first_misses / WORKLOAD_GEN_PACKETS, 3),
+            "memo_hit_rate_second_pass": round(
+                1 - second_misses / WORKLOAD_GEN_PACKETS, 3),
+        })
+    build, build_spread = _median_spread(build_ms)
+    return {
+        "flows": WORKLOAD_GEN_FLOWS,
+        "packets": WORKLOAD_GEN_PACKETS,
+        "rounds": WORKLOAD_GEN_ROUNDS,
+        "cold_table_build_ms": round(build, 1),
+        "cold_table_build_spread": round(build_spread, 3),
+        "cold_table_build_ms_before":
+            WORKLOAD_GEN_BEFORE["cold_table_build_ms"],
+        "table_builds_before": "one per frames() pass",
+        "table_builds": "one per (flows, exponent) per process",
+        "kinds": kinds,
+        "inconclusive": any(
+            row["warm_spread"] > WORKLOAD_GEN_SPREAD_MARGIN for row in kinds),
+    }
+
+
 def _bench_serve():
     """Serving-daemon throughput and hot-swap latency.
 
@@ -466,6 +581,7 @@ def test_sim_throughput_regression():
     telemetry_row = _bench_telemetry_overhead("firewall", firewall.build())
     matrix_rows = _bench_app_matrix()
     serve_row = _bench_serve()
+    workload_row = _bench_workload_gen()
     RESULT_PATH.write_text(json.dumps({
         "benchmark": "sim_throughput",
         "packets_per_run": N_PACKETS,
@@ -475,6 +591,7 @@ def test_sim_throughput_regression():
         "telemetry": telemetry_row,
         "app_matrix": matrix_rows,
         "serve": serve_row,
+        "workload_gen": workload_row,
     }, indent=2) + "\n")
     print_table(
         "simulator throughput by engine",
@@ -527,6 +644,19 @@ def test_sim_throughput_regression():
           f"{serve_row['serve_pps']:,}",
           f"{lat['min']:,} / {lat['mean']:,} / {lat['max']:,}"]],
     )
+    print_table(
+        f"trace synthesis ({WORKLOAD_GEN_PACKETS:,} packets over "
+        f"{WORKLOAD_GEN_FLOWS:,} flows; cold table build "
+        f"{workload_row['cold_table_build_ms']:.0f} ms)",
+        ["kind", "frames/s before", "cold frames/s", "warm frames/s",
+         "spread", "memo hits 1st/2nd pass"],
+        [[r["kind"], f"{r['frames_per_s_before']:,}",
+          f"{r['cold_frames_per_s']:,}", f"{r['warm_frames_per_s']:,}",
+          f"{r['warm_spread']:.0%}",
+          f"{r['memo_hit_rate_first_pass']:.0%} / "
+          f"{r['memo_hit_rate_second_pass']:.0%}"]
+         for r in workload_row["kinds"]],
+    )
     firewall_row = rows[0]
     assert firewall_row["codegen_speedup"] >= MIN_CODEGEN_SPEEDUP, (
         f"codegen engine regressed: {firewall_row['codegen_speedup']:.2f}x "
@@ -544,3 +674,11 @@ def test_sim_throughput_regression():
         f"{MIN_RTL_SPEEDUP}x over the interpreter on the firewall "
         f"{RTL_PACKETS}-packet trace"
     )
+    if not workload_row["inconclusive"]:
+        udp = workload_row["kinds"][0]
+        ratio = udp["warm_frames_per_s"] / udp["cold_frames_per_s"]
+        assert ratio >= MIN_WARM_OVER_COLD, (
+            f"trace synthesis regressed: a warm udp-zipf pass is "
+            f"{ratio:.1f}x a cold one, < {MIN_WARM_OVER_COLD}x — is the "
+            f"Zipf table still interned?"
+        )

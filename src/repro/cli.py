@@ -638,9 +638,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"--program name ({sorted(by_name)})"
             )
         by_name[name].ethertype = int(ethertype, 0)
+    try:
+        feed = parse_feed_spec(args.feed)
+    except ValueError as exc:
+        raise SystemExit(f"--feed: {exc}")
     config = ServeConfig(
         programs=programs,
-        feed=parse_feed_spec(args.feed),
+        feed=feed,
         engine=args.engine,
         batch_size=args.batch_size,
         exit_when_drained=args.exit_when_drained,

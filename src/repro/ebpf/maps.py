@@ -180,16 +180,20 @@ class ArrayMap(Map):
 class HashMap(Map):
     """``BPF_MAP_TYPE_HASH``: open-addressed over the fixed slot table.
 
-    Keys are stored alongside a slot directory so that slot indices (and
-    hence value addresses) stay stable until deletion, matching kernel
-    behaviour where a looked-up value pointer stays valid.
+    Keys are stored in a slot directory so that slot indices (and hence
+    value addresses) stay stable until deletion, matching kernel
+    behaviour where a looked-up value pointer stays valid. Slots are
+    handed out lowest-first, a released slot (last released first)
+    before a never-used one: ``_free`` lists the released, ``_fresh``
+    counts the never-used, so an empty map costs no ``max_entries``-long
+    list.
     """
 
     def __init__(self, spec: MapSpec) -> None:
         super().__init__(spec)
         self._slot_by_key: Dict[bytes, int] = {}
-        self._key_by_slot: Dict[int, bytes] = {}
-        self._free: List[int] = list(range(spec.max_entries - 1, -1, -1))
+        self._free: List[int] = []
+        self._fresh = 0
 
     def lookup_slot(self, key: bytes) -> Optional[int]:
         return self._slot_by_key.get(self._check_key(key))
@@ -205,11 +209,14 @@ class HashMap(Map):
             return slot
         if flags == BPF_EXIST:
             raise MapError(f"{self.name}: key does not exist")
-        if not self._free:
+        if self._free:
+            slot = self._free.pop()
+        elif self._fresh < self.max_entries:
+            slot = self._fresh
+            self._fresh += 1
+        else:
             raise MapError(f"{self.name}: map is full")
-        slot = self._free.pop()
         self._slot_by_key[key] = slot
-        self._key_by_slot[slot] = key
         self._occupied[slot] = True
         self._write_slot(slot, value)
         return slot
@@ -219,7 +226,6 @@ class HashMap(Map):
         slot = self._slot_by_key.pop(key, None)
         if slot is None:
             return False
-        del self._key_by_slot[slot]
         self._occupied[slot] = False
         self._write_slot(slot, bytes(self.value_size))
         self._free.append(slot)
@@ -232,8 +238,8 @@ class HashMap(Map):
     def clear(self) -> None:
         super().clear()
         self._slot_by_key.clear()
-        self._key_by_slot.clear()
-        self._free = list(range(self.max_entries - 1, -1, -1))
+        self._free = []
+        self._fresh = 0
 
 
 class LruHashMap(HashMap):
@@ -242,50 +248,38 @@ class LruHashMap(HashMap):
 
     Recency order is part of the observable state: it decides future
     eviction victims, so engines must replicate it exactly and hot-swap
-    carry (:func:`repro.serve.daemon.carry_maps`) must preserve it —
-    hence :meth:`items` iterates oldest-first and replaying the pairs
-    through :meth:`update` reconstructs the same order.
+    carry (:func:`repro.serve.daemon.carry_maps`) must preserve it.
+    The slot directory is an ``OrderedDict`` kept in that order (a
+    lookup or update moves the key to the end), so :meth:`items`
+    iterates oldest-first and replaying the pairs through
+    :meth:`update` reconstructs the same order.
     """
 
     def __init__(self, spec: MapSpec) -> None:
         super().__init__(spec)
-        self._lru: "OrderedDict[bytes, None]" = OrderedDict()
+        self._slot_by_key: "OrderedDict[bytes, int]" = OrderedDict()
         self.evictions = 0
 
     def lookup_slot(self, key: bytes) -> Optional[int]:
-        slot = super().lookup_slot(key)
+        key = self._check_key(key)
+        slot = self._slot_by_key.get(key)
         if slot is not None:
-            self._lru.move_to_end(self._key_by_slot[slot])
+            self._slot_by_key.move_to_end(key)
         return slot
 
     def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
         key = self._check_key(key)
-        if key not in self._slot_by_key and not self._free:
-            oldest = next(iter(self._lru))
-            self.delete(oldest)
+        directory = self._slot_by_key
+        if key not in directory and len(directory) >= self.max_entries:
+            self.delete(next(iter(directory)))
             self.evictions += 1
         slot = super().update(key, value, flags)
-        self._lru[key] = None
-        self._lru.move_to_end(key)
+        directory.move_to_end(key)
         return slot
-
-    def delete(self, key: bytes) -> bool:
-        deleted = super().delete(self._check_key(key))
-        if deleted:
-            self._lru.pop(bytes(key), None)
-        return deleted
-
-    def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        for key in list(self._lru):
-            yield key, self._read_slot(self._slot_by_key[key])
 
     def lru_keys(self) -> List[bytes]:
         """Keys in recency order, least recently used first."""
-        return list(self._lru)
-
-    def clear(self) -> None:
-        super().clear()
-        self._lru.clear()
+        return list(self._slot_by_key)
 
 
 class PercpuArrayMap(ArrayMap):

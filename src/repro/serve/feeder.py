@@ -12,10 +12,13 @@ Three source kinds, selected by :func:`parse_feed_spec`:
 ``gen:`` — :class:`repro.net.flows.TrafficGenerator` (materialises the
 flow population; right for populations up to ~100k flows).
 
-``synth:`` — arithmetic synthesis for *million-flow* populations: frames
-are patched from a single template using :func:`repro.net.flows.flow_at`
-(the same deterministic flow enumeration), with inverse-CDF Zipf
-sampling, so no per-flow object or frame cache is ever materialised.
+``synth:`` — arithmetic synthesis for *million-flow* populations: the
+``udp-zipf`` workload under its historical name (same frames, byte for
+byte). Frames are patched from one template over the
+:func:`repro.net.flows.flow_at` enumeration with inverse-CDF Zipf
+sampling, so no per-flow object is ever materialised; what the process
+keeps is bounded by constants in :mod:`repro.workloads` (≤ 4 interned
+Zipf tables × 8 B/flow, ≤ 64Ki remembered frames per packet size).
 
 ``pcap:<path>`` (or a bare ``*.pcap`` path) — replay a capture file via
 :func:`repro.net.pcap.read_pcap`.
@@ -27,23 +30,19 @@ giving the daemon the same stateful traffic vocabulary as run/bench.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator, Optional
 
-from ..net.flows import flow_at, TrafficGenerator, TrafficSpec
-from ..net.packet import ETH_HLEN, FrameBuffer, udp_packet
+from ..net.flows import TrafficGenerator, TrafficSpec
+from ..net.packet import FrameBuffer
 from ..workloads import (
     WorkloadSpec,
-    ZipfSampler,
     make_workload,
     parse_workload_spec,
     workload_names,
 )
-
-_IP_OFF = ETH_HLEN        # IPv4 header offset
-_L4_OFF = ETH_HLEN + 20   # UDP header offset (no IP options in templates)
+from ..workloads.spec import check_traffic
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,14 @@ class FeedSpec:
         )
 
     def _workload_spec(self) -> WorkloadSpec:
-        """The parsed :class:`WorkloadSpec` of a ``workload:`` feed."""
+        """The :class:`WorkloadSpec` behind a ``synth:`` or
+        ``workload:`` feed."""
+        if self.source == "synth":
+            return WorkloadSpec(
+                kind="udp-zipf", packets=self.packets, flows=self.flows,
+                distribution=self.distribution,
+                zipf_exponent=self.zipf_exponent,
+                packet_size=self.packet_size, seed=self.seed)
         if self.workload is None:
             raise ValueError("not a workload feed")
         kind, sep, params = self.workload.partition(",")
@@ -115,7 +121,9 @@ def parse_feed_spec(text: str) -> FeedSpec:
                 f"(expected one of: {', '.join(workload_names())})"
             )
         spec = FeedSpec(source="workload", workload=body)
-        wspec = spec._workload_spec()  # validates the options eagerly
+        # validate eagerly: the shared options, then the kind's own
+        wspec = spec._workload_spec()
+        make_workload(wspec)
         return replace(
             spec,
             packets=wspec.packets,
@@ -151,12 +159,7 @@ def parse_feed_spec(text: str) -> FeedSpec:
             spec = replace(spec, **{field: float(value)})
         else:
             spec = replace(spec, **{field: value})
-    if spec.distribution not in ("uniform", "zipf"):
-        raise ValueError(f"unknown distribution {spec.distribution!r}")
-    if spec.packets < 1:
-        raise ValueError("feed needs packets >= 1")
-    if spec.flows < 1:
-        raise ValueError("feed needs flows >= 1")
+    check_traffic(spec)
     return spec
 
 
@@ -165,46 +168,6 @@ class Feeder:
 
     def __init__(self, spec: FeedSpec) -> None:
         self.spec = spec
-        if spec.source == "synth" and spec.distribution == "zipf":
-            # Shared inverse-CDF sampler (repro.workloads.zipf): table
-            # built once, one uniform draw + one binary search per
-            # packet, no per-flow objects.
-            self._sampler: Optional[ZipfSampler] = ZipfSampler(
-                spec.flows, spec.zipf_exponent
-            )
-        else:
-            self._sampler = None
-
-    # -- frame synthesis ---------------------------------------------------------
-
-    def _synth_template(self) -> bytearray:
-        return bytearray(udp_packet(size=self.spec.packet_size))
-
-    def _synth_frame(self, template: bytearray, index: int) -> bytes:
-        """Patch the template into flow ``index``'s frame.
-
-        Field formulas are :func:`repro.net.flows.flow_at`'s — a synth
-        feed over N flows covers the same 5-tuples as ``make_flows(N)``;
-        the patching itself is the shared
-        :func:`repro.workloads.patch_ipv4_flow`.
-        """
-        from ..workloads import patch_ipv4_flow
-
-        return patch_ipv4_flow(template, flow_at(index))
-
-    def _synth_frames(self) -> Iterator[bytes]:
-        spec = self.spec
-        template = self._synth_template()
-        rng = random.Random(spec.seed)
-        sampler = self._sampler
-        if sampler is None:
-            for _ in range(spec.packets):
-                yield self._synth_frame(template, rng.randrange(spec.flows))
-        else:
-            for _ in range(spec.packets):
-                yield self._synth_frame(template, sampler.sample(rng))
-
-    # -- public source interface -------------------------------------------------
 
     def frames(self) -> Iterator[bytes]:
         """A fresh pass over the feed, identical on every call."""
@@ -218,9 +181,7 @@ class Feeder:
             if spec.packets:
                 packets = islice(packets, spec.packets)
             return packets
-        if spec.source == "synth":
-            return self._synth_frames()
-        if spec.source == "workload":
+        if spec.source in ("synth", "workload"):
             return make_workload(spec._workload_spec()).frames()
         if spec.source == "gen":
             gen = TrafficGenerator(TrafficSpec(
@@ -242,7 +203,4 @@ class Feeder:
             chunk = list(islice(source, batch_size))
             if not chunk:
                 return
-            buffer = FrameBuffer()
-            for frame in chunk:
-                buffer.append(frame)
-            yield buffer
+            yield FrameBuffer(chunk)

@@ -22,8 +22,8 @@ from .generators import (
     Udp6Nat64Workload,
     UdpZipfWorkload,
     Workload,
+    ipv4_template,
     make_workload,
-    patch_ipv4_flow,
     vxlan_header,
     workload_names,
 )
@@ -40,10 +40,10 @@ __all__ = [
     "Workload",
     "WorkloadSpec",
     "ZipfSampler",
+    "ipv4_template",
     "make_sampler",
     "make_workload",
     "parse_workload_spec",
-    "patch_ipv4_flow",
     "vxlan_header",
     "workload_names",
     "zipf_weights",

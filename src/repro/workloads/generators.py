@@ -4,9 +4,18 @@ Every generator is *restartable*: ``frames()`` rebuilds all state from
 the spec's seed, so two passes yield bit-identical sequences — the
 property the serving daemon's offline replay and the differential
 harnesses rely on. Flow populations are addressed arithmetically via
-:func:`repro.net.flows.flow_at`, so million-flow populations never
-materialise per-flow objects; per-flow *protocol* state (the TCP
-handshake phase machine) grows only with the flows actually touched.
+the :func:`repro.net.flows.flow_at` enumeration, so million-flow
+populations never materialise per-flow objects; per-flow *protocol*
+state (the TCP handshake phase machine) grows only with the flows
+actually touched.
+
+The three option-less IPv4/UDP kinds (``udp-zipf``, ``flow-churn``,
+``tunnel-encap``'s inner frame) and the serving feeder's ``synth:``
+source all build frames through one kernel, :class:`Ipv4Template`,
+which remembers the frames it built: a recurring flow is one shared
+``bytes`` object within a pass and across passes. Memory is bounded
+by constants — at most :data:`FRAME_MEMO_MAX` = 64Ki frames (and 8 MiB
+of frame bytes) per packet size, :data:`MAX_TEMPLATES` = 4 sizes.
 
 Registered kinds:
 
@@ -22,6 +31,8 @@ Registered kinds:
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import islice
 from struct import Struct
 from typing import Dict, Iterator, List, Type
 
@@ -41,10 +52,18 @@ from .zipf import make_sampler
 _IP_OFF = ETH_HLEN        # IPv4 header offset in the synth templates
 _L4_OFF = ETH_HLEN + 20   # L4 header offset (no IP options in templates)
 
-_ADDRS = Struct("!II")          # IPv4 source, destination
-_PORTS = Struct("!HH")          # L4 source, destination
+# The 14 contiguous bytes a flow owns in an option-less IPv4/UDP frame:
+# header checksum, source, destination, L4 source port, L4 destination.
+_FLOW_OFF = _IP_OFF + 10
+_FLOW_FIELDS = Struct("!HIIHH")
 _IP_WORDS = Struct("!10H")      # the option-less IPv4 header, for its sum
-_U16 = Struct("!H")
+
+#: Frames one :class:`Ipv4Template` remembers before it forgets them all.
+FRAME_MEMO_MAX = 1 << 16
+#: ... and the frame bytes they may add up to (5.5k frames at 1500 B).
+FRAME_MEMO_BYTES = 8 << 20
+#: Packet sizes whose template (and memo) stay alive at once.
+MAX_TEMPLATES = 4
 
 #: Standard VXLAN UDP destination port (RFC 7348).
 VXLAN_PORT = 4789
@@ -59,10 +78,12 @@ class Workload:
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
 
-    def _sampler(self):
+    def _ranks(self) -> Iterator[int]:
+        """One pass of flow ranks: ``spec.packets`` seeded draws."""
         spec = self.spec
-        return make_sampler(spec.flows, spec.distribution,
-                            spec.zipf_exponent)
+        sampler = make_sampler(spec.flows, spec.distribution,
+                               spec.zipf_exponent)
+        return islice(sampler.ranks(random.Random(spec.seed)), spec.packets)
 
     def frames(self) -> Iterator[bytes]:
         """A fresh, deterministic pass over the workload's packets."""
@@ -73,40 +94,67 @@ class Workload:
         return list(self.frames())
 
 
-def patch_ipv4_flow(template: bytearray, flow) -> bytes:
-    """Patch a UDP/TCP template's addresses/ports to ``flow`` and fix
-    the IPv4 checksum (L4 checksum left 0 = "not computed")."""
-    _ADDRS.pack_into(template, _IP_OFF + 12, flow.src_ip, flow.dst_ip)
-    _PORTS.pack_into(template, _L4_OFF, flow.sport, flow.dport)
-    _U16.pack_into(template, _IP_OFF + 10, 0)
-    total = sum(_IP_WORDS.unpack_from(template, _IP_OFF))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    _U16.pack_into(template, _IP_OFF + 10, ~total & 0xFFFF)
-    _U16.pack_into(template, _L4_OFF + 6, 0)
-    return bytes(template)
+class Ipv4Template:
+    """One ``packet_size``'s UDP frame, patched per flow index.
+
+    ``frame(i)`` is ``udp_packet`` of ``flow_at(i)``'s addresses and
+    ports at ``size=packet_size``, L4 checksum left 0 ("not computed"),
+    built from parts computed once: the bytes before and after the
+    flow's 14 (:data:`_FLOW_OFF`) and the one's-complement sum of the
+    rest of the IPv4 header, so the header checksum is arithmetic on
+    the two addresses (``2**16 ≡ 1 mod 0xFFFF``: an address adds its
+    value) and the 14 bytes are one ``Struct`` call.
+
+    Built frames are remembered by index; the memo is emptied when it
+    reaches its bound (:data:`FRAME_MEMO_MAX` frames or
+    :data:`FRAME_MEMO_BYTES`), which only costs later packets of those
+    flows a rebuild — a frame is a pure function of its index.
+    """
+
+    def __init__(self, packet_size: int) -> None:
+        frame = bytearray(udp_packet(size=packet_size))
+        frame[_FLOW_OFF:_FLOW_OFF + _FLOW_FIELDS.size] = bytes(
+            _FLOW_FIELDS.size)
+        frame[_L4_OFF + 6:_L4_OFF + 8] = b"\x00\x00"
+        self._head = bytes(frame[:_FLOW_OFF])
+        self._tail = bytes(frame[_FLOW_OFF + _FLOW_FIELDS.size:])
+        # a header's words sum to total >= 0x4500, which folds to
+        # (total - 1) % 0xFFFF + 1; keep the address-free part of total - 1
+        self._base = sum(_IP_WORDS.unpack_from(frame, _IP_OFF)) - 1
+        self.memo: Dict[int, bytes] = {}
+        self.memo_max = min(FRAME_MEMO_MAX, FRAME_MEMO_BYTES // len(frame))
+
+    def frame(self, index: int) -> bytes:
+        """Flow ``index``'s frame (field formulas are ``flow_at``'s)."""
+        frame = self.memo.get(index)
+        if frame is None:
+            src = 0x0A000001 + index % 0xFFFFFE
+            dst = 0xC0A80001 + index % 254
+            frame = self._head + _FLOW_FIELDS.pack(
+                0xFFFE - (self._base + src + dst) % 0xFFFF,
+                src, dst, 1024 + index % 60000, 53) + self._tail
+            if len(self.memo) >= self.memo_max:
+                self.memo.clear()
+            self.memo[index] = frame
+        return frame
+
+
+ipv4_template = lru_cache(maxsize=MAX_TEMPLATES)(Ipv4Template)
 
 
 class UdpZipfWorkload(Workload):
     """Zipfian (or uniform) UDP flows synthesised from one template.
 
-    Exactly the serving feeder's ``synth:`` arithmetic — the feeder
-    delegates here — so a ``udp-zipf`` workload over N flows covers the
-    same 5-tuples as ``repro.net.flows.make_flows(N)``.
+    The serving feeder's ``synth:`` source is this workload — the
+    feeder delegates here — and a ``udp-zipf`` workload over N flows
+    covers the same 5-tuples as ``repro.net.flows.make_flows(N)``.
     """
 
     kind = "udp-zipf"
     description = "Zipfian UDP flows over the flow_at enumeration"
 
     def frames(self) -> Iterator[bytes]:
-        from ..net.flows import flow_at
-
-        spec = self.spec
-        template = bytearray(udp_packet(size=spec.packet_size))
-        rng = random.Random(spec.seed)
-        sampler = self._sampler()
-        for _ in range(spec.packets):
-            yield patch_ipv4_flow(template, flow_at(sampler.sample(rng)))
+        return map(ipv4_template(self.spec.packet_size).frame, self._ranks())
 
 
 class TcpHandshakeWorkload(Workload):
@@ -125,20 +173,20 @@ class TcpHandshakeWorkload(Workload):
     kind = "tcp-handshake"
     description = "stateful TCP handshake/data/teardown sequences"
 
+    def __init__(self, spec: WorkloadSpec) -> None:
+        super().__init__(spec)
+        self.data_packets = spec.param_int("data_packets", 2, 0)
+
     def frames(self) -> Iterator[bytes]:
         from ..net.flows import flow_at
 
         spec = self.spec
-        data_packets = spec.param_int("data_packets", 2)
-        rng = random.Random(spec.seed)
-        sampler = self._sampler()
         # rank -> (phase, connection#); phases: 0 = send SYN,
         # 1 = send ACK, 2..2+data-1 = send data, last = send FIN.
         state: Dict[int, List[int]] = {}
-        last_phase = 2 + data_packets
+        last_phase = 2 + self.data_packets
         proto_tcp = 6
-        for _ in range(spec.packets):
-            rank = sampler.sample(rng)
+        for rank in self._ranks():
             st = state.get(rank)
             if st is None:
                 st = [0, 0]
@@ -206,17 +254,14 @@ class TunnelEncapWorkload(Workload):
     kind = "tunnel-encap"
     description = "VXLAN-encapsulated Zipfian inner UDP flows"
 
-    def frames(self) -> Iterator[bytes]:
-        from ..net.flows import flow_at
+    def __init__(self, spec: WorkloadSpec) -> None:
+        super().__init__(spec)
+        self.vnis = spec.param_int("vnis", 16, 1, 1 << 24)
 
-        spec = self.spec
-        vnis = spec.param_int("vnis", 16)
-        rng = random.Random(spec.seed)
-        sampler = self._sampler()
-        inner_template = bytearray(udp_packet(size=spec.packet_size))
-        for _ in range(spec.packets):
-            rank = sampler.sample(rng)
-            inner = patch_ipv4_flow(inner_template, flow_at(rank))
+    def frames(self) -> Iterator[bytes]:
+        vnis = self.vnis
+        inner_frame = ipv4_template(self.spec.packet_size).frame
+        for rank in self._ranks():
             vni = rank % vnis
             # Outer source tracks the originating VTEP (one per VNI).
             yield udp_packet(
@@ -224,7 +269,7 @@ class TunnelEncapWorkload(Workload):
                 dst_ip=0xAC1000FE,              # 172.16.0.254 (this VTEP)
                 sport=49152 + (rank % 16384),
                 dport=VXLAN_PORT,
-                payload=vxlan_header(vni) + inner,
+                payload=vxlan_header(vni) + inner_frame(rank),
             )
 
 
@@ -243,17 +288,15 @@ class FlowChurnWorkload(Workload):
     kind = "flow-churn"
     description = "Zipfian flows over a sliding (churning) population"
 
-    def frames(self) -> Iterator[bytes]:
-        from ..net.flows import flow_at
+    def __init__(self, spec: WorkloadSpec) -> None:
+        super().__init__(spec)
+        self.churn = spec.param_float("churn", 0.01, 0.0)
 
-        spec = self.spec
-        churn = spec.param_float("churn", 0.01)
-        rng = random.Random(spec.seed)
-        sampler = self._sampler()
-        template = bytearray(udp_packet(size=spec.packet_size))
-        for i in range(spec.packets):
-            rank = sampler.sample(rng) + int(i * churn)
-            yield patch_ipv4_flow(template, flow_at(rank))
+    def frames(self) -> Iterator[bytes]:
+        churn = self.churn
+        indices = (rank + int(i * churn)
+                   for i, rank in enumerate(self._ranks()))
+        return map(ipv4_template(self.spec.packet_size).frame, indices)
 
 
 class Udp6Nat64Workload(Workload):
@@ -273,12 +316,9 @@ class Udp6Nat64Workload(Workload):
         from ..net.flows import flow_at
 
         spec = self.spec
-        rng = random.Random(spec.seed)
-        sampler = self._sampler()
         prefix = bytes.fromhex("0064ff9b") + bytes(8)
         src_net = bytes.fromhex("fd000000000000000000")  # fd00::/64 + pad
-        for _ in range(spec.packets):
-            rank = sampler.sample(rng)
+        for rank in self._ranks():
             flow = flow_at(rank)
             yield udp6_packet(
                 src_ip=src_net + (rank & 0xFFFFFFFFFFFF).to_bytes(6, "big"),
@@ -303,10 +343,14 @@ class SynFloodWorkload(Workload):
     kind = "syn-flood"
     description = "spoofed-source TCP SYN flood at one victim"
 
+    def __init__(self, spec: WorkloadSpec) -> None:
+        super().__init__(spec)
+        self.dst_ip = spec.param_int("dst", 0xC0A80001, 0, 0xFFFFFFFF)
+        self.dport = spec.param_int("dport", 80, 0, 0xFFFF)
+
     def frames(self) -> Iterator[bytes]:
         spec = self.spec
-        dst_ip = spec.param_int("dst", 0xC0A80001)
-        dport = spec.param_int("dport", 80)
+        dst_ip, dport = self.dst_ip, self.dport
         rng = random.Random(spec.seed)
         for _ in range(spec.packets):
             yield tcp_packet(

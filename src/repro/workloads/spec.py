@@ -11,18 +11,51 @@ syntax::
     tunnel-encap:packets=5000,flows=200000,vnis=8
 
 Generator-specific knobs (``churn``, ``vnis``, ``data_packets``...) ride
-in :attr:`WorkloadSpec.params`; unknown keys are rejected by the
-generator that receives them, so typos fail loudly at parse/build time.
+in :attr:`WorkloadSpec.params` and are range-checked by the generator
+that reads them when it is built. Every out-of-range value — here or
+there — is a ``ValueError`` naming the option and its accepted range,
+raised before any frame exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 _INT_FIELDS = {"packets", "flows", "size", "seed"}
 _ALIASES = {"dist": "distribution", "size": "packet_size",
             "exponent": "zipf_exponent"}
+
+#: Largest ``size``: ``tunnel-encap`` carries the frame behind 36 bytes
+#: of outer IPv4/UDP/VXLAN header, all under one 16-bit IPv4 total length.
+MAX_PACKET_SIZE = 0xFFFF - 36
+#: Largest ``exponent``: ``i ** 10`` is finite for any 64-bit ``i``.
+MAX_ZIPF_EXPONENT = 10.0
+
+
+def check_range(option: str, value, lo, hi=None) -> None:
+    """Raise ``ValueError`` unless ``lo <= value <= hi`` (``hi=None``:
+    any finite value from ``lo`` up); phrased so that ``nan`` fails."""
+    if hi is None:
+        ok, accepted = lo <= value and math.isfinite(value), f">= {lo}"
+    else:
+        ok, accepted = lo <= value <= hi, f"{lo}..{hi}"
+    if not ok:
+        raise ValueError(
+            f"option {option}={value} is out of range (expected {accepted})")
+
+
+def check_traffic(spec) -> None:
+    """Range-check the traffic fields :class:`WorkloadSpec` and the
+    serving ``FeedSpec`` have in common."""
+    if spec.distribution not in ("uniform", "zipf"):
+        raise ValueError(f"unknown distribution {spec.distribution!r} "
+                         f"(expected uniform or zipf)")
+    check_range("packets", spec.packets, 1)
+    check_range("flows", spec.flows, 1)
+    check_range("size", spec.packet_size, 1, MAX_PACKET_SIZE)
+    check_range("exponent", spec.zipf_exponent, 0.0, MAX_ZIPF_EXPONENT)
 
 
 @dataclass(frozen=True)
@@ -39,19 +72,32 @@ class WorkloadSpec:
     # Generator-specific options, kept sorted so equal specs hash equal.
     params: Tuple[Tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        check_traffic(self)
+
     def param(self, key: str, default: str = "") -> str:
         for k, v in self.params:
             if k == key:
                 return v
         return default
 
-    def param_int(self, key: str, default: int) -> int:
+    def _number(self, key: str, default, parse, lo, hi):
         value = self.param(key)
-        return int(value, 0) if value else default
+        number = parse(value) if value else default
+        if lo is not None:
+            check_range(key, number, lo, hi)
+        return number
 
-    def param_float(self, key: str, default: float) -> float:
-        value = self.param(key)
-        return float(value) if value else default
+    def param_int(self, key: str, default: int, lo: Optional[int] = None,
+                  hi: Optional[int] = None) -> int:
+        """An integer param, range-checked when ``lo`` is given."""
+        return self._number(key, default, lambda v: int(v, 0), lo, hi)
+
+    def param_float(self, key: str, default: float,
+                    lo: Optional[float] = None,
+                    hi: Optional[float] = None) -> float:
+        """A float param, range-checked when ``lo`` is given."""
+        return self._number(key, default, float, lo, hi)
 
     def describe(self) -> str:
         extras = "".join(f",{k}={v}" for k, v in self.params)
@@ -93,10 +139,4 @@ def parse_workload_spec(text: str) -> WorkloadSpec:
             params[key] = value
     if params:
         spec = replace(spec, params=tuple(sorted(params.items())))
-    if spec.distribution not in ("uniform", "zipf"):
-        raise ValueError(f"unknown distribution {spec.distribution!r}")
-    if spec.packets < 1:
-        raise ValueError("workload needs packets >= 1")
-    if spec.flows < 1:
-        raise ValueError("workload needs flows >= 1")
     return spec

@@ -316,6 +316,18 @@ class TestAppsAndWorkloads:
             main(["run", prog_file, "--workload", "udp-zipf:dist=pareto"])
         assert "distribution" in str(err.value)
 
+    def test_out_of_range_option_names_option_and_range(self):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "app:maglev", "--workload", "udp-zipf:size=70000"])
+        assert str(err.value) == (
+            "--workload: option size=70000 is out of range "
+            "(expected 1..65499)")
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--program", "bg=app:toy_counter",
+                  "--feed", "synth:size=70000"])
+        assert str(err.value) == (
+            "--feed: option size=70000 is out of range (expected 1..65499)")
+
     def test_verify_app_with_workload(self, capsys):
         assert main(["verify", "app:vxlan_term", "--workload",
                      "tunnel-encap:packets=25,flows=40,vnis=4"]) == 0

@@ -145,6 +145,21 @@ class TestHashMap:
         assert m.entry_count() == 0
         assert m.lookup(b"k1111111") is None
 
+    def test_slot_allocation_order(self):
+        # Value addresses are slot * value_size and reach the engines:
+        # lowest never-used slot first, but a released slot before any
+        # never-used one, last released first — also after clear().
+        m = self._map(entries=5)
+        keys = [b"k%07d" % i for i in range(8)]
+        assert [m.update(k, val8(0)) for k in keys[:4]] == [0, 1, 2, 3]
+        m.delete(keys[1])
+        m.delete(keys[3])
+        assert [m.update(k, val8(0)) for k in keys[4:7]] == [3, 1, 4]
+        with pytest.raises(MapError, match="full"):
+            m.update(keys[7], val8(0))
+        m.clear()
+        assert [m.update(k, val8(0)) for k in keys[:2]] == [0, 1]
+
 
 class TestLruHashMap:
     def _map(self, entries=2):
@@ -168,6 +183,21 @@ class TestLruHashMap:
         m.update(key4(3), val8(3))
         assert m.lookup(key4(2)) is None
         assert m.lookup(key4(1)) == val8(11)
+
+    def test_recency_order_and_evicted_slot_reuse(self):
+        m = self._map(entries=3)
+        slots = [m.update(key4(i), val8(i)) for i in (1, 2, 3)]
+        assert slots == [0, 1, 2]
+        m.lookup_slot(key4(1))
+        m.update(key4(2), val8(22))
+        assert m.lru_keys() == [key4(3), key4(1), key4(2)]
+        assert [k for k, _v in m.items()] == m.lru_keys()
+        # the newcomer takes the victim's slot, at the recent end
+        assert m.update(key4(4), val8(4)) == 2
+        assert m.lru_keys() == [key4(1), key4(2), key4(4)]
+        assert m.evictions == 1
+        m.delete(key4(2))
+        assert m.lru_keys() == [key4(1), key4(4)]
 
 
 class TestPercpuArray:

@@ -1,24 +1,36 @@
 """Tests of the repro.workloads subsystem (spec, sampler, generators)."""
 
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from array import array
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.net.flows import TrafficGenerator, TrafficSpec, zipf_weights
-from repro.net.packet import parse_five_tuple
-from repro.serve.feeder import Feeder, parse_feed_spec
+from repro.net.flows import (
+    TrafficGenerator,
+    TrafficSpec,
+    flow_at,
+    zipf_weights,
+)
+from repro.net.packet import parse_five_tuple, udp_packet
+from repro.serve.feeder import Feeder, FeedSpec, parse_feed_spec
 from repro.workloads import (
     WORKLOADS,
     WorkloadSpec,
     ZipfSampler,
+    ipv4_template,
     make_sampler,
     make_workload,
     parse_workload_spec,
     workload_names,
 )
+from repro.workloads.generators import FRAME_MEMO_MAX, Ipv4Template
+from repro.workloads.zipf import MAX_TABLES
 
 
 class TestSpecParsing:
@@ -62,6 +74,40 @@ class TestSpecParsing:
             make_workload(WorkloadSpec(kind="nope"))
         for name in workload_names():
             assert name in str(err.value)
+
+    # Each used to be a struct.error / ZeroDivisionError from inside a
+    # generator, or silently generated garbage.
+    @pytest.mark.parametrize("text,option,accepted", [
+        ("udp-zipf:size=70000", "size=70000", "1..65499"),
+        ("udp-zipf:size=0", "size=0", "1..65499"),
+        ("udp-zipf:exponent=nan", "exponent=nan", "0.0..10.0"),
+        ("udp-zipf:exponent=-1", "exponent=-1.0", "0.0..10.0"),
+        ("tunnel-encap:vnis=0", "vnis=0", "1..16777216"),
+        ("flow-churn:churn=-1", "churn=-1.0", ">= 0.0"),
+        ("flow-churn:churn=inf", "churn=inf", ">= 0.0"),
+        ("syn-flood:dport=70000", "dport=70000", "0..65535"),
+    ])
+    def test_out_of_range_option_is_a_typed_error(self, text, option,
+                                                  accepted):
+        with pytest.raises(ValueError) as err:
+            make_workload(parse_workload_spec(text)).frames()
+        assert option in str(err.value) and accepted in str(err.value)
+        # ... and at the serving daemon's parse boundary
+        kind, _, rest = text.partition(":")
+        with pytest.raises(ValueError, match=option.partition("=")[0]):
+            parse_feed_spec(f"workload:{kind},{rest}")
+
+    def test_synth_feed_size_is_checked_at_parse(self):
+        with pytest.raises(ValueError, match=r"size=70000.*1\.\.65499"):
+            parse_feed_spec("synth:size=70000")
+        # a FeedSpec built in code fails before the first frame
+        with pytest.raises(ValueError, match="size=70000"):
+            Feeder(FeedSpec(source="synth", packet_size=70000)).frames()
+
+    def test_largest_size_builds_for_every_ipv4_kind(self):
+        for kind in ("udp-zipf", "flow-churn", "tunnel-encap"):
+            spec = parse_workload_spec(f"{kind}:size=65499,packets=1")
+            assert len(make_workload(spec).materialize()[0]) >= 65499
 
 
 class TestZipfSampler:
@@ -107,6 +153,27 @@ class TestZipfSampler:
         b = [sampler.sample(random.Random(5)) for _ in range(3)]
         assert a == b
 
+    def test_samplers_of_one_population_share_the_table(self):
+        assert ZipfSampler(5000, 1.1)._cum is ZipfSampler(5000, 1.1)._cum
+        assert ZipfSampler(5000, 1.1)._cum is not ZipfSampler(5000, 1.2)._cum
+
+    def test_at_most_four_tables_stay_alive(self):
+        tables = [weakref.ref(ZipfSampler(n, 0.9)._cum)
+                  for n in range(100, 106)]
+        gc.collect()
+        alive = [ref() for ref in tables if ref() is not None]
+        assert len(alive) == MAX_TABLES == 4
+        # the survivors are the most recent, still shared
+        assert alive[-1] is ZipfSampler(105, 0.9)._cum
+
+    @pytest.mark.parametrize("distribution", ["zipf", "uniform"])
+    def test_ranks_stream_is_repeated_sample(self, distribution):
+        sampler = make_sampler(3000, distribution, 1.3)
+        rng = random.Random(11)
+        expected = [sampler.sample(rng) for _ in range(400)]
+        ranks = sampler.ranks(random.Random(11))
+        assert [next(ranks) for _ in range(400)] == expected
+
 
 # sha256 over (2-byte length, frame) of `<kind>:flows=1000,packets=2000`.
 _FRAME_DIGESTS = {
@@ -143,6 +210,136 @@ class TestFrameDigests:
             digest.update(len(frame).to_bytes(2, "big"))
             digest.update(frame)
         assert digest.hexdigest() == _FRAME_DIGESTS[(kind, seed)]
+
+
+# sha256 over (2-byte length, frame) of the serving feeder's
+# `synth:packets=2000,flows=1000,dist=<dist>,seed=<seed>`, captured
+# while the feeder still had its own synthesis path (commit df5d6ec).
+_SYNTH_FEED_DIGESTS = {
+    ("zipf", 1): "9b598cc0fa7a1d1d285fffcd76922b3ae1bc718153a86fc8e3a3bec05e685c29",
+    ("zipf", 7): "da79a7a2bcec3c3baad51908ce7cb873a624bcf8eb8ffcc5eb877367515f03b4",
+    ("uniform", 1): "1a840d552de9de57ddfef9bf4a3537236ba18baedc1412fd614095dcaceba870",
+    ("uniform", 7): "77c3134e513fc43b475176f83fff4894fdf4695b62eec18ef5f4dd5ba0592fad",
+}
+
+
+@pytest.mark.parametrize("dist,seed", sorted(_SYNTH_FEED_DIGESTS))
+def test_synth_feed_digest(dist, seed):
+    feeder = Feeder(parse_feed_spec(
+        f"synth:packets=2000,flows=1000,dist={dist},seed={seed}"))
+    digest = hashlib.sha256()
+    for frame in feeder.frames():
+        digest.update(len(frame).to_bytes(2, "big"))
+        digest.update(frame)
+    assert digest.hexdigest() == _SYNTH_FEED_DIGESTS[(dist, seed)]
+
+
+_L4 = 34  # Ethernet + option-less IPv4
+
+
+def _oracle_frame(index, size):
+    """Flow ``index``'s frame built the long way: the general packet
+    builder over ``flow_at``, L4 checksum cleared."""
+    flow = flow_at(index)
+    frame = bytearray(udp_packet(
+        src_ip=flow.src_ip, dst_ip=flow.dst_ip, sport=flow.sport,
+        dport=flow.dport, size=size))
+    frame[_L4 + 6:_L4 + 8] = b"\x00\x00"
+    return bytes(frame)
+
+
+def _ip_header_sum(frame):
+    """The folded one's-complement sum of the IPv4 header, and how
+    many folds it took."""
+    total = sum(int.from_bytes(frame[off:off + 2], "big")
+                for off in range(14, _L4, 2))
+    folds = 0
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+        folds += 1
+    return total, folds
+
+
+def _double_carry_index(size):
+    """An index whose header sum, checksum field still zero, carries
+    out of 16 bits again after the first fold."""
+    for index in range(0x10000):
+        frame = bytearray(_oracle_frame(index, size))
+        frame[24:26] = b"\x00\x00"
+        if _ip_header_sum(frame)[1] == 2:
+            return index
+
+
+class TestIpv4Template:
+    """The frame kernel against an independent oracle."""
+
+    @pytest.mark.parametrize("size", [60, 64, 128, 1500])
+    @given(index=st.integers(0, 1 << 40))
+    @example(index=0)
+    @example(index=0xFFFFFD)    # last source address before the wrap
+    @example(index=0xFFFFFE)    # ... the wrap
+    @example(index=0xFFFFFF)
+    @example(index=59999)       # same for the source port
+    @example(index=60000)
+    @example(index=253)         # and the destination /24
+    @example(index=254)
+    def test_frame_is_udp_packet_of_flow_at(self, size, index):
+        frame = Ipv4Template(size).frame(index)
+        assert frame == _oracle_frame(index, size)
+        assert _ip_header_sum(frame)[0] == 0xFFFF
+
+    @pytest.mark.parametrize("size", [60, 64, 128, 1500])
+    def test_checksum_that_carries_twice(self, size):
+        index = _double_carry_index(size)
+        frame = Ipv4Template(size).frame(index)
+        assert frame == _oracle_frame(index, size)
+        assert _ip_header_sum(frame)[0] == 0xFFFF
+
+    @given(flows=st.integers(1, 50), churn=st.floats(0.0, 400.0),
+           seed=st.integers(0, 99))
+    def test_flow_churn_offsets_past_the_population(self, flows, churn,
+                                                    seed):
+        spec = WorkloadSpec(kind="flow-churn", packets=30, flows=flows,
+                            seed=seed, params=(("churn", repr(churn)),))
+        sampler, rng = ZipfSampler(flows, 1.0), random.Random(seed)
+        assert make_workload(spec).materialize() == [
+            _oracle_frame(sampler.sample(rng) + int(i * churn), 64)
+            for i in range(30)]
+
+    def test_tunnel_encap_inner_frame(self):
+        spec = WorkloadSpec(kind="tunnel-encap", packets=40, flows=300,
+                            packet_size=128, seed=5)
+        sampler, rng = ZipfSampler(300, 1.0), random.Random(5)
+        for frame in make_workload(spec).frames():
+            assert frame[50:] == _oracle_frame(sampler.sample(rng), 128)
+
+    def test_memo_stays_within_its_bound(self):
+        template = Ipv4Template(64)
+        assert template.memo_max == FRAME_MEMO_MAX == 1 << 16
+        template.memo_max = 8
+        for index in range(100):
+            assert template.frame(index % 37) == _oracle_frame(index % 37, 64)
+            assert len(template.memo) <= 8
+        # big frames hit the byte bound first (8 MiB)
+        assert Ipv4Template(1500).memo_max == (8 << 20) // 1500
+
+    def test_pass_after_a_clear_is_byte_identical(self):
+        workload = make_workload(WorkloadSpec(packets=500, flows=200))
+        first = workload.materialize()
+        ipv4_template(64).memo.clear()
+        second = workload.materialize()
+        assert first == second
+        assert not any(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("kind", ["udp-zipf", "flow-churn"])
+    def test_recurring_flow_is_one_shared_object(self, kind):
+        spec = WorkloadSpec(kind=kind, packets=2000, flows=100_000)
+        frames = make_workload(spec).materialize()
+        assert len(set(frames)) < len(frames)  # the trace has repeats
+        assert len({id(f) for f in frames}) == len(set(frames))
+        # ... across passes and workload instances too
+        again = make_workload(spec).materialize()
+        assert all(a is b for a, b in zip(frames, again))
 
 
 class TestGenerators:
