@@ -23,18 +23,10 @@ template-kernel kinds over 1M flows, cold (table cache emptied first,
 which is what every pass cost before the tables were interned) and
 warm, in interleaved rounds with median and spread — and carries the
 parent commit's figures beside them.
-
-Also times the multi-queue parallel engine at 1 vs. 4 workers on the
-firewall and records the scaling ratio; the >= 2x floor at 4 workers is
-enforced only on hosts that actually have >= 4 CPUs (fork + IPC overhead
-makes parallel slower, not faster, on starved CI containers), and rows
-measured on such hosts carry ``"inconclusive": true`` so readers of the
-JSON don't mistake a starved-container number for a regression.
 """
 
 import gc
 import json
-import os
 import pathlib
 import statistics
 import threading
@@ -45,12 +37,8 @@ from conftest import print_table, setup_app_maps
 from repro.apps import firewall, router
 from repro.core import compile_program
 from repro.ebpf.maps import MapSet
-from repro.hwsim import (
-    ParallelPipelineSimulator,
-    PipelineSimulator,
-    SimOptions,
-    SimReport,
-)
+from repro import telemetry
+from repro.hwsim import PipelineSimulator, SimOptions, SimReport
 from repro.net.flows import TrafficGenerator, TrafficSpec
 from repro.rtl import RtlRunner
 
@@ -63,10 +51,6 @@ N_PACKETS = 20_000
 # codegen vs. interpreted floor on the firewall (measured ~24x:
 # constant-offset folding + the straight-line stream path)
 MIN_CODEGEN_SPEEDUP = 15.0
-
-PARALLEL_PACKETS = 20_000
-PARALLEL_WORKERS = 4
-MIN_PARALLEL_SCALING = 2.0
 
 # Full bench trace on the compiled RTL engine; the delta-cycle
 # interpreter runs a slice extrapolated linearly (its per-frame cost is
@@ -112,13 +96,6 @@ WORKLOAD_GEN_BEFORE = {
 # spread by more than the margin.
 MIN_WARM_OVER_COLD = 4.0
 WORKLOAD_GEN_SPREAD_MARGIN = 0.25
-
-
-def _host_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _measure(name, program, frames, flows, engines):
@@ -176,53 +153,6 @@ def _bench_app(name, program):
     }
 
 
-def _measure_parallel(name, program, frames, flows, workers):
-    """One timed parallel run; returns (ParallelReport, packets/second)."""
-    pipeline = compile_program(program)
-    best = None
-    for _ in range(2):
-        maps = MapSet(program.maps)
-        setup_app_maps(name, maps, flows)
-        sim = ParallelPipelineSimulator(
-            pipeline, maps=maps,
-            options=SimOptions(keep_records=False),
-            workers=workers,
-        )
-        start = time.perf_counter()
-        result = sim.run_stream(frames)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[1]:
-            best = (result, elapsed)
-    return best[0], len(frames) / best[1]
-
-
-def _bench_parallel(name, program):
-    gen = TrafficGenerator(TrafficSpec(n_flows=64, packet_size=64, seed=7))
-    frames = list(gen.packets(PARALLEL_PACKETS))
-    flows = list(gen.flows)
-    single, single_pps = _measure_parallel(name, program, frames, flows, 1)
-    multi, multi_pps = _measure_parallel(
-        name, program, frames, flows, PARALLEL_WORKERS
-    )
-    # worker-count invariance: the merged parallel run must agree with
-    # the single-queue run on actions and stay conflict-free
-    assert multi.report.action_counts == single.report.action_counts
-    assert multi.flow_partitionable
-    host_cpus = _host_cpus()
-    return {
-        "app": name,
-        "packets": PARALLEL_PACKETS,
-        "workers": PARALLEL_WORKERS,
-        "host_cpus": host_cpus,
-        "single_worker_pps": round(single_pps),
-        "parallel_pps": round(multi_pps),
-        "scaling": round(multi_pps / single_pps, 2),
-        # fewer CPUs than workers: the scaling number measures scheduler
-        # contention, not the engine — flag it so trend readers discard it
-        "inconclusive": host_cpus < PARALLEL_WORKERS,
-    }
-
-
 def _bench_telemetry_overhead(name, program):
     """Cost of turning telemetry on, on the default (codegen) engine.
 
@@ -243,13 +173,13 @@ def _bench_telemetry_overhead(name, program):
             setup_app_maps(name, maps, flows)
             sim = PipelineSimulator(
                 pipeline, maps=maps,
-                options=SimOptions(keep_records=False,
-                                   telemetry=telemetry_on),
+                options=SimOptions(keep_records=False),
             )
-            path = sim.engine_path()
-            start = time.perf_counter()
-            report = sim.run_packets(frames)
-            elapsed = time.perf_counter() - start
+            with telemetry.scoped(enabled=telemetry_on):
+                path = sim.engine_path()
+                start = time.perf_counter()
+                report = sim.run_packets(frames)
+                elapsed = time.perf_counter() - start
             if best is None or elapsed < best[1]:
                 best = (report, elapsed, path)
         return best
@@ -573,7 +503,6 @@ def test_sim_throughput_regression():
         _bench_app("firewall", firewall.build()),
         _bench_app("router", router.build()),
     ]
-    parallel_row = _bench_parallel("firewall", firewall.build())
     rtl_rows = [
         _bench_rtl("firewall", firewall.build()),
         _bench_rtl("router", router.build()),
@@ -586,7 +515,6 @@ def test_sim_throughput_regression():
         "benchmark": "sim_throughput",
         "packets_per_run": N_PACKETS,
         "results": rows,
-        "parallel": parallel_row,
         "rtl_sim": rtl_rows,
         "telemetry": telemetry_row,
         "app_matrix": matrix_rows,
@@ -598,14 +526,6 @@ def test_sim_throughput_regression():
         ["app", "codegen pps", "interpreted pps", "codegen/interp"],
         [[r["app"], f"{r['codegen_pps']:,}", f"{r['interpreted_pps']:,}",
           f"{r['codegen_speedup']:.2f}x"] for r in rows],
-    )
-    print_table(
-        f"parallel engine ({PARALLEL_WORKERS} workers, "
-        f"{parallel_row['host_cpus']} host cpus)",
-        ["app", "1-worker pps", f"{PARALLEL_WORKERS}-worker pps", "scaling"],
-        [[parallel_row["app"], f"{parallel_row['single_worker_pps']:,}",
-          f"{parallel_row['parallel_pps']:,}",
-          f"{parallel_row['scaling']:.2f}x"]],
     )
     print_table(
         "rtl simulation (elaborated VHDL netlist, compiled vs interp)",
@@ -663,11 +583,6 @@ def test_sim_throughput_regression():
         f"< {MIN_CODEGEN_SPEEDUP}x over the interpreted engine on the "
         f"firewall"
     )
-    if not parallel_row["inconclusive"]:
-        assert parallel_row["scaling"] >= MIN_PARALLEL_SCALING, (
-            f"parallel engine regressed: {parallel_row['scaling']:.2f}x < "
-            f"{MIN_PARALLEL_SCALING}x at {PARALLEL_WORKERS} workers"
-        )
     rtl_firewall = rtl_rows[0]
     assert rtl_firewall["speedup"] >= MIN_RTL_SPEEDUP, (
         f"compiled RTL engine regressed: {rtl_firewall['speedup']:.1f}x < "

@@ -295,10 +295,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"max per-stage state: {pipeline.max_state_bytes} B")
     print(hazard_summary(pipeline))
     # The path `repro run` takes with nothing attached.
-    from .hwsim import PipelineSimulator, SimOptions
+    from .hwsim import PipelineSimulator
 
-    probe = PipelineSimulator(pipeline, options=SimOptions(telemetry=False))
-    print(f"engine path: {probe.engine_path()}")
+    with telemetry.scoped(enabled=False):
+        print(f"engine path: {PipelineSimulator(pipeline).engine_path()}")
     print(f"resources (Alveo U50, incl. Corundum): "
           f"{estimate_resources(pipeline).summary()}")
     analysis = analyze_pipeline(pipeline)
@@ -415,50 +415,29 @@ def _gen_frames(args: argparse.Namespace) -> list:
     return list(gen.packets(args.packets))
 
 
-def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
-              setup=None):
+def _run_once(pipeline, program, frames, engine: str, setup=None):
     """One timed simulator pass; returns (report, wall_seconds,
-    shard_sizes, engine_path) — shard_sizes is ``None`` on the
-    single-worker path; engine_path is the code path the numbers came
-    from (``PipelineSimulator.engine_path``; every parallel worker is
-    one such simulator under the same options).
+    engine_path) — engine_path is the code path the numbers came from
+    (``PipelineSimulator.engine_path``).
 
     ``engine`` is a pipeline backend from the registry ("interpreted"
-    or "codegen"). With ``workers > 1`` the parallel engine shards
-    the trace RSS-style over that many replica processes and the merged
-    report is returned.
+    or "codegen").
     """
     import time
 
-    from .hwsim import ParallelPipelineSimulator, PipelineSimulator
-    from .hwsim.sim import SimOptions
+    from .hwsim import PipelineSimulator, SimOptions
 
     maps = MapSet(program.maps)
     if setup is not None:
         setup(maps)
-    # Pin the telemetry decision into the options so spawned worker
-    # processes (which do not inherit the enabled global registry)
-    # collect iff this process would.
-    options = SimOptions(engine=engine, keep_records=False, workers=workers,
-                         telemetry=telemetry.enabled())
-    if workers > 1:
-        psim = ParallelPipelineSimulator(pipeline, maps=maps, options=options)
-        start = time.perf_counter()
-        parallel_report = psim.run_stream(frames)
-        elapsed = time.perf_counter() - start
-        if parallel_report.conflicts:
-            print(f"WARNING: {len(parallel_report.conflicts)} map merge "
-                  "conflicts (program not flow-partitionable?)",
-                  file=sys.stderr)
-        path = PipelineSimulator(pipeline, options=options).engine_path()
-        return (parallel_report.report, elapsed,
-                parallel_report.shard_sizes, path)
-    sim = PipelineSimulator(pipeline, maps=maps, options=options)
+    sim = PipelineSimulator(
+        pipeline, maps=maps,
+        options=SimOptions(engine=engine, keep_records=False))
     path = sim.engine_path()
     start = time.perf_counter()
     report = sim.run_packets(frames)
     elapsed = time.perf_counter() - start
-    return report, elapsed, None, path
+    return report, elapsed, path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -470,8 +449,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     engine = args.engine
     spec = get_engine(engine)
     if spec.kind != "pipeline":
-        # Reference/RTL engines: no worker sharding, no record-free mode
-        # — run through the uniform registry interface instead.
+        # Reference/RTL engines: no record-free mode — run through the
+        # uniform registry interface instead.
         import time
 
         start = time.perf_counter()
@@ -489,20 +468,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    report, elapsed, shard_sizes, path = _run_once(
-        pipeline, program, frames, engine, workers=args.workers, setup=setup)
+    report, elapsed, path = _run_once(
+        pipeline, program, frames, engine, setup=setup)
     if profiler is not None:
         profiler.disable()
-    mode = engine
-    if args.workers > 1:
-        mode += f", {args.workers} workers"
     print(report.summary())
-    print(f"engine: {mode}, wall {elapsed * 1e3:.1f} ms, "
+    print(f"engine: {engine}, wall {elapsed * 1e3:.1f} ms, "
           f"{len(frames) / elapsed:,.0f} packets/s")
     print(f"engine path: {path}")
     if collect:
         publish_report(report, telemetry.get_registry(), app=program.name,
-                       engine="hwsim", shard_sizes=shard_sizes)
+                       engine="hwsim")
         _export_telemetry(args)
     if profiler is not None:
         import pstats
@@ -539,27 +515,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"{engine:<14s}  {dt * 1e3:>9.1f}  "
               f"{len(frames) / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
-    codegen_report, codegen_dt = results["codegen"][:2]
-    shard_sizes = None
-    if args.workers > 1:
-        par_report, par_dt, shard_sizes, _path = _run_once(
-            pipeline, program, frames, "codegen", workers=args.workers,
-            setup=setup)
-        if par_report.action_counts != codegen_report.action_counts:
-            print("ERROR: parallel engine action counts diverged",
-                  file=sys.stderr)
-            return 1
-        label = f"codegen x{args.workers}"
-        print(f"{label:<14s}  {par_dt * 1e3:>9.1f}  "
-              f"{len(frames) / par_dt:>12,.0f}  {slow_dt / par_dt:>7.2f}x")
-        print(f"parallel scaling: {codegen_dt / par_dt:.2f}x over 1 worker")
     print(f"parity OK: {ref_report.cycles} cycles, "
           f"{sum(ref_report.action_counts.values())} packets on "
           f"{len(engines)} engines")
     if collect:
-        publish_report(codegen_report, telemetry.get_registry(),
-                       app=program.name, engine="hwsim",
-                       shard_sizes=shard_sizes)
+        publish_report(results["codegen"][0], telemetry.get_registry(),
+                       app=program.name, engine="hwsim")
         _export_telemetry(args)
     return 0
 
@@ -763,9 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", choices=engine_names(), default="codegen",
                        help="execution backend (default codegen): "
                             + ", ".join(engine_names()))
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="pipeline replicas: RSS-shard the trace across "
-                            "N worker processes (default 1)")
     p_run.add_argument("--profile", action="store_true",
                        help="profile the run and print the top-20 functions")
     _add_metrics_flag(p_run)
@@ -777,9 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_compile_flags(p_bench)
     _add_traffic_flags(p_bench)
-    p_bench.add_argument("--workers", type=int, default=1,
-                         help="also time the parallel engine with N "
-                              "replica processes")
     _add_metrics_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

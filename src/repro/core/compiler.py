@@ -230,7 +230,7 @@ def compile_program(
 
     # 9. Codegen-engine source. Attached at compile time — rather than
     # lazily at first codegen run — so the compile cache pickles it with
-    # the pipeline and cache hits / parallel workers never regenerate.
+    # the pipeline and cache hits never regenerate.
     with _pass_span("codegen", program=program.name):
         from ..hwsim.codegen import attach_source
 

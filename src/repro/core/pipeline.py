@@ -151,7 +151,7 @@ class Pipeline:
     loops_unrolled: int = 0
     # Generated execution source for the codegen engine (see
     # repro.hwsim.codegen). Plain text, so it survives pickling: cached
-    # pipelines and parallel workers reuse it instead of regenerating.
+    # pipelines reuse it instead of regenerating.
     # ``codegen_version`` stamps the emitter that produced it; a mismatch
     # triggers regeneration on load.
     codegen_source: Optional[str] = field(default=None, compare=False,

@@ -18,17 +18,9 @@ from .engines import (
     run_engine,
 )
 from .multi import MultiProgramNic, SlotResult, ethertype_classifier
-from .parallel import (
-    MergeConflict,
-    ParallelPipelineSimulator,
-    ParallelReport,
-    ParallelSimError,
-    default_merge_policies,
-    merge_map_shards,
-)
 from .shell import NicSystem, ShellConfig
 from .sim import PipelineSimulator, SimError, SimOptions
-from .stats import PacketRecord, SimMetrics, SimReport, merge_reports, publish_report
+from .stats import PacketRecord, SimMetrics, SimReport, publish_report
 from .trace import CycleSnapshot, OccupancyTracer, render_occupancy
 
 __all__ = [
@@ -45,14 +37,10 @@ __all__ = [
     "load_pipeline_module",
     "pipeline_engine_names",
     "run_engine",
-    "MergeConflict",
     "Mismatch",
     "MultiProgramNic",
     "NicSystem",
     "PacketRecord",
-    "ParallelPipelineSimulator",
-    "ParallelReport",
-    "ParallelSimError",
     "PipelineSimulator",
     "ShellConfig",
     "SimError",
@@ -60,10 +48,7 @@ __all__ = [
     "SimOptions",
     "SimReport",
     "SlotResult",
-    "default_merge_policies",
     "ethertype_classifier",
-    "merge_map_shards",
-    "merge_reports",
     "publish_report",
     "CycleSnapshot",
     "OccupancyTracer",

@@ -43,9 +43,9 @@ helpers, flush checks) is emitted as a call to the interpreted path's
 own ``sim._*`` method.
 
 The generated *source text* persists: the compiler attaches it to the
-:class:`~repro.core.pipeline.Pipeline` (``codegen_source``), the compile
-cache pickles it with the pipeline, and parallel workers inherit it, so
-cache hits and worker startup skip generation entirely.
+:class:`~repro.core.pipeline.Pipeline` (``codegen_source``) and the
+compile cache pickles it with the pipeline, so cache hits skip
+generation entirely.
 Regenerations outside the compiler are counted by the
 ``ehdl_codegen_recompile_total`` telemetry counter.
 """
@@ -1567,10 +1567,9 @@ def ensure_source(pipeline: Pipeline, count_recompile: bool = True) -> str:
     it when missing or emitted by an older CODEGEN_VERSION.
 
     ``count_recompile`` increments ``ehdl_codegen_recompile_total`` when a
-    regeneration happens — every such event is work the compile cache (or
-    a parallel worker's pickled pipeline) should have avoided. The
-    compiler's own initial attachment uses :func:`attach_source`, which
-    does not count.
+    regeneration happens — every such event is work the compile cache
+    should have avoided. The compiler's own initial attachment uses
+    :func:`attach_source`, which does not count.
     """
     source = getattr(pipeline, "codegen_source", None)
     if (
@@ -1587,7 +1586,7 @@ def ensure_source(pipeline: Pipeline, count_recompile: bool = True) -> str:
             reg.counter(
                 "ehdl_codegen_recompile_total",
                 "Generated pipeline source rebuilt outside the compiler "
-                "(a compile-cache or worker-startup reuse miss)",
+                "(a compile-cache reuse miss)",
                 {"program": pipeline.name},
             ).inc()
     return source

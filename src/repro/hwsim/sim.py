@@ -52,17 +52,6 @@ class SimOptions:
     reload_overhead: int = 4  # cycles lost after a flush (Appendix A.1)
     max_cycles: int = 50_000_000
     keep_records: bool = True
-    # Pipeline replicas (simulated RX queues). 1 = the classic
-    # single-queue simulator; >1 is honoured by the parallel engine
-    # (repro.hwsim.parallel), which shards flows RSS-style across worker
-    # processes. PipelineSimulator itself always runs one replica.
-    workers: int = 1
-    # Collect per-cycle telemetry (SimMetrics on the report): None
-    # follows the process-wide registry's enabled flag; an explicit bool
-    # overrides it. The override is what lets the parallel engine's
-    # spawned workers — which do not inherit the parent's registry
-    # state — still collect when the caller asked for metrics.
-    telemetry: Optional[bool] = None
     # Execution backend (see repro.hwsim.engines): "codegen" runs the
     # pipeline's generated source; "interpreted" decodes every op per
     # packet per cycle and is the differential reference. Bit-identical
@@ -268,7 +257,7 @@ class PipelineSimulator:
         self._prandom_state = 0x5EED
         self._current: Optional[_InFlight] = None  # packet being executed
         # Telemetry counters of the most recent run (None until a run
-        # collects them; see SimOptions.telemetry).
+        # made with the registry enabled collects them).
         self.metrics: Optional[SimMetrics] = None
 
         program = pipeline.program
@@ -332,9 +321,9 @@ class PipelineSimulator:
             self._advance_fn = module["_ADVANCE"]
             self._stream_fn = module.get("_STREAM")
             # Binding the generated observer is free; whether any
-            # observer runs is decided once per run() from the hoisted
-            # `collect` flag, so a simulator built before telemetry was
-            # enabled still gets the unrolled observer.
+            # observer runs is decided once per run() from the
+            # registry's enabled flag, so a simulator built before
+            # telemetry was enabled still gets the unrolled observer.
             self._observe_fn = module["_OBSERVE"]
 
     def _map_entry_for(self, fd: int) -> Optional[Tuple]:
@@ -412,10 +401,8 @@ class PipelineSimulator:
         n_stages = len(stages)
         # Telemetry: resolved once per run; when off, the whole per-cycle
         # cost is a single `is not None` check below.
-        collect = options.telemetry
-        if collect is None:
-            collect = get_registry().enabled
-        metrics = SimMetrics.create(n_stages) if collect else None
+        metrics = (SimMetrics.create(n_stages)
+                   if get_registry().enabled else None)
         self.metrics = metrics
         report.metrics = metrics
         slots: List[Optional[_InFlight]] = [None] * (n_stages + 1)  # 1-based
@@ -693,10 +680,7 @@ class PipelineSimulator:
 
             return stream_blocker(self.pipeline)
         options = self.options
-        collect = options.telemetry
-        if collect is None:
-            collect = get_registry().enabled
-        if collect:
+        if get_registry().enabled:
             return "telemetry is on"
         if self.observer is not None:
             return "a per-cycle observer is attached"

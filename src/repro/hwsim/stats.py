@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..ebpf.xdp import XdpAction
 from ..telemetry.metrics import N_BUCKETS, Registry, bucket_index
@@ -13,12 +13,11 @@ from ..telemetry.metrics import N_BUCKETS, Registry, bucket_index
 class SimMetrics:
     """NIC-style per-cycle counters collected alongside a ``SimReport``.
 
-    Plain-list storage so the object pickles cheaply across the parallel
-    engine's worker processes and merges exactly (additively) under
-    :meth:`SimReport.merge` — the same invariance contract the report's
-    own aggregates keep. Collected only when telemetry is on (see
-    ``SimOptions.telemetry``); the simulator's hot loop pays one ``is
-    not None`` check per cycle when off.
+    Plain-list storage that merges exactly (additively) under
+    :meth:`SimReport.merge_serial` across the serving loop's batches —
+    the same contract the report's own aggregates keep. Collected only
+    when the telemetry registry is enabled; the simulator's hot loop
+    pays one ``is not None`` check per cycle when off.
     """
 
     n_stages: int
@@ -203,49 +202,17 @@ class SimReport:
         if self.keep_records:
             self.records.append(rec)
 
-    def merge(self, other: "SimReport") -> None:
-        """Fold another replica's aggregates into this report, exactly.
-
-        Packet counts, action tallies, flush/squash/stall counters and
-        the latency/restart cycle sums are additive over the disjoint
-        packet populations; ``cycles`` is the max, because replicated
-        pipelines run concurrently (wall-clock = the slowest queue).
-        Per-packet records are NOT merged — worker-local pids would
-        collide; keep the per-worker reports for those.
-        """
-        if self.clock_mhz != other.clock_mhz:
-            raise ValueError(
-                f"cannot merge reports at different clocks: "
-                f"{self.clock_mhz} vs {other.clock_mhz} MHz"
-            )
-        self.cycles = max(self.cycles, other.cycles)
-        self.packets_in += other.packets_in
-        self.packets_out += other.packets_out
-        self.packets_dropped_queue += other.packets_dropped_queue
-        self.flush_events += other.flush_events
-        self.squashed_packets += other.squashed_packets
-        self.stall_cycles += other.stall_cycles
-        self.sum_total_cycles += other.sum_total_cycles
-        self.sum_pipeline_cycles += other.sum_pipeline_cycles
-        self.sum_restarts += other.sum_restarts
-        for action, count in other.action_counts.items():
-            self.action_counts[action] = self.action_counts.get(action, 0) + count
-        if other.metrics is not None:
-            if self.metrics is None:
-                self.metrics = SimMetrics.create(other.metrics.n_stages)
-            self.metrics.merge(other.metrics)
-
     def merge_serial(self, other: "SimReport") -> None:
         """Append a later run's results as if the two ran back-to-back.
 
-        The counterpart of :meth:`merge` for *sequential* composition —
-        the serving loop's per-batch reports, where the pipeline fully
-        drains between runs on the same hardware. ``cycles`` therefore
-        ADD (wall-clock is the sum of the segments), and per-packet
-        records concatenate with this report's cycle and pid horizon
-        added to the incoming ones, so the merged timeline stays
-        monotonic. ``n_stages`` keeps this report's value (callers
-        composing across a hot-swap should track depth themselves).
+        Sequential composition — the serving loop's per-batch reports,
+        where the pipeline fully drains between runs on the same
+        hardware. ``cycles`` therefore ADD (wall-clock is the sum of
+        the segments), and per-packet records concatenate with this
+        report's cycle and pid horizon added to the incoming ones, so
+        the merged timeline stays monotonic. ``n_stages`` keeps this
+        report's value (callers composing across a hot-swap should
+        track depth themselves).
         """
         if self.clock_mhz != other.clock_mhz:
             raise ValueError(
@@ -374,31 +341,11 @@ class SimReport:
         return "\n".join(lines)
 
 
-def merge_reports(reports: Sequence[SimReport]) -> SimReport:
-    """Merge per-worker reports of one parallel run into a fresh report.
-
-    The merge is exact for every aggregate (see :meth:`SimReport.merge`);
-    the merged report keeps no per-packet records.
-    """
-    if not reports:
-        raise ValueError("need at least one report to merge")
-    first = reports[0]
-    merged = SimReport(
-        clock_mhz=first.clock_mhz,
-        n_stages=first.n_stages,
-        keep_records=False,
-    )
-    for report in reports:
-        merged.merge(report)
-    return merged
-
-
 def publish_report(
     report: SimReport,
     registry: Registry,
     app: str = "",
     engine: str = "hwsim",
-    shard_sizes: Optional[Sequence[int]] = None,
 ) -> None:
     """Translate a report's aggregates into registry metrics.
 
@@ -471,10 +418,3 @@ def publish_report(
             metrics.packet_cycle_sum,
             metrics.packet_cycle_count,
         )
-    if shard_sizes is not None:
-        for worker, size in enumerate(shard_sizes):
-            registry.counter(
-                "ehdl_sim_worker_packets_total",
-                "Packets sharded to each parallel worker (RSS balance)",
-                {**base, "worker": str(worker)},
-            ).inc(size)

@@ -1,35 +1,19 @@
-"""Flow-level traffic generation and RSS flow sharding.
+"""Flow-level traffic generation.
 
 The paper's end-to-end tests "vary the number of generated flows from 1 to
 over 100k" (§5, Testbed) and the analytical model in Appendix A.1 assumes
 either a **uniform** or a **Zipfian** distribution of packets over flows.
 This module provides exactly those generators, deterministic under a seed,
 producing frames via :mod:`repro.net.packet`.
-
-It also implements the NIC's receive-side-scaling primitive: a Toeplitz
-hash over the 5-tuple (validated against the Microsoft RSS known-answer
-vectors) and frame sharding on top of it. The paper scales a generated
-pipeline past one queue's line rate by replicating it across RX queues
-with RSS steering flows, so per-flow map state stays queue-local; the
-parallel simulator (:mod:`repro.hwsim.parallel`) uses these functions to
-model that deployment.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional
 
-from .packet import (
-    ETH_HLEN,
-    ETH_P_IP,
-    FiveTuple,
-    FrameBuffer,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    IPV4_HLEN,
-)
+from .packet import FiveTuple, IPPROTO_TCP, IPPROTO_UDP
 from .packet import tcp_packet, udp_packet
 
 
@@ -145,140 +129,3 @@ class TrafficGenerator:
     def flow_sequence(self, count: int) -> List[FiveTuple]:
         """Just the flow choices (used by the analytical flush model)."""
         return [self.pick_flow() for _ in range(count)]
-
-
-# -- receive-side scaling (RSS) ------------------------------------------------
-
-#: The Microsoft-specified 40-byte default RSS secret key, the one every
-#: NIC datasheet ships the verification vectors for.
-RSS_KEY = bytes.fromhex(
-    "6d5a56da255b0ec24167253d43a38fb0"
-    "d0ca2bcbae7b30b477cb2da38030f20c"
-    "6a42b73bbeac01fa"
-)
-
-# Lazily built per-key lookup tables: table[pos][byte] is the XOR of the
-# key windows selected by that byte at input offset pos. Hashing a frame
-# then costs one table lookup per input byte instead of a bit loop.
-_TOEPLITZ_TABLES: Dict[Tuple[bytes, int], List[List[int]]] = {}
-
-
-def _toeplitz_tables(key: bytes, n_positions: int) -> List[List[int]]:
-    cached = _TOEPLITZ_TABLES.get((key, n_positions))
-    if cached is not None:
-        return cached
-    key_int = int.from_bytes(key, "big")
-    key_bits = len(key) * 8
-    tables: List[List[int]] = []
-    for pos in range(n_positions):
-        table = [0] * 256
-        for byte in range(256):
-            h = 0
-            for bit in range(8):
-                if byte & (0x80 >> bit):
-                    shift = key_bits - 32 - (pos * 8 + bit)
-                    h ^= (key_int >> shift) & 0xFFFFFFFF
-            table[byte] = h
-        tables.append(table)
-    _TOEPLITZ_TABLES[(key, n_positions)] = tables
-    return tables
-
-
-def toeplitz_hash(data: bytes, key: bytes = RSS_KEY) -> int:
-    """The Toeplitz hash of ``data`` under ``key`` (32-bit result).
-
-    ``data`` is the RSS input tuple in network byte order; the key must
-    be at least ``len(data) + 4`` bytes long (the standard 40-byte key
-    covers 12-byte IPv4+ports inputs with room to spare).
-    """
-    if len(key) * 8 < len(data) * 8 + 32:
-        raise ValueError(
-            f"RSS key too short: {len(key)} bytes for {len(data)}-byte input"
-        )
-    tables = _toeplitz_tables(bytes(key), len(data))
-    h = 0
-    for pos, byte in enumerate(data):
-        h ^= tables[pos][byte]
-    return h
-
-
-def rss_input(frame: bytes, symmetric: bool = False) -> Optional[bytes]:
-    """The RSS hash-input bytes for an Ethernet frame, or ``None``.
-
-    IPv4 TCP/UDP frames hash the 12-byte (src ip, dst ip, src port,
-    dst port) tuple; other IPv4 protocols hash the 8-byte address pair;
-    non-IPv4 frames (ARP, IPv6, runts) return ``None`` — hardware leaves
-    those on the default queue. With ``symmetric`` the address and port
-    pairs are ordered low-first so both directions of a connection hash
-    identically (the sorted-tuple trick used for symmetric RSS).
-    """
-    frame = bytes(frame)
-    if len(frame) < ETH_HLEN + IPV4_HLEN:
-        return None
-    if int.from_bytes(frame[12:14], "big") != ETH_P_IP:
-        return None
-    if frame[ETH_HLEN] >> 4 != 4:
-        return None
-    proto = frame[ETH_HLEN + 9]
-    src = frame[ETH_HLEN + 12 : ETH_HLEN + 16]
-    dst = frame[ETH_HLEN + 16 : ETH_HLEN + 20]
-    if proto in (IPPROTO_TCP, IPPROTO_UDP) and len(frame) >= ETH_HLEN + IPV4_HLEN + 4:
-        l4 = ETH_HLEN + IPV4_HLEN
-        sport = frame[l4 : l4 + 2]
-        dport = frame[l4 + 2 : l4 + 4]
-        if symmetric and (dst, dport) < (src, sport):
-            src, dst, sport, dport = dst, src, dport, sport
-        return src + dst + sport + dport
-    if symmetric and dst < src:
-        src, dst = dst, src
-    return src + dst
-
-
-def rss_hash(
-    frame: bytes, key: bytes = RSS_KEY, symmetric: bool = False
-) -> Optional[int]:
-    """Toeplitz hash of a frame's RSS tuple, or ``None`` for non-IP."""
-    data = rss_input(frame, symmetric=symmetric)
-    if data is None:
-        return None
-    return toeplitz_hash(data, key)
-
-
-def rss_shard(
-    frame: bytes,
-    n_shards: int,
-    key: bytes = RSS_KEY,
-    symmetric: bool = False,
-) -> int:
-    """Queue index for a frame: ``hash % n_shards``; non-IP goes to 0.
-
-    The hash is a pure function of the frame bytes, so a flow's shard is
-    stable for a given ``n_shards`` — the property the sharded-map
-    parallel simulator relies on.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    h = rss_hash(frame, key, symmetric=symmetric)
-    if h is None:
-        return 0
-    return h % n_shards
-
-
-def shard_frames(
-    frames: Iterable[bytes],
-    n_shards: int,
-    key: bytes = RSS_KEY,
-    symmetric: bool = False,
-) -> List[FrameBuffer]:
-    """Split a frame stream into per-queue :class:`FrameBuffer` batches.
-
-    Relative order is preserved within each shard, and all packets of a
-    flow land in the same shard, so per-flow processing order matches the
-    unsharded stream.
-    """
-    buffers = [FrameBuffer() for _ in range(n_shards)]
-    for frame in frames:
-        buffers[rss_shard(frame, n_shards, key, symmetric=symmetric)].append(
-            bytes(frame)
-        )
-    return buffers

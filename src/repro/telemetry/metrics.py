@@ -13,10 +13,11 @@ Design constraints, in order:
    on a single bool (``registry.enabled`` or a value hoisted from it);
    the hot loops of :mod:`repro.hwsim.sim` and :mod:`repro.ebpf.vm` pay
    one predictable branch per cycle/instruction when disabled.
-2. **Exactly mergeable.** Counters and histograms from N parallel
-   workers merged with :func:`merge_snapshots` equal a single-worker
-   run's totals (counter sum, bucket-wise histogram sum) — the same
-   invariance contract :meth:`repro.hwsim.stats.SimReport.merge` keeps.
+2. **Exactly mergeable.** Counters and histograms from N registries
+   merged with :func:`merge_snapshots` equal one registry that saw
+   every observation (counter sum, bucket-wise histogram sum) — the
+   same contract :meth:`repro.hwsim.stats.SimReport.merge_serial`
+   keeps across the serving loop's batches.
 3. **Zero dependencies.** Exposition formats (Prometheus text, Chrome
    ``trace_event`` JSON) live in :mod:`repro.telemetry.export` and use
    only the standard library.
@@ -331,7 +332,7 @@ class Registry:
     def load_snapshot(self, snapshot: Dict[str, object]) -> None:
         """Fold a snapshot's metrics into this registry.
 
-        Counters and histograms add (the worker-merge contract); gauges
+        Counters and histograms add (the exact-merge contract); gauges
         take the incoming value (last writer wins). Spans append.
         """
         for entry in snapshot.get("metrics", ()):
@@ -361,8 +362,8 @@ class Registry:
 
 
 def merge_snapshots(snapshots) -> Dict[str, object]:
-    """Merge per-worker registry snapshots into one (exact for counters
-    and histograms; gauges resolve last-writer-wins in input order)."""
+    """Merge registry snapshots into one (exact for counters and
+    histograms; gauges resolve last-writer-wins in input order)."""
     merged = Registry()
     for snap in snapshots:
         merged.load_snapshot(snap)

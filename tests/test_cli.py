@@ -180,18 +180,6 @@ class TestRunAndBench:
         assert "codegen" in out and "interpreted" in out
         assert "speedup" in out and "parity OK" in out
 
-    def test_run_with_workers(self, capsys, prog_file):
-        assert main(["run", prog_file, "--packets", "60", "--flows", "4",
-                     "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "2 workers" in out and "packets/s" in out
-
-    def test_bench_with_workers_reports_scaling(self, capsys, prog_file):
-        assert main(["bench", prog_file, "--packets", "80", "--flows", "4",
-                     "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "codegen x2" in out and "parallel scaling" in out
-
 
 class TestRtlCommands:
     def test_rtl_sim(self, capsys, prog_file):

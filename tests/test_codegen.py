@@ -8,8 +8,8 @@ machinery around the generated source itself:
   regenerate with ``pytest --update-golden``) for one stream-eligible
   app and one with hazard plans, so emitter changes show up as diffs;
 * caching: the compiler attaches the source at compile time, it pickles
-  with the pipeline (compile-cache hits and parallel workers exec() it
-  instead of re-emitting), and every regeneration outside the compiler
+  with the pipeline (compile-cache hits exec() it instead of
+  re-emitting), and every regeneration outside the compiler
   increments ``ehdl_codegen_recompile_total``;
 * the ``_STREAM`` straight-line path: emitted only where
   ``stream_blocker`` finds no obstacle (no hazard plan at all, or every
@@ -116,6 +116,10 @@ class TestSourceAttachment:
         clone = pickle.loads(pickle.dumps(pipeline))
         assert clone.codegen_source == pipeline.codegen_source
         assert clone.codegen_version == CODEGEN_VERSION
+        # and the clone exec()s that text instead of re-emitting it
+        with telemetry.scoped(enabled=True) as reg:
+            PipelineSimulator(clone).run_packets(APP_CASES["firewall"][2])
+            assert _recompiles(reg, clone) == 0
 
     def test_attached_source_is_not_regenerated(self):
         pipeline = compile_program(firewall.build())
@@ -204,18 +208,19 @@ class TestStreamPath:
         pipeline = compile_program(program)
         frames = frames * 10
 
-        def run(**kw):
+        def run(telemetry_on):
             from repro.ebpf.maps import MapSet
 
             maps = MapSet(program.maps)
             setup(maps)
             sim = PipelineSimulator(
                 pipeline, maps=maps,
-                options=SimOptions(engine="codegen", keep_records=True, **kw),
+                options=SimOptions(engine="codegen", keep_records=True),
             )
-            return sim.run_packets(list(frames))
+            with telemetry.scoped(enabled=telemetry_on):
+                return sim.run_packets(list(frames))
 
-        stream, loop = run(), run(telemetry=True)
+        stream, loop = run(False), run(True)
         assert stream.metrics is None and loop.metrics is not None
         assert stream.cycles == loop.cycles
         assert stream.action_counts == loop.action_counts
@@ -421,11 +426,13 @@ class TestWindowedStream:
 
     def test_telemetry_takes_the_cycle_loop_with_equal_numbers(self):
         program, pipeline, setup, frames = self._app("ct_firewall")
-        path, loop = _observed(pipeline, program, frames, "codegen", 2, 16,
-                               setup, telemetry=True)
+        with telemetry.scoped(enabled=True):
+            path, loop = _observed(pipeline, program, frames, "codegen",
+                                   2, 16, setup)
         assert path == "cycle-loop (telemetry is on)"
-        path, stream = _observed(pipeline, program, frames, "codegen", 2, 16,
-                                 setup, telemetry=False)
+        with telemetry.scoped(enabled=False):
+            path, stream = _observed(pipeline, program, frames, "codegen",
+                                     2, 16, setup)
         assert path == "stream"
         _assert_same(stream, loop)
 
@@ -438,11 +445,11 @@ class TestWindowedStream:
         pipeline.codegen_version = 3
         with telemetry.scoped(enabled=True) as reg:
             sim = PipelineSimulator(
-                pipeline, options=SimOptions(engine="codegen",
-                                             telemetry=False))
+                pipeline, options=SimOptions(engine="codegen"))
             assert _recompiles(reg, pipeline) == 1
         assert pipeline.codegen_version == CODEGEN_VERSION
-        assert sim.engine_path() == "stream"
+        with telemetry.scoped(enabled=False):
+            assert sim.engine_path() == "stream"
 
 
 class TestStreamBlockers:
@@ -516,33 +523,3 @@ class TestStreamBlockers:
                                 options=SimOptions(engine="interpreted"))
         assert sim.engine_path() \
             == "cycle-loop (engine 'interpreted' has no stream path)"
-
-
-class TestParallelReuse:
-    def test_parallel_workers_share_generated_source(self):
-        # the parent generates once pre-fork; worker results must match a
-        # single-queue codegen run (same engine in every process)
-        from repro.ebpf.maps import MapSet
-        from repro.hwsim import ParallelPipelineSimulator
-
-        build, setup, frames = APP_CASES["firewall"]
-        program = build()
-        pipeline = compile_program(program)
-        frames = frames * 25
-
-        maps = MapSet(program.maps)
-        setup(maps)
-        single = PipelineSimulator(
-            pipeline, maps=maps,
-            options=SimOptions(engine="codegen", keep_records=False),
-        ).run_packets(list(frames))
-
-        maps = MapSet(program.maps)
-        setup(maps)
-        par = ParallelPipelineSimulator(
-            pipeline, maps=maps,
-            options=SimOptions(engine="codegen", keep_records=False),
-            workers=2,
-        ).run_stream(list(frames))
-        assert par.report.action_counts == single.action_counts
-        assert par.report.packets_out == single.packets_out

@@ -69,6 +69,25 @@ class TestRegistry:
         with pytest.raises(SimError, match="interpreted or codegen"):
             PipelineSimulator(pipeline, options=SimOptions(engine="fast"))
 
+    def test_retired_replica_engine_surface_stays_gone(self):
+        import dataclasses
+
+        import repro.hwsim
+        from repro.cli import main
+
+        assert {f.name for f in dataclasses.fields(SimOptions)} == {
+            "clock_mhz", "input_queue_capacity", "reload_overhead",
+            "max_cycles", "keep_records", "engine",
+        }
+        with pytest.raises(TypeError):
+            SimOptions(workers=2)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "app:firewall", "--workers", "2"])
+        assert exc.value.code == 2
+        # the export list is maintained by hand
+        for name in repro.hwsim.__all__:
+            assert hasattr(repro.hwsim, name), name
+
     def test_cycle_exactness_split(self):
         # only the pipeline engines promise identical cycle structure
         for name, spec in ENGINES.items():

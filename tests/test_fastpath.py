@@ -16,8 +16,9 @@ from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import MapSet
 from repro.ebpf.vm import Vm
 from repro.ebpf.xdp import XdpAction
-from repro.hwsim import PipelineSimulator, SimOptions
+from repro.hwsim import PipelineSimulator, SimError, SimOptions
 from repro.hwsim.multi import MultiProgramNic
+from repro.net.flows import TrafficGenerator, TrafficSpec
 from repro.net.packet import FiveTuple, ipv4, mac, udp_packet
 
 MAPS = {"m": MapSpec("m", "array", 4, 8, 4)}
@@ -278,6 +279,21 @@ class TestVmFastPath:
                 vm.run(PKT)
 
 
+@pytest.fixture(scope="module")
+def firewall_setup():
+    program = firewall.build()
+    pipeline = compile_program(program)
+    gen = TrafficGenerator(TrafficSpec(n_flows=24, packet_size=64, seed=11))
+    frames = list(gen.packets(300))
+    flows = list(gen.flows)
+
+    def setup(maps):
+        for flow in flows:
+            firewall.allow_flow(maps, flow)
+
+    return program, pipeline, frames, setup
+
+
 class TestRunStream:
     def test_matches_run_packets(self):
         program = firewall.build()
@@ -329,6 +345,28 @@ class TestRunStream:
         sim = PipelineSimulator(pipeline)
         with pytest.raises(ValueError):
             sim.run_stream([PKT], batch_size=0)
+
+    def test_single_queue_stream_error_carries_frame_window(
+        self, firewall_setup
+    ):
+        program, pipeline, frames, setup = firewall_setup
+        # codegen streams the firewall frame by frame; the interpreted
+        # cycle loop prefetches a batch — the window says which
+        for engine, window in (
+            ("codegen", "1 frames read, offending frame index < 1, >= 0"),
+            ("interpreted",
+             "32 frames read, offending frame index < 32, >= 0"),
+        ):
+            maps = MapSet(program.maps)
+            setup(maps)
+            sim = PipelineSimulator(
+                pipeline, maps=maps,
+                options=SimOptions(engine=engine, keep_records=False,
+                                   max_cycles=3),
+            )
+            with pytest.raises(SimError, match="while streaming") as excinfo:
+                sim.run_stream(iter(frames), batch_size=32)
+            assert window in str(excinfo.value), engine
 
 
 class TestFrameBuffer:

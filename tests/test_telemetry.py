@@ -3,10 +3,10 @@
 Covers the zero-dependency core (counters/gauges/histograms/spans), the
 three exporters (Prometheus text, Chrome ``trace_event`` JSON, flat JSON
 snapshot), the tiny Prometheus text-format grammar checker CI relies on,
-per-engine instrumentation (pipeline simulator, parallel engine, VM,
-RTL, compiler passes), the CLI ``--metrics-out``/``--trace-out`` flags,
-and the worker-merge property: registry snapshots merged across N
-workers equal single-worker totals.
+per-engine instrumentation (pipeline simulator, VM, RTL, compiler
+passes), the CLI ``--metrics-out``/``--trace-out`` flags, and the
+exact-merge property: registry snapshots merged across N registries
+equal one registry that saw every event.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.core import compile_program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.vm import Vm
 from repro.hwsim import (
-    ParallelPipelineSimulator,
     PipelineSimulator,
     SimOptions,
     SimReport,
@@ -80,12 +79,12 @@ def _frames(n=40, flows=8, seed=3):
     return list(gen.packets(n))
 
 
-def _run_app(module, frames, telemetry_on=None):
+def _run_app(module, frames):
     program = module.build()
     pipeline = compile_program(program)
     sim = PipelineSimulator(
         pipeline, maps=MapSet(program.maps),
-        options=SimOptions(keep_records=False, telemetry=telemetry_on),
+        options=SimOptions(keep_records=False),
     )
     return program, sim.run_packets(frames)
 
@@ -316,39 +315,6 @@ class TestSimInstrumentation:
             assert 0.0 <= pct <= 100.0
         assert max(metrics.occupancy_pct()) > 0.0
 
-    def test_options_override_beats_global_registry(self):
-        # telemetry=True collects even with the global registry off
-        _, report = _run_app(firewall, _frames(10), telemetry_on=True)
-        assert report.metrics is not None
-        # telemetry=False suppresses even with the global registry on
-        with telemetry.scoped():
-            _, report = _run_app(firewall, _frames(10), telemetry_on=False)
-        assert report.metrics is None
-
-    def test_parallel_merge_is_exact_sum_of_workers(self):
-        program = firewall.build()
-        pipeline = compile_program(program)
-        frames = _frames(400, flows=16)
-        sim = ParallelPipelineSimulator(
-            pipeline, maps=MapSet(program.maps),
-            options=SimOptions(keep_records=False, telemetry=True),
-            workers=2,
-        )
-        result = sim.run_stream(frames)
-        merged = result.report.metrics
-        assert merged is not None
-        worker_metrics = [rep.metrics for rep in result.worker_reports]
-        assert all(m is not None for m in worker_metrics)
-        assert merged.packet_cycle_count == sum(
-            m.packet_cycle_count for m in worker_metrics)
-        assert merged.packet_cycle_count == result.report.packets_out
-        for i in range(merged.n_stages):
-            assert merged.stage_busy_cycles[i] == sum(
-                m.stage_busy_cycles[i] for m in worker_metrics)
-        for b in range(N_BUCKETS):
-            assert merged.packet_cycle_buckets[b] == sum(
-                m.packet_cycle_buckets[b] for m in worker_metrics)
-
 
 class TestVmInstrumentation:
     def test_opcode_classes_and_helpers_counted(self):
@@ -435,7 +401,7 @@ class TestCompilerSpans:
         assert reg_before.spans == []
 
 
-# -- merge property (satellite: parallel workers vs single) -------------------
+# -- merge property (N registries vs one) -------------------------------------
 
 
 class TestRegistryMergeProperty:
@@ -579,17 +545,6 @@ class TestCli:
         engines = {dict(k).get("engine")
                    for k in samples["ehdl_sim_packets_total"]}
         assert engines == {"hwsim", "rtl"}
-
-    def test_workers_shard_balance_metric(self, tmp_path):
-        out = tmp_path / "w.prom"
-        rc = main(["run", "app:firewall", "--packets", "120",
-                   "--flows", "8", "--workers", "2",
-                   "--metrics-out", str(out)])
-        assert rc == 0
-        samples = parse_prometheus_samples(out.read_text())
-        shards = samples["ehdl_sim_worker_packets_total"]
-        assert len(shards) == 2
-        assert sum(shards.values()) == 120
 
     def test_stats_prints_pass_table(self, capsys):
         rc = main(["stats", "app:firewall"])
