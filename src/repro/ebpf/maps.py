@@ -43,7 +43,6 @@ class Map:
     def __init__(self, spec: MapSpec) -> None:
         self.spec = spec
         self.storage = bytearray(spec.max_entries * spec.value_size)
-        self._occupied: List[bool] = [False] * spec.max_entries
 
     # -- geometry -----------------------------------------------------------
 
@@ -127,11 +126,10 @@ class Map:
         raise NotImplementedError
 
     def entry_count(self) -> int:
-        return sum(1 for occupied in self._occupied if occupied)
+        raise NotImplementedError
 
     def clear(self) -> None:
         self.storage[:] = bytes(len(self.storage))
-        self._occupied = [False] * self.max_entries
 
     def snapshot(self) -> bytes:
         """Full copy of the backing storage (used by differential tests)."""
@@ -149,7 +147,9 @@ class ArrayMap(Map):
         if spec.key_size != 4:
             raise MapError("array map key size must be 4")
         super().__init__(spec)
-        self._occupied = [True] * spec.max_entries
+
+    def entry_count(self) -> int:
+        return self.max_entries
 
     def _index(self, key: bytes) -> Optional[int]:
         index = int.from_bytes(self._check_key(key), "little")
@@ -217,7 +217,6 @@ class HashMap(Map):
         else:
             raise MapError(f"{self.name}: map is full")
         self._slot_by_key[key] = slot
-        self._occupied[slot] = True
         self._write_slot(slot, value)
         return slot
 
@@ -226,7 +225,6 @@ class HashMap(Map):
         slot = self._slot_by_key.pop(key, None)
         if slot is None:
             return False
-        self._occupied[slot] = False
         self._write_slot(slot, bytes(self.value_size))
         self._free.append(slot)
         return True
@@ -234,6 +232,9 @@ class HashMap(Map):
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         for key, slot in list(self._slot_by_key.items()):
             yield key, self._read_slot(slot)
+
+    def entry_count(self) -> int:
+        return len(self._slot_by_key)
 
     def clear(self) -> None:
         super().clear()

@@ -18,9 +18,11 @@ Layout of a generated module:
   (used by the barrier-release / stalled paths, and for stage 1 at
   injection);
 * ``_entry`` — the elided-ctx-load entry ops (or ``None``);
-* ``_advance`` — the whole shift phase of one hazard-free cycle: shifts
-  every in-flight packet one slot deeper and executes its new stage's
-  body inline, deepest first;
+* ``_advance`` — the whole shift phase of one non-stalled cycle: one
+  C-level rotation moves every in-flight packet a slot deeper, then the
+  :func:`advance_sites` execute inline, deepest first — every stage, or
+  only the interaction stages (each running the packet-local stages
+  behind it eagerly) where :func:`restart_blocker` finds no obstacle;
 * ``_observe`` — the per-cycle telemetry increments with the stage-busy
   loop unrolled; the simulator binds it into the run loop only when
   telemetry is enabled at construction, so a disabled run carries zero
@@ -73,7 +75,10 @@ from ..telemetry import get_registry
 #     read-tracking elided when no hazard plan exists.
 # v4: _STREAM for pipelines whose hazard plans sit inside one
 #     serialization window, with the window's stall timing closed-form.
-CODEGEN_VERSION = 4
+# v5: interaction-sparse _advance: one C-level shift, packet-local runs
+#     fused into the interaction stage before them, snapshots elided
+#     where restart_blocker proves no elastic-buffer restart is chosen.
+CODEGEN_VERSION = 5
 
 # Helpers whose results depend on the global interleaving of calls
 # (shared clock, shared PRNG state): running packets to completion would
@@ -200,6 +205,66 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
     return None
 
 
+def restart_blocker(pipeline: Pipeline) -> Optional[str]:
+    """Why a flush on this pipeline may restart a squashed packet from
+    an elastic-buffer snapshot (Appendix A.2) — one line — or ``None``
+    when no snapshot can ever be chosen.
+
+    A snapshot is taken at a map side effect and is usable only if the
+    invalidated read happened after it. When every read stage of every
+    flush-capable map lies strictly before the first write/atomic stage
+    of *any* map, each snapshot of the oldest victim already contains
+    its stale read, so it restarts from the input queue; that sets
+    ``depth_limit = 0`` (see ``_flush_check``) and every younger
+    squashed packet follows it. The stage lists are only complete when
+    every memory access and map call is resolved to its region and map.
+    """
+    if pipeline.serial_windows:
+        return "a serialization window stalls the shift"
+    for stage in pipeline.stages:
+        for op in stage.ops or ():
+            if op.insn.is_call:
+                info = op.call
+                if info is None or (info.map_fd is None and (
+                        info.is_map_read or info.is_map_write)):
+                    return (f"the call at stage {stage.number} reaches an "
+                            "unresolved map")
+            elif op.insn.opclass in (isa.BPF_LDX, isa.BPF_ST, isa.BPF_STX):
+                label = op.label
+                if label is None or (label.region is Region.MAP_VALUE
+                                     and label.map_fd is None):
+                    return (f"the access at stage {stage.number} has an "
+                            "unresolved region")
+    plans = sorted(pipeline.map_hazards.items())
+    first = min((s for _fd, plan in plans
+                 for s in plan.write_stages + plan.atomic_stages), default=0)
+    for fd, plan in plans:
+        late = [r for r in plan.read_stages if r >= first]
+        if plan.needs_flush and late:
+            return (f"map {fd} is read at stage {late[0]} after a side "
+                    f"effect at stage {first}")
+    return None
+
+
+def advance_sites(pipeline: Pipeline) -> List[int]:
+    """The stages the generated ``_advance`` visits, ascending: stage 2
+    (stage 1 runs at injection) and, past it, every stage while
+    ``restart_blocker`` names a reason, else only the interaction
+    stages — a map access or any helper call. The packet-local stages
+    between two sites (ALU, stack/packet/ctx access, branches, exit,
+    empty latency stages) execute eagerly at the site before them:
+    nothing outside the packet can observe them early, and a squash
+    resets the packet whole."""
+    dense = restart_blocker(pipeline) is not None
+    return [
+        stage.number for stage in pipeline.stages[1:]
+        if dense or stage.number == 2 or any(
+            op.insn.is_call or (op.label is not None
+                                and op.label.region is Region.MAP_VALUE)
+            for op in stage.ops or ())
+    ]
+
+
 class _Emitter:
     """Builds the generated module's source for one pipeline."""
 
@@ -217,6 +282,8 @@ class _Emitter:
         # position consumer (sim._mem_store's WAR threshold) gets a
         # just-in-time position write right before the fallback call.
         self.maintain = self.any_flush or self.may_pend
+        # Elastic-buffer snapshots are dead work where none is ever chosen.
+        self.snapshots = restart_blocker(pipeline) is not None
         # Packets executing any stage op already passed every entry
         # length comparator, so constant packet accesses below the
         # largest entry threshold need no bounds check — unless the
@@ -316,9 +383,10 @@ class _Emitter:
         return []
 
     def _flush_lines(self, stage_number: int) -> List[str]:
-        return [
-            "if _se is not None:",
-            f"    pkt.take_snapshot({stage_number})",
+        out = ["if _se is not None:"]
+        if self.snapshots:
+            out.append(f"    pkt.take_snapshot({stage_number})")
+        return out + [
             "    if sim._flush_check(pkt, _se, slots, barrier_queues, "
             "input_queue, report):",
             "        flushed = True",
@@ -1331,9 +1399,9 @@ def _idents(lines: List[str]) -> FrozenSet[str]:
     return frozenset(_IDENT_RUN.findall("\n".join(lines)))
 
 
-def _hoists(lines: List[str]) -> List[str]:
-    """Local aliases of pkt.regs / pkt.enabled, for a body naming them."""
-    named = _idents(lines)
+def _hoists(named: FrozenSet[str]) -> List[str]:
+    """Local aliases of pkt.regs / pkt.enabled, for a body whose
+    ``_idents`` name them."""
     return (
         (["regs = pkt.regs"] if "regs" in named else [])
         + (["enabled = pkt.enabled"] if "enabled" in named else [])
@@ -1367,8 +1435,8 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
 
     # Scanned once per stage body: the stage function and the advance
     # function both hoist.
-    hoists = [
-        _hoists(body[0]) if body is not None else []
+    named = [
+        _idents(body[0]) if body is not None else frozenset()
         for body in stage_bodies
     ]
 
@@ -1377,12 +1445,12 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     stage_fn_names: List[str] = []
     stage_params = ["sim", "pkt", "slots", "barrier_queues", "input_queue",
                     "report"]
-    for stage, body, hoist in zip(pipeline.stages, stage_bodies, hoists):
+    for stage, body, idents in zip(pipeline.stages, stage_bodies, named):
         if body is None:
             stage_fn_names.append("None")
             continue
         lines, has_flush = body
-        fn_body = ["if pkt.done:", "    return False"] + hoist
+        fn_body = ["if pkt.done:", "    return False"] + _hoists(idents)
         if has_flush:
             fn_body.append("flushed = False")
         fn_body += lines
@@ -1394,11 +1462,16 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     # -- entry ----------------------------------------------------------------
     if entry is not None:
         fn_sections.append(
-            ("_entry", ["sim", "pkt"], _hoists(entry) + entry))
+            ("_entry", ["sim", "pkt"], _hoists(_idents(entry)) + entry))
 
     # -- advance --------------------------------------------------------------
-    # The whole hazard-free shift phase of one cycle, deepest first, with
-    # each stage's body inlined at its shift site: zero per-stage dispatch.
+    # The whole shift phase of one non-stalled cycle. The uniform shift is
+    # one C-level list rotation (slots[n_stages] is already vacated); then
+    # only the advance_sites are visited, deepest first, each executing
+    # its own stage body and, eagerly, the packet-local run behind it.
+    # pkt.position is written just in time, where the body calls back
+    # into sim._*, and pending writes can first commit at the deepest
+    # flush-capable write stage (else at the shallowest last read).
     # LRU serialization windows: the unrolled whole-cycle advance knows
     # nothing about interlock stalls, so windowed pipelines fall back to
     # the simulator's generic shift loop (which dispatches _STAGE_FNS
@@ -1406,27 +1479,41 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     # construction.
     serial = bool(pipeline.serial_windows)
     if not serial:
-        adv: List[str] = []
+        plans = pipeline.map_hazards.values()
+        last_flush = max(
+            (max(plan.write_stages) for plan in plans if plan.needs_flush),
+            default=0)
+        first_commit = last_flush or min(
+            (max(plan.read_stages, default=0) for plan in plans), default=0)
+        adv = ["slots.insert(1, None)", "del slots[-1]"]
         any_stage_flush = any(b is not None and b[1] for b in stage_bodies)
         if any_stage_flush:
             adv.append("flushed = False")
-        for npos in range(n_stages, 1, -1):
-            pos = npos - 1
-            body = stage_bodies[npos - 1]  # stage number npos
-            adv.append(f"pkt = slots[{pos}]")
-            adv.append("if pkt is not None:")
-            blk = [
-                f"slots[{pos}] = None",
-                f"slots[{npos}] = pkt",
-            ]
-            if em.maintain:
-                blk.append(f"pkt.position = {npos}")
+        sites = advance_sites(pipeline)
+        for site, end in zip(reversed(sites),
+                             reversed(sites[1:] + [n_stages + 1])):
+            body: List[str] = []
+            depth = 0  # each fused stage nests under the one before it
+            for fused in stage_bodies[site - 1:end - 1]:
+                if fused is not None:
+                    if depth:
+                        body += _ind(["if not pkt.done:"], depth - 1)
+                    body += _ind(fused[0], depth)
+                    depth += 1
+            blk: List[str] = []
+            if em.maintain and site >= first_commit:
                 blk.append("if pkt.pending_writes:")
-                blk.append(f"    sim._commit_pending(pkt, {npos})")
-            if body is not None:
+                blk.append(f"    sim._commit_pending(pkt, {site})")
+            if body:
+                if em.maintain and any("sim._" in line for line in body):
+                    body.insert(0, f"pkt.position = {site}")
                 blk.append("if not pkt.done:")
-                blk += _ind(hoists[npos - 1] + body[0])
-            adv += _ind(blk)
+                blk += _ind(_hoists(frozenset().union(
+                    *named[site - 1:end - 1])) + body)
+            if blk:
+                adv.append(f"pkt = slots[{site}]")
+                adv.append("if pkt is not None:")
+                adv += _ind(blk)
         adv.append("return flushed" if any_stage_flush else "return False")
         fn_sections.append(
             ("_advance", ["sim", "slots", "barrier_queues", "input_queue",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
@@ -274,6 +275,23 @@ class PipelineSimulator:
             self._max_read_stage[fd] = max(plan.read_stages, default=0)
             self._has_flush[fd] = plan.needs_flush
         self._any_flush = any(self._has_flush.values())
+        # Scan bounds for the hazard checks, from the ops themselves (an
+        # unlabeled access counts as a map access): a packet shallower
+        # than the first possible map read has recorded no read, one
+        # shallower than the first possible map store buffers no write.
+        self._first_read = self._first_write = pipeline.n_stages + 1
+        for stage in reversed(pipeline.stages):
+            for op in stage.ops or ():
+                if (op.label is not None
+                        and op.label.region is not Region.MAP_VALUE):
+                    continue
+                insn = op.insn
+                if insn.opclass == isa.BPF_LDX or (
+                        insn.is_call
+                        and (op.call is None or op.call.is_map_read)):
+                    self._first_read = stage.number
+                elif insn.opclass in (isa.BPF_ST, isa.BPF_STX):
+                    self._first_write = stage.number
         # LRU serialization windows (core.hazards): inclusive 1-based
         # [lo, hi] stage ranges each admitting at most one packet at a
         # time, so recency mutations happen strictly in packet order on
@@ -691,10 +709,27 @@ class PipelineSimulator:
         return None
 
     def engine_path(self, gap: int = 1) -> str:
-        """``stream`` or ``cycle-loop (<reason>)``: the code path a run
-        of this simulator takes, for attributing its numbers."""
+        """``stream`` or ``cycle-loop (<reason>[; <advance shape>])``:
+        the code path a run of this simulator takes, for attributing its
+        numbers. The shape says what the generated ``_advance`` is
+        specialised to (see ``codegen.restart_blocker``); the generic
+        shift loop of the interpreted engine and of windowed pipelines
+        has none."""
         reason = self.stream_blocker(gap)
-        return "stream" if reason is None else f"cycle-loop ({reason})"
+        if reason is None:
+            return "stream"
+        if self._advance_fn is not None:
+            from .codegen import advance_sites, restart_blocker
+
+            why = restart_blocker(self.pipeline)
+            if why is None:
+                reason += (
+                    f"; advance visits {len(advance_sites(self.pipeline))}"
+                    f" of {self.pipeline.n_stages - 1} stages, snapshots"
+                    " elided")
+            else:
+                reason += f"; advance visits every stage ({why})"
+        return f"cycle-loop ({reason})"
 
     def _try_stream(
         self, frames: Iterable[bytes], gap: int
@@ -879,27 +914,30 @@ class PipelineSimulator:
         if not self._has_flush.get(fd, False):
             return False
         # Younger packets behind the writer live either in pipeline slots
-        # or in elastic-buffer queues (restored after an earlier flush);
-        # BOTH can hold stale reads and must be checked.
-        behind: List[_InFlight] = []
-        for pos in range(1, writer.position):
-            other = slots[pos]
-            if other is not None and other.pid > writer.pid:
-                behind.append(other)
-        queued: List[_InFlight] = []
-        for queue in barrier_queues.values():
-            for other in queue:
-                if other.pid > writer.pid:
-                    queued.append(other)
-        victims = [
-            other for other in behind + queued
-            if self._read_invalidated(other, side_effect)
-        ]
-        if not victims:
+        # (none shallower than the first map read holds a read) or in
+        # elastic-buffer queues (restored after an earlier flush); BOTH
+        # can hold stale reads and must be checked.
+        store = kind in ("store", "store_pending")  # side_effect[2]: slot
+        oldest_victim_pid: Optional[int] = None
+        for other in chain(slots[self._first_read:writer.position],
+                           *barrier_queues.values()):
+            if other is None or other.pid <= writer.pid:
+                continue
+            if store:
+                # _reads_match's store case, inlined: this loop runs for
+                # every in-flight packet on every map store.
+                reads = other.value_reads.get(fd)
+                if reads is None or side_effect[2] not in reads:
+                    continue
+            elif not self._reads_match(other.addr_reads, other.value_reads,
+                                       side_effect):
+                continue
+            if oldest_victim_pid is None or other.pid < oldest_victim_pid:
+                oldest_victim_pid = other.pid
+        if oldest_victim_pid is None:
             return False
         # The paper flushes the whole pipeline prefix, not just matching
         # packets: every packet younger than the oldest victim restarts.
-        oldest_victim_pid = min(v.pid for v in victims)
         squashed: List[_InFlight] = []
         for pos in range(writer.position - 1, 0, -1):
             other = slots[pos]
@@ -952,9 +990,6 @@ class PipelineSimulator:
         for pkt in reversed(requeue_front):
             input_queue.appendleft(pkt)
         return True
-
-    def _read_invalidated(self, pkt: _InFlight, side_effect: Tuple) -> bool:
-        return self._reads_match(pkt.addr_reads, pkt.value_reads, side_effect)
 
     @staticmethod
     def _reads_match(
@@ -1138,15 +1173,19 @@ class PipelineSimulator:
         older than (or equal to) the reader — the forwarding path of the
         WAR buffer chain."""
         storage = self.maps[fd].storage
-        data = bytearray(storage[offset : offset + size])
         overlays: List[Tuple[int, int, int, bytes]] = []
-        for other in self._in_flight_packets():
-            if other.pid > pkt.pid:
+        # No packet shallower than the first map store buffers a write.
+        for other in self._slots[self._first_write:]:
+            if (other is None or not other.pending_writes
+                    or other.pid > pkt.pid):
                 continue
             for seq, (w_fd, w_off, w_data, _made) in enumerate(other.pending_writes):
                 if w_fd != fd:
                     continue
                 overlays.append((other.pid, seq, w_off, w_data))
+        if not overlays:
+            return bytes(storage[offset : offset + size])
+        data = bytearray(storage[offset : offset + size])
         overlays.sort()
         for _pid, _seq, w_off, w_data in overlays:
             lo = max(w_off, offset)
@@ -1154,11 +1193,6 @@ class PipelineSimulator:
             if lo < hi:
                 data[lo - offset : hi - offset] = w_data[lo - w_off : hi - w_off]
         return bytes(data)
-
-    def _in_flight_packets(self) -> Iterable[_InFlight]:
-        for pkt in self._slots:
-            if pkt is not None:
-                yield pkt
 
     def _mem_store(
         self,

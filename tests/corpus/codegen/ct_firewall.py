@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (37 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 4); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 5); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (22 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 4); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 5); flush machinery elided, position/commit tracking elided. Do not edit.
 """
 
 import struct
@@ -297,48 +297,10 @@ def _entry(sim, pkt):
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
 def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
-    pkt = slots[21]
-    if pkt is not None:
-        slots[21] = None
-        slots[22] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 6 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[20]
-    if pkt is not None:
-        slots[20] = None
-        slots[21] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 6 in enabled:
-                regs[0] = 0x2
-    pkt = slots[19]
-    if pkt is not None:
-        slots[19] = None
-        slots[20] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 5 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    slots.insert(1, None)
+    del slots[-1]
     pkt = slots[18]
     if pkt is not None:
-        slots[18] = None
-        slots[19] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 5 in enabled:
-                regs[0] = 0x3
-    pkt = slots[17]
-    if pkt is not None:
-        slots[17] = None
-        slots[18] = pkt
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
@@ -358,51 +320,22 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                         _sv = regs[1] & 0xffffffffffffffff
                         _new = (_old + _sv) & 0xffffffffffffffff
                         _p8(_st, _o, _new)
-    pkt = slots[16]
-    if pkt is not None:
-        slots[16] = None
-        slots[17] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 5 in enabled:
-                regs[1] = 0x1
-    pkt = slots[15]
-    if pkt is not None:
-        slots[15] = None
-        slots[16] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 4 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[14]
-    if pkt is not None:
-        slots[14] = None
-        slots[15] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 4 in enabled:
-                regs[0] = 0x1
-    pkt = slots[13]
-    if pkt is not None:
-        slots[13] = None
-        slots[14] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (4,))
+            if not pkt.done:
+                if 5 in enabled:
+                    regs[0] = 0x3
+                if not pkt.done:
+                    if 5 in enabled:
+                        pkt.done = True
+                        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+                    if not pkt.done:
+                        if 6 in enabled:
+                            regs[0] = 0x2
+                        if not pkt.done:
+                            if 6 in enabled:
+                                pkt.done = True
+                                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     pkt = slots[12]
     if pkt is not None:
-        slots[12] = None
-        slots[13] = pkt
-    pkt = slots[11]
-    if pkt is not None:
-        slots[11] = None
-        slots[12] = pkt
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
@@ -423,59 +356,21 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                         _sl = _lk(_k)
                         regs[0] = 0 if _sl is None else _mb + _sl * _vs
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    pkt = slots[10]
-    if pkt is not None:
-        slots[10] = None
-        slots[11] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-            if 3 in enabled:
-                _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-            if 3 in enabled:
-                _p2(pkt.stack, 504, regs[4] & 0xffff)
-            if 3 in enabled:
-                _p2(pkt.stack, 506, regs[5] & 0xffff)
-            if 3 in enabled:
-                regs[2] = regs[10] & 0xffffffffffffffff
-            if 3 in enabled:
-                regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    pkt = slots[9]
-    if pkt is not None:
-        slots[9] = None
-        slots[10] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                regs[2] = _u4(pkt.ctx.packet, 30)[0]
-            if 3 in enabled:
-                regs[3] = _u4(pkt.ctx.packet, 26)[0]
-            if 3 in enabled:
-                regs[4] = _u2(pkt.ctx.packet, 36)[0]
-            if 3 in enabled:
-                regs[5] = _u2(pkt.ctx.packet, 34)[0]
-            if 3 in enabled:
-                regs[1] = 0x30000001
-    pkt = slots[8]
-    if pkt is not None:
-        slots[8] = None
-        slots[9] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (3,))
+            if not pkt.done:
+                if 3 in enabled:
+                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (4,))
+                if not pkt.done:
+                    if 4 in enabled:
+                        regs[0] = 0x1
+                    if not pkt.done:
+                        if 4 in enabled:
+                            pkt.done = True
+                            pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+                        if not pkt.done:
+                            if 5 in enabled:
+                                regs[1] = 0x1
     pkt = slots[7]
     if pkt is not None:
-        slots[7] = None
-        slots[8] = pkt
-    pkt = slots[6]
-    if pkt is not None:
-        slots[6] = None
-        slots[7] = pkt
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
@@ -496,73 +391,74 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                         _sl = _lk(_k)
                         regs[0] = 0 if _sl is None else _mb + _sl * _vs
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    pkt = slots[5]
-    if pkt is not None:
-        slots[5] = None
-        slots[6] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-            if 2 in enabled:
-                _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-            if 2 in enabled:
-                _p2(pkt.stack, 504, regs[4] & 0xffff)
-            if 2 in enabled:
-                _p2(pkt.stack, 506, regs[5] & 0xffff)
-            if 2 in enabled:
-                _p4(pkt.stack, 508, regs[8] & 0xffffffff)
-            if 2 in enabled:
-                regs[2] = regs[10] & 0xffffffffffffffff
-            if 2 in enabled:
-                regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    pkt = slots[4]
-    if pkt is not None:
-        slots[4] = None
-        slots[5] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                regs[2] = _u4(pkt.ctx.packet, 26)[0]
-            if 2 in enabled:
-                regs[3] = _u4(pkt.ctx.packet, 30)[0]
-            if 2 in enabled:
-                regs[4] = _u2(pkt.ctx.packet, 34)[0]
-            if 2 in enabled:
-                regs[5] = _u2(pkt.ctx.packet, 36)[0]
-            if 2 in enabled:
-                regs[8] = 0x0
-            if 2 in enabled:
-                regs[1] = 0x30000001
-    pkt = slots[3]
-    if pkt is not None:
-        slots[3] = None
-        slots[4] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 1 in enabled:
-                enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x11 else (2,))
+            if not pkt.done:
+                if 2 in enabled:
+                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (3,))
+                if not pkt.done:
+                    if 3 in enabled:
+                        regs[2] = _u4(pkt.ctx.packet, 30)[0]
+                    if 3 in enabled:
+                        regs[3] = _u4(pkt.ctx.packet, 26)[0]
+                    if 3 in enabled:
+                        regs[4] = _u2(pkt.ctx.packet, 36)[0]
+                    if 3 in enabled:
+                        regs[5] = _u2(pkt.ctx.packet, 34)[0]
+                    if 3 in enabled:
+                        regs[1] = 0x30000001
+                    if not pkt.done:
+                        if 3 in enabled:
+                            _p4(pkt.stack, 496, regs[2] & 0xffffffff)
+                        if 3 in enabled:
+                            _p4(pkt.stack, 500, regs[3] & 0xffffffff)
+                        if 3 in enabled:
+                            _p2(pkt.stack, 504, regs[4] & 0xffff)
+                        if 3 in enabled:
+                            _p2(pkt.stack, 506, regs[5] & 0xffff)
+                        if 3 in enabled:
+                            regs[2] = regs[10] & 0xffffffffffffffff
+                        if 3 in enabled:
+                            regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     pkt = slots[2]
     if pkt is not None:
-        slots[2] = None
-        slots[3] = pkt
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 1 in enabled:
-                regs[2] = _u1(pkt.ctx.packet, 23)[0]
-    pkt = slots[1]
-    if pkt is not None:
-        slots[1] = None
-        slots[2] = pkt
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
             if 0 in enabled:
                 enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+            if not pkt.done:
+                if 1 in enabled:
+                    regs[2] = _u1(pkt.ctx.packet, 23)[0]
+                if not pkt.done:
+                    if 1 in enabled:
+                        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x11 else (2,))
+                    if not pkt.done:
+                        if 2 in enabled:
+                            regs[2] = _u4(pkt.ctx.packet, 26)[0]
+                        if 2 in enabled:
+                            regs[3] = _u4(pkt.ctx.packet, 30)[0]
+                        if 2 in enabled:
+                            regs[4] = _u2(pkt.ctx.packet, 34)[0]
+                        if 2 in enabled:
+                            regs[5] = _u2(pkt.ctx.packet, 36)[0]
+                        if 2 in enabled:
+                            regs[8] = 0x0
+                        if 2 in enabled:
+                            regs[1] = 0x30000001
+                        if not pkt.done:
+                            if 2 in enabled:
+                                _p4(pkt.stack, 496, regs[2] & 0xffffffff)
+                            if 2 in enabled:
+                                _p4(pkt.stack, 500, regs[3] & 0xffffffff)
+                            if 2 in enabled:
+                                _p2(pkt.stack, 504, regs[4] & 0xffff)
+                            if 2 in enabled:
+                                _p2(pkt.stack, 506, regs[5] & 0xffff)
+                            if 2 in enabled:
+                                _p4(pkt.stack, 508, regs[8] & 0xffffffff)
+                            if 2 in enabled:
+                                regs[2] = regs[10] & 0xffffffffffffffff
+                            if 2 in enabled:
+                                regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return False
 
 def _observe(metrics, slots, barrier_queues):

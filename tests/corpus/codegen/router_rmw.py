@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'router_rmw' (30 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 4); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 5); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct
@@ -87,7 +87,6 @@ def _s7(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.stack, 508, regs[2] & 0xffffffff)
         if _se is not None:
-            pkt.take_snapshot(7)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 2 in enabled:
@@ -216,7 +215,6 @@ def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
         _se = None
         _p4(pkt.ctx.packet, 0, regs[2] & 0xffffffff)
         if _se is not None:
-            pkt.take_snapshot(13)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -273,7 +271,6 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4, _p2=_p2)
         _se = None
         _p2(pkt.ctx.packet, 4, regs[2] & 0xffff)
         if _se is not None:
-            pkt.take_snapshot(14)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -342,7 +339,6 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
         _se = None
         _p4(pkt.ctx.packet, 6, regs[2] & 0xffffffff)
         if _se is not None:
-            pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -399,7 +395,6 @@ def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u1=_u1, _p2=_p2)
         _se = None
         _p2(pkt.ctx.packet, 10, regs[2] & 0xffff)
         if _se is not None:
-            pkt.take_snapshot(16)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -430,14 +425,12 @@ def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _p1=_p1, _p2=_p2)
         _se = None
         _p1(pkt.ctx.packet, 22, regs[2] & 0xff)
         if _se is not None:
-            pkt.take_snapshot(18)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
         _se = None
         _p2(pkt.ctx.packet, 24, regs[3] & 0xffff)
         if _se is not None:
-            pkt.take_snapshot(18)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -454,7 +447,6 @@ def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.stack, 504, regs[2] & 0xffffffff)
         if _se is not None:
-            pkt.take_snapshot(19)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -580,7 +572,6 @@ def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
         if not pkt.done:
             enabled.add(5)
         if _se is not None:
-            pkt.take_snapshot(25)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     return flushed
@@ -688,50 +679,11 @@ def _entry(sim, pkt):
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
 def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p1=_p1, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _h23=_h23):
+    slots.insert(1, None)
+    del slots[-1]
     flushed = False
-    pkt = slots[29]
-    if pkt is not None:
-        slots[29] = None
-        slots[30] = pkt
-        pkt.position = 30
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 30)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 6 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[28]
-    if pkt is not None:
-        slots[28] = None
-        slots[29] = pkt
-        pkt.position = 29
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 29)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 6 in enabled:
-                regs[0] = 0x2
     pkt = slots[27]
     if pkt is not None:
-        slots[27] = None
-        slots[28] = pkt
-        pkt.position = 28
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 28)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 5 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[26]
-    if pkt is not None:
-        slots[26] = None
-        slots[27] = pkt
-        pkt.position = 27
         if pkt.pending_writes:
             sim._commit_pending(pkt, 27)
         if not pkt.done:
@@ -740,16 +692,25 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             if 5 in enabled:
                 regs[0] = _h23(_HC(sim, pkt), regs[1], regs[2], regs[3], regs[4], regs[5]) & 0xffffffffffffffff
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    pkt = slots[25]
+            if not pkt.done:
+                if 5 in enabled:
+                    pkt.done = True
+                    pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+                if not pkt.done:
+                    if 6 in enabled:
+                        regs[0] = 0x2
+                    if not pkt.done:
+                        if 6 in enabled:
+                            pkt.done = True
+                            pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    pkt = slots[26]
     if pkt is not None:
-        slots[25] = None
-        slots[26] = pkt
-        pkt.position = 26
         if pkt.pending_writes:
             sim._commit_pending(pkt, 26)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 26
             if 5 in enabled:
                 _a = (regs[8] + 12) & 0xffffffffffffffff
                 if _a >= 0x40000000:
@@ -802,16 +763,14 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                     sim._drop(pkt)
             if not pkt.done and 5 in enabled:
                 regs[2] = 0x0
-    pkt = slots[24]
+    pkt = slots[25]
     if pkt is not None:
-        slots[24] = None
-        slots[25] = pkt
-        pkt.position = 25
         if pkt.pending_writes:
             sim._commit_pending(pkt, 25)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 25
             if 4 in enabled:
                 _a = regs[0] & 0xffffffffffffffff
                 _v = regs[2]
@@ -834,31 +793,14 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 if not pkt.done:
                     enabled.add(5)
                 if _se is not None:
-                    pkt.take_snapshot(25)
                     if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                         flushed = True
     pkt = slots[23]
     if pkt is not None:
-        slots[23] = None
-        slots[24] = pkt
-        pkt.position = 24
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 24)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
-            if 4 in enabled:
-                regs[2] = (regs[2] + 0x1) & 0xffffffffffffffff
-    pkt = slots[22]
-    if pkt is not None:
-        slots[22] = None
-        slots[23] = pkt
-        pkt.position = 23
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 23)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
+            pkt.position = 23
             if 4 in enabled:
                 _a = regs[0] & 0xffffffffffffffff
                 if _a >= 0x40000000:
@@ -895,35 +837,15 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         regs[2] = int.from_bytes(_d[_o:_o + 8], "little")
                 else:
                     sim._drop(pkt)
-    pkt = slots[21]
-    if pkt is not None:
-        slots[21] = None
-        slots[22] = pkt
-        pkt.position = 22
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 22)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                enabled.update((5,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (4,))
+            if not pkt.done:
+                if 4 in enabled:
+                    regs[2] = (regs[2] + 0x1) & 0xffffffffffffffff
     pkt = slots[20]
     if pkt is not None:
-        slots[20] = None
-        slots[21] = pkt
-        pkt.position = 21
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 21)
-    pkt = slots[19]
-    if pkt is not None:
-        slots[19] = None
-        slots[20] = pkt
-        pkt.position = 20
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 20)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 20
             if 3 in enabled:
                 _fd = regs[1] - 0x30000000
                 _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
@@ -945,104 +867,19 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         _r.append((_k, _sl))
                         regs[0] = 0 if _sl is None else _mb + _sl * _vs
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    pkt = slots[18]
-    if pkt is not None:
-        slots[18] = None
-        slots[19] = pkt
-        pkt.position = 19
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 19)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                _se = None
-                _p4(pkt.stack, 504, regs[2] & 0xffffffff)
-                if _se is not None:
-                    pkt.take_snapshot(19)
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                regs[2] = regs[10] & 0xffffffffffffffff
-            if not pkt.done and 3 in enabled:
-                regs[2] = (regs[2] + 0xfffffffffffffff8) & 0xffffffffffffffff
-    pkt = slots[17]
-    if pkt is not None:
-        slots[17] = None
-        slots[18] = pkt
-        pkt.position = 18
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 18)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                _se = None
-                _p1(pkt.ctx.packet, 22, regs[2] & 0xff)
-                if _se is not None:
-                    pkt.take_snapshot(18)
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                _se = None
-                _p2(pkt.ctx.packet, 24, regs[3] & 0xffff)
-                if _se is not None:
-                    pkt.take_snapshot(18)
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                regs[2] = 0x0
-    pkt = slots[16]
-    if pkt is not None:
-        slots[16] = None
-        slots[17] = pkt
-        pkt.position = 17
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 17)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                regs[2] = (regs[2] + 0xffffffffffffffff) & 0xffffffffffffffff
-            if 3 in enabled:
-                _v = regs[3] & 0xffff
-                regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
+            if not pkt.done:
+                if 3 in enabled:
+                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (4,))
     pkt = slots[15]
     if pkt is not None:
-        slots[15] = None
-        slots[16] = pkt
-        pkt.position = 16
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 16)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
-            if 3 in enabled:
-                _se = None
-                _p2(pkt.ctx.packet, 10, regs[2] & 0xffff)
-                if _se is not None:
-                    pkt.take_snapshot(16)
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                regs[2] = _u1(pkt.ctx.packet, 22)[0]
-            if not pkt.done and 3 in enabled:
-                regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
-    pkt = slots[14]
-    if pkt is not None:
-        slots[14] = None
-        slots[15] = pkt
-        pkt.position = 15
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 15)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
+            pkt.position = 15
             if 3 in enabled:
                 _se = None
                 _p4(pkt.ctx.packet, 6, regs[2] & 0xffffffff)
                 if _se is not None:
-                    pkt.take_snapshot(15)
                     if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                         flushed = True
             if not pkt.done and 3 in enabled:
@@ -1087,21 +924,59 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
             if not pkt.done and 3 in enabled:
                 regs[3] = regs[3] & 0xffff
-    pkt = slots[13]
+            if not pkt.done:
+                if 3 in enabled:
+                    _se = None
+                    _p2(pkt.ctx.packet, 10, regs[2] & 0xffff)
+                    if _se is not None:
+                        if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                            flushed = True
+                if not pkt.done and 3 in enabled:
+                    regs[2] = _u1(pkt.ctx.packet, 22)[0]
+                if not pkt.done and 3 in enabled:
+                    regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
+                if not pkt.done:
+                    if 3 in enabled:
+                        regs[2] = (regs[2] + 0xffffffffffffffff) & 0xffffffffffffffff
+                    if 3 in enabled:
+                        _v = regs[3] & 0xffff
+                        regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
+                    if not pkt.done:
+                        if 3 in enabled:
+                            _se = None
+                            _p1(pkt.ctx.packet, 22, regs[2] & 0xff)
+                            if _se is not None:
+                                if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                                    flushed = True
+                        if not pkt.done and 3 in enabled:
+                            _se = None
+                            _p2(pkt.ctx.packet, 24, regs[3] & 0xffff)
+                            if _se is not None:
+                                if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                                    flushed = True
+                        if not pkt.done and 3 in enabled:
+                            regs[2] = 0x0
+                        if not pkt.done:
+                            if 3 in enabled:
+                                _se = None
+                                _p4(pkt.stack, 504, regs[2] & 0xffffffff)
+                                if _se is not None:
+                                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                                        flushed = True
+                            if not pkt.done and 3 in enabled:
+                                regs[2] = regs[10] & 0xffffffffffffffff
+                            if not pkt.done and 3 in enabled:
+                                regs[2] = (regs[2] + 0xfffffffffffffff8) & 0xffffffffffffffff
+    pkt = slots[14]
     if pkt is not None:
-        slots[13] = None
-        slots[14] = pkt
-        pkt.position = 14
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 14)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 14
             if 3 in enabled:
                 _se = None
                 _p2(pkt.ctx.packet, 4, regs[2] & 0xffff)
                 if _se is not None:
-                    pkt.take_snapshot(14)
                     if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                         flushed = True
             if not pkt.done and 3 in enabled:
@@ -1158,21 +1033,16 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
             if not pkt.done and 3 in enabled:
                 regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
-    pkt = slots[12]
+    pkt = slots[13]
     if pkt is not None:
-        slots[12] = None
-        slots[13] = pkt
-        pkt.position = 13
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 13)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 13
             if 3 in enabled:
                 _se = None
                 _p4(pkt.ctx.packet, 0, regs[2] & 0xffffffff)
                 if _se is not None:
-                    pkt.take_snapshot(13)
                     if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                         flushed = True
             if not pkt.done and 3 in enabled:
@@ -1217,16 +1087,12 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 regs[4] = regs[3] & 0xffffffffffffffff
             if not pkt.done and 3 in enabled:
                 regs[3] = regs[3] & 0xffff
-    pkt = slots[11]
+    pkt = slots[12]
     if pkt is not None:
-        slots[11] = None
-        slots[12] = pkt
-        pkt.position = 12
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 12)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 12
             if 3 in enabled:
                 _a = regs[8] & 0xffffffffffffffff
                 if _a >= 0x40000000:
@@ -1280,51 +1146,12 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             if not pkt.done and 3 in enabled:
                 _v = regs[3] & 0xffff
                 regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
-    pkt = slots[10]
-    if pkt is not None:
-        slots[10] = None
-        slots[11] = pkt
-        pkt.position = 11
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 11)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                regs[8] = regs[0] & 0xffffffffffffffff
-            if 3 in enabled:
-                regs[3] = _u2(pkt.ctx.packet, 24)[0]
-            if 3 in enabled:
-                regs[1] = 0x30000002
-    pkt = slots[9]
-    if pkt is not None:
-        slots[9] = None
-        slots[10] = pkt
-        pkt.position = 10
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 10)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                enabled.update((6,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (3,))
     pkt = slots[8]
     if pkt is not None:
-        slots[8] = None
-        slots[9] = pkt
-        pkt.position = 9
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 9)
-    pkt = slots[7]
-    if pkt is not None:
-        slots[7] = None
-        slots[8] = pkt
-        pkt.position = 8
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 8)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
+            pkt.position = 8
             if 2 in enabled:
                 _fd = regs[1] - 0x30000000
                 _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
@@ -1346,89 +1173,49 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         _r.append((_k, _sl))
                         regs[0] = 0 if _sl is None else _mb + _sl * _vs
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    pkt = slots[6]
-    if pkt is not None:
-        slots[6] = None
-        slots[7] = pkt
-        pkt.position = 7
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 7)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                _se = None
-                _p4(pkt.stack, 508, regs[2] & 0xffffffff)
-                if _se is not None:
-                    pkt.take_snapshot(7)
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 2 in enabled:
-                regs[2] = regs[10] & 0xffffffffffffffff
-            if not pkt.done and 2 in enabled:
-                regs[2] = (regs[2] + 0xfffffffffffffffc) & 0xffffffffffffffff
-    pkt = slots[5]
-    if pkt is not None:
-        slots[5] = None
-        slots[6] = pkt
-        pkt.position = 6
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 6)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                regs[2] = regs[2] & 0xffffff
-    pkt = slots[4]
-    if pkt is not None:
-        slots[4] = None
-        slots[5] = pkt
-        pkt.position = 5
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 5)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                regs[2] = _u4(pkt.ctx.packet, 30)[0]
-            if 2 in enabled:
-                regs[1] = 0x30000001
-    pkt = slots[3]
-    if pkt is not None:
-        slots[3] = None
-        slots[4] = pkt
-        pkt.position = 4
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 4)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 1 in enabled:
-                enabled.update((6,) if (regs[2] & 0xffffffffffffffff) <= 0x1 else (2,))
+            if not pkt.done:
+                if 2 in enabled:
+                    enabled.update((6,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (3,))
+                if not pkt.done:
+                    if 3 in enabled:
+                        regs[8] = regs[0] & 0xffffffffffffffff
+                    if 3 in enabled:
+                        regs[3] = _u2(pkt.ctx.packet, 24)[0]
+                    if 3 in enabled:
+                        regs[1] = 0x30000002
     pkt = slots[2]
     if pkt is not None:
-        slots[2] = None
-        slots[3] = pkt
-        pkt.position = 3
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 3)
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
-            if 1 in enabled:
-                regs[2] = _u1(pkt.ctx.packet, 22)[0]
-    pkt = slots[1]
-    if pkt is not None:
-        slots[1] = None
-        slots[2] = pkt
-        pkt.position = 2
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 2)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
+            pkt.position = 2
             if 0 in enabled:
                 enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+            if not pkt.done:
+                if 1 in enabled:
+                    regs[2] = _u1(pkt.ctx.packet, 22)[0]
+                if not pkt.done:
+                    if 1 in enabled:
+                        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) <= 0x1 else (2,))
+                    if not pkt.done:
+                        if 2 in enabled:
+                            regs[2] = _u4(pkt.ctx.packet, 30)[0]
+                        if 2 in enabled:
+                            regs[1] = 0x30000001
+                        if not pkt.done:
+                            if 2 in enabled:
+                                regs[2] = regs[2] & 0xffffff
+                            if not pkt.done:
+                                if 2 in enabled:
+                                    _se = None
+                                    _p4(pkt.stack, 508, regs[2] & 0xffffffff)
+                                    if _se is not None:
+                                        if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                                            flushed = True
+                                if not pkt.done and 2 in enabled:
+                                    regs[2] = regs[10] & 0xffffffffffffffff
+                                if not pkt.done and 2 in enabled:
+                                    regs[2] = (regs[2] + 0xfffffffffffffffc) & 0xffffffffffffffff
     return flushed
 
 def _observe(metrics, slots, barrier_queues):

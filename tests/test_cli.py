@@ -156,12 +156,46 @@ out:
         assert "cycle" in out and "p0" in out
 
 
+# a counter read again after it was stored: the second read postdates
+# the store's elastic-buffer snapshot, so restarts from it are possible
+READ_AFTER_STORE = """
+.map m array key=4 value=8 entries=1
+
+    r2 = 0
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[m]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r2 = *(u64 *)(r0 + 0)
+    r2 += 1
+    *(u64 *)(r0 + 0) = r2
+    r3 = *(u64 *)(r0 + 0)
+    if r3 != 0 goto out
+    r0 = 1
+    exit
+out:
+    r0 = 2
+    exit
+"""
+
+
 class TestRunAndBench:
     def test_run_default_engine_is_codegen(self, capsys, prog_file):
         assert main(["run", prog_file, "--packets", "60", "--flows", "4"]) == 0
         out = capsys.readouterr().out
         assert "engine: codegen" in out and "packets/s" in out
         assert "engine path: " in out
+
+    def test_run_says_when_the_cycle_loop_visits_every_stage(
+            self, capsys, tmp_path):
+        path = tmp_path / "read_after_store.ebpf"
+        path.write_text(READ_AFTER_STORE)
+        assert main(["run", str(path), "--packets", "40", "--flows", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "engine path: cycle-loop (flush plan on map 1 " in out
+        assert "; advance visits every stage (map 1 is read at stage " in out
 
     def test_run_interpreted(self, capsys, prog_file):
         assert main(["run", prog_file, "--packets", "40",

@@ -16,12 +16,17 @@ machinery around the generated source itself:
   plan inside one serialization window; no order-sensitive helpers),
   and observably equivalent to the cycle loop — for windowed pipelines
   down to every packet's arrival/inject/exit cycle, the queue drops and
-  the LRU recency order.
+  the LRU recency order;
+* the interaction-sparse ``_advance``: fused packet-local runs and
+  elided snapshots exactly where ``restart_blocker`` proves no
+  elastic-buffer restart can be chosen, the per-stage snapshotting
+  ``interpreted`` engine being the reference.
 """
 
 import copy
 import dataclasses
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -43,18 +48,21 @@ from repro.core.compiler import compile_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import MapSet
-from repro.hwsim import PipelineSimulator, SimOptions
+from repro.hwsim import OccupancyTracer, PipelineSimulator, SimOptions
 from repro.hwsim.codegen import (
     CODEGEN_VERSION,
+    advance_sites,
     ensure_source,
     generate_pipeline_source,
     load_pipeline_module,
+    restart_blocker,
     stream_blocker,
     write_debug_source,
 )
 from repro.workloads import make_workload, parse_workload_spec
 from tests.test_rtl import APP_CASES
 from tests.test_second_gen_apps import _key_frames, _tiny_lru_program
+from tests.test_sim import TestInterleavedRmwRegression
 
 _COUNTER = "ehdl_codegen_recompile_total"
 
@@ -462,7 +470,8 @@ class TestStreamBlockers:
         assert "_STREAM = None" in generate_pipeline_source(pipeline)
         path, got = _observed(pipeline, program, frames, "codegen",
                               setup=setup)
-        assert path == f"cycle-loop ({stream_blocker(pipeline)})"
+        # the reason leads; the advance's shape may follow (TestSparseAdvance)
+        assert path.startswith(f"cycle-loop ({stream_blocker(pipeline)}")
         _path, want = _observed(pipeline, program, frames, "interpreted",
                                 setup=setup)
         _assert_same(got, want)
@@ -523,3 +532,175 @@ class TestStreamBlockers:
                                 options=SimOptions(engine="interpreted"))
         assert sim.engine_path() \
             == "cycle-loop (engine 'interpreted' has no stream path)"
+
+
+def _zipf_frames(flows, exponent=1.0, packets=200, seed=7):
+    return make_workload(dataclasses.replace(
+        parse_workload_spec("udp-zipf"), flows=flows, zipf_exponent=exponent,
+        packets=packets, seed=seed)).materialize()
+
+
+def _unresolved(pipeline, stage_number, **blanked):
+    """A copy of ``pipeline`` in which the op at ``stage_number`` lost
+    what the compiler had resolved about it, source regenerated."""
+    clone = copy.deepcopy(pipeline)
+    stage = clone.stages[stage_number - 1]
+    stage.ops[0] = dataclasses.replace(stage.ops[0], **blanked)
+    clone.codegen_source = None
+    return clone
+
+
+class TestSparseAdvance:
+    """Where ``restart_blocker`` proves that no flush can ever choose an
+    elastic-buffer snapshot, the generated ``_advance`` visits only the
+    interaction stages (packet-local runs execute eagerly at the site
+    before them) and takes no snapshots; where it names a reason, every
+    stage stays a site and the snapshots stay. Either way the numbers
+    are the ``interpreted`` engine's, which executes stage by stage and
+    snapshots always."""
+
+    APPS = {"leaky_bucket": leaky_bucket, "dnat": dnat}
+    SITES = {"leaky_bucket": [2, 6, 8, 12, 19, 21, 25],
+             "dnat": [2, 8, 11, 14, 18, 21, 27]}
+    RMW = TestInterleavedRmwRegression()._program()
+    # both slots of the two-entry array, touched in every order
+    RMW_FRAMES = [bytes([b0]) + bytes(24) + bytes([b25]) + bytes(38)
+                  for b0 in range(2) for b25 in range(2)] * 4
+
+    @classmethod
+    def _app(cls, name):
+        program = cls.APPS[name].build()
+        return program, compile_program(program)
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_proof_accepts(self, name):
+        program, pipeline = self._app(name)
+        assert restart_blocker(pipeline) is None
+        assert advance_sites(pipeline) == self.SITES[name]
+        source = pipeline.codegen_source
+        assert "take_snapshot" not in source
+        assert "slots.insert(1, None)" in source
+        advance = source[source.index("def _advance("):
+                         source.index("def _observe(")]
+        visited = [int(n) for n in re.findall(r"pkt = slots\[(\d+)\]",
+                                               advance)]
+        assert visited == self.SITES[name][::-1]
+        sim = PipelineSimulator(pipeline, options=SimOptions())
+        assert sim.engine_path().endswith(
+            f"; advance visits {len(visited)} of {pipeline.n_stages - 1} "
+            "stages, snapshots elided)")
+
+    def _check_refused(self, pipeline, program, frames, reason):
+        """Dense segments, snapshots kept, the reason on show; returns
+        the reference's observations at line rate."""
+        assert restart_blocker(pipeline) == reason
+        assert advance_sites(pipeline) == list(
+            range(2, pipeline.n_stages + 1))
+        assert "take_snapshot" in generate_pipeline_source(pipeline)
+        for gap in (3, 2, 1):
+            path, got = _observed(pipeline, program, frames, "codegen", gap)
+            assert path.endswith(f"; advance visits every stage ({reason}))")
+            _path, want = _observed(pipeline, program, frames,
+                                    "interpreted", gap)
+            _assert_same(got, want)
+        return want
+
+    def test_read_after_a_side_effect_refuses(self):
+        # reads at 4/7/13/16 around writes at 9/18: the second lookup's
+        # reads postdate the first store's snapshot, which is therefore
+        # clean and chosen — packets do restart from elastic buffers
+        pipeline = compile_program(self.RMW)
+        want = self._check_refused(
+            pipeline, self.RMW, self.RMW_FRAMES,
+            "map 1 is read at stage 13 after a side effect at stage 9")
+        flushes, _squashed, stall_cycles = want["hazards"]
+        assert flushes > 0 and stall_cycles > 0
+        assert any(record[6] for record in want["records"])
+
+    def test_unresolved_access_refuses(self):
+        program, pipeline = self._app("leaky_bucket")
+        blind = _unresolved(pipeline, 19, label=None)
+        want = self._check_refused(
+            blind, program, _zipf_frames(flows=6),
+            "the access at stage 19 has an unresolved region")
+        assert want["hazards"][0] > 0
+
+    def test_unresolved_map_call_refuses(self):
+        program, pipeline = self._app("leaky_bucket")
+        lookup = pipeline.stages[7].ops[0].call
+        assert lookup.is_map_read
+        blind = _unresolved(pipeline, 8, call=dataclasses.replace(
+            lookup, map_fd=None))
+        self._check_refused(
+            blind, program, _zipf_frames(flows=6),
+            "the call at stage 8 reaches an unresolved map")
+
+    def test_window_refuses(self):
+        pipeline = TestWindowedStream.TINY_PIPELINE
+        assert restart_blocker(pipeline) \
+            == "a serialization window stalls the shift"
+        source = generate_pipeline_source(pipeline)
+        assert "_ADVANCE = None" in source and "take_snapshot" in source
+        with telemetry.scoped(enabled=True):  # off the stream path
+            sim = PipelineSimulator(pipeline, options=SimOptions())
+            assert sim.engine_path() == "cycle-loop (telemetry is on)"
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_sweep_matches_interpreted(self, name):
+        program, pipeline = self._app(name)
+        frames = _zipf_frames(flows=12)
+        flushed = dropped = 0
+        for gap in (1, 2, 3, 7, pipeline.n_stages + 2):
+            for capacity in (1, 4, 64, 4096):
+                _path, got = _observed(pipeline, program, frames, "codegen",
+                                       gap, capacity)
+                _path, want = _observed(pipeline, program, frames,
+                                        "interpreted", gap, capacity)
+                _assert_same(got, want)
+                flushed += want["hazards"][0]
+                dropped += want["in/out/dropped"][2]
+                assert want["hazards"][2] == 0  # no barrier restart, ever
+        # the sweep crossed the flush regime and the drop regime
+        assert flushed > 0 and dropped > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(APPS)),
+        flows=st.integers(min_value=1, max_value=64),
+        exponent=st.floats(min_value=0.0, max_value=2.0),
+        gap=st.integers(min_value=1, max_value=5),
+    )
+    def test_flush_property(self, name, flows, exponent, gap):
+        program, pipeline = self._app(name)
+        frames = _zipf_frames(flows, exponent, packets=120, seed=flows)
+        _path, got = _observed(pipeline, program, frames, "codegen", gap)
+        _path, want = _observed(pipeline, program, frames, "interpreted",
+                                gap)
+        _assert_same(got, want)
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_eager_execution_is_invisible_to_observers(self, name):
+        # a tracer and the telemetry observer read ``slots``: occupancy,
+        # never registers — so running a packet-local stage early must
+        # leave every per-cycle snapshot and counter where it was
+        program, pipeline = self._app(name)
+        frames = _zipf_frames(flows=6, packets=150)
+
+        def run(engine, observer=None):
+            sim = PipelineSimulator(
+                pipeline, maps=MapSet(program.maps),
+                options=SimOptions(engine=engine))
+            sim.observer = observer
+            report = sim.run_packets(frames)
+            assert report.flush_events > 0
+            return sim.metrics
+
+        traces = {}
+        for engine in ("codegen", "interpreted"):
+            traces[engine] = OccupancyTracer(max_cycles=100_000)
+            run(engine, traces[engine])
+        assert traces["codegen"].snapshots \
+            == traces["interpreted"].snapshots
+        with telemetry.scoped(enabled=True):
+            sparse, reference = run("codegen"), run("interpreted")
+        assert sparse is not None and sparse == reference

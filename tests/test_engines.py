@@ -225,9 +225,12 @@ class TestCliEngineFlag:
         assert ("engine path: cycle-loop (engine 'interpreted' has no "
                 "stream path)") in capsys.readouterr().out
         assert main(["stats", "app:leaky_bucket"]) == 0
+        out = capsys.readouterr().out
         assert ("engine path: cycle-loop (flush plan on map 1 "
-                "(stages 8-25) not covered by a window)") \
-            in capsys.readouterr().out
+                "(stages 8-25) not covered by a window") in out
+        # ... and what the generated cycle loop is specialised to
+        assert ("not covered by a window; advance visits 7 of 29 stages, "
+                "snapshots elided)\n") in out
 
     def test_run_engine_fast_rejected_by_argparse(self, capsys, prog_file):
         from repro.cli import main

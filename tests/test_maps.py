@@ -230,3 +230,36 @@ class TestFactoryAndMapSet:
         assert snap[1][:8] == val8(3)
         ms.clear()
         assert ms.snapshot()[1] == bytes(16)
+
+
+class TestEntryCount:
+    """``entry_count`` is a counter, not a scan of a per-slot list."""
+
+    @pytest.mark.parametrize("map_type", ["hash", "lru_hash"])
+    def test_hash_maps_count_live_keys(self, map_type):
+        m = create_map(MapSpec("m", map_type, 4, 8, 3))
+        assert m.entry_count() == 0
+        for i in range(3):
+            m.update(key4(i), val8(i))
+        m.update(key4(1), val8(9))  # an overwrite is not an insert
+        assert m.entry_count() == 3
+        assert m.delete(key4(0)) and not m.delete(key4(0))
+        assert m.entry_count() == 2
+        m.clear()
+        assert m.entry_count() == 0
+        m.update(key4(7), val8(7))
+        assert m.entry_count() == 1
+
+    def test_lru_eviction_keeps_the_count_at_capacity(self):
+        m = LruHashMap(MapSpec("l", "lru_hash", 4, 8, 2))
+        for i in range(5):
+            m.update(key4(i), val8(i))
+        assert m.entry_count() == 2
+
+    def test_array_entries_always_exist(self):
+        # clear() used to leave an array map reporting zero entries
+        m = ArrayMap(MapSpec("a", "array", 4, 8, 4))
+        m.update(key4(2), val8(5))
+        assert m.entry_count() == 4
+        m.clear()
+        assert m.entry_count() == 4 and m.lookup(key4(2)) == bytes(8)
