@@ -38,7 +38,7 @@ from repro.apps import firewall, router
 from repro.core import compile_program
 from repro.ebpf.maps import MapSet
 from repro import telemetry
-from repro.hwsim import PipelineSimulator, SimOptions, SimReport
+from repro.hwsim import PipelineSimulator, SimOptions
 from repro.net.flows import TrafficGenerator, TrafficSpec
 from repro.rtl import RtlRunner
 
@@ -139,9 +139,7 @@ def _bench_app(name, program):
     # anything
     assert reps["codegen"].cycles == reps["interpreted"].cycles
     assert reps["codegen"].action_counts == reps["interpreted"].action_counts
-    # round-trip through the JSON codec so the BENCH row carries exactly
-    # what a reader would get back out of it
-    report_json = SimReport.from_json(reps["codegen"].to_json()).to_json()
+    report_json = reps["codegen"].to_json()
     return {
         "app": name,
         "packets": N_PACKETS,

@@ -42,7 +42,9 @@ from .hwsim.engines import (
     engine_names,
     get_engine,
     pipeline_engine_names,
+    run_differential,
     run_engine,
+    run_three_way,
 )
 from .net.flows import TrafficGenerator, TrafficSpec
 from .rtl.sim import RTL_ENGINES
@@ -237,8 +239,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     Exits nonzero on any divergence in per-packet action, output bytes,
     or final map state.
     """
-    from .rtl import run_three_way
-
     collect = _telemetry_setup(args)
     program = load_program(args.program)
     pipeline = _compile(args, program)
@@ -494,29 +494,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
     pipeline = _compile(args, program)
     frames = _gen_frames(args)
     setup = _app_setup(args.program)
-    # Every registered pipeline engine runs the identical workload; the
-    # interpreted engine is the parity reference (both must agree on
-    # cycle counts and verdicts — they model the same hardware).
+    # Every registered pipeline engine runs the identical workload: a
+    # record-free timed pass each, then the parity gate — a recorded
+    # pass of each, compared against the interpreted engine (the
+    # reference, listed first). They model the same hardware, so they
+    # must agree on everything: verdicts, bytes, map state and
+    # per-packet cycles.
     engines = pipeline_engine_names()
     results = {}
     for engine in engines:
         results[engine] = _run_once(pipeline, program, frames, engine,
                                     setup=setup)
-    ref_report = results["interpreted"][0]
+    parity = run_differential(program, frames, pipeline=pipeline,
+                              setup=setup, engines=engines)
     print(f"{'engine':<14s}  {'wall ms':>9s}  {'packets/s':>12s}  "
           f"{'speedup':>8s}")
     slow_dt = results["interpreted"][1]
     for engine in engines:
-        report, dt = results[engine][:2]
-        if report.cycles != ref_report.cycles or \
-                report.action_counts != ref_report.action_counts:
-            print(f"ERROR: {engine}/interpreted engines diverged",
-                  file=sys.stderr)
-            return 1
+        dt = results[engine][1]
         print(f"{engine:<14s}  {dt * 1e3:>9.1f}  "
               f"{len(frames) / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
-    print(f"parity OK: {ref_report.cycles} cycles, "
-          f"{sum(ref_report.action_counts.values())} packets on "
+    if not parity.ok:
+        print(f"ERROR: pipeline engines diverged from {engines[0]}",
+              file=sys.stderr)
+        for mismatch in parity.mismatches[:20]:
+            print(f"  {mismatch}", file=sys.stderr)
+        return 1
+    reference = parity.hw_report
+    print(f"parity OK: {reference.cycles} cycles, "
+          f"{sum(reference.action_counts.values())} packets on "
           f"{len(engines)} engines")
     if collect:
         publish_report(results["codegen"][0], telemetry.get_registry(),

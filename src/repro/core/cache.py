@@ -26,7 +26,7 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..ebpf.isa import Program
 from .pipeline import Pipeline
@@ -229,82 +229,24 @@ def get_default_cache() -> CompileCache:
     return _default_cache
 
 
-def _warm_one(payload) -> Tuple[str, str, str]:
-    """Pool worker: compile one program into the on-disk cache.
-
-    Runs in a separate process; results travel back through the disk
-    cache (the atomic-rename write path makes concurrent writers safe —
-    last writer wins with an identical pickle), so only a small status
-    tuple crosses the process boundary.
-    """
-    program, options, directory = payload
-    try:
-        cache = CompileCache(directory)
-        key = cache_key(program, options)
-        if cache.get(key) is None:
-            from . import compiler
-
-            cache.put(key, compiler.compile_program(program, options))
-        return ("ok", program.name, key)
-    except Exception:
-        import traceback
-
-        return ("err", program.name, traceback.format_exc())
-
-
 def warm_cache(
     programs: Sequence[Program],
     options=None,
     cache: Optional[CompileCache] = None,
-    workers: Optional[int] = None,
 ) -> List[Pipeline]:
-    """Compile ``programs`` into the cache, fanning misses out over a
-    process pool, and return their pipelines in order.
-
-    Already-cached programs are not recompiled. ``workers`` defaults to
-    ``min(misses, cpu_count)``; with 0/1 workers (or if the pool cannot
-    be created) compilation falls back to the serial in-process path.
-    Worker failures are re-raised with the offending program's name
-    instead of a bare pool traceback.
+    """Compile ``programs`` into the cache and return their pipelines
+    in order. Already-cached programs are not recompiled; a compile
+    failure is re-raised naming the offending program.
     """
-    if cache is None:
-        cache = get_default_cache()
-    keys = [cache_key(program, options) for program in programs]
-    missing = [
-        (program, key)
-        for program, key in zip(programs, keys)
-        if cache.get(key) is None
-    ]
-    if workers is None:
-        workers = min(len(missing), os.cpu_count() or 1)
-    if len(missing) > 1 and workers > 1:
-        import multiprocessing as mp
-
-        payloads = [
-            (program, options, cache.directory) for program, _key in missing
-        ]
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+    pipelines = []
+    for program in programs:
         try:
-            with ctx.Pool(min(workers, len(missing))) as pool:
-                statuses = pool.map(_warm_one, payloads)
-        except (OSError, pickle.PicklingError):
-            statuses = []  # no pool (e.g. sandboxed): compile serially below
-        failures = [s for s in statuses if s[0] == "err"]
-        if failures:
-            detail = "\n".join(
-                f"--- while compiling {name!r} ---\n{tb}"
-                for _tag, name, tb in failures
-            )
+            pipelines.append(compile_cached(program, options, cache=cache))
+        except Exception as exc:
             raise RuntimeError(
-                f"cache warm-up failed for "
-                f"{', '.join(repr(s[1]) for s in failures)}:\n{detail}"
-            )
-    # Serial pass: loads pool-compiled entries from disk, and compiles
-    # whatever is still missing (serial fallback / workers <= 1).
-    return [
-        compile_cached(program, options, cache=cache) for program in programs
-    ]
+                f"cache warm-up failed for {program.name!r}: {exc}"
+            ) from exc
+    return pipelines
 
 
 def compile_cached(

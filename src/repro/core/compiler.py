@@ -61,8 +61,6 @@ class CompileOptions:
     elide_ctx_loads: bool = True
     unroll_loops: bool = True
     max_row_width: Optional[int] = None
-    clock_mhz: float = 250.0  # pipeline clock (matches the 100 Gbps shell)
-    flush_reload_overhead: int = 4  # cycles to refill after a flush (A.1)
 
 
 class CompileError(ValueError):

@@ -6,15 +6,18 @@ from .codegen import (
     generate_pipeline_source,
     load_pipeline_module,
 )
-from .diff import DiffResult, Mismatch, run_differential
 from .engines import (
     ENGINES,
+    FROZEN_CLOCK_MHZ,
+    DiffResult,
     EngineRun,
     EngineSpec,
+    Mismatch,
     compare_runs,
     engine_names,
     get_engine,
     pipeline_engine_names,
+    run_differential,
     run_engine,
 )
 from .multi import MultiProgramNic, SlotResult, ethertype_classifier
@@ -29,6 +32,7 @@ __all__ = [
     "ENGINES",
     "EngineRun",
     "EngineSpec",
+    "FROZEN_CLOCK_MHZ",
     "compare_runs",
     "engine_names",
     "ensure_source",

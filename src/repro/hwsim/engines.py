@@ -27,11 +27,19 @@ the *same elaborated netlist* and must agree bit-for-bit on every net
 each cycle; ``rtl-interp`` is kept as the slow, obviously-correct
 baseline for differential testing of the compiled schedule.
 
-:func:`run_engine` executes any engine over a packet sequence and
-returns a normalized :class:`EngineRun`; :func:`compare_runs` diffs two
-of them, honouring ``cycle_exact``. The differential harnesses, the
-``--engine`` CLI flag and the perf bench all enumerate engines through
-this module.
+This module is also the repo's one differential oracle — the
+correctness claim for the whole compiler (every pass: elision, fusion,
+ILP scheduling, predication, framing, pruning, hazard handling) and
+for the emitted VHDL is that all engines agree. :func:`run_engine` is
+the only place a leg is run for comparison (fresh maps, the same host
+``setup``, normalized :class:`EngineRun` out) and :func:`compare_runs`
+the only place observables are compared (:class:`Mismatch` records,
+honouring ``cycle_exact``). :func:`run_differential` composes them —
+N legs, each compared against the first — and :func:`run_three_way` is
+that composition over ``(vm, <pipeline engine>, <rtl engine>)`` on the
+emitted VHDL. ``repro verify``, ``repro bench``'s parity line,
+``XdpOffload.verify_rtl`` and the differential tests all go through
+here.
 """
 
 from __future__ import annotations
@@ -106,6 +114,15 @@ def get_engine(name: str) -> EngineSpec:
     return spec
 
 
+# A SimOptions.clock_mhz that freezes the per-cycle helper clock:
+# cycle-to-nanosecond conversion rounds to zero for every realistic
+# cycle count, so bpf_ktime_get_ns reads the same value on the
+# cycle-counting engines as on the VM and the RTL runner (which has no
+# cycle clock at all). Without it a time-reading program — the leaky
+# bucket policer — legitimately diverges from the VM.
+FROZEN_CLOCK_MHZ = 1e9
+
+
 @dataclass
 class EngineRun:
     """Normalized observables of one engine over one packet sequence."""
@@ -117,7 +134,7 @@ class EngineRun:
     frames: List[Optional[bytes]]
     # fd -> semantic (key -> value) content after the run.
     map_items: Dict[int, Dict[bytes, bytes]]
-    # fd -> map name (for readable mismatch reports).
+    # fd -> map name: mismatch reports and ``ignore_maps`` go by name.
     map_names: Dict[int, str] = field(default_factory=dict)
     # (inject_cycle, exit_cycle) per packet for cycle_exact engines.
     packet_cycles: List[Optional[Tuple[int, int]]] = field(default_factory=list)
@@ -126,18 +143,11 @@ class EngineRun:
 
 
 def _snapshot_maps(maps: MapSet) -> Dict[int, Dict[bytes, bytes]]:
-    # Semantic comparison: hash maps may place identical content at
-    # different slots when replay perturbs insertion order.
+    # Semantic comparison: the (key -> value) content. Hash maps may
+    # place identical content at different slots when flush-replay
+    # perturbs insertion order — a layout detail, not a divergence (slot
+    # choice is equally order-dependent in the hardware).
     return {fd: dict(maps[fd].items()) for fd in maps}
-
-
-def _map_names(maps: MapSet) -> Dict[int, str]:
-    names = {}
-    for fd in maps:
-        name = getattr(maps[fd], "name", None)
-        if name:
-            names[fd] = name
-    return names
 
 
 def run_engine(
@@ -151,13 +161,17 @@ def run_engine(
     gap: int = 1,
     time_ns: int = 0,
     setup: Optional[Callable[[MapSet], None]] = None,
+    vhdl_text: Optional[str] = None,
 ) -> EngineRun:
     """Execute ``frames`` on one registered engine with fresh maps.
 
     ``setup(maps)`` — if given — installs host state (routes, ACL
     entries) before execution, identically for every engine. ``gap`` is
-    the injection spacing for pipeline engines; the RTL engine widens it
-    to its single-packet-in-flight minimum (``n_stages + 2``).
+    the injection spacing for pipeline engines (1 = back-to-back at line
+    rate, the most hazard-prone schedule); the RTL engine widens it to
+    its single-packet-in-flight minimum (``n_stages + 2``).
+    ``vhdl_text`` hands the RTL engines an already-emitted (possibly
+    hand-edited) design; by default the pipeline is re-emitted.
     """
     spec = get_engine(name)
     frames = [bytes(f) for f in frames]
@@ -169,12 +183,14 @@ def run_engine(
     if spec.kind == "reference":
         vm = Vm(program, maps=maps, time_ns=time_ns)
         results = [vm.run(f) for f in frames]
+        # Flush the opcode/helper counters (no-op with telemetry off).
+        vm.publish_telemetry()
         return EngineRun(
             engine=name,
             actions=[r.action for r in results],
             frames=[r.packet for r in results],
             map_items=_snapshot_maps(maps),
-            map_names=_map_names(maps),
+            map_names={fd: maps[fd].name for fd in maps},
         )
 
     if pipeline is None:
@@ -184,7 +200,7 @@ def run_engine(
         from ..rtl.sim import RtlRunner
 
         runner = RtlRunner(pipeline, maps=maps, time_ns=time_ns,
-                           engine=name)
+                           text=vhdl_text, engine=name)
         report = runner.run_packets(
             frames, gap=max(gap, pipeline.n_stages + 2)
         )
@@ -215,59 +231,196 @@ def run_engine(
         actions=actions,
         frames=out_frames,
         map_items=_snapshot_maps(maps),
-        map_names=_map_names(maps),
+        map_names={fd: maps[fd].name for fd in maps},
         packet_cycles=cycles if spec.cycle_exact else [],
         total_cycles=report.cycles if spec.cycle_exact else None,
         report=report,
     )
 
 
+@dataclass
+class Mismatch:
+    """One divergence of a leg from the reference run."""
+
+    index: int  # packet index, or -1 for a whole-run observable
+    what: str
+    ref_value: object
+    leg_value: object
+    pair: str = ""  # "<reference engine> vs <leg engine>"
+
+    def __str__(self) -> str:
+        pair = f"{self.pair}: " if self.pair else ""
+        where = f"packet {self.index}: " if self.index >= 0 else ""
+        return (f"{pair}{where}{self.what} "
+                f"{self.ref_value!r} != {self.leg_value!r}")
+
+
 def compare_runs(
-    a: EngineRun,
-    b: EngineRun,
-    ignore_fds: Sequence[int] = (),
-) -> List[str]:
-    """Diff two engine runs; returns human-readable mismatch strings.
+    ref: EngineRun,
+    leg: EngineRun,
+    ignore_maps: Sequence[str] = (),
+) -> List[Mismatch]:
+    """Every observable on which ``leg`` diverges from ``ref``.
 
     Actions, packet bytes and (semantic) map contents always compare;
     cycle structure compares only between two ``cycle_exact`` engines.
+    Maps named in ``ignore_maps`` are skipped — e.g. a speculative
+    allocation counter: under pipelining the hardware legitimately burns
+    allocations that sequential execution would not (Appendix A.2).
+    Runs over different packet counts do not compare at all.
     """
-    mismatches: List[str] = []
-    pair = f"{a.engine} vs {b.engine}"
-    for i, (aa, ba) in enumerate(zip(a.actions, b.actions)):
-        if aa != ba:
-            mismatches.append(f"{pair}: packet {i}: action {aa!r} != {ba!r}")
-    for i, (af, bf) in enumerate(zip(a.frames, b.frames)):
-        if af != bf:
-            ah = af.hex() if af is not None else None
-            bh = bf.hex() if bf is not None else None
-            mismatches.append(f"{pair}: packet {i}: bytes {ah} != {bh}")
-    ignored = set(ignore_fds)
-    for fd in sorted(set(a.map_items) | set(b.map_items)):
-        if fd in ignored:
+    pair = f"{ref.engine} vs {leg.engine}"
+    if len(ref.actions) != len(leg.actions):
+        return [Mismatch(-1, "packet count", len(ref.actions),
+                         len(leg.actions), pair)]
+    mismatches: List[Mismatch] = []
+    for i, (ra, la) in enumerate(zip(ref.actions, leg.actions)):
+        if ra != la:
+            mismatches.append(Mismatch(i, "action", ra, la, pair))
+        rf, lf = ref.frames[i], leg.frames[i]
+        # a packet without a verdict has no bytes either: said once
+        if rf != lf and rf is not None and lf is not None:
+            mismatches.append(
+                Mismatch(i, "packet bytes", rf.hex(), lf.hex(), pair))
+    for fd, rm in ref.map_items.items():
+        lm = leg.map_items[fd]
+        name = ref.map_names[fd]
+        if rm == lm or name in ignore_maps:
             continue
-        am = a.map_items.get(fd, {})
-        bm = b.map_items.get(fd, {})
-        if am != bm:
-            label = a.map_names.get(fd) or b.map_names.get(fd) or f"fd {fd}"
-            diff_keys = [
-                k.hex() for k in sorted(set(am) | set(bm))
-                if am.get(k) != bm.get(k)
-            ]
-            mismatches.append(
-                f"{pair}: map {label}: differing keys {diff_keys[:4]}"
-            )
-    cycle_exact = (
-        ENGINES[a.engine].cycle_exact and ENGINES[b.engine].cycle_exact
-    )
-    if cycle_exact:
-        if a.total_cycles != b.total_cycles:
-            mismatches.append(
-                f"{pair}: total cycles {a.total_cycles} != {b.total_cycles}"
-            )
-        for i, (ac, bc) in enumerate(zip(a.packet_cycles, b.packet_cycles)):
-            if ac != bc:
+        differing = [k for k in sorted(set(rm) | set(lm))
+                     if rm.get(k) != lm.get(k)][:4]
+        mismatches.append(Mismatch(
+            -1, f"map {name}",
+            {k.hex(): rm[k].hex() if k in rm else None for k in differing},
+            {k.hex(): lm[k].hex() if k in lm else None for k in differing},
+            pair,
+        ))
+    if ENGINES[ref.engine].cycle_exact and ENGINES[leg.engine].cycle_exact:
+        if ref.total_cycles != leg.total_cycles:
+            mismatches.append(Mismatch(
+                -1, "total cycles", ref.total_cycles, leg.total_cycles, pair))
+        for i, (rc, lc) in enumerate(zip(ref.packet_cycles,
+                                         leg.packet_cycles)):
+            if rc != lc:
                 mismatches.append(
-                    f"{pair}: packet {i}: inject/exit cycles {ac} != {bc}"
-                )
+                    Mismatch(i, "inject/exit cycles", rc, lc, pair))
     return mismatches
+
+
+@dataclass
+class DiffResult:
+    """Outcome of a differential run: every leg against the first."""
+
+    packets: int
+    mismatches: List[Mismatch] = field(default_factory=list)
+    # engine name -> its run, in the order the legs ran
+    runs: Dict[str, EngineRun] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    def _report(self, kind: str) -> Optional[SimReport]:
+        for run in self.runs.values():
+            if ENGINES[run.engine].kind == kind:
+                return run.report
+        return None
+
+    @property
+    def hw_report(self) -> Optional[SimReport]:
+        """Report of the (first) pipeline-simulator leg."""
+        return self._report("pipeline")
+
+    @property
+    def rtl_report(self) -> Optional[SimReport]:
+        """Report of the (first) RTL leg."""
+        return self._report("rtl")
+
+    def raise_on_mismatch(self) -> None:
+        if self.mismatches:
+            preview = "\n".join(str(m) for m in self.mismatches[:10])
+            raise AssertionError(
+                f"{len(self.mismatches)} mismatches in differential "
+                f"run:\n{preview}"
+            )
+
+
+def run_differential(
+    program: Program,
+    frames: Sequence[bytes],
+    compile_options: Optional[CompileOptions] = None,
+    sim_options: Optional[SimOptions] = None,
+    pipeline: Optional[Pipeline] = None,
+    gap: int = 1,
+    time_ns: int = 0,
+    setup: Optional[Callable[[MapSet], None]] = None,
+    ignore_maps: Sequence[str] = (),
+    engine: Optional[str] = None,
+    engines: Optional[Sequence[str]] = None,
+    vhdl_text: Optional[str] = None,
+) -> DiffResult:
+    """Run ``frames`` on every engine in ``engines`` — one compiled
+    pipeline, fresh identically-seeded maps per leg (:func:`run_engine`)
+    — and compare each leg against the first (:func:`compare_runs`).
+
+    The default is the reference VM against one pipeline engine:
+    ``engine`` ("interpreted" or "codegen"), else ``sim_options.engine``.
+    With more than one leg under test each mismatch's ``what`` is
+    prefixed with its leg's engine name. The remaining parameters are
+    :func:`run_engine`'s.
+    """
+    if pipeline is None:
+        pipeline = compile_program(program, compile_options)
+    if engines is None:
+        engines = ("vm", engine or (sim_options or SimOptions).engine)
+    runs = {
+        name: run_engine(
+            name, program, frames, pipeline=pipeline,
+            sim_options=sim_options, gap=gap, time_ns=time_ns, setup=setup,
+            vhdl_text=vhdl_text,
+        )
+        for name in engines
+    }
+    reference, *legs = runs.values()
+    result = DiffResult(packets=len(frames), runs=runs)
+    for leg in legs:
+        found = compare_runs(reference, leg, ignore_maps)
+        if len(legs) > 1:
+            found = [replace(m, what=f"{leg.engine} {m.what}") for m in found]
+        result.mismatches += found
+    return result
+
+
+def run_three_way(
+    program: Program,
+    frames: Sequence[bytes],
+    compile_options: Optional[CompileOptions] = None,
+    pipeline: Optional[Pipeline] = None,
+    time_ns: int = 0,
+    setup: Optional[Callable[[MapSet], None]] = None,
+    ignore_maps: Sequence[str] = (),
+    vhdl_text: Optional[str] = None,
+    engine: Optional[str] = None,
+    rtl_engine: str = "rtl",
+) -> DiffResult:
+    """The VM, the pipeline simulator (``engine``) and the RTL
+    simulation (``rtl_engine``: "rtl" or "rtl-interp") of the emitted
+    VHDL — or of ``vhdl_text`` — must agree on every observable.
+
+    A bug anywhere in ``emit_vhdl`` (a wrong slice, a missing carry, an
+    unconnected port) surfaces as an elaboration error or a mismatch
+    whose ``what`` starts with the RTL engine's name. All legs run with
+    frozen helper time and the same seeded PRNG, and packets are spaced
+    ``n_stages + 2`` cycles apart on both hardware legs: with one packet
+    in flight the pipeline is sequentially consistent with the VM, which
+    is the regime the RTL model verifies.
+    """
+    if pipeline is None:
+        pipeline = compile_program(program, compile_options)
+    return run_differential(
+        program, frames, pipeline=pipeline,
+        sim_options=SimOptions(clock_mhz=FROZEN_CLOCK_MHZ),
+        gap=pipeline.n_stages + 2, time_ns=time_ns, setup=setup,
+        ignore_maps=ignore_maps, vhdl_text=vhdl_text,
+        engines=("vm", engine or SimOptions.engine, rtl_engine),
+    )

@@ -91,29 +91,6 @@ class MultiProgramNic:
         self.engine = engine or SimOptions.engine
         self._sims: List[Optional[PipelineSimulator]] = [None] * len(self.pipelines)
 
-    @classmethod
-    def from_programs(
-        cls,
-        programs: Sequence,
-        classifier: Classifier,
-        maps: Optional[Sequence[MapSet]] = None,
-        shell: Optional[ShellConfig] = None,
-        compile_options=None,
-        workers: Optional[int] = None,
-    ) -> "MultiProgramNic":
-        """Build a NIC from raw programs, compiling them in parallel.
-
-        Compilation goes through :func:`repro.core.cache.warm_cache`: a
-        process pool fills the shared on-disk compile cache for every
-        program not already there, so multi-program start-up costs one
-        (parallel) compile sweep instead of a serial one per pipeline.
-        """
-        from ..core.cache import warm_cache
-
-        pipelines = warm_cache(programs, options=compile_options,
-                               workers=workers)
-        return cls(pipelines, classifier, maps=maps, shell=shell)
-
     # -- slot management (the serving control plane, §2.4 + §6) -------------------
 
     @property

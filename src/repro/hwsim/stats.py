@@ -78,18 +78,6 @@ class SimMetrics:
             "packet_cycle_count": self.packet_cycle_count,
         }
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "SimMetrics":
-        return cls(
-            n_stages=data["n_stages"],
-            stage_busy_cycles=list(data["stage_busy_cycles"]),
-            barrier_wait_cycles=data["barrier_wait_cycles"],
-            observed_cycles=data["observed_cycles"],
-            packet_cycle_buckets=list(data["packet_cycle_buckets"]),
-            packet_cycle_sum=data["packet_cycle_sum"],
-            packet_cycle_count=data["packet_cycle_count"],
-        )
-
 
 @dataclass
 class PacketRecord:
@@ -253,7 +241,7 @@ class SimReport:
 
     def to_json(self, include_records: bool = False) -> Dict[str, object]:
         """JSON-able dict carrying every aggregate (and optionally the
-        per-packet records); :meth:`from_json` round-trips it exactly."""
+        per-packet records)."""
         out: Dict[str, object] = {
             "clock_mhz": self.clock_mhz,
             "n_stages": self.n_stages,
@@ -288,44 +276,6 @@ class SimReport:
                 for rec in self.records
             ]
         return out
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "SimReport":
-        records = [
-            PacketRecord(
-                pid=rec["pid"],
-                action=XdpAction[rec["action"]],
-                data=bytes.fromhex(rec["data"]),
-                arrival_cycle=rec["arrival_cycle"],
-                inject_cycle=rec["inject_cycle"],
-                exit_cycle=rec["exit_cycle"],
-                restarts=rec.get("restarts", 0),
-            )
-            for rec in data.get("records", ())
-        ]
-        metrics_data = data.get("metrics")
-        return cls(
-            clock_mhz=data["clock_mhz"],
-            n_stages=data["n_stages"],
-            cycles=data["cycles"],
-            packets_in=data["packets_in"],
-            packets_out=data["packets_out"],
-            packets_dropped_queue=data["packets_dropped_queue"],
-            flush_events=data["flush_events"],
-            squashed_packets=data["squashed_packets"],
-            stall_cycles=data["stall_cycles"],
-            action_counts={
-                XdpAction[name]: count
-                for name, count in data["action_counts"].items()
-            },
-            records=records,
-            keep_records=bool(records),
-            sum_total_cycles=data["sum_total_cycles"],
-            sum_pipeline_cycles=data["sum_pipeline_cycles"],
-            sum_restarts=data["sum_restarts"],
-            metrics=(SimMetrics.from_json(metrics_data)
-                     if metrics_data is not None else None),
-        )
 
     def summary(self) -> str:
         lines = [

@@ -8,9 +8,10 @@ processes, behavioural blocks (map blocks, helper blocks, the async
 FIFOs, the ``ehdl_pkg`` functions) are bound to simulation primitives
 backed by the same :class:`repro.ebpf.maps.MapSet` and helper
 implementations the VM uses, and a two-phase clock-stepped simulator
-drives the top level with real frames. :mod:`repro.rtl.diff` wires the
-result into a three-way differential harness against
-:class:`repro.hwsim.sim.PipelineSimulator` and :class:`repro.ebpf.vm.Vm`.
+drives the top level with real frames. The result is two more engines
+(``rtl``, ``rtl-interp``) in :mod:`repro.hwsim.engines`, the repo's one
+differential oracle; :func:`run_three_way`, re-exported here, is its
+vm / pipeline-simulator / RTL composition.
 """
 
 from .errors import (RtlError, RtlParseError, RtlElabError, RtlSimError,
@@ -20,7 +21,7 @@ from .elab import elaborate
 from .codegen import RTL_CODEGEN_VERSION, generate_rtl_source
 from .sim import (RTL_ENGINES, CompiledRtlSimulator, RtlSimulator,
                   RtlRunner, dump_schedule_source, load_design)
-from .diff import ThreeWayResult, run_three_way
+from ..hwsim.engines import run_three_way
 
 __all__ = [
     "RtlError",
@@ -38,6 +39,5 @@ __all__ = [
     "RtlRunner",
     "load_design",
     "dump_schedule_source",
-    "ThreeWayResult",
     "run_three_way",
 ]

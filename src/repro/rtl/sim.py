@@ -12,7 +12,7 @@ produces — so reports from both back ends compare field by field.
 Verification runs one packet in flight (``gap >= n_stages``): that is
 the regime where the hardware pipeline is sequentially consistent with
 the instruction-level VM, which is exactly the property the three-way
-differential harness (:mod:`repro.rtl.diff`) checks.
+differential (:func:`repro.hwsim.engines.run_three_way`) checks.
 """
 
 from __future__ import annotations

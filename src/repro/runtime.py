@@ -281,7 +281,7 @@ class XdpOffload:
         """Three-way differential over ``frames``: the reference VM, the
         pipeline simulator, and an RTL simulation of :meth:`vhdl`'s
         output must agree on every action, output byte, and final map
-        entry. Returns a :class:`repro.rtl.diff.ThreeWayResult`; call
+        entry. Returns a :class:`repro.hwsim.engines.DiffResult`; call
         ``raise_on_mismatch()`` to assert. Runs on fresh map sets (the
         loaded NIC's live state is not disturbed); ``setup(maps)`` seeds
         each leg the same way. ``rtl_engine`` picks the RTL leg's

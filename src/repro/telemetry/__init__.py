@@ -34,7 +34,6 @@ from .metrics import (
     Registry,
     Span,
     bucket_index,
-    merge_snapshots,
 )
 from .export import (
     chrome_trace,
@@ -56,7 +55,6 @@ __all__ = [
     "Registry",
     "Span",
     "bucket_index",
-    "merge_snapshots",
     "chrome_trace",
     "json_snapshot",
     "parse_prometheus_samples",

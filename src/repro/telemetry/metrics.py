@@ -13,11 +13,12 @@ Design constraints, in order:
    on a single bool (``registry.enabled`` or a value hoisted from it);
    the hot loops of :mod:`repro.hwsim.sim` and :mod:`repro.ebpf.vm` pay
    one predictable branch per cycle/instruction when disabled.
-2. **Exactly mergeable.** Counters and histograms from N registries
-   merged with :func:`merge_snapshots` equal one registry that saw
-   every observation (counter sum, bucket-wise histogram sum) — the
-   same contract :meth:`repro.hwsim.stats.SimReport.merge_serial`
-   keeps across the serving loop's batches.
+2. **Exactly mergeable.** Counts aggregated elsewhere — the
+   simulator's per-run ``SimMetrics``, summed across the serving
+   loop's batches by :meth:`repro.hwsim.stats.SimReport.merge_serial`
+   — fold in with :meth:`Counter.inc` and :meth:`Histogram.merge_counts`
+   and equal one registry that saw every observation (counter sum,
+   bucket-wise histogram sum).
 3. **Zero dependencies.** Exposition formats (Prometheus text, Chrome
    ``trace_event`` JSON) live in :mod:`repro.telemetry.export` and use
    only the standard library.
@@ -326,45 +327,3 @@ class Registry:
             self._metrics.clear()
             self._kinds.clear()
             self.spans.clear()
-
-    # -- merging ------------------------------------------------------------
-
-    def load_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a snapshot's metrics into this registry.
-
-        Counters and histograms add (the exact-merge contract); gauges
-        take the incoming value (last writer wins). Spans append.
-        """
-        for entry in snapshot.get("metrics", ()):
-            name = entry["name"]
-            labels = {str(k): str(v) for k, v in entry["labels"].items()}
-            kind = entry["type"]
-            if kind == "counter":
-                self.counter(name, entry.get("help", ""), labels).inc(
-                    entry["value"]
-                )
-            elif kind == "gauge":
-                self.gauge(name, entry.get("help", ""), labels).set(
-                    entry["value"]
-                )
-            elif kind == "histogram":
-                self.histogram(name, entry.get("help", ""), labels).merge_counts(
-                    list(entry["buckets"]), entry["sum"], entry["count"]
-                )
-            else:
-                raise ValueError(f"unknown metric type {kind!r} in snapshot")
-        for s in snapshot.get("spans", ()):
-            self.spans.append(Span(
-                s["name"], cat=s.get("cat", ""), ts_ns=s["ts_ns"],
-                dur_ns=s["dur_ns"], pid=s.get("pid", 0), tid=s.get("tid", 0),
-                args=dict(s.get("args", {})),
-            ))
-
-
-def merge_snapshots(snapshots) -> Dict[str, object]:
-    """Merge registry snapshots into one (exact for counters and
-    histograms; gauges resolve last-writer-wins in input order)."""
-    merged = Registry()
-    for snap in snapshots:
-        merged.load_snapshot(snap)
-    return merged.snapshot()

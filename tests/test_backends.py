@@ -299,7 +299,7 @@ class TestEmitterRegressions:
         # regression: conditional-branch fall-through once left the
         # successor block disabled, silently killing the else-path
         from repro.ebpf.asm import assemble_program
-        from repro.rtl.diff import run_three_way
+        from repro.rtl import run_three_way
 
         prog = assemble_program(
             """
@@ -315,7 +315,7 @@ class TestEmitterRegressions:
     def test_exit_in_non_final_stage_sets_verdict(self):
         # regression: an early exit once targeted an undeclared
         # verdict register instead of the state vector's verdict field
-        from repro.rtl.diff import run_three_way
+        from repro.rtl import run_three_way
 
         frames = [toy_counter.packet_for_key(0), b"\x00" * 4]
         run_three_way(toy_counter.build(), frames).raise_on_mismatch()
@@ -323,7 +323,7 @@ class TestEmitterRegressions:
     def test_alu32_and_byteswap_emit_and_match(self):
         # regression: ALU32/END ops were once unimplemented placeholders
         from repro.ebpf.asm import assemble_program
-        from repro.rtl.diff import run_three_way
+        from repro.rtl import run_three_way
 
         prog = assemble_program(
             """

@@ -211,17 +211,7 @@ class TestWarmCache:
         assert [p.name for p in pipelines] == [p.name for p in progs]
         assert cold.stores == 0
 
-    def test_serial_path_with_one_worker(self, cache):
-        progs = [toy_counter.build(), firewall.build()]
-        pipelines = warm_cache(progs, cache=cache, workers=1)
-        assert len(pipelines) == 2
-        assert cache.stats()["disk_entries"] == 2
-
     def test_pool_failure_names_the_program(self, cache, monkeypatch):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("needs fork to inherit the monkeypatch")
         real = compiler_mod.compile_program
 
         def picky(program, options=None):
@@ -231,10 +221,7 @@ class TestWarmCache:
 
         monkeypatch.setattr(compiler_mod, "compile_program", picky)
         with pytest.raises(RuntimeError, match="firewall"):
-            warm_cache(
-                [toy_counter.build(), firewall.build()],
-                cache=cache, workers=2,
-            )
+            warm_cache([toy_counter.build(), firewall.build()], cache=cache)
 
     def test_warmed_pipeline_simulates_identically(self, cache):
         prog = toy_counter.build()

@@ -103,6 +103,22 @@ class TestOptions:
         with pytest.raises(VerifierError):
             compile_program(bad)
 
+    def test_every_option_is_one_the_compiler_reads(self):
+        # every field perturbs cache_key; the simulator's clock and
+        # flush-reload cost live on SimOptions, the shell's on ShellConfig
+        import dataclasses
+
+        assert {f.name for f in dataclasses.fields(CompileOptions)} == {
+            "frame_size", "dynamic_access_depth", "enable_ilp",
+            "enable_fusion", "max_fuse_chain", "enable_pruning",
+            "elide_bounds_checks", "dead_code_elimination",
+            "elide_ctx_loads", "unroll_loops", "max_row_width",
+        }
+        with pytest.raises(TypeError):
+            CompileOptions(clock_mhz=250.0)
+        with pytest.raises(TypeError):
+            CompileOptions(flush_reload_overhead=4)
+
 
 class TestFraming:
     def test_deep_access_inserts_nops(self):

@@ -184,7 +184,7 @@ class TestDnat:
 
 class TestDiffInfrastructure:
     def test_mismatch_reporting(self):
-        from repro.hwsim.diff import DiffResult, Mismatch
+        from repro.hwsim import DiffResult, Mismatch
 
         result = DiffResult(packets=1, mismatches=[Mismatch(0, "action", 1, 2)])
         assert not result.ok

@@ -11,31 +11,38 @@ execute an XDP program. Two properties are load-bearing and pinned here:
   (actions, bytes, maps) with the pipeline engines but not the cycle
   structure, and :func:`compare_runs` must honour that distinction.
 
+The module is also the repo's one differential oracle, so the
+comparator itself has negative witnesses here: every observable it
+claims to compare, perturbed on a real run, must be reported.
+
 On a pipeline-pair mismatch the generated source is dumped to
 ``codegen-debug/`` so the CI workflow can upload it as an artifact.
 """
 
+import copy
 import functools
 
 import pytest
 
 from repro.core.compiler import compile_program
+from repro.ebpf.xdp import XdpAction
 from repro.hwsim import SimOptions
 from repro.hwsim.codegen import write_debug_source
 from repro.hwsim.engines import (
     ENGINES,
+    FROZEN_CLOCK_MHZ,
     compare_runs,
     engine_names,
     get_engine,
     pipeline_engine_names,
+    run_differential,
     run_engine,
 )
 from tests.test_rtl import APP_CASES
 
-# Freeze the helper clock (cycle-to-ns rounds to zero) so that
-# time-dependent programs — the leaky bucket policer — read the same
-# bpf_ktime_get_ns on the cycle-counting engines as on the VM.
-_FROZEN = SimOptions(clock_mhz=1e9)
+# Time-dependent programs — the leaky bucket policer — must read the
+# same bpf_ktime_get_ns on the cycle-counting engines as on the VM.
+_FROZEN = SimOptions(clock_mhz=FROZEN_CLOCK_MHZ)
 
 # The pipeline pair additionally compares cycle structure.
 PIPELINE_PAIRS = [
@@ -124,7 +131,7 @@ def _run_pair(app, a, b, gap=1):
         # postmortem material for the CI artifact upload
         path = write_debug_source(pipeline, "codegen-debug")
         mismatches.append(f"generated source dumped to {path}")
-    assert not mismatches, "\n".join(mismatches)
+    assert not mismatches, "\n".join(map(str, mismatches))
     return runs
 
 
@@ -178,6 +185,106 @@ class TestEngineMatrix:
         assert tight.frames == wide.frames
         assert tight.map_items == wide.map_items
         assert tight.total_cycles < wide.total_cycles
+
+
+def _flip_action(leg):
+    leg.actions[1] = next(a for a in XdpAction if a != leg.actions[1])
+
+
+def _flip_byte(leg):
+    frame = leg.frames[2]
+    leg.frames[2] = bytes([frame[0] ^ 1]) + frame[1:]
+
+
+def _change_map_value(leg):
+    (items,) = leg.map_items.values()  # toy_counter has one map, "stats"
+    key = min(items)
+    items[key] = bytes(b ^ 0xFF for b in items[key])
+
+
+def _shift_cycles(leg):
+    inject, leave = leg.packet_cycles[0]
+    leg.packet_cycles[0] = (inject + 1, leave + 1)
+
+
+def _drop_last_packet(leg):
+    for per_packet in (leg.actions, leg.frames, leg.packet_cycles):
+        del per_packet[-1]
+
+
+def _lose_verdict(leg):
+    leg.actions[3] = leg.frames[3] = leg.packet_cycles[3] = None
+
+
+# name -> (engine the perturbed leg claims to be, perturbation,
+#          ignore_maps, the (index, what) pairs compare_runs must report)
+WITNESSES = {
+    "action flipped": ("interpreted", _flip_action, (), [(1, "action")]),
+    "byte flipped": ("interpreted", _flip_byte, (), [(2, "packet bytes")]),
+    "map value changed":
+        ("interpreted", _change_map_value, (), [(-1, "map stats")]),
+    "ignored map changed":
+        ("interpreted", _change_map_value, ("stats",), []),
+    "cycles shifted, cycle_exact pair":
+        ("interpreted", _shift_cycles, (), [(0, "inject/exit cycles")]),
+    "cycles shifted, non-exact pair": ("rtl", _shift_cycles, (), []),
+    "leg one packet short":
+        ("interpreted", _drop_last_packet, (), [(-1, "packet count")]),
+    # said once: the missing bytes are not a second mismatch (the
+    # non-exact pair keeps the missing cycles out of it)
+    "verdict missing": ("rtl", _lose_verdict, (), [(3, "action")]),
+}
+
+
+class TestOracleDetects:
+    """Nothing else checks that the comparator detects anything."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        _build, setup, frames = APP_CASES["toy_counter"]
+        program, pipeline = _compiled("toy_counter")
+        return run_engine("codegen", program, frames, pipeline=pipeline,
+                          setup=setup)
+
+    def test_a_run_agrees_with_its_copy(self, run):
+        assert compare_runs(run, copy.deepcopy(run)) == []
+
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_witness(self, run, name):
+        engine, perturb, ignore_maps, expected = WITNESSES[name]
+        leg = copy.deepcopy(run)
+        leg.engine = engine
+        perturb(leg)
+        found = compare_runs(run, leg, ignore_maps)
+        assert [(m.index, m.what) for m in found] == expected
+        for mismatch in found:
+            assert mismatch.ref_value != mismatch.leg_value
+            assert str(mismatch).startswith(f"codegen vs {engine}: ")
+
+    def test_time_reading_program_needs_the_frozen_clock(self):
+        # Why FROZEN_CLOCK_MHZ exists. leaky_bucket reads
+        # bpf_ktime_get_ns: the VM's clock stands still, a pipeline
+        # engine's advances with the cycle count, so at a real clock the
+        # token buckets refill and verdicts legitimately differ from the
+        # VM's — while the two pipeline engines, one model, still agree.
+        from repro.apps import leaky_bucket
+        from repro.workloads import make_workload, parse_workload_spec
+
+        frames = make_workload(parse_workload_spec(
+            "udp-zipf:packets=3000,flows=50")).materialize()
+
+        def differential(clock_mhz):
+            return run_differential(
+                leaky_bucket.build(), frames, gap=1,
+                sim_options=SimOptions(clock_mhz=clock_mhz),
+                engines=("vm", "interpreted", "codegen"))
+
+        differential(FROZEN_CLOCK_MHZ).raise_on_mismatch()
+        thawed = differential(250.0)
+        assert {m.what for m in thawed.mismatches if m.index >= 0} == {
+            "interpreted action", "codegen action"}
+        assert not compare_runs(thawed.runs["interpreted"],
+                                thawed.runs["codegen"])
 
 
 class TestThreeWayEngineSelection:

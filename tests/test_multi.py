@@ -62,24 +62,6 @@ class TestDispatch:
         assert results[0].packets == 1
 
 
-class TestFromPrograms:
-    def test_builds_nic_and_warms_the_compile_cache(self):
-        from repro.core.cache import get_default_cache
-
-        fw_prog = firewall.build()
-        rt_prog = router.build()
-        nic = MultiProgramNic.from_programs(
-            [fw_prog, rt_prog],
-            ethertype_classifier({ETH_P_IP: 1}, default=0),
-        )
-        assert [p.name for p in nic.pipelines] == ["firewall", "router"]
-        # start-up went through the shared on-disk cache
-        assert get_default_cache().stats()["disk_entries"] >= 2
-        # and the NIC works: IPv4 steered to the router slot
-        results = nic.run_at_line_rate([udp_packet(size=64)] * 8)
-        assert results[1].packets == 8
-
-
 class TestResources:
     def test_shell_counted_once(self, nic):
         total = nic.resources()

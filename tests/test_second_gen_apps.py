@@ -24,7 +24,7 @@ from repro.ebpf.maps import MapSet
 from repro.ebpf.verifier import VerifierError, verify
 from repro.ebpf.vm import Vm
 from repro.ebpf.xdp import XdpAction
-from repro.hwsim.diff import run_differential
+from repro.hwsim import run_differential
 from repro.hwsim.engines import pipeline_engine_names, run_engine
 from repro.hwsim.sim import SimOptions
 from repro.net.packet import (
@@ -36,7 +36,7 @@ from repro.net.packet import (
     udp6_packet,
     udp_packet,
 )
-from repro.rtl.diff import run_three_way
+from repro.rtl import run_three_way
 from repro.workloads import make_workload, parse_workload_spec
 
 

@@ -4,16 +4,13 @@ Covers the zero-dependency core (counters/gauges/histograms/spans), the
 three exporters (Prometheus text, Chrome ``trace_event`` JSON, flat JSON
 snapshot), the tiny Prometheus text-format grammar checker CI relies on,
 per-engine instrumentation (pipeline simulator, VM, RTL, compiler
-passes), the CLI ``--metrics-out``/``--trace-out`` flags, and the
-exact-merge property: registry snapshots merged across N registries
-equal one registry that saw every event.
+passes), the CLI ``--metrics-out``/``--trace-out`` flags, and the JSON
+form of a ``SimReport`` the BENCH rows carry.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.apps import (
@@ -33,7 +30,6 @@ from repro.ebpf.vm import Vm
 from repro.hwsim import (
     PipelineSimulator,
     SimOptions,
-    SimReport,
     publish_report,
 )
 from repro.net.flows import TrafficGenerator, TrafficSpec
@@ -45,7 +41,6 @@ from repro.telemetry import (
     bucket_index,
     chrome_trace,
     json_snapshot,
-    merge_snapshots,
     parse_prometheus_samples,
     prometheus_text,
     validate_prometheus_text,
@@ -299,12 +294,22 @@ class TestSimInstrumentation:
             ] == report.packets_in
 
     def test_histogram_counts_every_packet(self):
-        with telemetry.scoped():
+        with telemetry.scoped() as reg:
             _, report = _run_app(toy_counter, _frames(25))
+            # two batches' worth folded in: Histogram.merge_counts is an
+            # exact bucket-wise sum
+            publish_report(report, reg, app="toy")
+            publish_report(report, reg, app="toy")
+            samples = parse_prometheus_samples(prometheus_text(reg))
         metrics = report.metrics
         assert metrics.packet_cycle_count == report.packets_out
         assert sum(metrics.packet_cycle_buckets) == report.packets_out
         assert metrics.packet_cycle_sum == report.sum_pipeline_cycles
+        series = (("app", "toy"), ("engine", "hwsim"))
+        assert samples["ehdl_sim_packet_cycles_count"][series] \
+            == 2 * report.packets_out
+        assert samples["ehdl_sim_packet_cycles_sum"][series] \
+            == 2 * report.sum_pipeline_cycles
 
     def test_occupancy_bounded_by_observed_cycles(self):
         with telemetry.scoped():
@@ -401,57 +406,11 @@ class TestCompilerSpans:
         assert reg_before.spans == []
 
 
-# -- merge property (N registries vs one) -------------------------------------
-
-
-class TestRegistryMergeProperty:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shards=st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 3), st.integers(0, 2 ** 24)),
-                max_size=30,
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_merged_worker_snapshots_equal_single_worker_totals(
-            self, shards):
-        """N per-worker registries, merged, must equal one registry that
-        saw every event: counter sums and bucket-wise histogram sums."""
-        single = Registry(enabled=True)
-        worker_snapshots = []
-        for shard in shards:
-            worker = Registry(enabled=True)
-            for series, value in shard:
-                labels = {"series": str(series)}
-                for reg in (worker, single):
-                    reg.counter("ops_total", "h", labels).inc(value)
-                    reg.histogram("size", "h", labels).observe(value)
-            worker_snapshots.append(worker.snapshot())
-        merged = Registry(enabled=True)
-        merged.load_snapshot(merge_snapshots(worker_snapshots))
-        merged_samples = parse_prometheus_samples(prometheus_text(merged))
-        single_samples = parse_prometheus_samples(prometheus_text(single))
-        assert merged_samples == single_samples
-
-    def test_gauge_merge_is_last_writer_wins(self):
-        a = Registry(enabled=True)
-        b = Registry(enabled=True)
-        a.gauge("depth", "h", {}).set(3)
-        b.gauge("depth", "h", {}).set(9)
-        merged = Registry(enabled=True)
-        merged.load_snapshot(merge_snapshots([a.snapshot(), b.snapshot()]))
-        samples = parse_prometheus_samples(prometheus_text(merged))
-        assert samples["depth"][()] == 9
-
-
-# -- SimReport JSON round-trip ------------------------------------------------
+# -- SimReport JSON ------------------------------------------------------------
 
 
 class TestSimReportJson:
-    def test_round_trip_exact(self):
+    def test_to_json_carries_aggregates_records_and_metrics(self):
         with telemetry.scoped():
             program = firewall.build()
             pipeline = compile_program(program)
@@ -459,29 +418,16 @@ class TestSimReportJson:
                                     options=SimOptions())
             report = sim.run_packets(_frames(20))
         data = json.loads(json.dumps(report.to_json(include_records=True)))
-        back = SimReport.from_json(data)
-        assert back.cycles == report.cycles
-        assert back.packets_in == report.packets_in
-        assert back.packets_out == report.packets_out
-        assert back.action_counts == report.action_counts
-        assert back.sum_pipeline_cycles == report.sum_pipeline_cycles
-        assert len(back.records) == len(report.records)
-        assert back.records[0].data == report.records[0].data
-        assert back.metrics is not None
-        assert back.metrics.to_json() == report.metrics.to_json()
-        # a second round-trip is a fixed point
-        assert back.to_json(include_records=True) == data
-
-    def test_round_trip_without_records_or_metrics(self):
-        program = firewall.build()
-        pipeline = compile_program(program)
-        sim = PipelineSimulator(pipeline, maps=MapSet(program.maps),
-                                options=SimOptions(keep_records=False))
-        report = sim.run_packets(_frames(10))
-        back = SimReport.from_json(report.to_json())
-        assert back.metrics is None
-        assert back.records == []
-        assert back.action_counts == report.action_counts
+        assert data["cycles"] == report.cycles
+        assert data["packets_out"] == report.packets_out == 20
+        assert data["action_counts"] == {
+            action.name: n for action, n in report.action_counts.items()}
+        assert data["sum_pipeline_cycles"] == report.sum_pipeline_cycles
+        assert len(data["records"]) == len(report.records)
+        assert data["records"][0]["data"] == report.records[0].data.hex()
+        assert data["metrics"] == report.metrics.to_json()
+        # the BENCH rows carry the record-free form
+        assert "records" not in report.to_json()
 
 
 # -- CLI ----------------------------------------------------------------------
