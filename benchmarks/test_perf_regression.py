@@ -17,6 +17,12 @@ floor on the firewall; the telemetry row times the codegen engine with
 metrics on vs off and records the code path each side took (metrics
 are per-cycle, so the enabled side always runs the cycle loop).
 
+Both floors are judged on the median of the per-round ratios (each
+round times both sides back to back) and only when the rounds agree
+better than the median's margin to the floor (``_floor_verdict``): a
+host that reads 95x, 97x, 101x against a 100x floor has measured
+nothing, and the row says ``inconclusive`` instead of failing.
+
 The ``workload_gen`` row times trace synthesis on its own — the cold
 Zipf table build and ``make_workload + materialize`` for the three
 template-kernel kinds over 1M flows, cold (table cache emptied first,
@@ -98,6 +104,26 @@ MIN_WARM_OVER_COLD = 4.0
 WORKLOAD_GEN_SPREAD_MARGIN = 0.25
 
 
+def _median_spread(samples):
+    """Median and relative spread ``(max - min) / median``."""
+    median = statistics.median(samples)
+    return median, (max(samples) - min(samples)) / median
+
+
+def _floor_verdict(ratios, floor):
+    """Row fields judging per-round speedup ``ratios`` against
+    ``floor``: the median, the rounds' spread, and ``inconclusive``
+    when that spread exceeds the median's relative margin to the floor
+    — the rounds then disagree by more than the distance being judged,
+    on either side of it, and nothing is asserted."""
+    median, spread = _median_spread(ratios)
+    return {
+        "speedup_median": round(median, 2),
+        "speedup_spread": round(spread, 3),
+        "inconclusive": spread > abs(median - floor) / median,
+    }
+
+
 def _measure(name, program, frames, flows, engines):
     """Timed runs on several registry engines, interleaved.
 
@@ -105,11 +131,13 @@ def _measure(name, program, frames, flows, engines):
     ...) rather than run per-engine back to back, so a noisy
     neighbour on a starved CI host perturbs every engine's window about
     equally and the *ratios* stay stable even when the absolute numbers
-    wander. Returns ``({engine: report}, {engine: best_pps})``.
+    wander. Returns ``({engine: report}, {engine: best_pps},
+    {engine: [seconds per round]})``.
     """
     pipeline = compile_program(program)
     reps = {}
     best = {}
+    rounds = {engine: [] for engine in engines}
     for _ in range(3):
         for engine in engines:
             maps = MapSet(program.maps)
@@ -121,17 +149,18 @@ def _measure(name, program, frames, flows, engines):
             start = time.perf_counter()
             report = sim.run_packets(frames)
             elapsed = time.perf_counter() - start
+            rounds[engine].append(elapsed)
             if engine not in best or elapsed < best[engine]:
                 best[engine] = elapsed
                 reps[engine] = report
-    return reps, {e: len(frames) / dt for e, dt in best.items()}
+    return reps, {e: len(frames) / dt for e, dt in best.items()}, rounds
 
 
 def _bench_app(name, program):
     gen = TrafficGenerator(TrafficSpec(n_flows=64, packet_size=64, seed=7))
     frames = list(gen.packets(N_PACKETS))
     flows = list(gen.flows)
-    reps, pps = _measure(
+    reps, pps, rounds = _measure(
         name, program, frames, flows, ("codegen", "interpreted")
     )
     # both pipeline engines are executions of the same cycle-level
@@ -146,6 +175,10 @@ def _bench_app(name, program):
         "codegen_pps": round(pps["codegen"]),
         "interpreted_pps": round(pps["interpreted"]),
         "codegen_speedup": round(pps["codegen"] / pps["interpreted"], 2),
+        **_floor_verdict(
+            [slow / fast for fast, slow in
+             zip(rounds["codegen"], rounds["interpreted"])],
+            MIN_CODEGEN_SPEEDUP),
         "cycles": reps["codegen"].cycles,
         "report": report_json,
     }
@@ -214,7 +247,8 @@ def _bench_rtl(name, program):
     interleaved compiled/interp so a noisy host perturbs both engines
     about equally, and gc is paused around the timed regions — allocator
     pauses otherwise dominate the compiled engine's sub-second runs.
-    The recorded speedup is best-of-rounds over best-of-rounds."""
+    The recorded ``speedup`` is best-of-rounds over best-of-rounds; the
+    floor is judged on the per-round ratios (``_floor_verdict``)."""
     gen = TrafficGenerator(TrafficSpec(n_flows=16, packet_size=64, seed=7))
     frames = list(gen.packets(RTL_PACKETS))
     flows = list(gen.flows)
@@ -259,6 +293,10 @@ def _bench_rtl(name, program):
         "compiled_pps": round(compiled_pps, 1),
         "interp_pps": round(interp_pps, 1),
         "speedup": round(compiled_pps / interp_pps, 1),
+        **_floor_verdict(
+            [i_dt * (RTL_PACKETS / RTL_INTERP_PACKETS) / c_dt
+             for (_c, c_dt), (_i, i_dt) in zip(compiled, interp)],
+            MIN_RTL_SPEEDUP),
     }
 
 
@@ -336,12 +374,6 @@ def _bench_app_matrix():
                 WINDOWED_CODEGEN_PPS_BEFORE[name]
         rows.append(row)
     return rows
-
-
-def _median_spread(samples):
-    """Median and relative spread ``(max - min) / median``."""
-    median = statistics.median(samples)
-    return median, (max(samples) - min(samples)) / median
 
 
 def _bench_workload_gen():
@@ -521,17 +553,24 @@ def test_sim_throughput_regression():
     }, indent=2) + "\n")
     print_table(
         "simulator throughput by engine",
-        ["app", "codegen pps", "interpreted pps", "codegen/interp"],
+        ["app", "codegen pps", "interpreted pps", "codegen/interp",
+         "median of rounds", "spread"],
         [[r["app"], f"{r['codegen_pps']:,}", f"{r['interpreted_pps']:,}",
-          f"{r['codegen_speedup']:.2f}x"] for r in rows],
+          f"{r['codegen_speedup']:.2f}x", f"{r['speedup_median']:.2f}x",
+          f"{r['speedup_spread']:.1%}"
+          + (" (inconclusive)" if r["inconclusive"] else "")]
+         for r in rows],
     )
     print_table(
         "rtl simulation (elaborated VHDL netlist, compiled vs interp)",
         ["app", "stages", "sim cycles", "compiled pps", "interp pps",
-         "speedup"],
+         "speedup", "median of rounds", "spread"],
         [[r["app"], r["n_stages"], f"{r['sim_cycles']:,}",
           f"{r['compiled_pps']:,}", f"{r['interp_pps']:,}",
-          f"{r['speedup']:.1f}x"] for r in rtl_rows],
+          f"{r['speedup']:.1f}x", f"{r['speedup_median']:.1f}x",
+          f"{r['speedup_spread']:.1%}"
+          + (" (inconclusive)" if r["inconclusive"] else "")]
+         for r in rtl_rows],
     )
     print_table(
         "telemetry overhead (codegen engine, enabled vs disabled)",
@@ -576,17 +615,21 @@ def test_sim_throughput_regression():
          for r in workload_row["kinds"]],
     )
     firewall_row = rows[0]
-    assert firewall_row["codegen_speedup"] >= MIN_CODEGEN_SPEEDUP, (
-        f"codegen engine regressed: {firewall_row['codegen_speedup']:.2f}x "
-        f"< {MIN_CODEGEN_SPEEDUP}x over the interpreted engine on the "
-        f"firewall"
-    )
+    if not firewall_row["inconclusive"]:
+        assert firewall_row["speedup_median"] >= MIN_CODEGEN_SPEEDUP, (
+            f"codegen engine regressed: "
+            f"{firewall_row['speedup_median']:.2f}x < "
+            f"{MIN_CODEGEN_SPEEDUP}x over the interpreted engine on the "
+            f"firewall (rounds spread {firewall_row['speedup_spread']:.1%})"
+        )
     rtl_firewall = rtl_rows[0]
-    assert rtl_firewall["speedup"] >= MIN_RTL_SPEEDUP, (
-        f"compiled RTL engine regressed: {rtl_firewall['speedup']:.1f}x < "
-        f"{MIN_RTL_SPEEDUP}x over the interpreter on the firewall "
-        f"{RTL_PACKETS}-packet trace"
-    )
+    if not rtl_firewall["inconclusive"]:
+        assert rtl_firewall["speedup_median"] >= MIN_RTL_SPEEDUP, (
+            f"compiled RTL engine regressed: "
+            f"{rtl_firewall['speedup_median']:.1f}x < {MIN_RTL_SPEEDUP}x "
+            f"over the interpreter on the firewall {RTL_PACKETS}-packet "
+            f"trace (rounds spread {rtl_firewall['speedup_spread']:.1%})"
+        )
     if not workload_row["inconclusive"]:
         udp = workload_row["kinds"][0]
         ratio = udp["warm_frames_per_s"] / udp["cold_frames_per_s"]

@@ -1,18 +1,19 @@
-"""Specialized operator closures for the reference VM's fast path.
+"""Specialized operator closures for the reference VM's dispatch table.
 
-The VM's interpreted loop (:mod:`repro.ebpf.vm`) re-decodes each
-instruction per packet; its fast path instead calls
-:func:`make_alu_fn` / :func:`make_cmp_fn` once per instruction to bake
-the opcode dispatch, operand source (register vs. sign-extended
-immediate), width masks and shift masks into a closure.
+Instead of re-decoding each instruction per packet, the VM
+(:mod:`repro.ebpf.vm`) calls :func:`make_alu_fn` / :func:`make_cmp_fn`
+once per instruction to bake the opcode dispatch, operand source
+(register vs. sign-extended immediate), width masks and shift masks
+into a closure.
 
 The closures are built from the *same* primitive semantics as
 ``Vm._alu`` / ``Vm._compare`` — div-by-zero yields zero, mod-by-zero
 yields the dividend, shifts mask their amount, 32-bit ops zero-extend —
-so the fast path is bit-identical to the interpreted one by
-construction. Factories return ``None`` for opcodes they do not
-specialize; callers fall back to the interpreted helpers (which raise
-the canonical errors for genuinely unknown opcodes).
+so the table is bit-identical by construction to the
+decode-per-instruction loop the VM keeps as its test reference
+(``Vm._run_interpreted``). Factories return ``None`` for opcodes they
+do not specialize; callers fall back to the interpreted helpers (which
+raise the canonical errors for genuinely unknown opcodes).
 """
 
 from __future__ import annotations

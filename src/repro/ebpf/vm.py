@@ -9,6 +9,11 @@ The VM is the *specification* against which every eHDL-generated hardware
 pipeline is differentially tested: for the same packet and map state, the
 pipeline simulator must produce the same XDP action, packet bytes and map
 contents as :meth:`Vm.run`.
+
+``Vm.run`` has one execution path: a jump-threaded dispatch table, one
+closure per program slot with the decode done once
+(:mod:`repro.ebpf.opfns`). The decode-per-instruction loop it replaced
+stays in the class only as the reference that table is tested against.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class Vm:
         maps: Optional[MapSet] = None,
         time_ns: int = 0,
         prandom_seed: int = 0x5EED,
-        fast: bool = True,
     ) -> None:
         self.program = program
         self.maps = maps if maps is not None else MapSet(program.maps)
@@ -120,9 +124,7 @@ class Vm:
         self.helper_call_counts: Dict[str, int] = {}
         self._collect = False
         # Jump-threaded dispatch table (one bound closure per slot), built
-        # lazily on the first fast run. The interpreted loop remains as
-        # the bit-identical reference (fast=False).
-        self._fast = fast
+        # lazily on the first run.
         self._dispatch: Optional[List[Optional[Callable]]] = None
         # Per-run state, initialised by run().
         self.regs: List[int] = [0] * isa.NUM_REGS
@@ -329,18 +331,16 @@ class Vm:
         self.regs[isa.R10] = AddressSpace.stack_top()
         self.stack = bytearray(AddressSpace.STACK_SIZE)
         self._collect = get_registry().enabled
-        if self._fast:
-            return self._run_fast()
-        return self._run_interpreted()
+        return self._run_dispatch()
 
-    def _run_fast(self) -> XdpResult:
+    def _run_dispatch(self) -> XdpResult:
         """Jump-threaded driver: one pre-bound closure per program slot.
 
         Each handler executes its instruction against the VM state and
         returns the next slot (``None`` for exit). The driver keeps the
-        interpreted loop's executed counter, program-counter range check
-        and mid-``ld_imm64`` check — with identical error messages — so
-        the two paths fault identically too."""
+        executed counter, program-counter range check and
+        mid-``ld_imm64`` check of :meth:`_run_interpreted` — with
+        identical error messages — so the two fault identically too."""
         dispatch = self._dispatch
         if dispatch is None:
             dispatch = self._dispatch = self._build_dispatch()
@@ -571,6 +571,10 @@ class Vm:
         return handler
 
     def _run_interpreted(self) -> XdpResult:
+        """The decode-per-instruction loop: not reachable from
+        :meth:`run`, kept as the reference the dispatch table is tested
+        against (``tests/test_fastpath.py::TestVmFastPath`` rebinds
+        ``_run_dispatch`` to it)."""
         collect = self._collect
         scounts = [0] * len(self._slot_table) if collect else None
         try:

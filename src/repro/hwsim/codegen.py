@@ -1122,8 +1122,8 @@ class _Emitter:
 
     def entry_body(self) -> Optional[List[str]]:
         """Entry ops run unconditionally, with no inter-op done checks
-        (like ``_run_entry_ops``); side effects are impossible for ctx
-        loads and are ignored."""
+        (like ``sim._interpreted_entry``); side effects are impossible
+        for ctx loads and are ignored."""
         if not self.pipeline.entry_ops:
             return None
         out: List[str] = []

@@ -15,10 +15,8 @@ each pipeline sustains its own line rate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.pipeline import Pipeline
 from ..core.resources import (
@@ -216,10 +214,11 @@ class MultiProgramNic:
         isolate: bool = False,
         skip: Sequence[int] = (),
     ) -> List[SlotResult]:
-        """Serve one drained batch through persistent per-slot simulators.
+        """Steer one batch to its pipelines and run each at line rate.
 
-        Unlike :meth:`run_stream` (which builds fresh simulators per
-        call), the simulators persist across batches: map state, the
+        The pipelines are physically parallel, so each receives its own
+        back-to-back stream (the shell's dispatch stage adds no stalls).
+        The per-slot simulators persist across batches: map state, the
         wall clock and the loaded generated module carry over, so a
         long-lived serving loop pays one classify pass plus one run per
         non-empty slot per batch. Every slot drains fully before this returns —
@@ -232,7 +231,9 @@ class MultiProgramNic:
         run's in-flight state is unrecoverable) instead of aborting the
         whole batch; slot indices in ``skip`` have their frames counted
         but not executed (``SlotResult.skipped``), the quarantine
-        behaviour of the serving daemon.
+        behaviour of the serving daemon. Either way the error names the
+        pipeline, the slot and — from ``run_packets`` — the offending
+        frame, counted among the frames this batch steered at that slot.
         """
         n = len(self.pipelines)
         skip_set = set(skip)
@@ -263,101 +264,6 @@ class MultiProgramNic:
                 continue
             results.append(SlotResult(name, len(bucket), report))
         return results
-
-    def run_at_line_rate(self, frames: Sequence[bytes]) -> List[SlotResult]:
-        """Steer frames to their pipelines and run each at line rate.
-
-        The pipelines are physically parallel, so each receives its own
-        back-to-back stream (the shell's dispatch stage adds no stalls).
-        """
-        buckets: List[List[bytes]] = [[] for _ in self.pipelines]
-        for frame in frames:
-            index = self.classifier(frame)
-            if not 0 <= index < len(self.pipelines):
-                raise ValueError(f"classifier returned bad pipeline index {index}")
-            buckets[index].append(frame)
-        results: List[SlotResult] = []
-        for pipeline, map_set, bucket in zip(self.pipelines, self.maps, buckets):
-            if not bucket:
-                results.append(SlotResult(pipeline.name, 0, None))
-                continue
-            sim = PipelineSimulator(
-                pipeline, maps=map_set,
-                options=SimOptions(clock_mhz=self.shell.clock_mhz,
-                                   keep_records=False),
-            )
-            report = sim.run_packets(bucket)
-            results.append(SlotResult(pipeline.name, len(bucket), report))
-        return results
-
-    def run_stream(
-        self,
-        frames: Iterable[bytes],
-        batch_size: int = 256,
-    ) -> List[SlotResult]:
-        """Streaming :meth:`run_at_line_rate`: ``frames`` may be any
-        iterable (a generator, a :class:`~repro.net.packet.FrameBuffer`)
-        and is classified lazily, ``batch_size`` frames at a time.
-
-        Pipelines execute one after another, each draining its own
-        steering queue; pulling a batch tops up every queue, so frames
-        destined for pipelines that have not run yet are buffered until
-        their turn (the only frames ever materialised at once). Results
-        match ``run_at_line_rate(list(frames))``.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        n = len(self.pipelines)
-        source = iter(frames)
-        queues: List[deque] = [deque() for _ in range(n)]
-        counts = [0] * n
-
-        def pull_batch() -> bool:
-            got = False
-            for frame in islice(source, batch_size):
-                got = True
-                index = self.classifier(frame)
-                if not 0 <= index < n:
-                    raise ValueError(
-                        f"classifier returned bad pipeline index {index}"
-                    )
-                queues[index].append(frame)
-                counts[index] += 1
-            return got
-
-        def feed(index: int) -> Iterator[bytes]:
-            queue = queues[index]
-            while True:
-                while queue:
-                    yield queue.popleft()
-                if not pull_batch():
-                    return
-
-        results: List[SlotResult] = []
-        for index, (pipeline, map_set) in enumerate(zip(self.pipelines, self.maps)):
-            stream = feed(index)
-            first = next(stream, None)
-            if first is None:
-                results.append(SlotResult(pipeline.name, 0, None))
-                continue
-            sim = PipelineSimulator(
-                pipeline, maps=map_set,
-                options=SimOptions(clock_mhz=self.shell.clock_mhz,
-                                   keep_records=False),
-            )
-            try:
-                report = sim.run_stream(
-                    chain((first,), stream), batch_size=batch_size
-                )
-            except SimError as exc:
-                raise SimError(
-                    f"pipeline {pipeline.name!r} (slot {index}): {exc}"
-                ) from exc
-            results.append(SlotResult(pipeline.name, counts[index], report))
-        return results
-
-    def aggregate_throughput_mpps(self, results: Sequence[SlotResult]) -> float:
-        return sum(r.report.throughput_mpps for r in results if r.report)
 
     # -- resources -----------------------------------------------------------------
 

@@ -21,7 +21,7 @@ helpers for the throughput experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..ebpf.maps import MapSet
 from ..core.pipeline import Pipeline
@@ -76,11 +76,11 @@ class NicSystem:
 
     # -- experiments -----------------------------------------------------------
 
-    def run_at_line_rate(self, frames: Sequence[bytes]) -> SimReport:
+    def run_at_line_rate(self, frames: Iterable[bytes]) -> SimReport:
         """Offer 64 B-class frames back-to-back (one per cycle ≥ 148 Mpps)."""
-        return self.sim.run_packets(list(frames), gap=1)
+        return self.sim.run_packets(frames, gap=1)
 
-    def run_at_rate(self, frames: Sequence[bytes], offered_mpps: float) -> SimReport:
+    def run_at_rate(self, frames: Iterable[bytes], offered_mpps: float) -> SimReport:
         """Offer frames at a fixed packet rate."""
         cycles_per_packet = self.shell.clock_mhz / offered_mpps
         arrivals = (

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
@@ -112,11 +113,16 @@ class _InFlight:
         "pid", "ctx", "regs", "stack", "enabled", "done", "action",
         "position", "arrival_cycle", "inject_cycle", "restarts",
         "addr_reads", "value_reads", "pending_writes", "snapshots",
-        "original_frame",
+        "original_frame", "index",
     )
 
-    def __init__(self, pid: int, frame: bytes, arrival_cycle: int) -> None:
+    def __init__(
+        self, pid: int, frame: bytes, arrival_cycle: int, index: int = 0
+    ) -> None:
         self.pid = pid
+        # Position in the arrival stream: pid plus the frames the input
+        # queue dropped ahead of this one. Error locations name it.
+        self.index = index
         self.original_frame = frame
         self.arrival_cycle = arrival_cycle
         self.inject_cycle = -1
@@ -231,6 +237,54 @@ class _BatchedObserver:
             busy[i] += full
 
 
+def _interpreted_stage(stage: Stage) -> Optional[Callable]:
+    """``stage`` as a callable of the generated stage-function signature
+    (``None`` when it holds no ops): the interpreted engine's table
+    entry, decoding every op per packet per cycle. Returns True if a
+    flush fired."""
+    if stage.kind is not StageKind.OPS:
+        return None
+    ops, number = stage.ops, stage.number
+
+    def stage_fn(sim, pkt, slots, barrier_queues, input_queue, report) -> bool:
+        flushed = False
+        for op in ops:
+            if pkt.done:
+                break
+            if op.block_id not in pkt.enabled:
+                # Disabled op: still the terminator of a block we never
+                # entered — nothing to do.
+                continue
+            side_effect = sim._execute_op(pkt, op)
+            if side_effect:
+                # Every map side effect is an A.2 restart point. For a
+                # WAR-buffered store the snapshot carries the *pending*
+                # write: a restart resumes with it still queued, so it
+                # commits exactly once (and re-committing the same
+                # bytes after an already-performed commit is idempotent
+                # — packet order guarantees no younger write can have
+                # intervened on that slot).
+                pkt.take_snapshot(number)
+                if sim._flush_check(pkt, side_effect, slots, barrier_queues,
+                                    input_queue, report):
+                    flushed = True
+        return flushed
+
+    return stage_fn
+
+
+def _interpreted_entry(entry_ops: Sequence[PipeOp]) -> Optional[Callable]:
+    """The entry ops as a callable of the generated ``_ENTRY`` signature."""
+    if not entry_ops:
+        return None
+
+    def entry_fn(sim, pkt) -> None:
+        for op in entry_ops:
+            sim._execute_op(pkt, op)
+
+    return entry_fn
+
+
 class PipelineSimulator:
     """Executes packets through a compiled pipeline, cycle by cycle."""
 
@@ -256,7 +310,6 @@ class PipelineSimulator:
         self.observer: Optional[Callable] = None
         self.trace_events: List[Tuple[int, ...]] = []
         self._prandom_state = 0x5EED
-        self._current: Optional[_InFlight] = None  # packet being executed
         # Telemetry counters of the most recent run (None until a run
         # made with the registry enabled collects them).
         self.metrics: Optional[SimMetrics] = None
@@ -314,9 +367,12 @@ class PipelineSimulator:
         # generated module is shared by every simulator over the same
         # pipeline.
         self._map_entry: Dict[int, Tuple] = {}
-        # Execution backend: "interpreted" re-decodes ops per packet per
-        # cycle; "codegen" exec()s the pipeline's generated source module
-        # (per-stage functions plus a whole-cycle advance function).
+        # Execution backend: one table, filled once. The cycle loop
+        # dispatches _stage_fns[pos] (stage number pos + 1) and _entry_fn
+        # without knowing who built them: "interpreted" re-decodes ops per
+        # packet per cycle; "codegen" exec()s the pipeline's generated
+        # source module, which adds a whole-cycle advance function, an
+        # unrolled observer and, where proven equivalent, _STREAM.
         engine = self.options.engine
         if engine not in ("interpreted", "codegen"):
             raise SimError(
@@ -324,18 +380,15 @@ class PipelineSimulator:
                 "(expected interpreted or codegen)"
             )
         self.engine = engine
-        self._generated = engine == "codegen"
-        self._entry_fn: Optional[Callable] = None
-        self._stage_fns: List[Optional[Callable]] = []
         self._advance_fn: Optional[Callable] = None
         self._observe_fn: Optional[Callable] = None
         self._stream_fn: Optional[Callable] = None
-        if self._generated:
+        if engine == "codegen":
             from .codegen import load_pipeline_module
 
             module = load_pipeline_module(pipeline)
-            self._stage_fns = list(module["_STAGE_FNS"])
-            self._entry_fn = module["_ENTRY"]
+            self._stage_fns: Sequence[Optional[Callable]] = module["_STAGE_FNS"]
+            self._entry_fn: Optional[Callable] = module["_ENTRY"]
             self._advance_fn = module["_ADVANCE"]
             self._stream_fn = module.get("_STREAM")
             # Binding the generated observer is free; whether any
@@ -343,6 +396,9 @@ class PipelineSimulator:
             # registry's enabled flag, so a simulator built before
             # telemetry was enabled still gets the unrolled observer.
             self._observe_fn = module["_OBSERVE"]
+        else:
+            self._stage_fns = [_interpreted_stage(s) for s in pipeline.stages]
+            self._entry_fn = _interpreted_entry(pipeline.entry_ops)
 
     def _map_entry_for(self, fd: int) -> Optional[Tuple]:
         """Resolve and cache a map's hot-path constants for generated code.
@@ -399,24 +455,23 @@ class PipelineSimulator:
 
     # -- public API --------------------------------------------------------------
 
-    def run(
-        self,
-        arrivals: Iterable[Tuple[int, bytes]],
-        drain: bool = True,
-    ) -> SimReport:
-        """Simulate a stream of (arrival_cycle, frame) pairs.
+    def run(self, arrivals: Iterable[Tuple[int, bytes]]) -> SimReport:
+        """Simulate a stream of (arrival_cycle, frame) pairs until every
+        packet has exited. Arrival cycles must be non-decreasing.
 
-        Arrival cycles must be non-decreasing. With ``drain`` the
-        simulation continues until every packet has exited.
-        """
+        A :class:`SimError` names where in the arrival stream it struck
+        (0-based): ``(at frame N)`` when one frame is to blame — a stage
+        body dispatched from this loop raised on it — else ``(frames
+        LO..HI in flight)``, what the pipeline held when the cycle
+        budget ran out or the generated whole-cycle advance raised (an
+        empty pipeline names the next frame due into it)."""
         options = self.options
         report = SimReport(
             clock_mhz=options.clock_mhz,
             n_stages=self.pipeline.n_stages,
             keep_records=options.keep_records,
         )
-        stages = self.pipeline.stages
-        n_stages = len(stages)
+        n_stages = self.pipeline.n_stages
         # Telemetry: resolved once per run; when off, the whole per-cycle
         # cost is a single `is not None` check below.
         metrics = (SimMetrics.create(n_stages)
@@ -436,14 +491,13 @@ class PipelineSimulator:
         cycle_ns = 1000.0 / options.clock_mhz
 
         host_ops = list(self.host_ops)
-        # Codegen engine: a generated advance function covers the entire
-        # hazard-free shift phase; stall cycles and windowed pipelines
-        # dispatch the per-position stage functions (stage_fns[pos]
-        # executes stages[pos], i.e. stage number pos+1) inline below,
-        # skipping the _execute_stage indirection. The generated observer
-        # has the stage-busy loop unrolled.
-        generated = self._generated
+        # The engine's table (see __init__): stage_fns[pos] executes stage
+        # number pos + 1. Only the codegen engine has an advance function
+        # covering the entire hazard-free shift phase; stall cycles and
+        # windowed pipelines dispatch the per-position stage functions
+        # below, as the interpreted engine always does.
         stage_fns = self._stage_fns
+        entry_fn = self._entry_fn
         advance = self._advance_fn
         observe = None
         if metrics is not None:
@@ -474,218 +528,271 @@ class PipelineSimulator:
                         if slots[p] is not None:
                             return True
             return False
-        while True:
-            # 0. host-side map accesses land through the dedicated host port
-            while host_ops and host_ops[0][0] <= cycle:
-                _cycle, op = host_ops.pop(0)
-                op(self.maps)
+        # The packet whose stage body is executing, for the error
+        # location: set at each dispatch below, cleared once per cycle.
+        running: Optional[_InFlight] = None
+        try:
+            while True:
+                # 0. host-side map accesses land through the dedicated host port
+                while host_ops and host_ops[0][0] <= cycle:
+                    _cycle, op = host_ops.pop(0)
+                    op(self.maps)
 
-            # 1. accept arrivals whose time has come
-            while pending_arrival is not None and pending_arrival[0] <= cycle:
-                if len(input_queue) >= capacity:
-                    report.packets_dropped_queue += 1
-                else:
-                    pkt = _InFlight(next_pid, pending_arrival[1], cycle)
-                    next_pid += 1
-                    input_queue.append(pkt)
-                    report.packets_in += 1
-                pending_arrival = next(arrival_iter, None)
+                # 1. accept arrivals whose time has come
+                while pending_arrival is not None and pending_arrival[0] <= cycle:
+                    if len(input_queue) >= capacity:
+                        report.packets_dropped_queue += 1
+                    else:
+                        pkt = _InFlight(
+                            next_pid, pending_arrival[1], cycle,
+                            next_pid + report.packets_dropped_queue)
+                        next_pid += 1
+                        input_queue.append(pkt)
+                        report.packets_in += 1
+                    pending_arrival = next(arrival_iter, None)
 
-            if (
-                pending_arrival is None
-                and not input_queue
-                and not any(s is not None for s in slots)
-                and not any(barrier_queues.values())
-            ):
-                break
-            if cycle >= max_cycles:
-                raise SimError(f"simulation exceeded {max_cycles} cycles")
+                if (
+                    pending_arrival is None
+                    and not input_queue
+                    and not any(s is not None for s in slots)
+                    and not any(barrier_queues.values())
+                ):
+                    break
+                if cycle >= max_cycles:
+                    raise SimError(f"simulation exceeded {max_cycles} cycles")
 
-            # 2. advance phase. Barrier queues stall everything at or below
-            # their stage so restarted (older) packets keep their order.
-            stall_below = -1
-            if barrier_queues:
-                for stage_no, queue in barrier_queues.items():
-                    if queue:
-                        stall_below = max(stall_below, stage_no)
-                if stall_below >= 0:
-                    report.stall_cycles += 1
+                # 2. advance phase. Barrier queues stall everything at or below
+                # their stage so restarted (older) packets keep their order.
+                stall_below = -1
+                if barrier_queues:
+                    for stage_no, queue in barrier_queues.items():
+                        if queue:
+                            stall_below = max(stall_below, stage_no)
+                    if stall_below >= 0:
+                        report.stall_cycles += 1
 
-            # deepest first: exit, then shift
-            out = slots[n_stages]
-            if out is not None:
-                self._finalize(out)
-                if keep_records:
-                    report.record(
-                        PacketRecord(
-                            pid=out.pid,
-                            action=out.action if out.action is not None else XdpAction.PASS,
-                            data=bytes(out.ctx.packet),
-                            arrival_cycle=out.arrival_cycle,
-                            inject_cycle=out.inject_cycle,
-                            exit_cycle=cycle,
-                            restarts=out.restarts,
+                # deepest first: exit, then shift
+                out = slots[n_stages]
+                if out is not None:
+                    self._finalize(out)
+                    verdict = out.action if out.action is not None else XdpAction.PASS
+                    if keep_records:
+                        report.record(
+                            PacketRecord(
+                                pid=out.pid,
+                                action=verdict,
+                                data=bytes(out.ctx.packet),
+                                arrival_cycle=out.arrival_cycle,
+                                inject_cycle=out.inject_cycle,
+                                exit_cycle=cycle,
+                                restarts=out.restarts,
+                            )
                         )
-                    )
+                    else:
+                        # Record-free accounting: no PacketRecord allocation,
+                        # same aggregates (see SimReport.tally).
+                        report.tally(
+                            verdict,
+                            out.arrival_cycle,
+                            out.inject_cycle,
+                            cycle,
+                            out.restarts,
+                        )
+                    slots[n_stages] = None
+                if advance is not None and stall_below < 0:
+                    # Codegen engine: the whole shift phase is one generated
+                    # call — stage bodies inlined at their shift sites, no
+                    # per-stage dispatch at all.
+                    if advance(self, slots, barrier_queues, input_queue, report):
+                        reload_stall = max(reload_stall, reload_overhead)
                 else:
-                    # Record-free accounting: no PacketRecord allocation,
-                    # same aggregates (see SimReport.tally).
-                    report.tally(
-                        out.action if out.action is not None else XdpAction.PASS,
-                        out.arrival_cycle,
-                        out.inject_cycle,
-                        cycle,
-                        out.restarts,
-                    )
-                slots[n_stages] = None
-            if advance is not None and stall_below < 0:
-                # Codegen engine: the whole shift phase is one generated
-                # call — stage bodies inlined at their shift sites, no
-                # per-stage dispatch at all.
-                if advance(self, slots, barrier_queues, input_queue, report):
-                    reload_stall = max(reload_stall, reload_overhead)
-            else:
-                for pos in shift_range:
-                    pkt = slots[pos]
-                    if pkt is None:
-                        continue
-                    if pos <= stall_below:
-                        continue  # held by a draining elastic buffer
-                    npos = pos + 1
-                    if slots[npos] is not None:
-                        continue  # backed up behind an interlocked packet
-                    if windows:
-                        # Entry check: shifting lo-1 → lo enters a window;
-                        # movement within [lo, hi] is free. Deepest-first
-                        # iteration means a same-cycle hi → hi+1 exit has
-                        # already vacated the window by the time the
-                        # packet at lo-1 is evaluated.
-                        blocked = False
-                        for lo, hi in windows:
-                            if npos == lo:
-                                for p in range(lo, hi + 1):
-                                    if slots[p] is not None:
-                                        blocked = True
-                                        break
-                                if blocked:
-                                    break
-                        if blocked:
+                    for pos in shift_range:
+                        pkt = slots[pos]
+                        if pkt is None:
                             continue
-                    slots[pos] = None
-                    slots[npos] = pkt
-                    pkt.position = npos
-                    if generated:
+                        if pos <= stall_below:
+                            continue  # held by a draining elastic buffer
+                        npos = pos + 1
+                        if slots[npos] is not None:
+                            continue  # backed up behind an interlocked packet
+                        if windows:
+                            # Entry check: shifting lo-1 → lo enters a window;
+                            # movement within [lo, hi] is free. Deepest-first
+                            # iteration means a same-cycle hi → hi+1 exit has
+                            # already vacated the window by the time the
+                            # packet at lo-1 is evaluated.
+                            blocked = False
+                            for lo, hi in windows:
+                                if npos == lo:
+                                    for p in range(lo, hi + 1):
+                                        if slots[p] is not None:
+                                            blocked = True
+                                            break
+                                    if blocked:
+                                        break
+                            if blocked:
+                                continue
+                        slots[pos] = None
+                        slots[npos] = pkt
+                        pkt.position = npos
+                        # Commit WAR-buffered writes on *entry* to the commit
+                        # stage: all older packets are already past it, and
+                        # committing before this stage's own reads keeps the
+                        # commit snapshot free of them — so a later flush
+                        # resumes by re-executing this stage's (possibly
+                        # stale) reads instead of replaying the committed
+                        # write.
                         if pkt.pending_writes:
                             self._commit_pending(pkt, npos)
                         stage_fn = stage_fns[pos]
-                        flushed = stage_fn is not None and stage_fn(
-                            self, pkt, slots, barrier_queues, input_queue, report
-                        )
-                    else:
-                        flushed = self._execute_stage(pkt, stages[pos], slots,
-                                                      barrier_queues, input_queue,
-                                                      report)
-                    if flushed:
-                        reload_stall = max(reload_stall, reload_overhead)
+                        if stage_fn is not None:
+                            running = pkt
+                            if stage_fn(self, pkt, slots, barrier_queues,
+                                        input_queue, report):
+                                reload_stall = max(reload_stall, reload_overhead)
 
-            # 3. release one packet from the deepest non-empty barrier queue
-            released = False
-            if reload_stall > 0:
-                reload_stall -= 1
-            elif stall_below >= 0:
-                queue = barrier_queues[stall_below]
-                if (queue and slots[stall_below + 1] is None
-                        and not (windows and window_blocked(stall_below + 1))):
-                    pkt = queue.popleft()
-                    slots[stall_below + 1] = pkt
-                    pkt.position = stall_below + 1
-                    flushed = self._execute_stage(
-                        pkt, stages[stall_below], slots, barrier_queues,
-                        input_queue, report,
-                    )
-                    if flushed:
-                        reload_stall = max(reload_stall, reload_overhead)
-                    released = True
+                # 3. release one packet from the deepest non-empty barrier queue
+                released = False
+                if reload_stall > 0:
+                    reload_stall -= 1
+                elif stall_below >= 0:
+                    queue = barrier_queues[stall_below]
+                    if (queue and slots[stall_below + 1] is None
+                            and not (windows and window_blocked(stall_below + 1))):
+                        pkt = queue.popleft()
+                        slots[stall_below + 1] = pkt
+                        pkt.position = stall_below + 1
+                        if pkt.pending_writes:
+                            self._commit_pending(pkt, stall_below + 1)
+                        stage_fn = stage_fns[stall_below]
+                        if stage_fn is not None:
+                            running = pkt
+                            if stage_fn(self, pkt, slots, barrier_queues,
+                                        input_queue, report):
+                                reload_stall = max(reload_stall, reload_overhead)
+                        released = True
 
-            # 4. inject from the input queue into stage 1
-            if (
-                not released
-                and reload_stall == 0
-                and stall_below < 1
-                and input_queue
-                and slots[1] is None
-                and not (windows and window_blocked(1))
-            ):
-                pkt = input_queue.popleft()
-                # Queued packets are always in reset state: fresh arrivals
-                # from _InFlight.__init__, flush-requeued ones from
-                # _flush_check — so no reset here.
-                if pkt.inject_cycle < 0:
-                    pkt.inject_cycle = cycle
-                pkt.position = 1
-                pkt.enabled = {entry_block_id}
-                # The hardware's input-length comparators stand in for the
-                # elided entry-side bounds checks.
-                for min_len, action in entry_checks:
-                    if len(pkt.ctx.packet) < min_len:
-                        pkt.done = True
-                        try:
-                            pkt.action = XdpAction(action & MASK32)
-                        except ValueError:
-                            pkt.action = XdpAction.ABORTED
-                        break
-                if not pkt.done:
-                    self._run_entry_ops(pkt)
-                slots[1] = pkt
-                if generated:
-                    # Fresh packets carry no pending writes; skip commit.
+                # 4. inject from the input queue into stage 1
+                if (
+                    not released
+                    and reload_stall == 0
+                    and stall_below < 1
+                    and input_queue
+                    and slots[1] is None
+                    and not (windows and window_blocked(1))
+                ):
+                    pkt = input_queue.popleft()
+                    # Queued packets are always in reset state: fresh arrivals
+                    # from _InFlight.__init__, flush-requeued ones from
+                    # _flush_check — so no reset here, and no pending write
+                    # to commit below.
+                    if pkt.inject_cycle < 0:
+                        pkt.inject_cycle = cycle
+                    pkt.position = 1
+                    pkt.enabled = {entry_block_id}
+                    # The hardware's input-length comparators stand in for the
+                    # elided entry-side bounds checks.
+                    for min_len, action in entry_checks:
+                        if len(pkt.ctx.packet) < min_len:
+                            pkt.done = True
+                            try:
+                                pkt.action = XdpAction(action & MASK32)
+                            except ValueError:
+                                pkt.action = XdpAction.ABORTED
+                            break
+                    running = pkt
+                    if entry_fn is not None and not pkt.done:
+                        entry_fn(self, pkt)
+                    slots[1] = pkt
                     stage_fn = stage_fns[0]
-                    flushed = stage_fn is not None and stage_fn(
-                        self, pkt, slots, barrier_queues, input_queue, report
-                    )
-                else:
-                    flushed = self._execute_stage(
-                        pkt, stages[0], slots, barrier_queues, input_queue, report
-                    )
-                if flushed:
-                    reload_stall = max(reload_stall, reload_overhead)
+                    if stage_fn is not None and stage_fn(
+                            self, pkt, slots, barrier_queues, input_queue, report):
+                        reload_stall = max(reload_stall, reload_overhead)
+                running = None
 
-            if observe is not None:
-                # Inlined _BatchedObserver fast path: a full pipeline
-                # with no barrier activity is one C-level count and an
-                # increment, no observer call at all.
-                if not barrier_queues and slots.count(None) == 1:
-                    observe.full_cycles += 1
-                else:
-                    observe.inner(metrics, slots, barrier_queues)
+                if observe is not None:
+                    # Inlined _BatchedObserver fast path: a full pipeline
+                    # with no barrier activity is one C-level count and an
+                    # increment, no observer call at all.
+                    if not barrier_queues and slots.count(None) == 1:
+                        observe.full_cycles += 1
+                    else:
+                        observe.inner(metrics, slots, barrier_queues)
 
-            if observer is not None:
-                observer(cycle, slots, barrier_queues, input_queue, report)
+                if observer is not None:
+                    observer(cycle, slots, barrier_queues, input_queue, report)
 
-            cycle += 1
-            # Wall-clock time advances with the pipeline clock so that
-            # time-dependent helpers (bpf_ktime_get_ns) behave like
-            # hardware timestamping.
-            self.time_ns = time_base_ns + int(cycle * cycle_ns)
-            if not drain and pending_arrival is None and not input_queue:
-                break
+                cycle += 1
+                # Wall-clock time advances with the pipeline clock so that
+                # time-dependent helpers (bpf_ktime_get_ns) behave like
+                # hardware timestamping.
+                self.time_ns = time_base_ns + int(cycle * cycle_ns)
+        except SimError as exc:
+            if running is not None:
+                held = [running.index]
+            else:
+                held = [p.index for p in chain(slots, *barrier_queues.values())
+                        if p is not None]
+            if not held:
+                # Nothing in the pipeline: the next frame due into it, the
+                # queue's head or the arrival still pending (this loop ends
+                # before it can fail with neither).
+                held = [input_queue[0].index if input_queue
+                        else next_pid + report.packets_dropped_queue]
+            lo, hi = min(held), max(held)
+            where = f"at frame {lo}" if lo == hi else f"frames {lo}..{hi} in flight"
+            raise SimError(f"{exc} ({where})") from exc
 
         if observe is not None:
             observe.flush()
         report.cycles = cycle
         return report
 
-    def run_packets(self, frames: Sequence[bytes], gap: int = 1) -> SimReport:
-        """Convenience: inject frames ``gap`` cycles apart (1 = line rate)."""
-        report = self._try_stream(frames, gap)
-        if report is not None:
-            return report
-        return self.run((i * gap, f) for i, f in enumerate(frames))
+    def run_packets(self, frames: Iterable[bytes], gap: int = 1) -> SimReport:
+        """Inject ``frames`` ``gap`` cycles apart (1 = line rate): the
+        one frame-level way in.
+
+        ``frames`` is any iterable — a list, a generator — pulled lazily
+        on both paths (the cycle loop reads one frame ahead, ``_STREAM``
+        none), so with ``keep_records=False`` arbitrarily long traces
+        stream in bounded memory. Takes the codegen engine's
+        straight-line path when nothing blocks it (see
+        :meth:`stream_blocker`; cycle accounting and report are
+        bit-identical to the cycle loop's), else :meth:`run`. Either
+        way a :class:`SimError` names the offending frame as ``run``
+        documents — on the stream path always exactly, ``(at frame N)``.
+        """
+        # _stream_fn first: naming a pipeline-level obstacle rescans the
+        # ops, and an ineligible pipeline comes through here every batch.
+        if self._stream_fn is None or self.stream_blocker(gap) is not None:
+            return self.run((i * gap, f) for i, f in enumerate(frames))
+        options = self.options
+        report = SimReport(
+            clock_mhz=options.clock_mhz,
+            n_stages=self.pipeline.n_stages,
+            keep_records=options.keep_records,
+        )
+        self.metrics = None
+        # No packets are ever in flight together on this path; the map
+        # channel's store-forwarding scan must see an empty pipeline.
+        self._slots = ()
+        # C-level tally of the frames pulled: zip draws a frame, then a
+        # count, and _STREAM finishes each frame before pulling the next,
+        # so a failure is on the last one read.
+        read = count()
+        try:
+            self._stream_fn(self, map(itemgetter(0), zip(frames, read)), gap,
+                            report, options.keep_records)
+        except SimError as exc:
+            raise SimError(f"{exc} (at frame {next(read) - 1})") from exc
+        # The cycle loop leaves the wall clock at the last cycle boundary.
+        self.time_ns += int(report.cycles * (1000.0 / options.clock_mhz))
+        return report
 
     def stream_blocker(self, gap: int = 1) -> Optional[str]:
-        """Why ``run_packets``/``run_stream`` would run the cycle loop
-        on this simulator as it stands — one line — or ``None`` when
-        they take the codegen engine's straight-line ``_STREAM`` path.
+        """Why ``run_packets`` would run the cycle loop on this
+        simulator as it stands — one line — or ``None`` when it takes
+        the codegen engine's straight-line ``_STREAM`` path.
         Either the generated module could not prove the path equivalent
         (see ``codegen.stream_blocker``), or something cycle-bound is
         attached to the run: telemetry (the metrics are per-cycle by
@@ -731,148 +838,7 @@ class PipelineSimulator:
                 reason += f"; advance visits every stage ({why})"
         return f"cycle-loop ({reason})"
 
-    def _try_stream(
-        self, frames: Iterable[bytes], gap: int
-    ) -> Optional[SimReport]:
-        """Codegen engine's straight-line path, when nothing blocks it
-        (see :meth:`stream_blocker`). Cycle accounting and the report
-        are bit-identical to the cycle loop's."""
-        # _stream_fn first: naming a pipeline-level obstacle rescans the
-        # ops, and an ineligible pipeline comes through here every batch.
-        if self._stream_fn is None or self.stream_blocker(gap) is not None:
-            return None
-        options = self.options
-        report = SimReport(
-            clock_mhz=options.clock_mhz,
-            n_stages=self.pipeline.n_stages,
-            keep_records=options.keep_records,
-        )
-        self.metrics = None
-        # No packets are ever in flight together on this path; the map
-        # channel's store-forwarding scan must see an empty pipeline.
-        self._slots = ()
-        self._stream_fn(self, frames, gap, report, options.keep_records)
-        # The cycle loop leaves the wall clock at the last cycle boundary.
-        self.time_ns += int(report.cycles * (1000.0 / options.clock_mhz))
-        return report
-
-    def run_stream(
-        self,
-        frames: Iterable[bytes],
-        gap: int = 1,
-        batch_size: int = 256,
-    ) -> SimReport:
-        """Stream frames through the pipeline in prefetched batches.
-
-        Unlike :meth:`run_packets`, ``frames`` may be any iterable — a
-        generator, a :class:`~repro.net.packet.FrameBuffer` of
-        memoryviews — and is consumed lazily ``batch_size`` frames at a
-        time, so arbitrarily long traces stream in bounded memory with
-        one Python-level batch refill per ``batch_size`` packets instead
-        of an iterator round-trip per packet. Cycle accounting is
-        identical to ``run_packets(frames, gap)``.
-        """
-        from itertools import count, islice
-        from operator import itemgetter
-
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-        # C-level tally of the frames pulled so far: zip draws a frame,
-        # then a count, so next(consumed) is how many were read.
-        consumed = count()
-        counted = map(itemgetter(0), zip(frames, consumed))
-
-        def arrivals() -> Iterable[Tuple[int, bytes]]:
-            cycle = 0
-            while True:
-                batch = list(islice(counted, batch_size))
-                if not batch:
-                    return
-                for frame in batch:
-                    yield (cycle, frame)
-                    cycle += gap
-
-        prefetch = 1  # the stream path pulls one frame at a time
-        try:
-            report = self._try_stream(counted, gap)
-            if report is None:
-                prefetch = batch_size
-                report = self.run(arrivals())
-            return report
-        except SimError as exc:
-            # Streaming sources are often generators the caller cannot
-            # rewind; anchor the failure to the trace position. The
-            # offending frame is at most ``prefetch`` behind the last
-            # one read.
-            read = next(consumed)
-            raise SimError(
-                f"{exc} (while streaming: {read} frames read, offending "
-                f"frame index < {read}, >= {max(0, read - prefetch)})"
-            ) from exc
-
-    # -- per-stage execution ---------------------------------------------------
-
-    def _run_entry_ops(self, pkt: _InFlight) -> None:
-        if self._entry_fn is not None:
-            self._entry_fn(self, pkt)
-            return
-        self._current = pkt
-        try:
-            for op in self.pipeline.entry_ops:
-                self._execute_op(pkt, op)
-        finally:
-            self._current = None
-
-    def _execute_stage(
-        self,
-        pkt: _InFlight,
-        stage: Stage,
-        slots: List[Optional[_InFlight]],
-        barrier_queues: Dict[int, Deque[_InFlight]],
-        input_queue: Deque[_InFlight],
-        report: SimReport,
-    ) -> bool:
-        """Execute one stage for one packet; returns True if a flush fired."""
-        # Commit WAR-buffered writes on *entry* to the commit stage: all
-        # older packets are already past it, and committing before this
-        # stage's own reads keeps the commit snapshot free of them — so a
-        # later flush resumes by re-executing this stage's (possibly
-        # stale) reads instead of replaying the committed write.
-        self._commit_pending(pkt, stage.number)
-        if self._generated:
-            stage_fn = self._stage_fns[stage.number - 1]
-            if stage_fn is None:
-                return False
-            return stage_fn(self, pkt, slots, barrier_queues, input_queue, report)
-        if stage.kind is not StageKind.OPS:
-            return False
-        flushed = False
-        self._current = pkt
-        try:
-            for op in stage.ops:
-                if pkt.done:
-                    break
-                if op.block_id not in pkt.enabled:
-                    # Disabled op: still the terminator of a block we never
-                    # entered — nothing to do.
-                    continue
-                side_effect = self._execute_op(pkt, op)
-                if side_effect:
-                    # Every map side effect is an A.2 restart point. For a
-                    # WAR-buffered store the snapshot carries the *pending*
-                    # write: a restart resumes with it still queued, so it
-                    # commits exactly once (and re-committing the same
-                    # bytes after an already-performed commit is idempotent
-                    # — packet order guarantees no younger write can have
-                    # intervened on that slot).
-                    pkt.take_snapshot(stage.number)
-                    if self._flush_check(pkt, side_effect, slots, barrier_queues,
-                                         input_queue, report):
-                        flushed = True
-        finally:
-            self._current = None
-        return flushed
+    # -- write commit ----------------------------------------------------------
 
     def _commit_pending(self, pkt: _InFlight, stage_number: int) -> None:
         """Commit WAR-buffered writes whose protection window has passed."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Optional
 
 ETH_P_IP = 0x0800
 ETH_P_IPV6 = 0x86DD
@@ -350,55 +350,3 @@ def parse_five_tuple(frame: bytes) -> Optional[FiveTuple]:
         return None
     except PacketError:
         return None
-
-
-class FrameBuffer:
-    """A zero-copy frame pool for streaming runs.
-
-    Frames are packed back-to-back into one contiguous ``bytearray`` and
-    handed out as :class:`memoryview` slices, so a million-packet trace
-    costs one allocation plus an offset table instead of a million small
-    ``bytes`` objects. The views plug directly into
-    ``PipelineSimulator.run_stream`` / ``MultiProgramNic.run_stream``
-    (the simulators copy a frame into their working buffer only when it
-    actually enters the pipe).
-
-    CPython refuses to resize a ``bytearray`` with live memoryview
-    exports, so the buffer *seals* itself the first time a view is handed
-    out; appending afterwards raises :class:`PacketError`.
-    """
-
-    def __init__(self, frames: Optional[Iterable[bytes]] = None) -> None:
-        self._data = bytearray()
-        self._bounds: list = []  # (offset, length) per frame
-        self._sealed = False
-        if frames is not None:
-            for frame in frames:
-                self.append(frame)
-
-    def append(self, frame: bytes) -> None:
-        if self._sealed:
-            raise PacketError("FrameBuffer is sealed: views were exported")
-        if not frame:
-            raise PacketError("cannot append an empty frame")
-        self._bounds.append((len(self._data), len(frame)))
-        self._data += frame
-
-    @property
-    def nbytes(self) -> int:
-        """Total payload bytes in the backing store."""
-        return len(self._data)
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __getitem__(self, index: int) -> memoryview:
-        offset, length = self._bounds[index]
-        self._sealed = True
-        return memoryview(self._data)[offset:offset + length]
-
-    def __iter__(self) -> Iterator[memoryview]:
-        self._sealed = True
-        view = memoryview(self._data)
-        for offset, length in self._bounds:
-            yield view[offset:offset + length]

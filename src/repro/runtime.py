@@ -151,14 +151,14 @@ class XdpOffload:
 
     def process(
         self,
-        frames: Sequence[bytes],
+        frames: Iterable[bytes],
         rate_mpps: Optional[float] = None,
     ) -> SimReport:
         """Push frames through the NIC (line rate unless ``rate_mpps``)."""
         if rate_mpps is None:
-            report = self._nic.run_at_line_rate(list(frames))
+            report = self._nic.run_at_line_rate(frames)
         else:
-            report = self._nic.run_at_rate(list(frames), rate_mpps)
+            report = self._nic.run_at_rate(frames, rate_mpps)
         self._last_report = report
         return report
 
@@ -176,7 +176,9 @@ class XdpOffload:
         on_batch: Optional[Callable[["XdpOffload", int], None]] = None,
     ) -> SimReport:
         """Stream an arbitrarily long frame iterable through the NIC in
-        bounded memory (see :meth:`PipelineSimulator.run_stream`).
+        bounded memory. Without ``on_batch`` this is
+        :meth:`PipelineSimulator.run_packets` on the whole iterable
+        (``batch_size`` is not used).
 
         **Host-map synchronization point.** :class:`HostMap` writes made
         *while* a stream runs are only well-defined at **drained batch
@@ -191,8 +193,7 @@ class XdpOffload:
         each packet to completion (a write between generator yields hits
         exactly at a packet boundary) while the cycle-level engines keep
         ``n_stages`` packets in flight that observe it at whatever stage
-        they happen to occupy — and batch prefetching shifts generator
-        side effects to arbitrary pipeline states.
+        they happen to occupy.
 
         The simulator's cached per-fd map handles are invalidated at
         every boundary (:meth:`PipelineSimulator.invalidate_map_cache`),
@@ -203,8 +204,7 @@ class XdpOffload:
         per-packet records re-based onto one monotonic timeline.
         """
         if on_batch is None:
-            report = self._nic.sim.run_stream(frames, gap=gap,
-                                              batch_size=batch_size)
+            report = self._nic.sim.run_packets(frames, gap)
             self._last_report = report
             return report
         if batch_size < 1:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from ..net.flows import TrafficGenerator, TrafficSpec
-from ..net.packet import FrameBuffer
 from ..workloads import (
     WorkloadSpec,
     make_workload,
@@ -194,8 +193,11 @@ class Feeder:
             return gen.packets(spec.packets)
         raise ValueError(f"unknown feed source {spec.source!r}")
 
-    def batches(self, batch_size: int) -> Iterator[FrameBuffer]:
-        """The feed cut into sealed :class:`FrameBuffer` batches."""
+    def batches(self, batch_size: int) -> Iterator[List[bytes]]:
+        """The feed cut into ``batch_size``-frame lists (the last one
+        shorter). The frames are the source's own ``bytes`` objects — a
+        recurring flow's frame is one shared object — handed on as they
+        are, a zero-length pcap record included."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         source = self.frames()
@@ -203,4 +205,4 @@ class Feeder:
             chunk = list(islice(source, batch_size))
             if not chunk:
                 return
-            yield FrameBuffer(chunk)
+            yield chunk

@@ -256,7 +256,7 @@ def _observed(pipeline, program, frames, engine, gap=1, capacity=4096,
         **options))
     path = sim.engine_path(gap)
     if stream_input:
-        report = sim.run_stream((f for f in frames), gap=gap)
+        report = sim.run_packets((f for f in frames), gap=gap)
     else:
         report = sim.run_packets(frames, gap=gap)
     return path, {
@@ -423,7 +423,7 @@ class TestWindowedStream:
                                 "interpreted", gap, capacity)
         _assert_same(got, want)
 
-    def test_run_stream_takes_a_generator(self):
+    def test_run_packets_takes_a_generator(self):
         program, pipeline, setup, frames = self._app("ct_firewall")
         path, got = _observed(pipeline, program, frames, "codegen", 3, 8,
                               setup, stream_input=True)

@@ -1,11 +1,17 @@
-"""Specialized execution ≡ the interpreted path.
+"""The production execution paths ≡ their references.
 
-The simulator and the reference VM each have a specialization layer
-(generated source on the ``codegen`` engine / a jump-threaded dispatch
-table under ``Vm(fast=True)``). These tests pin the central contract:
-production path or reference, every observable — XDP actions, packet
-bytes, map state, and *cycle counts* — is identical.
+(The file is named after the retired ``fast`` engine; what it pins
+outlived it.) The simulator and the reference VM each run specialized
+code — generated source on the ``codegen`` engine, a jump-threaded
+dispatch table in ``Vm`` — beside a decode-per-op reference (the
+``interpreted`` engine, ``Vm._run_interpreted``). These tests pin the
+central contract: production path or reference, every observable — XDP
+actions, packet bytes, map state, and *cycle counts* — is identical;
+``run_packets`` takes a generator as it takes a list; and when a run
+fails, the ``SimError`` names the frame that failed.
 """
+
+import re
 
 import pytest
 
@@ -235,12 +241,21 @@ class TestSnapshotRoundTrip:
         assert value == 40
 
 
+def _vm(program, maps=None, reference=False):
+    """A Vm; with ``reference`` its run() drives the decode-per-
+    instruction loop instead of the dispatch table."""
+    vm = Vm(program, maps=maps)
+    if reference:
+        vm._run_dispatch = vm._run_interpreted
+    return vm
+
+
 class TestVmFastPath:
-    def _run(self, program, frames, fast, setup=None):
+    def _run(self, program, frames, reference, setup=None):
         maps = MapSet(program.maps)
         if setup is not None:
             setup(maps)
-        vm = Vm(program, maps=maps, fast=fast)
+        vm = _vm(program, maps, reference)
         return [vm.run(f) for f in frames], maps
 
     @pytest.mark.parametrize("app, setup", [
@@ -255,8 +270,8 @@ class TestVmFastPath:
         else:
             frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
                                  sport=F1.sport, dport=F1.dport)] * 12
-        fast_res, fast_maps = self._run(program, frames, True, setup)
-        slow_res, slow_maps = self._run(program, frames, False, setup)
+        fast_res, fast_maps = self._run(program, frames, False, setup)
+        slow_res, slow_maps = self._run(program, frames, True, setup)
         for a, b in zip(fast_res, slow_res):
             assert a.action == b.action
             assert a.packet == b.packet
@@ -273,8 +288,8 @@ class TestVmFastPath:
         """
         program = assemble_program(source)
         from repro.ebpf.vm import VmError
-        for fast in (True, False):
-            vm = Vm(program, fast=fast)
+        for reference in (False, True):
+            vm = _vm(program, reference=reference)
             with pytest.raises(VmError, match="instruction limit"):
                 vm.run(PKT)
 
@@ -294,26 +309,28 @@ def firewall_setup():
     return program, pipeline, frames, setup
 
 
-class TestRunStream:
-    def test_matches_run_packets(self):
-        program = firewall.build()
-        pipeline = compile_program(program)
+class TestLazyFrames:
+    """``run_packets`` pulls its frames lazily from any iterable."""
 
-        def fresh_sim():
-            maps = MapSet(program.maps)
-            firewall.allow_flow(maps, F1)
-            return PipelineSimulator(pipeline, maps=maps,
-                                     options=SimOptions(keep_records=False))
+    def test_generator_matches_list(self, firewall_setup):
+        # the stream path and the cycle loop each read the source their
+        # own way (none / one frame ahead)
+        program, pipeline, frames, setup = firewall_setup
+        for engine in ("codegen", "interpreted"):
+            def fresh_sim():
+                maps = MapSet(program.maps)
+                setup(maps)
+                return PipelineSimulator(
+                    pipeline, maps=maps,
+                    options=SimOptions(engine=engine, keep_records=False))
 
-        frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
-                             sport=F1.sport, dport=F1.dport)] * 100
-        ref = fresh_sim().run_packets(frames)
-        got = fresh_sim().run_stream(iter(frames), batch_size=7)
-        assert got.cycles == ref.cycles
-        assert got.action_counts == ref.action_counts
-        assert got.sum_total_cycles == ref.sum_total_cycles
+            ref = fresh_sim().run_packets(frames)
+            got = fresh_sim().run_packets(iter(frames))
+            assert got.cycles == ref.cycles, engine
+            assert got.action_counts == ref.action_counts, engine
+            assert got.sum_total_cycles == ref.sum_total_cycles, engine
 
-    def test_multi_program_stream(self):
+    def test_multi_program_batch_from_a_generator(self):
         pipelines = [compile_program(firewall.build()),
                      compile_program(router.build())]
 
@@ -330,84 +347,111 @@ class TestRunStream:
 
         frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
                              sport=1000 + i, dport=53) for i in range(60)]
-        ref = make_nic().run_at_line_rate(frames)
-        got = make_nic().run_stream(iter(frames), batch_size=8)
+        ref = make_nic().process_batch(frames)
+        got = make_nic().process_batch(iter(frames))
         assert [(r.name, r.packets) for r in got] == \
-               [(r.name, r.packets) for r in ref]
+               [(r.name, r.packets) for r in ref] == \
+               [("firewall", 30), ("router", 30)]
         for a, b in zip(got, ref):
-            assert (a.report is None) == (b.report is None)
-            if a.report is not None:
-                assert a.report.cycles == b.report.cycles
-                assert a.report.action_counts == b.report.action_counts
+            assert a.report.cycles == b.report.cycles
+            assert a.report.action_counts == b.report.action_counts
 
-    def test_bad_batch_size_rejected(self):
-        pipeline = compile_program(toy_counter.build())
-        sim = PipelineSimulator(pipeline)
-        with pytest.raises(ValueError):
-            sim.run_stream([PKT], batch_size=0)
 
-    def test_single_queue_stream_error_carries_frame_window(
+def _location(error):
+    """The inclusive frame window a located SimError names."""
+    match = re.search(
+        r" \((?:at frame (\d+)|frames (\d+)\.\.(\d+) in flight)\)$",
+        str(error))
+    assert match, str(error)
+    exact, lo, hi = match.groups()
+    return (int(exact),) * 2 if exact else (int(lo), int(hi))
+
+
+def _fault(sim, pid, past_stage=0):
+    """Make the interpreted engine fail on packet ``pid`` at its first
+    op past ``past_stage``."""
+    execute_op = sim._execute_op
+
+    def faulty(pkt, op):
+        if pkt.pid == pid and pkt.position > past_stage:
+            raise SimError("injected fault")
+        return execute_op(pkt, op)
+
+    sim._execute_op = faulty
+
+
+class TestLocatedError:
+    """A SimError out of ``run_packets`` names the offending frame by
+    its position in the source — from the packets the pipeline held,
+    never from how far the source had been read."""
+
+    def _assert_located(self, error, true_index, n_stages):
+        lo, hi = _location(error)
+        assert lo <= true_index <= hi, str(error)
+        assert hi - lo + 1 <= n_stages, str(error)
+        return lo, hi
+
+    def test_cycle_budget_names_the_first_unfinished_frame(
         self, firewall_setup
     ):
         program, pipeline, frames, setup = firewall_setup
-        # codegen streams the firewall frame by frame; the interpreted
-        # cycle loop prefetches a batch — the window says which
-        for engine, window in (
-            ("codegen", "1 frames read, offending frame index < 1, >= 0"),
-            ("interpreted",
-             "32 frames read, offending frame index < 32, >= 0"),
-        ):
+        n = pipeline.n_stages
+        # at line rate frame k exits at cycle k + n: frame 10 is the
+        # first a budget of n + 10 cycles cannot finish
+        for engine, window in (("codegen", (10, 10)),  # stream: exact
+                               ("interpreted", (10, n + 9))):
             maps = MapSet(program.maps)
             setup(maps)
             sim = PipelineSimulator(
                 pipeline, maps=maps,
                 options=SimOptions(engine=engine, keep_records=False,
-                                   max_cycles=3),
+                                   max_cycles=n + 10),
             )
-            with pytest.raises(SimError, match="while streaming") as excinfo:
-                sim.run_stream(iter(frames), batch_size=32)
-            assert window in str(excinfo.value), engine
+            with pytest.raises(SimError, match="exceeded") as excinfo:
+                sim.run_packets(iter(frames))
+            assert self._assert_located(excinfo.value, 10, n) == window
 
-
-class TestFrameBuffer:
-    def test_views_round_trip(self):
-        from repro.net.packet import FrameBuffer
-        frames = [udp_packet(sport=i, dport=53) for i in range(5)]
-        buf = FrameBuffer(frames)
-        assert len(buf) == 5
-        assert buf.nbytes == sum(len(f) for f in frames)
-        for view, frame in zip(buf, frames):
-            assert isinstance(view, memoryview)
-            assert bytes(view) == frame
-        assert bytes(buf[3]) == frames[3]
-
-    def test_sealed_after_export(self):
-        from repro.net.packet import FrameBuffer, PacketError
-        buf = FrameBuffer([PKT])
-        list(buf)
-        with pytest.raises(PacketError, match="sealed"):
-            buf.append(PKT)
-
-    def test_rejects_empty_frame(self):
-        from repro.net.packet import FrameBuffer, PacketError
-        with pytest.raises(PacketError):
-            FrameBuffer([b""])
-
-    def test_feeds_simulator(self):
-        from repro.net.packet import FrameBuffer
-        program = toy_counter.build()
-        pipeline = compile_program(program)
-        frames = [toy_counter.packet_for_key(k % 4) for k in range(20)]
-        buf = FrameBuffer(frames)
+    def test_failing_op_names_its_frame_at_line_rate(self, firewall_setup):
+        program, pipeline, frames, setup = firewall_setup
         maps = MapSet(program.maps)
-        sim = PipelineSimulator(pipeline, maps=maps,
-                                options=SimOptions(keep_records=False))
-        rep = sim.run_stream(buf, batch_size=6)
-        maps2 = MapSet(program.maps)
-        sim2 = PipelineSimulator(pipeline, maps=maps2,
-                                 options=SimOptions(keep_records=False))
-        ref = sim2.run_packets(frames)
-        assert rep.cycles == ref.cycles
-        assert rep.action_counts == ref.action_counts
-        for fd in program.maps:
-            assert bytes(maps[fd].storage) == bytes(maps2[fd].storage)
+        setup(maps)
+        sim = PipelineSimulator(
+            pipeline, maps=maps, options=SimOptions(engine="interpreted"))
+        _fault(sim, pid=123, past_stage=5)
+        with pytest.raises(SimError, match="injected fault") as excinfo:
+            sim.run_packets(iter(frames))
+        self._assert_located(excinfo.value, 123, pipeline.n_stages)
+
+    @pytest.mark.parametrize("capacity", [4096, 4])
+    def test_failing_op_behind_a_stalled_window(self, capacity):
+        # ct_firewall's window admits one packet per 21 cycles while
+        # frames arrive one per cycle: by the time packet 50 executes
+        # past the window's first stages the source has been read
+        # ~1000 frames further — and with a 4-deep input queue most of
+        # those were dropped, so pid 50 is not frame 50 either
+        import dataclasses
+
+        from repro.apps import APP_WORKLOADS, ct_firewall
+        from repro.workloads import make_workload, parse_workload_spec
+
+        program = ct_firewall.build()
+        pipeline = compile_program(program)
+        frames = make_workload(dataclasses.replace(
+            parse_workload_spec(APP_WORKLOADS["ct_firewall"]),
+            packets=3000)).materialize()
+
+        def fresh_sim(engine):
+            return PipelineSimulator(
+                pipeline, maps=MapSet(program.maps),
+                options=SimOptions(engine=engine,
+                                   input_queue_capacity=capacity))
+
+        # gap 1: a packet's arrival cycle is its frame's index
+        healthy = fresh_sim("codegen").run_packets(frames)
+        true_index = healthy.records[50].arrival_cycle
+        assert (true_index == 50) == (capacity == 4096)
+        sim = fresh_sim("interpreted")
+        _fault(sim, pid=50, past_stage=12)
+        with pytest.raises(SimError, match="injected fault") as excinfo:
+            sim.run_packets(iter(frames))
+        self._assert_located(excinfo.value, true_index, pipeline.n_stages)

@@ -136,7 +136,7 @@ class TestFeeder:
                 total = (total & 0xFFFF) + (total >> 16)
             assert total == 0xFFFF
 
-    def test_batches_cut_and_seal(self):
+    def test_batches_cut(self):
         feeder = Feeder(FeedSpec(source="gen", packets=70, flows=5))
         batches = list(feeder.batches(32))
         assert [len(b) for b in batches] == [32, 32, 6]
@@ -149,6 +149,28 @@ class TestFeeder:
         write_pcap(str(path), [(i * 1e-6, f) for i, f in enumerate(frames)])
         feeder = Feeder(parse_feed_spec(str(path)))
         assert [bytes(f) for f in feeder.frames()] == frames
+
+    def test_zero_length_pcap_record_is_served(self, tmp_path):
+        # an empty record is a frame like any other: the engines give it
+        # its entry-check verdict, the feed does not die on it
+        from repro.net.pcap import write_pcap
+
+        frame = toy_counter.packet_for_key(1)
+        path = tmp_path / "hole.pcap"
+        write_pcap(str(path), [(0, frame), (1000, b""), (2000, frame)])
+        config = ServeConfig(
+            programs=[ProgramSpec("bg", toy_counter.build())],
+            feed=parse_feed_spec("pcap:" + str(path)),
+            engine="codegen", batch_size=8, exit_when_drained=True,
+        )
+        daemon = NicDaemon(config)
+        report = daemon.run()
+        assert report["frames"] == 3
+        assert report["quarantined"] == []
+        incarnation = report["programs"]["bg"]["incarnations"][0]
+        assert incarnation["actions"] == {"DROP": 1, "TX": 2}
+        offline = segmented_replay(config, report, daemon.program_table)
+        assert verify_replay(report, offline) == []
 
 
 class TestCarryMaps:
