@@ -37,6 +37,7 @@ from .ebpf.asm import assemble_program
 from .ebpf.disasm import disassemble
 from .ebpf.isa import Program
 from .ebpf.maps import MapSet
+from .ebpf.verifier import VerifierError
 from .hwsim import NicSystem, publish_report
 from .hwsim.engines import (
     engine_names,
@@ -857,7 +858,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VerifierError as exc:
+        raise SystemExit(f"verifier: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

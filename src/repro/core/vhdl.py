@@ -350,9 +350,9 @@ def _alu_expr(op: int, a: str, b: str, is64: bool) -> str:
 
 
 def _swap_expr(a: str, bits: int, to_big: bool) -> str:
+    if bits not in isa.SWAP_WIDTHS:
+        raise VhdlEmitError(f"bswap to {bits} bits")
     if to_big:
-        if bits not in (16, 32, 64):
-            raise VhdlEmitError(f"bswap to {bits} bits")
         return f"ehdl_bswap{bits}({a})"
     return _zext(f"resize(unsigned({a}), {bits})")
 

@@ -59,30 +59,6 @@ _MEM_RE = re.compile(
 _SWAP_RE = re.compile(r"^(be|le)(16|32|64)$")
 _MAP_RE = re.compile(r"^map\[([\w.]+)\]$")
 
-_ALU_SYMBOLS = {
-    "+=": isa.BPF_ADD,
-    "-=": isa.BPF_SUB,
-    "*=": isa.BPF_MUL,
-    "/=": isa.BPF_DIV,
-    "%=": isa.BPF_MOD,
-    "&=": isa.BPF_AND,
-    "|=": isa.BPF_OR,
-    "^=": isa.BPF_XOR,
-    "<<=": isa.BPF_LSH,
-    ">>=": isa.BPF_RSH,
-    "s>>=": isa.BPF_ARSH,
-    "=": isa.BPF_MOV,
-}
-
-_JMP_SYMBOLS = dict(isa.SYMBOL_TO_JMP)
-
-_ATOMIC_SYMBOLS = {
-    "+=": isa.ATOMIC_ADD,
-    "|=": isa.ATOMIC_OR,
-    "&=": isa.ATOMIC_AND,
-    "^=": isa.ATOMIC_XOR,
-}
-
 
 def _strip_comment(line: str) -> str:
     for marker in (";", "#", "//"):
@@ -251,9 +227,9 @@ class Assembler:
         if len(parts) != 3:
             raise self._error(f"cannot parse condition {cond_text!r}")
         lhs, symbol, rhs = parts
-        if symbol not in _JMP_SYMBOLS:
+        if symbol not in isa.SYMBOL_TO_JMP:
             raise self._error(f"unknown comparison {symbol!r}")
-        op = _JMP_SYMBOLS[symbol]
+        op = isa.SYMBOL_TO_JMP[symbol]
         dst, word = _parse_reg(lhs)
         if _REG_RE.match(rhs):
             src, src_word = _parse_reg(rhs)
@@ -268,7 +244,7 @@ class Assembler:
         if rest.startswith("fetch "):
             fetch = True
             rest = rest[6:].strip()
-        for symbol, op in _ATOMIC_SYMBOLS.items():
+        for op, symbol in isa.ATOMIC_SYMBOLS.items():
             token = f" {symbol} "
             if token in rest:
                 mem_text, reg_text = rest.split(token, 1)
@@ -332,7 +308,7 @@ class Assembler:
 
     def _parse_assignment(self, line: str) -> None:
         # Longest symbols first so "<<=" is not matched as "<=" etc.
-        for symbol in sorted(_ALU_SYMBOLS, key=len, reverse=True):
+        for symbol in sorted(isa.SYMBOL_TO_ALU, key=len, reverse=True):
             token = f" {symbol} "
             idx = line.find(token)
             if idx < 0:
@@ -340,7 +316,7 @@ class Assembler:
             lhs = line[:idx].strip()
             rhs = line[idx + len(token) :].strip()
             dst, word = _parse_reg(lhs)
-            op = _ALU_SYMBOLS[symbol]
+            op = isa.SYMBOL_TO_ALU[symbol]
             self._emit_alu(op, dst, word, rhs)
             return
         raise self._error(f"cannot parse statement {line!r}")

@@ -29,18 +29,9 @@ from .isa import Instruction, MapSpec, Program
 
 _SIZES = {"u8": isa.BPF_B, "u16": isa.BPF_H, "u32": isa.BPF_W, "u64": isa.BPF_DW}
 
+# "+" for "+=": the assignment symbols minus their "=" (and minus mov).
 _ALU_OPS = {
-    "+": isa.BPF_ADD,
-    "-": isa.BPF_SUB,
-    "*": isa.BPF_MUL,
-    "/": isa.BPF_DIV,
-    "%": isa.BPF_MOD,
-    "&": isa.BPF_AND,
-    "|": isa.BPF_OR,
-    "^": isa.BPF_XOR,
-    "<<": isa.BPF_LSH,
-    ">>": isa.BPF_RSH,
-    "s>>": isa.BPF_ARSH,
+    symbol[:-1]: op for symbol, op in isa.SYMBOL_TO_ALU.items() if symbol != "="
 }
 
 

@@ -87,12 +87,7 @@ def _format_store(insn: Instruction) -> str:
             return f"lock {mem} xchg r{insn.src}"
         if insn.imm == isa.ATOMIC_CMPXCHG:
             return f"lock {mem} cmpxchg r{insn.src}"
-        symbol = {
-            isa.ATOMIC_ADD: "+=",
-            isa.ATOMIC_OR: "|=",
-            isa.ATOMIC_AND: "&=",
-            isa.ATOMIC_XOR: "^=",
-        }[op]
+        symbol = isa.ATOMIC_SYMBOLS[op]
         prefix = "lock fetch " if fetch else "lock "
         return f"{prefix}{mem} {symbol} r{insn.src}"
     if insn.opclass == isa.BPF_STX:

@@ -89,6 +89,7 @@ BPF_XOR = 0xA0
 BPF_MOV = 0xB0
 BPF_ARSH = 0xC0
 BPF_END = 0xD0
+SWAP_WIDTHS = (16, 32, 64)  # BPF_END immediates with a byte-swap primitive
 
 ALU_OP_NAMES = {
     BPF_ADD: "add",
@@ -121,6 +122,7 @@ ALU_SYMBOLS = {
     BPF_MOV: "=",
     BPF_ARSH: "s>>=",
 }
+SYMBOL_TO_ALU = {v: k for k, v in ALU_SYMBOLS.items()}
 
 BPF_JA = 0x00
 BPF_JEQ = 0x10
@@ -181,6 +183,11 @@ ATOMIC_AND = BPF_AND
 ATOMIC_XOR = BPF_XOR
 ATOMIC_XCHG = 0xE0 | BPF_FETCH
 ATOMIC_CMPXCHG = 0xF0 | BPF_FETCH
+
+# The four read-modify-write atomics share their ALU namesakes' symbols.
+ATOMIC_SYMBOLS = {
+    op: ALU_SYMBOLS[op] for op in (ATOMIC_ADD, ATOMIC_OR, ATOMIC_AND, ATOMIC_XOR)
+}
 
 ATOMIC_OP_NAMES = {
     ATOMIC_ADD: "add",
@@ -684,7 +691,7 @@ def ld_map_fd(dst: int, fd: int) -> Instruction:
 
 def endian(dst: int, bits: int, to_big: bool) -> Instruction:
     """Byte-swap instruction (``BPF_END``): le16/le32/le64 or be16/be32/be64."""
-    if bits not in (16, 32, 64):
+    if bits not in SWAP_WIDTHS:
         raise ISAError("endian width must be 16, 32 or 64")
     src_flag = BPF_X if to_big else BPF_K  # BPF_TO_BE / BPF_TO_LE
     return Instruction(BPF_ALU | BPF_END | src_flag, dst=dst, imm=bits)

@@ -1,24 +1,34 @@
-"""Specialized operator closures for the reference VM's dispatch table.
+"""The specialised tier of ALU and conditional-jump semantics, as text.
 
-Instead of re-decoding each instruction per packet, the VM
-(:mod:`repro.ebpf.vm`) calls :func:`make_alu_fn` / :func:`make_cmp_fn`
-once per instruction to bake the opcode dispatch, operand source
-(register vs. sign-extended immediate), width masks and shift masks
-into a closure.
+Each op's executable meaning exists twice in Python. The *reference*
+tier is :func:`repro.ebpf.vm.alu_step` / :func:`~repro.ebpf.vm.cmp_step`
+in front of ``Vm._alu`` / ``_swap`` / ``_compare``: it decodes the
+instruction every time it runs (the VM's ``_run_interpreted`` loop and
+the ``interpreted`` pipeline engine). This module is the *specialised*
+tier: :func:`alu_source` / :func:`cmp_source` decode once and return
+Python source lines over a register file named ``regs`` — operand
+source (register vs. sign-extended immediate) chosen, widths, immediates
+and shift amounts folded into literals, a constant divisor's zero test
+resolved at emit time. The text has two consumers:
 
-The closures are built from the *same* primitive semantics as
-``Vm._alu`` / ``Vm._compare`` — div-by-zero yields zero, mod-by-zero
-yields the dividend, shifts mask their amount, 32-bit ops zero-extend —
-so the table is bit-identical by construction to the
-decode-per-instruction loop the VM keeps as its test reference
-(``Vm._run_interpreted``). Factories return ``None`` for opcodes they
-do not specialize; callers fall back to the interpreted helpers (which
-raise the canonical errors for genuinely unknown opcodes).
+* :mod:`repro.hwsim.codegen` inlines the lines into the generated
+  pipeline module (the ``codegen`` engine);
+* :func:`make_alu_fn` / :func:`make_cmp_fn` ``exec`` them into one
+  closure per instruction for the VM's dispatch table.
+
+So the two specialised engines cannot drift from each other, and the
+table-generated sweep in ``tests/test_op_sweep.py`` holds the text to the
+reference tier over every op, width and operand source. The text is
+built only from an :class:`~repro.ebpf.isa.Instruction`'s integer
+fields. Every function returns ``None`` for an op outside
+``isa.ALU_OP_NAMES`` / ``isa.JMP_SYMBOLS`` (or a byte swap of a width
+other than 16/32/64): the verifier rejects those, and the VM falls back
+to the reference tier, which raises the canonical ``VmError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import isa
 from .isa import MASK32, MASK64, Instruction, to_signed32
@@ -26,218 +36,153 @@ from .isa import MASK32, MASK64, Instruction, to_signed32
 AluFn = Callable[[List[int]], None]
 CmpFn = Callable[[List[int]], bool]
 
+# dst = (dst <sym> operand) & mask, the symbol being the mnemonic's.
+_MASKED_BINOPS = (
+    isa.BPF_ADD, isa.BPF_SUB, isa.BPF_MUL, isa.BPF_OR, isa.BPF_XOR,
+)
 
-def make_alu_fn(insn: Instruction) -> Optional[AluFn]:
-    """Build a closure performing one ALU/ALU64 instruction on a register
-    file, or ``None`` when the opcode has no specialization."""
+
+def alu_source(insn: Instruction) -> Optional[List[str]]:
+    """Statements performing one ALU/ALU64 instruction on ``regs`` (may
+    use ``_v`` as scratch), or ``None`` when the op is unknown."""
     is64 = insn.opclass == isa.BPF_ALU64
     mask = MASK64 if is64 else MASK32
     shift_mask = 63 if is64 else 31
     op = insn.op
-    dst = insn.dst
-    src = insn.src
+    D = f"regs[{insn.dst}]"
+    S = f"regs[{insn.src}]"
+    M = hex(mask)
 
     if op == isa.BPF_END:
         bits = insn.imm
-        if bits not in (16, 32, 64):
+        if bits not in isa.SWAP_WIDTHS:
             return None
-        smask = (1 << bits) - 1
-        width = bits // 8
+        smask = hex((1 << bits) - 1)
         if insn.uses_reg_src:  # to_be
-            def fn(regs: List[int]) -> None:
-                value = regs[dst] & smask
-                regs[dst] = int.from_bytes(
-                    value.to_bytes(width, "little"), "big"
-                )
-        else:  # to_le on a little-endian model truncates
-            def fn(regs: List[int]) -> None:
-                regs[dst] = regs[dst] & smask
-        return fn
-
+            return [
+                f"_v = {D} & {smask}",
+                f'{D} = int.from_bytes(_v.to_bytes({bits // 8}, '
+                f'"little"), "big")',
+            ]
+        return [f"{D} = {D} & {smask}"]  # to_le truncates
     if op == isa.BPF_NEG:
-        def fn(regs: List[int]) -> None:
-            regs[dst] = (-regs[dst]) & mask
-        return fn
+        return [f"{D} = (-{D}) & {M}"]
 
     use_reg = insn.uses_reg_src
-    imm = to_signed32(insn.imm) & mask  # pre-masked immediate operand
+    imm = to_signed32(insn.imm) & mask
+    I = hex(imm)
 
     if op == isa.BPF_MOV:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = regs[src] & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = imm
-        return fn
-    if op == isa.BPF_ADD:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] + regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] + imm) & mask
-        return fn
-    if op == isa.BPF_SUB:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] - regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] - imm) & mask
-        return fn
-    if op == isa.BPF_MUL:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] * regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] * imm) & mask
-        return fn
-    if op == isa.BPF_OR:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] | regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] | imm) & mask
-        return fn
+        return [f"{D} = {S} & {M}"] if use_reg else [f"{D} = {I}"]
+    if op in _MASKED_BINOPS:
+        sym = isa.ALU_SYMBOLS[op][:-1]
+        rhs = S if use_reg else I
+        return [f"{D} = ({D} {sym} {rhs}) & {M}"]
     if op == isa.BPF_AND:
         if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] & regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = regs[dst] & imm  # imm already masked
-        return fn
-    if op == isa.BPF_XOR:
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] ^ regs[src]) & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] ^ imm) & mask
-        return fn
+            return [f"{D} = ({D} & {S}) & {M}"]
+        return [f"{D} = {D} & {I}"]  # imm already masked
     if op == isa.BPF_LSH:
         if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] << (regs[src] & shift_mask)) & mask
-        else:
-            shamt = imm & shift_mask
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] << shamt) & mask
-        return fn
+            return [f"{D} = ({D} << ({S} & {shift_mask})) & {M}"]
+        return [f"{D} = ({D} << {imm & shift_mask}) & {M}"]
     if op == isa.BPF_RSH:
         if use_reg:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] & mask) >> (regs[src] & shift_mask)
-        else:
-            shamt = imm & shift_mask
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] & mask) >> shamt
-        return fn
+            return [f"{D} = ({D} & {M}) >> ({S} & {shift_mask})"]
+        return [f"{D} = ({D} & {M}) >> {imm & shift_mask}"]
     if op == isa.BPF_ARSH:
         bits = 64 if is64 else 32
-        sbit = 1 << (bits - 1)
-        wrap = 1 << bits
-        if use_reg:
-            def fn(regs: List[int]) -> None:
-                value = regs[dst] & mask
-                if value & sbit:
-                    value -= wrap
-                regs[dst] = (value >> (regs[src] & shift_mask)) & mask
-        else:
-            shamt = imm & shift_mask
-            def fn(regs: List[int]) -> None:
-                value = regs[dst] & mask
-                if value & sbit:
-                    value -= wrap
-                regs[dst] = (value >> shamt) & mask
-        return fn
+        sbit = hex(1 << (bits - 1))
+        wrap = hex(1 << bits)
+        sh = f"({S} & {shift_mask})" if use_reg else str(imm & shift_mask)
+        return [
+            f"_v = {D} & {M}",
+            f"if _v & {sbit}:",
+            f"    _v -= {wrap}",
+            f"{D} = (_v >> {sh}) & {M}",
+        ]
     if op == isa.BPF_DIV:
         if use_reg:
-            def fn(regs: List[int]) -> None:
-                divisor = regs[src] & mask
-                regs[dst] = (regs[dst] & mask) // divisor if divisor else 0
-        else:
-            def fn(regs: List[int]) -> None:
-                regs[dst] = (regs[dst] & mask) // imm if imm else 0
-        return fn
+            return [
+                f"_v = {S} & {M}",
+                f"{D} = ({D} & {M}) // _v if _v else 0",
+            ]
+        return [f"{D} = ({D} & {M}) // {I}"] if imm else [f"{D} = 0"]
     if op == isa.BPF_MOD:
         if use_reg:
-            def fn(regs: List[int]) -> None:
-                divisor = regs[src] & mask
-                if divisor:
-                    regs[dst] = (regs[dst] & mask) % divisor
-                else:
-                    regs[dst] = regs[dst] & mask
-        else:
-            def fn(regs: List[int]) -> None:
-                if imm:
-                    regs[dst] = (regs[dst] & mask) % imm
-                else:
-                    regs[dst] = regs[dst] & mask
-        return fn
+            return [
+                f"_v = {S} & {M}",
+                "if _v:",
+                f"    {D} = ({D} & {M}) % _v",
+                "else:",
+                f"    {D} = {D} & {M}",
+            ]
+        if imm:
+            return [f"{D} = ({D} & {M}) % {I}"]
+        return [f"{D} = {D} & {M}"]
     return None
 
 
-def make_cmp_fn(insn: Instruction) -> Optional[CmpFn]:
-    """Build a closure evaluating a conditional jump's predicate against a
-    register file, or ``None`` when the opcode has no specialization."""
+def cmp_source(insn: Instruction) -> Optional[Tuple[List[str], str]]:
+    """A conditional jump's predicate over ``regs`` as (prelude
+    statements, condition expression), or ``None`` when the op is
+    unknown. The prelude (sign correction into ``_l`` / ``_r``) is empty
+    for unsigned relations; the expression is truthy when the branch is
+    taken."""
+    symbol = isa.JMP_SYMBOLS.get(insn.op)
+    if symbol is None:
+        return None
     is64 = insn.opclass == isa.BPF_JMP
     bits = 64 if is64 else 32
     mask = MASK64 if is64 else MASK32
-    sbit = 1 << (bits - 1)
-    wrap = 1 << bits
-    op = insn.op
-    dst = insn.dst
-    src = insn.src
+    M = hex(mask)
+    D = f"regs[{insn.dst}]"
+    S = f"regs[{insn.src}]"
     use_reg = insn.uses_reg_src
     imm = to_signed32(insn.imm) & mask
-    simm = imm - wrap if imm & sbit else imm
 
-    unsigned = {
-        isa.BPF_JEQ: lambda l, r: l == r,
-        isa.BPF_JNE: lambda l, r: l != r,
-        isa.BPF_JGT: lambda l, r: l > r,
-        isa.BPF_JGE: lambda l, r: l >= r,
-        isa.BPF_JLT: lambda l, r: l < r,
-        isa.BPF_JLE: lambda l, r: l <= r,
-        isa.BPF_JSET: lambda l, r: bool(l & r),
-    }
-    signed = {
-        isa.BPF_JSGT: lambda l, r: l > r,
-        isa.BPF_JSGE: lambda l, r: l >= r,
-        isa.BPF_JSLT: lambda l, r: l < r,
-        isa.BPF_JSLE: lambda l, r: l <= r,
-    }
+    if symbol == "&":
+        return [], (f"{D} & {S} & {M}" if use_reg else f"{D} & {hex(imm)}")
+    if not symbol.startswith("s"):
+        rhs = f"({S} & {M})" if use_reg else hex(imm)
+        return [], f"({D} & {M}) {symbol} {rhs}"
+    rel = symbol[1:]
+    sbit = hex(1 << (bits - 1))
+    wrap = hex(1 << bits)
+    prelude = [
+        f"_l = {D} & {M}",
+        f"if _l & {sbit}:",
+        f"    _l -= {wrap}",
+    ]
+    if use_reg:
+        prelude += [
+            f"_r = {S} & {M}",
+            f"if _r & {sbit}:",
+            f"    _r -= {wrap}",
+        ]
+        return prelude, f"_l {rel} _r"
+    simm = imm - (1 << bits) if imm & (1 << (bits - 1)) else imm
+    return prelude, f"_l {rel} {simm}"
 
-    if op in unsigned:
-        rel = unsigned[op]
-        if use_reg:
-            def fn(regs: List[int]) -> bool:
-                return rel(regs[dst] & mask, regs[src] & mask)
-        else:
-            def fn(regs: List[int]) -> bool:
-                return rel(regs[dst] & mask, imm)
-        return fn
-    if op in signed:
-        rel = signed[op]
-        if use_reg:
-            def fn(regs: List[int]) -> bool:
-                lhs = regs[dst] & mask
-                if lhs & sbit:
-                    lhs -= wrap
-                rhs = regs[src] & mask
-                if rhs & sbit:
-                    rhs -= wrap
-                return rel(lhs, rhs)
-        else:
-            def fn(regs: List[int]) -> bool:
-                lhs = regs[dst] & mask
-                if lhs & sbit:
-                    lhs -= wrap
-                return rel(lhs, simm)
-        return fn
-    return None
 
+def _compile(lines: List[str]) -> Callable:
+    namespace: dict = {}
+    exec("def fn(regs):\n" + "".join(f"    {ln}\n" for ln in lines), namespace)
+    return namespace["fn"]
+
+
+def make_alu_fn(insn: Instruction) -> Optional[AluFn]:
+    """Compile :func:`alu_source` into ``fn(regs)``, or ``None`` when the
+    opcode has no specialization."""
+    lines = alu_source(insn)
+    return None if lines is None else _compile(lines)
+
+
+def make_cmp_fn(insn: Instruction) -> Optional[CmpFn]:
+    """Compile :func:`cmp_source` into ``fn(regs) -> taken``, or ``None``
+    when the opcode has no specialization."""
+    source = cmp_source(insn)
+    if source is None:
+        return None
+    prelude, cond = source
+    return _compile(prelude + [f"return {cond}"])

@@ -6,7 +6,9 @@ verifier's guarantees (Section 2.2):
 1. **Verification** — reject programs the kernel would reject: backward
    branches (unbounded loops), reads of uninitialised registers,
    out-of-bounds stack accesses, dereferences of possibly-NULL map values,
-   writes to the read-only context, jumps into the middle of a LD_IMM64.
+   writes to the read-only context, jumps into the middle of a LD_IMM64,
+   ALU / jump ops outside the ``isa`` tables and byte swaps of a width
+   other than 16/32/64 (checked on every instruction, reachable or not).
 
 2. **Type analysis** — a branch-sensitive abstract interpretation that
    assigns every register at every program point one of the region types
@@ -35,6 +37,29 @@ from .xdp import XDP_MD_DATA, XDP_MD_DATA_END, XDP_MD_SIZE, AddressSpace
 class VerifierError(ValueError):
     """Raised when a program fails verification; message includes the
     instruction index."""
+
+
+def _opcode_fault(insn: Instruction) -> Optional[str]:
+    """The rule ``insn`` breaks by its opcode alone, if any. The legal op
+    set is what the isa tables name — every later layer (disassembler,
+    engines, VHDL emitter) indexes them."""
+    if insn.is_alu:
+        if insn.op not in isa.ALU_OP_NAMES:
+            return f"unknown ALU op {insn.op:#x}"
+        if insn.op == isa.BPF_END and insn.imm not in isa.SWAP_WIDTHS:
+            return f"byte swap width {insn.imm} not in {{16, 32, 64}}"
+    elif insn.is_jump_class and insn.op not in isa.JMP_OP_NAMES:
+        return f"unknown jump op {insn.op:#x}"
+    return None
+
+
+# Opcode bytes sound whatever their operands (all but unknown ops and
+# BPF_END, the one rule that reads the immediate): verify() runs a dozen
+# times per compile, so its pre-pass is one set lookup per instruction.
+_SOUND_OPCODES = frozenset(
+    opcode for opcode in range(256)
+    if _opcode_fault(Instruction(opcode)) is None
+)
 
 
 class RegKind(enum.Enum):
@@ -206,6 +231,11 @@ class Verifier:
     def verify(self) -> VerifierResult:
         program = self.program
         n = len(program.instructions)
+        for index, insn in enumerate(program.instructions):
+            if insn.opcode not in _SOUND_OPCODES:
+                fault = _opcode_fault(insn)
+                if fault is not None:
+                    raise self._err(index, fault)
         states: List[Optional[AbsState]] = [None] * n
         states[0] = initial_state()
         worklist = [0]

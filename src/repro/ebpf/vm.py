@@ -10,10 +10,21 @@ pipeline is differentially tested: for the same packet and map state, the
 pipeline simulator must produce the same XDP action, packet bytes and map
 contents as :meth:`Vm.run`.
 
-``Vm.run`` has one execution path: a jump-threaded dispatch table, one
-closure per program slot with the decode done once
-(:mod:`repro.ebpf.opfns`). The decode-per-instruction loop it replaced
-stays in the class only as the reference that table is tested against.
+ALU and conditional-jump semantics exist in two tiers, each defined
+once. This module is the *reference* tier: :func:`alu_step` /
+:func:`cmp_step` hold the one operand decode (END, NEG, register vs.
+sign-extended immediate) in front of ``Vm._alu`` / ``_swap`` /
+``_compare``, and run it per execution — here in the
+decode-per-instruction loop (``Vm._run_interpreted``), in
+:mod:`repro.hwsim.sim` as the ``interpreted`` pipeline engine.
+:mod:`repro.ebpf.opfns` is the *specialised* tier: the same semantics as
+source text decoded once per instruction, which ``Vm.run``'s
+jump-threaded dispatch table compiles into one closure per program slot
+and the ``codegen`` engine inlines. ``Vm.run`` has that one execution
+path; the loop it replaced stays in the class only as the reference the
+table is tested against, and as where an opcode outside the ``isa``
+tables raises its canonical ``VmError`` (the VM runs unverified
+programs; the verifier rejects such opcodes before anything is compiled).
 """
 
 from __future__ import annotations
@@ -240,6 +251,8 @@ class Vm:
 
     @staticmethod
     def _swap(value: int, bits: int, to_big: bool) -> int:
+        if bits not in isa.SWAP_WIDTHS:
+            raise VmError(f"unsupported byte swap width {bits}")
         width = bits // 8
         value &= (1 << bits) - 1
         if to_big:
@@ -408,23 +421,9 @@ class Vm:
                     alu(vm.regs)
                     return next_slot
                 return handler
-            is64 = cls == isa.BPF_ALU64
-            mask = MASK64 if is64 else MASK32
 
             def handler(vm):  # unknown opcode: canonical _alu/_swap errors
-                regs = vm.regs
-                if insn.op == isa.BPF_END:
-                    regs[insn.dst] = vm._swap(
-                        regs[insn.dst], insn.imm, to_big=insn.uses_reg_src
-                    )
-                else:
-                    if insn.op == isa.BPF_NEG:
-                        operand = 0
-                    elif insn.uses_reg_src:
-                        operand = regs[insn.src]
-                    else:
-                        operand = to_signed32(insn.imm) & mask
-                    regs[insn.dst] = vm._alu(insn.op, regs[insn.dst], operand, is64)
+                alu_step(insn, vm.regs)
                 return next_slot
             return handler
 
@@ -551,19 +550,9 @@ class Vm:
                 def handler(vm):
                     return target if cmp(vm.regs) else next_slot
                 return handler
-            is64 = cls == isa.BPF_JMP
-            mask = MASK64 if is64 else MASK32
 
             def handler(vm):  # unknown compare: canonical _compare error
-                regs = vm.regs
-                rhs = (
-                    regs[insn.src]
-                    if insn.uses_reg_src
-                    else to_signed32(insn.imm) & mask
-                )
-                if vm._compare(insn.op, regs[insn.dst], rhs, is64):
-                    return target
-                return next_slot
+                return target if cmp_step(insn, vm.regs) else next_slot
             return handler
 
         def handler(vm):
@@ -606,21 +595,7 @@ class Vm:
             cls = insn.opclass
 
             if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-                is64 = cls == isa.BPF_ALU64
-                if insn.op == isa.BPF_END:
-                    self.regs[insn.dst] = self._swap(
-                        self.regs[insn.dst], insn.imm, to_big=insn.uses_reg_src
-                    )
-                else:
-                    if insn.op == isa.BPF_NEG:
-                        operand = 0  # unused
-                    elif insn.uses_reg_src:
-                        operand = self.regs[insn.src]
-                    else:
-                        operand = to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-                    self.regs[insn.dst] = self._alu(
-                        insn.op, self.regs[insn.dst], operand, is64
-                    )
+                alu_step(insn, self.regs)
             elif cls == isa.BPF_LDX:
                 if insn.mode != isa.BPF_MEM:
                     raise VmError(f"unsupported LDX mode {insn.mode:#x}")
@@ -666,16 +641,8 @@ class Vm:
                     self._call(insn.imm)
                 elif insn.op == isa.BPF_JA:
                     next_slot = slot + insn.slots + insn.off
-                else:
-                    is64 = cls == isa.BPF_JMP
-                    lhs = self.regs[insn.dst]
-                    rhs = (
-                        self.regs[insn.src]
-                        if insn.uses_reg_src
-                        else to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-                    )
-                    if self._compare(insn.op, lhs, rhs, is64):
-                        next_slot = slot + insn.slots + insn.off
+                elif cmp_step(insn, self.regs):
+                    next_slot = slot + insn.slots + insn.off
             else:
                 raise VmError(f"unknown instruction class {cls:#x}")
 
@@ -731,6 +698,37 @@ class Vm:
             ).inc(count)
         self.opcode_class_counts = {}
         self.helper_call_counts = {}
+
+
+def alu_step(insn: Instruction, regs: List[int]) -> None:
+    """Execute one ALU/ALU64 instruction on a register file: the
+    reference tier's one operand decode (END, NEG, register vs.
+    sign-extended immediate) in front of ``Vm._alu`` / ``Vm._swap``."""
+    if insn.op == isa.BPF_END:
+        regs[insn.dst] = Vm._swap(
+            regs[insn.dst], insn.imm, to_big=insn.uses_reg_src
+        )
+        return
+    is64 = insn.opclass == isa.BPF_ALU64
+    if insn.op == isa.BPF_NEG:
+        operand = 0  # unused
+    elif insn.uses_reg_src:
+        operand = regs[insn.src]
+    else:
+        operand = to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
+    regs[insn.dst] = Vm._alu(insn.op, regs[insn.dst], operand, is64)
+
+
+def cmp_step(insn: Instruction, regs: List[int]) -> bool:
+    """Evaluate one conditional jump's predicate on a register file: the
+    reference tier's one operand decode in front of ``Vm._compare``."""
+    is64 = insn.opclass == isa.BPF_JMP
+    rhs = (
+        regs[insn.src]
+        if insn.uses_reg_src
+        else to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
+    )
+    return Vm._compare(insn.op, regs[insn.dst], rhs, is64)
 
 
 def run_program(

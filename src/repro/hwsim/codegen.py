@@ -39,7 +39,12 @@ The emitted semantics mirror the interpreted path
 (:meth:`PipelineSimulator._execute_op`) instruction for instruction —
 predication, snapshot-on-side-effect, flush checks, bounds-violation
 drops, successor enabling — so a codegen run is bit-identical: same XDP
-actions, packet bytes, map state AND cycle counts. Anything not worth
+actions, packet bytes, map state AND cycle counts. ALU and compare ops
+carry no semantics of this module's own: their statements are
+:func:`repro.ebpf.opfns.alu_source` / ``cmp_source`` — the specialised
+tier, the same text the VM's dispatch table compiles — inlined as they
+come (an op it has no text for is a :class:`CodegenError` at emit time;
+the verifier keeps such ops from ever reaching here). Anything not worth
 specializing (WAR-buffered map stores, complex atomics, unknown
 helpers, flush checks) is emitted as a call to the interpreted path's
 own ``sim._*`` method.
@@ -65,6 +70,7 @@ from ..core.pipeline import PipeOp, Pipeline, Stage, StageKind
 from ..ebpf import isa
 from ..ebpf.helpers import HelperError, MAP_PTR_BASE, helper_spec, map_ptr
 from ..ebpf.isa import MASK32, MASK64, to_signed32
+from ..ebpf.opfns import alu_source, cmp_source
 from ..ebpf.xdp import AddressSpace, XDP_MD_SIZE, XdpAction
 from ..telemetry import get_registry
 
@@ -105,27 +111,21 @@ _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 
-_UNSIGNED_REL = {
-    isa.BPF_JEQ: "==",
-    isa.BPF_JNE: "!=",
-    isa.BPF_JGT: ">",
-    isa.BPF_JGE: ">=",
-    isa.BPF_JLT: "<",
-    isa.BPF_JLE: "<=",
-}
-_SIGNED_REL = {
-    isa.BPF_JSGT: ">",
-    isa.BPF_JSGE: ">=",
-    isa.BPF_JSLT: "<",
-    isa.BPF_JSLE: "<=",
-}
-_BINOP_SYM = {
-    isa.BPF_ADD: "+",
-    isa.BPF_SUB: "-",
-    isa.BPF_MUL: "*",
-    isa.BPF_OR: "|",
-    isa.BPF_XOR: "^",
-}
+
+class CodegenError(ValueError):
+    """Raised at emit time for an op the specialised tier
+    (:mod:`repro.ebpf.opfns`) has no text for. Unreachable through
+    ``compile_program``, whose verifier rejects such ops first."""
+
+
+def _specialised(source, insn, stage_number: int):
+    if source is None:
+        kind = "ALU" if insn.is_alu else "jump"
+        raise CodegenError(
+            f"stage {stage_number}: no specialisation for {kind} op "
+            f"{insn.op:#x} (imm {insn.imm})"
+        )
+    return source
 
 
 def _ind(lines: List[str], levels: int = 1) -> List[str]:
@@ -314,7 +314,6 @@ class _Emitter:
         self.pack_widths: set = set()
         self.helpers: Dict[int, str] = {}
         self.insns: List[object] = []  # Instruction literals for fallbacks
-        self.uses_vm = False
         self.uses_actions = False
         self.uses_helper_ctx = False
         self.uses_sim_error = False
@@ -393,99 +392,6 @@ class _Emitter:
         ]
 
     # -- per-opclass emission ------------------------------------------------
-
-    def _alu_lines(self, insn) -> List[str]:
-        """ALU/ALU64 body, specialized exactly like opfns.make_alu_fn;
-        unspecialized opcodes fall back to the interpreted primitives."""
-        is64 = insn.opclass == isa.BPF_ALU64
-        mask = MASK64 if is64 else MASK32
-        shift_mask = 63 if is64 else 31
-        op = insn.op
-        D = f"regs[{insn.dst}]"
-        S = f"regs[{insn.src}]"
-        M = hex(mask)
-
-        if op == isa.BPF_END:
-            bits = insn.imm
-            if bits in (16, 32, 64):
-                smask = hex((1 << bits) - 1)
-                if insn.uses_reg_src:  # to_be
-                    return [
-                        f"_v = {D} & {smask}",
-                        f'{D} = int.from_bytes(_v.to_bytes({bits // 8}, '
-                        f'"little"), "big")',
-                    ]
-                return [f"{D} = {D} & {smask}"]  # to_le truncates
-            self.uses_vm = True
-            return [
-                f"{D} = _Vm._swap({D}, {insn.imm}, "
-                f"to_big={bool(insn.uses_reg_src)})"
-            ]
-        if op == isa.BPF_NEG:
-            return [f"{D} = (-{D}) & {M}"]
-
-        use_reg = insn.uses_reg_src
-        imm = to_signed32(insn.imm) & mask
-        I = hex(imm)
-
-        if op == isa.BPF_MOV:
-            return [f"{D} = {S} & {M}"] if use_reg else [f"{D} = {I}"]
-        if op in _BINOP_SYM:
-            sym = _BINOP_SYM[op]
-            rhs = S if use_reg else I
-            return [f"{D} = ({D} {sym} {rhs}) & {M}"]
-        if op == isa.BPF_AND:
-            if use_reg:
-                return [f"{D} = ({D} & {S}) & {M}"]
-            return [f"{D} = {D} & {I}"]  # imm already masked
-        if op == isa.BPF_LSH:
-            if use_reg:
-                return [f"{D} = ({D} << ({S} & {shift_mask})) & {M}"]
-            return [f"{D} = ({D} << {imm & shift_mask}) & {M}"]
-        if op == isa.BPF_RSH:
-            if use_reg:
-                return [f"{D} = ({D} & {M}) >> ({S} & {shift_mask})"]
-            return [f"{D} = ({D} & {M}) >> {imm & shift_mask}"]
-        if op == isa.BPF_ARSH:
-            bits = 64 if is64 else 32
-            sbit = hex(1 << (bits - 1))
-            wrap = hex(1 << bits)
-            sh = f"({S} & {shift_mask})" if use_reg else str(imm & shift_mask)
-            return [
-                f"_v = {D} & {M}",
-                f"if _v & {sbit}:",
-                f"    _v -= {wrap}",
-                f"{D} = (_v >> {sh}) & {M}",
-            ]
-        if op == isa.BPF_DIV:
-            if use_reg:
-                return [
-                    f"_v = {S} & {M}",
-                    f"{D} = ({D} & {M}) // _v if _v else 0",
-                ]
-            return [f"{D} = ({D} & {M}) // {I}"] if imm else [f"{D} = 0"]
-        if op == isa.BPF_MOD:
-            if use_reg:
-                return [
-                    f"_v = {S} & {M}",
-                    "if _v:",
-                    f"    {D} = ({D} & {M}) % _v",
-                    "else:",
-                    f"    {D} = {D} & {M}",
-                ]
-            if imm:
-                return [f"{D} = ({D} & {M}) % {I}"]
-            return [f"{D} = {D} & {M}"]
-        # Genuinely unknown opcode: the interpreted primitive raises the
-        # canonical error at execution time.
-        self.uses_vm = True
-        if insn.op == isa.BPF_NEG:
-            operand = "0"
-        elif use_reg:
-            operand = S
-        else:
-            operand = I
-        return [f"{D} = _Vm._alu({insn.op}, {D}, {operand}, {is64})"]
 
     def _ldx_lines(self, op: PipeOp) -> List[str]:
         insn = op.insn
@@ -928,55 +834,13 @@ class _Emitter:
             scrub,
         ], False)
 
-    def _branch_lines(self, insn, block: BasicBlock) -> List[str]:
+    def _branch_lines(
+        self, insn, block: BasicBlock, stage_number: int
+    ) -> List[str]:
         taken = tuple(s for s, k in block.succs if k == "taken")
         fall = tuple(s for s, k in block.succs if k != "taken")
-        is64 = insn.opclass == isa.BPF_JMP
-        bits = 64 if is64 else 32
-        mask = MASK64 if is64 else MASK32
-        M = hex(mask)
-        op = insn.op
-        D = f"regs[{insn.dst}]"
-        S = f"regs[{insn.src}]"
-        use_reg = insn.uses_reg_src
-        imm = to_signed32(insn.imm) & mask
-
-        if op == isa.BPF_JSET:
-            cond = f"{D} & {S} & {M}" if use_reg else f"{D} & {hex(imm)}"
-            return self._enable_branch(cond, taken, fall)
-        if op in _UNSIGNED_REL:
-            rel = _UNSIGNED_REL[op]
-            rhs = f"({S} & {M})" if use_reg else hex(imm)
-            return self._enable_branch(
-                f"({D} & {M}) {rel} {rhs}", taken, fall
-            )
-        if op in _SIGNED_REL:
-            rel = _SIGNED_REL[op]
-            sbit = hex(1 << (bits - 1))
-            wrap = hex(1 << bits)
-            out = [
-                f"_l = {D} & {M}",
-                f"if _l & {sbit}:",
-                f"    _l -= {wrap}",
-            ]
-            if use_reg:
-                out += [
-                    f"_r = {S} & {M}",
-                    f"if _r & {sbit}:",
-                    f"    _r -= {wrap}",
-                ]
-                out += self._enable_branch(f"_l {rel} _r", taken, fall)
-            else:
-                simm = imm - (1 << bits) if imm & (1 << (bits - 1)) else imm
-                out += self._enable_branch(f"_l {rel} {simm}", taken, fall)
-            return out
-        # Unknown compare opcode: the interpreted primitive raises the
-        # canonical error.
-        self.uses_vm = True
-        rhs = S if use_reg else hex(imm)
-        return self._enable_branch(
-            f"_Vm._compare({op}, {D}, {rhs}, {is64})", taken, fall
-        )
+        prelude, cond = _specialised(cmp_source(insn), insn, stage_number)
+        return prelude + self._enable_branch(cond, taken, fall)
 
     # -- op -> statements ----------------------------------------------------
 
@@ -1012,7 +876,7 @@ class _Emitter:
         )
 
         if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-            out = self._alu_lines(insn)
+            out = _specialised(alu_source(insn), insn, stage_number)
             if block is not None:
                 # ALU ops never set done: successor enabling needs no
                 # done re-check.
@@ -1078,7 +942,7 @@ class _Emitter:
                 # A jump with no block to terminate has no behaviour.
                 return None
             if insn.is_cond_jump:
-                return self._branch_lines(insn, block), False
+                return self._branch_lines(insn, block, stage_number), False
             return self._enable_lines(block), False
 
         # Unknown class: canonical simulator error at execution time.
@@ -1560,9 +1424,6 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         imports.append("from repro.ebpf.helpers import helper_impl")
     if em.insns:
         imports.append("from repro.ebpf.isa import Instruction")
-    if em.uses_vm:
-        imports.append("from repro.ebpf.vm import Vm as _Vm")
-        binds.append("_Vm")
     if em.uses_actions:
         imports.append("from repro.ebpf.xdp import XdpAction")
     sim_imports = []

@@ -36,7 +36,7 @@ from ..ebpf import isa
 from ..ebpf.helpers import MAP_PTR_BASE, helper_impl, helper_spec, map_ptr
 from ..ebpf.isa import MASK32, MASK64, Instruction, to_signed32
 from ..ebpf.maps import BPF_ANY, HashMap, MapError, MapSet
-from ..ebpf.vm import Vm
+from ..ebpf.vm import alu_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
@@ -995,19 +995,7 @@ class PipelineSimulator:
         side_effect: Optional[Tuple] = None
 
         if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-            is64 = cls == isa.BPF_ALU64
-            if insn.op == isa.BPF_END:
-                regs[insn.dst] = Vm._swap(
-                    regs[insn.dst], insn.imm, to_big=insn.uses_reg_src
-                )
-            else:
-                if insn.op == isa.BPF_NEG:
-                    operand = 0
-                elif insn.uses_reg_src:
-                    operand = regs[insn.src]
-                else:
-                    operand = to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-                regs[insn.dst] = Vm._alu(insn.op, regs[insn.dst], operand, is64)
+            alu_step(insn, regs)
         elif cls == isa.BPF_LDX:
             addr = (regs[insn.src] + insn.off) & MASK64
             value = self._mem_load(pkt, addr, insn.size_bytes)
@@ -1056,14 +1044,7 @@ class PipelineSimulator:
         if insn.is_exit:
             return
         if insn.is_cond_jump:
-            is64 = insn.opclass == isa.BPF_JMP
-            lhs = pkt.regs[insn.dst]
-            rhs = (
-                pkt.regs[insn.src]
-                if insn.uses_reg_src
-                else to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-            )
-            taken = Vm._compare(insn.op, lhs, rhs, is64)
+            taken = cmp_step(insn, pkt.regs)
             for succ, kind in block.succs:
                 if (kind == "taken") == taken:
                     pkt.enabled.add(succ)

@@ -25,6 +25,8 @@ machinery around the generated source itself:
 
 import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 import re
 from pathlib import Path
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
+from repro import apps, telemetry
 from repro.apps import (
     APP_WORKLOADS,
     ct_firewall,
@@ -44,13 +46,16 @@ from repro.apps import (
     toy_counter,
 )
 from repro.core.cache import CompileCache, compile_cached
-from repro.core.compiler import compile_program
+from repro.core.compiler import CompileOptions, compile_program
+from repro.core.vhdl import emit_vhdl
+from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import MapSet
 from repro.hwsim import OccupancyTracer, PipelineSimulator, SimOptions
 from repro.hwsim.codegen import (
     CODEGEN_VERSION,
+    CodegenError,
     advance_sites,
     ensure_source,
     generate_pipeline_source,
@@ -109,6 +114,81 @@ class TestGolden:
         pipeline = compile_program(firewall.build())
         assert generate_pipeline_source(pipeline) \
             == generate_pipeline_source(pipeline)
+
+
+class TestDigests:
+    """sha256 of both generated artifacts for every app.
+
+    The full-text goldens cover three apps; a refactor that must leave
+    the emitters' output alone is held to all thirteen by this manifest
+    (``tests/corpus/codegen/DIGESTS.json``), rewritten by
+    ``pytest --update-golden`` like the snapshots above.
+    """
+
+    PATH = Path(__file__).parent / "corpus" / "codegen" / "DIGESTS.json"
+    APPS = sorted(name for name in apps.__all__ if name.islower())
+
+    def test_every_app_matches_the_manifest(self, request):
+        actual = {}
+        for app in self.APPS:
+            pipeline = compile_program(getattr(apps, app).build())
+            actual[app] = {
+                artifact: hashlib.sha256(text.encode()).hexdigest()
+                for artifact, text in (
+                    ("codegen_source", pipeline.codegen_source),
+                    ("vhdl", emit_vhdl(pipeline)),
+                )
+            }
+        if request.config.getoption("--update-golden"):
+            self.PATH.write_text(json.dumps(actual, indent=2) + "\n")
+            pytest.skip(f"digest manifest {self.PATH.name} regenerated")
+        assert self.PATH.exists(), (
+            f"missing {self.PATH}; run pytest --update-golden"
+        )
+        expected = json.loads(self.PATH.read_text())
+        assert sorted(expected) == self.APPS
+        moved = [
+            f"{app}: {artifact}"
+            for app in self.APPS
+            for artifact, digest in actual[app].items()
+            if expected[app].get(artifact) != digest
+        ]
+        assert not moved, (
+            "generated text diverged from DIGESTS.json for "
+            + ", ".join(moved)
+            + "; if the change is intentional run pytest --update-golden"
+        )
+
+
+class TestUnknownOps:
+    """The verifier closes the op set, so ``compile_program`` never
+    hands the emitter an op :mod:`repro.ebpf.opfns` has no text for; a
+    hand-built pipeline that does gets a typed error naming op and
+    stage, not generated code that fails when a packet reaches it."""
+
+    SOURCE = "r0 = 2\nr0 += 1\nif r0 == 3 goto +0\nexit"
+
+    @pytest.mark.parametrize("cls, old_op, new_op, message", [
+        (isa.BPF_ALU64, isa.BPF_ADD, 0xE0,
+         r"stage \d+: no specialisation for ALU op 0xe0"),
+        (isa.BPF_JMP, isa.BPF_JEQ, 0xF0,
+         r"stage \d+: no specialisation for jump op 0xf0"),
+    ])
+    def test_emit_time_error_names_op_and_stage(
+            self, cls, old_op, new_op, message):
+        pipeline = copy.deepcopy(compile_program(
+            assemble_program(self.SOURCE), CompileOptions(enable_fusion=False)))
+        swapped = 0
+        for stage in pipeline.stages:
+            for i, op in enumerate(stage.ops):
+                if op.insn.opcode == cls | isa.BPF_K | old_op:
+                    stage.ops[i] = dataclasses.replace(
+                        op, insn=dataclasses.replace(
+                            op.insn, opcode=cls | isa.BPF_K | new_op))
+                    swapped += 1
+        assert swapped == 1
+        with pytest.raises(CodegenError, match=message):
+            generate_pipeline_source(pipeline)
 
 
 class TestSourceAttachment:

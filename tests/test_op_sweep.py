@@ -1,0 +1,250 @@
+"""Table-generated edge sweep over every ALU and conditional-jump row.
+
+An op's meaning is defined five times: the ``isa`` row (name and
+mnemonic), ``Vm._alu`` / ``_compare`` (the reference tier), ``opfns``'
+``alu_source`` / ``cmp_source`` (the specialised tier), ``core.vhdl``'s
+``_alu_expr`` / ``_cmp_expr`` at both widths, and the ``_ALU_LUTS``
+cost. Nothing here is hand-listed: the instructions are generated from
+``isa.ALU_OP_NAMES`` and ``isa.JMP_SYMBOLS``, so a row added to either
+table is swept the moment it exists — and fails until all five
+definitions do.
+
+* :class:`TestSpecialisedMatchesReference` — the full grid, pure
+  Python: the closure compiled from the source text equals
+  ``alu_step`` / ``cmp_step``.
+* :class:`TestEveryRowIsComplete` — each row has its specialisation, its
+  VHDL expression at both widths, its LUT cost and an asm <-> disasm
+  round trip.
+* :class:`TestAllEngines` — the same instructions, packed several to a
+  program, through ``run_differential`` on all five engines; this is
+  what guards the VHDL rows. (``rtl-interp`` costs ~70 ms per frame on
+  these programs, so it sees one diagonal of the operand grid; ``rtl``
+  — the same netlist, compiled — sees all of it.)
+"""
+
+import itertools
+
+import pytest
+
+from repro.core.resources import _ALU_LUTS
+from repro.core.vhdl import _alu_expr, _cmp_expr, _swap_expr
+from repro.ebpf import isa
+from repro.ebpf.asm import assemble_program
+from repro.ebpf.disasm import format_instruction
+from repro.ebpf.isa import Instruction, Program
+from repro.ebpf.opfns import make_alu_fn, make_cmp_fn
+from repro.ebpf.vm import alu_step, cmp_step
+from repro.hwsim import run_differential
+from repro.hwsim.engines import engine_names
+
+VALUES = (0, 1, 2**64 - 1, 2**31, 2**32 - 1, 2**63, 32, 63, 65)
+IMMS = (0, -1, 32, 63, -2**31)
+DST, SRC = 3, 9
+PAIRS = tuple(itertools.product(VALUES, VALUES))
+
+
+def alu_rows(op):
+    """Every instruction shape of one ``isa.ALU_OP_NAMES`` row: both
+    widths, register and each immediate operand."""
+    if op == isa.BPF_END:
+        return [isa.endian(DST, bits, to_big)
+                for bits in isa.SWAP_WIDTHS for to_big in (True, False)]
+    rows = []
+    for cls in (isa.BPF_ALU64, isa.BPF_ALU):
+        if op == isa.BPF_NEG:
+            rows.append(Instruction(cls | isa.BPF_K | op, dst=DST))
+            continue
+        rows.append(Instruction(cls | isa.BPF_X | op, dst=DST, src=SRC))
+        rows += [Instruction(cls | isa.BPF_K | op, dst=DST, imm=imm)
+                 for imm in IMMS]
+    return rows
+
+
+def jmp_rows(op, off=0):
+    rows = []
+    for cls in (isa.BPF_JMP, isa.BPF_JMP32):
+        rows.append(
+            Instruction(cls | isa.BPF_X | op, dst=DST, src=SRC, off=off))
+        rows += [Instruction(cls | isa.BPF_K | op, dst=DST, imm=imm, off=off)
+                 for imm in IMMS]
+    return rows
+
+
+def _regs(a, b):
+    regs = [0] * isa.NUM_REGS
+    regs[DST], regs[SRC] = a, b
+    return regs
+
+
+class TestSpecialisedMatchesReference:
+    @pytest.mark.parametrize(
+        "op", isa.ALU_OP_NAMES, ids=isa.ALU_OP_NAMES.get)
+    def test_alu(self, op):
+        for insn in alu_rows(op):
+            fn = make_alu_fn(insn)
+            for a, b in PAIRS:
+                got, want = _regs(a, b), _regs(a, b)
+                fn(got)
+                alu_step(insn, want)
+                assert got == want, (format_instruction(insn), a, b)
+
+    @pytest.mark.parametrize(
+        "op", isa.ALU_SYMBOLS, ids=isa.ALU_OP_NAMES.get)
+    def test_alu_on_one_register(self, op):
+        # dst is src: the text must read both before it writes
+        for cls in (isa.BPF_ALU64, isa.BPF_ALU):
+            insn = Instruction(cls | isa.BPF_X | op, dst=DST, src=DST)
+            fn = make_alu_fn(insn)
+            for a in VALUES:
+                got, want = _regs(a, 0), _regs(a, 0)
+                fn(got)
+                alu_step(insn, want)
+                assert got == want, (format_instruction(insn), a)
+
+    @pytest.mark.parametrize(
+        "op", isa.JMP_SYMBOLS, ids=isa.JMP_OP_NAMES.get)
+    def test_jump(self, op):
+        for insn in jmp_rows(op):
+            fn = make_cmp_fn(insn)
+            for a, b in PAIRS:
+                regs = _regs(a, b)
+                assert bool(fn(regs)) == cmp_step(insn, regs), \
+                    (format_instruction(insn), a, b)
+                assert regs == _regs(a, b)
+
+
+class TestEveryRowIsComplete:
+    def test_the_tables_agree_on_the_rows(self):
+        assert set(isa.ALU_OP_NAMES) \
+            == set(isa.ALU_SYMBOLS) | {isa.BPF_NEG, isa.BPF_END}
+        assert set(isa.JMP_OP_NAMES) \
+            == set(isa.JMP_SYMBOLS) | {isa.BPF_JA, isa.BPF_CALL, isa.BPF_EXIT}
+        assert set(_ALU_LUTS) == set(isa.ALU_OP_NAMES)
+
+    @pytest.mark.parametrize(
+        "op", isa.ALU_OP_NAMES, ids=isa.ALU_OP_NAMES.get)
+    def test_alu_row(self, op):
+        assert _ALU_LUTS[op] > 0
+        for insn in alu_rows(op):
+            assert make_alu_fn(insn) is not None
+            if op == isa.BPF_END:
+                assert _swap_expr("a", insn.imm, insn.uses_reg_src)
+            else:
+                assert _alu_expr(op, "a", "b", insn.is_alu64)
+            self._round_trips(insn)
+
+    @pytest.mark.parametrize(
+        "op", isa.JMP_SYMBOLS, ids=isa.JMP_OP_NAMES.get)
+    def test_jump_row(self, op):
+        for insn in jmp_rows(op):
+            assert make_cmp_fn(insn) is not None
+            assert _cmp_expr(op, "a", "b", insn.opclass == isa.BPF_JMP)
+            self._round_trips(insn)
+
+    @staticmethod
+    def _round_trips(insn):
+        text = format_instruction(insn)
+        assert assemble_program(text + "\nexit").instructions[0] == insn, text
+
+
+# -- the same rows on all five engines ----------------------------------------
+#
+# A frame carries the two operands; the program loads them, runs a batch
+# of rows and writes every result back into the frame, so a disagreement
+# on any one row is a "packet bytes" mismatch at that frame.
+
+_DATA, _END, _A, _B, _ACC = 6, 7, 8, 2, 4  # scratch registers
+# Each value once as either operand: shifts by 32/63/65, x / 0, -1 % 32.
+DIAGONAL = tuple((VALUES[i], VALUES[(i + 4) % 9]) for i in range(9))
+
+
+def _chunks(ops, per_program):
+    ops = list(ops)
+    return [tuple(ops[i:i + per_program])
+            for i in range(0, len(ops), per_program)]
+
+
+def _frame_program(name, body, result_bytes):
+    """``body`` between the operand loads and ``return XDP_PASS``."""
+    size = 16 + result_bytes
+    head = [
+        isa.load(isa.BPF_W, _DATA, 1, 0),
+        isa.load(isa.BPF_W, _END, 1, 4),
+        isa.mov64_reg(_ACC, _DATA),
+        isa.alu64_imm(isa.BPF_ADD, _ACC, size),
+        # short frame: skip body and the pass epilogue, return XDP_DROP
+        isa.jump_reg(isa.BPF_JGT, _ACC, _END, len(body) + 4),
+        isa.load(isa.BPF_DW, _A, _DATA, 0),
+        isa.load(isa.BPF_DW, _B, _DATA, 8),
+    ]
+    tail = [
+        isa.mov64_imm(0, 2), isa.exit_(),
+        isa.mov64_imm(0, 1), isa.exit_(),
+    ]
+    return Program(head + body + tail, name=name), size
+
+
+def alu_program(ops):
+    body = []
+    slot = 0
+    for op in ops:
+        for insn in alu_rows(op):
+            body += [
+                isa.mov64_reg(DST, _A),
+                isa.mov64_reg(SRC, _B),
+                insn,
+                isa.store_reg(isa.BPF_DW, _DATA, DST, 16 + 8 * slot),
+            ]
+            slot += 1
+    name = "alu_" + "_".join(isa.ALU_OP_NAMES[op] for op in ops)
+    return _frame_program(name, body, 8 * slot)
+
+
+def jump_program(ops):
+    """One result bit per row: set when the branch falls through."""
+    body = [
+        isa.mov64_reg(DST, _A),
+        isa.mov64_reg(SRC, _B),
+        isa.mov64_imm(_ACC, 0),
+    ]
+    words = 0
+    bit = 0
+    for op in ops:
+        for insn in jmp_rows(op, off=1):
+            body += [insn, isa.alu64_imm(isa.BPF_OR, _ACC, 1 << bit)]
+            bit += 1
+            if bit == 31:
+                body += [isa.store_reg(isa.BPF_DW, _DATA, _ACC, 16 + 8 * words),
+                         isa.mov64_imm(_ACC, 0)]
+                words, bit = words + 1, 0
+    body.append(isa.store_reg(isa.BPF_DW, _DATA, _ACC, 16 + 8 * words))
+    name = "jmp_" + "_".join(isa.JMP_OP_NAMES[op] for op in ops)
+    return _frame_program(name, body, 8 * (words + 1))
+
+
+# A branch costs two stages and the stream body one indentation level
+# per stage (Python allows 100), so jump programs stay at three rows.
+PROGRAMS = (
+    [alu_program(ops) for ops in _chunks(isa.ALU_OP_NAMES, 4)]
+    + [jump_program(ops) for ops in _chunks(isa.JMP_SYMBOLS, 3)]
+)
+
+
+def _frames(pairs, size):
+    return [
+        a.to_bytes(8, "little") + b.to_bytes(8, "little") + bytes(size - 16)
+        for a, b in pairs
+    ] + [bytes(size - 1)]  # the drop arm
+
+
+class TestAllEngines:
+    @pytest.mark.parametrize(
+        "program, size", PROGRAMS, ids=[p.name for p, _size in PROGRAMS])
+    def test_every_engine_agrees_with_the_vm(self, program, size):
+        fast = [name for name in engine_names() if name != "rtl-interp"]
+        grid = run_differential(program, _frames(PAIRS, size), engines=fast)
+        grid.raise_on_mismatch()
+        diagonal = run_differential(
+            program, _frames(DIAGONAL, size), engines=engine_names())
+        assert list(diagonal.runs) == engine_names()
+        diagonal.raise_on_mismatch()

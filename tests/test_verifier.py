@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.cli import main
+from repro.core.compiler import compile_program
+from repro.core.vhdl import VhdlEmitError, _swap_expr
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
-from repro.ebpf.isa import MapSpec
+from repro.ebpf.isa import Instruction, MapSpec, Program
 from repro.ebpf.verifier import (
     RegKind,
     VerifierError,
     verify,
 )
+from repro.ebpf.vm import Vm, VmError
 
 MAPS = {"m": MapSpec("m", "array", 4, 8, 4)}
 
@@ -160,6 +164,82 @@ class TestRejections:
         # bpf_map_lookup_elem takes 2 args; r2 never set
         with pytest.raises(VerifierError, match="uninitialised"):
             verify_src("r1 = map[m]\ncall 1\nr0 = 2\nexit", maps=MAPS)
+
+
+class TestClosedOpSet:
+    """The legal op set is what the isa tables name. One witness per
+    rule: each used to pass the verifier and die layers down (a bare
+    ``KeyError`` out of the disassembler, a ``VhdlEmitError``) or not
+    at all (``le128`` compiled to ``resize(unsigned(a), 128)``)."""
+
+    MALFORMED = {
+        "alu_op": (
+            Instruction(isa.BPF_ALU64 | isa.BPF_K | 0xE0, dst=0, imm=1),
+            "insn 1: unknown ALU op 0xe0", "unknown ALU op 0xe0",
+        ),
+        "jmp_op": (
+            Instruction(isa.BPF_JMP | isa.BPF_K | 0xF0, dst=0, imm=1),
+            "insn 1: unknown jump op 0xf0", "unknown jump op 0xf0",
+        ),
+        "end_width": (
+            Instruction(isa.BPF_ALU | isa.BPF_X | isa.BPF_END, dst=0, imm=24),
+            "insn 1: byte swap width 24", "byte swap width 24",
+        ),
+    }
+
+    def _program(self, rule):
+        bad = self.MALFORMED[rule][0]
+        return Program([isa.mov64_imm(0, 2), bad, isa.exit_()])
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_verify_and_compile_reject_with_the_index(self, rule):
+        located = self.MALFORMED[rule][1]
+        with pytest.raises(VerifierError, match=located):
+            verify(self._program(rule))
+        with pytest.raises(VerifierError, match=located):
+            compile_program(self._program(rule))
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_cli_prints_one_line(self, rule, tmp_path):
+        raw = tmp_path / f"{rule}.bin"
+        raw.write_bytes(self._program(rule).encode())
+        with pytest.raises(SystemExit) as err:
+            main(["compile", str(raw), "--no-cache"])
+        assert str(err.value) == "verifier: " + {
+            "alu_op": "insn 1: unknown ALU op 0xe0",
+            "jmp_op": "insn 1: unknown jump op 0xf0",
+            "end_width": "insn 1: byte swap width 24 not in {16, 32, 64}",
+        }[rule]
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_vm_keeps_its_runtime_error(self, rule):
+        # the VM runs unverified programs; its canonical error stays,
+        # on the dispatch path and on the reference loop alike
+        vm = Vm(self._program(rule))
+        with pytest.raises(VmError, match=self.MALFORMED[rule][2]):
+            vm.run(bytes(64))
+        vm._run_dispatch = vm._run_interpreted
+        with pytest.raises(VmError, match=self.MALFORMED[rule][2]):
+            vm.run(bytes(64))
+
+    def test_unreachable_instructions_are_checked_too(self):
+        bad = self.MALFORMED["alu_op"][0]
+        program = Program([isa.mov64_imm(0, 2), isa.exit_(), bad])
+        with pytest.raises(VerifierError, match="insn 2: unknown ALU op"):
+            verify(program)
+
+    @pytest.mark.parametrize("bits", [8, 24, 128])
+    @pytest.mark.parametrize("to_big", [True, False])
+    def test_swap_widths_without_a_primitive(self, bits, to_big):
+        with pytest.raises(VmError, match=f"byte swap width {bits}"):
+            Vm._swap(0x1122334455667788, bits, to_big)
+        with pytest.raises(VhdlEmitError, match=f"bswap to {bits} bits"):
+            _swap_expr("a", bits, to_big)
+        insn = Instruction(
+            isa.BPF_ALU | (isa.BPF_X if to_big else isa.BPF_K) | isa.BPF_END,
+            dst=0, imm=bits)
+        with pytest.raises(VerifierError, match=f"byte swap width {bits}"):
+            verify(Program([isa.mov64_imm(0, 2), insn, isa.exit_()]))
 
 
 class TestTypeTracking:
