@@ -35,7 +35,7 @@ from .core.resources import estimate_resources
 from .core.vhdl import emit_vhdl
 from .ebpf.asm import assemble_program
 from .ebpf.disasm import disassemble
-from .ebpf.isa import Program
+from .ebpf.isa import ISAError, Program
 from .ebpf.maps import MapSet
 from .ebpf.verifier import VerifierError
 from .hwsim import NicSystem, publish_report
@@ -318,7 +318,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     program = load_program(args.program)
-    print(disassemble(program.instructions))
+    try:
+        # the one command that reads bytecode without verifying it
+        print(disassemble(program.instructions))
+    except ISAError as exc:
+        raise SystemExit(f"disasm: {exc}")
     return 0
 
 

@@ -35,7 +35,12 @@ from .pipeline import Pipeline
 # in a way that makes old pickles stale.
 # v3: Pipeline carries codegen_source/codegen_version (hwsim.codegen).
 # v5: Stage drops its ``kernel`` field and pickling carve-out.
-_CACHE_VERSION = 5
+# v6: the verifier closes the op set — an entry an older checkout wrote
+#     for a program it now rejects (``le128``) must not be served. Bump
+#     this together with ``hwsim.codegen.CODEGEN_VERSION``: the key
+#     carries both, and a checkout that moved only one of them shares
+#     neither's guarantees.
+_CACHE_VERSION = 6
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

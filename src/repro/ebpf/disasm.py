@@ -11,7 +11,10 @@ notation the paper uses in Listing 2, e.g.::
     exit
 
 The output of :func:`disassemble` round-trips through
-:func:`repro.ebpf.asm.assemble`.
+:func:`repro.ebpf.asm.assemble`. The disassembler reads bytecode nobody
+has verified, so an op outside the ``isa`` tables is an
+:class:`~repro.ebpf.isa.ISAError` — which :func:`disassemble` locates
+(``insn N: unknown ALU op 0xe0``) — not a ``KeyError``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ def _format_alu(insn: Instruction) -> str:
         name = _reg(insn.dst)
         direction = "be" if insn.uses_reg_src else "le"
         return f"{name} = {direction}{insn.imm} {name}"
-    symbol = isa.ALU_SYMBOLS[insn.op]
+    symbol = isa.ALU_SYMBOLS.get(insn.op)
+    if symbol is None:
+        raise isa.ISAError(f"unknown ALU op {insn.op:#x}")
     if insn.uses_reg_src:
         return f"{dst} {symbol} {_reg(insn.src, word)}"
     return f"{dst} {symbol} {insn.imm}"
@@ -59,7 +64,9 @@ def _format_jump(insn: Instruction) -> str:
         return target
     word = insn.opclass == isa.BPF_JMP32
     dst = _reg(insn.dst, word)
-    symbol = isa.JMP_SYMBOLS[insn.op]
+    symbol = isa.JMP_SYMBOLS.get(insn.op)
+    if symbol is None:
+        raise isa.ISAError(f"unknown jump op {insn.op:#x}")
     if insn.uses_reg_src:
         rhs = _reg(insn.src, word)
     else:
@@ -87,7 +94,9 @@ def _format_store(insn: Instruction) -> str:
             return f"lock {mem} xchg r{insn.src}"
         if insn.imm == isa.ATOMIC_CMPXCHG:
             return f"lock {mem} cmpxchg r{insn.src}"
-        symbol = isa.ATOMIC_SYMBOLS[op]
+        symbol = isa.ATOMIC_SYMBOLS.get(op)
+        if symbol is None:
+            raise isa.ISAError(f"unknown atomic op {insn.imm:#x}")
         prefix = "lock fetch " if fetch else "lock "
         return f"{prefix}{mem} {symbol} r{insn.src}"
     if insn.opclass == isa.BPF_STX:
@@ -116,12 +125,17 @@ def disassemble(
 
     With ``numbered`` (the default) each line is prefixed by its *slot*
     number, matching the kernel verifier's listing where LD_IMM64 consumes
-    two slots.
+    two slots. An instruction that cannot be rendered raises
+    :class:`~repro.ebpf.isa.ISAError` naming its index the way the
+    verifier does (``insn N: ...``).
     """
     lines: List[str] = []
     slot = 0
-    for insn in instructions:
-        text = format_instruction(insn)
+    for index, insn in enumerate(instructions):
+        try:
+            text = format_instruction(insn)
+        except isa.ISAError as exc:
+            raise isa.ISAError(f"insn {index}: {exc}") from exc
         if numbered:
             lines.append(f"{slot}: {text}")
         else:

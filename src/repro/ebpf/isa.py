@@ -387,6 +387,8 @@ class Instruction:
         if self.is_mem_load:
             return (self.src,)
         if self.opclass == BPF_STX:
+            if self.is_atomic and self.imm == ATOMIC_CMPXCHG:
+                return (self.dst, self.src, R0)  # compares against R0
             return (self.dst, self.src)
         if self.opclass == BPF_ST:
             return (self.dst,)

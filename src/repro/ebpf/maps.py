@@ -328,6 +328,24 @@ class MapSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.maps)
 
+    def mismatch(self, specs: Dict[int, MapSpec]) -> Optional[int]:
+        """The first fd of ``specs`` this set does not hold as exactly
+        the map :func:`create_map` builds from its spec — same class,
+        same geometry, storage of ``max_entries * value_size`` bytes —
+        or ``None`` when it holds them all. Code specialised to the
+        specs (the ``codegen`` engine's ``_stream``) is sound only over
+        a set that passes."""
+        for fd, spec in specs.items():
+            held = self.maps.get(fd)
+            if (held is None
+                    or type(held) is not _MAP_CLASSES[spec.map_type]
+                    or (held.key_size, held.value_size, held.max_entries)
+                    != (spec.key_size, spec.value_size, spec.max_entries)
+                    or len(held.storage)
+                    != spec.max_entries * spec.value_size):
+                return fd
+        return None
+
     def by_name(self, name: str) -> Map:
         for m in self.maps.values():
             if m.name == name:

@@ -30,10 +30,59 @@ Layout of a generated module:
 * ``_stream`` — where :func:`stream_blocker` finds no obstacle: every
   stage fused into one per-packet body, packets run front-to-back, the
   cycle accounting (including one serialization window's stalls)
-  computed arithmetically instead of simulated;
+  computed arithmetically instead of simulated (laid out below);
 * ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` /
   ``_STREAM`` — the tuple and bindings
-  :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
+  :class:`~repro.hwsim.sim.PipelineSimulator` consumes — and
+  ``_STREAM_SHAPE``, the emitter's one-line account of the stream body
+  (``2 of 2 lookups folded, 1 spill site``) that ``engine_path()``
+  prints.
+
+Layout of ``_stream(sim, frames, gap, report, keep_records)`` — the op
+emitters above in *stream mode* (``_Emitter.stream``), where a packet's
+state has other names and a finished packet other control flow:
+
+* **once per run** (the prologue): the timing model's state; one reused
+  ``_InFlight`` and, bound from it, ``_c`` (its context), ``stack`` and —
+  only if some fallback spills — ``regs``; one ``_HelperContext``
+  (``_hc``) for every non-map helper call of the run; and per map the
+  body touches ``_m<fd>`` (the map), ``_st<fd>`` (its storage) and
+  ``_lk<fd>`` (its lookup: the slot directory's ``get`` for a hash, the
+  virtual ``lookup_slot`` for an LRU hash). What is constant for the
+  *compile* is not bound but folded: the fd, key slot and key size of a
+  map call come from ``op.call``, the map's kind, geometry and base
+  address from the program's ``MapSpec`` — an array lookup is
+  ``_ix = _u4(stack, K)[0]; r0 = BASE + _ix * VS if _ix < N else 0``.
+  Both rest on the run's ``MapSet`` holding exactly the maps those
+  specs build, which ``PipelineSimulator.stream_blocker`` checks before
+  every run (``MapSet.mismatch``) — that check is also what became of
+  the per-packet unknown-fd test;
+* **once per frame**: the timing head (``max_cycles``, the window
+  recurrence, queue drops), then the reset of what ops can observe —
+  ``_b = _c.packet = frame`` (copied only if some op can write it), the
+  stack, the eBPF registers, which are the Python locals ``r0`` … ``r10``,
+  and the block-enable flags ``_e<block>``;
+* **the packet body**: one ``while True:`` block executed once. Entry
+  length checks, entry ops and every stage's ops follow each other flat;
+  consecutive ops of one basic block share one ``if _e<block>:`` (the
+  entry block's ops have none), so nesting follows op structure, not
+  the stage count. An exit, an implicit drop or an entry check sets
+  ``_act`` and leaves by ``break`` — nothing after it is tested;
+* **the spill contract**: ``sim._atomic`` (XCHG / CMPXCHG, stack and
+  packet atomics, the cold path of an inlined one) and
+  ``sim._map_channel_call`` (update, delete, a map the program does not
+  declare) work on ``pkt.regs``. Before such a call the locals it may
+  read — and those it may write, in case it leaves one unwritten — are
+  stored to ``regs``; after it ``pkt.done`` is tested (these calls
+  report a drop only there) and the locals it may write are loaded
+  back. ``sim._mem_load`` / ``_read_plain`` / ``_mem_store``, the cold
+  side of a dynamically addressed access whose fast side is a bounds
+  test against the run-bound buffer of the region the verifier labelled
+  it with, take their operands as arguments and spill nothing;
+* **after the body**: ``sim._finalize`` if a store could have pended a
+  write (only ``sim._mem_store`` can; where no store keeps that
+  fallback neither this nor an atomic's ``pkt.pending_writes`` test is
+  emitted), the action histogram, the record.
 
 The emitted semantics mirror the interpreted path
 (:meth:`PipelineSimulator._execute_op`) instruction for instruction —
@@ -84,7 +133,11 @@ from ..telemetry import get_registry
 # v5: interaction-sparse _advance: one C-level shift, packet-local runs
 #     fused into the interaction stage before them, snapshots elided
 #     where restart_blocker proves no elastic-buffer restart is chosen.
-CODEGEN_VERSION = 5
+# v6: run-bound, register-allocated _stream: maps and the helper context
+#     bound once per run, lookups folded to the map's kind and geometry,
+#     eBPF registers in Python locals (spilled around the pkt.regs
+#     fallbacks), a decided packet leaves the flat body by `break`.
+CODEGEN_VERSION = 6
 
 # Helpers whose results depend on the global interleaving of calls
 # (shared clock, shared PRNG state): running packets to completion would
@@ -110,6 +163,16 @@ _MPB = hex(MAP_PTR_BASE)
 _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+
+# Python refuses more than 100 indentation levels. A packet-local run
+# fused into one _advance site nests one level per stage (the deepest
+# app run is 25), so a longer run starts its nest over this often — a
+# stage body's own nesting (about ten levels) fits above it.
+_FUSED_NEST_LIMIT = 64
+
+# Stream mode, after a ``sim._*`` fallback that reports a drop only
+# through ``pkt.done``.
+_LEFT_BY_FALLBACK = ["if pkt.done:", "    _act = pkt.action", "    break"]
 
 
 class CodegenError(ValueError):
@@ -317,12 +380,21 @@ class _Emitter:
         self.uses_actions = False
         self.uses_helper_ctx = False
         self.uses_sim_error = False
-        self.uses_pass = False
         self.uses_stream = False
         self.uses_deque = False
-        # Stream-body emission mode: predication as local boolean flags
-        # (_e<block>) instead of the shared pkt.enabled set.
-        self.pred_flags = False
+        # Stream mode (see stream_body): the op emitters below name the
+        # run-bound locals of ``_stream`` instead of ``pkt``'s fields,
+        # and a decided packet leaves by ``break``.
+        self.stream = False
+        # Stream mode: whether any emitted store can reach
+        # sim._mem_store, the one call that appends to
+        # pkt.pending_writes.
+        self.stream_may_pend = False
+        # What engine_path() says about the stream body.
+        self.lookups = self.folded_lookups = self.spill_sites = 0
+        # Whether a helper can set ctx.redirect_ifindex (bpf_redirect,
+        # bpf_redirect_map): _stream then clears it per frame.
+        self.redirects = False
         # Whether any emitted op can mutate the packet bytes: labeled
         # packet stores, stores/atomics whose target region is unknown,
         # and the packet-resizing helpers. When False the stream path
@@ -349,24 +421,70 @@ class _Emitter:
         self.insns.append(insn)
         return name
 
+    # Names of the packet's state. The cycle loop holds many packets and
+    # reaches each one's state through ``pkt``; ``_stream`` holds one,
+    # whose register file is the locals r0..r10 and whose stack, context
+    # and frame buffer are bound once (per run, per run, per frame).
+
+    def _reg(self, number: int) -> str:
+        return f"r{number}" if self.stream else f"regs[{number}]"
+
+    @property
+    def _stack(self) -> str:
+        return "stack" if self.stream else "pkt.stack"
+
+    @property
+    def _ctx(self) -> str:
+        return "_c" if self.stream else "pkt.ctx"
+
+    @property
+    def _packet(self) -> str:
+        return "_b" if self.stream else "pkt.ctx.packet"
+
+    def _bind_packet(self) -> List[str]:
+        """Statements after which ``_b`` is the frame buffer (``_stream``
+        binds it once per frame)."""
+        return [] if self.stream else ["_b = pkt.ctx.packet"]
+
+    def _drop_if(self, bad: str, ok: List[str]) -> List[str]:
+        """``ok``, unless ``bad`` holds: then the implicit hardware drop
+        (``sim._drop``). ``_stream`` leaves the packet body instead."""
+        if self.stream:
+            return [f"if {bad}:", "    _act = _DROP", "    break"] + ok
+        return [f"if {bad}:", "    sim._drop(pkt)", "else:"] + _ind(ok)
+
     def _enable_lines(self, block: BasicBlock) -> List[str]:
         return self._enable_set(tuple(s for s, _k in block.succs))
 
     def _enable_set(self, succs: Tuple[int, ...]) -> List[str]:
-        """Unconditionally enable successors. In ``pred_flags`` mode
-        (stream body: one packet per scope) block enables are plain local
-        boolean stores instead of set mutations."""
-        if self.pred_flags:
+        """Unconditionally enable successors. In stream mode (one packet
+        per scope) block enables are plain local boolean stores instead
+        of set mutations."""
+        if self.stream:
             return [f"_e{s} = True" for s in succs]
         if len(succs) == 1:
             return [f"enabled.add({succs[0]})"]
         return [f"enabled.update({succs!r})"]
 
+    def _enable_after(
+        self, out: List[str], block: Optional[BasicBlock], may_finish: bool
+    ) -> None:
+        """Append the successor enabling of a block-terminating op whose
+        own lines (``out``) may have finished the packet: the cycle loop
+        re-checks ``pkt.done``, ``_stream`` has already left."""
+        if block is None:
+            return
+        if may_finish and not self.stream:
+            out.append("if not pkt.done:")
+            out += _ind(self._enable_lines(block))
+        else:
+            out += self._enable_lines(block)
+
     def _enable_branch(
         self, cond: str, taken: Tuple[int, ...], fall: Tuple[int, ...]
     ) -> List[str]:
         """Enable one of two successor sets depending on ``cond``."""
-        if not self.pred_flags:
+        if not self.stream:
             return [f"enabled.update({taken!r} if {cond} else {fall!r})"]
         if taken and fall:
             return (
@@ -396,12 +514,21 @@ class _Emitter:
     def _ldx_lines(self, op: PipeOp) -> List[str]:
         insn = op.insn
         size = insn.size_bytes
-        D = f"regs[{insn.dst}]"
+        D = self._reg(insn.dst)
         label = op.label
         if label is not None and label.offset is not None:
             fast = self._const_ldx(label, size, D)
             if fast is not None:
                 return fast
+        if self.stream:
+            # sim._mem_load is the interpreted engine's whole region
+            # dispatch; None means it dropped the packet.
+            return self._stream_access(
+                insn.src, insn.off, label, size,
+                lambda buf: [f"{D} = {self._unpack(size)}({buf}, _o)[0]"],
+                [f"_v = sim._mem_load(pkt, _a, {size})"]
+                + self._drop_if("_v is None", [f"{D} = _v"]),
+            )
         unpack = self._unpack(size)
 
         pkt_body = [
@@ -500,10 +627,7 @@ class _Emitter:
             if front is not None:
                 order = [front] + [r for r in order if r != front]
 
-        if insn.off:
-            out = [f"_a = (regs[{insn.src}] + {insn.off}) & {_M64}"]
-        else:
-            out = [f"_a = regs[{insn.src}] & {_M64}"]
+        out = [f"_a = {self._address(insn.src, insn.off)}"]
         kw = "if"
         for region in order:
             cond, body = branches[region]
@@ -513,6 +637,74 @@ class _Emitter:
         out.append("else:")
         out.append("    sim._drop(pkt)")
         return out
+
+    def _address(self, base: int, off: int) -> str:
+        """The effective address ``base register + off``, wrapped to 64
+        bits. ``_stream`` relies on the register invariant (see
+        :mod:`repro.ebpf.opfns`) to skip the wrap of a bare register."""
+        if off:
+            return f"({self._reg(base)} + {off}) & {_M64}"
+        if self.stream:
+            return self._reg(base)
+        return f"{self._reg(base)} & {_M64}"
+
+    def _bound_spec(self, fd: Optional[int]):
+        """The ``MapSpec`` behind ``fd`` when ``_stream`` may bind that
+        map once per run (``_m<fd>``, ``_st<fd>``, ``_lk<fd>``) and fold
+        its geometry into literals: a map the program declares, whose
+        storage fits its address window. ``PipelineSimulator`` streams
+        only while its ``MapSet`` holds exactly the maps these specs
+        build (``MapSet.mismatch``), which is what makes that sound —
+        and stands in, once per run, for the per-packet unknown-fd
+        check."""
+        spec = self.pipeline.program.maps.get(fd)
+        if spec is None or (spec.max_entries * spec.value_size
+                            > AddressSpace.MAP_WINDOW):
+            return None
+        return spec
+
+    def _stream_access(self, base: int, off: int, label, size: int,
+                       fast, slow: List[str],
+                       also: str = "") -> List[str]:
+        """A dynamically addressed access in stream mode: ``fast(buf)``
+        where the address lands inside the region the verifier labelled
+        it with — the ``size`` bytes at ``buf[_o]``, ``buf`` a run-bound
+        buffer — else ``slow``, the interpreted path's own method, which
+        dispatches on the address as the cycle-mode chain does. ``also``
+        is a further condition of the fast path."""
+        out = [f"_a = {self._address(base, off)}"]
+        region = label.region if label is not None else None
+        if region is Region.STACK:
+            out.append(f"_o = _a - {_STK_LO}")
+            cond, buf = f"0 <= _o <= {_STK_SZ - size}", "stack"
+        elif region is Region.PACKET:
+            # _o >= 0 puts _a past PACKET_BASE (head_adjust >= -headroom)
+            out.append(f"_o = _a - {_DATA0} - _c.head_adjust")
+            cond = f"_a < {_STK_LO} and 0 <= _o <= len(_b) - {size}"
+            buf = "_b"
+        elif (region is Region.MAP_VALUE and (
+                spec := self._bound_spec(label.map_fd)) is not None):
+            base_addr = AddressSpace.map_value_addr(label.map_fd, 0)
+            out.append(f"_o = _a - {hex(base_addr)}")
+            # len(storage) is max_entries * value_size (MapSet.mismatch)
+            cond = f"0 <= _o <= {spec.max_entries * spec.value_size - size}"
+            buf = f"_st{label.map_fd}"
+        else:
+            return out + slow
+        return (out + [f"if {cond}{also}:"] + _ind(fast(buf)) + ["else:"]
+                + _ind(slow))
+
+    def _spill_call(self, call: str, reads, writes) -> List[str]:
+        """Stream mode: ``call`` is a ``sim._*`` fallback that works on
+        ``pkt.regs``. The spill contract: the locals it may read — or
+        may leave unwritten among those reloaded — go to ``pkt.regs``
+        before it, the ones it may write come back after it."""
+        self.spill_sites += 1
+        return (
+            [f"regs[{n}] = r{n}" for n in sorted(set(reads) | set(writes))]
+            + [call] + _LEFT_BY_FALLBACK
+            + [f"r{n} = regs[{n}]" for n in sorted(writes)]
+        )
 
     def _const_ldx(self, label, size: int, D: str) -> Optional[List[str]]:
         """Constant-offset load: the verifier proved every address this
@@ -527,7 +719,7 @@ class _Emitter:
             idx = _STK_SZ + off  # off is negative, R10-relative
             if 0 <= idx and idx + size <= _STK_SZ:
                 # Statically in range: no bounds check, no drop path.
-                return [f"{D} = {self._unpack(size)}(pkt.stack, {idx})[0]"]
+                return [f"{D} = {self._unpack(size)}({self._stack}, {idx})[0]"]
             return None
         if label.region is Region.PACKET:
             if off < 0:
@@ -535,33 +727,31 @@ class _Emitter:
             if off + size <= self.pkt_min_len:
                 # Subsumed by the entry length comparators: every packet
                 # reaching stage ops is at least pkt_min_len bytes.
-                return [f"{D} = {self._unpack(size)}(pkt.ctx.packet, {off})[0]"]
+                return [f"{D} = {self._unpack(size)}({self._packet}, "
+                        f"{off})[0]"]
             # Offset is relative to the current data pointer, exactly
             # like the dynamic path's _a - DATA0 - head_adjust; only the
             # (variable) length check remains.
-            return [
-                "_b = pkt.ctx.packet",
-                f"if len(_b) < {off + size}:",
-                "    sim._drop(pkt)",
-                "else:",
-                f"    {D} = {self._unpack(size)}(_b, {off})[0]",
-            ]
+            return self._bind_packet() + self._drop_if(
+                f"len(_b) < {off + size}",
+                [f"{D} = {self._unpack(size)}(_b, {off})[0]"])
         if label.region is Region.CTX:
             if off < 0 or off + size > XDP_MD_SIZE:
                 return None
+            ctx = self._ctx
             if size == 4 and off in (0, 4, 8, 12, 16, 20):
                 expr = {
-                    0: f"{_DATA0} + pkt.ctx.head_adjust",
-                    4: f"{_DATA0} + pkt.ctx.head_adjust + "
-                       "len(pkt.ctx.packet)",
+                    0: f"{_DATA0} + {ctx}.head_adjust",
+                    4: f"{_DATA0} + {ctx}.head_adjust + "
+                       f"len({self._packet})",
                     8: "0",
-                    12: "pkt.ctx.ingress_ifindex",
-                    16: "pkt.ctx.rx_queue_index",
-                    20: "pkt.ctx.egress_ifindex",
+                    12: f"{ctx}.ingress_ifindex",
+                    16: f"{ctx}.rx_queue_index",
+                    20: f"{ctx}.egress_ifindex",
                 }[off]
                 return [f"{D} = {expr}"]
             return [
-                "_d = pkt.ctx.ctx_bytes()",
+                f"_d = {ctx}.ctx_bytes()",
                 f'{D} = int.from_bytes(_d[{off}:{off + size}], "little")',
             ]
         return None
@@ -577,22 +767,18 @@ class _Emitter:
             idx = _STK_SZ + label.offset
             if 0 <= idx and idx + size <= _STK_SZ:
                 return pre + [
-                    f"{self._pack(size)}(pkt.stack, {idx}, {val})"
+                    f"{self._pack(size)}({self._stack}, {idx}, {val})"
                 ]
             return None
         if label.region is Region.PACKET and label.offset >= 0:
             off = label.offset
             if off + size <= self.pkt_min_len:
                 return pre + [
-                    f"{self._pack(size)}(pkt.ctx.packet, {off}, {val})"
+                    f"{self._pack(size)}({self._packet}, {off}, {val})"
                 ]
-            return pre + [
-                "_b = pkt.ctx.packet",
-                f"if len(_b) < {off + size}:",
-                "    sim._drop(pkt)",
-                "else:",
-                f"    {self._pack(size)}(_b, {off}, {val})",
-            ]
+            return pre + self._bind_packet() + self._drop_if(
+                f"len(_b) < {off + size}",
+                [f"{self._pack(size)}(_b, {off}, {val})"])
         return None
 
     def _ld_lines(self, insn) -> List[str]:
@@ -600,7 +786,7 @@ class _Emitter:
             value = map_ptr((insn.imm64 or insn.imm) & MASK32)
         else:
             value = (insn.imm64 if insn.imm64 is not None else insn.imm) & MASK64
-        return [f"regs[{insn.dst}] = {hex(value)}"]
+        return [f"{self._reg(insn.dst)} = {hex(value)}"]
 
     def _store_lines(
         self, op: PipeOp, stage_number: int, in_entry: bool, flush: bool
@@ -611,8 +797,8 @@ class _Emitter:
         is_stx = insn.opclass == isa.BPF_STX
         pack = self._pack(size)
         if is_stx:
-            raw_val = "_v"
-            masked_val = f"_v & {smask}"
+            raw_val = self._reg(insn.src) if self.stream else "_v"
+            masked_val = f"{raw_val} & {smask}"
         else:
             imm_val = to_signed32(insn.imm) & MASK64
             raw_val = hex(imm_val)
@@ -620,7 +806,8 @@ class _Emitter:
 
         label = op.label
         if label is not None and label.offset is not None:
-            val = f"regs[{insn.src}] & {smask}" if is_stx else masked_val
+            val = (f"{self._reg(insn.src)} & {smask}" if is_stx
+                   else masked_val)
             fast = self._const_store(label, size, val, flush)
             if fast is not None:
                 if label.region is Region.PACKET:
@@ -628,6 +815,27 @@ class _Emitter:
                 return fast
         if label is None or label.region is Region.PACKET:
             self.pkt_writes = True
+
+        # WAR buffering / flush bookkeeping and unmapped addresses share
+        # the interpreted path.
+        fallback = []
+        if not self.maintain and not in_entry:
+            # Positions are elided from the generated shift loop; the WAR
+            # threshold compare in sim._mem_store is the one consumer left.
+            fallback.append(f"pkt.position = {stage_number}")
+        call = f"sim._mem_store(pkt, _a, {size}, {raw_val}, None)"
+        fallback.append(f"_se = {call}" if flush else call)
+
+        if self.stream:
+            # No direct map store streams (see stream_blocker), so only
+            # the stack and the frame have a fast path; stream_body has
+            # already counted this op into stream_may_pend.
+            plain = label if label is not None and label.region in (
+                Region.STACK, Region.PACKET) else None
+            return self._stream_access(
+                insn.dst, insn.off, plain, size,
+                lambda buf: [f"{pack}({buf}, _o, {masked_val})"],
+                fallback + _LEFT_BY_FALLBACK)
 
         stk_body = [
             f"_o = _a - {_STK_LO}",
@@ -644,16 +852,6 @@ class _Emitter:
             "else:",
             f"    {pack}(_c.packet, _o, {masked_val})",
         ]
-        # WAR buffering / flush bookkeeping and unmapped addresses share
-        # the interpreted path.
-        fallback = []
-        if not self.maintain and not in_entry:
-            # Positions are elided from the generated shift loop; the WAR
-            # threshold compare in sim._mem_store is the one consumer left.
-            fallback.append(f"pkt.position = {stage_number}")
-        call = f"sim._mem_store(pkt, _a, {size}, {raw_val}, None)"
-        fallback.append(f"_se = {call}" if flush else call)
-
         branches = {
             "stack": (f"{_STK_LO} <= _a < {_STK_HI}", stk_body),
             "packet": (f"{_PKT_LO} <= _a < {_STK_LO}", pkt_body),
@@ -662,10 +860,7 @@ class _Emitter:
         if op.label is not None and op.label.region is Region.PACKET:
             order = ["packet", "stack"]
 
-        if insn.off:
-            out = [f"_a = (regs[{insn.dst}] + {insn.off}) & {_M64}"]
-        else:
-            out = [f"_a = regs[{insn.dst}] & {_M64}"]
+        out = [f"_a = {self._address(insn.dst, insn.off)}"]
         if is_stx:
             out.append(f"_v = regs[{insn.src}]")
         if flush:
@@ -696,27 +891,52 @@ class _Emitter:
                             isa.ATOMIC_XOR)
         )
         iname = self._insn_literal(insn)
-        if insn.off:
-            addr = f"(regs[{insn.dst}] + {insn.off}) & {_M64}"
-        else:
-            addr = f"regs[{insn.dst}] & {_M64}"
+        addr = self._address(insn.dst, insn.off)
+        # What sim._atomic reads and writes of pkt.regs (stream mode
+        # spills and reloads exactly these).
+        cmpxchg = insn.imm == isa.ATOMIC_CMPXCHG
+        reads = {insn.src} | ({isa.R0} if cmpxchg else set())
+        writes = ({isa.R0} if cmpxchg else
+                  {insn.src} if fetch or insn.imm == isa.ATOMIC_XCHG
+                  else set())
 
         if not simple:
             # XCHG/CMPXCHG and unknown atomics defer entirely to the
             # interpreted path (which materialises pending overlaps).
             call = f"sim._atomic(pkt, {iname}, {addr})"
+            if self.stream:
+                return self._spill_call(call, reads, writes)
             return [f"_se = {call}" if flush else call]
 
         unpack = self._unpack(size)
         pack = self._pack(size)
-        if base_op == isa.ATOMIC_ADD:
-            new = f"(_old + _sv) & {smask}"
-        elif base_op == isa.ATOMIC_OR:
-            new = "_old | _sv"
-        elif base_op == isa.ATOMIC_AND:
-            new = "_old & _sv"
-        else:
-            new = "_old ^ _sv"
+        new = {
+            isa.ATOMIC_ADD: f"(_old + _sv) & {smask}",
+            isa.ATOMIC_OR: "_old | _sv",
+            isa.ATOMIC_AND: "_old & _sv",
+            isa.ATOMIC_XOR: "_old ^ _sv",
+        }[base_op]
+
+        if self.stream:
+            mapped = op.label if op.label is not None and (
+                op.label.region is Region.MAP_VALUE) else None
+            src = self._reg(insn.src)
+            return self._stream_access(
+                insn.dst, insn.off, mapped, size,
+                lambda buf: [
+                    f"_old = {unpack}({buf}, _o)[0]",
+                    # a register already fits 8 bytes (the invariant)
+                    f"_sv = {src}" if size == 8 else f"_sv = {src} & {smask}",
+                    f"{pack}({buf}, _o, {new})",
+                ] + ([f"{src} = _old"] if fetch else []),
+                # stack/packet atomics keep the interpreted path ...
+                self._spill_call(f"sim._atomic(pkt, {iname}, _a)",
+                                 reads, writes),
+                # ... and so does the rare own-pending-write overlap;
+                # nothing pends unless a store can reach sim._mem_store
+                " and not pkt.pending_writes" if self.stream_may_pend
+                else "")
+
         call = f"sim._atomic(pkt, {iname}, _a)"
         inline = [
             f"_sp = _a - {_MAPB}",
@@ -748,20 +968,25 @@ class _Emitter:
         out += _ind(inline)
         return out
 
-    def _call_lines(self, insn, flush: bool) -> Tuple[List[str], bool]:
-        """Helper-call body. Returns (lines, may_side_effect)."""
-        helper_id = insn.imm
-        scrub = "regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0"
+    def _call_lines(self, op: PipeOp, flush: bool) -> List[str]:
+        """Helper-call body."""
+        helper_id = op.insn.imm
+        R = self._reg
+        scrub = f"{R(1)} = {R(2)} = {R(3)} = {R(4)} = {R(5)} = 0"
         try:
             spec = helper_spec(helper_id)
         except HelperError:
             # Unknown helper: fail at execution time, like the interpreter.
             self.pkt_writes = True
             call = f"sim._call(pkt, {helper_id})"
-            return ([f"_se = {call}" if flush else call], True)
+            return [f"_se = {call}" if flush else call]
         if helper_id in (44, 65):  # adjust_head / adjust_tail resize
             self.pkt_writes = True
+        if helper_id in (23, 51):
+            self.redirects = True
 
+        if spec.map_channel and self.stream:
+            return self._stream_map_call(op) + [scrub]
         if spec.map_channel:
             # addr_reads only feeds flush-restart validation
             # (sim._reads_match); with no hazard plans it is dead work.
@@ -772,7 +997,7 @@ class _Emitter:
                     "            _r = pkt.addr_reads[_fd] = []",
                     "        _r.append((_k, _sl))",
                 ] if self.maintain else []
-                return ([
+                return [
                     f"_fd = regs[1] - {_MPB}",
                     "_e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)",
                     "if _e is None:",
@@ -794,7 +1019,7 @@ class _Emitter:
                     "        regs[0] = 0 if _sl is None else "
                     "_mb + _sl * _vs",
                     scrub,
-                ], False)
+                ]
             if helper_id == 51:  # bpf_redirect_map, fully inlined
                 track = [
                     "    _r = pkt.addr_reads.get(_fd)",
@@ -802,7 +1027,7 @@ class _Emitter:
                     "        _r = pkt.addr_reads[_fd] = []",
                     "    _r.append((_k, _sl))",
                 ] if self.maintain else []
-                return ([
+                return [
                     f"_fd = regs[1] - {_MPB}",
                     "_e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)",
                     "if _e is None:",
@@ -820,26 +1045,99 @@ class _Emitter:
                     'int.from_bytes(_val[:4], "little")',
                     f"        regs[0] = {_REDIRECT}",
                     scrub,
-                ], False)
+                ]
             call = f"sim._map_channel_call(pkt, {helper_id})"
-            return ([f"_se = {call}" if flush else call, scrub], True)
+            return [f"_se = {call}" if flush else call, scrub]
 
         # Non-map helper: shared VM implementation via the duck-typed
-        # per-packet context.
+        # execution context — per packet in the cycle loop, one for the
+        # run in _stream (pkt, its ctx, sim.maps and sim.time_ns are the
+        # same objects from the first frame to the last).
         self.uses_helper_ctx = True
         hname = self._helper(helper_id)
-        return ([
-            f"regs[0] = {hname}(_HC(sim, pkt), regs[1], regs[2], regs[3], "
-            f"regs[4], regs[5]) & {_M64}",
+        context = "_hc" if self.stream else "_HC(sim, pkt)"
+        return [
+            f"{R(0)} = {hname}({context}, {R(1)}, {R(2)}, {R(3)}, "
+            f"{R(4)}, {R(5)}) & {_M64}",
             scrub,
-        ], False)
+        ]
+
+    def _stream_map_call(self, op: PipeOp) -> List[str]:
+        """A map-channel helper in stream mode. ``op.call`` names the
+        map (the verifier resolved r1 to one fd) and, usually, where on
+        the stack the key sits; the program's ``MapSpec`` gives the
+        rest. So a lookup of a bound map (``_bound_spec``) dispatches on
+        the map kind here, not per packet: an array index is compared
+        and scaled in place, a hash key goes straight to the run-bound
+        slot directory, an LRU hash keeps its virtual ``lookup_slot``
+        (it moves the key up the recency order). Everything else —
+        update, delete, a map the program does not declare — is the
+        interpreted path's ``sim._map_channel_call`` behind a spill."""
+        helper_id = op.insn.imm
+        info = op.call
+        fd = info.map_fd if info is not None else None
+        spec = self._bound_spec(fd)
+        if helper_id in (1, 51):
+            self.lookups += 1
+        if spec is None or helper_id not in (1, 51):
+            return self._spill_call(
+                f"sim._map_channel_call(pkt, {helper_id})",
+                reads=(1, 2, 3, 4), writes=(0,))
+        self.folded_lookups += 1
+        lookup = f"_lk{fd}"
+        if helper_id == 51:  # bpf_redirect_map
+            if spec.key_size != 4:
+                return [f"r0 = r3 & {_M32}"]
+            return [
+                f'_k = (r2 & {_M32}).to_bytes(4, "little")',
+                f"if {lookup}(_k) is None:",
+                f"    r0 = r3 & {_M32}",
+                "else:",
+                "    _c.redirect_ifindex = int.from_bytes("
+                f'_m{fd}.lookup(_k)[:4], "little")',
+                f"    r0 = {_REDIRECT}",
+            ]
+        ks, vs = spec.key_size, spec.value_size
+        base = hex(AddressSpace.map_value_addr(fd, 0))
+        array = spec.map_type in ("array", "percpu_array")
+        idx = (None if info.key_stack_offset is None
+               else _STK_SZ + info.key_stack_offset)
+        if idx is not None and 0 <= idx and idx + ks <= _STK_SZ:
+            # The key's stack slot is statically in range.
+            out = []
+            index = f"{self._unpack(4)}(stack, {idx})[0]"
+            key = f"bytes(stack[{idx}:{idx + ks}])"
+        else:
+            out = [
+                "_a = r2",
+                f"_o = _a - {_STK_LO}",
+                f"if 0 <= _o <= {_STK_SZ - ks}:",
+                f"    _k = bytes(stack[_o:_o + {ks}])",
+                "else:",
+                f"    _k = sim._read_plain(pkt, _a, {ks})",
+            ] + _ind(self._drop_if("_k is None", []))
+            index = 'int.from_bytes(_k, "little")'
+            key = "_k"
+        if array:  # ArrayMap.lookup_slot: key_size is 4 by construction
+            return out + [
+                f"_ix = {index}",
+                f"r0 = {base} + _ix * {vs} if _ix < {spec.max_entries} "
+                "else 0",
+            ]
+        # value_addr folded: directory slots are in range by
+        # construction, so it is just slot * value_size.
+        return out + [
+            f"_sl = {lookup}({key})",
+            f"r0 = 0 if _sl is None else {base} + _sl * {vs}",
+        ]
 
     def _branch_lines(
         self, insn, block: BasicBlock, stage_number: int
     ) -> List[str]:
         taken = tuple(s for s, k in block.succs if k == "taken")
         fall = tuple(s for s, k in block.succs if k != "taken")
-        prelude, cond = _specialised(cmp_source(insn), insn, stage_number)
+        prelude, cond = _specialised(
+            cmp_source(insn, self._reg), insn, stage_number)
         return prelude + self._enable_branch(cond, taken, fall)
 
     # -- op -> statements ----------------------------------------------------
@@ -866,7 +1164,9 @@ class _Emitter:
 
         Returns (lines, sets_done) or None when the op has no observable
         behaviour. ``sets_done`` says whether executing the op can set
-        ``pkt.done`` (drops, exits) — later ops then re-check it.
+        ``pkt.done`` (drops, exits) — later ops of the cycle loop then
+        re-check it; in stream mode such an op leaves the packet body
+        itself.
         """
         insn = op.insn
         cls = insn.opclass
@@ -876,11 +1176,11 @@ class _Emitter:
         )
 
         if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-            out = _specialised(alu_source(insn), insn, stage_number)
-            if block is not None:
-                # ALU ops never set done: successor enabling needs no
-                # done re-check.
-                out += self._enable_lines(block)
+            out = _specialised(
+                alu_source(insn, self._reg), insn, stage_number)
+            # ALU ops never set done: successor enabling needs no done
+            # re-check.
+            self._enable_after(out, block, False)
             return out, False
 
         if cls == isa.BPF_LDX:
@@ -889,18 +1189,12 @@ class _Emitter:
             # under the entry threshold, ctx field) have no drop path:
             # no sim._* call appears, so done needs no re-check.
             sets_done = any("sim._" in line for line in out)
-            if block is not None and not insn.is_exit:
-                if sets_done:
-                    out.append("if not pkt.done:")
-                    out += _ind(self._enable_lines(block))
-                else:
-                    out += self._enable_lines(block)
+            self._enable_after(out, block, sets_done)
             return out, sets_done
 
         if cls == isa.BPF_LD:
             out = self._ld_lines(insn)
-            if block is not None:
-                out += self._enable_lines(block)
+            self._enable_after(out, block, False)
             return out, False
 
         if cls in (isa.BPF_ST, isa.BPF_STX):
@@ -909,12 +1203,7 @@ class _Emitter:
             else:
                 out = self._store_lines(op, stage_number, in_entry, flush)
             sets_done = any("sim._" in line for line in out) or flush
-            if block is not None:
-                if sets_done:
-                    out.append("if not pkt.done:")
-                    out += _ind(self._enable_lines(block))
-                else:
-                    out += self._enable_lines(block)
+            self._enable_after(out, block, sets_done)
             if flush:
                 out += self._flush_lines(stage_number)
             return out, sets_done
@@ -922,19 +1211,17 @@ class _Emitter:
         if cls in (isa.BPF_JMP, isa.BPF_JMP32):
             if insn.is_exit:
                 self.uses_actions = True
-                return [
-                    "pkt.done = True",
-                    f"pkt.action = _ACTIONS.get(regs[0] & {_M32}, _ABORTED)",
-                ], True
+                verdict = f"_ACTIONS.get({self._reg(0)} & {_M32}, _ABORTED)"
+                if self.stream:
+                    return [f"_act = {verdict}", "break"], True
+                return ["pkt.done = True", f"pkt.action = {verdict}"], True
             if insn.is_call:
-                out, _mse = self._call_lines(insn, flush)
-                if block is not None:
-                    # A call can terminate a block; helpers may drop the
-                    # packet, so the done re-check stays. Enabling happens
-                    # BEFORE the snapshot, so a restart resumes with the
-                    # successors enabled.
-                    out.append("if not pkt.done:")
-                    out += _ind(self._enable_lines(block))
+                out = self._call_lines(op, flush)
+                # A call can terminate a block; helpers may drop the
+                # packet, so the done re-check stays. Enabling happens
+                # BEFORE the snapshot, so a restart resumes with the
+                # successors enabled.
+                self._enable_after(out, block, True)
                 if flush:
                     out += self._flush_lines(stage_number)
                 return out, True
@@ -969,10 +1256,7 @@ class _Emitter:
             if body is None:
                 continue
             lines, sets_done = body
-            if self.pred_flags:
-                guard = f"_e{op.block_id}"
-            else:
-                guard = f"{op.block_id} in enabled"
+            guard = f"{op.block_id} in enabled"
             if done_dirty:
                 guard = f"not pkt.done and {guard}"
             out.append(f"if {guard}:")
@@ -1100,145 +1384,130 @@ class _Emitter:
         )
 
     def stream_body(self) -> List[str]:
-        """One packet per loop iteration, all stages fused, cycle counts
-        computed closed-form. Mirrors run()'s per-packet event order:
-        entry length checks, entry ops, stage 1..N bodies, finalize,
-        record/tally. Only called when ``stream_blocker`` found no
-        obstacle, so at most one window exists and it starts past
-        stage 1."""
+        """One packet per loop iteration, every stage's ops in one flat
+        body, cycle counts computed closed-form. Mirrors run()'s
+        per-packet event order: entry length checks, entry ops, stage
+        1..N ops, finalize, record/tally. Only called when
+        ``stream_blocker`` found no obstacle, so at most one window
+        exists and it starts past stage 1. The module docstring lays
+        out the function this returns."""
         pipeline = self.pipeline
         self.uses_stream = True
         self.uses_sim_error = True
         self.uses_actions = True
-        self.uses_pass = True
         windows = pipeline.serial_windows
         timing = (
             self._window_timing(*windows[0]) if windows
             else self._line_rate_timing()
         )
 
-        # Re-emit entry + stage bodies in pred_flags mode: with the whole
-        # packet lifetime in one scope, block predication becomes local
-        # boolean stores instead of pkt.enabled set mutations. Flush
-        # checks, snapshots and read tracking are provably dead here
-        # (no plan at all, or every plan inside the window — see
-        # stream_blocker), so they are elided either way.
+        # The op emitters in stream mode. Flush checks, snapshots and
+        # read tracking are provably dead here (no plan at all, or every
+        # plan inside the window — see stream_blocker), so they are
+        # elided either way.
         hazard_modes = self.any_flush, self.maintain
-        self.pred_flags = True
+        self.stream = True
         self.any_flush = self.maintain = False
         try:
-            entry = self.entry_body()
-            stage_bodies = [
-                self.stage_body(stage) for stage in pipeline.stages
-            ]
+            ops = self._stream_ops()
         finally:
-            self.pred_flags = False
+            self.stream = False
             self.any_flush, self.maintain = hazard_modes
+        named = _idents(ops)
 
+        # -- once per run ------------------------------------------------------
+        # One reused _InFlight: only state the emitted ops can observe is
+        # ever restored. inject_cycle, enabled, position and the
+        # read/write tracking dicts are never touched on this path
+        # (records carry the closed-form cycles, predication runs on
+        # local flags), so they keep their defaults; regs is the spill
+        # area of the fallbacks that go through pkt.regs.
+        out = ["pid = 0"] + timing.init + [
+            "_max = sim.options.max_cycles",
+            'pkt = _IF(0, b"", 0)',
+            "_c = pkt.ctx",
+            "stack = pkt.stack",
+        ]
+        if "regs" in named:
+            out.append("regs = pkt.regs")
+        if "_hc" in named:
+            out.append("_hc = _HC(sim, pkt)")
+        for fd, spec in sorted(pipeline.program.maps.items()):
+            handle, storage, lookup = f"_m{fd}", f"_st{fd}", f"_lk{fd}"
+            if {handle, storage, lookup} & named:
+                out.append(f"{handle} = sim.maps[{fd}]")
+            if storage in named:
+                out.append(f"{storage} = {handle}.storage")
+            if lookup in named:
+                # A plain hash map's slot directory IS the lookup: the
+                # key is exactly key_size bytes, so _check_key cannot
+                # fire. An LRU lookup has recency side effects.
+                out.append(f"{lookup} = {handle}." + (
+                    "_slot_by_key.get" if spec.map_type == "hash"
+                    else "lookup_slot"))
+        out += ["_cnt = {}", "_recs = report.records", "for frame in frames:"]
+
+        # -- once per frame ----------------------------------------------------
         blk: List[str] = list(timing.head)
-        # In-place per-packet reset of the single reused _InFlight: only
-        # state the emitted ops can observe is restored. inject_cycle,
-        # enabled, position and the read/write tracking dicts are never
-        # touched on this path (records carry the closed-form cycles and
-        # predication runs on local flags), so they keep their defaults.
         if self.pkt_writes:
-            blk.append("_c.packet = bytearray(frame)")
+            blk.append("_b = _c.packet = bytearray(frame)")
         else:
             # No emitted op can mutate packet bytes: wrap without copy.
-            blk.append("_c.packet = frame")
-        helpers = set(self.helpers)
-        if 44 in helpers:
+            blk.append("_b = _c.packet = frame")
+        if 44 in self.helpers:
             blk.append("_c.head_adjust = 0")
-        if 65 in helpers:
+        if 65 in self.helpers:
             blk.append("_c.tail_adjust = 0")
-        if 23 in helpers or 51 in helpers:
+        if self.redirects:
             blk.append("_c.redirect_ifindex = None")
-        blk += [
-            "pkt.done = False",
-            "pkt.action = None",
-            "regs[:] = _RINIT",
-            "pkt.stack[:] = _ZSTACK",
-        ]
+        if "done" in named:  # some fallback reports through pkt.done
+            blk.append("pkt.done = False")
+        blk.append("stack[:] = _ZSTACK")
+        init = {isa.R1: AddressSpace.CTX_BASE,
+                isa.R10: AddressSpace.stack_top()}
+        used = [n for n in range(isa.NUM_REGS) if f"r{n}" in named]
+        zeroed = [f"r{n}" for n in used if n not in init]
+        if zeroed:
+            blk.append(" = ".join(zeroed) + " = 0")
+        blk += [f"r{n} = {hex(init[n])}" for n in used if n in init]
+        flags = [f"_e{b.block_id}" for b in pipeline.cfg.blocks
+                 if f"_e{b.block_id}" in named]
+        if flags:
+            blk.append(" = ".join(flags) + " = False")
+
+        # The packet body: a one-shot block that a verdict, a drop or an
+        # entry length check leaves by ``break`` with ``_act`` set.
+        body: List[str] = []
         if pipeline.entry_checks:
-            blk.append("_pl = len(_c.packet)")
-            kw = "if"
+            body.append("_pl = len(_b)")
             for min_len, action in pipeline.entry_checks:
-                blk += [
-                    f"{kw} _pl < {min_len}:",
-                    "    pkt.done = True",
-                    f"    pkt.action = _ACTIONS.get({action & MASK32}, "
-                    "_ABORTED)",
+                body += [
+                    f"if _pl < {min_len}:",
+                    f"    _act = _ACTIONS.get({action & MASK32}, _ABORTED)",
+                    "    break",
                 ]
-                kw = "elif"
+        # Past the last stage without an exit: like the kernel treats a
+        # fault (sim._finalize).
+        body += ops + ["_act = _ABORTED", "break"]
+        blk += ["while True:"] + _ind(body)
 
-        # Entry ops cannot set done (ctx loads only), so they share the
-        # first guard with stage 1; every further stage nests one level
-        # deeper — a packet decided early skips ALL remaining checks.
-        blocks: List[List[str]] = []
-        first: List[str] = list(entry) if entry is not None else []
-        if stage_bodies and stage_bodies[0] is not None:
-            first += stage_bodies[0][0]
-        if first:
-            blocks.append(first)
-        for body in stage_bodies[1:]:
-            if body is not None:
-                blocks.append(list(body[0]))
-        if blocks:
-            tail: List[str] = []
-            for body in reversed(blocks[1:]):
-                tail = ["if not pkt.done:"] + _ind(body + tail)
-            # regs/enabled are hoisted to the wrapper: the reused pkt's
-            # lists are the same objects for every packet.
-            guard: List[str] = []
-            body_lines = blocks[0] + tail
-            # Initialize every referenced block flag; only the entry
-            # block starts enabled.
-            entry_bid = pipeline.cfg.entry.block_id
-            used = _idents(body_lines)
-            flag_ids = sorted(
-                b.block_id
-                for b in pipeline.cfg.blocks
-                if f"_e{b.block_id}" in used
-            )
-            guard += [
-                f"_e{bid} = {bid == entry_bid}" for bid in flag_ids
-            ]
-            guard += body_lines
-            blk += ["if not pkt.done:"] + _ind(guard)
-
-        # Finalize (inlined sim._finalize: no pending writes possible on
-        # this path unless a fallback made some) + exit accounting. The
-        # per-packet aggregates are batched: the cycle sums come from the
-        # timing model and only the action histogram needs per-packet
-        # work.
+        # Exit accounting. The per-packet aggregates are batched: the
+        # cycle sums come from the timing model and only the action
+        # histogram needs per-packet work.
+        if self.stream_may_pend:
+            blk += ["if pkt.pending_writes:", "    sim._finalize(pkt)"]
         arrival, inject, exit_ = timing.record
         blk += [
-            "if pkt.pending_writes:",
-            "    sim._finalize(pkt)",
-            "elif not pkt.done:",
-            "    pkt.action = _ABORTED",
-            "_act = pkt.action",
-            "if _act is None:",
-            "    _act = _PASS",
             "_cnt[_act] = _cnt.get(_act, 0) + 1",
             "if keep_records:",
             "    _recs.append(_PR(pid=pid, action=_act, "
-            f"data=bytes(_c.packet), arrival_cycle={arrival}, "
+            f"data=bytes(_b), arrival_cycle={arrival}, "
             f"inject_cycle={inject}, exit_cycle={exit_}, restarts=0))",
             "pid += 1",
             "cycle += gap",
         ]
 
         total, in_pipeline = timing.sums
-        out = ["pid = 0"] + timing.init + [
-            "_max = sim.options.max_cycles",
-            'pkt = _IF(0, b"", 0)',
-            "_c = pkt.ctx",
-            "regs = pkt.regs",
-            "_cnt = {}",
-            "_recs = report.records",
-            "for frame in frames:",
-        ]
         out += _ind(blk)
         out += ["if pid:", "    " + timing.cycles] + [
             "report.packets_in += pid",
@@ -1251,6 +1520,50 @@ class _Emitter:
             f"report.sum_pipeline_cycles += {in_pipeline}",
             "return pid",
         ]
+        return out
+
+    def _stream_ops(self) -> List[str]:
+        """Entry ops, then every stage's ops in stage order, for one
+        packet that is never done when an op starts (a decided packet
+        has left). Consecutive ops of one basic block share one
+        ``if _e<block>:``; the entry block's flag is constant, so its
+        ops carry none. Nesting depth therefore follows op structure,
+        not the stage count."""
+        pipeline = self.pipeline
+        # Nothing on this path pends a write unless a store keeps its
+        # sim._mem_store fallback, i.e. does not fold to a constant
+        # stack/packet offset; decided before the atomics are emitted
+        # (they test pkt.pending_writes only if so).
+        self.stream_may_pend = any(
+            op.insn.opclass in (isa.BPF_ST, isa.BPF_STX)
+            and not op.insn.is_atomic
+            and (op.label is None or op.label.offset is None
+                 or self._const_store(
+                     op.label, op.insn.size_bytes, "0", False) is None)
+            for stage in pipeline.stages for op in stage.ops or ()
+        )
+        entry_block = pipeline.cfg.entry.block_id
+        placed = [(op, 1, True) for op in pipeline.entry_ops] + [
+            (op, stage.number, False)
+            for stage in pipeline.stages
+            if stage.kind is StageKind.OPS
+            for op in stage.ops or ()
+        ]
+        groups: List[Tuple[Optional[int], List[str]]] = []
+        for op, stage_number, in_entry in placed:
+            emitted = self._op_body(op, stage_number, in_entry)
+            if emitted is None:
+                continue
+            block = (None if in_entry or op.block_id == entry_block
+                     else op.block_id)
+            if groups and groups[-1][0] == block:
+                groups[-1][1].extend(emitted[0])
+            else:
+                groups.append((block, list(emitted[0])))
+        out: List[str] = []
+        for block, lines in groups:
+            out += lines if block is None else (
+                [f"if _e{block}:"] + _ind(lines))
         return out
 
 
@@ -1360,6 +1673,8 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
             depth = 0  # each fused stage nests under the one before it
             for fused in stage_bodies[site - 1:end - 1]:
                 if fused is not None:
+                    if depth == _FUSED_NEST_LIMIT:
+                        depth = 1  # the same re-check, from the top
                     if depth:
                         body += _ind(["if not pkt.done:"], depth - 1)
                     body += _ind(fused[0], depth)
@@ -1461,9 +1776,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         pre.append("_ACTIONS = {int(_a): _a for _a in XdpAction}")
         pre.append("_ABORTED = XdpAction.ABORTED")
         binds += ["_ACTIONS", "_ABORTED"]
-    if em.uses_pass:
-        pre.append("_PASS = XdpAction.PASS")
-        binds.append("_PASS")
+    if em.uses_stream:
+        pre.append("_DROP = XdpAction.DROP")
+        binds.append("_DROP")
     for helper_id in sorted(em.helpers):
         pre.append(f"_h{helper_id} = helper_impl({helper_id})")
         binds.append(f"_h{helper_id}")
@@ -1475,14 +1790,10 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         )
         binds.append(f"_i{idx}")
     if em.uses_stream:
-        # Register file template and stack-zero block for the in-place
-        # per-packet reset of the stream path's reused _InFlight.
-        rinit = [0] * isa.NUM_REGS
-        rinit[isa.R1] = AddressSpace.CTX_BASE
-        rinit[isa.R10] = AddressSpace.stack_top()
-        pre.append(f"_RINIT = {rinit!r}")
+        # Stack-zero block for the in-place per-packet reset of the
+        # stream path's reused _InFlight.
         pre.append(f"_ZSTACK = bytes({_STK_SZ})")
-        binds += ["_RINIT", "_ZSTACK"]
+        binds.append("_ZSTACK")
     if pre:
         pre.append("")
 
@@ -1496,6 +1807,11 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     out.append(f"_ADVANCE = {'None' if serial else '_advance'}")
     out.append("_OBSERVE = _observe")
     out.append(f"_STREAM = {'_stream' if stream_ok else 'None'}")
+    if stream_ok:
+        sites = "site" if em.spill_sites == 1 else "sites"
+        out.append(
+            f'_STREAM_SHAPE = "{em.folded_lookups} of {em.lookups} lookups '
+            f'folded, {em.spill_sites} spill {sites}"')
     out.append("")
     # Collapse double blanks left by empty sections.
     text_lines: List[str] = []

@@ -383,6 +383,7 @@ class PipelineSimulator:
         self._advance_fn: Optional[Callable] = None
         self._observe_fn: Optional[Callable] = None
         self._stream_fn: Optional[Callable] = None
+        self._stream_shape: Optional[str] = None
         if engine == "codegen":
             from .codegen import load_pipeline_module
 
@@ -391,6 +392,7 @@ class PipelineSimulator:
             self._entry_fn: Optional[Callable] = module["_ENTRY"]
             self._advance_fn = module["_ADVANCE"]
             self._stream_fn = module.get("_STREAM")
+            self._stream_shape = module.get("_STREAM_SHAPE")
             # Binding the generated observer is free; whether any
             # observer runs is decided once per run() from the
             # registry's enabled flag, so a simulator built before
@@ -797,7 +799,8 @@ class PipelineSimulator:
         (see ``codegen.stream_blocker``), or something cycle-bound is
         attached to the run: telemetry (the metrics are per-cycle by
         construction), a per-cycle observer or tracer, scheduled host
-        map ops."""
+        map ops; or ``self.maps`` is not the ``MapSet`` the program's
+        map specs build, which ``_STREAM`` is specialised to."""
         if self.engine != "codegen":
             return f"engine {self.engine!r} has no stream path"
         if self._stream_fn is None:
@@ -813,18 +816,30 @@ class PipelineSimulator:
             return "host map ops are scheduled"
         if gap < 1 or options.input_queue_capacity < 1:
             return "gap or input queue capacity below 1"
+        # _STREAM binds each map once per run and has the program's
+        # MapSpecs folded into it, so this run's maps must be the maps
+        # those specs build. Asked per run, not per simulator: a caller
+        # may replace Map objects between runs (invalidate_map_cache).
+        fd = self.maps.mismatch(self.pipeline.program.maps)
+        if fd is not None:
+            return (f"map {fd} is not the "
+                    f"{self.pipeline.program.maps[fd].map_type} map the "
+                    "pipeline was compiled against")
         return None
 
     def engine_path(self, gap: int = 1) -> str:
-        """``stream`` or ``cycle-loop (<reason>[; <advance shape>])``:
-        the code path a run of this simulator takes, for attributing its
-        numbers. The shape says what the generated ``_advance`` is
-        specialised to (see ``codegen.restart_blocker``); the generic
-        shift loop of the interpreted engine and of windowed pipelines
-        has none."""
+        """``stream (<stream shape>)`` or ``cycle-loop (<reason>[;
+        <advance shape>])``: the code path a run of this simulator
+        takes, for attributing its numbers. Both shapes are the
+        emitter's own account of what it specialised: how many of the
+        stream body's map lookups are folded to the map's kind and
+        geometry and how many ``sim._*`` fallbacks spill the register
+        locals; what the generated ``_advance`` visits (see
+        ``codegen.restart_blocker`` — the generic shift loop of the
+        interpreted engine and of windowed pipelines has none)."""
         reason = self.stream_blocker(gap)
         if reason is None:
-            return "stream"
+            return f"stream ({self._stream_shape})"
         if self._advance_fn is not None:
             from .codegen import advance_sites, restart_blocker
 

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (22 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 5); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 6); flush machinery elided, position/commit tracking elided. Do not edit.
 """
 
 import struct
@@ -19,10 +19,9 @@ _p4 = struct.Struct("<I").pack_into
 _p8 = struct.Struct("<Q").pack_into
 _ACTIONS = {int(_a): _a for _a in XdpAction}
 _ABORTED = XdpAction.ABORTED
-_PASS = XdpAction.PASS
+_DROP = XdpAction.DROP
 _i0 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
 _i1 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
-_RINIT = [0, 4096, 0, 0, 0, 0, 0, 0, 0, 0, 2097664]
 _ZSTACK = bytes(512)
 
 def _s1(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
@@ -40,7 +39,7 @@ def _s2(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 0 in enabled:
-        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+        enabled.update((6,) if regs[2] != 0x8 else (1,))
     return False
 
 def _s3(sim, pkt, slots, barrier_queues, input_queue, report, _u1=_u1):
@@ -58,7 +57,7 @@ def _s4(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 1 in enabled:
-        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x11 else (2,))
+        enabled.update((6,) if regs[2] != 0x11 else (2,))
     return False
 
 def _s5(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4):
@@ -96,7 +95,7 @@ def _s6(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
     if 2 in enabled:
         _p4(pkt.stack, 508, regs[8] & 0xffffffff)
     if 2 in enabled:
-        regs[2] = regs[10] & 0xffffffffffffffff
+        regs[2] = regs[10]
     if 2 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return False
@@ -131,7 +130,7 @@ def _s9(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 2 in enabled:
-        enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (3,))
+        enabled.update((5,) if regs[0] != 0x0 else (3,))
     return False
 
 def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4):
@@ -165,7 +164,7 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4)
     if 3 in enabled:
         _p2(pkt.stack, 506, regs[5] & 0xffff)
     if 3 in enabled:
-        regs[2] = regs[10] & 0xffffffffffffffff
+        regs[2] = regs[10]
     if 3 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return False
@@ -200,7 +199,7 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (4,))
+        enabled.update((5,) if regs[0] != 0x0 else (4,))
     return False
 
 def _s15(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -358,7 +357,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 3 in enabled:
-                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (4,))
+                    enabled.update((5,) if regs[0] != 0x0 else (4,))
                 if not pkt.done:
                     if 4 in enabled:
                         regs[0] = 0x1
@@ -393,7 +392,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 2 in enabled:
-                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) != 0x0 else (3,))
+                    enabled.update((5,) if regs[0] != 0x0 else (3,))
                 if not pkt.done:
                     if 3 in enabled:
                         regs[2] = _u4(pkt.ctx.packet, 30)[0]
@@ -415,7 +414,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                         if 3 in enabled:
                             _p2(pkt.stack, 506, regs[5] & 0xffff)
                         if 3 in enabled:
-                            regs[2] = regs[10] & 0xffffffffffffffff
+                            regs[2] = regs[10]
                         if 3 in enabled:
                             regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     pkt = slots[2]
@@ -424,13 +423,13 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
             regs = pkt.regs
             enabled = pkt.enabled
             if 0 in enabled:
-                enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+                enabled.update((6,) if regs[2] != 0x8 else (1,))
             if not pkt.done:
                 if 1 in enabled:
                     regs[2] = _u1(pkt.ctx.packet, 23)[0]
                 if not pkt.done:
                     if 1 in enabled:
-                        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x11 else (2,))
+                        enabled.update((6,) if regs[2] != 0x11 else (2,))
                     if not pkt.done:
                         if 2 in enabled:
                             regs[2] = _u4(pkt.ctx.packet, 26)[0]
@@ -456,7 +455,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                             if 2 in enabled:
                                 _p4(pkt.stack, 508, regs[8] & 0xffffffff)
                             if 2 in enabled:
-                                regs[2] = regs[10] & 0xffffffffffffffff
+                                regs[2] = regs[10]
                             if 2 in enabled:
                                 regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return False
@@ -509,204 +508,116 @@ def _observe(metrics, slots, barrier_queues):
     if slots[22] is not None:
         _b[21] += 1
 
-def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _PASS=_PASS, _i1=_i1, _RINIT=_RINIT, _ZSTACK=_ZSTACK):
+def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _ZSTACK=_ZSTACK):
     pid = 0
     cycle = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
+    stack = pkt.stack
     regs = pkt.regs
+    _m1 = sim.maps[1]
+    _st1 = _m1.storage
+    _lk1 = _m1._slot_by_key.get
     _cnt = {}
     _recs = report.records
     for frame in frames:
         if cycle + 22 >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
-        _c.packet = frame
+        _b = _c.packet = frame
         pkt.done = False
-        pkt.action = None
-        regs[:] = _RINIT
-        pkt.stack[:] = _ZSTACK
-        _pl = len(_c.packet)
-        if _pl < 42:
-            pkt.done = True
-            pkt.action = _ACTIONS.get(2, _ABORTED)
-        if not pkt.done:
-            _e0 = True
-            _e1 = False
-            _e2 = False
-            _e3 = False
-            _e4 = False
-            _e5 = False
-            _e6 = False
-            regs[6] = 0x100100 + pkt.ctx.head_adjust
-            if _e0:
-                regs[2] = _u2(pkt.ctx.packet, 12)[0]
-            if not pkt.done:
-                if _e0:
-                    if (regs[2] & 0xffffffffffffffff) != 0x8:
-                        _e6 = True
-                    else:
-                        _e1 = True
-                if not pkt.done:
-                    if _e1:
-                        regs[2] = _u1(pkt.ctx.packet, 23)[0]
-                    if not pkt.done:
-                        if _e1:
-                            if (regs[2] & 0xffffffffffffffff) != 0x11:
-                                _e6 = True
-                            else:
-                                _e2 = True
-                        if not pkt.done:
-                            if _e2:
-                                regs[2] = _u4(pkt.ctx.packet, 26)[0]
-                            if _e2:
-                                regs[3] = _u4(pkt.ctx.packet, 30)[0]
-                            if _e2:
-                                regs[4] = _u2(pkt.ctx.packet, 34)[0]
-                            if _e2:
-                                regs[5] = _u2(pkt.ctx.packet, 36)[0]
-                            if _e2:
-                                regs[8] = 0x0
-                            if _e2:
-                                regs[1] = 0x30000001
-                            if not pkt.done:
-                                if _e2:
-                                    _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-                                if _e2:
-                                    _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-                                if _e2:
-                                    _p2(pkt.stack, 504, regs[4] & 0xffff)
-                                if _e2:
-                                    _p2(pkt.stack, 506, regs[5] & 0xffff)
-                                if _e2:
-                                    _p4(pkt.stack, 508, regs[8] & 0xffffffff)
-                                if _e2:
-                                    regs[2] = regs[10] & 0xffffffffffffffff
-                                if _e2:
-                                    regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-                                if not pkt.done:
-                                    if _e2:
-                                        _fd = regs[1] - 0x30000000
-                                        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                                        if _e is None:
-                                            sim._drop(pkt)
-                                        else:
-                                            _m, _ks, _vs, _mb, _lk = _e
-                                            _a = regs[2]
-                                            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                                                _o = _a - 0x200000
-                                                _k = bytes(pkt.stack[_o:_o + _ks])
-                                            else:
-                                                _k = sim._read_plain(pkt, _a, _ks)
-                                            if _k is not None:
-                                                _sl = _lk(_k)
-                                                regs[0] = 0 if _sl is None else _mb + _sl * _vs
-                                        regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-                                    if not pkt.done:
-                                        if _e2:
-                                            if (regs[0] & 0xffffffffffffffff) != 0x0:
-                                                _e5 = True
-                                            else:
-                                                _e3 = True
-                                        if not pkt.done:
-                                            if _e3:
-                                                regs[2] = _u4(pkt.ctx.packet, 30)[0]
-                                            if _e3:
-                                                regs[3] = _u4(pkt.ctx.packet, 26)[0]
-                                            if _e3:
-                                                regs[4] = _u2(pkt.ctx.packet, 36)[0]
-                                            if _e3:
-                                                regs[5] = _u2(pkt.ctx.packet, 34)[0]
-                                            if _e3:
-                                                regs[1] = 0x30000001
-                                            if not pkt.done:
-                                                if _e3:
-                                                    _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-                                                if _e3:
-                                                    _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-                                                if _e3:
-                                                    _p2(pkt.stack, 504, regs[4] & 0xffff)
-                                                if _e3:
-                                                    _p2(pkt.stack, 506, regs[5] & 0xffff)
-                                                if _e3:
-                                                    regs[2] = regs[10] & 0xffffffffffffffff
-                                                if _e3:
-                                                    regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-                                                if not pkt.done:
-                                                    if _e3:
-                                                        _fd = regs[1] - 0x30000000
-                                                        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                                                        if _e is None:
-                                                            sim._drop(pkt)
-                                                        else:
-                                                            _m, _ks, _vs, _mb, _lk = _e
-                                                            _a = regs[2]
-                                                            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                                                                _o = _a - 0x200000
-                                                                _k = bytes(pkt.stack[_o:_o + _ks])
-                                                            else:
-                                                                _k = sim._read_plain(pkt, _a, _ks)
-                                                            if _k is not None:
-                                                                _sl = _lk(_k)
-                                                                regs[0] = 0 if _sl is None else _mb + _sl * _vs
-                                                        regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-                                                    if not pkt.done:
-                                                        if _e3:
-                                                            if (regs[0] & 0xffffffffffffffff) != 0x0:
-                                                                _e5 = True
-                                                            else:
-                                                                _e4 = True
-                                                        if not pkt.done:
-                                                            if _e4:
-                                                                regs[0] = 0x1
-                                                            if not pkt.done:
-                                                                if _e4:
-                                                                    pkt.done = True
-                                                                    pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-                                                                if not pkt.done:
-                                                                    if _e5:
-                                                                        regs[1] = 0x1
-                                                                    if not pkt.done:
-                                                                        if _e5:
-                                                                            _a = regs[0] & 0xffffffffffffffff
-                                                                            if _a < 0x40000000 or pkt.pending_writes:
-                                                                                sim._atomic(pkt, _i1, _a)
-                                                                            else:
-                                                                                _sp = _a - 0x40000000
-                                                                                _fd = _sp >> 24
-                                                                                _o = _sp & 0xffffff
-                                                                                _st = sim.maps[_fd].storage
-                                                                                if _o + 8 > len(_st):
-                                                                                    sim._drop(pkt)
-                                                                                else:
-                                                                                    _old = _u8(_st, _o)[0]
-                                                                                    _sv = regs[1] & 0xffffffffffffffff
-                                                                                    _new = (_old + _sv) & 0xffffffffffffffff
-                                                                                    _p8(_st, _o, _new)
-                                                                        if not pkt.done:
-                                                                            if _e5:
-                                                                                regs[0] = 0x3
-                                                                            if not pkt.done:
-                                                                                if _e5:
-                                                                                    pkt.done = True
-                                                                                    pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-                                                                                if not pkt.done:
-                                                                                    if _e6:
-                                                                                        regs[0] = 0x2
-                                                                                    if not pkt.done:
-                                                                                        if _e6:
-                                                                                            pkt.done = True
-                                                                                            pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-        if pkt.pending_writes:
-            sim._finalize(pkt)
-        elif not pkt.done:
-            pkt.action = _ABORTED
-        _act = pkt.action
-        if _act is None:
-            _act = _PASS
+        stack[:] = _ZSTACK
+        r0 = r2 = r3 = r4 = r5 = r6 = r8 = 0
+        r1 = 0x1000
+        r10 = 0x200200
+        _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = False
+        while True:
+            _pl = len(_b)
+            if _pl < 42:
+                _act = _ACTIONS.get(2, _ABORTED)
+                break
+            r6 = 0x100100 + _c.head_adjust
+            r2 = _u2(_b, 12)[0]
+            if r2 != 0x8:
+                _e6 = True
+            else:
+                _e1 = True
+            if _e1:
+                r2 = _u1(_b, 23)[0]
+                if r2 != 0x11:
+                    _e6 = True
+                else:
+                    _e2 = True
+            if _e2:
+                r2 = _u4(_b, 26)[0]
+                r3 = _u4(_b, 30)[0]
+                r4 = _u2(_b, 34)[0]
+                r5 = _u2(_b, 36)[0]
+                r8 = 0x0
+                r1 = 0x30000001
+                _p4(stack, 496, r2 & 0xffffffff)
+                _p4(stack, 500, r3 & 0xffffffff)
+                _p2(stack, 504, r4 & 0xffff)
+                _p2(stack, 506, r5 & 0xffff)
+                _p4(stack, 508, r8 & 0xffffffff)
+                r2 = r10
+                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
+                _sl = _lk1(bytes(stack[496:512]))
+                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
+                r1 = r2 = r3 = r4 = r5 = 0
+                if r0 != 0x0:
+                    _e5 = True
+                else:
+                    _e3 = True
+            if _e3:
+                r2 = _u4(_b, 30)[0]
+                r3 = _u4(_b, 26)[0]
+                r4 = _u2(_b, 36)[0]
+                r5 = _u2(_b, 34)[0]
+                r1 = 0x30000001
+                _p4(stack, 496, r2 & 0xffffffff)
+                _p4(stack, 500, r3 & 0xffffffff)
+                _p2(stack, 504, r4 & 0xffff)
+                _p2(stack, 506, r5 & 0xffff)
+                r2 = r10
+                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
+                _sl = _lk1(bytes(stack[496:512]))
+                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
+                r1 = r2 = r3 = r4 = r5 = 0
+                if r0 != 0x0:
+                    _e5 = True
+                else:
+                    _e4 = True
+            if _e4:
+                r0 = 0x1
+                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                break
+            if _e5:
+                r1 = 0x1
+                _a = r0
+                _o = _a - 0x41000000
+                if 0 <= _o <= 65528:
+                    _old = _u8(_st1, _o)[0]
+                    _sv = r1
+                    _p8(_st1, _o, (_old + _sv) & 0xffffffffffffffff)
+                else:
+                    regs[1] = r1
+                    sim._atomic(pkt, _i1, _a)
+                    if pkt.done:
+                        _act = pkt.action
+                        break
+                r0 = 0x3
+                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                break
+            if _e6:
+                r0 = 0x2
+                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                break
+            _act = _ABORTED
+            break
         _cnt[_act] = _cnt.get(_act, 0) + 1
         if keep_records:
-            _recs.append(_PR(pid=pid, action=_act, data=bytes(_c.packet), arrival_cycle=cycle, inject_cycle=cycle, exit_cycle=cycle + 22, restarts=0))
+            _recs.append(_PR(pid=pid, action=_act, data=bytes(_b), arrival_cycle=cycle, inject_cycle=cycle, exit_cycle=cycle + 22, restarts=0))
         pid += 1
         cycle += gap
     if pid:
@@ -725,4 +636,5 @@ _ENTRY = _entry
 _ADVANCE = _advance
 _OBSERVE = _observe
 _STREAM = _stream
+_STREAM_SHAPE = "2 of 2 lookups folded, 1 spill site"
 

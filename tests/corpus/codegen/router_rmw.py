@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'router_rmw' (30 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 5); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 6); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct
@@ -36,7 +36,7 @@ def _s2(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 0 in enabled:
-        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+        enabled.update((6,) if regs[2] != 0x8 else (1,))
     return False
 
 def _s3(sim, pkt, slots, barrier_queues, input_queue, report, _u1=_u1):
@@ -54,7 +54,7 @@ def _s4(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 1 in enabled:
-        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) <= 0x1 else (2,))
+        enabled.update((6,) if regs[2] <= 0x1 else (2,))
     return False
 
 def _s5(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4):
@@ -90,7 +90,7 @@ def _s7(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 2 in enabled:
-        regs[2] = regs[10] & 0xffffffffffffffff
+        regs[2] = regs[10]
     if not pkt.done and 2 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffffc) & 0xffffffffffffffff
     return flushed
@@ -129,7 +129,7 @@ def _s10(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 2 in enabled:
-        enabled.update((6,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (3,))
+        enabled.update((6,) if regs[0] == 0x0 else (3,))
     return False
 
 def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
@@ -138,7 +138,7 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        regs[8] = regs[0] & 0xffffffffffffffff
+        regs[8] = regs[0]
     if 3 in enabled:
         regs[3] = _u2(pkt.ctx.packet, 24)[0]
     if 3 in enabled:
@@ -256,7 +256,7 @@ def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
     if not pkt.done and 3 in enabled:
         regs[3] = (regs[3] + 0x100) & 0xffffffffffffffff
     if not pkt.done and 3 in enabled:
-        regs[4] = regs[3] & 0xffffffffffffffff
+        regs[4] = regs[3]
     if not pkt.done and 3 in enabled:
         regs[3] = regs[3] & 0xffff
     return flushed
@@ -324,7 +324,7 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4, _p2=_p2)
         else:
             sim._drop(pkt)
     if not pkt.done and 3 in enabled:
-        regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
+        regs[4] = regs[4] >> 16
     if not pkt.done and 3 in enabled:
         regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
     return flushed
@@ -378,9 +378,9 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
         else:
             sim._drop(pkt)
     if not pkt.done and 3 in enabled:
-        regs[4] = regs[3] & 0xffffffffffffffff
+        regs[4] = regs[3]
     if not pkt.done and 3 in enabled:
-        regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
+        regs[4] = regs[4] >> 16
     if not pkt.done and 3 in enabled:
         regs[3] = regs[3] & 0xffff
     return flushed
@@ -450,7 +450,7 @@ def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
-        regs[2] = regs[10] & 0xffffffffffffffff
+        regs[2] = regs[10]
     if not pkt.done and 3 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff8) & 0xffffffffffffffff
     return flushed
@@ -489,7 +489,7 @@ def _s22(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        enabled.update((5,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (4,))
+        enabled.update((5,) if regs[0] == 0x0 else (4,))
     return False
 
 def _s23(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8):
@@ -869,7 +869,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 3 in enabled:
-                    enabled.update((5,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (4,))
+                    enabled.update((5,) if regs[0] == 0x0 else (4,))
     pkt = slots[15]
     if pkt is not None:
         if not pkt.done:
@@ -919,9 +919,9 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 else:
                     sim._drop(pkt)
             if not pkt.done and 3 in enabled:
-                regs[4] = regs[3] & 0xffffffffffffffff
+                regs[4] = regs[3]
             if not pkt.done and 3 in enabled:
-                regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
+                regs[4] = regs[4] >> 16
             if not pkt.done and 3 in enabled:
                 regs[3] = regs[3] & 0xffff
             if not pkt.done:
@@ -964,7 +964,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                                     if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                                         flushed = True
                             if not pkt.done and 3 in enabled:
-                                regs[2] = regs[10] & 0xffffffffffffffff
+                                regs[2] = regs[10]
                             if not pkt.done and 3 in enabled:
                                 regs[2] = (regs[2] + 0xfffffffffffffff8) & 0xffffffffffffffff
     pkt = slots[14]
@@ -1030,7 +1030,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 else:
                     sim._drop(pkt)
             if not pkt.done and 3 in enabled:
-                regs[4] = (regs[4] & 0xffffffffffffffff) >> 16
+                regs[4] = regs[4] >> 16
             if not pkt.done and 3 in enabled:
                 regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
     pkt = slots[13]
@@ -1084,7 +1084,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             if not pkt.done and 3 in enabled:
                 regs[3] = (regs[3] + 0x100) & 0xffffffffffffffff
             if not pkt.done and 3 in enabled:
-                regs[4] = regs[3] & 0xffffffffffffffff
+                regs[4] = regs[3]
             if not pkt.done and 3 in enabled:
                 regs[3] = regs[3] & 0xffff
     pkt = slots[12]
@@ -1175,10 +1175,10 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 2 in enabled:
-                    enabled.update((6,) if (regs[0] & 0xffffffffffffffff) == 0x0 else (3,))
+                    enabled.update((6,) if regs[0] == 0x0 else (3,))
                 if not pkt.done:
                     if 3 in enabled:
-                        regs[8] = regs[0] & 0xffffffffffffffff
+                        regs[8] = regs[0]
                     if 3 in enabled:
                         regs[3] = _u2(pkt.ctx.packet, 24)[0]
                     if 3 in enabled:
@@ -1190,13 +1190,13 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 2
             if 0 in enabled:
-                enabled.update((6,) if (regs[2] & 0xffffffffffffffff) != 0x8 else (1,))
+                enabled.update((6,) if regs[2] != 0x8 else (1,))
             if not pkt.done:
                 if 1 in enabled:
                     regs[2] = _u1(pkt.ctx.packet, 22)[0]
                 if not pkt.done:
                     if 1 in enabled:
-                        enabled.update((6,) if (regs[2] & 0xffffffffffffffff) <= 0x1 else (2,))
+                        enabled.update((6,) if regs[2] <= 0x1 else (2,))
                     if not pkt.done:
                         if 2 in enabled:
                             regs[2] = _u4(pkt.ctx.packet, 30)[0]
@@ -1213,7 +1213,7 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                                         if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                                             flushed = True
                                 if not pkt.done and 2 in enabled:
-                                    regs[2] = regs[10] & 0xffffffffffffffff
+                                    regs[2] = regs[10]
                                 if not pkt.done and 2 in enabled:
                                     regs[2] = (regs[2] + 0xfffffffffffffffc) & 0xffffffffffffffff
     return flushed

@@ -15,7 +15,10 @@ from repro.core.cache import (
     get_default_cache,
     warm_cache,
 )
+from repro.ebpf import isa
+from repro.ebpf.isa import Instruction, Program
 from repro.ebpf.maps import MapSet
+from repro.ebpf.verifier import VerifierError
 from repro.hwsim import PipelineSimulator, SimOptions
 
 
@@ -147,6 +150,34 @@ class TestCompileCached:
         # the other version's entry is still there for it to use
         assert old_path.read_bytes() == old_blob
         assert cache.stats()["disk_entries"] == 2
+
+    def test_previous_version_entry_for_a_now_rejected_program(
+            self, cache, monkeypatch):
+        """``le128`` compiled on older checkouts; the verifier rejects
+        it now. What such a checkout left in a shared directory sits
+        under its own versions' key: this one neither unpickles nor
+        serves it — it misses, and the compile's verdict stands."""
+        from repro.core import cache as cache_mod
+        from repro.hwsim import codegen
+
+        le128 = Instruction(isa.BPF_ALU | isa.BPF_K | isa.BPF_END, dst=0,
+                            imm=128)
+        prog = Program([isa.mov64_imm(0, 2), le128, isa.exit_()])
+        with monkeypatch.context() as older:
+            older.setattr(cache_mod, "_CACHE_VERSION",
+                          cache_mod._CACHE_VERSION - 1)
+            older.setattr(codegen, "CODEGEN_VERSION",
+                          codegen.CODEGEN_VERSION - 1)
+            old_path = cache.directory / f"{cache_key(prog)}.pipeline.pkl"
+        cache.directory.mkdir(parents=True)
+        old_path.write_bytes(pickle.dumps(_UnpickleTripwire()))
+
+        assert cache.get(cache_key(prog)) is None  # a miss, not an error
+        with pytest.raises(VerifierError, match="byte swap width 128"):
+            compile_cached(prog, cache=cache)
+        assert (cache.hits, cache.stores) == (0, 0)
+        assert not _UNPICKLED
+        assert cache.stats()["disk_entries"] == 1
 
 
 _UNPICKLED = []

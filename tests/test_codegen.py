@@ -50,9 +50,15 @@ from repro.core.compiler import CompileOptions, compile_program
 from repro.core.vhdl import emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
+from repro.cli import load_program
 from repro.ebpf.isa import MapSpec
-from repro.ebpf.maps import MapSet
-from repro.hwsim import OccupancyTracer, PipelineSimulator, SimOptions
+from repro.ebpf.maps import MapSet, create_map
+from repro.hwsim import (
+    OccupancyTracer,
+    PipelineSimulator,
+    SimOptions,
+    run_differential,
+)
 from repro.hwsim.codegen import (
     CODEGEN_VERSION,
     CodegenError,
@@ -323,6 +329,224 @@ class TestStreamPath:
         ]
 
 
+    def test_hundred_stages_load_and_stream(self):
+        # one `if not pkt.done:` per stage used to nest the stream body
+        # (and a fused _advance run) past Python's 100 indentation levels
+        program = deep_branch_program()
+        pipeline = compile_program(program)
+        assert pipeline.n_stages >= 100
+        frames = [bytes([b]) + bytes(63) for b in range(0, 60, 7)] \
+            + [bytes(1)]
+        for gap in (3, 1):
+            path, got = _observed(pipeline, program, frames, "codegen", gap)
+            assert path == "stream (0 of 0 lookups folded, 0 spill sites)"
+            _path, want = _observed(pipeline, program, frames,
+                                    "interpreted", gap)
+            _assert_same(got, want)
+        # the cycle loop's generated _advance fuses all of it, too (gap 1)
+        with telemetry.scoped(enabled=True):
+            path, loop = _observed(pipeline, program, frames, "codegen")
+        assert path.startswith("cycle-loop (telemetry is on")
+        _assert_same(loop, want)
+
+    # -- the spill contract ---------------------------------------------------
+    # sim._atomic and sim._map_channel_call work on pkt.regs; _stream
+    # keeps the registers in locals and spills / reloads around them.
+
+    def _agrees_spaced(self, program, frames, shape):
+        """Streams, and agrees with the VM and the reference engine on a
+        schedule where they are comparable (one packet in flight: the
+        atomics of two packets do not interleave)."""
+        pipeline = compile_program(program)
+        sim = PipelineSimulator(pipeline, options=SimOptions())
+        assert sim.engine_path() == f"stream ({shape})"
+        gap = pipeline.n_stages + 2
+        run_differential(
+            program, frames, pipeline=pipeline, gap=gap,
+            engines=("vm", "interpreted", "codegen")).raise_on_mismatch()
+        # ... and with the reference on every packet's cycles
+        run_differential(
+            program, frames, pipeline=pipeline, gap=gap,
+            engines=("interpreted", "codegen")).raise_on_mismatch()
+
+    def test_spill_around_complex_atomics(self):
+        corpus = Path(__file__).parent / "corpus" / "atomic_variants.ebpf"
+        self._agrees_spaced(
+            load_program(str(corpus)), [bytes(range(64))] * 6 + [b""],
+            "1 of 1 lookups folded, 6 spill sites")
+
+    def test_registers_written_inside_the_atomic_fallback_come_back(self):
+        # fetch-add (inlined; its cold fallback spills), xchg and cmpxchg
+        # (always sim._atomic) each write a register the program then
+        # stores into the frame: a lost reload is a packet-bytes mismatch
+        program = assemble_program("""
+            r7 = *(u32 *)(r1 + 4)
+            r6 = *(u32 *)(r1 + 0)
+            r2 = r6
+            r2 += 32
+            if r2 > r7 goto out
+            r2 = *(u8 *)(r6 + 0)
+            r2 &= 1
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r8 = r0
+            r2 = *(u64 *)(r6 + 8)
+            lock fetch *(u64 *)(r8 + 0) += r2
+            *(u64 *)(r6 + 8) = r2
+            r3 = *(u64 *)(r6 + 16)
+            lock *(u64 *)(r8 + 0) xchg r3
+            *(u64 *)(r6 + 16) = r3
+            r0 = *(u64 *)(r6 + 24)
+            r4 = 7
+            lock *(u64 *)(r8 + 0) cmpxchg r4
+            *(u64 *)(r6 + 24) = r0
+        out:
+            r0 = 2
+            exit
+        """, maps={"m": MapSpec("m", "array", key_size=4, value_size=8,
+                                max_entries=2)}, name="atomic_results")
+        frames = [
+            bytes([i]) + bytes(7) + (5 * i).to_bytes(8, "little")
+            + (i + 1).to_bytes(8, "little")
+            # the value cmpxchg expects: right for some frames only
+            + (i * 5 % 3).to_bytes(8, "little") + bytes(32)
+            for i in range(12)
+        ] + [bytes(8)]
+        self._agrees_spaced(program, frames,
+                            "1 of 1 lookups folded, 3 spill sites")
+
+    def test_spill_around_map_update_then_branch_on_r0(self):
+        # r0 comes back from sim._map_channel_call through pkt.regs and
+        # decides the verdict: 0 -> TX, -1 (BPF_EXIST on a missing key,
+        # BPF_NOEXIST cannot fail after a miss) -> DROP, a hit -> PASS
+        program = assemble_program("""
+            r7 = *(u32 *)(r1 + 4)
+            r6 = *(u32 *)(r1 + 0)
+            r2 = r6
+            r2 += 16
+            if r2 > r7 goto out
+            r2 = *(u8 *)(r6 + 0)
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[h]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 != 0 goto out
+            r3 = *(u64 *)(r6 + 8)
+            *(u64 *)(r10 - 16) = r3
+            r4 = *(u8 *)(r6 + 1)
+            r1 = map[h]
+            r2 = r10
+            r2 += -4
+            r3 = r10
+            r3 += -16
+            call 2
+            if r0 == 0 goto stored
+            r0 = 1
+            exit
+        stored:
+            r0 = 3
+            exit
+        out:
+            r0 = 2
+            exit
+        """, maps={"h": MapSpec("h", "lru_hash", key_size=4, value_size=8,
+                                max_entries=4)}, name="update_then_branch")
+        frames = [
+            bytes([key, flags]) + bytes(6)
+            + (3 * key + flags).to_bytes(8, "little")
+            for key, flags in [(1, 0), (1, 1), (2, 2), (2, 1), (3, 0),
+                               (1, 2), (4, 1), (5, 1), (6, 0), (1, 1),
+                               (7, 2), (8, 0)]
+        ] + [bytes(4)]
+        self._agrees_spaced(program, frames,
+                            "1 of 1 lookups folded, 1 spill site")
+        pipeline = compile_program(program)
+        verdicts = set()
+        for gap in (1, 2, 7):  # windowed: the cycle accounting too
+            path, got = _observed(pipeline, program, frames, "codegen", gap)
+            assert path.startswith("stream (")
+            _path, want = _observed(pipeline, program, frames,
+                                    "interpreted", gap)
+            _assert_same(got, want)
+            verdicts |= set(got["actions"])
+        assert {int(v) for v in verdicts} == {1, 2, 3}
+
+    def test_drops_leave_the_packet_body(self):
+        # the key is read from the frame (no constant stack slot to
+        # fold: sim._read_plain, which drops a frame too short to hold
+        # it) and the value load reaches past the looked-up slot (the
+        # run-bound storage's bounds check, then sim._mem_load's drop).
+        # The VM faults where the hardware drops, so the reference
+        # engine is the oracle here.
+        program = assemble_program("""
+            r7 = *(u32 *)(r1 + 4)
+            r6 = *(u32 *)(r1 + 0)
+            r2 = r6
+            r2 += 2
+            if r2 > r7 goto out
+            r1 = map[m]
+            r2 = r6
+            r2 += 12
+            call 1
+            if r0 == 0 goto out
+            r3 = *(u64 *)(r0 + 4)
+            *(u64 *)(r6 + 0) = r3
+            r0 = 3
+            exit
+        out:
+            r0 = 2
+            exit
+        """, maps={"m": MapSpec("m", "array", key_size=4, value_size=8,
+                                max_entries=2)}, name="drops")
+        pipeline = compile_program(program)
+        keyed = [bytes(12) + key.to_bytes(4, "little") + bytes(8)
+                 for key in (0, 1, 2, 0)]
+        frames = keyed + [bytes(15), bytes(13), bytes(2), bytes(1)]
+
+        def seed(maps):
+            maps[1].update(bytes(4), (0xC0FFEE).to_bytes(8, "little"))
+            maps[1].update((1).to_bytes(4, "little"), bytes([0xAB] * 8))
+
+        path, got = _observed(pipeline, program, frames, "codegen",
+                              setup=seed)
+        assert path == "stream (1 of 1 lookups folded, 0 spill sites)"
+        _path, want = _observed(pipeline, program, frames, "interpreted",
+                                setup=seed)
+        _assert_same(got, want)
+        assert [int(record[1]) for record in got["records"]] == [
+            3,  # slot 0: bytes 4..12 of the storage are in range
+            1,  # slot 1: 12 + 8 > 16, dropped at the value load
+            2,  # index 2 is past the array: NULL
+            3,
+            1, 1, 1,  # the key is not all in the frame: sim._read_plain
+            2,  # under the entry length check
+        ]
+
+
+def deep_branch_program(branches=50):
+    """``branches`` sequential conditional branches, each skipping one
+    add: two stages apiece, no map, no helper — stream-eligible and, at
+    the default, past 100 stages."""
+    lines = [
+        "r7 = *(u32 *)(r1 + 4)",
+        "r6 = *(u32 *)(r1 + 0)",
+        "r2 = r6",
+        "r2 += 2",
+        "if r2 > r7 goto out",
+        "r3 = *(u8 *)(r6 + 0)",
+        "r0 = 0",
+    ]
+    for value in range(branches):
+        lines += [f"if r3 == {value} goto +1", "r0 += 1"]
+    lines += ["r0 &= 3", "exit", "out:", "r0 = 1", "exit"]
+    return assemble_program("\n".join(lines), name="deep_branches")
+
+
 def _observed(pipeline, program, frames, engine, gap=1, capacity=4096,
               setup=None, stream_input=False, **options):
     """Everything two runs of one cycle model must agree on, down to
@@ -452,7 +676,7 @@ class TestWindowedStream:
             for capacity in _CAPACITIES:
                 path, got = _observed(pipeline, program, frames, "codegen",
                                       gap, capacity, setup)
-                assert path == "stream"
+                assert path.startswith("stream (")
                 _path, want = _observed(pipeline, program, frames,
                                         "interpreted", gap, capacity, setup)
                 _assert_same(got, want)
@@ -483,7 +707,7 @@ class TestWindowedStream:
                 for capacity in (1, 2, 64):
                     path, got = _observed(pipeline, self.TINY, frames,
                                           "codegen", gap, capacity)
-                    assert path == "stream", window
+                    assert path.startswith("stream ("), window
                     _path, want = _observed(pipeline, self.TINY, frames,
                                             "interpreted", gap, capacity)
                     _assert_same(got, want)
@@ -507,7 +731,7 @@ class TestWindowedStream:
         program, pipeline, setup, frames = self._app("ct_firewall")
         path, got = _observed(pipeline, program, frames, "codegen", 3, 8,
                               setup, stream_input=True)
-        assert path == "stream"
+        assert path.startswith("stream (")
         _path, want = _observed(pipeline, program, frames, "interpreted",
                                 3, 8, setup)
         _assert_same(got, want)
@@ -521,7 +745,7 @@ class TestWindowedStream:
         with telemetry.scoped(enabled=False):
             path, stream = _observed(pipeline, program, frames, "codegen",
                                      2, 16, setup)
-        assert path == "stream"
+        assert path.startswith("stream (")
         _assert_same(stream, loop)
 
     def test_stale_stamp_regenerates_with_the_stream(self):
@@ -537,7 +761,8 @@ class TestWindowedStream:
             assert _recompiles(reg, pipeline) == 1
         assert pipeline.codegen_version == CODEGEN_VERSION
         with telemetry.scoped(enabled=False):
-            assert sim.engine_path() == "stream"
+            assert sim.engine_path() \
+                == "stream (2 of 2 lookups folded, 3 spill sites)"
 
 
 class TestStreamBlockers:
@@ -606,6 +831,44 @@ class TestStreamBlockers:
         self._check_cycle_loop(
             pipeline, program, _key_frames([1, 2, 9, 3, 1, 1, 2]),
             "2 serialization windows", _seed_two_lru)
+
+    def test_maps_other_than_the_compiled_specs(self):
+        # _stream has each MapSpec folded into it (kind, geometry, base
+        # address) and binds the maps once per run: a simulator handed
+        # any other map says so and runs the cycle loop — asked per run,
+        # so putting the compiled-against map back streams again
+        program = toy_counter.build()
+        pipeline = compile_program(program)
+        (fd, spec), = program.maps.items()
+        frames = [toy_counter.packet_for_key(k) for k in (1, 2, 1, 3, 1)]
+
+        def run(engine, held):
+            maps = MapSet(program.maps)
+            maps.maps[fd] = create_map(held)
+            sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
+                engine=engine, keep_records=True))
+            path = sim.engine_path()
+            report = sim.run_packets(frames)
+            return path, sim, (
+                report.cycles, dict(report.action_counts),
+                [(r.pid, r.action, bytes(r.data), r.inject_cycle,
+                  r.exit_cycle) for r in report.records],
+                list(maps[fd].items()))
+
+        reason = (f"map {fd} is not the {spec.map_type} map the pipeline "
+                  "was compiled against")
+        for other in (
+            dataclasses.replace(spec, max_entries=spec.max_entries * 2),
+            dataclasses.replace(spec, map_type="hash"),
+        ):
+            path, sim, got = run("codegen", other)
+            assert path.startswith(f"cycle-loop ({reason}")
+            assert got == run("interpreted", other)[2]
+            sim.maps.maps[fd] = create_map(spec)
+            assert sim.engine_path().startswith("stream (")
+        path, _sim, got = run("codegen", spec)
+        assert path.startswith("stream (")
+        assert got == run("interpreted", spec)[2]
 
     def test_non_codegen_engine(self):
         sim = PipelineSimulator(compile_program(firewall.build()),

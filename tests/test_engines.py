@@ -326,7 +326,12 @@ class TestCliEngineFlag:
 
         assert main(["run", "app:ct_firewall", "--workload", "auto",
                      "--packets", "60", "--engine", "codegen"]) == 0
-        assert "engine path: stream" in capsys.readouterr().out
+        # ... and what the generated stream body is specialised to
+        assert ("engine path: stream (2 of 2 lookups folded, 3 spill "
+                "sites)\n") in capsys.readouterr().out
+        assert main(["stats", "app:maglev"]) == 0
+        assert ("engine path: stream (2 of 2 lookups folded, 1 spill "
+                "site)\n") in capsys.readouterr().out
         assert main(["run", "app:ct_firewall", "--workload", "auto",
                      "--packets", "60", "--engine", "interpreted"]) == 0
         assert ("engine path: cycle-loop (engine 'interpreted' has no "

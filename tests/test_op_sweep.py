@@ -222,8 +222,12 @@ def jump_program(ops):
     return _frame_program(name, body, 8 * (words + 1))
 
 
-# A branch costs two stages and the stream body one indentation level
-# per stage (Python allows 100), so jump programs stay at three rows.
+# Nothing caps a jump program any more (a branch costs two stages and
+# the stream body used to nest one indentation level per stage, of
+# Python's 100; tests/test_codegen.py::TestStreamPath now holds a
+# 100-stage pipeline to the reference). Three rows to a program — 36
+# branches, ~75 stages — is kept for what it buys: a failing id names
+# at most three ops, and the two RTL engines elaborate every stage.
 PROGRAMS = (
     [alu_program(ops) for ops in _chunks(isa.ALU_OP_NAMES, 4)]
     + [jump_program(ops) for ops in _chunks(isa.JMP_SYMBOLS, 3)]
