@@ -40,7 +40,8 @@ from .pipeline import Pipeline
 #     this together with ``hwsim.codegen.CODEGEN_VERSION``: the key
 #     carries both, and a checkout that moved only one of them shares
 #     neither's guarantees.
-_CACHE_VERSION = 6
+# v7: with CODEGEN_VERSION 7 (one access rendering in the cycle loop).
+_CACHE_VERSION = 7
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

@@ -42,25 +42,16 @@ class Map:
 
     def __init__(self, spec: MapSpec) -> None:
         self.spec = spec
+        # The geometry, as plain attributes: the pipeline engines read it
+        # per lookup.
+        self.key_size = spec.key_size
+        self.value_size = spec.value_size
+        self.max_entries = spec.max_entries
         self.storage = bytearray(spec.max_entries * spec.value_size)
-
-    # -- geometry -----------------------------------------------------------
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def key_size(self) -> int:
-        return self.spec.key_size
-
-    @property
-    def value_size(self) -> int:
-        return self.spec.value_size
-
-    @property
-    def max_entries(self) -> int:
-        return self.spec.max_entries
 
     def value_addr(self, slot: int) -> int:
         """Byte offset of a slot's value within this map's storage."""

@@ -38,9 +38,32 @@ Layout of a generated module:
   (``2 of 2 lookups folded, 1 spill site``) that ``engine_path()``
   prints.
 
-Layout of ``_stream(sim, frames, gap, report, keep_records)`` — the op
-emitters above in *stream mode* (``_Emitter.stream``), where a packet's
-state has other names and a finished packet other control flow:
+Every op has one rendering, whichever function it lands in. A load,
+store or atomic whose verifier label proves a constant offset folds to
+one statement; a dynamically addressed one (``_Emitter._access``) is a
+single bounds test against the buffer of the region the verifier
+labelled it with — the fast side — and on its cold side, for an address
+that strays from that region or an op with no label, the interpreted
+engine's own ``sim._mem_load`` / ``_mem_store`` / ``_atomic``, which
+dispatch on the address. A map lookup or ``redirect_map`` names its map
+through ``op.call.map_fd`` and inlines ``sim._map_channel_call``'s
+steps. What the two modes differ in is names and exits
+(``_Emitter.stream``: ``_reg`` / ``_stack`` / ``_ctx`` / ``_packet``,
+``_drop_if``, ``_fallback_call``, ``_enable_after``):
+
+* the cycle loop (``_s<N>``, ``_advance``) holds many packets and
+  nothing else: state is ``pkt``'s fields, a map is ``sim.maps``' entry
+  for the fd *as each access finds it* (nothing is cached across runs,
+  so a caller may replace ``Map`` objects between them; an fd the
+  ``MapSet`` lacks drops the packet), a drop is ``sim._drop(pkt)`` and
+  the next op re-checks ``pkt.done``. Under a hazard plan the map fast
+  side keeps the plan's bookkeeping: ``sim._map_read_bytes``
+  forwarding, ``value_reads`` / ``addr_reads``, the ``_se`` side-effect
+  descriptor, just-in-time ``pkt.position``;
+* ``_stream`` holds one packet and everything that is constant for the
+  run, laid out below.
+
+Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 
 * **once per run** (the prologue): the timing model's state; one reused
   ``_InFlight`` and, bound from it, ``_c`` (its context), ``stack`` and —
@@ -75,10 +98,8 @@ state has other names and a finished packet other control flow:
   read — and those it may write, in case it leaves one unwritten — are
   stored to ``regs``; after it ``pkt.done`` is tested (these calls
   report a drop only there) and the locals it may write are loaded
-  back. ``sim._mem_load`` / ``_read_plain`` / ``_mem_store``, the cold
-  side of a dynamically addressed access whose fast side is a bounds
-  test against the run-bound buffer of the region the verifier labelled
-  it with, take their operands as arguments and spill nothing;
+  back. ``sim._mem_load`` / ``_read_plain`` / ``_mem_store`` take their
+  operands as arguments and spill nothing;
 * **after the body**: ``sim._finalize`` if a store could have pended a
   write (only ``sim._mem_store`` can; where no store keeps that
   fallback neither this nor an atomic's ``pkt.pending_writes`` test is
@@ -117,7 +138,7 @@ from ..core.cfg import BasicBlock
 from ..core.labeling import Region
 from ..core.pipeline import PipeOp, Pipeline, Stage, StageKind
 from ..ebpf import isa
-from ..ebpf.helpers import HelperError, MAP_PTR_BASE, helper_spec, map_ptr
+from ..ebpf.helpers import HelperError, helper_spec, map_ptr
 from ..ebpf.isa import MASK32, MASK64, to_signed32
 from ..ebpf.opfns import alu_source, cmp_source
 from ..ebpf.xdp import AddressSpace, XDP_MD_SIZE, XdpAction
@@ -137,7 +158,9 @@ from ..telemetry import get_registry
 #     bound once per run, lookups folded to the map's kind and geometry,
 #     eBPF registers in Python locals (spilled around the pkt.regs
 #     fallbacks), a decided packet leaves the flat body by `break`.
-CODEGEN_VERSION = 6
+# v7: one access rendering: the cycle loop's loads, stores, atomics and
+#     lookups take _stream's label-first form and read sim.maps per use.
+CODEGEN_VERSION = 7
 
 # Helpers whose results depend on the global interleaving of calls
 # (shared clock, shared PRNG state): running packets to completion would
@@ -149,17 +172,9 @@ _ORDER_SENSITIVE_HELPERS = frozenset({5, 7})  # ktime_get_ns, prandom_u32
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
 _M64 = "0x" + format(MASK64, "x")
 _M32 = "0x" + format(MASK32, "x")
-_PKT_LO = hex(AddressSpace.PACKET_BASE)
 _STK_LO = hex(AddressSpace.STACK_BASE)
-_STK_HI = hex(AddressSpace.STACK_BASE + AddressSpace.STACK_SIZE)
 _STK_SZ = AddressSpace.STACK_SIZE
-_MAPB = hex(AddressSpace.MAP_BASE)
-_MAP_SHIFT = AddressSpace.MAP_WINDOW.bit_length() - 1
-_MAP_OFF_MASK = hex(AddressSpace.MAP_WINDOW - 1)
-_CTX_LO = hex(AddressSpace.CTX_BASE)
-_CTX_HI = hex(AddressSpace.CTX_BASE + XDP_MD_SIZE)
 _DATA0 = hex(AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM)
-_MPB = hex(MAP_PTR_BASE)
 _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
@@ -169,10 +184,6 @@ _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 # app run is 25), so a longer run starts its nest over this often — a
 # stage body's own nesting (about ten levels) fits above it.
 _FUSED_NEST_LIMIT = 64
-
-# Stream mode, after a ``sim._*`` fallback that reports a drop only
-# through ``pkt.done``.
-_LEFT_BY_FALLBACK = ["if pkt.done:", "    _act = pkt.action", "    break"]
 
 
 class CodegenError(ValueError):
@@ -216,10 +227,15 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
     The path runs each packet front-to-back to completion and
     reconstructs the cycle accounting arithmetically. That is
     sequentially consistent when no packet can observe another
-    in-flight packet's partial map state, which holds for a map that is
-    only looked up and updated by in-place atomics (possibly at several
-    stages — maglev reads at 17 and adds at 21 — nothing pends, nothing
-    squashes), and for a map with a flush plan or write stages whose
+    in-flight packet's partial map state. It holds for a map that is
+    only looked up and updated by in-place atomics that commute
+    unobserved (nothing pends, nothing squashes): in the pipeline a
+    younger packet's shallow value access runs before an older packet's
+    deeper one, so atomics at several stages must all be plain
+    (non-fetch) adds with no value load of that map beside them —
+    ct_firewall and syn_cookie count that way, at up to three stages —
+    unless one stage or one serialization window holds them all. It
+    holds for a map with a flush plan or write stages whose
     every access lies inside one serialization window ``[lo, hi]``: at
     most one packet is then between its first and last access, so its
     flush blocks can never fire and every write is committed before the
@@ -232,13 +248,26 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
     """
     windows = pipeline.serial_windows
     direct_stores: Dict[int, int] = {}
+    # Per map: the stages that load or atomically update its values,
+    # which maps have an atomic, and which an access that observes or
+    # orders the others (a load, an atomic other than a plain add).
+    value_stages: Dict[Optional[int], List[int]] = {}
+    atomic_fds = set()
+    ordered_fds = set()
     helper_ids: List[int] = []
     for stage in pipeline.stages:
         for op in stage.ops or ():
             label = op.label
-            if (label is not None and label.region is Region.MAP_VALUE
-                    and label.is_write and not label.is_atomic):
-                direct_stores.setdefault(label.map_fd, stage.number)
+            if label is not None and label.region is Region.MAP_VALUE:
+                fd = label.map_fd
+                if label.is_write and not label.is_atomic:
+                    direct_stores.setdefault(fd, stage.number)
+                    continue
+                value_stages.setdefault(fd, []).append(stage.number)
+                if label.is_atomic:
+                    atomic_fds.add(fd)
+                if not label.is_atomic or op.insn.imm != isa.ATOMIC_ADD:
+                    ordered_fds.add(fd)
             if op.insn.is_call:
                 helper_ids.append(op.insn.imm)
     for fd, plan in sorted(pipeline.map_hazards.items()):
@@ -253,6 +282,12 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
         if fd in direct_stores:
             return (f"direct store to map {fd} at stage "
                     f"{direct_stores[fd]} may stay WAR-buffered")
+    for fd, stages in value_stages.items():
+        first, last = min(stages), max(stages)
+        if (first < last and fd in atomic_fds and fd in ordered_fds
+                and not any(lo <= first and last <= hi for lo, hi in windows)):
+            return (f"atomics on map {fd} (stages {first}-{last}) do not "
+                    "commute unobserved")
     if len(windows) > 1:
         return (f"{len(windows)} serialization windows (the closed-form "
                 "timing covers one)")
@@ -336,15 +371,13 @@ class _Emitter:
         self.any_flush = any(
             plan.needs_flush for plan in pipeline.map_hazards.values()
         )
-        self.may_pend = any(
-            plan.write_stages for plan in pipeline.map_hazards.values()
-        )
         # Whether the generated advance keeps pkt.position / pending-write
         # commits per shift. When no hazard plan can buffer a write and no
         # flush can fire, both are dead per-cycle work; the only remaining
         # position consumer (sim._mem_store's WAR threshold) gets a
         # just-in-time position write right before the fallback call.
-        self.maintain = self.any_flush or self.may_pend
+        self.maintain = self.any_flush or any(
+            plan.write_stages for plan in pipeline.map_hazards.values())
         # Elastic-buffer snapshots are dead work where none is ever chosen.
         self.snapshots = restart_blocker(pipeline) is not None
         # Packets executing any stage op already passed every entry
@@ -386,11 +419,20 @@ class _Emitter:
         # run-bound locals of ``_stream`` instead of ``pkt``'s fields,
         # and a decided packet leaves by ``break``.
         self.stream = False
-        # Stream mode: whether any emitted store can reach
-        # sim._mem_store, the one call that appends to
-        # pkt.pending_writes.
-        self.stream_may_pend = False
-        # What engine_path() says about the stream body.
+        # Whether any store can reach sim._mem_store, the one call that
+        # appends to pkt.pending_writes: one that does not fold to a
+        # constant stack/packet offset. Where none can, neither an
+        # atomic's own-pending-writes test nor _stream's sim._finalize
+        # is emitted.
+        self.stores_may_pend = any(
+            op.insn.opclass in (isa.BPF_ST, isa.BPF_STX)
+            and not op.insn.is_atomic
+            and (op.label is None or op.label.offset is None
+                 or self._const_store(
+                     op.label, op.insn.size_bytes, "0", False) is None)
+            for op in all_ops
+        )
+        # What engine_path() says about the stream body (which restarts it).
         self.lookups = self.folded_lookups = self.spill_sites = 0
         # Whether a helper can set ctx.redirect_ifindex (bpf_redirect,
         # bpf_redirect_map): _stream then clears it per frame.
@@ -452,6 +494,13 @@ class _Emitter:
         if self.stream:
             return [f"if {bad}:", "    _act = _DROP", "    break"] + ok
         return [f"if {bad}:", "    sim._drop(pkt)", "else:"] + _ind(ok)
+
+    def _unless_none(self, name: str, ok: List[str]) -> List[str]:
+        """``ok``, unless the ``sim._*`` method that returned ``name``
+        returned None — having dropped the packet itself."""
+        if self.stream:
+            return self._drop_if(f"{name} is None", ok)
+        return [f"if {name} is not None:"] + _ind(ok)
 
     def _enable_lines(self, block: BasicBlock) -> List[str]:
         return self._enable_set(tuple(s for s, _k in block.succs))
@@ -517,136 +566,38 @@ class _Emitter:
         D = self._reg(insn.dst)
         label = op.label
         if label is not None and label.offset is not None:
-            fast = self._const_ldx(label, size, D)
-            if fast is not None:
-                return fast
-        if self.stream:
-            # sim._mem_load is the interpreted engine's whole region
-            # dispatch; None means it dropped the packet.
-            return self._stream_access(
-                insn.src, insn.off, label, size,
-                lambda buf: [f"{D} = {self._unpack(size)}({buf}, _o)[0]"],
-                [f"_v = sim._mem_load(pkt, _a, {size})"]
-                + self._drop_if("_v is None", [f"{D} = _v"]),
-            )
-        unpack = self._unpack(size)
+            folded = self._const_ldx(label, size, D)
+            if folded is not None:
+                return folded
 
-        pkt_body = [
-            "_c = pkt.ctx",
-            f"_o = _a - {_DATA0} - _c.head_adjust",
-            "_b = _c.packet",
-            f"if _o < 0 or _o + {size} > len(_b):",
-            "    sim._drop(pkt)",
-            "else:",
-            f"    {D} = {unpack}(_b, _o)[0]",
-        ]
-        stk_body = [
-            f"_o = _a - {_STK_LO}",
-            f"if _o + {size} > {_STK_SZ}:",
-            "    sim._drop(pkt)",
-            "else:",
-            f"    {D} = {unpack}(pkt.stack, _o)[0]",
-        ]
-        if self.maintain:
-            map_body = [
-                f"_sp = _a - {_MAPB}",
-                f"_fd = _sp >> {_MAP_SHIFT}",
-                f"_o = _sp & {_MAP_OFF_MASK}",
-                "_m = sim.maps[_fd]",
-                f"if _o + {size} > len(_m.storage):",
-                "    sim._drop(pkt)",
-                "else:",
-                f"    _d = sim._map_read_bytes(pkt, _fd, _o, {size})",
-                "    pkt.value_reads.setdefault(_fd, set()).add("
-                "_m.slot_of_addr(_o))",
-                f'    {D} = int.from_bytes(_d, "little")',
-            ]
-        else:
-            # No hazard plan buffers writes and no flush can fire: the
-            # store-forwarding scan inside _map_read_bytes can never hit
-            # and the value_reads set is never consulted, so read backing
-            # storage directly.
-            map_body = [
-                f"_sp = _a - {_MAPB}",
-                f"_st = sim.maps[_sp >> {_MAP_SHIFT}].storage",
-                f"_o = _sp & {_MAP_OFF_MASK}",
-                f"if _o + {size} > len(_st):",
-                "    sim._drop(pkt)",
-                "else:",
-                f"    {D} = {unpack}(_st, _o)[0]",
-            ]
-        if size == 4:  # every xdp_md field is an aligned u32
-            ctx_body = [
-                f"_o = _a - {_CTX_LO}",
-                "_c = pkt.ctx",
-                "if _o == 0:",
-                f"    {D} = {_DATA0} + _c.head_adjust",
-                "elif _o == 4:",
-                f"    {D} = {_DATA0} + _c.head_adjust + len(_c.packet)",
-                "elif _o == 8:",
-                f"    {D} = 0",
-                "elif _o == 12:",
-                f"    {D} = _c.ingress_ifindex",
-                "elif _o == 16:",
-                f"    {D} = _c.rx_queue_index",
-                "elif _o == 20:",
-                f"    {D} = _c.egress_ifindex",
-                "else:",
-                "    _d = _c.ctx_bytes()",
-                f"    if _o + 4 > len(_d):",
-                "        sim._drop(pkt)",
-                "    else:",
-                f'        {D} = int.from_bytes(_d[_o:_o + 4], "little")',
-            ]
-        else:
-            ctx_body = [
-                f"_o = _a - {_CTX_LO}",
-                "_d = pkt.ctx.ctx_bytes()",
-                f"if _o + {size} > len(_d):",
-                "    sim._drop(pkt)",
-                "else:",
-                f'    {D} = int.from_bytes(_d[_o:_o + {size}], "little")',
-            ]
-        branches = {
-            "packet": (f"{_PKT_LO} <= _a < {_STK_LO}", pkt_body),
-            "stack": (f"{_STK_LO} <= _a < {_STK_HI}", stk_body),
-            "map": (f"_a >= {_MAPB}", map_body),
-            "ctx": (f"{_CTX_LO} <= _a < {_CTX_HI}", ctx_body),
-        }
-        # The regions are range-disjoint, so test order is free: put the
-        # labeled region first and keep a fixed order for the rest.
-        order = ["packet", "stack", "map", "ctx"]
-        label = op.label
-        if label is not None:
-            front = {
-                Region.PACKET: "packet",
-                Region.STACK: "stack",
-                Region.MAP_VALUE: "map",
-                Region.CTX: "ctx",
-            }.get(label.region)
-            if front is not None:
-                order = [front] + [r for r in order if r != front]
+        def fast(buf: str) -> List[str]:
+            if self.maintain and label.region is Region.MAP_VALUE:
+                # Under a hazard plan the read sees older packets'
+                # pending writes (store forwarding) and is recorded for
+                # the flush checks, as sim._mem_load does it.
+                fd = label.map_fd
+                return [
+                    f"_d = sim._map_read_bytes(pkt, {fd}, _o, {size})",
+                    f"pkt.value_reads.setdefault({fd}, set()).add("
+                    "_m.slot_of_addr(_o))",
+                    f'{D} = int.from_bytes(_d, "little")',
+                ]
+            return [f"{D} = {self._unpack(size)}({buf}, _o)[0]"]
 
-        out = [f"_a = {self._address(insn.src, insn.off)}"]
-        kw = "if"
-        for region in order:
-            cond, body = branches[region]
-            out.append(f"{kw} {cond}:")
-            out += _ind(body)
-            kw = "elif"
-        out.append("else:")
-        out.append("    sim._drop(pkt)")
-        return out
+        # sim._mem_load is the interpreted engine's whole region
+        # dispatch; None means it dropped the packet.
+        return self._access(
+            insn.src, insn.off, label, size, fast,
+            [f"_v = sim._mem_load(pkt, _a, {size})"]
+            + self._unless_none("_v", [f"{D} = _v"]))
 
     def _address(self, base: int, off: int) -> str:
         """The effective address ``base register + off``, wrapped to 64
-        bits. ``_stream`` relies on the register invariant (see
-        :mod:`repro.ebpf.opfns`) to skip the wrap of a bare register."""
+        bits; a bare register needs no wrap (the register invariant, see
+        :mod:`repro.ebpf.opfns`)."""
         if off:
             return f"({self._reg(base)} + {off}) & {_M64}"
-        if self.stream:
-            return self._reg(base)
-        return f"{self._reg(base)} & {_M64}"
+        return self._reg(base)
 
     def _bound_spec(self, fd: Optional[int]):
         """The ``MapSpec`` behind ``fd`` when ``_stream`` may bind that
@@ -663,46 +614,73 @@ class _Emitter:
             return None
         return spec
 
-    def _stream_access(self, base: int, off: int, label, size: int,
-                       fast, slow: List[str],
-                       also: str = "") -> List[str]:
-        """A dynamically addressed access in stream mode: ``fast(buf)``
-        where the address lands inside the region the verifier labelled
-        it with — the ``size`` bytes at ``buf[_o]``, ``buf`` a run-bound
-        buffer — else ``slow``, the interpreted path's own method, which
-        dispatches on the address as the cycle-mode chain does. ``also``
-        is a further condition of the fast path."""
+    def _access(self, base: int, off: int, label, size: int,
+                fast, slow: List[str], also: str = "") -> List[str]:
+        """A dynamically addressed access: ``fast(buf)`` where the
+        address lands inside the region the verifier labelled it with —
+        the ``size`` bytes at ``buf[_o]`` — else ``slow``, the
+        interpreted engine's own method, which dispatches on the
+        address. ``also`` is a further condition of the fast side.
+
+        ``buf`` is the packet's stack or frame under the mode's name for
+        it, or the labelled map's storage: the run-bound ``_st<fd>`` in
+        ``_stream``, its length folded from the ``MapSpec``
+        (``_bound_spec``); in the cycle loop, whose maps nothing vouches
+        for, that of ``sim.maps``' entry for the fd as this access finds
+        it (``_m``), if it has one and while it fits the map's address
+        window."""
         out = [f"_a = {self._address(base, off)}"]
         region = label.region if label is not None else None
+        fd = label.map_fd if region is Region.MAP_VALUE else None
         if region is Region.STACK:
             out.append(f"_o = _a - {_STK_LO}")
-            cond, buf = f"0 <= _o <= {_STK_SZ - size}", "stack"
+            cond, buf = f"0 <= _o <= {_STK_SZ - size}", self._stack
         elif region is Region.PACKET:
             # _o >= 0 puts _a past PACKET_BASE (head_adjust >= -headroom)
-            out.append(f"_o = _a - {_DATA0} - _c.head_adjust")
+            out += self._bind_packet()
+            out.append(f"_o = _a - {_DATA0} - {self._ctx}.head_adjust")
             cond = f"_a < {_STK_LO} and 0 <= _o <= len(_b) - {size}"
             buf = "_b"
-        elif (region is Region.MAP_VALUE and (
-                spec := self._bound_spec(label.map_fd)) is not None):
-            base_addr = AddressSpace.map_value_addr(label.map_fd, 0)
-            out.append(f"_o = _a - {hex(base_addr)}")
+        elif fd is not None and not self.stream:
+            out += [
+                f"_o = _a - {hex(AddressSpace.map_value_addr(fd, 0))}",
+                f"_m = sim.maps.maps.get({fd})",
+            ]
+            cond = (f"_m is not None and 0 <= _o <= len(_m.storage) - {size}"
+                    f" <= {AddressSpace.MAP_WINDOW - size}")
+            buf = "_m.storage"
+        elif (spec := self._bound_spec(fd)) is not None:
+            out.append(f"_o = _a - {hex(AddressSpace.map_value_addr(fd, 0))}")
             # len(storage) is max_entries * value_size (MapSet.mismatch)
             cond = f"0 <= _o <= {spec.max_entries * spec.value_size - size}"
-            buf = f"_st{label.map_fd}"
+            buf = f"_st{fd}"
         else:
             return out + slow
         return (out + [f"if {cond}{also}:"] + _ind(fast(buf)) + ["else:"]
                 + _ind(slow))
 
-    def _spill_call(self, call: str, reads, writes) -> List[str]:
-        """Stream mode: ``call`` is a ``sim._*`` fallback that works on
-        ``pkt.regs``. The spill contract: the locals it may read — or
+    @property
+    def _left_by_fallback(self) -> List[str]:
+        """What follows a ``sim._*`` fallback that reports a drop only
+        through ``pkt.done``: the cycle loop's next op re-checks it,
+        ``_stream`` leaves the packet body."""
+        if self.stream:
+            return ["if pkt.done:", "    _act = pkt.action", "    break"]
+        return []
+
+    def _fallback_call(self, call: str, reads, writes,
+                       flush: bool = False) -> List[str]:
+        """``call`` is a ``sim._*`` fallback that works on ``pkt.regs``
+        — where the cycle loop's registers live. ``_stream``'s are
+        locals, hence the spill contract: those the call may read — or
         may leave unwritten among those reloaded — go to ``pkt.regs``
         before it, the ones it may write come back after it."""
+        if not self.stream:
+            return [f"_se = {call}" if flush else call]
         self.spill_sites += 1
         return (
             [f"regs[{n}] = r{n}" for n in sorted(set(reads) | set(writes))]
-            + [call] + _LEFT_BY_FALLBACK
+            + [call] + self._left_by_fallback
             + [f"r{n} = regs[{n}]" for n in sorted(writes)]
         )
 
@@ -793,31 +771,28 @@ class _Emitter:
     ) -> List[str]:
         insn = op.insn
         size = insn.size_bytes
-        smask = hex((1 << (8 * size)) - 1)
-        is_stx = insn.opclass == isa.BPF_STX
-        pack = self._pack(size)
-        if is_stx:
-            raw_val = self._reg(insn.src) if self.stream else "_v"
-            masked_val = f"{raw_val} & {smask}"
+        mask = (1 << (8 * size)) - 1
+        if insn.opclass == isa.BPF_STX:
+            raw_val = self._reg(insn.src)
+            masked_val = f"{raw_val} & {hex(mask)}"
         else:
             imm_val = to_signed32(insn.imm) & MASK64
             raw_val = hex(imm_val)
-            masked_val = hex(imm_val & ((1 << (8 * size)) - 1))
+            masked_val = hex(imm_val & mask)
 
         label = op.label
         if label is not None and label.offset is not None:
-            val = (f"{self._reg(insn.src)} & {smask}" if is_stx
-                   else masked_val)
-            fast = self._const_store(label, size, val, flush)
-            if fast is not None:
+            folded = self._const_store(label, size, masked_val, flush)
+            if folded is not None:
                 if label.region is Region.PACKET:
                     self.pkt_writes = True
-                return fast
+                return folded
         if label is None or label.region is Region.PACKET:
             self.pkt_writes = True
 
-        # WAR buffering / flush bookkeeping and unmapped addresses share
-        # the interpreted path.
+        # A map store is sim._mem_store's on every path (WAR buffering,
+        # the side-effect descriptor), so only the stack and the frame
+        # have a fast side.
         fallback = []
         if not self.maintain and not in_entry:
             # Positions are elided from the generated shift loop; the WAR
@@ -825,148 +800,63 @@ class _Emitter:
             fallback.append(f"pkt.position = {stage_number}")
         call = f"sim._mem_store(pkt, _a, {size}, {raw_val}, None)"
         fallback.append(f"_se = {call}" if flush else call)
+        plain = label if label is not None and label.region in (
+            Region.STACK, Region.PACKET) else None
+        return self._access(
+            insn.dst, insn.off, plain, size,
+            lambda buf: [f"{self._pack(size)}({buf}, _o, {masked_val})"]
+            + (["_se = None"] if flush else []),
+            fallback + self._left_by_fallback)
 
-        if self.stream:
-            # No direct map store streams (see stream_blocker), so only
-            # the stack and the frame have a fast path; stream_body has
-            # already counted this op into stream_may_pend.
-            plain = label if label is not None and label.region in (
-                Region.STACK, Region.PACKET) else None
-            return self._stream_access(
-                insn.dst, insn.off, plain, size,
-                lambda buf: [f"{pack}({buf}, _o, {masked_val})"],
-                fallback + _LEFT_BY_FALLBACK)
-
-        stk_body = [
-            f"_o = _a - {_STK_LO}",
-            f"if _o + {size} > {_STK_SZ}:",
-            "    sim._drop(pkt)",
-            "else:",
-            f"    {pack}(pkt.stack, _o, {masked_val})",
-        ]
-        pkt_body = [
-            "_c = pkt.ctx",
-            f"_o = _a - {_DATA0} - _c.head_adjust",
-            f"if _o < 0 or _o + {size} > len(_c.packet):",
-            "    sim._drop(pkt)",
-            "else:",
-            f"    {pack}(_c.packet, _o, {masked_val})",
-        ]
-        branches = {
-            "stack": (f"{_STK_LO} <= _a < {_STK_HI}", stk_body),
-            "packet": (f"{_PKT_LO} <= _a < {_STK_LO}", pkt_body),
-        }
-        order = ["stack", "packet"]
-        if op.label is not None and op.label.region is Region.PACKET:
-            order = ["packet", "stack"]
-
-        out = [f"_a = {self._address(insn.dst, insn.off)}"]
-        if is_stx:
-            out.append(f"_v = regs[{insn.src}]")
-        if flush:
-            out.append("_se = None")
-        kw = "if"
-        for region in order:
-            cond, body = branches[region]
-            out.append(f"{kw} {cond}:")
-            out += _ind(body)
-            kw = "elif"
-        out.append("else:")
-        out += _ind(fallback)
-        return out
-
-    def _atomic_lines(
-        self, op: PipeOp, stage_number: int, in_entry: bool, flush: bool
-    ) -> List[str]:
+    def _atomic_lines(self, op: PipeOp, flush: bool) -> List[str]:
         insn = op.insn
-        if op.label is None or op.label.region is Region.PACKET:
+        label = op.label
+        if label is None or label.region is Region.PACKET:
             self.pkt_writes = True
         size = insn.size_bytes
         smask = hex((1 << (8 * size)) - 1)
         base_op = insn.imm & ~isa.BPF_FETCH
         fetch = bool(insn.imm & isa.BPF_FETCH)
-        simple = (
-            insn.imm not in (isa.ATOMIC_XCHG, isa.ATOMIC_CMPXCHG)
-            and base_op in (isa.ATOMIC_ADD, isa.ATOMIC_OR, isa.ATOMIC_AND,
-                            isa.ATOMIC_XOR)
-        )
         iname = self._insn_literal(insn)
-        addr = self._address(insn.dst, insn.off)
-        # What sim._atomic reads and writes of pkt.regs (stream mode
-        # spills and reloads exactly these).
+        # What sim._atomic reads and writes of pkt.regs.
         cmpxchg = insn.imm == isa.ATOMIC_CMPXCHG
         reads = {insn.src} | ({isa.R0} if cmpxchg else set())
         writes = ({isa.R0} if cmpxchg else
                   {insn.src} if fetch or insn.imm == isa.ATOMIC_XCHG
                   else set())
 
-        if not simple:
-            # XCHG/CMPXCHG and unknown atomics defer entirely to the
-            # interpreted path (which materialises pending overlaps).
-            call = f"sim._atomic(pkt, {iname}, {addr})"
-            if self.stream:
-                return self._spill_call(call, reads, writes)
-            return [f"_se = {call}" if flush else call]
-
-        unpack = self._unpack(size)
-        pack = self._pack(size)
         new = {
             isa.ATOMIC_ADD: f"(_old + _sv) & {smask}",
             isa.ATOMIC_OR: "_old | _sv",
             isa.ATOMIC_AND: "_old & _sv",
             isa.ATOMIC_XOR: "_old ^ _sv",
-        }[base_op]
+        }.get(base_op)
+        if new is None:
+            # XCHG/CMPXCHG and unknown atomics defer entirely to the
+            # interpreted path (which materialises pending overlaps).
+            return self._fallback_call(
+                f"sim._atomic(pkt, {iname}, "
+                f"{self._address(insn.dst, insn.off)})", reads, writes, flush)
 
-        if self.stream:
-            mapped = op.label if op.label is not None and (
-                op.label.region is Region.MAP_VALUE) else None
-            src = self._reg(insn.src)
-            return self._stream_access(
-                insn.dst, insn.off, mapped, size,
-                lambda buf: [
-                    f"_old = {unpack}({buf}, _o)[0]",
-                    # a register already fits 8 bytes (the invariant)
-                    f"_sv = {src}" if size == 8 else f"_sv = {src} & {smask}",
-                    f"{pack}({buf}, _o, {new})",
-                ] + ([f"{src} = _old"] if fetch else []),
-                # stack/packet atomics keep the interpreted path ...
-                self._spill_call(f"sim._atomic(pkt, {iname}, _a)",
-                                 reads, writes),
-                # ... and so does the rare own-pending-write overlap;
-                # nothing pends unless a store can reach sim._mem_store
-                " and not pkt.pending_writes" if self.stream_may_pend
-                else "")
-
-        call = f"sim._atomic(pkt, {iname}, _a)"
-        inline = [
-            f"_sp = _a - {_MAPB}",
-            f"_fd = _sp >> {_MAP_SHIFT}",
-            f"_o = _sp & {_MAP_OFF_MASK}",
-            "_st = sim.maps[_fd].storage",
-            f"if _o + {size} > len(_st):",
-            "    sim._drop(pkt)",
-            "else:",
-            f"    _old = {unpack}(_st, _o)[0]",
-            f"    _sv = regs[{insn.src}] & {smask}",
-            f"    _new = {new}",
-            f"    {pack}(_st, _o, _new)",
-        ]
-        if fetch:
-            inline.append(f"    regs[{insn.src}] = _old")
-        if flush:
-            inline.append('    _se = ("atomic", _fd)')
-        out = [f"_a = {addr}"]
-        if flush:
-            out.append("_se = None")
-        out += [
-            # Stack/packet atomics and the rare own-pending-write overlap
-            # keep the interpreted path.
-            f"if _a < {_MAPB} or pkt.pending_writes:",
-            f"    _se = {call}" if flush else f"    {call}",
-            "else:",
-        ]
-        out += _ind(inline)
-        return out
+        unpack = self._unpack(size)
+        pack = self._pack(size)
+        src = self._reg(insn.src)
+        mapped = label if label is not None and (
+            label.region is Region.MAP_VALUE) else None
+        return self._access(
+            insn.dst, insn.off, mapped, size,
+            lambda buf: [
+                f"_old = {unpack}({buf}, _o)[0]",
+                # a register already fits 8 bytes (the invariant)
+                f"_sv = {src}" if size == 8 else f"_sv = {src} & {smask}",
+                f"{pack}({buf}, _o, {new})",
+            ] + ([f"{src} = _old"] if fetch else [])
+            + ([f'_se = ("atomic", {mapped.map_fd})'] if flush else []),
+            # stack/packet atomics keep the interpreted path ...
+            self._fallback_call(f"sim._atomic(pkt, {iname}, _a)",
+                                reads, writes, flush),
+            # ... and so does the rare own-pending-write overlap
+            " and not pkt.pending_writes" if self.stores_may_pend else "")
 
     def _call_lines(self, op: PipeOp, flush: bool) -> List[str]:
         """Helper-call body."""
@@ -985,69 +875,8 @@ class _Emitter:
         if helper_id in (23, 51):
             self.redirects = True
 
-        if spec.map_channel and self.stream:
-            return self._stream_map_call(op) + [scrub]
         if spec.map_channel:
-            # addr_reads only feeds flush-restart validation
-            # (sim._reads_match); with no hazard plans it is dead work.
-            if helper_id == 1:  # bpf_map_lookup_elem, fully inlined
-                track = [
-                    "        _r = pkt.addr_reads.get(_fd)",
-                    "        if _r is None:",
-                    "            _r = pkt.addr_reads[_fd] = []",
-                    "        _r.append((_k, _sl))",
-                ] if self.maintain else []
-                return [
-                    f"_fd = regs[1] - {_MPB}",
-                    "_e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)",
-                    "if _e is None:",
-                    "    sim._drop(pkt)",
-                    "else:",
-                    "    _m, _ks, _vs, _mb, _lk = _e",
-                    "    _a = regs[2]",
-                    f"    if {_STK_LO} <= _a < {_STK_HI} and "
-                    f"_a - {_STK_LO} + _ks <= {_STK_SZ}:",
-                    f"        _o = _a - {_STK_LO}",
-                    "        _k = bytes(pkt.stack[_o:_o + _ks])",
-                    "    else:",
-                    "        _k = sim._read_plain(pkt, _a, _ks)",
-                    "    if _k is not None:",
-                    "        _sl = _lk(_k)",
-                ] + track + [
-                    # value_addr folded: directory slots are in range by
-                    # construction, so it is just slot * value_size.
-                    "        regs[0] = 0 if _sl is None else "
-                    "_mb + _sl * _vs",
-                    scrub,
-                ]
-            if helper_id == 51:  # bpf_redirect_map, fully inlined
-                track = [
-                    "    _r = pkt.addr_reads.get(_fd)",
-                    "    if _r is None:",
-                    "        _r = pkt.addr_reads[_fd] = []",
-                    "    _r.append((_k, _sl))",
-                ] if self.maintain else []
-                return [
-                    f"_fd = regs[1] - {_MPB}",
-                    "_e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)",
-                    "if _e is None:",
-                    "    sim._drop(pkt)",
-                    "else:",
-                    "    _m, _ks, _vs, _mb, _lk = _e",
-                    f'    _k = (regs[2] & {_M32}).to_bytes(4, "little")',
-                    "    _sl = _lk(_k) if _ks == 4 else None",
-                ] + track + [
-                    "    if _sl is None:",
-                    f"        regs[0] = regs[3] & {_M32}",
-                    "    else:",
-                    "        _val = _m.lookup(_k)",
-                    '        pkt.ctx.redirect_ifindex = '
-                    'int.from_bytes(_val[:4], "little")',
-                    f"        regs[0] = {_REDIRECT}",
-                    scrub,
-                ]
-            call = f"sim._map_channel_call(pkt, {helper_id})"
-            return [f"_se = {call}" if flush else call, scrub]
+            return self._map_call(op, flush) + [scrub]
 
         # Non-map helper: shared VM implementation via the duck-typed
         # execution context — per packet in the cycle loop, one for the
@@ -1062,73 +891,112 @@ class _Emitter:
             scrub,
         ]
 
-    def _stream_map_call(self, op: PipeOp) -> List[str]:
-        """A map-channel helper in stream mode. ``op.call`` names the
-        map (the verifier resolved r1 to one fd) and, usually, where on
-        the stack the key sits; the program's ``MapSpec`` gives the
-        rest. So a lookup of a bound map (``_bound_spec``) dispatches on
-        the map kind here, not per packet: an array index is compared
-        and scaled in place, a hash key goes straight to the run-bound
-        slot directory, an LRU hash keeps its virtual ``lookup_slot``
-        (it moves the key up the recency order). Everything else —
-        update, delete, a map the program does not declare — is the
-        interpreted path's ``sim._map_channel_call`` behind a spill."""
+    def _map_call(self, op: PipeOp, flush: bool) -> List[str]:
+        """A map-channel helper. ``op.call`` names the map (the verifier
+        resolved r1 to one fd), so a lookup or ``redirect_map`` of it is
+        ``sim._map_channel_call``'s own steps inlined; everything else —
+        update, delete, an unresolved map — is that method.
+
+        The cycle loop takes ``sim.maps``' entry for the fd as each call
+        finds it (an fd the ``MapSet`` lacks drops the packet) and under
+        a hazard plan records the read in ``pkt.addr_reads``. ``_stream``
+        runs over exactly the maps the program's specs build
+        (``_bound_spec``), so there the spec decides per compile, not
+        per packet: an array index is compared and scaled in place, a
+        hash key goes straight to the run-bound slot directory, an LRU
+        hash keeps its virtual ``lookup_slot`` (it moves the key up the
+        recency order), a key slot on the stack is read where it sits."""
         helper_id = op.insn.imm
         info = op.call
         fd = info.map_fd if info is not None else None
-        spec = self._bound_spec(fd)
-        if helper_id in (1, 51):
-            self.lookups += 1
-        if spec is None or helper_id not in (1, 51):
-            return self._spill_call(
+        spec = self._bound_spec(fd) if self.stream else None
+        inlined = helper_id in (1, 51)
+        self.lookups += inlined
+        if not inlined or fd is None or (self.stream and spec is None):
+            return self._fallback_call(
                 f"sim._map_channel_call(pkt, {helper_id})",
-                reads=(1, 2, 3, 4), writes=(0,))
+                reads=(1, 2, 3, 4), writes=(0,), flush=flush)
         self.folded_lookups += 1
-        lookup = f"_lk{fd}"
-        if helper_id == 51:  # bpf_redirect_map
-            if spec.key_size != 4:
-                return [f"r0 = r3 & {_M32}"]
-            return [
-                f'_k = (r2 & {_M32}).to_bytes(4, "little")',
-                f"if {lookup}(_k) is None:",
-                f"    r0 = r3 & {_M32}",
-                "else:",
-                "    _c.redirect_ifindex = int.from_bytes("
-                f'_m{fd}.lookup(_k)[:4], "little")',
-                f"    r0 = {_REDIRECT}",
-            ]
-        ks, vs = spec.key_size, spec.value_size
+        if self.stream:
+            bpf_map, lookup = f"_m{fd}", f"_lk{fd}"
+            ks, vs = spec.key_size, spec.value_size
+        else:
+            bpf_map, lookup = "_m", "_m.lookup_slot"
+            ks, vs = "_m.key_size", "_m.value_size"
+        # addr_reads only feeds flush-restart validation
+        # (sim._reads_match); with no hazard plans it is dead work.
+        track = [f"pkt.addr_reads.setdefault({fd}, []).append((_k, _sl))"
+                 ] if self.maintain else []
+        if helper_id == 1:
+            out = self._lookup_lines(fd, info, spec, lookup, ks, vs, track)
+        else:
+            out = self._redirect_lines(spec, bpf_map, lookup, ks, track)
+        if self.stream:
+            return out
+        return ([f"_m = sim.maps.maps.get({fd})"]
+                + self._drop_if("_m is None", out))
+
+    def _lookup_lines(self, fd: int, info, spec, lookup: str, ks, vs,
+                      track: List[str]) -> List[str]:
+        """``bpf_map_lookup_elem`` of map ``fd`` (see ``_map_call``):
+        ``ks`` / ``vs`` are literals where ``spec`` is known, else
+        expressions on the map as found."""
+        R = self._reg
         base = hex(AddressSpace.map_value_addr(fd, 0))
-        array = spec.map_type in ("array", "percpu_array")
-        idx = (None if info.key_stack_offset is None
+        idx = (None if spec is None or info.key_stack_offset is None
                else _STK_SZ + info.key_stack_offset)
         if idx is not None and 0 <= idx and idx + ks <= _STK_SZ:
             # The key's stack slot is statically in range.
-            out = []
-            index = f"{self._unpack(4)}(stack, {idx})[0]"
-            key = f"bytes(stack[{idx}:{idx + ks}])"
+            read = None
+            index = f"{self._unpack(4)}({self._stack}, {idx})[0]"
+            key = f"bytes({self._stack}[{idx}:{idx + ks}])"
         else:
-            out = [
-                "_a = r2",
+            room = f"{_STK_SZ} - {ks}" if spec is None else _STK_SZ - ks
+            read = [
+                f"_a = {R(2)}",
                 f"_o = _a - {_STK_LO}",
-                f"if 0 <= _o <= {_STK_SZ - ks}:",
-                f"    _k = bytes(stack[_o:_o + {ks}])",
+                f"if 0 <= _o <= {room}:",
+                f"    _k = bytes({self._stack}[_o:_o + {ks}])",
                 "else:",
                 f"    _k = sim._read_plain(pkt, _a, {ks})",
-            ] + _ind(self._drop_if("_k is None", []))
+            ]
             index = 'int.from_bytes(_k, "little")'
             key = "_k"
-        if array:  # ArrayMap.lookup_slot: key_size is 4 by construction
-            return out + [
+        if spec is not None and spec.map_type in ("array", "percpu_array"):
+            # ArrayMap.lookup_slot: key_size is 4 by construction
+            out = [
                 f"_ix = {index}",
-                f"r0 = {base} + _ix * {vs} if _ix < {spec.max_entries} "
+                f"{R(0)} = {base} + _ix * {vs} if _ix < {spec.max_entries} "
                 "else 0",
             ]
-        # value_addr folded: directory slots are in range by
-        # construction, so it is just slot * value_size.
-        return out + [
-            f"_sl = {lookup}({key})",
-            f"r0 = 0 if _sl is None else {base} + _sl * {vs}",
+        else:
+            # value_addr folded: directory slots are in range by
+            # construction, so it is just slot * value_size.
+            out = [f"_sl = {lookup}({key})"] + track + [
+                f"{R(0)} = 0 if _sl is None else {base} + _sl * {vs}",
+            ]
+        if read is None:
+            return out
+        return read + self._unless_none("_k", out)
+
+    def _redirect_lines(self, spec, bpf_map: str, lookup: str, ks,
+                        track: List[str]) -> List[str]:
+        """``bpf_redirect_map`` (see ``_map_call``, ``_lookup_lines``)."""
+        R = self._reg
+        miss = [f"{R(0)} = {R(3)} & {_M32}"]
+        if spec is not None and ks != 4:
+            return miss
+        probe = f"{lookup}(_k)"
+        if spec is None:
+            probe += f" if {ks} == 4 else None"
+        return [
+            f'_k = ({R(2)} & {_M32}).to_bytes(4, "little")',
+            f"_sl = {probe}",
+        ] + track + ["if _sl is None:"] + _ind(miss) + [
+            "else:",
+            f"    {self._ctx}.redirect_ifindex = int.from_bytes("
+            f'{bpf_map}.lookup(_k)[:4], "little")',
+            f"    {R(0)} = {_REDIRECT}",
         ]
 
     def _branch_lines(
@@ -1199,7 +1067,7 @@ class _Emitter:
 
         if cls in (isa.BPF_ST, isa.BPF_STX):
             if insn.is_atomic:
-                out = self._atomic_lines(op, stage_number, in_entry, flush)
+                out = self._atomic_lines(op, flush)
             else:
                 out = self._store_lines(op, stage_number, in_entry, flush)
             sets_done = any("sim._" in line for line in out) or flush
@@ -1407,6 +1275,7 @@ class _Emitter:
         # elided either way.
         hazard_modes = self.any_flush, self.maintain
         self.stream = True
+        self.lookups = self.folded_lookups = self.spill_sites = 0
         self.any_flush = self.maintain = False
         try:
             ops = self._stream_ops()
@@ -1494,7 +1363,7 @@ class _Emitter:
         # Exit accounting. The per-packet aggregates are batched: the
         # cycle sums come from the timing model and only the action
         # histogram needs per-packet work.
-        if self.stream_may_pend:
+        if self.stores_may_pend:
             blk += ["if pkt.pending_writes:", "    sim._finalize(pkt)"]
         arrival, inject, exit_ = timing.record
         blk += [
@@ -1530,18 +1399,6 @@ class _Emitter:
         ops carry none. Nesting depth therefore follows op structure,
         not the stage count."""
         pipeline = self.pipeline
-        # Nothing on this path pends a write unless a store keeps its
-        # sim._mem_store fallback, i.e. does not fold to a constant
-        # stack/packet offset; decided before the atomics are emitted
-        # (they test pkt.pending_writes only if so).
-        self.stream_may_pend = any(
-            op.insn.opclass in (isa.BPF_ST, isa.BPF_STX)
-            and not op.insn.is_atomic
-            and (op.label is None or op.label.offset is None
-                 or self._const_store(
-                     op.label, op.insn.size_bytes, "0", False) is None)
-            for stage in pipeline.stages for op in stage.ops or ()
-        )
         entry_block = pipeline.cfg.entry.block_id
         placed = [(op, 1, True) for op in pipeline.entry_ops] + [
             (op, stage.number, False)

@@ -35,7 +35,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Se
 from ..ebpf import isa
 from ..ebpf.helpers import MAP_PTR_BASE, helper_impl, helper_spec, map_ptr
 from ..ebpf.isa import MASK32, MASK64, Instruction, to_signed32
-from ..ebpf.maps import BPF_ANY, HashMap, MapError, MapSet
+from ..ebpf.maps import MapError, MapSet
 from ..ebpf.vm import alu_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
@@ -362,11 +362,6 @@ class PipelineSimulator:
              if plan.needs_flush and plan.write_stages),
             default=0,
         )
-        # Per-fd (map, key_size, value_size, value_addr_base) tuples for
-        # the generated helper-call sites; per-simulator because the
-        # generated module is shared by every simulator over the same
-        # pipeline.
-        self._map_entry: Dict[int, Tuple] = {}
         # Execution backend: one table, filled once. The cycle loop
         # dispatches _stage_fns[pos] (stage number pos + 1) and _entry_fn
         # without knowing who built them: "interpreted" re-decodes ops per
@@ -401,48 +396,6 @@ class PipelineSimulator:
         else:
             self._stage_fns = [_interpreted_stage(s) for s in pipeline.stages]
             self._entry_fn = _interpreted_entry(pipeline.entry_ops)
-
-    def _map_entry_for(self, fd: int) -> Optional[Tuple]:
-        """Resolve and cache a map's hot-path constants for generated code.
-
-        Returns ``None`` for unknown fds (the caller drops the packet,
-        like ``_map_channel_call``)."""
-        if fd not in self.maps:
-            return None
-        bpf_map = self.maps[fd]
-        if type(bpf_map) is HashMap:
-            # Plain hash maps: the slot directory IS the lookup; callers
-            # always pass exact key_size bytes, so _check_key can't
-            # fire. LRU hashes keep the virtual call — their lookup has
-            # recency side effects.
-            lookup = bpf_map._slot_by_key.get
-        else:
-            lookup = bpf_map.lookup_slot
-        entry = (
-            bpf_map,
-            bpf_map.key_size,
-            bpf_map.value_size,
-            AddressSpace.MAP_BASE + fd * AddressSpace.MAP_WINDOW,
-            lookup,
-        )
-        self._map_entry[fd] = entry
-        return entry
-
-    def invalidate_map_cache(self) -> None:
-        """Forget the cached per-fd map handles (``_map_entry``).
-
-        The generated hot paths cache ``(map, key_size, value_size,
-        base, bound-lookup)`` per fd on first use. In-place mutation
-        through the host port (``HostMap.update``/``delete``) stays
-        visible through those handles, but *replacing* a ``Map`` object
-        inside ``self.maps`` — hot-swapping a program while keeping the
-        simulator, splicing a pre-seeded map in a test — leaves them
-        pointing at the retired object. Any caller that swaps map
-        objects must invalidate; ``XdpOffload.process_stream`` does so
-        at every drained batch boundary so its ``on_batch`` hook may
-        replace maps freely.
-        """
-        self._map_entry.clear()
 
     def schedule_host_op(self, cycle: int, op: "Callable[[MapSet], None]") -> None:
         """Apply ``op(maps)`` at the start of ``cycle`` during :meth:`run`."""
@@ -819,7 +772,7 @@ class PipelineSimulator:
         # _STREAM binds each map once per run and has the program's
         # MapSpecs folded into it, so this run's maps must be the maps
         # those specs build. Asked per run, not per simulator: a caller
-        # may replace Map objects between runs (invalidate_map_cache).
+        # may replace Map objects between runs.
         fd = self.maps.mismatch(self.pipeline.program.maps)
         if fd is not None:
             return (f"map {fd} is not the "
@@ -1401,28 +1354,31 @@ class _HelperContext:
     def next_prandom(self) -> int:
         return self._sim.next_prandom()
 
-    def read_bytes(self, addr: int, size: int) -> bytes:
+    def _span(self, addr: int, size: int, writing: bool):
+        """The buffer holding ``size`` bytes at ``addr`` and their offset
+        in it. A helper argument that leaves its buffer, or names none,
+        is a :class:`SimError` (the VM and the RTL raise theirs)."""
         pkt = self._pkt
         if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            return bytes(pkt.stack[off : off + size])
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            return bytes(pkt.ctx.packet[off : off + size])
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            return bytes(self._sim.maps[fd].storage[offset : offset + size])
-        raise SimError(f"helper read from unmapped address {addr:#x}")
+            buf, off = pkt.stack, addr - AddressSpace.STACK_BASE
+        elif AddressSpace.is_packet(addr):
+            buf, off = pkt.ctx.packet, addr - pkt.ctx.data
+        elif AddressSpace.is_map_value(addr) and not writing:
+            buf = self._sim.maps[AddressSpace.map_fd_of(addr)].storage
+            off = AddressSpace.map_offset_of(addr)
+        else:
+            raise SimError("helper " + ("write to" if writing else "read from")
+                           + f" unmapped address {addr:#x}")
+        if off < 0 or off + size > len(buf):
+            raise SimError(
+                f"helper {'write' if writing else 'read'} out of bounds: "
+                f"{addr:#x}+{size}")
+        return buf, off
+
+    def read_bytes(self, addr: int, size: int) -> bytes:
+        buf, off = self._span(addr, size, writing=False)
+        return bytes(buf[off : off + size])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        pkt = self._pkt
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            pkt.stack[off : off + len(data)] = data
-            return
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            pkt.ctx.packet[off : off + len(data)] = data
-            return
-        raise SimError(f"helper write to unmapped address {addr:#x}")
+        buf, off = self._span(addr, len(data), writing=True)
+        buf[off : off + len(data)] = data

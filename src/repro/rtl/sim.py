@@ -371,13 +371,8 @@ class RtlRunner:
         PRIMS, ACT = sim._PRIMS, sim.prim_active
         mark = sim._mark_fn
         edge = sim._edge_fn
-        # Port refs resolved once; the per-frame loop writes nets
-        # directly instead of going through drive()'s name lookup.
         tvalid = sim._port("s_axis_tvalid")
         tv_net, tv_bit = tvalid.net, 1 << tvalid.low
-        in_refs = [(r.net, r.low, r.mask) for r in (
-            sim._port("s_axis_tlast"), sim._port("s_axis_tdata"),
-            sim._port("s_axis_tlen"))]
         wmax = self.window_bytes
         ctx = self.context
         out_index = 0
@@ -390,33 +385,14 @@ class RtlRunner:
             ctx.packet = shadow
             window = frame[:wmax].ljust(wmax, b"\x00")
             span = gap if idx < last else self.n_stages + 1
-            if frame_fn is not None:
-                # Whole window in one generated call: injection marks
-                # are inlined constants and tvalid drops after the
-                # first edge without a Python round-trip.
-                done, hit, nc, pr = frame_fn(
-                    values, NQ, PEND, PQ, PRIMS, ACT, span,
-                    int.from_bytes(window, "little"),
-                    len(frame) & 0xFFFF)
-                consumed = done
-            else:
-                if not values[tv_net] & tv_bit:
-                    values[tv_net] |= tv_bit
-                    mark(tv_net, NQ, PEND, PQ)
-                for (net, low, msk), val in zip(in_refs, (
-                        1, int.from_bytes(window, "little"),
-                        len(frame) & 0xFFFF)):
-                    before = values[net]
-                    after = before & ~(msk << low) \
-                        | (val & msk) << low
-                    if after != before:
-                        values[net] = after
-                        mark(net, NQ, PEND, PQ)
-                # tvalid is held for exactly one cycle, so the first
-                # step of a window is capped at one cycle.
-                done, hit, nc, pr = run(values, NQ, PEND, PQ,
-                                        PRIMS, ACT, 1)
-                consumed = done
+            # Whole window in one generated call (the module has _FRAME
+            # whenever it has _RUN and the s_axis ports): injection
+            # marks are inlined constants and tvalid drops after the
+            # first edge without a Python round-trip.
+            done, hit, nc, pr = frame_fn(
+                values, NQ, PEND, PQ, PRIMS, ACT, span,
+                int.from_bytes(window, "little"), len(frame) & 0xFFFF)
+            consumed = done
             sim.comb_evals += nc
             sim.proc_evals += pr
             sim.settle_count += done + hit

@@ -195,13 +195,12 @@ class XdpOffload:
         ``n_stages`` packets in flight that observe it at whatever stage
         they happen to occupy.
 
-        The simulator's cached per-fd map handles are invalidated at
-        every boundary (:meth:`PipelineSimulator.invalidate_map_cache`),
-        so the hook may even replace whole ``Map`` objects. Each drain
-        costs ``n_stages`` extra cycles per batch relative to one
-        continuous run; the returned report is the serial concatenation
-        of the per-batch runs (:meth:`SimReport.merge_serial`), with
-        per-packet records re-based onto one monotonic timeline.
+        No engine holds a map across runs, so the hook may even replace
+        whole ``Map`` objects. Each drain costs ``n_stages`` extra cycles
+        per batch relative to one continuous run; the returned report is
+        the serial concatenation of the per-batch runs
+        (:meth:`SimReport.merge_serial`), with per-packet records
+        re-based onto one monotonic timeline.
         """
         if on_batch is None:
             report = self._nic.sim.run_packets(frames, gap)
@@ -219,7 +218,6 @@ class XdpOffload:
             batch = list(islice(it, batch_size))
             if not batch:
                 break
-            sim.invalidate_map_cache()
             report = sim.run_packets(batch, gap=gap)
             if total is None:
                 total = report

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (22 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 6); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery elided, position/commit tracking elided. Do not edit.
 """
 
 import struct
@@ -106,21 +106,19 @@ def _s7(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 2 in enabled:
-        _fd = regs[1] - 0x30000000
-        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-        if _e is None:
+        _m = sim.maps.maps.get(1)
+        if _m is None:
             sim._drop(pkt)
         else:
-            _m, _ks, _vs, _mb, _lk = _e
             _a = regs[2]
-            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                _o = _a - 0x200000
-                _k = bytes(pkt.stack[_o:_o + _ks])
+            _o = _a - 0x200000
+            if 0 <= _o <= 512 - _m.key_size:
+                _k = bytes(pkt.stack[_o:_o + _m.key_size])
             else:
-                _k = sim._read_plain(pkt, _a, _ks)
+                _k = sim._read_plain(pkt, _a, _m.key_size)
             if _k is not None:
-                _sl = _lk(_k)
-                regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                _sl = _m.lookup_slot(_k)
+                regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 
@@ -175,21 +173,19 @@ def _s12(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        _fd = regs[1] - 0x30000000
-        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-        if _e is None:
+        _m = sim.maps.maps.get(1)
+        if _m is None:
             sim._drop(pkt)
         else:
-            _m, _ks, _vs, _mb, _lk = _e
             _a = regs[2]
-            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                _o = _a - 0x200000
-                _k = bytes(pkt.stack[_o:_o + _ks])
+            _o = _a - 0x200000
+            if 0 <= _o <= 512 - _m.key_size:
+                _k = bytes(pkt.stack[_o:_o + _m.key_size])
             else:
-                _k = sim._read_plain(pkt, _a, _ks)
+                _k = sim._read_plain(pkt, _a, _m.key_size)
             if _k is not None:
-                _sl = _lk(_k)
-                regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                _sl = _m.lookup_slot(_k)
+                regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 
@@ -236,21 +232,15 @@ def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
     regs = pkt.regs
     enabled = pkt.enabled
     if 5 in enabled:
-        _a = regs[0] & 0xffffffffffffffff
-        if _a < 0x40000000 or pkt.pending_writes:
-            sim._atomic(pkt, _i0, _a)
+        _a = regs[0]
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
+            _old = _u8(_m.storage, _o)[0]
+            _sv = regs[1]
+            _p8(_m.storage, _o, (_old + _sv) & 0xffffffffffffffff)
         else:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _st = sim.maps[_fd].storage
-            if _o + 8 > len(_st):
-                sim._drop(pkt)
-            else:
-                _old = _u8(_st, _o)[0]
-                _sv = regs[1] & 0xffffffffffffffff
-                _new = (_old + _sv) & 0xffffffffffffffff
-                _p8(_st, _o, _new)
+            sim._atomic(pkt, _i0, _a)
     return False
 
 def _s19(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -304,21 +294,15 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
             regs = pkt.regs
             enabled = pkt.enabled
             if 5 in enabled:
-                _a = regs[0] & 0xffffffffffffffff
-                if _a < 0x40000000 or pkt.pending_writes:
-                    sim._atomic(pkt, _i0, _a)
+                _a = regs[0]
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
+                    _old = _u8(_m.storage, _o)[0]
+                    _sv = regs[1]
+                    _p8(_m.storage, _o, (_old + _sv) & 0xffffffffffffffff)
                 else:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _st = sim.maps[_fd].storage
-                    if _o + 8 > len(_st):
-                        sim._drop(pkt)
-                    else:
-                        _old = _u8(_st, _o)[0]
-                        _sv = regs[1] & 0xffffffffffffffff
-                        _new = (_old + _sv) & 0xffffffffffffffff
-                        _p8(_st, _o, _new)
+                    sim._atomic(pkt, _i0, _a)
             if not pkt.done:
                 if 5 in enabled:
                     regs[0] = 0x3
@@ -339,21 +323,19 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
             regs = pkt.regs
             enabled = pkt.enabled
             if 3 in enabled:
-                _fd = regs[1] - 0x30000000
-                _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                if _e is None:
+                _m = sim.maps.maps.get(1)
+                if _m is None:
                     sim._drop(pkt)
                 else:
-                    _m, _ks, _vs, _mb, _lk = _e
                     _a = regs[2]
-                    if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                        _o = _a - 0x200000
-                        _k = bytes(pkt.stack[_o:_o + _ks])
+                    _o = _a - 0x200000
+                    if 0 <= _o <= 512 - _m.key_size:
+                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
                     else:
-                        _k = sim._read_plain(pkt, _a, _ks)
+                        _k = sim._read_plain(pkt, _a, _m.key_size)
                     if _k is not None:
-                        _sl = _lk(_k)
-                        regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                        _sl = _m.lookup_slot(_k)
+                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 3 in enabled:
@@ -374,21 +356,19 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
             regs = pkt.regs
             enabled = pkt.enabled
             if 2 in enabled:
-                _fd = regs[1] - 0x30000000
-                _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                if _e is None:
+                _m = sim.maps.maps.get(1)
+                if _m is None:
                     sim._drop(pkt)
                 else:
-                    _m, _ks, _vs, _mb, _lk = _e
                     _a = regs[2]
-                    if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                        _o = _a - 0x200000
-                        _k = bytes(pkt.stack[_o:_o + _ks])
+                    _o = _a - 0x200000
+                    if 0 <= _o <= 512 - _m.key_size:
+                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
                     else:
-                        _k = sim._read_plain(pkt, _a, _ks)
+                        _k = sim._read_plain(pkt, _a, _m.key_size)
                     if _k is not None:
-                        _sl = _lk(_k)
-                        regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                        _sl = _m.lookup_slot(_k)
+                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 2 in enabled:

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'router_rmw' (30 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 6); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct
@@ -12,11 +12,9 @@ from repro.hwsim.sim import _HelperContext as _HC
 _u1 = struct.Struct("<B").unpack_from
 _u2 = struct.Struct("<H").unpack_from
 _u4 = struct.Struct("<I").unpack_from
-_u8 = struct.Struct("<Q").unpack_from
 _p1 = struct.Struct("<B").pack_into
 _p2 = struct.Struct("<H").pack_into
 _p4 = struct.Struct("<I").pack_into
-_p8 = struct.Struct("<Q").pack_into
 _ACTIONS = {int(_a): _a for _a in XdpAction}
 _ABORTED = XdpAction.ABORTED
 _h23 = helper_impl(23)
@@ -101,25 +99,20 @@ def _s8(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 2 in enabled:
-        _fd = regs[1] - 0x30000000
-        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-        if _e is None:
+        _m = sim.maps.maps.get(1)
+        if _m is None:
             sim._drop(pkt)
         else:
-            _m, _ks, _vs, _mb, _lk = _e
             _a = regs[2]
-            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                _o = _a - 0x200000
-                _k = bytes(pkt.stack[_o:_o + _ks])
+            _o = _a - 0x200000
+            if 0 <= _o <= 512 - _m.key_size:
+                _k = bytes(pkt.stack[_o:_o + _m.key_size])
             else:
-                _k = sim._read_plain(pkt, _a, _ks)
+                _k = sim._read_plain(pkt, _a, _m.key_size)
             if _k is not None:
-                _sl = _lk(_k)
-                _r = pkt.addr_reads.get(_fd)
-                if _r is None:
-                    _r = pkt.addr_reads[_fd] = []
-                _r.append((_k, _sl))
-                regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                _sl = _m.lookup_slot(_k)
+                pkt.addr_reads.setdefault(1, []).append((_k, _sl))
+                regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 
@@ -145,67 +138,29 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
         regs[1] = 0x30000002
     return False
 
-def _s12(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4):
+def _s12(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        _a = regs[8] & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 4 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[2] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 4 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[2] = _u4(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 4 > 512:
-                sim._drop(pkt)
-            else:
-                regs[2] = _u4(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _c = pkt.ctx
-            if _o == 0:
-                regs[2] = 0x100100 + _c.head_adjust
-            elif _o == 4:
-                regs[2] = 0x100100 + _c.head_adjust + len(_c.packet)
-            elif _o == 8:
-                regs[2] = 0
-            elif _o == 12:
-                regs[2] = _c.ingress_ifindex
-            elif _o == 16:
-                regs[2] = _c.rx_queue_index
-            elif _o == 20:
-                regs[2] = _c.egress_ifindex
-            else:
-                _d = _c.ctx_bytes()
-                if _o + 4 > len(_d):
-                    sim._drop(pkt)
-                else:
-                    regs[2] = int.from_bytes(_d[_o:_o + 4], "little")
+        _a = regs[8]
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+            _d = sim._map_read_bytes(pkt, 1, _o, 4)
+            pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+            regs[2] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 4)
+            if _v is not None:
+                regs[2] = _v
     if not pkt.done and 3 in enabled:
         _v = regs[3] & 0xffff
         regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
     return False
 
-def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4):
+def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -219,40 +174,16 @@ def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
                 flushed = True
     if not pkt.done and 3 in enabled:
         _a = (regs[8] + 4) & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 2 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 2)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[2] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 2 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[2] = _u2(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 2 > 512:
-                sim._drop(pkt)
-            else:
-                regs[2] = _u2(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _d = pkt.ctx.ctx_bytes()
-            if _o + 2 > len(_d):
-                sim._drop(pkt)
-            else:
-                regs[2] = int.from_bytes(_d[_o:_o + 2], "little")
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
+            _d = sim._map_read_bytes(pkt, 1, _o, 2)
+            pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+            regs[2] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 2)
+            if _v is not None:
+                regs[2] = _v
     if not pkt.done and 3 in enabled:
         regs[3] = (regs[3] + 0x100) & 0xffffffffffffffff
     if not pkt.done and 3 in enabled:
@@ -261,7 +192,7 @@ def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
         regs[3] = regs[3] & 0xffff
     return flushed
 
-def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4, _p2=_p2):
+def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -275,61 +206,23 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4, _p2=_p2)
                 flushed = True
     if not pkt.done and 3 in enabled:
         _a = (regs[8] + 6) & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 4 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[2] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 4 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[2] = _u4(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 4 > 512:
-                sim._drop(pkt)
-            else:
-                regs[2] = _u4(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _c = pkt.ctx
-            if _o == 0:
-                regs[2] = 0x100100 + _c.head_adjust
-            elif _o == 4:
-                regs[2] = 0x100100 + _c.head_adjust + len(_c.packet)
-            elif _o == 8:
-                regs[2] = 0
-            elif _o == 12:
-                regs[2] = _c.ingress_ifindex
-            elif _o == 16:
-                regs[2] = _c.rx_queue_index
-            elif _o == 20:
-                regs[2] = _c.egress_ifindex
-            else:
-                _d = _c.ctx_bytes()
-                if _o + 4 > len(_d):
-                    sim._drop(pkt)
-                else:
-                    regs[2] = int.from_bytes(_d[_o:_o + 4], "little")
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+            _d = sim._map_read_bytes(pkt, 1, _o, 4)
+            pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+            regs[2] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 4)
+            if _v is not None:
+                regs[2] = _v
     if not pkt.done and 3 in enabled:
         regs[4] = regs[4] >> 16
     if not pkt.done and 3 in enabled:
         regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
     return flushed
 
-def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4):
+def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -343,40 +236,16 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _p4=_p4)
                 flushed = True
     if not pkt.done and 3 in enabled:
         _a = (regs[8] + 10) & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 2 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 2)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[2] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 2 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[2] = _u2(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 2 > 512:
-                sim._drop(pkt)
-            else:
-                regs[2] = _u2(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _d = pkt.ctx.ctx_bytes()
-            if _o + 2 > len(_d):
-                sim._drop(pkt)
-            else:
-                regs[2] = int.from_bytes(_d[_o:_o + 2], "little")
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
+            _d = sim._map_read_bytes(pkt, 1, _o, 2)
+            pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+            regs[2] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 2)
+            if _v is not None:
+                regs[2] = _v
     if not pkt.done and 3 in enabled:
         regs[4] = regs[3]
     if not pkt.done and 3 in enabled:
@@ -461,25 +330,20 @@ def _s20(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 3 in enabled:
-        _fd = regs[1] - 0x30000000
-        _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-        if _e is None:
+        _m = sim.maps.maps.get(2)
+        if _m is None:
             sim._drop(pkt)
         else:
-            _m, _ks, _vs, _mb, _lk = _e
             _a = regs[2]
-            if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                _o = _a - 0x200000
-                _k = bytes(pkt.stack[_o:_o + _ks])
+            _o = _a - 0x200000
+            if 0 <= _o <= 512 - _m.key_size:
+                _k = bytes(pkt.stack[_o:_o + _m.key_size])
             else:
-                _k = sim._read_plain(pkt, _a, _ks)
+                _k = sim._read_plain(pkt, _a, _m.key_size)
             if _k is not None:
-                _sl = _lk(_k)
-                _r = pkt.addr_reads.get(_fd)
-                if _r is None:
-                    _r = pkt.addr_reads[_fd] = []
-                _r.append((_k, _sl))
-                regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                _sl = _m.lookup_slot(_k)
+                pkt.addr_reads.setdefault(2, []).append((_k, _sl))
+                regs[0] = 0 if _sl is None else 0x42000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 
@@ -492,47 +356,23 @@ def _s22(sim, pkt, slots, barrier_queues, input_queue, report):
         enabled.update((5,) if regs[0] == 0x0 else (4,))
     return False
 
-def _s23(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8):
+def _s23(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     if 4 in enabled:
-        _a = regs[0] & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 8 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 8)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[2] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 8 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[2] = _u8(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 8 > 512:
-                sim._drop(pkt)
-            else:
-                regs[2] = _u8(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _d = pkt.ctx.ctx_bytes()
-            if _o + 8 > len(_d):
-                sim._drop(pkt)
-            else:
-                regs[2] = int.from_bytes(_d[_o:_o + 8], "little")
+        _a = regs[0]
+        _o = _a - 0x42000000
+        _m = sim.maps.maps.get(2)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
+            _d = sim._map_read_bytes(pkt, 2, _o, 8)
+            pkt.value_reads.setdefault(2, set()).add(_m.slot_of_addr(_o))
+            regs[2] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 8)
+            if _v is not None:
+                regs[2] = _v
     return False
 
 def _s24(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -544,31 +384,15 @@ def _s24(sim, pkt, slots, barrier_queues, input_queue, report):
         regs[2] = (regs[2] + 0x1) & 0xffffffffffffffff
     return False
 
-def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
+def _s25(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     flushed = False
     if 4 in enabled:
-        _a = regs[0] & 0xffffffffffffffff
-        _v = regs[2]
-        _se = None
-        if 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 8 > 512:
-                sim._drop(pkt)
-            else:
-                _p8(pkt.stack, _o, _v & 0xffffffffffffffff)
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            if _o < 0 or _o + 8 > len(_c.packet):
-                sim._drop(pkt)
-            else:
-                _p8(_c.packet, _o, _v & 0xffffffffffffffff)
-        else:
-            _se = sim._mem_store(pkt, _a, 8, _v, None)
+        _a = regs[0]
+        _se = sim._mem_store(pkt, _a, 8, regs[2], None)
         if not pkt.done:
             enabled.add(5)
         if _se is not None:
@@ -576,61 +400,23 @@ def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
                 flushed = True
     return flushed
 
-def _s26(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4):
+def _s26(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     if 5 in enabled:
         _a = (regs[8] + 12) & 0xffffffffffffffff
-        if _a >= 0x40000000:
-            _sp = _a - 0x40000000
-            _fd = _sp >> 24
-            _o = _sp & 0xffffff
-            _m = sim.maps[_fd]
-            if _o + 4 > len(_m.storage):
-                sim._drop(pkt)
-            else:
-                _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                regs[1] = int.from_bytes(_d, "little")
-        elif 0x100000 <= _a < 0x200000:
-            _c = pkt.ctx
-            _o = _a - 0x100100 - _c.head_adjust
-            _b = _c.packet
-            if _o < 0 or _o + 4 > len(_b):
-                sim._drop(pkt)
-            else:
-                regs[1] = _u4(_b, _o)[0]
-        elif 0x200000 <= _a < 0x200200:
-            _o = _a - 0x200000
-            if _o + 4 > 512:
-                sim._drop(pkt)
-            else:
-                regs[1] = _u4(pkt.stack, _o)[0]
-        elif 0x1000 <= _a < 0x1018:
-            _o = _a - 0x1000
-            _c = pkt.ctx
-            if _o == 0:
-                regs[1] = 0x100100 + _c.head_adjust
-            elif _o == 4:
-                regs[1] = 0x100100 + _c.head_adjust + len(_c.packet)
-            elif _o == 8:
-                regs[1] = 0
-            elif _o == 12:
-                regs[1] = _c.ingress_ifindex
-            elif _o == 16:
-                regs[1] = _c.rx_queue_index
-            elif _o == 20:
-                regs[1] = _c.egress_ifindex
-            else:
-                _d = _c.ctx_bytes()
-                if _o + 4 > len(_d):
-                    sim._drop(pkt)
-                else:
-                    regs[1] = int.from_bytes(_d[_o:_o + 4], "little")
+        _o = _a - 0x41000000
+        _m = sim.maps.maps.get(1)
+        if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+            _d = sim._map_read_bytes(pkt, 1, _o, 4)
+            pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+            regs[1] = int.from_bytes(_d, "little")
         else:
-            sim._drop(pkt)
+            _v = sim._mem_load(pkt, _a, 4)
+            if _v is not None:
+                regs[1] = _v
     if not pkt.done and 5 in enabled:
         regs[2] = 0x0
     return False
@@ -678,7 +464,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p1=_p1, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _h23=_h23):
+def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, _u2=_u2, _u4=_u4, _p1=_p1, _p2=_p2, _p4=_p4, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _h23=_h23):
     slots.insert(1, None)
     del slots[-1]
     flushed = False
@@ -713,54 +499,16 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             pkt.position = 26
             if 5 in enabled:
                 _a = (regs[8] + 12) & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 4 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[1] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 4 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[1] = _u4(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 4 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[1] = _u4(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _c = pkt.ctx
-                    if _o == 0:
-                        regs[1] = 0x100100 + _c.head_adjust
-                    elif _o == 4:
-                        regs[1] = 0x100100 + _c.head_adjust + len(_c.packet)
-                    elif _o == 8:
-                        regs[1] = 0
-                    elif _o == 12:
-                        regs[1] = _c.ingress_ifindex
-                    elif _o == 16:
-                        regs[1] = _c.rx_queue_index
-                    elif _o == 20:
-                        regs[1] = _c.egress_ifindex
-                    else:
-                        _d = _c.ctx_bytes()
-                        if _o + 4 > len(_d):
-                            sim._drop(pkt)
-                        else:
-                            regs[1] = int.from_bytes(_d[_o:_o + 4], "little")
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
+                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+                    regs[1] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 4)
+                    if _v is not None:
+                        regs[1] = _v
             if not pkt.done and 5 in enabled:
                 regs[2] = 0x0
     pkt = slots[25]
@@ -772,24 +520,8 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 25
             if 4 in enabled:
-                _a = regs[0] & 0xffffffffffffffff
-                _v = regs[2]
-                _se = None
-                if 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 8 > 512:
-                        sim._drop(pkt)
-                    else:
-                        _p8(pkt.stack, _o, _v & 0xffffffffffffffff)
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    if _o < 0 or _o + 8 > len(_c.packet):
-                        sim._drop(pkt)
-                    else:
-                        _p8(_c.packet, _o, _v & 0xffffffffffffffff)
-                else:
-                    _se = sim._mem_store(pkt, _a, 8, _v, None)
+                _a = regs[0]
+                _se = sim._mem_store(pkt, _a, 8, regs[2], None)
                 if not pkt.done:
                     enabled.add(5)
                 if _se is not None:
@@ -802,41 +534,17 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 23
             if 4 in enabled:
-                _a = regs[0] & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 8 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 8)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[2] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 8 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u8(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 8 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u8(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _d = pkt.ctx.ctx_bytes()
-                    if _o + 8 > len(_d):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = int.from_bytes(_d[_o:_o + 8], "little")
+                _a = regs[0]
+                _o = _a - 0x42000000
+                _m = sim.maps.maps.get(2)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
+                    _d = sim._map_read_bytes(pkt, 2, _o, 8)
+                    pkt.value_reads.setdefault(2, set()).add(_m.slot_of_addr(_o))
+                    regs[2] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 8)
+                    if _v is not None:
+                        regs[2] = _v
             if not pkt.done:
                 if 4 in enabled:
                     regs[2] = (regs[2] + 0x1) & 0xffffffffffffffff
@@ -847,25 +555,20 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 20
             if 3 in enabled:
-                _fd = regs[1] - 0x30000000
-                _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                if _e is None:
+                _m = sim.maps.maps.get(2)
+                if _m is None:
                     sim._drop(pkt)
                 else:
-                    _m, _ks, _vs, _mb, _lk = _e
                     _a = regs[2]
-                    if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                        _o = _a - 0x200000
-                        _k = bytes(pkt.stack[_o:_o + _ks])
+                    _o = _a - 0x200000
+                    if 0 <= _o <= 512 - _m.key_size:
+                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
                     else:
-                        _k = sim._read_plain(pkt, _a, _ks)
+                        _k = sim._read_plain(pkt, _a, _m.key_size)
                     if _k is not None:
-                        _sl = _lk(_k)
-                        _r = pkt.addr_reads.get(_fd)
-                        if _r is None:
-                            _r = pkt.addr_reads[_fd] = []
-                        _r.append((_k, _sl))
-                        regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                        _sl = _m.lookup_slot(_k)
+                        pkt.addr_reads.setdefault(2, []).append((_k, _sl))
+                        regs[0] = 0 if _sl is None else 0x42000000 + _sl * _m.value_size
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 3 in enabled:
@@ -884,40 +587,16 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         flushed = True
             if not pkt.done and 3 in enabled:
                 _a = (regs[8] + 10) & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 2 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 2)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[2] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 2 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u2(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 2 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u2(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _d = pkt.ctx.ctx_bytes()
-                    if _o + 2 > len(_d):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = int.from_bytes(_d[_o:_o + 2], "little")
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
+                    _d = sim._map_read_bytes(pkt, 1, _o, 2)
+                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+                    regs[2] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 2)
+                    if _v is not None:
+                        regs[2] = _v
             if not pkt.done and 3 in enabled:
                 regs[4] = regs[3]
             if not pkt.done and 3 in enabled:
@@ -981,54 +660,16 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         flushed = True
             if not pkt.done and 3 in enabled:
                 _a = (regs[8] + 6) & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 4 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[2] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 4 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u4(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 4 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u4(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _c = pkt.ctx
-                    if _o == 0:
-                        regs[2] = 0x100100 + _c.head_adjust
-                    elif _o == 4:
-                        regs[2] = 0x100100 + _c.head_adjust + len(_c.packet)
-                    elif _o == 8:
-                        regs[2] = 0
-                    elif _o == 12:
-                        regs[2] = _c.ingress_ifindex
-                    elif _o == 16:
-                        regs[2] = _c.rx_queue_index
-                    elif _o == 20:
-                        regs[2] = _c.egress_ifindex
-                    else:
-                        _d = _c.ctx_bytes()
-                        if _o + 4 > len(_d):
-                            sim._drop(pkt)
-                        else:
-                            regs[2] = int.from_bytes(_d[_o:_o + 4], "little")
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
+                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+                    regs[2] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 4)
+                    if _v is not None:
+                        regs[2] = _v
             if not pkt.done and 3 in enabled:
                 regs[4] = regs[4] >> 16
             if not pkt.done and 3 in enabled:
@@ -1047,40 +688,16 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         flushed = True
             if not pkt.done and 3 in enabled:
                 _a = (regs[8] + 4) & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 2 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 2)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[2] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 2 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u2(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 2 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u2(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _d = pkt.ctx.ctx_bytes()
-                    if _o + 2 > len(_d):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = int.from_bytes(_d[_o:_o + 2], "little")
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
+                    _d = sim._map_read_bytes(pkt, 1, _o, 2)
+                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+                    regs[2] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 2)
+                    if _v is not None:
+                        regs[2] = _v
             if not pkt.done and 3 in enabled:
                 regs[3] = (regs[3] + 0x100) & 0xffffffffffffffff
             if not pkt.done and 3 in enabled:
@@ -1094,55 +711,17 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 12
             if 3 in enabled:
-                _a = regs[8] & 0xffffffffffffffff
-                if _a >= 0x40000000:
-                    _sp = _a - 0x40000000
-                    _fd = _sp >> 24
-                    _o = _sp & 0xffffff
-                    _m = sim.maps[_fd]
-                    if _o + 4 > len(_m.storage):
-                        sim._drop(pkt)
-                    else:
-                        _d = sim._map_read_bytes(pkt, _fd, _o, 4)
-                        pkt.value_reads.setdefault(_fd, set()).add(_m.slot_of_addr(_o))
-                        regs[2] = int.from_bytes(_d, "little")
-                elif 0x100000 <= _a < 0x200000:
-                    _c = pkt.ctx
-                    _o = _a - 0x100100 - _c.head_adjust
-                    _b = _c.packet
-                    if _o < 0 or _o + 4 > len(_b):
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u4(_b, _o)[0]
-                elif 0x200000 <= _a < 0x200200:
-                    _o = _a - 0x200000
-                    if _o + 4 > 512:
-                        sim._drop(pkt)
-                    else:
-                        regs[2] = _u4(pkt.stack, _o)[0]
-                elif 0x1000 <= _a < 0x1018:
-                    _o = _a - 0x1000
-                    _c = pkt.ctx
-                    if _o == 0:
-                        regs[2] = 0x100100 + _c.head_adjust
-                    elif _o == 4:
-                        regs[2] = 0x100100 + _c.head_adjust + len(_c.packet)
-                    elif _o == 8:
-                        regs[2] = 0
-                    elif _o == 12:
-                        regs[2] = _c.ingress_ifindex
-                    elif _o == 16:
-                        regs[2] = _c.rx_queue_index
-                    elif _o == 20:
-                        regs[2] = _c.egress_ifindex
-                    else:
-                        _d = _c.ctx_bytes()
-                        if _o + 4 > len(_d):
-                            sim._drop(pkt)
-                        else:
-                            regs[2] = int.from_bytes(_d[_o:_o + 4], "little")
+                _a = regs[8]
+                _o = _a - 0x41000000
+                _m = sim.maps.maps.get(1)
+                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
+                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
+                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
+                    regs[2] = int.from_bytes(_d, "little")
                 else:
-                    sim._drop(pkt)
+                    _v = sim._mem_load(pkt, _a, 4)
+                    if _v is not None:
+                        regs[2] = _v
             if not pkt.done and 3 in enabled:
                 _v = regs[3] & 0xffff
                 regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
@@ -1153,25 +732,20 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             enabled = pkt.enabled
             pkt.position = 8
             if 2 in enabled:
-                _fd = regs[1] - 0x30000000
-                _e = sim._map_entry.get(_fd) or sim._map_entry_for(_fd)
-                if _e is None:
+                _m = sim.maps.maps.get(1)
+                if _m is None:
                     sim._drop(pkt)
                 else:
-                    _m, _ks, _vs, _mb, _lk = _e
                     _a = regs[2]
-                    if 0x200000 <= _a < 0x200200 and _a - 0x200000 + _ks <= 512:
-                        _o = _a - 0x200000
-                        _k = bytes(pkt.stack[_o:_o + _ks])
+                    _o = _a - 0x200000
+                    if 0 <= _o <= 512 - _m.key_size:
+                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
                     else:
-                        _k = sim._read_plain(pkt, _a, _ks)
+                        _k = sim._read_plain(pkt, _a, _m.key_size)
                     if _k is not None:
-                        _sl = _lk(_k)
-                        _r = pkt.addr_reads.get(_fd)
-                        if _r is None:
-                            _r = pkt.addr_reads[_fd] = []
-                        _r.append((_k, _sl))
-                        regs[0] = 0 if _sl is None else _mb + _sl * _vs
+                        _sl = _m.lookup_slot(_k)
+                        pkt.addr_reads.setdefault(1, []).append((_k, _sl))
+                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
                 regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
             if not pkt.done:
                 if 2 in enabled:

@@ -47,6 +47,7 @@ from repro.apps import (
 )
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import CompileOptions, compile_program
+from repro.core.labeling import Region
 from repro.core.vhdl import emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
@@ -353,27 +354,51 @@ class TestStreamPath:
     # sim._atomic and sim._map_channel_call work on pkt.regs; _stream
     # keeps the registers in locals and spills / reloads around them.
 
-    def _agrees_spaced(self, program, frames, shape):
+    def _agrees_spaced(self, program, frames, shape, atomics=None):
         """Streams, and agrees with the VM and the reference engine on a
         schedule where they are comparable (one packet in flight: the
-        atomics of two packets do not interleave)."""
+        atomics of two packets do not interleave) — and so does the
+        cycle loop an attached observer forces, which renders the same
+        fallbacks on ``pkt.regs`` directly.
+
+        ``atomics`` names the map a program updates by atomics that do
+        not commute: ``stream_blocker`` refuses it (its own cycle loop,
+        the fused ``_advance``, is one more leg), so it streams under a
+        serialization window holding its accesses to that map."""
         pipeline = compile_program(program)
-        sim = PipelineSimulator(pipeline, options=SimOptions())
-        assert sim.engine_path() == f"stream ({shape})"
         gap = pipeline.n_stages + 2
-        run_differential(
-            program, frames, pipeline=pipeline, gap=gap,
-            engines=("vm", "interpreted", "codegen")).raise_on_mismatch()
-        # ... and with the reference on every packet's cycles
-        run_differential(
-            program, frames, pipeline=pipeline, gap=gap,
-            engines=("interpreted", "codegen")).raise_on_mismatch()
+        legs = []
+        if atomics is not None:
+            reason = stream_blocker(pipeline)
+            assert reason.startswith(f"atomics on map {atomics} (stages ")
+            legs.append(
+                (pipeline, None, f"cycle-loop ({reason}; advance visits"))
+            plan = pipeline.map_hazards[atomics]
+            pipeline = _rewindowed(pipeline, atomics, (
+                min(plan.read_stages), max(plan.atomic_stages)))
+        legs += [
+            (pipeline, None, f"stream ({shape})"),
+            (pipeline, _idle_observer,
+             "cycle-loop (a per-cycle observer is attached"),
+        ]
+        for leg, observer, expected in legs:
+            path, got = _observed(leg, program, frames, "codegen", gap,
+                                  observer=observer)
+            assert path.startswith(expected), path
+            # ... with the reference on every packet's cycles
+            _path, want = _observed(leg, program, frames, "interpreted", gap)
+            _assert_same(got, want)
+            if observer is None:
+                run_differential(
+                    program, frames, pipeline=leg, gap=gap,
+                    engines=("vm", "interpreted", "codegen"),
+                ).raise_on_mismatch()
 
     def test_spill_around_complex_atomics(self):
         corpus = Path(__file__).parent / "corpus" / "atomic_variants.ebpf"
         self._agrees_spaced(
             load_program(str(corpus)), [bytes(range(64))] * 6 + [b""],
-            "1 of 1 lookups folded, 6 spill sites")
+            "1 of 1 lookups folded, 6 spill sites", atomics=1)
 
     def test_registers_written_inside_the_atomic_fallback_come_back(self):
         # fetch-add (inlined; its cold fallback spills), xchg and cmpxchg
@@ -417,7 +442,7 @@ class TestStreamPath:
             for i in range(12)
         ] + [bytes(8)]
         self._agrees_spaced(program, frames,
-                            "1 of 1 lookups folded, 3 spill sites")
+                            "1 of 1 lookups folded, 3 spill sites", atomics=1)
 
     def test_spill_around_map_update_then_branch_on_r0(self):
         # r0 comes back from sim._map_channel_call through pkt.regs and
@@ -512,12 +537,27 @@ class TestStreamPath:
             maps[1].update(bytes(4), (0xC0FFEE).to_bytes(8, "little"))
             maps[1].update((1).to_bytes(4, "little"), bytes([0xAB] * 8))
 
-        path, got = _observed(pipeline, program, frames, "codegen",
-                              setup=seed)
-        assert path == "stream (1 of 1 lookups folded, 0 spill sites)"
         _path, want = _observed(pipeline, program, frames, "interpreted",
                                 setup=seed)
-        _assert_same(got, want)
+        # The fast side of the value load is the bounds test of the
+        # region its label names, so a label that names another region,
+        # or none, only takes the load to sim._mem_load sooner — in
+        # _stream and in the cycle loop alike.
+        load = pipeline.stages[4].ops[0]
+        assert load.label.region is Region.MAP_VALUE
+        for label in (load.label, None, dataclasses.replace(
+                load.label, region=Region.STACK, map_fd=None)):
+            labelled = _unresolved(pipeline, 5, label=label)
+            for observer, expected in (
+                (None, "stream (1 of 1 lookups folded, 0 spill sites)"),
+                # ... then the advance's shape, which the label decides
+                (_idle_observer,
+                 "cycle-loop (a per-cycle observer is attached; "),
+            ):
+                path, got = _observed(labelled, program, frames, "codegen",
+                                      setup=seed, observer=observer)
+                assert path.startswith(expected), path
+                _assert_same(got, want)
         assert [int(record[1]) for record in got["records"]] == [
             3,  # slot 0: bytes 4..12 of the storage are in range
             1,  # slot 1: 12 + 8 > 16, dropped at the value load
@@ -548,16 +588,18 @@ def deep_branch_program(branches=50):
 
 
 def _observed(pipeline, program, frames, engine, gap=1, capacity=4096,
-              setup=None, stream_input=False, **options):
+              setup=None, stream_input=False, observer=None, **options):
     """Everything two runs of one cycle model must agree on, down to
     each packet's arrival/inject/exit cycle and the LRU recency order
-    of the final map contents; plus the path the run took."""
+    of the final map contents; plus the path the run took (an attached
+    ``observer`` forces the cycle loop)."""
     maps = MapSet(program.maps)
     if setup is not None:
         setup(maps)
     sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
         engine=engine, keep_records=True, input_queue_capacity=capacity,
         **options))
+    sim.observer = observer
     path = sim.engine_path(gap)
     if stream_input:
         report = sim.run_packets((f for f in frames), gap=gap)
@@ -586,6 +628,10 @@ def _observed(pipeline, program, frames, engine, gap=1, capacity=4096,
 def _assert_same(got, want):
     for field in want:
         assert got[field] == want[field], field
+
+
+def _idle_observer(*_cycle_state):
+    """Attached to a simulator, it takes the run off the stream path."""
 
 
 def _rewindowed(pipeline, fd, window):
@@ -803,6 +849,52 @@ class TestStreamBlockers:
                                _key_frames([1, 2, 3]),
                                "helper 7 is order-sensitive")
 
+    @pytest.mark.parametrize("program,stages", [
+        # add, or, and, xor, fetch-add, xchg on one slot, two stages apart
+        (load_program(str(Path(__file__).parent / "corpus"
+                          / "atomic_variants.ebpf")), "7-17"),
+        # plain adds commute, but here the verdict is a value load's
+        (assemble_program("""
+            r2 = 0
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r8 = r0
+            r6 = *(u64 *)(r8 + 0)
+            r6 &= 1
+            r6 += 1
+            r2 = 1
+            lock *(u64 *)(r8 + 0) += r2
+            r0 = r6
+            exit
+        out:
+            r0 = 2
+            exit
+        """, maps={"m": MapSpec("m", "array", key_size=4, value_size=8,
+                                max_entries=1)}, name="load_beside_add"),
+         "7-9"),
+    ], ids=lambda value: getattr(value, "name", None))
+    def test_atomics_that_do_not_commute_unobserved(self, program, stages):
+        # in the pipeline a younger packet's shallow access to the slot
+        # runs before an older packet's deeper one: at line rate, equal
+        # frames leave another map state (another verdict) than they do
+        # packet by packet, and the cycle loop's is the reference's
+        self._check_cycle_loop(
+            compile_program(program), program, [bytes(range(64))] * 12,
+            f"atomics on map 1 (stages {stages}) do not commute unobserved")
+
+    def test_the_apps_keep_their_verdicts(self):
+        # ct_firewall and syn_cookie add to one map at several stages,
+        # maglev and router load one map and add to another
+        blocked = [
+            app for app in TestDigests.APPS
+            if stream_blocker(compile_program(getattr(apps, app).build()))
+        ]
+        assert blocked == ["dnat", "leaky_bucket"]
+
     def test_access_outside_the_window(self):
         tiny = TestWindowedStream.TINY
         pipeline = TestWindowedStream.TINY_PIPELINE
@@ -842,18 +934,27 @@ class TestStreamBlockers:
         (fd, spec), = program.maps.items()
         frames = [toy_counter.packet_for_key(k) for k in (1, 2, 1, 3, 1)]
 
-        def run(engine, held):
-            maps = MapSet(program.maps)
-            maps.maps[fd] = create_map(held)
-            sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
-                engine=engine, keep_records=True))
-            path = sim.engine_path()
+        def observe(sim):
             report = sim.run_packets(frames)
-            return path, sim, (
+            return (
                 report.cycles, dict(report.action_counts),
                 [(r.pid, r.action, bytes(r.data), r.inject_cycle,
                   r.exit_cycle) for r in report.records],
-                list(maps[fd].items()))
+                list(sim.maps[fd].items()))
+
+        def run(engine, held):
+            maps = MapSet(program.maps)
+            maps.maps[fd] = held
+            sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
+                engine=engine, keep_records=True))
+            return sim.engine_path(), sim, observe(sim)
+
+        def seeded(held):
+            bpf_map = create_map(held)
+            for key in (1, 2, 3):
+                bpf_map.update(key.to_bytes(4, "little"),
+                               (10 * key).to_bytes(8, "little"))
+            return bpf_map
 
         reason = (f"map {fd} is not the {spec.map_type} map the pipeline "
                   "was compiled against")
@@ -861,14 +962,19 @@ class TestStreamBlockers:
             dataclasses.replace(spec, max_entries=spec.max_entries * 2),
             dataclasses.replace(spec, map_type="hash"),
         ):
-            path, sim, got = run("codegen", other)
+            path, sim, got = run("codegen", create_map(other))
             assert path.startswith(f"cycle-loop ({reason}")
-            assert got == run("interpreted", other)[2]
+            assert got == run("interpreted", create_map(other))[2]
+            # no engine holds a map past the end of a run: the same
+            # simulator's next run reads the Map object now in its set
+            sim.maps.maps[fd] = seeded(other)
+            assert sim.engine_path().startswith(f"cycle-loop ({reason}")
+            assert observe(sim) == run("interpreted", seeded(other))[2]
             sim.maps.maps[fd] = create_map(spec)
             assert sim.engine_path().startswith("stream (")
-        path, _sim, got = run("codegen", spec)
+        path, _sim, got = run("codegen", create_map(spec))
         assert path.startswith("stream (")
-        assert got == run("interpreted", spec)[2]
+        assert got == run("interpreted", create_map(spec))[2]
 
     def test_non_codegen_engine(self):
         sim = PipelineSimulator(compile_program(firewall.build()),

@@ -79,6 +79,15 @@ class TestCorpus:
         result = run_differential(program, frames, gap=gap_for(path))
         result.raise_on_mismatch()
 
+    def test_codegen_matches_interpreted_at_line_rate(self, path):
+        # the two pipeline engines are one cycle model: at gap 1, where
+        # packets interleave, they agree on map state too — whichever
+        # path the codegen engine takes (atomic_variants must not stream)
+        program = load_program(str(path))
+        frames = [PACKETS[0]] * 12 + [PACKETS[3]] * 12
+        run_differential(program, frames, gap=1,
+                         engines=("interpreted", "codegen")).raise_on_mismatch()
+
     def test_line_rate_actions_match_even_for_atomics(self, path):
         # even where interleaved atomics relax map-state equality, the
         # per-packet verdicts and bytes still match

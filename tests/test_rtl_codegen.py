@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import apps
 from repro.core.cache import CompileCache
 from repro.core.compiler import compile_program
 from repro.core.vhdl import emit_vhdl
@@ -35,7 +36,7 @@ from tests.test_rtl import APP_CASES
 
 
 def _elaborated(app):
-    build, _setup, _frames = APP_CASES[app]
+    build = APP_CASES[app][0] if app in APP_CASES else getattr(apps, app).build
     pipeline = compile_program(build())
     text = emit_vhdl(pipeline)
     context = RtlContext(MapSet(pipeline.program.maps))
@@ -83,6 +84,13 @@ class TestGolden:
         pipeline, _text, model = _elaborated("firewall")
         source = generate_rtl_source(model, pipeline.name)
         assert f"_GEN_VERSION = {RTL_CODEGEN_VERSION}" in source
+
+    @pytest.mark.parametrize(
+        "app", sorted(name for name in apps.__all__ if name.islower()))
+    def test_every_app_has_the_frame_stepper(self, app):
+        # RtlRunner injects through _frame alone (no manual s_axis path)
+        pipeline, _text, model = _elaborated(app)
+        assert "_FRAME = _frame" in generate_rtl_source(model, pipeline.name)
 
 
 class TestCachePlumbing:

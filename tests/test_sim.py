@@ -114,6 +114,52 @@ class TestImplicitDrops:
         assert rep.records[0].action == XdpAction.PASS
 
 
+    # csum_diff over 16 bytes, 8 past the stack top, on frames that say so
+    OVERREAD = """
+        r6 = *(u32 *)(r1 + 0)
+        r2 = *(u8 *)(r6 + 0)
+        if r2 == 0 goto out
+        r1 = r10
+        r1 += -8
+        r2 = 16
+        r3 = 0
+        r4 = 0
+        r5 = 0
+        call 28
+    out:
+        r0 = 3
+        exit
+    """
+
+    @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
+    def test_helper_argument_past_its_buffer_is_a_located_error(self, engine):
+        # the VM and the RTL raise here; slicing the stack short and
+        # checksumming what is left would be a silent wrong answer
+        rep, _ = simulate(self.OVERREAD, [bytes(64)] * 3, engine=engine)
+        assert rep.action_counts == {XdpAction.TX: 3}
+        with pytest.raises(SimError, match=(
+                r"helper read out of bounds: 0x2001f8\+16 \(at frame 2\)$")):
+            simulate(self.OVERREAD, [bytes(64)] * 2 + [bytes([1] * 64)],
+                     engine=engine)
+
+    def test_helper_write_past_its_buffer_does_not_grow_it(self):
+        from repro.ebpf.xdp import AddressSpace
+        from repro.hwsim.sim import _HelperContext, _InFlight
+
+        sim = PipelineSimulator(compile_program(
+            assemble_program(self.OVERREAD)))
+        pkt = _InFlight(0, PKT, 0)
+        context = _HelperContext(sim, pkt)
+        context.write_bytes(AddressSpace.stack_top() - 8, bytes([7] * 8))
+        assert context.read_bytes(AddressSpace.stack_top() - 8, 8) \
+            == bytes([7] * 8)
+        for addr in (AddressSpace.stack_top() - 8, pkt.ctx.data + 56):
+            with pytest.raises(SimError, match="helper write out of bounds"):
+                context.write_bytes(addr, bytes(16))
+        assert len(pkt.stack) == AddressSpace.STACK_SIZE
+        assert bytes(pkt.ctx.packet) == PKT
+
+
 class TestInputQueue:
     def test_overflow_drops_packets(self):
         # many-stage pipeline + tiny queue + burst arrivals
