@@ -141,16 +141,6 @@ def conntrack_key(flow: FiveTuple) -> bytes:
     )
 
 
-def reverse_key(flow: FiveTuple) -> bytes:
-    """The key an *inbound* packet of ``flow``'s connection probes."""
-    return conntrack_key(
-        FiveTuple(
-            src_ip=flow.dst_ip, dst_ip=flow.src_ip, proto=flow.proto,
-            sport=flow.dport, dport=flow.sport,
-        )
-    )
-
-
 def tracked_count(maps: MapSet) -> int:
     """Host-side: number of connections currently tracked."""
     return len(list(maps.by_name("conntrack").items()))

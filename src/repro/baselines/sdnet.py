@@ -84,12 +84,6 @@ class P4Action:
 
 
 @dataclass
-class P4TableEntry:
-    key: bytes
-    actions: List[P4Action]
-
-
-@dataclass
 class P4Table:
     """An exact-match table. Entries come from the control plane ONLY."""
 

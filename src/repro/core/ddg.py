@@ -121,9 +121,6 @@ class Ddg:
     labels: ProgramLabels
     deps: Dict[int, Dict[int, str]] = field(default_factory=dict)
 
-    def depends_on(self, j: int, i: int) -> bool:
-        return i in self.deps.get(j, {})
-
     def predecessors(self, j: int) -> Dict[int, str]:
         return self.deps.get(j, {})
 

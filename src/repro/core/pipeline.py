@@ -123,10 +123,6 @@ class MapHazardPlan:
     def needs_flush(self) -> bool:
         return bool(self.flush_blocks)
 
-    @property
-    def needs_serialization(self) -> bool:
-        return self.serial_window is not None
-
 
 @dataclass
 class Pipeline:
@@ -203,9 +199,6 @@ class Pipeline:
                 if op.insn_index == insn_index:
                     return stage.number
         raise KeyError(f"instruction {insn_index} not in pipeline")
-
-    def ops_stages(self) -> List[Stage]:
-        return [s for s in self.stages if s.kind is StageKind.OPS]
 
     def summary(self) -> str:
         """Human-readable pipeline dump (one line per stage, Figure-8 style)."""

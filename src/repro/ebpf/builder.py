@@ -90,9 +90,6 @@ class ProgramBuilder:
     def mov32(self, dst: int, src: int) -> "ProgramBuilder":
         return self.emit(isa.alu32_reg(isa.BPF_MOV, dst, src))
 
-    def mov32_imm(self, dst: int, imm: int) -> "ProgramBuilder":
-        return self.emit(isa.alu32_imm(isa.BPF_MOV, dst, int(imm)))
-
     def alu(self, op: str, dst: int, src: int, width: int = 64) -> "ProgramBuilder":
         opcode = _ALU_OPS[op]
         if width == 64:

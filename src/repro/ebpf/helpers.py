@@ -153,15 +153,6 @@ def _bpf_redirect(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
     return int(XdpAction.REDIRECT)
 
 
-def _internet_checksum_add(total: int, data: bytes) -> int:
-    if len(data) % 2:
-        data = data + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
 def _bpf_csum_diff(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
     """RFC1624 incremental checksum: csum of `to` minus csum of `from`,
     folded into 32 bits with ``seed`` in r5 (matching the kernel helper)."""

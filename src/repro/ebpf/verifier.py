@@ -50,15 +50,18 @@ def _opcode_fault(insn: Instruction) -> Optional[str]:
             return f"byte swap width {insn.imm} not in {{16, 32, 64}}"
     elif insn.is_jump_class and insn.op not in isa.JMP_OP_NAMES:
         return f"unknown jump op {insn.op:#x}"
+    elif insn.is_atomic and insn.imm not in isa.ATOMIC_OP_NAMES:
+        return f"unknown atomic op {insn.imm:#x}"
     return None
 
 
 # Opcode bytes sound whatever their operands (all but unknown ops and
-# BPF_END, the one rule that reads the immediate): verify() runs a dozen
-# times per compile, so its pre-pass is one set lookup per instruction.
+# the two rules that read the immediate, BPF_END's and the atomics' —
+# probed here with one no rule accepts): verify() runs a dozen times per
+# compile, so its pre-pass is one set lookup per instruction.
 _SOUND_OPCODES = frozenset(
     opcode for opcode in range(256)
-    if _opcode_fault(Instruction(opcode)) is None
+    if _opcode_fault(Instruction(opcode, imm=-1)) is None
 )
 
 

@@ -25,6 +25,15 @@ path; the loop it replaced stays in the class only as the reference the
 table is tested against, and as where an opcode outside the ``isa``
 tables raises its canonical ``VmError`` (the VM runs unverified
 programs; the verifier rejects such opcodes before anything is compiled).
+
+The memory side has the same shape. Its reference tier is three rules,
+each defined once and shared by every engine that decodes per
+execution: where an address lands (``AddressSpace.locate`` in
+:mod:`repro.ebpf.xdp`), what an atomic writes (:func:`atomic_step`,
+here) and what r0 means (``XdpAction.of``). ``Vm.read_bytes`` /
+``write_bytes`` add only the VM's policy — a span no buffer holds is a
+``VmError``. The specialised tier is ``_compile_insn``'s inline stack /
+packet arms and the ``codegen`` engine's access text.
 """
 
 from __future__ import annotations
@@ -151,59 +160,22 @@ class Vm:
     # -- memory -------------------------------------------------------------
 
     def read_bytes(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes from the VM address space with bounds checks."""
-        if size < 0:
-            raise VmError(f"negative read size {size}")
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            if off + size > AddressSpace.STACK_SIZE:
-                raise VmError(f"stack read out of bounds: {addr:#x}+{size}")
-            return bytes(self.stack[off : off + size])
-        if AddressSpace.is_packet(addr):
-            off = addr - self.ctx.data
-            if off < 0 or off + size > len(self.ctx.packet):
-                raise VmError(f"packet read out of bounds: {addr:#x}+{size}")
-            return bytes(self.ctx.packet[off : off + size])
-        if AddressSpace.is_ctx(addr):
-            off = addr - AddressSpace.CTX_BASE
-            data = self.ctx.ctx_bytes()
-            if off + size > len(data):
-                raise VmError(f"ctx read out of bounds: {addr:#x}+{size}")
-            return data[off : off + size]
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            off = AddressSpace.map_offset_of(addr)
-            storage = self.maps[fd].storage
-            if off + size > len(storage):
-                raise VmError(f"map value read out of bounds: {addr:#x}+{size}")
-            return bytes(storage[off : off + size])
-        raise VmError(f"read from unmapped address {addr:#x}")
+        """Read ``size`` bytes from the VM address space: the span
+        ``AddressSpace.locate`` names, under the VM's policy — one no
+        buffer holds is a :class:`VmError`."""
+        buf, off, why = AddressSpace.locate(
+            addr, size, self.stack, self.ctx, self.maps)
+        if buf is None:  # refused: ``off`` names the region
+            raise VmError(f"{off} read {why}: {addr:#x}+{size}")
+        return bytes(buf[off : off + size])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         size = len(data)
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            if off + size > AddressSpace.STACK_SIZE:
-                raise VmError(f"stack write out of bounds: {addr:#x}+{size}")
-            self.stack[off : off + size] = data
-            return
-        if AddressSpace.is_packet(addr):
-            off = addr - self.ctx.data
-            if off < 0 or off + size > len(self.ctx.packet):
-                raise VmError(f"packet write out of bounds: {addr:#x}+{size}")
-            self.ctx.packet[off : off + size] = data
-            return
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            off = AddressSpace.map_offset_of(addr)
-            storage = self.maps[fd].storage
-            if off + size > len(storage):
-                raise VmError(f"map value write out of bounds: {addr:#x}+{size}")
-            storage[off : off + size] = data
-            return
-        if AddressSpace.is_ctx(addr):
-            raise VmError("xdp_md context is read-only")
-        raise VmError(f"write to unmapped address {addr:#x}")
+        buf, off, why = AddressSpace.locate(
+            addr, size, self.stack, self.ctx, self.maps, writing=True)
+        if buf is None:
+            raise VmError(f"{off} write {why}: {addr:#x}+{size}")
+        buf[off : off + size] = data
 
     def _load(self, addr: int, size_bytes: int) -> int:
         return int.from_bytes(self.read_bytes(addr, size_bytes), "little")
@@ -296,33 +268,13 @@ class Vm:
 
     def _atomic(self, insn: Instruction, addr: int) -> None:
         size = insn.size_bytes
-        mask = (1 << (8 * size)) - 1
-        src_val = self.regs[insn.src] & mask
         old = self._load(addr, size)
-        op = insn.imm & ~isa.BPF_FETCH
-        fetch = bool(insn.imm & isa.BPF_FETCH)
-        if insn.imm == isa.ATOMIC_XCHG:
-            self._store(addr, size, src_val)
-            self.regs[insn.src] = old
-            return
+        self._store(addr, size, atomic_step(
+            insn.imm, old, self.regs[insn.src], self.regs[isa.R0],
+            (1 << (8 * size)) - 1))
         if insn.imm == isa.ATOMIC_CMPXCHG:
-            expected = self.regs[isa.R0] & mask
-            if old == expected:
-                self._store(addr, size, src_val)
             self.regs[isa.R0] = old
-            return
-        if op == isa.ATOMIC_ADD:
-            new = (old + src_val) & mask
-        elif op == isa.ATOMIC_OR:
-            new = old | src_val
-        elif op == isa.ATOMIC_AND:
-            new = old & src_val
-        elif op == isa.ATOMIC_XOR:
-            new = old ^ src_val
-        else:
-            raise VmError(f"unknown atomic op {insn.imm:#x}")
-        self._store(addr, size, new)
-        if fetch:
+        elif insn.imm & isa.BPF_FETCH:  # xchg carries the fetch bit
             self.regs[insn.src] = old
 
     # -- execution ---------------------------------------------------------------
@@ -382,13 +334,8 @@ class Vm:
                     scounts[slot] += 1
                 slot = handler(self)
                 if slot is None:
-                    action_code = self.regs[isa.R0] & MASK32
-                    try:
-                        action = XdpAction(action_code)
-                    except ValueError:
-                        action = XdpAction.ABORTED
                     return XdpResult(
-                        action=action,
+                        action=XdpAction.of(self.regs[isa.R0]),
                         packet=bytes(self.ctx.packet),
                         redirect_ifindex=self.ctx.redirect_ifindex,
                         instructions_executed=executed,
@@ -562,7 +509,7 @@ class Vm:
     def _run_interpreted(self) -> XdpResult:
         """The decode-per-instruction loop: not reachable from
         :meth:`run`, kept as the reference the dispatch table is tested
-        against (``tests/test_fastpath.py::TestVmFastPath`` rebinds
+        against (``tests/test_vm.py::TestVmFastPath`` rebinds
         ``_run_dispatch`` to it)."""
         collect = self._collect
         scounts = [0] * len(self._slot_table) if collect else None
@@ -626,13 +573,8 @@ class Vm:
                     )
             elif cls in (isa.BPF_JMP, isa.BPF_JMP32):
                 if insn.is_exit:
-                    action_code = self.regs[isa.R0] & MASK32
-                    try:
-                        action = XdpAction(action_code)
-                    except ValueError:
-                        action = XdpAction.ABORTED
                     return XdpResult(
-                        action=action,
+                        action=XdpAction.of(self.regs[isa.R0]),
                         packet=bytes(self.ctx.packet),
                         redirect_ifindex=self.ctx.redirect_ifindex,
                         instructions_executed=executed,
@@ -729,6 +671,31 @@ def cmp_step(insn: Instruction, regs: List[int]) -> bool:
         else to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
     )
     return Vm._compare(insn.op, regs[insn.dst], rhs, is64)
+
+
+def atomic_step(imm: int, old: int, src: int, expected: int, mask: int) -> int:
+    """What one atomic read-modify-write leaves in memory (§4.1.2): the
+    reference tier's one value rule, of the instruction's ``imm``, the
+    ``old`` memory value, the source register, ``r0`` (what ``cmpxchg``
+    expects) and the access-width ``mask``. ``old`` goes back to a
+    register by the caller (``r0`` for cmpxchg, the source register on
+    a fetch). The verifier refuses an ``imm`` outside
+    ``isa.ATOMIC_OP_NAMES``; this raise is for hand-built pipelines."""
+    src &= mask
+    if imm == isa.ATOMIC_XCHG:
+        return src
+    if imm == isa.ATOMIC_CMPXCHG:
+        return src if old == expected & mask else old
+    op = imm & ~isa.BPF_FETCH
+    if op == isa.ATOMIC_ADD:
+        return (old + src) & mask
+    if op == isa.ATOMIC_OR:
+        return old | src
+    if op == isa.ATOMIC_AND:
+        return old & src
+    if op == isa.ATOMIC_XOR:
+        return old ^ src
+    raise VmError(f"unknown atomic op {imm:#x}")
 
 
 def run_program(

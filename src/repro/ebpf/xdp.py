@@ -24,6 +24,16 @@ class XdpAction(enum.IntEnum):
     TX = 3
     REDIRECT = 4
 
+    @classmethod
+    def of(cls, code: int) -> "XdpAction":
+        """The verdict an exiting program's r0 (or a comparator's action
+        code) names: its low 32 bits, ``ABORTED`` when they are none of
+        the actions. The reference tier's one r0 → verdict rule."""
+        try:
+            return cls(code & 0xFFFF_FFFF)
+        except ValueError:
+            return cls.ABORTED
+
 
 # struct xdp_md field offsets (all fields are u32).
 XDP_MD_DATA = 0
@@ -103,6 +113,51 @@ class AddressSpace:
     @classmethod
     def map_offset_of(cls, addr: int) -> int:
         return (addr - cls.MAP_BASE) % cls.MAP_WINDOW
+
+    @classmethod
+    def locate(cls, addr: int, size: int, stack, ctx: "XdpContext", maps,
+               writing: bool = False):
+        """The reference tier's one address decode (§3.1: every access
+        has exactly one region): ``(buf, off, fd)`` with the ``size``
+        bytes at ``addr`` being ``buf[off:off + size]`` — ``stack``,
+        ``ctx.packet``, the serialised ``xdp_md`` (readable only) or the
+        storage of ``maps[fd]``; ``fd`` is ``None`` outside map values.
+        A span no buffer holds is ``(None, region, why)``. What a
+        refusal costs is the caller's policy: the VM and the helper
+        facades raise their typed errors, the data plane drops."""
+        fd = None
+        if _STACK_BASE <= addr < _STACK_END:
+            region, buf, off = "stack", stack, addr - _STACK_BASE
+        elif _PACKET_BASE <= addr < _STACK_BASE:
+            region, buf = "packet", ctx.packet
+            off = addr - _PACKET_DATA0 - ctx.head_adjust
+        elif addr >= _MAP_BASE:
+            region = "map value"
+            fd, off = divmod(addr - _MAP_BASE, _MAP_WINDOW)
+            if fd not in maps:
+                return None, region, f"of unknown map fd {fd}"
+            buf = maps[fd].storage
+        elif _CTX_BASE <= addr < _CTX_END:
+            if writing:
+                return None, "ctx", "of the read-only xdp_md"
+            region, buf, off = "ctx", ctx.ctx_bytes(), addr - _CTX_BASE
+        else:
+            return None, "unmapped", "out of bounds"
+        if size < 0 or off < 0 or off + size > len(buf):
+            return None, region, "out of bounds"
+        return buf, off, fd
+
+
+# locate() runs per access on every reference-tier engine: the region
+# bounds the predicates above spell out, as module constants.
+_CTX_BASE = AddressSpace.CTX_BASE
+_CTX_END = _CTX_BASE + XDP_MD_SIZE
+_PACKET_BASE = AddressSpace.PACKET_BASE
+_PACKET_DATA0 = _PACKET_BASE + AddressSpace.PACKET_HEADROOM
+_STACK_BASE = AddressSpace.STACK_BASE
+_STACK_END = _STACK_BASE + AddressSpace.STACK_SIZE
+_MAP_BASE = AddressSpace.MAP_BASE
+_MAP_WINDOW = AddressSpace.MAP_WINDOW
 
 
 @dataclass

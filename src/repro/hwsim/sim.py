@@ -36,7 +36,7 @@ from ..ebpf import isa
 from ..ebpf.helpers import MAP_PTR_BASE, helper_impl, helper_spec, map_ptr
 from ..ebpf.isa import MASK32, MASK64, Instruction, to_signed32
 from ..ebpf.maps import MapError, MapSet
-from ..ebpf.vm import alu_step, cmp_step
+from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
@@ -197,44 +197,6 @@ def _generic_observe(metrics, slots, barrier_queues) -> None:
         for queue in barrier_queues.values():
             waits += len(queue)
         metrics.barrier_wait_cycles += waits
-
-
-class _BatchedObserver:
-    """Per-cycle telemetry with the line-rate common case batched.
-
-    At line rate every stage slot holds a packet, so the per-stage busy
-    scan degenerates to "add 1 to every stage" — detectable with one
-    C-level ``slots.count(None)`` (index 0 is the 1-based pad, always
-    ``None``). Those cycles are tallied into a single counter and folded
-    into ``stage_busy_cycles`` once per run by :meth:`flush`; only
-    partially-occupied cycles (fill, drain, gaps, barrier activity) pay
-    the per-slot loop. Final counts are identical to calling the inner
-    observer every cycle.
-    """
-
-    __slots__ = ("metrics", "inner", "full_cycles")
-
-    def __init__(self, metrics, inner=None) -> None:
-        self.metrics = metrics
-        self.inner = inner if inner is not None else _generic_observe
-        self.full_cycles = 0
-
-    def __call__(self, metrics, slots, barrier_queues) -> None:
-        if not barrier_queues and slots.count(None) == 1:
-            self.full_cycles += 1
-        else:
-            self.inner(metrics, slots, barrier_queues)
-
-    def flush(self) -> None:
-        full = self.full_cycles
-        if not full:
-            return
-        self.full_cycles = 0
-        metrics = self.metrics
-        metrics.observed_cycles += full
-        busy = metrics.stage_busy_cycles
-        for i in range(len(busy)):
-            busy[i] += full
 
 
 def _interpreted_stage(stage: Stage) -> Optional[Callable]:
@@ -454,12 +416,18 @@ class PipelineSimulator:
         stage_fns = self._stage_fns
         entry_fn = self._entry_fn
         advance = self._advance_fn
+        # Per-cycle telemetry with the line-rate common case batched: at
+        # line rate every stage slot holds a packet, so the per-stage
+        # busy scan degenerates to "add 1 to every stage" — one C-level
+        # ``slots.count(None)`` (index 0 is the 1-based pad, always
+        # ``None``). Those cycles are tallied in full_cycles and folded
+        # into the metrics once per run, below; only partially-occupied
+        # cycles (fill, drain, gaps, barrier activity) pay the engine's
+        # per-slot observer. Final counts are identical either way.
         observe = None
         if metrics is not None:
-            # Batched wrapper over the engine's per-cycle observer: the
-            # full-pipeline common case accumulates into one counter,
-            # flushed into the metrics as a per-run delta below.
-            observe = _BatchedObserver(metrics, self._observe_fn)
+            observe = self._observe_fn or _generic_observe
+        full_cycles = 0
         # Loop-invariant lookups, hoisted off the per-cycle path.
         entry_block_id = self.pipeline.cfg.entry.block_id
         entry_checks = self.pipeline.entry_checks
@@ -650,10 +618,7 @@ class PipelineSimulator:
                     for min_len, action in entry_checks:
                         if len(pkt.ctx.packet) < min_len:
                             pkt.done = True
-                            try:
-                                pkt.action = XdpAction(action & MASK32)
-                            except ValueError:
-                                pkt.action = XdpAction.ABORTED
+                            pkt.action = XdpAction.of(action)
                             break
                     running = pkt
                     if entry_fn is not None and not pkt.done:
@@ -666,13 +631,10 @@ class PipelineSimulator:
                 running = None
 
                 if observe is not None:
-                    # Inlined _BatchedObserver fast path: a full pipeline
-                    # with no barrier activity is one C-level count and an
-                    # increment, no observer call at all.
                     if not barrier_queues and slots.count(None) == 1:
-                        observe.full_cycles += 1
+                        full_cycles += 1
                     else:
-                        observe.inner(metrics, slots, barrier_queues)
+                        observe(metrics, slots, barrier_queues)
 
                 if observer is not None:
                     observer(cycle, slots, barrier_queues, input_queue, report)
@@ -698,8 +660,11 @@ class PipelineSimulator:
             where = f"at frame {lo}" if lo == hi else f"frames {lo}..{hi} in flight"
             raise SimError(f"{exc} ({where})") from exc
 
-        if observe is not None:
-            observe.flush()
+        if full_cycles:
+            metrics.observed_cycles += full_cycles
+            busy = metrics.stage_busy_cycles
+            for i in range(len(busy)):
+                busy[i] += full_cycles
         report.cycles = cycle
         return report
 
@@ -1022,11 +987,7 @@ class PipelineSimulator:
 
     def _finish(self, pkt: _InFlight) -> None:
         pkt.done = True
-        code = pkt.regs[isa.R0] & MASK32
-        try:
-            pkt.action = XdpAction(code)
-        except ValueError:
-            pkt.action = XdpAction.ABORTED
+        pkt.action = XdpAction.of(pkt.regs[isa.R0])
 
     def _drop(self, pkt: _InFlight) -> None:
         """Implicit hardware drop on out-of-bounds packet access (the
@@ -1048,38 +1009,17 @@ class PipelineSimulator:
     # -- memory --------------------------------------------------------------------
 
     def _mem_load(self, pkt: _InFlight, addr: int, size: int) -> Optional[int]:
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            if off < 0 or off + size > AddressSpace.STACK_SIZE:
-                self._drop(pkt)
-                return None
-            return int.from_bytes(pkt.stack[off : off + size], "little")
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            if off < 0 or off + size > len(pkt.ctx.packet):
-                self._drop(pkt)
-                return None
-            return int.from_bytes(pkt.ctx.packet[off : off + size], "little")
-        if AddressSpace.is_ctx(addr):
-            off = addr - AddressSpace.CTX_BASE
-            data = pkt.ctx.ctx_bytes()
-            if off < 0 or off + size > len(data):
-                self._drop(pkt)
-                return None
-            return int.from_bytes(data[off : off + size], "little")
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            bpf_map = self.maps[fd]
-            if offset + size > len(bpf_map.storage):
-                self._drop(pkt)
-                return None
-            data = self._map_read_bytes(pkt, fd, offset, size)
-            slot = bpf_map.slot_of_addr(offset)
-            pkt.value_reads.setdefault(fd, set()).add(slot)
-            return int.from_bytes(data, "little")
-        self._drop(pkt)
-        return None
+        buf, off, fd = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self.maps)
+        if buf is None:
+            self._drop(pkt)
+            return None
+        if fd is None:
+            return int.from_bytes(buf[off : off + size], "little")
+        data = self._map_read_bytes(pkt, fd, off, size)
+        pkt.value_reads.setdefault(fd, set()).add(
+            self.maps[fd].slot_of_addr(off))
+        return int.from_bytes(data, "little")
 
     def _map_read_bytes(
         self, pkt: _InFlight, fd: int, offset: int, size: int
@@ -1117,58 +1057,44 @@ class PipelineSimulator:
         value: int,
         op: PipeOp,
     ) -> Optional[Tuple]:
+        buf, offset, fd = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self.maps, writing=True)
+        if buf is None:
+            self._drop(pkt)
+            return None
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            if off < 0 or off + size > AddressSpace.STACK_SIZE:
-                self._drop(pkt)
-                return None
-            pkt.stack[off : off + size] = data
+        if fd is None:
+            buf[offset : offset + size] = data
             return None
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            if off < 0 or off + size > len(pkt.ctx.packet):
-                self._drop(pkt)
-                return None
-            pkt.ctx.packet[off : off + size] = data
-            return None
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            bpf_map = self.maps[fd]
-            if offset + size > len(bpf_map.storage):
-                self._drop(pkt)
-                return None
-            threshold = max(self._max_read_stage.get(fd, 0),
-                            self._last_flush_stage)
-            if pkt.position < threshold:
-                # Buffer the write (Figure 6) while the packet is still
-                # inside (a) this map's WAR window — older late readers
-                # must not see it yet — or (b) ANY map's flush reach: a
-                # committed store cannot be unwound, so commits wait until
-                # no Flush Evaluation Block can squash this packet. The
-                # buffering does NOT defer the RAW check: younger packets
-                # that already read this slot hold stale data now, so the
-                # write flush-checks at creation like any other.
-                pkt.pending_writes.append((fd, offset, data, pkt.position))
-                return ("store_pending", fd, bpf_map.slot_of_addr(offset))
-            bpf_map.storage[offset : offset + size] = data
-            return ("store", fd, bpf_map.slot_of_addr(offset))
-        self._drop(pkt)
-        return None
+        threshold = max(self._max_read_stage.get(fd, 0),
+                        self._last_flush_stage)
+        slot = self.maps[fd].slot_of_addr(offset)
+        if pkt.position < threshold:
+            # Buffer the write (Figure 6) while the packet is still
+            # inside (a) this map's WAR window — older late readers
+            # must not see it yet — or (b) ANY map's flush reach: a
+            # committed store cannot be unwound, so commits wait until
+            # no Flush Evaluation Block can squash this packet. The
+            # buffering does NOT defer the RAW check: younger packets
+            # that already read this slot hold stale data now, so the
+            # write flush-checks at creation like any other.
+            pkt.pending_writes.append((fd, offset, data, pkt.position))
+            return ("store_pending", fd, slot)
+        buf[offset : offset + size] = data
+        return ("store", fd, slot)
 
     def _atomic(self, pkt: _InFlight, insn: Instruction, addr: int) -> Optional[Tuple]:
         size = insn.size_bytes
-        mask = (1 << (8 * size)) - 1
-        src_val = pkt.regs[insn.src] & mask
-
+        buf, offset, fd = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self.maps, writing=True)
+        if buf is None:
+            self._drop(pkt)
+            return None
         # Program order within the packet must hold: if this packet has its
         # own WAR-buffered stores overlapping the slot, materialise them
         # before the read-modify-write (otherwise their later commit would
         # clobber the atomic's result).
-        if AddressSpace.is_map_value(addr) and pkt.pending_writes:
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
+        if fd is not None and pkt.pending_writes:
             remaining = []
             for w_fd, w_off, w_data, made_at in pkt.pending_writes:
                 overlaps = (
@@ -1177,75 +1103,27 @@ class PipelineSimulator:
                     and offset < w_off + len(w_data)
                 )
                 if overlaps:
-                    storage = self.maps[w_fd].storage
-                    storage[w_off : w_off + len(w_data)] = w_data
+                    buf[w_off : w_off + len(w_data)] = w_data
                 else:
                     remaining.append((w_fd, w_off, w_data, made_at))
             pkt.pending_writes = remaining
 
-        def load() -> Optional[int]:
-            return self._mem_load_no_record(pkt, addr, size)
-
-        old = load()
-        if old is None:
-            return None
-        if insn.imm == isa.ATOMIC_XCHG:
-            new = src_val
-            pkt.regs[insn.src] = old
-        elif insn.imm == isa.ATOMIC_CMPXCHG:
-            expected = pkt.regs[isa.R0] & mask
-            new = src_val if old == expected else old
+        # One decode, one span: read it, step it, write it back.
+        old = int.from_bytes(buf[offset : offset + size], "little")
+        new = atomic_step(insn.imm, old, pkt.regs[insn.src],
+                          pkt.regs[isa.R0], (1 << (8 * size)) - 1)
+        if insn.imm == isa.ATOMIC_CMPXCHG:
             pkt.regs[isa.R0] = old
-        else:
-            base_op = insn.imm & ~isa.BPF_FETCH
-            if base_op == isa.ATOMIC_ADD:
-                new = (old + src_val) & mask
-            elif base_op == isa.ATOMIC_OR:
-                new = old | src_val
-            elif base_op == isa.ATOMIC_AND:
-                new = old & src_val
-            elif base_op == isa.ATOMIC_XOR:
-                new = old ^ src_val
-            else:
-                raise SimError(f"unknown atomic op {insn.imm:#x}")
-            if insn.imm & isa.BPF_FETCH:
-                pkt.regs[insn.src] = old
-        self._mem_store_raw(pkt, addr, size, new)
-        if AddressSpace.is_map_value(addr):
+        elif insn.imm & isa.BPF_FETCH:  # xchg carries the fetch bit
+            pkt.regs[insn.src] = old
+        buf[offset : offset + size] = new.to_bytes(size, "little")
+        if fd is not None:
             # Atomics execute in-place at the map port with no flush check
             # (the global-state path of §4.1.2), but they ARE committed
             # side effects: the packet must snapshot so a later flush does
             # not replay them (Appendix A.2).
-            return ("atomic", AddressSpace.map_fd_of(addr))
+            return ("atomic", fd)
         return None
-
-    def _mem_load_no_record(self, pkt: _InFlight, addr: int, size: int) -> Optional[int]:
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            storage = self.maps[fd].storage
-            if offset + size > len(storage):
-                self._drop(pkt)
-                return None
-            return int.from_bytes(storage[offset : offset + size], "little")
-        return self._mem_load(pkt, addr, size)
-
-    def _mem_store_raw(self, pkt: _InFlight, addr: int, size: int, value: int) -> None:
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            self.maps[fd].storage[offset : offset + size] = data
-            return
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            pkt.stack[off : off + size] = data
-            return
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            pkt.ctx.packet[off : off + size] = data
-            return
-        self._drop(pkt)
 
     # -- helper calls ------------------------------------------------------------------
 
@@ -1323,21 +1201,14 @@ class PipelineSimulator:
 
     def _read_plain(self, pkt: _InFlight, addr: int, size: int) -> Optional[bytes]:
         """Read bytes from stack/packet for helper arguments."""
-        if AddressSpace.is_stack(addr):
-            off = addr - AddressSpace.STACK_BASE
-            if off < 0 or off + size > AddressSpace.STACK_SIZE:
-                self._drop(pkt)
-                return None
-            return bytes(pkt.stack[off : off + size])
-        if AddressSpace.is_packet(addr):
-            off = addr - pkt.ctx.data
-            if off < 0 or off + size > len(pkt.ctx.packet):
-                self._drop(pkt)
-                return None
-            return bytes(pkt.ctx.packet[off : off + size])
-        self._drop(pkt)
-        return None
-
+        buf, off, _fd = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self.maps)
+        # Its own stack or frame only (a refusal is neither): map bytes
+        # would need store forwarding and a recorded read.
+        if buf is not pkt.stack and buf is not pkt.ctx.packet:
+            self._drop(pkt)
+            return None
+        return bytes(buf[off : off + size])
 
 
 class _HelperContext:
@@ -1356,23 +1227,17 @@ class _HelperContext:
 
     def _span(self, addr: int, size: int, writing: bool):
         """The buffer holding ``size`` bytes at ``addr`` and their offset
-        in it. A helper argument that leaves its buffer, or names none,
+        in it. A helper argument that leaves its buffer, or names none —
+        a write to map storage would slip past the hazard machinery —
         is a :class:`SimError` (the VM and the RTL raise theirs)."""
         pkt = self._pkt
-        if AddressSpace.is_stack(addr):
-            buf, off = pkt.stack, addr - AddressSpace.STACK_BASE
-        elif AddressSpace.is_packet(addr):
-            buf, off = pkt.ctx.packet, addr - pkt.ctx.data
-        elif AddressSpace.is_map_value(addr) and not writing:
-            buf = self._sim.maps[AddressSpace.map_fd_of(addr)].storage
-            off = AddressSpace.map_offset_of(addr)
-        else:
-            raise SimError("helper " + ("write to" if writing else "read from")
-                           + f" unmapped address {addr:#x}")
-        if off < 0 or off + size > len(buf):
-            raise SimError(
-                f"helper {'write' if writing else 'read'} out of bounds: "
-                f"{addr:#x}+{size}")
+        buf, off, fd = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self._sim.maps, writing)
+        if buf is None:  # refused: ``fd`` holds the reason
+            raise SimError(f"helper {'write' if writing else 'read'} {fd}: "
+                           f"{addr:#x}+{size}")
+        if writing and fd is not None:
+            raise SimError(f"helper write to map storage: {addr:#x}+{size}")
         return buf, off
 
     def read_bytes(self, addr: int, size: int) -> bytes:

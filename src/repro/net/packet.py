@@ -134,9 +134,6 @@ class IPv4:
         hdr.total_length = total
         return hdr
 
-    def header_checksum_valid(self, raw: bytes) -> bool:
-        return checksum16(raw[:IPV4_HLEN]) == 0
-
 
 @dataclass
 class IPv6:

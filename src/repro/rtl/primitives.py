@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ebpf import isa
 from ..ebpf.helpers import helper_impl, helper_spec
 from ..ebpf.maps import MapError, MapSet
+from ..ebpf.vm import VmError, atomic_step
 from ..ebpf.xdp import AddressSpace, XdpContext
 from .elab import CombNode, Ref
 from .errors import RtlElabError, RtlSimError
@@ -44,6 +44,10 @@ _CH_OP_NAMES = {
     CH_OP_STORE: "store",
     CH_OP_REDIRECT: "redirect",
 }
+
+
+# MapBlock has no frame: its address decode sees an empty one.
+_NO_PACKET = XdpContext(bytearray())
 
 
 def _sign16(value: int) -> int:
@@ -153,14 +157,9 @@ class MapBlock:
 
     def _decode_addr(self, addr: int, size: int):
         """A map-value address valid for this fd, or None (→ oob)."""
-        if not AddressSpace.is_map_value(addr):
-            return None
-        if AddressSpace.map_fd_of(addr) != self.fd:
-            return None
-        offset = AddressSpace.map_offset_of(addr)
-        if offset + size > len(self._map().storage):
-            return None
-        return offset
+        buf, offset, fd = AddressSpace.locate(
+            addr, size, b"", _NO_PACKET, self.context.maps)
+        return offset if buf is not None and fd == self.fd else None
 
     def _channel(self, c: int, values: List[int]) -> None:
         ((rq_n, rq_l, rq_m), (op_n, op_l, op_m), (ad_n, ad_l, ad_m),
@@ -251,33 +250,19 @@ class MapBlock:
         size = p["at_size"].get(values)
         addr = p["at_addr"].get(values)
         src = p["at_wdata"].get(values)
-        mask = (1 << (8 * size)) - 1
+        bpf_map = self._map()
         offset = self._decode_addr(addr, size)
         if offset is None:
             old_ref.set(values, 0)
             oob.set(values, 1)
             return
-        bpf_map = self._map()
         old = int.from_bytes(bpf_map.storage[offset:offset + size],
                              "little")
-        src_val = src & mask
-        if op == isa.ATOMIC_XCHG:
-            new = src_val
-        elif op == isa.ATOMIC_CMPXCHG:
-            expected = p["at_expected"].get(values) & mask
-            new = src_val if old == expected else old
-        else:
-            base = op & ~isa.BPF_FETCH
-            if base == isa.ATOMIC_ADD:
-                new = (old + src_val) & mask
-            elif base == isa.ATOMIC_OR:
-                new = old | src_val
-            elif base == isa.ATOMIC_AND:
-                new = old & src_val
-            elif base == isa.ATOMIC_XOR:
-                new = old ^ src_val
-            else:
-                raise RtlSimError(f"{self.name}: atomic op {op:#x}")
+        try:
+            new = atomic_step(op, old, src, p["at_expected"].get(values),
+                              (1 << (8 * size)) - 1)
+        except VmError as exc:
+            raise RtlSimError(f"{self.name}: {exc}") from None
         bpf_map.storage[offset:offset + size] = new.to_bytes(size, "little")
         old_ref.set(values, old)
         oob.set(values, 0)
@@ -347,16 +332,12 @@ class _HelperFacade:
                 f"helper read of stack [{off}:{off + size}] outside the "
                 "carried layout"
             )
-        if AddressSpace.is_packet(addr):
-            off = addr - self.ctx.data
-            if off < 0 or off + size > len(self.ctx.packet):
-                raise RtlSimError("helper packet read out of bounds")
-            return bytes(self.ctx.packet[off:off + size])
-        if AddressSpace.is_map_value(addr):
-            fd = AddressSpace.map_fd_of(addr)
-            offset = AddressSpace.map_offset_of(addr)
-            return bytes(self.maps[fd].storage[offset:offset + size])
-        raise RtlSimError(f"helper read from unmapped address {addr:#x}")
+        buf, off, why = AddressSpace.locate(
+            addr, size, b"", self.ctx, self.maps)
+        if buf is None:  # refused: ``off`` names the region
+            raise RtlSimError(
+                f"helper {off} read {why}: {addr:#x}+{size}")
+        return bytes(buf[off:off + size])
 
 
 class HelperBlock:

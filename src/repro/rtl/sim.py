@@ -313,11 +313,7 @@ class RtlRunner:
         plen = (values[ln] >> ll) & lm
         raw = ((values[dn] >> dl) & dm).to_bytes(wmax, "little")
         data = raw[:min(plen, wmax)] + bytes(shadow.tail)
-        verdict = (values[vn] >> vl) & vm
-        try:
-            action = XdpAction(verdict)
-        except ValueError:
-            action = XdpAction.ABORTED
+        action = XdpAction.of((values[vn] >> vl) & vm)
         if shadow.redirect_ifindex is not None \
                 and action is not XdpAction.REDIRECT:
             shadow.redirect_ifindex = None

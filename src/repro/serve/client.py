@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from .protocol import LineChannel, ProtocolError
 
@@ -60,13 +60,6 @@ class CtlClient:
         if not response.get("ok"):
             raise CtlError(response.get("error", "unknown error"))
         return response.get("result")
-
-    def try_call(self, op: str, **params: Any) -> Optional[Any]:
-        """:meth:`call`, but a daemon-side error returns ``None``."""
-        try:
-            return self.call(op, **params)
-        except CtlError:
-            return None
 
     def close(self) -> None:
         self._channel.close()

@@ -94,9 +94,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Distribution with the fixed log2 bucket layout.
@@ -291,9 +288,6 @@ class Registry:
             by_name.setdefault(name, []).append(metric)
         for name in by_name:
             yield from by_name[name]
-
-    def kind_of(self, name: str) -> Optional[str]:
-        return self._kinds.get(name)
 
     def snapshot(self) -> Dict[str, object]:
         """Flat JSON-able view of every metric and span."""

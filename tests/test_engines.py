@@ -24,9 +24,13 @@ import functools
 
 import pytest
 
+from repro.apps import dnat, firewall, router, suricata, toy_counter, tunnel
 from repro.core.compiler import compile_program
+from repro.ebpf.asm import assemble_program
+from repro.ebpf.isa import MapSpec
+from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import XdpAction
-from repro.hwsim import SimOptions
+from repro.hwsim import PipelineSimulator, SimOptions
 from repro.hwsim.codegen import write_debug_source
 from repro.hwsim.engines import (
     ENGINES,
@@ -38,6 +42,7 @@ from repro.hwsim.engines import (
     run_differential,
     run_engine,
 )
+from repro.net.packet import FiveTuple, ipv4, mac, udp_packet
 from tests.test_rtl import APP_CASES
 
 # Time-dependent programs — the leaky bucket policer — must read the
@@ -376,3 +381,159 @@ class TestCliEngineFlag:
         assert main(["verify", prog_file, "--packets", "6",
                      "--engine", "codegen"]) == 0
         assert "OK" in capsys.readouterr().out
+
+
+# -- codegen ≡ interpreted, observable by observable ---------------------------
+#
+# The production path and its decode-per-op reference must agree on XDP
+# actions, packet bytes, map state and *cycle counts* — through flushes,
+# atomics and record-free accounting.
+
+MAPS = {"m": MapSpec("m", "array", 4, 8, 4)}
+PKT = bytes(range(64))
+
+RMW = """
+    r2 = 0
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[m]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r2 = *(u64 *)(r0 + 0)
+    r2 += 1
+    *(u64 *)(r0 + 0) = r2
+out:
+    r0 = 2
+    exit
+"""
+
+F1 = FiveTuple(ipv4("10.0.0.1"), ipv4("192.168.0.1"), 17, 1000, 53)
+
+
+def run_both(program, frames, setup=None, gap=1, keep_records=True):
+    """Run frames through the pipeline on the codegen and interpreted
+    engines; assert every observable matches and return the (codegen,
+    interpreted) reports."""
+    pipeline = compile_program(program)
+    reports = []
+    map_sets = []
+    for engine in ("codegen", "interpreted"):
+        maps = MapSet(program.maps)
+        if setup is not None:
+            setup(maps)
+        sim = PipelineSimulator(
+            pipeline, maps=maps,
+            options=SimOptions(engine=engine, keep_records=keep_records),
+        )
+        reports.append(sim.run_packets(list(frames), gap=gap))
+        map_sets.append(maps)
+
+    gen_rep, ref_rep = reports
+    assert gen_rep.cycles == ref_rep.cycles
+    assert gen_rep.action_counts == ref_rep.action_counts
+    assert gen_rep.flush_events == ref_rep.flush_events
+    assert gen_rep.squashed_packets == ref_rep.squashed_packets
+    assert gen_rep.stall_cycles == ref_rep.stall_cycles
+    assert gen_rep.sum_total_cycles == ref_rep.sum_total_cycles
+    assert gen_rep.sum_pipeline_cycles == ref_rep.sum_pipeline_cycles
+    assert gen_rep.sum_restarts == ref_rep.sum_restarts
+    if keep_records:
+        assert len(gen_rep.records) == len(ref_rep.records)
+        for a, b in zip(gen_rep.records, ref_rep.records):
+            assert (a.pid, a.action, a.data) == (b.pid, b.action, b.data)
+            assert a.exit_cycle == b.exit_cycle
+            assert a.restarts == b.restarts
+    for fd in program.maps:
+        assert bytes(map_sets[0][fd].storage) == bytes(map_sets[1][fd].storage)
+    return gen_rep, ref_rep
+
+
+class TestAppParity:
+    def test_toy_counter(self):
+        frames = [toy_counter.packet_for_key(k % 4) for k in range(24)]
+        frames.append(b"\x00" * 10)  # short packet -> implicit drop path
+        run_both(toy_counter.build(), frames)
+
+    def test_firewall(self):
+        frames = []
+        for ft in (F1, F1.reversed(), FiveTuple(1, 2, 17, 3, 4)):
+            frames.append(udp_packet(src_ip=ft.src_ip, dst_ip=ft.dst_ip,
+                                     sport=ft.sport, dport=ft.dport))
+        run_both(firewall.build(), frames * 10,
+                 setup=lambda m: firewall.allow_flow(m, F1))
+
+    @pytest.mark.parametrize("use_atomic", [True, False])
+    def test_router(self, use_atomic):
+        def setup(maps):
+            router.add_route(maps, ipv4("192.168.1.1"),
+                             mac("02:00:00:00:01:01"),
+                             mac("02:00:00:00:01:02"), 3)
+        frames = [
+            udp_packet(dst_ip="192.168.1.200", size=64),
+            udp_packet(dst_ip="8.8.8.8", size=64),
+            udp_packet(dst_ip="192.168.1.4", size=64, ttl=1),
+        ] * 10
+        run_both(router.build(use_atomic), frames, setup=setup)
+        if not use_atomic:
+            # back-to-back routed packets share the stats slot: the RAW
+            # hazard fires flushes, and parity must hold through them
+            storm = [udp_packet(dst_ip="192.168.1.200", size=64)] * 30
+            gen_rep, _ = run_both(router.build(False), storm, setup=setup)
+            assert gen_rep.flush_events > 0
+
+    def test_tunnel(self):
+        def setup(maps):
+            tunnel.add_tunnel(maps, ipv4("10.0.0.9"), ipv4("172.16.0.1"),
+                              ipv4("172.16.0.2"),
+                              mac("02:00:00:00:02:01"),
+                              mac("02:00:00:00:02:02"))
+        frames = [udp_packet(dst_ip="10.0.0.9", size=96),
+                  udp_packet(dst_ip="10.9.9.9", size=96)] * 8
+        run_both(tunnel.build(), frames, setup=setup)
+
+    def test_suricata(self):
+        frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
+                             sport=F1.sport, dport=F1.dport)] * 12
+        run_both(suricata.build(), frames,
+                 setup=lambda m: suricata.add_bypass(m, F1))
+
+    def test_dnat(self):
+        frames = [udp_packet(src_ip=f"10.1.0.{i}", dst_ip="10.0.0.80",
+                             sport=5000 + i, dport=80) for i in range(6)] * 3
+        run_both(dnat.build(), frames)
+
+
+class TestHazardParity:
+    def test_rmw_flush_storm(self):
+        prog = assemble_program(RMW, maps=MAPS)
+        gen_rep, _ = run_both(prog, [PKT] * 40)
+        assert gen_rep.flush_events > 0
+
+    def test_rmw_spaced_no_flush(self):
+        prog = assemble_program(RMW, maps=MAPS)
+        gen_rep, _ = run_both(prog, [PKT] * 10, gap=40)
+        assert gen_rep.flush_events == 0
+
+    def test_atomic_counter(self):
+        source = """
+            r2 = 0
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r2 = 1
+            lock *(u64 *)(r0 + 0) += r2
+        out:
+            r0 = 2
+            exit
+        """
+        prog = assemble_program(source, maps=MAPS)
+        gen_rep, _ = run_both(prog, [PKT] * 40)
+        assert gen_rep.flush_events == 0
+
+    def test_keep_records_false_aggregates(self):
+        prog = assemble_program(RMW, maps=MAPS)
+        run_both(prog, [PKT] * 40, keep_records=False)

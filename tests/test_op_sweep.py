@@ -1,4 +1,4 @@
-"""Table-generated edge sweep over every ALU and conditional-jump row.
+"""Table-generated edge sweep over every ALU, conditional-jump and atomic row.
 
 An op's meaning is defined five times: the ``isa`` row (name and
 mnemonic), ``Vm._alu`` / ``_compare`` (the reference tier), ``opfns``'
@@ -20,20 +20,28 @@ definitions do.
   what guards the VHDL rows. (``rtl-interp`` costs ~70 ms per frame on
   these programs, so it sees one diagonal of the operand grid; ``rtl``
   — the same netlist, compiled — sees all of it.)
+
+The atomics ride the same grid, a row per ``isa.ATOMIC_OP_NAMES`` entry
+at 4 and 8 bytes: ``atomic_step`` (the reference tier's one value rule)
+predicts what the ``Vm`` leaves in memory and registers, and the same
+programs go through all five engines — ``hwsim/codegen.py``'s
+``_atomic_lines`` text and the VHDL atomic block are the specialised
+renderings this holds to it.
 """
 
 import itertools
 
 import pytest
 
+from repro.core import compile_program
 from repro.core.resources import _ALU_LUTS
 from repro.core.vhdl import _alu_expr, _cmp_expr, _swap_expr
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.disasm import format_instruction
-from repro.ebpf.isa import Instruction, Program
+from repro.ebpf.isa import MASK64, Instruction, MapSpec, Program
 from repro.ebpf.opfns import make_alu_fn, make_cmp_fn
-from repro.ebpf.vm import alu_step, cmp_step
+from repro.ebpf.vm import Vm, alu_step, atomic_step, cmp_step
 from repro.hwsim import run_differential
 from repro.hwsim.engines import engine_names
 
@@ -173,7 +181,8 @@ def _frame_program(name, body, result_bytes):
         isa.mov64_reg(_ACC, _DATA),
         isa.alu64_imm(isa.BPF_ADD, _ACC, size),
         # short frame: skip body and the pass epilogue, return XDP_DROP
-        isa.jump_reg(isa.BPF_JGT, _ACC, _END, len(body) + 4),
+        isa.jump_reg(isa.BPF_JGT, _ACC, _END,
+                     sum(insn.slots for insn in body) + 4),
         isa.load(isa.BPF_DW, _A, _DATA, 0),
         isa.load(isa.BPF_DW, _B, _DATA, 8),
     ]
@@ -234,6 +243,125 @@ PROGRAMS = (
 )
 
 
+# -- atomics ------------------------------------------------------------------
+#
+# Per row: a slot is set to operand A, r0 to what cmpxchg expects, the
+# row runs with operand B as its source, and r0, the source register and
+# the slot all go back into the frame. Each shape runs twice: on the
+# value of a one-entry array map (the generated source's inline text,
+# the RTL's map block) and on the stack (the VHDL's own expressions).
+# The map slot is written by an 8-byte xchg and read by a fetching add
+# of 0: a plain store would sit in the WAR buffer, and the generated
+# source inlines an atomic only where no write of the packet's own can
+# pend.
+
+_PTR = 5  # the looked-up value; no call follows the lookup
+_SLOT = -16  # the stack slot, from r10
+ATOMIC_SIZES = (isa.BPF_W, isa.BPF_DW)
+
+
+def atomic_rows(imm):
+    """``(instruction, register r0 is copied from)`` per shape of one
+    ``isa.ATOMIC_OP_NAMES`` row: map value and stack, both widths;
+    cmpxchg once expecting the old value (a hit) and once the source
+    operand (a miss)."""
+    expects = (_A, _B) if imm == isa.ATOMIC_CMPXCHG else (_A,)
+    return [(isa.atomic_op(size, base, SRC, off, imm), expected)
+            for base, off in ((_PTR, 0), (isa.R10, _SLOT))
+            for size in ATOMIC_SIZES for expected in expects]
+
+
+def atomic_program(imm):
+    shapes = atomic_rows(imm)
+    rows = []
+    for slot, (insn, expected) in enumerate(shapes):
+        if insn.dst == _PTR:
+            write = [
+                isa.mov64_reg(SRC, _A),
+                isa.atomic_op(isa.BPF_DW, _PTR, SRC, 0, isa.ATOMIC_XCHG),
+            ]
+            read = [
+                isa.mov64_imm(DST, 0),
+                isa.atomic_op(isa.BPF_DW, _PTR, DST, 0,
+                              isa.ATOMIC_ADD | isa.BPF_FETCH),
+            ]
+        else:
+            write = [isa.store_reg(isa.BPF_DW, isa.R10, _A, _SLOT)]
+            read = [isa.load(isa.BPF_DW, DST, isa.R10, _SLOT)]
+        rows += write + [
+            isa.mov64_reg(0, expected),
+            isa.mov64_reg(SRC, _B),
+            insn,
+            isa.store_reg(isa.BPF_DW, _DATA, 0, 16 + 24 * slot),
+            isa.store_reg(isa.BPF_DW, _DATA, SRC, 24 + 24 * slot),
+        ] + read + [
+            isa.store_reg(isa.BPF_DW, _DATA, DST, 32 + 24 * slot),
+        ]
+    lookup = [
+        isa.store_imm(isa.BPF_W, isa.R10, -4, 0),
+        isa.ld_map_fd(1, 1),
+        isa.mov64_reg(2, isa.R10),
+        isa.alu64_imm(isa.BPF_ADD, 2, -4),
+        isa.call(1),
+        isa.jump_imm(isa.BPF_JEQ, 0, 0, 2 + len(rows)),
+        isa.mov64_reg(_PTR, 0),
+        isa.load(isa.BPF_DW, _B, _DATA, 8),  # the call scrubbed it
+    ]
+    program, size = _frame_program(
+        "atomic_" + isa.ATOMIC_OP_NAMES[imm], lookup + rows, 24 * len(shapes))
+    program.maps[1] = MapSpec("slot", "array", 4, 8, 1)
+    return program, size
+
+
+def atomic_results(imm, a, b):
+    """The result bytes of ``atomic_program(imm)`` on operands a, b, by
+    ``atomic_step`` and the write-back rule."""
+    out = b""
+    for insn, expected in atomic_rows(imm):
+        mask = (1 << (8 * insn.size_bytes)) - 1
+        r0 = a if expected == _A else b
+        src, old = b, a & mask
+        new = atomic_step(imm, old, src, r0, mask)
+        if imm == isa.ATOMIC_CMPXCHG:
+            r0 = old
+        elif imm & isa.BPF_FETCH:
+            src = old
+        out += b"".join(v.to_bytes(8, "little")
+                        for v in (r0, src, a & ~mask | new))
+    return out
+
+
+ATOMIC_PROGRAMS = [atomic_program(imm) for imm in isa.ATOMIC_OP_NAMES]
+
+
+class TestAtomicStep:
+    def test_the_edges_by_hand(self):
+        w, dw = isa.MASK32, MASK64
+        assert atomic_step(isa.ATOMIC_ADD, w, 1, 0, w) == 0  # 32-bit wrap
+        assert atomic_step(isa.ATOMIC_ADD | isa.BPF_FETCH, dw, 2, 0, dw) == 1
+        assert atomic_step(isa.ATOMIC_ADD, 1, 2**32 + 1, 0, w) == 2
+        assert atomic_step(isa.ATOMIC_XCHG, 5, 2**32 + 9, 0, w) == 9
+        assert atomic_step(isa.ATOMIC_CMPXCHG, 5, 9, 2**32 + 5, w) == 9  # hit
+        assert atomic_step(isa.ATOMIC_CMPXCHG, 5, 9, 2**32 + 5, dw) == 5
+        assert atomic_step(isa.ATOMIC_XOR | isa.BPF_FETCH, 6, 3, 0, dw) == 5
+
+    @pytest.mark.parametrize(
+        "imm", isa.ATOMIC_OP_NAMES, ids=isa.ATOMIC_OP_NAMES.get)
+    def test_the_vm_leaves_what_atomic_step_says(self, imm):
+        program, size = atomic_program(imm)
+        vm = Vm(program)
+        for (a, b), frame in zip(PAIRS, _frames(PAIRS, size)):
+            result = vm.run(frame)
+            assert result.packet[16:] == atomic_results(imm, a, b), \
+                (isa.ATOMIC_OP_NAMES[imm], a, b)
+
+    @pytest.mark.parametrize("imm", isa.ATOMIC_OP_NAMES,
+                             ids=isa.ATOMIC_OP_NAMES.get)
+    def test_every_row_round_trips(self, imm):
+        for insn, _expected in atomic_rows(imm):
+            TestEveryRowIsComplete._round_trips(insn)
+
+
 def _frames(pairs, size):
     return [
         a.to_bytes(8, "little") + b.to_bytes(8, "little") + bytes(size - 16)
@@ -250,5 +378,23 @@ class TestAllEngines:
         grid.raise_on_mismatch()
         diagonal = run_differential(
             program, _frames(DIAGONAL, size), engines=engine_names())
+        assert list(diagonal.runs) == engine_names()
+        diagonal.raise_on_mismatch()
+
+    @pytest.mark.parametrize(
+        "program, size", ATOMIC_PROGRAMS,
+        ids=[p.name for p, _size in ATOMIC_PROGRAMS])
+    def test_every_engine_agrees_on_the_atomics(self, program, size):
+        # One packet in flight: atomics run in place, in packet order
+        # per stage, so a neighbour's rows would interleave with these.
+        pipeline = compile_program(program)
+        kwargs = dict(pipeline=pipeline, gap=pipeline.n_stages + 2)
+        fast = [name for name in engine_names() if name != "rtl-interp"]
+        grid = run_differential(
+            program, _frames(PAIRS, size), engines=fast, **kwargs)
+        grid.raise_on_mismatch()
+        diagonal = run_differential(
+            program, _frames(DIAGONAL, size), engines=engine_names(),
+            **kwargs)
         assert list(diagonal.runs) == engine_names()
         diagonal.raise_on_mismatch()

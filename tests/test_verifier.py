@@ -185,6 +185,11 @@ class TestClosedOpSet:
             Instruction(isa.BPF_ALU | isa.BPF_X | isa.BPF_END, dst=0, imm=24),
             "insn 1: byte swap width 24", "byte swap width 24",
         ),
+        "atomic_op": (
+            Instruction(isa.BPF_STX | isa.BPF_ATOMIC | isa.BPF_DW,
+                        dst=isa.R10, src=0, off=-8, imm=0x20),
+            "insn 1: unknown atomic op 0x20", "unknown atomic op 0x20",
+        ),
     }
 
     def _program(self, rule):
@@ -209,6 +214,7 @@ class TestClosedOpSet:
             "alu_op": "insn 1: unknown ALU op 0xe0",
             "jmp_op": "insn 1: unknown jump op 0xf0",
             "end_width": "insn 1: byte swap width 24 not in {16, 32, 64}",
+            "atomic_op": "insn 1: unknown atomic op 0x20",
         }[rule]
 
     @pytest.mark.parametrize("rule", sorted(MALFORMED))

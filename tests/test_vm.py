@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.apps import dnat, firewall, toy_counter
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MASK64, MapSpec, Program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.vm import Vm, VmError, run_program
 from repro.ebpf.xdp import AddressSpace, XdpAction
+from repro.net.packet import FiveTuple, ipv4, udp_packet
 
 PKT = bytes(range(64))
+F1 = FiveTuple(ipv4("10.0.0.1"), ipv4("192.168.0.1"), 17, 1000, 53)
 
 
 def run_src(source: str, packet: bytes = PKT, maps=None, **kwargs):
@@ -343,3 +346,58 @@ class TestMapsThroughVm:
         res = run_program(prog, PKT, maps=maps)
         assert res.action == XdpAction.DROP  # r0 = 0 (success) -> &1 -> +1 = 1
         assert maps.by_name("h").lookup((7).to_bytes(4, "little")) is None
+
+
+# -- the dispatch table ≡ the decode-per-instruction loop ----------------------
+
+def _vm(program, maps=None, reference=False):
+    """A Vm; with ``reference`` its run() drives the decode-per-
+    instruction loop instead of the dispatch table."""
+    vm = Vm(program, maps=maps)
+    if reference:
+        vm._run_dispatch = vm._run_interpreted
+    return vm
+
+
+class TestVmFastPath:
+    def _run(self, program, frames, reference, setup=None):
+        maps = MapSet(program.maps)
+        if setup is not None:
+            setup(maps)
+        vm = _vm(program, maps, reference)
+        return [vm.run(f) for f in frames], maps
+
+    @pytest.mark.parametrize("app, setup", [
+        (toy_counter, None),
+        (firewall, lambda m: firewall.allow_flow(m, F1)),
+        (dnat, None),
+    ], ids=["toy_counter", "firewall", "dnat"])
+    def test_parity(self, app, setup):
+        program = app.build()
+        if app is toy_counter:
+            frames = [toy_counter.packet_for_key(k % 4) for k in range(12)]
+        else:
+            frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
+                                 sport=F1.sport, dport=F1.dport)] * 12
+        fast_res, fast_maps = self._run(program, frames, False, setup)
+        slow_res, slow_maps = self._run(program, frames, True, setup)
+        for a, b in zip(fast_res, slow_res):
+            assert a.action == b.action
+            assert a.packet == b.packet
+            assert a.redirect_ifindex == b.redirect_ifindex
+            assert a.instructions_executed == b.instructions_executed
+        for fd in program.maps:
+            assert bytes(fast_maps[fd].storage) == bytes(slow_maps[fd].storage)
+
+    def test_error_parity_unbounded_loop(self):
+        source = """
+        top:
+            r0 = 0
+            goto top
+        """
+        program = assemble_program(source)
+        from repro.ebpf.vm import VmError
+        for reference in (False, True):
+            vm = _vm(program, reference=reference)
+            with pytest.raises(VmError, match="instruction limit"):
+                vm.run(PKT)

@@ -4,6 +4,8 @@ import struct
 
 import pytest
 
+from repro.ebpf.isa import MapSpec
+from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import (
     AddressSpace,
     XDP_MD_DATA,
@@ -48,6 +50,40 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace.map_fd_of(AddressSpace.CTX_BASE)
 
+    def test_locate_names_one_buffer_per_region(self):
+        maps = MapSet({1: MapSpec("m", "array", 4, 8, 4)})
+        stack = bytearray(AddressSpace.STACK_SIZE)
+        ctx = XdpContext(bytearray(64))
+        locate = AddressSpace.locate
+        assert locate(AddressSpace.stack_top() - 8, 8, stack, ctx, maps) \
+            == (stack, AddressSpace.STACK_SIZE - 8, None)
+        assert locate(ctx.data + 60, 4, stack, ctx, maps) \
+            == (ctx.packet, 60, None)
+        assert locate(AddressSpace.CTX_BASE + 4, 4, stack, ctx, maps) \
+            == (ctx.ctx_bytes(), 4, None)
+        buf, off, fd = locate(
+            AddressSpace.map_value_addr(1, 24), 8, stack, ctx, maps)
+        assert (buf is maps[1].storage, off, fd) == (True, 24, 1)
+
+    @pytest.mark.parametrize("addr, size, writing, refusal", [
+        (AddressSpace.stack_top() - 8, 16, False, ("stack", "out of bounds")),
+        (AddressSpace.stack_top() - 8, -1, False, ("stack", "out of bounds")),
+        (AddressSpace.PACKET_BASE, 1, False, ("packet", "out of bounds")),
+        (AddressSpace.map_value_addr(1, 24), 16, False,
+         ("map value", "out of bounds")),
+        (AddressSpace.map_value_addr(7, 0), 8, False,
+         ("map value", "of unknown map fd 7")),
+        (AddressSpace.CTX_BASE, 4, True, ("ctx", "of the read-only xdp_md")),
+        (AddressSpace.CTX_BASE + 20, 8, False, ("ctx", "out of bounds")),
+        (0, 4, False, ("unmapped", "out of bounds")),
+    ])
+    def test_locate_refusals_say_region_and_reason(
+            self, addr, size, writing, refusal):
+        maps = MapSet({1: MapSpec("m", "array", 4, 8, 4)})
+        assert AddressSpace.locate(
+            addr, size, bytearray(AddressSpace.STACK_SIZE),
+            XdpContext(bytearray(64)), maps, writing) == (None,) + refusal
+
     def test_packet_addresses_fit_u32(self):
         # xdp_md.data is a u32 field
         assert AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM + 9000 < 2 ** 32
@@ -88,6 +124,14 @@ class TestXdpContext:
         assert ctx.adjust_head(5)
         assert len(ctx.packet) == 15
         assert ctx.head_adjust == -5
+
+
+class TestXdpAction:
+    def test_of_reads_the_low_32_bits_and_aborts_on_no_action(self):
+        assert XdpAction.of(2) is XdpAction.PASS
+        assert XdpAction.of((7 << 32) | 3) is XdpAction.TX
+        assert XdpAction.of(5) is XdpAction.ABORTED
+        assert XdpAction.of((1 << 64) - 1) is XdpAction.ABORTED
 
 
 class TestXdpResult:
