@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
-from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Instruction, Program
 from ..ebpf.verifier import RegKind, VerifierResult, verify
+from .liveness import reg_liveness
 
 
 class TransformError(ValueError):
@@ -330,8 +330,9 @@ def _is_pure(insn: Instruction) -> bool:
 def dead_code_elimination(program: Program, max_rounds: int = 10) -> Tuple[Program, int]:
     """Iteratively remove pure instructions whose results are never used.
 
-    Liveness is a backward dataflow across the CFG. Returns the new
-    program and the number of removed instructions.
+    Liveness is :func:`repro.core.liveness.reg_liveness`'s backward
+    dataflow across the CFG. Returns the new program and the number of
+    removed instructions.
     """
     removed_total = 0
     for _ in range(max_rounds):
@@ -344,43 +345,7 @@ def dead_code_elimination(program: Program, max_rounds: int = 10) -> Tuple[Progr
 
 
 def _find_dead(program: Program) -> Set[int]:
-    n = len(program.instructions)
-    # successors of each instruction
-    succs: List[List[int]] = [[] for _ in range(n)]
-    for index, insn in enumerate(program.instructions):
-        if insn.is_exit:
-            continue
-        if insn.is_uncond_jump:
-            succs[index].append(program.jump_target_index(index))
-        elif insn.is_cond_jump:
-            succs[index].append(program.jump_target_index(index))
-            if index + 1 < n:
-                succs[index].append(index + 1)
-        else:
-            if index + 1 < n:
-                succs[index].append(index + 1)
-
-    def regs_read(insn: Instruction) -> Tuple[int, ...]:
-        if insn.is_call:
-            return tuple(range(isa.R1, isa.R1 + helper_spec(insn.imm).nargs))
-        return insn.regs_read()
-
-    live_out: List[Set[int]] = [set() for _ in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(n - 1, -1, -1):
-            insn = program.instructions[index]
-            out: Set[int] = set()
-            for s in succs[index]:
-                s_insn = program.instructions[s]
-                gen = set(regs_read(s_insn))
-                kill = set(s_insn.regs_written())
-                out |= gen | (live_out[s] - kill)
-            if out != live_out[index]:
-                live_out[index] = out
-                changed = True
-
+    live_out = reg_liveness(program)[1]
     dead: Set[int] = set()
     for index, insn in enumerate(program.instructions):
         if not _is_pure(insn):

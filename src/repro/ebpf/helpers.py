@@ -13,6 +13,14 @@ This module defines:
   channel (shared block) or a replicated block, its hardware latency in
   pipeline stages and its resource cost.
 * The software implementations used by the reference VM.
+* The reference tier's helper model, each rule defined once and shared
+  by every engine that decodes per execution (the ``vm`` engine, the
+  ``interpreted`` pipeline engine and the ``codegen`` engine's
+  update/delete fallback, the RTL map port): what a map-channel request
+  does to its map and leaves in r0 (:func:`channel_step`), the
+  ``bpf_get_prandom_u32`` generator (:func:`prandom_step`) and the call
+  convention (:func:`finish_call`). Each caller adds only its policy:
+  how it reads the operands and what a refused read means.
 
 Helper ids match the Linux UAPI so that bytecode containing ``call 1`` etc.
 means the same thing here as in the kernel.
@@ -20,11 +28,11 @@ means the same thing here as in the kernel.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .maps import BPF_ANY, MapError
+from .isa import MASK32, MASK64
+from .maps import Map, MapError
 from .xdp import AddressSpace, XdpAction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,21 +75,19 @@ class HelperSpec:
 # Each implementation receives the VM and the raw 64-bit argument registers
 # and returns the new R0 value (as an unsigned 64-bit integer).
 
-NEG1 = (1 << 64) - 1  # -1 as u64
-
-
-def _read_key(vm: "Vm", addr: int, size: int) -> bytes:
-    return vm.read_bytes(addr, size)
-
-
-def _map_from_ptr(vm: "Vm", map_ptr: int):
-    fd = AddressSpace_fd_from_ptr(map_ptr)
-    return fd, vm.maps[fd]
-
+NEG1 = MASK64  # -1 as u64
 
 # Map "pointers" as loaded by LD_IMM64 pseudo-fd instructions: a tagged
 # address outside every data region, so misuse is caught immediately.
 MAP_PTR_BASE = 0x3000_0000
+
+BPF_MAP_LOOKUP_ELEM = 1
+BPF_MAP_UPDATE_ELEM = 2
+BPF_MAP_DELETE_ELEM = 3
+BPF_REDIRECT_MAP = 51
+
+#: The state ``bpf_get_prandom_u32`` starts from on every engine.
+PRANDOM_SEED = 0x5EED
 
 
 def map_ptr(fd: int) -> int:
@@ -92,39 +98,91 @@ def is_map_ptr(addr: int) -> bool:
     return MAP_PTR_BASE <= addr < AddressSpace.MAP_BASE
 
 
-def AddressSpace_fd_from_ptr(ptr: int) -> int:
-    if not is_map_ptr(ptr):
-        raise HelperError(f"{ptr:#x} is not a map pointer")
-    return ptr - MAP_PTR_BASE
+def prandom_step(state: int) -> int:
+    """The LCG behind ``bpf_get_prandom_u32``: the state after
+    ``state``, which is also what the helper returns. Each engine keeps
+    its own state (from :data:`PRANDOM_SEED`) and steps it here."""
+    return (state * 1103515245 + 12345) & MASK32
 
 
-def _bpf_map_lookup_elem(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
-    fd, bpf_map = _map_from_ptr(vm, r1)
-    key = _read_key(vm, r2, bpf_map.key_size)
-    slot = bpf_map.lookup_slot(key)
-    if slot is None:
-        return 0
-    return AddressSpace.map_value_addr(fd, bpf_map.value_addr(slot))
+def finish_call(regs: List[int], result: int) -> None:
+    """The helper call convention: ``result`` lands in r0 as a u64, and
+    r1-r5 — caller-saved, unreadable after a call — are scrubbed, so a
+    program relying on a stale one fails loudly (the verifier rejects
+    such reads)."""
+    regs[0] = result & MASK64
+    regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
 
 
-def _bpf_map_update_elem(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
-    fd, bpf_map = _map_from_ptr(vm, r1)
-    key = _read_key(vm, r2, bpf_map.key_size)
-    value = vm.read_bytes(r3, bpf_map.value_size)
+def channel_step(
+    helper_id: int,
+    fd: int,
+    bpf_map: Map,
+    key: bytes,
+    value: Optional[bytes],
+    arg: int,
+) -> Tuple[int, Optional[int], Optional[int]]:
+    """What one map-channel request does to map ``fd`` and leaves in r0
+    (§4.1: every ``bpf_map_*`` call on a map is one request on its
+    shared eHDLmap block). The rule is pure over operands the caller
+    has already read: ``key`` (``key_size`` bytes; for
+    ``bpf_redirect_map`` r2's low 32 bits, little-endian), ``value``
+    (``value_size`` bytes, update only) and ``arg`` (r4 of an update,
+    its flags; r3 of a ``bpf_redirect_map``, the action on a miss).
+
+    Returns ``(r0, slot, redirect_ifindex)``: ``slot`` is the slot the
+    request resolved, wrote or deleted (``None`` on a miss or a
+    failure); ``redirect_ifindex`` is the target of a
+    ``bpf_redirect_map`` hit, else ``None``."""
+    if helper_id == BPF_MAP_LOOKUP_ELEM:
+        slot = bpf_map.lookup_slot(key)
+        if slot is None:
+            return 0, None, None
+        return (AddressSpace.map_value_addr(fd, bpf_map.value_addr(slot)),
+                slot, None)
+    if helper_id == BPF_REDIRECT_MAP:
+        slot = bpf_map.lookup_slot(key) if bpf_map.key_size == 4 else None
+        if slot is None:
+            return arg & MASK32, None, None
+        ifindex = int.from_bytes(bpf_map.lookup(key)[:4], "little")
+        return int(XdpAction.REDIRECT), slot, ifindex
     try:
-        bpf_map.update(key, value, flags=r4 & 0x3)
+        if helper_id == BPF_MAP_UPDATE_ELEM:
+            return 0, bpf_map.update(key, value, flags=arg & 0x3), None
+        if helper_id == BPF_MAP_DELETE_ELEM:
+            slot = bpf_map.lookup_slot(key)
+            if slot is not None and bpf_map.delete(key):
+                return 0, slot, None
+            return NEG1, None, None
     except MapError:
-        return NEG1
-    return 0
+        return NEG1, None, None
+    raise HelperError(f"helper {helper_id} is not a map-channel helper")
 
 
-def _bpf_map_delete_elem(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
-    fd, bpf_map = _map_from_ptr(vm, r1)
-    key = _read_key(vm, r2, bpf_map.key_size)
-    try:
-        return 0 if bpf_map.delete(key) else NEG1
-    except MapError:
-        return NEG1
+def _bpf_map_channel(helper_id: int) -> "Implementation":
+    """The VM's implementation of a map-channel helper: the operands
+    read through ``vm.read_bytes`` (a span no buffer holds is a
+    ``VmError``), then :func:`channel_step`."""
+
+    def impl(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
+        if not is_map_ptr(r1):
+            raise HelperError(f"{r1:#x} is not a map pointer")
+        fd = r1 - MAP_PTR_BASE
+        bpf_map = vm.maps[fd]
+        if helper_id == BPF_REDIRECT_MAP:
+            key, value, arg = (r2 & MASK32).to_bytes(4, "little"), None, r3
+        else:
+            key = vm.read_bytes(r2, bpf_map.key_size)
+            value = (vm.read_bytes(r3, bpf_map.value_size)
+                     if helper_id == BPF_MAP_UPDATE_ELEM else None)
+            arg = r4
+        r0, _slot, ifindex = channel_step(helper_id, fd, bpf_map, key,
+                                          value, arg)
+        if ifindex is not None:
+            vm.ctx.redirect_ifindex = ifindex
+        return r0
+
+    return impl
 
 
 def _bpf_ktime_get_ns(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
@@ -186,17 +244,6 @@ def _bpf_xdp_adjust_tail(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) 
     return NEG1
 
 
-def _bpf_redirect_map(vm: "Vm", r1: int, r2: int, r3: int, r4: int, r5: int) -> int:
-    fd, bpf_map = _map_from_ptr(vm, r1)
-    key = (r2 & 0xFFFFFFFF).to_bytes(4, "little")
-    slot = bpf_map.lookup_slot(key) if bpf_map.key_size == 4 else None
-    if slot is None:
-        return r3 & 0xFFFFFFFF  # flags carry the default action
-    value = bpf_map.lookup(key)
-    vm.ctx.redirect_ifindex = int.from_bytes(value[:4], "little")
-    return int(XdpAction.REDIRECT)
-
-
 Implementation = Callable[["Vm", int, int, int, int, int], int]
 
 
@@ -212,21 +259,21 @@ _register(
         1, "bpf_map_lookup_elem", nargs=2, map_channel=True,
         reads_stack=True, hw_stages=2, hw_luts=420, hw_ffs=380,
     ),
-    _bpf_map_lookup_elem,
+    _bpf_map_channel(1),
 )
 _register(
     HelperSpec(
         2, "bpf_map_update_elem", nargs=4, map_channel=True, map_write=True,
         reads_stack=True, hw_stages=2, hw_luts=520, hw_ffs=440,
     ),
-    _bpf_map_update_elem,
+    _bpf_map_channel(2),
 )
 _register(
     HelperSpec(
         3, "bpf_map_delete_elem", nargs=2, map_channel=True, map_write=True,
         reads_stack=True, hw_stages=2, hw_luts=360, hw_ffs=300,
     ),
-    _bpf_map_delete_elem,
+    _bpf_map_channel(3),
 )
 _register(
     HelperSpec(5, "bpf_ktime_get_ns", nargs=0, hw_stages=1, hw_luts=90, hw_ffs=140),
@@ -275,7 +322,7 @@ _register(
         51, "bpf_redirect_map", nargs=3, map_channel=True, hw_stages=2,
         hw_luts=430, hw_ffs=360,
     ),
-    _bpf_redirect_map,
+    _bpf_map_channel(51),
 )
 _register(
     HelperSpec(

@@ -7,8 +7,10 @@ verifier's guarantees (Section 2.2):
    branches (unbounded loops), reads of uninitialised registers,
    out-of-bounds stack accesses, dereferences of possibly-NULL map values,
    writes to the read-only context, jumps into the middle of a LD_IMM64,
-   ALU / jump ops outside the ``isa`` tables and byte swaps of a width
-   other than 16/32/64 (checked on every instruction, reachable or not).
+   map-channel keys and values that point anywhere but the stack or the
+   packet, ALU / jump ops outside the ``isa`` tables and byte swaps of a
+   width other than 16/32/64 (checked on every instruction, reachable or
+   not).
 
 2. **Type analysis** — a branch-sensitive abstract interpretation that
    assigns every register at every program point one of the region types
@@ -63,6 +65,9 @@ _SOUND_OPCODES = frozenset(
     opcode for opcode in range(256)
     if _opcode_fault(Instruction(opcode, imm=-1)) is None
 )
+
+# What a map-channel helper reads through r2 (and r3), by helper id.
+_CHANNEL_OPERANDS = {1: ("key",), 2: ("key", "value"), 3: ("key",)}
 
 
 class RegKind(enum.Enum):
@@ -418,17 +423,26 @@ class Verifier:
                 self._check_read(index, state, reg)
             new_state = state
             r0_type = SCALAR
-            if spec.helper_id == 1:  # bpf_map_lookup_elem
-                r1_type = state.reg(isa.R1)
-                if r1_type.kind != RegKind.MAP_PTR:
-                    raise self._err(index, "r1 must hold a map pointer for lookup")
-                r0_type = map_value_or_null_type(r1_type.map_fd)
-            elif spec.map_channel and spec.helper_id in (2, 3, 51):
+            if spec.map_channel:
                 r1_type = state.reg(isa.R1)
                 if r1_type.kind != RegKind.MAP_PTR:
                     raise self._err(
                         index, f"r1 must hold a map pointer for {spec.name}"
                     )
+                if spec.helper_id == 1:  # bpf_map_lookup_elem
+                    r0_type = map_value_or_null_type(r1_type.map_fd)
+                # The data plane reads a key or value from the stack or
+                # the frame only: map bytes as an operand would need
+                # store forwarding and a recorded read.
+                operands = _CHANNEL_OPERANDS.get(spec.helper_id, ())
+                for reg, what in zip((isa.R2, isa.R3), operands):
+                    kind = state.reg(reg).kind
+                    if kind not in (RegKind.STACK, RegKind.PACKET):
+                        raise self._err(
+                            index,
+                            f"{spec.name} {what} (r{reg}) must point to "
+                            f"the stack or packet, not {kind.value}",
+                        )
                 if spec.helper_id == 3 and r1_type.map_fd is not None:
                     map_spec = program.maps.get(r1_type.map_fd)
                     if map_spec is not None and map_spec.map_type in (

@@ -43,11 +43,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import isa
 from .helpers import (
+    PRANDOM_SEED,
     HelperError,
+    finish_call,
     helper_impl,
     helper_spec,
-    is_map_ptr,
     map_ptr,
+    prandom_step,
 )
 from .isa import MASK32, MASK64, Instruction, Program, to_signed32, to_signed64
 from .maps import MapSet
@@ -108,7 +110,7 @@ class Vm:
         program: Program,
         maps: Optional[MapSet] = None,
         time_ns: int = 0,
-        prandom_seed: int = 0x5EED,
+        prandom_seed: int = PRANDOM_SEED,
     ) -> None:
         self.program = program
         self.maps = maps if maps is not None else MapSet(program.maps)
@@ -154,7 +156,7 @@ class Vm:
     # -- deterministic randomness ------------------------------------------
 
     def next_prandom(self) -> int:
-        self._prandom_state = (self._prandom_state * 1103515245 + 12345) & MASK32
+        self._prandom_state = prandom_step(self._prandom_state)
         return self._prandom_state
 
     # -- memory -------------------------------------------------------------
@@ -591,16 +593,8 @@ class Vm:
             slot = next_slot
 
     def _call(self, helper_id: int) -> None:
-        spec = helper_spec(helper_id)
-        impl = helper_impl(helper_id)
-        args = [self.regs[r] for r in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5)]
-        result = impl(self, *args)
-        self.regs[isa.R0] = result & MASK64
-        # R1-R5 are caller-saved and unreadable after a call; scrub them so
-        # programs relying on stale values fail loudly (like the verifier
-        # would reject them).
-        for reg in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5):
-            self.regs[reg] = 0
+        regs = self.regs
+        finish_call(regs, helper_impl(helper_id)(self, *regs[1:6]))
 
     def _fold_slot_counts(self, scounts: List[int]) -> None:
         """Fold one run's per-slot execution tallies into the cumulative

@@ -33,9 +33,13 @@ from operator import itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
-from ..ebpf.helpers import MAP_PTR_BASE, helper_impl, helper_spec, map_ptr
+from ..ebpf.helpers import (
+    BPF_MAP_UPDATE_ELEM, BPF_REDIRECT_MAP, MAP_PTR_BASE, PRANDOM_SEED,
+    channel_step, finish_call, helper_impl, helper_spec, map_ptr,
+    prandom_step,
+)
 from ..ebpf.isa import MASK32, MASK64, Instruction, to_signed32
-from ..ebpf.maps import MapError, MapSet
+from ..ebpf.maps import MapSet
 from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
@@ -271,7 +275,7 @@ class PipelineSimulator:
         # after each cycle's advance phase (see hwsim.trace).
         self.observer: Optional[Callable] = None
         self.trace_events: List[Tuple[int, ...]] = []
-        self._prandom_state = 0x5EED
+        self._prandom_state = PRANDOM_SEED
         # Telemetry counters of the most recent run (None until a run
         # made with the registry enabled collects them).
         self.metrics: Optional[SimMetrics] = None
@@ -367,7 +371,7 @@ class PipelineSimulator:
     # -- deterministic randomness (helper interface parity with Vm) -----------
 
     def next_prandom(self) -> int:
-        self._prandom_state = (self._prandom_state * 1103515245 + 12345) & MASK32
+        self._prandom_state = prandom_step(self._prandom_state)
         return self._prandom_state
 
     # -- public API --------------------------------------------------------------
@@ -1128,76 +1132,55 @@ class PipelineSimulator:
     # -- helper calls ------------------------------------------------------------------
 
     def _call(self, pkt: _InFlight, helper_id: int) -> Optional[Tuple]:
-        spec = helper_spec(helper_id)
-        side_effect: Optional[Tuple] = None
-        if spec.map_channel:
+        regs = pkt.regs
+        if helper_spec(helper_id).map_channel:
             side_effect = self._map_channel_call(pkt, helper_id)
-        else:
-            # Reuse the VM's helper implementations via a per-packet
-            # execution context that quacks like a Vm.
-            ctx = _HelperContext(self, pkt)
-            impl = helper_impl(helper_id)
-            args = [pkt.regs[r] for r in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5)]
-            pkt.regs[isa.R0] = impl(ctx, *args) & MASK64
-        for reg in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5):
-            pkt.regs[reg] = 0
-        return side_effect
+            finish_call(regs, regs[isa.R0])  # left as is on a drop
+            return side_effect
+        # Reuse the VM's helper implementations via a per-packet
+        # execution context that quacks like a Vm.
+        finish_call(regs, helper_impl(helper_id)(
+            _HelperContext(self, pkt), *regs[1:6]))
+        return None
 
     def _map_channel_call(self, pkt: _InFlight, helper_id: int) -> Optional[Tuple]:
-        """Native implementation of the eHDLmap block helpers (§4.1)."""
+        """One eHDLmap channel request (§4.1): the operands read with
+        ``_read_plain`` — a refusal, or an fd the ``MapSet`` lacks, drops
+        the packet — then ``helpers.channel_step``. A lookup or
+        ``redirect_map`` records its read for the flush checks; an
+        update or delete that took effect returns its side-effect
+        descriptor."""
         regs = pkt.regs
         fd = regs[isa.R1] - MAP_PTR_BASE
         if fd not in self.maps:
             self._drop(pkt)
             return None
         bpf_map = self.maps[fd]
-        if helper_id == 1:  # lookup
+        value = None
+        if helper_id == BPF_REDIRECT_MAP:
+            key = (regs[isa.R2] & MASK32).to_bytes(4, "little")
+            arg = regs[isa.R3]
+        else:
             key = self._read_plain(pkt, regs[isa.R2], bpf_map.key_size)
             if key is None:
                 return None
-            slot = bpf_map.lookup_slot(key)
+            if helper_id == BPF_MAP_UPDATE_ELEM:
+                value = self._read_plain(pkt, regs[isa.R3], bpf_map.value_size)
+                if value is None:
+                    return None
+            arg = regs[isa.R4]
+        r0, slot, ifindex = channel_step(
+            helper_id, fd, bpf_map, key, value, arg)
+        regs[isa.R0] = r0
+        if not helper_spec(helper_id).map_write:
             pkt.addr_reads.setdefault(fd, []).append((key, slot))
-            if slot is None:
-                regs[isa.R0] = 0
-            else:
-                regs[isa.R0] = AddressSpace.map_value_addr(
-                    fd, bpf_map.value_addr(slot)
-                )
+            if ifindex is not None:
+                pkt.ctx.redirect_ifindex = ifindex
             return None
-        if helper_id == 2:  # update: immediate commit + flush check
-            key = self._read_plain(pkt, regs[isa.R2], bpf_map.key_size)
-            value = self._read_plain(pkt, regs[isa.R3], bpf_map.value_size)
-            if key is None or value is None:
-                return None
-            try:
-                slot = bpf_map.update(key, value, flags=regs[isa.R4] & 0x3)
-                regs[isa.R0] = 0
-            except MapError:
-                regs[isa.R0] = (1 << 64) - 1
-                return None
-            return ("update", fd, key, slot)
-        if helper_id == 3:  # delete
-            key = self._read_plain(pkt, regs[isa.R2], bpf_map.key_size)
-            if key is None:
-                return None
-            slot = bpf_map.lookup_slot(key)
-            deleted = bpf_map.delete(key) if slot is not None else False
-            regs[isa.R0] = 0 if deleted else (1 << 64) - 1
-            if deleted:
-                return ("delete", fd, key, slot)
+        if r0:
             return None
-        if helper_id == 51:  # redirect_map
-            key = (regs[isa.R2] & 0xFFFFFFFF).to_bytes(4, "little")
-            slot = bpf_map.lookup_slot(key) if bpf_map.key_size == 4 else None
-            pkt.addr_reads.setdefault(fd, []).append((key, slot))
-            if slot is None:
-                regs[isa.R0] = regs[isa.R3] & 0xFFFFFFFF
-            else:
-                value = bpf_map.lookup(key)
-                pkt.ctx.redirect_ifindex = int.from_bytes(value[:4], "little")
-                regs[isa.R0] = int(XdpAction.REDIRECT)
-            return None
-        raise SimError(f"unhandled map-channel helper {helper_id}")
+        return ("update" if helper_id == BPF_MAP_UPDATE_ELEM else "delete",
+                fd, key, slot)
 
     def _read_plain(self, pkt: _InFlight, addr: int, size: int) -> Optional[bytes]:
         """Read bytes from stack/packet for helper arguments."""
@@ -1225,25 +1208,13 @@ class _HelperContext:
     def next_prandom(self) -> int:
         return self._sim.next_prandom()
 
-    def _span(self, addr: int, size: int, writing: bool):
-        """The buffer holding ``size`` bytes at ``addr`` and their offset
-        in it. A helper argument that leaves its buffer, or names none —
-        a write to map storage would slip past the hazard machinery —
-        is a :class:`SimError` (the VM and the RTL raise theirs)."""
-        pkt = self._pkt
-        buf, off, fd = AddressSpace.locate(
-            addr, size, pkt.stack, pkt.ctx, self._sim.maps, writing)
-        if buf is None:  # refused: ``fd`` holds the reason
-            raise SimError(f"helper {'write' if writing else 'read'} {fd}: "
-                           f"{addr:#x}+{size}")
-        if writing and fd is not None:
-            raise SimError(f"helper write to map storage: {addr:#x}+{size}")
-        return buf, off
-
     def read_bytes(self, addr: int, size: int) -> bytes:
-        buf, off = self._span(addr, size, writing=False)
+        """The ``size`` bytes at ``addr``. A helper argument that leaves
+        its buffer, or names none, is a :class:`SimError` (the VM and the
+        RTL raise theirs)."""
+        pkt = self._pkt
+        buf, off, why = AddressSpace.locate(
+            addr, size, pkt.stack, pkt.ctx, self._sim.maps)
+        if buf is None:  # refused: ``off`` names the region
+            raise SimError(f"helper read {why}: {addr:#x}+{size}")
         return bytes(buf[off : off + size])
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        buf, off = self._span(addr, len(data), writing=True)
-        buf[off : off + len(data)] = data

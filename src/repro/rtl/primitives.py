@@ -18,23 +18,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ebpf.helpers import helper_impl, helper_spec
-from ..ebpf.maps import MapError, MapSet
+from ..core.vhdl import (
+    CH_OP_DELETE, CH_OP_LOAD, CH_OP_LOOKUP, CH_OP_REDIRECT, CH_OP_STORE,
+    CH_OP_UPDATE,
+)
+from ..ebpf.helpers import (
+    BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM,
+    BPF_REDIRECT_MAP, PRANDOM_SEED, channel_step, helper_impl, helper_spec,
+    prandom_step,
+)
+from ..ebpf.isa import MASK64
+from ..ebpf.maps import MapSet
 from ..ebpf.vm import VmError, atomic_step
 from ..ebpf.xdp import AddressSpace, XdpContext
 from .elab import CombNode, Ref
 from .errors import RtlElabError, RtlSimError
-
-MASK32 = (1 << 32) - 1
-MASK64 = (1 << 64) - 1
-NEG1 = MASK64
-
-CH_OP_LOOKUP = 0x1
-CH_OP_UPDATE = 0x2
-CH_OP_DELETE = 0x3
-CH_OP_LOAD = 0x4
-CH_OP_STORE = 0x5
-CH_OP_REDIRECT = 0x6
 
 _CH_OP_NAMES = {
     CH_OP_LOOKUP: "lookup",
@@ -43,6 +41,15 @@ _CH_OP_NAMES = {
     CH_OP_LOAD: "load",
     CH_OP_STORE: "store",
     CH_OP_REDIRECT: "redirect",
+}
+
+# The channel ops that are helper requests: what each does is
+# ``helpers.channel_step`` of that helper. LOAD and STORE are memory.
+_CH_OP_HELPER = {
+    CH_OP_LOOKUP: BPF_MAP_LOOKUP_ELEM,
+    CH_OP_UPDATE: BPF_MAP_UPDATE_ELEM,
+    CH_OP_DELETE: BPF_MAP_DELETE_ELEM,
+    CH_OP_REDIRECT: BPF_REDIRECT_MAP,
 }
 
 
@@ -76,7 +83,7 @@ class RtlContext:
         self.maps = maps
         self.time_ns = time_ns
         self.trace_events: List[tuple] = []
-        self._prandom_state = 0x5EED
+        self._prandom_state = PRANDOM_SEED
         self.packet: Optional[PacketShadow] = None
         # Primitive activity: executed map-channel/atomic/helper requests
         # by kind, for the RTL telemetry counters.
@@ -86,9 +93,7 @@ class RtlContext:
         self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
 
     def next_prandom(self) -> int:
-        self._prandom_state = (
-            self._prandom_state * 1103515245 + 12345
-        ) & MASK32
+        self._prandom_state = prandom_step(self._prandom_state)
         return self._prandom_state
 
 
@@ -177,46 +182,19 @@ class MapBlock:
         key_raw = (values[ky_n] >> ky_l) & ky_m
         bpf_map = self._map()
         result, out_of_bounds = 0, 0
-        if code == CH_OP_LOOKUP:
-            key = _bytes_le(key_raw, bpf_map.key_size)
-            slot = bpf_map.lookup_slot(key)
-            if slot is not None:
-                result = AddressSpace.map_value_addr(
-                    self.fd, bpf_map.value_addr(slot)
-                )
-        elif code == CH_OP_UPDATE:
-            key = _bytes_le(key_raw, bpf_map.key_size)
-            value = _bytes_le((values[wd_n] >> wd_l) & wd_m,
-                              bpf_map.value_size)
-            try:
-                bpf_map.update(key, value, flags=addr & 0x3)
-            except MapError:
-                result = NEG1
-        elif code == CH_OP_DELETE:
-            key = _bytes_le(key_raw, bpf_map.key_size)
-            slot = bpf_map.lookup_slot(key)
-            deleted = False
-            if slot is not None:
-                try:
-                    deleted = bpf_map.delete(key)
-                except MapError:
-                    deleted = False
-            result = 0 if deleted else NEG1
-        elif code == CH_OP_REDIRECT:
-            slot = None
-            if bpf_map.key_size == 4:
-                key = _bytes_le(key_raw, 4)
-                slot = bpf_map.lookup_slot(key)
-            if slot is None:
-                result = addr & MASK32  # miss: fall back to r3's action
-            else:
-                value = bpf_map.lookup(key)
-                shadow = self.context.packet
-                if shadow is not None:
-                    shadow.redirect_ifindex = int.from_bytes(
-                        value[:4], "little"
-                    )
-                result = 4  # XDP_REDIRECT
+        helper_id = _CH_OP_HELPER.get(code)
+        if helper_id is not None:
+            # The addr port carries r4 of an update (its flags) and r3
+            # of a redirect_map (the action on a miss).
+            value = (_bytes_le((values[wd_n] >> wd_l) & wd_m,
+                               bpf_map.value_size)
+                     if helper_id == BPF_MAP_UPDATE_ELEM else None)
+            result, _slot, ifindex = channel_step(
+                helper_id, self.fd, bpf_map,
+                _bytes_le(key_raw, bpf_map.key_size), value, addr)
+            shadow = self.context.packet
+            if ifindex is not None and shadow is not None:
+                shadow.redirect_ifindex = ifindex
         elif code == CH_OP_LOAD:
             offset = self._decode_addr(addr, size)
             if offset is None:

@@ -27,9 +27,16 @@ predicts what the ``Vm`` leaves in memory and registers, and the same
 programs go through all five engines — ``hwsim/codegen.py``'s
 ``_atomic_lines`` text and the VHDL atomic block are the specialised
 renderings this holds to it.
+
+The map-channel helpers ride it too, a row per ``map_channel`` entry of
+``helpers.HELPERS`` and map kind: ``channel_step`` (the reference tier's
+one rule for what a request does to its map and leaves in r0) predicts
+what the ``Vm`` does over hit, miss, full-map and update-flag requests,
+and the same programs go through all five engines.
 """
 
 import itertools
+import struct
 
 import pytest
 
@@ -39,9 +46,18 @@ from repro.core.vhdl import _alu_expr, _cmp_expr, _swap_expr
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.disasm import format_instruction
+from repro.ebpf.helpers import (
+    BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM,
+    BPF_REDIRECT_MAP, HELPERS, channel_step, helper_spec,
+)
 from repro.ebpf.isa import MASK64, Instruction, MapSpec, Program
+from repro.ebpf.maps import (
+    _MAP_CLASSES, BPF_ANY, BPF_EXIST, BPF_NOEXIST, MapSet,
+)
 from repro.ebpf.opfns import make_alu_fn, make_cmp_fn
+from repro.ebpf.verifier import VerifierError
 from repro.ebpf.vm import Vm, alu_step, atomic_step, cmp_step
+from repro.ebpf.xdp import AddressSpace, XdpAction
 from repro.hwsim import run_differential
 from repro.hwsim.engines import engine_names
 
@@ -369,6 +385,165 @@ def _frames(pairs, size):
     ] + [bytes(size - 1)]  # the drop arm
 
 
+# -- map-channel helpers ------------------------------------------------------
+#
+# A row per ``map_channel`` helper of ``HELPERS`` and map kind of
+# ``maps._MAP_CLASSES``. A frame carries the request: a u32 key at 0, a
+# u32 argument at 4 (an update's flags; redirect_map's miss action) and
+# an update's u64 value at 8. The program copies key and value to the
+# stack, makes the call and writes r0 back at 16; a lookup hit also
+# writes the value it points to at 24. A map of four slots starts with
+# keys 0-2 set up. ``hwsim/codegen.py``'s folded lookup / redirect_map
+# text and the VHDL map port are the specialised renderings the engine
+# rows hold to ``channel_step``.
+
+CHANNEL_ROWS = [
+    (spec.helper_id, kind)
+    for spec, _impl in HELPERS.values() if spec.map_channel
+    for kind in _MAP_CLASSES
+]
+CHANNEL_IDS = [f"{helper_spec(h).name}-{k}" for h, k in CHANNEL_ROWS]
+CHANNEL_FRAMES = [
+    struct.pack("<IIQ", key, arg, value) + bytes(40)
+    for key, arg, value in (
+        (1, BPF_ANY, 0xA1),  # hit
+        (1, BPF_NOEXIST, 0xA2),  # hit: refused by an update
+        (1, BPF_EXIST, 0xA3),
+        (7, BPF_EXIST, 0xA4),  # miss (out of range for an array)
+        (3, BPF_NOEXIST, 0xA5),  # a hash-map insert fills the map
+        (6, BPF_ANY, 0xA6),  # full: hash refuses, lru_hash evicts
+        (0, BPF_NOEXIST, 0xA7),
+        (2, BPF_ANY, 0xA8),
+        (1, BPF_ANY, 0xA9),
+    )
+]
+
+
+def channel_refused(helper_id, kind):
+    """The verifier refuses a delete on an array kind."""
+    return helper_id == BPF_MAP_DELETE_ELEM and "array" in kind
+
+
+def channel_setup(maps):
+    table = maps.by_name("t")
+    for key in range(3):
+        table.update(struct.pack("<I", key),
+                     struct.pack("<Q", 0x11 * (key + 1)))
+
+
+def channel_program(helper_id, kind):
+    if helper_id == BPF_REDIRECT_MAP:  # the key is r2 itself
+        args = ["r2 = *(u32 *)(r6 + 0)", "r3 = *(u32 *)(r6 + 4)"]
+    else:
+        args = ["r2 = r10", "r2 += -4"]
+    if helper_id == BPF_MAP_UPDATE_ELEM:
+        args += ["r3 = r10", "r3 += -16", "r4 = *(u32 *)(r6 + 4)"]
+    deref = (["if r0 == 0 goto out", "r2 = *(u64 *)(r0 + 0)",
+              "*(u64 *)(r6 + 24) = r2"]
+             if helper_id == BPF_MAP_LOOKUP_ELEM else [])
+    source = "\n".join([
+        "r6 = *(u32 *)(r1 + 0)",
+        "r7 = *(u32 *)(r1 + 4)",
+        "r8 = r6",
+        "r8 += 32",
+        "if r8 > r7 goto drop",
+        "r2 = *(u32 *)(r6 + 0)",
+        "*(u32 *)(r10 - 4) = r2",
+        "r2 = *(u64 *)(r6 + 8)",
+        "*(u64 *)(r10 - 16) = r2",
+        "r1 = map[t]",
+        *args,
+        f"call {helper_id}",
+        "*(u64 *)(r6 + 16) = r0",
+        *deref,
+        "out:",
+        # redirect_map's r0 is the verdict
+        "exit" if helper_id == BPF_REDIRECT_MAP else "r0 = 2\nexit",
+        "drop:",
+        "r0 = 1",
+        "exit",
+    ])
+    return assemble_program(
+        source, maps={"t": MapSpec("t", kind, 4, 8, 4)},
+        name=f"{helper_spec(helper_id).name}_{kind}")
+
+
+class TestChannelStep:
+    def test_the_edges_by_hand(self):
+        array, hashed, lru = 1, 2, 3  # fds, two slots each
+        maps = MapSet({fd: MapSpec("t", kind, 4, 8, 2) for fd, kind in (
+            (array, "array"), (hashed, "hash"), (lru, "lru_hash"))})
+        k = [struct.pack("<I", i) for i in range(4)]
+        v = struct.pack("<Q", 0x0102030405060708)
+
+        def step(helper_id, fd, key, arg=BPF_ANY, value=v):
+            return channel_step(helper_id, fd, maps[fd], key, value, arg)
+
+        neg1 = MASK64
+        # update: the flags are arg & 3; a refusal is -1 and no slot
+        assert step(BPF_MAP_UPDATE_ELEM, hashed, k[0], 4 | BPF_NOEXIST) \
+            == (0, 0, None)
+        assert step(BPF_MAP_UPDATE_ELEM, hashed, k[0], BPF_NOEXIST) \
+            == (neg1, None, None)
+        assert step(BPF_MAP_UPDATE_ELEM, hashed, k[1], BPF_EXIST) \
+            == (neg1, None, None)
+        assert step(BPF_MAP_UPDATE_ELEM, hashed, k[1])[:2] == (0, 1)
+        assert step(BPF_MAP_UPDATE_ELEM, hashed, k[2]) \
+            == (neg1, None, None)  # full
+        assert step(BPF_MAP_UPDATE_ELEM, array, k[2]) \
+            == (neg1, None, None)  # out of range
+        assert step(BPF_MAP_UPDATE_ELEM, array, k[1], BPF_NOEXIST) \
+            == (neg1, None, None)  # array entries always exist
+        step(BPF_MAP_UPDATE_ELEM, lru, k[0])
+        step(BPF_MAP_UPDATE_ELEM, lru, k[1])
+        assert step(BPF_MAP_UPDATE_ELEM, lru, k[2]) == (0, 0, None)
+        assert maps[lru].lru_keys() == [k[1], k[2]]  # full: k[0] evicted
+        # lookup: the value address, or 0
+        base = AddressSpace.map_value_addr(hashed, 0)
+        assert step(BPF_MAP_LOOKUP_ELEM, hashed, k[1]) \
+            == (base + 8, 1, None)
+        assert step(BPF_MAP_LOOKUP_ELEM, hashed, k[3]) == (0, None, None)
+        # delete: 0 and the freed slot, or -1 (a MapError too)
+        assert step(BPF_MAP_DELETE_ELEM, hashed, k[1]) == (0, 1, None)
+        assert step(BPF_MAP_DELETE_ELEM, hashed, k[1]) \
+            == (neg1, None, None)
+        assert step(BPF_MAP_DELETE_ELEM, array, k[0]) \
+            == (neg1, None, None)
+        # redirect_map: XDP_REDIRECT and the value's low 4 bytes on a
+        # hit with a 4-byte key, else arg's low 32 bits
+        assert step(BPF_REDIRECT_MAP, hashed, k[0], value=None) \
+            == (int(XdpAction.REDIRECT), 0, 0x05060708)
+        assert step(BPF_REDIRECT_MAP, hashed, k[3], 2**32 + 2) \
+            == (2, None, None)
+        wide = MapSet({1: MapSpec("w", "hash", 8, 8, 2)})[1]
+        wide.update(bytes(8), v)
+        assert channel_step(BPF_REDIRECT_MAP, 1, wide, k[0], None, 1) \
+            == (1, None, None)
+
+    @pytest.mark.parametrize(
+        "helper_id, kind", CHANNEL_ROWS, ids=CHANNEL_IDS)
+    def test_the_vm_does_what_channel_step_says(self, helper_id, kind):
+        program = channel_program(helper_id, kind)
+        maps, model = MapSet(program.maps), MapSet(program.maps)
+        channel_setup(maps)
+        channel_setup(model)
+        fd = model.fd_of("t")
+        vm = Vm(program, maps=maps)
+        hits = set()
+        for frame in CHANNEL_FRAMES:
+            result = vm.run(frame)
+            key, arg, value = struct.unpack_from("<IIQ", frame)
+            r0, slot, ifindex = channel_step(
+                helper_id, fd, model[fd], struct.pack("<I", key),
+                struct.pack("<Q", value), arg)
+            assert struct.unpack_from("<Q", result.packet, 16)[0] == r0
+            assert result.redirect_ifindex == ifindex
+            hits.add(slot is not None)
+        if not channel_refused(helper_id, kind):
+            assert hits == {True, False}  # the frames reach both outcomes
+        assert list(maps[fd].items()) == list(model[fd].items())
+
+
 class TestAllEngines:
     @pytest.mark.parametrize(
         "program, size", PROGRAMS, ids=[p.name for p, _size in PROGRAMS])
@@ -380,6 +555,24 @@ class TestAllEngines:
             program, _frames(DIAGONAL, size), engines=engine_names())
         assert list(diagonal.runs) == engine_names()
         diagonal.raise_on_mismatch()
+
+    @pytest.mark.parametrize(
+        "helper_id, kind", CHANNEL_ROWS, ids=CHANNEL_IDS)
+    def test_every_engine_agrees_on_the_map_channel(self, helper_id, kind):
+        program = channel_program(helper_id, kind)
+        if channel_refused(helper_id, kind):
+            with pytest.raises(VerifierError, match="cannot be deleted"):
+                compile_program(program)
+            return
+        # One packet in flight, as for the atomics: a request re-run by
+        # a flush restart (Appendix A.2) is not a divergence here.
+        pipeline = compile_program(program)
+        diff = run_differential(
+            program, CHANNEL_FRAMES, pipeline=pipeline,
+            gap=pipeline.n_stages + 2, setup=channel_setup,
+            engines=engine_names())
+        assert list(diff.runs) == engine_names()
+        diff.raise_on_mismatch()
 
     @pytest.mark.parametrize(
         "program, size", ATOMIC_PROGRAMS,

@@ -182,23 +182,6 @@ class TestImplicitDrops:
                            match=r"read out of bounds: 0x41000018\+16"):
             run_engine(engine, program, [bytes(64)] * 2)
 
-    def test_helper_write_past_its_buffer_does_not_grow_it(self):
-        from repro.ebpf.xdp import AddressSpace
-        from repro.hwsim.sim import _HelperContext, _InFlight
-
-        sim = PipelineSimulator(compile_program(
-            assemble_program(self.OVERREAD)))
-        pkt = _InFlight(0, PKT, 0)
-        context = _HelperContext(sim, pkt)
-        context.write_bytes(AddressSpace.stack_top() - 8, bytes([7] * 8))
-        assert context.read_bytes(AddressSpace.stack_top() - 8, 8) \
-            == bytes([7] * 8)
-        for addr in (AddressSpace.stack_top() - 8, pkt.ctx.data + 56):
-            with pytest.raises(SimError, match="helper write out of bounds"):
-                context.write_bytes(addr, bytes(16))
-        assert len(pkt.stack) == AddressSpace.STACK_SIZE
-        assert bytes(pkt.ctx.packet) == PKT
-
 
 class TestInputQueue:
     def test_overflow_drops_packets(self):

@@ -405,3 +405,94 @@ class TestMapKindRules:
         for kind in ("hash", "lru_hash"):
             maps = {"h": MapSpec("h", kind, 4, 8, 4)}
             verify_src(self.DELETE.format(name="h"), maps=maps)
+
+
+class TestMapChannelOperands:
+    """A map-channel key (r2) or update value (r3) points to the stack or
+    the packet. Both witnesses used to verify and then split the engines:
+    the VM returned PASS, the pipeline engines dropped every packet and
+    the RTL legs failed VHDL emission."""
+
+    MAPS = {"m": MapSpec("m", "array", 4, 8, 4),
+            "h": MapSpec("h", "hash", 4, 8, 4)}
+    # r0 is a value of m; the update of h takes it as key or as value
+    WITNESSES = {
+        "key": ("""
+            r2 = 0
+            *(u32 *)(r10 - 4) = r2
+            *(u64 *)(r10 - 16) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r2 = r0
+            r1 = map[h]
+            r3 = r10
+            r3 += -16
+            r4 = 0
+            call 2
+        out:
+            r0 = 2
+            exit
+        """, "insn 13: bpf_map_update_elem key (r2) must point to the "
+             "stack or packet, not map_value"),
+        "value": ("""
+            r2 = 0
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r3 = r0
+            r1 = map[h]
+            r2 = r10
+            r2 += -4
+            r4 = 0
+            call 2
+        out:
+            r0 = 2
+            exit
+        """, "insn 12: bpf_map_update_elem value (r3) must point to the "
+             "stack or packet, not map_value"),
+    }
+
+    @pytest.mark.parametrize("operand", sorted(WITNESSES))
+    def test_a_map_value_operand_is_a_located_error(self, operand, tmp_path):
+        source, message = self.WITNESSES[operand]
+        program = assemble_program(source, maps=self.MAPS)
+        for check in (verify, compile_program):
+            with pytest.raises(VerifierError) as err:
+                check(program)
+            assert str(err.value) == message
+        text = tmp_path / f"{operand}.ebpf"
+        text.write_text(".map m array key=4 value=8 entries=4\n"
+                        ".map h hash key=4 value=8 entries=4\n" + source)
+        with pytest.raises(SystemExit) as err:
+            main(["compile", str(text), "--no-cache"])
+        assert str(err.value) == f"verifier: {message}"
+
+    def test_lookup_and_delete_keys_too(self):
+        for helper_id, name in ((1, "bpf_map_lookup_elem"),
+                                (3, "bpf_map_delete_elem")):
+            source = f"""
+                r2 = 5
+                r1 = map[h]
+                call {helper_id}
+                r0 = 2
+                exit
+            """
+            with pytest.raises(VerifierError, match=(
+                    f"insn 2: {name} key \\(r2\\) must point to the stack "
+                    "or packet, not scalar")):
+                verify_src(source, maps=self.MAPS)
+
+    def test_a_packet_key_is_allowed(self):
+        verify_src("""
+            r2 = *(u32 *)(r1 + 0)
+            r1 = map[h]
+            call 1
+            r0 = 2
+            exit
+        """, maps=self.MAPS)
