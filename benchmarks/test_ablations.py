@@ -12,11 +12,13 @@ quantify each one on our implementation:
   the router's global counter implemented both ways.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import EVALUATION_APPS, router, tunnel
-from repro.core import CompileOptions, compile_program
+from repro.core import compile_program
 from repro.core.resources import estimate_resources
 from repro.ebpf.maps import MapSet
 from repro.hwsim import NicSystem
@@ -28,11 +30,11 @@ def ilp_ablation():
     rows = []
     for name, mod in EVALUATION_APPS.items():
         prog = mod.build()
-        full = compile_program(prog)
-        no_fusion = compile_program(prog, CompileOptions(enable_fusion=False))
-        serial = compile_program(
-            prog, CompileOptions(enable_ilp=False, enable_fusion=False)
-        )
+        full = compile_program(prog, PAPER_OPTIONS)
+        no_fusion = compile_program(
+            prog, replace(PAPER_OPTIONS, enable_fusion=False))
+        serial = compile_program(prog, replace(
+            PAPER_OPTIONS, enable_ilp=False, enable_fusion=False))
         rows.append([name, full.n_stages, no_fusion.n_stages, serial.n_stages])
     print_table(
         "Ablation: pipeline depth vs scheduling features",
@@ -47,7 +49,7 @@ def framing_ablation():
     rows = []
     prog = tunnel.build()
     for frame in (32, 64, 128):
-        pipe = compile_program(prog, CompileOptions(frame_size=frame))
+        pipe = compile_program(prog, replace(PAPER_OPTIONS, frame_size=frame))
         est = estimate_resources(pipe, include_shell=False)
         rows.append([frame, pipe.n_stages, pipe.max_state_bytes, est.ffs])
     print_table(
@@ -63,7 +65,7 @@ def atomic_ablation():
     rows = []
     for use_atomic in (True, False):
         prog = router.build(use_atomic=use_atomic)
-        pipe = compile_program(prog)
+        pipe = compile_program(prog, PAPER_OPTIONS)
         maps = MapSet(prog.maps)
         router.add_route(maps, ipv4("192.168.1.1"), mac("02:00:00:00:01:01"),
                          mac("02:00:00:00:01:02"), 3)
@@ -105,9 +107,9 @@ class TestAblations:
     def test_elision_saves_instructions(self):
         for name, mod in EVALUATION_APPS.items():
             prog = mod.build()
-            with_elision = compile_program(prog)
+            with_elision = compile_program(prog, PAPER_OPTIONS)
             without = compile_program(
-                prog, CompileOptions(elide_bounds_checks=False)
+                prog, replace(PAPER_OPTIONS, elide_bounds_checks=False)
             )
             assert with_elision.n_instructions < without.n_instructions, name
 
@@ -116,7 +118,7 @@ class TestAblations:
         _check(ilp_ablation, framing_ablation, atomic_ablation)
         prog = tunnel.build()
         benchmark(
-            lambda: compile_program(
-                prog, CompileOptions(enable_ilp=False, enable_fusion=False)
-            ).n_stages
+            lambda: compile_program(prog, replace(
+                PAPER_OPTIONS, enable_ilp=False, enable_fusion=False,
+            )).n_stages
         )

@@ -11,16 +11,18 @@ Paper claims reproduced here:
   versus >2 KB unpruned.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import toy_counter
-from repro.core import CompileOptions, compile_program
+from repro.core import compile_program
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    pipeline = compile_program(toy_counter.build())
+    pipeline = compile_program(toy_counter.build(), PAPER_OPTIONS)
     print("\n=== Figure 8: generated pipeline for the running example ===")
     print(pipeline.summary())
     hist = {}
@@ -57,7 +59,7 @@ class TestFigure8:
         # but no pruning the state is still ~0.6 KB per stage.
         unpruned = compile_program(
             toy_counter.build(),
-            CompileOptions(enable_pruning=False),
+            replace(PAPER_OPTIONS, enable_pruning=False),
         )
         assert unpruned.max_state_bytes >= 64 + 512 + 80
 
@@ -71,4 +73,4 @@ class TestFigure8:
     def test_bench_toy_compile(self, benchmark, fig8):
         _check(fig8)
         prog = toy_counter.build()
-        benchmark(lambda: compile_program(prog))
+        benchmark(lambda: compile_program(prog, PAPER_OPTIONS))

@@ -8,7 +8,7 @@ closely (same ILP extraction), modulo helper-block stages.
 
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import EVALUATION_APPS
 from repro.baselines import compile_for_hxdp
 from repro.core import compile_program
@@ -56,4 +56,4 @@ class TestFigure9c:
         from repro.apps import tunnel
 
         prog = tunnel.build()
-        benchmark(lambda: compile_program(prog))
+        benchmark(lambda: compile_program(prog, PAPER_OPTIONS))

@@ -12,7 +12,7 @@ offered load, and compare against the model's prediction for the same
 
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.analysis import pipeline_throughput, zipf_flush_probability
 from repro.apps import router
 from repro.core import compile_program
@@ -36,7 +36,7 @@ def _measure(n_flows: int):
     from repro.apps import leaky_bucket
 
     prog = leaky_bucket.build()
-    pipeline = compile_program(prog)
+    pipeline = compile_program(prog, PAPER_OPTIONS)
     gen = TrafficGenerator(TrafficSpec(
         n_flows=n_flows, distribution="zipf", packet_size=64, seed=9,
     ))

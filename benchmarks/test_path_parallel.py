@@ -1,0 +1,116 @@
+"""Path-parallel layout (beyond the paper): all 13 apps under both layouts.
+
+§3.3 gives every basic block rows of its own and lays the blocks end to
+end, so pipeline depth is the sum over blocks. The default layout lets
+mutually exclusive blocks share stages, each op gated by its own block's
+enable bit (``CompileOptions.path_parallel``; core/scheduler.py), so
+depth follows the longest path. Per app and layout: stages, the LRU
+serialization window ``[lo, hi]`` and its width W, cycles/packet and
+mean latency at line rate on the app's workload, pipeline LUTs, and the
+throughput at 250 MHz against the hXDP model's (Figure 9a's frame, for
+all 13 apps).
+
+Expected: no app gets deeper, slower or larger, and ct_firewall's
+window — the one bad hardware number (ROADMAP F) — narrows from W = 21.
+"""
+
+import dataclasses
+
+import pytest
+
+from conftest import PAPER_OPTIONS, print_table
+from repro import apps
+from repro.baselines import compile_for_hxdp
+from repro.core import CompileOptions, compile_program
+from repro.core.resources import estimate_resources
+from repro.ebpf.maps import MapSet
+from repro.hwsim import PipelineSimulator, SimOptions
+from repro.workloads import make_workload, parse_workload_spec
+
+PACKETS = 10_000
+CLOCK_NS = 4.0  # 250 MHz
+# Apps without a registered workload: the Zipfian UDP mix of the
+# flush workload in bench/.
+DEFAULT_WORKLOAD = "udp-zipf:flows=100000"
+APPS = sorted(name for name in apps.__all__ if name.islower())
+LAYOUTS = {"paper": PAPER_OPTIONS, "path-parallel": CompileOptions()}
+
+
+def _frames(name):
+    spec = parse_workload_spec(apps.APP_WORKLOADS.get(name, DEFAULT_WORKLOAD))
+    return make_workload(
+        dataclasses.replace(spec, packets=PACKETS, seed=1)).materialize()
+
+
+def _measure(name, options, frames):
+    module = getattr(apps, name)
+    program = module.build()
+    pipeline = compile_program(program, options)
+    maps = MapSet(program.maps)
+    setup = getattr(module, "default_setup", None)
+    if setup is not None:
+        setup(maps)
+    report = PipelineSimulator(pipeline, maps=maps, options=SimOptions(
+        keep_records=False, input_queue_capacity=PACKETS,
+    )).run_packets(frames)
+    windows = pipeline.serial_windows
+    cycles = report.cycles / report.packets_out
+    return {
+        "stages": pipeline.n_stages,
+        "window": " ".join(f"[{lo}, {hi}] W={hi - lo + 1}"
+                           for lo, hi in windows) or "-",
+        "W": max((hi - lo + 1 for lo, hi in windows), default=0),
+        "cycles": cycles,
+        "latency_ns": report.sum_total_cycles / report.packets_out * CLOCK_NS,
+        "luts": estimate_resources(pipeline, include_shell=False).luts,
+        "mpps": 1e3 / CLOCK_NS / cycles,
+    }
+
+
+@pytest.fixture(scope="module")
+def layouts():
+    rows = {}
+    for name in APPS:
+        frames = _frames(name)
+        rows[name] = {layout: _measure(name, options, frames)
+                      for layout, options in LAYOUTS.items()}
+        rows[name]["hxdp_mpps"] = compile_for_hxdp(
+            getattr(apps, name).build()).throughput_mpps
+
+    def pair(row, key, fmt="{}"):
+        return (fmt.format(row["paper"][key]) + " -> "
+                + fmt.format(row["path-parallel"][key]))
+
+    print_table(
+        "Path-parallel layout (beyond the paper): paper -> path-parallel",
+        ["app", "stages", "window", "cycles/pkt", "latency ns", "LUTs",
+         "Mpps", "x hXDP"],
+        [[name, pair(r, "stages"), pair(r, "window"),
+          pair(r, "cycles", "{:.4f}"), pair(r, "latency_ns", "{:.1f}"),
+          pair(r, "luts"), pair(r, "mpps", "{:.1f}"),
+          f"{r['paper']['mpps'] / r['hxdp_mpps']:.1f} -> "
+          f"{r['path-parallel']['mpps'] / r['hxdp_mpps']:.1f}"]
+         for name, r in rows.items()],
+    )
+    return rows
+
+
+class TestPathParallel:
+    def test_no_app_gets_worse(self, layouts):
+        for name, row in layouts.items():
+            paper, shared = row["paper"], row["path-parallel"]
+            for key in ("stages", "W", "cycles", "latency_ns", "luts"):
+                assert shared[key] <= paper[key], (name, key)
+            assert shared["mpps"] >= paper["mpps"], name
+
+    def test_branchy_apps_get_shallower(self, layouts):
+        shallower = [name for name, row in layouts.items()
+                     if row["path-parallel"]["stages"]
+                     < row["paper"]["stages"]]
+        assert shallower == APPS
+
+    def test_ct_firewall_window_narrows(self, layouts):
+        row = layouts["ct_firewall"]
+        assert row["paper"]["W"] == 21
+        assert row["path-parallel"]["W"] <= 12
+        assert row["path-parallel"]["cycles"] <= 12.5

@@ -8,9 +8,11 @@
   on the running example's pipeline (without the Corundum overhead).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.analysis import bluefield_power, fpga_power
 from repro.apps import EVALUATION_APPS, toy_counter
 from repro.baselines import (
@@ -20,7 +22,7 @@ from repro.baselines import (
     compile_for_hxdp,
 )
 from repro.baselines.hxdp import HXDP_RESOURCES
-from repro.core import CompileOptions, compile_program
+from repro.core import compile_program
 from repro.core.resources import estimate_resources
 
 
@@ -80,9 +82,11 @@ class TestSec54Pruning:
     @pytest.fixture(scope="class")
     def ablation(self):
         prog = toy_counter.build()
-        pruned = estimate_resources(compile_program(prog), include_shell=False)
+        pruned = estimate_resources(compile_program(prog, PAPER_OPTIONS),
+                                    include_shell=False)
         unpruned = estimate_resources(
-            compile_program(prog, CompileOptions(enable_pruning=False)),
+            compile_program(
+                prog, replace(PAPER_OPTIONS, enable_pruning=False)),
             include_shell=False,
         )
         deltas = {
@@ -113,7 +117,8 @@ class TestSec54Pruning:
         prog = toy_counter.build()
         benchmark(
             lambda: estimate_resources(
-                compile_program(prog, CompileOptions(enable_pruning=False)),
+                compile_program(
+                    prog, replace(PAPER_OPTIONS, enable_pruning=False)),
                 include_shell=False,
             )
         )

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import EVALUATION_APPS
 from repro.core import compile_program
 from repro.ebpf.verifier import verify
@@ -57,10 +57,11 @@ class TestTable1:
         # takes hours on a real FPGA flow)
         start = time.monotonic()
         for mod in EVALUATION_APPS.values():
-            compile_program(mod.build())
+            compile_program(mod.build(), PAPER_OPTIONS)
         assert time.monotonic() - start < 30
 
     def test_bench_full_suite_compile(self, benchmark, table1):
         _check(table1)
         programs = [mod.build() for mod in EVALUATION_APPS.values()]
-        benchmark(lambda: [compile_program(p) for p in programs])
+        benchmark(lambda: [compile_program(p, PAPER_OPTIONS)
+                           for p in programs])

@@ -9,7 +9,7 @@ flow) degrades the achievable rate from ~29 Mpps offered to ~12 Mpps.
 
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import leaky_bucket
 from repro.core import compile_program
 from repro.ebpf.maps import MapSet
@@ -21,7 +21,7 @@ N_PACKETS = 12_000  # scaled-down replay window (the rates are per-second)
 
 def _replay(trace):
     prog = leaky_bucket.build()
-    pipeline = compile_program(prog)
+    pipeline = compile_program(prog, PAPER_OPTIONS)
     nic = NicSystem(pipeline, maps=MapSet(prog.maps), keep_records=False)
     report = nic.replay_trace(trace)
     return pipeline, report
@@ -46,7 +46,7 @@ def table2():
     from repro.net.packet import udp_packet
 
     prog = leaky_bucket.build()
-    pipeline = compile_program(prog)
+    pipeline = compile_program(prog, PAPER_OPTIONS)
     nic = NicSystem(pipeline, maps=MapSet(prog.maps), keep_records=False)
     frame = udp_packet(src_ip="10.0.0.1", sport=1000, size=64)
     degraded = nic.run_at_line_rate([frame] * 3000)

@@ -14,7 +14,7 @@ run at line rate (Figure 9a).
 
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.analysis import analyze_pipeline
 from repro.apps import dnat, firewall, leaky_bucket, router, suricata, tunnel
 from repro.core import compile_program
@@ -23,14 +23,16 @@ N_FLOWS = 50_000
 
 
 def _build_variants():
-    return {
-        "firewall": compile_program(firewall.build()),  # atomics only: N/A
-        "tunnel": compile_program(tunnel.build(use_atomic=False)),
-        "router": compile_program(router.build(use_atomic=False)),
-        "dnat": compile_program(dnat.build()),
-        "suricata": compile_program(suricata.build(use_atomic=False)),
-        "leaky_bucket": compile_program(leaky_bucket.build()),
+    programs = {
+        "firewall": firewall.build(),  # atomics only: N/A
+        "tunnel": tunnel.build(use_atomic=False),
+        "router": router.build(use_atomic=False),
+        "dnat": dnat.build(),
+        "suricata": suricata.build(use_atomic=False),
+        "leaky_bucket": leaky_bucket.build(),
     }
+    return {name: compile_program(program, PAPER_OPTIONS)
+            for name, program in programs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +85,12 @@ class TestTable3:
         _check(table3)
 
     def test_more_flows_less_flushing(self):
-        pipe = compile_program(router.build(use_atomic=False))
+        pipe = compile_program(router.build(use_atomic=False), PAPER_OPTIONS)
         few = analyze_pipeline(pipe, n_flows=1_000)
         many = analyze_pipeline(pipe, n_flows=1_000_000)
         assert many.throughput_mpps > few.throughput_mpps
 
     def test_bench_analysis(self, benchmark, table3):
         _check(table3)
-        pipe = compile_program(leaky_bucket.build())
+        pipe = compile_program(leaky_bucket.build(), PAPER_OPTIONS)
         benchmark(lambda: analyze_pipeline(pipe, n_flows=N_FLOWS))

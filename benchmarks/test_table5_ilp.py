@@ -6,11 +6,13 @@ arbitrary amount of instruction parallelism … the average ILP … is
 between 1.5 and 2.5, in line with the numbers reported by previous work."
 """
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import print_table
+from conftest import PAPER_OPTIONS, print_table
 from repro.apps import EVALUATION_APPS
-from repro.core import CompileOptions, compile_program
+from repro.core import compile_program
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,8 @@ class TestTable5:
         from repro.apps import tunnel
 
         narrow = compile_program(
-            tunnel.build(), CompileOptions(enable_ilp=False, enable_fusion=False)
+            tunnel.build(),
+            replace(PAPER_OPTIONS, enable_ilp=False, enable_fusion=False),
         )
         assert narrow.max_ilp == 1
 
@@ -58,4 +61,4 @@ class TestTable5:
         from repro.apps import tunnel
 
         prog = tunnel.build()
-        benchmark(lambda: compile_program(prog).max_ilp)
+        benchmark(lambda: compile_program(prog, PAPER_OPTIONS).max_ilp)

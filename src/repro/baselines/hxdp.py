@@ -89,6 +89,9 @@ def compile_for_hxdp(program: Program) -> HxdpReport:
         # elision so instruction counts match Figure 9c's "reduced" bars).
         elide_bounds_checks=True,
         dead_code_elimination=True,
+        # A processor executes one path's bundles in order: exclusive
+        # arms never share a bundle, so the layout is the paper's.
+        path_parallel=False,
     )
     pipeline = compile_program(program, options)
     bundles = len(pipeline.schedule.rows)

@@ -41,7 +41,10 @@ from .pipeline import Pipeline
 #     carries both, and a checkout that moved only one of them shares
 #     neither's guarantees.
 # v7: with CODEGEN_VERSION 7 (one access rendering in the cycle loop).
-_CACHE_VERSION = 7
+# v8: the path-parallel layout is the default and ``Stage`` drops its
+#     ``block_id``; the emitted text formats, and so CODEGEN_VERSION,
+#     are unchanged.
+_CACHE_VERSION = 8
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

@@ -47,7 +47,10 @@ class CompileOptions:
 
     The ablation benchmarks flip individual flags: ``enable_pruning=False``
     reproduces §5.4, ``enable_ilp=False`` measures the schedule-depth win,
-    ``frame_size`` sweeps the framing trade-off.
+    ``frame_size`` sweeps the framing trade-off. ``path_parallel=False``
+    is the paper's §3.3 layout (one basic block per stage, blocks
+    concatenated), which the paper-table benchmarks compile under; the
+    default lets mutually exclusive blocks share stages.
     """
 
     frame_size: int = DEFAULT_FRAME_SIZE
@@ -61,6 +64,7 @@ class CompileOptions:
     elide_ctx_loads: bool = True
     unroll_loops: bool = True
     max_row_width: Optional[int] = None
+    path_parallel: bool = True
 
 
 class CompileError(ValueError):
@@ -153,6 +157,7 @@ def compile_program(
         enable_fusion=options.enable_fusion,
         max_fuse_chain=options.max_fuse_chain,
         max_row_width=options.max_row_width,
+        path_parallel=options.path_parallel,
     )
     with _pass_span("schedule", program=program.name):
         schedule = schedule_program(

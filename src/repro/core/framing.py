@@ -88,7 +88,6 @@ def apply_framing(
                         Stage(
                             number=0,
                             kind=StageKind.NOP_FRAMING,
-                            block_id=-1,
                             note=f"wait for frame {frame_index}",
                         ),
                     )

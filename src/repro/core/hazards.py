@@ -114,7 +114,8 @@ def plan_hazards(
 
 
 def hazard_summary(pipeline: Pipeline) -> str:
-    """One line per map: the (K, L) pairs Table 3 reports."""
+    """One line per map: the (K, L) pairs Table 3 reports, and the
+    serialization window with its width."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
@@ -126,5 +127,9 @@ def hazard_summary(pipeline: Pipeline) -> str:
             parts.append(f"WAR buffer depth {plan.war_buffer_depth}")
         for fb in plan.flush_blocks:
             parts.append(f"flush block L={fb.L} K={fb.K()}")
+        if plan.serial_window is not None:
+            # W stages between admissions: the window's cycles/packet
+            lo, hi = plan.serial_window
+            parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}")
         lines.append("  ".join(parts))
     return "\n".join(lines) if lines else "no maps"

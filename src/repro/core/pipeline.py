@@ -54,7 +54,8 @@ class Stage:
 
     number: int  # 1-based position, like Figure 8
     kind: StageKind
-    block_id: int = -1
+    # In program order; ops of mutually exclusive blocks may share a stage,
+    # each gated by its own block's enable bit (PipeOp.block_id).
     ops: List[PipeOp] = field(default_factory=list)
     note: str = ""
     # State carried INTO this stage, filled by the pruning pass. Stack
@@ -209,7 +210,13 @@ class Pipeline:
         for stage in self.stages:
             regs = ",".join(f"r{r}" for r in sorted(stage.live_in_regs))
             stack = ",".join(f"[{o}:{s}]" for o, s in stage.live_in_stack)
-            body = " | ".join(format_instruction(op.insn) for op in stage.ops)
+            # A stage exclusive blocks share tags each block's run of ops.
+            shared = len({op.block_id for op in stage.ops}) > 1
+            body = " | ".join(
+                (f"b{op.block_id}: " if shared and (
+                    k == 0 or stage.ops[k - 1].block_id != op.block_id)
+                 else "") + format_instruction(op.insn)
+                for k, op in enumerate(stage.ops))
             if stage.kind is not StageKind.OPS:
                 body = f"({stage.kind.value}{': ' + stage.note if stage.note else ''})"
             lines.append(
@@ -232,16 +239,14 @@ def assemble_stages(
             PipeOp(
                 insn_index=i,
                 insn=program.instructions[i],
-                block_id=row.block_id,
+                block_id=cfg.block_of_insn[i],
                 fused=i in row.fused,
                 label=labels.label_for(i),
                 call=labels.call_for(i),
             )
             for i in row.ops
         ]
-        stages.append(
-            Stage(number=0, kind=StageKind.OPS, block_id=row.block_id, ops=ops)
-        )
+        stages.append(Stage(number=0, kind=StageKind.OPS, ops=ops))
         extra = schedule.extra_latency.get(pos, 0)
         for k in range(extra):
             note = ""
@@ -249,12 +254,7 @@ def assemble_stages(
                 if op.insn.is_call:
                     note = helper_spec(op.insn.imm).name
             stages.append(
-                Stage(
-                    number=0,
-                    kind=StageKind.HELPER_LATENCY,
-                    block_id=row.block_id,
-                    note=note,
-                )
+                Stage(number=0, kind=StageKind.HELPER_LATENCY, note=note)
             )
     _renumber(stages)
     return stages

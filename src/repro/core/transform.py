@@ -20,7 +20,7 @@ Both rewrites preserve eBPF jump-offset (slot-based) encoding via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.isa import Instruction, Program
@@ -30,15 +30,6 @@ from .liveness import reg_liveness
 
 class TransformError(ValueError):
     """Raised on invalid rewrites (deleting a needed terminator, ...)."""
-
-
-def _slot_starts(instructions: Sequence[Instruction]) -> List[int]:
-    slots = []
-    slot = 0
-    for insn in instructions:
-        slots.append(slot)
-        slot += insn.slots
-    return slots
 
 
 def rewrite_program(
@@ -54,7 +45,6 @@ def rewrite_program(
     surviving instruction at or after their old target.
     """
     old = program.instructions
-    n = len(old)
     new_lists: List[List[Instruction]] = []
     for index, insn in enumerate(old):
         if index in replacements:
@@ -69,29 +59,20 @@ def rewrite_program(
     for lst in new_lists:
         new_slot_of_old_index.append(slot)
         slot += sum(i.slots for i in lst)
-    total_slots = slot
-    new_slot_of_old_index.append(total_slots)  # virtual end
-
-    old_slots = _slot_starts(old)
-
-    def old_index_of_slot(target_slot: int) -> int:
-        for i, s in enumerate(old_slots):
-            if s == target_slot:
-                return i
-        if target_slot == (old_slots[-1] + old[-1].slots if old else 0):
-            return n
-        raise TransformError(f"jump into the middle of an instruction: slot {target_slot}")
+    new_slot_of_old_index.append(slot)  # virtual end
 
     out: List[Instruction] = []
+    here = 0  # slot of the next instruction out
     for index, lst in enumerate(new_lists):
         for insn in lst:
             if insn.is_jump and index not in replacements:
                 # retarget surviving jump
-                old_target = old_index_of_slot(
-                    old_slots[index] + insn.slots + insn.off
-                )
+                try:
+                    old_target = program.jump_target_index(index)
+                except isa.ISAError as exc:
+                    raise TransformError(f"jump into the middle of an "
+                                         f"instruction: {exc}") from exc
                 new_target_slot = new_slot_of_old_index[old_target]
-                here = len_slots(out)
                 new_off = new_target_slot - here - insn.slots
                 insn = Instruction(
                     insn.opcode, insn.dst, insn.src, new_off, insn.imm, insn.imm64
@@ -99,13 +80,10 @@ def rewrite_program(
             elif insn.is_jump and index in replacements:
                 raise TransformError("replacement code must be straight-line")
             out.append(insn)
+            here += insn.slots
     if not out:
         raise TransformError("rewrite removed every instruction")
     return program.with_instructions(out)
-
-
-def len_slots(instructions: Sequence[Instruction]) -> int:
-    return sum(i.slots for i in instructions)
 
 
 def delete_instructions(program: Program, indices: Iterable[int]) -> Program:

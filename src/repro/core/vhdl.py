@@ -427,8 +427,11 @@ class _StageBuilder:
         self.seq: List[str] = []
         self.map_uses: List[_MapPortUse] = []
         self.atomic_use: Optional[_AtomicUse] = None
-        self._drop_conds: List[str] = []
-        self._reg_expr: Dict[int, str] = {}
+        # In-stage forwarding and the drop chain of the block whose op is
+        # being emitted (emit_op selects them): ops of exclusive blocks
+        # sharing this stage never see each other's results or drops.
+        self._drop_chains: Dict[int, List[str]] = {}
+        self._reg_exprs: Dict[int, Dict[int, str]] = {}
         self._mp_count = 0
         self._helper_count = 0
         self._fd_channels: Dict[int, int] = {}
@@ -542,6 +545,8 @@ class _StageBuilder:
 
     def emit_op(self, op: PipeOp) -> None:
         insn = op.insn
+        self._drop_conds = self._drop_chains.setdefault(op.block_id, [])
+        self._reg_expr = self._reg_exprs.setdefault(op.block_id, {})
         self.seq.append(f"        -- b{op.block_id}: {format_instruction(insn)}")
         if insn.is_ld_imm64:
             self._emit_ld_imm64(op)

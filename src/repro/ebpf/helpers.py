@@ -333,6 +333,12 @@ _register(
 )
 
 
+# Helpers whose results depend on the global interleaving of calls
+# (shared clock, shared PRNG state): any reordering of two packets' calls
+# is observable.
+ORDER_SENSITIVE_HELPERS = frozenset({5, 7})  # ktime_get_ns, prandom_u32
+
+
 HELPER_IDS_BY_NAME: Dict[str, int] = {
     spec.name: spec.helper_id for spec, _ in HELPERS.values()
 }

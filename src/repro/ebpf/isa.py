@@ -570,20 +570,32 @@ class Program:
         return fds
 
     # Offsets in eBPF jumps are expressed in *slots*, not instruction
-    # indices, because LD_IMM64 takes two slots. These helpers convert.
+    # indices, because LD_IMM64 takes two slots. These helpers convert,
+    # through one table per instruction list (built on first use), so
+    # resolving every jump of a program is linear, not quadratic.
+
+    def _slot_table(self) -> Tuple[List[int], Dict[int, int]]:
+        """The slot each index starts at (plus the end slot), and its
+        inverse."""
+        insns = self.instructions
+        table = self.__dict__.get("_slot_cache")
+        if table is None or table[0] is not insns \
+                or len(table[1]) != len(insns) + 1:
+            starts = [0]
+            for insn in insns:
+                starts.append(starts[-1] + insn.slots)
+            table = (insns, starts, {s: i for i, s in enumerate(starts)})
+            self.__dict__["_slot_cache"] = table
+        return table[1], table[2]
 
     def slot_of_index(self, index: int) -> int:
-        return sum(insn.slots for insn in self.instructions[:index])
+        return self._slot_table()[0][index]
 
     def index_of_slot(self, slot: int) -> int:
-        cur = 0
-        for i, insn in enumerate(self.instructions):
-            if cur == slot:
-                return i
-            cur += insn.slots
-        if cur == slot:
-            return len(self.instructions)
-        raise ISAError(f"slot {slot} is inside a multi-slot instruction")
+        index = self._slot_table()[1].get(slot)
+        if index is None:
+            raise ISAError(f"slot {slot} is inside a multi-slot instruction")
+        return index
 
     def jump_target_index(self, index: int) -> int:
         """Instruction index targeted by the jump at ``index``."""

@@ -86,11 +86,12 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   stack, the eBPF registers, which are the Python locals ``r0`` … ``r10``,
   and the block-enable flags ``_e<block>``;
 * **the packet body**: one ``while True:`` block executed once. Entry
-  length checks, entry ops and every stage's ops follow each other flat;
-  consecutive ops of one basic block share one ``if _e<block>:`` (the
-  entry block's ops have none), so nesting follows op structure, not
-  the stage count. An exit, an implicit drop or an entry check sets
-  ``_act`` and leaves by ``break`` — nothing after it is tested;
+  length checks, entry ops and every block's ops (blocks in topological
+  order, each in stage order) follow each other flat; consecutive ops
+  of one basic block share one ``if _e<block>:`` (the entry block's ops
+  have none), so nesting follows op structure, not the stage count. An
+  exit, an implicit drop or an entry check sets ``_act`` and leaves by
+  ``break`` — nothing after it is tested;
 * **the spill contract**: ``sim._atomic`` (XCHG / CMPXCHG, stack and
   packet atomics, the cold path of an inlined one) and
   ``sim._map_channel_call`` (update, delete, a map the program does not
@@ -138,7 +139,12 @@ from ..core.cfg import BasicBlock
 from ..core.labeling import Region
 from ..core.pipeline import PipeOp, Pipeline, Stage, StageKind
 from ..ebpf import isa
-from ..ebpf.helpers import HelperError, helper_spec, map_ptr
+from ..ebpf.helpers import (
+    ORDER_SENSITIVE_HELPERS,
+    HelperError,
+    helper_spec,
+    map_ptr,
+)
 from ..ebpf.isa import MASK32, MASK64, to_signed32
 from ..ebpf.opfns import alu_source, cmp_source
 from ..ebpf.xdp import AddressSpace, XDP_MD_SIZE, XdpAction
@@ -161,12 +167,6 @@ from ..telemetry import get_registry
 # v7: one access rendering: the cycle loop's loads, stores, atomics and
 #     lookups take _stream's label-first form and read sim.maps per use.
 CODEGEN_VERSION = 7
-
-# Helpers whose results depend on the global interleaving of calls
-# (shared clock, shared PRNG state): running packets to completion would
-# reorder their calls relative to the cycle-accurate schedule, so their
-# presence disables the _STREAM path.
-_ORDER_SENSITIVE_HELPERS = frozenset({5, 7})  # ktime_get_ns, prandom_u32
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -298,7 +298,9 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
             helper_spec(helper_id)
         except HelperError:
             return f"helper {helper_id} is unknown (generic call)"
-        if helper_id in _ORDER_SENSITIVE_HELPERS:
+        if helper_id in ORDER_SENSITIVE_HELPERS:
+            # Running packets to completion would reorder their calls
+            # relative to the cycle-accurate schedule.
             return f"helper {helper_id} is order-sensitive"
     return None
 
@@ -1392,20 +1394,24 @@ class _Emitter:
         return out
 
     def _stream_ops(self) -> List[str]:
-        """Entry ops, then every stage's ops in stage order, for one
-        packet that is never done when an op starts (a decided packet
-        has left). Consecutive ops of one basic block share one
+        """Entry ops, then every block's ops in topological block order,
+        each block's in stage order, for one packet that is never done
+        when an op starts (a decided packet has left). On the packet's
+        one path that is the order the stages run them: every block
+        starts after its predecessors end, and blocks sharing a stage
+        are exclusive. Consecutive ops of one basic block share one
         ``if _e<block>:``; the entry block's flag is constant, so its
         ops carry none. Nesting depth therefore follows op structure,
         not the stage count."""
         pipeline = self.pipeline
         entry_block = pipeline.cfg.entry.block_id
-        placed = [(op, 1, True) for op in pipeline.entry_ops] + [
+        topo = {b: k for k, b in enumerate(pipeline.cfg.topo_order)}
+        placed = [(op, 1, True) for op in pipeline.entry_ops] + sorted((
             (op, stage.number, False)
             for stage in pipeline.stages
             if stage.kind is StageKind.OPS
             for op in stage.ops or ()
-        ]
+        ), key=lambda placement: topo[placement[0].block_id])
         groups: List[Tuple[Optional[int], List[str]]] = []
         for op, stage_number, in_entry in placed:
             emitted = self._op_body(op, stage_number, in_entry)

@@ -1,4 +1,4 @@
-"""Generated execution module for pipeline 'ct_firewall' (37 stages).
+"""Generated execution module for pipeline 'ct_firewall' (23 stages).
 
 Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery included, position/commit tracking included. Do not edit.
 """
@@ -79,9 +79,11 @@ def _s6(sim, pkt, slots, barrier_queues, input_queue, report, _u4=_u4):
     enabled = pkt.enabled
     if 3 in enabled:
         regs[8] = _u4(pkt.ctx.packet, 26)[0]
+    if 10 in enabled:
+        regs[0] = 0x2
     return False
 
-def _s7(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s7(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -90,6 +92,9 @@ def _s7(sim, pkt, slots, barrier_queues, input_queue, report):
         regs[2] = regs[8]
     if 3 in enabled:
         regs[2] = regs[2] & 0xff
+    if 10 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
 
 def _s8(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -124,6 +129,25 @@ def _s9(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4, 
         regs[3] = 0x0
     if not pkt.done and 4 in enabled:
         regs[1] = 0x30000001
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p4(pkt.stack, 496, regs[8] & 0xffffffff)
+        if _se is not None:
+            pkt.take_snapshot(9)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    if not pkt.done and 6 in enabled:
+        regs[3] = _u4(pkt.ctx.packet, 30)[0]
+    if not pkt.done and 6 in enabled:
+        regs[4] = _u2(pkt.ctx.packet, 34)[0]
+    if not pkt.done and 6 in enabled:
+        regs[5] = _u2(pkt.ctx.packet, 36)[0]
+    if not pkt.done and 6 in enabled:
+        regs[1] = 0x30000001
+    if not pkt.done and 6 in enabled:
+        regs[2] = regs[10]
+    if not pkt.done and 6 in enabled:
+        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return flushed
 
 def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
@@ -164,13 +188,37 @@ def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4)
         regs[2] = regs[10]
     if not pkt.done and 4 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p4(pkt.stack, 500, regs[3] & 0xffffffff)
+        if _se is not None:
+            pkt.take_snapshot(10)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p2(pkt.stack, 504, regs[4] & 0xffff)
+        if _se is not None:
+            pkt.take_snapshot(10)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p2(pkt.stack, 506, regs[5] & 0xffff)
+        if _se is not None:
+            pkt.take_snapshot(10)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    if not pkt.done and 6 in enabled:
+        regs[3] = 0x0
     return flushed
 
-def _s11(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
+    flushed = False
     if 4 in enabled:
         _m = sim.maps.maps.get(1)
         if _m is None:
@@ -187,7 +235,14 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report):
                 pkt.addr_reads.setdefault(1, []).append((_k, _sl))
                 regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    return False
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p4(pkt.stack, 508, regs[3] & 0xffffffff)
+        if _se is not None:
+            pkt.take_snapshot(11)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    return flushed
 
 def _s13(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
@@ -205,9 +260,11 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report):
     enabled = pkt.enabled
     if 5 in enabled:
         regs[1] = 0x1
+    if 9 in enabled:
+        regs[0] = 0x1
     return False
 
-def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i0=_i0):
+def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -228,106 +285,7 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
             pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
-    return flushed
-
-def _s16(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        regs[0] = 0x2
-    return False
-
-def _s17(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4, _p4=_p4):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 6 in enabled:
-        _se = None
-        _p4(pkt.stack, 496, regs[8] & 0xffffffff)
-        if _se is not None:
-            pkt.take_snapshot(18)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
     if not pkt.done and 6 in enabled:
-        regs[3] = _u4(pkt.ctx.packet, 30)[0]
-    if not pkt.done and 6 in enabled:
-        regs[4] = _u2(pkt.ctx.packet, 34)[0]
-    if not pkt.done and 6 in enabled:
-        regs[5] = _u2(pkt.ctx.packet, 36)[0]
-    if not pkt.done and 6 in enabled:
-        regs[1] = 0x30000001
-    if not pkt.done and 6 in enabled:
-        regs[2] = regs[10]
-    if not pkt.done and 6 in enabled:
-        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    return flushed
-
-def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 6 in enabled:
-        _se = None
-        _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-        if _se is not None:
-            pkt.take_snapshot(19)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    if not pkt.done and 6 in enabled:
-        _se = None
-        _p2(pkt.stack, 504, regs[4] & 0xffff)
-        if _se is not None:
-            pkt.take_snapshot(19)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    if not pkt.done and 6 in enabled:
-        _se = None
-        _p2(pkt.stack, 506, regs[5] & 0xffff)
-        if _se is not None:
-            pkt.take_snapshot(19)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    if not pkt.done and 6 in enabled:
-        regs[3] = 0x0
-    return flushed
-
-def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 6 in enabled:
-        _se = None
-        _p4(pkt.stack, 508, regs[3] & 0xffffffff)
-        if _se is not None:
-            pkt.take_snapshot(20)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    return flushed
-
-def _s21(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 6 in enabled:
         _m = sim.maps.maps.get(1)
         if _m is None:
             sim._drop(pkt)
@@ -343,35 +301,45 @@ def _s21(sim, pkt, slots, barrier_queues, input_queue, report):
                 pkt.addr_reads.setdefault(1, []).append((_k, _sl))
                 regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    return False
+    if not pkt.done and 9 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    return flushed
 
-def _s23(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s17(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
+    if 5 in enabled:
+        regs[0] = 0x2
     if 6 in enabled:
         enabled.update((8,) if regs[0] != 0x0 else (7,))
     return False
 
-def _s24(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
-    if 7 in enabled:
+    if 5 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    if not pkt.done and 7 in enabled:
         regs[3] = 0x1
-    if 7 in enabled:
+    if not pkt.done and 7 in enabled:
         regs[1] = 0x30000001
-    if 7 in enabled:
+    if not pkt.done and 7 in enabled:
         regs[2] = regs[10]
-    if 7 in enabled:
+    if not pkt.done and 7 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    if 7 in enabled:
+    if not pkt.done and 7 in enabled:
         regs[4] = 0x0
+    if not pkt.done and 8 in enabled:
+        regs[1] = 0x1
     return False
 
-def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
+def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -381,7 +349,7 @@ def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
         _se = None
         _p8(pkt.stack, 480, regs[3] & 0xffffffffffffffff)
         if _se is not None:
-            pkt.take_snapshot(25)
+            pkt.take_snapshot(19)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 7 in enabled:
@@ -390,7 +358,7 @@ def _s25(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
         regs[3] = (regs[3] + 0xffffffffffffffe0) & 0xffffffffffffffff
     return flushed
 
-def _s26(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i1=_i1):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -400,46 +368,10 @@ def _s26(sim, pkt, slots, barrier_queues, input_queue, report):
         _se = sim._map_channel_call(pkt, 2)
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
         if _se is not None:
-            pkt.take_snapshot(26)
+            pkt.take_snapshot(20)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
-    return flushed
-
-def _s28(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 7 in enabled:
-        regs[0] = 0x3
-    return False
-
-def _s29(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 7 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s30(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 8 in enabled:
-        regs[1] = 0x1
-    return False
-
-def _s31(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i1=_i1):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 8 in enabled:
+    if not pkt.done and 8 in enabled:
         _a = regs[0]
         _o = _a - 0x41000000
         _m = sim.maps.maps.get(1)
@@ -451,64 +383,31 @@ def _s31(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
         else:
             _se = sim._atomic(pkt, _i1, _a)
         if _se is not None:
-            pkt.take_snapshot(31)
+            pkt.take_snapshot(20)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     return flushed
 
-def _s32(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s22(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
+    if 7 in enabled:
+        regs[0] = 0x3
     if 8 in enabled:
         regs[0] = 0x3
     return False
 
-def _s33(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+def _s23(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
-    if 8 in enabled:
+    if 7 in enabled:
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s34(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 9 in enabled:
-        regs[0] = 0x1
-    return False
-
-def _s35(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 9 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s36(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 10 in enabled:
-        regs[0] = 0x2
-    return False
-
-def _s37(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 10 in enabled:
+    if not pkt.done and 8 in enabled:
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
@@ -566,34 +465,6 @@ def _observe(metrics, slots, barrier_queues):
         _b[21] += 1
     if slots[23] is not None:
         _b[22] += 1
-    if slots[24] is not None:
-        _b[23] += 1
-    if slots[25] is not None:
-        _b[24] += 1
-    if slots[26] is not None:
-        _b[25] += 1
-    if slots[27] is not None:
-        _b[26] += 1
-    if slots[28] is not None:
-        _b[27] += 1
-    if slots[29] is not None:
-        _b[28] += 1
-    if slots[30] is not None:
-        _b[29] += 1
-    if slots[31] is not None:
-        _b[30] += 1
-    if slots[32] is not None:
-        _b[31] += 1
-    if slots[33] is not None:
-        _b[32] += 1
-    if slots[34] is not None:
-        _b[33] += 1
-    if slots[35] is not None:
-        _b[34] += 1
-    if slots[36] is not None:
-        _b[35] += 1
-    if slots[37] is not None:
-        _b[36] += 1
     if barrier_queues:
         _w = 0
         for _q in barrier_queues.values():
@@ -608,7 +479,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     _ring = [0] * 10
     _ri = 0
     _inj = -1
-    _went = -21
+    _went = -10
     _exit = _drops = _tot = _pip = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
@@ -633,14 +504,14 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         if _ring[_ri] > _inj:
             _inj = _ring[_ri]
         _inq.append(_inj)
-        _went += 21
+        _went += 10
         if _inj + 10 > _went:
             _went = _inj + 10
         _ring[_ri] = _went
         _ri += 1
         if _ri == 10:
             _ri = 0
-        _exit = _went + 27
+        _exit = _went + 13
         if _exit >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
         _tot += _exit - cycle
@@ -806,7 +677,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     report.sum_pipeline_cycles += _pip
     return pid
 
-_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, None, _s13, _s14, _s15, _s16, _s17, _s18, _s19, _s20, _s21, None, _s23, _s24, _s25, _s26, None, _s28, _s29, _s30, _s31, _s32, _s33, _s34, _s35, _s36, _s37,)
+_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, None, _s13, _s14, _s15, None, _s17, _s18, _s19, _s20, None, _s22, _s23,)
 _ENTRY = _entry
 _ADVANCE = None
 _OBSERVE = _observe

@@ -1,4 +1,4 @@
-"""Generated execution module for pipeline 'firewall' (22 stages).
+"""Generated execution module for pipeline 'firewall' (18 stages).
 
 Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery elided, position/commit tracking elided. Do not edit.
 """
@@ -77,9 +77,11 @@ def _s5(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4):
         regs[8] = 0x0
     if 2 in enabled:
         regs[1] = 0x30000001
+    if 6 in enabled:
+        regs[0] = 0x2
     return False
 
-def _s6(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
+def _s6(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -98,6 +100,9 @@ def _s6(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
         regs[2] = regs[10]
     if 2 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+    if 6 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
 
 def _s7(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -205,9 +210,11 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report):
     enabled = pkt.enabled
     if 4 in enabled:
         regs[0] = 0x1
+    if 5 in enabled:
+        regs[1] = 0x1
     return False
 
-def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -215,23 +222,7 @@ def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS
     if 4 in enabled:
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s17(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        regs[1] = 0x1
-    return False
-
-def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i0=_i0):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
+    if not pkt.done and 5 in enabled:
         _a = regs[0]
         _o = _a - 0x41000000
         _m = sim.maps.maps.get(1)
@@ -243,7 +234,7 @@ def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
             sim._atomic(pkt, _i0, _a)
     return False
 
-def _s19(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s17(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -252,31 +243,12 @@ def _s19(sim, pkt, slots, barrier_queues, input_queue, report):
         regs[0] = 0x3
     return False
 
-def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     if 5 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _s21(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 6 in enabled:
-        regs[0] = 0x2
-    return False
-
-def _s22(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 6 in enabled:
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
@@ -288,12 +260,15 @@ def _entry(sim, pkt):
 def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
     slots.insert(1, None)
     del slots[-1]
-    pkt = slots[18]
+    pkt = slots[16]
     if pkt is not None:
         if not pkt.done:
             regs = pkt.regs
             enabled = pkt.enabled
-            if 5 in enabled:
+            if 4 in enabled:
+                pkt.done = True
+                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+            if not pkt.done and 5 in enabled:
                 _a = regs[0]
                 _o = _a - 0x41000000
                 _m = sim.maps.maps.get(1)
@@ -310,13 +285,6 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                     if 5 in enabled:
                         pkt.done = True
                         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-                    if not pkt.done:
-                        if 6 in enabled:
-                            regs[0] = 0x2
-                        if not pkt.done:
-                            if 6 in enabled:
-                                pkt.done = True
-                                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     pkt = slots[12]
     if pkt is not None:
         if not pkt.done:
@@ -343,13 +311,8 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                 if not pkt.done:
                     if 4 in enabled:
                         regs[0] = 0x1
-                    if not pkt.done:
-                        if 4 in enabled:
-                            pkt.done = True
-                            pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-                        if not pkt.done:
-                            if 5 in enabled:
-                                regs[1] = 0x1
+                    if 5 in enabled:
+                        regs[1] = 0x1
     pkt = slots[7]
     if pkt is not None:
         if not pkt.done:
@@ -423,6 +386,8 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                             regs[8] = 0x0
                         if 2 in enabled:
                             regs[1] = 0x30000001
+                        if 6 in enabled:
+                            regs[0] = 0x2
                         if not pkt.done:
                             if 2 in enabled:
                                 _p4(pkt.stack, 496, regs[2] & 0xffffffff)
@@ -438,6 +403,9 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, 
                                 regs[2] = regs[10]
                             if 2 in enabled:
                                 regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+                            if 6 in enabled:
+                                pkt.done = True
+                                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
 
 def _observe(metrics, slots, barrier_queues):
@@ -479,14 +447,6 @@ def _observe(metrics, slots, barrier_queues):
         _b[16] += 1
     if slots[18] is not None:
         _b[17] += 1
-    if slots[19] is not None:
-        _b[18] += 1
-    if slots[20] is not None:
-        _b[19] += 1
-    if slots[21] is not None:
-        _b[20] += 1
-    if slots[22] is not None:
-        _b[21] += 1
 
 def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _ZSTACK=_ZSTACK):
     pid = 0
@@ -502,7 +462,7 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
     _cnt = {}
     _recs = report.records
     for frame in frames:
-        if cycle + 22 >= _max:
+        if cycle + 18 >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
         _b = _c.packet = frame
         pkt.done = False
@@ -597,21 +557,21 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
             break
         _cnt[_act] = _cnt.get(_act, 0) + 1
         if keep_records:
-            _recs.append(_PR(pid=pid, action=_act, data=bytes(_b), arrival_cycle=cycle, inject_cycle=cycle, exit_cycle=cycle + 22, restarts=0))
+            _recs.append(_PR(pid=pid, action=_act, data=bytes(_b), arrival_cycle=cycle, inject_cycle=cycle, exit_cycle=cycle + 18, restarts=0))
         pid += 1
         cycle += gap
     if pid:
-        report.cycles = (pid - 1) * gap + 23
+        report.cycles = (pid - 1) * gap + 19
     report.packets_in += pid
     report.packets_out += pid
     _ac = report.action_counts
     for _k, _v in _cnt.items():
         _ac[_k] = _ac.get(_k, 0) + _v
-    report.sum_total_cycles += pid * 22
-    report.sum_pipeline_cycles += pid * 22
+    report.sum_total_cycles += pid * 18
+    report.sum_pipeline_cycles += pid * 18
     return pid
 
-_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18, _s19, _s20, _s21, _s22,)
+_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18,)
 _ENTRY = _entry
 _ADVANCE = _advance
 _OBSERVE = _observe

@@ -1,4 +1,4 @@
-"""Generated execution module for pipeline 'router_rmw' (30 stages).
+"""Generated execution module for pipeline 'router_rmw' (28 stages).
 
 Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery included, position/commit tracking included. Do not edit.
 """
@@ -136,9 +136,11 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
         regs[3] = _u2(pkt.ctx.packet, 24)[0]
     if 3 in enabled:
         regs[1] = 0x30000002
+    if 6 in enabled:
+        regs[0] = 0x2
     return False
 
-def _s12(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s12(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -158,6 +160,9 @@ def _s12(sim, pkt, slots, barrier_queues, input_queue, report):
     if not pkt.done and 3 in enabled:
         _v = regs[3] & 0xffff
         regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
+    if not pkt.done and 6 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
 
 def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
@@ -441,25 +446,6 @@ def _s28(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return False
 
-def _s29(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 6 in enabled:
-        regs[0] = 0x2
-    return False
-
-def _s30(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 6 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
 def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
@@ -482,13 +468,6 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                 if 5 in enabled:
                     pkt.done = True
                     pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-                if not pkt.done:
-                    if 6 in enabled:
-                        regs[0] = 0x2
-                    if not pkt.done:
-                        if 6 in enabled:
-                            pkt.done = True
-                            pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     pkt = slots[26]
     if pkt is not None:
         if pkt.pending_writes:
@@ -725,6 +704,9 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
             if not pkt.done and 3 in enabled:
                 _v = regs[3] & 0xffff
                 regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
+            if not pkt.done and 6 in enabled:
+                pkt.done = True
+                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     pkt = slots[8]
     if pkt is not None:
         if not pkt.done:
@@ -757,6 +739,8 @@ def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, 
                         regs[3] = _u2(pkt.ctx.packet, 24)[0]
                     if 3 in enabled:
                         regs[1] = 0x30000002
+                    if 6 in enabled:
+                        regs[0] = 0x2
     pkt = slots[2]
     if pkt is not None:
         if not pkt.done:
@@ -851,17 +835,13 @@ def _observe(metrics, slots, barrier_queues):
         _b[26] += 1
     if slots[28] is not None:
         _b[27] += 1
-    if slots[29] is not None:
-        _b[28] += 1
-    if slots[30] is not None:
-        _b[29] += 1
     if barrier_queues:
         _w = 0
         for _q in barrier_queues.values():
             _w += len(_q)
         metrics.barrier_wait_cycles += _w
 
-_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, None, _s10, _s11, _s12, _s13, _s14, _s15, _s16, _s17, _s18, _s19, _s20, None, _s22, _s23, _s24, _s25, _s26, _s27, _s28, _s29, _s30,)
+_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, None, _s10, _s11, _s12, _s13, _s14, _s15, _s16, _s17, _s18, _s19, _s20, None, _s22, _s23, _s24, _s25, _s26, _s27, _s28,)
 _ENTRY = _entry
 _ADVANCE = _advance
 _OBSERVE = _observe

@@ -5,27 +5,27 @@ generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
 while requested by re-marking their own slot.
-nodes=58 procs=23 nets=133 ranks=5 fused=26->8
+nodes=58 procs=19 nets=121 ranks=5 fused=26->8
 """
 
 def _e0(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1445
+    # [conc r0] ehdl_firewall:1271
     V[14] = (1) & 1
 
 def _e1(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1446
+    # [conc r0] ehdl_firewall:1272
     V[15] = 0
 
 def _e2(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1447
+    # [conc r0] ehdl_firewall:1273
     V[16] = 0
 
 def _e3(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1448
+    # [conc r0] ehdl_firewall:1274
     V[7] = (1) & 1
 
 def _e4(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1449
+    # [conc r0] ehdl_firewall:1275
     _o1 = V[17]
     _v2 = _o1 & 0x1ffffffffffff000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | ((((V[3] << 16) | V[4])) & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if _v2 != _o1:
@@ -33,7 +33,7 @@ def _e4(V, NQ, PEND, PQ, PRIMS, ACT):
         NQ[29] = 1
 
 def _e5(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1450
+    # [conc r0] ehdl_firewall:1276
     _o3 = V[17]
     _v4 = _o3 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if _v4 != _o3:
@@ -41,7 +41,7 @@ def _e5(V, NQ, PEND, PQ, PRIMS, ACT):
         NQ[29] = 1
 
 def _e6(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1461
+    # [conc r0] ehdl_firewall:1287
     _v5 = (1) & 0xffffffff
     if V[27] != _v5:
         V[27] = _v5
@@ -50,7 +50,7 @@ def _e6(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e7(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1464
+    # [conc r0] ehdl_firewall:1290
     _o6 = V[28]
     _v7 = _o6 & 0x1ffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if _v7 != _o6:
@@ -60,7 +60,7 @@ def _e7(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e8(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1467
+    # [conc r0] ehdl_firewall:1293
     _o8 = V[28]
     _v9 = _o8 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x100100) & 0xffffffffffffffff) << 577)
     if _v9 != _o8:
@@ -70,123 +70,123 @@ def _e8(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e9(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1476
-    V[127] = 0
+    # [conc r0] ehdl_firewall:1302
+    V[115] = 0
 
 def _e10(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e13
 
 def _e11(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s007:483
+    # [conc r0] ehdl_firewall/s007:493
     _v10 = (1) & 0xff
-    if V[97] != _v10:
-        V[97] = _v10
+    if V[85] != _v10:
+        V[85] = _v10
         NQ[34] = 1
 
 def _e12(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s007:484
-    if V[98]:
-        V[98] = 0
+    # [conc r0] ehdl_firewall/s007:494
+    if V[86]:
+        V[86] = 0
         NQ[34] = 1
 
 def _e13(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s007:482
+    # [conc r0] ehdl_firewall/s007:492
     _v11 = ((1 if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0) else 0)) & 1
-    if V[96] != _v11:
-        V[96] = _v11
+    if V[84] != _v11:
+        V[84] = _v11
         NQ[34] = 1
-    # [conc r0] ehdl_firewall/s007:485
+    # [conc r0] ehdl_firewall/s007:495
     _v12 = (V[46] >> 769 & 0xffffffffffffffffffffffffffffffff)
-    if V[99] != _v12:
-        V[99] = _v12
+    if V[87] != _v12:
+        V[87] = _v12
         NQ[34] = 1
 
 def _e14(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s007:486
-    if V[100]:
-        V[100] = 0
+    # [conc r0] ehdl_firewall/s007:496
+    if V[88]:
+        V[88] = 0
         NQ[34] = 1
 
 def _e15(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e18
 
 def _e16(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s012:798
+    # [conc r0] ehdl_firewall/s012:808
     _v13 = (1) & 0xff
-    if V[102] != _v13:
-        V[102] = _v13
+    if V[90] != _v13:
+        V[90] = _v13
         NQ[34] = 1
 
 def _e17(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s012:799
-    if V[103]:
-        V[103] = 0
+    # [conc r0] ehdl_firewall/s012:809
+    if V[91]:
+        V[91] = 0
         NQ[34] = 1
 
 def _e18(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s012:797
+    # [conc r0] ehdl_firewall/s012:807
     _v14 = ((1 if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0) else 0)) & 1
-    if V[101] != _v14:
-        V[101] = _v14
+    if V[89] != _v14:
+        V[89] = _v14
         NQ[34] = 1
-    # [conc r0] ehdl_firewall/s012:800
+    # [conc r0] ehdl_firewall/s012:810
     _v15 = (V[61] >> 769 & 0xffffffffffffffffffffffffffffffff)
-    if V[104] != _v15:
-        V[104] = _v15
+    if V[92] != _v15:
+        V[92] = _v15
         NQ[34] = 1
 
 def _e19(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s012:801
-    if V[105]:
-        V[105] = 0
+    # [conc r0] ehdl_firewall/s012:811
+    if V[93]:
+        V[93] = 0
         NQ[34] = 1
 
 def _e20(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e24
 
 def _e21(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s018:1088
-    if V[107]:
-        V[107] = 0
+    # [conc r0] ehdl_firewall/s016:1011
+    if V[95]:
+        V[95] = 0
         NQ[40] = 1
 
 def _e22(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s018:1089
+    # [conc r0] ehdl_firewall/s016:1012
     _v16 = (8) & 0xf
-    if V[108] != _v16:
-        V[108] = _v16
+    if V[96] != _v16:
+        V[96] = _v16
         NQ[40] = 1
 
 def _e23(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e24
 
 def _e24(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s018:1087
-    _v17 = ((1 if ((V[77] == 1) and ((V[78] >> 5 & 1) == 1)) and ((V[79] >> 544 & 1) == 0) else 0)) & 1
-    if V[106] != _v17:
-        V[106] = _v17
+    # [conc r0] ehdl_firewall/s016:1010
+    _v17 = ((1 if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and ((V[73] >> 544 & 1) == 0) else 0)) & 1
+    if V[94] != _v17:
+        V[94] = _v17
         NQ[40] = 1
-    # [conc r0] ehdl_firewall/s018:1090
-    _v18 = (((V[79] >> 577 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
-    if V[109] != _v18:
-        V[109] = _v18
+    # [conc r0] ehdl_firewall/s016:1013
+    _v18 = (((V[73] >> 577 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
+    if V[97] != _v18:
+        V[97] = _v18
         NQ[40] = 1
-    # [conc r0] ehdl_firewall/s018:1091
-    _v19 = (V[79] >> 641 & 0xffffffffffffffff)
-    if V[110] != _v19:
-        V[110] = _v19
+    # [conc r0] ehdl_firewall/s016:1014
+    _v19 = (V[73] >> 641 & 0xffffffffffffffff)
+    if V[98] != _v19:
+        V[98] = _v19
         NQ[40] = 1
 
 def _e25(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall/s018:1092
-    if V[111]:
-        V[111] = 0
+    # [conc r0] ehdl_firewall/s016:1015
+    if V[99]:
+        V[99] = 0
         NQ[40] = 1
 
 def _e26(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1753
-    if V[95]:
-        V[95] = 0
+    # [conc r0] ehdl_firewall:1539
+    if V[83]:
+        V[83] = 0
         if not PQ[1]:
             PQ[1] = 1
             PEND.append(1)
@@ -241,28 +241,16 @@ def _e26(V, NQ, PEND, PQ, PRIMS, ACT):
         if not PQ[18]:
             PQ[18] = 1
             PEND.append(18)
-        if not PQ[19]:
-            PQ[19] = 1
-            PEND.append(19)
-        if not PQ[20]:
-            PQ[20] = 1
-            PEND.append(20)
-        if not PQ[21]:
-            PQ[21] = 1
-            PEND.append(21)
-        if not PQ[22]:
-            PQ[22] = 1
-            PEND.append(22)
 
 def _e27(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1754
-    _v20 = V[94]
-    if V[129] != _v20:
-        V[129] = _v20
+    # [conc r0] ehdl_firewall:1540
+    _v20 = V[82]
+    if V[117] != _v20:
+        V[117] = _v20
         NQ[41] = 1
 
 def _e28(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_firewall:1763
+    # [conc r0] ehdl_firewall:1549
     V[12] = (1) & 1
 
 def _e29(V, NQ, PEND, PQ, PRIMS, ACT):
@@ -290,30 +278,30 @@ def _e33(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e34
 
 def _e34(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r1] ehdl_firewall:1719
-    _v23 = ((V[96] | V[101])) & 1
-    if V[112] != _v23:
-        V[112] = _v23
+    # [conc r1] ehdl_firewall:1505
+    _v23 = ((V[84] | V[89])) & 1
+    if V[100] != _v23:
+        V[100] = _v23
         NQ[45] = 1
-    # [conc r1] ehdl_firewall:1720
-    _v24 = ((V[97] if V[96] == 1 else (V[102] if V[101] == 1 else 0))) & 0xff
-    if V[113] != _v24:
-        V[113] = _v24
+    # [conc r1] ehdl_firewall:1506
+    _v24 = ((V[85] if V[84] == 1 else (V[90] if V[89] == 1 else 0))) & 0xff
+    if V[101] != _v24:
+        V[101] = _v24
         NQ[45] = 1
-    # [conc r1] ehdl_firewall:1721
-    _v25 = ((V[98] if V[96] == 1 else (V[103] if V[101] == 1 else 0))) & 0xffffffffffffffff
-    if V[114] != _v25:
-        V[114] = _v25
+    # [conc r1] ehdl_firewall:1507
+    _v25 = ((V[86] if V[84] == 1 else (V[91] if V[89] == 1 else 0))) & 0xffffffffffffffff
+    if V[102] != _v25:
+        V[102] = _v25
         NQ[45] = 1
-    # [conc r1] ehdl_firewall:1722
-    _v26 = ((V[99] if V[96] == 1 else (V[104] if V[101] == 1 else 0))) & 0xffffffffffffffffffffffffffffffff
-    if V[115] != _v26:
-        V[115] = _v26
+    # [conc r1] ehdl_firewall:1508
+    _v26 = ((V[87] if V[84] == 1 else (V[92] if V[89] == 1 else 0))) & 0xffffffffffffffffffffffffffffffff
+    if V[103] != _v26:
+        V[103] = _v26
         NQ[45] = 1
-    # [conc r1] ehdl_firewall:1723
-    _v27 = ((V[100] if V[96] == 1 else (V[105] if V[101] == 1 else 0))) & 0xffffffffffffffff
-    if V[116] != _v27:
-        V[116] = _v27
+    # [conc r1] ehdl_firewall:1509
+    _v27 = ((V[88] if V[84] == 1 else (V[93] if V[89] == 1 else 0))) & 0xffffffffffffffff
+    if V[104] != _v27:
+        V[104] = _v27
         NQ[45] = 1
 
 def _e35(V, NQ, PEND, PQ, PRIMS, ACT):
@@ -332,54 +320,54 @@ def _e39(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e40
 
 def _e40(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r1] ehdl_firewall:1724
-    _v28 = V[106]
-    if V[119] != _v28:
-        V[119] = _v28
+    # [conc r1] ehdl_firewall:1510
+    _v28 = V[94]
+    if V[107] != _v28:
+        V[107] = _v28
         NQ[54] = 1
-    # [conc r1] ehdl_firewall:1725
-    _v29 = ((V[107] if V[106] == 1 else 0)) & 0xff
-    if V[120] != _v29:
-        V[120] = _v29
+    # [conc r1] ehdl_firewall:1511
+    _v29 = ((V[95] if V[94] == 1 else 0)) & 0xff
+    if V[108] != _v29:
+        V[108] = _v29
         NQ[54] = 1
-    # [conc r1] ehdl_firewall:1726
-    _v30 = ((V[108] if V[106] == 1 else 0)) & 0xf
-    if V[121] != _v30:
-        V[121] = _v30
+    # [conc r1] ehdl_firewall:1512
+    _v30 = ((V[96] if V[94] == 1 else 0)) & 0xf
+    if V[109] != _v30:
+        V[109] = _v30
         NQ[54] = 1
-    # [conc r1] ehdl_firewall:1727
-    _v31 = ((V[109] if V[106] == 1 else 0)) & 0xffffffffffffffff
-    if V[122] != _v31:
-        V[122] = _v31
+    # [conc r1] ehdl_firewall:1513
+    _v31 = ((V[97] if V[94] == 1 else 0)) & 0xffffffffffffffff
+    if V[110] != _v31:
+        V[110] = _v31
         NQ[54] = 1
-    # [conc r1] ehdl_firewall:1728
-    _v32 = ((V[110] if V[106] == 1 else 0)) & 0xffffffffffffffff
-    if V[123] != _v32:
-        V[123] = _v32
+    # [conc r1] ehdl_firewall:1514
+    _v32 = ((V[98] if V[94] == 1 else 0)) & 0xffffffffffffffff
+    if V[111] != _v32:
+        V[111] = _v32
         NQ[54] = 1
-    # [conc r1] ehdl_firewall:1729
-    _v33 = ((V[111] if V[106] == 1 else 0)) & 0xffffffffffffffff
-    if V[124] != _v33:
-        V[124] = _v33
+    # [conc r1] ehdl_firewall:1515
+    _v33 = ((V[99] if V[94] == 1 else 0)) & 0xffffffffffffffff
+    if V[112] != _v33:
+        V[112] = _v33
         NQ[54] = 1
 
 def _e41(V, NQ, PEND, PQ, PRIMS, ACT):
     # [fifo r1] ehdl_async_fifo
-    _v34 = V[129]
-    if V[130] != _v34:
-        V[130] = _v34
+    _v34 = V[117]
+    if V[118] != _v34:
+        V[118] = _v34
         NQ[49] = 1
-    _v35 = ((0 if V[92] else 1)) & 1
-    if V[131] != _v35:
-        V[131] = _v35
+    _v35 = ((0 if V[80] else 1)) & 1
+    if V[119] != _v35:
+        V[119] = _v35
         NQ[46] = 1
-    V[132] = 0
+    V[120] = 0
 
 def _e42(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e43
 
 def _e43(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_firewall:1456
+    # [conc r2] ehdl_firewall:1282
     _v36 = (V[18] >> 16 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if V[21] != _v36:
         V[21] = _v36
@@ -387,14 +375,14 @@ def _e43(V, NQ, PEND, PQ, PRIMS, ACT):
         if not PQ[0]:
             PQ[0] = 1
             PEND.append(0)
-    # [conc r2] ehdl_firewall:1457
+    # [conc r2] ehdl_firewall:1283
     _v37 = (V[18] & 0xffff)
     if V[22] != _v37:
         V[22] = _v37
         NQ[53] = 1
 
 def _e44(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_firewall:1460
+    # [conc r2] ehdl_firewall:1286
     _v38 = (~V[19] & 1)
     if V[26] != _v38:
         V[26] = _v38
@@ -407,19 +395,19 @@ def _e44(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e45(V, NQ, PEND, PQ, PRIMS, ACT):
     # [prim r2] firewall_map_1.ch0
-    if V[112]:
+    if V[100]:
         ACT[0] += 1
-        _s39 = V[117]
-        _s40 = V[118]
+        _s39 = V[105]
+        _s40 = V[106]
         PRIMS[0](V)
-        if V[117] != _s39:
+        if V[105] != _s39:
             if not PQ[7]:
                 PQ[7] = 1
                 PEND.append(7)
             if not PQ[12]:
                 PQ[12] = 1
                 PEND.append(12)
-        if V[118] != _s40:
+        if V[106] != _s40:
             if not PQ[7]:
                 PQ[7] = 1
                 PEND.append(7)
@@ -428,16 +416,16 @@ def _e45(V, NQ, PEND, PQ, PRIMS, ACT):
                 PEND.append(12)
         NQ[45] = 1
     else:
-        if V[117]:
-            V[117] = 0
+        if V[105]:
+            V[105] = 0
             if not PQ[7]:
                 PQ[7] = 1
                 PEND.append(7)
             if not PQ[12]:
                 PQ[12] = 1
                 PEND.append(12)
-        if V[118]:
-            V[118] = 0
+        if V[106]:
+            V[106] = 0
             if not PQ[7]:
                 PQ[7] = 1
                 PEND.append(7)
@@ -446,8 +434,8 @@ def _e45(V, NQ, PEND, PQ, PRIMS, ACT):
                 PEND.append(12)
 
 def _e46(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_firewall:1760
-    V[11] = (~V[131] & 1)
+    # [conc r2] ehdl_firewall:1546
+    V[11] = (~V[119] & 1)
 
 def _e47(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e49
@@ -456,12 +444,12 @@ def _e48(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e49
 
 def _e49(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_firewall:1761
-    V[8] = (V[130] & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
-    # [conc r2] ehdl_firewall:1762
-    V[9] = (V[130] >> 512 & 0xffff)
-    # [conc r2] ehdl_firewall:1764
-    V[10] = (((V[130] >> 545 & 0xffffffff) if (V[130] >> 544 & 1) == 1 else 0)) & 0xffffffff
+    # [conc r2] ehdl_firewall:1547
+    V[8] = (V[118] & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
+    # [conc r2] ehdl_firewall:1548
+    V[9] = (V[118] >> 512 & 0xffff)
+    # [conc r2] ehdl_firewall:1550
+    V[10] = (((V[118] >> 545 & 0xffffffff) if (V[118] >> 544 & 1) == 1 else 0)) & 0xffffffff
 
 def _e50(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e53
@@ -470,7 +458,7 @@ def _e51(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e53
 
 def _e52(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r3] ehdl_firewall:1462
+    # [conc r3] ehdl_firewall:1288
     _o41 = V[28]
     _v42 = _o41 & 0x1ffffffffffffffffffffffffffffffff00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | ((V[21]) & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if _v42 != _o41:
@@ -480,17 +468,17 @@ def _e52(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e53(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r3] ehdl_firewall:1458
+    # [conc r3] ehdl_firewall:1284
     _v43 = ((1 if V[22] < 0x2a else 0)) & 1
     if V[23] != _v43:
         V[23] = _v43
         NQ[55] = 1
-    # [conc r3] ehdl_firewall:1459
+    # [conc r3] ehdl_firewall:1285
     _v44 = ((2 if V[22] < 0x2a else 0)) & 0xffffffff
     if V[24] != _v44:
         V[24] = _v44
         NQ[56] = 1
-    # [conc r3] ehdl_firewall:1463
+    # [conc r3] ehdl_firewall:1289
     _o45 = V[28]
     _v46 = _o45 & 0x1ffffffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[22]) & 0xffff) << 512)
     if _v46 != _o45:
@@ -501,25 +489,25 @@ def _e53(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e54(V, NQ, PEND, PQ, PRIMS, ACT):
     # [prim r3] firewall_map_1.atomic
-    if V[119]:
+    if V[107]:
         ACT[1] += 1
-        _s47 = V[126]
+        _s47 = V[114]
         PRIMS[1](V)
-        if V[126] != _s47:
-            if not PQ[18]:
-                PQ[18] = 1
-                PEND.append(18)
+        if V[114] != _s47:
+            if not PQ[16]:
+                PQ[16] = 1
+                PEND.append(16)
         NQ[54] = 1
     else:
-        V[125] = 0
-        if V[126]:
-            V[126] = 0
-            if not PQ[18]:
-                PQ[18] = 1
-                PEND.append(18)
+        V[113] = 0
+        if V[114]:
+            V[114] = 0
+            if not PQ[16]:
+                PQ[16] = 1
+                PEND.append(16)
 
 def _e55(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r4] ehdl_firewall:1465
+    # [conc r4] ehdl_firewall:1291
     _o48 = V[28]
     _v49 = _o48 & 0x1fffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[23]) & 1) << 544)
     if _v49 != _o48:
@@ -529,7 +517,7 @@ def _e55(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e56(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r4] ehdl_firewall:1466
+    # [conc r4] ehdl_firewall:1292
     _o50 = V[28]
     _v51 = _o50 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[24]) & 0xffffffff) << 545)
     if _v51 != _o50:
@@ -540,10 +528,10 @@ def _e56(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e57(V, NQ, PEND, PQ, PRIMS, ACT):
     # [tie r4] firewall_map_1.tie
-    V[128] = 0
+    V[116] = 0
 
 def _p0(V):
-    # ehdl_firewall:process@1468
+    # ehdl_firewall:process@1294
     t25 = V[25]
     if V[26] == 1:
         t25 = V[21]
@@ -563,7 +551,7 @@ def _p1(V):
     t29 = V[29]
     t30 = V[30]
     t31 = V[31]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t29 = 0
     else:
         t29 = V[26]
@@ -589,7 +577,7 @@ def _f1(V, NQ, PEND, PQ):
     t29 = V[29]
     t30 = V[30]
     t31 = V[31]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t29 = 0
     else:
         t29 = V[26]
@@ -613,7 +601,7 @@ def _p2(V):
     t32 = V[32]
     t33 = V[33]
     t34 = V[34]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t32 = 0
     else:
         t32 = V[29]
@@ -639,7 +627,7 @@ def _f2(V, NQ, PEND, PQ):
     t32 = V[32]
     t33 = V[33]
     t34 = V[34]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t32 = 0
     else:
         t32 = V[29]
@@ -663,7 +651,7 @@ def _p3(V):
     t35 = V[35]
     t36 = V[36]
     t37 = V[37]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t35 = 0
     else:
         t35 = V[32]
@@ -689,7 +677,7 @@ def _f3(V, NQ, PEND, PQ):
     t35 = V[35]
     t36 = V[36]
     t37 = V[37]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t35 = 0
     else:
         t35 = V[32]
@@ -713,7 +701,7 @@ def _p4(V):
     t38 = V[38]
     t39 = V[39]
     t40 = V[40]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t38 = 0
     else:
         t38 = V[35]
@@ -739,7 +727,7 @@ def _f4(V, NQ, PEND, PQ):
     t38 = V[38]
     t39 = V[39]
     t40 = V[40]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t38 = 0
     else:
         t38 = V[35]
@@ -774,35 +762,37 @@ def _p5(V):
     _x2 = (_x3 and _x4)
     _x1 = (_x2 and _x5)
     _x0 = (_x1 and _x6)
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t41 = 0
     else:
         t41 = V[38]
         t42 = V[39]
-        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 320) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 384) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x8 and _x9:
             if _x10 < 0x1e:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 641)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 705)
         if _x3 and _x4:
             if _x10 < 0x22:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 705)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 769)
         if _x2 and _x5:
             if _x10 < 0x24:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 769)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 833)
         if _x1 and _x6:
             if _x10 < 0x26:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 833)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 897)
         if _x0 and _x7:
-            t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and _x9:
+            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t41, t42, t43)
 
 def _c5(V, t, NQ, PEND, PQ):
@@ -829,35 +819,37 @@ def _f5(V, NQ, PEND, PQ):
     _x2 = (_x3 and _x4)
     _x1 = (_x2 and _x5)
     _x0 = (_x1 and _x6)
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t41 = 0
     else:
         t41 = V[38]
         t42 = V[39]
-        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 320) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 384) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x8 and _x9:
             if _x10 < 0x1e:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 641)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 705)
         if _x3 and _x4:
             if _x10 < 0x22:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 705)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 769)
         if _x2 and _x5:
             if _x10 < 0x24:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 769)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 833)
         if _x1 and _x6:
             if _x10 < 0x26:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 833)
+                t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 897)
         if _x0 and _x7:
-            t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and _x9:
+            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[41] != t41 or V[42] != t42 or V[43] != t43:
         V[41] = t41
         V[42] = t42
@@ -867,26 +859,29 @@ def _f5(V, NQ, PEND, PQ):
             PEND.append(6)
 
 def _p6(V):
-    # ehdl_firewall/s006:process@403
+    # ehdl_firewall/s006:process@408
     t44 = V[44]
     t45 = V[45]
     t46 = V[46]
     _x1 = ((V[43] >> 544 & 1) == 0)
     _x0 = ((V[41] == 1) and ((V[42] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t44 = 0
     else:
         t44 = V[41]
         t45 = V[42]
-        t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 192) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[43] >> 256) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 801)
-            t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffff) << 833)
-            t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 849)
-            t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 961 & 0xffffffffffffffff)) & 0xffffffff) << 865)
+            t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+            t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
+            t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
+            t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
+            t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 1025 & 0xffffffffffffffff)) & 0xffffffff) << 865)
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 641)
+        if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and _x1:
+            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     return (t44, t45, t46)
 
 def _c6(V, t, NQ, PEND, PQ):
@@ -905,20 +900,23 @@ def _f6(V, NQ, PEND, PQ):
     t46 = V[46]
     _x1 = ((V[43] >> 544 & 1) == 0)
     _x0 = ((V[41] == 1) and ((V[42] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t44 = 0
     else:
         t44 = V[41]
         t45 = V[42]
-        t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 192) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[43] >> 256) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 801)
-            t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffff) << 833)
-            t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 849)
-            t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 961 & 0xffffffffffffffff)) & 0xffffffff) << 865)
+            t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+            t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
+            t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
+            t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
+            t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 1025 & 0xffffffffffffffff)) & 0xffffffff) << 865)
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 641)
+        if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and _x1:
+            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     if V[44] != t44 or V[45] != t45 or V[46] != t46:
         V[44] = t44
         V[45] = t45
@@ -929,21 +927,21 @@ def _f6(V, NQ, PEND, PQ):
             PEND.append(7)
 
 def _p7(V):
-    # ehdl_firewall/s007:process@487
+    # ehdl_firewall/s007:process@497
     t47 = V[47]
     t48 = V[48]
     t49 = V[49]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t47 = 0
     else:
         t47 = V[44]
         t48 = V[45]
         t49 = V[46] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[46] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[46] >> 160) & 0x1fffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
-            if V[118] == 1:
+            if V[106] == 1:
                 t49 = t49 & 0x1fffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[117] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t47, t48, t49)
 
 def _c7(V, t, NQ, PEND, PQ):
@@ -959,17 +957,17 @@ def _f7(V, NQ, PEND, PQ):
     t47 = V[47]
     t48 = V[48]
     t49 = V[49]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t47 = 0
     else:
         t47 = V[44]
         t48 = V[45]
         t49 = V[46] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[46] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[46] >> 160) & 0x1fffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
-            if V[118] == 1:
+            if V[106] == 1:
                 t49 = t49 & 0x1fffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[117] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[47] != t47 or V[48] != t48 or V[49] != t49:
         V[47] = t47
         V[48] = t48
@@ -979,11 +977,11 @@ def _f7(V, NQ, PEND, PQ):
             PEND.append(8)
 
 def _p8(V):
-    # ehdl_firewall/s008:process@539
+    # ehdl_firewall/s008:process@549
     t50 = V[50]
     t51 = V[51]
     t52 = V[52]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t50 = 0
     else:
         t50 = V[47]
@@ -1004,7 +1002,7 @@ def _f8(V, NQ, PEND, PQ):
     t50 = V[50]
     t51 = V[51]
     t52 = V[52]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t50 = 0
     else:
         t50 = V[47]
@@ -1019,11 +1017,11 @@ def _f8(V, NQ, PEND, PQ):
             PEND.append(9)
 
 def _p9(V):
-    # ehdl_firewall/s009:process@582
+    # ehdl_firewall/s009:process@592
     t53 = V[53]
     t54 = V[54]
     t55 = V[55]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t53 = 0
     else:
         t53 = V[50]
@@ -1049,7 +1047,7 @@ def _f9(V, NQ, PEND, PQ):
     t53 = V[53]
     t54 = V[54]
     t55 = V[55]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t53 = 0
     else:
         t53 = V[50]
@@ -1069,7 +1067,7 @@ def _f9(V, NQ, PEND, PQ):
             PEND.append(10)
 
 def _p10(V):
-    # ehdl_firewall/s010:process@633
+    # ehdl_firewall/s010:process@643
     t56 = V[56]
     t57 = V[57]
     t58 = V[58]
@@ -1082,7 +1080,7 @@ def _p10(V):
     _x2 = (_x6 and _x7)
     _x1 = (_x2 and _x3)
     _x0 = (_x1 and _x4)
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t56 = 0
     else:
         t56 = V[53]
@@ -1134,7 +1132,7 @@ def _f10(V, NQ, PEND, PQ):
     _x2 = (_x6 and _x7)
     _x1 = (_x2 and _x3)
     _x0 = (_x1 and _x4)
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t56 = 0
     else:
         t56 = V[53]
@@ -1171,13 +1169,13 @@ def _f10(V, NQ, PEND, PQ):
             PEND.append(11)
 
 def _p11(V):
-    # ehdl_firewall/s011:process@722
+    # ehdl_firewall/s011:process@732
     t59 = V[59]
     t60 = V[60]
     t61 = V[61]
     _x1 = ((V[58] >> 544 & 1) == 0)
     _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t59 = 0
     else:
         t59 = V[56]
@@ -1208,7 +1206,7 @@ def _f11(V, NQ, PEND, PQ):
     t61 = V[61]
     _x1 = ((V[58] >> 544 & 1) == 0)
     _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t59 = 0
     else:
         t59 = V[56]
@@ -1231,21 +1229,21 @@ def _f11(V, NQ, PEND, PQ):
             PEND.append(12)
 
 def _p12(V):
-    # ehdl_firewall/s012:process@802
+    # ehdl_firewall/s012:process@812
     t62 = V[62]
     t63 = V[63]
     t64 = V[64]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t62 = 0
     else:
         t62 = V[59]
         t63 = V[60]
         t64 = V[61] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0):
-            if V[118] == 1:
+            if V[106] == 1:
                 t64 = t64 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t64 = t64 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[117] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t64 = t64 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t62, t63, t64)
 
 def _c12(V, t, NQ, PEND, PQ):
@@ -1261,17 +1259,17 @@ def _f12(V, NQ, PEND, PQ):
     t62 = V[62]
     t63 = V[63]
     t64 = V[64]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t62 = 0
     else:
         t62 = V[59]
         t63 = V[60]
         t64 = V[61] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0):
-            if V[118] == 1:
+            if V[106] == 1:
                 t64 = t64 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t64 = t64 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[117] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t64 = t64 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[62] != t62 or V[63] != t63 or V[64] != t64:
         V[62] = t62
         V[63] = t63
@@ -1281,11 +1279,11 @@ def _f12(V, NQ, PEND, PQ):
             PEND.append(13)
 
 def _p13(V):
-    # ehdl_firewall/s013:process@852
+    # ehdl_firewall/s013:process@862
     t65 = V[65]
     t66 = V[66]
     t67 = V[67]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t65 = 0
     else:
         t65 = V[62]
@@ -1306,7 +1304,7 @@ def _f13(V, NQ, PEND, PQ):
     t65 = V[65]
     t66 = V[66]
     t67 = V[67]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t65 = 0
     else:
         t65 = V[62]
@@ -1321,11 +1319,11 @@ def _f13(V, NQ, PEND, PQ):
             PEND.append(14)
 
 def _p14(V):
-    # ehdl_firewall/s014:process@893
+    # ehdl_firewall/s014:process@903
     t68 = V[68]
     t69 = V[69]
     t70 = V[70]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t68 = 0
     else:
         t68 = V[65]
@@ -1351,7 +1349,7 @@ def _f14(V, NQ, PEND, PQ):
     t68 = V[68]
     t69 = V[69]
     t70 = V[70]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t68 = 0
     else:
         t68 = V[65]
@@ -1371,18 +1369,21 @@ def _f14(V, NQ, PEND, PQ):
             PEND.append(15)
 
 def _p15(V):
-    # ehdl_firewall/s015:process@942
+    # ehdl_firewall/s015:process@952
     t71 = V[71]
     t72 = V[72]
     t73 = V[73]
-    if (V[2] == 1) or (V[95] == 1):
+    _x0 = ((V[70] >> 544 & 1) == 0)
+    if (V[2] == 1) or (V[83] == 1):
         t71 = 0
     else:
         t71 = V[68]
         t72 = V[69]
-        t73 = V[70]
-        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
-            t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and _x0:
+            t73 = t73 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[68] == 1) and ((V[69] >> 5 & 1) == 1)) and _x0:
+            t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t71, t72, t73)
 
 def _c15(V, t, NQ, PEND, PQ):
@@ -1390,6 +1391,7 @@ def _c15(V, t, NQ, PEND, PQ):
         V[71] = t[0]
         V[72] = t[1]
         V[73] = t[2]
+        NQ[24] = 1
         if not PQ[16]:
             PQ[16] = 1
             PEND.append(16)
@@ -1398,36 +1400,44 @@ def _f15(V, NQ, PEND, PQ):
     t71 = V[71]
     t72 = V[72]
     t73 = V[73]
-    if (V[2] == 1) or (V[95] == 1):
+    _x0 = ((V[70] >> 544 & 1) == 0)
+    if (V[2] == 1) or (V[83] == 1):
         t71 = 0
     else:
         t71 = V[68]
         t72 = V[69]
-        t73 = V[70]
-        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
-            t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and _x0:
+            t73 = t73 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[68] == 1) and ((V[69] >> 5 & 1) == 1)) and _x0:
+            t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[71] != t71 or V[72] != t72 or V[73] != t73:
         V[71] = t71
         V[72] = t72
         V[73] = t73
+        NQ[24] = 1
         if not PQ[16]:
             PQ[16] = 1
             PEND.append(16)
 
 def _p16(V):
-    # ehdl_firewall/s016:process@987
+    # ehdl_firewall/s016:process@1016
     t74 = V[74]
     t75 = V[75]
     t76 = V[76]
-    if (V[2] == 1) or (V[95] == 1):
+    _x0 = ((V[73] >> 544 & 1) == 0)
+    if (V[2] == 1) or (V[83] == 1):
         t74 = 0
     else:
         t74 = V[71]
         t75 = V[72]
-        t76 = V[73]
-        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
-            t76 = t76 & 0x1fffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t76 = t76 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
+        t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and _x0:
+            t76 = t76 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
+        if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and _x0:
+            if V[114] == 1:
+                t76 = t76 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t74, t75, t76)
 
 def _c16(V, t, NQ, PEND, PQ):
@@ -1443,15 +1453,19 @@ def _f16(V, NQ, PEND, PQ):
     t74 = V[74]
     t75 = V[75]
     t76 = V[76]
-    if (V[2] == 1) or (V[95] == 1):
+    _x0 = ((V[73] >> 544 & 1) == 0)
+    if (V[2] == 1) or (V[83] == 1):
         t74 = 0
     else:
         t74 = V[71]
         t75 = V[72]
-        t76 = V[73]
-        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
-            t76 = t76 & 0x1fffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t76 = t76 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
+        t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and _x0:
+            t76 = t76 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
+        if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and _x0:
+            if V[114] == 1:
+                t76 = t76 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[74] != t74 or V[75] != t75 or V[76] != t76:
         V[74] = t74
         V[75] = t75
@@ -1461,18 +1475,18 @@ def _f16(V, NQ, PEND, PQ):
             PEND.append(17)
 
 def _p17(V):
-    # ehdl_firewall/s017:process@1033
+    # ehdl_firewall/s017:process@1069
     t77 = V[77]
     t78 = V[78]
     t79 = V[79]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t77 = 0
     else:
         t77 = V[74]
         t78 = V[75]
-        t79 = V[76] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        t79 = V[76] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[74] == 1) and ((V[75] >> 5 & 1) == 1)) and ((V[76] >> 544 & 1) == 0):
-            t79 = t79 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t79 = t79 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x6000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t77, t78, t79)
 
 def _c17(V, t, NQ, PEND, PQ):
@@ -1480,7 +1494,6 @@ def _c17(V, t, NQ, PEND, PQ):
         V[77] = t[0]
         V[78] = t[1]
         V[79] = t[2]
-        NQ[24] = 1
         if not PQ[18]:
             PQ[18] = 1
             PEND.append(18)
@@ -1489,255 +1502,74 @@ def _f17(V, NQ, PEND, PQ):
     t77 = V[77]
     t78 = V[78]
     t79 = V[79]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t77 = 0
     else:
         t77 = V[74]
         t78 = V[75]
-        t79 = V[76] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        t79 = V[76] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[74] == 1) and ((V[75] >> 5 & 1) == 1)) and ((V[76] >> 544 & 1) == 0):
-            t79 = t79 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t79 = t79 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x6000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[77] != t77 or V[78] != t78 or V[79] != t79:
         V[77] = t77
         V[78] = t78
         V[79] = t79
-        NQ[24] = 1
         if not PQ[18]:
             PQ[18] = 1
             PEND.append(18)
 
 def _p18(V):
-    # ehdl_firewall/s018:process@1093
+    # ehdl_firewall/s018:process@1114
     t80 = V[80]
     t81 = V[81]
     t82 = V[82]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t80 = 0
     else:
         t80 = V[77]
         t81 = V[78]
         t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[77] == 1) and ((V[78] >> 5 & 1) == 1)) and ((V[79] >> 544 & 1) == 0):
-            if V[126] == 1:
-                t82 = t82 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t82 = t82 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     return (t80, t81, t82)
 
 def _c18(V, t, NQ, PEND, PQ):
-    if V[80] != t[0] or V[81] != t[1] or V[82] != t[2]:
+    if V[80] != t[0]:
         V[80] = t[0]
-        V[81] = t[1]
+        NQ[41] = 1
+    V[81] = t[1]
+    if V[82] != t[2]:
         V[82] = t[2]
-        if not PQ[19]:
-            PQ[19] = 1
-            PEND.append(19)
+        NQ[27] = 1
 
 def _f18(V, NQ, PEND, PQ):
     t80 = V[80]
     t81 = V[81]
     t82 = V[82]
-    if (V[2] == 1) or (V[95] == 1):
+    if (V[2] == 1) or (V[83] == 1):
         t80 = 0
     else:
         t80 = V[77]
         t81 = V[78]
         t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[77] == 1) and ((V[78] >> 5 & 1) == 1)) and ((V[79] >> 544 & 1) == 0):
-            if V[126] == 1:
-                t82 = t82 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    if V[80] != t80 or V[81] != t81 or V[82] != t82:
+            t82 = t82 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
+    if V[80] != t80:
         V[80] = t80
-        V[81] = t81
+        NQ[41] = 1
+    V[81] = t81
+    if V[82] != t82:
         V[82] = t82
-        if not PQ[19]:
-            PQ[19] = 1
-            PEND.append(19)
-
-def _p19(V):
-    # ehdl_firewall/s019:process@1141
-    t83 = V[83]
-    t84 = V[84]
-    t85 = V[85]
-    if (V[2] == 1) or (V[95] == 1):
-        t83 = 0
-    else:
-        t83 = V[80]
-        t84 = V[81]
-        t85 = V[82] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[80] == 1) and ((V[81] >> 5 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
-            t85 = t85 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x6000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t83, t84, t85)
-
-def _c19(V, t, NQ, PEND, PQ):
-    if V[83] != t[0] or V[84] != t[1] or V[85] != t[2]:
-        V[83] = t[0]
-        V[84] = t[1]
-        V[85] = t[2]
-        if not PQ[20]:
-            PQ[20] = 1
-            PEND.append(20)
-
-def _f19(V, NQ, PEND, PQ):
-    t83 = V[83]
-    t84 = V[84]
-    t85 = V[85]
-    if (V[2] == 1) or (V[95] == 1):
-        t83 = 0
-    else:
-        t83 = V[80]
-        t84 = V[81]
-        t85 = V[82] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[80] == 1) and ((V[81] >> 5 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
-            t85 = t85 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x6000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    if V[83] != t83 or V[84] != t84 or V[85] != t85:
-        V[83] = t83
-        V[84] = t84
-        V[85] = t85
-        if not PQ[20]:
-            PQ[20] = 1
-            PEND.append(20)
-
-def _p20(V):
-    # ehdl_firewall/s020:process@1186
-    t86 = V[86]
-    t87 = V[87]
-    t88 = V[88]
-    if (V[2] == 1) or (V[95] == 1):
-        t86 = 0
-    else:
-        t86 = V[83]
-        t87 = V[84]
-        t88 = V[85] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[83] == 1) and ((V[84] >> 5 & 1) == 1)) and ((V[85] >> 544 & 1) == 0):
-            t88 = t88 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t88 = t88 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[85] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t86, t87, t88)
-
-def _c20(V, t, NQ, PEND, PQ):
-    if V[86] != t[0] or V[87] != t[1] or V[88] != t[2]:
-        V[86] = t[0]
-        V[87] = t[1]
-        V[88] = t[2]
-        if not PQ[21]:
-            PQ[21] = 1
-            PEND.append(21)
-
-def _f20(V, NQ, PEND, PQ):
-    t86 = V[86]
-    t87 = V[87]
-    t88 = V[88]
-    if (V[2] == 1) or (V[95] == 1):
-        t86 = 0
-    else:
-        t86 = V[83]
-        t87 = V[84]
-        t88 = V[85] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[83] == 1) and ((V[84] >> 5 & 1) == 1)) and ((V[85] >> 544 & 1) == 0):
-            t88 = t88 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t88 = t88 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[85] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    if V[86] != t86 or V[87] != t87 or V[88] != t88:
-        V[86] = t86
-        V[87] = t87
-        V[88] = t88
-        if not PQ[21]:
-            PQ[21] = 1
-            PEND.append(21)
-
-def _p21(V):
-    # ehdl_firewall/s021:process@1231
-    t89 = V[89]
-    t90 = V[90]
-    t91 = V[91]
-    if (V[2] == 1) or (V[95] == 1):
-        t89 = 0
-    else:
-        t89 = V[86]
-        t90 = V[87]
-        t91 = V[88] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[86] == 1) and ((V[87] >> 6 & 1) == 1)) and ((V[88] >> 544 & 1) == 0):
-            t91 = t91 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t89, t90, t91)
-
-def _c21(V, t, NQ, PEND, PQ):
-    if V[89] != t[0] or V[90] != t[1] or V[91] != t[2]:
-        V[89] = t[0]
-        V[90] = t[1]
-        V[91] = t[2]
-        if not PQ[22]:
-            PQ[22] = 1
-            PEND.append(22)
-
-def _f21(V, NQ, PEND, PQ):
-    t89 = V[89]
-    t90 = V[90]
-    t91 = V[91]
-    if (V[2] == 1) or (V[95] == 1):
-        t89 = 0
-    else:
-        t89 = V[86]
-        t90 = V[87]
-        t91 = V[88] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[86] == 1) and ((V[87] >> 6 & 1) == 1)) and ((V[88] >> 544 & 1) == 0):
-            t91 = t91 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    if V[89] != t89 or V[90] != t90 or V[91] != t91:
-        V[89] = t89
-        V[90] = t90
-        V[91] = t91
-        if not PQ[22]:
-            PQ[22] = 1
-            PEND.append(22)
-
-def _p22(V):
-    # ehdl_firewall/s022:process@1276
-    t92 = V[92]
-    t93 = V[93]
-    t94 = V[94]
-    if (V[2] == 1) or (V[95] == 1):
-        t92 = 0
-    else:
-        t92 = V[89]
-        t93 = V[90]
-        t94 = V[91] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[89] == 1) and ((V[90] >> 6 & 1) == 1)) and ((V[91] >> 544 & 1) == 0):
-            t94 = t94 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t94 = t94 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[91] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t92, t93, t94)
-
-def _c22(V, t, NQ, PEND, PQ):
-    if V[92] != t[0]:
-        V[92] = t[0]
-        NQ[41] = 1
-    V[93] = t[1]
-    if V[94] != t[2]:
-        V[94] = t[2]
-        NQ[27] = 1
-
-def _f22(V, NQ, PEND, PQ):
-    t92 = V[92]
-    t93 = V[93]
-    t94 = V[94]
-    if (V[2] == 1) or (V[95] == 1):
-        t92 = 0
-    else:
-        t92 = V[89]
-        t93 = V[90]
-        t94 = V[91] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[89] == 1) and ((V[90] >> 6 & 1) == 1)) and ((V[91] >> 544 & 1) == 0):
-            t94 = t94 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t94 = t94 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[91] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    if V[92] != t92:
-        V[92] = t92
-        NQ[41] = 1
-    V[93] = t93
-    if V[94] != t94:
-        V[94] = t94
         NQ[27] = 1
 
 _EVAL = (_e0, _e1, _e2, _e3, _e4, _e5, _e6, _e7, _e8, _e9, _e10, _e11, _e12, _e13, _e14, _e15, _e16, _e17, _e18, _e19, _e20, _e21, _e22, _e23, _e24, _e25, _e26, _e27, _e28, _e29, _e30, _e31, _e32, _e33, _e34, _e35, _e36, _e37, _e38, _e39, _e40, _e41, _e42, _e43, _e44, _e45, _e46, _e47, _e48, _e49, _e50, _e51, _e52, _e53, _e54, _e55, _e56, _e57)
-_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18, _p19, _p20, _p21, _p22)
-_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18, _c19, _c20, _c21, _c22)
-_PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18, _f19, _f20, _f21, _f22)
+_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18)
+_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18)
+_PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18)
 _READERS = {
-    2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22)),
+    2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)),
     3: ((4,), ()),
     4: ((4,), ()),
     5: ((29,), ()),
@@ -1793,65 +1625,53 @@ _READERS = {
     68: ((), (15,)),
     69: ((), (15,)),
     70: ((), (15,)),
-    71: ((), (16,)),
-    72: ((), (16,)),
-    73: ((), (16,)),
+    71: ((24,), (16,)),
+    72: ((24,), (16,)),
+    73: ((24,), (16,)),
     74: ((), (17,)),
     75: ((), (17,)),
     76: ((), (17,)),
-    77: ((24,), (18,)),
-    78: ((24,), (18,)),
-    79: ((24,), (18,)),
-    80: ((), (19,)),
-    81: ((), (19,)),
-    82: ((), (19,)),
-    83: ((), (20,)),
-    84: ((), (20,)),
-    85: ((), (20,)),
-    86: ((), (21,)),
-    87: ((), (21,)),
-    88: ((), (21,)),
-    89: ((), (22,)),
-    90: ((), (22,)),
-    91: ((), (22,)),
-    92: ((41,), ()),
-    94: ((27,), ()),
-    95: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22)),
-    96: ((34,), ()),
-    97: ((34,), ()),
-    98: ((34,), ()),
-    99: ((34,), ()),
-    100: ((34,), ()),
-    101: ((34,), ()),
-    102: ((34,), ()),
-    103: ((34,), ()),
-    104: ((34,), ()),
-    105: ((34,), ()),
-    106: ((40,), ()),
-    107: ((40,), ()),
-    108: ((40,), ()),
-    109: ((40,), ()),
-    110: ((40,), ()),
-    111: ((40,), ()),
-    112: ((45,), ()),
-    113: ((45,), ()),
-    114: ((45,), ()),
-    115: ((45,), ()),
-    116: ((45,), ()),
-    117: ((), (7, 12)),
-    118: ((), (7, 12)),
-    119: ((54,), ()),
-    120: ((54,), ()),
-    121: ((54,), ()),
-    122: ((54,), ()),
-    123: ((54,), ()),
-    124: ((54,), ()),
-    126: ((), (18,)),
-    129: ((41,), ()),
-    130: ((49,), ()),
-    131: ((46,), ()),
+    77: ((), (18,)),
+    78: ((), (18,)),
+    79: ((), (18,)),
+    80: ((41,), ()),
+    82: ((27,), ()),
+    83: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)),
+    84: ((34,), ()),
+    85: ((34,), ()),
+    86: ((34,), ()),
+    87: ((34,), ()),
+    88: ((34,), ()),
+    89: ((34,), ()),
+    90: ((34,), ()),
+    91: ((34,), ()),
+    92: ((34,), ()),
+    93: ((34,), ()),
+    94: ((40,), ()),
+    95: ((40,), ()),
+    96: ((40,), ()),
+    97: ((40,), ()),
+    98: ((40,), ()),
+    99: ((40,), ()),
+    100: ((45,), ()),
+    101: ((45,), ()),
+    102: ((45,), ()),
+    103: ((45,), ()),
+    104: ((45,), ()),
+    105: ((), (7, 12)),
+    106: ((), (7, 12)),
+    107: ((54,), ()),
+    108: ((54,), ()),
+    109: ((54,), ()),
+    110: ((54,), ()),
+    111: ((54,), ()),
+    112: ((54,), ()),
+    114: ((), (16,)),
+    117: ((41,), ()),
+    118: ((49,), ()),
+    119: ((46,), ()),
 }
-_PRIO = (0, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+_PRIO = (0, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
 
 def _mark(net, NQ, PEND, PQ):
     e = _READERS.get(net)
@@ -2013,7 +1833,7 @@ _FRAME = _frame
 
 _GEN_VERSION = 3
 _N_NODES = 58
-_N_PROCS = 23
+_N_PROCS = 19
 _PRIM_NODE_IDS = (45, 54)
 _PRIM_LABELS = ('firewall_map_1.ch0', 'firewall_map_1.atomic')
 _SETTLE = _settle

@@ -5,30 +5,30 @@ generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
 while requested by re-marking their own slot.
-nodes=95 procs=31 nets=195 ranks=5 fused=40->15
+nodes=95 procs=29 nets=189 ranks=5 fused=40->15
 """
 
 def _bswap16(v):
     return int.from_bytes((v & 0xffff).to_bytes(2, 'little'), 'big')
 
 def _e0(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2074
+    # [conc r0] ehdl_router_rmw:1988
     V[14] = (1) & 1
 
 def _e1(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2075
+    # [conc r0] ehdl_router_rmw:1989
     V[15] = 0
 
 def _e2(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2076
+    # [conc r0] ehdl_router_rmw:1990
     V[16] = 0
 
 def _e3(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2077
+    # [conc r0] ehdl_router_rmw:1991
     V[7] = (1) & 1
 
 def _e4(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2078
+    # [conc r0] ehdl_router_rmw:1992
     _o1 = V[17]
     _v2 = _o1 & 0x1ffffffffffff000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | ((((V[3] << 16) | V[4])) & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if _v2 != _o1:
@@ -36,7 +36,7 @@ def _e4(V, NQ, PEND, PQ, PRIMS, ACT):
         NQ[64] = 1
 
 def _e5(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2079
+    # [conc r0] ehdl_router_rmw:1993
     _o3 = V[17]
     _v4 = _o3 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if _v4 != _o3:
@@ -44,7 +44,7 @@ def _e5(V, NQ, PEND, PQ, PRIMS, ACT):
         NQ[64] = 1
 
 def _e6(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2090
+    # [conc r0] ehdl_router_rmw:2004
     _v5 = (1) & 0xffffffff
     if V[27] != _v5:
         V[27] = _v5
@@ -53,7 +53,7 @@ def _e6(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e7(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2093
+    # [conc r0] ehdl_router_rmw:2007
     _o6 = V[28]
     _v7 = _o6 & 0x1ffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if _v7 != _o6:
@@ -63,7 +63,7 @@ def _e7(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e8(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2096
+    # [conc r0] ehdl_router_rmw:2010
     _o8 = V[28]
     _v9 = _o8 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x100100) & 0xffffffffffffffff) << 577)
     if _v9 != _o8:
@@ -73,12 +73,12 @@ def _e8(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e9(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2105
-    V[172] = 0
+    # [conc r0] ehdl_router_rmw:2019
+    V[166] = 0
 
 def _e10(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2106
-    V[182] = 0
+    # [conc r0] ehdl_router_rmw:2020
+    V[176] = 0
 
 def _e11(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e14
@@ -86,306 +86,306 @@ def _e11(V, NQ, PEND, PQ, PRIMS, ACT):
 def _e12(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s008:531
     _v10 = (1) & 0xff
-    if V[121] != _v10:
-        V[121] = _v10
+    if V[115] != _v10:
+        V[115] = _v10
         NQ[70] = 1
 
 def _e13(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s008:532
-    if V[122]:
-        V[122] = 0
+    if V[116]:
+        V[116] = 0
         NQ[70] = 1
 
 def _e14(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s008:530
     _v11 = ((1 if ((V[47] == 1) and ((V[48] >> 2 & 1) == 1)) and ((V[49] >> 544 & 1) == 0) else 0)) & 1
-    if V[120] != _v11:
-        V[120] = _v11
+    if V[114] != _v11:
+        V[114] = _v11
         NQ[70] = 1
     # [conc r0] ehdl_router_rmw/s008:533
     _v12 = (V[49] >> 769 & 0xffffffff)
-    if V[123] != _v12:
-        V[123] = _v12
+    if V[117] != _v12:
+        V[117] = _v12
         NQ[70] = 1
 
 def _e15(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s008:534
-    if V[124]:
-        V[124] = 0
+    if V[118]:
+        V[118] = 0
         NQ[70] = 1
 
 def _e16(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e18
 
 def _e17(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s012:747
+    # [conc r0] ehdl_router_rmw/s012:752
     _v13 = (0x44) & 0xff
-    if V[126] != _v13:
-        V[126] = _v13
+    if V[120] != _v13:
+        V[120] = _v13
         NQ[70] = 1
 
 def _e18(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s012:746
+    # [conc r0] ehdl_router_rmw/s012:751
     _v14 = ((1 if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0) else 0)) & 1
-    if V[125] != _v14:
-        V[125] = _v14
+    if V[119] != _v14:
+        V[119] = _v14
         NQ[70] = 1
-    # [conc r0] ehdl_router_rmw/s012:748
-    _v15 = (((V[61] >> 769 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
-    if V[127] != _v15:
-        V[127] = _v15
+    # [conc r0] ehdl_router_rmw/s012:753
+    _v15 = (((V[61] >> 833 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
+    if V[121] != _v15:
+        V[121] = _v15
         NQ[70] = 1
 
 def _e19(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s012:749
-    if V[128]:
-        V[128] = 0
+    # [conc r0] ehdl_router_rmw/s012:754
+    if V[122]:
+        V[122] = 0
         NQ[70] = 1
 
 def _e20(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s012:750
-    if V[129]:
-        V[129] = 0
+    # [conc r0] ehdl_router_rmw/s012:755
+    if V[123]:
+        V[123] = 0
         NQ[70] = 1
 
 def _e21(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e23
 
 def _e22(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s013:817
+    # [conc r0] ehdl_router_rmw/s013:827
     _v16 = (0x24) & 0xff
-    if V[131] != _v16:
-        V[131] = _v16
+    if V[125] != _v16:
+        V[125] = _v16
         NQ[70] = 1
 
 def _e23(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s013:816
+    # [conc r0] ehdl_router_rmw/s013:826
     _v17 = ((1 if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1)) else 0)) & 1
-    if V[130] != _v17:
-        V[130] = _v17
+    if V[124] != _v17:
+        V[124] = _v17
         NQ[70] = 1
-    # [conc r0] ehdl_router_rmw/s013:818
+    # [conc r0] ehdl_router_rmw/s013:828
     _v18 = (((V[64] >> 833 & 0xffffffffffffffff) + 4) & 0xffffffffffffffff)
-    if V[132] != _v18:
-        V[132] = _v18
+    if V[126] != _v18:
+        V[126] = _v18
         NQ[70] = 1
 
 def _e24(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s013:819
-    if V[133]:
-        V[133] = 0
+    # [conc r0] ehdl_router_rmw/s013:829
+    if V[127]:
+        V[127] = 0
         NQ[70] = 1
 
 def _e25(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s013:820
-    if V[134]:
-        V[134] = 0
+    # [conc r0] ehdl_router_rmw/s013:830
+    if V[128]:
+        V[128] = 0
         NQ[70] = 1
 
 def _e26(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e28
 
 def _e27(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s014:905
+    # [conc r0] ehdl_router_rmw/s014:915
     _v19 = (0x44) & 0xff
-    if V[136] != _v19:
-        V[136] = _v19
+    if V[130] != _v19:
+        V[130] = _v19
         NQ[70] = 1
 
 def _e28(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s014:904
+    # [conc r0] ehdl_router_rmw/s014:914
     _v20 = ((1 if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1)) else 0)) & 1
-    if V[135] != _v20:
-        V[135] = _v20
+    if V[129] != _v20:
+        V[129] = _v20
         NQ[70] = 1
-    # [conc r0] ehdl_router_rmw/s014:906
+    # [conc r0] ehdl_router_rmw/s014:916
     _v21 = (((V[67] >> 897 & 0xffffffffffffffff) + 6) & 0xffffffffffffffff)
-    if V[137] != _v21:
-        V[137] = _v21
+    if V[131] != _v21:
+        V[131] = _v21
         NQ[70] = 1
 
 def _e29(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s014:907
-    if V[138]:
-        V[138] = 0
+    # [conc r0] ehdl_router_rmw/s014:917
+    if V[132]:
+        V[132] = 0
         NQ[70] = 1
 
 def _e30(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s014:908
-    if V[139]:
-        V[139] = 0
+    # [conc r0] ehdl_router_rmw/s014:918
+    if V[133]:
+        V[133] = 0
         NQ[70] = 1
 
 def _e31(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e33
 
 def _e32(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s015:985
+    # [conc r0] ehdl_router_rmw/s015:995
     _v22 = (0x24) & 0xff
-    if V[141] != _v22:
-        V[141] = _v22
+    if V[135] != _v22:
+        V[135] = _v22
         NQ[70] = 1
 
 def _e33(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s015:984
+    # [conc r0] ehdl_router_rmw/s015:994
     _v23 = ((1 if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1)) else 0)) & 1
-    if V[140] != _v23:
-        V[140] = _v23
+    if V[134] != _v23:
+        V[134] = _v23
         NQ[70] = 1
-    # [conc r0] ehdl_router_rmw/s015:986
+    # [conc r0] ehdl_router_rmw/s015:996
     _v24 = (((V[70] >> 833 & 0xffffffffffffffff) + 0xa) & 0xffffffffffffffff)
-    if V[142] != _v24:
-        V[142] = _v24
+    if V[136] != _v24:
+        V[136] = _v24
         NQ[70] = 1
 
 def _e34(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s015:987
-    if V[143]:
-        V[143] = 0
+    # [conc r0] ehdl_router_rmw/s015:997
+    if V[137]:
+        V[137] = 0
         NQ[70] = 1
 
 def _e35(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s015:988
-    if V[144]:
-        V[144] = 0
+    # [conc r0] ehdl_router_rmw/s015:998
+    if V[138]:
+        V[138] = 0
         NQ[70] = 1
 
 def _e36(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e39
 
 def _e37(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s020:1314
+    # [conc r0] ehdl_router_rmw/s020:1324
     _v25 = (1) & 0xff
-    if V[146] != _v25:
-        V[146] = _v25
+    if V[140] != _v25:
+        V[140] = _v25
         NQ[75] = 1
 
 def _e38(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s020:1315
-    if V[147]:
-        V[147] = 0
+    # [conc r0] ehdl_router_rmw/s020:1325
+    if V[141]:
+        V[141] = 0
         NQ[75] = 1
 
 def _e39(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s020:1313
+    # [conc r0] ehdl_router_rmw/s020:1323
     _v26 = ((1 if ((V[83] == 1) and ((V[84] >> 3 & 1) == 1)) and ((V[85] >> 544 & 1) == 0) else 0)) & 1
-    if V[145] != _v26:
-        V[145] = _v26
+    if V[139] != _v26:
+        V[139] = _v26
         NQ[75] = 1
-    # [conc r0] ehdl_router_rmw/s020:1316
+    # [conc r0] ehdl_router_rmw/s020:1326
     _v27 = (V[85] >> 769 & 0xffffffff)
-    if V[148] != _v27:
-        V[148] = _v27
+    if V[142] != _v27:
+        V[142] = _v27
         NQ[75] = 1
 
 def _e40(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s020:1317
-    if V[149]:
-        V[149] = 0
+    # [conc r0] ehdl_router_rmw/s020:1327
+    if V[143]:
+        V[143] = 0
         NQ[75] = 1
 
 def _e41(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e43
 
 def _e42(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s023:1469
+    # [conc r0] ehdl_router_rmw/s023:1479
     _v28 = (0x84) & 0xff
-    if V[151] != _v28:
-        V[151] = _v28
+    if V[145] != _v28:
+        V[145] = _v28
         NQ[75] = 1
 
 def _e43(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s023:1468
+    # [conc r0] ehdl_router_rmw/s023:1478
     _v29 = ((1 if ((V[92] == 1) and ((V[93] >> 4 & 1) == 1)) and ((V[94] >> 544 & 1) == 0) else 0)) & 1
-    if V[150] != _v29:
-        V[150] = _v29
+    if V[144] != _v29:
+        V[144] = _v29
         NQ[75] = 1
-    # [conc r0] ehdl_router_rmw/s023:1470
+    # [conc r0] ehdl_router_rmw/s023:1480
     _v30 = (((V[94] >> 577 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
-    if V[152] != _v30:
-        V[152] = _v30
+    if V[146] != _v30:
+        V[146] = _v30
         NQ[75] = 1
 
 def _e44(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s023:1471
-    if V[153]:
-        V[153] = 0
+    # [conc r0] ehdl_router_rmw/s023:1481
+    if V[147]:
+        V[147] = 0
         NQ[75] = 1
 
 def _e45(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s023:1472
-    if V[154]:
-        V[154] = 0
+    # [conc r0] ehdl_router_rmw/s023:1482
+    if V[148]:
+        V[148] = 0
         NQ[75] = 1
 
 def _e46(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e50
 
 def _e47(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s025:1580
+    # [conc r0] ehdl_router_rmw/s025:1590
     _v31 = (0x85) & 0xff
-    if V[156] != _v31:
-        V[156] = _v31
+    if V[150] != _v31:
+        V[150] = _v31
         NQ[75] = 1
 
 def _e48(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e50
 
 def _e49(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s025:1582
-    if V[158]:
-        V[158] = 0
+    # [conc r0] ehdl_router_rmw/s025:1592
+    if V[152]:
+        V[152] = 0
         NQ[75] = 1
 
 def _e50(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s025:1579
+    # [conc r0] ehdl_router_rmw/s025:1589
     _v32 = ((1 if ((V[98] == 1) and ((V[99] >> 4 & 1) == 1)) and ((V[100] >> 544 & 1) == 0) else 0)) & 1
-    if V[155] != _v32:
-        V[155] = _v32
+    if V[149] != _v32:
+        V[149] = _v32
         NQ[75] = 1
-    # [conc r0] ehdl_router_rmw/s025:1581
+    # [conc r0] ehdl_router_rmw/s025:1591
     _v33 = (((V[100] >> 577 & 0xffffffffffffffff) + 0) & 0xffffffffffffffff)
-    if V[157] != _v33:
-        V[157] = _v33
+    if V[151] != _v33:
+        V[151] = _v33
         NQ[75] = 1
-    # [conc r0] ehdl_router_rmw/s025:1583
+    # [conc r0] ehdl_router_rmw/s025:1593
     _v34 = (V[100] >> 641 & 0xffffffffffffffff)
-    if V[159] != _v34:
-        V[159] = _v34
+    if V[153] != _v34:
+        V[153] = _v34
         NQ[75] = 1
 
 def _e51(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e53
 
 def _e52(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s026:1642
+    # [conc r0] ehdl_router_rmw/s026:1652
     _v35 = (0x44) & 0xff
-    if V[161] != _v35:
-        V[161] = _v35
+    if V[155] != _v35:
+        V[155] = _v35
         NQ[70] = 1
 
 def _e53(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s026:1641
+    # [conc r0] ehdl_router_rmw/s026:1651
     _v36 = ((1 if ((V[101] == 1) and ((V[102] >> 5 & 1) == 1)) and ((V[103] >> 544 & 1) == 0) else 0)) & 1
-    if V[160] != _v36:
-        V[160] = _v36
+    if V[154] != _v36:
+        V[154] = _v36
         NQ[70] = 1
-    # [conc r0] ehdl_router_rmw/s026:1643
+    # [conc r0] ehdl_router_rmw/s026:1653
     _v37 = (((V[103] >> 577 & 0xffffffffffffffff) + 0xc) & 0xffffffffffffffff)
-    if V[162] != _v37:
-        V[162] = _v37
+    if V[156] != _v37:
+        V[156] = _v37
         NQ[70] = 1
 
 def _e54(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s026:1644
-    if V[163]:
-        V[163] = 0
+    # [conc r0] ehdl_router_rmw/s026:1654
+    if V[157]:
+        V[157] = 0
         NQ[70] = 1
 
 def _e55(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s026:1645
-    if V[164]:
-        V[164] = 0
+    # [conc r0] ehdl_router_rmw/s026:1655
+    if V[158]:
+        V[158] = 0
         NQ[70] = 1
 
 def _e56(V, NQ, PEND, PQ, PRIMS, ACT):
@@ -395,49 +395,49 @@ def _e57(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e58
 
 def _e58(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s027:1708
+    # [conc r0] ehdl_router_rmw/s027:1718
     _v38 = ((1 if ((V[104] == 1) and ((V[105] >> 5 & 1) == 1)) and ((V[106] >> 544 & 1) == 0) else 0)) & 1
-    if V[188] != _v38:
-        V[188] = _v38
+    if V[182] != _v38:
+        V[182] = _v38
         NQ[65] = 1
-    # [conc r0] ehdl_router_rmw/s027:1709
+    # [conc r0] ehdl_router_rmw/s027:1719
     _v39 = (V[106] >> 577 & 0xffffffffffffffff)
-    if V[189] != _v39:
-        V[189] = _v39
+    if V[183] != _v39:
+        V[183] = _v39
         NQ[65] = 1
-    # [conc r0] ehdl_router_rmw/s027:1710
+    # [conc r0] ehdl_router_rmw/s027:1720
     _v40 = (V[106] >> 641 & 0xffffffffffffffff)
-    if V[190] != _v40:
-        V[190] = _v40
+    if V[184] != _v40:
+        V[184] = _v40
         NQ[65] = 1
 
 def _e59(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s027:1711
-    if V[191]:
-        V[191] = 0
+    # [conc r0] ehdl_router_rmw/s027:1721
+    if V[185]:
+        V[185] = 0
         NQ[65] = 1
 
 def _e60(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s027:1712
-    if V[192]:
-        V[192] = 0
+    # [conc r0] ehdl_router_rmw/s027:1722
+    if V[186]:
+        V[186] = 0
         NQ[65] = 1
 
 def _e61(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw/s027:1713
-    if V[193]:
-        V[193] = 0
+    # [conc r0] ehdl_router_rmw/s027:1723
+    if V[187]:
+        V[187] = 0
         NQ[65] = 1
 
 def _e62(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2512
-    _v41 = V[118]
-    if V[184] != _v41:
-        V[184] = _v41
+    # [conc r0] ehdl_router_rmw:2406
+    _v41 = V[112]
+    if V[178] != _v41:
+        V[178] = _v41
         NQ[76] = 1
 
 def _e63(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r0] ehdl_router_rmw:2521
+    # [conc r0] ehdl_router_rmw:2415
     V[12] = (1) & 1
 
 def _e64(V, NQ, PEND, PQ, PRIMS, ACT):
@@ -454,18 +454,18 @@ def _e64(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e65(V, NQ, PEND, PQ, PRIMS, ACT):
     # [prim r1] ehdl_helper_23
-    if V[188]:
+    if V[182]:
         ACT[0] += 1
-        _s44 = V[194]
+        _s44 = V[188]
         PRIMS[0](V)
-        if V[194] != _s44:
+        if V[188] != _s44:
             if not PQ[27]:
                 PQ[27] = 1
                 PEND.append(27)
         NQ[65] = 1
     else:
-        if V[194]:
-            V[194] = 0
+        if V[188]:
+            V[188] = 0
             if not PQ[27]:
                 PQ[27] = 1
                 PEND.append(27)
@@ -483,30 +483,30 @@ def _e69(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e70
 
 def _e70(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r1] ehdl_router_rmw:2470
-    _v45 = ((((((V[120] | V[125]) | V[130]) | V[135]) | V[140]) | V[160])) & 1
-    if V[165] != _v45:
-        V[165] = _v45
+    # [conc r1] ehdl_router_rmw:2364
+    _v45 = ((((((V[114] | V[119]) | V[124]) | V[129]) | V[134]) | V[154])) & 1
+    if V[159] != _v45:
+        V[159] = _v45
         NQ[80] = 1
-    # [conc r1] ehdl_router_rmw:2471
-    _v46 = ((V[121] if V[120] == 1 else (V[126] if V[125] == 1 else (V[131] if V[130] == 1 else (V[136] if V[135] == 1 else (V[141] if V[140] == 1 else (V[161] if V[160] == 1 else 0))))))) & 0xff
-    if V[166] != _v46:
-        V[166] = _v46
+    # [conc r1] ehdl_router_rmw:2365
+    _v46 = ((V[115] if V[114] == 1 else (V[120] if V[119] == 1 else (V[125] if V[124] == 1 else (V[130] if V[129] == 1 else (V[135] if V[134] == 1 else (V[155] if V[154] == 1 else 0))))))) & 0xff
+    if V[160] != _v46:
+        V[160] = _v46
         NQ[80] = 1
-    # [conc r1] ehdl_router_rmw:2472
-    _v47 = ((V[122] if V[120] == 1 else (V[127] if V[125] == 1 else (V[132] if V[130] == 1 else (V[137] if V[135] == 1 else (V[142] if V[140] == 1 else (V[162] if V[160] == 1 else 0))))))) & 0xffffffffffffffff
-    if V[167] != _v47:
-        V[167] = _v47
+    # [conc r1] ehdl_router_rmw:2366
+    _v47 = ((V[116] if V[114] == 1 else (V[121] if V[119] == 1 else (V[126] if V[124] == 1 else (V[131] if V[129] == 1 else (V[136] if V[134] == 1 else (V[156] if V[154] == 1 else 0))))))) & 0xffffffffffffffff
+    if V[161] != _v47:
+        V[161] = _v47
         NQ[80] = 1
-    # [conc r1] ehdl_router_rmw:2473
-    _v48 = ((V[123] if V[120] == 1 else (V[128] if V[125] == 1 else (V[133] if V[130] == 1 else (V[138] if V[135] == 1 else (V[143] if V[140] == 1 else (V[163] if V[160] == 1 else 0))))))) & 0xffffffff
-    if V[168] != _v48:
-        V[168] = _v48
+    # [conc r1] ehdl_router_rmw:2367
+    _v48 = ((V[117] if V[114] == 1 else (V[122] if V[119] == 1 else (V[127] if V[124] == 1 else (V[132] if V[129] == 1 else (V[137] if V[134] == 1 else (V[157] if V[154] == 1 else 0))))))) & 0xffffffff
+    if V[162] != _v48:
+        V[162] = _v48
         NQ[80] = 1
-    # [conc r1] ehdl_router_rmw:2474
-    _v49 = ((V[124] if V[120] == 1 else (V[129] if V[125] == 1 else (V[134] if V[130] == 1 else (V[139] if V[135] == 1 else (V[144] if V[140] == 1 else (V[164] if V[160] == 1 else 0))))))) & 0xffffffffffffffffffffffffffffffff
-    if V[169] != _v49:
-        V[169] = _v49
+    # [conc r1] ehdl_router_rmw:2368
+    _v49 = ((V[118] if V[114] == 1 else (V[123] if V[119] == 1 else (V[128] if V[124] == 1 else (V[133] if V[129] == 1 else (V[138] if V[134] == 1 else (V[158] if V[154] == 1 else 0))))))) & 0xffffffffffffffffffffffffffffffff
+    if V[163] != _v49:
+        V[163] = _v49
         NQ[80] = 1
 
 def _e71(V, NQ, PEND, PQ, PRIMS, ACT):
@@ -522,49 +522,49 @@ def _e74(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e75
 
 def _e75(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r1] ehdl_router_rmw:2490
-    _v50 = (((V[145] | V[150]) | V[155])) & 1
-    if V[174] != _v50:
-        V[174] = _v50
+    # [conc r1] ehdl_router_rmw:2384
+    _v50 = (((V[139] | V[144]) | V[149])) & 1
+    if V[168] != _v50:
+        V[168] = _v50
         NQ[81] = 1
-    # [conc r1] ehdl_router_rmw:2491
-    _v51 = ((V[146] if V[145] == 1 else (V[151] if V[150] == 1 else (V[156] if V[155] == 1 else 0)))) & 0xff
-    if V[175] != _v51:
-        V[175] = _v51
+    # [conc r1] ehdl_router_rmw:2385
+    _v51 = ((V[140] if V[139] == 1 else (V[145] if V[144] == 1 else (V[150] if V[149] == 1 else 0)))) & 0xff
+    if V[169] != _v51:
+        V[169] = _v51
         NQ[81] = 1
-    # [conc r1] ehdl_router_rmw:2492
-    _v52 = ((V[147] if V[145] == 1 else (V[152] if V[150] == 1 else (V[157] if V[155] == 1 else 0)))) & 0xffffffffffffffff
-    if V[176] != _v52:
-        V[176] = _v52
+    # [conc r1] ehdl_router_rmw:2386
+    _v52 = ((V[141] if V[139] == 1 else (V[146] if V[144] == 1 else (V[151] if V[149] == 1 else 0)))) & 0xffffffffffffffff
+    if V[170] != _v52:
+        V[170] = _v52
         NQ[81] = 1
-    # [conc r1] ehdl_router_rmw:2493
-    _v53 = ((V[148] if V[145] == 1 else (V[153] if V[150] == 1 else (V[158] if V[155] == 1 else 0)))) & 0xffffffff
-    if V[177] != _v53:
-        V[177] = _v53
+    # [conc r1] ehdl_router_rmw:2387
+    _v53 = ((V[142] if V[139] == 1 else (V[147] if V[144] == 1 else (V[152] if V[149] == 1 else 0)))) & 0xffffffff
+    if V[171] != _v53:
+        V[171] = _v53
         NQ[81] = 1
-    # [conc r1] ehdl_router_rmw:2494
-    _v54 = ((V[149] if V[145] == 1 else (V[154] if V[150] == 1 else (V[159] if V[155] == 1 else 0)))) & 0xffffffffffffffff
-    if V[178] != _v54:
-        V[178] = _v54
+    # [conc r1] ehdl_router_rmw:2388
+    _v54 = ((V[143] if V[139] == 1 else (V[148] if V[144] == 1 else (V[153] if V[149] == 1 else 0)))) & 0xffffffffffffffff
+    if V[172] != _v54:
+        V[172] = _v54
         NQ[81] = 1
 
 def _e76(V, NQ, PEND, PQ, PRIMS, ACT):
     # [fifo r1] ehdl_async_fifo
-    _v55 = V[184]
-    if V[185] != _v55:
-        V[185] = _v55
+    _v55 = V[178]
+    if V[179] != _v55:
+        V[179] = _v55
         NQ[85] = 1
-    _v56 = ((0 if V[116] else 1)) & 1
-    if V[186] != _v56:
-        V[186] = _v56
+    _v56 = ((0 if V[110] else 1)) & 1
+    if V[180] != _v56:
+        V[180] = _v56
         NQ[82] = 1
-    V[187] = 0
+    V[181] = 0
 
 def _e77(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e78
 
 def _e78(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_router_rmw:2085
+    # [conc r2] ehdl_router_rmw:1999
     _v57 = (V[18] >> 16 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if V[21] != _v57:
         V[21] = _v57
@@ -572,14 +572,14 @@ def _e78(V, NQ, PEND, PQ, PRIMS, ACT):
         if not PQ[0]:
             PQ[0] = 1
             PEND.append(0)
-    # [conc r2] ehdl_router_rmw:2086
+    # [conc r2] ehdl_router_rmw:2000
     _v58 = (V[18] & 0xffff)
     if V[22] != _v58:
         V[22] = _v58
         NQ[89] = 1
 
 def _e79(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_router_rmw:2089
+    # [conc r2] ehdl_router_rmw:2003
     _v59 = (~V[19] & 1)
     if V[26] != _v59:
         V[26] = _v59
@@ -592,12 +592,12 @@ def _e79(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
     # [prim r2] router_rmw_map_1.ch0
-    if V[165]:
+    if V[159]:
         ACT[1] += 1
-        _s60 = V[170]
-        _s61 = V[171]
+        _s60 = V[164]
+        _s61 = V[165]
         PRIMS[1](V)
-        if V[170] != _s60:
+        if V[164] != _s60:
             if not PQ[8]:
                 PQ[8] = 1
                 PEND.append(8)
@@ -616,7 +616,7 @@ def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
             if not PQ[26]:
                 PQ[26] = 1
                 PEND.append(26)
-        if V[171] != _s61:
+        if V[165] != _s61:
             if not PQ[8]:
                 PQ[8] = 1
                 PEND.append(8)
@@ -637,8 +637,8 @@ def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
                 PEND.append(26)
         NQ[80] = 1
     else:
-        if V[170]:
-            V[170] = 0
+        if V[164]:
+            V[164] = 0
             if not PQ[8]:
                 PQ[8] = 1
                 PEND.append(8)
@@ -657,8 +657,8 @@ def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
             if not PQ[26]:
                 PQ[26] = 1
                 PEND.append(26)
-        if V[171]:
-            V[171] = 0
+        if V[165]:
+            V[165] = 0
             if not PQ[8]:
                 PQ[8] = 1
                 PEND.append(8)
@@ -680,19 +680,19 @@ def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e81(V, NQ, PEND, PQ, PRIMS, ACT):
     # [prim r2] router_rmw_map_2.ch0
-    if V[174]:
+    if V[168]:
         ACT[2] += 1
-        _s62 = V[179]
-        _s63 = V[180]
+        _s62 = V[173]
+        _s63 = V[174]
         PRIMS[2](V)
-        if V[179] != _s62:
+        if V[173] != _s62:
             if not PQ[20]:
                 PQ[20] = 1
                 PEND.append(20)
             if not PQ[23]:
                 PQ[23] = 1
                 PEND.append(23)
-        if V[180] != _s63:
+        if V[174] != _s63:
             if not PQ[20]:
                 PQ[20] = 1
                 PEND.append(20)
@@ -704,16 +704,16 @@ def _e81(V, NQ, PEND, PQ, PRIMS, ACT):
                 PEND.append(25)
         NQ[81] = 1
     else:
-        if V[179]:
-            V[179] = 0
+        if V[173]:
+            V[173] = 0
             if not PQ[20]:
                 PQ[20] = 1
                 PEND.append(20)
             if not PQ[23]:
                 PQ[23] = 1
                 PEND.append(23)
-        if V[180]:
-            V[180] = 0
+        if V[174]:
+            V[174] = 0
             if not PQ[20]:
                 PQ[20] = 1
                 PEND.append(20)
@@ -725,8 +725,8 @@ def _e81(V, NQ, PEND, PQ, PRIMS, ACT):
                 PEND.append(25)
 
 def _e82(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_router_rmw:2518
-    V[11] = (~V[186] & 1)
+    # [conc r2] ehdl_router_rmw:2412
+    V[11] = (~V[180] & 1)
 
 def _e83(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e85
@@ -735,12 +735,12 @@ def _e84(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e85
 
 def _e85(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r2] ehdl_router_rmw:2519
-    V[8] = (V[185] & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
-    # [conc r2] ehdl_router_rmw:2520
-    V[9] = (V[185] >> 512 & 0xffff)
-    # [conc r2] ehdl_router_rmw:2522
-    V[10] = (((V[185] >> 545 & 0xffffffff) if (V[185] >> 544 & 1) == 1 else 0)) & 0xffffffff
+    # [conc r2] ehdl_router_rmw:2413
+    V[8] = (V[179] & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
+    # [conc r2] ehdl_router_rmw:2414
+    V[9] = (V[179] >> 512 & 0xffff)
+    # [conc r2] ehdl_router_rmw:2416
+    V[10] = (((V[179] >> 545 & 0xffffffff) if (V[179] >> 544 & 1) == 1 else 0)) & 0xffffffff
 
 def _e86(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e89
@@ -749,7 +749,7 @@ def _e87(V, NQ, PEND, PQ, PRIMS, ACT):
     pass  # fused into _e89
 
 def _e88(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r3] ehdl_router_rmw:2091
+    # [conc r3] ehdl_router_rmw:2005
     _o64 = V[28]
     _v65 = _o64 & 0x1ffffffffffffffffffffffffffffffff00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | ((V[21]) & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff)
     if _v65 != _o64:
@@ -759,17 +759,17 @@ def _e88(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e89(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r3] ehdl_router_rmw:2087
+    # [conc r3] ehdl_router_rmw:2001
     _v66 = ((1 if V[22] < 0x22 else 0)) & 1
     if V[23] != _v66:
         V[23] = _v66
         NQ[92] = 1
-    # [conc r3] ehdl_router_rmw:2088
+    # [conc r3] ehdl_router_rmw:2002
     _v67 = ((2 if V[22] < 0x22 else 0)) & 0xffffffff
     if V[24] != _v67:
         V[24] = _v67
         NQ[93] = 1
-    # [conc r3] ehdl_router_rmw:2092
+    # [conc r3] ehdl_router_rmw:2006
     _o68 = V[28]
     _v69 = _o68 & 0x1ffffffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[22]) & 0xffff) << 512)
     if _v69 != _o68:
@@ -780,17 +780,17 @@ def _e89(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e90(V, NQ, PEND, PQ, PRIMS, ACT):
     # [tie r3] router_rmw_map_1.tie
-    V[173] = 0
+    V[167] = 0
 
 def _e91(V, NQ, PEND, PQ, PRIMS, ACT):
     # [tie r3] router_rmw_map_2.tie
-    if V[181]:
-        V[181] = 0
+    if V[175]:
+        V[175] = 0
         NQ[94] = 1
-    V[183] = 0
+    V[177] = 0
 
 def _e92(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r4] ehdl_router_rmw:2094
+    # [conc r4] ehdl_router_rmw:2008
     _o70 = V[28]
     _v71 = _o70 & 0x1fffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[23]) & 1) << 544)
     if _v71 != _o70:
@@ -800,7 +800,7 @@ def _e92(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e93(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r4] ehdl_router_rmw:2095
+    # [conc r4] ehdl_router_rmw:2009
     _o72 = V[28]
     _v73 = _o72 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[24]) & 0xffffffff) << 545)
     if _v73 != _o72:
@@ -810,10 +810,10 @@ def _e93(V, NQ, PEND, PQ, PRIMS, ACT):
             PEND.append(1)
 
 def _e94(V, NQ, PEND, PQ, PRIMS, ACT):
-    # [conc r4] ehdl_router_rmw:2511
-    _v74 = V[181]
-    if V[119] != _v74:
-        V[119] = _v74
+    # [conc r4] ehdl_router_rmw:2405
+    _v74 = V[175]
+    if V[113] != _v74:
+        V[113] = _v74
         if not PQ[1]:
             PQ[1] = 1
             PEND.append(1)
@@ -898,15 +898,9 @@ def _e94(V, NQ, PEND, PQ, PRIMS, ACT):
         if not PQ[28]:
             PQ[28] = 1
             PEND.append(28)
-        if not PQ[29]:
-            PQ[29] = 1
-            PEND.append(29)
-        if not PQ[30]:
-            PQ[30] = 1
-            PEND.append(30)
 
 def _p0(V):
-    # ehdl_router_rmw:process@2097
+    # ehdl_router_rmw:process@2011
     t25 = V[25]
     if V[26] == 1:
         t25 = V[21]
@@ -926,7 +920,7 @@ def _p1(V):
     t29 = V[29]
     t30 = V[30]
     t31 = V[31]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t29 = 0
     else:
         t29 = V[26]
@@ -952,7 +946,7 @@ def _f1(V, NQ, PEND, PQ):
     t29 = V[29]
     t30 = V[30]
     t31 = V[31]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t29 = 0
     else:
         t29 = V[26]
@@ -976,7 +970,7 @@ def _p2(V):
     t32 = V[32]
     t33 = V[33]
     t34 = V[34]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t32 = 0
     else:
         t32 = V[29]
@@ -1002,7 +996,7 @@ def _f2(V, NQ, PEND, PQ):
     t32 = V[32]
     t33 = V[33]
     t34 = V[34]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t32 = 0
     else:
         t32 = V[29]
@@ -1026,7 +1020,7 @@ def _p3(V):
     t35 = V[35]
     t36 = V[36]
     t37 = V[37]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t35 = 0
     else:
         t35 = V[32]
@@ -1052,7 +1046,7 @@ def _f3(V, NQ, PEND, PQ):
     t35 = V[35]
     t36 = V[36]
     t37 = V[37]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t35 = 0
     else:
         t35 = V[32]
@@ -1076,7 +1070,7 @@ def _p4(V):
     t38 = V[38]
     t39 = V[39]
     t40 = V[40]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t38 = 0
     else:
         t38 = V[35]
@@ -1102,7 +1096,7 @@ def _f4(V, NQ, PEND, PQ):
     t38 = V[38]
     t39 = V[39]
     t40 = V[40]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t38 = 0
     else:
         t38 = V[35]
@@ -1129,7 +1123,7 @@ def _p5(V):
     _x2 = (V[40] >> 512 & 0xffff)
     _x1 = ((V[40] >> 544 & 1) == 0)
     _x0 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t41 = 0
     else:
         t41 = V[38]
@@ -1160,7 +1154,7 @@ def _f5(V, NQ, PEND, PQ):
     _x2 = (V[40] >> 512 & 0xffff)
     _x1 = ((V[40] >> 544 & 1) == 0)
     _x0 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t41 = 0
     else:
         t41 = V[38]
@@ -1186,7 +1180,7 @@ def _p6(V):
     t44 = V[44]
     t45 = V[45]
     t46 = V[46]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t44 = 0
     else:
         t44 = V[41]
@@ -1209,7 +1203,7 @@ def _f6(V, NQ, PEND, PQ):
     t44 = V[44]
     t45 = V[45]
     t46 = V[46]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t44 = 0
     else:
         t44 = V[41]
@@ -1232,7 +1226,7 @@ def _p7(V):
     t49 = V[49]
     _x1 = ((V[46] >> 544 & 1) == 0)
     _x0 = ((V[44] == 1) and ((V[45] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t47 = 0
     else:
         t47 = V[44]
@@ -1260,7 +1254,7 @@ def _f7(V, NQ, PEND, PQ):
     t49 = V[49]
     _x1 = ((V[46] >> 544 & 1) == 0)
     _x0 = ((V[44] == 1) and ((V[45] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t47 = 0
     else:
         t47 = V[44]
@@ -1284,17 +1278,17 @@ def _p8(V):
     t50 = V[50]
     t51 = V[51]
     t52 = V[52]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t50 = 0
     else:
         t50 = V[47]
         t51 = V[48]
         t52 = V[49] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[49] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[47] == 1) and ((V[48] >> 2 & 1) == 1)) and ((V[49] >> 544 & 1) == 0):
-            if V[171] == 1:
+            if V[165] == 1:
                 t52 = t52 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t52 = t52 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t52 = t52 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t50, t51, t52)
 
 def _c8(V, t, NQ, PEND, PQ):
@@ -1310,17 +1304,17 @@ def _f8(V, NQ, PEND, PQ):
     t50 = V[50]
     t51 = V[51]
     t52 = V[52]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t50 = 0
     else:
         t50 = V[47]
         t51 = V[48]
         t52 = V[49] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[49] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[47] == 1) and ((V[48] >> 2 & 1) == 1)) and ((V[49] >> 544 & 1) == 0):
-            if V[171] == 1:
+            if V[165] == 1:
                 t52 = t52 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t52 = t52 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t52 = t52 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[50] != t50 or V[51] != t51 or V[52] != t52:
         V[50] = t50
         V[51] = t51
@@ -1334,7 +1328,7 @@ def _p9(V):
     t53 = V[53]
     t54 = V[54]
     t55 = V[55]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t53 = 0
     else:
         t53 = V[50]
@@ -1355,7 +1349,7 @@ def _f9(V, NQ, PEND, PQ):
     t53 = V[53]
     t54 = V[54]
     t55 = V[55]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t53 = 0
     else:
         t53 = V[50]
@@ -1374,7 +1368,7 @@ def _p10(V):
     t56 = V[56]
     t57 = V[57]
     t58 = V[58]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t56 = 0
     else:
         t56 = V[53]
@@ -1400,7 +1394,7 @@ def _f10(V, NQ, PEND, PQ):
     t56 = V[56]
     t57 = V[57]
     t58 = V[58]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t56 = 0
     else:
         t56 = V[53]
@@ -1427,20 +1421,22 @@ def _p11(V):
     _x2 = (V[58] >> 512 & 0xffff)
     _x1 = ((V[58] >> 544 & 1) == 0)
     _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t59 = 0
     else:
         t59 = V[56]
         t60 = V[57]
-        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 64) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 192) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 256) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             if _x2 < 0x1a:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 641)
+                t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 705)
         if (_x0 and _x1) and ((0 if _x2 < 0x1a else 1)):
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and _x1:
+            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t59, t60, t61)
 
 def _c11(V, t, NQ, PEND, PQ):
@@ -1460,20 +1456,22 @@ def _f11(V, NQ, PEND, PQ):
     _x2 = (V[58] >> 512 & 0xffff)
     _x1 = ((V[58] >> 544 & 1) == 0)
     _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t59 = 0
     else:
         t59 = V[56]
         t60 = V[57]
-        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 64) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 192) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 256) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             if _x2 < 0x1a:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 641)
+                t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 705)
         if (_x0 and _x1) and ((0 if _x2 < 0x1a else 1)):
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and _x1:
+            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[59] != t59 or V[60] != t60 or V[61] != t61:
         V[59] = t59
         V[60] = t60
@@ -1484,25 +1482,28 @@ def _f11(V, NQ, PEND, PQ):
             PEND.append(12)
 
 def _p12(V):
-    # ehdl_router_rmw/s012:process@751
+    # ehdl_router_rmw/s012:process@756
     t62 = V[62]
     t63 = V[63]
     t64 = V[64]
     _x1 = ((V[61] >> 544 & 1) == 0)
     _x0 = ((V[59] == 1) and ((V[60] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t62 = 0
     else:
         t62 = V[59]
         t63 = V[60]
-        t64 = V[61] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] << 64) & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t64 = V[61] & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
-            t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 641 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
+                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
+        if ((V[59] == 1) and ((V[60] >> 6 & 1) == 1)) and _x1:
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[61] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     return (t62, t63, t64)
 
 def _c12(V, t, NQ, PEND, PQ):
@@ -1521,19 +1522,22 @@ def _f12(V, NQ, PEND, PQ):
     t64 = V[64]
     _x1 = ((V[61] >> 544 & 1) == 0)
     _x0 = ((V[59] == 1) and ((V[60] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t62 = 0
     else:
         t62 = V[59]
         t63 = V[60]
-        t64 = V[61] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] << 64) & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        t64 = V[61] & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
-            t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 641 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
+                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
+        if ((V[59] == 1) and ((V[60] >> 6 & 1) == 1)) and _x1:
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[61] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     if V[62] != t62 or V[63] != t63 or V[64] != t64:
         V[62] = t62
         V[63] = t63
@@ -1544,19 +1548,19 @@ def _f12(V, NQ, PEND, PQ):
             PEND.append(13)
 
 def _p13(V):
-    # ehdl_router_rmw/s013:process@821
+    # ehdl_router_rmw/s013:process@831
     t65 = V[65]
     t66 = V[66]
     t67 = V[67]
     _x7 = (V[64] >> 512 & 0xffff)
     _x6 = ((V[64] >> 544 & 1) == 0)
-    _x5 = ((0 if V[171] == 1 else 1))
+    _x5 = ((0 if V[165] == 1 else 1))
     _x4 = ((V[62] == 1) and ((V[63] >> 3 & 1) == 1))
     _x3 = ((0 if _x7 < 4 else 1))
     _x2 = (((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff)
     _x1 = (_x4 and _x6)
     _x0 = (_x1 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t65 = 0
     else:
         t65 = V[62]
@@ -1568,10 +1572,10 @@ def _p13(V):
             else:
                 t67 = t67 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000 | (((V[64] >> 641 & 0xffffffffffffffff)) & 0xffffffff)
         if _x1 and _x3:
-            if V[171] == 1:
+            if V[165] == 1:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x5:
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 705)
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 769)
@@ -1594,13 +1598,13 @@ def _f13(V, NQ, PEND, PQ):
     t67 = V[67]
     _x7 = (V[64] >> 512 & 0xffff)
     _x6 = ((V[64] >> 544 & 1) == 0)
-    _x5 = ((0 if V[171] == 1 else 1))
+    _x5 = ((0 if V[165] == 1 else 1))
     _x4 = ((V[62] == 1) and ((V[63] >> 3 & 1) == 1))
     _x3 = ((0 if _x7 < 4 else 1))
     _x2 = (((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff)
     _x1 = (_x4 and _x6)
     _x0 = (_x1 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t65 = 0
     else:
         t65 = V[62]
@@ -1612,10 +1616,10 @@ def _f13(V, NQ, PEND, PQ):
             else:
                 t67 = t67 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000 | (((V[64] >> 641 & 0xffffffffffffffff)) & 0xffffffff)
         if _x1 and _x3:
-            if V[171] == 1:
+            if V[165] == 1:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x5:
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 705)
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 769)
@@ -1630,7 +1634,7 @@ def _f13(V, NQ, PEND, PQ):
             PEND.append(14)
 
 def _p14(V):
-    # ehdl_router_rmw/s014:process@909
+    # ehdl_router_rmw/s014:process@919
     t68 = V[68]
     t69 = V[69]
     t70 = V[70]
@@ -1639,7 +1643,7 @@ def _p14(V):
     _x2 = ((V[65] == 1) and ((V[66] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 6 else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t68 = 0
     else:
         t68 = V[65]
@@ -1651,11 +1655,11 @@ def _p14(V):
             else:
                 t70 = t70 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffff | ((((V[67] >> 641 & 0xffffffffffffffff)) & 0xffff) << 32)
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
+                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
             t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 705)
     return (t68, t69, t70)
 
@@ -1678,7 +1682,7 @@ def _f14(V, NQ, PEND, PQ):
     _x2 = ((V[65] == 1) and ((V[66] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 6 else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t68 = 0
     else:
         t68 = V[65]
@@ -1690,11 +1694,11 @@ def _f14(V, NQ, PEND, PQ):
             else:
                 t70 = t70 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffff | ((((V[67] >> 641 & 0xffffffffffffffff)) & 0xffff) << 32)
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
+                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
             t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 705)
     if V[68] != t68 or V[69] != t69 or V[70] != t70:
         V[68] = t68
@@ -1706,19 +1710,19 @@ def _f14(V, NQ, PEND, PQ):
             PEND.append(15)
 
 def _p15(V):
-    # ehdl_router_rmw/s015:process@989
+    # ehdl_router_rmw/s015:process@999
     t71 = V[71]
     t72 = V[72]
     t73 = V[73]
     _x7 = (V[70] >> 512 & 0xffff)
     _x6 = ((V[70] >> 544 & 1) == 0)
-    _x5 = ((0 if V[171] == 1 else 1))
+    _x5 = ((0 if V[165] == 1 else 1))
     _x4 = (V[70] >> 705 & 0xffffffffffffffff)
     _x3 = ((V[68] == 1) and ((V[69] >> 3 & 1) == 1))
     _x2 = ((0 if _x7 < 0xa else 1))
     _x1 = (_x3 and _x6)
     _x0 = (_x1 and _x2)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t71 = 0
     else:
         t71 = V[68]
@@ -1730,10 +1734,10 @@ def _p15(V):
             else:
                 t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000ffffffffffff | ((((V[70] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 48)
         if _x1 and _x2:
-            if V[171] == 1:
+            if V[165] == 1:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x5:
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((_x4 >> 0x10)) & 0xffffffffffffffff) << 769)
@@ -1755,13 +1759,13 @@ def _f15(V, NQ, PEND, PQ):
     t73 = V[73]
     _x7 = (V[70] >> 512 & 0xffff)
     _x6 = ((V[70] >> 544 & 1) == 0)
-    _x5 = ((0 if V[171] == 1 else 1))
+    _x5 = ((0 if V[165] == 1 else 1))
     _x4 = (V[70] >> 705 & 0xffffffffffffffff)
     _x3 = ((V[68] == 1) and ((V[69] >> 3 & 1) == 1))
     _x2 = ((0 if _x7 < 0xa else 1))
     _x1 = (_x3 and _x6)
     _x0 = (_x1 and _x2)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t71 = 0
     else:
         t71 = V[68]
@@ -1773,10 +1777,10 @@ def _f15(V, NQ, PEND, PQ):
             else:
                 t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000ffffffffffff | ((((V[70] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 48)
         if _x1 and _x2:
-            if V[171] == 1:
+            if V[165] == 1:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if _x0 and _x5:
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((_x4 >> 0x10)) & 0xffffffffffffffff) << 769)
@@ -1790,7 +1794,7 @@ def _f15(V, NQ, PEND, PQ):
             PEND.append(16)
 
 def _p16(V):
-    # ehdl_router_rmw/s016:process@1065
+    # ehdl_router_rmw/s016:process@1075
     t74 = V[74]
     t75 = V[75]
     t76 = V[76]
@@ -1799,7 +1803,7 @@ def _p16(V):
     _x2 = ((V[71] == 1) and ((V[72] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 0xc else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t74 = 0
     else:
         t74 = V[71]
@@ -1837,7 +1841,7 @@ def _f16(V, NQ, PEND, PQ):
     _x2 = ((V[71] == 1) and ((V[72] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 0xc else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t74 = 0
     else:
         t74 = V[71]
@@ -1864,13 +1868,13 @@ def _f16(V, NQ, PEND, PQ):
             PEND.append(17)
 
 def _p17(V):
-    # ehdl_router_rmw/s017:process@1132
+    # ehdl_router_rmw/s017:process@1142
     t77 = V[77]
     t78 = V[78]
     t79 = V[79]
     _x1 = ((V[76] >> 544 & 1) == 0)
     _x0 = ((V[74] == 1) and ((V[75] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t77 = 0
     else:
         t77 = V[74]
@@ -1896,7 +1900,7 @@ def _f17(V, NQ, PEND, PQ):
     t79 = V[79]
     _x1 = ((V[76] >> 544 & 1) == 0)
     _x0 = ((V[74] == 1) and ((V[75] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t77 = 0
     else:
         t77 = V[74]
@@ -1914,7 +1918,7 @@ def _f17(V, NQ, PEND, PQ):
             PEND.append(18)
 
 def _p18(V):
-    # ehdl_router_rmw/s018:process@1185
+    # ehdl_router_rmw/s018:process@1195
     t80 = V[80]
     t81 = V[81]
     t82 = V[82]
@@ -1923,7 +1927,7 @@ def _p18(V):
     _x2 = ((V[77] == 1) and ((V[78] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 0x17 else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t80 = 0
     else:
         t80 = V[77]
@@ -1961,7 +1965,7 @@ def _f18(V, NQ, PEND, PQ):
     _x2 = ((V[77] == 1) and ((V[78] >> 3 & 1) == 1))
     _x1 = ((0 if _x4 < 0x17 else 1))
     _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t80 = 0
     else:
         t80 = V[77]
@@ -1988,13 +1992,13 @@ def _f18(V, NQ, PEND, PQ):
             PEND.append(19)
 
 def _p19(V):
-    # ehdl_router_rmw/s019:process@1250
+    # ehdl_router_rmw/s019:process@1260
     t83 = V[83]
     t84 = V[84]
     t85 = V[85]
     _x1 = ((V[82] >> 544 & 1) == 0)
     _x0 = ((V[80] == 1) and ((V[81] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t83 = 0
     else:
         t83 = V[80]
@@ -2022,7 +2026,7 @@ def _f19(V, NQ, PEND, PQ):
     t85 = V[85]
     _x1 = ((V[82] >> 544 & 1) == 0)
     _x0 = ((V[80] == 1) and ((V[81] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t83 = 0
     else:
         t83 = V[80]
@@ -2042,21 +2046,21 @@ def _f19(V, NQ, PEND, PQ):
             PEND.append(20)
 
 def _p20(V):
-    # ehdl_router_rmw/s020:process@1318
+    # ehdl_router_rmw/s020:process@1328
     t86 = V[86]
     t87 = V[87]
     t88 = V[88]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t86 = 0
     else:
         t86 = V[83]
         t87 = V[84]
         t88 = V[85] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[85] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[83] == 1) and ((V[84] >> 3 & 1) == 1)) and ((V[85] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t88 = t88 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t88 = t88 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[179] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t88 = t88 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t86, t87, t88)
 
 def _c20(V, t, NQ, PEND, PQ):
@@ -2072,17 +2076,17 @@ def _f20(V, NQ, PEND, PQ):
     t86 = V[86]
     t87 = V[87]
     t88 = V[88]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t86 = 0
     else:
         t86 = V[83]
         t87 = V[84]
         t88 = V[85] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[85] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[83] == 1) and ((V[84] >> 3 & 1) == 1)) and ((V[85] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t88 = t88 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t88 = t88 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[179] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t88 = t88 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[86] != t86 or V[87] != t87 or V[88] != t88:
         V[86] = t86
         V[87] = t87
@@ -2092,11 +2096,11 @@ def _f20(V, NQ, PEND, PQ):
             PEND.append(21)
 
 def _p21(V):
-    # ehdl_router_rmw/s021:process@1369
+    # ehdl_router_rmw/s021:process@1379
     t89 = V[89]
     t90 = V[90]
     t91 = V[91]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t89 = 0
     else:
         t89 = V[86]
@@ -2117,7 +2121,7 @@ def _f21(V, NQ, PEND, PQ):
     t89 = V[89]
     t90 = V[90]
     t91 = V[91]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t89 = 0
     else:
         t89 = V[86]
@@ -2132,11 +2136,11 @@ def _f21(V, NQ, PEND, PQ):
             PEND.append(22)
 
 def _p22(V):
-    # ehdl_router_rmw/s022:process@1411
+    # ehdl_router_rmw/s022:process@1421
     t92 = V[92]
     t93 = V[93]
     t94 = V[94]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t92 = 0
     else:
         t92 = V[89]
@@ -2163,7 +2167,7 @@ def _f22(V, NQ, PEND, PQ):
     t92 = V[92]
     t93 = V[93]
     t94 = V[94]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t92 = 0
     else:
         t92 = V[89]
@@ -2184,21 +2188,21 @@ def _f22(V, NQ, PEND, PQ):
             PEND.append(23)
 
 def _p23(V):
-    # ehdl_router_rmw/s023:process@1473
+    # ehdl_router_rmw/s023:process@1483
     t95 = V[95]
     t96 = V[96]
     t97 = V[97]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t95 = 0
     else:
         t95 = V[92]
         t96 = V[93]
         t97 = V[94] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[94] << 64) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[92] == 1) and ((V[93] >> 4 & 1) == 1)) and ((V[94] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t97 = t97 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t97 = t97 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[179] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t97 = t97 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t95, t96, t97)
 
 def _c23(V, t, NQ, PEND, PQ):
@@ -2214,17 +2218,17 @@ def _f23(V, NQ, PEND, PQ):
     t95 = V[95]
     t96 = V[96]
     t97 = V[97]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t95 = 0
     else:
         t95 = V[92]
         t96 = V[93]
         t97 = V[94] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[94] << 64) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[92] == 1) and ((V[93] >> 4 & 1) == 1)) and ((V[94] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t97 = t97 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t97 = t97 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[179] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+                t97 = t97 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[95] != t95 or V[96] != t96 or V[97] != t97:
         V[95] = t95
         V[96] = t96
@@ -2234,11 +2238,11 @@ def _f23(V, NQ, PEND, PQ):
             PEND.append(24)
 
 def _p24(V):
-    # ehdl_router_rmw/s024:process@1525
+    # ehdl_router_rmw/s024:process@1535
     t98 = V[98]
     t99 = V[99]
     t100 = V[100]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t98 = 0
     else:
         t98 = V[95]
@@ -2262,7 +2266,7 @@ def _f24(V, NQ, PEND, PQ):
     t98 = V[98]
     t99 = V[99]
     t100 = V[100]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t98 = 0
     else:
         t98 = V[95]
@@ -2280,18 +2284,18 @@ def _f24(V, NQ, PEND, PQ):
             PEND.append(25)
 
 def _p25(V):
-    # ehdl_router_rmw/s025:process@1584
+    # ehdl_router_rmw/s025:process@1594
     t101 = V[101]
     t102 = V[102]
     t103 = V[103]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t101 = 0
     else:
         t101 = V[98]
         t102 = V[99]
         t103 = V[100] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[100] >> 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[98] == 1) and ((V[99] >> 4 & 1) == 1)) and ((V[100] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t103 = t103 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t102 = t102 & 0xffffffdf | 0x20
@@ -2311,14 +2315,14 @@ def _f25(V, NQ, PEND, PQ):
     t101 = V[101]
     t102 = V[102]
     t103 = V[103]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t101 = 0
     else:
         t101 = V[98]
         t102 = V[99]
         t103 = V[100] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[100] >> 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[98] == 1) and ((V[99] >> 4 & 1) == 1)) and ((V[100] >> 544 & 1) == 0):
-            if V[180] == 1:
+            if V[174] == 1:
                 t103 = t103 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t102 = t102 & 0xffffffdf | 0x20
@@ -2332,24 +2336,24 @@ def _f25(V, NQ, PEND, PQ):
             PEND.append(26)
 
 def _p26(V):
-    # ehdl_router_rmw/s026:process@1646
+    # ehdl_router_rmw/s026:process@1656
     t104 = V[104]
     t105 = V[105]
     t106 = V[106]
     _x1 = ((V[103] >> 544 & 1) == 0)
     _x0 = ((V[101] == 1) and ((V[102] >> 5 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t104 = 0
     else:
         t104 = V[101]
         t105 = V[102]
         t106 = V[103] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t106 = t106 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
+                t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
             t106 = t106 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     return (t104, t105, t106)
 
@@ -2369,18 +2373,18 @@ def _f26(V, NQ, PEND, PQ):
     t106 = V[106]
     _x1 = ((V[103] >> 544 & 1) == 0)
     _x0 = ((V[101] == 1) and ((V[102] >> 5 & 1) == 1))
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t104 = 0
     else:
         t104 = V[101]
         t105 = V[102]
         t106 = V[103] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if _x0 and _x1:
-            if V[171] == 1:
+            if V[165] == 1:
                 t106 = t106 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
-                t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[170] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[171] == 1 else 1)):
+                t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
             t106 = t106 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if V[104] != t104 or V[105] != t105 or V[106] != t106:
         V[104] = t104
@@ -2392,18 +2396,18 @@ def _f26(V, NQ, PEND, PQ):
             PEND.append(27)
 
 def _p27(V):
-    # ehdl_router_rmw/s027:process@1715
+    # ehdl_router_rmw/s027:process@1725
     t107 = V[107]
     t108 = V[108]
     t109 = V[109]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t107 = 0
     else:
         t107 = V[104]
         t108 = V[105]
         t109 = V[106] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[104] == 1) and ((V[105] >> 5 & 1) == 1)) and ((V[106] >> 544 & 1) == 0):
-            t109 = t109 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[194] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t109 = t109 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[188] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     return (t107, t108, t109)
 
 def _c27(V, t, NQ, PEND, PQ):
@@ -2419,14 +2423,14 @@ def _f27(V, NQ, PEND, PQ):
     t107 = V[107]
     t108 = V[108]
     t109 = V[109]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t107 = 0
     else:
         t107 = V[104]
         t108 = V[105]
         t109 = V[106] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
         if ((V[104] == 1) and ((V[105] >> 5 & 1) == 1)) and ((V[106] >> 544 & 1) == 0):
-            t109 = t109 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[194] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+            t109 = t109 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[188] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[107] != t107 or V[108] != t108 or V[109] != t109:
         V[107] = t107
         V[108] = t108
@@ -2436,11 +2440,11 @@ def _f27(V, NQ, PEND, PQ):
             PEND.append(28)
 
 def _p28(V):
-    # ehdl_router_rmw/s028:process@1760
+    # ehdl_router_rmw/s028:process@1770
     t110 = V[110]
     t111 = V[111]
     t112 = V[112]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t110 = 0
     else:
         t110 = V[107]
@@ -2452,19 +2456,19 @@ def _p28(V):
     return (t110, t111, t112)
 
 def _c28(V, t, NQ, PEND, PQ):
-    if V[110] != t[0] or V[111] != t[1] or V[112] != t[2]:
+    if V[110] != t[0]:
         V[110] = t[0]
-        V[111] = t[1]
+        NQ[76] = 1
+    V[111] = t[1]
+    if V[112] != t[2]:
         V[112] = t[2]
-        if not PQ[29]:
-            PQ[29] = 1
-            PEND.append(29)
+        NQ[62] = 1
 
 def _f28(V, NQ, PEND, PQ):
     t110 = V[110]
     t111 = V[111]
     t112 = V[112]
-    if (V[2] == 1) or (V[119] == 1):
+    if (V[2] == 1) or (V[113] == 1):
         t110 = 0
     else:
         t110 = V[107]
@@ -2473,110 +2477,20 @@ def _f28(V, NQ, PEND, PQ):
         if ((V[107] == 1) and ((V[108] >> 5 & 1) == 1)) and ((V[109] >> 544 & 1) == 0):
             t112 = t112 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t112 = t112 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[109] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    if V[110] != t110 or V[111] != t111 or V[112] != t112:
+    if V[110] != t110:
         V[110] = t110
-        V[111] = t111
+        NQ[76] = 1
+    V[111] = t111
+    if V[112] != t112:
         V[112] = t112
-        if not PQ[29]:
-            PQ[29] = 1
-            PEND.append(29)
-
-def _p29(V):
-    # ehdl_router_rmw/s029:process@1805
-    t113 = V[113]
-    t114 = V[114]
-    t115 = V[115]
-    if (V[2] == 1) or (V[119] == 1):
-        t113 = 0
-    else:
-        t113 = V[110]
-        t114 = V[111]
-        t115 = V[112] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[110] == 1) and ((V[111] >> 6 & 1) == 1)) and ((V[112] >> 544 & 1) == 0):
-            t115 = t115 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t113, t114, t115)
-
-def _c29(V, t, NQ, PEND, PQ):
-    if V[113] != t[0] or V[114] != t[1] or V[115] != t[2]:
-        V[113] = t[0]
-        V[114] = t[1]
-        V[115] = t[2]
-        if not PQ[30]:
-            PQ[30] = 1
-            PEND.append(30)
-
-def _f29(V, NQ, PEND, PQ):
-    t113 = V[113]
-    t114 = V[114]
-    t115 = V[115]
-    if (V[2] == 1) or (V[119] == 1):
-        t113 = 0
-    else:
-        t113 = V[110]
-        t114 = V[111]
-        t115 = V[112] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[110] == 1) and ((V[111] >> 6 & 1) == 1)) and ((V[112] >> 544 & 1) == 0):
-            t115 = t115 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    if V[113] != t113 or V[114] != t114 or V[115] != t115:
-        V[113] = t113
-        V[114] = t114
-        V[115] = t115
-        if not PQ[30]:
-            PQ[30] = 1
-            PEND.append(30)
-
-def _p30(V):
-    # ehdl_router_rmw/s030:process@1850
-    t116 = V[116]
-    t117 = V[117]
-    t118 = V[118]
-    if (V[2] == 1) or (V[119] == 1):
-        t116 = 0
-    else:
-        t116 = V[113]
-        t117 = V[114]
-        t118 = V[115] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[113] == 1) and ((V[114] >> 6 & 1) == 1)) and ((V[115] >> 544 & 1) == 0):
-            t118 = t118 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t118 = t118 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[115] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t116, t117, t118)
-
-def _c30(V, t, NQ, PEND, PQ):
-    if V[116] != t[0]:
-        V[116] = t[0]
-        NQ[76] = 1
-    V[117] = t[1]
-    if V[118] != t[2]:
-        V[118] = t[2]
-        NQ[62] = 1
-
-def _f30(V, NQ, PEND, PQ):
-    t116 = V[116]
-    t117 = V[117]
-    t118 = V[118]
-    if (V[2] == 1) or (V[119] == 1):
-        t116 = 0
-    else:
-        t116 = V[113]
-        t117 = V[114]
-        t118 = V[115] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[113] == 1) and ((V[114] >> 6 & 1) == 1)) and ((V[115] >> 544 & 1) == 0):
-            t118 = t118 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t118 = t118 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[115] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    if V[116] != t116:
-        V[116] = t116
-        NQ[76] = 1
-    V[117] = t117
-    if V[118] != t118:
-        V[118] = t118
         NQ[62] = 1
 
 _EVAL = (_e0, _e1, _e2, _e3, _e4, _e5, _e6, _e7, _e8, _e9, _e10, _e11, _e12, _e13, _e14, _e15, _e16, _e17, _e18, _e19, _e20, _e21, _e22, _e23, _e24, _e25, _e26, _e27, _e28, _e29, _e30, _e31, _e32, _e33, _e34, _e35, _e36, _e37, _e38, _e39, _e40, _e41, _e42, _e43, _e44, _e45, _e46, _e47, _e48, _e49, _e50, _e51, _e52, _e53, _e54, _e55, _e56, _e57, _e58, _e59, _e60, _e61, _e62, _e63, _e64, _e65, _e66, _e67, _e68, _e69, _e70, _e71, _e72, _e73, _e74, _e75, _e76, _e77, _e78, _e79, _e80, _e81, _e82, _e83, _e84, _e85, _e86, _e87, _e88, _e89, _e90, _e91, _e92, _e93, _e94)
-_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18, _p19, _p20, _p21, _p22, _p23, _p24, _p25, _p26, _p27, _p28, _p29, _p30)
-_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18, _c19, _c20, _c21, _c22, _c23, _c24, _c25, _c26, _c27, _c28, _c29, _c30)
-_PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18, _f19, _f20, _f21, _f22, _f23, _f24, _f25, _f26, _f27, _f28, _f29, _f30)
+_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18, _p19, _p20, _p21, _p22, _p23, _p24, _p25, _p26, _p27, _p28)
+_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18, _c19, _c20, _c21, _c22, _c23, _c24, _c25, _c26, _c27, _c28)
+_PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18, _f19, _f20, _f21, _f22, _f23, _f24, _f25, _f26, _f27, _f28)
 _READERS = {
-    2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30)),
+    2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28)),
     3: ((4,), ()),
     4: ((4,), ()),
     5: ((64,), ()),
@@ -2671,15 +2585,15 @@ _READERS = {
     107: ((), (28,)),
     108: ((), (28,)),
     109: ((), (28,)),
-    110: ((), (29,)),
-    111: ((), (29,)),
-    112: ((), (29,)),
-    113: ((), (30,)),
-    114: ((), (30,)),
-    115: ((), (30,)),
-    116: ((76,), ()),
-    118: ((62,), ()),
-    119: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30)),
+    110: ((76,), ()),
+    112: ((62,), ()),
+    113: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28)),
+    114: ((70,), ()),
+    115: ((70,), ()),
+    116: ((70,), ()),
+    117: ((70,), ()),
+    118: ((70,), ()),
+    119: ((70,), ()),
     120: ((70,), ()),
     121: ((70,), ()),
     122: ((70,), ()),
@@ -2699,12 +2613,12 @@ _READERS = {
     136: ((70,), ()),
     137: ((70,), ()),
     138: ((70,), ()),
-    139: ((70,), ()),
-    140: ((70,), ()),
-    141: ((70,), ()),
-    142: ((70,), ()),
-    143: ((70,), ()),
-    144: ((70,), ()),
+    139: ((75,), ()),
+    140: ((75,), ()),
+    141: ((75,), ()),
+    142: ((75,), ()),
+    143: ((75,), ()),
+    144: ((75,), ()),
     145: ((75,), ()),
     146: ((75,), ()),
     147: ((75,), ()),
@@ -2714,44 +2628,38 @@ _READERS = {
     151: ((75,), ()),
     152: ((75,), ()),
     153: ((75,), ()),
-    154: ((75,), ()),
-    155: ((75,), ()),
-    156: ((75,), ()),
-    157: ((75,), ()),
-    158: ((75,), ()),
-    159: ((75,), ()),
-    160: ((70,), ()),
-    161: ((70,), ()),
-    162: ((70,), ()),
-    163: ((70,), ()),
-    164: ((70,), ()),
-    165: ((80,), ()),
-    166: ((80,), ()),
-    167: ((80,), ()),
-    168: ((80,), ()),
-    169: ((80,), ()),
-    170: ((), (8, 12, 13, 14, 15, 26)),
-    171: ((), (8, 12, 13, 14, 15, 26)),
-    174: ((81,), ()),
-    175: ((81,), ()),
-    176: ((81,), ()),
-    177: ((81,), ()),
-    178: ((81,), ()),
-    179: ((), (20, 23)),
-    180: ((), (20, 23, 25)),
-    181: ((94,), ()),
-    184: ((76,), ()),
-    185: ((85,), ()),
-    186: ((82,), ()),
-    188: ((65,), ()),
-    189: ((65,), ()),
-    190: ((65,), ()),
-    191: ((65,), ()),
-    192: ((65,), ()),
-    193: ((65,), ()),
-    194: ((), (27,)),
+    154: ((70,), ()),
+    155: ((70,), ()),
+    156: ((70,), ()),
+    157: ((70,), ()),
+    158: ((70,), ()),
+    159: ((80,), ()),
+    160: ((80,), ()),
+    161: ((80,), ()),
+    162: ((80,), ()),
+    163: ((80,), ()),
+    164: ((), (8, 12, 13, 14, 15, 26)),
+    165: ((), (8, 12, 13, 14, 15, 26)),
+    168: ((81,), ()),
+    169: ((81,), ()),
+    170: ((81,), ()),
+    171: ((81,), ()),
+    172: ((81,), ()),
+    173: ((), (20, 23)),
+    174: ((), (20, 23, 25)),
+    175: ((94,), ()),
+    178: ((76,), ()),
+    179: ((85,), ()),
+    180: ((82,), ()),
+    182: ((65,), ()),
+    183: ((65,), ()),
+    184: ((65,), ()),
+    185: ((65,), ()),
+    186: ((65,), ()),
+    187: ((65,), ()),
+    188: ((), (27,)),
 }
-_PRIO = (0, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+_PRIO = (0, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
 
 def _mark(net, NQ, PEND, PQ):
     e = _READERS.get(net)
@@ -2913,7 +2821,7 @@ _FRAME = _frame
 
 _GEN_VERSION = 3
 _N_NODES = 95
-_N_PROCS = 31
+_N_PROCS = 29
 _PRIM_NODE_IDS = (65, 80, 81)
 _PRIM_LABELS = ('ehdl_helper_23', 'router_rmw_map_1.ch0', 'router_rmw_map_2.ch0')
 _SETTLE = _settle

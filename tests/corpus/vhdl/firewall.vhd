@@ -1,6 +1,6 @@
--- firewall: eHDL-generated pipeline (22 stages, 7 blocks)
+-- firewall: eHDL-generated pipeline (18 stages, 7 blocks)
 -- top: ehdl_firewall
--- window plan (bytes per link): 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64
+-- window plan (bytes per link): 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64
 -- enable width: 32  frame size: 64
 
 library ieee;
@@ -287,7 +287,7 @@ begin
   end process;
 end architecture rtl;
 
--- stage 5: r2 = *(u32 *)(r6 + 26) | r3 = *(u32 *)(r6 + 30) | r4 = *(u16 *)(r6 + 34) | r5 = *(u16 *)(r6 + 36) | r8 = 0 | r1 = map[1]
+-- stage 5: r2 = *(u32 *)(r6 + 26) | r3 = *(u32 *)(r6 + 30) | r4 = *(u16 *)(r6 + 34) | r5 = *(u16 *)(r6 + 36) | r8 = 0 | r1 = map[1] | r0 = 2
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -303,7 +303,7 @@ entity firewall_stage_005 is
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
     state_in   : in  std_logic_vector(640 downto 0);
-    state_out  : out std_logic_vector(1024 downto 0)
+    state_out  : out std_logic_vector(1088 downto 0)
   );
 end entity firewall_stage_005;
 
@@ -322,20 +322,21 @@ begin
         state_out(543 downto 528) <= state_in(543 downto 528);
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= (others => '0');  -- r1 defined here
-        state_out(704 downto 641) <= (others => '0');  -- r2 defined here
-        state_out(768 downto 705) <= (others => '0');  -- r3 defined here
-        state_out(832 downto 769) <= (others => '0');  -- r4 defined here
-        state_out(896 downto 833) <= (others => '0');  -- r5 defined here
-        state_out(960 downto 897) <= state_in(640 downto 577);  -- carry r6
-        state_out(1024 downto 961) <= (others => '0');  -- r8 defined here
+        state_out(640 downto 577) <= (others => '0');  -- r0 defined here
+        state_out(704 downto 641) <= (others => '0');  -- r1 defined here
+        state_out(768 downto 705) <= (others => '0');  -- r2 defined here
+        state_out(832 downto 769) <= (others => '0');  -- r3 defined here
+        state_out(896 downto 833) <= (others => '0');  -- r4 defined here
+        state_out(960 downto 897) <= (others => '0');  -- r5 defined here
+        state_out(1024 downto 961) <= state_in(640 downto 577);  -- carry r6
+        state_out(1088 downto 1025) <= (others => '0');  -- r8 defined here
         -- b2: r2 = *(u32 *)(r6 + 26)
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
           if unsigned(state_in(527 downto 512)) < to_unsigned(30, 16) then
             state_out(544) <= '1';
             state_out(576 downto 545) <= x"00000001";
           else
-            state_out(704 downto 641) <= std_logic_vector(resize(unsigned(state_in(239 downto 208)), 64));
+            state_out(768 downto 705) <= std_logic_vector(resize(unsigned(state_in(239 downto 208)), 64));
           end if;
         end if;
         -- b2: r3 = *(u32 *)(r6 + 30)
@@ -344,7 +345,7 @@ begin
             state_out(544) <= '1';
             state_out(576 downto 545) <= x"00000001";
           else
-            state_out(768 downto 705) <= std_logic_vector(resize(unsigned(state_in(271 downto 240)), 64));
+            state_out(832 downto 769) <= std_logic_vector(resize(unsigned(state_in(271 downto 240)), 64));
           end if;
         end if;
         -- b2: r4 = *(u16 *)(r6 + 34)
@@ -353,7 +354,7 @@ begin
             state_out(544) <= '1';
             state_out(576 downto 545) <= x"00000001";
           else
-            state_out(832 downto 769) <= std_logic_vector(resize(unsigned(state_in(287 downto 272)), 64));
+            state_out(896 downto 833) <= std_logic_vector(resize(unsigned(state_in(287 downto 272)), 64));
           end if;
         end if;
         -- b2: r5 = *(u16 *)(r6 + 36)
@@ -362,23 +363,27 @@ begin
             state_out(544) <= '1';
             state_out(576 downto 545) <= x"00000001";
           else
-            state_out(896 downto 833) <= std_logic_vector(resize(unsigned(state_in(303 downto 288)), 64));
+            state_out(960 downto 897) <= std_logic_vector(resize(unsigned(state_in(303 downto 288)), 64));
           end if;
         end if;
         -- b2: r8 = 0
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' and not (unsigned(state_in(527 downto 512)) < to_unsigned(30, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(34, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(36, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(38, 16)) then
-          state_out(1024 downto 961) <= x"0000000000000000";
+          state_out(1088 downto 1025) <= x"0000000000000000";
         end if;
         -- b2: r1 = map[1]
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' and not (unsigned(state_in(527 downto 512)) < to_unsigned(30, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(34, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(36, 16)) and not (unsigned(state_in(527 downto 512)) < to_unsigned(38, 16)) then
-          state_out(640 downto 577) <= x"0000000030000001";
+          state_out(704 downto 641) <= x"0000000030000001";
+        end if;
+        -- b6: r0 = 2
+        if valid_in = '1' and enable_in(6) = '1' and state_in(544) = '0' then
+          state_out(640 downto 577) <= x"0000000000000002";
         end if;
       end if;
     end if;
   end process;
 end architecture rtl;
 
--- stage 6: *(u32 *)(r10 - 16) = r2 | *(u32 *)(r10 - 12) = r3 | *(u16 *)(r10 - 8) = r4 | *(u16 *)(r10 - 6) = r5 | *(u32 *)(r10 - 4) = r8 | r2 = r10 | r2 += -16
+-- stage 6: *(u32 *)(r10 - 16) = r2 | *(u32 *)(r10 - 12) = r3 | *(u16 *)(r10 - 8) = r4 | *(u16 *)(r10 - 6) = r5 | *(u32 *)(r10 - 4) = r8 | r2 = r10 | r2 += -16 | exit
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -393,7 +398,7 @@ entity firewall_stage_006 is
     valid_out  : out std_logic;
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(1024 downto 0);
+    state_in   : in  std_logic_vector(1088 downto 0);
     state_out  : out std_logic_vector(896 downto 0)
   );
 end entity firewall_stage_006;
@@ -413,29 +418,29 @@ begin
         state_out(543 downto 528) <= state_in(543 downto 528);
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r1
-        state_out(704 downto 641) <= state_in(704 downto 641);  -- carry r2
-        state_out(768 downto 705) <= state_in(960 downto 897);  -- carry r6
+        state_out(640 downto 577) <= state_in(704 downto 641);  -- carry r1
+        state_out(704 downto 641) <= state_in(768 downto 705);  -- carry r2
+        state_out(768 downto 705) <= state_in(1024 downto 961);  -- carry r6
         state_out(896 downto 769) <= (others => '0');
         -- b2: *(u32 *)(r10 - 16) = r2
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
-          state_out(800 downto 769) <= std_logic_vector(resize(unsigned(state_in(704 downto 641)), 32));
+          state_out(800 downto 769) <= std_logic_vector(resize(unsigned(state_in(768 downto 705)), 32));
         end if;
         -- b2: *(u32 *)(r10 - 12) = r3
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
-          state_out(832 downto 801) <= std_logic_vector(resize(unsigned(state_in(768 downto 705)), 32));
+          state_out(832 downto 801) <= std_logic_vector(resize(unsigned(state_in(832 downto 769)), 32));
         end if;
         -- b2: *(u16 *)(r10 - 8) = r4
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
-          state_out(848 downto 833) <= std_logic_vector(resize(unsigned(state_in(832 downto 769)), 16));
+          state_out(848 downto 833) <= std_logic_vector(resize(unsigned(state_in(896 downto 833)), 16));
         end if;
         -- b2: *(u16 *)(r10 - 6) = r5
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
-          state_out(864 downto 849) <= std_logic_vector(resize(unsigned(state_in(896 downto 833)), 16));
+          state_out(864 downto 849) <= std_logic_vector(resize(unsigned(state_in(960 downto 897)), 16));
         end if;
         -- b2: *(u32 *)(r10 - 4) = r8
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
-          state_out(896 downto 865) <= std_logic_vector(resize(unsigned(state_in(1024 downto 961)), 32));
+          state_out(896 downto 865) <= std_logic_vector(resize(unsigned(state_in(1088 downto 1025)), 32));
         end if;
         -- b2: r2 = r10
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
@@ -444,6 +449,11 @@ begin
         -- b2: r2 += -16
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
           state_out(704 downto 641) <= std_logic_vector(unsigned((x"0000000000200200")) + unsigned(x"fffffffffffffff0"));
+        end if;
+        -- b6: exit
+        if valid_in = '1' and enable_in(6) = '1' and state_in(544) = '0' then
+          state_out(544) <= '1';
+          state_out(576 downto 545) <= std_logic_vector(resize(unsigned(state_in(640 downto 577)), 32));
         end if;
       end if;
     end if;
@@ -917,7 +927,7 @@ begin
   end process;
 end architecture rtl;
 
--- stage 15: r0 = 1
+-- stage 15: r0 = 1 | r1 = 1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -933,7 +943,7 @@ entity firewall_stage_015 is
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
     state_in   : in  std_logic_vector(640 downto 0);
-    state_out  : out std_logic_vector(640 downto 0)
+    state_out  : out std_logic_vector(704 downto 0)
   );
 end entity firewall_stage_015;
 
@@ -953,98 +963,11 @@ begin
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
         state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r0
+        state_out(704 downto 641) <= (others => '0');  -- r1 defined here
         -- b4: r0 = 1
         if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
           state_out(640 downto 577) <= x"0000000000000001";
         end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- stage 16: exit
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity firewall_stage_016 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(640 downto 0);
-    state_out  : out std_logic_vector(640 downto 0)
-  );
-end entity firewall_stage_016;
-
-architecture rtl of firewall_stage_016 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r0
-        -- b4: exit
-        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
-          state_out(544) <= '1';
-          state_out(576 downto 545) <= std_logic_vector(resize(unsigned(state_in(640 downto 577)), 32));
-        end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- stage 17: r1 = 1
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity firewall_stage_017 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(640 downto 0);
-    state_out  : out std_logic_vector(704 downto 0)
-  );
-end entity firewall_stage_017;
-
-architecture rtl of firewall_stage_017 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r0
-        state_out(704 downto 641) <= (others => '0');  -- r1 defined here
         -- b5: r1 = 1
         if valid_in = '1' and enable_in(5) = '1' and state_in(544) = '0' then
           state_out(704 downto 641) <= x"0000000000000001";
@@ -1054,13 +977,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 18: lock *(u64 *)(r0 + 0) += r1
+-- stage 16: exit | lock *(u64 *)(r0 + 0) += r1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity firewall_stage_018 is
+entity firewall_stage_016 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -1080,9 +1003,9 @@ entity firewall_stage_018 is
     ap_old      : in  std_logic_vector(63 downto 0);
     ap_oob      : in  std_logic
   );
-end entity firewall_stage_018;
+end entity firewall_stage_016;
 
-architecture rtl of firewall_stage_018 is
+architecture rtl of firewall_stage_016 is
 begin
   ap_req <= '1' when valid_in = '1' and enable_in(5) = '1' and state_in(544) = '0' else '0';
   ap_op <= x"00";
@@ -1103,6 +1026,11 @@ begin
         state_out(543 downto 528) <= state_in(543 downto 528);
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
+        -- b4: exit
+        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
+          state_out(544) <= '1';
+          state_out(576 downto 545) <= std_logic_vector(resize(unsigned(state_in(640 downto 577)), 32));
+        end if;
         -- b5: lock *(u64 *)(r0 + 0) += r1
         if valid_in = '1' and enable_in(5) = '1' and state_in(544) = '0' then
           if ap_oob = '1' then
@@ -1116,13 +1044,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 19: r0 = 3
+-- stage 17: r0 = 3
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity firewall_stage_019 is
+entity firewall_stage_017 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -1134,9 +1062,9 @@ entity firewall_stage_019 is
     state_in   : in  std_logic_vector(576 downto 0);
     state_out  : out std_logic_vector(640 downto 0)
   );
-end entity firewall_stage_019;
+end entity firewall_stage_017;
 
-architecture rtl of firewall_stage_019 is
+architecture rtl of firewall_stage_017 is
 begin
   process(clk)
   begin
@@ -1161,13 +1089,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 20: exit
+-- stage 18: exit
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity firewall_stage_020 is
+entity firewall_stage_018 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -1179,9 +1107,9 @@ entity firewall_stage_020 is
     state_in   : in  std_logic_vector(640 downto 0);
     state_out  : out std_logic_vector(576 downto 0)
   );
-end entity firewall_stage_020;
+end entity firewall_stage_018;
 
-architecture rtl of firewall_stage_020 is
+architecture rtl of firewall_stage_018 is
 begin
   process(clk)
   begin
@@ -1206,97 +1134,7 @@ begin
   end process;
 end architecture rtl;
 
--- stage 21: r0 = 2
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity firewall_stage_021 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(576 downto 0);
-    state_out  : out std_logic_vector(640 downto 0)
-  );
-end entity firewall_stage_021;
-
-architecture rtl of firewall_stage_021 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= (others => '0');  -- r0 defined here
-        -- b6: r0 = 2
-        if valid_in = '1' and enable_in(6) = '1' and state_in(544) = '0' then
-          state_out(640 downto 577) <= x"0000000000000002";
-        end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- stage 22: exit
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity firewall_stage_022 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(640 downto 0);
-    state_out  : out std_logic_vector(576 downto 0)
-  );
-end entity firewall_stage_022;
-
-architecture rtl of firewall_stage_022 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        -- b6: exit
-        if valid_in = '1' and enable_in(6) = '1' and state_in(544) = '0' then
-          state_out(544) <= '1';
-          state_out(576 downto 545) <= std_logic_vector(resize(unsigned(state_in(640 downto 577)), 32));
-        end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- top-level pipeline wrapper (22 stages)
+-- top-level pipeline wrapper (18 stages)
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -1351,7 +1189,7 @@ architecture rtl of ehdl_firewall is
   signal st4 : std_logic_vector(640 downto 0);
   signal v5 : std_logic;
   signal e5 : std_logic_vector(31 downto 0);
-  signal st5 : std_logic_vector(1024 downto 0);
+  signal st5 : std_logic_vector(1088 downto 0);
   signal v6 : std_logic;
   signal e6 : std_logic_vector(31 downto 0);
   signal st6 : std_logic_vector(896 downto 0);
@@ -1381,28 +1219,16 @@ architecture rtl of ehdl_firewall is
   signal st14 : std_logic_vector(640 downto 0);
   signal v15 : std_logic;
   signal e15 : std_logic_vector(31 downto 0);
-  signal st15 : std_logic_vector(640 downto 0);
+  signal st15 : std_logic_vector(704 downto 0);
   signal v16 : std_logic;
   signal e16 : std_logic_vector(31 downto 0);
-  signal st16 : std_logic_vector(640 downto 0);
+  signal st16 : std_logic_vector(576 downto 0);
   signal v17 : std_logic;
   signal e17 : std_logic_vector(31 downto 0);
-  signal st17 : std_logic_vector(704 downto 0);
+  signal st17 : std_logic_vector(640 downto 0);
   signal v18 : std_logic;
   signal e18 : std_logic_vector(31 downto 0);
   signal st18 : std_logic_vector(576 downto 0);
-  signal v19 : std_logic;
-  signal e19 : std_logic_vector(31 downto 0);
-  signal st19 : std_logic_vector(640 downto 0);
-  signal v20 : std_logic;
-  signal e20 : std_logic_vector(31 downto 0);
-  signal st20 : std_logic_vector(576 downto 0);
-  signal v21 : std_logic;
-  signal e21 : std_logic_vector(31 downto 0);
-  signal st21 : std_logic_vector(640 downto 0);
-  signal v22 : std_logic;
-  signal e22 : std_logic_vector(31 downto 0);
-  signal st22 : std_logic_vector(576 downto 0);
   signal flush_sig : std_logic;
   signal s7_mp0_req : std_logic;
   signal s7_mp0_op : std_logic_vector(7 downto 0);
@@ -1414,12 +1240,12 @@ architecture rtl of ehdl_firewall is
   signal s12_mp0_addr : std_logic_vector(63 downto 0);
   signal s12_mp0_key : std_logic_vector(127 downto 0);
   signal s12_mp0_wdata : std_logic_vector(63 downto 0);
-  signal s18_ap_req : std_logic;
-  signal s18_ap_op : std_logic_vector(7 downto 0);
-  signal s18_ap_size : std_logic_vector(3 downto 0);
-  signal s18_ap_addr : std_logic_vector(63 downto 0);
-  signal s18_ap_wdata : std_logic_vector(63 downto 0);
-  signal s18_ap_expected : std_logic_vector(63 downto 0);
+  signal s16_ap_req : std_logic;
+  signal s16_ap_op : std_logic_vector(7 downto 0);
+  signal s16_ap_size : std_logic_vector(3 downto 0);
+  signal s16_ap_addr : std_logic_vector(63 downto 0);
+  signal s16_ap_wdata : std_logic_vector(63 downto 0);
+  signal s16_ap_expected : std_logic_vector(63 downto 0);
   signal m1_ch0_req : std_logic;
   signal m1_ch0_op : std_logic_vector(7 downto 0);
   signal m1_ch0_addr : std_logic_vector(63 downto 0);
@@ -1647,7 +1473,15 @@ begin
     enable_in => e15,
     enable_out => e16,
     state_in => st15,
-    state_out => st16);
+    state_out => st16,
+    ap_req => s16_ap_req,
+    ap_op => s16_ap_op,
+    ap_size => s16_ap_size,
+    ap_addr => s16_ap_addr,
+    ap_wdata => s16_ap_wdata,
+    ap_expected => s16_ap_expected,
+    ap_old => m1_at_old,
+    ap_oob => m1_at_oob);
   s017 : entity work.firewall_stage_017 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1667,66 +1501,18 @@ begin
     enable_in => e17,
     enable_out => e18,
     state_in => st17,
-    state_out => st18,
-    ap_req => s18_ap_req,
-    ap_op => s18_ap_op,
-    ap_size => s18_ap_size,
-    ap_addr => s18_ap_addr,
-    ap_wdata => s18_ap_wdata,
-    ap_expected => s18_ap_expected,
-    ap_old => m1_at_old,
-    ap_oob => m1_at_oob);
-  s019 : entity work.firewall_stage_019 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v18,
-    valid_out => v19,
-    enable_in => e18,
-    enable_out => e19,
-    state_in => st18,
-    state_out => st19);
-  s020 : entity work.firewall_stage_020 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v19,
-    valid_out => v20,
-    enable_in => e19,
-    enable_out => e20,
-    state_in => st19,
-    state_out => st20);
-  s021 : entity work.firewall_stage_021 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v20,
-    valid_out => v21,
-    enable_in => e20,
-    enable_out => e21,
-    state_in => st20,
-    state_out => st21);
-  s022 : entity work.firewall_stage_022 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v21,
-    valid_out => v22,
-    enable_in => e21,
-    enable_out => e22,
-    state_in => st21,
-    state_out => st22);
+    state_out => st18);
   m1_ch0_req <= s7_mp0_req or s12_mp0_req;
   m1_ch0_op <= s7_mp0_op when s7_mp0_req = '1' else s12_mp0_op when s12_mp0_req = '1' else (others => '0');
   m1_ch0_addr <= s7_mp0_addr when s7_mp0_req = '1' else s12_mp0_addr when s12_mp0_req = '1' else (others => '0');
   m1_ch0_key <= s7_mp0_key when s7_mp0_req = '1' else s12_mp0_key when s12_mp0_req = '1' else (others => '0');
   m1_ch0_wdata <= s7_mp0_wdata when s7_mp0_req = '1' else s12_mp0_wdata when s12_mp0_req = '1' else (others => '0');
-  m1_at_req <= s18_ap_req;
-  m1_at_op <= s18_ap_op when s18_ap_req = '1' else (others => '0');
-  m1_at_size <= s18_ap_size when s18_ap_req = '1' else (others => '0');
-  m1_at_addr <= s18_ap_addr when s18_ap_req = '1' else (others => '0');
-  m1_at_wdata <= s18_ap_wdata when s18_ap_req = '1' else (others => '0');
-  m1_at_expected <= s18_ap_expected when s18_ap_req = '1' else (others => '0');
+  m1_at_req <= s16_ap_req;
+  m1_at_op <= s16_ap_op when s16_ap_req = '1' else (others => '0');
+  m1_at_size <= s16_ap_size when s16_ap_req = '1' else (others => '0');
+  m1_at_addr <= s16_ap_addr when s16_ap_req = '1' else (others => '0');
+  m1_at_wdata <= s16_ap_wdata when s16_ap_req = '1' else (others => '0');
+  m1_at_expected <= s16_ap_expected when s16_ap_req = '1' else (others => '0');
   m001 : entity work.firewall_map_1 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1751,10 +1537,10 @@ begin
     host_wdata => m1_host_wdata,
     host_rdata => m1_host_rdata);
   flush_sig <= '0';
-  fifo_out_bus(576 downto 0) <= st22;
+  fifo_out_bus(576 downto 0) <= st18;
   output_fifo : entity work.ehdl_async_fifo port map (
     wr_clk => pipe_clk, rd_clk => shell_clk, rst => rst,
-    wr_en => v22, wr_data => fifo_out_bus,
+    wr_en => v18, wr_data => fifo_out_bus,
     rd_en => tie_one, rd_data => fifo_out_q,
     empty => fifo_out_empty, full => fifo_out_full);
   m_axis_tvalid <= not fifo_out_empty;

@@ -1,6 +1,6 @@
--- toy_counter: eHDL-generated pipeline (17 stages, 11 blocks)
+-- toy_counter: eHDL-generated pipeline (15 stages, 11 blocks)
 -- top: ehdl_toy_counter
--- window plan (bytes per link): 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64
+-- window plan (bytes per link): 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64 64
 -- enable width: 32  frame size: 64
 
 library ieee;
@@ -256,7 +256,7 @@ begin
   end process;
 end architecture rtl;
 
--- stage 4: if r1 == 2054 goto +5
+-- stage 4: if r1 == 2054 goto +5 | r1 = 2 | goto +1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -301,12 +301,21 @@ begin
             enable_out(2) <= '1';
           end if;
         end if;
+        -- b4: r1 = 2
+        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
+          state_out(640 downto 577) <= x"0000000000000002";
+        end if;
+        -- b4: goto +1
+        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
+          enable_out(6) <= '1';
+          enable_out(6) <= '1';
+        end if;
       end if;
     end if;
   end process;
 end architecture rtl;
 
--- stage 5: if r1 != 2048 goto +6
+-- stage 5: if r1 != 2048 goto +6 | r1 = 3
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -322,7 +331,7 @@ entity toy_counter_stage_005 is
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
     state_in   : in  std_logic_vector(672 downto 0);
-    state_out  : out std_logic_vector(608 downto 0)
+    state_out  : out std_logic_vector(672 downto 0)
   );
 end entity toy_counter_stage_005;
 
@@ -341,7 +350,8 @@ begin
         state_out(543 downto 528) <= state_in(543 downto 528);
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(608 downto 577) <= state_in(672 downto 641);
+        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r1
+        state_out(672 downto 641) <= state_in(672 downto 641);
         -- b2: if r1 != 2048 goto +6
         if valid_in = '1' and enable_in(2) = '1' and state_in(544) = '0' then
           if unsigned(state_in(640 downto 577)) /= unsigned(x"0000000000000800") then
@@ -349,6 +359,11 @@ begin
           else
             enable_out(3) <= '1';
           end if;
+        end if;
+        -- b5: r1 = 3
+        if valid_in = '1' and enable_in(5) = '1' and state_in(544) = '0' then
+          state_out(640 downto 577) <= x"0000000000000003";
+          enable_out(6) <= '1';
         end if;
       end if;
     end if;
@@ -370,7 +385,7 @@ entity toy_counter_stage_006 is
     valid_out  : out std_logic;
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(608 downto 0);
+    state_in   : in  std_logic_vector(672 downto 0);
     state_out  : out std_logic_vector(672 downto 0)
   );
 end entity toy_counter_stage_006;
@@ -390,8 +405,8 @@ begin
         state_out(543 downto 528) <= state_in(543 downto 528);
         state_out(544) <= state_in(544);
         state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= (others => '0');  -- r1 defined here
-        state_out(672 downto 641) <= state_in(608 downto 577);
+        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r1
+        state_out(672 downto 641) <= state_in(672 downto 641);
         -- b3: r1 = 1
         if valid_in = '1' and enable_in(3) = '1' and state_in(544) = '0' then
           state_out(640 downto 577) <= x"0000000000000001";
@@ -406,7 +421,7 @@ begin
   end process;
 end architecture rtl;
 
--- stage 7: r1 = 2 | goto +1
+-- stage 7: *(u32 *)(r10 - 4) = r1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -422,109 +437,11 @@ entity toy_counter_stage_007 is
     enable_in  : in  std_logic_vector(31 downto 0);
     enable_out : out std_logic_vector(31 downto 0);
     state_in   : in  std_logic_vector(672 downto 0);
-    state_out  : out std_logic_vector(672 downto 0)
+    state_out  : out std_logic_vector(608 downto 0)
   );
 end entity toy_counter_stage_007;
 
 architecture rtl of toy_counter_stage_007 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r1
-        state_out(672 downto 641) <= state_in(672 downto 641);
-        -- b4: r1 = 2
-        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
-          state_out(640 downto 577) <= x"0000000000000002";
-        end if;
-        -- b4: goto +1
-        if valid_in = '1' and enable_in(4) = '1' and state_in(544) = '0' then
-          enable_out(6) <= '1';
-          enable_out(6) <= '1';
-        end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- stage 8: r1 = 3
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity toy_counter_stage_008 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(672 downto 0);
-    state_out  : out std_logic_vector(672 downto 0)
-  );
-end entity toy_counter_stage_008;
-
-architecture rtl of toy_counter_stage_008 is
-begin
-  process(clk)
-  begin
-    if rising_edge(clk) then
-      if rst = '1' or flush = '1' then
-        valid_out <= '0';
-      else
-        valid_out <= valid_in;
-        enable_out <= enable_in;  -- predication fan-through
-        state_out(511 downto 0) <= state_in(511 downto 0);
-        state_out(527 downto 512) <= state_in(527 downto 512);
-        state_out(543 downto 528) <= state_in(543 downto 528);
-        state_out(544) <= state_in(544);
-        state_out(576 downto 545) <= state_in(576 downto 545);
-        state_out(640 downto 577) <= state_in(640 downto 577);  -- carry r1
-        state_out(672 downto 641) <= state_in(672 downto 641);
-        -- b5: r1 = 3
-        if valid_in = '1' and enable_in(5) = '1' and state_in(544) = '0' then
-          state_out(640 downto 577) <= x"0000000000000003";
-          enable_out(6) <= '1';
-        end if;
-      end if;
-    end if;
-  end process;
-end architecture rtl;
-
--- stage 9: *(u32 *)(r10 - 4) = r1
-library ieee;
-use ieee.std_logic_1164.all;
-use ieee.numeric_std.all;
-use work.ehdl_pkg.all;
-
-entity toy_counter_stage_009 is
-  port (
-    clk        : in  std_logic;
-    rst        : in  std_logic;
-    flush      : in  std_logic;
-    valid_in   : in  std_logic;
-    valid_out  : out std_logic;
-    enable_in  : in  std_logic_vector(31 downto 0);
-    enable_out : out std_logic_vector(31 downto 0);
-    state_in   : in  std_logic_vector(672 downto 0);
-    state_out  : out std_logic_vector(608 downto 0)
-  );
-end entity toy_counter_stage_009;
-
-architecture rtl of toy_counter_stage_009 is
 begin
   process(clk)
   begin
@@ -550,13 +467,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 10: r2 = r10 | r2 += -4 | r1 = map[1]
+-- stage 8: r2 = r10 | r2 += -4 | r1 = map[1]
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_010 is
+entity toy_counter_stage_008 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -568,9 +485,9 @@ entity toy_counter_stage_010 is
     state_in   : in  std_logic_vector(608 downto 0);
     state_out  : out std_logic_vector(736 downto 0)
   );
-end entity toy_counter_stage_010;
+end entity toy_counter_stage_008;
 
-architecture rtl of toy_counter_stage_010 is
+architecture rtl of toy_counter_stage_008 is
 begin
   process(clk)
   begin
@@ -605,13 +522,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 11: call 1
+-- stage 9: call 1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_011 is
+entity toy_counter_stage_009 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -630,9 +547,9 @@ entity toy_counter_stage_011 is
     mp0_rdata : in  std_logic_vector(63 downto 0);
     mp0_oob   : in  std_logic
   );
-end entity toy_counter_stage_011;
+end entity toy_counter_stage_009;
 
-architecture rtl of toy_counter_stage_011 is
+architecture rtl of toy_counter_stage_009 is
 begin
   mp0_req <= '1' when valid_in = '1' and enable_in(7) = '1' and state_in(544) = '0' else '0';
   mp0_op <= x"01";
@@ -667,13 +584,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 12: (helper_latency)
+-- stage 10: (helper_latency)
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_012 is
+entity toy_counter_stage_010 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -685,9 +602,9 @@ entity toy_counter_stage_012 is
     state_in   : in  std_logic_vector(640 downto 0);
     state_out  : out std_logic_vector(640 downto 0)
   );
-end entity toy_counter_stage_012;
+end entity toy_counter_stage_010;
 
-architecture rtl of toy_counter_stage_012 is
+architecture rtl of toy_counter_stage_010 is
 begin
   process(clk)
   begin
@@ -708,13 +625,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 13: r1 = r0 | r0 = 3
+-- stage 11: r1 = r0 | r0 = 3
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_013 is
+entity toy_counter_stage_011 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -726,9 +643,9 @@ entity toy_counter_stage_013 is
     state_in   : in  std_logic_vector(640 downto 0);
     state_out  : out std_logic_vector(704 downto 0)
   );
-end entity toy_counter_stage_013;
+end entity toy_counter_stage_011;
 
-architecture rtl of toy_counter_stage_013 is
+architecture rtl of toy_counter_stage_011 is
 begin
   process(clk)
   begin
@@ -758,13 +675,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 14: if r1 == 0 goto +2
+-- stage 12: if r1 == 0 goto +2
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_014 is
+entity toy_counter_stage_012 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -776,9 +693,9 @@ entity toy_counter_stage_014 is
     state_in   : in  std_logic_vector(704 downto 0);
     state_out  : out std_logic_vector(704 downto 0)
   );
-end entity toy_counter_stage_014;
+end entity toy_counter_stage_012;
 
-architecture rtl of toy_counter_stage_014 is
+architecture rtl of toy_counter_stage_012 is
 begin
   process(clk)
   begin
@@ -808,13 +725,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 15: r2 = 1
+-- stage 13: r2 = 1
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_015 is
+entity toy_counter_stage_013 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -826,9 +743,9 @@ entity toy_counter_stage_015 is
     state_in   : in  std_logic_vector(704 downto 0);
     state_out  : out std_logic_vector(768 downto 0)
   );
-end entity toy_counter_stage_015;
+end entity toy_counter_stage_013;
 
-architecture rtl of toy_counter_stage_015 is
+architecture rtl of toy_counter_stage_013 is
 begin
   process(clk)
   begin
@@ -855,13 +772,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 16: lock *(u64 *)(r1 + 0) += r2
+-- stage 14: lock *(u64 *)(r1 + 0) += r2
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_016 is
+entity toy_counter_stage_014 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -881,9 +798,9 @@ entity toy_counter_stage_016 is
     ap_old      : in  std_logic_vector(63 downto 0);
     ap_oob      : in  std_logic
   );
-end entity toy_counter_stage_016;
+end entity toy_counter_stage_014;
 
-architecture rtl of toy_counter_stage_016 is
+architecture rtl of toy_counter_stage_014 is
 begin
   ap_req <= '1' when valid_in = '1' and enable_in(8) = '1' and state_in(544) = '0' else '0';
   ap_op <= x"00";
@@ -919,13 +836,13 @@ begin
   end process;
 end architecture rtl;
 
--- stage 17: exit
+-- stage 15: exit
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 use work.ehdl_pkg.all;
 
-entity toy_counter_stage_017 is
+entity toy_counter_stage_015 is
   port (
     clk        : in  std_logic;
     rst        : in  std_logic;
@@ -937,9 +854,9 @@ entity toy_counter_stage_017 is
     state_in   : in  std_logic_vector(640 downto 0);
     state_out  : out std_logic_vector(576 downto 0)
   );
-end entity toy_counter_stage_017;
+end entity toy_counter_stage_015;
 
-architecture rtl of toy_counter_stage_017 is
+architecture rtl of toy_counter_stage_015 is
 begin
   process(clk)
   begin
@@ -964,7 +881,7 @@ begin
   end process;
 end architecture rtl;
 
--- top-level pipeline wrapper (17 stages)
+-- top-level pipeline wrapper (15 stages)
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
@@ -1019,55 +936,49 @@ architecture rtl of ehdl_toy_counter is
   signal st4 : std_logic_vector(672 downto 0);
   signal v5 : std_logic;
   signal e5 : std_logic_vector(31 downto 0);
-  signal st5 : std_logic_vector(608 downto 0);
+  signal st5 : std_logic_vector(672 downto 0);
   signal v6 : std_logic;
   signal e6 : std_logic_vector(31 downto 0);
   signal st6 : std_logic_vector(672 downto 0);
   signal v7 : std_logic;
   signal e7 : std_logic_vector(31 downto 0);
-  signal st7 : std_logic_vector(672 downto 0);
+  signal st7 : std_logic_vector(608 downto 0);
   signal v8 : std_logic;
   signal e8 : std_logic_vector(31 downto 0);
-  signal st8 : std_logic_vector(672 downto 0);
+  signal st8 : std_logic_vector(736 downto 0);
   signal v9 : std_logic;
   signal e9 : std_logic_vector(31 downto 0);
-  signal st9 : std_logic_vector(608 downto 0);
+  signal st9 : std_logic_vector(640 downto 0);
   signal v10 : std_logic;
   signal e10 : std_logic_vector(31 downto 0);
-  signal st10 : std_logic_vector(736 downto 0);
+  signal st10 : std_logic_vector(640 downto 0);
   signal v11 : std_logic;
   signal e11 : std_logic_vector(31 downto 0);
-  signal st11 : std_logic_vector(640 downto 0);
+  signal st11 : std_logic_vector(704 downto 0);
   signal v12 : std_logic;
   signal e12 : std_logic_vector(31 downto 0);
-  signal st12 : std_logic_vector(640 downto 0);
+  signal st12 : std_logic_vector(704 downto 0);
   signal v13 : std_logic;
   signal e13 : std_logic_vector(31 downto 0);
-  signal st13 : std_logic_vector(704 downto 0);
+  signal st13 : std_logic_vector(768 downto 0);
   signal v14 : std_logic;
   signal e14 : std_logic_vector(31 downto 0);
-  signal st14 : std_logic_vector(704 downto 0);
+  signal st14 : std_logic_vector(640 downto 0);
   signal v15 : std_logic;
   signal e15 : std_logic_vector(31 downto 0);
-  signal st15 : std_logic_vector(768 downto 0);
-  signal v16 : std_logic;
-  signal e16 : std_logic_vector(31 downto 0);
-  signal st16 : std_logic_vector(640 downto 0);
-  signal v17 : std_logic;
-  signal e17 : std_logic_vector(31 downto 0);
-  signal st17 : std_logic_vector(576 downto 0);
+  signal st15 : std_logic_vector(576 downto 0);
   signal flush_sig : std_logic;
-  signal s11_mp0_req : std_logic;
-  signal s11_mp0_op : std_logic_vector(7 downto 0);
-  signal s11_mp0_addr : std_logic_vector(63 downto 0);
-  signal s11_mp0_key : std_logic_vector(31 downto 0);
-  signal s11_mp0_wdata : std_logic_vector(63 downto 0);
-  signal s16_ap_req : std_logic;
-  signal s16_ap_op : std_logic_vector(7 downto 0);
-  signal s16_ap_size : std_logic_vector(3 downto 0);
-  signal s16_ap_addr : std_logic_vector(63 downto 0);
-  signal s16_ap_wdata : std_logic_vector(63 downto 0);
-  signal s16_ap_expected : std_logic_vector(63 downto 0);
+  signal s9_mp0_req : std_logic;
+  signal s9_mp0_op : std_logic_vector(7 downto 0);
+  signal s9_mp0_addr : std_logic_vector(63 downto 0);
+  signal s9_mp0_key : std_logic_vector(31 downto 0);
+  signal s9_mp0_wdata : std_logic_vector(63 downto 0);
+  signal s14_ap_req : std_logic;
+  signal s14_ap_op : std_logic_vector(7 downto 0);
+  signal s14_ap_size : std_logic_vector(3 downto 0);
+  signal s14_ap_addr : std_logic_vector(63 downto 0);
+  signal s14_ap_wdata : std_logic_vector(63 downto 0);
+  signal s14_ap_expected : std_logic_vector(63 downto 0);
   signal m1_ch0_req : std_logic;
   signal m1_ch0_op : std_logic_vector(7 downto 0);
   signal m1_ch0_addr : std_logic_vector(63 downto 0);
@@ -1211,7 +1122,14 @@ begin
     enable_in => e8,
     enable_out => e9,
     state_in => st8,
-    state_out => st9);
+    state_out => st9,
+    mp0_req => s9_mp0_req,
+    mp0_op => s9_mp0_op,
+    mp0_addr => s9_mp0_addr,
+    mp0_key => s9_mp0_key,
+    mp0_wdata => s9_mp0_wdata,
+    mp0_rdata => m1_ch0_rdata,
+    mp0_oob => m1_ch0_oob);
   s010 : entity work.toy_counter_stage_010 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1231,14 +1149,7 @@ begin
     enable_in => e10,
     enable_out => e11,
     state_in => st10,
-    state_out => st11,
-    mp0_req => s11_mp0_req,
-    mp0_op => s11_mp0_op,
-    mp0_addr => s11_mp0_addr,
-    mp0_key => s11_mp0_key,
-    mp0_wdata => s11_mp0_wdata,
-    mp0_rdata => m1_ch0_rdata,
-    mp0_oob => m1_ch0_oob);
+    state_out => st11);
   s012 : entity work.toy_counter_stage_012 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1268,7 +1179,15 @@ begin
     enable_in => e13,
     enable_out => e14,
     state_in => st13,
-    state_out => st14);
+    state_out => st14,
+    ap_req => s14_ap_req,
+    ap_op => s14_ap_op,
+    ap_size => s14_ap_size,
+    ap_addr => s14_ap_addr,
+    ap_wdata => s14_ap_wdata,
+    ap_expected => s14_ap_expected,
+    ap_old => m1_at_old,
+    ap_oob => m1_at_oob);
   s015 : entity work.toy_counter_stage_015 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1279,45 +1198,17 @@ begin
     enable_out => e15,
     state_in => st14,
     state_out => st15);
-  s016 : entity work.toy_counter_stage_016 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v15,
-    valid_out => v16,
-    enable_in => e15,
-    enable_out => e16,
-    state_in => st15,
-    state_out => st16,
-    ap_req => s16_ap_req,
-    ap_op => s16_ap_op,
-    ap_size => s16_ap_size,
-    ap_addr => s16_ap_addr,
-    ap_wdata => s16_ap_wdata,
-    ap_expected => s16_ap_expected,
-    ap_old => m1_at_old,
-    ap_oob => m1_at_oob);
-  s017 : entity work.toy_counter_stage_017 port map (
-    clk => pipe_clk,
-    rst => rst,
-    flush => flush_sig,
-    valid_in => v16,
-    valid_out => v17,
-    enable_in => e16,
-    enable_out => e17,
-    state_in => st16,
-    state_out => st17);
-  m1_ch0_req <= s11_mp0_req;
-  m1_ch0_op <= s11_mp0_op when s11_mp0_req = '1' else (others => '0');
-  m1_ch0_addr <= s11_mp0_addr when s11_mp0_req = '1' else (others => '0');
-  m1_ch0_key <= s11_mp0_key when s11_mp0_req = '1' else (others => '0');
-  m1_ch0_wdata <= s11_mp0_wdata when s11_mp0_req = '1' else (others => '0');
-  m1_at_req <= s16_ap_req;
-  m1_at_op <= s16_ap_op when s16_ap_req = '1' else (others => '0');
-  m1_at_size <= s16_ap_size when s16_ap_req = '1' else (others => '0');
-  m1_at_addr <= s16_ap_addr when s16_ap_req = '1' else (others => '0');
-  m1_at_wdata <= s16_ap_wdata when s16_ap_req = '1' else (others => '0');
-  m1_at_expected <= s16_ap_expected when s16_ap_req = '1' else (others => '0');
+  m1_ch0_req <= s9_mp0_req;
+  m1_ch0_op <= s9_mp0_op when s9_mp0_req = '1' else (others => '0');
+  m1_ch0_addr <= s9_mp0_addr when s9_mp0_req = '1' else (others => '0');
+  m1_ch0_key <= s9_mp0_key when s9_mp0_req = '1' else (others => '0');
+  m1_ch0_wdata <= s9_mp0_wdata when s9_mp0_req = '1' else (others => '0');
+  m1_at_req <= s14_ap_req;
+  m1_at_op <= s14_ap_op when s14_ap_req = '1' else (others => '0');
+  m1_at_size <= s14_ap_size when s14_ap_req = '1' else (others => '0');
+  m1_at_addr <= s14_ap_addr when s14_ap_req = '1' else (others => '0');
+  m1_at_wdata <= s14_ap_wdata when s14_ap_req = '1' else (others => '0');
+  m1_at_expected <= s14_ap_expected when s14_ap_req = '1' else (others => '0');
   m001 : entity work.toy_counter_map_1 port map (
     clk => pipe_clk,
     rst => rst,
@@ -1342,10 +1233,10 @@ begin
     host_wdata => m1_host_wdata,
     host_rdata => m1_host_rdata);
   flush_sig <= '0';
-  fifo_out_bus(576 downto 0) <= st17;
+  fifo_out_bus(576 downto 0) <= st15;
   output_fifo : entity work.ehdl_async_fifo port map (
     wr_clk => pipe_clk, rd_clk => shell_clk, rst => rst,
-    wr_en => v17, wr_data => fifo_out_bus,
+    wr_en => v15, wr_data => fifo_out_bus,
     rd_en => tie_one, rd_data => fifo_out_q,
     empty => fifo_out_empty, full => fifo_out_full);
   m_axis_tvalid <= not fifo_out_empty;

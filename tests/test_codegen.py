@@ -124,28 +124,36 @@ class TestGolden:
 
 
 class TestDigests:
-    """sha256 of both generated artifacts for every app.
+    """sha256 of both generated artifacts for every app, in both layouts.
 
     The full-text goldens cover three apps; a refactor that must leave
     the emitters' output alone is held to all thirteen by this manifest
     (``tests/corpus/codegen/DIGESTS.json``), rewritten by
-    ``pytest --update-golden`` like the snapshots above.
+    ``pytest --update-golden`` like the snapshots above. The ``paper_``
+    artifacts are compiled with ``path_parallel=False``: §3.3's layout,
+    whose text has not moved since before the default layout existed.
     """
 
     PATH = Path(__file__).parent / "corpus" / "codegen" / "DIGESTS.json"
     APPS = sorted(name for name in apps.__all__ if name.islower())
+    LAYOUTS = {"": CompileOptions(),
+               "paper_": CompileOptions(path_parallel=False)}
 
     def test_every_app_matches_the_manifest(self, request):
         actual = {}
         for app in self.APPS:
-            pipeline = compile_program(getattr(apps, app).build())
-            actual[app] = {
-                artifact: hashlib.sha256(text.encode()).hexdigest()
-                for artifact, text in (
-                    ("codegen_source", pipeline.codegen_source),
-                    ("vhdl", emit_vhdl(pipeline)),
-                )
-            }
+            actual[app] = {}
+            for prefix, options in self.LAYOUTS.items():
+                pipeline = compile_program(getattr(apps, app).build(),
+                                           options)
+                actual[app].update({
+                    prefix + artifact: hashlib.sha256(
+                        text.encode()).hexdigest()
+                    for artifact, text in (
+                        ("codegen_source", pipeline.codegen_source),
+                        ("vhdl", emit_vhdl(pipeline)),
+                    )
+                })
         if request.config.getoption("--update-golden"):
             self.PATH.write_text(json.dumps(actual, indent=2) + "\n")
             pytest.skip(f"digest manifest {self.PATH.name} regenerated")
@@ -154,6 +162,8 @@ class TestDigests:
         )
         expected = json.loads(self.PATH.read_text())
         assert sorted(expected) == self.APPS
+        assert all(sorted(expected[app]) == sorted(actual[app])
+                   for app in self.APPS)
         moved = [
             f"{app}: {artifact}"
             for app in self.APPS
@@ -829,9 +839,9 @@ class TestStreamBlockers:
 
     @pytest.mark.parametrize("app,module,reason", [
         ("leaky_bucket", leaky_bucket,
-         "flush plan on map 1 (stages 8-25) not covered by a window"),
+         "flush plan on map 1 (stages 8-18) not covered by a window"),
         ("dnat", dnat,
-         "flush plan on map 1 (stages 8-21) not covered by a window"),
+         "flush plan on map 1 (stages 8-20) not covered by a window"),
     ])
     def test_flush_plan_without_a_window(self, app, module, reason):
         _build, setup, frames = APP_CASES[app]
@@ -1009,8 +1019,8 @@ class TestSparseAdvance:
     snapshots always."""
 
     APPS = {"leaky_bucket": leaky_bucket, "dnat": dnat}
-    SITES = {"leaky_bucket": [2, 6, 8, 12, 19, 21, 25],
-             "dnat": [2, 8, 11, 14, 18, 21, 27]}
+    SITES = {"leaky_bucket": [2, 6, 8, 12, 18],
+             "dnat": [2, 8, 11, 13, 17, 20, 26]}
     RMW = TestInterleavedRmwRegression()._program()
     # both slots of the two-entry array, touched in every order
     RMW_FRAMES = [bytes([b0]) + bytes(24) + bytes([b25]) + bytes(38)
@@ -1068,10 +1078,10 @@ class TestSparseAdvance:
 
     def test_unresolved_access_refuses(self):
         program, pipeline = self._app("leaky_bucket")
-        blind = _unresolved(pipeline, 19, label=None)
+        blind = _unresolved(pipeline, 18, label=None)
         want = self._check_refused(
             blind, program, _zipf_frames(flows=6),
-            "the access at stage 19 has an unresolved region")
+            "the access at stage 18 has an unresolved region")
         assert want["hazards"][0] > 0
 
     def test_unresolved_map_call_refuses(self):

@@ -113,6 +113,7 @@ class TestOptions:
             "enable_fusion", "max_fuse_chain", "enable_pruning",
             "elide_bounds_checks", "dead_code_elimination",
             "elide_ctx_loads", "unroll_loops", "max_row_width",
+            "path_parallel",
         }
         with pytest.raises(TypeError):
             CompileOptions(clock_mhz=250.0)

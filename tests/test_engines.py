@@ -344,9 +344,9 @@ class TestCliEngineFlag:
         assert main(["stats", "app:leaky_bucket"]) == 0
         out = capsys.readouterr().out
         assert ("engine path: cycle-loop (flush plan on map 1 "
-                "(stages 8-25) not covered by a window") in out
+                "(stages 8-18) not covered by a window") in out
         # ... and what the generated cycle loop is specialised to
-        assert ("not covered by a window; advance visits 7 of 29 stages, "
+        assert ("not covered by a window; advance visits 5 of 20 stages, "
                 "snapshots elided)\n") in out
 
     def test_run_engine_fast_rejected_by_argparse(self, capsys, prog_file):

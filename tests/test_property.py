@@ -24,7 +24,12 @@ from repro.ebpf.verifier import VerifierError, verify
 from repro.ebpf.vm import Vm
 from repro.hwsim import PipelineSimulator, SimOptions, run_differential
 from repro.net.packet import checksum16
-from tests.test_property_maps import map_programs, packet_batches
+from tests.test_property_maps import (
+    LAYOUTS,
+    differential_both_layouts,
+    map_programs,
+    packet_batches,
+)
 
 # ---------------------------------------------------------------------------
 # random program generation
@@ -159,7 +164,8 @@ class TestRandomProgramEquivalence:
     @given(prog=random_programs(), frames=st.lists(packets(), min_size=1, max_size=6))
     def test_pipeline_matches_vm(self, prog, frames):
         verify(prog)  # generated programs must be valid by construction
-        run_differential(prog, frames).raise_on_mismatch()
+        for result in differential_both_layouts(prog, frames):
+            result.raise_on_mismatch()
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -226,26 +232,30 @@ class TestRandomProgramEquivalence:
         the hardwired R10/R1."""
         from repro.core.liveness import regs_read
 
-        pipe = compile_program(prog)
-        entry_written = {isa.R1, isa.R10}
-        for op in pipe.entry_ops:
-            entry_written |= set(op.insn.regs_written())
-        written_so_far = set(entry_written)
-        for stage in pipe.stages:
-            produced = set()
-            for op in stage.ops:
-                for r in regs_read(op.insn):
-                    if r in (isa.R10, isa.R1):
-                        continue
-                    if r in produced:
-                        continue
-                    if r not in written_so_far:
-                        continue  # reading junk: verifier-unreachable path
-                    assert r in stage.live_in_regs or r in produced, (
-                        f"stage {stage.number} reads r{r} but does not carry it"
-                    )
-                produced |= set(op.insn.regs_written())
-            written_so_far |= produced
+        for options in LAYOUTS:
+            pipe = compile_program(prog, options)
+            entry_written = {isa.R1, isa.R10}
+            for op in pipe.entry_ops:
+                entry_written |= set(op.insn.regs_written())
+            written_so_far = set(entry_written)
+            for stage in pipe.stages:
+                # in-stage forwarding stays inside a block: exclusive
+                # blocks sharing the stage never see each other's results
+                produced = {op.block_id: set() for op in stage.ops}
+                for op in stage.ops:
+                    mine = produced[op.block_id]
+                    for r in regs_read(op.insn):
+                        if r in (isa.R10, isa.R1) or r in mine:
+                            continue
+                        if r not in written_so_far:
+                            continue  # reading junk: verifier-unreachable path
+                        assert r in stage.live_in_regs, (
+                            f"stage {stage.number} reads r{r} but does not "
+                            "carry it"
+                        )
+                    mine |= set(op.insn.regs_written())
+                for regs in produced.values():
+                    written_so_far |= regs
 
 
 # ---------------------------------------------------------------------------

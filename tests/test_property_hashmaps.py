@@ -13,6 +13,7 @@ import pytest
 
 from repro.ebpf.builder import ProgramBuilder
 from repro.hwsim import run_differential
+from tests.test_property_maps import differential_both_layouts
 
 PACKET_DEPTH = 16
 TRIALS = 60
@@ -112,18 +113,18 @@ class TestRandomHashPrograms:
             program, ops = build_program(rng)
             frames = frames_for(rng)
             gap = rng.choice([1, 1, 1, 2, 3])
-            result = run_differential(program, frames, gap=gap)
-            if _replay_divergence_risk(ops):
-                bad = [m for m in result.mismatches
-                       if m.index >= 0 and m.what == "action"]
-                assert not bad, (
-                    f"seed={seed} trial={trial} ops={ops}: {bad}"
-                )
-            else:
-                assert result.ok, (
-                    f"seed={seed} trial={trial} ops={ops} gap={gap}: "
-                    f"{result.mismatches[0]}"
-                )
+            for result in differential_both_layouts(program, frames, gap=gap):
+                if _replay_divergence_risk(ops):
+                    bad = [m for m in result.mismatches
+                           if m.index >= 0 and m.what.endswith(" action")]
+                    assert not bad, (
+                        f"seed={seed} trial={trial} ops={ops}: {bad}"
+                    )
+                else:
+                    assert result.ok, (
+                        f"seed={seed} trial={trial} ops={ops} gap={gap}: "
+                        f"{result.mismatches[0]}"
+                    )
 
     def test_insert_race_two_packets(self):
         # the DNAT shape: both packets miss, first inserts, second must
@@ -163,7 +164,8 @@ class TestRandomHashPrograms:
         b.mov_imm(0, 1)
         b.exit()
         prog = b.build()
-        run_differential(prog, [bytes(64)] * 6).raise_on_mismatch()
+        for result in differential_both_layouts(prog, [bytes(64)] * 6):
+            result.raise_on_mismatch()
 
     def test_delete_reinsert_cycle_spaced(self):
         # with no overlap even delete churn is exact

@@ -11,12 +11,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import compile_program
+from repro.core import CompileOptions, compile_program
 from repro.ebpf.builder import ProgramBuilder
 from repro.ebpf.verifier import verify
 from repro.hwsim import run_differential
 
 PACKET_DEPTH = 32
+
+# Both schedule layouts, each through the reference and both pipeline
+# engines: exclusive blocks sharing stages (the default) and §3.3's one
+# block per stage.
+LAYOUTS = (CompileOptions(), CompileOptions(path_parallel=False))
+ENGINES = ("vm", "interpreted", "codegen")
+
+
+def differential_both_layouts(program, frames, **kwargs):
+    """One ``run_differential`` per layout over ``ENGINES``."""
+    return [run_differential(program, frames, compile_options=options,
+                             engines=ENGINES, **kwargs)
+            for options in LAYOUTS]
 
 
 @st.composite
@@ -113,13 +126,13 @@ class TestRandomMapPrograms:
     def test_line_rate_equivalence(self, prog_ops, frames):
         program, ops = prog_ops
         verify(program)
-        result = run_differential(program, frames)
-        if _has_interleaving_risk(ops):
-            bad = [m for m in result.mismatches
-                   if m.index >= 0 and m.what == "action"]
-            assert not bad, bad
-        else:
-            result.raise_on_mismatch()
+        for result in differential_both_layouts(program, frames):
+            if _has_interleaving_risk(ops):
+                bad = [m for m in result.mismatches
+                       if m.index >= 0 and m.what.endswith(" action")]
+                assert not bad, bad
+            else:
+                result.raise_on_mismatch()
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -127,17 +140,19 @@ class TestRandomMapPrograms:
     def test_spaced_out_always_identical(self, prog_ops, frames):
         # with no pipeline overlap even mixed atomic patterns match exactly
         program, _ops = prog_ops
-        run_differential(program, frames, gap=80).raise_on_mismatch()
+        for result in differential_both_layouts(program, frames, gap=80):
+            result.raise_on_mismatch()
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(prog_ops=map_programs())
     def test_hazard_plans_are_consistent(self, prog_ops):
         program, _ops = prog_ops
-        pipeline = compile_program(program)
-        for plan in pipeline.map_hazards.values():
-            for fb in plan.flush_blocks:
-                assert fb.write_stage > fb.read_stage
-            if plan.war_buffer_depth:
-                assert plan.read_stages and plan.write_stages
-                assert min(plan.write_stages) < max(plan.read_stages)
+        for options in LAYOUTS:
+            pipeline = compile_program(program, options)
+            for plan in pipeline.map_hazards.values():
+                for fb in plan.flush_blocks:
+                    assert fb.write_stage > fb.read_stage
+                if plan.war_buffer_depth:
+                    assert plan.read_stages and plan.write_stages
+                    assert min(plan.write_stages) < max(plan.read_stages)

@@ -37,7 +37,7 @@ from repro.rtl import (
 )
 from repro.rtl.sim import find_top
 from repro.runtime import XdpOffload
-from tests.test_property_maps import map_programs, packet_batches
+from tests.test_property_maps import LAYOUTS, map_programs, packet_batches
 
 HEADER = """\
 library ieee;
@@ -449,8 +449,10 @@ class TestThreeWayRandomPrograms:
         program, _ops = prog_ops
         verify(program)
         # single packet in flight on both hardware legs: even mixed
-        # atomic/RMW patterns must match the VM exactly
-        run_three_way(program, frames[:4]).raise_on_mismatch()
+        # atomic/RMW patterns must match the VM exactly, in either layout
+        for options in LAYOUTS:
+            run_three_way(program, frames[:4],
+                          compile_options=options).raise_on_mismatch()
 
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -207,3 +207,117 @@ class TestTerminatorPlacement:
         sched = schedule_src("r1 = 1\nr2 = 2\nr0 = 2\nexit")
         assert sched.avg_ilp >= 1.0
         assert sched.n_instructions == 4
+
+
+class TestPathParallel:
+    """Exclusive blocks share rows (``path_parallel``, the default)."""
+
+    DIAMOND = """
+        r2 = 1
+        if r2 == 1 goto arm_b
+        r3 = 5
+        r4 = r3
+        r4 *= 3
+        r4 += 1
+        r0 = 2
+        exit
+    arm_b:
+        r5 = 6
+        r0 = 3
+        exit
+    """
+    MAPS = {"m": MapSpec("m", "array", 4, 8, 1)}
+    # two exclusive arms, one map atomic each
+    TWO_ATOMICS = """
+        r6 = 0
+        *(u32 *)(r10 - 4) = r6
+        r1 = map[m]
+        r2 = r10
+        r2 += -4
+        call 1
+        if r0 == 0 goto out
+        if r6 == 1 goto arm_b
+        r1 = 1
+        lock *(u64 *)(r0 + 0) += r1
+        r0 = 2
+        exit
+    arm_b:
+        r1 = 2
+        lock *(u64 *)(r0 + 0) += r1
+        r0 = 3
+        exit
+    out:
+        r0 = 1
+        exit
+    """
+
+    @staticmethod
+    def _blocks(source, maps=None, **opts):
+        prog = assemble_program(source, maps=maps)
+        block_of = build_cfg(prog).block_of_insn
+        sched = schedule_src(source, maps=maps, **opts)
+        return prog, sched, [{block_of[i] for i in row.ops}
+                             for row in sched.rows]
+
+    def test_exclusive_arms_share_rows(self):
+        prog, sched, blocks = self._blocks(self.DIAMOND)
+        _p, paper, paper_blocks = self._blocks(self.DIAMOND,
+                                               path_parallel=False)
+        assert any(len(b) == 2 for b in blocks)
+        assert all(len(b) == 1 for b in paper_blocks)
+        assert sched.n_rows < paper.n_rows
+        exits = [i for i, insn in enumerate(prog.instructions) if insn.is_exit]
+        assert len({sched.row_of(i) for i in exits}) == 1  # one verdict row
+
+    def test_ilp_off_shares_nothing(self):
+        _prog, sched, blocks = self._blocks(
+            self.DIAMOND, enable_ilp=False, enable_fusion=False)
+        assert all(len(b) == 1 and row.width == 1
+                   for b, row in zip(blocks, sched.rows))
+
+    def test_lane_cap_holds_across_blocks(self):
+        # unbounded, the arms share two 5- and 4-wide rows
+        _prog, wide, _blocks = self._blocks(self.DIAMOND)
+        assert max(row.width for row in wide.rows) == 5
+        _prog, capped, blocks = self._blocks(self.DIAMOND, max_row_width=4)
+        assert all(row.width <= 4 for row in capped.rows)
+        assert capped.n_rows > wide.n_rows
+
+    def test_one_map_atomic_per_row(self):
+        prog, sched, _blocks = self._blocks(self.TWO_ATOMICS, maps=self.MAPS)
+        locks = [i for i, insn in enumerate(prog.instructions)
+                 if insn.is_atomic]
+        rows = [sched.row_of(i) for i in locks]
+        # the stage entity has one atomic port: the later arm's lock
+        # moves past the earlier arm's
+        assert rows[0] < rows[1]
+
+    def test_shared_state_keeps_block_order(self):
+        # arm A reaches its lookup late, arm B at once; B's lookup still
+        # lands no earlier than A's, as in the paper layout
+        source = """
+            r6 = 0
+            *(u32 *)(r10 - 4) = r6
+            if r6 == 1 goto arm_b
+            r7 = 1
+            r7 *= 3
+            r7 *= 3
+            r7 *= 3
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            r0 = 2
+            exit
+        arm_b:
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            r0 = 3
+            exit
+        """
+        prog, sched, blocks = self._blocks(source, maps=self.MAPS)
+        a, b = [i for i, insn in enumerate(prog.instructions) if insn.is_call]
+        assert sched.row_of(b) >= sched.row_of(a)
+        assert any(len(row) == 2 for row in blocks)
