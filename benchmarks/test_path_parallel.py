@@ -112,5 +112,5 @@ class TestPathParallel:
     def test_ct_firewall_window_narrows(self, layouts):
         row = layouts["ct_firewall"]
         assert row["paper"]["W"] == 21
-        assert row["path-parallel"]["W"] <= 12
-        assert row["path-parallel"]["cycles"] <= 12.5
+        assert row["path-parallel"]["W"] <= 6
+        assert row["path-parallel"]["cycles"] <= 6.5

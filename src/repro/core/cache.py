@@ -44,7 +44,9 @@ from .pipeline import Pipeline
 # v8: the path-parallel layout is the default and ``Stage`` drops its
 #     ``block_id``; the emitted text formats, and so CODEGEN_VERSION,
 #     are unchanged.
-_CACHE_VERSION = 8
+# v9: accesses to one LRU map are placed by its window, not by block
+#     order (ct_firewall 23 -> 20 stages); formats unchanged.
+_CACHE_VERSION = 9
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

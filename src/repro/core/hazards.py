@@ -22,11 +22,12 @@ block contributes its (K, L) pair to Table 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..ebpf.disasm import format_instruction
 from ..ebpf.isa import MapSpec
 from .labeling import Region
-from .pipeline import FlushBlock, MapHazardPlan, Pipeline, Stage, StageKind
+from .pipeline import FlushBlock, MapHazardPlan, PipeOp, Pipeline, Stage
 
 
 def plan_hazards(
@@ -43,24 +44,10 @@ def plan_hazards(
 
     for stage in stages:
         for op in stage.ops:
-            fd = None
-            is_read = False
-            is_write = False
-            is_atomic = False
-            if op.call is not None and op.call.map_fd is not None:
-                fd = op.call.map_fd
-                is_read = op.call.is_map_read
-                is_write = op.call.is_map_write
-            elif op.label is not None and op.label.region is Region.MAP_VALUE:
-                fd = op.label.map_fd
-                if op.label.is_atomic:
-                    is_atomic = True
-                elif op.label.is_write:
-                    is_write = True
-                else:
-                    is_read = True
-            if fd is None:
+            access = _map_access(op)
+            if access is None:
                 continue
+            fd, is_read, is_write, is_atomic = access
             plan = plan_for(fd)
             if is_atomic:
                 plan.atomic_stages.append(stage.number)
@@ -108,14 +95,38 @@ def plan_hazards(
         # the pipeline itself.
         if maps is not None and len(touching) > 1:
             spec = maps.get(plan.map_fd)
-            if spec is not None and spec.map_type == "lru_hash":
+            if spec is not None and spec.serialised:
                 plan.serial_window = (touching[0], touching[-1])
     return plans
 
 
+def _map_access(op: PipeOp) -> Optional[Tuple[int, bool, bool, bool]]:
+    """(map fd, reads, writes, atomic) of an op touching a map, else None."""
+    if op.call is not None and op.call.map_fd is not None:
+        return op.call.map_fd, op.call.is_map_read, op.call.is_map_write, False
+    label = op.label
+    if label is None or label.region is not Region.MAP_VALUE:
+        return None
+    writes = label.is_write and not label.is_atomic
+    return (label.map_fd, not (label.is_write or label.is_atomic), writes,
+            label.is_atomic)
+
+
+def _window_ends(pipeline: Pipeline, plan: MapHazardPlan) -> str:
+    """The map's ops on the window's first and last stage, with their
+    blocks: what forces the window's extent."""
+    ends = []
+    for what, number in zip(("opens", "closes"), plan.serial_window):
+        ops = [f"b{op.block_id} {format_instruction(op.insn)}"
+               for op in pipeline.stages[number - 1].ops
+               if (access := _map_access(op)) and access[0] == plan.map_fd]
+        ends.append(f"{what}: {', '.join(ops)} @{number}")
+    return "; ".join(ends)
+
+
 def hazard_summary(pipeline: Pipeline) -> str:
     """One line per map: the (K, L) pairs Table 3 reports, and the
-    serialization window with its width."""
+    serialization window with its width and the ops at its two ends."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
@@ -130,6 +141,7 @@ def hazard_summary(pipeline: Pipeline) -> str:
         if plan.serial_window is not None:
             # W stages between admissions: the window's cycles/packet
             lo, hi = plan.serial_window
-            parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}")
+            parts.append(f"window [{lo}, {hi}] W={hi - lo + 1} "
+                         f"({_window_ends(pipeline, plan)})")
         lines.append("  ".join(parts))
     return "\n".join(lines) if lines else "no maps"

@@ -22,14 +22,22 @@ with it — blocks it cannot reach and that cannot reach it, which no
 packet executes together. Every op is gated by its own block's enable
 bit, so exclusive arms of a branch share stages (HLS if-conversion) and
 pipeline depth follows the longest path instead of the sum of blocks.
-Two more rules keep a shared row sound: it holds at most one map atomic
-(one atomic port per stage), and a row with an op other packets observe
-— a map access, the clock, the PRNG — lands no earlier than the last
-such row placed before it. Those ops therefore keep the paper layout's
-block order, and the hazard plan sees no cross-packet interleaving the
-paper layout does not have (without it, an insert on a miss arm can
-overtake the hit arm's flush-checked stores, and a squashed packet then
-replays its committed insert).
+More rules keep a shared row sound. It holds at most one map atomic (one
+atomic port per stage). An op other packets observe — a map access, the
+clock, the PRNG — lands no earlier than the last row placed before it
+with such an op of another *ordering domain*. A serialised map
+(``MapSpec.serialised``) is a domain of its own, and every other such
+op shares one domain. So those ops keep the paper layout's block order,
+and the hazard plan sees no cross-packet interleaving the paper layout
+does not have (without it, an insert on a miss arm can overtake the hit
+arm's flush-checked stores, and a squashed packet then replays its
+committed insert) — except that ops on one serialised map may skip over
+one another: its window admits one packet at a time, which orders them
+across packets wherever they sit. Last, a serialised map's window should
+open in one row: when the path-first accesses (no ancestor block touches
+the map) land on different rows, the blocks are placed again with each
+of them floored at the latest, kept if no window widens and the
+pipeline does not deepen.
 
 Because eHDL generates hardware per-program, a row can be arbitrarily wide
 — "the degree of parallelism can grow and shrink in each pipeline's
@@ -111,16 +119,32 @@ def _is_solo(insn: Instruction) -> bool:
     return insn.is_call or insn.is_atomic
 
 
-def _is_shared(insn: Instruction, labels: ProgramLabels, index: int) -> bool:
-    """Touches state other packets observe: a map (channel call or value
-    access) or an order-sensitive helper's clock or PRNG."""
-    if insn.is_call:
-        return (helper_spec(insn.imm).map_channel
-                or insn.imm in ORDER_SENSITIVE_HELPERS)
-    if not (insn.is_mem_load or insn.is_mem_store or insn.is_atomic):
-        return False
-    label = labels.label_for(index)
-    return label is None or label.region is Region.MAP_VALUE
+def _ordering_domains(
+    program: Program, labels: ProgramLabels, indices: Sequence[int],
+) -> Dict[int, Optional[int]]:
+    """Per op that touches state other packets observe — a map (channel
+    call or value access), an order-sensitive helper's clock or PRNG —
+    its ordering domain: the fd of a serialised map, or ``None`` for every
+    other such op. Ops other packets cannot observe are absent."""
+    domains: Dict[int, Optional[int]] = {}
+    for index in indices:
+        insn = program.instructions[index]
+        if insn.is_call:
+            if not (helper_spec(insn.imm).map_channel
+                    or insn.imm in ORDER_SENSITIVE_HELPERS):
+                continue
+            info = labels.call_for(index)
+            fd = info.map_fd if info is not None else None
+        elif insn.is_mem_load or insn.is_mem_store or insn.is_atomic:
+            label = labels.label_for(index)
+            if label is not None and label.region is not Region.MAP_VALUE:
+                continue
+            fd = label.map_fd if label is not None else None
+        else:
+            continue
+        spec = program.maps.get(fd)
+        domains[index] = fd if spec is not None and spec.serialised else None
+    return domains
 
 
 def _is_fusible(insn: Instruction) -> bool:
@@ -141,6 +165,10 @@ class SchedulerOptions:
     path_parallel: bool = True
 
 
+# Each reachable block's id and list schedule, in topological order.
+_BlockRows = List[Tuple[int, List[ScheduleRow]]]
+
+
 def schedule_program(
     cfg: Cfg,
     ddg: Ddg,
@@ -159,30 +187,66 @@ def schedule_program(
     excluded = excluded or set()
     program = cfg.program
     reachable = reachable_blocks(cfg)
-    share = options.path_parallel and options.enable_ilp
-    related = _related_blocks(cfg, reachable) if share else {}
+    blocks: _BlockRows = [
+        (block.block_id, _schedule_block(
+            program, ddg,
+            [i for i in block.indices() if i not in excluded], options))
+        for block in cfg.blocks_in_topo_order() if block.block_id in reachable
+    ]
+    if not (options.path_parallel and options.enable_ilp):
+        return _with_latency(
+            program, [row for _b, block_rows in blocks for row in block_rows])
+
+    domains = _ordering_domains(
+        program, labels,
+        [i for _b, block_rows in blocks for row in block_rows for i in row.ops])
+    related, ancestors = _block_relations(cfg, reachable)
+    rows, placed = _place(cfg, blocks, related, domains, options, {})
+    schedule = _with_latency(program, rows)
+    floors = _aligned_entry_floors(blocks, ancestors, domains, placed)
+    if floors:
+        aligned = _with_latency(program, _place(
+            cfg, blocks, related, domains, options, floors)[0])
+        serialised = {fd for fd in domains.values() if fd is not None}
+        if aligned.n_stages <= schedule.n_stages and all(
+            _window_width(aligned, fd, domains)
+            <= _window_width(schedule, fd, domains) for fd in serialised
+        ):
+            schedule = aligned
+    return schedule
+
+
+def _place(
+    cfg: Cfg,
+    blocks: _BlockRows,
+    related: Dict[int, int],
+    domains: Dict[int, Optional[int]],
+    options: SchedulerOptions,
+    floors: Dict[Tuple[int, int], int],
+) -> Tuple[List[ScheduleRow], Dict[Tuple[int, int], int]]:
+    """Place the block schedules ASAP (the module docstring's rules).
+    ``floors`` gives a least row to some (block, row-in-block) pairs.
+    Returns the rows and the row each (block, row-in-block) landed on."""
     rows: List[ScheduleRow] = []
     row_blocks: List[int] = []  # per row: bitmask of its blocks
     row_atomic: List[bool] = []  # per row: holds a map atomic
     end: Dict[int, int] = {}  # block id -> first row after its last
-    shared_floor = 0  # the last row holding a shared-state op
-
-    for block in cfg.blocks_in_topo_order():
-        b = block.block_id
-        if b not in reachable:
-            continue
-        indices = [i for i in block.indices() if i not in excluded]
-        pos = len(rows)
-        if share:
-            pos = max((end[p] for p in block.preds if p in end), default=0)
-        for row in _schedule_block(program, ddg, indices, options):
-            shared_ops = [program.instructions[i] for i in row.ops
-                          if _is_shared(program.instructions[i], labels, i)]
-            shared = bool(shared_ops)
+    last: Dict[Optional[int], int] = {}  # domain -> last row with its ops
+    placed: Dict[Tuple[int, int], int] = {}
+    for b, block_rows in blocks:
+        pos = max((end[p] for p in cfg.blocks[b].preds if p in end),
+                  default=0)
+        for k, row in enumerate(block_rows):
+            own = {domains[i] for i in row.ops if i in domains}
             # a map atomic drives the stage's one atomic port
-            atomic = any(insn.is_atomic for insn in shared_ops)
-            if shared:
-                pos = max(pos, shared_floor)
+            atomic = any(cfg.program.instructions[i].is_atomic
+                         for i in row.ops if i in domains)
+            if own:
+                # an op on a serialised map skips only that map's earlier
+                # ops; any other shared op lands after every earlier one
+                pos = max([pos, floors.get((b, k), 0)] + [
+                    at for d, at in last.items() if None in own or own != {d}
+                ])
             while pos < len(rows) and (
                 row_blocks[pos] & related[b]
                 or (atomic and row_atomic[pos])
@@ -190,7 +254,7 @@ def schedule_program(
                     and rows[pos].width + row.width > options.max_row_width)
             ):
                 pos += 1
-            if pos == len(rows):
+            while pos >= len(rows):  # a floor may leave rows empty
                 rows.append(ScheduleRow())
                 row_blocks.append(0)
                 row_atomic.append(False)
@@ -199,10 +263,55 @@ def schedule_program(
             target.fused |= row.fused
             row_blocks[pos] |= 1 << b
             row_atomic[pos] = row_atomic[pos] or atomic
-            if shared:
-                shared_floor = pos
+            for d in own:
+                last[d] = max(last.get(d, pos), pos)
+            placed[(b, k)] = pos
             pos += 1
         end[b] = pos
+    return rows, placed
+
+
+def _aligned_entry_floors(
+    blocks: _BlockRows,
+    ancestors: Dict[int, int],
+    domains: Dict[int, Optional[int]],
+    placed: Dict[Tuple[int, int], int],
+) -> Dict[Tuple[int, int], int]:
+    """Floors that align each serialised map's path-first accesses — the
+    first access in each block with no ancestor block touching the map —
+    on the latest row one of them landed on, so the map's window opens
+    in one row. Empty when every map's path-first accesses share a row."""
+    first: Dict[int, Dict[int, int]] = {}  # fd -> block -> row-in-block
+    for b, block_rows in blocks:
+        for k, row in enumerate(block_rows):
+            for i in row.ops:
+                if domains.get(i) is not None:
+                    first.setdefault(domains[i], {}).setdefault(b, k)
+    floors: Dict[Tuple[int, int], int] = {}
+    for by_block in first.values():
+        touching = sum(1 << b for b in by_block)
+        entries = [(b, k) for b, k in by_block.items()
+                   if not ancestors[b] & touching]
+        landed = {placed[entry] for entry in entries}
+        if len(landed) > 1:
+            floors.update(dict.fromkeys(entries, max(landed)))
+    return floors
+
+
+def _window_width(
+    schedule: Schedule, fd: int, domains: Dict[int, Optional[int]],
+) -> int:
+    """Stages from the first to the last stage touching map ``fd``."""
+    touching: List[int] = []
+    stage = 0
+    for pos, row in enumerate(schedule.rows):
+        if any(domains.get(i) == fd for i in row.ops):
+            touching.append(stage)
+        stage += 1 + schedule.extra_latency.get(pos, 0)
+    return touching[-1] - touching[0] + 1
+
+
+def _with_latency(program: Program, rows: List[ScheduleRow]) -> Schedule:
     extra_latency = {
         pos: latency for pos, row in enumerate(rows)
         if (latency := _row_extra_latency(program, row))
@@ -210,10 +319,13 @@ def schedule_program(
     return Schedule(program, rows, extra_latency)
 
 
-def _related_blocks(cfg: Cfg, reachable: Set[int]) -> Dict[int, int]:
-    """Per reachable block, the bitmask of blocks it may not share a row
-    with: itself, its ancestors and its descendants. In a DAG every
-    other block is exclusive with it — no path runs through both."""
+def _block_relations(
+    cfg: Cfg, reachable: Set[int],
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per reachable block, two bitmasks: the blocks it may not share a
+    row with — itself, its ancestors and its descendants; in a DAG every
+    other block is exclusive with it, no path runs through both — and
+    its ancestors alone."""
     order = [b for b in cfg.topo_order if b in reachable]
     below = {b: 1 << b for b in order}
     for b in reversed(order):
@@ -223,7 +335,8 @@ def _related_blocks(cfg: Cfg, reachable: Set[int]) -> Dict[int, int]:
     for b in order:
         for succ, _kind in cfg.blocks[b].succs:
             above[succ] |= above[b]
-    return {b: below[b] | above[b] for b in order}
+    related = {b: below[b] | above[b] for b in order}
+    return related, {b: above[b] & ~(1 << b) for b in order}
 
 
 def _row_extra_latency(program: Program, row: ScheduleRow) -> int:

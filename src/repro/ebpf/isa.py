@@ -509,6 +509,15 @@ class MapSpec:
         if self.map_type not in ("array", "hash", "lru_hash", "percpu_array"):
             raise ISAError(f"unknown map type {self.map_type!r}")
 
+    @property
+    def serialised(self) -> bool:
+        """Accesses from two in-flight packets interleave observably even
+        when both only read (an LRU lookup refreshes recency), and no flush
+        can repair that: an eviction is irreversible. The hazard plan gives
+        such a map a serialization window over its touching stages, and
+        the scheduler orders its accesses by that window."""
+        return self.map_type == "lru_hash"
+
 
 @dataclass
 class Program:

@@ -1,4 +1,4 @@
-"""Generated execution module for pipeline 'ct_firewall' (23 stages).
+"""Generated execution module for pipeline 'ct_firewall' (20 stages).
 
 Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery included, position/commit tracking included. Do not edit.
 """
@@ -219,6 +219,20 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
     regs = pkt.regs
     enabled = pkt.enabled
     flushed = False
+    if 6 in enabled:
+        _se = None
+        _p4(pkt.stack, 508, regs[3] & 0xffffffff)
+        if _se is not None:
+            pkt.take_snapshot(11)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
+    return flushed
+
+def _s12(sim, pkt, slots, barrier_queues, input_queue, report):
+    if pkt.done:
+        return False
+    regs = pkt.regs
+    enabled = pkt.enabled
     if 4 in enabled:
         _m = sim.maps.maps.get(1)
         if _m is None:
@@ -236,21 +250,21 @@ def _s11(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
                 regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     if not pkt.done and 6 in enabled:
-        _se = None
-        _p4(pkt.stack, 508, regs[3] & 0xffffffff)
-        if _se is not None:
-            pkt.take_snapshot(11)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    return flushed
-
-def _s13(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 4 in enabled:
-        enabled.update((9,) if regs[0] == 0x0 else (5,))
+        _m = sim.maps.maps.get(1)
+        if _m is None:
+            sim._drop(pkt)
+        else:
+            _a = regs[2]
+            _o = _a - 0x200000
+            if 0 <= _o <= 512 - _m.key_size:
+                _k = bytes(pkt.stack[_o:_o + _m.key_size])
+            else:
+                _k = sim._read_plain(pkt, _a, _m.key_size)
+            if _k is not None:
+                _sl = _m.lookup_slot(_k)
+                pkt.addr_reads.setdefault(1, []).append((_k, _sl))
+                regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
+        regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 
 def _s14(sim, pkt, slots, barrier_queues, input_queue, report):
@@ -258,13 +272,36 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report):
         return False
     regs = pkt.regs
     enabled = pkt.enabled
+    if 4 in enabled:
+        enabled.update((9,) if regs[0] == 0x0 else (5,))
+    if 6 in enabled:
+        enabled.update((8,) if regs[0] != 0x0 else (7,))
+    return False
+
+def _s15(sim, pkt, slots, barrier_queues, input_queue, report):
+    if pkt.done:
+        return False
+    regs = pkt.regs
+    enabled = pkt.enabled
     if 5 in enabled:
+        regs[1] = 0x1
+    if 7 in enabled:
+        regs[3] = 0x1
+    if 7 in enabled:
+        regs[1] = 0x30000001
+    if 7 in enabled:
+        regs[2] = regs[10]
+    if 7 in enabled:
+        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+    if 7 in enabled:
+        regs[4] = 0x0
+    if 8 in enabled:
         regs[1] = 0x1
     if 9 in enabled:
         regs[0] = 0x1
     return False
 
-def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
+def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -282,93 +319,38 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
         else:
             _se = sim._atomic(pkt, _i0, _a)
         if _se is not None:
-            pkt.take_snapshot(15)
+            pkt.take_snapshot(16)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
-    if not pkt.done and 6 in enabled:
-        _m = sim.maps.maps.get(1)
-        if _m is None:
-            sim._drop(pkt)
-        else:
-            _a = regs[2]
-            _o = _a - 0x200000
-            if 0 <= _o <= 512 - _m.key_size:
-                _k = bytes(pkt.stack[_o:_o + _m.key_size])
-            else:
-                _k = sim._read_plain(pkt, _a, _m.key_size)
-            if _k is not None:
-                _sl = _m.lookup_slot(_k)
-                pkt.addr_reads.setdefault(1, []).append((_k, _sl))
-                regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
-        regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-    if not pkt.done and 9 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return flushed
-
-def _s17(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        regs[0] = 0x2
-    if 6 in enabled:
-        enabled.update((8,) if regs[0] != 0x0 else (7,))
-    return False
-
-def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     if not pkt.done and 7 in enabled:
-        regs[3] = 0x1
-    if not pkt.done and 7 in enabled:
-        regs[1] = 0x30000001
-    if not pkt.done and 7 in enabled:
-        regs[2] = regs[10]
-    if not pkt.done and 7 in enabled:
-        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    if not pkt.done and 7 in enabled:
-        regs[4] = 0x0
-    if not pkt.done and 8 in enabled:
-        regs[1] = 0x1
-    return False
-
-def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p8=_p8):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 7 in enabled:
         _se = None
         _p8(pkt.stack, 480, regs[3] & 0xffffffffffffffff)
         if _se is not None:
-            pkt.take_snapshot(19)
+            pkt.take_snapshot(16)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 7 in enabled:
         regs[3] = regs[10]
     if not pkt.done and 7 in enabled:
         regs[3] = (regs[3] + 0xffffffffffffffe0) & 0xffffffffffffffff
+    if not pkt.done and 9 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     return flushed
 
-def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i1=_i1):
+def _s17(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i1=_i1):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     flushed = False
+    if 5 in enabled:
+        regs[0] = 0x2
     if 7 in enabled:
         _se = sim._map_channel_call(pkt, 2)
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
         if _se is not None:
-            pkt.take_snapshot(20)
+            pkt.take_snapshot(17)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 8 in enabled:
@@ -383,23 +365,26 @@ def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
         else:
             _se = sim._atomic(pkt, _i1, _a)
         if _se is not None:
-            pkt.take_snapshot(20)
+            pkt.take_snapshot(17)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     return flushed
 
-def _s22(sim, pkt, slots, barrier_queues, input_queue, report):
+def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
-    if 7 in enabled:
+    if 5 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    if not pkt.done and 7 in enabled:
         regs[0] = 0x3
-    if 8 in enabled:
+    if not pkt.done and 8 in enabled:
         regs[0] = 0x3
     return False
 
-def _s23(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -459,12 +444,6 @@ def _observe(metrics, slots, barrier_queues):
         _b[18] += 1
     if slots[20] is not None:
         _b[19] += 1
-    if slots[21] is not None:
-        _b[20] += 1
-    if slots[22] is not None:
-        _b[21] += 1
-    if slots[23] is not None:
-        _b[22] += 1
     if barrier_queues:
         _w = 0
         for _q in barrier_queues.values():
@@ -476,10 +455,10 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     cycle = 0
     _cap = sim.options.input_queue_capacity
     _inq = _deque()
-    _ring = [0] * 10
+    _ring = [0] * 11
     _ri = 0
     _inj = -1
-    _went = -10
+    _went = -6
     _exit = _drops = _tot = _pip = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
@@ -504,14 +483,14 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         if _ring[_ri] > _inj:
             _inj = _ring[_ri]
         _inq.append(_inj)
-        _went += 10
-        if _inj + 10 > _went:
-            _went = _inj + 10
+        _went += 6
+        if _inj + 11 > _went:
+            _went = _inj + 11
         _ring[_ri] = _went
         _ri += 1
-        if _ri == 10:
+        if _ri == 11:
             _ri = 0
-        _exit = _went + 13
+        _exit = _went + 9
         if _exit >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
         _tot += _exit - cycle
@@ -677,7 +656,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     report.sum_pipeline_cycles += _pip
     return pid
 
-_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, None, _s13, _s14, _s15, None, _s17, _s18, _s19, _s20, None, _s22, _s23,)
+_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, None, _s19, _s20,)
 _ENTRY = _entry
 _ADVANCE = None
 _OBSERVE = _observe

@@ -10,15 +10,21 @@ are held to the layout invariants under both layouts:
   port);
 * ops that touch state other packets observe (maps, the clock, the PRNG)
   keep the paper layout's block order, so no cross-packet interleaving
-  appears that the paper layout does not have;
+  appears that the paper layout does not have — except two ops on one
+  serialised (LRU) map, which its window orders across packets wherever
+  they sit;
 * ``path_parallel=False`` is §3.3's layout — one block per stage, blocks
   in topological order — and reproduces the stage lists compiled before
   the option existed, byte for byte.
 
-Then: vm == hwsim == rtl on all 13 apps under both layouts, and the RTL
-witness for why in-stage forwarding in the VHDL is scoped per block.
+Then: vm == hwsim == rtl on all 13 apps under both layouts; the
+witnesses for window-compact placement (exclusive arms enter an LRU
+map's window in one stage, and dropping the window breaks LRU order);
+and the RTL witness for why in-stage forwarding in the VHDL is scoped
+per block.
 """
 
+import copy
 import hashlib
 import re
 from itertools import combinations
@@ -35,11 +41,15 @@ from repro.core.compiler import CompileOptions, compile_program
 from repro.core.labeling import Region
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.helpers import ORDER_SENSITIVE_HELPERS
+from repro.ebpf.isa import MapSpec
+from repro.hwsim import (FROZEN_CLOCK_MHZ, SimOptions, run_differential,
+                         run_engine)
 from repro.rtl import run_three_way
+from tests.test_codegen import _TWO_LRU_MAPS, _TWO_LRU_SRC, _seed_two_lru
 from tests.test_property import random_programs
 from tests.test_property_maps import map_programs
 from tests.test_rtl import APP_CASES
-from tests.test_second_gen_apps import app_frames, app_setup
+from tests.test_second_gen_apps import _key_frames, app_frames, app_setup
 
 APPS = sorted(name for name in apps.__all__ if name.islower())
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ebpf"))
@@ -111,12 +121,20 @@ def _touches_shared_state(op) -> bool:
     return op.label is not None and op.label.region is Region.MAP_VALUE
 
 
+def _serialised_fd(op, maps):
+    """The fd of the serialised (LRU) map a shared op touches, else None."""
+    labelled = op.call if op.insn.is_call else op.label
+    fd = labelled.map_fd if labelled is not None else None
+    spec = maps.get(fd)
+    return fd if spec is not None and spec.serialised else None
+
+
 def check_layout(pipeline, path_parallel: bool) -> None:
     cfg = pipeline.cfg
     below = _descendants(cfg)
     topo = {b: k for k, b in enumerate(cfg.topo_order)}
     first, last = {}, {}
-    shared = []  # (topo position of the block, stage)
+    shared = []  # (topo position of the block, stage, serialised fd)
     for stage in pipeline.stages:
         blocks = {op.block_id for op in stage.ops}
         for a, b in combinations(sorted(blocks), 2):
@@ -130,17 +148,25 @@ def check_layout(pipeline, path_parallel: bool) -> None:
             first.setdefault(op.block_id, stage.number)
             last[op.block_id] = stage.number
             if _touches_shared_state(op):
-                shared.append((topo[op.block_id], stage.number))
+                shared.append((topo[op.block_id], stage.number,
+                               _serialised_fd(op, pipeline.program.maps)))
         if not path_parallel and stage.ops:
             assert len(blocks) == 1, f"stage {stage.number}"
     for block, start in first.items():
         for pred in cfg.blocks[block].preds:
             if pred in last:
                 assert start > last[pred], (block, pred)
-    # shared-state ops: block order (topological) implies stage order
+    # shared-state ops: block order (topological) implies stage order,
+    # except between two ops on one serialised map under path_parallel —
+    # its window already orders them across packets
     shared.sort()
-    for (_, s1), (_, s2) in zip(shared, shared[1:]):
-        assert s1 <= s2
+    for k, (t2, s2, fd2) in enumerate(shared):
+        for t1, s1, fd1 in shared[:k]:
+            if t1 < t2 and not (path_parallel and fd1 is not None
+                                and fd1 == fd2):
+                assert s1 <= s2, (
+                    f"stage {s2} (block #{t2}) ahead of stage {s1} "
+                    f"(block #{t1})")
     if not path_parallel:
         # §3.3: blocks contiguous, in topological order
         order = [topo[op.block_id] for s in pipeline.stages for op in s.ops]
@@ -224,15 +250,239 @@ class TestObservability:
 
         assert main(["stats", "app:ct_firewall"]) == 0
         out = capsys.readouterr().out
-        assert "window [11, 20] W=10" in out
-        # a shared stage tags each block's run of ops
-        assert "stage  15 [r0,r1,r2 [-16:16]] b5: lock *(u64 *)(r0 + 0) " \
-            "+= r1 | b6: call 1 | b9: exit\n" in out
+        # the window, and the ops on its first and last stage that
+        # force its extent
+        assert "window [12, 17] W=6 (opens: b4 call 1, b6 call 1 @12; " \
+            "closes: b7 call 2, b8 lock *(u64 *)(r0 + 0) += r1 @17)\n" in out
+        # a shared stage tags each block's run of ops: both directions'
+        # lookups enter the window together
+        assert "stage  12 [r1,r2 [-16:16]] b4: call 1 | b6: call 1\n" in out
+
+    def test_stats_names_a_single_path_window(self, capsys):
+        from repro.cli import main
+
+        # syn_cookie's lookup and insert sit on one path, behind the
+        # cookie recompute
+        assert main(["stats", "app:syn_cookie"]) == 0
+        assert "window [15, 31] W=17 (opens: b4 call 1 @15; closes: " \
+            "b9 call 2 @31)\n" in capsys.readouterr().out
 
     def test_one_block_stages_carry_no_tags(self):
         pipeline = compile_program(apps.ct_firewall.build(),
                                    LAYOUTS["paper"])
         assert not re.search(r"\bb\d+: ", pipeline.summary())
+
+
+_LRU_ARMS_MAPS = {
+    "t": MapSpec("t", "lru_hash", key_size=4, value_size=8, max_entries=4),
+    "h": MapSpec("h", "hash", key_size=4, value_size=8, max_entries=4),
+}
+# An lru_hash map looked up on two exclusive arms: the short arm keys on
+# the packet word, the long arm builds its key in four more ops. A miss
+# inserts on either arm; one arm's miss first takes a detour through an
+# op on another ordering domain: the clock, or a flush-checked store to
+# the hash map ``h``. On the short arm the detour precedes the whole long
+# arm in block order.
+_LRU_ARMS_SRC = """
+    r7 = *(u32 *)(r1 + 4)
+    r6 = *(u32 *)(r1 + 0)
+    r2 = r6
+    r2 += 18
+    if r2 > r7 goto pass
+    r2 = *(u32 *)(r6 + 14)
+    r3 = *(u8 *)(r6 + 12)
+    if r3 == 1 goto long
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto {short_miss}
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+    r0 = 2
+    exit
+{short_detour}
+long:
+    r2 ^= 5
+    r2 &= 7
+    r2 *= 3
+    r2 += 1
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto {long_miss}
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+    r0 = 3
+    exit
+{long_detour}
+insert:
+    *(u64 *)(r10 - 16) = r0
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    r0 = 2
+    exit
+pass:
+    r0 = 1
+    exit
+"""
+_DETOURS = {
+    "ktime": """
+    call 5
+    goto insert
+    """,
+    "hash_store": """
+    r1 = map[h]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto insert
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 1
+    *(u64 *)(r0 + 0) = r1
+    r0 = 0
+    goto insert
+    """,
+}
+# (arm, key): arm 1 takes the long arm. Keys 1-6 through the 4-entry
+# table on both arms, with repeats: evictions, refreshes and inserts.
+_ARM_TRACE = [(0, 1), (1, 2), (0, 1), (1, 3), (0, 2), (0, 4), (1, 1),
+              (0, 5), (1, 2), (0, 1), (0, 6), (1, 5), (0, 3), (1, 3),
+              (0, 1), (1, 6), (0, 2), (0, 2), (1, 4), (0, 5)] * 2
+# Key 1 goes in; after a run of too-short frames (which never reach the
+# map) key 2 misses and key 1 hits, back to back. Sequentially key 1 ends
+# most recent. Without the window the hit's lookup refresh, a few stages
+# into the pipeline, overtakes the insert of key 2 further down, and key
+# 2 ends most recent; no flush repairs it, the two keys differ.
+_OVERTAKE_TRACE = [(0, 1)] + [None] * 24 + [(0, 2), (0, 1)]
+_GAP1_ENGINES = ("vm", "interpreted", "codegen", "rtl")
+
+
+def _arm_frames(trace):
+    """(arm, key) -> a frame taking that arm with that key; None -> a
+    frame too short to reach the map."""
+    return [bytes(16) if step is None else
+            bytes([0xEE] * 12) + bytes([step[0], 0xEE])
+            + step[1].to_bytes(4, "little") + bytes(42) for step in trace]
+
+
+def _lru_orders(run, maps):
+    """Oldest-first recency order of each serialised map after a run
+    (``EngineRun.map_items`` keeps ``LruHashMap.lru_keys()`` order)."""
+    return {fd: list(run.map_items[fd]) for fd, spec in maps.items()
+            if spec.serialised}
+
+
+def _assert_gap1_agreement(program, pipeline, frames, setup=None):
+    """vm == interpreted == codegen == rtl back to back (the RTL leg at
+    its single-packet minimum spacing), LRU recency order included."""
+    result = run_differential(
+        program, frames, pipeline=pipeline, engines=_GAP1_ENGINES, gap=1,
+        sim_options=SimOptions(clock_mhz=FROZEN_CLOCK_MHZ), setup=setup)
+    result.raise_on_mismatch()
+    want = _lru_orders(result.runs["vm"], program.maps)
+    for name, run in result.runs.items():
+        assert _lru_orders(run, program.maps) == want, name
+
+
+class TestWindowCompactPlacement:
+    """A serialised map's accesses are ordered by its window, not by
+    block order: exclusive arms enter the window in one stage, and that
+    is sound because the window, not chance, keeps LRU order."""
+
+    @staticmethod
+    def _program(detour, arm="long"):
+        parts = {"short_miss": "insert", "long_miss": "insert",
+                 "short_detour": "", "long_detour": "",
+                 f"{arm}_miss": "detour",
+                 f"{arm}_detour": "detour:" + _DETOURS[detour]}
+        return assemble_program(_LRU_ARMS_SRC.format(**parts),
+                                maps=_LRU_ARMS_MAPS,
+                                name=f"lru_arms_{detour}_{arm}")
+
+    @staticmethod
+    def _lookup_stages(pipeline):
+        """Stages of the lookups of ``t``, the short arm's first."""
+        return [s.number for _i, s in sorted(
+            (op.insn_index, s) for s in pipeline.stages for op in s.ops
+            if op.call is not None and op.call.map_fd == 1
+            and op.insn.imm == 1)]
+
+    @staticmethod
+    def _detour_stages(pipeline):
+        """Stages of the ops on the clock or on ``h``."""
+        return [s.number for s in pipeline.stages for op in s.ops
+                if (op.insn.is_call and op.insn.imm == 5)
+                or getattr(op.call or op.label, "map_fd", None) == 2]
+
+    @pytest.mark.parametrize("detour", sorted(_DETOURS))
+    def test_exclusive_first_accesses_share_a_stage(self, detour):
+        program = self._program(detour)
+        pipeline = compile_program(program)
+        check_layout(pipeline, path_parallel=True)
+        short, long = self._lookup_stages(pipeline)
+        assert short == long, pipeline.summary()
+        (lo, _hi), = pipeline.serial_windows
+        assert lo == short
+        # in block order the long arm's prefix would push its lookup
+        # past the short arm's: the paper layout keeps them apart
+        short, long = self._lookup_stages(
+            compile_program(program, LAYOUTS["paper"]))
+        assert short < long
+
+    @pytest.mark.parametrize("detour", sorted(_DETOURS))
+    def test_other_domains_keep_block_order(self, detour):
+        # the short arm's detour precedes the long arm in block order: the
+        # long arm's lookup may skip the short arm's accesses to ``t``,
+        # not the detour
+        pipeline = compile_program(self._program(detour, arm="short"))
+        check_layout(pipeline, path_parallel=True)
+        _short, long = self._lookup_stages(pipeline)
+        assert long >= max(self._detour_stages(pipeline)), pipeline.summary()
+
+    @pytest.mark.parametrize("arm", ["long", "short"])
+    @pytest.mark.parametrize("detour", sorted(_DETOURS))
+    def test_engines_agree_at_gap_1(self, detour, arm):
+        program = self._program(detour, arm)
+        for options in LAYOUTS.values():
+            _assert_gap1_agreement(program, compile_program(program, options),
+                                   _arm_frames(_ARM_TRACE))
+
+    def test_two_lru_maps(self):
+        program = assemble_program(_TWO_LRU_SRC, maps=_TWO_LRU_MAPS,
+                                   name="two_lru")
+        frames = _key_frames([1, 2, 9, 3, 1, 1, 2, 5, 7, 1, 3, 3, 9, 2])
+        for name, options in LAYOUTS.items():
+            pipeline = compile_program(program, options)
+            check_layout(pipeline, options.path_parallel)
+            assert len(pipeline.serial_windows) == 2, name
+            _assert_gap1_agreement(program, pipeline, frames, _seed_two_lru)
+
+    @pytest.mark.parametrize("detour", sorted(_DETOURS))
+    def test_dropping_the_window_diverges(self, detour):
+        program = self._program(detour)
+        pipeline = compile_program(program)
+        frames = _arm_frames(_OVERTAKE_TRACE)
+        _assert_gap1_agreement(program, pipeline, frames)
+        unwindowed = copy.deepcopy(pipeline)
+        unwindowed.map_hazards[1].serial_window = None
+        unwindowed.codegen_source = None
+        want = _lru_orders(run_engine("vm", program, frames), program.maps)
+        assert want == {1: [key.to_bytes(4, "little") for key in (2, 1)]}
+        for engine in ("interpreted", "codegen"):
+            run = run_engine(engine, program, frames, pipeline=unwindowed,
+                             gap=1, sim_options=SimOptions(
+                                 clock_mhz=FROZEN_CLOCK_MHZ))
+            assert _lru_orders(run, program.maps) == {1: want[1][::-1]}, \
+                engine
 
 
 class _OneScope(dict):

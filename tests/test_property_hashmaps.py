@@ -17,6 +17,7 @@ from tests.test_property_maps import differential_both_layouts
 
 PACKET_DEPTH = 16
 TRIALS = 60
+LRU_SHARE = 0.3  # programs that also touch an lru_hash map on two arms
 
 
 def build_program(rng: random.Random):
@@ -25,7 +26,8 @@ def build_program(rng: random.Random):
     Per op: derive a key byte from the packet, look it up, then on the
     miss path optionally insert a constant value; on the hit path read,
     rmw, or delete. Constant-value inserts and deletes are idempotent
-    under flush-replay, so sequential equality must hold exactly.
+    under flush-replay, so sequential equality must hold exactly. Some
+    programs then touch an ``lru_hash`` map on two arms (:func:`_lru_arms`).
     """
     b = ProgramBuilder("randhash")
     entries = rng.choice([2, 4, 8])
@@ -75,12 +77,64 @@ def build_program(rng: random.Random):
             b.call(3)
         b.label(f"end_{i}")
 
+    if rng.random() < LRU_SHARE:
+        _lru_arms(b, rng)
     b.mov_imm(0, 3)
     b.exit()
     b.label("drop")
     b.mov_imm(0, 1)
     b.exit()
     return b.build(), ops
+
+
+def _lru_arms(b: ProgramBuilder, rng: random.Random) -> None:
+    """An ``lru_hash`` map looked up on both arms of a branch, each arm
+    building its key in a different number of ops; a miss inserts, a hit
+    adds in place or leaves the entry alone. The scheduler places the
+    arms' accesses by the map's window, not by block order. It follows
+    the hash ops, so a flush on ``h`` never squashes a packet that has
+    touched it: its recency order must match the VM's exactly."""
+    b.add_map("l", "lru_hash", key_size=4, value_size=8,
+              max_entries=rng.choice([2, 4]))
+    b.load("u8", 3, 6, rng.randrange(PACKET_DEPTH))
+    b.jmp_imm("==", 3, rng.randrange(4), "lru_arm_1")
+    for arm, extra in enumerate(rng.sample(range(5), 2)):
+        if arm:
+            b.label("lru_arm_1")
+        b.load("u8", 2, 6, rng.randrange(PACKET_DEPTH))
+        for _ in range(extra):
+            b.alu_imm(rng.choice(["+", "^", "*"]), 2, rng.randrange(1, 4))
+        b.alu_imm("&", 2, 3)
+        b.store("u32", 10, 2, -4)
+        b.ld_map(1, "l")
+        b.mov(2, 10)
+        b.alu_imm("+", 2, -4)
+        b.call(1)
+        b.jmp_imm("!=", 0, 0, f"lru_hit_{arm}")
+        if rng.random() < 0.8:
+            b.store_imm("u64", 10, -16, 200 + arm)
+            b.ld_map(1, "l")
+            b.mov(2, 10)
+            b.alu_imm("+", 2, -4)
+            b.mov(3, 10)
+            b.alu_imm("+", 3, -16)
+            b.mov_imm(4, 0)
+            b.call(2)
+        b.jmp("lru_end")
+        b.label(f"lru_hit_{arm}")
+        if rng.random() < 0.5:
+            b.mov_imm(1, 1)
+            b.atomic_add("u64", 0, 1)
+        b.jmp("lru_end")
+    b.label("lru_end")
+
+
+def lru_entries(result):
+    """Per leg, the ``lru_hash`` map's entries in ``lru_keys()`` order
+    (oldest first), values included."""
+    return {name: [list(items.items()) for fd, items in run.map_items.items()
+                   if run.map_names[fd] == "l"]
+            for name, run in result.runs.items()}
 
 
 def frames_for(rng: random.Random):
@@ -114,6 +168,10 @@ class TestRandomHashPrograms:
             frames = frames_for(rng)
             gap = rng.choice([1, 1, 1, 2, 3])
             for result in differential_both_layouts(program, frames, gap=gap):
+                entries = lru_entries(result)
+                assert all(e == entries["vm"] for e in entries.values()), (
+                    f"seed={seed} trial={trial} ops={ops} gap={gap}: "
+                    f"{entries}")
                 if _replay_divergence_risk(ops):
                     bad = [m for m in result.mismatches
                            if m.index >= 0 and m.what.endswith(" action")]
