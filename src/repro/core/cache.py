@@ -46,7 +46,9 @@ from .pipeline import Pipeline
 #     are unchanged.
 # v9: accesses to one LRU map are placed by its window, not by block
 #     order (ct_firewall 23 -> 20 stages); formats unchanged.
-_CACHE_VERSION = 9
+# v10: each MapHazardPlan carries its consistency class (and its load /
+#     store stages), the Pipeline its consistency verdict.
+_CACHE_VERSION = 10
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

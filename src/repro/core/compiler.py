@@ -8,7 +8,8 @@ Orchestrates every pass in the order the paper describes (§3, §4):
 4. parallelization with instruction fusion (the schedule),
 5. stage assembly with helper-latency stages,
 6. packet framing (NOP insertion, bypass planning),
-7. map hazard planning (WAR buffers, flush blocks, atomics),
+7. map hazard planning (WAR buffers, flush blocks, atomics) and each
+   map's consistency class, with the program's verdict,
 8. state pruning (per-stage live registers/stack).
 
 The result — a :class:`~repro.core.pipeline.Pipeline` — can be simulated
@@ -32,7 +33,7 @@ from .framing import (
     DEFAULT_FRAME_SIZE,
     apply_framing,
 )
-from .hazards import plan_hazards
+from .hazards import plan_hazards, program_consistency
 from .labeling import ProgramLabels, Region, label_program
 from .pipeline import PipeOp, Pipeline, Stage, assemble_stages
 from .pruning import apply_pruning
@@ -174,7 +175,9 @@ def compile_program(
 
     # 7. Map hazard machinery.
     with _pass_span("hazards", program=program.name):
-        map_hazards = plan_hazards(stages, program.maps)
+        map_hazards = plan_hazards(stages, program, cfg, labels)
+        consistency = program_consistency(stages, program, cfg, labels,
+                                          map_hazards)
 
     entry_ops = [
         PipeOp(
@@ -225,6 +228,7 @@ def compile_program(
         map_hazards=map_hazards,
         frame_size=options.frame_size,
         name=program.name,
+        consistency=consistency,
         elided_bounds_checks=elided,
         dce_removed=dce_removed,
         entry_checks=entry_checks,

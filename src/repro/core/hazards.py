@@ -18,29 +18,89 @@ stages for map accesses and instantiates, per map:
 The resulting :class:`MapHazardPlan` objects drive both the simulator's
 hazard machinery and the analytical model of Appendix A.1 (each flush
 block contributes its (K, L) pair to Table 3).
+
+This module is also the one definition of **cross-packet consistency**:
+whether packets in flight together leave a map as sequential execution
+of the same packets would. Each plan carries its map's class:
+
+* ``exact`` — no other packet can observe the map: one stage touches
+  it, or it is only looked up, loaded and added to by plain (non-fetch)
+  atomic adds, which commute;
+* ``windowed`` — one serialization window holds every access, so at
+  most one packet is between the first and the last;
+* ``repaired`` — WAR buffers and flush blocks make it exact;
+* ``relaxed(<why>)`` — it may differ, for one of three reasons:
+
+  - atomics at several stages outside a window that do not commute, or
+    that a value load observes, interleave across packets (§4.1.2);
+  - an effect committed at once — an atomic or a helper update/delete —
+    ahead of a live flush block on any map is repeated when the flush
+    replays its packet from scratch (Appendix A.2: the hardware does not
+    rewind committed writes, at the price of not repairing every stale
+    read);
+  - a helper write commits at once, while the WAR buffer holds value
+    stores back. A write at another stage — a later one, or an earlier
+    store still buffered past it — lands out of packet order with it.
+    A later read meets another packet's entry, unless every packet
+    writes the same one (its key, value and whether it writes at all
+    depend on nothing that differs between packets).
+
+A relaxed class (:class:`~repro.core.pipeline.MapConsistency`) names
+its rule — ``ATOMICS``, ``REPLAY`` or ``HELPER_WRITE`` — and why it
+applies. :func:`program_consistency` turns the classes into the
+pipeline's one verdict (:class:`~repro.core.pipeline.Consistency`),
+relaxed as well when ``bpf_get_prandom_u32`` draws out of packet order.
+The stream path's eligibility, the differential oracle and the tests
+read the classes and that verdict.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
-from ..ebpf.isa import MapSpec
-from .labeling import Region
-from .pipeline import FlushBlock, MapHazardPlan, PipeOp, Pipeline, Stage
+from ..ebpf.helpers import HELPER_IDS_BY_NAME, helper_spec
+from ..ebpf.isa import Program
+from ..ebpf.verifier import RegKind
+from .cfg import Cfg
+from .labeling import ProgramLabels, Region
+from .pipeline import (
+    ATOMICS,
+    CLASSES,
+    EXACT,
+    HELPER_WRITE,
+    RELAXED,
+    REPAIRED,
+    REPLAY,
+    WINDOWED,
+    Consistency,
+    FlushBlock,
+    MapConsistency,
+    MapHazardPlan,
+    PipeOp,
+    Pipeline,
+    Stage,
+)
+
+# The one helper whose result depends on the order of all packets' calls:
+# every engine steps one PRNG state per draw. (The clock's reading
+# depends on the cycle, not on the order of calls; it agrees with the VM
+# only under the frozen clock, where it stands still.)
+_PRANDOM = HELPER_IDS_BY_NAME["bpf_get_prandom_u32"]
 
 
-def plan_hazards(
-    stages: List[Stage],
-    maps: Optional[Dict[int, MapSpec]] = None,
-) -> Dict[int, MapHazardPlan]:
+def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
+                 labels: ProgramLabels) -> Dict[int, MapHazardPlan]:
     """Build per-map hazard plans from the staged map accesses."""
+    maps = program.maps
     plans: Dict[int, MapHazardPlan] = {}
-
-    def plan_for(fd: int) -> MapHazardPlan:
-        if fd not in plans:
-            plans[fd] = MapHazardPlan(map_fd=fd)
-        return plans[fd]
+    # Per map, in stage order: (stage, insn index, op) of every effect
+    # committed at once, which no flush undoes — atomics and helper
+    # writes. Value stores wait in the write buffers instead, until no
+    # flush block can squash their packet.
+    effects: Dict[int, List[Tuple[int, int, str]]] = {}
+    non_adds: Set[int] = set()  # maps with an atomic other than a plain add
 
     for stage in stages:
         for op in stage.ops:
@@ -48,13 +108,26 @@ def plan_hazards(
             if access is None:
                 continue
             fd, is_read, is_write, is_atomic = access
-            plan = plan_for(fd)
+            plan = plans.setdefault(fd, MapHazardPlan(map_fd=fd))
+            number = stage.number
             if is_atomic:
-                plan.atomic_stages.append(stage.number)
+                plan.atomic_stages.append(number)
+                effects.setdefault(fd, []).append(
+                    (number, op.insn_index, isa.ATOMIC_OP_NAMES[op.insn.imm]))
+                if op.insn.imm != isa.ATOMIC_ADD:
+                    non_adds.add(fd)
             if is_read:
-                plan.read_stages.append(stage.number)
+                plan.read_stages.append(number)
             if is_write:
-                plan.write_stages.append(stage.number)
+                plan.write_stages.append(number)
+            if op.call is not None:
+                if is_write:
+                    effects.setdefault(fd, []).append(
+                        (number, op.insn_index, helper_spec(op.insn.imm).name))
+            elif is_read:
+                plan.load_stages.append(number)
+            elif is_write:
+                plan.store_stages.append(number)
 
     for plan in plans.values():
         plan.read_stages.sort()
@@ -81,9 +154,7 @@ def plan_hazards(
         # Memory channels: distinct stages touching the map need parallel
         # ports; "in all the examined use cases at most two memory channels
         # to the same map were needed" (§4.1).
-        touching = sorted(
-            set(plan.read_stages) | set(plan.write_stages) | set(plan.atomic_stages)
-        )
+        touching = plan.touching
         plan.channels = max(1, min(len(touching), 2))
         # Serialization window: LRU maps mutate recency state on every
         # lookup, so even read-only accesses from two in-flight packets
@@ -93,11 +164,88 @@ def plan_hazards(
         # interlocked: at most one packet between the first and last
         # touching stage. Single-stage access is already serialized by
         # the pipeline itself.
-        if maps is not None and len(touching) > 1:
-            spec = maps.get(plan.map_fd)
-            if spec is not None and spec.serialised:
-                plan.serial_window = (touching[0], touching[-1])
+        spec = maps.get(plan.map_fd)
+        if len(touching) > 1 and spec is not None and spec.serialised:
+            plan.serial_window = (touching[0], touching[-1])
+
+    windows = [p.serial_window for p in plans.values() if p.serial_window]
+    live = _live_flush_blocks(plans)
+    varying: List[Set[int]] = []
+
+    def varies(index: int) -> bool:
+        if not varying:  # one analysis, and only when a rule asks
+            varying.append(_Flow(program, cfg, labels, maps, maps,
+                                 inputs_vary=True).run().varying_writes)
+        return index in varying[0]
+
+    # value stores commit past the last flush-capable write stage
+    last_flush = max((max(p.write_stages) for p in plans.values()
+                      if p.needs_flush), default=0)
+    for fd, plan in plans.items():
+        plan.consistency = _classify(plan, windows, live, last_flush,
+                                     effects.get(fd, []), fd in non_adds,
+                                     program, varies)
     return plans
+
+
+def in_window(windows: Sequence[Tuple[int, int]], first: int,
+              last: int) -> bool:
+    """Whether one serialization window holds stages ``first..last``."""
+    return any(lo <= first and last <= hi for lo, hi in windows)
+
+
+def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
+    """The flush blocks that can fire: one inside a serialization window
+    never does, one packet is in it."""
+    windows = [p.serial_window for p in plans.values() if p.serial_window]
+    return [fb for p in plans.values() for fb in p.flush_blocks
+            if not in_window(windows, fb.read_stage, fb.write_stage)]
+
+
+def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
+              last_flush: int, effects: List[Tuple[int, int, str]],
+              non_add: bool, program: Program,
+              varies: Callable[[int], bool]) -> MapConsistency:
+    """The map's consistency class (see the module docstring)."""
+    for stage, _index, what in effects:
+        ahead = [fb for fb in live if stage < fb.write_stage]
+        if ahead:
+            fb = ahead[0]
+            return MapConsistency(RELAXED, REPLAY, (
+                f"{what} at stage {stage} commits ahead of "
+                f"{program.maps[fb.map_fd].name}'s flush block at stage "
+                f"{fb.write_stage}, A.2"))
+    touching = plan.touching
+    if len(touching) == 1:
+        return MapConsistency(EXACT)
+    if in_window(windows, touching[0], touching[-1]):
+        return MapConsistency(WINDOWED)
+    values = plan.value_stages
+    if (plan.atomic_stages and (plan.load_stages or plan.store_stages
+                                or non_add)
+            and values[0] < values[-1]
+            and not in_window(windows, values[0], values[-1])):
+        return MapConsistency(RELAXED, ATOMICS, (
+            f"atomics at stages {values[0]}-{values[-1]} do not commute "
+            "unobserved, §4.1.2"))
+    writes = [e for e in effects if program.instructions[e[1]].is_call]
+    if writes:
+        first, _index, what = writes[0]
+        # a value store waits in the WAR buffer until stage ``commit``
+        commit = max(plan.read_stages[-1:] + [last_flush])
+        other = [s for s in plan.write_stages + plan.atomic_stages
+                 if s > first] + [s for s in plan.store_stages
+                                  if s < first < commit]
+        if other:
+            return MapConsistency(RELAXED, HELPER_WRITE, (
+                f"{what} at stage {first} and the write at stage "
+                f"{min(other)} land out of packet order"))
+        later = [s for s in touching if s > first]
+        if later and any(varies(index) for _s, index, _w in writes):
+            return MapConsistency(RELAXED, HELPER_WRITE, (
+                f"{what} at stage {first} commits before older packets' "
+                f"read at stage {later[0]}"))
+    return MapConsistency(REPAIRED if plan.write_stages else EXACT)
 
 
 def _map_access(op: PipeOp) -> Optional[Tuple[int, bool, bool, bool]]:
@@ -110,6 +258,263 @@ def _map_access(op: PipeOp) -> Optional[Tuple[int, bool, bool, bool]]:
     writes = label.is_write and not label.is_atomic
     return (label.map_fd, not (label.is_write or label.is_atomic), writes,
             label.is_atomic)
+
+
+# -- the program-level verdict ------------------------------------------------
+
+ACTION = "action"
+PACKET_BYTES = "packet bytes"
+
+
+def program_consistency(stages: List[Stage], program: Program, cfg: Cfg,
+                        labels: ProgramLabels,
+                        plans: Dict[int, MapHazardPlan]) -> Consistency:
+    """The weakest class of ``plans`` and, for a relaxed program, every
+    observable a relaxed map's contents can reach — the actions, the
+    packet bytes, and each map they flow into (:class:`_Flow`).
+
+    The PRNG relaxes a program too. Packets pass one stage in order, so
+    draws at one stage step the shared state in packet order. Draws at
+    several stages interleave across packets in flight together, and a
+    draw ahead of a live flush block is made again when the flush
+    replays its packet. Every draw's result is then a source."""
+    draws = sorted({stage.number for stage in stages for op in stage.ops
+                    if op.insn.is_call and op.insn.imm == _PRANDOM})
+    why = ""
+    if len(draws) > 1:
+        why = (f"bpf_get_prandom_u32 at stages {draws[0]}-{draws[-1]} "
+               "draws out of packet order")
+    elif draws and any(draws[0] < fb.write_stage
+                       for fb in _live_flush_blocks(plans)):
+        why = (f"bpf_get_prandom_u32 at stage {draws[0]} draws again when "
+               "a flush block replays its packet, A.2")
+    kind = max((plan.consistency.kind for plan in plans.values()),
+               key=CLASSES.index, default=EXACT)
+    relaxed = {fd for fd, plan in plans.items()
+               if plan.consistency.kind == RELAXED}
+    if not (relaxed or why):
+        return Consistency(kind)
+    flow = _Flow(program, cfg, labels, relaxed,
+                 {fd for fd in relaxed if plans[fd].write_stages},
+                 prandom=bool(why)).run()
+    maps = sorted(f"map {program.maps[fd].name}"
+                  for fd in flow.values | flow.keys)
+    exempt = tuple(sink for sink in (ACTION, PACKET_BYTES)
+                   if sink in flow.sinks) + tuple(maps)
+    if not exempt:  # the draws reach nothing observable
+        return Consistency(kind)
+    return Consistency(RELAXED, exempt, why)
+
+
+class _Taint:
+    """What is tainted at one program point: registers, stack bytes (by
+    offset from R10; ``None`` after a store at an unknown offset) and the
+    packet."""
+
+    __slots__ = ("regs", "stack", "packet")
+
+    def __init__(self) -> None:
+        self.regs: Set[int] = set()
+        self.stack: Set[Optional[int]] = set()
+        self.packet = False
+
+    def join(self, other: "_Taint") -> None:
+        self.regs |= other.regs
+        self.stack |= other.stack
+        self.packet |= other.packet
+
+    def stack_read(self, offset: Optional[int], size: int) -> bool:
+        if offset is None or None in self.stack:
+            return bool(self.stack)
+        return any(b in self.stack for b in range(offset, offset + size))
+
+    def set(self, reg: int, tainted: bool) -> None:
+        if tainted:
+            self.regs.add(reg)
+        else:
+            self.regs.discard(reg)
+
+
+class _Flow:
+    """A forward taint analysis over the program's CFG (a DAG).
+
+    Taint flows through registers, stack bytes, the packet and maps; a
+    branch on a tainted value taints everything its outcome decides —
+    the blocks it reaches before its immediate post-dominator. A map is
+    tainted in its ``values`` or also in its ``keys`` (which entries
+    exist, and LRU recency), because a lookup observes keys only: dnat's
+    burnt port changes the values it writes into ``nat`` but not which
+    flows ``nat`` holds, so no verdict. Map taint crosses packets, so
+    the pass repeats until no map gains a facet. ``sinks`` collects the
+    tainted observables: a verdict (``action``), the packet (``packet
+    bytes``).
+
+    With ``prandom`` every ``bpf_get_prandom_u32`` result is a source
+    too. With ``inputs_vary`` the sources are whatever differs between
+    two packets — the packet, every map, every helper's result — and
+    ``varying_writes`` collects the helper writes whose key, value or
+    execution depends on one."""
+
+    def __init__(self, program: Program, cfg: Cfg, labels: ProgramLabels,
+                 values, keys, prandom: bool = False,
+                 inputs_vary: bool = False) -> None:
+        self.program, self.cfg, self.labels = program, cfg, labels
+        self.values: Set[int] = set(values)
+        self.keys: Set[int] = set(keys)
+        self.prandom = prandom
+        self.inputs_vary = inputs_vary
+        self.sinks: Set[str] = set()
+        self.varying_writes: Set[int] = set()
+        # immediate post-dominators (None where the exits differ)
+        pdom: Dict[int, Set[int]] = {}
+        self.join: Dict[int, Optional[int]] = {}
+        for bid in reversed(cfg.topo_order):
+            succs = [succ for succ, _kind in cfg.blocks[bid].succs]
+            below = set.intersection(*(pdom[s] for s in succs)) \
+                if succs else set()
+            pdom[bid] = {bid} | below
+            self.join[bid] = next(
+                (p for p in below if pdom[p] == below), None)
+
+    def run(self) -> "_Flow":
+        while True:
+            size = len(self.values) + len(self.keys)
+            self._pass()
+            if len(self.values) + len(self.keys) == size:
+                return self
+
+    def _pass(self) -> None:
+        cfg, insns = self.cfg, self.program.instructions
+        out: Dict[int, _Taint] = {}
+        decided: Set[int] = set()  # blocks a tainted branch decides
+        for bid in cfg.topo_order:
+            block = cfg.blocks[bid]
+            preds = [out[p] for p in block.preds if p in out]
+            if bid != cfg.entry.block_id and not preds:
+                continue  # unreachable
+            t = _Taint()
+            t.packet = self.inputs_vary
+            for pred in preds:
+                t.join(pred)
+            ctl = bid in decided
+            for i in block.indices():
+                insn = insns[i]
+                label = self.labels.label_for(i)
+                if insn.is_exit:
+                    if ctl or isa.R0 in t.regs:
+                        self.sinks.add(ACTION)
+                elif insn.is_call:
+                    self._call(i, insn, t, ctl)
+                elif label is not None:
+                    self._access(insn, label, t, ctl)
+                elif not insn.is_jump:
+                    tainted = ctl or any(r in t.regs
+                                         for r in insn.regs_read())
+                    for reg in insn.regs_written():
+                        t.set(reg, tainted)
+            last = insns[block.terminator_index]
+            if last.is_cond_jump and any(r in t.regs
+                                         for r in last.regs_read()):
+                decided |= self._decided_by(bid)
+            out[bid] = t
+
+    def _decided_by(self, branch: int) -> Set[int]:
+        """The blocks between ``branch`` and its immediate post-dominator."""
+        blocks: Set[int] = set()
+        stack = [succ for succ, _kind in self.cfg.blocks[branch].succs]
+        while stack:
+            bid = stack.pop()
+            if bid != self.join[branch] and bid not in blocks:
+                blocks.add(bid)
+                stack += [succ for succ, _kind in self.cfg.blocks[bid].succs]
+        return blocks
+
+    def _access(self, insn, label, t: _Taint, ctl: bool) -> None:
+        base = insn.src if insn.is_mem_load else insn.dst
+        moved = base in t.regs  # another address: another slot, or a fault
+        region = label.region
+        if moved and region is Region.PACKET:
+            self.sinks.add(ACTION)  # out of bounds drops the packet
+        if region is Region.STACK:
+            held = t.stack_read(label.offset, label.size)
+        elif region is Region.MAP_VALUE:
+            held = label.map_fd in self.values
+        else:  # the packet, and the ctx's pointers into it
+            held = t.packet
+        if insn.is_mem_load:
+            t.set(insn.dst, ctl or moved or held)
+            return
+        written = ctl or moved or (
+            insn.opclass == isa.BPF_STX and insn.src in t.regs) or (
+            insn.is_atomic and (held or (
+                insn.imm == isa.ATOMIC_CMPXCHG and isa.R0 in t.regs)))
+        if insn.is_atomic and insn.imm & isa.BPF_FETCH:
+            fetched = isa.R0 if insn.imm == isa.ATOMIC_CMPXCHG else insn.src
+            t.set(fetched, written or held)
+        if region is Region.STACK and label.offset is None:
+            if written:
+                t.stack.add(None)
+        elif region is Region.STACK:
+            span = range(label.offset, label.offset + label.size)
+            if written:
+                t.stack.update(span)
+            else:
+                t.stack.difference_update(span)
+        elif region is Region.MAP_VALUE and written:
+            self.values.add(label.map_fd)
+        elif region is Region.PACKET and written:
+            t.packet = True
+            self.sinks.add(PACKET_BYTES)
+
+    def _call(self, index: int, insn, t: _Taint, ctl: bool) -> None:
+        spec = helper_spec(insn.imm)
+        args = range(isa.R1, isa.R1 + spec.nargs)
+        tainted = ctl or any(r in t.regs for r in args)
+        call = self.labels.call_for(index)
+        state = self.labels.verifier.state_before(index)
+        if spec.map_channel:
+            fd = call.map_fd
+            map_spec = self.program.maps[fd]
+            key = tainted or spec.reads_stack and self._pointee(
+                state.reg(isa.R2), t, call.key_stack_offset, call.key_size)
+            if spec.map_write:
+                value = bool(call.value_size) and self._pointee(
+                    state.reg(isa.R3), t, call.value_stack_offset,
+                    call.value_size)
+                if key or value:
+                    self.varying_writes.add(index)
+                    self.values.add(fd)
+                if key:
+                    self.keys.add(fd)
+            elif key and map_spec.serialised:
+                self.keys.add(fd)  # a lookup refreshes LRU recency
+            # an array's slot depends on the key alone
+            result = key or (fd in self.keys
+                             and map_spec.map_type not in ("array",
+                                                           "percpu_array"))
+        else:
+            tainted = tainted or any(self._pointee(state.reg(reg), t)
+                                     for reg in args)
+            if spec.writes_packet and tainted:
+                t.packet = True
+                self.sinks.add(PACKET_BYTES)
+            result = tainted or self.inputs_vary or (
+                self.prandom and insn.imm == _PRANDOM)
+        for reg in range(isa.R1, isa.R5 + 1):
+            t.regs.discard(reg)
+        t.set(isa.R0, result)
+
+    def _pointee(self, arg, t: _Taint, offset: Optional[int] = None,
+                 size: int = 0) -> bool:
+        """Whether what a pointer argument points at is tainted, by the
+        verifier's kind of the pointer: the stack (``offset`` / ``size``
+        narrow it), the packet or a map value. Anything else is not a
+        pointer."""
+        if arg.kind is RegKind.STACK:
+            return t.stack_read(offset, size)
+        if arg.kind is RegKind.PACKET:
+            return t.packet
+        return arg.kind is RegKind.MAP_VALUE and arg.map_fd in self.values
 
 
 def _window_ends(pipeline: Pipeline, plan: MapHazardPlan) -> str:
@@ -125,13 +530,15 @@ def _window_ends(pipeline: Pipeline, plan: MapHazardPlan) -> str:
 
 
 def hazard_summary(pipeline: Pipeline) -> str:
-    """One line per map: the (K, L) pairs Table 3 reports, and the
-    serialization window with its width and the ops at its two ends."""
+    """One line per map — its consistency class, the (K, L) pairs Table 3
+    reports, and the serialization window with its width and the ops at
+    its two ends — then the program's consistency verdict."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
         name = spec.name if spec else f"fd{fd}"
-        parts = [f"map {name}: reads@{plan.read_stages} writes@{plan.write_stages}"]
+        parts = [f"map {name}: {plan.consistency}",
+                 f"reads@{plan.read_stages} writes@{plan.write_stages}"]
         if plan.uses_atomic:
             parts.append(f"atomic@{plan.atomic_stages}")
         if plan.war_buffer_depth:
@@ -144,4 +551,5 @@ def hazard_summary(pipeline: Pipeline) -> str:
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1} "
                          f"({_window_ends(pipeline, plan)})")
         lines.append("  ".join(parts))
-    return "\n".join(lines) if lines else "no maps"
+    lines.append(f"consistency: {pipeline.consistency}")
+    return "\n".join(lines if pipeline.map_hazards else ["no maps"] + lines)

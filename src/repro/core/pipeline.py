@@ -75,6 +75,32 @@ class Stage:
         return frame_size + 8 * len(self.live_in_regs) + stack_bytes
 
 
+# The consistency classes, weakest last: what packets in flight together
+# leave in a map, against sequential execution of the same packets.
+EXACT = "exact"        # no other packet can observe it
+WINDOWED = "windowed"  # one serialization window holds every access
+REPAIRED = "repaired"  # WAR buffers and flush blocks make it exact
+RELAXED = "relaxed"    # may differ (§4.1.2, Appendix A.2, helper writes)
+CLASSES = (EXACT, WINDOWED, REPAIRED, RELAXED)
+# The rules that relax a map (see ``hazards``): atomics interleave across
+# packets, a flush replay repeats a committed effect, a helper write lands
+# out of packet order.
+ATOMICS, REPLAY, HELPER_WRITE = "4.1.2", "A.2", "helper write"
+
+
+@dataclass(frozen=True)
+class MapConsistency:
+    """One map's consistency class: a relaxed one names the ``rule``
+    that relaxes it and ``why`` it applies."""
+
+    kind: str = EXACT
+    rule: Optional[str] = None
+    why: str = ""
+
+    def __str__(self) -> str:
+        return f"{self.kind}({self.why})" if self.why else self.kind
+
+
 @dataclass
 class FlushBlock:
     """A Flush Evaluation Block (§4.1.2, Figure 7) guarding one RAW pair.
@@ -101,9 +127,13 @@ class MapHazardPlan:
     """All consistency machinery for one map (§4.1)."""
 
     map_fd: int
+    # lookups and value loads / helper writes and value stores / atomics
     read_stages: List[int] = field(default_factory=list)
     write_stages: List[int] = field(default_factory=list)
     atomic_stages: List[int] = field(default_factory=list)
+    # the value loads and value stores among them
+    load_stages: List[int] = field(default_factory=list)
+    store_stages: List[int] = field(default_factory=list)
     flush_blocks: List[FlushBlock] = field(default_factory=list)
     war_buffer_depth: int = 0  # write-delay registers (Figure 6)
     channels: int = 1  # parallel read/write channels into the memory
@@ -115,6 +145,9 @@ class MapHazardPlan:
     # flush machinery alone cannot repair LRU divergence. ``None`` when
     # all accesses share one stage (order is then automatic).
     serial_window: Optional[Tuple[int, int]] = None
+    # Whether packets in flight together leave this map as sequential
+    # execution would (see ``hazards.plan_hazards``).
+    consistency: MapConsistency = MapConsistency()
 
     @property
     def uses_atomic(self) -> bool:
@@ -123,6 +156,41 @@ class MapHazardPlan:
     @property
     def needs_flush(self) -> bool:
         return bool(self.flush_blocks)
+
+    @property
+    def touching(self) -> List[int]:
+        """Every stage that accesses the map, ascending."""
+        return sorted(set(self.read_stages) | set(self.write_stages)
+                      | set(self.atomic_stages))
+
+    @property
+    def value_stages(self) -> List[int]:
+        """The stages that load, store or atomically update its values."""
+        return sorted(self.load_stages + self.store_stages
+                      + self.atomic_stages)
+
+
+@dataclass(frozen=True)
+class Consistency:
+    """The program-level verdict: the weakest class of its maps, and what
+    a run with packets in flight together may differ on from sequential
+    execution — ``"action"``, ``"packet bytes"`` or ``"map <name>"``, the
+    differential oracle's observables. Only a relaxed program exempts
+    any: the values a relaxed map holds flow into other maps and into
+    the packet, so the verdict is program-level, not per map. ``why`` is
+    set when the PRNG relaxes the program too: ``bpf_get_prandom_u32``
+    draws out of packet order."""
+
+    kind: str = EXACT
+    exempt: Tuple[str, ...] = ()
+    why: str = ""
+
+    def __str__(self) -> str:
+        if not self.exempt:
+            return f"{self.kind} (equal to sequential execution)"
+        why = f"{self.why}; " if self.why else ""
+        return (f"{self.kind} ({why}with packets in flight together, "
+                f"{', '.join(self.exempt)} may differ from sequential)")
 
 
 @dataclass
@@ -140,6 +208,7 @@ class Pipeline:
     map_hazards: Dict[int, MapHazardPlan]
     frame_size: int
     name: str = "pipeline"
+    consistency: Consistency = Consistency()
     elided_bounds_checks: int = 0
     dce_removed: int = 0
     # Elided entry-side bounds checks, realised as input-length comparators
@@ -163,16 +232,9 @@ class Pipeline:
 
     @property
     def serial_windows(self) -> List[Tuple[int, int]]:
-        """Interlock windows of recency-ordered maps, sorted by entry stage.
-
-        ``getattr`` guards pipelines unpickled from caches written before
-        the field existed."""
-        return sorted(
-            w for w in (
-                getattr(plan, "serial_window", None)
-                for plan in self.map_hazards.values()
-            ) if w is not None
-        )
+        """Interlock windows of recency-ordered maps, sorted by entry stage."""
+        return sorted(plan.serial_window for plan in self.map_hazards.values()
+                      if plan.serial_window is not None)
 
     @property
     def n_instructions(self) -> int:

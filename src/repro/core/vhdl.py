@@ -1349,7 +1349,7 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
             f"  serial window: stages "
             f"{plan.serial_window[0]}..{plan.serial_window[1]}"
             " (LRU recency interlock: at most one packet in the window)"
-            if getattr(plan, "serial_window", None) is not None else ""
+            if plan.serial_window is not None else ""
         ),
         f"entity {name} is",
         f"  generic (G_FD : integer := {fd};"

@@ -15,6 +15,7 @@ from .engines import (
     Mismatch,
     compare_runs,
     engine_names,
+    exempt_observables,
     get_engine,
     pipeline_engine_names,
     run_differential,
@@ -36,6 +37,7 @@ __all__ = [
     "compare_runs",
     "engine_names",
     "ensure_source",
+    "exempt_observables",
     "generate_pipeline_source",
     "get_engine",
     "load_pipeline_module",

@@ -136,8 +136,9 @@ import re
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..core.cfg import BasicBlock
+from ..core.hazards import in_window
 from ..core.labeling import Region
-from ..core.pipeline import PipeOp, Pipeline, Stage, StageKind
+from ..core.pipeline import ATOMICS, PipeOp, Pipeline, Stage, StageKind
 from ..ebpf import isa
 from ..ebpf.helpers import (
     ORDER_SENSITIVE_HELPERS,
@@ -226,74 +227,47 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
 
     The path runs each packet front-to-back to completion and
     reconstructs the cycle accounting arithmetically. That is
-    sequentially consistent when no packet can observe another
-    in-flight packet's partial map state. It holds for a map that is
-    only looked up and updated by in-place atomics that commute
-    unobserved (nothing pends, nothing squashes): in the pipeline a
-    younger packet's shallow value access runs before an older packet's
-    deeper one, so atomics at several stages must all be plain
-    (non-fetch) adds with no value load of that map beside them —
-    ct_firewall and syn_cookie count that way, at up to three stages —
-    unless one stage or one serialization window holds them all. It
-    holds for a map with a flush plan or write stages whose
-    every access lies inside one serialization window ``[lo, hi]``: at
-    most one packet is then between its first and last access, so its
-    flush blocks can never fire and every write is committed before the
-    next packet's first read. Direct stores to such a map are refused
-    all the same — they may stay WAR-buffered past ``hi``, while
-    ``map_update`` commits at once. Order-sensitive helpers (shared
+    sequentially consistent when every map's consistency class (see
+    ``core.hazards``) is ``exact`` or ``windowed`` under one window, and
+    the flush and write machinery has nothing to do. A map with a flush
+    plan or write stages streams only if one serialization window
+    ``[lo, hi]`` holds every access: at most one packet is then between
+    its first and last access, so its flush blocks can never fire and
+    every write is committed before the next packet's first read.
+    Direct stores to such a map are refused all the same — they may stay
+    WAR-buffered past ``hi``, while ``map_update`` commits at once. A map
+    relaxed by the ``ATOMICS`` rule has atomics that do not commute
+    unobserved (§4.1.2): run packet by packet they would interleave
+    otherwise than in the pipeline. Order-sensitive helpers (shared
     clock / PRNG state) and unknown-helper fallbacks would observe the
     changed interleaving. The timing is closed-form for no window, or
     for a single window with ``lo >= 2`` (see ``_window_timing``).
     """
     windows = pipeline.serial_windows
-    direct_stores: Dict[int, int] = {}
-    # Per map: the stages that load or atomically update its values,
-    # which maps have an atomic, and which an access that observes or
-    # orders the others (a load, an atomic other than a plain add).
-    value_stages: Dict[Optional[int], List[int]] = {}
-    atomic_fds = set()
-    ordered_fds = set()
-    helper_ids: List[int] = []
-    for stage in pipeline.stages:
-        for op in stage.ops or ():
-            label = op.label
-            if label is not None and label.region is Region.MAP_VALUE:
-                fd = label.map_fd
-                if label.is_write and not label.is_atomic:
-                    direct_stores.setdefault(fd, stage.number)
-                    continue
-                value_stages.setdefault(fd, []).append(stage.number)
-                if label.is_atomic:
-                    atomic_fds.add(fd)
-                if not label.is_atomic or op.insn.imm != isa.ATOMIC_ADD:
-                    ordered_fds.add(fd)
-            if op.insn.is_call:
-                helper_ids.append(op.insn.imm)
-    for fd, plan in sorted(pipeline.map_hazards.items()):
+    plans = sorted(pipeline.map_hazards.items())
+    for fd, plan in plans:
         if not (plan.needs_flush or plan.write_stages):
             continue
-        touching = plan.read_stages + plan.write_stages + plan.atomic_stages
-        first, last = min(touching), max(touching)
-        if not any(lo <= first and last <= hi for lo, hi in windows):
+        first, last = plan.touching[0], plan.touching[-1]
+        if not in_window(windows, first, last):
             what = "flush plan" if plan.needs_flush else "buffered write"
             return (f"{what} on map {fd} (stages {first}-{last}) "
                     "not covered by a window")
-        if fd in direct_stores:
+        if plan.store_stages:
             return (f"direct store to map {fd} at stage "
-                    f"{direct_stores[fd]} may stay WAR-buffered")
-    for fd, stages in value_stages.items():
-        first, last = min(stages), max(stages)
-        if (first < last and fd in atomic_fds and fd in ordered_fds
-                and not any(lo <= first and last <= hi for lo, hi in windows)):
-            return (f"atomics on map {fd} (stages {first}-{last}) do not "
-                    "commute unobserved")
+                    f"{plan.store_stages[0]} may stay WAR-buffered")
+    for fd, plan in sorted(plans, key=lambda item: item[1].value_stages[:1]):
+        if plan.consistency.rule == ATOMICS:
+            stages = plan.value_stages
+            return (f"atomics on map {fd} (stages {stages[0]}-{stages[-1]}) "
+                    "do not commute unobserved")
     if len(windows) > 1:
         return (f"{len(windows)} serialization windows (the closed-form "
                 "timing covers one)")
     if windows and windows[0][0] < 2:
         return "serialization window starts at stage 1"
-    for helper_id in helper_ids:
+    for helper_id in (op.insn.imm for stage in pipeline.stages
+                      for op in stage.ops if op.insn.is_call):
         try:
             helper_spec(helper_id)
         except HelperError:

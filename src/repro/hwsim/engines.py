@@ -35,8 +35,8 @@ the only place a leg is run for comparison (fresh maps, the same host
 ``setup``, normalized :class:`EngineRun` out) and :func:`compare_runs`
 the only place observables are compared (:class:`Mismatch` records,
 honouring ``cycle_exact``). :func:`run_differential` composes them —
-N legs, each compared against the first — and :func:`run_three_way` is
-that composition over ``(vm, <pipeline engine>, <rtl engine>)`` on the
+N legs, each compared against the first under the program's
+consistency verdict — and :func:`run_three_way` is that composition over ``(vm, <pipeline engine>, <rtl engine>)`` on the
 emitted VHDL. ``repro verify``, ``repro bench``'s parity line,
 ``XdpOffload.verify_rtl`` and the differential tests all go through
 here.
@@ -134,7 +134,7 @@ class EngineRun:
     frames: List[Optional[bytes]]
     # fd -> semantic (key -> value) content after the run.
     map_items: Dict[int, Dict[bytes, bytes]]
-    # fd -> map name: mismatch reports and ``ignore_maps`` go by name.
+    # fd -> map name: mismatch reports and exemptions go by name.
     map_names: Dict[int, str] = field(default_factory=dict)
     # (inject_cycle, exit_cycle) per packet for cycle_exact engines.
     packet_cycles: List[Optional[Tuple[int, int]]] = field(default_factory=list)
@@ -255,19 +255,29 @@ class Mismatch:
                 f"{self.ref_value!r} != {self.leg_value!r}")
 
 
-def compare_runs(
-    ref: EngineRun,
-    leg: EngineRun,
-    ignore_maps: Sequence[str] = (),
-) -> List[Mismatch]:
+def exempt_observables(pipeline: Pipeline, ref: str, leg: str,
+                       gap: int) -> Tuple[str, ...]:
+    """What a run of ``leg`` may differ on from a run of ``ref`` at
+    injection spacing ``gap``: the program's consistency verdict's
+    ``exempt`` (``Pipeline.consistency``, from ``core.hazards``) when one
+    leg is sequential and the other a pipeline engine with packets in
+    flight together (``gap < n_stages``), else nothing. Two pipeline
+    engines are one cycle model, spaced packets run one at a time, and
+    the RTL runner always spaces them."""
+    kinds = {ENGINES[ref].kind, ENGINES[leg].kind}
+    if kinds != {"reference", "pipeline"} or gap >= pipeline.n_stages:
+        return ()
+    return pipeline.consistency.exempt
+
+
+def compare_runs(ref: EngineRun, leg: EngineRun) -> List[Mismatch]:
     """Every observable on which ``leg`` diverges from ``ref``.
 
-    Actions, packet bytes and (semantic) map contents always compare;
-    cycle structure compares only between two ``cycle_exact`` engines.
-    Maps named in ``ignore_maps`` are skipped — e.g. a speculative
-    allocation counter: under pipelining the hardware legitimately burns
-    allocations that sequential execution would not (Appendix A.2).
-    Runs over different packet counts do not compare at all.
+    Actions, packet bytes and (semantic) map contents always compare,
+    each mismatch's ``what`` naming its observable (``"action"``,
+    ``"packet bytes"``, ``"map <name>"``); cycle structure compares only
+    between two ``cycle_exact`` engines. Runs over different packet
+    counts do not compare at all.
     """
     pair = f"{ref.engine} vs {leg.engine}"
     if len(ref.actions) != len(leg.actions):
@@ -285,7 +295,7 @@ def compare_runs(
     for fd, rm in ref.map_items.items():
         lm = leg.map_items[fd]
         name = ref.map_names[fd]
-        if rm == lm or name in ignore_maps:
+        if rm == lm:
             continue
         differing = [k for k in sorted(set(rm) | set(lm))
                      if rm.get(k) != lm.get(k)][:4]
@@ -315,6 +325,9 @@ class DiffResult:
     mismatches: List[Mismatch] = field(default_factory=list)
     # engine name -> its run, in the order the legs ran
     runs: Dict[str, EngineRun] = field(default_factory=dict)
+    # "<reference> vs <leg>" -> the observables the program's consistency
+    # relation exempted from that comparison (:func:`exempt_observables`)
+    not_compared: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -354,7 +367,6 @@ def run_differential(
     gap: int = 1,
     time_ns: int = 0,
     setup: Optional[Callable[[MapSet], None]] = None,
-    ignore_maps: Sequence[str] = (),
     engine: Optional[str] = None,
     engines: Optional[Sequence[str]] = None,
     vhdl_text: Optional[str] = None,
@@ -365,9 +377,13 @@ def run_differential(
 
     The default is the reference VM against one pipeline engine:
     ``engine`` ("interpreted" or "codegen"), else ``sim_options.engine``.
-    With more than one leg under test each mismatch's ``what`` is
-    prefixed with its leg's engine name. The remaining parameters are
-    :func:`run_engine`'s.
+    A pipeline leg with packets in flight together is held to the
+    program's consistency relation against the sequential VM: the
+    mismatches on what a relaxed program exempts are dropped, and
+    ``not_compared`` says so per pair (:func:`exempt_observables`).
+    With more than one leg
+    under test each mismatch's ``what`` is prefixed with its leg's
+    engine name. The remaining parameters are :func:`run_engine`'s.
     """
     if pipeline is None:
         pipeline = compile_program(program, compile_options)
@@ -384,7 +400,12 @@ def run_differential(
     reference, *legs = runs.values()
     result = DiffResult(packets=len(frames), runs=runs)
     for leg in legs:
-        found = compare_runs(reference, leg, ignore_maps)
+        exempt = exempt_observables(pipeline, reference.engine, leg.engine,
+                                    gap)
+        if exempt:
+            result.not_compared[f"{reference.engine} vs {leg.engine}"] = exempt
+        found = [m for m in compare_runs(reference, leg)
+                 if m.what not in exempt]
         if len(legs) > 1:
             found = [replace(m, what=f"{leg.engine} {m.what}") for m in found]
         result.mismatches += found
@@ -398,7 +419,6 @@ def run_three_way(
     pipeline: Optional[Pipeline] = None,
     time_ns: int = 0,
     setup: Optional[Callable[[MapSet], None]] = None,
-    ignore_maps: Sequence[str] = (),
     vhdl_text: Optional[str] = None,
     engine: Optional[str] = None,
     rtl_engine: str = "rtl",
@@ -421,6 +441,6 @@ def run_three_way(
         program, frames, pipeline=pipeline,
         sim_options=SimOptions(clock_mhz=FROZEN_CLOCK_MHZ),
         gap=pipeline.n_stages + 2, time_ns=time_ns, setup=setup,
-        ignore_maps=ignore_maps, vhdl_text=vhdl_text,
+        vhdl_text=vhdl_text,
         engines=("vm", engine or SimOptions.engine, rtl_engine),
     )

@@ -273,8 +273,7 @@ class XdpOffload:
 
         return emit_vhdl(self.pipeline)
 
-    def verify_rtl(self, frames: Sequence[bytes],
-                   setup=None, ignore_maps: Sequence[str] = (),
+    def verify_rtl(self, frames: Sequence[bytes], setup=None,
                    rtl_engine: str = "rtl"):
         """Three-way differential over ``frames``: the reference VM, the
         pipeline simulator, and an RTL simulation of :meth:`vhdl`'s
@@ -289,7 +288,7 @@ class XdpOffload:
 
         return run_three_way(
             self.program, list(frames), pipeline=self.pipeline,
-            setup=setup, ignore_maps=ignore_maps, rtl_engine=rtl_engine,
+            setup=setup, rtl_engine=rtl_engine,
         )
 
     def summary(self) -> str:

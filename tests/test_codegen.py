@@ -48,6 +48,7 @@ from repro.apps import (
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import CompileOptions, compile_program
 from repro.core.labeling import Region
+from repro.core.pipeline import MapConsistency
 from repro.core.vhdl import emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
@@ -386,6 +387,10 @@ class TestStreamPath:
             plan = pipeline.map_hazards[atomics]
             pipeline = _rewindowed(pipeline, atomics, (
                 min(plan.read_stages), max(plan.atomic_stages)))
+            # the class the plan states follows the window: every access
+            # inside one window is windowed
+            pipeline.map_hazards[atomics].consistency = MapConsistency(
+                "windowed")
         legs += [
             (pipeline, None, f"stream ({shape})"),
             (pipeline, _idle_observer,

@@ -1,0 +1,435 @@
+"""The consistency classifier checked by enumeration, not by sampling.
+
+``core.hazards`` classifies every map ``exact``, ``windowed``,
+``repaired`` or ``relaxed(<why>)`` and gives the pipeline one verdict:
+what a run with packets in flight together may differ on from
+sequential execution. This is the small-scope check of that claim
+(Alloy's small-scope hypothesis): for every app and every corpus
+program, under both schedule layouts, every sequence of 2 and 3
+packets over a 2-key domain runs on the sequential ``vm`` and on the
+``interpreted`` pipeline at every gap in 1..``n_stages``, under the
+frozen clock. A program the verdict calls equal to sequential must
+match bit for bit; a relaxed one may differ only in what its verdict
+exempts, and each exempted observable must differ somewhere — else the
+class is too conservative.
+
+The last two classes hold witnesses for what the classifier has beyond
+the paper's §4.1.2 and Appendix A.2 cases: a helper write commits at
+once, so an older packet's later access, or a value store still in the
+WAR buffer, meets it out of packet order; a relaxed value travels
+through the packet into a packet-keyed map; and ``bpf_get_prandom_u32``
+draws out of packet order (no app or corpus program calls it).
+"""
+
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from repro import apps
+from repro.apps import SECOND_GEN_APPS
+from repro.cli import load_program
+from repro.core import compile_program
+from repro.core.pipeline import Consistency
+from repro.ebpf.asm import assemble_program
+from repro.ebpf.isa import MapSpec
+from repro.hwsim import (FROZEN_CLOCK_MHZ, SimOptions, compare_runs,
+                         exempt_observables, run_differential, run_engine)
+from tests.test_corpus import PACKETS
+from tests.test_path_parallel import LAYOUTS
+from tests.test_rtl import APP_CASES, F_OTHER, _udp
+from tests.test_second_gen_apps import app_frames, app_setup
+
+FROZEN = SimOptions(clock_mhz=FROZEN_CLOCK_MHZ)
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ebpf"))
+
+
+def _two_keys(frames):
+    """The first two distinct frames."""
+    distinct = list(dict.fromkeys(frames))
+    return distinct[0], distinct[1]
+
+
+def _cases():
+    """name -> (build, setup, (frame of key 0, frame of key 1))."""
+    cases = {}
+    for name in sorted(n for n in apps.__all__ if n.islower()):
+        if name in SECOND_GEN_APPS:
+            cases[name] = (SECOND_GEN_APPS[name].build, app_setup(name),
+                           _two_keys(app_frames(name, 40)))
+            continue
+        build, setup, frames = APP_CASES[name]
+        # leaky_bucket's fixture is four packets of one flow
+        cases[name] = (build, setup, _two_keys(frames + [_udp(F_OTHER)]))
+    for path in CORPUS:
+        cases[path.name] = (lambda path=path: load_program(str(path)), None,
+                            (PACKETS[0], PACKETS[3]))
+    return cases
+
+
+CASES = _cases()
+SEQUENCES = [seq for n in (2, 3) for seq in product((0, 1), repeat=n)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_every_short_interleaving_keeps_the_verdict(layout, name):
+    build, setup, keys = CASES[name]
+    program = build()
+    pipeline = compile_program(program, LAYOUTS[layout])
+    exempt = pipeline.consistency.exempt
+    witnessed = set()
+    for seq in SEQUENCES:
+        frames = [keys[k] for k in seq]
+        vm = run_engine("vm", program, frames, setup=setup)
+        for gap in range(1, pipeline.n_stages + 1):
+            leg = run_engine("interpreted", program, frames,
+                             pipeline=pipeline, sim_options=FROZEN,
+                             setup=setup, gap=gap)
+            differ = {m.what for m in compare_runs(vm, leg)}
+            allowed = exempt_observables(pipeline, "vm", "interpreted", gap)
+            assert differ <= set(allowed), (
+                f"{name} ({pipeline.consistency}) packets {seq} gap {gap}: "
+                f"{sorted(differ - set(allowed))} differ")
+            witnessed |= differ
+    assert witnessed == set(exempt), (
+        f"{name}: exempts {exempt}, only {sorted(witnessed)} ever differ")
+
+
+def test_the_relaxed_programs_and_what_they_exempt():
+    verdicts = {name: compile_program(build()).consistency
+                for name, (build, _setup, _keys) in CASES.items()}
+    relaxed = {name: v.exempt for name, v in verdicts.items()
+               if v.kind == "relaxed"}
+    assert relaxed == {
+        # Appendix A.2: a flushed first-of-flow packet replays its port
+        # allocation; the burnt port reaches the bindings and the packet
+        "dnat": ("packet bytes", "map nat", "map ports", "map rnat"),
+        # §4.1.2: or/and/xor/xchg at several stages interleave
+        "atomic_variants.ebpf": ("map m",),
+    }
+    plans = compile_program(apps.dnat.build()).map_hazards
+    assert [(plan.consistency.kind, plan.consistency.rule)
+            for _fd, plan in sorted(plans.items())] == [
+        # nat, rnat (one write stage), ports
+        ("repaired", None), ("exact", None), ("relaxed", "A.2")]
+
+
+def _assembled(source, name):
+    return assemble_program(source, name=name, maps={
+        "w": MapSpec("w", "hash", key_size=4, value_size=8, max_entries=4),
+        "l": MapSpec("l", "lru_hash", key_size=4, value_size=8,
+                     max_entries=4),
+        "a": MapSpec("a", "array", key_size=4, value_size=8,
+                     max_entries=1)})
+
+
+_PROLOGUE = """
+    r7 = *(u32 *)(r1 + 4)
+    r6 = *(u32 *)(r1 + 0)
+    r2 = r6
+    r2 += 8
+    if r2 > r7 goto out
+"""
+
+# the packet's first byte is written to key 7 of w, then read back as
+# the verdict
+_WRITE_THEN_READ = _PROLOGUE + """
+    r2 = 7
+    *(u32 *)(r10 - 8) = r2
+    r3 = *(u8 *)(r6 + 0)
+    *(u64 *)(r10 - 16) = r3
+    r1 = map[w]
+    r2 = r10
+    r2 += -8
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    r1 = map[w]
+    r2 = r10
+    r2 += -8
+    call 1
+    if r0 == 0 goto out
+    r0 = *(u64 *)(r0 + 0)
+    r0 &= 3
+    exit
+out:
+    r0 = 2
+    exit
+"""
+
+# packets whose first byte is 1 write key 7 on the longer arm, at a
+# later stage
+_TWO_WRITE_STAGES = _PROLOGUE + """
+    r2 = 7
+    *(u32 *)(r10 - 4) = r2
+    r3 = *(u8 *)(r6 + 0)
+    *(u64 *)(r10 - 16) = r3
+    if r3 == 1 goto late
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    goto out
+late:
+    r3 <<= 1
+    r3 += 1
+    *(u64 *)(r10 - 16) = r3
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+out:
+    r0 = 2
+    exit
+"""
+
+# byte 0 keys an increment on a hit; byte 1 keys a delete on a hit and
+# an insert on a miss; an lru_hash insert follows, whose flush block
+# (inert inside its window) holds the increment's buffered store past
+# the delete — it lands in the slot the next packet's insert reuses
+_STORE_BEFORE_DELETE = _PROLOGUE + """
+    r2 = *(u8 *)(r6 + 0)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto second
+    r3 = *(u64 *)(r0 + 0)
+    r3 += 1
+    *(u64 *)(r0 + 0) = r3
+second:
+    r2 = *(u8 *)(r6 + 1)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 != 0 goto delete
+    *(u64 *)(r10 - 16) = 101
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    goto tail
+delete:
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 3
+tail:
+    r2 = *(u8 *)(r6 + 2)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[l]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 != 0 goto out
+    *(u64 *)(r10 - 16) = 7
+    r1 = map[l]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+out:
+    r0 = 2
+    exit
+"""
+
+
+def _frames(*first_bytes):
+    return [bytes(b) + bytes(64 - len(b)) for b in first_bytes]
+
+
+class TestHelperWrites:
+    """A helper update or delete commits at once, while the WAR buffer
+    delays value stores only. None of these maps has a live flush block
+    ahead of a committed effect, so a rule set of §4.1.2 and Appendix
+    A.2 alone would call each of them repaired; each differs at line
+    rate."""
+
+    @pytest.mark.parametrize("source,frames,why,exempt,differs", [
+        (_WRITE_THEN_READ, _frames([1], [2]),
+         "bpf_map_update_elem at stage 3 commits before older packets' "
+         "read at stage 6", ("action", "map w"), "action"),
+        (_TWO_WRITE_STAGES, _frames([1], [2]),
+         "bpf_map_update_elem at stage 4 and the write at stage 6 land out "
+         "of packet order", ("map w",), "map w"),
+        (_STORE_BEFORE_DELETE, _frames([1, 2], [2, 2], [3, 3]),
+         "bpf_map_update_elem at stage 15 and the write at stage 8 land out "
+         "of packet order", ("map w",), "map w"),
+    ], ids=["write_then_read", "two_write_stages", "store_before_delete"])
+    def test_relaxed_with_a_witness(self, source, frames, why, exempt,
+                                    differs):
+        program = _assembled(source, "helper_writes")
+        pipeline = compile_program(program)
+        assert str(pipeline.map_hazards[1].consistency) == f"relaxed({why})"
+        assert pipeline.map_hazards[1].consistency.rule == "helper write"
+        assert pipeline.consistency.exempt == exempt
+        line_rate = run_differential(program, frames, pipeline=pipeline,
+                                     engines=("vm", "interpreted"))
+        line_rate.raise_on_mismatch()
+        assert {m.what for m in compare_runs(*line_rate.runs.values())} \
+            == {differs}
+        spaced = run_differential(program, frames, pipeline=pipeline,
+                                  gap=pipeline.n_stages,
+                                  engines=("vm", "interpreted"))
+        assert spaced.ok and not spaced.not_compared
+
+    def test_every_packet_writing_the_same_entry_is_repaired(self):
+        # the key and the value are constants: whichever packet's write
+        # a later read meets, it is the one sequential execution left
+        program = _assembled(_WRITE_THEN_READ.replace(
+            "r3 = *(u8 *)(r6 + 0)", "r3 = 1"), "same_entry")
+        pipeline = compile_program(program)
+        assert pipeline.consistency.kind == "repaired"
+        run_differential(program, _frames([1], [2]), pipeline=pipeline,
+                         engines=("vm", "interpreted")).raise_on_mismatch()
+
+
+# a's add, xor and fetch-add interleave across packets (§4.1.2); the
+# fetched value is written into the packet, which then keys an update
+# of w through a packet pointer
+_PACKET_KEYED_WRITE = _PROLOGUE + """
+    r2 = 0
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[a]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r8 = r0
+    r3 = 5
+    lock *(u64 *)(r8 + 0) += r3
+    r3 = 0x11
+    lock *(u64 *)(r8 + 0) ^= r3
+    r3 = 0
+    lock fetch *(u64 *)(r8 + 0) += r3
+    *(u32 *)(r6 + 0) = r3
+    *(u64 *)(r10 - 16) = 5
+    r1 = map[w]
+    r2 = r6
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+out:
+    r0 = 2
+    exit
+"""
+
+# two draws, at two stages, written into the packet
+_TWO_DRAWS = _PROLOGUE + """
+    call 7
+    r7 = r0
+    call 7
+    *(u32 *)(r6 + 0) = r7
+    *(u32 *)(r6 + 4) = r0
+out:
+    r0 = 2
+    exit
+"""
+
+# one draw, at one stage, written into the packet
+_ONE_DRAW = _PROLOGUE + """
+    call 7
+    *(u32 *)(r6 + 0) = r0
+out:
+    r0 = 2
+    exit
+"""
+
+# one draw ahead of w's flush block (a count per first byte), written
+# into the packet
+_DRAW_BEFORE_FLUSH = _PROLOGUE + """
+    call 7
+    r9 = r0
+    r2 = *(u8 *)(r6 + 0)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    r3 = 1
+    if r0 == 0 goto insert
+    r3 = *(u64 *)(r0 + 0)
+    r3 += 1
+insert:
+    *(u64 *)(r10 - 16) = r3
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    *(u32 *)(r6 + 4) = r9
+out:
+    r0 = 2
+    exit
+"""
+
+
+def _differs_only_where_exempt(program, pipeline, frames, differs):
+    """At line rate the oracle passes and ``differs`` is what differs
+    from the VM; spaced, everything is compared and agrees."""
+    line_rate = run_differential(program, frames, pipeline=pipeline,
+                                 engines=("vm", "interpreted"))
+    line_rate.raise_on_mismatch()
+    assert {m.what for m in compare_runs(*line_rate.runs.values())} \
+        == set(differs)
+    spaced = run_differential(program, frames, pipeline=pipeline,
+                              gap=pipeline.n_stages,
+                              engines=("vm", "interpreted"))
+    assert spaced.ok and not spaced.not_compared
+
+
+class TestTaintSources:
+    """What carries a relaxed value, or makes one, besides maps."""
+
+    def test_a_packet_pointer_key_carries_the_packet(self):
+        # the key is read through a pointer loaded before the packet
+        # held anything relaxed; what it points at does by then
+        program = _assembled(_PACKET_KEYED_WRITE, "packet_key")
+        pipeline = compile_program(program)
+        exempt = ("packet bytes", "map a", "map w")
+        assert pipeline.consistency.exempt == exempt
+        _differs_only_where_exempt(program, pipeline,
+                                   _frames([1], [2], [3]), exempt)
+
+    @pytest.mark.parametrize("source,frames,why", [
+        (_TWO_DRAWS, _frames([1], [2], [3]),
+         "bpf_get_prandom_u32 at stages 1-3 draws out of packet order"),
+        (_DRAW_BEFORE_FLUSH, _frames([1], [1], [1]),
+         "bpf_get_prandom_u32 at stage 1 draws again when a flush block "
+         "replays its packet, A.2"),
+    ], ids=["two_stages", "ahead_of_a_flush_block"])
+    def test_prandom_out_of_packet_order_relaxes_the_program(
+            self, source, frames, why):
+        program = _assembled(source, "prandom")
+        pipeline = compile_program(program)
+        assert pipeline.consistency == Consistency(
+            "relaxed", ("packet bytes",), why)
+        assert str(pipeline.consistency).startswith(f"relaxed ({why}; ")
+        _differs_only_where_exempt(program, pipeline, frames,
+                                   ("packet bytes",))
+
+    def test_prandom_at_one_stage_draws_in_packet_order(self):
+        program = _assembled(_ONE_DRAW, "prandom")
+        pipeline = compile_program(program)
+        assert pipeline.consistency == Consistency("exact")
+        _differs_only_where_exempt(program, pipeline,
+                                   _frames([1], [2], [3]), ())

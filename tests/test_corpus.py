@@ -14,7 +14,7 @@ import pytest
 from repro.cli import load_program
 from repro.core import CompileOptions, compile_program
 from repro.ebpf.verifier import verify
-from repro.hwsim import run_differential
+from repro.hwsim import SimOptions, run_differential
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.ebpf"))
 
@@ -32,15 +32,19 @@ PACKETS = [
 ]
 
 
-# Programs whose per-packet atomic *sequences* are non-commutative
-# (or/and/xor/xchg chains): under pipelining those interleave across
-# packets exactly as on the real hardware (the §4.1.2 relaxation), so the
-# sequential-equality check only holds with packets spaced apart.
-NEEDS_SPACING = {"atomic_variants"}
-
-
-def gap_for(path) -> int:
-    return 40 if path.stem in NEEDS_SPACING else 1
+def differential(program, frames, compile_options=None, **kwargs):
+    """The VM against a pipeline engine at line rate, held to the
+    program's consistency relation — a relaxed program (atomic_variants'
+    interleaving atomics, §4.1.2) differs at most in what its verdict
+    exempts. Where it exempts anything, the run is repeated with packets
+    a pipeline apart, where everything compares."""
+    pipeline = compile_program(program, compile_options)
+    result = run_differential(program, frames, pipeline=pipeline, **kwargs)
+    result.raise_on_mismatch()
+    if result.not_compared:
+        run_differential(program, frames, pipeline=pipeline,
+                         gap=pipeline.n_stages, **kwargs).raise_on_mismatch()
+    return result
 
 
 def corpus_ids(path):
@@ -61,23 +65,20 @@ class TestCorpus:
 
     def test_pipeline_matches_vm(self, path):
         program = load_program(str(path))
-        run_differential(program, PACKETS, gap=gap_for(path)).raise_on_mismatch()
+        differential(program, PACKETS)
 
     def test_codegen_matches_vm(self, path):
         # the generated-source backend over the same battery: corpus
         # members hit the folding/elision paths app code doesn't (packet
         # resizing, atomics, division corners, deep nesting)
         program = load_program(str(path))
-        result = run_differential(program, PACKETS, gap=gap_for(path),
-                                  engine="codegen")
-        result.raise_on_mismatch()
+        differential(program, PACKETS, engine="codegen")
 
     def test_pipeline_matches_vm_line_rate_repeats(self, path):
         # back-to-back duplicates stress the hazard machinery
         program = load_program(str(path))
         frames = [PACKETS[0]] * 12 + [PACKETS[3]] * 12
-        result = run_differential(program, frames, gap=gap_for(path))
-        result.raise_on_mismatch()
+        differential(program, frames)
 
     def test_codegen_matches_interpreted_at_line_rate(self, path):
         # the two pipeline engines are one cycle model: at gap 1, where
@@ -89,22 +90,24 @@ class TestCorpus:
                          engines=("interpreted", "codegen")).raise_on_mismatch()
 
     def test_line_rate_actions_match_even_for_atomics(self, path):
-        # even where interleaved atomics relax map-state equality, the
-        # per-packet verdicts and bytes still match
+        # where interleaved atomics relax map-state equality, the relation
+        # says which maps; verdicts, bytes and every other map still match
         program = load_program(str(path))
-        result = run_differential(program, [PACKETS[0]] * 10)
-        packet_mismatches = [m for m in result.mismatches if m.index >= 0
-                             and m.what == "action"]
-        assert not packet_mismatches
+        pipeline = compile_program(program)
+        result = run_differential(program, [PACKETS[0]] * 10,
+                                  pipeline=pipeline)
+        result.raise_on_mismatch()
+        exempt = pipeline.consistency.exempt
+        assert result.not_compared == (
+            {f"vm vs {SimOptions.engine}": exempt} if exempt else {})
+        assert "action" not in exempt
 
     def test_unoptimised_build_matches_too(self, path):
         program = load_program(str(path))
         options = CompileOptions(
             enable_ilp=False, enable_fusion=False, enable_pruning=False,
         )
-        run_differential(
-            program, PACKETS[:5], compile_options=options, gap=gap_for(path)
-        ).raise_on_mismatch()
+        differential(program, PACKETS[:5], compile_options=options)
 
 
 def test_corpus_is_nontrivial():

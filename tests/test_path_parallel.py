@@ -267,6 +267,32 @@ class TestObservability:
         assert "window [15, 31] W=17 (opens: b4 call 1 @15; closes: " \
             "b9 call 2 @31)\n" in capsys.readouterr().out
 
+    def test_stats_names_each_maps_class_and_the_verdict(self, capsys):
+        from repro.cli import main
+
+        assert main(["stats", "app:ct_firewall"]) == 0
+        out = capsys.readouterr().out
+        assert "map conntrack: windowed  reads@" in out
+        assert "consistency: windowed (equal to sequential execution)\n" \
+            in out
+        # dnat: the port counter's fetch-add commits ahead of the nat
+        # table's flush block, and the burnt port reaches both bindings
+        # and the rewritten packet
+        assert main(["stats", "app:dnat"]) == 0
+        out = capsys.readouterr().out
+        assert "map ports: relaxed(fetch_add at stage 17 commits ahead of " \
+            "nat's flush block at stage 20, A.2)  reads@[13] writes@[]  " \
+            "atomic@[17]\n" in out
+        assert "map rnat: exact  " in out
+        assert "consistency: relaxed (with packets in flight together, " \
+            "packet bytes, map nat, map ports, map rnat may differ from " \
+            "sequential)\n" in out
+        assert main(["stats", str(Path(__file__).parent / "corpus"
+                                  / "atomic_variants.ebpf")]) == 0
+        assert "map m: relaxed(atomics at stages 7-17 do not commute " \
+            "unobserved, §4.1.2)  reads@[3] writes@[]  " \
+            "atomic@[7, 9, 11, 13, 15, 17]\n" in capsys.readouterr().out
+
     def test_one_block_stages_carry_no_tags(self):
         pipeline = compile_program(apps.ct_firewall.build(),
                                    LAYOUTS["paper"])

@@ -109,30 +109,19 @@ def packet_batches(draw):
     return frames
 
 
-def _has_interleaving_risk(ops) -> bool:
-    """Programs mixing atomics with flushable (RMW/read) map accesses —
-    on any map — relax sequential equality under pipelining: a flush can
-    force re-execution of (or keep stale state around) an already-applied
-    atomic, exactly as the paper's hardware would (§4.1.2, Appendix A.2).
-    Those runs check per-packet actions only."""
-    kinds = {kind for _map, kind, _k, _d in ops}
-    return "atomic" in kinds and len(kinds) > 1
-
-
 class TestRandomMapPrograms:
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(prog_ops=map_programs(), frames=packet_batches())
     def test_line_rate_equivalence(self, prog_ops, frames):
+        # Atomics mixed with flushable accesses relax sequential equality
+        # under pipelining, exactly as the paper's hardware does (§4.1.2,
+        # Appendix A.2): the compiled pipeline's consistency verdict says
+        # where, and run_differential holds every leg to it.
         program, ops = prog_ops
         verify(program)
         for result in differential_both_layouts(program, frames):
-            if _has_interleaving_risk(ops):
-                bad = [m for m in result.mismatches
-                       if m.index >= 0 and m.what.endswith(" action")]
-                assert not bad, bad
-            else:
-                result.raise_on_mismatch()
+            assert result.ok, (ops, result.mismatches[:3])
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
