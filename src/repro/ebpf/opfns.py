@@ -1,21 +1,21 @@
 """The specialised tier of ALU and conditional-jump semantics, as text.
 
 Each op's executable meaning exists twice in Python. The *reference*
-tier is :func:`repro.ebpf.vm.alu_step` / :func:`~repro.ebpf.vm.cmp_step`
-in front of ``Vm._alu`` / ``_swap`` / ``_compare``: it decodes the
-instruction every time it runs (the VM's ``_run_interpreted`` loop and
-the ``interpreted`` pipeline engine). This module is the *specialised*
+tier is ``Vm._alu`` / ``_swap`` / ``_compare`` behind the operand decode
+:func:`repro.ebpf.vm.alu_operands` / :func:`~repro.ebpf.vm.cmp_operands`:
+it evaluates the op every time it runs (the ``Vm`` and the
+``interpreted`` pipeline engine). This module is the *specialised*
 tier: :func:`alu_source` / :func:`cmp_source` decode once and return
 Python source lines over a register file named ``regs`` (or whatever the
 ``reg`` argument names) — operand source (register vs. sign-extended
 immediate) chosen, widths, immediates and shift amounts folded into
 literals, a constant divisor's zero test resolved at emit time. The
-text has two consumers:
-
-* :mod:`repro.hwsim.codegen` inlines the lines into the generated
-  pipeline module (the ``codegen`` engine);
-* :func:`make_alu_fn` / :func:`make_cmp_fn` ``exec`` them into one
-  closure per instruction for the VM's dispatch table.
+text has one consumer, :mod:`repro.hwsim.codegen`, which inlines the
+lines into the generated pipeline module (the ``codegen`` engine); the
+VHDL rendering of the same rows is ``core.vhdl``'s ``_alu_expr`` /
+``_cmp_expr``. So the ``vm`` and ``interpreted`` legs of a differential
+are independent of this text, and a wrong row here shows up as a
+mismatch against either of them.
 
 **The register invariant.** Every register holds a value in
 ``[0, 2**64)`` before and after every instruction, on every engine:
@@ -29,14 +29,13 @@ div, mod and the unsigned compares carry no ``& 0xffffffffffffffff``.
 is held to the invariant by ``tests/test_property.py::
 TestRegisterInvariant``.
 
-So the two specialised engines cannot drift from each other, and the
-table-generated sweep in ``tests/test_op_sweep.py`` holds the text to the
-reference tier over every op, width and operand source. The text is
-built only from an :class:`~repro.ebpf.isa.Instruction`'s integer
+The table-generated sweep in ``tests/test_op_sweep.py`` holds the text
+to the reference tier over every op, width and operand source. The text
+is built only from an :class:`~repro.ebpf.isa.Instruction`'s integer
 fields. Every function returns ``None`` for an op outside
 ``isa.ALU_OP_NAMES`` / ``isa.JMP_SYMBOLS`` (or a byte swap of a width
-other than 16/32/64): the verifier rejects those, and the VM falls back
-to the reference tier, which raises the canonical ``VmError``.
+other than 16/32/64): the verifier rejects those, and the codegen
+emitter refuses them with a ``CodegenError``.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from typing import Callable, List, Optional, Tuple
 from . import isa
 from .isa import MASK32, MASK64, Instruction, to_signed32
 
-AluFn = Callable[[List[int]], None]
-CmpFn = Callable[[List[int]], bool]
 # How the text names register N. The default is a slot of a register
 # file named ``regs``; the pipeline engine's ``_stream`` body keeps
 # the registers in Python locals instead and passes ``"r{}".format``.
@@ -200,26 +197,3 @@ def cmp_source(
         return prelude, f"_l {rel} _r"
     simm = imm - (1 << bits) if imm & (1 << (bits - 1)) else imm
     return prelude, f"_l {rel} {simm}"
-
-
-def _compile(lines: List[str]) -> Callable:
-    namespace: dict = {}
-    exec("def fn(regs):\n" + "".join(f"    {ln}\n" for ln in lines), namespace)
-    return namespace["fn"]
-
-
-def make_alu_fn(insn: Instruction) -> Optional[AluFn]:
-    """Compile :func:`alu_source` into ``fn(regs)``, or ``None`` when the
-    opcode has no specialization."""
-    lines = alu_source(insn)
-    return None if lines is None else _compile(lines)
-
-
-def make_cmp_fn(insn: Instruction) -> Optional[CmpFn]:
-    """Compile :func:`cmp_source` into ``fn(regs) -> taken``, or ``None``
-    when the opcode has no specialization."""
-    source = cmp_source(insn)
-    if source is None:
-        return None
-    prelude, cond = source
-    return _compile(prelude + [f"return {cond}"])

@@ -11,35 +11,33 @@ pipeline simulator must produce the same XDP action, packet bytes and map
 contents as :meth:`Vm.run`.
 
 ALU and conditional-jump semantics exist in two tiers, each defined
-once. This module is the *reference* tier: :func:`alu_step` /
-:func:`cmp_step` hold the one operand decode (END, NEG, register vs.
-sign-extended immediate) in front of ``Vm._alu`` / ``_swap`` /
-``_compare``, and run it per execution — here in the
-decode-per-instruction loop (``Vm._run_interpreted``), in
-:mod:`repro.hwsim.sim` as the ``interpreted`` pipeline engine.
-:mod:`repro.ebpf.opfns` is the *specialised* tier: the same semantics as
-source text decoded once per instruction, which ``Vm.run``'s
-jump-threaded dispatch table compiles into one closure per program slot
-and the ``codegen`` engine inlines. ``Vm.run`` has that one execution
-path; the loop it replaced stays in the class only as the reference the
-table is tested against, and as where an opcode outside the ``isa``
-tables raises its canonical ``VmError`` (the VM runs unverified
-programs; the verifier rejects such opcodes before anything is compiled).
+once. This module is the *reference* tier: ``Vm._alu`` / ``_swap`` /
+``_compare`` evaluate an op on every execution, behind the one operand
+decode :func:`alu_operands` / :func:`cmp_operands` (END, NEG, register
+vs. sign-extended immediate). Two engines run it: ``Vm.run``, which
+decodes each slot once before the first run (:func:`_decode`) and
+evaluates it per execution, and the ``interpreted`` pipeline engine of
+:mod:`repro.hwsim.sim`, which goes through :func:`alu_step` /
+:func:`cmp_step`. The *specialised* tier — the semantics folded into
+text per instruction — lives only in :mod:`repro.ebpf.opfns` (inlined by
+the ``codegen`` engine) and in the VHDL, so a differential with a
+``vm`` leg checks it against an independent reference. ``Vm.run`` has
+one execution path, and an opcode outside the ``isa`` tables raises its
+canonical ``VmError`` there (the VM runs unverified programs; the
+verifier rejects such opcodes before anything is compiled).
 
 The memory side has the same shape. Its reference tier is three rules,
 each defined once and shared by every engine that decodes per
 execution: where an address lands (``AddressSpace.locate`` in
 :mod:`repro.ebpf.xdp`), what an atomic writes (:func:`atomic_step`,
-here) and what r0 means (``XdpAction.of``). ``Vm.read_bytes`` /
-``write_bytes`` add only the VM's policy — a span no buffer holds is a
-``VmError``. The specialised tier is ``_compile_insn``'s inline stack /
-packet arms and the ``codegen`` engine's access text.
+here) and what r0 means (``XdpAction.of``). The VM adds only its policy
+— a span no buffer holds is a ``VmError`` (:func:`_refused`). The
+specialised tier is the ``codegen`` engine's access text.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import isa
 from .helpers import (
@@ -51,7 +49,7 @@ from .helpers import (
     map_ptr,
     prandom_step,
 )
-from .isa import MASK32, MASK64, Instruction, Program, to_signed32, to_signed64
+from .isa import MASK32, MASK64, Instruction, Program, to_signed32
 from .maps import MapSet
 from .xdp import AddressSpace, XdpAction, XdpContext, XdpResult
 from ..telemetry import get_registry
@@ -70,32 +68,17 @@ _CLASS_NAMES = {
     isa.BPF_JMP32: "jmp32",
 }
 
-# Hot-path constants for the jump-threaded dispatch handlers: region
-# bounds without classmethod calls, and single-call little-endian codecs
-# per access width (bounds are checked before use).
-_STACK_BASE = AddressSpace.STACK_BASE
-_STACK_SIZE = AddressSpace.STACK_SIZE
-_STACK_END = _STACK_BASE + _STACK_SIZE
-_PACKET_BASE = AddressSpace.PACKET_BASE
-_PACKET_DATA0 = AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM
-
-_UNPACK = {
-    1: struct.Struct("<B").unpack_from,
-    2: struct.Struct("<H").unpack_from,
-    4: struct.Struct("<I").unpack_from,
-    8: struct.Struct("<Q").unpack_from,
-}
-_PACK = {
-    1: struct.Struct("<B").pack_into,
-    2: struct.Struct("<H").pack_into,
-    4: struct.Struct("<I").pack_into,
-    8: struct.Struct("<Q").pack_into,
-}
-
 
 class VmError(RuntimeError):
     """Raised on faults the kernel verifier/runtime would reject: bad
     memory accesses, unknown opcodes, running off the program end."""
+
+
+def _refused(region: str, why: str, addr: int, size: int,
+             writing: bool) -> VmError:
+    """The VM's policy for a span ``AddressSpace.locate`` refuses."""
+    return VmError(
+        f"{region} {'write' if writing else 'read'} {why}: {addr:#x}+{size}")
 
 
 class Vm:
@@ -117,37 +100,35 @@ class Vm:
         self.time_ns = time_ns
         self.trace_events: List[Tuple[int, ...]] = []
         self._prandom_state = prandom_seed & MASK32 or 1
-        # Slot-indexed view of the program: slot -> instruction index, with
-        # the second slot of LD_IMM64 mapped to None. Branch offsets are in
-        # slots, so execution advances through this table.
-        self._slot_table: List[Optional[int]] = []
-        for index, insn in enumerate(program.instructions):
-            self._slot_table.append(index)
-            if insn.slots == 2:
-                self._slot_table.append(None)
-        # Telemetry: per-slot opcode-class/helper names precomputed so
-        # the run drivers count executions per slot (one list increment
-        # per instruction, folded into the dicts once per run), and only
-        # when the registry is enabled at run() time.
-        self._slot_class: List[Optional[str]] = [None] * len(self._slot_table)
-        self._slot_helper: List[Optional[str]] = [None] * len(self._slot_table)
-        slot = 0
+        # Slot-indexed view of the program, each instruction decoded once
+        # into its plain operands (see _decode), with the second slot of
+        # LD_IMM64 mapped to None. Branch offsets are in slots, so
+        # execution advances through this table. Telemetry: per-slot
+        # opcode-class/helper names precomputed so the run loop counts
+        # executions per slot (one list increment per instruction,
+        # folded into the dicts once per run), and only when the
+        # registry is enabled at run() time.
+        self._decoded: List[Optional[tuple]] = []
+        self._slot_class: List[Optional[str]] = []
+        self._slot_helper: List[Optional[str]] = []
         for insn in program.instructions:
-            self._slot_class[slot] = _CLASS_NAMES.get(insn.opclass, "unknown")
+            helper = None
             if insn.opclass in (isa.BPF_JMP, isa.BPF_JMP32) and insn.is_call:
                 try:
-                    self._slot_helper[slot] = helper_spec(insn.imm).name
+                    helper = helper_spec(insn.imm).name
                 except HelperError:
-                    self._slot_helper[slot] = f"helper_{insn.imm}"
-            slot += insn.slots
+                    helper = f"helper_{insn.imm}"
+            self._decoded.append(_decode(insn, len(self._decoded)))
+            self._slot_class.append(_CLASS_NAMES.get(insn.opclass, "unknown"))
+            self._slot_helper.append(helper)
+            if insn.slots == 2:
+                self._decoded.append(None)
+                self._slot_class.append(None)
+                self._slot_helper.append(None)
         # Executed-instruction counts by opcode class, and helper calls by
         # helper name, cumulative across runs of this VM instance.
         self.opcode_class_counts: Dict[str, int] = {}
         self.helper_call_counts: Dict[str, int] = {}
-        self._collect = False
-        # Jump-threaded dispatch table (one bound closure per slot), built
-        # lazily on the first run.
-        self._dispatch: Optional[List[Optional[Callable]]] = None
         # Per-run state, initialised by run().
         self.regs: List[int] = [0] * isa.NUM_REGS
         self.stack = bytearray(AddressSpace.STACK_SIZE)
@@ -164,11 +145,11 @@ class Vm:
     def read_bytes(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes from the VM address space: the span
         ``AddressSpace.locate`` names, under the VM's policy — one no
-        buffer holds is a :class:`VmError`."""
+        buffer holds is a :class:`VmError` (:func:`_refused`)."""
         buf, off, why = AddressSpace.locate(
             addr, size, self.stack, self.ctx, self.maps)
         if buf is None:  # refused: ``off`` names the region
-            raise VmError(f"{off} read {why}: {addr:#x}+{size}")
+            raise _refused(off, why, addr, size, False)
         return bytes(buf[off : off + size])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
@@ -176,7 +157,7 @@ class Vm:
         buf, off, why = AddressSpace.locate(
             addr, size, self.stack, self.ctx, self.maps, writing=True)
         if buf is None:
-            raise VmError(f"{off} write {why}: {addr:#x}+{size}")
+            raise _refused(off, why, addr, size, True)
         buf[off : off + size] = data
 
     def _load(self, addr: int, size_bytes: int) -> int:
@@ -190,10 +171,20 @@ class Vm:
     @staticmethod
     def _alu(op: int, dst: int, src: int, is64: bool) -> int:
         mask = MASK64 if is64 else MASK32
-        bits = 64 if is64 else 32
-        shift_mask = 63 if is64 else 31
-        if op == isa.BPF_ADD:
+        if op == isa.BPF_MOV:
+            result = src
+        elif op == isa.BPF_ADD:
             result = dst + src
+        elif op == isa.BPF_AND:
+            result = dst & src
+        elif op == isa.BPF_LSH:
+            result = dst << (src & (63 if is64 else 31))
+        elif op == isa.BPF_RSH:
+            result = (dst & mask) >> (src & (63 if is64 else 31))
+        elif op == isa.BPF_OR:
+            result = dst | src
+        elif op == isa.BPF_XOR:
+            result = dst ^ src
         elif op == isa.BPF_SUB:
             result = dst - src
         elif op == isa.BPF_MUL:
@@ -202,21 +193,9 @@ class Vm:
             result = (dst & mask) // (src & mask) if (src & mask) else 0
         elif op == isa.BPF_MOD:
             result = (dst & mask) % (src & mask) if (src & mask) else dst
-        elif op == isa.BPF_OR:
-            result = dst | src
-        elif op == isa.BPF_AND:
-            result = dst & src
-        elif op == isa.BPF_XOR:
-            result = dst ^ src
-        elif op == isa.BPF_LSH:
-            result = dst << (src & shift_mask)
-        elif op == isa.BPF_RSH:
-            result = (dst & mask) >> (src & shift_mask)
         elif op == isa.BPF_ARSH:
-            signed = isa.sign_extend(dst, bits)
-            result = signed >> (src & shift_mask)
-        elif op == isa.BPF_MOV:
-            result = src
+            signed = isa.sign_extend(dst, 64 if is64 else 32)
+            result = signed >> (src & (63 if is64 else 31))
         elif op == isa.BPF_NEG:
             result = -dst
         else:
@@ -236,12 +215,9 @@ class Vm:
 
     @staticmethod
     def _compare(op: int, lhs: int, rhs: int, is64: bool) -> bool:
-        bits = 64 if is64 else 32
         mask = MASK64 if is64 else MASK32
         lhs &= mask
         rhs &= mask
-        slhs = isa.sign_extend(lhs, bits)
-        srhs = isa.sign_extend(rhs, bits)
         if op == isa.BPF_JEQ:
             return lhs == rhs
         if op == isa.BPF_JNE:
@@ -256,6 +232,9 @@ class Vm:
             return lhs <= rhs
         if op == isa.BPF_JSET:
             return bool(lhs & rhs)
+        bits = 64 if is64 else 32
+        slhs = isa.sign_extend(lhs, bits)
+        srhs = isa.sign_extend(rhs, bits)
         if op == isa.BPF_JSGT:
             return slhs > srhs
         if op == isa.BPF_JSGE:
@@ -297,300 +276,93 @@ class Vm:
         self.regs[isa.R1] = AddressSpace.CTX_BASE
         self.regs[isa.R10] = AddressSpace.stack_top()
         self.stack = bytearray(AddressSpace.STACK_SIZE)
-        self._collect = get_registry().enabled
-        return self._run_dispatch()
-
-    def _run_dispatch(self) -> XdpResult:
-        """Jump-threaded driver: one pre-bound closure per program slot.
-
-        Each handler executes its instruction against the VM state and
-        returns the next slot (``None`` for exit). The driver keeps the
-        executed counter, program-counter range check and
-        mid-``ld_imm64`` check of :meth:`_run_interpreted` — with
-        identical error messages — so the two fault identically too."""
-        dispatch = self._dispatch
-        if dispatch is None:
-            dispatch = self._dispatch = self._build_dispatch()
-        n = len(dispatch)
-        slot = 0
-        executed = 0
-        collect = self._collect
         # Per-slot execution tallies, folded into the by-class/by-helper
         # dicts once per run (see _fold_slot_counts): the per-instruction
         # telemetry cost is one list increment instead of two dict bumps.
-        scounts = [0] * n if collect else None
+        scounts = [0] * len(self._decoded) if get_registry().enabled else None
         try:
-            while True:
-                if executed >= MAX_INSTRUCTIONS:
-                    raise VmError(
-                        "instruction limit exceeded (unbounded loop?)")
-                if not 0 <= slot < n:
-                    raise VmError(
-                        f"program counter out of range: slot {slot}")
-                handler = dispatch[slot]
-                if handler is None:
-                    raise VmError(
-                        f"jump into the middle of ld_imm64 at slot {slot}")
-                executed += 1
-                if collect:
-                    scounts[slot] += 1
-                slot = handler(self)
-                if slot is None:
-                    return XdpResult(
-                        action=XdpAction.of(self.regs[isa.R0]),
-                        packet=bytes(self.ctx.packet),
-                        redirect_ifindex=self.ctx.redirect_ifindex,
-                        instructions_executed=executed,
-                    )
+            return self._loop(scounts)
         finally:
-            if collect:
+            if scounts is not None:
                 self._fold_slot_counts(scounts)
 
-    def _build_dispatch(self) -> List[Optional[Callable]]:
-        from .opfns import make_alu_fn, make_cmp_fn
-
-        table: List[Optional[Callable]] = [None] * len(self._slot_table)
-        slot = 0
-        for insn in self.program.instructions:
-            table[slot] = self._compile_insn(insn, slot, make_alu_fn, make_cmp_fn)
-            slot += insn.slots
-        return table
-
-    def _compile_insn(
-        self, insn: Instruction, slot: int, make_alu_fn, make_cmp_fn
-    ) -> Callable:
-        """Bind one instruction into a ``handler(vm) -> next_slot | None``."""
-        next_slot = slot + insn.slots
-        cls = insn.opclass
-
-        if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-            alu = make_alu_fn(insn)
-            if alu is not None:
-                def handler(vm):
-                    alu(vm.regs)
-                    return next_slot
-                return handler
-
-            def handler(vm):  # unknown opcode: canonical _alu/_swap errors
-                alu_step(insn, vm.regs)
-                return next_slot
-            return handler
-
-        if cls == isa.BPF_LDX:
-            if insn.mode != isa.BPF_MEM:
-                mode = insn.mode
-
-                def handler(vm):
-                    raise VmError(f"unsupported LDX mode {mode:#x}")
-                return handler
-            src = insn.src
-            dst = insn.dst
-            off = insn.off
-            size = insn.size_bytes
-            unpack = _UNPACK[size]
-
-            def handler(vm):
-                addr = (vm.regs[src] + off) & MASK64
-                if _STACK_BASE <= addr < _STACK_END:
-                    o = addr - _STACK_BASE
-                    if o + size <= _STACK_SIZE:
-                        vm.regs[dst] = unpack(vm.stack, o)[0]
-                        return next_slot
-                elif _PACKET_BASE <= addr < _STACK_BASE:
-                    ctx = vm.ctx
-                    o = addr - _PACKET_DATA0 - ctx.head_adjust
-                    if 0 <= o and o + size <= len(ctx.packet):
-                        vm.regs[dst] = unpack(ctx.packet, o)[0]
-                        return next_slot
-                # Other regions and all out-of-bounds accesses take the
-                # generic path for the canonical VmError messages.
-                vm.regs[dst] = vm._load(addr, size)
-                return next_slot
-            return handler
-
-        if cls == isa.BPF_LD:
-            if not insn.is_ld_imm64:
-                mode = insn.mode
-
-                def handler(vm):
-                    raise VmError(f"unsupported LD mode {mode:#x}")
-                return handler
-            dst = insn.dst
-            if insn.src == isa.BPF_PSEUDO_MAP_FD:
-                fd = (insn.imm64 or insn.imm) & MASK32
-
-                def handler(vm):
-                    if fd not in vm.maps:
-                        raise VmError(f"unknown map fd {fd}")
-                    vm.regs[dst] = map_ptr(fd)
-                    return next_slot
-                return handler
-            value = (insn.imm64 if insn.imm64 is not None else insn.imm) & MASK64
-
-            def handler(vm):
-                vm.regs[dst] = value
-                return next_slot
-            return handler
-
-        if cls in (isa.BPF_ST, isa.BPF_STX):
-            rdst = insn.dst
-            off = insn.off
-            size = insn.size_bytes
-            if insn.is_atomic:
-                def handler(vm):
-                    vm._atomic(insn, (vm.regs[rdst] + off) & MASK64)
-                    return next_slot
-                return handler
-            is_stx = cls == isa.BPF_STX
-            rsrc = insn.src
-            imm_val = to_signed32(insn.imm) & MASK64
-            smask = (1 << (8 * size)) - 1
-            pack = _PACK[size]
-
-            def handler(vm):
-                addr = (vm.regs[rdst] + off) & MASK64
-                value = vm.regs[rsrc] if is_stx else imm_val
-                if _STACK_BASE <= addr < _STACK_END:
-                    o = addr - _STACK_BASE
-                    if o + size <= _STACK_SIZE:
-                        pack(vm.stack, o, value & smask)
-                        return next_slot
-                elif _PACKET_BASE <= addr < _STACK_BASE:
-                    ctx = vm.ctx
-                    o = addr - _PACKET_DATA0 - ctx.head_adjust
-                    if 0 <= o and o + size <= len(ctx.packet):
-                        pack(ctx.packet, o, value & smask)
-                        return next_slot
-                vm._store(addr, size, value)
-                return next_slot
-            return handler
-
-        if cls in (isa.BPF_JMP, isa.BPF_JMP32):
-            if insn.is_exit:
-                def handler(vm):
-                    return None
-                return handler
-            if insn.is_call:
-                helper_id = insn.imm
-                try:
-                    helper_spec(helper_id)
-                    impl = helper_impl(helper_id)
-                except HelperError:
-                    def handler(vm):  # unknown helper: fail at execution
-                        vm._call(helper_id)
-                        return next_slot
-                    return handler
-
-                def handler(vm):
-                    regs = vm.regs
-                    regs[isa.R0] = impl(
-                        vm, regs[1], regs[2], regs[3], regs[4], regs[5]
-                    ) & MASK64
-                    regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-                    return next_slot
-                return handler
-            target = slot + insn.slots + insn.off
-            if insn.op == isa.BPF_JA:
-                def handler(vm):
-                    return target
-                return handler
-            cmp = make_cmp_fn(insn)
-            if cmp is not None:
-                def handler(vm):
-                    return target if cmp(vm.regs) else next_slot
-                return handler
-
-            def handler(vm):  # unknown compare: canonical _compare error
-                return target if cmp_step(insn, vm.regs) else next_slot
-            return handler
-
-        def handler(vm):
-            raise VmError(f"unknown instruction class {cls:#x}")
-        return handler
-
-    def _run_interpreted(self) -> XdpResult:
-        """The decode-per-instruction loop: not reachable from
-        :meth:`run`, kept as the reference the dispatch table is tested
-        against (``tests/test_vm.py::TestVmFastPath`` rebinds
-        ``_run_dispatch`` to it)."""
-        collect = self._collect
-        scounts = [0] * len(self._slot_table) if collect else None
-        try:
-            return self._interp_loop(scounts)
-        finally:
-            if collect:
-                self._fold_slot_counts(scounts)
-
-    def _interp_loop(self, scounts: Optional[List[int]]) -> XdpResult:
+    def _loop(self, scounts: Optional[List[int]]) -> XdpResult:
+        """Execute the decoded slots: every op's semantics are evaluated
+        here, per execution, by the reference tier's functions."""
+        decoded = self._decoded
+        n = len(decoded)
+        regs = self.regs
+        alu, swap, compare = Vm._alu, Vm._swap, Vm._compare
+        locate, from_bytes = AddressSpace.locate, int.from_bytes
+        stack, ctx, maps = self.stack, self.ctx, self.maps
+        collect = scounts is not None
         slot = 0
         executed = 0
-        table = self._slot_table
-        instructions = self.program.instructions
-        collect = scounts is not None
-
         while True:
             if executed >= MAX_INSTRUCTIONS:
                 raise VmError("instruction limit exceeded (unbounded loop?)")
-            if not 0 <= slot < len(table):
+            if not 0 <= slot < n:
                 raise VmError(f"program counter out of range: slot {slot}")
-            index = table[slot]
-            if index is None:
+            d = decoded[slot]
+            if d is None:
                 raise VmError(f"jump into the middle of ld_imm64 at slot {slot}")
-            insn = instructions[index]
             executed += 1
             if collect:
                 scounts[slot] += 1
-            next_slot = slot + insn.slots
-            cls = insn.opclass
-
-            if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-                alu_step(insn, self.regs)
-            elif cls == isa.BPF_LDX:
-                if insn.mode != isa.BPF_MEM:
-                    raise VmError(f"unsupported LDX mode {insn.mode:#x}")
-                addr = (self.regs[insn.src] + insn.off) & MASK64
-                self.regs[insn.dst] = self._load(addr, insn.size_bytes)
-            elif cls == isa.BPF_LD:
-                if insn.is_ld_imm64:
-                    if insn.src == isa.BPF_PSEUDO_MAP_FD:
-                        fd = (insn.imm64 or insn.imm) & MASK32
-                        if fd not in self.maps:
-                            raise VmError(f"unknown map fd {fd}")
-                        self.regs[insn.dst] = map_ptr(fd)
-                    else:
-                        self.regs[insn.dst] = (
-                            insn.imm64 if insn.imm64 is not None else insn.imm
-                        ) & MASK64
-                else:
-                    raise VmError(f"unsupported LD mode {insn.mode:#x}")
-            elif cls in (isa.BPF_ST, isa.BPF_STX):
-                addr = (self.regs[insn.dst] + insn.off) & MASK64
-                if insn.is_atomic:
-                    self._atomic(insn, addr)
-                elif cls == isa.BPF_STX:
-                    self._store(addr, insn.size_bytes, self.regs[insn.src])
-                else:
-                    self._store(
-                        addr, insn.size_bytes, to_signed32(insn.imm) & MASK64
-                    )
-            elif cls in (isa.BPF_JMP, isa.BPF_JMP32):
-                if insn.is_exit:
-                    return XdpResult(
-                        action=XdpAction.of(self.regs[isa.R0]),
-                        packet=bytes(self.ctx.packet),
-                        redirect_ifindex=self.ctx.redirect_ifindex,
-                        instructions_executed=executed,
-                    )
-                if insn.is_call:
-                    self._call(insn.imm)
-                elif insn.op == isa.BPF_JA:
-                    next_slot = slot + insn.slots + insn.off
-                elif cmp_step(insn, self.regs):
-                    next_slot = slot + insn.slots + insn.off
-            else:
-                raise VmError(f"unknown instruction class {cls:#x}")
-
-            slot = next_slot
+            kind = d[0]
+            if kind == _ALU:
+                _, slot, op, dst, src, imm, is64 = d
+                regs[dst] = alu(
+                    op, regs[dst], imm if src is None else regs[src], is64)
+            elif kind == _LDX:
+                _, slot, dst, src, off, size = d
+                addr = (regs[src] + off) & MASK64
+                buf, o, why = locate(addr, size, stack, ctx, maps)
+                if buf is None:
+                    raise _refused(o, why, addr, size, False)
+                regs[dst] = from_bytes(buf[o : o + size], "little")
+            elif kind == _ST:
+                _, slot, dst, src, off, size, imm = d
+                addr = (regs[dst] + off) & MASK64
+                buf, o, why = locate(addr, size, stack, ctx, maps, True)
+                if buf is None:
+                    raise _refused(o, why, addr, size, True)
+                buf[o : o + size] = ((imm if src is None else regs[src])
+                                     & ((1 << (8 * size)) - 1)
+                                     ).to_bytes(size, "little")
+            elif kind == _JCC:
+                _, slot, target, op, dst, src, imm, is64 = d
+                if compare(op, regs[dst],
+                           imm if src is None else regs[src], is64):
+                    slot = target
+            elif kind == _SWAP:
+                _, slot, dst, bits, to_big = d
+                regs[dst] = swap(regs[dst], bits, to_big)
+            elif kind == _CALL:
+                _, slot, helper_id = d
+                self._call(helper_id)
+            elif kind == _MAP_FD:
+                _, slot, dst, fd = d
+                if fd not in maps:
+                    raise VmError(f"unknown map fd {fd}")
+                regs[dst] = map_ptr(fd)
+            elif kind == _EXIT:
+                return XdpResult(
+                    action=XdpAction.of(regs[isa.R0]),
+                    packet=bytes(ctx.packet),
+                    redirect_ifindex=ctx.redirect_ifindex,
+                    instructions_executed=executed,
+                )
+            elif kind == _ATOMIC:
+                _, slot, insn, dst, off = d
+                self._atomic(insn, (regs[dst] + off) & MASK64)
+            elif kind == _JA:
+                slot = d[1]
+            elif kind == _IMM:
+                _, slot, dst, imm = d
+                regs[dst] = imm
+            else:  # _FAULT: raised only when executed
+                raise VmError(d[1])
 
     def _call(self, helper_id: int) -> None:
         regs = self.regs
@@ -636,35 +408,101 @@ class Vm:
         self.helper_call_counts = {}
 
 
-def alu_step(insn: Instruction, regs: List[int]) -> None:
-    """Execute one ALU/ALU64 instruction on a register file: the
-    reference tier's one operand decode (END, NEG, register vs.
-    sign-extended immediate) in front of ``Vm._alu`` / ``Vm._swap``."""
-    if insn.op == isa.BPF_END:
-        regs[insn.dst] = Vm._swap(
-            regs[insn.dst], insn.imm, to_big=insn.uses_reg_src
-        )
-        return
+Operands = Tuple[int, int, Optional[int], int, bool]
+
+
+def alu_operands(insn: Instruction) -> Operands:
+    """The reference tier's one ALU/ALU64 operand decode: ``(op, dst,
+    src, imm, is64)``, where ``src`` is the source register, or ``None``
+    when the operand is ``imm`` — the sign-extended immediate folded to
+    the op's width (0 for NEG, which reads none). A byte swap
+    (``BPF_END``) reads no operand either: its ``imm`` is the swap width
+    and its last field is ``to_big``."""
+    op = insn.op
+    if op == isa.BPF_END:
+        return op, insn.dst, None, insn.imm, insn.uses_reg_src
     is64 = insn.opclass == isa.BPF_ALU64
-    if insn.op == isa.BPF_NEG:
-        operand = 0  # unused
-    elif insn.uses_reg_src:
-        operand = regs[insn.src]
+    if op == isa.BPF_NEG:
+        return op, insn.dst, None, 0, is64
+    if insn.uses_reg_src:
+        return op, insn.dst, insn.src, 0, is64
+    return op, insn.dst, None, to_signed32(insn.imm) & (
+        MASK64 if is64 else MASK32), is64
+
+
+def cmp_operands(insn: Instruction) -> Operands:
+    """The reference tier's one conditional-jump operand decode, shaped
+    as :func:`alu_operands`."""
+    is64 = insn.opclass == isa.BPF_JMP
+    if insn.uses_reg_src:
+        return insn.op, insn.dst, insn.src, 0, is64
+    return insn.op, insn.dst, None, to_signed32(insn.imm) & (
+        MASK64 if is64 else MASK32), is64
+
+
+def alu_step(insn: Instruction, regs: List[int]) -> None:
+    """Execute one ALU/ALU64 instruction on a register file:
+    :func:`alu_operands` in front of ``Vm._alu`` / ``Vm._swap``."""
+    op, dst, src, imm, is64 = alu_operands(insn)
+    if op == isa.BPF_END:
+        regs[dst] = Vm._swap(regs[dst], imm, is64)
     else:
-        operand = to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-    regs[insn.dst] = Vm._alu(insn.op, regs[insn.dst], operand, is64)
+        regs[dst] = Vm._alu(
+            op, regs[dst], imm if src is None else regs[src], is64)
 
 
 def cmp_step(insn: Instruction, regs: List[int]) -> bool:
-    """Evaluate one conditional jump's predicate on a register file: the
-    reference tier's one operand decode in front of ``Vm._compare``."""
-    is64 = insn.opclass == isa.BPF_JMP
-    rhs = (
-        regs[insn.src]
-        if insn.uses_reg_src
-        else to_signed32(insn.imm) & (MASK64 if is64 else MASK32)
-    )
-    return Vm._compare(insn.op, regs[insn.dst], rhs, is64)
+    """Evaluate one conditional jump's predicate on a register file:
+    :func:`cmp_operands` in front of ``Vm._compare``."""
+    op, dst, src, imm, is64 = cmp_operands(insn)
+    return Vm._compare(op, regs[dst], imm if src is None else regs[src], is64)
+
+
+# The kinds of decoded slot ``Vm._loop`` executes, most frequent first.
+(_ALU, _LDX, _ST, _JCC, _SWAP, _CALL, _MAP_FD, _EXIT, _ATOMIC, _JA, _IMM,
+ _FAULT) = range(12)
+
+
+def _decode(insn: Instruction, slot: int) -> tuple:
+    """The instruction at ``slot`` as ``(kind, next_slot, operands...)``
+    — register numbers, folded immediates, access size, jump target —
+    read once, before the first run. An unsupported mode or class
+    decodes to its canonical message, raised only if the slot executes
+    (the VM runs unverified programs)."""
+    nxt = slot + insn.slots
+    cls = insn.opclass
+    if cls in (isa.BPF_ALU64, isa.BPF_ALU):
+        op, dst, src, imm, is64 = alu_operands(insn)
+        if op == isa.BPF_END:
+            return _SWAP, nxt, dst, imm, is64
+        return _ALU, nxt, op, dst, src, imm, is64
+    if cls in (isa.BPF_JMP, isa.BPF_JMP32):
+        if insn.is_exit:
+            return (_EXIT,)
+        if insn.is_call:
+            return _CALL, nxt, insn.imm
+        if insn.op == isa.BPF_JA:
+            return _JA, nxt + insn.off
+        return (_JCC, nxt, nxt + insn.off) + cmp_operands(insn)
+    if cls == isa.BPF_LDX:
+        if insn.mode != isa.BPF_MEM:
+            return _FAULT, f"unsupported LDX mode {insn.mode:#x}"
+        return _LDX, nxt, insn.dst, insn.src, insn.off, insn.size_bytes
+    if cls in (isa.BPF_ST, isa.BPF_STX):
+        if insn.is_atomic:
+            return _ATOMIC, nxt, insn, insn.dst, insn.off
+        if cls == isa.BPF_STX:
+            return _ST, nxt, insn.dst, insn.src, insn.off, insn.size_bytes, 0
+        return (_ST, nxt, insn.dst, None, insn.off, insn.size_bytes,
+                to_signed32(insn.imm) & MASK64)
+    if cls == isa.BPF_LD:
+        if not insn.is_ld_imm64:
+            return _FAULT, f"unsupported LD mode {insn.mode:#x}"
+        if insn.src == isa.BPF_PSEUDO_MAP_FD:
+            return _MAP_FD, nxt, insn.dst, (insn.imm64 or insn.imm) & MASK32
+        value = insn.imm64 if insn.imm64 is not None else insn.imm
+        return _IMM, nxt, insn.dst, value & MASK64
+    return _FAULT, f"unknown instruction class {cls:#x}"
 
 
 def atomic_step(imm: int, old: int, src: int, expected: int, mask: int) -> int:

@@ -113,7 +113,7 @@ drops, successor enabling — so a codegen run is bit-identical: same XDP
 actions, packet bytes, map state AND cycle counts. ALU and compare ops
 carry no semantics of this module's own: their statements are
 :func:`repro.ebpf.opfns.alu_source` / ``cmp_source`` — the specialised
-tier, the same text the VM's dispatch table compiles — inlined as they
+tier, of which this engine is the one Python consumer — inlined as they
 come (an op it has no text for is a :class:`CodegenError` at emit time;
 the verifier keeps such ops from ever reaching here). Anything not worth
 specializing (WAR-buffered map stores, complex atomics, unknown

@@ -10,8 +10,11 @@ table is swept the moment it exists — and fails until all five
 definitions do.
 
 * :class:`TestSpecialisedMatchesReference` — the full grid, pure
-  Python: the closure compiled from the source text equals
+  Python: the source text, compiled here into a function, equals
   ``alu_step`` / ``cmp_step``.
+* :class:`TestTheReferenceIsIndependent` — a wrong row of the text is a
+  mismatch on the default ``run_differential`` pair: the ``vm`` leg
+  does not run the text it checks.
 * :class:`TestEveryRowIsComplete` — each row has its specialisation, its
   VHDL expression at both widths, its LUT cost and an asm <-> disasm
   round trip.
@@ -35,6 +38,7 @@ what the ``Vm`` does over hit, miss, full-map and update-flag requests,
 and the same programs go through all five engines.
 """
 
+import dataclasses
 import itertools
 import struct
 
@@ -54,11 +58,12 @@ from repro.ebpf.isa import MASK64, Instruction, MapSpec, Program
 from repro.ebpf.maps import (
     _MAP_CLASSES, BPF_ANY, BPF_EXIST, BPF_NOEXIST, MapSet,
 )
-from repro.ebpf.opfns import make_alu_fn, make_cmp_fn
+from repro.ebpf import opfns
+from repro.ebpf.opfns import alu_source, cmp_source
 from repro.ebpf.verifier import VerifierError
 from repro.ebpf.vm import Vm, alu_step, atomic_step, cmp_step
 from repro.ebpf.xdp import AddressSpace, XdpAction
-from repro.hwsim import run_differential
+from repro.hwsim import codegen, run_differential
 from repro.hwsim.engines import engine_names
 
 VALUES = (0, 1, 2**64 - 1, 2**31, 2**32 - 1, 2**63, 32, 63, 65)
@@ -94,6 +99,29 @@ def jmp_rows(op, off=0):
     return rows
 
 
+def _compile(lines):
+    namespace = {}
+    exec("def fn(regs):\n" + "".join(f"    {ln}\n" for ln in lines),
+         namespace)
+    return namespace["fn"]
+
+
+def alu_fn(insn):
+    """``alu_source`` as ``fn(regs)``, or ``None`` for an op without
+    text."""
+    lines = alu_source(insn)
+    return None if lines is None else _compile(lines)
+
+
+def cmp_fn(insn):
+    """``cmp_source`` as ``fn(regs) -> taken``, or ``None``."""
+    source = cmp_source(insn)
+    if source is None:
+        return None
+    prelude, cond = source
+    return _compile(prelude + [f"return {cond}"])
+
+
 def _regs(a, b):
     regs = [0] * isa.NUM_REGS
     regs[DST], regs[SRC] = a, b
@@ -105,7 +133,7 @@ class TestSpecialisedMatchesReference:
         "op", isa.ALU_OP_NAMES, ids=isa.ALU_OP_NAMES.get)
     def test_alu(self, op):
         for insn in alu_rows(op):
-            fn = make_alu_fn(insn)
+            fn = alu_fn(insn)
             for a, b in PAIRS:
                 got, want = _regs(a, b), _regs(a, b)
                 fn(got)
@@ -118,7 +146,7 @@ class TestSpecialisedMatchesReference:
         # dst is src: the text must read both before it writes
         for cls in (isa.BPF_ALU64, isa.BPF_ALU):
             insn = Instruction(cls | isa.BPF_X | op, dst=DST, src=DST)
-            fn = make_alu_fn(insn)
+            fn = alu_fn(insn)
             for a in VALUES:
                 got, want = _regs(a, 0), _regs(a, 0)
                 fn(got)
@@ -129,7 +157,7 @@ class TestSpecialisedMatchesReference:
         "op", isa.JMP_SYMBOLS, ids=isa.JMP_OP_NAMES.get)
     def test_jump(self, op):
         for insn in jmp_rows(op):
-            fn = make_cmp_fn(insn)
+            fn = cmp_fn(insn)
             for a, b in PAIRS:
                 regs = _regs(a, b)
                 assert bool(fn(regs)) == cmp_step(insn, regs), \
@@ -150,7 +178,7 @@ class TestEveryRowIsComplete:
     def test_alu_row(self, op):
         assert _ALU_LUTS[op] > 0
         for insn in alu_rows(op):
-            assert make_alu_fn(insn) is not None
+            assert alu_fn(insn) is not None
             if op == isa.BPF_END:
                 assert _swap_expr("a", insn.imm, insn.uses_reg_src)
             else:
@@ -161,7 +189,7 @@ class TestEveryRowIsComplete:
         "op", isa.JMP_SYMBOLS, ids=isa.JMP_OP_NAMES.get)
     def test_jump_row(self, op):
         for insn in jmp_rows(op):
-            assert make_cmp_fn(insn) is not None
+            assert cmp_fn(insn) is not None
             assert _cmp_expr(op, "a", "b", insn.opclass == isa.BPF_JMP)
             self._round_trips(insn)
 
@@ -169,6 +197,49 @@ class TestEveryRowIsComplete:
     def _round_trips(insn):
         text = format_instruction(insn)
         assert assemble_program(text + "\nexit").instructions[0] == insn, text
+
+
+class TestTheReferenceIsIndependent:
+    """One row of the specialised text made wrong (XOR emits OR's text,
+    JGT JLT's), where every consumer reads it: the default differential
+    pair, ``vm`` against ``codegen``, must report it. It reports nothing
+    if the VM executes the same text."""
+
+    ROWS = {
+        "alu": ("alu_source", isa.BPF_XOR, isa.BPF_OR, """
+            r0 = 3
+            r0 ^= 1
+            exit
+        """),
+        "jump": ("cmp_source", isa.BPF_JGT, isa.BPF_JLT, """
+            r0 = 2
+            r2 = 5
+            if r2 > 3 goto out
+            r0 = 1
+        out:
+            exit
+        """),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_a_wrong_row_is_a_mismatch(self, monkeypatch, row):
+        name, op, other, source = self.ROWS[row]
+        program = assemble_program(source)
+        frames = [bytes(64)] * 2
+        assert run_differential(program, frames).ok
+        right = getattr(opfns, name)
+
+        def wrong(insn, *args):
+            if insn.op == op:
+                insn = dataclasses.replace(
+                    insn, opcode=insn.opcode ^ op ^ other)
+            return right(insn, *args)
+
+        for module in (opfns, codegen):
+            monkeypatch.setattr(module, name, wrong)
+        result = run_differential(program, frames)  # compiles uncached
+        assert [(m.index, m.what) for m in result.mismatches] \
+            == [(0, "action"), (1, "action")]
 
 
 # -- the same rows on all five engines ----------------------------------------

@@ -219,12 +219,8 @@ class TestClosedOpSet:
 
     @pytest.mark.parametrize("rule", sorted(MALFORMED))
     def test_vm_keeps_its_runtime_error(self, rule):
-        # the VM runs unverified programs; its canonical error stays,
-        # on the dispatch path and on the reference loop alike
+        # the VM runs unverified programs; its canonical error stays
         vm = Vm(self._program(rule))
-        with pytest.raises(VmError, match=self.MALFORMED[rule][2]):
-            vm.run(bytes(64))
-        vm._run_dispatch = vm._run_interpreted
         with pytest.raises(VmError, match=self.MALFORMED[rule][2]):
             vm.run(bytes(64))
 

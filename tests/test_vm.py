@@ -3,12 +3,14 @@
 import pytest
 
 from repro.apps import dnat, firewall, toy_counter
+from repro.core import compile_program
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
-from repro.ebpf.isa import MASK64, MapSpec, Program
+from repro.ebpf.isa import MASK64, Instruction, MapSpec, Program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.vm import Vm, VmError, run_program
 from repro.ebpf.xdp import AddressSpace, XdpAction
+from repro.hwsim import run_differential
 from repro.net.packet import FiveTuple, ipv4, udp_packet
 
 PKT = bytes(range(64))
@@ -348,24 +350,11 @@ class TestMapsThroughVm:
         assert maps.by_name("h").lookup((7).to_bytes(4, "little")) is None
 
 
-# -- the dispatch table ≡ the decode-per-instruction loop ----------------------
+# -- one loop: the reference semantics and its canonical faults -----------------
 
-def _vm(program, maps=None, reference=False):
-    """A Vm; with ``reference`` its run() drives the decode-per-
-    instruction loop instead of the dispatch table."""
-    vm = Vm(program, maps=maps)
-    if reference:
-        vm._run_dispatch = vm._run_interpreted
-    return vm
-
-
-class TestVmFastPath:
-    def _run(self, program, frames, reference, setup=None):
-        maps = MapSet(program.maps)
-        if setup is not None:
-            setup(maps)
-        vm = _vm(program, maps, reference)
-        return [vm.run(f) for f in frames], maps
+class TestVmMatchesInterpreted:
+    """``Vm.run`` against the ``interpreted`` pipeline engine: two
+    engines over the reference tier, neither running ``opfns`` text."""
 
     @pytest.mark.parametrize("app, setup", [
         (toy_counter, None),
@@ -379,25 +368,81 @@ class TestVmFastPath:
         else:
             frames = [udp_packet(src_ip=F1.src_ip, dst_ip=F1.dst_ip,
                                  sport=F1.sport, dport=F1.dport)] * 12
-        fast_res, fast_maps = self._run(program, frames, False, setup)
-        slow_res, slow_maps = self._run(program, frames, True, setup)
-        for a, b in zip(fast_res, slow_res):
-            assert a.action == b.action
-            assert a.packet == b.packet
-            assert a.redirect_ifindex == b.redirect_ifindex
-            assert a.instructions_executed == b.instructions_executed
-        for fd in program.maps:
-            assert bytes(fast_maps[fd].storage) == bytes(slow_maps[fd].storage)
+        pipeline = compile_program(program)
+        result = run_differential(
+            program, frames, pipeline=pipeline, setup=setup,
+            gap=pipeline.n_stages, engines=("vm", "interpreted"))
+        assert result.ok, [str(m) for m in result.mismatches[:5]]
+        assert result.not_compared == {}
 
-    def test_error_parity_unbounded_loop(self):
+    def test_instructions_executed_by_hand(self):
+        # 2 movs, 3 trips of 3, one ld_imm64 (one instruction, two
+        # slots), exit
         source = """
-        top:
             r0 = 0
-            goto top
+            r2 = 3
+        loop:
+            r0 += r2
+            r2 -= 1
+            if r2 != 0 goto loop
+            r3 = 0x1122334455667788 ll
+            exit
         """
-        program = assemble_program(source)
-        from repro.ebpf.vm import VmError
-        for reference in (False, True):
-            vm = _vm(program, reference=reference)
-            with pytest.raises(VmError, match="instruction limit"):
-                vm.run(PKT)
+        res = run_src(source)
+        assert res.instructions_executed == 2 + 3 * 3 + 1 + 1
+        assert res.action == XdpAction.ABORTED  # r0 = 6
+
+
+class _Classless(Instruction):
+    """Every 3-bit class is named, so no opcode reaches the VM's
+    unknown-class fault; a hand-built instruction can."""
+
+    @property
+    def opclass(self):
+        return 0x08
+
+
+class TestVmFaults:
+    """Each canonical ``VmError`` of the run loop, raised when the slot
+    executes (the VM runs unverified programs)."""
+
+    def _raises(self, instructions, message, maps=None):
+        vm = Vm(Program(instructions, maps=maps or {}))
+        with pytest.raises(VmError, match=message):
+            vm.run(PKT)
+
+    def test_instruction_limit(self):
+        self._raises([isa.mov64_imm(0, 0), isa.jump(-2)],
+                     r"instruction limit exceeded \(unbounded loop\?\)")
+
+    def test_pc_out_of_range(self):
+        self._raises([isa.mov64_imm(0, 2)],
+                     "program counter out of range: slot 1")
+        self._raises([isa.jump(-3), isa.exit_()],
+                     "program counter out of range: slot -2")
+
+    def test_jump_into_ld_imm64(self):
+        self._raises([isa.jump(1), isa.ld_imm64(0, 2), isa.exit_()],
+                     "jump into the middle of ld_imm64 at slot 2")
+
+    def test_unknown_map_fd(self):
+        self._raises([isa.ld_map_fd(1, 7), isa.exit_()],
+                     "unknown map fd 7")
+
+    def test_unsupported_ldx_mode(self):
+        bad = Instruction(isa.BPF_LDX | isa.BPF_ABS | isa.BPF_W, dst=0, src=1)
+        self._raises([bad, isa.exit_()], "unsupported LDX mode 0x20")
+
+    def test_unsupported_ld_mode(self):
+        bad = Instruction(isa.BPF_LD | isa.BPF_ABS | isa.BPF_W)
+        self._raises([bad, isa.exit_()], "unsupported LD mode 0x20")
+
+    def test_unknown_class(self):
+        self._raises([_Classless(0), isa.exit_()],
+                     "unknown instruction class 0x8")
+
+    def test_faults_only_when_executed(self):
+        program = [isa.mov64_imm(0, 2), isa.exit_(),
+                   Instruction(isa.BPF_LD | isa.BPF_ABS | isa.BPF_W),
+                   _Classless(0)]
+        assert Vm(Program(program)).run(PKT).action == XdpAction.PASS
