@@ -12,6 +12,8 @@ all 13 apps).
 
 Expected: no app gets deeper, slower or larger, and ct_firewall's
 window — the one bad hardware number (ROADMAP F) — narrows from W = 21.
+Only a packet whose path can still reach a map inside a window waits
+for it, so syn_cookie's SYN flood runs at line rate under both layouts.
 """
 
 import dataclasses
@@ -114,3 +116,15 @@ class TestPathParallel:
         assert row["paper"]["W"] == 21
         assert row["path-parallel"]["W"] <= 6
         assert row["path-parallel"]["cycles"] <= 6.5
+        # every flow-churn packet takes a conntrack arm, so holds the
+        # window: path gating leaves it where the layout put it
+        assert [round(row[layout]["cycles"], 4) for layout in LAYOUTS] \
+            == [21.0017, 6.0015]
+
+    def test_syn_flood_passes_through_the_window(self, layouts):
+        # a SYN touches no map inside syn_cookie's window, so no SYN
+        # waits for it, on either layout
+        row = layouts["syn_cookie"]
+        for layout in LAYOUTS:
+            assert row[layout]["W"] >= 17
+            assert row[layout]["cycles"] <= 1.05, layout

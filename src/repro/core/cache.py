@@ -48,7 +48,9 @@ from .pipeline import Pipeline
 #     order (ct_firewall 23 -> 20 stages); formats unchanged.
 # v10: each MapHazardPlan carries its consistency class (and its load /
 #     store stages), the Pipeline its consistency verdict.
-_CACHE_VERSION = 10
+# v11: a windowed MapHazardPlan carries its holder blocks, with
+#     CODEGEN_VERSION 8 (path-gated window timing in ``_stream``).
+_CACHE_VERSION = 11
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

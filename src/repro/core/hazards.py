@@ -27,7 +27,8 @@ of the same packets would. Each plan carries its map's class:
   it, or it is only looked up, loaded and added to by plain (non-fetch)
   atomic adds, which commute;
 * ``windowed`` — one serialization window holds every access, so at
-  most one packet is between the first and the last;
+  most one packet that touches a map there (one of the window's
+  holders, :func:`window_holders`) is between the first and the last;
 * ``repaired`` — WAR buffers and flush blocks make it exact;
 * ``relaxed(<why>)`` — it may differ, for one of three reasons:
 
@@ -56,7 +57,8 @@ read the classes and that verdict.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
@@ -161,12 +163,13 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         # interleave observably (a different eviction victim later).
         # Flush blocks cannot repair that — an eviction is irreversible —
         # so when accesses span more than one stage the window is
-        # interlocked: at most one packet between the first and last
-        # touching stage. Single-stage access is already serialized by
-        # the pipeline itself.
+        # interlocked: at most one packet that may touch a map there
+        # between the first and last touching stage (its holders). Single-
+        # stage access is already serialized by the pipeline itself.
         spec = maps.get(plan.map_fd)
         if len(touching) > 1 and spec is not None and spec.serialised:
             plan.serial_window = (touching[0], touching[-1])
+            plan.holders = window_holders(stages, cfg, *plan.serial_window)
 
     windows = [p.serial_window for p in plans.values() if p.serial_window]
     live = _live_flush_blocks(plans)
@@ -192,6 +195,35 @@ def in_window(windows: Sequence[Tuple[int, int]], first: int,
               last: int) -> bool:
     """Whether one serialization window holds stages ``first..last``."""
     return any(lo <= first and last <= hi for lo, hi in windows)
+
+
+def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
+                   hi: int) -> FrozenSet[int]:
+    """The blocks that hold the window ``[lo, hi]``: a block with an op
+    in it that touches any map, and a block whose last op is at or past
+    ``lo`` with such an op among its descendants.
+
+    A packet enables the blocks of its path as it goes, so one that has
+    enabled no holder when it enters ``lo`` touches no map inside the
+    window and need not wait for it. One that enables a holder later
+    had enabled one already: the ancestor whose branch chose it ends at
+    or past ``lo``. Counting every map, not only the windowed one, keeps
+    sound what ``in_window`` discharges: only a holder runs the flush
+    blocks and accesses inside the window, one at a time."""
+    touching: Set[int] = set()
+    last: Dict[int, int] = {}
+    for stage in stages:
+        for op in stage.ops:
+            last[op.block_id] = stage.number
+            if lo <= stage.number <= hi and _map_access(op) is not None:
+                touching.add(op.block_id)
+    reaching: Set[int] = set()  # a descendant touches a map in the window
+    for bid in reversed(cfg.topo_order):
+        if any(succ in touching or succ in reaching
+               for succ, _kind in cfg.blocks[bid].succs):
+            reaching.add(bid)
+    return frozenset(touching | {bid for bid in reaching
+                                 if last.get(bid, 0) >= lo})
 
 
 def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
@@ -531,8 +563,9 @@ def _window_ends(pipeline: Pipeline, plan: MapHazardPlan) -> str:
 
 def hazard_summary(pipeline: Pipeline) -> str:
     """One line per map — its consistency class, the (K, L) pairs Table 3
-    reports, and the serialization window with its width and the ops at
-    its two ends — then the program's consistency verdict."""
+    reports, and the serialization window with its width, the ops at its
+    two ends and its holder blocks — then the program's consistency
+    verdict."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
@@ -546,10 +579,12 @@ def hazard_summary(pipeline: Pipeline) -> str:
         for fb in plan.flush_blocks:
             parts.append(f"flush block L={fb.L} K={fb.K()}")
         if plan.serial_window is not None:
-            # W stages between admissions: the window's cycles/packet
+            # W stages between holders: the window's cycles/packet when
+            # every packet holds it
             lo, hi = plan.serial_window
+            held = " ".join(f"b{bid}" for bid in sorted(plan.holders))
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1} "
-                         f"({_window_ends(pipeline, plan)})")
+                         f"({_window_ends(pipeline, plan)}) held by {held}")
         lines.append("  ".join(parts))
     lines.append(f"consistency: {pipeline.consistency}")
     return "\n".join(lines if pipeline.map_hazards else ["no maps"] + lines)

@@ -145,6 +145,11 @@ class MapHazardPlan:
     # flush machinery alone cannot repair LRU divergence. ``None`` when
     # all accesses share one stage (order is then automatic).
     serial_window: Optional[Tuple[int, int]] = None
+    # The window's holder blocks: a packet that has enabled one may still
+    # reach an op inside the window that touches any map, so it waits for
+    # the window; any other packet passes through it unhindered (see
+    # ``hazards.window_holders``). Empty without a window.
+    holders: FrozenSet[int] = frozenset()
     # Whether packets in flight together leave this map as sequential
     # execution would (see ``hazards.plan_hazards``).
     consistency: MapConsistency = MapConsistency()
@@ -233,8 +238,17 @@ class Pipeline:
     @property
     def serial_windows(self) -> List[Tuple[int, int]]:
         """Interlock windows of recency-ordered maps, sorted by entry stage."""
-        return sorted(plan.serial_window for plan in self.map_hazards.values()
-                      if plan.serial_window is not None)
+        return [(lo, hi) for lo, hi, _holders in self.held_windows]
+
+    @property
+    def held_windows(self) -> List[Tuple[int, int, FrozenSet[int]]]:
+        """``(lo, hi, holders)`` of each interlock window, sorted by entry
+        stage: the packets that wait for it are those that have enabled
+        one of its holder blocks."""
+        return sorted(((*plan.serial_window, plan.holders)
+                       for plan in self.map_hazards.values()
+                       if plan.serial_window is not None),
+                      key=lambda window: window[:2])
 
     @property
     def n_instructions(self) -> int:

@@ -80,8 +80,8 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   specs build, which ``PipelineSimulator.stream_blocker`` checks before
   every run (``MapSet.mismatch``) — that check is also what became of
   the per-packet unknown-fd test;
-* **once per frame**: the timing head (``max_cycles``, the window
-  recurrence, queue drops), then the reset of what ops can observe —
+* **once per frame**: the timing head (``max_cycles``, or the window's
+  queue drops and injection cycle), then the reset of what ops can observe —
   ``_b = _c.packet = frame`` (copied only if some op can write it), the
   stack, the eBPF registers, which are the Python locals ``r0`` … ``r10``,
   and the block-enable flags ``_e<block>``;
@@ -101,7 +101,9 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   report a drop only there) and the locals it may write are loaded
   back. ``sim._mem_load`` / ``_read_plain`` / ``_mem_store`` take their
   operands as arguments and spill nothing;
-* **after the body**: ``sim._finalize`` if a store could have pended a
+* **after the body**: the timing tail (the window's entry and exit
+  cycles, which wait on the flags of its holder blocks, and
+  ``max_cycles``), ``sim._finalize`` if a store could have pended a
   write (only ``sim._mem_store`` can; where no store keeps that
   fallback neither this nor an atomic's ``pkt.pending_writes`` test is
   emitted), the action histogram, the record.
@@ -167,7 +169,10 @@ from ..telemetry import get_registry
 #     fallbacks), a decided packet leaves the flat body by `break`.
 # v7: one access rendering: the cycle loop's loads, stores, atomics and
 #     lookups take _stream's label-first form and read sim.maps per use.
-CODEGEN_VERSION = 7
+# v8: path-gated windows: only a packet whose flags enable one of the
+#     window's holder blocks waits for it; the window timing moves
+#     after the packet body.
+CODEGEN_VERSION = 8
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -215,6 +220,7 @@ class _StreamTiming(NamedTuple):
 
     init: List[str]      # before the frame loop
     head: List[str]      # per frame, before the packet executes
+    tail: List[str]      # per frame, after it
     record: Tuple[str, str, str]  # arrival, inject, exit cycle expressions
     cycles: str          # report.cycles once at least one packet ran
     drops: List[str]     # queue-drop accounting after the loop
@@ -1157,17 +1163,20 @@ class _Emitter:
                 f"if cycle + {n} >= _max:",
                 '    raise SimError("simulation exceeded %d cycles" % _max)',
             ],
+            tail=[],
             record=("cycle", "cycle", f"cycle + {n}"),
             cycles=f"report.cycles = (pid - 1) * gap + {n + 1}",
             drops=[],
             sums=(f"pid * {n}", f"pid * {n}"),
         )
 
-    def _window_timing(self, lo: int, hi: int) -> _StreamTiming:
+    def _window_timing(self, lo: int, hi: int, held: str) -> _StreamTiming:
         """Cycle accounting of a pipeline with one serialization window
-        ``[lo, hi]``, ``lo >= 2``. Window occupancy never depends on
-        packet bytes, so the cycle loop's stalls reduce to a recurrence
-        over accepted packets ``k`` (``W = hi - lo + 1``):
+        ``[lo, hi]``, ``lo >= 2``, that a packet holds when ``held`` (an
+        expression over the body's block flags) is true. Which packets
+        hold depends on their paths, but not on when they run, so the
+        cycle loop's stalls reduce to a recurrence over accepted packets
+        ``k`` (``W = hi - lo + 1``):
 
         * the input queue holds the accepted packets not injected
           strictly before the arrival cycle; a frame arriving to a full
@@ -1175,15 +1184,29 @@ class _Emitter:
         * ``inj[k] = max(arr, inj[k-1] + 1, ent[k-(lo-1)])`` — the
           ``lo - 1`` stages ahead of the window back up behind it, so
           stage 1 frees when the packet ``lo - 1`` places ahead enters;
-        * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + W)`` — the window
-          admits packet ``k`` the cycle packet ``k-1`` leaves stage
-          ``hi`` (deepest-first shifting vacates it in the same cycle);
-        * ``exit[k] = ent[k] + n - lo + 1`` — past the window packets
-          are at least ``W`` apart and never meet again.
+        * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + 1, ent[h] + W if k
+          holds)`` — packets enter stage ``lo`` one per cycle at most,
+          and a holder enters the cycle the last holder ``h`` before it
+          leaves stage ``hi`` (deepest-first shifting vacates it in the
+          same cycle); a packet that does not hold passes through;
+        * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
+          stalls.
+
+        The cycle loop decides whether a packet holds from the blocks it
+        has enabled when it enters ``lo``; a holder block enabled later
+        implies one enabled by then (``hazards.window_holders``), so the
+        flags the finished body leaves decide the same. The head settles
+        the queue and ``inj[k]`` before the body runs (a dropped frame
+        never executes), the tail ``ent[k]`` after it.
         """
         n = self.pipeline.n_stages
         width = hi - lo + 1
         self.uses_deque = True
+        wait = [
+            "if _free > _went:",
+            "    _went = _free",
+            f"_free = _went + {width}",
+        ]
         return _StreamTiming(
             init=[
                 "cycle = 0",
@@ -1191,9 +1214,8 @@ class _Emitter:
                 "_inq = _deque()",
                 f"_ring = [0] * {lo - 1}",
                 "_ri = 0",
-                "_inj = -1",
-                f"_went = {-width}",
-                "_exit = _drops = _tot = _pip = 0",
+                "_inj = _went = -1",
+                "_exit = _free = _drops = _tot = _pip = 0",
             ],
             head=[
                 "while _inq and _inq[0] < cycle:",
@@ -1208,9 +1230,12 @@ class _Emitter:
                 "if _ring[_ri] > _inj:",
                 "    _inj = _ring[_ri]",
                 "_inq.append(_inj)",
-                f"_went += {width}",
+            ],
+            tail=[
+                "_went += 1",
                 f"if _inj + {lo - 1} > _went:",
                 f"    _went = _inj + {lo - 1}",
+            ] + (wait if held == "True" else [f"if {held}:"] + _ind(wait)) + [
                 "_ring[_ri] = _went",
                 "_ri += 1",
                 f"if _ri == {lo - 1}:",
@@ -1239,11 +1264,6 @@ class _Emitter:
         self.uses_stream = True
         self.uses_sim_error = True
         self.uses_actions = True
-        windows = pipeline.serial_windows
-        timing = (
-            self._window_timing(*windows[0]) if windows
-            else self._line_rate_timing()
-        )
 
         # The op emitters in stream mode. Flush checks, snapshots and
         # read tracking are provably dead here (no plan at all, or every
@@ -1259,6 +1279,20 @@ class _Emitter:
             self.stream = False
             self.any_flush, self.maintain = hazard_modes
         named = _idents(ops)
+        windows = pipeline.held_windows
+        if windows:
+            (lo, hi, holders), = windows
+            # The entry block's flag is constant: every packet holds. A
+            # holder all of whose predecessors hold is enabled only after
+            # one of them, so the others' flags decide.
+            blocks = pipeline.cfg.blocks
+            held = "True" if pipeline.cfg.entry.block_id in holders else \
+                " or ".join(f"_e{b}" for b in sorted(holders)
+                            if not holders.issuperset(blocks[b].preds)
+                            and f"_e{b}" in named)
+            timing = self._window_timing(lo, hi, held)
+        else:
+            timing = self._line_rate_timing()
 
         # -- once per run ------------------------------------------------------
         # One reused _InFlight: only state the emitted ops can observe is
@@ -1334,7 +1368,7 @@ class _Emitter:
         # Past the last stage without an exit: like the kernel treats a
         # fault (sim._finalize).
         body += ops + ["_act = _ABORTED", "break"]
-        blk += ["while True:"] + _ind(body)
+        blk += ["while True:"] + _ind(body) + timing.tail
 
         # Exit accounting. The per-packet aggregates are batched: the
         # cycle sums come from the timing model and only the action

@@ -30,7 +30,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import itemgetter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Deque, Dict, FrozenSet, Iterable, List,
+                    Optional, Sequence, Set, Tuple)
 
 from ..ebpf import isa
 from ..ebpf.helpers import (
@@ -312,12 +313,12 @@ class PipelineSimulator:
                 elif insn.opclass in (isa.BPF_ST, isa.BPF_STX):
                     self._first_write = stage.number
         # LRU serialization windows (core.hazards): inclusive 1-based
-        # [lo, hi] stage ranges each admitting at most one packet at a
-        # time, so recency mutations happen strictly in packet order on
-        # every engine. Empty for almost all pipelines.
-        self._serial_windows: Tuple[Tuple[int, int], ...] = tuple(
-            pipeline.serial_windows
-        )
+        # [lo, hi] stage ranges with their holder blocks. Each admits at
+        # most one packet that has enabled a holder at a time, so recency
+        # mutations happen strictly in packet order on every engine;
+        # other packets pass through. Empty for almost all pipelines.
+        self._serial_windows: Tuple[Tuple[int, int, FrozenSet[int]], ...] = \
+            tuple(pipeline.held_windows)
         # Pending (WAR-buffered) writes commit only once the packet can no
         # longer be flushed — past the deepest flush-capable write stage —
         # so a squashed packet never has to unwind a committed store. (In
@@ -444,16 +445,32 @@ class PipelineSimulator:
         # LRU interlock windows. When present, the whole-cycle advance
         # path is bypassed (codegen emits _ADVANCE=None for windowed
         # pipelines) so both engines run the same generic shift loop and
-        # stall identically.
+        # stall identically. A packet waits only if it holds a window (has
+        # enabled one of its holder blocks) and another holder is inside:
+        # in hardware the occupancy comparison masked by an OR of the
+        # enable bits.
         windows = self._serial_windows
+        injected = frozenset((entry_block_id,))
 
-        def window_blocked(stage_no: int) -> bool:
+        def held_inside(enabled: Set[int], lo: int, hi: int,
+                        holders: FrozenSet[int]) -> bool:
+            """A packet that has enabled ``enabled`` holds the window and
+            another holder is inside it."""
+            if holders.isdisjoint(enabled):
+                return False
+            for p in range(lo, hi + 1):
+                other = slots[p]
+                if other is not None and not holders.isdisjoint(
+                        other.enabled):
+                    return True
+            return False
+
+        def window_blocked(enabled: Set[int], stage_no: int) -> bool:
             """Entering ``stage_no`` from outside would violate a window."""
-            for lo, hi in windows:
-                if lo <= stage_no <= hi:
-                    for p in range(lo, hi + 1):
-                        if slots[p] is not None:
-                            return True
+            for lo, hi, holders in windows:
+                if lo <= stage_no <= hi and held_inside(enabled, lo, hi,
+                                                        holders):
+                    return True
             return False
         # The packet whose stage body is executing, for the error
         # location: set at each dispatch below, cleared once per cycle.
@@ -481,7 +498,7 @@ class PipelineSimulator:
                 if (
                     pending_arrival is None
                     and not input_queue
-                    and not any(s is not None for s in slots)
+                    and slots.count(None) == n_stages + 1
                     and not any(barrier_queues.values())
                 ):
                     break
@@ -549,14 +566,11 @@ class PipelineSimulator:
                             # already vacated the window by the time the
                             # packet at lo-1 is evaluated.
                             blocked = False
-                            for lo, hi in windows:
-                                if npos == lo:
-                                    for p in range(lo, hi + 1):
-                                        if slots[p] is not None:
-                                            blocked = True
-                                            break
-                                    if blocked:
-                                        break
+                            for lo, hi, holders in windows:
+                                if npos == lo and held_inside(
+                                        pkt.enabled, lo, hi, holders):
+                                    blocked = True
+                                    break
                             if blocked:
                                 continue
                         slots[pos] = None
@@ -585,7 +599,8 @@ class PipelineSimulator:
                 elif stall_below >= 0:
                     queue = barrier_queues[stall_below]
                     if (queue and slots[stall_below + 1] is None
-                            and not (windows and window_blocked(stall_below + 1))):
+                            and not (windows and window_blocked(
+                                queue[0].enabled, stall_below + 1))):
                         pkt = queue.popleft()
                         slots[stall_below + 1] = pkt
                         pkt.position = stall_below + 1
@@ -606,7 +621,7 @@ class PipelineSimulator:
                     and stall_below < 1
                     and input_queue
                     and slots[1] is None
-                    and not (windows and window_blocked(1))
+                    and not (windows and window_blocked(injected, 1))
                 ):
                     pkt = input_queue.popleft()
                     # Queued packets are always in reset state: fresh arrivals

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (20 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 7); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 8); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct
@@ -457,9 +457,8 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     _inq = _deque()
     _ring = [0] * 11
     _ri = 0
-    _inj = -1
-    _went = -6
-    _exit = _drops = _tot = _pip = 0
+    _inj = _went = -1
+    _exit = _free = _drops = _tot = _pip = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
@@ -483,18 +482,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         if _ring[_ri] > _inj:
             _inj = _ring[_ri]
         _inq.append(_inj)
-        _went += 6
-        if _inj + 11 > _went:
-            _went = _inj + 11
-        _ring[_ri] = _went
-        _ri += 1
-        if _ri == 11:
-            _ri = 0
-        _exit = _went + 9
-        if _exit >= _max:
-            raise SimError("simulation exceeded %d cycles" % _max)
-        _tot += _exit - cycle
-        _pip += _exit - _inj
         _b = _c.packet = frame
         pkt.done = False
         stack[:] = _ZSTACK
@@ -639,6 +626,22 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 break
             _act = _ABORTED
             break
+        _went += 1
+        if _inj + 11 > _went:
+            _went = _inj + 11
+        if _e4 or _e6:
+            if _free > _went:
+                _went = _free
+            _free = _went + 6
+        _ring[_ri] = _went
+        _ri += 1
+        if _ri == 11:
+            _ri = 0
+        _exit = _went + 9
+        if _exit >= _max:
+            raise SimError("simulation exceeded %d cycles" % _max)
+        _tot += _exit - cycle
+        _pip += _exit - _inj
         _cnt[_act] = _cnt.get(_act, 0) + 1
         if keep_records:
             _recs.append(_PR(pid=pid, action=_act, data=bytes(_b), arrival_cycle=cycle, inject_cycle=_inj, exit_cycle=_exit, restarts=0))

@@ -47,6 +47,7 @@ from repro.apps import (
 )
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import CompileOptions, compile_program
+from repro.core.hazards import window_holders
 from repro.core.labeling import Region
 from repro.core.pipeline import MapConsistency
 from repro.core.vhdl import emit_vhdl
@@ -72,9 +73,12 @@ from repro.hwsim.codegen import (
     stream_blocker,
     write_debug_source,
 )
+from repro.net.packet import FiveTuple, ipv4
 from repro.workloads import make_workload, parse_workload_spec
 from tests.test_rtl import APP_CASES
-from tests.test_second_gen_apps import _key_frames, _tiny_lru_program
+from tests.test_second_gen_apps import (_TINY_LRU_MAPS, _TINY_LRU_SRC,
+                                        _key_frames, _tiny_lru_program,
+                                        syn_cookie_paths)
 from tests.test_sim import TestInterleavedRmwRegression
 
 _COUNTER = "ehdl_codegen_recompile_total"
@@ -651,12 +655,37 @@ def _idle_observer(*_cycle_state):
 
 def _rewindowed(pipeline, fd, window):
     """A copy of ``pipeline`` whose map ``fd`` interlocks over
-    ``window`` instead of its own access span, source regenerated."""
+    ``window`` instead of its own access span, with that window's
+    holders, source regenerated."""
     clone = copy.deepcopy(pipeline)
-    clone.map_hazards[fd].serial_window = window
+    plan = clone.map_hazards[fd]
+    plan.serial_window = window
+    plan.holders = window_holders(clone.stages, clone.cfg, *window)
     clone.codegen_source = None
     return clone
 
+
+def _syn_cookie_mixed(frames, flows=8):
+    """SYN-flood ``frames`` (which pass through syn_cookie's window)
+    with every third frame one that holds it: per flow its cookie-ACK,
+    data on it once admitted, data on a flow never admitted."""
+    holding = [frame for i in range(flows) for frame in syn_cookie_paths(
+        FiveTuple(ipv4(f"203.0.113.{i + 1}"), ipv4("10.9.9.9"), 6,
+                  40000 + i, 443))[1:]]
+    mixed = []
+    for k, frame in enumerate(frames):
+        mixed.append(frame)
+        if k % 2:
+            mixed.append(holding[k // 2 % len(holding)])
+    return mixed
+
+
+# _tiny_lru_program with an arm that skips the map: byte 12 == 1 passes
+_TINY_SKIP = assemble_program(_TINY_LRU_SRC.replace(
+    "    r2 = *(u32 *)(r6 + 14)\n",
+    "    r2 = *(u32 *)(r6 + 14)\n    r3 = *(u8 *)(r6 + 12)\n"
+    "    if r3 == 1 goto pass\n", 1), maps=_TINY_LRU_MAPS,
+    name="tiny_lru_skip")
 
 _WINDOWED_APPS = {"ct_firewall": ct_firewall, "syn_cookie": syn_cookie}
 _GAPS = (1, 2, 5, 20, 21, 22, 23, 40)
@@ -712,13 +741,17 @@ class TestWindowedStream:
 
     @staticmethod
     def _app(name, packets=160):
+        """The app's registered workload; for syn_cookie, whose SYNs
+        all pass through its window, mixed with packets that hold it."""
         module = _WINDOWED_APPS[name]
         program = module.build()
         spec = dataclasses.replace(
             parse_workload_spec(APP_WORKLOADS[name]), packets=packets)
+        frames = make_workload(spec).materialize()
+        if name == "syn_cookie":
+            frames = _syn_cookie_mixed(frames)
         return (program, compile_program(program),
-                getattr(module, "default_setup", None),
-                make_workload(spec).materialize())
+                getattr(module, "default_setup", None), frames)
 
     @pytest.mark.parametrize("name", sorted(_WINDOWED_APPS))
     def test_apps_stream(self, name):
@@ -772,6 +805,37 @@ class TestWindowedStream:
                     _path, want = _observed(pipeline, self.TINY, frames,
                                             "interpreted", gap, capacity)
                     _assert_same(got, want)
+
+    def _mixed_trace(self, name):
+        """(program, pipeline, setup, frames) of a trace mixing packets
+        that hold the window with packets that pass through it."""
+        if name == "syn_cookie":
+            return self._app(name, packets=120)
+        # key 0: a frame down the arm that skips the map
+        keys = [1, 2, 0, 3, 1, 0, 0, 4, 5, 1, 0, 6, 2, 7, 0, 1, 8, 0, 0, 0,
+                9, 5, 1, 0, 3] * 3
+        frames = [_key_frames([key])[0] for key in keys]
+        frames = [f[:12] + b"\x01" + f[13:] if key == 0 else f
+                  for key, f in zip(keys, frames)]
+        return _TINY_SKIP, compile_program(_TINY_SKIP), None, frames
+
+    @pytest.mark.parametrize("name", ["syn_cookie", "tiny_lru_skip"])
+    def test_mixed_paths_match_interpreted(self, name):
+        program, pipeline, setup, frames = self._mixed_trace(name)
+        (lo, hi), = pipeline.serial_windows
+        width = hi - lo + 1
+        dropped = set()
+        for gap in (1, 2, width - 1, width, width + 1):
+            for capacity in (1, 2, 64):
+                path, got = _observed(pipeline, program, frames, "codegen",
+                                      gap, capacity, setup)
+                assert path.startswith("stream ("), path
+                _path, want = _observed(pipeline, program, frames,
+                                        "interpreted", gap, capacity, setup)
+                _assert_same(got, want)
+                dropped.add(want["in/out/dropped"][2] > 0)
+        # the sweep crossed the queue-drop regime and the drop-free one
+        assert dropped == {True, False}
 
     @settings(max_examples=40, deadline=None)
     @given(

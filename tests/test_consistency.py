@@ -8,19 +8,24 @@ sequential execution. This is the small-scope check of that claim
 program, under both schedule layouts, every sequence of 2 and 3
 packets over a 2-key domain runs on the sequential ``vm`` and on the
 ``interpreted`` pipeline at every gap in 1..``n_stages``, under the
-frozen clock. A program the verdict calls equal to sequential must
+frozen clock. The two LRU-windowed apps draw from one frame per path
+instead, so a packet that passes through the window runs beside one
+that holds it. A program the verdict calls equal to sequential must
 match bit for bit; a relaxed one may differ only in what its verdict
 exempts, and each exempted observable must differ somewhere — else the
 class is too conservative.
 
-The last two classes hold witnesses for what the classifier has beyond
-the paper's §4.1.2 and Appendix A.2 cases: a helper write commits at
-once, so an older packet's later access, or a value store still in the
-WAR buffer, meets it out of packet order; a relaxed value travels
-through the packet into a packet-keyed map; and ``bpf_get_prandom_u32``
-draws out of packet order (no app or corpus program calls it).
+Two classes hold witnesses for what the classifier has beyond the
+paper's §4.1.2 and Appendix A.2 cases: a helper write commits at once,
+so an older packet's later access, or a value store still in the WAR
+buffer, meets it out of packet order; a relaxed value travels through
+the packet into a packet-keyed map; and ``bpf_get_prandom_u32`` draws
+out of packet order (no app or corpus program calls it). The last
+holds witnesses for what a window's holder blocks must cover.
 """
 
+import copy
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -36,9 +41,10 @@ from repro.ebpf.isa import MapSpec
 from repro.hwsim import (FROZEN_CLOCK_MHZ, SimOptions, compare_runs,
                          exempt_observables, run_differential, run_engine)
 from tests.test_corpus import PACKETS
-from tests.test_path_parallel import LAYOUTS
+from tests.test_path_parallel import LAYOUTS, _arm_frames, _lru_orders
 from tests.test_rtl import APP_CASES, F_OTHER, _udp
-from tests.test_second_gen_apps import app_frames, app_setup
+from tests.test_second_gen_apps import (TestSynCookie, app_frames, app_setup,
+                                        ct_firewall_paths, syn_cookie_paths)
 
 FROZEN = SimOptions(clock_mhz=FROZEN_CLOCK_MHZ)
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ebpf"))
@@ -50,13 +56,20 @@ def _two_keys(frames):
     return distinct[0], distinct[1]
 
 
+# The windowed apps mix paths instead: a packet that does not hold the
+# window (a SYN, a non-IPv4 frame) runs beside one that does.
+WINDOWED_DOMAINS = {"syn_cookie": syn_cookie_paths(),
+                    "ct_firewall": ct_firewall_paths()}
+
+
 def _cases():
-    """name -> (build, setup, (frame of key 0, frame of key 1))."""
+    """name -> (build, setup, frames: two keys, or the mixed paths)."""
     cases = {}
     for name in sorted(n for n in apps.__all__ if n.islower()):
         if name in SECOND_GEN_APPS:
             cases[name] = (SECOND_GEN_APPS[name].build, app_setup(name),
-                           _two_keys(app_frames(name, 40)))
+                           WINDOWED_DOMAINS.get(name)
+                           or _two_keys(app_frames(name, 40)))
             continue
         build, setup, frames = APP_CASES[name]
         # leaky_bucket's fixture is four packets of one flow
@@ -68,28 +81,39 @@ def _cases():
 
 
 CASES = _cases()
-SEQUENCES = [seq for n in (2, 3) for seq in product((0, 1), repeat=n)]
+
+
+def _sequences(domain):
+    """Every sequence of 2 and 3 frames drawn from ``domain``."""
+    return [[domain[k] for k in seq] for n in (2, 3)
+            for seq in product(range(len(domain)), repeat=n)]
+
+
+def _differences(program, pipeline, frames, setup=None):
+    """gap -> the observables that differ from the vm, at every gap in
+    1..n_stages."""
+    vm = run_engine("vm", program, frames, setup=setup)
+    return {gap: {m.what for m in compare_runs(vm, run_engine(
+                "interpreted", program, frames, pipeline=pipeline,
+                sim_options=FROZEN, setup=setup, gap=gap))}
+            for gap in range(1, pipeline.n_stages + 1)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_every_short_interleaving_keeps_the_verdict(layout, name):
-    build, setup, keys = CASES[name]
+    build, setup, domain = CASES[name]
     program = build()
     pipeline = compile_program(program, LAYOUTS[layout])
     exempt = pipeline.consistency.exempt
     witnessed = set()
-    for seq in SEQUENCES:
-        frames = [keys[k] for k in seq]
-        vm = run_engine("vm", program, frames, setup=setup)
-        for gap in range(1, pipeline.n_stages + 1):
-            leg = run_engine("interpreted", program, frames,
-                             pipeline=pipeline, sim_options=FROZEN,
-                             setup=setup, gap=gap)
-            differ = {m.what for m in compare_runs(vm, leg)}
+    for frames in _sequences(domain):
+        for gap, differ in _differences(program, pipeline, frames,
+                                        setup).items():
             allowed = exempt_observables(pipeline, "vm", "interpreted", gap)
             assert differ <= set(allowed), (
-                f"{name} ({pipeline.consistency}) packets {seq} gap {gap}: "
+                f"{name} ({pipeline.consistency}) packets "
+                f"{[domain.index(f) for f in frames]} gap {gap}: "
                 f"{sorted(differ - set(allowed))} differ")
             witnessed |= differ
     assert witnessed == set(exempt), (
@@ -433,3 +457,181 @@ class TestTaintSources:
         assert pipeline.consistency == Consistency("exact")
         _differs_only_where_exempt(program, pipeline,
                                    _frames([1], [2], [3]), ())
+
+
+def _reheld(pipeline, fd, holders):
+    """A copy of ``pipeline`` whose window on map ``fd`` is held by
+    ``holders`` instead of its own holder blocks."""
+    clone = copy.deepcopy(pipeline)
+    clone.map_hazards[fd].holders = frozenset(holders)
+    clone.codegen_source = None
+    return clone
+
+
+def _reordered(program, pipeline, frames, setup):
+    """The serialised maps whose recency order differs from the vm's at
+    some gap in 1..n_stages (``compare_runs`` compares contents only)."""
+    want = _lru_orders(run_engine("vm", program, frames, setup=setup),
+                       program.maps)
+    differ = set()
+    for gap in range(1, pipeline.n_stages + 1):
+        got = _lru_orders(run_engine(
+            "interpreted", program, frames, pipeline=pipeline,
+            sim_options=FROZEN, setup=setup, gap=gap), program.maps)
+        differ |= {fd for fd in want if got[fd] != want[fd]}
+    return sorted(differ)
+
+
+def _blocks_touching(pipeline, fd, helper=None):
+    """The blocks with an op on map ``fd`` (a call of ``helper`` only,
+    if given)."""
+    return {op.block_id for stage in pipeline.stages for op in stage.ops
+            if getattr(op.call or op.label, "map_fd", None) == fd
+            and (helper is None or op.insn.is_call and op.insn.imm == helper)}
+
+
+# An lru_hash map t is looked up on one arm and inserted into on a miss.
+# The other arm (byte 12 == 1) touches only the hash map h: it computes
+# from byte 13, then branches to a lookup, an atomic add, a load and an
+# update of one entry. Block order puts that arm between t's lookup and
+# t's insert, so on both layouts it sits inside t's window, and its
+# branch past the window's first stage; h's flush block guards the
+# update there, with the add committed ahead of it.
+_COUNTING_ARM = """
+    r7 = *(u32 *)(r1 + 4)
+    r6 = *(u32 *)(r1 + 0)
+    r2 = r6
+    r2 += 18
+    if r2 > r7 goto pass
+    r2 = *(u32 *)(r6 + 14)
+    *(u32 *)(r10 - 4) = r2
+    r3 = *(u8 *)(r6 + 12)
+    if r3 == 1 goto count
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto insert
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+    r0 = 2
+    exit
+count:
+    r4 = *(u8 *)(r6 + 13)
+    r4 *= 3
+    r4 += 1
+    r4 &= 7
+    r4 ^= 5
+    r4 *= 3
+    if r4 == 0 goto pass
+    r1 = map[h]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto pass
+    r1 = 1
+    lock *(u64 *)(r0 + 0) += r1
+    r1 = *(u64 *)(r0 + 0)
+    r1 += 10
+    *(u64 *)(r10 - 16) = r1
+    r1 = map[h]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    r0 = 3
+    exit
+insert:
+    *(u64 *)(r10 - 16) = r0
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    r0 = 2
+    exit
+pass:
+    r0 = 1
+    exit
+"""
+
+
+def _seed_h(maps):
+    for key in (1, 2):
+        maps[2].update(key.to_bytes(4, "little"), bytes(8))
+
+
+class TestWindowHolders:
+    """A packet waits for an LRU window only if it holds it: it has
+    enabled a block that can still reach an op inside the window on any
+    map. Each witness drops blocks the holders must cover and diverges
+    from sequential execution."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_dropping_the_admit_path_diverges(self, layout):
+        program = apps.syn_cookie.build()
+        pipeline = compile_program(program, LAYOUTS[layout])
+        fd = next(fd for fd, spec in program.maps.items()
+                  if spec.name == "conns")
+        holders = pipeline.map_hazards[fd].holders
+        (admit,) = _blocks_touching(pipeline, fd, helper=2)
+        above, stack = set(), [admit]
+        while stack:
+            for pred in pipeline.cfg.blocks[stack.pop()].preds:
+                if pred not in above:
+                    above.add(pred)
+                    stack.append(pred)
+        # F is admitted; G's cookie-ACK admits G, then data on F
+        # refreshes F, which sequentially ends most recent.
+        flow = TestSynCookie.FLOW
+        frames = [syn_cookie_paths(replace(flow, sport=flow.sport + 7))[1],
+                  syn_cookie_paths(flow)[2]]
+
+        def setup(maps):
+            apps.syn_cookie.default_setup(maps)
+            maps[fd].update(apps.syn_cookie.conn_key(flow),
+                            (1).to_bytes(8, "little"))
+
+        # The insert's own block is not needed: an ACK has enabled the
+        # lookup's block, which opens the window, before it enters.
+        alone = _reheld(pipeline, fd, holders - {admit})
+        assert not _reordered(program, alone, frames, setup)
+        assert not any(_differences(program, alone, frames, setup).values())
+        # Without the holders on its path, the data packet's refresh
+        # overtakes the insert.
+        path = _reheld(pipeline, fd, holders - {admit} - above)
+        assert _reordered(program, path, frames, setup) == [fd]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_a_flush_checked_map_inside_the_window(self, layout):
+        program = assemble_program(_COUNTING_ARM, name="counting_arm", maps={
+            "t": MapSpec("t", "lru_hash", key_size=4, value_size=8,
+                         max_entries=4),
+            "h": MapSpec("h", "hash", key_size=4, value_size=8,
+                         max_entries=4)})
+        pipeline = compile_program(program, LAYOUTS[layout])
+        t, h = pipeline.map_hazards[1], pipeline.map_hazards[2]
+        lo, hi = t.serial_window
+        assert h.flush_blocks and lo <= h.touching[0] <= h.touching[-1] <= hi
+        assert h.consistency.kind == "windowed"
+        counting = _blocks_touching(pipeline, 2)
+        # the block that computes and branches touches no map; it holds
+        # because the lookup of h is below it and it ends past lo
+        (late,) = {pred for block in counting
+                   for pred in pipeline.cfg.blocks[block].preds} - counting
+        assert counting | {late} <= t.holders
+        frames = _arm_frames([(1, 1), (1, 1), (0, 1), (1, 2), (1, 1)])
+        assert not any(_differences(program, pipeline, frames,
+                                    _seed_h).values())
+        # Dropping the arm from the holders, or only the block that
+        # chooses it: in_window took h's flush block out of the
+        # classification, and its flush replays the younger packet's add.
+        for dropped in (counting | {late}, {late}):
+            reheld = _reheld(pipeline, 1, t.holders - dropped)
+            differ = set().union(*_differences(program, reheld, frames,
+                                               _seed_h).values())
+            assert "map h" in differ, dropped

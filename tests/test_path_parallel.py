@@ -250,10 +250,12 @@ class TestObservability:
 
         assert main(["stats", "app:ct_firewall"]) == 0
         out = capsys.readouterr().out
-        # the window, and the ops on its first and last stage that
-        # force its extent
+        # the window, the ops on its first and last stage that force its
+        # extent, and the blocks whose packets wait for it: every
+        # conntrack arm, not the non-IPv4 pass
         assert "window [12, 17] W=6 (opens: b4 call 1, b6 call 1 @12; " \
-            "closes: b7 call 2, b8 lock *(u64 *)(r0 + 0) += r1 @17)\n" in out
+            "closes: b7 call 2, b8 lock *(u64 *)(r0 + 0) += r1 @17) " \
+            "held by b4 b5 b6 b7 b8\n" in out
         # a shared stage tags each block's run of ops: both directions'
         # lookups enter the window together
         assert "stage  12 [r1,r2 [-16:16]] b4: call 1 | b6: call 1\n" in out
@@ -262,10 +264,13 @@ class TestObservability:
         from repro.cli import main
 
         # syn_cookie's lookup and insert sit on one path, behind the
-        # cookie recompute
+        # cookie recompute; a SYN enables none of the holders (the
+        # lookup, established, ACK-check and admit blocks) and passes
+        # through
         assert main(["stats", "app:syn_cookie"]) == 0
         assert "window [15, 31] W=17 (opens: b4 call 1 @15; closes: " \
-            "b9 call 2 @31)\n" in capsys.readouterr().out
+            "b9 call 2 @31) held by b4 b5 b7 b8 b9\n" \
+            in capsys.readouterr().out
 
     def test_stats_names_each_maps_class_and_the_verdict(self, capsys):
         from repro.cli import main

@@ -270,6 +270,33 @@ class TestSynCookie:
         assert pipeline.serial_windows
 
 
+def syn_cookie_paths(flow: FiveTuple = TestSynCookie.FLOW):
+    """One frame down each of syn_cookie's paths under its default
+    secret: a SYN (reflected; touches no ``conns``), the cookie-ACK that
+    admits ``flow``, data on ``flow``, and data on a flow never admitted
+    (``flow``'s source port + 1)."""
+    def tcp(f, flags, ack=0):
+        return tcp_packet(f.src_ip, f.dst_ip, sport=f.sport, dport=f.dport,
+                          flags=flags, ack=ack)
+
+    cookie = syn_cookie.syn_cookie(flow, syn_cookie.DEFAULT_SECRET)
+    stranger = dataclasses.replace(flow, sport=flow.sport + 1)
+    return (tcp(flow, 0x02), tcp(flow, 0x10, ack=(cookie + 1) & 0xFFFFFFFF),
+            tcp(flow, 0x18), tcp(stranger, 0x18))
+
+
+def ct_firewall_paths(flow: FiveTuple = TestCtFirewall.OUT):
+    """One frame down each of ct_firewall's paths: the outbound ``flow``
+    (tracked), its reply (established) and a non-IPv4 frame (never
+    touches ``conntrack``)."""
+    def udp(f):
+        return udp_packet(f.src_ip, f.dst_ip, sport=f.sport, dport=f.dport)
+
+    other = bytearray(udp(flow))
+    other[12:14] = b"\x86\xdd"  # not IPv4
+    return udp(flow), udp(flow.reversed()), bytes(other)
+
+
 # ---------------------------------------------------------------------------
 # NAT64
 # ---------------------------------------------------------------------------
