@@ -83,6 +83,7 @@ from .pipeline import (
     PipeOp,
     Pipeline,
     Stage,
+    commit_stages_of,
 )
 
 # The one helper whose result depends on the order of all packets' calls:
@@ -181,11 +182,9 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
                                  inputs_vary=True).run().varying_writes)
         return index in varying[0]
 
-    # value stores commit past the last flush-capable write stage
-    last_flush = max((max(p.write_stages) for p in plans.values()
-                      if p.needs_flush), default=0)
+    commits = commit_stages_of(plans)
     for fd, plan in plans.items():
-        plan.consistency = _classify(plan, windows, live, last_flush,
+        plan.consistency = _classify(plan, windows, live, commits[fd],
                                      effects.get(fd, []), fd in non_adds,
                                      program, varies)
     return plans
@@ -235,7 +234,7 @@ def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
 
 
 def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
-              last_flush: int, effects: List[Tuple[int, int, str]],
+              commit: int, effects: List[Tuple[int, int, str]],
               non_add: bool, program: Program,
               varies: Callable[[int], bool]) -> MapConsistency:
     """The map's consistency class (see the module docstring)."""
@@ -264,7 +263,6 @@ def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
     if writes:
         first, _index, what = writes[0]
         # a value store waits in the WAR buffer until stage ``commit``
-        commit = max(plan.read_stages[-1:] + [last_flush])
         other = [s for s in plan.write_stages + plan.atomic_stages
                  if s > first] + [s for s in plan.store_stages
                                   if s < first < commit]

@@ -175,6 +175,19 @@ class MapHazardPlan:
                       + self.atomic_stages)
 
 
+def commit_stages_of(plans: Dict[int, MapHazardPlan]) -> Dict[int, int]:
+    """The WAR commit policy: a buffered value store to map ``fd``
+    commits on entry to stage ``result[fd]``, past both the map's last
+    read stage (older late readers must not see it, Figure 6) and the
+    deepest flush-capable write stage of any map (a committed store
+    cannot be unwound, so it waits until no Flush Evaluation Block can
+    squash its packet)."""
+    last_flush = max((max(plan.write_stages) for plan in plans.values()
+                      if plan.needs_flush), default=0)
+    return {fd: max(max(plan.read_stages, default=0), last_flush)
+            for fd, plan in plans.items()}
+
+
 @dataclass(frozen=True)
 class Consistency:
     """The program-level verdict: the weakest class of its maps, and what
@@ -249,6 +262,12 @@ class Pipeline:
                        for plan in self.map_hazards.values()
                        if plan.serial_window is not None),
                       key=lambda window: window[:2])
+
+    @property
+    def commit_stages(self) -> Dict[int, int]:
+        """``fd -> stage`` on whose entry a packet's WAR-buffered writes
+        to the map commit (see :func:`commit_stages_of`)."""
+        return commit_stages_of(self.map_hazards)
 
     @property
     def n_instructions(self) -> int:

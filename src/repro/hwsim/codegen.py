@@ -1518,8 +1518,8 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     # only the advance_sites are visited, deepest first, each executing
     # its own stage body and, eagerly, the packet-local run behind it.
     # pkt.position is written just in time, where the body calls back
-    # into sim._*, and pending writes can first commit at the deepest
-    # flush-capable write stage (else at the shallowest last read).
+    # into sim._*, and pending writes can first commit at the shallowest
+    # of Pipeline.commit_stages.
     # LRU serialization windows: the unrolled whole-cycle advance knows
     # nothing about interlock stalls, so windowed pipelines fall back to
     # the simulator's generic shift loop (which dispatches _STAGE_FNS
@@ -1527,12 +1527,7 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     # construction.
     serial = bool(pipeline.serial_windows)
     if not serial:
-        plans = pipeline.map_hazards.values()
-        last_flush = max(
-            (max(plan.write_stages) for plan in plans if plan.needs_flush),
-            default=0)
-        first_commit = last_flush or min(
-            (max(plan.read_stages, default=0) for plan in plans), default=0)
+        first_commit = min(pipeline.commit_stages.values(), default=0)
         adv = ["slots.insert(1, None)", "del slots[-1]"]
         any_stage_flush = any(b is not None and b[1] for b in stage_bodies)
         if any_stage_flush:

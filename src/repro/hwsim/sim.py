@@ -8,8 +8,8 @@ of the consistency machinery of §4.1:
 * **predication** — every packet traverses every stage; ops execute only
   when their basic block is enabled for that packet (§3.5);
 * **WAR write buffers** — stores to map values at stages before the map's
-  last read stage are held per-packet and committed when the packet passes
-  that read stage; in-pipeline reads see older packets' pending writes via
+  last read stage are held per-packet and committed on entry to the map's
+  commit stage; in-pipeline reads see older packets' pending writes via
   forwarding (the delay-register chain of Figure 6);
 * **Flush Evaluation Blocks** — commits of map updates/stores compare
   against the recorded reads of younger in-flight packets and squash them
@@ -288,13 +288,12 @@ class PipelineSimulator:
         self._terminator_block: Dict[int, BasicBlock] = {
             b.terminator_index: b for b in self._blocks
         }
-        # Per-map hazard configuration.
-        self._max_read_stage: Dict[int, int] = {}
-        self._has_flush: Dict[int, bool] = {}
-        for fd, plan in pipeline.map_hazards.items():
-            self._max_read_stage[fd] = max(plan.read_stages, default=0)
-            self._has_flush[fd] = plan.needs_flush
-        self._any_flush = any(self._has_flush.values())
+        # Per-map hazard configuration. Pending (WAR-buffered) writes
+        # commit on entry to their map's commit stage, so a squashed
+        # packet never has to unwind a committed store.
+        self._has_flush: Dict[int, bool] = {
+            fd: plan.needs_flush for fd, plan in pipeline.map_hazards.items()}
+        self._commit_stages = pipeline.commit_stages
         # Scan bounds for the hazard checks, from the ops themselves (an
         # unlabeled access counts as a map access): a packet shallower
         # than the first possible map read has recorded no read, one
@@ -316,21 +315,12 @@ class PipelineSimulator:
         # [lo, hi] stage ranges with their holder blocks. Each admits at
         # most one packet that has enabled a holder at a time, so recency
         # mutations happen strictly in packet order on every engine;
-        # other packets pass through. Empty for almost all pipelines.
+        # other packets pass through (see _admits). Empty for almost all
+        # pipelines.
         self._serial_windows: Tuple[Tuple[int, int, FrozenSet[int]], ...] = \
             tuple(pipeline.held_windows)
-        # Pending (WAR-buffered) writes commit only once the packet can no
-        # longer be flushed — past the deepest flush-capable write stage —
-        # so a squashed packet never has to unwind a committed store. (In
-        # hardware: the write-delay chain extends to the last Flush
-        # Evaluation Block.)
-        self._last_flush_stage = max(
-            (max(plan.write_stages) for plan in pipeline.map_hazards.values()
-             if plan.needs_flush and plan.write_stages),
-            default=0,
-        )
-        # Execution backend: one table, filled once. The cycle loop
-        # dispatches _stage_fns[pos] (stage number pos + 1) and _entry_fn
+        # Execution backend: one table, filled once. _enter dispatches
+        # _stage_fns[pos] (stage number pos + 1), the cycle loop _entry_fn,
         # without knowing who built them: "interpreted" re-decodes ops per
         # packet per cycle; "codegen" exec()s the pipeline's generated
         # source module, which adds a whole-cycle advance function, an
@@ -388,18 +378,12 @@ class PipelineSimulator:
         budget ran out or the generated whole-cycle advance raised (an
         empty pipeline names the next frame due into it)."""
         options = self.options
-        report = SimReport(
-            clock_mhz=options.clock_mhz,
-            n_stages=self.pipeline.n_stages,
-            keep_records=options.keep_records,
-        )
         n_stages = self.pipeline.n_stages
         # Telemetry: resolved once per run; when off, the whole per-cycle
         # cost is a single `is not None` check below.
         metrics = (SimMetrics.create(n_stages)
                    if get_registry().enabled else None)
-        self.metrics = metrics
-        report.metrics = metrics
+        report = self._new_report(metrics)
         slots: List[Optional[_InFlight]] = [None] * (n_stages + 1)  # 1-based
         self._slots = slots  # forwarding registry for _map_read_bytes
         input_queue: Deque[_InFlight] = deque()
@@ -413,12 +397,10 @@ class PipelineSimulator:
         cycle_ns = 1000.0 / options.clock_mhz
 
         host_ops = list(self.host_ops)
-        # The engine's table (see __init__): stage_fns[pos] executes stage
-        # number pos + 1. Only the codegen engine has an advance function
-        # covering the entire hazard-free shift phase; stall cycles and
-        # windowed pipelines dispatch the per-position stage functions
-        # below, as the interpreted engine always does.
-        stage_fns = self._stage_fns
+        # Only the codegen engine has an advance function covering the
+        # entire hazard-free shift phase; stall cycles and windowed
+        # pipelines enter each packet through _enter, as the interpreted
+        # engine always does.
         entry_fn = self._entry_fn
         advance = self._advance_fn
         # Per-cycle telemetry with the line-rate common case batched: at
@@ -445,35 +427,13 @@ class PipelineSimulator:
         # LRU interlock windows. When present, the whole-cycle advance
         # path is bypassed (codegen emits _ADVANCE=None for windowed
         # pipelines) so both engines run the same generic shift loop and
-        # stall identically. A packet waits only if it holds a window (has
-        # enabled one of its holder blocks) and another holder is inside:
-        # in hardware the occupancy comparison masked by an OR of the
-        # enable bits.
+        # stall identically; every way into a stage asks _admits.
         windows = self._serial_windows
         injected = frozenset((entry_block_id,))
-
-        def held_inside(enabled: Set[int], lo: int, hi: int,
-                        holders: FrozenSet[int]) -> bool:
-            """A packet that has enabled ``enabled`` holds the window and
-            another holder is inside it."""
-            if holders.isdisjoint(enabled):
-                return False
-            for p in range(lo, hi + 1):
-                other = slots[p]
-                if other is not None and not holders.isdisjoint(
-                        other.enabled):
-                    return True
-            return False
-
-        def window_blocked(enabled: Set[int], stage_no: int) -> bool:
-            """Entering ``stage_no`` from outside would violate a window."""
-            for lo, hi, holders in windows:
-                if lo <= stage_no <= hi and held_inside(enabled, lo, hi,
-                                                        holders):
-                    return True
-            return False
+        admits = self._admits
+        enter = self._enter
         # The packet whose stage body is executing, for the error
-        # location: set at each dispatch below, cleared once per cycle.
+        # location: set at each entry below, cleared once per cycle.
         running: Optional[_InFlight] = None
         try:
             while True:
@@ -559,38 +519,16 @@ class PipelineSimulator:
                         npos = pos + 1
                         if slots[npos] is not None:
                             continue  # backed up behind an interlocked packet
-                        if windows:
-                            # Entry check: shifting lo-1 → lo enters a window;
-                            # movement within [lo, hi] is free. Deepest-first
-                            # iteration means a same-cycle hi → hi+1 exit has
-                            # already vacated the window by the time the
-                            # packet at lo-1 is evaluated.
-                            blocked = False
-                            for lo, hi, holders in windows:
-                                if npos == lo and held_inside(
-                                        pkt.enabled, lo, hi, holders):
-                                    blocked = True
-                                    break
-                            if blocked:
-                                continue
+                        # Deepest-first iteration: a same-cycle hi -> hi+1
+                        # exit has already vacated a window by the time the
+                        # packet at lo-1 asks to enter it.
+                        if windows and not admits(pkt.enabled, npos, pos):
+                            continue
                         slots[pos] = None
-                        slots[npos] = pkt
-                        pkt.position = npos
-                        # Commit WAR-buffered writes on *entry* to the commit
-                        # stage: all older packets are already past it, and
-                        # committing before this stage's own reads keeps the
-                        # commit snapshot free of them — so a later flush
-                        # resumes by re-executing this stage's (possibly
-                        # stale) reads instead of replaying the committed
-                        # write.
-                        if pkt.pending_writes:
-                            self._commit_pending(pkt, npos)
-                        stage_fn = stage_fns[pos]
-                        if stage_fn is not None:
-                            running = pkt
-                            if stage_fn(self, pkt, slots, barrier_queues,
-                                        input_queue, report):
-                                reload_stall = max(reload_stall, reload_overhead)
+                        running = pkt
+                        if enter(pkt, npos, barrier_queues, input_queue,
+                                 report):
+                            reload_stall = max(reload_stall, reload_overhead)
 
                 # 3. release one packet from the deepest non-empty barrier queue
                 released = False
@@ -599,19 +537,12 @@ class PipelineSimulator:
                 elif stall_below >= 0:
                     queue = barrier_queues[stall_below]
                     if (queue and slots[stall_below + 1] is None
-                            and not (windows and window_blocked(
-                                queue[0].enabled, stall_below + 1))):
-                        pkt = queue.popleft()
-                        slots[stall_below + 1] = pkt
-                        pkt.position = stall_below + 1
-                        if pkt.pending_writes:
-                            self._commit_pending(pkt, stall_below + 1)
-                        stage_fn = stage_fns[stall_below]
-                        if stage_fn is not None:
-                            running = pkt
-                            if stage_fn(self, pkt, slots, barrier_queues,
-                                        input_queue, report):
-                                reload_stall = max(reload_stall, reload_overhead)
+                            and (not windows or admits(
+                                queue[0].enabled, stall_below + 1, 0))):
+                        pkt = running = queue.popleft()
+                        if enter(pkt, stall_below + 1, barrier_queues,
+                                 input_queue, report):
+                            reload_stall = max(reload_stall, reload_overhead)
                         released = True
 
                 # 4. inject from the input queue into stage 1
@@ -621,16 +552,15 @@ class PipelineSimulator:
                     and stall_below < 1
                     and input_queue
                     and slots[1] is None
-                    and not (windows and window_blocked(injected, 1))
+                    and (not windows or admits(injected, 1, 0))
                 ):
-                    pkt = input_queue.popleft()
+                    pkt = running = input_queue.popleft()
                     # Queued packets are always in reset state: fresh arrivals
                     # from _InFlight.__init__, flush-requeued ones from
                     # _flush_check — so no reset here, and no pending write
-                    # to commit below.
+                    # for _enter to commit.
                     if pkt.inject_cycle < 0:
                         pkt.inject_cycle = cycle
-                    pkt.position = 1
                     pkt.enabled = {entry_block_id}
                     # The hardware's input-length comparators stand in for the
                     # elided entry-side bounds checks.
@@ -639,13 +569,9 @@ class PipelineSimulator:
                             pkt.done = True
                             pkt.action = XdpAction.of(action)
                             break
-                    running = pkt
                     if entry_fn is not None and not pkt.done:
                         entry_fn(self, pkt)
-                    slots[1] = pkt
-                    stage_fn = stage_fns[0]
-                    if stage_fn is not None and stage_fn(
-                            self, pkt, slots, barrier_queues, input_queue, report):
+                    if enter(pkt, 1, barrier_queues, input_queue, report):
                         reload_stall = max(reload_stall, reload_overhead)
                 running = None
 
@@ -706,12 +632,7 @@ class PipelineSimulator:
         if self._stream_fn is None or self.stream_blocker(gap) is not None:
             return self.run((i * gap, f) for i, f in enumerate(frames))
         options = self.options
-        report = SimReport(
-            clock_mhz=options.clock_mhz,
-            n_stages=self.pipeline.n_stages,
-            keep_records=options.keep_records,
-        )
-        self.metrics = None
+        report = self._new_report(None)
         # No packets are ever in flight together on this path; the map
         # channel's store-forwarding scan must see an empty pipeline.
         self._slots = ()
@@ -790,6 +711,64 @@ class PipelineSimulator:
                 reason += f"; advance visits every stage ({why})"
         return f"cycle-loop ({reason})"
 
+    def _new_report(self, metrics: Optional[SimMetrics]) -> SimReport:
+        """An empty report for a run collecting ``metrics`` (None: off),
+        which also become this simulator's :attr:`metrics`."""
+        options = self.options
+        report = SimReport(
+            clock_mhz=options.clock_mhz,
+            n_stages=self.pipeline.n_stages,
+            keep_records=options.keep_records,
+        )
+        self.metrics = report.metrics = metrics
+        return report
+
+    # -- the cycle loop's rules --------------------------------------------------
+
+    def _admits(self, enabled: Set[int], stage: int, from_stage: int) -> bool:
+        """Whether a packet that has enabled ``enabled`` may enter
+        ``stage`` from ``from_stage`` (0: from a barrier queue or the
+        input queue) — the LRU interlock, stated once. It may not when
+        ``stage`` lies in a window ``[lo, hi]`` that ``from_stage`` lies
+        outside, the packet holds the window (has enabled one of its
+        holder blocks) and a packet in ``slots[lo..hi]`` holds it too:
+        in hardware the window's occupancy comparison masked by an OR of
+        the enable bits. Movement within a window is free."""
+        slots = self._slots
+        for lo, hi, holders in self._serial_windows:
+            if (lo <= stage <= hi and not lo <= from_stage <= hi
+                    and not holders.isdisjoint(enabled)):
+                for other in slots[lo:hi + 1]:
+                    if other is not None and not holders.isdisjoint(
+                            other.enabled):
+                        return False
+        return True
+
+    def _enter(
+        self,
+        pkt: _InFlight,
+        stage: int,
+        barrier_queues: Dict[int, Deque[_InFlight]],
+        input_queue: Deque[_InFlight],
+        report: SimReport,
+    ) -> bool:
+        """Place ``pkt`` in ``stage`` and run the stage on it: the one way
+        into a stage for the shift, a barrier release and the injection.
+        Returns True if a flush fired."""
+        slots = self._slots
+        slots[stage] = pkt
+        pkt.position = stage
+        # Commit WAR-buffered writes on *entry* to the commit stage: all
+        # older packets are already past it, and committing before this
+        # stage's own reads keeps the commit snapshot free of them — so a
+        # later flush resumes by re-executing this stage's (possibly
+        # stale) reads instead of replaying the committed write.
+        if pkt.pending_writes:
+            self._commit_pending(pkt, stage)
+        stage_fn = self._stage_fns[stage - 1]
+        return stage_fn is not None and stage_fn(
+            self, pkt, slots, barrier_queues, input_queue, report)
+
     # -- write commit ----------------------------------------------------------
 
     def _commit_pending(self, pkt: _InFlight, stage_number: int) -> None:
@@ -797,14 +776,10 @@ class PipelineSimulator:
         if not pkt.pending_writes:
             return
         remaining = []
-        committed = False
         for fd, offset, data, made_at in pkt.pending_writes:
-            threshold = max(self._max_read_stage.get(fd, 0),
-                            self._last_flush_stage)
-            if stage_number >= threshold:
+            if stage_number >= self._commit_stages[fd]:
                 storage = self.maps[fd].storage
                 storage[offset : offset + len(data)] = data
-                committed = True
             else:
                 remaining.append((fd, offset, data, made_at))
         pkt.pending_writes = remaining
@@ -1085,18 +1060,13 @@ class PipelineSimulator:
         if fd is None:
             buf[offset : offset + size] = data
             return None
-        threshold = max(self._max_read_stage.get(fd, 0),
-                        self._last_flush_stage)
         slot = self.maps[fd].slot_of_addr(offset)
-        if pkt.position < threshold:
-            # Buffer the write (Figure 6) while the packet is still
-            # inside (a) this map's WAR window — older late readers
-            # must not see it yet — or (b) ANY map's flush reach: a
-            # committed store cannot be unwound, so commits wait until
-            # no Flush Evaluation Block can squash this packet. The
-            # buffering does NOT defer the RAW check: younger packets
-            # that already read this slot hold stale data now, so the
-            # write flush-checks at creation like any other.
+        if pkt.position < self._commit_stages[fd]:
+            # Buffer the write (Figure 6) until the map's commit stage
+            # (Pipeline.commit_stages). The buffering does NOT defer the
+            # RAW check: younger packets that already read this slot
+            # hold stale data now, so the write flush-checks at creation
+            # like any other.
             pkt.pending_writes.append((fd, offset, data, pkt.position))
             return ("store_pending", fd, slot)
         buf[offset : offset + size] = data

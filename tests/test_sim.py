@@ -1,10 +1,12 @@
 """Pipeline simulator behaviors: predication, drops, hazards, queueing."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.apps import firewall, router
+from repro import apps
+from repro.apps import ct_firewall, firewall, router
 from repro.core import CompileOptions, compile_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
@@ -12,6 +14,7 @@ from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import XdpAction
 from repro.ebpf.vm import VmError
 from repro.hwsim import PipelineSimulator, SimError, SimOptions
+from repro.hwsim.codegen import advance_sites
 from repro.hwsim.engines import engine_names, run_engine
 from repro.hwsim.multi import MultiProgramNic
 from repro.net.flows import TrafficGenerator, TrafficSpec
@@ -325,6 +328,98 @@ class TestWarBuffer:
         assert all(r.action == XdpAction.PASS for r in rep.records)
         value = int.from_bytes(maps.by_name("m").lookup(bytes(4)), "little")
         assert value == 7
+
+
+class TestCommitStages:
+    """``Pipeline.commit_stages``, the one WAR commit policy: a buffered
+    write commits on entry to the later of its map's last read stage and
+    the deepest flush-capable write stage of any map. ``_mem_store`` and
+    ``_commit_pending`` read it, and the generated ``_advance`` checks
+    pending writes from the shallowest of them on."""
+
+    @pytest.mark.parametrize("app, pinned", [
+        ("leaky_bucket", {1: 18}),
+        ("ct_firewall", {1: 17}),
+        ("syn_cookie", {1: 31, 2: 31, 3: 43}),
+        ("dnat", {1: 20, 2: 20, 3: 20}),
+    ])
+    def test_apps_that_buffer_writes(self, app, pinned):
+        assert compile_program(
+            getattr(apps, app).build()).commit_stages == pinned
+
+    def test_advance_commits_from_the_first_commit_stage(self):
+        committing = []
+        for name in sorted(n for n in apps.__all__ if n.islower()):
+            pipeline = compile_program(getattr(apps, name).build())
+            sites = [int(n) for n in re.findall(
+                r"sim\._commit_pending\(pkt, (\d+)\)",
+                pipeline.codegen_source)]
+            if not sites:
+                continue
+            committing.append(name)
+            first = min(pipeline.commit_stages.values())
+            assert min(sites) == min(
+                site for site in advance_sites(pipeline) if site >= first)
+        assert committing == ["dnat", "leaky_bucket"]
+
+
+class TestInterlock:
+    """``PipelineSimulator._admits``, the LRU interlock's one predicate,
+    on ct_firewall's window with hand-placed slots. A packet that holds
+    the window (has enabled a holder block) may not enter it from outside
+    while another holder is inside; one that holds nothing, or moves
+    within the window, passes."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        return compile_program(ct_firewall.build())
+
+    @staticmethod
+    def _sim(pipeline):
+        sim = PipelineSimulator(pipeline,
+                                options=SimOptions(engine="interpreted"))
+        sim._slots = [None] * (pipeline.n_stages + 1)
+        (lo, hi, holders), = sim._serial_windows
+        return sim, lo, hi, holders
+
+    @pytest.mark.parametrize("holds, stage, from_stage, inside, admitted", [
+        # mover holds, stage, from stage, occupants (stage, holds), verdict
+        (True, "lo", "lo-1", [("lo+2", True)], False),
+        (False, "lo", "lo-1", [("lo+2", True)], True),
+        (True, "lo", "lo-1", [("lo+2", False)], True),
+        (True, "lo", "lo-1", [], True),
+        (True, "lo+1", "lo", [("lo+3", True)], True),
+        (True, "lo+1", "0", [("hi", True)], False),
+        (True, "hi+1", "hi", [("lo", True)], True),
+    ], ids=["holder_into_lo_behind_a_holder", "non_holder",
+            "only_a_non_holder_inside", "empty_window", "lo_to_lo_plus_1",
+            "barrier_release_into_the_window", "leaving_past_hi"])
+    def test_admits(self, pipeline, holds, stage, from_stage, inside,
+                    admitted):
+        sim, lo, hi, holders = self._sim(pipeline)
+        holder = {min(holders)}
+        other = {pipeline.cfg.entry.block_id}
+        assert other.isdisjoint(holders)
+
+        def at(expr):
+            base, offset = re.fullmatch(r"(lo|hi|0)([+-]\d)?", expr).groups()
+            return {"lo": lo, "hi": hi, "0": 0}[base] + int(offset or 0)
+
+        for where, occupant_holds in inside:
+            sim._slots[at(where)] = SimpleNamespace(
+                enabled=holder if occupant_holds else other)
+        assert sim._admits(holder if holds else other, at(stage),
+                           at(from_stage)) is admitted
+
+    @pytest.mark.parametrize("entry_holds", [True, False])
+    def test_injection_into_a_window_from_stage_one(self, pipeline,
+                                                    entry_holds):
+        sim, _lo, hi, holders = self._sim(pipeline)
+        entry = pipeline.cfg.entry.block_id
+        sim._serial_windows = (
+            (1, hi, holders | {entry} if entry_holds else holders),)
+        sim._slots[3] = SimpleNamespace(enabled={min(holders)})
+        assert sim._admits({entry}, 1, 0) is not entry_holds
 
 
 class TestHostInteraction:
