@@ -11,7 +11,8 @@ throughput at 250 MHz against the hXDP model's (Figure 9a's frame, for
 all 13 apps).
 
 Expected: no app gets deeper, slower or larger, and ct_firewall's
-window — the one bad hardware number (ROADMAP F) — narrows from W = 21.
+window — the one bad hardware number (ROADMAP F) — narrows from W = 21
+to W = 4.
 Only a packet whose path can still reach a map inside a window waits
 for it, so syn_cookie's SYN flood runs at line rate under both layouts.
 """
@@ -114,12 +115,13 @@ class TestPathParallel:
     def test_ct_firewall_window_narrows(self, layouts):
         row = layouts["ct_firewall"]
         assert row["paper"]["W"] == 21
-        assert row["path-parallel"]["W"] <= 6
-        assert row["path-parallel"]["cycles"] <= 6.5
+        assert row["path-parallel"]["W"] <= 4
+        assert row["path-parallel"]["cycles"] <= 4.1
         # every flow-churn packet takes a conntrack arm, so holds the
         # window: path gating leaves it where the layout put it
+        # (speculation and the shared atomic port put it at W=4)
         assert [round(row[layout]["cycles"], 4) for layout in LAYOUTS] \
-            == [21.0017, 6.0015]
+            == [21.0017, 4.0015]
 
     def test_syn_flood_passes_through_the_window(self, layouts):
         # a SYN touches no map inside syn_cookie's window, so no SYN

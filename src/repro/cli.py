@@ -291,6 +291,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
           f"{pipeline.n_instructions} scheduled "
           f"({pipeline.elided_bounds_checks} bounds checks elided, "
           f"{pipeline.dce_removed} dead removed, "
+          f"{pipeline.speculated[0]} speculated above branches "
+          f"({pipeline.speculated[1]} renamed), "
           f"{pipeline.loops_unrolled} loops unrolled)")
     print(f"ILP: max {pipeline.max_ilp}, avg {pipeline.avg_ilp:.2f}")
     print(f"max per-stage state: {pipeline.max_state_bytes} B")

@@ -50,7 +50,10 @@ from .pipeline import Pipeline
 #     store stages), the Pipeline its consistency verdict.
 # v11: a windowed MapHazardPlan carries its holder blocks, with
 #     CODEGEN_VERSION 8 (path-gated window timing in ``_stream``).
-_CACHE_VERSION = 11
+# v12: speculation hoists branch arms' setup on the path-parallel layout
+#     (the Pipeline counts it in ``speculated``), and exclusive atomics on
+#     one map share a stage (ct_firewall 20 -> 18 stages).
+_CACHE_VERSION = 12
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

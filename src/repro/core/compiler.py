@@ -4,7 +4,9 @@ Orchestrates every pass in the order the paper describes (§3, §4):
 
 1. verify the input program (kernel-verifier-style checks),
 2. bytecode transforms: bounds-check elision + dead-code elimination,
-3. program analysis: CFG, memory-region labeling, data-dependency graph,
+3. program analysis: memory-region labeling (with, on the path-parallel
+   layout, speculation of branch arms' setup above their branch), CFG,
+   data-dependency graph,
 4. parallelization with instruction fusion (the schedule),
 5. stage assembly with helper-latency stages,
 6. packet framing (NOP insertion, bypass planning),
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set
 
 from ..ebpf.isa import Program
-from ..ebpf.verifier import RegKind, verify
+from ..ebpf.verifier import RegKind, VerifierError, verify
 from ..telemetry import get_registry
 from .cfg import build_cfg
 from .ddg import build_ddg
@@ -39,7 +41,7 @@ from .pipeline import PipeOp, Pipeline, Stage, assemble_stages
 from .pruning import apply_pruning
 from .loops import unroll_loops
 from .scheduler import SchedulerOptions, schedule_program
-from .transform import dead_code_elimination, elide_bounds_checks
+from .transform import dead_code_elimination, elide_bounds_checks, speculate
 
 
 @dataclass
@@ -113,7 +115,7 @@ def compile_program(
 
     # 1. The input must be a valid (DAG-shaped) eBPF program.
     with _pass_span("verify", program=program.name):
-        verify(program)
+        vres = verify(program)
 
     # 2. Bytecode transforms.
     elided = 0
@@ -121,7 +123,7 @@ def compile_program(
     entry_checks = ()
     if options.elide_bounds_checks:
         with _pass_span("elide_bounds_checks", program=program.name):
-            program, report = elide_bounds_checks(program)
+            program, report = elide_bounds_checks(program, vres)
             elided = len(report.elided_branches)
             entry_checks = tuple(
                 (check.min_len, check.action) for check in report.entry_checks
@@ -133,8 +135,31 @@ def compile_program(
     # 3. Analysis.
     with _pass_span("reverify", program=program.name):
         vres = verify(program)
+    sched_options = SchedulerOptions(
+        enable_ilp=options.enable_ilp,
+        enable_fusion=options.enable_fusion,
+        max_fuse_chain=options.max_fuse_chain,
+        max_row_width=options.max_row_width,
+        path_parallel=options.path_parallel,
+    )
+    speculated = (0, 0)
     with _pass_span("labeling", program=program.name):
         labels = label_program(program, vres)
+        # Speculation above branches belongs to the path-parallel layout
+        # (the scheduler's own condition); its time counts as labeling's.
+        # The re-verify is its safety net: a rewrite the verifier rejects
+        # is dropped, and the program compiles as it was.
+        if options.path_parallel and options.enable_ilp:
+            rewritten, moved, renamed = speculate(program, labels,
+                                                  sched_options)
+            try:
+                rewritten_vres = verify(rewritten) if moved else None
+            except VerifierError:
+                rewritten_vres = None
+            if rewritten_vres is not None:
+                program, vres = rewritten, rewritten_vres
+                labels = label_program(program, vres)
+                speculated = (moved, renamed)
     with _pass_span("cfg", program=program.name):
         cfg = build_cfg(program)
     with _pass_span("ddg", program=program.name):
@@ -153,13 +178,6 @@ def compile_program(
                 entry_op_indices.add(i)
 
     # 4. Parallel schedule.
-    sched_options = SchedulerOptions(
-        enable_ilp=options.enable_ilp,
-        enable_fusion=options.enable_fusion,
-        max_fuse_chain=options.max_fuse_chain,
-        max_row_width=options.max_row_width,
-        path_parallel=options.path_parallel,
-    )
     with _pass_span("schedule", program=program.name):
         schedule = schedule_program(
             cfg, ddg, labels, sched_options, entry_op_indices
@@ -231,6 +249,7 @@ def compile_program(
         consistency=consistency,
         elided_bounds_checks=elided,
         dce_removed=dce_removed,
+        speculated=speculated,
         entry_checks=entry_checks,
         loops_unrolled=unrolled,
     )

@@ -15,13 +15,13 @@ out of the schedule this graph permits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Instruction, Program
 from .cfg import Cfg
 from .labeling import CallInfo, MemLabel, ProgramLabels, Region
+from .liveness import regs_read
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,6 @@ def _mem_refs(
     return refs
 
 
-def _regs_read(insn: Instruction) -> Tuple[int, ...]:
-    """Register read set, refined for helper calls by argument count."""
-    if insn.is_call:
-        nargs = helper_spec(insn.imm).nargs
-        return tuple(range(isa.R1, isa.R1 + nargs))
-    return insn.regs_read()
-
-
 # Dependence kinds. RAW and WAW force the dependent op into a later
 # pipeline stage; WAR only forbids an *earlier* stage — in a hardware
 # pipeline a stage's reads come from the previous stage's latches, so a
@@ -124,10 +116,54 @@ class Ddg:
     def predecessors(self, j: int) -> Dict[int, str]:
         return self.deps.get(j, {})
 
-    def _add(self, j: int, i: int, kind: str) -> None:
-        current = self.deps[j].get(i)
-        if current is None or _STRENGTH[kind] > _STRENGTH[current]:
-            self.deps[j][i] = kind
+
+@dataclass(frozen=True)
+class Access:
+    """What one instruction reads and writes: registers, and memory as
+    :class:`MemRef` effects."""
+
+    reads: FrozenSet[int]
+    writes: FrozenSet[int]
+    mem: Tuple[MemRef, ...]
+
+
+def access_of(
+    insn: Instruction, label: Optional[MemLabel], call: Optional[CallInfo]
+) -> Access:
+    return Access(frozenset(regs_read(insn)), frozenset(insn.regs_written()),
+                  tuple(_mem_refs(insn, label, call)))
+
+
+def dependences(
+    access: Access, earlier: Sequence[Tuple[int, Access]]
+) -> Dict[int, str]:
+    """The strongest dependence kind of an op on each ``(index, access)``
+    that precedes it in its block."""
+    deps: Dict[int, str] = {}
+    for i, prior in earlier:
+        if prior.writes & access.reads:
+            kind: Optional[str] = RAW
+        elif prior.writes & access.writes:
+            kind = WAW
+        elif prior.reads & access.writes:
+            kind = WAR
+        else:
+            kind = None
+        for ref_i in prior.mem:
+            for ref_j in access.mem:
+                if kind == RAW or not ref_i.conflicts(ref_j):
+                    continue
+                if ref_i.write and ref_j.write:
+                    found = WAW
+                elif ref_i.write:
+                    found = RAW
+                else:
+                    found = WAR
+                if kind is None or _STRENGTH[found] > _STRENGTH[kind]:
+                    kind = found
+        if kind is not None:
+            deps[i] = kind
+    return deps
 
 
 def build_ddg(cfg: Cfg, labels: ProgramLabels) -> Ddg:
@@ -136,35 +172,12 @@ def build_ddg(cfg: Cfg, labels: ProgramLabels) -> Ddg:
     ddg = Ddg(program, labels, {i: {} for i in range(len(program.instructions))})
 
     for block in cfg.blocks:
-        insns = [(i, program.instructions[i]) for i in block.indices()]
-        mem_effects = {
-            i: _mem_refs(insn, labels.label_for(i), labels.call_for(i))
-            for i, insn in insns
-        }
-        for pos_j in range(len(insns)):
-            j, insn_j = insns[pos_j]
-            reads_j = set(_regs_read(insn_j))
-            writes_j = set(insn_j.regs_written())
-            for pos_i in range(pos_j):
-                i, insn_i = insns[pos_i]
-                reads_i = set(_regs_read(insn_i))
-                writes_i = set(insn_i.regs_written())
-                if writes_i & reads_j:
-                    ddg._add(j, i, RAW)
-                if writes_i & writes_j:
-                    ddg._add(j, i, WAW)
-                if reads_i & writes_j:
-                    ddg._add(j, i, WAR)
-                for ref_i in mem_effects[i]:
-                    for ref_j in mem_effects[j]:
-                        if not ref_i.conflicts(ref_j):
-                            continue
-                        if ref_i.write and ref_j.write:
-                            ddg._add(j, i, WAW)
-                        elif ref_i.write:
-                            ddg._add(j, i, RAW)
-                        else:
-                            ddg._add(j, i, WAR)
+        earlier: List[Tuple[int, Access]] = []
+        for j in block.indices():
+            access = access_of(program.instructions[j], labels.label_for(j),
+                               labels.call_for(j))
+            ddg.deps[j] = dependences(access, earlier)
+            earlier.append((j, access))
     return ddg
 
 

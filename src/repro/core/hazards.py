@@ -114,7 +114,9 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
             plan = plans.setdefault(fd, MapHazardPlan(map_fd=fd))
             number = stage.number
             if is_atomic:
-                plan.atomic_stages.append(number)
+                # exclusive blocks' atomics on one map share its port
+                if number not in plan.atomic_stages:
+                    plan.atomic_stages.append(number)
                 effects.setdefault(fd, []).append(
                     (number, op.insn_index, isa.ATOMIC_OP_NAMES[op.insn.imm]))
                 if op.insn.imm != isa.ATOMIC_ADD:

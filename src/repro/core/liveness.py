@@ -9,7 +9,7 @@ the stage-level passes then project onto pipeline boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -45,28 +45,42 @@ def regs_read(insn: Instruction) -> Tuple[int, ...]:
     return insn.regs_read()
 
 
-def reg_liveness(program: Program) -> Tuple[List[Set[int]], List[Set[int]]]:
+def reg_liveness(
+    program: Program,
+) -> Tuple[List[FrozenSet[int]], List[FrozenSet[int]]]:
     """Per-instruction (live_in, live_out) register sets."""
     n = len(program.instructions)
     succs = successors(program)
-    live_in: List[Set[int]] = [set() for _ in range(n)]
-    live_out: List[Set[int]] = [set() for _ in range(n)]
+    # Bitmask dataflow: bit r is register r.
+    gen = [_mask(regs_read(insn)) for insn in program.instructions]
+    keep = [~_mask(insn.regs_written()) for insn in program.instructions]
+    live_in = [0] * n
+    live_out = [0] * n
     changed = True
     while changed:
         changed = False
         for index in range(n - 1, -1, -1):
-            insn = program.instructions[index]
-            out: Set[int] = set()
+            out = 0
             for s in succs[index]:
                 out |= live_in[s]
-            gen = set(regs_read(insn))
-            kill = set(insn.regs_written())
-            new_in = gen | (out - kill)
+            new_in = gen[index] | (out & keep[index])
             if out != live_out[index] or new_in != live_in[index]:
                 live_out[index] = out
                 live_in[index] = new_in
                 changed = True
-    return live_in, live_out
+    sets: Dict[int, FrozenSet[int]] = {}  # a program has few distinct masks
+    for mask in live_in + live_out:
+        if mask not in sets:
+            sets[mask] = frozenset(
+                reg for reg in range(isa.R10 + 1) if mask >> reg & 1)
+    return [sets[m] for m in live_in], [sets[m] for m in live_out]
+
+
+def _mask(regs: Sequence[int]) -> int:
+    mask = 0
+    for reg in regs:
+        mask |= 1 << reg
+    return mask
 
 
 def _stack_effects(

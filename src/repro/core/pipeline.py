@@ -229,6 +229,9 @@ class Pipeline:
     consistency: Consistency = Consistency()
     elided_bounds_checks: int = 0
     dce_removed: int = 0
+    # Ops speculation hoisted above their branch, and how many of those
+    # were renamed (``transform.speculate``).
+    speculated: Tuple[int, int] = (0, 0)
     # Elided entry-side bounds checks, realised as input-length comparators
     # at the packet input: (min_len, oob action code) pairs in program order.
     entry_checks: Tuple = ()

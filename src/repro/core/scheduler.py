@@ -22,12 +22,13 @@ with it — blocks it cannot reach and that cannot reach it, which no
 packet executes together. Every op is gated by its own block's enable
 bit, so exclusive arms of a branch share stages (HLS if-conversion) and
 pipeline depth follows the longest path instead of the sum of blocks.
-More rules keep a shared row sound. It holds at most one map atomic (one
-atomic port per stage). An op other packets observe — a map access, the
-clock, the PRNG — lands no earlier than the last row placed before it
-with such an op of another *ordering domain*. A serialised map
-(``MapSpec.serialised``) is a domain of its own, and every other such
-op shares one domain. So those ops keep the paper layout's block order,
+More rules keep a shared row sound. Its map atomics are all on one map:
+a stage has one atomic port, which exclusive blocks' atomics on that map
+share, each driving it under its own enable bit. An op other packets
+observe — a map access, the clock, the PRNG — lands no earlier than the
+last row placed before it with such an op of another *ordering domain*.
+A serialised map (``MapSpec.serialised``) is a domain of its own, and
+every other such op shares one domain. So those ops keep the paper layout's block order,
 and the hazard plan sees no cross-packet interleaving the paper layout
 does not have (without it, an insert on a miss arm can overtake the hit
 arm's flush-checked stores, and a squashed packet then replays its
@@ -53,7 +54,7 @@ from ..ebpf import isa
 from ..ebpf.helpers import ORDER_SENSITIVE_HELPERS, helper_spec
 from ..ebpf.isa import Instruction, Program
 from .cfg import Cfg, reachable_blocks
-from .ddg import Ddg
+from .ddg import RAW, WAR, Ddg
 from .labeling import ProgramLabels, Region
 
 
@@ -200,13 +201,19 @@ def schedule_program(
     domains = _ordering_domains(
         program, labels,
         [i for _b, block_rows in blocks for row in block_rows for i in row.ops])
+    atomic_fds = {}  # map atomic -> its map's fd (unlabeled: a key of its own)
+    for i in domains:
+        if program.instructions[i].is_atomic:
+            fd = getattr(labels.label_for(i), "map_fd", None)
+            atomic_fds[i] = -1 - i if fd is None else fd
     related, ancestors = _block_relations(cfg, reachable)
-    rows, placed = _place(cfg, blocks, related, domains, options, {})
+    rows, placed = _place(cfg, blocks, related, domains, atomic_fds,
+                          options, {})
     schedule = _with_latency(program, rows)
     floors = _aligned_entry_floors(blocks, ancestors, domains, placed)
     if floors:
         aligned = _with_latency(program, _place(
-            cfg, blocks, related, domains, options, floors)[0])
+            cfg, blocks, related, domains, atomic_fds, options, floors)[0])
         serialised = {fd for fd in domains.values() if fd is not None}
         if aligned.n_stages <= schedule.n_stages and all(
             _window_width(aligned, fd, domains)
@@ -221,6 +228,7 @@ def _place(
     blocks: _BlockRows,
     related: Dict[int, int],
     domains: Dict[int, Optional[int]],
+    atomic_fds: Dict[int, int],
     options: SchedulerOptions,
     floors: Dict[Tuple[int, int], int],
 ) -> Tuple[List[ScheduleRow], Dict[Tuple[int, int], int]]:
@@ -229,7 +237,7 @@ def _place(
     Returns the rows and the row each (block, row-in-block) landed on."""
     rows: List[ScheduleRow] = []
     row_blocks: List[int] = []  # per row: bitmask of its blocks
-    row_atomic: List[bool] = []  # per row: holds a map atomic
+    row_atomic: List[Optional[int]] = []  # per row: its map atomics' fd
     end: Dict[int, int] = {}  # block id -> first row after its last
     last: Dict[Optional[int], int] = {}  # domain -> last row with its ops
     placed: Dict[Tuple[int, int], int] = {}
@@ -238,9 +246,9 @@ def _place(
                   default=0)
         for k, row in enumerate(block_rows):
             own = {domains[i] for i in row.ops if i in domains}
-            # a map atomic drives the stage's one atomic port
-            atomic = any(cfg.program.instructions[i].is_atomic
-                         for i in row.ops if i in domains)
+            # a map atomic drives the stage's one atomic port, on its map
+            atomic = next((atomic_fds[i] for i in row.ops
+                           if i in atomic_fds), None)
             if own:
                 # an op on a serialised map skips only that map's earlier
                 # ops; any other shared op lands after every earlier one
@@ -249,7 +257,8 @@ def _place(
                 ])
             while pos < len(rows) and (
                 row_blocks[pos] & related[b]
-                or (atomic and row_atomic[pos])
+                or (atomic is not None
+                    and row_atomic[pos] not in (None, atomic))
                 or (options.max_row_width is not None
                     and rows[pos].width + row.width > options.max_row_width)
             ):
@@ -257,12 +266,13 @@ def _place(
             while pos >= len(rows):  # a floor may leave rows empty
                 rows.append(ScheduleRow())
                 row_blocks.append(0)
-                row_atomic.append(False)
+                row_atomic.append(None)
             target = rows[pos]
             target.ops = sorted(target.ops + row.ops)
             target.fused |= row.fused
             row_blocks[pos] |= 1 << b
-            row_atomic[pos] = row_atomic[pos] or atomic
+            if atomic is not None:
+                row_atomic[pos] = atomic
             for d in own:
                 last[d] = max(last.get(d, pos), pos)
             placed[(b, k)] = pos
@@ -355,110 +365,133 @@ def _schedule_block(
     indices: List[int],
     options: SchedulerOptions,
 ) -> List[ScheduleRow]:
-    """Greedy list scheduling of one block.
+    """Greedy list scheduling of one block (see :class:`RowPacker`).
 
-    Maintains the invariant that ops are assigned to rows in program
-    order; a row accepts an op if all of its in-block dependencies are in
-    earlier rows, or (with fusion) form a short chain within the row.
+    The block terminator (branch/exit) is placed last: its side effect —
+    choosing successors or latching the verdict — must not precede any
+    of the block's other (program-order earlier) operations.
     """
     if not indices:
         return []
     in_block = set(indices)
-    placed_row: Dict[int, int] = {}  # insn index -> row position
-    chain_len: Dict[int, int] = {}  # insn index -> fused chain length in its row
-    rows: List[ScheduleRow] = []
 
-    from .ddg import RAW, WAR
+    def deps(index: int) -> Dict[int, str]:
+        return {d: k for d, k in ddg.predecessors(index).items()
+                if d in in_block}
 
-    # The block terminator (branch/exit) is placed last: its side effect —
-    # choosing successors or latching the verdict — must not precede any
-    # of the block's other (program-order earlier) operations.
+    packer = RowPacker(program.instructions, options)
     terminator: Optional[int] = None
     if program.instructions[indices[-1]].is_terminator:
         terminator = indices[-1]
         indices = indices[:-1]
-
     for index in indices:  # program order guarantees deps seen first
-        insn = program.instructions[index]
-        deps = {d: k for d, k in ddg.predecessors(index).items() if d in in_block}
-        min_row = 0
-        for d, kind in deps.items():
-            d_row = placed_row[d]
-            # WAR may share the predecessor's row (reads latch the previous
-            # stage's values); RAW/WAW must come strictly later.
-            min_row = max(min_row, d_row if kind == WAR else d_row + 1)
+        packer.add(index, deps(index))
+    if terminator is not None:
+        packer.add_terminator(terminator, deps(terminator))
+    for row in packer.rows:
+        row.ops.sort()  # program order within the row (simulator relies on it)
+    return packer.rows
+
+
+class RowPacker:
+    """Greedy list scheduling of one block, one op at a time in program
+    order: an op lands on the earliest row after its in-block
+    dependencies, or (with fusion) on its latest dependency's row as a
+    short combinational chain. Helper calls and atomics own a fresh row.
+    ``insns`` maps an op's key to its instruction."""
+
+    def __init__(self, insns, options: SchedulerOptions) -> None:
+        self.insns = insns
+        self.options = options
+        self.rows: List[ScheduleRow] = []
+        self.placed_row: Dict[int, int] = {}  # op -> row position
+        self.chain_len: Dict[int, int] = {}  # op -> fused chain length
+
+    def slot(self, index: int, deps: Dict[int, str]) -> Tuple[int, int]:
+        """Where :meth:`add` would put an op: (row position, length of
+        its fused chain, 1 when not fused); a position of ``len(rows)``
+        is a fresh row."""
+        options, rows = self.options, self.rows
+        insn = self.insns[index]
+        min_row = self._min_row(deps)
         hard_deps = [d for d, k in deps.items() if k != WAR]
         if options.enable_fusion and hard_deps and _is_fusible(insn):
             # Can this op chain combinationally onto its latest RAW
             # dependency's row (three-operand fusion)?
-            last_dep = max(hard_deps, key=lambda d: placed_row[d])
-            d_row = placed_row[last_dep]
+            last_dep = max(hard_deps, key=lambda d: self.placed_row[d])
+            d_row = self.placed_row[last_dep]
             others_ok = all(
-                placed_row[d] < d_row for d in hard_deps if d != last_dep
+                self.placed_row[d] < d_row for d in hard_deps if d != last_dep
             ) and all(
-                placed_row[d] <= d_row for d, k in deps.items() if k == WAR
+                self.placed_row[d] <= d_row for d, k in deps.items()
+                if k == WAR
             )
-            dep_insn = program.instructions[last_dep]
             if (
                 others_ok
                 and deps[last_dep] == RAW
-                and _is_fusible(dep_insn)
-                and chain_len[last_dep] < options.max_fuse_chain
+                and _is_fusible(self.insns[last_dep])
+                and self.chain_len[last_dep] < options.max_fuse_chain
                 and (
                     options.max_row_width is None
                     or rows[d_row].width < options.max_row_width
                 )
             ):
-                rows[d_row].ops.append(index)
-                rows[d_row].fused.add(index)
-                placed_row[index] = d_row
-                chain_len[index] = chain_len[last_dep] + 1
-                continue
+                return d_row, self.chain_len[last_dep] + 1
         if not options.enable_ilp:
             min_row = len(rows)
-        target: Optional[int] = None
-        if _is_solo(insn):
-            target = None  # always a fresh row
-        else:
+        if not _is_solo(insn):  # a solo op always takes a fresh row
             for pos in range(min_row, len(rows)):
-                row = rows[pos]
-                if any(_is_solo(program.instructions[i]) for i in row.ops):
+                if any(_is_solo(self.insns[i]) for i in rows[pos].ops):
                     continue
                 if (
                     options.max_row_width is not None
-                    and row.width >= options.max_row_width
+                    and rows[pos].width >= options.max_row_width
                 ):
                     continue
-                target = pos
-                break
-        if target is None:
-            rows.append(ScheduleRow())
-            target = len(rows) - 1
-        rows[target].ops.append(index)
-        placed_row[index] = target
-        chain_len[index] = 1
+                return pos, 1
+        return len(rows), 1
 
-    if terminator is not None:
-        deps = {d: k for d, k in ddg.predecessors(terminator).items() if d in in_block}
-        min_row = 0
-        for d, kind in deps.items():
-            d_row = placed_row[d]
-            min_row = max(min_row, d_row if kind == WAR else d_row + 1)
+    def add(self, index: int, deps: Dict[int, str]) -> int:
+        """Place an op; returns its row position."""
+        pos, chain = self.slot(index, deps)
+        if pos == len(self.rows):
+            self.rows.append(ScheduleRow())
+        self.rows[pos].ops.append(index)
+        if chain > 1:
+            self.rows[pos].fused.add(index)
+        self.placed_row[index] = pos
+        self.chain_len[index] = chain
+        return pos
+
+    def terminator_row(self, deps: Dict[int, str]) -> int:
+        """The row the block's terminator lands on: the last row when its
+        dependencies allow and the row has room, else a fresh one."""
+        rows, options = self.rows, self.options
         last = len(rows) - 1
         if (
             rows
             and options.enable_ilp
-            and min_row <= last
-            and not any(_is_solo(program.instructions[i]) for i in rows[last].ops)
+            and self._min_row(deps) <= last
+            and not any(_is_solo(self.insns[i]) for i in rows[last].ops)
             and (
                 options.max_row_width is None
                 or rows[last].width < options.max_row_width
             )
         ):
-            rows[last].ops.append(terminator)
-        else:
-            rows.append(ScheduleRow(ops=[terminator]))
+            return last
+        return len(rows)
 
-    for row in rows:
-        row.ops.sort()  # program order within the row (simulator relies on it)
-    return rows
+    def add_terminator(self, index: int, deps: Dict[int, str]) -> None:
+        pos = self.terminator_row(deps)
+        if pos == len(self.rows):
+            self.rows.append(ScheduleRow())
+        self.rows[pos].ops.append(index)
+
+    def _min_row(self, deps: Dict[int, str]) -> int:
+        min_row = 0
+        for d, kind in deps.items():
+            # WAR may share the predecessor's row (reads latch the previous
+            # stage's values); RAW/WAW must come strictly later.
+            d_row = self.placed_row[d]
+            min_row = max(min_row, d_row if kind == WAR else d_row + 1)
+        return min_row

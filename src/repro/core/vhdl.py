@@ -45,7 +45,7 @@ little-endian multi-byte load is a plain slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ebpf import isa
@@ -405,8 +405,30 @@ class _MapPortUse:
 
 @dataclass
 class _AtomicUse:
+    """A stage's atomic port on one map. Mutually exclusive blocks may
+    each drive it: every ``ap_*`` input then muxes on the enable bits."""
+
     port: str
     fd: int
+    at: int  # index of the port's drives in the stage's concurrent lines
+    # per atomic op: (block id, guard, field -> driving expression)
+    drives: List[Tuple[int, str, Dict[str, str]]] = field(
+        default_factory=list)
+
+    FIELDS = ("op", "size", "addr", "wdata", "expected")
+
+    def lines(self) -> List[str]:
+        """The port's drives: ``ap_req`` and then each of ``FIELDS``."""
+        out = [f"  ap_req <= "
+               + "".join(f"'1' when {guard} else "
+                         for _b, guard, _f in self.drives) + "'0';"]
+        for name in self.FIELDS:
+            *muxed, (_b, _g, last) = self.drives
+            out.append(f"  ap_{name} <= "
+                       + "".join(f"{exprs[name]} when enable_in({b}) = '1' "
+                                 "else " for b, _g, exprs in muxed)
+                       + f"{last[name]};")
+        return out
 
 
 class _StageBuilder:
@@ -831,34 +853,37 @@ class _StageBuilder:
         if label.region is not Region.MAP_VALUE:
             raise VhdlEmitError(f"insn {op.insn_index}: atomic on "
                                 f"{label.region.value}")
-        if self.atomic_use is not None:
-            raise VhdlEmitError(
-                f"stage {self.stage.number}: more than one atomic op"
-            )
         fd = label.map_fd
-        self.atomic_use = _AtomicUse(port="ap", fd=fd)
-        self.ports += [
-            "ap_req      : out std_logic",
-            "ap_op       : out std_logic_vector(7 downto 0)",
-            "ap_size     : out std_logic_vector(3 downto 0)",
-            "ap_addr     : out std_logic_vector(63 downto 0)",
-            "ap_wdata    : out std_logic_vector(63 downto 0)",
-            "ap_expected : out std_logic_vector(63 downto 0)",
-            "ap_old      : in  std_logic_vector(63 downto 0)",
-            "ap_oob      : in  std_logic",
-        ]
+        use = self.atomic_use
+        if use is None:
+            use = self.atomic_use = _AtomicUse(port="ap", fd=fd,
+                                               at=len(self.conc))
+            self.ports += [
+                "ap_req      : out std_logic",
+                "ap_op       : out std_logic_vector(7 downto 0)",
+                "ap_size     : out std_logic_vector(3 downto 0)",
+                "ap_addr     : out std_logic_vector(63 downto 0)",
+                "ap_wdata    : out std_logic_vector(63 downto 0)",
+                "ap_expected : out std_logic_vector(63 downto 0)",
+                "ap_old      : in  std_logic_vector(63 downto 0)",
+                "ap_oob      : in  std_logic",
+            ]
+        elif use.fd != fd:
+            raise VhdlEmitError(
+                f"stage {self.stage.number}: atomics on two maps"
+            )
         addr = (f"std_logic_vector(unsigned({self._src(insn.dst)}) + "
                 f"unsigned({_imm64(insn.off)}))")
         expected = (self._src(isa.R0)
                     if insn.imm == isa.ATOMIC_CMPXCHG else _imm64(0))
-        self.conc += [
-            f"  ap_req <= {self._req_expr(op)};",
-            f"  ap_op <= {_hex(insn.imm & 0xFF, 8)};",
-            f"  ap_size <= {_hex(insn.size_bytes, 4)};",
-            f"  ap_addr <= {addr};",
-            f"  ap_wdata <= {self._src(insn.src)};",
-            f"  ap_expected <= {expected};",
-        ]
+        use.drives.append((op.block_id, self._guard(op), {
+            "op": _hex(insn.imm & 0xFF, 8),
+            "size": _hex(insn.size_bytes, 4),
+            "addr": addr,
+            "wdata": self._src(insn.src),
+            "expected": expected,
+        }))
+        self.conc[use.at:use.at + 1 + len(use.FIELDS)] = use.lines()
         effects = []
         if insn.imm == isa.ATOMIC_CMPXCHG:
             dst = self._dst_slice(isa.R0)

@@ -1,4 +1,4 @@
-"""Generated execution module for pipeline 'ct_firewall' (20 stages).
+"""Generated execution module for pipeline 'ct_firewall' (18 stages).
 
 Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 8); flush machinery included, position/commit tracking included. Do not edit.
 """
@@ -22,9 +22,9 @@ _ACTIONS = {int(_a): _a for _a in XdpAction}
 _ABORTED = XdpAction.ABORTED
 _DROP = XdpAction.DROP
 _i0 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
-_i1 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
+_i1 = Instruction(opcode=219, dst=0, src=9, off=0, imm=0, imm64=None)
 _i2 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
-_i3 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
+_i3 = Instruction(opcode=219, dst=0, src=9, off=0, imm=0, imm64=None)
 _ZSTACK = bytes(512)
 
 def _s1(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
@@ -130,6 +130,10 @@ def _s9(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4, 
     if not pkt.done and 4 in enabled:
         regs[1] = 0x30000001
     if not pkt.done and 6 in enabled:
+        regs[7] = 0x1
+    if not pkt.done and 6 in enabled:
+        regs[9] = 0x1
+    if not pkt.done and 6 in enabled:
         _se = None
         _p4(pkt.stack, 496, regs[8] & 0xffffffff)
         if _se is not None:
@@ -150,7 +154,7 @@ def _s9(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2, _u4=_u4, 
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
     return flushed
 
-def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4):
+def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4, _p8=_p8):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -188,6 +192,13 @@ def _s10(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2, _p4=_p4)
         regs[2] = regs[10]
     if not pkt.done and 4 in enabled:
         regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+    if not pkt.done and 6 in enabled:
+        _se = None
+        _p8(pkt.stack, 480, regs[7] & 0xffffffffffffffff)
+        if _se is not None:
+            pkt.take_snapshot(10)
+            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
+                flushed = True
     if not pkt.done and 6 in enabled:
         _se = None
         _p4(pkt.stack, 500, regs[3] & 0xffffffff)
@@ -273,35 +284,26 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report):
     regs = pkt.regs
     enabled = pkt.enabled
     if 4 in enabled:
+        regs[1] = 0x1
+    if 4 in enabled:
         enabled.update((9,) if regs[0] == 0x0 else (5,))
+    if 6 in enabled:
+        regs[1] = 0x30000001
+    if 6 in enabled:
+        regs[2] = regs[10]
+    if 6 in enabled:
+        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
+    if 6 in enabled:
+        regs[3] = regs[10]
+    if 6 in enabled:
+        regs[3] = (regs[3] + 0xffffffffffffffe0) & 0xffffffffffffffff
+    if 6 in enabled:
+        regs[4] = 0x0
     if 6 in enabled:
         enabled.update((8,) if regs[0] != 0x0 else (7,))
     return False
 
-def _s15(sim, pkt, slots, barrier_queues, input_queue, report):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 5 in enabled:
-        regs[1] = 0x1
-    if 7 in enabled:
-        regs[3] = 0x1
-    if 7 in enabled:
-        regs[1] = 0x30000001
-    if 7 in enabled:
-        regs[2] = regs[10]
-    if 7 in enabled:
-        regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    if 7 in enabled:
-        regs[4] = 0x0
-    if 8 in enabled:
-        regs[1] = 0x1
-    if 9 in enabled:
-        regs[0] = 0x1
-    return False
-
-def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
+def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i0=_i0, _i1=_i1):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -319,38 +321,14 @@ def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
         else:
             _se = sim._atomic(pkt, _i0, _a)
         if _se is not None:
-            pkt.take_snapshot(16)
+            pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 7 in enabled:
-        _se = None
-        _p8(pkt.stack, 480, regs[3] & 0xffffffffffffffff)
-        if _se is not None:
-            pkt.take_snapshot(16)
-            if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                flushed = True
-    if not pkt.done and 7 in enabled:
-        regs[3] = regs[10]
-    if not pkt.done and 7 in enabled:
-        regs[3] = (regs[3] + 0xffffffffffffffe0) & 0xffffffffffffffff
-    if not pkt.done and 9 in enabled:
-        pkt.done = True
-        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return flushed
-
-def _s17(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8, _i1=_i1):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    flushed = False
-    if 5 in enabled:
-        regs[0] = 0x2
-    if 7 in enabled:
         _se = sim._map_channel_call(pkt, 2)
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
         if _se is not None:
-            pkt.take_snapshot(17)
+            pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 8 in enabled:
@@ -359,18 +337,36 @@ def _s17(sim, pkt, slots, barrier_queues, input_queue, report, _u8=_u8, _p8=_p8,
         _m = sim.maps.maps.get(1)
         if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
             _old = _u8(_m.storage, _o)[0]
-            _sv = regs[1]
+            _sv = regs[9]
             _p8(_m.storage, _o, (_old + _sv) & 0xffffffffffffffff)
             _se = ("atomic", 1)
         else:
             _se = sim._atomic(pkt, _i1, _a)
         if _se is not None:
-            pkt.take_snapshot(17)
+            pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
+    if not pkt.done and 9 in enabled:
+        regs[0] = 0x1
     return flushed
 
-def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+def _s17(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
+    if pkt.done:
+        return False
+    regs = pkt.regs
+    enabled = pkt.enabled
+    if 5 in enabled:
+        regs[0] = 0x2
+    if 7 in enabled:
+        regs[0] = 0x3
+    if 8 in enabled:
+        regs[0] = 0x3
+    if 9 in enabled:
+        pkt.done = True
+        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
+    return False
+
+def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
     if pkt.done:
         return False
     regs = pkt.regs
@@ -379,17 +375,6 @@ def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     if not pkt.done and 7 in enabled:
-        regs[0] = 0x3
-    if not pkt.done and 8 in enabled:
-        regs[0] = 0x3
-    return False
-
-def _s20(sim, pkt, slots, barrier_queues, input_queue, report, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED):
-    if pkt.done:
-        return False
-    regs = pkt.regs
-    enabled = pkt.enabled
-    if 7 in enabled:
         pkt.done = True
         pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
     if not pkt.done and 8 in enabled:
@@ -440,10 +425,6 @@ def _observe(metrics, slots, barrier_queues):
         _b[16] += 1
     if slots[18] is not None:
         _b[17] += 1
-    if slots[19] is not None:
-        _b[18] += 1
-    if slots[20] is not None:
-        _b[19] += 1
     if barrier_queues:
         _w = 0
         for _q in barrier_queues.values():
@@ -485,7 +466,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         _b = _c.packet = frame
         pkt.done = False
         stack[:] = _ZSTACK
-        r0 = r2 = r3 = r4 = r5 = r6 = r8 = 0
+        r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
         r1 = 0x1000
         r10 = 0x200200
         _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = _e7 = _e8 = _e9 = _e10 = False
@@ -535,12 +516,12 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 _sl = _lk1(bytes(stack[496:512]))
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
+                r1 = 0x1
                 if r0 == 0x0:
                     _e9 = True
                 else:
                     _e5 = True
             if _e5:
-                r1 = 0x1
                 _a = r0
                 _o = _a - 0x41000000
                 if 0 <= _o <= 32760:
@@ -557,6 +538,8 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
                 break
             if _e6:
+                r7 = 0x1
+                r9 = 0x1
                 _p4(stack, 496, r8 & 0xffffffff)
                 r3 = _u4(_b, 30)[0]
                 r4 = _u2(_b, 34)[0]
@@ -564,6 +547,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 r1 = 0x30000001
                 r2 = r10
                 r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
+                _p8(stack, 480, r7 & 0xffffffffffffffff)
                 _p4(stack, 500, r3 & 0xffffffff)
                 _p2(stack, 504, r4 & 0xffff)
                 _p2(stack, 506, r5 & 0xffff)
@@ -572,19 +556,17 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 _sl = _lk1(bytes(stack[496:512]))
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
+                r1 = 0x30000001
+                r2 = r10
+                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
+                r3 = r10
+                r3 = (r3 + 0xffffffffffffffe0) & 0xffffffffffffffff
+                r4 = 0x0
                 if r0 != 0x0:
                     _e8 = True
                 else:
                     _e7 = True
             if _e7:
-                r3 = 0x1
-                r1 = 0x30000001
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                r4 = 0x0
-                _p8(stack, 480, r3 & 0xffffffffffffffff)
-                r3 = r10
-                r3 = (r3 + 0xffffffffffffffe0) & 0xffffffffffffffff
                 regs[0] = r0
                 regs[1] = r1
                 regs[2] = r2
@@ -600,15 +582,14 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
                 _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
                 break
             if _e8:
-                r1 = 0x1
                 _a = r0
                 _o = _a - 0x41000000
                 if 0 <= _o <= 32760:
                     _old = _u8(_st1, _o)[0]
-                    _sv = r1
+                    _sv = r9
                     _p8(_st1, _o, (_old + _sv) & 0xffffffffffffffff)
                 else:
-                    regs[1] = r1
+                    regs[9] = r9
                     sim._atomic(pkt, _i3, _a)
                     if pkt.done:
                         _act = pkt.action
@@ -632,12 +613,12 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         if _e4 or _e6:
             if _free > _went:
                 _went = _free
-            _free = _went + 6
+            _free = _went + 4
         _ring[_ri] = _went
         _ri += 1
         if _ri == 11:
             _ri = 0
-        _exit = _went + 9
+        _exit = _went + 7
         if _exit >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
         _tot += _exit - cycle
@@ -659,7 +640,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     report.sum_pipeline_cycles += _pip
     return pid
 
-_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, None, _s19, _s20,)
+_STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, None, _s17, _s18,)
 _ENTRY = _entry
 _ADVANCE = None
 _OBSERVE = _observe

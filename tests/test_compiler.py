@@ -66,6 +66,38 @@ class TestToyPipeline:
         assert "stage" in text and "call 1" in text
 
 
+class TestCompileCost:
+    @staticmethod
+    def _verify_calls(monkeypatch, program):
+        import sys
+
+        from repro.ebpf import verifier
+
+        original = verifier.verify
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "verify", None) is original:
+                monkeypatch.setattr(module, "verify", counting)
+        compile_program(program)
+        return len(calls)
+
+    def test_each_program_is_verified_once(self, monkeypatch):
+        from repro.apps import ct_firewall, firewall
+
+        # the input; then, after elision, the elided program (a second
+        # look for entry checks, and the analyses' re-verify). Elision's
+        # first round and its packet-offset labeling reuse the input's
+        # result (five calls before they did).
+        assert self._verify_calls(monkeypatch, firewall.build()) == 3
+        # speculation rewrites ct_firewall, which is verified once more
+        assert self._verify_calls(monkeypatch, ct_firewall.build()) == 4
+
+
 class TestOptions:
     def test_no_ilp_lengthens_pipeline(self):
         prog = toy_counter.build()

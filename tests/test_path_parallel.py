@@ -6,8 +6,9 @@ are held to the layout invariants under both layouts:
 * ops that share a stage come from blocks that cannot reach one another
   (no packet executes both, so each op is gated by its own enable bit);
 * every block's first stage comes after all of its predecessors' ops;
-* a stage holds at most one map atomic (the stage entity's one ``ap_*``
-  port);
+* a stage holds atomics on at most one map (the stage entity's one
+  ``ap_*`` port), several only from mutually exclusive blocks, which the
+  port muxes by enable bit;
 * ops that touch state other packets observe (maps, the clock, the PRNG)
   keep the paper layout's block order, so no cross-packet interleaving
   appears that the paper layout does not have — except two ops on one
@@ -143,7 +144,12 @@ def check_layout(pipeline, path_parallel: bool) -> None:
                 "one reaches the other")
         map_atomics = [op for op in stage.ops if op.insn.is_atomic
                        and op.label.region is Region.MAP_VALUE]
-        assert len(map_atomics) <= 1, f"stage {stage.number}"
+        # one atomic port per map and stage: atomics of one map only,
+        # each from its own (so, per the check above, exclusive) block
+        assert len({op.label.map_fd for op in map_atomics}) <= 1, \
+            f"stage {stage.number}"
+        assert len({op.block_id for op in map_atomics}) \
+            == len(map_atomics), f"stage {stage.number}"
         for op in stage.ops:
             first.setdefault(op.block_id, stage.number)
             last[op.block_id] = stage.number
@@ -244,6 +250,52 @@ class TestThreeWayBothLayouts:
         assert result.rtl_report is not None
 
 
+class TestSharedAtomicPort:
+    """ct_firewall's refresh locks (inbound b5, outbound b8) share stage
+    15's atomic port on the conntrack map: each ``ap_*`` input muxes on
+    the enable bits, b5's increment in r1 and b8's in r9."""
+
+    @staticmethod
+    def _case():
+        from repro.apps import ct_firewall
+        from repro.net.packet import FiveTuple, ipv4, udp_packet
+
+        out = FiveTuple(ipv4("10.1.2.3"), ipv4("93.184.216.34"), 17,
+                        4242, 53)
+        frames = [udp_packet(flow.src_ip, flow.dst_ip, sport=flow.sport,
+                             dport=flow.dport)
+                  for flow in (out, out.reversed(), out, out.reversed())]
+        program = ct_firewall.build()
+        return program, compile_program(program), frames
+
+    def test_both_arms_drive_the_port(self):
+        program, pipeline, frames = self._case()
+        text = vhdl.emit_vhdl(pipeline)
+        assert len(re.findall(r"  ap_wdata <= (.*) when enable_in\(5\) "
+                              r"= '1' else (.*);", text)) == 1
+        run_three_way(program, frames, pipeline=pipeline) \
+            .raise_on_mismatch()
+
+    def test_an_unmuxed_port_fails_the_rtl_leg(self):
+        # drive the port's operand from b8 alone: an inbound reply's
+        # refresh then adds b8's register, not its own increment. (Both
+        # arms address the entry through r0, so ap_addr cannot tell.)
+        program, pipeline, frames = self._case()
+        text = vhdl.emit_vhdl(pipeline)
+        mux = re.search(r"  ap_wdata <= (.*) when enable_in\(5\) = '1' "
+                        r"else (.*);", text)
+        bad = text.replace(mux.group(0), f"  ap_wdata <= {mux.group(2)};")
+        result = run_three_way(program, frames, pipeline=pipeline,
+                               vhdl_text=bad)
+        # located on the flow's entry: four refreshes in the VM, and in
+        # the RTL only the two outbound ones (the replies added nothing)
+        (mismatch,) = result.mismatches
+        assert str(mismatch) == (
+            "vm vs rtl: rtl map conntrack "
+            "{'0a0102035db8d8221092003500000000': '0400000000000000'} != "
+            "{'0a0102035db8d8221092003500000000': '0200000000000000'}")
+
+
 class TestObservability:
     def test_stats_names_the_window_and_the_sharing_blocks(self, capsys):
         from repro.cli import main
@@ -253,12 +305,16 @@ class TestObservability:
         # the window, the ops on its first and last stage that force its
         # extent, and the blocks whose packets wait for it: every
         # conntrack arm, not the non-IPv4 pass
-        assert "window [12, 17] W=6 (opens: b4 call 1, b6 call 1 @12; " \
-            "closes: b7 call 2, b8 lock *(u64 *)(r0 + 0) += r1 @17) " \
+        assert "window [12, 15] W=4 (opens: b4 call 1, b6 call 1 @12; " \
+            "closes: b5 lock *(u64 *)(r0 + 0) += r1, b7 call 2, " \
+            "b8 lock *(u64 *)(r0 + 0) += r9 @15) " \
             "held by b4 b5 b6 b7 b8\n" in out
         # a shared stage tags each block's run of ops: both directions'
-        # lookups enter the window together
-        assert "stage  12 [r1,r2 [-16:16]] b4: call 1 | b6: call 1\n" in out
+        # lookups enter the window together, with the insert's initial
+        # value ([-32:8]) and the refresh's renamed increment (r9)
+        # computed above them
+        assert "stage  12 [r1,r2,r9 [-32:8],[-16:16]] b4: call 1 | " \
+            "b6: call 1\n" in out
 
     def test_stats_names_a_single_path_window(self, capsys):
         from repro.cli import main

@@ -283,14 +283,53 @@ class TestPathParallel:
         assert all(row.width <= 4 for row in capped.rows)
         assert capped.n_rows > wide.n_rows
 
+    # two exclusive arms, each with an atomic on a map of its own
+    TWO_MAPS = {**MAPS, "n": MapSpec("n", "array", 4, 8, 1)}
+    TWO_MAP_ATOMICS = """
+        r6 = 0
+        *(u32 *)(r10 - 4) = r6
+        r1 = map[m]
+        r2 = r10
+        r2 += -4
+        call 1
+        if r0 == 0 goto out
+        r7 = r0
+        r1 = map[n]
+        r2 = r10
+        r2 += -4
+        call 1
+        if r0 == 0 goto out
+        if r6 == 1 goto arm_b
+        r1 = 1
+        lock *(u64 *)(r7 + 0) += r1
+        r0 = 2
+        exit
+    arm_b:
+        r1 = 2
+        lock *(u64 *)(r0 + 0) += r1
+        r0 = 3
+        exit
+    out:
+        r0 = 1
+        exit
+    """
+
+    def _lock_rows(self, source, maps):
+        prog, sched, _blocks = self._blocks(source, maps=maps)
+        return [sched.row_of(i) for i, insn in enumerate(prog.instructions)
+                if insn.is_atomic]
+
     def test_one_map_atomic_per_row(self):
-        prog, sched, _blocks = self._blocks(self.TWO_ATOMICS, maps=self.MAPS)
-        locks = [i for i, insn in enumerate(prog.instructions)
-                 if insn.is_atomic]
-        rows = [sched.row_of(i) for i in locks]
-        # the stage entity has one atomic port: the later arm's lock
-        # moves past the earlier arm's
+        rows = self._lock_rows(self.TWO_MAP_ATOMICS, self.TWO_MAPS)
+        # the stage entity has one atomic port per map: the later arm's
+        # lock, on the other map, moves past the earlier arm's
         assert rows[0] < rows[1]
+
+    def test_exclusive_atomics_share_their_map_port(self):
+        # no packet runs both arms, so their locks on one map share the
+        # stage's port, each driving it under its own enable bit
+        rows = self._lock_rows(self.TWO_ATOMICS, self.MAPS)
+        assert rows[0] == rows[1]
 
     def test_shared_state_keeps_block_order(self):
         # arm A reaches its lookup late, arm B at once; B's lookup still

@@ -339,8 +339,8 @@ class TestCommitStages:
 
     @pytest.mark.parametrize("app, pinned", [
         ("leaky_bucket", {1: 18}),
-        ("ct_firewall", {1: 17}),
-        ("syn_cookie", {1: 31, 2: 31, 3: 43}),
+        ("ct_firewall", {1: 15}),
+        ("syn_cookie", {1: 31, 2: 31, 3: 42}),
         ("dnat", {1: 20, 2: 20, 3: 20}),
     ])
     def test_apps_that_buffer_writes(self, app, pinned):
@@ -813,10 +813,10 @@ class TestLocatedError:
 
     @pytest.mark.parametrize("capacity", [4096, 4])
     def test_failing_op_behind_a_stalled_window(self, capacity):
-        # ct_firewall's window admits one packet per 21 cycles while
+        # ct_firewall's window admits one packet per 4 cycles while
         # frames arrive one per cycle: by the time packet 50 executes
         # past the window's first stages the source has been read
-        # ~1000 frames further — and with a 4-deep input queue most of
+        # ~200 frames further — and with a 4-deep input queue most of
         # those were dropped, so pid 50 is not frame 50 either
         import dataclasses
 
