@@ -15,6 +15,13 @@ window — the one bad hardware number (ROADMAP F) — narrows from W = 21
 to W = 4.
 Only a packet whose path can still reach a map inside a window waits
 for it, so syn_cookie's SYN flood runs at line rate under both layouts.
+
+Banked conntrack (beyond the paper): ct_firewall's window serialises per
+bank of its LRU map on the path-parallel layout, so the banks sweep
+records cycles/packet, LRU evictions and the map's BRAM36 for B = 1, 4,
+16 and 64 banks on the same trace. Expected: cycles/packet falls with B
+towards the floor the trace's same-bank runs set, and BRAM36 rises as
+each bank rounds up to whole blocks.
 """
 
 import dataclasses
@@ -23,6 +30,7 @@ import pytest
 
 from conftest import PAPER_OPTIONS, print_table
 from repro import apps
+from repro.apps import ct_firewall
 from repro.baselines import compile_for_hxdp
 from repro.core import CompileOptions, compile_program
 from repro.core.resources import estimate_resources
@@ -45,9 +53,9 @@ def _frames(name):
         dataclasses.replace(spec, packets=PACKETS, seed=1)).materialize()
 
 
-def _measure(name, options, frames):
+def _measure(name, options, frames, program=None):
     module = getattr(apps, name)
-    program = module.build()
+    program = program or module.build()
     pipeline = compile_program(program, options)
     maps = MapSet(program.maps)
     setup = getattr(module, "default_setup", None)
@@ -58,6 +66,7 @@ def _measure(name, options, frames):
     )).run_packets(frames)
     windows = pipeline.serial_windows
     cycles = report.cycles / report.packets_out
+    resources = estimate_resources(pipeline, include_shell=False)
     return {
         "stages": pipeline.n_stages,
         "window": " ".join(f"[{lo}, {hi}] W={hi - lo + 1}"
@@ -65,8 +74,10 @@ def _measure(name, options, frames):
         "W": max((hi - lo + 1 for lo, hi in windows), default=0),
         "cycles": cycles,
         "latency_ns": report.sum_total_cycles / report.packets_out * CLOCK_NS,
-        "luts": estimate_resources(pipeline, include_shell=False).luts,
+        "luts": resources.luts,
+        "bram36": resources.bram36,
         "mpps": 1e3 / CLOCK_NS / cycles,
+        "evictions": sum(getattr(maps[fd], "evictions", 0) for fd in maps),
     }
 
 
@@ -120,8 +131,11 @@ class TestPathParallel:
         # every flow-churn packet takes a conntrack arm, so holds the
         # window: path gating leaves it where the layout put it
         # (speculation and the shared atomic port put it at W=4)
+        # (conntrack's banks then let holders of different banks share
+        # it, on the path-parallel layout only: the paper layout's window
+        # holds the stores that build the key)
         assert [round(row[layout]["cycles"], 4) for layout in LAYOUTS] \
-            == [21.0017, 4.0015]
+            == [21.0017, 1.3767]
 
     def test_syn_flood_passes_through_the_window(self, layouts):
         # a SYN touches no map inside syn_cookie's window, so no SYN
@@ -130,3 +144,51 @@ class TestPathParallel:
         for layout in LAYOUTS:
             assert row[layout]["W"] >= 17
             assert row[layout]["cycles"] <= 1.05, layout
+
+
+BANKS = (1, 4, 16, 64)
+
+
+@pytest.fixture(scope="module")
+def bank_sweep():
+    """ct_firewall on its trace with conntrack split into B banks."""
+    frames = _frames("ct_firewall")
+    rows = {}
+    for banks in BANKS:
+        program = ct_firewall.build()
+        (fd, spec), = program.maps.items()
+        program.maps[fd] = dataclasses.replace(spec, banks=banks)
+        rows[banks] = _measure("ct_firewall", CompileOptions(), frames,
+                               program)
+    print_table(
+        "Banked conntrack (beyond the paper): ct_firewall, path-parallel",
+        ["banks", "entries/bank", "window", "cycles/pkt", "latency ns",
+         "Mpps", "evictions", "BRAM36", "LUTs"],
+        [[banks, ct_firewall.CONNTRACK_MAP.max_entries // banks, r["window"],
+          f"{r['cycles']:.4f}", f"{r['latency_ns']:.1f}", f"{r['mpps']:.1f}",
+          r["evictions"], r["bram36"], r["luts"]]
+         for banks, r in rows.items()],
+    )
+    return rows
+
+
+class TestBanks:
+    def test_more_banks_serialise_less(self, bank_sweep):
+        cycles = [round(bank_sweep[banks]["cycles"], 4) for banks in BANKS]
+        # one bank is the window of the map-wide LRU order: every
+        # flow-churn packet pays W = 4
+        assert cycles == [4.0015, 2.1144, 1.3767, 1.1389]
+        assert cycles == sorted(cycles, reverse=True)
+        # the schedule does not move; the bank compare is not costed
+        assert len({(r["stages"], r["W"], r["luts"])
+                    for r in bank_sweep.values()}) == 1
+
+    def test_each_bank_rounds_up_to_whole_brams(self, bank_sweep):
+        # conntrack's 25 BRAM36 at one bank; the pipeline's other
+        # buffers add 4
+        assert [bank_sweep[banks]["bram36"] for banks in BANKS] \
+            == [29, 32, 36, 68]
+        # the trace's new flows overflow the table at any bank count;
+        # uneven banks move the evictions by a few
+        assert [bank_sweep[banks]["evictions"] for banks in BANKS] \
+            == [1534, 1532, 1536, 1538]

@@ -53,7 +53,10 @@ from .pipeline import Pipeline
 # v12: speculation hoists branch arms' setup on the path-parallel layout
 #     (the Pipeline counts it in ``speculated``), and exclusive atomics on
 #     one map share a stage (ct_firewall 20 -> 18 stages).
-_CACHE_VERSION = 12
+# v13: map specs carry ``banks`` (in the key), and a MapHazardPlan its
+#     window's bank key, with CODEGEN_VERSION 9 (per-bank window timing
+#     in ``_stream``).
+_CACHE_VERSION = 13
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32
@@ -87,7 +90,8 @@ def cache_key(program: Program, options=None) -> str:
         spec = program.maps[fd]
         hasher.update(
             f"map:{fd}:{spec.name}:{spec.map_type}:{spec.key_size}:"
-            f"{spec.value_size}:{spec.max_entries}:{spec.flags}".encode()
+            f"{spec.value_size}:{spec.max_entries}:{spec.flags}:"
+            f"{spec.banks}".encode()
         )
     for field in sorted(dataclasses.fields(options), key=lambda f: f.name):
         hasher.update(f"opt:{field.name}={getattr(options, field.name)!r}".encode())

@@ -76,6 +76,7 @@ from .pipeline import (
     REPAIRED,
     REPLAY,
     WINDOWED,
+    BankKey,
     Consistency,
     FlushBlock,
     MapConsistency,
@@ -173,6 +174,9 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         if len(touching) > 1 and spec is not None and spec.serialised:
             plan.serial_window = (touching[0], touching[-1])
             plan.holders = window_holders(stages, cfg, *plan.serial_window)
+            if spec.banks > 1:
+                plan.bank_key, plan.unbanked = bank_key(stages, plan,
+                                                        program)
 
     windows = [p.serial_window for p in plans.values() if p.serial_window]
     live = _live_flush_blocks(plans)
@@ -225,6 +229,62 @@ def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
             reaching.add(bid)
     return frozenset(touching | {bid for bid in reaching
                                  if last.get(bid, 0) >= lo})
+
+
+def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
+             program: Program) -> Tuple[Optional[BankKey], str]:
+    """The bank key of a banked map's window, or ``None`` and the rule
+    that keeps it at one bank.
+
+    Packets of two banks touch disjoint entries, slots and recency
+    lists, so they commute inside the window, and a holder need wait
+    only for holders of its own bank — when three things hold:
+
+    * every access inside the window is to this map: the window also
+      discharges the flush blocks of every other map it holds
+      (:func:`in_window`), which guard against any packet, not one bank;
+    * every map call there reads its key from one stack slot;
+    * every store to that slot is scheduled before ``lo``, so the bytes
+      a packet holds on entering the window are the key it uses there
+      (and those it leaves at exit, which the stream path reads)."""
+    lo, hi = plan.serial_window
+    slot: Optional[Tuple[int, int]] = None
+    for stage in stages[lo - 1:hi]:
+        for op in stage.ops:
+            access = _map_access(op)
+            if access is None:
+                continue
+            where = (f"b{op.block_id} {format_instruction(op.insn)} "
+                     f"@{stage.number}")
+            if access[0] != plan.map_fd:
+                return None, (f"map {program.maps[access[0]].name} is "
+                              f"accessed inside the window ({where})")
+            if op.call is None:
+                continue
+            key = (op.call.key_stack_offset, op.call.key_size)
+            if key[0] is None:
+                return None, f"no constant stack key ({where})"
+            if slot is not None and key != slot:
+                return None, (f"keys from stack[{slot[0]}:{slot[1]}] and "
+                              f"stack[{key[0]}:{key[1]}] ({where})")
+            slot = key
+    if slot is None:
+        return None, "no map call inside the window"
+    offset, size = slot
+    for stage in stages[lo - 1:]:
+        for op in stage.ops:
+            label = op.label
+            if (label is not None and label.region is Region.STACK
+                    and (label.is_write or label.is_atomic)
+                    and (label.offset is None
+                         or (label.offset < offset + size
+                             and offset < label.offset + label.size))):
+                return None, (
+                    f"key stack[{offset}:{size}] is written at or past "
+                    f"stage {lo} (b{op.block_id} "
+                    f"{format_instruction(op.insn)} @{stage.number})")
+    return BankKey(plan.map_fd, offset, size,
+                   program.maps[plan.map_fd].banks), ""
 
 
 def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
@@ -579,11 +639,16 @@ def hazard_summary(pipeline: Pipeline) -> str:
         for fb in plan.flush_blocks:
             parts.append(f"flush block L={fb.L} K={fb.K()}")
         if plan.serial_window is not None:
-            # W stages between holders: the window's cycles/packet when
-            # every packet holds it
+            # W stages between holders of one bank: the window's
+            # cycles/packet when every packet holds it in that bank
             lo, hi = plan.serial_window
             held = " ".join(f"b{bid}" for bid in sorted(plan.holders))
-            parts.append(f"window [{lo}, {hi}] W={hi - lo + 1} "
+            key = plan.bank_key
+            split = (f" banked x{key.banks} on {name} by "
+                     f"stack[{key.offset}:{key.size}]" if key is not None
+                     else f" one bank: {plan.unbanked}" if plan.unbanked
+                     else "")
+            parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}{split} "
                          f"({_window_ends(pipeline, plan)}) held by {held}")
         lines.append("  ".join(parts))
     lines.append(f"consistency: {pipeline.consistency}")

@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Instruction, Program
+from ..ebpf.maps import bank_of
 from ..ebpf.xdp import AddressSpace
 from .cfg import Cfg
 from .ddg import Ddg
@@ -122,6 +123,28 @@ class FlushBlock:
         return self.read_stage + reload_overhead
 
 
+@dataclass(frozen=True)
+class BankKey:
+    """Where a packet's bank of a banked LRU map's window is read: the
+    map's key, ``size`` bytes at ``offset`` from R10 on the packet's
+    stack, hashed into ``banks`` banks by the map's own
+    :func:`~repro.ebpf.maps.bank_of`. ``hazards`` gives a window one
+    only when every store to those bytes precedes the window, so the
+    bytes a packet holds on entering it are the key it accesses the map
+    with there."""
+
+    map_fd: int
+    offset: int
+    size: int
+    banks: int
+
+    def of(self, stack) -> int:
+        """The bank of the packet whose stack is ``stack`` (the
+        ``STACK_SIZE``-byte buffer that R10 points past)."""
+        start = AddressSpace.STACK_SIZE + self.offset
+        return bank_of(stack[start:start + self.size], self.banks)
+
+
 @dataclass
 class MapHazardPlan:
     """All consistency machinery for one map (§4.1)."""
@@ -150,6 +173,12 @@ class MapHazardPlan:
     # the window; any other packet passes through it unhindered (see
     # ``hazards.window_holders``). Empty without a window.
     holders: FrozenSet[int] = frozenset()
+    # A banked map's window serialises per bank: a holder waits only for
+    # a holder of its own bank (``hazards.bank_key``). ``None`` is one
+    # bank; on a banked map ``unbanked`` then names the rule that
+    # refused the split.
+    bank_key: Optional[BankKey] = None
+    unbanked: str = ""
     # Whether packets in flight together leave this map as sequential
     # execution would (see ``hazards.plan_hazards``).
     consistency: MapConsistency = MapConsistency()
@@ -254,14 +283,17 @@ class Pipeline:
     @property
     def serial_windows(self) -> List[Tuple[int, int]]:
         """Interlock windows of recency-ordered maps, sorted by entry stage."""
-        return [(lo, hi) for lo, hi, _holders in self.held_windows]
+        return [window[:2] for window in self.held_windows]
 
     @property
-    def held_windows(self) -> List[Tuple[int, int, FrozenSet[int]]]:
-        """``(lo, hi, holders)`` of each interlock window, sorted by entry
-        stage: the packets that wait for it are those that have enabled
-        one of its holder blocks."""
-        return sorted(((*plan.serial_window, plan.holders)
+    def held_windows(
+            self) -> List[Tuple[int, int, FrozenSet[int], Optional[BankKey]]]:
+        """``(lo, hi, holders, bank_key)`` of each interlock window,
+        sorted by entry stage: the packets that wait for it are those
+        that have enabled one of its holder blocks, and each waits only
+        for a holder of its own bank (``bank_key``; ``None``: one
+        bank)."""
+        return sorted(((*plan.serial_window, plan.holders, plan.bank_key)
                        for plan in self.map_hazards.values()
                        if plan.serial_window is not None),
                       key=lambda window: window[:2])

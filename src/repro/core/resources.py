@@ -202,7 +202,10 @@ def estimate_resources(
             if spec.map_type in ("hash", "lru_hash"):
                 # keys + slot directory roughly double the storage
                 storage_bytes += spec.max_entries * (spec.key_size + 4)
-            blocks = max(1, -(-storage_bytes // BRAM36_BYTES))
+            # each bank is a memory of its own (its own port), rounded
+            # up to whole BRAMs
+            per_bank = storage_bytes // spec.banks
+            blocks = spec.banks * max(1, -(-per_bank // BRAM36_BYTES))
             # beyond the two native BRAM ports, channels require replication
             replication = max(1, -(-plan.channels // 2))
             bram += blocks * replication

@@ -491,7 +491,12 @@ class MapSpec:
 
     Mirrors the fields a loader would read from the ELF maps section: the
     map type plus key/value geometry. ``flags`` carries kernel map flags
-    (unused by the reproduction but kept for fidelity).
+    (unused by the reproduction but kept for fidelity). ``banks`` splits
+    an ``lru_hash`` map into that many independent LRU maps of
+    ``max_entries / banks`` entries each, the bank picked by a fixed
+    hash of the key (:func:`repro.ebpf.maps.bank_of`) — Linux's
+    ``BPF_F_NO_COMMON_LRU`` contract with the list chosen by key
+    instead of by CPU; 1, the default, is one map-wide LRU order.
     """
 
     name: str
@@ -500,6 +505,7 @@ class MapSpec:
     value_size: int
     max_entries: int
     flags: int = 0
+    banks: int = 1
 
     def __post_init__(self) -> None:
         if self.key_size <= 0 or self.value_size <= 0:
@@ -508,6 +514,15 @@ class MapSpec:
             raise ISAError("map max_entries must be positive")
         if self.map_type not in ("array", "hash", "lru_hash", "percpu_array"):
             raise ISAError(f"unknown map type {self.map_type!r}")
+        banks = self.banks
+        if not isinstance(banks, int) or banks < 1 or banks & (banks - 1):
+            raise ISAError(f"map banks must be a power of two, got {banks!r}")
+        if self.max_entries % banks:
+            raise ISAError(f"map banks ({banks}) must divide max_entries "
+                           f"({self.max_entries})")
+        if banks > 1 and self.map_type != "lru_hash":
+            raise ISAError(f"map banks ({banks}) needs an lru_hash map, "
+                           f"not {self.map_type}")
 
     @property
     def serialised(self) -> bool:

@@ -16,6 +16,7 @@ Backing storage is a flat ``bytearray`` per map so that value *pointers*
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -47,6 +48,7 @@ class Map:
         self.key_size = spec.key_size
         self.value_size = spec.value_size
         self.max_entries = spec.max_entries
+        self.banks = spec.banks
         self.storage = bytearray(spec.max_entries * spec.value_size)
 
     @property
@@ -234,44 +236,115 @@ class HashMap(Map):
         self._fresh = 0
 
 
-class LruHashMap(HashMap):
+def bank_of(key, banks: int) -> int:
+    """The bank of ``key`` (bytes-like) in a map of ``banks`` banks (a
+    power of two): the low bits of its CRC-32. The one bank hash — the
+    banked map and every engine's per-bank window interlock call it. A
+    real hash, because flow keys are structured: a fold of the key
+    bytes sends whole port ranges to one bank."""
+    return zlib.crc32(key) & (banks - 1)
+
+
+class LruHashMap(Map):
     """``BPF_MAP_TYPE_LRU_HASH``: a hash map that evicts the least recently
     used entry instead of failing when full.
 
     Recency order is part of the observable state: it decides future
     eviction victims, so engines must replicate it exactly and hot-swap
     carry (:func:`repro.serve.daemon.carry_maps`) must preserve it.
-    The slot directory is an ``OrderedDict`` kept in that order (a
-    lookup or update moves the key to the end), so :meth:`items`
-    iterates oldest-first and replaying the pairs through
-    :meth:`update` reconstructs the same order.
+
+    With ``spec.banks`` = B the map is B independent LRU maps over one
+    storage (``BPF_F_NO_COMMON_LRU``'s contract, the bank picked by
+    :func:`bank_of` of the key): bank ``b`` owns the ``max_entries / B``
+    slots from ``b * max_entries / B`` on and evicts its own least
+    recently used entry. Per bank, the slot directory is an
+    ``OrderedDict`` kept in recency order (a lookup or update moves the
+    key to the end) and slots are handed out as :class:`HashMap` does.
+    :meth:`items` and :meth:`lru_keys` go bank by bank, oldest-first
+    within each, so replaying the pairs through :meth:`update` into a
+    map of the same bank count reconstructs every bank's order. B = 1
+    computes no hash.
     """
 
     def __init__(self, spec: MapSpec) -> None:
         super().__init__(spec)
-        self._slot_by_key: "OrderedDict[bytes, int]" = OrderedDict()
         self.evictions = 0
+        self.bank_entries = spec.max_entries // spec.banks
+        # Per bank: the slot directory in recency order, the released
+        # slots and the next never-used slot.
+        self._dirs: List["OrderedDict[bytes, int]"] = [
+            OrderedDict() for _ in range(spec.banks)]
+        self._free: List[List[int]] = [[] for _ in range(spec.banks)]
+        self._fresh = list(range(0, spec.max_entries, self.bank_entries))
 
     def lookup_slot(self, key: bytes) -> Optional[int]:
         key = self._check_key(key)
-        slot = self._slot_by_key.get(key)
+        banks = self.banks
+        directory = self._dirs[bank_of(key, banks) if banks > 1 else 0]
+        slot = directory.get(key)
         if slot is not None:
-            self._slot_by_key.move_to_end(key)
+            directory.move_to_end(key)
         return slot
 
     def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
         key = self._check_key(key)
-        directory = self._slot_by_key
-        if key not in directory and len(directory) >= self.max_entries:
-            self.delete(next(iter(directory)))
+        banks = self.banks
+        bank = bank_of(key, banks) if banks > 1 else 0
+        directory = self._dirs[bank]
+        slot = directory.get(key)
+        if slot is None and len(directory) >= self.bank_entries:
+            self._release(bank, directory.popitem(last=False)[1])
             self.evictions += 1
-        slot = super().update(key, value, flags)
+        value = self._check_value(value)
+        if slot is not None:
+            if flags == BPF_NOEXIST:
+                raise MapError(f"{self.name}: key already exists")
+        elif flags == BPF_EXIST:
+            raise MapError(f"{self.name}: key does not exist")
+        else:
+            free = self._free[bank]
+            if free:
+                slot = free.pop()
+            else:
+                slot = self._fresh[bank]
+                self._fresh[bank] += 1
+            directory[key] = slot
+        self._write_slot(slot, value)
         directory.move_to_end(key)
         return slot
 
+    def _release(self, bank: int, slot: int) -> None:
+        self._write_slot(slot, bytes(self.value_size))
+        self._free[bank].append(slot)
+
+    def delete(self, key: bytes) -> bool:
+        key = self._check_key(key)
+        bank = bank_of(key, self.banks) if self.banks > 1 else 0
+        slot = self._dirs[bank].pop(key, None)
+        if slot is None:
+            return False
+        self._release(bank, slot)
+        return True
+
+    def items(self) -> Iterator[Tuple[bytes, bytes]]:
+        for directory in self._dirs:
+            for key, slot in list(directory.items()):
+                yield key, self._read_slot(slot)
+
+    def entry_count(self) -> int:
+        return sum(map(len, self._dirs))
+
+    def clear(self) -> None:
+        super().clear()
+        for directory, free in zip(self._dirs, self._free):
+            directory.clear()
+            free.clear()
+        self._fresh = list(range(0, self.max_entries, self.bank_entries))
+
     def lru_keys(self) -> List[bytes]:
-        """Keys in recency order, least recently used first."""
-        return list(self._slot_by_key)
+        """Keys in recency order, least recently used first, bank by
+        bank."""
+        return [key for directory in self._dirs for key in directory]
 
 
 class PercpuArrayMap(ArrayMap):
@@ -322,16 +395,19 @@ class MapSet:
     def mismatch(self, specs: Dict[int, MapSpec]) -> Optional[int]:
         """The first fd of ``specs`` this set does not hold as exactly
         the map :func:`create_map` builds from its spec — same class,
-        same geometry, storage of ``max_entries * value_size`` bytes —
-        or ``None`` when it holds them all. Code specialised to the
-        specs (the ``codegen`` engine's ``_stream``) is sound only over
-        a set that passes."""
+        same geometry and bank count, storage of ``max_entries *
+        value_size`` bytes — or ``None`` when it holds them all. Code
+        specialised to the specs (the ``codegen`` engine's ``_stream``,
+        whose window timing is per bank) is sound only over a set that
+        passes."""
         for fd, spec in specs.items():
             held = self.maps.get(fd)
             if (held is None
                     or type(held) is not _MAP_CLASSES[spec.map_type]
-                    or (held.key_size, held.value_size, held.max_entries)
-                    != (spec.key_size, spec.value_size, spec.max_entries)
+                    or (held.key_size, held.value_size, held.max_entries,
+                        held.banks)
+                    != (spec.key_size, spec.value_size, spec.max_entries,
+                        spec.banks)
                     or len(held.storage)
                     != spec.max_entries * spec.value_size):
                 return fd

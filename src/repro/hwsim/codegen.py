@@ -140,7 +140,8 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from ..core.cfg import BasicBlock
 from ..core.hazards import in_window
 from ..core.labeling import Region
-from ..core.pipeline import ATOMICS, PipeOp, Pipeline, Stage, StageKind
+from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Stage,
+                             StageKind)
 from ..ebpf import isa
 from ..ebpf.helpers import (
     ORDER_SENSITIVE_HELPERS,
@@ -172,7 +173,9 @@ from ..telemetry import get_registry
 # v8: path-gated windows: only a packet whose flags enable one of the
 #     window's holder blocks waits for it; the window timing moves
 #     after the packet body.
-CODEGEN_VERSION = 8
+# v9: banked windows: a holder waits for the last holder of its own bank,
+#     whose bank the timing reads from the key on the stack.
+CODEGEN_VERSION = 9
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -397,6 +400,7 @@ class _Emitter:
         self.uses_sim_error = False
         self.uses_stream = False
         self.uses_deque = False
+        self.uses_bank = False  # a banked window's stream timing
         # Stream mode (see stream_body): the op emitters below name the
         # run-bound locals of ``_stream`` instead of ``pkt``'s fields,
         # and a decided packet leaves by ``break``.
@@ -1170,7 +1174,8 @@ class _Emitter:
             sums=(f"pid * {n}", f"pid * {n}"),
         )
 
-    def _window_timing(self, lo: int, hi: int, held: str) -> _StreamTiming:
+    def _window_timing(self, lo: int, hi: int, held: str,
+                       bank: Optional[BankKey]) -> _StreamTiming:
         """Cycle accounting of a pipeline with one serialization window
         ``[lo, hi]``, ``lo >= 2``, that a packet holds when ``held`` (an
         expression over the body's block flags) is true. Which packets
@@ -1184,11 +1189,15 @@ class _Emitter:
         * ``inj[k] = max(arr, inj[k-1] + 1, ent[k-(lo-1)])`` — the
           ``lo - 1`` stages ahead of the window back up behind it, so
           stage 1 frees when the packet ``lo - 1`` places ahead enters;
-        * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + 1, ent[h] + W if k
+        * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + 1, free[b] if k
           holds)`` — packets enter stage ``lo`` one per cycle at most,
-          and a holder enters the cycle the last holder ``h`` before it
-          leaves stage ``hi`` (deepest-first shifting vacates it in the
-          same cycle); a packet that does not hold passes through;
+          and a holder of bank ``b`` enters the cycle the last holder of
+          that bank leaves stage ``hi`` (``free[b]``, its entry plus
+          ``W``: deepest-first shifting vacates it in the same cycle); a
+          packet that does not hold passes through. An unbanked window
+          has the one bank 0; a banked one reads ``b`` from the key the
+          packet leaves on its stack (``bank``), which no store at or
+          past ``lo`` changes (``hazards.bank_key``);
         * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
           stalls.
 
@@ -1202,10 +1211,21 @@ class _Emitter:
         n = self.pipeline.n_stages
         width = hi - lo + 1
         self.uses_deque = True
-        wait = [
-            "if _free > _went:",
-            "    _went = _free",
-            f"_free = _went + {width}",
+        if bank is None:
+            free, wait = "_free", []
+            frees = ["_exit = _free = _drops = _tot = _pip = 0"]
+        else:
+            self.uses_bank = True
+            start = _STK_SZ + bank.offset
+            free = "_free[_bk]"
+            wait = [f"_bk = _bank_of(stack[{start}:{start + bank.size}], "
+                    f"{bank.banks})"]
+            frees = [f"_free = [0] * {bank.banks}",
+                     "_exit = _drops = _tot = _pip = 0"]
+        wait += [
+            f"if {free} > _went:",
+            f"    _went = {free}",
+            f"{free} = _went + {width}",
         ]
         return _StreamTiming(
             init=[
@@ -1215,8 +1235,7 @@ class _Emitter:
                 f"_ring = [0] * {lo - 1}",
                 "_ri = 0",
                 "_inj = _went = -1",
-                "_exit = _free = _drops = _tot = _pip = 0",
-            ],
+            ] + frees,
             head=[
                 "while _inq and _inq[0] < cycle:",
                 "    _inq.popleft()",
@@ -1281,7 +1300,7 @@ class _Emitter:
         named = _idents(ops)
         windows = pipeline.held_windows
         if windows:
-            (lo, hi, holders), = windows
+            (lo, hi, holders, bank), = windows
             # The entry block's flag is constant: every packet holds. A
             # holder all of whose predecessors hold is enabled only after
             # one of them, so the others' flags decide.
@@ -1290,7 +1309,7 @@ class _Emitter:
                 " or ".join(f"_e{b}" for b in sorted(holders)
                             if not holders.issuperset(blocks[b].preds)
                             and f"_e{b}" in named)
-            timing = self._window_timing(lo, hi, held)
+            timing = self._window_timing(lo, hi, held, bank)
         else:
             timing = self._line_rate_timing()
 
@@ -1601,6 +1620,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if em.uses_deque:
         imports.append("from collections import deque as _deque")
         binds.append("_deque")
+    if em.uses_bank:
+        imports.append("from repro.ebpf.maps import bank_of as _bank_of")
+        binds.append("_bank_of")
     if em.helpers:
         imports.append("from repro.ebpf.helpers import helper_impl")
     if em.insns:

@@ -45,7 +45,7 @@ from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
-from ..core.pipeline import PipeOp, Pipeline, Stage, StageKind
+from ..core.pipeline import BankKey, PipeOp, Pipeline, Stage, StageKind
 from ..telemetry import get_registry
 from .stats import PacketRecord, SimMetrics, SimReport
 
@@ -312,13 +312,12 @@ class PipelineSimulator:
                 elif insn.opclass in (isa.BPF_ST, isa.BPF_STX):
                     self._first_write = stage.number
         # LRU serialization windows (core.hazards): inclusive 1-based
-        # [lo, hi] stage ranges with their holder blocks. Each admits at
-        # most one packet that has enabled a holder at a time, so recency
-        # mutations happen strictly in packet order on every engine;
-        # other packets pass through (see _admits). Empty for almost all
-        # pipelines.
-        self._serial_windows: Tuple[Tuple[int, int, FrozenSet[int]], ...] = \
-            tuple(pipeline.held_windows)
+        # [lo, hi] stage ranges with their holder blocks and bank keys.
+        # Each admits at most one packet per bank that has enabled a
+        # holder at a time, so recency mutations happen strictly in packet
+        # order within a bank on every engine; other packets pass through
+        # (see _admits). Empty for almost all pipelines.
+        self._serial_windows = self._interlocks()
         # Execution backend: one table, filled once. _enter dispatches
         # _stage_fns[pos] (stage number pos + 1), the cycle loop _entry_fn,
         # without knowing who built them: "interpreted" re-decodes ops per
@@ -428,7 +427,7 @@ class PipelineSimulator:
         # path is bypassed (codegen emits _ADVANCE=None for windowed
         # pipelines) so both engines run the same generic shift loop and
         # stall identically; every way into a stage asks _admits.
-        windows = self._serial_windows
+        windows = self._serial_windows = self._interlocks()
         injected = frozenset((entry_block_id,))
         admits = self._admits
         enter = self._enter
@@ -522,7 +521,8 @@ class PipelineSimulator:
                         # Deepest-first iteration: a same-cycle hi -> hi+1
                         # exit has already vacated a window by the time the
                         # packet at lo-1 asks to enter it.
-                        if windows and not admits(pkt.enabled, npos, pos):
+                        if windows and not admits(pkt.enabled, pkt.stack,
+                                                  npos, pos):
                             continue
                         slots[pos] = None
                         running = pkt
@@ -538,7 +538,8 @@ class PipelineSimulator:
                     queue = barrier_queues[stall_below]
                     if (queue and slots[stall_below + 1] is None
                             and (not windows or admits(
-                                queue[0].enabled, stall_below + 1, 0))):
+                                queue[0].enabled, queue[0].stack,
+                                stall_below + 1, 0))):
                         pkt = running = queue.popleft()
                         if enter(pkt, stall_below + 1, barrier_queues,
                                  input_queue, report):
@@ -552,7 +553,8 @@ class PipelineSimulator:
                     and stall_below < 1
                     and input_queue
                     and slots[1] is None
-                    and (not windows or admits(injected, 1, 0))
+                    and (not windows or admits(
+                        injected, input_queue[0].stack, 1, 0))
                 ):
                     pkt = running = input_queue.popleft()
                     # Queued packets are always in reset state: fresh arrivals
@@ -725,22 +727,42 @@ class PipelineSimulator:
 
     # -- the cycle loop's rules --------------------------------------------------
 
-    def _admits(self, enabled: Set[int], stage: int, from_stage: int) -> bool:
-        """Whether a packet that has enabled ``enabled`` may enter
-        ``stage`` from ``from_stage`` (0: from a barrier queue or the
-        input queue) — the LRU interlock, stated once. It may not when
-        ``stage`` lies in a window ``[lo, hi]`` that ``from_stage`` lies
-        outside, the packet holds the window (has enabled one of its
-        holder blocks) and a packet in ``slots[lo..hi]`` holds it too:
-        in hardware the window's occupancy comparison masked by an OR of
-        the enable bits. Movement within a window is free."""
+    def _interlocks(self) -> Tuple[
+            Tuple[int, int, FrozenSet[int], Optional[BankKey]], ...]:
+        """The pipeline's ``held_windows`` over this simulator's maps: a
+        window splits by bank only over a map of the bank count its key
+        was planned for, and has one bank over any other (a caller's
+        own ``MapSet``), where packets of two banks need not commute."""
+        maps = self.maps.maps
+        return tuple(
+            (lo, hi, holders, bank if bank is None or getattr(
+                maps.get(bank.map_fd), "banks", 1) == bank.banks else None)
+            for lo, hi, holders, bank in self.pipeline.held_windows)
+
+    def _admits(self, enabled: Set[int], stack: bytearray, stage: int,
+                from_stage: int) -> bool:
+        """Whether a packet that has enabled ``enabled`` and holds
+        ``stack`` may enter ``stage`` from ``from_stage`` (0: from a
+        barrier queue or the input queue) — the LRU interlock, stated
+        once. It may not when ``stage`` lies in a window ``[lo, hi]``
+        that ``from_stage`` lies outside, the packet holds the window
+        (has enabled one of its holder blocks) and a packet of its bank
+        in ``slots[lo..hi]`` holds it too: in hardware the window's
+        occupancy comparison masked by an OR of the enable bits and, on
+        a banked map, by a compare of the bank bits. An unbanked window
+        has one bank; a banked one reads it from the key on the stack
+        (``BankKey.of``), which no store changes from ``lo`` on.
+        Movement within a window is free."""
         slots = self._slots
-        for lo, hi, holders in self._serial_windows:
+        for lo, hi, holders, bank in self._serial_windows:
             if (lo <= stage <= hi and not lo <= from_stage <= hi
                     and not holders.isdisjoint(enabled)):
+                mine = bank.of(stack) if bank is not None else 0
                 for other in slots[lo:hi + 1]:
-                    if other is not None and not holders.isdisjoint(
-                            other.enabled):
+                    if (other is not None
+                            and not holders.isdisjoint(other.enabled)
+                            and (bank is None
+                                 or bank.of(other.stack) == mine)):
                         return False
         return True
 

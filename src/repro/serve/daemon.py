@@ -149,14 +149,16 @@ def carry_maps(old: MapSet, program: Program) -> MapSet:
     """A fresh :class:`MapSet` for ``program`` seeded from ``old``.
 
     Entries are copied map-by-map wherever the new program declares a
-    map with the same name, kind (map type) and key/value sizes (the
-    pinned-maps hot-swap: flow tables survive a program upgrade). Kind
-    and shape mismatches and capacity overflows silently keep the fresh
-    (empty) map — the swap must not fail halfway, and carrying, say, a
-    hash map's entries into a same-named LRU map would fabricate a
-    recency order that never existed. For LRU maps the copy replays
-    entries oldest-first (``LruHashMap.items``), so the carried map
-    reproduces the exact eviction order of the old one.
+    map with the same name, kind (map type), key/value sizes and bank
+    count (the pinned-maps hot-swap: flow tables survive a program
+    upgrade). Kind and shape mismatches and capacity overflows silently
+    keep the fresh (empty) map — the swap must not fail halfway, and
+    carrying, say, a hash map's entries into a same-named LRU map, or
+    one bank's recency order into another bank count's, would fabricate
+    a recency order that never existed. For LRU maps the copy replays
+    entries bank by bank, oldest-first within each
+    (``LruHashMap.items``), so the carried map reproduces the exact
+    eviction order of every bank of the old one.
     """
     fresh = MapSet(program.maps)
     old_by_name = {m.name: m for m in old.maps.values()}
@@ -165,7 +167,8 @@ def carry_maps(old: MapSet, program: Program) -> MapSet:
         if (src is None
                 or src.spec.map_type != new_map.spec.map_type
                 or src.key_size != new_map.key_size
-                or src.value_size != new_map.value_size):
+                or src.value_size != new_map.value_size
+                or src.banks != new_map.banks):
             continue
         try:
             for key, value in src.items():

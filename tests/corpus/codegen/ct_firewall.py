@@ -1,11 +1,12 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 8); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 9); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct
 
 from collections import deque as _deque
+from repro.ebpf.maps import bank_of as _bank_of
 from repro.ebpf.isa import Instruction
 from repro.ebpf.xdp import XdpAction
 from repro.hwsim.sim import SimError, _InFlight as _IF
@@ -431,7 +432,7 @@ def _observe(metrics, slots, barrier_queues):
             _w += len(_q)
         metrics.barrier_wait_cycles += _w
 
-def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
+def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
     pid = 0
     cycle = 0
     _cap = sim.options.input_queue_capacity
@@ -439,7 +440,8 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
     _ring = [0] * 11
     _ri = 0
     _inj = _went = -1
-    _exit = _free = _drops = _tot = _pip = 0
+    _free = [0] * 16
+    _exit = _drops = _tot = _pip = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
@@ -611,9 +613,10 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, SimError=SimE
         if _inj + 11 > _went:
             _went = _inj + 11
         if _e4 or _e6:
-            if _free > _went:
-                _went = _free
-            _free = _went + 4
+            _bk = _bank_of(stack[496:512], 16)
+            if _free[_bk] > _went:
+                _went = _free[_bk]
+            _free[_bk] = _went + 4
         _ring[_ri] = _went
         _ri += 1
         if _ri == 11:

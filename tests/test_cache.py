@@ -52,6 +52,18 @@ class TestCacheKey:
         )
         assert cache_key(prog_a) != cache_key(prog_b)
 
+    def test_tracks_map_banks(self):
+        import dataclasses
+
+        from repro.apps import ct_firewall
+
+        banked = ct_firewall.build()
+        unbanked = ct_firewall.build()
+        (fd, spec), = unbanked.maps.items()
+        unbanked.maps[fd] = dataclasses.replace(spec, banks=1)
+        assert spec.banks == 16
+        assert cache_key(banked) != cache_key(unbanked)
+
 
 class TestCompileCached:
     def test_miss_then_disk_hit(self, cache):

@@ -85,6 +85,19 @@ class TestCommands:
                 "elided, 3 dead removed, 10 speculated above branches "
                 "(2 renamed), 0 loops unrolled)\n") in out
 
+    def test_stats_names_the_bank_split(self, capsys):
+        # conntrack's 16 banks split its window: a holder waits only for
+        # a holder of the bank its stack key hashes to
+        assert main(["stats", "app:ct_firewall"]) == 0
+        assert "window [12, 15] W=4 banked x16 on conntrack by " \
+            "stack[-16:16] (opens: " in capsys.readouterr().out
+        # one op per stage puts the outbound arm's key stores inside the
+        # window: it stays at one bank, and says which store did it
+        assert main(["stats", "app:ct_firewall", "--no-ilp"]) == 0
+        assert "W=33 one bank: key stack[-16:16] is written at or past " \
+            "stage 20 (b6 *(u32 *)(r10 - 16) = r8 @" \
+            in capsys.readouterr().out
+
     def test_disasm(self, capsys, prog_file):
         assert main(["disasm", prog_file]) == 0
         assert "exit" in capsys.readouterr().out

@@ -10,7 +10,10 @@ packets over a 2-key domain runs on the sequential ``vm`` and on the
 ``interpreted`` pipeline at every gap in 1..``n_stages``, under the
 frozen clock. The two LRU-windowed apps draw from one frame per path
 instead, so a packet that passes through the window runs beside one
-that holds it. A program the verdict calls equal to sequential must
+that holds it. ct_firewall's banked conntrack draws two keys of one
+bank, over that bank full (an outbound packet of each, and one's reply
+on the inbound arm), and a key of another bank, whose packet shares the
+window with them. A program the verdict calls equal to sequential must
 match bit for bit; a relaxed one may differ only in what its verdict
 exempts, and each exempted observable must differ somewhere — else the
 class is too conservative.
@@ -20,30 +23,34 @@ paper's §4.1.2 and Appendix A.2 cases: a helper write commits at once,
 so an older packet's later access, or a value store still in the WAR
 buffer, meets it out of packet order; a relaxed value travels through
 the packet into a packet-keyed map; and ``bpf_get_prandom_u32`` draws
-out of packet order (no app or corpus program calls it). The last
-holds witnesses for what a window's holder blocks must cover.
+out of packet order (no app or corpus program calls it). The last two
+hold witnesses for what a window's holder blocks must cover, and for
+what its split by bank needs.
 """
 
 import copy
 from dataclasses import replace
-from itertools import product
+from itertools import count, islice, product
 from pathlib import Path
 
 import pytest
 
 from repro import apps
-from repro.apps import SECOND_GEN_APPS
+from repro.apps import SECOND_GEN_APPS, ct_firewall
 from repro.cli import load_program
 from repro.core import compile_program
-from repro.core.pipeline import Consistency
+from repro.core.hazards import hazard_summary
+from repro.core.pipeline import BankKey, Consistency
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
+from repro.ebpf.maps import bank_of
 from repro.hwsim import (FROZEN_CLOCK_MHZ, SimOptions, compare_runs,
                          exempt_observables, run_differential, run_engine)
 from tests.test_corpus import PACKETS
 from tests.test_path_parallel import LAYOUTS, _arm_frames, _lru_orders
 from tests.test_rtl import APP_CASES, F_OTHER, _udp
-from tests.test_second_gen_apps import (TestSynCookie, app_frames, app_setup,
+from tests.test_second_gen_apps import (TestCtFirewall, TestSynCookie,
+                                        app_frames, app_setup,
                                         ct_firewall_paths, syn_cookie_paths)
 
 FROZEN = SimOptions(clock_mhz=FROZEN_CLOCK_MHZ)
@@ -56,20 +63,61 @@ def _two_keys(frames):
     return distinct[0], distinct[1]
 
 
+def _flows_of_bank(bank, count, dst=TestCtFirewall.OUT.dst_ip):
+    """``count`` outbound flows to ``dst`` whose conntrack keys fall in
+    ``bank`` (the map's own hash), skipping TestCtFirewall.OUT."""
+    spec = ct_firewall.CONNTRACK_MAP
+    out = TestCtFirewall.OUT
+    flows = (replace(out, dst_ip=dst, sport=sport)
+             for sport in range(out.sport + 1, 1 << 16))
+    return list(islice((flow for flow in flows
+                        if bank_of(ct_firewall.conntrack_key(flow),
+                                   spec.banks) == bank), count))
+
+
+# conntrack is banked: two keys in one bank (TestCtFirewall.OUT and
+# SAME) and one in another (OTHER). The setup fills their bank with SAME
+# oldest, so OUT's insert evicts it, and a younger packet's refresh of
+# SAME — SAME's own packet, or its reply on the inbound arm — let in
+# beside it would have evicted another entry.
+_BANK = bank_of(ct_firewall.conntrack_key(TestCtFirewall.OUT),
+                ct_firewall.CONNTRACK_MAP.banks)
+(_SAME,) = _flows_of_bank(_BANK, 1)
+(_OTHER,) = _flows_of_bank((_BANK + 1) % ct_firewall.CONNTRACK_MAP.banks, 1)
+_FILLERS = _flows_of_bank(_BANK, ct_firewall.CONNTRACK_MAP.max_entries
+                          // ct_firewall.CONNTRACK_MAP.banks - 1,
+                          dst=TestCtFirewall.OUT.dst_ip + 1)
+
+
+def _full_bank(maps):
+    conntrack = maps.by_name("conntrack")
+    for flow in [_SAME] + _FILLERS:
+        conntrack.update(ct_firewall.conntrack_key(flow),
+                         (1).to_bytes(8, "little"))
+
+
 # The windowed apps mix paths instead: a packet that does not hold the
 # window (a SYN, a non-IPv4 frame) runs beside one that does.
-WINDOWED_DOMAINS = {"syn_cookie": syn_cookie_paths(),
-                    "ct_firewall": ct_firewall_paths()}
+WINDOWED_DOMAINS = {
+    "syn_cookie": (None, syn_cookie_paths()),
+    "ct_firewall": (_full_bank, (
+        ct_firewall_paths()[0], *ct_firewall_paths(_SAME)[1:],
+        ct_firewall_paths(_SAME)[0], ct_firewall_paths(_OTHER)[0])),
+}
 
 
 def _cases():
     """name -> (build, setup, frames: two keys, or the mixed paths)."""
     cases = {}
     for name in sorted(n for n in apps.__all__ if n.islower()):
+        if name in WINDOWED_DOMAINS:
+            setup, domain = WINDOWED_DOMAINS[name]
+            cases[name] = (SECOND_GEN_APPS[name].build,
+                           setup or app_setup(name), domain)
+            continue
         if name in SECOND_GEN_APPS:
             cases[name] = (SECOND_GEN_APPS[name].build, app_setup(name),
-                           WINDOWED_DOMAINS.get(name)
-                           or _two_keys(app_frames(name, 40)))
+                           _two_keys(app_frames(name, 40)))
             continue
         build, setup, frames = APP_CASES[name]
         # leaky_bucket's fixture is four packets of one flow
@@ -635,3 +683,107 @@ class TestWindowHolders:
             differ = set().union(*_differences(program, reheld, frames,
                                                _seed_h).values())
             assert "map h" in differ, dropped
+
+
+# a banked LRU map whose miss path inserts under a copy of the key
+_KEY_COPY = """
+    r7 = *(u32 *)(r1 + 4)
+    r6 = *(u32 *)(r1 + 0)
+    r2 = r6
+    r2 += 18
+    if r2 > r7 goto pass
+    r8 = *(u32 *)(r6 + 14)
+    *(u32 *)(r10 - 4) = r8
+    *(u32 *)(r10 - 8) = r8
+    r1 = map[t]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 != 0 goto pass
+    *(u64 *)(r10 - 16) = r8
+    r1 = map[t]
+    r2 = r10
+    r2 += -8
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+pass:
+    r0 = 2
+    exit
+"""
+
+
+class TestBankedWindow:
+    """ct_firewall's window admits one holder per conntrack bank; a
+    banked map's window that breaks one of ``hazards.bank_key``'s rules
+    keeps one bank and names the rule."""
+
+    @pytest.mark.parametrize("source,maps,why", [
+        (_COUNTING_ARM, {
+            "t": MapSpec("t", "lru_hash", 4, 8, 4, banks=2),
+            "h": MapSpec("h", "hash", 4, 8, 4)},
+         "map h is accessed inside the window (b4 call 1 @10)"),
+        (_KEY_COPY, {"t": MapSpec("t", "lru_hash", 4, 8, 8, banks=4)},
+         "keys from stack[-4:4] and stack[-8:4] (b1 call 2 @6)"),
+    ], ids=["another_map_inside", "two_key_slots"])
+    def test_a_window_that_keeps_one_bank(self, source, maps, why):
+        pipeline = compile_program(assemble_program(source, maps=maps))
+        plan = pipeline.map_hazards[1]
+        assert (plan.bank_key, plan.unbanked) == (None, why)
+        assert pipeline.held_windows[0][3] is None
+        assert f" one bank: {why} (opens: " in hazard_summary(pipeline)
+
+    def test_the_paper_layout_keeps_one_bank(self):
+        # §3.3's window [11, 31] holds the outbound arm's key stores
+        plan = compile_program(ct_firewall.build(),
+                               LAYOUTS["paper"]).map_hazards[1]
+        assert plan.bank_key is None
+        assert plan.unbanked.startswith(
+            "key stack[-16:16] is written at or past stage 11 (b6 ")
+
+    def test_a_bank_blind_interlock_diverges(self, monkeypatch):
+        # every packet reads as a bank of its own: the window lets two
+        # holders of one bank in together. Then a lookup of SAME (its
+        # own packet's or its reply's) overtakes OUT's insert into their
+        # full bank and refreshes SAME, which the insert should have
+        # evicted; the flush blocks inside the window cannot undo an
+        # eviction.
+        build, setup, domain = CASES["ct_firewall"]
+        program = build()
+        pipeline = compile_program(program)
+        assert pipeline.map_hazards[1].bank_key is not None
+        banks = count()
+        monkeypatch.setattr(BankKey, "of", lambda _key, _stack: next(banks))
+        failing = {}
+        for frames in _sequences(domain[:4]):
+            differ = set().union(*_differences(program, pipeline, frames,
+                                               setup).values())
+            if differ:
+                failing[tuple(domain.index(f) for f in frames)] = differ
+        out = 0
+        same = {domain.index(frame) for frame in ct_firewall_paths(_SAME)[:2]}
+        assert {(out, refresh) for refresh in same} <= set(failing)
+        assert all(out in seq and same & set(seq[seq.index(out) + 1:])
+                   for seq in failing)
+        assert set().union(*failing.values()) == {"action", "map conntrack"}
+
+    @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
+    def test_two_banks_share_the_window(self, engine):
+        # OUT and OTHER hold the window together, one cycle apart; SAME
+        # waits the window's width behind OUT
+        build, setup, domain = CASES["ct_firewall"]
+        program = build()
+        pipeline = compile_program(program)
+        (lo, hi), = pipeline.serial_windows
+
+        def exits(second):
+            run = run_engine(engine, program,
+                             [domain[0], ct_firewall_paths(second)[0]],
+                             pipeline=pipeline, setup=setup,
+                             sim_options=FROZEN, gap=1)
+            return [exit_cycle for _inject, exit_cycle in run.packet_cycles]
+
+        first, then = exits(_OTHER)
+        assert then - first == 1
+        assert exits(_SAME) == [first, first + hi - lo + 1]

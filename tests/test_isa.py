@@ -88,6 +88,32 @@ class TestInstructionFields:
             isa.endian(1, 24, to_big=True)
 
 
+class TestMapSpecBanks:
+    """``MapSpec.banks`` is validated where the spec is made, naming the
+    field."""
+
+    def test_default_is_one_bank(self):
+        assert MapSpec("l", "lru_hash", 4, 8, 6).banks == 1
+
+    @pytest.mark.parametrize("banks", [0, -4, 3, 6, 2.0])
+    def test_not_a_power_of_two(self, banks):
+        with pytest.raises(ISAError, match="banks must be a power of two"):
+            MapSpec("l", "lru_hash", 4, 8, 64, banks=banks)
+
+    def test_must_divide_max_entries(self):
+        with pytest.raises(ISAError, match=r"banks \(8\) must divide "
+                                           r"max_entries \(12\)"):
+            MapSpec("l", "lru_hash", 4, 8, 12, banks=8)
+
+    @pytest.mark.parametrize("map_type", ["hash", "array", "percpu_array"])
+    def test_only_lru_maps_bank(self, map_type):
+        with pytest.raises(ISAError,
+                           match=f"banks \\(4\\) needs an lru_hash map, "
+                                 f"not {map_type}"):
+            MapSpec("m", map_type, 4, 8, 8, banks=4)
+        assert MapSpec("m", map_type, 4, 8, 8, banks=1).banks == 1
+
+
 class TestRegisterSets:
     def test_alu_reg_reads_both(self):
         insn = isa.alu64_reg(isa.BPF_ADD, isa.R1, isa.R2)

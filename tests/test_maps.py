@@ -13,6 +13,7 @@ from repro.ebpf.maps import (
     MapError,
     MapSet,
     PercpuArrayMap,
+    bank_of,
     create_map,
 )
 
@@ -198,6 +199,92 @@ class TestLruHashMap:
         assert m.evictions == 1
         m.delete(key4(2))
         assert m.lru_keys() == [key4(1), key4(4)]
+
+
+class TestBankedLruHashMap:
+    """B banks: B independent LRU maps over one storage, the bank picked
+    by ``bank_of`` of the key."""
+
+    @staticmethod
+    def _map(entries=8, banks=4):
+        return LruHashMap(MapSpec("l", "lru_hash", 4, 8, entries,
+                                  banks=banks))
+
+    @staticmethod
+    def _keys_in(bank, banks=4, count=3):
+        keys = (key4(i) for i in range(1 << 16))
+        return [k for k in keys if bank_of(k, banks) == bank][:count]
+
+    def test_bank_of_is_crc32_low_bits(self):
+        import zlib
+
+        for i in range(64):
+            assert bank_of(key4(i), 16) == zlib.crc32(key4(i)) % 16
+            assert bank_of(bytearray(key4(i)), 16) == bank_of(key4(i), 16)
+        assert {bank_of(key4(i), 4) for i in range(64)} == {0, 1, 2, 3}
+
+    def test_each_bank_evicts_its_own_oldest(self):
+        m = self._map()
+        a0, a1, a2 = self._keys_in(0)
+        b0, = self._keys_in(1, count=1)
+        m.update(a0, val8(1))
+        m.update(b0, val8(2))
+        m.update(a1, val8(3))
+        # bank 0 is full (2 entries): a2 evicts a0, not the older b0
+        m.update(a2, val8(4))
+        assert m.lookup(a0) is None
+        assert m.lookup(b0) == val8(2) and m.evictions == 1
+        assert m.entry_count() == 3
+
+    def test_slots_stay_in_their_bank(self):
+        m = self._map()
+        for bank in range(4):
+            for key in self._keys_in(bank):
+                slot = m.update(key, val8(bank))
+                assert 2 * bank <= slot < 2 * bank + 2
+        assert m.entry_count() == 8 and m.evictions == 4
+
+    def test_items_and_lru_keys_go_bank_by_bank(self):
+        m = self._map()
+        keys = [key4(i) for i in range(12)]
+        for key in keys:
+            m.update(key, val8(1))
+        m.lookup(m.lru_keys()[0])  # refresh bank 0's oldest
+        order = m.lru_keys()
+        assert [k for k, _v in m.items()] == order
+        assert [bank_of(k, 4) for k in order] == sorted(
+            bank_of(k, 4) for k in order)
+        # within a bank, oldest first: replaying rebuilds every bank
+        again = self._map()
+        for key, value in m.items():
+            again.update(key, value)
+        assert again.lru_keys() == order
+        again.clear()
+        assert again.entry_count() == 0 and again.lru_keys() == []
+        assert [again.update(k, val8(0)) for k in self._keys_in(3, count=2)] \
+            == [6, 7]
+
+    def test_delete_frees_a_slot_of_its_bank(self):
+        m = self._map()
+        k0, k1, k2 = self._keys_in(2)
+        assert [m.update(k, val8(0)) for k in (k0, k1)] == [4, 5]
+        assert m.delete(k0) and not m.delete(k0)
+        assert m.update(k2, val8(0)) == 4 and m.evictions == 0
+
+    def test_one_bank_is_the_map_wide_order(self):
+        m, banked = self._map(banks=1), self._map()
+        for i in range(12):
+            m.update(key4(i), val8(i))
+            banked.update(key4(i), val8(i))
+        assert m.lru_keys() == [key4(i) for i in range(4, 12)]
+        assert banked.lru_keys() != m.lru_keys()
+
+    def test_mismatch_sees_the_bank_count(self):
+        banked = {1: MapSpec("l", "lru_hash", 4, 8, 8, banks=4)}
+        unbanked = {1: MapSpec("l", "lru_hash", 4, 8, 8)}
+        assert MapSet(banked).mismatch(banked) is None
+        assert MapSet(unbanked).mismatch(banked) == 1
+        assert MapSet(banked).mismatch(unbanked) == 1
 
 
 class TestPercpuArray:

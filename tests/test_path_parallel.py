@@ -302,10 +302,11 @@ class TestObservability:
 
         assert main(["stats", "app:ct_firewall"]) == 0
         out = capsys.readouterr().out
-        # the window, the ops on its first and last stage that force its
-        # extent, and the blocks whose packets wait for it: every
-        # conntrack arm, not the non-IPv4 pass
-        assert "window [12, 15] W=4 (opens: b4 call 1, b6 call 1 @12; " \
+        # the window, its split by bank, the ops on its first and last
+        # stage that force its extent, and the blocks whose packets wait
+        # for it: every conntrack arm, not the non-IPv4 pass
+        assert "window [12, 15] W=4 banked x16 on conntrack by " \
+            "stack[-16:16] (opens: b4 call 1, b6 call 1 @12; " \
             "closes: b5 lock *(u64 *)(r0 + 0) += r1, b7 call 2, " \
             "b8 lock *(u64 *)(r0 + 0) += r9 @15) " \
             "held by b4 b5 b6 b7 b8\n" in out

@@ -20,11 +20,11 @@ from repro.apps import (
 from repro.core.compiler import compile_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
-from repro.ebpf.maps import MapSet
+from repro.ebpf.maps import MapSet, bank_of
 from repro.ebpf.verifier import VerifierError, verify
 from repro.ebpf.vm import Vm
 from repro.ebpf.xdp import XdpAction
-from repro.hwsim import run_differential
+from repro.hwsim import compare_runs, run_differential
 from repro.hwsim.engines import pipeline_engine_names, run_engine
 from repro.hwsim.sim import SimOptions
 from repro.net.packet import (
@@ -104,28 +104,46 @@ class TestCtFirewall:
         assert ct_firewall.tracked_count(maps) == 0
 
     def test_lru_pressure_evicts_oldest(self):
+        # conntrack is 16 independent LRU banks of 256 entries, the bank
+        # picked by bank_of(key): each overfull bank loses its own oldest
+        # connections, however old another bank's are
         vm, maps = vm_for(ct_firewall.build())
-        cap = ct_firewall.CONNTRACK_MAP.max_entries
+        spec = ct_firewall.CONNTRACK_MAP
+        per_bank = spec.max_entries // spec.banks
         flows = [
             FiveTuple(ipv4("10.0.0.1"), ipv4("1.1.1.1"), 17, 1000 + (i >> 8),
                       1000 + (i & 0xFF))
-            for i in range(cap + 50)
+            for i in range(spec.max_entries + 50)
         ]
         for flow in flows:
             vm.run(self._pkt(flow))
-        assert ct_firewall.tracked_count(maps) == cap
-        assert ct_firewall.eviction_count(maps) == 50
-        # oldest-first recency order matches arrival order (read it
-        # before any host lookup: lookups refresh recency)
-        order = ct_firewall.lru_order(maps)
-        assert order == [ct_firewall.conntrack_key(f) for f in flows[50:]]
-        # the 50 oldest connections are gone, the rest remain
-        for flow in flows[:50]:
+        # the per-bank reference: each bank keeps its newest per_bank
+        # flows, oldest first
+        banks = [[] for _ in range(spec.banks)]
+        for flow in flows:
+            key = ct_firewall.conntrack_key(flow)
+            banks[bank_of(key, spec.banks)].append(flow)
+        kept = [bank[-per_bank:] for bank in banks]
+        gone = [flow for bank in banks for flow in bank[:-per_bank]]
+        overfull = [b for b, bank in enumerate(banks) if len(bank) > per_bank]
+        assert 0 < len(overfull) < spec.banks  # some banks never fill
+        assert ct_firewall.tracked_count(maps) == sum(map(len, kept))
+        assert ct_firewall.tracked_count(maps) < spec.max_entries
+        assert ct_firewall.eviction_count(maps) == len(gone) > 50
+        # bank by bank, oldest-first recency order matches arrival order
+        # (read it before any host lookup: lookups refresh recency)
+        assert ct_firewall.lru_order(maps) == [
+            ct_firewall.conntrack_key(f) for bank in kept for f in bank]
+        # the oldest connections of each overfull bank are gone, the
+        # rest remain
+        for flow in gone:
             assert ct_firewall.flow_packets(maps, flow) is None
-        assert ct_firewall.flow_packets(maps, flows[50]) == 1
-        # ...and that very host read made flows[50] most-recently-used
-        assert ct_firewall.lru_order(maps)[-1] == ct_firewall.conntrack_key(
-            flows[50])
+        oldest = kept[overfull[0]][0]
+        assert ct_firewall.flow_packets(maps, oldest) == 1
+        # ...and that very host read made it its bank's most recently used
+        order = ct_firewall.lru_order(maps)
+        last_of_bank = sum(map(len, kept[:overfull[0] + 1])) - 1
+        assert order[last_of_bank] == ct_firewall.conntrack_key(oldest)
 
     def test_pipeline_has_serialization_window(self):
         # lookup + miss-path update on one lru_hash span stages: the
@@ -499,9 +517,10 @@ pass:
 """
 
 
-def _tiny_lru_program():
-    return assemble_program(_TINY_LRU_SRC, maps=_TINY_LRU_MAPS,
-                            name="tiny_lru")
+def _tiny_lru_program(banks=1):
+    maps = {name: dataclasses.replace(spec, banks=banks)
+            for name, spec in _TINY_LRU_MAPS.items()}
+    return assemble_program(_TINY_LRU_SRC, maps=maps, name="tiny_lru")
 
 
 def _key_frames(keys):
@@ -516,11 +535,29 @@ def _lru_orders(run):
 
 
 class TestLruEngineInvariance:
+    # one bank: the map-wide LRU order, the global-recency witness
     PROGRAM = _tiny_lru_program()
     PIPELINE = compile_program(PROGRAM)
+    # two banks of two entries: packets of two banks share the window
+    BANKED = _tiny_lru_program(banks=2)
+    BANKED_PIPELINE = compile_program(BANKED)
 
     def test_tiny_program_is_windowed(self):
         assert self.PIPELINE.serial_windows
+        assert self.PIPELINE.held_windows[0][3] is None
+        assert self.BANKED_PIPELINE.held_windows[0][3] is not None
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=9),
+                    min_size=1, max_size=50))
+    def test_banked_eviction_order_matches_vm(self, keys):
+        frames = _key_frames(keys)
+        ref = run_engine("vm", self.BANKED, frames)
+        for engine in pipeline_engine_names():
+            run = run_engine(engine, self.BANKED, frames,
+                             pipeline=self.BANKED_PIPELINE, gap=1)
+            assert run.actions == ref.actions
+            assert _lru_orders(run) == _lru_orders(ref), engine
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=9),
@@ -548,8 +585,10 @@ class TestLruEngineInvariance:
 
     def test_ct_firewall_churn_eviction_parity(self):
         # Full app under flow churn: enough distinct flows to overflow
-        # the 4096-entry conntrack table, at line rate, on the fastest
-        # engine — final recency order must still match the VM exactly.
+        # conntrack's banks, at line rate on both pipeline engines, where
+        # packets of two banks share the window — every bank's final
+        # recency order must still match the VM exactly, and so must the
+        # RTL's, one packet in flight.
         prog = ct_firewall.build()
         spec = parse_workload_spec(
             "flow-churn:packets=12000,flows=1000,churn=1.0")
@@ -557,15 +596,22 @@ class TestLruEngineInvariance:
         ref = run_engine("vm", prog, frames)
         # gap=1 outruns injection across the serialization window, so
         # give the input queue room for the whole trace
-        run = run_engine("codegen", prog, frames, gap=1,
-                         sim_options=SimOptions(input_queue_capacity=16384))
-        assert run.actions == ref.actions
-        assert _lru_orders(run) == _lru_orders(ref)
-        # and the run genuinely exercised eviction
+        runs = [run_engine(engine, prog, frames, gap=1,
+                           sim_options=SimOptions(input_queue_capacity=16384))
+                for engine in pipeline_engine_names()]
+        runs.append(run_engine("rtl", prog, frames))
+        for run in runs:
+            # actions, bytes, map contents, and every bank's recency
+            assert compare_runs(ref, run) == [], run.engine
+            assert _lru_orders(run) == _lru_orders(ref), run.engine
+        # the two pipeline engines also agree on every packet's cycles
+        assert compare_runs(*runs[:2]) == []
+        # and the run genuinely exercised eviction, bank by bank
         vm, maps = vm_for(prog)
         for f in frames:
             vm.run(f)
         assert ct_firewall.eviction_count(maps) > 0
+        assert list(_lru_orders(ref)[1]) == ct_firewall.lru_order(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,14 @@ class TestCarryMaps:
                    for m in fresh.maps.values())
 
     @staticmethod
-    def _prog_with(map_type, key_size=4, value_size=8, max_entries=4):
+    def _prog_with(map_type, key_size=4, value_size=8, max_entries=4,
+                   banks=1):
         from repro.ebpf.asm import assemble_program
         from repro.ebpf.isa import MapSpec
 
         spec = MapSpec("conns", map_type, key_size=key_size,
-                       value_size=value_size, max_entries=max_entries)
+                       value_size=value_size, max_entries=max_entries,
+                       banks=banks)
         return assemble_program("r0 = 2\nexit", maps={"conns": spec})
 
     def test_lru_carry_preserves_eviction_order(self):
@@ -219,6 +221,44 @@ class TestCarryMaps:
         carried.update((9).to_bytes(4, "little"), bytes(8))
         assert carried.lookup(keys[1]) is None
         assert carried.lookup(keys[0]) is not None
+
+    def test_banked_carry_preserves_every_banks_eviction_order(self):
+        from repro.ebpf.maps import MapSet, bank_of
+
+        banked = self._prog_with("lru_hash", max_entries=8, banks=4)
+        old = MapSet(banked.maps)
+        conns = old.by_name("conns")
+        keys = [i.to_bytes(4, "little") for i in range(1, 13)]
+        for key in keys:
+            conns.update(key, key + bytes(4))
+        conns.lookup(keys[-1])
+        fresh = carry_maps(old, banked)
+        carried = fresh.by_name("conns")
+        # bank by bank, oldest first within each
+        assert carried.lru_keys() == conns.lru_keys() == sorted(
+            conns.lru_keys(), key=lambda key: bank_of(key, 4))
+        assert list(carried.items()) == list(conns.items())
+        # each bank evicts its own oldest entry, in both maps
+        before = conns.evictions, carried.evictions
+        for key in (b"\xaa" * 4, b"\xbb" * 4, b"\xcc" * 4):
+            conns.update(key, bytes(8))
+            carried.update(key, bytes(8))
+        assert carried.lru_keys() == conns.lru_keys()
+        assert (conns.evictions - before[0]
+                == carried.evictions - before[1] > 0)
+
+    def test_bank_count_mismatch_refuses_carry(self):
+        from repro.ebpf.maps import MapSet
+
+        # the same entries under another bank count would need a recency
+        # order between banks that never existed
+        for old_banks, new_banks in ((1, 4), (4, 1), (4, 2)):
+            old = MapSet(self._prog_with("lru_hash", max_entries=8,
+                                         banks=old_banks).maps)
+            old.by_name("conns").update(bytes(4), bytes(8))
+            fresh = carry_maps(old, self._prog_with(
+                "lru_hash", max_entries=8, banks=new_banks))
+            assert fresh.by_name("conns").entry_count() == 0
 
     def test_kind_mismatch_refuses_carry(self):
         from repro.ebpf.maps import MapSet

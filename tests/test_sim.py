@@ -1,5 +1,6 @@
 """Pipeline simulator behaviors: predication, drops, hazards, queueing."""
 
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -365,10 +366,11 @@ class TestCommitStages:
 
 class TestInterlock:
     """``PipelineSimulator._admits``, the LRU interlock's one predicate,
-    on ct_firewall's window with hand-placed slots. A packet that holds
-    the window (has enabled a holder block) may not enter it from outside
-    while another holder is inside; one that holds nothing, or moves
-    within the window, passes."""
+    on ct_firewall's banked window with hand-placed slots. A packet that
+    holds the window (has enabled a holder block) may not enter it from
+    outside while another holder of its bank is inside; one that holds
+    nothing, moves within the window, or meets only holders of other
+    banks, passes."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -379,8 +381,19 @@ class TestInterlock:
         sim = PipelineSimulator(pipeline,
                                 options=SimOptions(engine="interpreted"))
         sim._slots = [None] * (pipeline.n_stages + 1)
-        (lo, hi, holders), = sim._serial_windows
-        return sim, lo, hi, holders
+        (lo, hi, holders, bank), = sim._serial_windows
+        return sim, lo, hi, holders, bank
+
+    @staticmethod
+    def _stack_in_bank(bank, want):
+        """A stack whose key bytes fall in bank ``want``."""
+        stack = bytearray(512)
+        start = 512 + bank.offset
+        for n in range(1 << 16):
+            stack[start:start + 4] = n.to_bytes(4, "little")
+            if bank.of(stack) == want:
+                return stack
+        raise AssertionError(want)
 
     @pytest.mark.parametrize("holds, stage, from_stage, inside, admitted", [
         # mover holds, stage, from stage, occupants (stage, holds), verdict
@@ -391,15 +404,20 @@ class TestInterlock:
         (True, "lo+1", "lo", [("lo+3", True)], True),
         (True, "lo+1", "0", [("hi", True)], False),
         (True, "hi+1", "hi", [("lo", True)], True),
+        (True, "lo", "lo-1", [("lo+2", "other bank")], True),
+        (True, "lo", "lo-1", [("lo+1", "other bank"), ("hi", True)], False),
     ], ids=["holder_into_lo_behind_a_holder", "non_holder",
             "only_a_non_holder_inside", "empty_window", "lo_to_lo_plus_1",
-            "barrier_release_into_the_window", "leaving_past_hi"])
+            "barrier_release_into_the_window", "leaving_past_hi",
+            "behind_a_holder_of_another_bank",
+            "behind_holders_of_two_banks"])
     def test_admits(self, pipeline, holds, stage, from_stage, inside,
                     admitted):
-        sim, lo, hi, holders = self._sim(pipeline)
+        sim, lo, hi, holders, bank = self._sim(pipeline)
         holder = {min(holders)}
         other = {pipeline.cfg.entry.block_id}
         assert other.isdisjoint(holders)
+        mine, theirs = (self._stack_in_bank(bank, b) for b in (3, 5))
 
         def at(expr):
             base, offset = re.fullmatch(r"(lo|hi|0)([+-]\d)?", expr).groups()
@@ -407,19 +425,32 @@ class TestInterlock:
 
         for where, occupant_holds in inside:
             sim._slots[at(where)] = SimpleNamespace(
-                enabled=holder if occupant_holds else other)
-        assert sim._admits(holder if holds else other, at(stage),
+                enabled=holder if occupant_holds else other,
+                stack=theirs if occupant_holds == "other bank" else mine)
+        assert sim._admits(holder if holds else other, mine, at(stage),
                            at(from_stage)) is admitted
+
+    def test_an_unbanked_map_set_has_one_bank(self, pipeline):
+        # the window's bank key was planned for 16 banks: over a map set
+        # built without them, packets of two banks do not commute
+        unbanked = {fd: dataclasses.replace(spec, banks=1)
+                    for fd, spec in pipeline.program.maps.items()}
+        sim = PipelineSimulator(pipeline, maps=MapSet(unbanked))
+        (_lo, _hi, _holders, bank), = sim._serial_windows
+        assert bank is None
+        assert sim.stream_blocker() == (
+            "map 1 is not the lru_hash map the pipeline was compiled "
+            "against")
 
     @pytest.mark.parametrize("entry_holds", [True, False])
     def test_injection_into_a_window_from_stage_one(self, pipeline,
                                                     entry_holds):
-        sim, _lo, hi, holders = self._sim(pipeline)
+        sim, _lo, hi, holders, _bank = self._sim(pipeline)
         entry = pipeline.cfg.entry.block_id
         sim._serial_windows = (
-            (1, hi, holders | {entry} if entry_holds else holders),)
+            (1, hi, holders | {entry} if entry_holds else holders, None),)
         sim._slots[3] = SimpleNamespace(enabled={min(holders)})
-        assert sim._admits({entry}, 1, 0) is not entry_holds
+        assert sim._admits({entry}, bytearray(512), 1, 0) is not entry_holds
 
 
 class TestHostInteraction:
