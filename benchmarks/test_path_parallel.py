@@ -12,7 +12,9 @@ all 13 apps).
 
 Expected: no app gets deeper, slower or larger, and ct_firewall's
 window — the one bad hardware number (ROADMAP F) — narrows from W = 21
-to W = 4.
+to W = 4. leaky_bucket gains a window where it had none: its bucket
+map's RAW hazard becomes a keyed window, a stall behind a packet of the
+same flow in place of §4.1.3's flush, so it stops flushing.
 Only a packet whose path can still reach a map inside a window waits
 for it, so syn_cookie's SYN flood runs at line rate under both layouts.
 
@@ -78,6 +80,7 @@ def _measure(name, options, frames, program=None):
         "bram36": resources.bram36,
         "mpps": 1e3 / CLOCK_NS / cycles,
         "evictions": sum(getattr(maps[fd], "evictions", 0) for fd in maps),
+        "flushes": report.flush_events,
     }
 
 
@@ -113,9 +116,19 @@ class TestPathParallel:
     def test_no_app_gets_worse(self, layouts):
         for name, row in layouts.items():
             paper, shared = row["paper"], row["path-parallel"]
-            for key in ("stages", "W", "cycles", "latency_ns", "luts"):
+            for key in ("stages", "cycles", "latency_ns", "luts", "flushes"):
                 assert shared[key] <= paper[key], (name, key)
+            # a window narrows; a keyed one replaces flushes instead
+            assert shared["W"] <= paper["W"] or paper["flushes"], name
             assert shared["mpps"] >= paper["mpps"], name
+
+    def test_leaky_bucket_stalls_instead_of_flushing(self, layouts):
+        paper, shared = (layouts["leaky_bucket"][layout]
+                         for layout in LAYOUTS)
+        assert (paper["window"], paper["flushes"]) == ("-", 726)
+        assert round(paper["cycles"], 4) == 2.3265
+        assert (shared["window"], shared["flushes"]) == ("[8, 18] W=11", 0)
+        assert round(shared["cycles"], 4) == 1.5213
 
     def test_branchy_apps_get_shallower(self, layouts):
         shallower = [name for name, row in layouts.items()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from ..ebpf.asm import assemble_program
 from ..ebpf.isa import MapSpec, Program
 from ..ebpf.maps import MapSet
+from ..net.packet import FiveTuple
 
 BUCKETS_MAP = MapSpec("buckets", "hash", key_size=8, value_size=16, max_entries=32768)
 
@@ -106,6 +107,13 @@ pass:
 def build() -> Program:
     """Assemble the leaky bucket program."""
     return assemble_program(_SOURCE, maps={"buckets": BUCKETS_MAP}, name="leaky_bucket")
+
+
+def bucket_key(flow: FiveTuple) -> bytes:
+    """A flow's key in ``buckets``: wire bytes, as the data plane stores
+    them."""
+    return flow.src_ip.to_bytes(4, "big") + flow.sport.to_bytes(2, "big") \
+        + bytes(2)
 
 
 def bucket_count(maps: MapSet) -> int:

@@ -90,7 +90,12 @@ def load_program(path: str) -> Program:
     a built-in evaluation app via the ``app:<name>`` scheme."""
     if path.startswith(_APP_SCHEME):
         return _load_app(path[len(_APP_SCHEME):])
-    data = pathlib.Path(path).read_bytes()
+    try:
+        data = pathlib.Path(path).read_bytes()
+    except OSError as exc:
+        hint = (f" (the built-in app is {_APP_SCHEME}{path})"
+                if path in _app_names() else "")
+        raise SystemExit(f"{path}: {exc.strerror or exc}{hint}") from None
     name = pathlib.Path(path).stem
     try:
         text = data.decode("utf-8")

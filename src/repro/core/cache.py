@@ -56,7 +56,11 @@ from .pipeline import Pipeline
 # v13: map specs carry ``banks`` (in the key), and a MapHazardPlan its
 #     window's bank key, with CODEGEN_VERSION 9 (per-bank window timing
 #     in ``_stream``).
-_CACHE_VERSION = 13
+# v14: a plain hash map whose flush blocks would fire gets a keyed window
+#     on the path-parallel layout (leaky_bucket streams), with
+#     CODEGEN_VERSION 10 (per-key window timing, the clock ahead of the
+#     window in ``_stream``).
+_CACHE_VERSION = 14
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

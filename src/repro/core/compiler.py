@@ -191,9 +191,12 @@ def compile_program(
     with _pass_span("framing", program=program.name):
         apply_framing(stages, options.frame_size, options.dynamic_access_depth)
 
-    # 7. Map hazard machinery.
+    # 7. Map hazard machinery. Keyed windows belong to the path-parallel
+    # layout (the scheduler's own condition); §3.3's keeps its flushes.
     with _pass_span("hazards", program=program.name):
-        map_hazards = plan_hazards(stages, program, cfg, labels)
+        map_hazards = plan_hazards(
+            stages, program, cfg, labels,
+            keyed_windows=options.path_parallel and options.enable_ilp)
         consistency = program_consistency(stages, program, cfg, labels,
                                           map_hazards)
 

@@ -63,7 +63,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
 from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
 from ..ebpf.helpers import HELPER_IDS_BY_NAME, helper_spec
-from ..ebpf.isa import Program
+from ..ebpf.isa import MapSpec, Program
 from ..ebpf.verifier import RegKind
 from .cfg import Cfg
 from .labeling import ProgramLabels, Region
@@ -95,8 +95,12 @@ _PRANDOM = HELPER_IDS_BY_NAME["bpf_get_prandom_u32"]
 
 
 def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
-                 labels: ProgramLabels) -> Dict[int, MapHazardPlan]:
-    """Build per-map hazard plans from the staged map accesses."""
+                 labels: ProgramLabels,
+                 keyed_windows: bool = False) -> Dict[int, MapHazardPlan]:
+    """Build per-map hazard plans from the staged map accesses.
+    ``keyed_windows`` (the path-parallel layout) turns a plain hash
+    map's live flush blocks into a keyed window where
+    :func:`bank_key` allows one."""
     maps = program.maps
     plans: Dict[int, MapHazardPlan] = {}
     # Per map, in stage order: (stage, insn index, op) of every effect
@@ -178,6 +182,25 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
                 plan.bank_key, plan.unbanked = bank_key(stages, plan,
                                                         program)
 
+    if keyed_windows:
+        # Keyed windows: a plain hash map keeps no recency order, so the
+        # key compare its flush blocks make at the write stage (§4.1.3)
+        # can stall a packet at the window's entrance instead, behind an
+        # in-window packet of its own key only. A map inside another
+        # map's window has no live flush block, so gets no second one.
+        for fd in sorted({fb.map_fd for fb in _live_flush_blocks(plans)}):
+            spec = maps.get(fd)
+            if spec is None or spec.map_type != "hash":
+                continue
+            plan = plans[fd]
+            plan.serial_window = (plan.touching[0], plan.touching[-1])
+            plan.bank_key, plan.unbanked = bank_key(stages, plan, program)
+            if plan.bank_key is None:
+                plan.serial_window = None
+            else:
+                plan.holders = window_holders(stages, cfg,
+                                              *plan.serial_window)
+
     windows = [p.serial_window for p in plans.values() if p.serial_window]
     live = _live_flush_blocks(plans)
     varying: List[Set[int]] = []
@@ -233,22 +256,27 @@ def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
 
 def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
              program: Program) -> Tuple[Optional[BankKey], str]:
-    """The bank key of a banked map's window, or ``None`` and the rule
-    that keeps it at one bank.
+    """The lane key of a map's window — a banked LRU map's bank, a plain
+    hash map's key — or ``None`` and the rule that keeps it at one lane.
 
-    Packets of two banks touch disjoint entries, slots and recency
-    lists, so they commute inside the window, and a holder need wait
-    only for holders of its own bank — when three things hold:
+    Packets of two lanes touch disjoint entries and slots (and, banked,
+    recency lists), so they commute inside the window, and a holder need
+    wait only for holders of its own lane — when four things hold:
 
     * every access inside the window is to this map: the window also
       discharges the flush blocks of every other map it holds
-      (:func:`in_window`), which guard against any packet, not one bank;
+      (:func:`in_window`), which guard against any packet, not one lane;
     * every map call there reads its key from one stack slot;
     * every store to that slot is scheduled before ``lo``, so the bytes
       a packet holds on entering the window are the key it uses there
-      (and those it leaves at exit, which the stream path reads)."""
+      (and those it leaves at exit, which the stream path reads);
+    * every helper update or delete of the map sits at one stage: a hash
+      map's capacity is global, so a younger packet's insert must not
+      overtake an older one's delete (a bank's is serialised by the
+      bank's window)."""
     lo, hi = plan.serial_window
     slot: Optional[Tuple[int, int]] = None
+    writes: Dict[int, str] = {}  # stage -> its first helper write
     for stage in stages[lo - 1:hi]:
         for op in stage.ops:
             access = _map_access(op)
@@ -268,6 +296,8 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
                 return None, (f"keys from stack[{slot[0]}:{slot[1]}] and "
                               f"stack[{key[0]}:{key[1]}] ({where})")
             slot = key
+            if access[2]:
+                writes.setdefault(stage.number, where)
     if slot is None:
         return None, "no map call inside the window"
     offset, size = slot
@@ -283,8 +313,25 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
                     f"key stack[{offset}:{size}] is written at or past "
                     f"stage {lo} (b{op.block_id} "
                     f"{format_instruction(op.insn)} @{stage.number})")
+    spec = program.maps[plan.map_fd]
+    why = _capacity_in_order(spec, writes)
+    if why:
+        return None, why
     return BankKey(plan.map_fd, offset, size,
-                   program.maps[plan.map_fd].banks), ""
+                   spec.banks if spec.serialised else 0), ""
+
+
+def _capacity_in_order(spec: MapSpec, writes: Dict[int, str]) -> str:
+    """:func:`bank_key`'s fourth rule, given the stage of each helper
+    update or delete of the map (and its op): why packets of two keys
+    may not share a keyed window, or ``""``. A plain hash map's capacity
+    is global, so its inserts and deletes must land in packet order —
+    at one stage."""
+    if spec.serialised or len(writes) < 2:
+        return ""
+    first, last = min(writes), max(writes)
+    return (f"updates and deletes at stages {first} and {last} "
+            f"({writes[last]})")
 
 
 def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
@@ -644,12 +691,16 @@ def hazard_summary(pipeline: Pipeline) -> str:
             lo, hi = plan.serial_window
             held = " ".join(f"b{bid}" for bid in sorted(plan.holders))
             key = plan.bank_key
-            split = (f" banked x{key.banks} on {name} by "
-                     f"stack[{key.offset}:{key.size}]" if key is not None
-                     else f" one bank: {plan.unbanked}" if plan.unbanked
-                     else "")
+            if key is None:
+                split = f" one bank: {plan.unbanked}" if plan.unbanked else ""
+            else:
+                lane = "keyed" if key.keyed else f"banked x{key.banks}"
+                split = (f" {lane} on {name} by "
+                         f"stack[{key.offset}:{key.size}]")
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}{split} "
                          f"({_window_ends(pipeline, plan)}) held by {held}")
+        elif plan.unbanked:
+            parts.append(f"flush kept: {plan.unbanked}")
         lines.append("  ".join(parts))
     lines.append(f"consistency: {pipeline.consistency}")
     return "\n".join(lines if pipeline.map_hazards else ["no maps"] + lines)

@@ -125,10 +125,12 @@ class FlushBlock:
 
 @dataclass(frozen=True)
 class BankKey:
-    """Where a packet's bank of a banked LRU map's window is read: the
-    map's key, ``size`` bytes at ``offset`` from R10 on the packet's
-    stack, hashed into ``banks`` banks by the map's own
-    :func:`~repro.ebpf.maps.bank_of`. ``hazards`` gives a window one
+    """Where a packet's lane of a window is read: the map's key, ``size``
+    bytes at ``offset`` from R10 on the packet's stack. A holder waits
+    only for in-window holders of its own lane. A banked LRU map's lane
+    is its bank, the key hashed into ``banks`` banks by the map's own
+    :func:`~repro.ebpf.maps.bank_of`; a keyed window's (``banks`` 0, a
+    plain hash map) is the key itself. ``hazards`` gives a window one
     only when every store to those bytes precedes the window, so the
     bytes a packet holds on entering it are the key it accesses the map
     with there."""
@@ -138,11 +140,17 @@ class BankKey:
     size: int
     banks: int
 
-    def of(self, stack) -> int:
-        """The bank of the packet whose stack is ``stack`` (the
-        ``STACK_SIZE``-byte buffer that R10 points past)."""
+    @property
+    def keyed(self) -> bool:
+        return not self.banks
+
+    def of(self, stack):
+        """The lane of the packet whose stack is ``stack`` (the
+        ``STACK_SIZE``-byte buffer that R10 points past): its key bytes
+        in a keyed window, else their bank."""
         start = AddressSpace.STACK_SIZE + self.offset
-        return bank_of(stack[start:start + self.size], self.banks)
+        key = stack[start:start + self.size]
+        return bank_of(key, self.banks) if self.banks else bytes(key)
 
 
 @dataclass
@@ -166,17 +174,21 @@ class MapHazardPlan:
     # recency mutations (and hence eviction choices) happen strictly in
     # packet order — squash/replay cannot undo an eviction, so the
     # flush machinery alone cannot repair LRU divergence. ``None`` when
-    # all accesses share one stage (order is then automatic).
+    # all accesses share one stage (order is then automatic). On the
+    # path-parallel layout a plain hash map whose flush blocks would
+    # fire gets a keyed window instead: a same-key stall at ``lo`` in
+    # place of a flush at the write stage (``hazards.plan_hazards``).
     serial_window: Optional[Tuple[int, int]] = None
     # The window's holder blocks: a packet that has enabled one may still
     # reach an op inside the window that touches any map, so it waits for
     # the window; any other packet passes through it unhindered (see
     # ``hazards.window_holders``). Empty without a window.
     holders: FrozenSet[int] = frozenset()
-    # A banked map's window serialises per bank: a holder waits only for
-    # a holder of its own bank (``hazards.bank_key``). ``None`` is one
-    # bank; on a banked map ``unbanked`` then names the rule that
-    # refused the split.
+    # A banked map's window serialises per bank, a keyed window per key:
+    # a holder waits only for a holder of its own lane
+    # (``hazards.bank_key``). ``None`` is one lane; ``unbanked`` then
+    # names the rule that refused the split — on a banked map, or on a
+    # hash map whose flush blocks therefore stay live.
     bank_key: Optional[BankKey] = None
     unbanked: str = ""
     # Whether packets in flight together leave this map as sequential
@@ -190,6 +202,14 @@ class MapHazardPlan:
     @property
     def needs_flush(self) -> bool:
         return bool(self.flush_blocks)
+
+    @property
+    def squashes(self) -> bool:
+        """Whether its flush blocks squash packets: all do but a keyed
+        window's, whose key comparators stall a packet at the window's
+        entrance instead."""
+        return self.needs_flush and not (self.bank_key is not None
+                                         and self.bank_key.keyed)
 
     @property
     def touching(self) -> List[int]:
@@ -282,7 +302,7 @@ class Pipeline:
 
     @property
     def serial_windows(self) -> List[Tuple[int, int]]:
-        """Interlock windows of recency-ordered maps, sorted by entry stage."""
+        """Interlock windows, sorted by entry stage."""
         return [window[:2] for window in self.held_windows]
 
     @property
@@ -291,8 +311,8 @@ class Pipeline:
         """``(lo, hi, holders, bank_key)`` of each interlock window,
         sorted by entry stage: the packets that wait for it are those
         that have enabled one of its holder blocks, and each waits only
-        for a holder of its own bank (``bank_key``; ``None``: one
-        bank)."""
+        for a holder of its own lane (``bank_key``; ``None``: one
+        lane)."""
         return sorted(((*plan.serial_window, plan.holders, plan.bank_key)
                        for plan in self.map_hazards.values()
                        if plan.serial_window is not None),

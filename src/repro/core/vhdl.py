@@ -1360,6 +1360,9 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
                 uses_atomic: bool) -> List[str]:
     plan = pipeline.map_hazards[fd]
     spec = pipeline.program.maps.get(fd)
+    interlock = ("keyed interlock: at most one packet per key"
+                 if plan.bank_key is not None and plan.bank_key.keyed
+                 else "LRU recency interlock: at most one packet")
     kb = 8 * max(spec.key_size if spec else 1, 1)
     wb = 8 * max(spec.value_size if spec else 8, 8)
     lines = _context_clause()
@@ -1373,7 +1376,7 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
         + (
             f"  serial window: stages "
             f"{plan.serial_window[0]}..{plan.serial_window[1]}"
-            " (LRU recency interlock: at most one packet in the window)"
+            f" ({interlock} in the window)"
             if plan.serial_window is not None else ""
         ),
         f"entity {name} is",

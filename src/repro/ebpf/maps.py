@@ -49,11 +49,15 @@ class Map:
         self.value_size = spec.value_size
         self.max_entries = spec.max_entries
         self.banks = spec.banks
-        self.storage = bytearray(spec.max_entries * spec.value_size)
+        self.storage = bytearray(self.storage_size())
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    def storage_size(self) -> int:
+        """The bytes of ``storage`` its slots take: every slot's, here."""
+        return self.max_entries * self.value_size
 
     def value_addr(self, slot: int) -> int:
         """Byte offset of a slot's value within this map's storage."""
@@ -178,15 +182,20 @@ class HashMap(Map):
     behaviour where a looked-up value pointer stays valid. Slots are
     handed out lowest-first, a released slot (last released first)
     before a never-used one: ``_free`` lists the released, ``_fresh``
-    counts the never-used, so an empty map costs no ``max_entries``-long
-    list.
+    counts the handed out. The storage holds those ``_fresh`` slots and
+    grows in place with them, so an empty map costs neither a
+    ``max_entries``-long list nor its ``max_entries`` values; a value
+    address is its slot's offset, whatever the storage's length.
     """
 
     def __init__(self, spec: MapSpec) -> None:
+        self._fresh = 0
         super().__init__(spec)
         self._slot_by_key: Dict[bytes, int] = {}
         self._free: List[int] = []
-        self._fresh = 0
+
+    def storage_size(self) -> int:
+        return self._fresh * self.value_size
 
     def lookup_slot(self, key: bytes) -> Optional[int]:
         return self._slot_by_key.get(self._check_key(key))
@@ -204,13 +213,14 @@ class HashMap(Map):
             raise MapError(f"{self.name}: key does not exist")
         if self._free:
             slot = self._free.pop()
+            self._write_slot(slot, value)
         elif self._fresh < self.max_entries:
             slot = self._fresh
             self._fresh += 1
+            self.storage += value  # in place: bound views stay valid
         else:
             raise MapError(f"{self.name}: map is full")
         self._slot_by_key[key] = slot
-        self._write_slot(slot, value)
         return slot
 
     def delete(self, key: bytes) -> bool:
@@ -230,7 +240,7 @@ class HashMap(Map):
         return len(self._slot_by_key)
 
     def clear(self) -> None:
-        super().clear()
+        del self.storage[:]
         self._slot_by_key.clear()
         self._free = []
         self._fresh = 0
@@ -395,11 +405,11 @@ class MapSet:
     def mismatch(self, specs: Dict[int, MapSpec]) -> Optional[int]:
         """The first fd of ``specs`` this set does not hold as exactly
         the map :func:`create_map` builds from its spec — same class,
-        same geometry and bank count, storage of ``max_entries *
-        value_size`` bytes — or ``None`` when it holds them all. Code
-        specialised to the specs (the ``codegen`` engine's ``_stream``,
-        whose window timing is per bank) is sound only over a set that
-        passes."""
+        same geometry and bank count, storage of the size its slots
+        take (``Map.storage_size``: ``max_entries * value_size`` bytes
+        at most) — or ``None`` when it holds them all. Code specialised
+        to the specs (the ``codegen`` engine's ``_stream``, whose window
+        timing is per bank) is sound only over a set that passes."""
         for fd, spec in specs.items():
             held = self.maps.get(fd)
             if (held is None
@@ -408,8 +418,7 @@ class MapSet:
                         held.banks)
                     != (spec.key_size, spec.value_size, spec.max_entries,
                         spec.banks)
-                    or len(held.storage)
-                    != spec.max_entries * spec.value_size):
+                    or len(held.storage) != held.storage_size()):
                 return fd
         return None
 

@@ -144,6 +144,7 @@ from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Stage,
                              StageKind)
 from ..ebpf import isa
 from ..ebpf.helpers import (
+    HELPER_IDS_BY_NAME,
     ORDER_SENSITIVE_HELPERS,
     HelperError,
     helper_spec,
@@ -175,7 +176,12 @@ from ..telemetry import get_registry
 #     after the packet body.
 # v9: banked windows: a holder waits for the last holder of its own bank,
 #     whose bank the timing reads from the key on the stack.
-CODEGEN_VERSION = 9
+# v10: keyed windows: a holder waits for the last holder of its own key
+#     still in the window; a clock read ahead of the window reads the
+#     cycle its packet enters the stage.
+CODEGEN_VERSION = 10
+
+_KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -243,17 +249,21 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
     ``[lo, hi]`` holds every access: at most one packet is then between
     its first and last access, so its flush blocks can never fire and
     every write is committed before the next packet's first read.
-    Direct stores to such a map are refused all the same — they may stay
-    WAR-buffered past ``hi``, while ``map_update`` commits at once. A map
-    relaxed by the ``ATOMICS`` rule has atomics that do not commute
-    unobserved (§4.1.2): run packet by packet they would interleave
-    otherwise than in the pipeline. Order-sensitive helpers (shared
-    clock / PRNG state) and unknown-helper fallbacks would observe the
-    changed interleaving. The timing is closed-form for no window, or
-    for a single window with ``lo >= 2`` (see ``_window_timing``).
+    Direct stores to such a map ahead of its commit stage are refused
+    all the same — they may stay WAR-buffered past ``hi``, while
+    ``map_update`` commits at once; one at or past it commits at once
+    too. A map relaxed by the ``ATOMICS`` rule has atomics that do not
+    commute unobserved (§4.1.2): run packet by packet they would
+    interleave otherwise than in the pipeline. Order-sensitive helpers
+    (shared clock / PRNG state) and unknown-helper fallbacks would
+    observe the changed interleaving — except a clock read ahead of a
+    window, whose cycle the timing reconstructs (``_clock_lines``). The
+    timing is closed-form for no window, or for a single window with
+    ``lo >= 2`` (see ``_window_timing``).
     """
     windows = pipeline.serial_windows
     plans = sorted(pipeline.map_hazards.items())
+    commits = pipeline.commit_stages
     for fd, plan in plans:
         if not (plan.needs_flush or plan.write_stages):
             continue
@@ -262,9 +272,10 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
             what = "flush plan" if plan.needs_flush else "buffered write"
             return (f"{what} on map {fd} (stages {first}-{last}) "
                     "not covered by a window")
-        if plan.store_stages:
+        buffered = [s for s in plan.store_stages if s < commits[fd]]
+        if buffered:
             return (f"direct store to map {fd} at stage "
-                    f"{plan.store_stages[0]} may stay WAR-buffered")
+                    f"{buffered[0]} may stay WAR-buffered")
     for fd, plan in sorted(plans, key=lambda item: item[1].value_stages[:1]):
         if plan.consistency.rule == ATOMICS:
             stages = plan.value_stages
@@ -275,16 +286,20 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
                 "timing covers one)")
     if windows and windows[0][0] < 2:
         return "serialization window starts at stage 1"
-    for helper_id in (op.insn.imm for stage in pipeline.stages
-                      for op in stage.ops if op.insn.is_call):
-        try:
-            helper_spec(helper_id)
-        except HelperError:
-            return f"helper {helper_id} is unknown (generic call)"
-        if helper_id in ORDER_SENSITIVE_HELPERS:
-            # Running packets to completion would reorder their calls
-            # relative to the cycle-accurate schedule.
-            return f"helper {helper_id} is order-sensitive"
+    lo = windows[0][0] if windows else 0
+    for stage in pipeline.stages:
+        for helper_id in (op.insn.imm for op in stage.ops
+                          if op.insn.is_call):
+            try:
+                helper_spec(helper_id)
+            except HelperError:
+                return f"helper {helper_id} is unknown (generic call)"
+            if helper_id == _KTIME and stage.number < lo:
+                continue
+            if helper_id in ORDER_SENSITIVE_HELPERS:
+                # Running packets to completion would reorder their calls
+                # relative to the cycle-accurate schedule.
+                return f"helper {helper_id} is order-sensitive"
     return None
 
 
@@ -354,7 +369,7 @@ class _Emitter:
     def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
         self.any_flush = any(
-            plan.needs_flush for plan in pipeline.map_hazards.values()
+            plan.squashes for plan in pipeline.map_hazards.values()
         )
         # Whether the generated advance keeps pkt.position / pending-write
         # commits per shift. When no hazard plan can buffer a write and no
@@ -365,6 +380,7 @@ class _Emitter:
             plan.write_stages for plan in pipeline.map_hazards.values())
         # Elastic-buffer snapshots are dead work where none is ever chosen.
         self.snapshots = restart_blocker(pipeline) is not None
+        self.commits = pipeline.commit_stages
         # Packets executing any stage op already passed every entry
         # length comparator, so constant packet accesses below the
         # largest entry threshold need no bounds check — unless the
@@ -401,6 +417,11 @@ class _Emitter:
         self.uses_stream = False
         self.uses_deque = False
         self.uses_bank = False  # a banked window's stream timing
+        # The window's first stage while the stream body is emitted: a
+        # clock read ahead of it reads its packet's cycle there
+        # (_clock_lines), which the window timing's prologue sets up.
+        self.window_lo = 0
+        self.uses_clock = False
         # Stream mode (see stream_body): the op emitters below name the
         # run-bound locals of ``_stream`` instead of ``pkt``'s fields,
         # and a decided packet leaves by ``break``.
@@ -637,7 +658,9 @@ class _Emitter:
             buf = "_m.storage"
         elif (spec := self._bound_spec(fd)) is not None:
             out.append(f"_o = _a - {hex(AddressSpace.map_value_addr(fd, 0))}")
-            # len(storage) is max_entries * value_size (MapSet.mismatch)
+            # len(storage) is max_entries * value_size (MapSet.mismatch),
+            # or a hash map's slots handed out, which hold every value
+            # address a lookup can have returned
             cond = f"0 <= _o <= {spec.max_entries * spec.value_size - size}"
             buf = f"_st{fd}"
         else:
@@ -776,9 +799,10 @@ class _Emitter:
         if label is None or label.region is Region.PACKET:
             self.pkt_writes = True
 
-        # A map store is sim._mem_store's on every path (WAR buffering,
-        # the side-effect descriptor), so only the stack and the frame
-        # have a fast side.
+        # A map store is sim._mem_store's (WAR buffering, the side-effect
+        # descriptor), so only the stack and the frame have a fast side —
+        # and, in _stream, a map store at or past its commit stage, which
+        # commits at once with no descriptor to make.
         fallback = []
         if not self.maintain and not in_entry:
             # Positions are elided from the generated shift loop; the WAR
@@ -786,8 +810,10 @@ class _Emitter:
             fallback.append(f"pkt.position = {stage_number}")
         call = f"sim._mem_store(pkt, _a, {size}, {raw_val}, None)"
         fallback.append(f"_se = {call}" if flush else call)
-        plain = label if label is not None and label.region in (
-            Region.STACK, Region.PACKET) else None
+        plain = label if label is not None and (
+            label.region in (Region.STACK, Region.PACKET)
+            or self.stream and label.region is Region.MAP_VALUE
+            and stage_number >= self.commits.get(label.map_fd, 0)) else None
         return self._access(
             insn.dst, insn.off, plain, size,
             lambda buf: [f"{self._pack(size)}({buf}, _o, {masked_val})"]
@@ -844,7 +870,8 @@ class _Emitter:
             # ... and so does the rare own-pending-write overlap
             " and not pkt.pending_writes" if self.stores_may_pend else "")
 
-    def _call_lines(self, op: PipeOp, flush: bool) -> List[str]:
+    def _call_lines(self, op: PipeOp, flush: bool,
+                    stage_number: int) -> List[str]:
         """Helper-call body."""
         helper_id = op.insn.imm
         R = self._reg
@@ -871,10 +898,31 @@ class _Emitter:
         self.uses_helper_ctx = True
         hname = self._helper(helper_id)
         context = "_hc" if self.stream else "_HC(sim, pkt)"
-        return [
+        clock = (self._clock_lines(stage_number)
+                 if self.stream and helper_id == _KTIME else [])
+        return clock + [
             f"{R(0)} = {hname}({context}, {R(1)}, {R(2)}, {R(3)}, "
             f"{R(4)}, {R(5)}) & {_M64}",
             scrub,
+        ]
+
+    def _clock_lines(self, stage: int) -> List[str]:
+        """Set ``_hc``'s clock to the cycle the stream's packet enters
+        ``stage``, ahead of the window's first stage ``lo``
+        (``stream_blocker`` admits no other clock read): the cycle loop
+        reads the clock of that cycle. The ``lo - 1`` stages ahead of
+        the window back up behind it, so the packet enters ``stage``
+        when the packet ``lo - stage`` places ahead enters ``lo``,
+        ``stage - 1`` cycles after its injection at the earliest —
+        ``max(inj[k] + stage - 1, ent[k - (lo - stage)])``, the latter
+        from ``_window_timing``'s ring of the last ``lo - 1`` entries."""
+        self.uses_clock = True
+        lead = stage - 1
+        return [
+            f"_t = _ring[_ri - {self.window_lo - stage}]",
+            f"if _inj + {lead} > _t:",
+            f"    _t = _inj + {lead}",
+            "_hc.time_ns = _t0 + int(_t * _cns)",
         ]
 
     def _map_call(self, op: PipeOp, flush: bool) -> List[str]:
@@ -1070,7 +1118,7 @@ class _Emitter:
                     return [f"_act = {verdict}", "break"], True
                 return ["pkt.done = True", f"pkt.action = {verdict}"], True
             if insn.is_call:
-                out = self._call_lines(op, flush)
+                out = self._call_lines(op, flush, stage_number)
                 # A call can terminate a block; helpers may drop the
                 # packet, so the done re-check stays. Enabling happens
                 # BEFORE the snapshot, so a restart resumes with the
@@ -1194,10 +1242,12 @@ class _Emitter:
           and a holder of bank ``b`` enters the cycle the last holder of
           that bank leaves stage ``hi`` (``free[b]``, its entry plus
           ``W``: deepest-first shifting vacates it in the same cycle); a
-          packet that does not hold passes through. An unbanked window
-          has the one bank 0; a banked one reads ``b`` from the key the
-          packet leaves on its stack (``bank``), which no store at or
-          past ``lo`` changes (``hazards.bank_key``);
+          packet that does not hold passes through. A window without a
+          lane key has the one lane; a banked one reads ``b`` from the
+          key the packet leaves on its stack (``bank``), which no store
+          at or past ``lo`` changes (``hazards.bank_key``), and a keyed
+          one takes the key itself, keeping ``free`` only for keys whose
+          last holder is still in the window;
         * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
           stalls.
 
@@ -1212,21 +1262,43 @@ class _Emitter:
         width = hi - lo + 1
         self.uses_deque = True
         if bank is None:
-            free, wait = "_free", []
             frees = ["_exit = _free = _drops = _tot = _pip = 0"]
-        else:
+            wait = ["if _free > _went:",
+                    "    _went = _free",
+                    f"_free = _went + {width}"]
+        elif not bank.keyed:
             self.uses_bank = True
             start = _STK_SZ + bank.offset
-            free = "_free[_bk]"
-            wait = [f"_bk = _bank_of(stack[{start}:{start + bank.size}], "
-                    f"{bank.banks})"]
             frees = [f"_free = [0] * {bank.banks}",
                      "_exit = _drops = _tot = _pip = 0"]
-        wait += [
-            f"if {free} > _went:",
-            f"    _went = {free}",
-            f"{free} = _went + {width}",
-        ]
+            wait = [f"_bk = _bank_of(stack[{start}:{start + bank.size}], "
+                    f"{bank.banks})",
+                    "if _free[_bk] > _went:",
+                    "    _went = _free[_bk]",
+                    f"_free[_bk] = _went + {width}"]
+        else:
+            # per key, the exit of its last holder still in the window;
+            # _held queues (exit, key) in exit order to retire the rest
+            size = bank.size
+            start = _STK_SZ + bank.offset
+            key = (f"{self._unpack(size)}(stack, {start})[0]"
+                   if size in (1, 2, 4, 8)
+                   else f"bytes(stack[{start}:{start + size}])")
+            frees = ["_free = {}", "_held = _deque()",
+                     "_exit = _drops = _tot = _pip = 0"]
+            wait = [f"_bk = {key}",
+                    "while _held and _held[0][0] <= _went:",
+                    "    _f, _k = _held.popleft()",
+                    "    if _free[_k] == _f:",
+                    "        del _free[_k]",
+                    "_f = _free.get(_bk, 0)",
+                    "if _f > _went:",
+                    "    _went = _f",
+                    f"_f = _free[_bk] = _went + {width}",
+                    "_held.append((_f, _bk))"]
+        clock = (["_t0 = sim.time_ns",
+                  "_cns = 1000.0 / sim.options.clock_mhz"]
+                 if self.uses_clock else [])
         return _StreamTiming(
             init=[
                 "cycle = 0",
@@ -1235,7 +1307,7 @@ class _Emitter:
                 f"_ring = [0] * {lo - 1}",
                 "_ri = 0",
                 "_inj = _went = -1",
-            ] + frees,
+            ] + frees + clock,
             head=[
                 "while _inq and _inq[0] < cycle:",
                 "    _inq.popleft()",
@@ -1289,6 +1361,8 @@ class _Emitter:
         # plan inside the window — see stream_blocker), so they are
         # elided either way.
         hazard_modes = self.any_flush, self.maintain
+        windows = pipeline.held_windows
+        self.window_lo = windows[0][0] if windows else 0
         self.stream = True
         self.lookups = self.folded_lookups = self.spill_sites = 0
         self.any_flush = self.maintain = False
@@ -1298,7 +1372,6 @@ class _Emitter:
             self.stream = False
             self.any_flush, self.maintain = hazard_modes
         named = _idents(ops)
-        windows = pipeline.held_windows
         if windows:
             (lo, hi, holders, bank), = windows
             # The entry block's flag is constant: every packet holds. A

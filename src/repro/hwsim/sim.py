@@ -40,7 +40,7 @@ from ..ebpf.helpers import (
     prandom_step,
 )
 from ..ebpf.isa import MASK32, MASK64, Instruction, to_signed32
-from ..ebpf.maps import MapSet
+from ..ebpf.maps import HashMap, MapSet
 from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
@@ -292,7 +292,7 @@ class PipelineSimulator:
         # commit on entry to their map's commit stage, so a squashed
         # packet never has to unwind a committed store.
         self._has_flush: Dict[int, bool] = {
-            fd: plan.needs_flush for fd, plan in pipeline.map_hazards.items()}
+            fd: plan.squashes for fd, plan in pipeline.map_hazards.items()}
         self._commit_stages = pipeline.commit_stages
         # Scan bounds for the hazard checks, from the ops themselves (an
         # unlabeled access counts as a map access): a packet shallower
@@ -311,12 +311,12 @@ class PipelineSimulator:
                     self._first_read = stage.number
                 elif insn.opclass in (isa.BPF_ST, isa.BPF_STX):
                     self._first_write = stage.number
-        # LRU serialization windows (core.hazards): inclusive 1-based
-        # [lo, hi] stage ranges with their holder blocks and bank keys.
-        # Each admits at most one packet per bank that has enabled a
-        # holder at a time, so recency mutations happen strictly in packet
-        # order within a bank on every engine; other packets pass through
-        # (see _admits). Empty for almost all pipelines.
+        # Serialization windows (core.hazards): inclusive 1-based [lo, hi]
+        # stage ranges with their holder blocks and lane keys. Each admits
+        # at most one packet per lane (bank or key) that has enabled a
+        # holder at a time, so a lane's accesses happen strictly in packet
+        # order on every engine; other packets pass through (see
+        # _admits). Empty for most pipelines.
         self._serial_windows = self._interlocks()
         # Execution backend: one table, filled once. _enter dispatches
         # _stage_fns[pos] (stage number pos + 1), the cycle loop _entry_fn,
@@ -423,7 +423,7 @@ class PipelineSimulator:
         keep_records = options.keep_records
         shift_range = range(n_stages - 1, 0, -1)
         observer = self.observer
-        # LRU interlock windows. When present, the whole-cycle advance
+        # Interlock windows. When present, the whole-cycle advance
         # path is bypassed (codegen emits _ADVANCE=None for windowed
         # pipelines) so both engines run the same generic shift loop and
         # stall identically; every way into a stage asks _admits.
@@ -730,27 +730,37 @@ class PipelineSimulator:
     def _interlocks(self) -> Tuple[
             Tuple[int, int, FrozenSet[int], Optional[BankKey]], ...]:
         """The pipeline's ``held_windows`` over this simulator's maps: a
-        window splits by bank only over a map of the bank count its key
-        was planned for, and has one bank over any other (a caller's
-        own ``MapSet``), where packets of two banks need not commute."""
+        window splits by lane only over the kind of map its key was
+        planned for — a plain hash map for a keyed window, one of its
+        bank count for a banked one — and has one lane over any other (a
+        caller's own ``MapSet``), where packets of two lanes need not
+        commute."""
         maps = self.maps.maps
+
+        def planned(bank: BankKey) -> bool:
+            held = maps.get(bank.map_fd)
+            if bank.keyed:
+                return type(held) is HashMap
+            return getattr(held, "banks", 1) == bank.banks
+
         return tuple(
-            (lo, hi, holders, bank if bank is None or getattr(
-                maps.get(bank.map_fd), "banks", 1) == bank.banks else None)
+            (lo, hi, holders,
+             bank if bank is None or planned(bank) else None)
             for lo, hi, holders, bank in self.pipeline.held_windows)
 
     def _admits(self, enabled: Set[int], stack: bytearray, stage: int,
                 from_stage: int) -> bool:
         """Whether a packet that has enabled ``enabled`` and holds
         ``stack`` may enter ``stage`` from ``from_stage`` (0: from a
-        barrier queue or the input queue) — the LRU interlock, stated
+        barrier queue or the input queue) — the window interlock, stated
         once. It may not when ``stage`` lies in a window ``[lo, hi]``
         that ``from_stage`` lies outside, the packet holds the window
-        (has enabled one of its holder blocks) and a packet of its bank
+        (has enabled one of its holder blocks) and a packet of its lane
         in ``slots[lo..hi]`` holds it too: in hardware the window's
-        occupancy comparison masked by an OR of the enable bits and, on
-        a banked map, by a compare of the bank bits. An unbanked window
-        has one bank; a banked one reads it from the key on the stack
+        occupancy comparison masked by an OR of the enable bits and by
+        a compare of the bank bits on a banked map, of the key (a flush
+        block's comparator) in a keyed window. A window without a key
+        has one lane; one with a key reads the lane from the stack
         (``BankKey.of``), which no store changes from ``lo`` on.
         Movement within a window is free."""
         slots = self._slots

@@ -174,7 +174,7 @@ def carry_maps(old: MapSet, program: Program) -> MapSet:
             for key, value in src.items():
                 new_map.update(bytes(key), bytes(value))
         except MapError:
-            continue
+            new_map.clear()
     return fresh
 
 

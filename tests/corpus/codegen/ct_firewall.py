@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 9); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 10); flush machinery included, position/commit tracking included. Do not edit.
 """
 
 import struct

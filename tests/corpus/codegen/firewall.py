@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 9); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 10); flush machinery elided, position/commit tracking elided. Do not edit.
 """
 
 import struct

@@ -98,6 +98,29 @@ class TestCommands:
             "stage 20 (b6 *(u32 *)(r10 - 16) = r8 @" \
             in capsys.readouterr().out
 
+    def test_stats_names_the_keyed_window_and_a_kept_flush(self, capsys):
+        # buckets' flushes become a same-key stall at the window ...
+        assert main(["stats", "app:leaky_bucket"]) == 0
+        assert "window [8, 18] W=11 keyed on buckets by stack[-8:8] " \
+            "(opens: b1 call 1 @8; " in capsys.readouterr().out
+        # ... nat's stay, and the line says which rule kept them
+        assert main(["stats", "app:dnat"]) == 0
+        assert "flush block L=12 K=12  flush kept: map ports is accessed " \
+            "inside the window (b4 call 1 @13)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["stats", "run", "compile"])
+    def test_a_bare_app_name_names_the_app(self, command, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "leaky_bucket"])
+        assert str(exc.value) == ("leaky_bucket: No such file or directory "
+                                  "(the built-in app is app:leaky_bucket)")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "no_such_program.ebpf"])
+        assert str(exc.value) \
+            == "no_such_program.ebpf: No such file or directory"
+
     def test_disasm(self, capsys, prog_file):
         assert main(["disasm", prog_file]) == 0
         assert "exit" in capsys.readouterr().out

@@ -65,6 +65,7 @@ from repro.hwsim import (
 from repro.hwsim.codegen import (
     CODEGEN_VERSION,
     CodegenError,
+    _Emitter,
     advance_sites,
     ensure_source,
     generate_pipeline_source,
@@ -82,6 +83,7 @@ from tests.test_second_gen_apps import (_TINY_LRU_MAPS, _TINY_LRU_SRC,
 from tests.test_sim import TestInterleavedRmwRegression
 
 _COUNTER = "ehdl_codegen_recompile_total"
+PAPER = CompileOptions(path_parallel=False)  # the §3.3 layout
 
 
 def _recompiles(reg, pipeline):
@@ -290,21 +292,25 @@ class TestSourceAttachment:
         assert Path(path).read_text() == pipeline.codegen_source
 
 
+def _paper_leaky_bucket():
+    """leaky_bucket on the §3.3 layout, where its flush blocks fire (the
+    path-parallel layout gives ``buckets`` a keyed window instead)."""
+    return compile_program(leaky_bucket.build(), PAPER)
+
+
 class TestStreamPath:
     def test_stream_emitted_only_when_hazard_free(self):
         # firewall: no flush plans, no order-sensitive helpers
         fw = generate_pipeline_source(compile_program(firewall.build()))
         assert "_STREAM = _stream" in fw
-        # leaky bucket: a flush plan no window covers (and it calls
-        # bpf_ktime_get_ns: packets must observe the clock in injection
-        # order, which the straight-line path breaks)
-        lb = generate_pipeline_source(compile_program(leaky_bucket.build()))
+        # leaky bucket on the §3.3 layout: a flush plan no window covers
+        lb = generate_pipeline_source(_paper_leaky_bucket())
         assert "_STREAM = None" in lb
 
     def test_simulator_binds_stream_function(self):
         fw = PipelineSimulator(compile_program(firewall.build()),
                                options=SimOptions(engine="codegen"))
-        lb = PipelineSimulator(compile_program(leaky_bucket.build()),
+        lb = PipelineSimulator(_paper_leaky_bucket(),
                                options=SimOptions(engine="codegen"))
         assert fw._stream_fn is not None
         assert lb._stream_fn is None
@@ -873,6 +879,48 @@ class TestWindowedStream:
         assert path.startswith("stream (")
         _assert_same(stream, loop)
 
+    # leaky_bucket's keyed window: a hot flow's packets stall behind
+    # each other at the window, and every packet reads the clock two
+    # stages ahead of it, in the cycle it enters that stage
+    KEYED = leaky_bucket.build()
+    KEYED_PIPELINE = compile_program(KEYED)
+
+    def test_keyed_window_at_the_real_clock(self):
+        pipeline = self.KEYED_PIPELINE
+        assert pipeline.held_windows[0][3].keyed
+        frames = _zipf_frames(flows=12, packets=120)
+        stalled = dropped = 0
+        for gap in range(1, pipeline.n_stages + 1):
+            for capacity in (1, 4, len(frames)):
+                path, got = _observed(pipeline, self.KEYED, frames,
+                                      "codegen", gap, capacity)
+                assert path.startswith("stream ("), path
+                _path, want = _observed(pipeline, self.KEYED, frames,
+                                        "interpreted", gap, capacity)
+                _assert_same(got, want)
+                stalled += any(r[5] - r[4] > pipeline.n_stages
+                               for r in want["records"])
+                dropped += want["in/out/dropped"][2] > 0
+        assert stalled and dropped
+
+    def test_the_clock_backs_up_behind_the_window(self, monkeypatch):
+        # read at injection plus the stages ahead, the clock runs early
+        # for a packet backed up behind the window
+        def at_injection(emitter, stage):
+            emitter.uses_clock = True
+            return [f"_hc.time_ns = _t0 + int((_inj + {stage - 1}) * _cns)"]
+
+        monkeypatch.setattr(_Emitter, "_clock_lines", at_injection)
+        early = copy.deepcopy(self.KEYED_PIPELINE)
+        early.codegen_source = None
+        frames = _zipf_frames(flows=2, packets=60)
+        for gap, same in ((self.KEYED_PIPELINE.n_stages, True), (1, False)):
+            _path, got = _observed(early, self.KEYED, frames, "codegen",
+                                   gap)
+            _path, want = _observed(early, self.KEYED, frames,
+                                    "interpreted", gap)
+            assert (got["maps"] == want["maps"]) is same, gap
+
     def test_stale_stamp_regenerates_with_the_stream(self):
         # a v3 emitter left windowed pipelines on the cycle loop; its
         # cached source must not be trusted under the current stamp
@@ -908,14 +956,16 @@ class TestStreamBlockers:
 
     @pytest.mark.parametrize("app,module,reason", [
         ("leaky_bucket", leaky_bucket,
-         "flush plan on map 1 (stages 8-18) not covered by a window"),
+         "flush plan on map 1 (stages 8-25) not covered by a window"),
         ("dnat", dnat,
          "flush plan on map 1 (stages 8-20) not covered by a window"),
     ])
     def test_flush_plan_without_a_window(self, app, module, reason):
         _build, setup, frames = APP_CASES[app]
         program = module.build()
-        self._check_cycle_loop(compile_program(program), program,
+        # leaky_bucket flushes on the §3.3 layout only
+        options = PAPER if app == "leaky_bucket" else CompileOptions()
+        self._check_cycle_loop(compile_program(program, options), program,
                                frames * 5, reason, setup)
 
     def test_order_sensitive_helper(self):
@@ -972,7 +1022,7 @@ class TestStreamBlockers:
             app for app in TestDigests.APPS
             if stream_blocker(compile_program(getattr(apps, app).build()))
         ]
-        assert blocked == ["dnat", "leaky_bucket"]
+        assert blocked == ["dnat"]
 
     def test_access_outside_the_window(self):
         tiny = TestWindowedStream.TINY
@@ -1087,8 +1137,10 @@ class TestSparseAdvance:
     are the ``interpreted`` engine's, which executes stage by stage and
     snapshots always."""
 
-    APPS = {"leaky_bucket": leaky_bucket, "dnat": dnat}
-    SITES = {"leaky_bucket": [2, 6, 8, 12, 18],
+    # leaky_bucket flushes on the §3.3 layout only
+    APPS = {"leaky_bucket": (leaky_bucket, PAPER),
+            "dnat": (dnat, CompileOptions())}
+    SITES = {"leaky_bucket": [2, 6, 8, 12, 19, 21, 25],
              "dnat": [2, 8, 11, 13, 17, 20, 26]}
     RMW = TestInterleavedRmwRegression()._program()
     # both slots of the two-entry array, touched in every order
@@ -1097,8 +1149,9 @@ class TestSparseAdvance:
 
     @classmethod
     def _app(cls, name):
-        program = cls.APPS[name].build()
-        return program, compile_program(program)
+        module, options = cls.APPS[name]
+        program = module.build()
+        return program, compile_program(program, options)
 
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_proof_accepts(self, name):
@@ -1147,10 +1200,10 @@ class TestSparseAdvance:
 
     def test_unresolved_access_refuses(self):
         program, pipeline = self._app("leaky_bucket")
-        blind = _unresolved(pipeline, 18, label=None)
+        blind = _unresolved(pipeline, 19, label=None)
         want = self._check_refused(
             blind, program, _zipf_frames(flows=6),
-            "the access at stage 18 has an unresolved region")
+            "the access at stage 19 has an unresolved region")
         assert want["hazards"][0] > 0
 
     def test_unresolved_map_call_refuses(self):

@@ -36,9 +36,10 @@ from pathlib import Path
 import pytest
 
 from repro import apps
-from repro.apps import SECOND_GEN_APPS, ct_firewall
+from repro.apps import SECOND_GEN_APPS, ct_firewall, leaky_bucket
 from repro.cli import load_program
 from repro.core import compile_program
+from repro.core import hazards
 from repro.core.hazards import hazard_summary
 from repro.core.pipeline import BankKey, Consistency
 from repro.ebpf.asm import assemble_program
@@ -96,13 +97,34 @@ def _full_bank(maps):
                          (1).to_bytes(8, "little"))
 
 
+# leaky_bucket's keyed window on buckets, shrunk to two entries: SAME's
+# bucket is in it, so two frames of its flow (another destination, one
+# key) share a key, and OTHER and THIRD, new flows, race for the last
+# slot — the one that inserts second meets a full map.
+_LB_SAME = replace(F_OTHER, sport=5000)
+_LB_FLOWS = (_LB_SAME, replace(_LB_SAME, dst_ip=F_OTHER.dst_ip + 1),
+             replace(_LB_SAME, sport=5001), replace(_LB_SAME, sport=5002))
+
+
+def _two_buckets():
+    program = leaky_bucket.build()
+    program.maps[1] = replace(program.maps[1], max_entries=2)
+    return program
+
+
+def _same_bucket(maps):
+    maps[1].update(leaky_bucket.bucket_key(_LB_SAME), bytes(16))
+
+
 # The windowed apps mix paths instead: a packet that does not hold the
 # window (a SYN, a non-IPv4 frame) runs beside one that does.
 WINDOWED_DOMAINS = {
-    "syn_cookie": (None, syn_cookie_paths()),
-    "ct_firewall": (_full_bank, (
+    "syn_cookie": (None, None, syn_cookie_paths()),
+    "ct_firewall": (None, _full_bank, (
         ct_firewall_paths()[0], *ct_firewall_paths(_SAME)[1:],
         ct_firewall_paths(_SAME)[0], ct_firewall_paths(_OTHER)[0])),
+    "leaky_bucket": (_two_buckets, _same_bucket,
+                     tuple(_udp(flow) for flow in _LB_FLOWS)),
 }
 
 
@@ -111,8 +133,8 @@ def _cases():
     cases = {}
     for name in sorted(n for n in apps.__all__ if n.islower()):
         if name in WINDOWED_DOMAINS:
-            setup, domain = WINDOWED_DOMAINS[name]
-            cases[name] = (SECOND_GEN_APPS[name].build,
+            build, setup, domain = WINDOWED_DOMAINS[name]
+            cases[name] = (build or SECOND_GEN_APPS[name].build,
                            setup or app_setup(name), domain)
             continue
         if name in SECOND_GEN_APPS:
@@ -120,8 +142,7 @@ def _cases():
                            _two_keys(app_frames(name, 40)))
             continue
         build, setup, frames = APP_CASES[name]
-        # leaky_bucket's fixture is four packets of one flow
-        cases[name] = (build, setup, _two_keys(frames + [_udp(F_OTHER)]))
+        cases[name] = (build, setup, _two_keys(frames))
     for path in CORPUS:
         cases[path.name] = (lambda path=path: load_program(str(path)), None,
                             (PACKETS[0], PACKETS[3]))
@@ -482,17 +503,18 @@ class TestTaintSources:
         _differs_only_where_exempt(program, pipeline,
                                    _frames([1], [2], [3]), exempt)
 
-    @pytest.mark.parametrize("source,frames,why", [
-        (_TWO_DRAWS, _frames([1], [2], [3]),
+    @pytest.mark.parametrize("source,frames,layout,why", [
+        (_TWO_DRAWS, _frames([1], [2], [3]), "path_parallel",
          "bpf_get_prandom_u32 at stages 1-3 draws out of packet order"),
-        (_DRAW_BEFORE_FLUSH, _frames([1], [1], [1]),
+        # on the path-parallel layout w's window is keyed: no flush
+        (_DRAW_BEFORE_FLUSH, _frames([1], [1], [1]), "paper",
          "bpf_get_prandom_u32 at stage 1 draws again when a flush block "
          "replays its packet, A.2"),
     ], ids=["two_stages", "ahead_of_a_flush_block"])
     def test_prandom_out_of_packet_order_relaxes_the_program(
-            self, source, frames, why):
+            self, source, frames, layout, why):
         program = _assembled(source, "prandom")
-        pipeline = compile_program(program)
+        pipeline = compile_program(program, LAYOUTS[layout])
         assert pipeline.consistency == Consistency(
             "relaxed", ("packet bytes",), why)
         assert str(pipeline.consistency).startswith(f"relaxed ({why}; ")
@@ -505,6 +527,16 @@ class TestTaintSources:
         assert pipeline.consistency == Consistency("exact")
         _differs_only_where_exempt(program, pipeline,
                                    _frames([1], [2], [3]), ())
+
+    def test_a_keyed_window_replays_no_draw(self):
+        # the same draw ahead of w's keyed window: a same-key packet
+        # stalls at the window instead of flushing, so nothing replays
+        program = _assembled(_DRAW_BEFORE_FLUSH, "prandom")
+        pipeline = compile_program(program)
+        assert pipeline.map_hazards[1].bank_key.keyed
+        assert pipeline.consistency == Consistency("windowed")
+        _differs_only_where_exempt(program, pipeline,
+                                   _frames([1], [1], [1]), ())
 
 
 def _reheld(pipeline, fd, holders):
@@ -787,3 +819,183 @@ class TestBankedWindow:
         first, then = exits(_OTHER)
         assert then - first == 1
         assert exits(_SAME) == [first, first + hi - lo + 1]
+
+
+# A hash map's lookup, then on a miss an insert, on a hit — further down
+# a longer arm — a delete: its updates and deletes sit at two stages.
+_INSERT_OR_DELETE = _PROLOGUE + """
+    r2 = *(u8 *)(r6 + 0)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 != 0 goto hit
+    *(u64 *)(r10 - 16) = 100
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    r3 = r10
+    r3 += -16
+    r4 = 0
+    call 2
+    goto out
+hit:
+    r3 = *(u64 *)(r0 + 0)
+    r3 *= 3
+    r3 ^= 5
+    r3 *= 7
+    if r3 == 0 goto out
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 3
+out:
+    r0 = 2
+    exit
+"""
+
+# a hash map looked up, then deleted under a key rewritten in between
+_KEY_REWRITTEN = _PROLOGUE + """
+    r2 = *(u8 *)(r6 + 0)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r2 = *(u8 *)(r6 + 1)
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 3
+out:
+    r0 = 2
+    exit
+"""
+
+
+def _two_entries(source):
+    return assemble_program(source, name="keyed", maps={
+        "w": MapSpec("w", "hash", key_size=4, value_size=8, max_entries=2),
+        "t": MapSpec("t", "hash", key_size=4, value_size=8,
+                     max_entries=2)})
+
+
+class TestKeyedWindow:
+    """On the path-parallel layout a plain hash map whose flush blocks
+    would fire gets a keyed window instead: a holder waits at ``lo``
+    for an in-window holder of its own key. ``hazards.bank_key``'s four
+    rules decide; a map that breaks one keeps its flushes and names the
+    rule, and each witness below breaks one."""
+
+    def test_leaky_bucket_stalls_by_key(self):
+        pipeline = compile_program(leaky_bucket.build())
+        plan = pipeline.map_hazards[1]
+        assert plan.serial_window == (8, 18)
+        assert plan.bank_key == BankKey(1, -8, 8, 0) and plan.bank_key.keyed
+        assert str(plan.consistency) == "windowed"
+        assert len(plan.flush_blocks) == 5  # the comparator it reuses
+        assert ("window [8, 18] W=11 keyed on buckets by stack[-8:8] "
+                "(opens: b1 call 1 @8; ") in hazard_summary(pipeline)
+
+    def test_the_paper_layout_keeps_its_flushes(self):
+        plan = compile_program(leaky_bucket.build(),
+                               LAYOUTS["paper"]).map_hazards[1]
+        assert (plan.serial_window, plan.bank_key, plan.unbanked) \
+            == (None, None, "")
+        assert str(plan.consistency) == "repaired"
+
+    @pytest.mark.parametrize("program,why", [
+        (apps.dnat.build(),
+         "map ports is accessed inside the window (b4 call 1 @13)"),
+        (assemble_program(_KEY_COPY, maps={
+            "t": MapSpec("t", "hash", 4, 8, 8)}),
+         "keys from stack[-4:4] and stack[-8:4] (b1 call 2 @7)"),
+        (_two_entries(_KEY_REWRITTEN),
+         "key stack[-4:4] is written at or past stage 3 (b1 "
+         "*(u32 *)(r10 - 4) = r2 @"),
+        (_two_entries(_INSERT_OR_DELETE),
+         "updates and deletes at stages 7 and 13 (b3 call 3 @13)"),
+    ], ids=["another_map_inside", "two_key_slots", "key_rewritten",
+            "two_write_stages"])
+    def test_a_flush_that_stays(self, program, why):
+        pipeline = compile_program(program)
+        plan = pipeline.map_hazards[1]
+        assert plan.serial_window is None and plan.bank_key is None
+        assert plan.unbanked.startswith(why)
+        assert plan.flush_blocks and not pipeline.serial_windows
+        assert f"  flush kept: {plan.unbanked}" in hazard_summary(pipeline)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_no_second_window_inside_a_window(self, layout):
+        # h's flush blocks sit inside t's LRU window, which discharges
+        # them (TestWindowHolders): nothing is left for a keyed one
+        program = assemble_program(_COUNTING_ARM, name="counting_arm", maps={
+            "t": MapSpec("t", "lru_hash", key_size=4, value_size=8,
+                         max_entries=4),
+            "h": MapSpec("h", "hash", key_size=4, value_size=8,
+                         max_entries=4)})
+        pipeline = compile_program(program, LAYOUTS[layout])
+        h = pipeline.map_hazards[2]
+        assert (h.serial_window, h.bank_key, h.unbanked) == (None, None, "")
+        assert len(pipeline.serial_windows) == 1
+
+    def test_a_key_blind_interlock_diverges(self, monkeypatch):
+        # every packet reads as a key of its own: SAME's two packets
+        # share the window, and the younger reads the bucket before the
+        # older writes it back — a stale read no flush repairs, since
+        # the window took the flush blocks out
+        build, setup, domain = CASES["leaky_bucket"]
+        program = build()
+        pipeline = compile_program(program)
+        keys = count()
+        monkeypatch.setattr(BankKey, "of", lambda _key, _stack: next(keys))
+        failing = {}
+        for frames in _sequences(domain):
+            differ = set().union(*_differences(program, pipeline, frames,
+                                               setup).values())
+            if differ:
+                failing[tuple(domain.index(f) for f in frames)] = differ
+        # only packets of one key meet: SAME's two frames, or a new
+        # flow's twice (the second misses what the first inserts)
+        key = {0: "same", 1: "same", 2: "other", 3: "third"}
+        assert {(a, b) for a in (0, 1) for b in (0, 1)} <= set(failing)
+        assert all(len({key[k] for k in seq}) < len(seq) for seq in failing)
+        assert set().union(*failing.values()) == {"map buckets"}
+
+    @staticmethod
+    def _full(maps):
+        for key in (0, 1):
+            maps[1].update(key.to_bytes(4, "little"), bytes(8))
+
+    def test_two_write_stages_keep_the_verdict(self):
+        # the flushes kept, a helper write relaxes w: a delete of key 0
+        # (a hit), inserts of keys 2 and 3 (misses) into the full map
+        program = _two_entries(_INSERT_OR_DELETE)
+        pipeline = compile_program(program)
+        exempt = set(pipeline.consistency.exempt)
+        domain = _frames([0], [2], [3])
+        witnessed = set()
+        for frames in _sequences(domain):
+            for differ in _differences(program, pipeline, frames,
+                                       self._full).values():
+                assert differ <= exempt, (frames, pipeline.consistency)
+                witnessed |= differ
+        assert witnessed == exempt == {"map w"}
+
+    def test_capacity_needs_one_write_stage(self, monkeypatch):
+        # a full map: an older packet deletes key 0 at stage 13, a
+        # younger one inserts key 2 at stage 7. Keyed on their two keys,
+        # the insert overtakes the delete and fails.
+        program = _two_entries(_INSERT_OR_DELETE)
+        frames = _frames([0], [2])
+        assert compile_program(program).map_hazards[1].bank_key is None
+        monkeypatch.setattr(hazards, "_capacity_in_order", lambda *_: "")
+        pipeline = compile_program(program)
+        assert pipeline.map_hazards[1].bank_key.keyed
+        assert pipeline.consistency.kind == "windowed"
+        differ = _differences(program, pipeline, frames, self._full)
+        assert "map w" in differ[1]
+        assert not differ[pipeline.n_stages]

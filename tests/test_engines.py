@@ -367,12 +367,16 @@ class TestCliEngineFlag:
                      "--packets", "60", "--engine", "interpreted"]) == 0
         assert ("engine path: cycle-loop (engine 'interpreted' has no "
                 "stream path)") in capsys.readouterr().out
+        # a keyed window in place of its flushes: leaky_bucket streams
         assert main(["stats", "app:leaky_bucket"]) == 0
+        assert ("engine path: stream (1 of 1 lookups folded, 1 spill "
+                "site)\n") in capsys.readouterr().out
+        assert main(["stats", "app:dnat"]) == 0
         out = capsys.readouterr().out
         assert ("engine path: cycle-loop (flush plan on map 1 "
-                "(stages 8-18) not covered by a window") in out
+                "(stages 8-20) not covered by a window") in out
         # ... and what the generated cycle loop is specialised to
-        assert ("not covered by a window; advance visits 5 of 20 stages, "
+        assert ("not covered by a window; advance visits 7 of 39 stages, "
                 "snapshots elided)\n") in out
 
     def test_run_engine_fast_rejected_by_argparse(self, capsys, prog_file):
@@ -563,3 +567,27 @@ class TestHazardParity:
     def test_keep_records_false_aggregates(self):
         prog = assemble_program(RMW, maps=MAPS)
         run_both(prog, [PKT] * 40, keep_records=False)
+
+
+class TestHashStorage:
+    def test_snapshots_agree_on_every_engine(self):
+        # a hash map's storage grows with the slots handed out, in the
+        # order the engines insert: leaky_bucket's buckets end up byte
+        # for byte the same on each, the frozen clock and spaced
+        # packets making every engine's run the VM's
+        from repro.apps import leaky_bucket
+        from tests.test_codegen import _zipf_frames
+
+        program = leaky_bucket.build()
+        frames = _zipf_frames(flows=12, packets=40)
+        snapshots = {}
+        for engine in engine_names():
+            held = []
+            run_engine(engine, program, frames, setup=held.append,
+                       sim_options=_FROZEN,
+                       gap=compile_program(program).n_stages)
+            snapshots[engine] = held[0].snapshot()
+            buckets = held[0][1].entry_count()
+        reference = snapshots["vm"]
+        assert len(reference[1]) == buckets * 16 < 32768 * 16
+        assert all(snapshot == reference for snapshot in snapshots.values())

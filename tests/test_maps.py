@@ -161,6 +161,45 @@ class TestHashMap:
         m.clear()
         assert [m.update(k, val8(0)) for k in keys[:2]] == [0, 1]
 
+    def test_storage_grows_with_the_slots_handed_out(self):
+        # in place, so a view bound before an insert (the stream path's
+        # _st<fd>) sees its value; value addresses do not move
+        m = self._map(entries=1 << 20)
+        storage = m.storage
+        assert len(storage) == 0
+        first = m.update(b"k1111111", val8(1))
+        address = m.value_addr(first)
+        for i in range(100):
+            m.update(b"m%07d" % i, val8(i))
+        assert m.storage is storage and len(storage) == 101 * 8
+        assert m.value_addr(m.lookup_slot(b"k1111111")) == address
+        assert storage[address:address + 8] == val8(1)
+        assert len(m.snapshot()) == 101 * 8
+
+    def test_a_released_slot_is_reused_without_growth(self):
+        m = self._map(entries=4)
+        slots = [m.update(b"k%07d" % i, val8(i)) for i in range(3)]
+        m.delete(b"k0000001")
+        assert m.update(b"k9999999", val8(9)) == slots[1]
+        assert len(m.storage) == 3 * 8
+        m.clear()
+        assert len(m.storage) == 0 and m.entry_count() == 0
+
+    def test_an_address_past_the_slots_handed_out_faults(self):
+        m = self._map()
+        m.update(b"k1111111", val8(1))
+        assert m.slot_of_addr(7) == 0
+        with pytest.raises(MapError, match="outside"):
+            m.slot_of_addr(8)
+
+    def test_mismatch_sees_storage_the_slots_do_not_take(self):
+        spec = {1: MapSpec("h", "hash", 8, 8, 4)}
+        maps = MapSet(spec)
+        maps[1].update(b"k1111111", val8(1))
+        assert maps.mismatch(spec) is None
+        maps[1].storage += bytes(8)
+        assert maps.mismatch(spec) == 1
+
 
 class TestLruHashMap:
     def _map(self, entries=2):

@@ -272,6 +272,18 @@ class TestCarryMaps:
             fresh = carry_maps(old, self._prog_with(new_kind))
             assert fresh.by_name("conns").entry_count() == 0
 
+    def test_capacity_overflow_keeps_the_fresh_map_empty(self):
+        from repro.ebpf.maps import MapSet
+
+        # the new map fills up halfway through the copy: it is left as
+        # it was made, not holding a prefix of the old entries
+        old = MapSet(self._prog_with("hash", max_entries=8).maps)
+        for key in range(6):
+            old.by_name("conns").update(key.to_bytes(4, "little"), bytes(8))
+        fresh = carry_maps(old, self._prog_with("hash", max_entries=4))
+        conns = fresh.by_name("conns")
+        assert conns.entry_count() == 0 and not conns.storage
+
     def test_geometry_mismatch_refuses_carry(self):
         from repro.ebpf.maps import MapSet
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import apps
-from repro.apps import ct_firewall, firewall, router
+from repro.apps import ct_firewall, firewall, leaky_bucket, router
 from repro.core import CompileOptions, compile_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
@@ -361,16 +361,18 @@ class TestCommitStages:
             first = min(pipeline.commit_stages.values())
             assert min(sites) == min(
                 site for site in advance_sites(pipeline) if site >= first)
-        assert committing == ["dnat", "leaky_bucket"]
+        # leaky_bucket's window leaves it no generated advance
+        assert committing == ["dnat"]
 
 
 class TestInterlock:
-    """``PipelineSimulator._admits``, the LRU interlock's one predicate,
-    on ct_firewall's banked window with hand-placed slots. A packet that
-    holds the window (has enabled a holder block) may not enter it from
-    outside while another holder of its bank is inside; one that holds
-    nothing, moves within the window, or meets only holders of other
-    banks, passes."""
+    """``PipelineSimulator._admits``, the window interlock's one
+    predicate, on ct_firewall's banked window and leaky_bucket's keyed
+    one with hand-placed slots. A packet that holds the window (has
+    enabled a holder block) may not enter it from outside while another
+    holder of its lane (bank, key) is inside; one that holds nothing,
+    moves within the window, or meets only holders of other lanes,
+    passes."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -441,6 +443,38 @@ class TestInterlock:
         assert sim.stream_blocker() == (
             "map 1 is not the lru_hash map the pipeline was compiled "
             "against")
+
+    @staticmethod
+    def _keyed_stack(key):
+        stack = bytearray(512)
+        stack[504:512] = key.to_bytes(8, "little")
+        return stack
+
+    @pytest.mark.parametrize("inside, admitted", [
+        # occupants of leaky_bucket's window (their key, whether they
+        # hold it) as the holder of key 1 asks to enter at lo
+        ([(1, True)], False),
+        ([(2, True)], True),
+        ([(1, False)], True),
+        ([(2, True), (1, True)], False),
+        ([(2, True), (3, True)], True),
+    ], ids=["behind_its_key", "behind_another_key",
+            "behind_a_non_holder_of_its_key", "behind_two_keys_one_its_own",
+            "behind_two_other_keys"])
+    def test_admits_by_key(self, inside, admitted):
+        # a keyed window: the lane is the key itself (BankKey.of)
+        pipeline = compile_program(leaky_bucket.build())
+        sim, lo, hi, holders, key = self._sim(pipeline)
+        assert key.keyed and (lo, hi) == (8, 18)
+        holder = {min(holders)}
+        other = {pipeline.cfg.entry.block_id}
+        assert other.isdisjoint(holders)
+        for k, (occupant, holds) in enumerate(inside):
+            sim._slots[lo + 2 + k] = SimpleNamespace(
+                enabled=holder if holds else other,
+                stack=self._keyed_stack(occupant))
+        assert sim._admits(holder, self._keyed_stack(1), lo,
+                           lo - 1) is admitted
 
     @pytest.mark.parametrize("entry_holds", [True, False])
     def test_injection_into_a_window_from_stage_one(self, pipeline,
