@@ -5,14 +5,17 @@ Replays synthetic CAIDA/MAWI-like traces at 100 Gbps through the leaky
 bucket pipeline — the application whose read-modify-write of per-flow
 (timestamp, level) state cannot use the atomic block — and compares the
 measured flush rate and throughput with the analytical model of
-Appendix A.1.
+Appendix A.1. The pipeline is compiled under the paper's §3.3 layout
+(one block per stage, as in the paper tables): there the bucket
+update's flush blocks are live, where the default layout's keyed window
+stalls a packet behind its own flow instead of flushing.
 
 Run:  python examples/trace_study.py
 """
 
 from repro.analysis import analyze_pipeline, pipeline_throughput, zipf_flush_probability
 from repro.apps import leaky_bucket
-from repro.core import compile_program, hazard_summary
+from repro.core import CompileOptions, compile_program, hazard_summary
 from repro.ebpf.maps import MapSet
 from repro.hwsim import NicSystem
 from repro.net.packet import udp_packet
@@ -23,7 +26,7 @@ N_PACKETS = 8_000
 
 def main() -> None:
     program = leaky_bucket.build()
-    pipeline = compile_program(program)
+    pipeline = compile_program(program, CompileOptions(path_parallel=False))
     print("=== leaky bucket pipeline ===")
     print(f"{pipeline.n_stages} stages")
     print(hazard_summary(pipeline))

@@ -32,11 +32,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..core.hazards import live_flush_blocks
 from ..core.pipeline import Pipeline
 
 THEORETICAL_MPPS = 250.0  # one packet per cycle at 250 MHz
 LINE_RATE_MPPS = 148.8  # 100 Gbps of minimum-size frames
 RELOAD_OVERHEAD = 4
+#: why a pipeline with flush blocks has no flush analysis
+WINDOWED = "window, no live flush block"
 
 
 def uniform_flush_probability(L: int, n_flows: int) -> float:
@@ -100,6 +103,9 @@ class FlushAnalysis:
     n_flows: int
     p_flush: Optional[float]
     throughput_mpps: Optional[float]
+    # N/A with flush blocks planned: each sits in a serialization window,
+    # where one packet at a time never fires it
+    windowed: bool = False
 
     @property
     def applicable(self) -> bool:
@@ -107,7 +113,8 @@ class FlushAnalysis:
 
     def row(self) -> str:
         if not self.applicable:
-            return f"{self.program_name:16s} N/A    N/A    N/A"
+            return (f"{self.program_name:16s} N/A    N/A    N/A"
+                    + (f" ({WINDOWED})" if self.windowed else ""))
         return (
             f"{self.program_name:16s} K={self.K:<4d} L={self.L:<3d} "
             f"Tp={self.throughput_mpps:6.0f} Mpps (P_f={self.p_flush:.4f})"
@@ -124,13 +131,15 @@ def analyze_pipeline(
 
     Follows the appendix's convention: the dominant hazard is the one
     with the largest window L; K spans the pipeline prefix up to the
-    hazard plus the reload overhead.
+    hazard plus the reload overhead. Only flush blocks that can fire
+    count: one inside a serialization window never does.
     """
-    blocks = [
-        fb for plan in pipeline.map_hazards.values() for fb in plan.flush_blocks
-    ]
+    blocks = live_flush_blocks(pipeline.map_hazards)
     if not blocks:
-        return FlushAnalysis(pipeline.name, None, None, n_flows, None, None)
+        windowed = any(plan.flush_blocks
+                       for plan in pipeline.map_hazards.values())
+        return FlushAnalysis(pipeline.name, None, None, n_flows, None, None,
+                             windowed)
     worst = max(blocks, key=lambda fb: fb.L)
     L = worst.L
     K = worst.write_stage - 1 + RELOAD_OVERHEAD

@@ -24,6 +24,7 @@ from typing import Optional
 
 from . import telemetry
 from .analysis import analyze_pipeline
+from .analysis.flush_model import WINDOWED
 from .core import (
     CompileOptions,
     compile_cached,
@@ -343,7 +344,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     for n_flows in (1_000, 10_000, 50_000, 100_000, 1_000_000):
         analysis = analyze_pipeline(pipeline, n_flows=n_flows)
         if not analysis.applicable:
-            print(f"{n_flows:>10,d}  {'n/a':>10s}  {'250 (no hazard)':>10s}")
+            why = (f"n/a ({WINDOWED})" if analysis.windowed
+                   else "250 (no hazard)")
+            print(f"{n_flows:>10,d}  {'n/a':>10s}  {why:>10s}")
             continue
         print(f"{n_flows:>10,d}  {analysis.p_flush:>10.4f}  "
               f"{analysis.throughput_mpps:>10.1f}")

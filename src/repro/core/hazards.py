@@ -188,7 +188,7 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         # can stall a packet at the window's entrance instead, behind an
         # in-window packet of its own key only. A map inside another
         # map's window has no live flush block, so gets no second one.
-        for fd in sorted({fb.map_fd for fb in _live_flush_blocks(plans)}):
+        for fd in sorted({fb.map_fd for fb in live_flush_blocks(plans)}):
             spec = maps.get(fd)
             if spec is None or spec.map_type != "hash":
                 continue
@@ -202,7 +202,7 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
                                               *plan.serial_window)
 
     windows = [p.serial_window for p in plans.values() if p.serial_window]
-    live = _live_flush_blocks(plans)
+    live = live_flush_blocks(plans)
     varying: List[Set[int]] = []
 
     def varies(index: int) -> bool:
@@ -334,7 +334,7 @@ def _capacity_in_order(spec: MapSpec, writes: Dict[int, str]) -> str:
             f"({writes[last]})")
 
 
-def _live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
+def live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
     """The flush blocks that can fire: one inside a serialization window
     never does, one packet is in it."""
     windows = [p.serial_window for p in plans.values() if p.serial_window]
@@ -424,7 +424,7 @@ def program_consistency(stages: List[Stage], program: Program, cfg: Cfg,
         why = (f"bpf_get_prandom_u32 at stages {draws[0]}-{draws[-1]} "
                "draws out of packet order")
     elif draws and any(draws[0] < fb.write_stage
-                       for fb in _live_flush_blocks(plans)):
+                       for fb in live_flush_blocks(plans)):
         why = (f"bpf_get_prandom_u32 at stage {draws[0]} draws again when "
                "a flush block replays its packet, A.2")
     kind = max((plan.consistency.kind for plan in plans.values()),

@@ -46,6 +46,8 @@ little-endian multi-byte load is a plain slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ebpf import isa
@@ -390,6 +392,143 @@ def _cmp_expr(op: int, a: str, b: str, is64: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Port bundles: each stage-to-block interface is declared once, as
+# (field, direction, width) rows seen from the block. "in" fields are the
+# request a stage drives (``req`` is its strobe), "out" fields the block's
+# response; a stage's ports are the same rows with directions flipped.
+# ---------------------------------------------------------------------------
+
+#: one channel of a map block (§4.4); "key" and "value" widths are the
+#: map's (``_map_widths``).
+MAP_CHANNEL = (
+    ("req", "in", 1),
+    ("op", "in", 8),
+    ("addr", "in", 64),
+    ("key", "in", "key"),
+    ("wdata", "in", "value"),
+    ("rdata", "out", 64),
+    ("oob", "out", 1),
+)
+
+#: a map block's atomic read-modify-write port (§4.4).
+ATOMIC_PORT = (
+    ("req", "in", 1),
+    ("op", "in", 8),
+    ("size", "in", 4),
+    ("addr", "in", 64),
+    ("wdata", "in", 64),
+    ("expected", "in", 64),
+    ("old", "out", 64),
+    ("oob", "out", 1),
+)
+
+#: a helper block's port, with a fourth column: the rows a helper has
+#: only when it reads the packet ("frame"), writes it ("frame_out") or
+#: reads the carried stack ("stack"). "window" and "stack" widths are
+#: the block's packet window and stack bundle bits.
+HELPER_PORT = (
+    ("req", "in", 1, None),
+    *((f"r{i}", "in", 64, None) for i in range(1, 6)),
+    ("frame_i", "in", "window", "frame"),
+    ("plen_i", "in", 16, "frame"),
+    ("haj_i", "in", 16, "frame"),
+    ("frame_o", "out", "window", "frame_out"),
+    ("plen_o", "out", 16, "frame_out"),
+    ("haj_o", "out", 16, "frame_out"),
+    ("stack_i", "in", "stack", "stack"),
+    ("rsp", "out", 64, None),
+)
+
+_FLIP = {"in": "out", "out": "in"}
+
+
+def _map_widths(pipeline: Pipeline, fd: int) -> Tuple[int, int]:
+    """Key and value bits of map ``fd``'s channels."""
+    spec = pipeline.program.maps.get(fd)
+    if spec is None:
+        return 8, 64
+    return 8 * max(spec.key_size, 1), 8 * max(spec.value_size, 8)
+
+
+def _channel_rows(pipeline: Pipeline, fd: int) -> Tuple[Tuple, ...]:
+    """``MAP_CHANNEL`` with map ``fd``'s widths."""
+    return _channel_port(*_map_widths(pipeline, fd))
+
+
+@lru_cache(maxsize=256)
+def _channel_port(key_bits: int, value_bits: int) -> Tuple[Tuple, ...]:
+    widths = {"key": key_bits, "value": value_bits}
+    return tuple((f, d, widths.get(w, w)) for f, d, w in MAP_CHANNEL)
+
+
+def _helper_rows(spec, window_bits: int, stack_bits: int) -> Tuple[Tuple, ...]:
+    """The ``HELPER_PORT`` rows one helper block has, widths resolved."""
+    has = {None: True, "frame": spec.reads_packet or spec.writes_packet,
+           "frame_out": spec.writes_packet, "stack": stack_bits > 0}
+    widths = {"window": window_bits, "stack": stack_bits}
+    return tuple((f, d, widths.get(w, w), when)
+                 for f, d, w, when in HELPER_PORT if has[when])
+
+
+def _stack_bundle(spec, layout: StateLayout) -> Tuple[List, str, int]:
+    """The live stack ranges a helper reads, their ``G_STACK_LAYOUT``
+    text and their bits (none when the helper reads no stack)."""
+    ranges = sorted(layout.stack) if spec.reads_stack else []
+    return (ranges, ";".join(f"{o}:{s}" for o, s in ranges),
+            sum(8 * s for _o, s in ranges))
+
+
+def _driven(rows) -> List[Tuple]:
+    """The rows a stage drives, the ``req`` strobe first."""
+    return [row for row in rows if row[1] == "in"]
+
+
+def _vtype(width: int) -> str:
+    return ("std_logic" if width == 1
+            else f"std_logic_vector({width - 1} downto 0)")
+
+
+@lru_cache(maxsize=256)
+def _port_decls(rows: Tuple[Tuple, ...], prefix: str = "",
+                flip: bool = False) -> Tuple[str, ...]:
+    """Port declarations of ``rows`` named ``prefix + field``, aligned on
+    the longest field; ``flip`` declares the stage side. Cached: a
+    bundle is declared once per channel and stage, and emission is on
+    the compile path."""
+    pad = max([len(row[0]) for row in rows])
+    return tuple(f"{prefix}{row[0].ljust(pad)} : "
+                 f"{(_FLIP[row[1]] if flip else row[1]).ljust(3)} "
+                 f"{_vtype(row[2])}" for row in rows)
+
+
+def _signal_decls(rows, prefix: str) -> List[str]:
+    return [f"  signal {prefix}{row[0]} : {_vtype(row[2])};" for row in rows]
+
+
+def _assoc(rows, formal: str, request: str,
+           response: Optional[str] = None) -> List[Tuple[str, str]]:
+    """Port-map pairs binding ``formal + field`` to ``request + field`` for
+    the fields a stage drives, ``response + field`` for the others."""
+    response = request if response is None else response
+    return [(formal + row[0], (request if row[1] == "in" else response)
+             + row[0]) for row in rows]
+
+
+def _mux(rows, target: str, sources: List[str]) -> List[str]:
+    """Drive a block's request fields ``target + field`` from the stages
+    sharing it: ``req`` is their OR, each other field the requester's."""
+    fields = [row[0] for row in _driven(rows)[1:]]
+    if not sources:
+        return ([f"  {target}req <= '0';"]
+                + [f"  {target}{f} <= (others => '0');" for f in fields])
+    return ([f"  {target}req <= "
+             + " or ".join(f"{s}req" for s in sources) + ";"]
+            + [f"  {target}{f} <= "
+               + " else ".join(f"{s}{f} when {s}req = '1'" for s in sources)
+               + " else (others => '0');" for f in fields])
+
+
+# ---------------------------------------------------------------------------
 # Stage entities
 # ---------------------------------------------------------------------------
 
@@ -415,7 +554,7 @@ class _AtomicUse:
     drives: List[Tuple[int, str, Dict[str, str]]] = field(
         default_factory=list)
 
-    FIELDS = ("op", "size", "addr", "wdata", "expected")
+    FIELDS = tuple(row[0] for row in _driven(ATOMIC_PORT)[1:])
 
     def lines(self) -> List[str]:
         """The port's drives: ``ap_req`` and then each of ``FIELDS``."""
@@ -534,34 +673,25 @@ class _StageBuilder:
     def _req_expr(self, op: PipeOp) -> str:
         return f"'1' when {self._guard(op)} else '0'"
 
-    # -- per-fd port sizing --------------------------------------------------
+    # -- map channels --------------------------------------------------------
 
-    def _key_bits(self, fd: int) -> int:
-        spec = self.pipeline.program.maps.get(fd)
-        return 8 * max(spec.key_size if spec else 1, 1)
-
-    def _wdata_bits(self, fd: int) -> int:
-        spec = self.pipeline.program.maps.get(fd)
-        return 8 * max(spec.value_size if spec else 8, 8)
-
-    def _new_map_port(self, fd: int) -> _MapPortUse:
+    def _map_request(self, op: PipeOp, fd: int, ch_op: int, addr: str,
+                     key: str = "(others => '0')",
+                     wdata: str = "(others => '0')") -> str:
+        """Wire a new channel port to map ``fd`` and drive its request;
+        returns the port prefix (``mp<N>``)."""
         port = f"mp{self._mp_count}"
         self._mp_count += 1
         channel = self._fd_channels.get(fd, 0)
         self._fd_channels[fd] = channel + 1
-        use = _MapPortUse(port=port, fd=fd, channel=channel)
-        self.map_uses.append(use)
-        kb, wb = self._key_bits(fd), self._wdata_bits(fd)
-        self.ports += [
-            f"{port}_req   : out std_logic",
-            f"{port}_op    : out std_logic_vector(7 downto 0)",
-            f"{port}_addr  : out std_logic_vector(63 downto 0)",
-            f"{port}_key   : out std_logic_vector({kb - 1} downto 0)",
-            f"{port}_wdata : out std_logic_vector({wb - 1} downto 0)",
-            f"{port}_rdata : in  std_logic_vector(63 downto 0)",
-            f"{port}_oob   : in  std_logic",
-        ]
-        return use
+        self.map_uses.append(_MapPortUse(port=port, fd=fd, channel=channel))
+        rows = _channel_rows(self.pipeline, fd)
+        self.ports += _port_decls(rows, f"{port}_", flip=True)
+        drive = {"req": self._req_expr(op), "op": _hex(ch_op, 8),
+                 "addr": addr, "key": key, "wdata": wdata}
+        self.conc += [f"  {port}_{row[0]} <= {drive[row[0]]};"
+                      for row in _driven(rows)]
+        return port
 
     # -- op emitters ---------------------------------------------------------
 
@@ -704,21 +834,15 @@ class _StageBuilder:
             else:
                 self._emit_guarded(op, [])
         elif label.region is Region.MAP_VALUE:
-            use = self._new_map_port(op.call.map_fd if op.call else label.map_fd)
             addr = (f"std_logic_vector(unsigned({self._src(insn.src)}) + "
                     f"unsigned({_imm64(insn.off)}))")
-            self.conc += [
-                f"  {use.port}_req <= {self._req_expr(op)};",
-                f"  {use.port}_op <= {_hex((size << 4) | CH_OP_LOAD, 8)};",
-                f"  {use.port}_addr <= {addr};",
-                f"  {use.port}_key <= (others => '0');",
-                f"  {use.port}_wdata <= (others => '0');",
-            ]
+            port = self._map_request(
+                op, op.call.map_fd if op.call else label.map_fd,
+                (size << 4) | CH_OP_LOAD, addr)
             effects = []
             if dst is not None:
-                effects = [f"{dst} <= {use.port}_rdata;"]
-            self._emit_guarded(op, effects,
-                               drop_cond=f"{use.port}_oob = '1'")
+                effects = [f"{dst} <= {port}_rdata;"]
+            self._emit_guarded(op, effects, drop_cond=f"{port}_oob = '1'")
         else:
             raise VhdlEmitError(f"insn {op.insn_index}: load from "
                                 f"{label.region.value}")
@@ -808,18 +932,13 @@ class _StageBuilder:
                 )
             self._emit_guarded(op, effects)
         elif label.region is Region.MAP_VALUE:
-            use = self._new_map_port(label.map_fd)
             addr = (f"std_logic_vector(unsigned({self._src(insn.dst)}) + "
                     f"unsigned({_imm64(insn.off)}))")
-            wb = self._wdata_bits(label.map_fd)
-            self.conc += [
-                f"  {use.port}_req <= {self._req_expr(op)};",
-                f"  {use.port}_op <= {_hex((size << 4) | CH_OP_STORE, 8)};",
-                f"  {use.port}_addr <= {addr};",
-                f"  {use.port}_key <= (others => '0');",
-                f"  {use.port}_wdata <= {self._value_bits(op, wb)};",
-            ]
-            self._emit_guarded(op, [], drop_cond=f"{use.port}_oob = '1'")
+            _kb, wb = _map_widths(self.pipeline, label.map_fd)
+            port = self._map_request(op, label.map_fd,
+                                     (size << 4) | CH_OP_STORE, addr,
+                                     wdata=self._value_bits(op, wb))
+            self._emit_guarded(op, [], drop_cond=f"{port}_oob = '1'")
         else:
             raise VhdlEmitError(f"insn {op.insn_index}: store to "
                                 f"{label.region.value}")
@@ -858,16 +977,7 @@ class _StageBuilder:
         if use is None:
             use = self.atomic_use = _AtomicUse(port="ap", fd=fd,
                                                at=len(self.conc))
-            self.ports += [
-                "ap_req      : out std_logic",
-                "ap_op       : out std_logic_vector(7 downto 0)",
-                "ap_size     : out std_logic_vector(3 downto 0)",
-                "ap_addr     : out std_logic_vector(63 downto 0)",
-                "ap_wdata    : out std_logic_vector(63 downto 0)",
-                "ap_expected : out std_logic_vector(63 downto 0)",
-                "ap_old      : in  std_logic_vector(63 downto 0)",
-                "ap_oob      : in  std_logic",
-            ]
+            self.ports += _port_decls(ATOMIC_PORT, "ap_", flip=True)
         elif use.fd != fd:
             raise VhdlEmitError(
                 f"stage {self.stage.number}: atomics on two maps"
@@ -980,8 +1090,7 @@ class _StageBuilder:
     def _emit_map_call(self, op: PipeOp) -> None:
         call = op.call
         spec = helper_spec(call.helper_id)
-        use = self._new_map_port(call.map_fd)
-        kb = self._key_bits(call.map_fd)
+        kb, wb = _map_widths(self.pipeline, call.map_fd)
         if call.helper_id == 51:  # redirect_map: the key IS r2's low bits
             key = (f"std_logic_vector(resize(unsigned({self._src(isa.R2)}), "
                    f"{kb}))")
@@ -1003,7 +1112,6 @@ class _StageBuilder:
             ch_op = {1: CH_OP_LOOKUP, 2: CH_OP_UPDATE,
                      3: CH_OP_DELETE}[call.helper_id]
             addr = self._src(isa.R4) if call.helper_id == 2 else _imm64(0)
-        wb = self._wdata_bits(call.map_fd)
         wdata = "(others => '0')"
         if call.helper_id == 2:
             if call.value_stack_offset is None or not call.value_size:
@@ -1019,19 +1127,13 @@ class _StageBuilder:
                 )
             wdata = (f"std_logic_vector(resize(unsigned(state_in{vslc}), "
                      f"{wb}))")
-        self.conc += [
-            f"  {use.port}_req <= {self._req_expr(op)};",
-            f"  {use.port}_op <= {_hex(ch_op, 8)};",
-            f"  {use.port}_addr <= {addr};",
-            f"  {use.port}_key <= {key};",
-            f"  {use.port}_wdata <= {wdata};",
-        ]
+        port = self._map_request(op, call.map_fd, ch_op, addr, key, wdata)
         effects = []
         dst = self._dst_slice(isa.R0)
         if dst is not None:
-            effects.append(f"{dst} <= {use.port}_rdata;")
+            effects.append(f"{dst} <= {port}_rdata;")
         self._clobber_callers(effects)
-        self._emit_guarded(op, effects, drop_cond=f"{use.port}_oob = '1'")
+        self._emit_guarded(op, effects, drop_cond=f"{port}_oob = '1'")
 
     def _emit_helper_block(self, op: PipeOp) -> None:
         call = op.call
@@ -1048,58 +1150,30 @@ class _StageBuilder:
         touches_packet = spec.reads_packet or spec.writes_packet
         if touches_packet and lin.window_bytes * 8 != lin.window_bits:
             raise VhdlEmitError("window accounting error")  # pragma: no cover
-        self.decls.append(f"  signal {h}_req : std_logic;")
+        ranges, layout_desc, stack_bits = _stack_bundle(spec, lin)
+        rows = _helper_rows(spec, lin.window_bits, stack_bits)
+        # the rows every helper has are declared first
+        self.decls += _signal_decls(
+            sorted(rows, key=lambda row: row[3] is not None), f"{h}_")
+        drive = {
+            "req": self._req_expr(op),
+            "frame_i": f"state_in({lin.window_bits - 1} downto 0)",
+            "plen_i": f"state_in{lin.plen_slice}",
+            "haj_i": f"state_in{lin.haj_slice}",
+            "stack_i": " & ".join(f"state_in{lin.stack_slice(o, s)}"
+                                  for o, s in reversed(ranges)),
+        }
         for i in range(5):
-            self.decls.append(
-                f"  signal {h}_r{i + 1} : std_logic_vector(63 downto 0);"
-            )
-        self.decls.append(
-            f"  signal {h}_rsp : std_logic_vector(63 downto 0);"
-        )
-        self.conc.append(f"  {h}_req <= {self._req_expr(op)};")
-        for i in range(5):
-            arg = (self._src(isa.R1 + i) if i < spec.nargs else _imm64(0))
-            self.conc.append(f"  {h}_r{i + 1} <= {arg};")
-        assoc = [("clk", "clk"), ("req", f"{h}_req")]
-        assoc += [(f"r{i + 1}", f"{h}_r{i + 1}") for i in range(5)]
+            drive[f"r{i + 1}"] = (self._src(isa.R1 + i) if i < spec.nargs
+                                  else _imm64(0))
+        self.conc += [f"  {h}_{row[0]} <= {drive[row[0]]};"
+                      for row in _driven(rows)]
         generics = [("G_HELPER_ID", str(call.helper_id))]
         if touches_packet:
-            wb = lin.window_bits
             generics.append(("G_WIN_BYTES", str(lin.window_bytes)))
-            self.decls += [
-                f"  signal {h}_frame_i : std_logic_vector({wb - 1} downto 0);",
-                f"  signal {h}_plen_i : std_logic_vector(15 downto 0);",
-                f"  signal {h}_haj_i : std_logic_vector(15 downto 0);",
-            ]
-            self.conc += [
-                f"  {h}_frame_i <= state_in({wb - 1} downto 0);",
-                f"  {h}_plen_i <= state_in{lin.plen_slice};",
-                f"  {h}_haj_i <= state_in{lin.haj_slice};",
-            ]
-            assoc += [("frame_i", f"{h}_frame_i"), ("plen_i", f"{h}_plen_i"),
-                      ("haj_i", f"{h}_haj_i")]
-        if spec.writes_packet:
-            wb = lin.window_bits
-            self.decls += [
-                f"  signal {h}_frame_o : std_logic_vector({wb - 1} downto 0);",
-                f"  signal {h}_plen_o : std_logic_vector(15 downto 0);",
-                f"  signal {h}_haj_o : std_logic_vector(15 downto 0);",
-            ]
-            assoc += [("frame_o", f"{h}_frame_o"), ("plen_o", f"{h}_plen_o"),
-                      ("haj_o", f"{h}_haj_o")]
-        if spec.reads_stack and lin.stack:
-            ranges = sorted(lin.stack)
-            total = sum(8 * s for (_o, s) in ranges)
-            layout_desc = ";".join(f"{o}:{s}" for o, s in ranges)
-            pieces = [f"state_in{lin.stack_slice(o, s)}"
-                      for o, s in reversed(ranges)]
-            self.decls.append(
-                f"  signal {h}_stack_i : std_logic_vector({total - 1} downto 0);"
-            )
-            self.conc.append(f"  {h}_stack_i <= " + " & ".join(pieces) + ";")
+        if ranges:
             generics.append(("G_STACK_LAYOUT", f'"{layout_desc}"'))
-            assoc.append(("stack_i", f"{h}_stack_i"))
-        assoc.append(("rsp", f"{h}_rsp"))
+        assoc = [("clk", "clk")] + _assoc(rows, "", f"{h}_")
         gmap = ", ".join(f"{f} => {v}" for f, v in generics)
         pmap = ", ".join(f"{f} => {v}" for f, v in assoc)
         self.conc.append(
@@ -1203,19 +1277,7 @@ class _StageBuilder:
                 f"frame_in   : in  std_logic_vector({join - 1} downto 0)"
             )
         ports += self.ports
-        lines = [f"-- stage {stage.number}: {desc}"]
-        lines += _context_clause()
-        lines.append(f"entity {name} is")
-        lines.append("  port (")
-        for i, p in enumerate(ports):
-            sep = ";" if i < len(ports) - 1 else ""
-            lines.append(f"    {p}{sep}")
-        lines += ["  );", f"end entity {name};", ""]
-        lines.append(f"architecture rtl of {name} is")
-        lines += self.decls
-        lines.append("begin")
-        lines += self.conc
-        lines += [
+        body = self.conc + [
             "  process(clk)",
             "  begin",
             "    if rising_edge(clk) then",
@@ -1225,16 +1287,15 @@ class _StageBuilder:
             "        valid_out <= valid_in;",
             "        enable_out <= enable_in;  -- predication fan-through",
         ]
-        lines += self._carries()
-        lines += self.seq
-        lines += [
+        body += self._carries()
+        body += self.seq
+        body += [
             "      end if;",
             "    end if;",
             "  end process;",
-            f"end architecture rtl;",
-            "",
         ]
-        return lines
+        return ([f"-- stage {stage.number}: {desc}"]
+                + _entity(name, ports, decls=self.decls, body=body))
 
 
 # ---------------------------------------------------------------------------
@@ -1250,6 +1311,32 @@ def _context_clause() -> List[str]:
         "use work.ehdl_pkg.all;",
         "",
     ]
+
+
+def _entity(name: str, ports: List[str], *, doc: List[str] = (),
+            generics: List[Tuple[str, str, object]] = (), arch: str = "rtl",
+            decls: List[str] = (), body: List[str] = ()) -> List[str]:
+    """One design unit: the context clause, ``doc`` comments, the entity
+    with its ``(name, type, default)`` generics and its ports (a port's
+    trailing ``  -- `` comment follows its separator), then architecture
+    ``arch`` with ``decls`` and ``body``."""
+    lines = _context_clause() + list(doc)
+    lines.append(f"entity {name} is")
+    if generics:
+        lines.append("  generic ("
+                     + "; ".join(f"{g} : {t} := {v}" for g, t, v in generics)
+                     + ");")
+    lines.append("  port (")
+    lines += [f"    {port};" if "  -- " not in port
+              else "    {};{}{}".format(*port.partition("  -- "))
+              for port in ports[:-1]]
+    lines += [f"    {ports[-1]}", "  );", f"end entity {name};", "",
+              f"architecture {arch} of {name} is"]
+    lines += decls
+    lines.append("begin")
+    lines += body
+    lines += [f"end architecture {arch};", ""]
+    return lines
 
 
 def _package(name: str) -> List[str]:
@@ -1278,82 +1365,40 @@ def _package(name: str) -> List[str]:
 
 
 def _fifo_entity(name: str, width: int) -> List[str]:
-    lines = _context_clause()
-    lines += [
+    return _entity(name, [
+        "wr_clk  : in  std_logic",
+        "rd_clk  : in  std_logic",
+        "rst     : in  std_logic",
+        "wr_en   : in  std_logic",
+        f"wr_data : in  std_logic_vector({width - 1} downto 0)",
+        "rd_en   : in  std_logic",
+        f"rd_data : out std_logic_vector({width - 1} downto 0)",
+        "empty   : out std_logic",
+        "full    : out std_logic",
+    ], doc=[
         "-- dual-clock FIFO decoupling the pipeline from the shell (§4.5);",
         "-- the single-clock RTL model binds it to a pass-through primitive.",
-        f"entity {name} is",
-        f"  generic (G_WIDTH : integer := {width});",
-        "  port (",
-        "    wr_clk  : in  std_logic;",
-        "    rd_clk  : in  std_logic;",
-        "    rst     : in  std_logic;",
-        "    wr_en   : in  std_logic;",
-        f"    wr_data : in  std_logic_vector({width - 1} downto 0);",
-        "    rd_en   : in  std_logic;",
-        f"    rd_data : out std_logic_vector({width - 1} downto 0);",
-        "    empty   : out std_logic;",
-        "    full    : out std_logic",
-        "  );",
-        f"end entity {name};",
-        "",
-        f"architecture behavioral of {name} is",
-        "begin",
+    ], generics=[("G_WIDTH", "integer", width)], arch="behavioral", body=[
         "  -- vendor dual-clock FIFO macro (simulation primitive)",
-        f"end architecture behavioral;",
-        "",
-    ]
-    return lines
+    ])
 
 
 def _helper_entity(name: str, spec, win_bytes: int, stack_bits: int,
                    stack_desc: str) -> List[str]:
-    touches = spec.reads_packet or spec.writes_packet
-    lines = _context_clause()
-    lines += [
+    ports = ["clk : in  std_logic"]
+    # aligned per group of rows present together
+    for _when, rows in groupby(_helper_rows(spec, 8 * win_bytes, stack_bits),
+                               key=lambda row: row[3]):
+        ports += _port_decls(tuple(rows))
+    return _entity(name, ports, doc=[
         f"-- helper block: {spec.name} ({spec.hw_stages} internal stages)",
-        f"entity {name} is",
-        f"  generic (G_HELPER_ID : integer := {spec.helper_id};"
-        f" G_WIN_BYTES : integer := {win_bytes};"
-        ' G_STACK_LAYOUT : string := "' + stack_desc + '");',
-        "  port (",
-        "    clk : in  std_logic;",
-        "    req : in  std_logic;",
-    ]
-    for i in range(5):
-        lines.append(
-            f"    r{i + 1}  : in  std_logic_vector(63 downto 0);"
-        )
-    if touches:
-        wb = 8 * win_bytes
-        lines += [
-            f"    frame_i : in  std_logic_vector({wb - 1} downto 0);",
-            "    plen_i  : in  std_logic_vector(15 downto 0);",
-            "    haj_i   : in  std_logic_vector(15 downto 0);",
-        ]
-    if spec.writes_packet:
-        wb = 8 * win_bytes
-        lines += [
-            f"    frame_o : out std_logic_vector({wb - 1} downto 0);",
-            "    plen_o  : out std_logic_vector(15 downto 0);",
-            "    haj_o   : out std_logic_vector(15 downto 0);",
-        ]
-    if stack_bits:
-        lines.append(
-            f"    stack_i : in  std_logic_vector({stack_bits - 1} downto 0);"
-        )
-    lines += [
-        "    rsp : out std_logic_vector(63 downto 0)",
-        "  );",
-        f"end entity {name};",
-        "",
-        f"architecture behavioral of {name} is",
-        "begin",
+    ], generics=[
+        ("G_HELPER_ID", "integer", spec.helper_id),
+        ("G_WIN_BYTES", "integer", win_bytes),
+        ("G_STACK_LAYOUT", "string", f'"{stack_desc}"'),
+    ], arch="behavioral", body=[
         "  -- behavioural helper model (simulation primitive)",
-        f"end architecture behavioral;",
-        "",
-    ]
-    return lines
+    ])
 
 
 def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
@@ -1363,10 +1408,23 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
     interlock = ("keyed interlock: at most one packet per key"
                  if plan.bank_key is not None and plan.bank_key.keyed
                  else "LRU recency interlock: at most one packet")
-    kb = 8 * max(spec.key_size if spec else 1, 1)
-    wb = 8 * max(spec.value_size if spec else 8, 8)
-    lines = _context_clause()
-    lines += [
+    _kb, wb = _map_widths(pipeline, fd)
+    ports = ["clk : in  std_logic", "rst : in  std_logic"]
+    rows = _channel_rows(pipeline, fd)
+    for ch in range(channels):
+        ports += _port_decls(rows, f"ch{ch}_")
+    if uses_atomic:
+        ports += _port_decls(ATOMIC_PORT, "at_")
+    if plan.needs_flush:
+        ports.append("flush_out : out std_logic")
+    ports += [
+        "host_req   : in  std_logic  -- userspace eBPF map interface",
+        "host_wr    : in  std_logic",
+        "host_addr  : in  std_logic_vector(31 downto 0)",
+        f"host_wdata : in  std_logic_vector({wb - 1} downto 0)",
+        f"host_rdata : out std_logic_vector({wb - 1} downto 0)",
+    ]
+    return _entity(name, ports, doc=[
         f"-- eHDL map block for fd {fd}"
         + (f" ({spec.name}, {spec.map_type})" if spec else ""),
         f"--   channels: {channels}"
@@ -1379,58 +1437,18 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
             f" ({interlock} in the window)"
             if plan.serial_window is not None else ""
         ),
-        f"entity {name} is",
-        f"  generic (G_FD : integer := {fd};"
-        f" G_DEPTH : integer := {spec.max_entries if spec else 0};"
-        f" G_KEY_BYTES : integer := {spec.key_size if spec else 1};"
-        f" G_VALUE_BYTES : integer := {spec.value_size if spec else 8};"
-        f' G_MAP_TYPE : string := "{spec.map_type if spec else "hash"}");',
-        "  port (",
-        "    clk : in  std_logic;",
-        "    rst : in  std_logic;",
-    ]
-    for ch in range(channels):
-        lines += [
-            f"    ch{ch}_req   : in  std_logic;",
-            f"    ch{ch}_op    : in  std_logic_vector(7 downto 0);",
-            f"    ch{ch}_addr  : in  std_logic_vector(63 downto 0);",
-            f"    ch{ch}_key   : in  std_logic_vector({kb - 1} downto 0);",
-            f"    ch{ch}_wdata : in  std_logic_vector({wb - 1} downto 0);",
-            f"    ch{ch}_rdata : out std_logic_vector(63 downto 0);",
-            f"    ch{ch}_oob   : out std_logic;",
-        ]
-    if uses_atomic:
-        lines += [
-            "    at_req      : in  std_logic;",
-            "    at_op       : in  std_logic_vector(7 downto 0);",
-            "    at_size     : in  std_logic_vector(3 downto 0);",
-            "    at_addr     : in  std_logic_vector(63 downto 0);",
-            "    at_wdata    : in  std_logic_vector(63 downto 0);",
-            "    at_expected : in  std_logic_vector(63 downto 0);",
-            "    at_old      : out std_logic_vector(63 downto 0);",
-            "    at_oob      : out std_logic;",
-        ]
-    if plan.needs_flush:
-        lines.append("    flush_out : out std_logic;")
-    lines += [
-        "    host_req   : in  std_logic;  -- userspace eBPF map interface",
-        "    host_wr    : in  std_logic;",
-        "    host_addr  : in  std_logic_vector(31 downto 0);",
-        f"    host_wdata : in  std_logic_vector({wb - 1} downto 0);",
-        f"    host_rdata : out std_logic_vector({wb - 1} downto 0)",
-        "  );",
-        f"end entity {name};",
-        "",
-        f"architecture behavioral of {name} is",
-        "begin",
+    ], generics=[
+        ("G_FD", "integer", fd),
+        ("G_DEPTH", "integer", spec.max_entries if spec else 0),
+        ("G_KEY_BYTES", "integer", spec.key_size if spec else 1),
+        ("G_VALUE_BYTES", "integer", spec.value_size if spec else 8),
+        ("G_MAP_TYPE", "string", f'"{spec.map_type if spec else "hash"}"'),
+    ], arch="behavioral", body=[
         f"  -- BRAM + WAR delay chain ({plan.war_buffer_depth} slots) + "
         f"{len(plan.flush_blocks)} Flush Evaluation Blocks (Figs. 6-7);",
         "  -- bound to the repro.rtl simulation primitive backed by the",
         "  -- shared MapSet.",
-        f"end architecture behavioral;",
-        "",
-    ]
-    return lines
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1595,48 +1613,19 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
     for i, b in enumerate(builders):
         num = pipeline.stages[i].number
         for use in b.map_uses:
-            kb = b._key_bits(use.fd)
-            wb = b._wdata_bits(use.fd)
-            p = f"s{num}_{use.port}"
-            sig(f"{p}_req : std_logic")
-            sig(f"{p}_op : std_logic_vector(7 downto 0)")
-            sig(f"{p}_addr : std_logic_vector(63 downto 0)")
-            sig(f"{p}_key : std_logic_vector({kb - 1} downto 0)")
-            sig(f"{p}_wdata : std_logic_vector({wb - 1} downto 0)")
+            decls += _signal_decls(_driven(_channel_rows(pipeline, use.fd)),
+                                   f"s{num}_{use.port}_")
         if b.atomic_use is not None:
-            p = f"s{num}_ap"
-            sig(f"{p}_req : std_logic")
-            sig(f"{p}_op : std_logic_vector(7 downto 0)")
-            sig(f"{p}_size : std_logic_vector(3 downto 0)")
-            sig(f"{p}_addr : std_logic_vector(63 downto 0)")
-            sig(f"{p}_wdata : std_logic_vector(63 downto 0)")
-            sig(f"{p}_expected : std_logic_vector(63 downto 0)")
+            decls += _signal_decls(_driven(ATOMIC_PORT), f"s{num}_ap_")
 
     # map-side shared wires
     for fd in sorted(map_names):
-        kb = 8 * max(pipeline.program.maps.get(fd).key_size
-                     if pipeline.program.maps.get(fd) else 1, 1)
-        wb = 8 * max(pipeline.program.maps.get(fd).value_size
-                     if pipeline.program.maps.get(fd) else 8, 8)
+        _kb, wb = _map_widths(pipeline, fd)
         for ch in range(map_channels[fd]):
-            p = f"m{fd}_ch{ch}"
-            sig(f"{p}_req : std_logic")
-            sig(f"{p}_op : std_logic_vector(7 downto 0)")
-            sig(f"{p}_addr : std_logic_vector(63 downto 0)")
-            sig(f"{p}_key : std_logic_vector({kb - 1} downto 0)")
-            sig(f"{p}_wdata : std_logic_vector({wb - 1} downto 0)")
-            sig(f"{p}_rdata : std_logic_vector(63 downto 0)")
-            sig(f"{p}_oob : std_logic")
+            decls += _signal_decls(_channel_rows(pipeline, fd),
+                                   f"m{fd}_ch{ch}_")
         if map_atomics[fd]:
-            p = f"m{fd}_at"
-            sig(f"{p}_req : std_logic")
-            sig(f"{p}_op : std_logic_vector(7 downto 0)")
-            sig(f"{p}_size : std_logic_vector(3 downto 0)")
-            sig(f"{p}_addr : std_logic_vector(63 downto 0)")
-            sig(f"{p}_wdata : std_logic_vector(63 downto 0)")
-            sig(f"{p}_expected : std_logic_vector(63 downto 0)")
-            sig(f"{p}_old : std_logic_vector(63 downto 0)")
-            sig(f"{p}_oob : std_logic")
+            decls += _signal_decls(ATOMIC_PORT, f"m{fd}_at_")
         if pipeline.map_hazards[fd].needs_flush:
             sig(f"m{fd}_flush : std_logic")
         sig(f"m{fd}_host_wdata : std_logic_vector({wb - 1} downto 0)")
@@ -1657,94 +1646,33 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
             src = "inj_frame" if i == 0 else "pkt_window"
             assoc.append(("frame_in", f"{src}({hi} downto {lo})"))
         for use in b.map_uses:
-            sp = f"s{num}_{use.port}"
-            mp = f"m{use.fd}_ch{use.channel}"
-            assoc += [
-                (f"{use.port}_req", f"{sp}_req"),
-                (f"{use.port}_op", f"{sp}_op"),
-                (f"{use.port}_addr", f"{sp}_addr"),
-                (f"{use.port}_key", f"{sp}_key"),
-                (f"{use.port}_wdata", f"{sp}_wdata"),
-                (f"{use.port}_rdata", f"{mp}_rdata"),
-                (f"{use.port}_oob", f"{mp}_oob"),
-            ]
+            assoc += _assoc(MAP_CHANNEL, f"{use.port}_",
+                            f"s{num}_{use.port}_",
+                            f"m{use.fd}_ch{use.channel}_")
         if b.atomic_use is not None:
-            sp, mp = f"s{num}_ap", f"m{b.atomic_use.fd}_at"
-            assoc += [
-                ("ap_req", f"{sp}_req"), ("ap_op", f"{sp}_op"),
-                ("ap_size", f"{sp}_size"), ("ap_addr", f"{sp}_addr"),
-                ("ap_wdata", f"{sp}_wdata"),
-                ("ap_expected", f"{sp}_expected"),
-                ("ap_old", f"{mp}_old"), ("ap_oob", f"{mp}_oob"),
-            ]
-        conc.append(f"  s{num:03d} : entity work.{stage_names[i]} port map (")
-        for j, (f_, a) in enumerate(assoc):
-            sep = "," if j < len(assoc) - 1 else ");"
-            conc.append(f"    {f_} => {a}{sep}")
+            assoc += _assoc(ATOMIC_PORT, "ap_", f"s{num}_ap_",
+                            f"m{b.atomic_use.fd}_at_")
+        conc += _instance(f"s{num:03d}", stage_names[i], assoc)
 
     # -- map channel / atomic muxes and map instances ------------------------
     for fd in sorted(map_names):
-        users: Dict[int, List[Tuple[int, str]]] = {}
-        at_users: List[int] = []
+        users: Dict[int, List[str]] = {}
+        at_users: List[str] = []
         for i, b in enumerate(builders):
             num = pipeline.stages[i].number
             for use in b.map_uses:
                 if use.fd == fd:
                     users.setdefault(use.channel, []).append(
-                        (num, f"s{num}_{use.port}")
-                    )
+                        f"s{num}_{use.port}_")
             if b.atomic_use is not None and b.atomic_use.fd == fd:
-                at_users.append(num)
-        for ch in range(map_channels[fd]):
-            p = f"m{fd}_ch{ch}"
-            stages_on = users.get(ch, [])
-            if not stages_on:
-                conc += [
-                    f"  {p}_req <= '0';",
-                    f"  {p}_op <= (others => '0');",
-                    f"  {p}_addr <= (others => '0');",
-                    f"  {p}_key <= (others => '0');",
-                    f"  {p}_wdata <= (others => '0');",
-                ]
-                continue
-            conc.append(
-                f"  {p}_req <= "
-                + " or ".join(f"{sp}_req" for _num, sp in stages_on) + ";"
-            )
-            for field in ("op", "addr", "key", "wdata"):
-                conc.append(
-                    f"  {p}_{field} <= "
-                    + " else ".join(
-                        f"{sp}_{field} when {sp}_req = '1'"
-                        for _num, sp in stages_on
-                    )
-                    + " else (others => '0');"
-                )
-        if map_atomics[fd]:
-            p = f"m{fd}_at"
-            sps = [f"s{num}_ap" for num in at_users]
-            conc.append(
-                f"  {p}_req <= " + " or ".join(f"{sp}_req" for sp in sps)
-                + ";"
-            )
-            for field in ("op", "size", "addr", "wdata", "expected"):
-                conc.append(
-                    f"  {p}_{field} <= "
-                    + " else ".join(f"{sp}_{field} when {sp}_req = '1'"
-                                    for sp in sps)
-                    + " else (others => '0');"
-                )
+                at_users.append(f"s{num}_ap_")
         assoc = [("clk", "pipe_clk"), ("rst", "rst")]
         for ch in range(map_channels[fd]):
-            p = f"m{fd}_ch{ch}"
-            assoc += [(f"ch{ch}_{f_}", f"{p}_{f_}")
-                      for f_ in ("req", "op", "addr", "key", "wdata",
-                                 "rdata", "oob")]
+            conc += _mux(MAP_CHANNEL, f"m{fd}_ch{ch}_", users.get(ch, []))
+            assoc += _assoc(MAP_CHANNEL, f"ch{ch}_", f"m{fd}_ch{ch}_")
         if map_atomics[fd]:
-            p = f"m{fd}_at"
-            assoc += [(f"at_{f_}", f"{p}_{f_}")
-                      for f_ in ("req", "op", "size", "addr", "wdata",
-                                 "expected", "old", "oob")]
+            conc += _mux(ATOMIC_PORT, f"m{fd}_at_", at_users)
+            assoc += _assoc(ATOMIC_PORT, "at_", f"m{fd}_at_")
         if pipeline.map_hazards[fd].needs_flush:
             assoc.append(("flush_out", f"m{fd}_flush"))
         assoc += [
@@ -1753,10 +1681,7 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
             ("host_wdata", f"m{fd}_host_wdata"),
             ("host_rdata", f"m{fd}_host_rdata"),
         ]
-        conc.append(f"  m{fd:03d} : entity work.{map_names[fd]} port map (")
-        for j, (f_, a) in enumerate(assoc):
-            sep = "," if j < len(assoc) - 1 else ");"
-            conc.append(f"    {f_} => {a}{sep}")
+        conc += _instance(f"m{fd:03d}", map_names[fd], assoc)
 
     flush_fds = [fd for fd in sorted(map_names)
                  if pipeline.map_hazards[fd].needs_flush]
@@ -1813,20 +1738,16 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
         "m_axis_tlast  : out std_logic",
         "m_axis_tready : in  std_logic",
     ]
-    lines = [f"-- top-level pipeline wrapper ({n} stages)"]
-    lines += _context_clause()
-    lines.append(f"entity {name} is")
-    lines.append("  port (")
-    for i, p in enumerate(ports):
-        sep = ";" if i < len(ports) - 1 else ""
-        lines.append(f"    {p}{sep}")
-    lines += ["  );", f"end entity {name};", ""]
-    lines.append(f"architecture rtl of {name} is")
-    lines += decls
-    lines.append("begin")
-    lines += conc
-    lines += [f"end architecture rtl;", ""]
-    return lines
+    return ([f"-- top-level pipeline wrapper ({n} stages)"]
+            + _entity(name, ports, decls=decls, body=conc))
+
+
+def _instance(label: str, entity: str,
+              assoc: List[Tuple[str, str]]) -> List[str]:
+    """A top-level instance, one port association per line."""
+    return ([f"  {label} : entity work.{entity} port map ("]
+            + [f"    {f} => {a}," for f, a in assoc[:-1]]
+            + [f"    {assoc[-1][0]} => {assoc[-1][1]});"])
 
 
 # ---------------------------------------------------------------------------
@@ -1867,11 +1788,7 @@ def _emit_vhdl(pipeline: Pipeline) -> str:
             spec = helper_spec(op.call.helper_id)
             touches = spec.reads_packet or spec.writes_packet
             win = lin.window_bytes if touches else 0
-            sdesc, sbits = "", 0
-            if spec.reads_stack and lin.stack:
-                ranges = sorted(lin.stack)
-                sdesc = ";".join(f"{o}:{s}" for o, s in ranges)
-                sbits = sum(8 * s for _o, s in ranges)
+            _ranges, sdesc, sbits = _stack_bundle(spec, lin)
             key = (op.call.helper_id, win, sdesc)
             if key not in helper_entities:
                 ename = names.claim(f"ehdl_helper_{op.call.helper_id}")

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.vhdl import (
-    CH_OP_DELETE, CH_OP_LOAD, CH_OP_LOOKUP, CH_OP_REDIRECT, CH_OP_STORE,
-    CH_OP_UPDATE,
+    ATOMIC_PORT, CH_OP_DELETE, CH_OP_LOAD, CH_OP_LOOKUP, CH_OP_REDIRECT,
+    CH_OP_STORE, CH_OP_UPDATE, HELPER_PORT, MAP_CHANNEL,
 )
 from ..ebpf.helpers import (
     BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM,
@@ -97,6 +97,17 @@ class RtlContext:
         return self._prandom_state
 
 
+def _bound(ports: Dict[str, Ref], prefix: str, bundle):
+    """A bundle's bound ports ``prefix + field`` by direction: the nets
+    the block reads and the refs it drives (absent optional rows skipped,
+    table order kept)."""
+    reads = {ports[prefix + f].net for f, d, *_ in bundle
+             if d == "in" and prefix + f in ports}
+    drives = [ports[prefix + f] for f, d, *_ in bundle
+              if d == "out" and prefix + f in ports]
+    return reads, drives
+
+
 def _bytes_le(value: int, nbytes: int) -> bytes:
     return (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
 
@@ -131,28 +142,18 @@ class MapBlock:
             self.n_channels += 1
         if not self.n_channels:
             raise RtlElabError(f"{entity_name}: no channels")
-        # Port refs bound once; _channel runs on the simulation hot
-        # path and must not re-do name lookups per call.
-        self._chan_refs = [
-            tuple(ports.get(f"ch{c}_{nm}") for nm in
-                  ("req", "op", "addr", "key", "wdata", "rdata", "oob"))
+        # Flattened bit positions of each channel's fields, in
+        # MAP_CHANNEL order, bound once: _channel runs on the simulation
+        # hot path (the idle branch on most calls) and must be a handful
+        # of int ops, not name lookups or Ref method calls. A field the
+        # block drives also carries its mask shifted into place.
+        self._chan_hot = [
+            tuple((r.net, r.low, r.mask) if d == "in"
+                  else (r.net, r.low, r.mask, r.mask << r.low)
+                  for r, d in ((ports[f"ch{c}_{f}"], d)
+                               for f, d, _w in MAP_CHANNEL))
             for c in range(self.n_channels)
         ]
-        # Flattened bit positions for the channel fields: _channel runs
-        # on the simulation hot path (the idle branch on most calls)
-        # and must be a handful of int ops, not Ref method calls.
-        self._chan_hot = []
-        for refs in self._chan_refs:
-            req, op, addr, key, wdata, rdata, oob = refs
-            self._chan_hot.append(
-                ((req.net, req.low, req.mask),
-                 (op.net, op.low, op.mask),
-                 (addr.net, addr.low, addr.mask),
-                 (key.net, key.low, key.mask),
-                 (wdata.net, wdata.low, wdata.mask),
-                 (rdata.net, rdata.low, rdata.mask,
-                  rdata.mask << rdata.low),
-                 (oob.net, oob.low, oob.mask << oob.low)))
 
     def _map(self):
         maps = self.context.maps
@@ -169,7 +170,7 @@ class MapBlock:
     def _channel(self, c: int, values: List[int]) -> None:
         ((rq_n, rq_l, rq_m), (op_n, op_l, op_m), (ad_n, ad_l, ad_m),
          (ky_n, ky_l, ky_m), (wd_n, wd_l, wd_m),
-         (rd_n, rd_l, rd_m, rd_sm), (ob_n, ob_l, ob_sm)) = \
+         (rd_n, rd_l, rd_m, rd_sm), (ob_n, ob_l, ob_m, ob_sm)) = \
             self._chan_hot[c]
         if (values[rq_n] >> rq_l) & rq_m != 1:
             values[rd_n] &= ~rd_sm
@@ -214,7 +215,7 @@ class MapBlock:
         else:
             raise RtlSimError(f"{self.name}: channel op {op:#x}")
         values[rd_n] = values[rd_n] & ~rd_sm | (result & rd_m) << rd_l
-        values[ob_n] = values[ob_n] & ~ob_sm | (out_of_bounds & 1) << ob_l
+        values[ob_n] = values[ob_n] & ~ob_sm | (out_of_bounds & ob_m) << ob_l
 
     def _atomic(self, values: List[int]) -> None:
         p = self.ports
@@ -249,24 +250,18 @@ class MapBlock:
         p = self.ports
         out: List[CombNode] = []
         for c in range(self.n_channels):
-            reads = {p[f"ch{c}_{f}"].net
-                     for f in ("req", "op", "addr", "key", "wdata")}
-            writes = {p[f"ch{c}_rdata"].net, p[f"ch{c}_oob"].net}
+            reads, drives = _bound(p, f"ch{c}_", MAP_CHANNEL)
             out.append(CombNode(
                 lambda values, c=c: self._channel(c, values),
-                reads, writes, label=f"{self.name}.ch{c}",
-                gate=p[f"ch{c}_req"],
-                idle=[p[f"ch{c}_rdata"], p[f"ch{c}_oob"]],
+                reads, {r.net for r in drives}, label=f"{self.name}.ch{c}",
+                gate=p[f"ch{c}_req"], idle=drives,
             ))
         if "at_req" in p:
-            reads = {p[f"at_{f}"].net
-                     for f in ("req", "op", "size", "addr", "wdata",
-                               "expected")}
-            writes = {p["at_old"].net, p["at_oob"].net}
-            out.append(CombNode(self._atomic, reads, writes,
+            reads, drives = _bound(p, "at_", ATOMIC_PORT)
+            out.append(CombNode(self._atomic, reads,
+                                {r.net for r in drives},
                                 label=f"{self.name}.atomic",
-                                gate=p["at_req"],
-                                idle=[p["at_old"], p["at_oob"]]))
+                                gate=p["at_req"], idle=drives))
         # Quiescent host/flush outputs (host port unused in verification).
         tied = [p[name] for name in ("flush_out", "host_rdata")
                 if name in p]
@@ -382,13 +377,9 @@ class HelperBlock:
 
     def nodes(self) -> List[CombNode]:
         p = self.ports
-        reads = {p[name].net for name in
-                 ("req", "r1", "r2", "r3", "r4", "r5", "frame_i",
-                  "plen_i", "haj_i", "stack_i") if name in p}
-        writes = {p[name].net for name in
-                  ("rsp", "frame_o", "plen_o", "haj_o") if name in p}
-        return [CombNode(self._eval, reads, writes, label=self.name,
-                         gate=p["req"], idle=[p["rsp"]])]
+        reads, drives = _bound(p, "", HELPER_PORT)
+        return [CombNode(self._eval, reads, {r.net for r in drives},
+                         label=self.name, gate=p["req"], idle=[p["rsp"]])]
 
 
 class AsyncFifo:

@@ -150,17 +150,21 @@ def find_top(text: str) -> Optional[str]:
     return None
 
 
-def load_design(text: str, context: Optional[RtlContext] = None
-                ) -> RtlSimulator:
-    """Parse + elaborate emitted VHDL into a ready simulator."""
+def elaborate_text(text: str, context: RtlContext) -> Elaborated:
+    """Parse emitted VHDL and elaborate the top entity its header names,
+    binding the behavioural blocks to primitives over ``context``."""
     top = find_top(text)
     if top is None:
         raise RtlSimError("no '-- top:' marker in the design text")
+    return elaborate(parse_vhdl(text), top, primitive_factory, context)
+
+
+def load_design(text: str, context: Optional[RtlContext] = None
+                ) -> RtlSimulator:
+    """Parse + elaborate emitted VHDL into a ready simulator."""
     if context is None:
         context = RtlContext(MapSet({}))
-    design = parse_vhdl(text)
-    model = elaborate(design, top, primitive_factory, context)
-    return RtlSimulator(model)
+    return RtlSimulator(elaborate_text(text, context))
 
 
 def dump_schedule_source(pipeline: Pipeline, directory) -> Optional[str]:
@@ -171,13 +175,8 @@ def dump_schedule_source(pipeline: Pipeline, directory) -> Optional[str]:
     schedulable subset."""
     from .codegen import generate_rtl_source, write_debug_source
 
-    text = emit_vhdl(pipeline)
-    top = find_top(text)
-    if top is None:
-        return None
-    design = parse_vhdl(text)
-    context = RtlContext(MapSet(pipeline.program.maps))
-    model = elaborate(design, top, primitive_factory, context)
+    model = elaborate_text(emit_vhdl(pipeline),
+                           RtlContext(MapSet(pipeline.program.maps)))
     try:
         source = generate_rtl_source(model, pipeline.name)
     except RtlCodegenError:
@@ -205,11 +204,7 @@ class RtlRunner:
         self.maps = maps if maps is not None else MapSet(pipeline.program.maps)
         self.text = text if text is not None else emit_vhdl(pipeline)
         self.context = RtlContext(self.maps, time_ns=time_ns)
-        top = find_top(self.text)
-        if top is None:
-            raise RtlSimError("emitted design has no '-- top:' marker")
-        design = parse_vhdl(self.text)
-        self.model = elaborate(design, top, primitive_factory, self.context)
+        self.model = elaborate_text(self.text, self.context)
         self.engine = engine
         if engine == "rtl":
             try:

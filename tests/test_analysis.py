@@ -14,8 +14,9 @@ from repro.analysis import (
     uniform_flush_probability,
     zipf_flush_probability,
 )
-from repro.apps import dnat, firewall, router
-from repro.core import compile_program
+from repro.apps import (ct_firewall, dnat, firewall, leaky_bucket, router,
+                        syn_cookie)
+from repro.core import CompileOptions, compile_program
 
 
 class TestUniformModel:
@@ -100,6 +101,30 @@ class TestPipelineAnalysis:
         analysis = analyze_pipeline(compile_program(dnat.build()))
         assert analysis.applicable
         assert analysis.L >= 8  # the lookup->update distance is long
+
+    def test_dnat_keeps_its_row(self):
+        analysis = analyze_pipeline(compile_program(dnat.build()))
+        assert (analysis.K, analysis.L) == (23, 12)
+
+    @pytest.mark.parametrize(
+        "app", [ct_firewall, leaky_bucket, syn_cookie],
+        ids=lambda module: module.__name__.rsplit(".", 1)[-1])
+    def test_window_only_flush_blocks_are_not_applicable(self, app):
+        # every flush block sits inside a serialization window, where one
+        # packet at a time never fires it: the pipeline simulates with 0
+        # flushes, so A.1 has no K and L to give
+        pipeline = compile_program(app.build())
+        assert any(plan.flush_blocks
+                   for plan in pipeline.map_hazards.values())
+        analysis = analyze_pipeline(pipeline)
+        assert not analysis.applicable and analysis.windowed
+        assert "window, no live flush block" in analysis.row()
+
+    def test_paper_layout_leaky_bucket_flushes(self):
+        # §3.3's one block per stage keeps leaky_bucket's flush blocks live
+        analysis = analyze_pipeline(compile_program(
+            leaky_bucket.build(), CompileOptions(path_parallel=False)))
+        assert (analysis.K, analysis.L) == (28, 17)
 
     def test_uniform_vs_zipf(self):
         pipe = compile_program(router.build(use_atomic=False))

@@ -273,16 +273,12 @@ class TestEmitterRegressions:
     """
 
     def _elaborate(self, program):
-        from repro.rtl import parse_vhdl
-        from repro.rtl.elab import elaborate
-        from repro.rtl.primitives import RtlContext, primitive_factory
-        from repro.rtl.sim import find_top
+        from repro.rtl.primitives import RtlContext
+        from repro.rtl.sim import elaborate_text
         from repro.ebpf.maps import MapSet
 
-        text = emit_vhdl(compile_program(program))
-        design = parse_vhdl(text)
-        context = RtlContext(MapSet(program.maps))
-        return elaborate(design, find_top(text), primitive_factory, context)
+        return elaborate_text(emit_vhdl(compile_program(program)),
+                              RtlContext(MapSet(program.maps)))
 
     def test_top_references_only_declared_signals(self):
         # regression: the top once referenced v{i}/e{i}/frame{i} nets that

@@ -171,6 +171,13 @@ class TestModelAndTrace:
         assert main(["model", prog_file]) == 0
         assert "no hazard" in capsys.readouterr().out
 
+    def test_model_window_only_hazard(self, capsys):
+        # leaky_bucket's flush blocks all sit in its keyed window
+        assert main(["model", "app:leaky_bucket"]) == 0
+        out = capsys.readouterr().out
+        assert "n/a (window, no live flush block)" in out
+        assert "no hazard" not in out
+
     def test_model_with_hazard(self, capsys, tmp_path):
         path = tmp_path / "rmw.ebpf"
         path.write_text(

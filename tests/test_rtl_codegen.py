@@ -23,15 +23,15 @@ from repro.core.cache import CompileCache
 from repro.core.compiler import compile_program
 from repro.core.vhdl import emit_vhdl
 from repro.ebpf.maps import MapSet
-from repro.rtl import RTL_CODEGEN_VERSION, elaborate, generate_rtl_source, parse_vhdl
+from repro.rtl import RTL_CODEGEN_VERSION, generate_rtl_source
 from repro.rtl.codegen import (
     ARTIFACT_KIND,
     load_rtl_module,
     schedule_digest,
     write_debug_source,
 )
-from repro.rtl.primitives import RtlContext, primitive_factory
-from repro.rtl.sim import find_top
+from repro.rtl.primitives import RtlContext
+from repro.rtl.sim import elaborate_text
 from tests.test_rtl import APP_CASES
 
 
@@ -39,9 +39,7 @@ def _elaborated(app):
     build = APP_CASES[app][0] if app in APP_CASES else getattr(apps, app).build
     pipeline = compile_program(build())
     text = emit_vhdl(pipeline)
-    context = RtlContext(MapSet(pipeline.program.maps))
-    model = elaborate(parse_vhdl(text), find_top(text),
-                      primitive_factory, context)
+    model = elaborate_text(text, RtlContext(MapSet(pipeline.program.maps)))
     return pipeline, text, model
 
 
