@@ -5,7 +5,11 @@ Each ``test_*`` module regenerates one table or figure of the paper
 cached per session; benchmark timings cover the interesting computation
 (simulation or compilation), and every module *prints* the rows it
 reproduces so `pytest benchmarks/ --benchmark-only -s` doubles as the
-results generator for EXPERIMENTS.md.
+results generator for EXPERIMENTS.md. The modelled figures beyond the
+paper (both schedule layouts on all 13 apps, conntrack's banks) are not
+a test module here: ``ledger.py`` writes them to LEDGER.json and to
+EXPERIMENTS.md's generated tables, and tests/test_ledger.py holds both
+to a fresh run.
 """
 
 import pytest
@@ -19,8 +23,7 @@ from repro.net.flows import TrafficGenerator, TrafficSpec
 LINE_RATE_MPPS = 148.8
 
 # The paper's tables are the paper's: §3.3's one-block-per-stage layout.
-# Only the path-parallel comparison (test_path_parallel.py) compiles the
-# default layout beside it.
+# Only the ledger (ledger.py) compiles the default layout beside it.
 PAPER_OPTIONS = CompileOptions(path_parallel=False)
 
 

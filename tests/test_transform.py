@@ -417,6 +417,28 @@ class TestSpeculation:
         _p, new, _m, _r = _speculate(source.replace("r2 += -8", "r2 += -4"))
         assert _block_of(new, "*(u32 *)(r10 - 8) = r6") == branch
 
+    def test_a_store_below_a_stayer_that_reads_its_slot_stays(self):
+        # the miss arm's stack load never moves; the store after it
+        # overwrites the slot the load reads, so hoisting the store would
+        # hand the load 2 where the program reads 1
+        source = "    *(u64 *)(r10 - 16) = 1\n" + LOOKUP + """
+            if r0 != 0 goto hit
+            r3 = *(u64 *)(r10 - 16)
+            *(u64 *)(r10 - 16) = 2
+            r0 = r3
+            exit
+        hit:
+            r0 = 2
+            exit
+        """
+        program, new, _m, _r = _speculate(source)
+        assert _block_of(new, "*(u64 *)(r10 - 16) = 2") \
+            == _block_of(new, "r3 = *(u64 *)(r10 - 16)") != _branch(new)
+        result = run_differential(program, [PKT] * 3, gap=1,
+                                  engines=("vm", "codegen", "interpreted"))
+        result.raise_on_mismatch()
+        assert result.runs["vm"].actions == [XdpAction.DROP] * 3
+
     def test_loads_atomics_and_packet_stores_never_move(self):
         source = """
             r6 = *(u32 *)(r1 + 0)
