@@ -54,7 +54,10 @@ from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
 from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Instruction
-from ..ebpf.xdp import AddressSpace
+from ..ebpf.xdp import (
+    XDP_MD_DATA, XDP_MD_DATA_END, XDP_MD_DATA_META, XDP_MD_EGRESS_IFINDEX,
+    XDP_MD_INGRESS_IFINDEX, XDP_MD_RX_QUEUE_INDEX, AddressSpace, XdpContext,
+)
 from .labeling import Region
 from .pipeline import PipeOp, Pipeline, Stage
 
@@ -266,89 +269,126 @@ def _hex(value: int, bits: int) -> str:
     return f'x"{value & ((1 << bits) - 1):0{bits // 4}x}"'
 
 
-def _m32(a: str) -> str:
-    return f"resize(unsigned({a}), 32)"
+#: the xdp_md loads a stage can make, by (offset, size): the packet
+#: pointers, which each site renders from its own signals, and the
+#: constant fields at ``XdpContext``'s defaults (data_meta is unused).
+_XDP_MD = {
+    (XDP_MD_DATA, 8): "data|data_end",
+    (XDP_MD_DATA, 4): "data",
+    (XDP_MD_DATA_END, 4): "data_end",
+    (XDP_MD_DATA_META, 4): 0,
+    (XDP_MD_INGRESS_IFINDEX, 4): XdpContext.ingress_ifindex,
+    (XDP_MD_RX_QUEUE_INDEX, 4): XdpContext.rx_queue_index,
+    (XDP_MD_EGRESS_IFINDEX, 4): XdpContext.egress_ifindex,
+}
 
 
-def _zext(expr_u: str) -> str:
-    """unsigned expr of any width -> 64-bit slv, zero-extended."""
-    return f"std_logic_vector(resize({expr_u}, 64))"
+def _ctx_load(off: int, size: int, pointers: Dict[str, str]) -> Optional[str]:
+    """64-bit slv of a ``size``-byte ctx load at ``off``, the packet
+    pointers taken from ``pointers``; ``None`` where ``_XDP_MD`` has no
+    such field."""
+    field = _XDP_MD.get((off, size))
+    return _imm64(field) if isinstance(field, int) else pointers.get(field)
 
 
-def _alu_expr(op: int, a: str, b: str, is64: bool) -> str:
-    """64-bit slv expression for ``a <op> b`` with VM masking rules."""
-    if is64:
-        if op == isa.BPF_ADD:
-            return f"std_logic_vector(unsigned({a}) + unsigned({b}))"
-        if op == isa.BPF_SUB:
-            return f"std_logic_vector(unsigned({a}) - unsigned({b}))"
-        if op == isa.BPF_MUL:
-            return f"std_logic_vector(resize(unsigned({a}) * unsigned({b}), 64))"
-        if op == isa.BPF_DIV:
-            return f"ehdl_udiv({a}, {b})"
-        if op == isa.BPF_MOD:
-            return f"ehdl_urem({a}, {b})"
-        if op == isa.BPF_AND:
-            return f"({a}) and ({b})"
-        if op == isa.BPF_OR:
-            return f"({a}) or ({b})"
-        if op == isa.BPF_XOR:
-            return f"({a}) xor ({b})"
-        if op == isa.BPF_LSH:
-            return ("std_logic_vector(shift_left(unsigned(" + a + "), "
-                    f"to_integer(resize(unsigned({b}), 6))))")
-        if op == isa.BPF_RSH:
-            return ("std_logic_vector(shift_right(unsigned(" + a + "), "
-                    f"to_integer(resize(unsigned({b}), 6))))")
-        if op == isa.BPF_ARSH:
-            return ("std_logic_vector(shift_right(signed(" + a + "), "
-                    f"to_integer(resize(unsigned({b}), 6))))")
-        if op == isa.BPF_MOV:
-            return b
-        if op == isa.BPF_NEG:
-            return f"std_logic_vector(to_unsigned(0, 64) - unsigned({a}))"
-    else:
-        if op == isa.BPF_ADD:
-            return _zext(f"{_m32(a)} + {_m32(b)}")
-        if op == isa.BPF_SUB:
-            return _zext(f"{_m32(a)} - {_m32(b)}")
-        if op == isa.BPF_MUL:
-            return _zext(f"resize({_m32(a)} * {_m32(b)}, 32)")
-        if op == isa.BPF_DIV:
-            return _zext(
-                f"unsigned(ehdl_udiv(std_logic_vector({_m32(a)}), "
-                f"std_logic_vector({_m32(b)})))"
-            )
-        if op == isa.BPF_MOD:
-            return _zext(
-                f"unsigned(ehdl_urem(std_logic_vector({_m32(a)}), "
-                f"std_logic_vector({_m32(b)})))"
-            )
-        if op == isa.BPF_AND:
-            return _zext(f"{_m32(a)} and {_m32(b)}")
-        if op == isa.BPF_OR:
-            return _zext(f"{_m32(a)} or {_m32(b)}")
-        if op == isa.BPF_XOR:
-            return _zext(f"{_m32(a)} xor {_m32(b)}")
-        if op == isa.BPF_LSH:
-            return _zext(
-                f"shift_left({_m32(a)}, to_integer(resize(unsigned({b}), 5)))"
-            )
-        if op == isa.BPF_RSH:
-            return _zext(
-                f"shift_right({_m32(a)}, to_integer(resize(unsigned({b}), 5)))"
-            )
-        if op == isa.BPF_ARSH:
-            return _zext(
-                "unsigned(std_logic_vector(shift_right(signed("
-                f"std_logic_vector({_m32(a)})), "
-                f"to_integer(resize(unsigned({b}), 5)))))"
-            )
-        if op == isa.BPF_MOV:
-            return _zext(_m32(b))
-        if op == isa.BPF_NEG:
-            return _zext(f"to_unsigned(0, 32) - {_m32(a)}")
-    raise VhdlEmitError(f"unsupported ALU op {op:#x}")
+# Every op is one row rendered at its width ``w`` (64 or 32 for ALU and
+# jumps, the access width for stack atomics) over three views of its
+# 64-bit slv operands. As in metalibm's zext, extending by 0 bits hands
+# the input back: at full width an op whose value is its operand (mov,
+# a to-le swap) is the operand itself.
+
+
+class _FullView(str):
+    """``_u(a, 64)``: ``unsigned(a)``, remembering ``a`` for ``_zext``."""
+
+    def __new__(cls, slv: str) -> "_FullView":
+        view = super().__new__(cls, f"unsigned({slv})")
+        view.slv = slv
+        return view
+
+
+def _u(a: str, w: int) -> str:
+    """The low ``w`` bits of slv ``a``, unsigned."""
+    return f"resize(unsigned({a}), {w})" if w < 64 else _FullView(a)
+
+
+def _s(a: str, w: int) -> str:
+    """The low ``w`` bits of slv ``a``, signed."""
+    if w < 64:
+        return f"signed(std_logic_vector({_u(a, w)}))"
+    return f"signed({a})"
+
+
+def _zext(u: str, w: int, to: int = 64) -> str:
+    """A ``w``-bit unsigned zero-extended to a ``to``-bit slv."""
+    if w < to:
+        return f"std_logic_vector(resize({u}, {to}))"
+    return u.slv if isinstance(u, _FullView) else f"std_logic_vector({u})"
+
+
+def _resize(a: str, bits: int) -> str:
+    """slv ``a`` zero-extended or cut to a ``bits``-bit slv."""
+    return f"std_logic_vector(resize(unsigned({a}), {bits}))"
+
+
+# Row makers: a row is ``(a, b, w) -> text`` over the operands' views.
+
+
+def _infix(sym: str, view=_u):
+    return lambda a, b, w: f"{view(a, w)} {sym} {view(b, w)}"
+
+
+def _shift(fn: str, view=_u):
+    return lambda a, b, w: (f"{fn}({view(a, w)}, to_integer("
+                            f"resize(unsigned({b}), {w.bit_length() - 1})))")
+
+
+def _divider(fn: str):
+    return lambda a, b, w: (f"unsigned({fn}(std_logic_vector({_u(a, w)}), "
+                            f"std_logic_vector({_u(b, w)})))")
+
+
+#: ALU op -> its ``w``-bit unsigned value for ``dst <op> src``
+#: (``BPF_END`` is ``_swap_expr``).
+_ALU_ROWS = {
+    isa.BPF_ADD: _infix("+"),
+    isa.BPF_SUB: _infix("-"),
+    isa.BPF_MUL: lambda a, b, w: f"resize({_infix('*')(a, b, w)}, {w})",
+    isa.BPF_DIV: _divider("ehdl_udiv"),
+    isa.BPF_MOD: _divider("ehdl_urem"),
+    isa.BPF_OR: _infix("or"),
+    isa.BPF_AND: _infix("and"),
+    isa.BPF_XOR: _infix("xor"),
+    isa.BPF_LSH: _shift("shift_left"),
+    isa.BPF_RSH: _shift("shift_right"),
+    isa.BPF_ARSH: lambda a, b, w: (
+        f"unsigned(std_logic_vector({_shift('shift_right', _s)(a, b, w)}))"),
+    isa.BPF_NEG: lambda a, b, w: f"to_unsigned(0, {w}) - {_u(a, w)}",
+    isa.BPF_MOV: lambda a, b, w: _u(b, w),
+}
+
+#: jump op -> its boolean condition on ``dst``, ``src``.
+_CMP_ROWS = {
+    isa.BPF_JEQ: _infix("="),
+    isa.BPF_JNE: _infix("/="),
+    isa.BPF_JGT: _infix(">"),
+    isa.BPF_JGE: _infix(">="),
+    isa.BPF_JLT: _infix("<"),
+    isa.BPF_JLE: _infix("<="),
+    isa.BPF_JSGT: _infix(">", _s),
+    isa.BPF_JSGE: _infix(">=", _s),
+    isa.BPF_JSLT: _infix("<", _s),
+    isa.BPF_JSLE: _infix("<=", _s),
+    isa.BPF_JSET: lambda a, b, w: (
+        f"({_infix('and')(a, b, w)}) /= to_unsigned(0, {w})"),
+}
+
+
+def _alu_expr(op: int, a: str, b: str, bits: int) -> str:
+    """64-bit slv expression for ``a <op> b`` at ``bits`` (VM masking)."""
+    if op not in _ALU_ROWS:
+        raise VhdlEmitError(f"unsupported ALU op {op:#x}")
+    return _zext(_ALU_ROWS[op](a, b, bits), bits)
 
 
 def _swap_expr(a: str, bits: int, to_big: bool) -> str:
@@ -356,39 +396,14 @@ def _swap_expr(a: str, bits: int, to_big: bool) -> str:
         raise VhdlEmitError(f"bswap to {bits} bits")
     if to_big:
         return f"ehdl_bswap{bits}({a})"
-    return _zext(f"resize(unsigned({a}), {bits})")
+    return _zext(_u(a, bits), bits)
 
 
-def _s32(a: str) -> str:
-    return f"signed(std_logic_vector({_m32(a)}))"
-
-
-def _cmp_expr(op: int, a: str, b: str, is64: bool) -> str:
-    """Boolean VHDL condition for a conditional jump."""
-    if is64:
-        ua, ub = f"unsigned({a})", f"unsigned({b})"
-        sa, sb = f"signed({a})", f"signed({b})"
-        zero = "to_unsigned(0, 64)"
-    else:
-        ua, ub = _m32(a), _m32(b)
-        sa, sb = _s32(a), _s32(b)
-        zero = "to_unsigned(0, 32)"
-    table = {
-        isa.BPF_JEQ: f"{ua} = {ub}",
-        isa.BPF_JNE: f"{ua} /= {ub}",
-        isa.BPF_JGT: f"{ua} > {ub}",
-        isa.BPF_JGE: f"{ua} >= {ub}",
-        isa.BPF_JLT: f"{ua} < {ub}",
-        isa.BPF_JLE: f"{ua} <= {ub}",
-        isa.BPF_JSGT: f"{sa} > {sb}",
-        isa.BPF_JSGE: f"{sa} >= {sb}",
-        isa.BPF_JSLT: f"{sa} < {sb}",
-        isa.BPF_JSLE: f"{sa} <= {sb}",
-        isa.BPF_JSET: f"({ua} and {ub}) /= {zero}",
-    }
-    if op not in table:
+def _cmp_expr(op: int, a: str, b: str, bits: int) -> str:
+    """Boolean VHDL condition for a conditional jump at ``bits``."""
+    if op not in _CMP_ROWS:
         raise VhdlEmitError(f"unsupported jump op {op:#x}")
-    return table[op]
+    return _CMP_ROWS[op](a, b, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +628,12 @@ class _StageBuilder:
             return f"state_out{self.layout_out.reg_slice(reg)}"
         return None
 
+    def _set(self, reg: int, value: str) -> List[str]:
+        """The statement latching ``value`` into ``reg``, if it is live
+        out of the stage."""
+        dst = self._dst_slice(reg)
+        return [] if dst is None else [f"{dst} <= {value};"]
+
     def _operand(self, insn: Instruction) -> str:
         if insn.uses_reg_src:
             return self._src(insn.src)
@@ -715,7 +736,7 @@ class _StageBuilder:
             self._emit_guarded(op, [
                 f"state_out({self.layout_out.done_bit}) <= '1';",
                 f"state_out{self.layout_out.verdict_slice} <= "
-                f"std_logic_vector(resize(unsigned({self._src(isa.R0)}), 32));",
+                f"{_resize(self._src(isa.R0), 32)};",
             ])
         elif insn.is_atomic:
             self._emit_atomic(op)
@@ -740,11 +761,7 @@ class _StageBuilder:
             value = ((insn.imm64 if insn.imm64 is not None else insn.imm)
                      & isa.MASK64)
         self._reg_expr[insn.dst] = _imm64(value)
-        dst = self._dst_slice(insn.dst)
-        if dst is not None:
-            self._emit_guarded(op, [f"{dst} <= {_imm64(value)};"])
-        else:
-            self._emit_guarded(op, [])
+        self._emit_guarded(op, self._set(insn.dst, _imm64(value)))
 
     def _emit_alu(self, op: PipeOp) -> None:
         insn = op.insn
@@ -752,17 +769,15 @@ class _StageBuilder:
             expr = _swap_expr(self._src(insn.dst), insn.imm,
                               to_big=insn.uses_reg_src)
         else:
-            expr = _alu_expr(insn.op, self._src(insn.dst),
-                             self._operand(insn), insn.is_alu64)
+            expr = _alu_expr(insn.op, self._src(insn.dst), self._operand(insn),
+                             64 if insn.is_alu64 else 32)
         self._reg_expr[insn.dst] = expr
-        dst = self._dst_slice(insn.dst)
-        effects = [f"{dst} <= {expr};"] if dst is not None else []
-        self._emit_guarded(op, effects)
+        self._emit_guarded(op, self._set(insn.dst, expr))
 
     def _emit_cond_jump(self, op: PipeOp) -> None:
         insn = op.insn
         cond = _cmp_expr(insn.op, self._src(insn.dst), self._operand(insn),
-                         insn.opclass == isa.BPF_JMP)
+                         64 if insn.opclass == isa.BPF_JMP else 32)
         block = self.pipeline.cfg.blocks[op.block_id]
         taken = fall = None
         for succ, kind in block.succs:
@@ -793,7 +808,6 @@ class _StageBuilder:
         insn, label = op.insn, op.label
         if label is None:
             raise VhdlEmitError(f"insn {op.insn_index}: unlabeled load")
-        dst = self._dst_slice(insn.dst)
         size = insn.size_bytes
         if label.region is Region.PACKET:
             if label.offset is None:
@@ -806,10 +820,7 @@ class _StageBuilder:
                     f"{label.offset + size} beyond the stage window"
                 )
             src = f"state_in{self.layout_in.window_slice(label.offset, size)}"
-            effects = []
-            if dst is not None:
-                effects = [f"{dst} <= {_zext(f'unsigned({src})')};"]
-            self._emit_guarded(op, effects,
+            self._emit_guarded(op, self._set(insn.dst, _resize(src, 64)),
                                drop_cond=self._pkt_bounds(label.offset, size))
         elif label.region is Region.STACK:
             if label.offset is None:
@@ -822,27 +833,20 @@ class _StageBuilder:
                     f"insn {op.insn_index}: stack [{label.offset}:{size}] "
                     "not carried into this stage"
                 )
-            if dst is not None:
-                self._emit_guarded(op, [
-                    f"{dst} <= {_zext(f'unsigned(state_in{slc})')};"
-                ])
-            else:
-                self._emit_guarded(op, [])
-        elif label.region is Region.CTX:
-            if dst is not None:
-                self._emit_guarded(op, [f"{dst} <= {self._ctx_expr(op)};"])
-            else:
-                self._emit_guarded(op, [])
+            self._emit_guarded(
+                op, self._set(insn.dst, _resize(f"state_in{slc}", 64)))
+        elif label.region is Region.CTX:  # a dead load reads no field
+            live = self._dst_slice(insn.dst) is not None
+            self._emit_guarded(
+                op, self._set(insn.dst, self._ctx_expr(op)) if live else [])
         elif label.region is Region.MAP_VALUE:
             addr = (f"std_logic_vector(unsigned({self._src(insn.src)}) + "
                     f"unsigned({_imm64(insn.off)}))")
             port = self._map_request(
                 op, op.call.map_fd if op.call else label.map_fd,
                 (size << 4) | CH_OP_LOAD, addr)
-            effects = []
-            if dst is not None:
-                effects = [f"{dst} <= {port}_rdata;"]
-            self._emit_guarded(op, effects, drop_cond=f"{port}_oob = '1'")
+            self._emit_guarded(op, self._set(insn.dst, f"{port}_rdata"),
+                               drop_cond=f"{port}_oob = '1'")
         else:
             raise VhdlEmitError(f"insn {op.insn_index}: load from "
                                 f"{label.region.value}")
@@ -850,8 +854,7 @@ class _StageBuilder:
     def _ctx_expr(self, op: PipeOp) -> str:
         """xdp_md field loads become arithmetic over plen/haj (the context
         is not stored anywhere: it is synthesized from the header)."""
-        label = op.label
-        off, size = label.offset, label.size
+        off, size = op.label.offset, op.label.size
         lin = self.layout_in
         data32 = (f"unsigned(std_logic_vector(to_signed({_PKT_DATA}, 32) + "
                   f"resize(signed(state_in{lin.haj_slice}), 32)))")
@@ -859,21 +862,17 @@ class _StageBuilder:
                   f"resize(signed(state_in{lin.haj_slice}), 32) + "
                   f"signed(std_logic_vector(resize("
                   f"unsigned(state_in{lin.plen_slice}), 32)))))")
-        if size == 4:
-            if off == 0:
-                return _zext(data32)
-            if off == 4:
-                return _zext(dend32)
-            if off in (8, 16, 20):
-                return _imm64(0)
-            if off == 12:
-                return _imm64(1)
-        if size == 8 and off == 0:
-            return (f"std_logic_vector({dend32}) & "
-                    f"std_logic_vector({data32})")
-        raise VhdlEmitError(
-            f"insn {op.insn_index}: ctx load at offset {off} size {size}"
-        )
+        value = _ctx_load(off, size, {
+            "data": _zext(data32, 32),
+            "data_end": _zext(dend32, 32),
+            "data|data_end": (f"std_logic_vector({dend32}) & "
+                              f"std_logic_vector({data32})"),
+        })
+        if value is None:
+            raise VhdlEmitError(
+                f"insn {op.insn_index}: ctx load at offset {off} size {size}"
+            )
+        return value
 
     def _value_bits(self, op: PipeOp, width_bits: int) -> str:
         """The stored value as a ``width_bits``-wide slv expression."""
@@ -881,9 +880,7 @@ class _StageBuilder:
         if insn.opclass == isa.BPF_ST:
             return _hex(isa.to_signed32(insn.imm), width_bits)
         src = self._src(insn.src)
-        if width_bits == 64:
-            return src
-        return f"std_logic_vector(resize(unsigned({src}), {width_bits}))"
+        return src if width_bits == 64 else _resize(src, width_bits)
 
     def _value_segment(self, op: PipeOp, byte_off: int, nbytes: int) -> str:
         """Bytes [byte_off, byte_off+nbytes) of the stored value."""
@@ -893,8 +890,7 @@ class _StageBuilder:
             return _hex(value, 8 * nbytes)
         src = self._src(insn.src)
         if byte_off == 0:
-            return (f"std_logic_vector(resize(unsigned({src}), "
-                    f"{8 * nbytes}))")
+            return _resize(src, 8 * nbytes)
         return (f"std_logic_vector(resize(shift_right(unsigned({src}), "
                 f"{8 * byte_off}), {8 * nbytes}))")
 
@@ -994,18 +990,21 @@ class _StageBuilder:
             "expected": expected,
         }))
         self.conc[use.at:use.at + 1 + len(use.FIELDS)] = use.lines()
-        effects = []
-        if insn.imm == isa.ATOMIC_CMPXCHG:
-            dst = self._dst_slice(isa.R0)
-            if dst is not None:
-                effects.append(f"{dst} <= ap_old;")
-        elif insn.imm & isa.BPF_FETCH:
-            dst = self._dst_slice(insn.src)
-            if dst is not None:
-                effects.append(f"{dst} <= ap_old;")
-        self._emit_guarded(op, effects, drop_cond="ap_oob = '1'")
+        self._emit_guarded(op, self._fetched(insn, "ap_old"),
+                           drop_cond="ap_oob = '1'")
+
+    def _fetched(self, insn: Instruction, old: str) -> List[str]:
+        """A fetching atomic's latch of the old value: into r0 for
+        cmpxchg, into src otherwise."""
+        if not insn.imm & isa.BPF_FETCH:
+            return []
+        return self._set(isa.R0 if insn.imm == isa.ATOMIC_CMPXCHG
+                         else insn.src, old)
 
     def _emit_stack_atomic(self, op: PipeOp) -> None:
+        """A carried stack slot's read-modify-write: the ALU row of the
+        atomic's name at the access width (xchg and cmpxchg store src,
+        the MOV row)."""
         insn, label = op.insn, op.label
         if label.offset is None:
             raise VhdlEmitError(f"insn {op.insn_index}: dynamic stack atomic")
@@ -1016,58 +1015,27 @@ class _StageBuilder:
             raise VhdlEmitError(
                 f"insn {op.insn_index}: atomic stack bytes not carried"
             )
-        old = f"unsigned(state_in{slc})"
-        srcv = f"resize(unsigned({self._src(insn.src)}), {bits})"
-        base_op = insn.imm & ~isa.BPF_FETCH
-        if insn.imm == isa.ATOMIC_XCHG:
-            new = f"std_logic_vector({srcv})"
-        elif insn.imm == isa.ATOMIC_CMPXCHG:
-            new = f"std_logic_vector({srcv})"
-        elif base_op == isa.ATOMIC_ADD:
-            new = f"std_logic_vector({old} + {srcv})"
-        elif base_op == isa.ATOMIC_OR:
-            new = f"std_logic_vector({old} or {srcv})"
-        elif base_op == isa.ATOMIC_AND:
-            new = f"std_logic_vector({old} and {srcv})"
-        elif base_op == isa.ATOMIC_XOR:
-            new = f"std_logic_vector({old} xor {srcv})"
-        else:
+        slot = f"state_in{slc}"
+        alu_op = insn.imm & ~isa.BPF_FETCH
+        if insn.imm in (isa.ATOMIC_XCHG, isa.ATOMIC_CMPXCHG):
+            alu_op = isa.BPF_MOV
+        elif alu_op not in isa.ATOMIC_SYMBOLS:
             raise VhdlEmitError(
                 f"insn {op.insn_index}: atomic op {insn.imm:#x}"
             )
-        effects = []
-        out_segs = self._out_stack_segments(label.offset, size)
+        new = _zext(_ALU_ROWS[alu_op](slot, self._src(insn.src), bits),
+                    bits, to=bits)
+        effects = [
+            f"state_out({low + bits - 1} downto {low}) <= {new};"
+            for seg_off, seg_len, low in self._out_stack_segments(
+                label.offset, size)
+            if seg_off == label.offset and seg_len == size
+        ]
         if insn.imm == isa.ATOMIC_CMPXCHG:
-            dst = self._dst_slice(isa.R0)
-            guard = self._guard(op)
-            pad = "        "
-            self.seq.append(f"{pad}if {guard} then")
-            self.seq.append(
-                f"{pad}  if {old} = "
-                f"resize(unsigned({self._src(isa.R0)}), {bits}) then"
-            )
-            for seg_off, seg_len, low in out_segs:
-                if seg_off == label.offset and seg_len == size:
-                    self.seq.append(
-                        f"{pad}    state_out({low + bits - 1} downto {low})"
-                        f" <= {new};"
-                    )
-            self.seq.append(f"{pad}  end if;")
-            if dst is not None:
-                self.seq.append(f"{pad}  {dst} <= {_zext(old)};")
-            for stmt in self._succ_enables(op):
-                self.seq.append(f"{pad}  {stmt}")
-            self.seq.append(f"{pad}end if;")
-            return
-        for seg_off, seg_len, low in out_segs:
-            if seg_off == label.offset and seg_len == size:
-                effects.append(
-                    f"state_out({low + bits - 1} downto {low}) <= {new};"
-                )
-        if insn.imm & isa.BPF_FETCH or insn.imm == isa.ATOMIC_XCHG:
-            dst = self._dst_slice(insn.src)
-            if dst is not None:
-                effects.append(f"{dst} <= {_zext(old)};")
+            cond = _cmp_expr(isa.BPF_JEQ, slot, self._src(isa.R0), bits)
+            effects = [f"if {cond} then", *(f"  {e}" for e in effects),
+                       "end if;"]
+        effects += self._fetched(insn, _resize(slot, 64))
         self._emit_guarded(op, effects)
 
     # -- helper calls --------------------------------------------------------
@@ -1083,17 +1051,14 @@ class _StageBuilder:
 
     def _clobber_callers(self, effects: List[str]) -> None:
         for reg in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5):
-            dst = self._dst_slice(reg)
-            if dst is not None:
-                effects.append(f"{dst} <= (others => '0');")
+            effects += self._set(reg, "(others => '0')")
 
     def _emit_map_call(self, op: PipeOp) -> None:
         call = op.call
         spec = helper_spec(call.helper_id)
         kb, wb = _map_widths(self.pipeline, call.map_fd)
         if call.helper_id == 51:  # redirect_map: the key IS r2's low bits
-            key = (f"std_logic_vector(resize(unsigned({self._src(isa.R2)}), "
-                   f"{kb}))")
+            key = _resize(self._src(isa.R2), kb)
             addr = self._src(isa.R3)  # miss fallback action
             ch_op = CH_OP_REDIRECT
         else:
@@ -1125,13 +1090,9 @@ class _StageBuilder:
                 raise VhdlEmitError(
                     f"insn {op.insn_index}: update value bytes not carried"
                 )
-            wdata = (f"std_logic_vector(resize(unsigned(state_in{vslc}), "
-                     f"{wb}))")
+            wdata = _resize(f"state_in{vslc}", wb)
         port = self._map_request(op, call.map_fd, ch_op, addr, key, wdata)
-        effects = []
-        dst = self._dst_slice(isa.R0)
-        if dst is not None:
-            effects.append(f"{dst} <= {port}_rdata;")
+        effects = self._set(isa.R0, f"{port}_rdata")
         self._clobber_callers(effects)
         self._emit_guarded(op, effects, drop_cond=f"{port}_oob = '1'")
 
@@ -1180,10 +1141,7 @@ class _StageBuilder:
             f"  {h} : entity work.{entity} generic map ({gmap}) "
             f"port map ({pmap});"
         )
-        effects = []
-        dst = self._dst_slice(isa.R0)
-        if dst is not None:
-            effects.append(f"{dst} <= {h}_rsp;")
+        effects = self._set(isa.R0, f"{h}_rsp")
         if spec.writes_packet:
             effects += [
                 f"state_out({lout.window_bits - 1} downto 0) <= "
@@ -1468,22 +1426,17 @@ def _entry_value(op: PipeOp) -> str:
     data32 = _hex(_PKT_DATA, 32)
     dend32 = (f"std_logic_vector(to_unsigned({_PKT_DATA}, 32) + "
               "resize(unsigned(inj_tlen), 32))")
-    if size == 8 and off == 0:
-        return f"{dend32} & {data32}"
-    if size != 4:
+    value = _ctx_load(off, size, {
+        "data": _resize(data32, 64),
+        "data_end": (f"std_logic_vector(to_unsigned({_PKT_DATA}, 64) + "
+                     "resize(unsigned(inj_tlen), 64))"),
+        "data|data_end": f"{dend32} & {data32}",
+    })
+    if value is None:
         raise VhdlEmitError(
             f"entry op {op.insn_index}: ctx load of {size} bytes at {off}"
         )
-    if off == 0:
-        return _zext(f"unsigned({data32})")
-    if off == 4:
-        return (f"std_logic_vector(to_unsigned({_PKT_DATA}, 64) + "
-                "resize(unsigned(inj_tlen), 64))")
-    if off == 12:
-        return _imm64(1)
-    if off in (8, 16, 20):
-        return _imm64(0)
-    raise VhdlEmitError(f"entry op {op.insn_index}: ctx offset {off}")
+    return value
 
 
 def _top(pipeline: Pipeline, name: str, fifo_name: str,

@@ -12,8 +12,8 @@ immediate) chosen, widths, immediates and shift amounts folded into
 literals, a constant divisor's zero test resolved at emit time. The
 text has one consumer, :mod:`repro.hwsim.codegen`, which inlines the
 lines into the generated pipeline module (the ``codegen`` engine); the
-VHDL rendering of the same rows is ``core.vhdl``'s ``_alu_expr`` /
-``_cmp_expr``. So the ``vm`` and ``interpreted`` legs of a differential
+VHDL rendering of the same rows is ``core.vhdl``'s ``_ALU_ROWS`` /
+``_CMP_ROWS``, one row per op rendered at its width. So the ``vm`` and ``interpreted`` legs of a differential
 are independent of this text, and a wrong row here shows up as a
 mismatch against either of them.
 

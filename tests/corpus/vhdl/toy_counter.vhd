@@ -199,7 +199,7 @@ begin
         end if;
         -- b0: r1 |= r2
         if valid_in = '1' and enable_in(0) = '1' and state_in(544) = '0' then
-          state_out(640 downto 577) <= ((std_logic_vector(shift_left(unsigned(state_in(640 downto 577)), to_integer(resize(unsigned(x"0000000000000008"), 6)))))) or (state_in(704 downto 641));
+          state_out(640 downto 577) <= std_logic_vector(unsigned((std_logic_vector(shift_left(unsigned(state_in(640 downto 577)), to_integer(resize(unsigned(x"0000000000000008"), 6)))))) or unsigned(state_in(704 downto 641)));
         end if;
       end if;
     end if;

@@ -1,5 +1,7 @@
 """VHDL backend, resource model, and NIC shell tests."""
 
+import struct
+
 import pytest
 
 from repro.apps import EVALUATION_APPS, router, toy_counter
@@ -10,10 +12,14 @@ from repro.core.resources import (
     ResourceEstimate,
     estimate_resources,
 )
-from repro.core.vhdl import emit_vhdl
+from repro.core import vhdl
+from repro.core.vhdl import VhdlEmitError, emit_vhdl
+from repro.ebpf.asm import assemble_program
 from repro.ebpf.maps import MapSet
+from repro.ebpf.xdp import XDP_MD_SIZE, XdpContext
 from repro.hwsim import NicSystem, ShellConfig
 from repro.net.packet import ipv4, mac, udp_packet
+from repro.rtl import run_three_way
 
 
 class TestVhdl:
@@ -59,6 +65,63 @@ class TestVhdl:
         a = emit_vhdl(compile_program(toy_counter.build()))
         b = emit_vhdl(compile_program(toy_counter.build()))
         assert a == b
+
+
+class TestXdpMdTable:
+    """Both renderers of a ctx load read ``core.vhdl._XDP_MD``: the
+    loads elided to packet injection (insns 0-3 here, ``_entry_value``)
+    and the loads a stage makes (``_ctx_expr``)."""
+
+    SOURCE = """
+        r2 = *(u32 *)(r1 + 0)
+        r3 = *(u32 *)(r1 + 4)
+        r4 = *(u64 *)(r1 + 0)
+        r5 = *(u32 *)(r1 + 12)
+        r6 = r2
+        r6 += 36
+        r0 = 1
+        if r6 > r3 goto out
+        *(u64 *)(r2 + 0) = r4
+        *(u32 *)(r2 + 8) = r5
+        r7 = *(u32 *)(r1 + 8)
+        *(u32 *)(r2 + 12) = r7
+        r7 = *(u32 *)(r1 + 16)
+        *(u32 *)(r2 + 16) = r7
+        r7 = *(u32 *)(r1 + 20)
+        *(u32 *)(r2 + 20) = r7
+        r7 = *(u64 *)(r1 + 0)
+        *(u64 *)(r2 + 24) = r7
+        r7 = *(u32 *)(r1 + 4)
+        *(u32 *)(r2 + 32) = r7
+        r0 = 3
+    out:
+        exit
+    """
+
+    def test_constant_fields_are_the_default_context(self):
+        ctx = XdpContext(bytearray(64)).ctx_bytes()
+        assert {off: value for (off, _size), value in vhdl._XDP_MD.items()
+                if isinstance(value, int)} \
+            == {off: struct.unpack_from("<I", ctx, off)[0]
+                for off in range(8, XDP_MD_SIZE, 4)}
+
+    def test_every_field_agrees_three_way(self):
+        program = assemble_program(self.SOURCE)
+        pipeline = compile_program(program)
+        assert [op.insn_index for op in pipeline.entry_ops] == [0, 1, 2, 3]
+        run_three_way(program, [bytes(64), bytes(20)],
+                      pipeline=pipeline).raise_on_mismatch()
+
+    @pytest.mark.parametrize("field, message", [
+        ((12, 4), r"^entry op 3: ctx load of 4 bytes at 12$"),
+        ((8, 4), r"^insn 10: ctx load at offset 8 size 4$"),
+    ])
+    def test_a_field_the_table_lacks_is_located(self, monkeypatch, field,
+                                                message):
+        pipeline = compile_program(assemble_program(self.SOURCE))
+        monkeypatch.delitem(vhdl._XDP_MD, field)
+        with pytest.raises(VhdlEmitError, match=message):
+            emit_vhdl(pipeline)
 
 
 class TestResources:

@@ -3,21 +3,21 @@
 An op's meaning is defined five times: the ``isa`` row (name and
 mnemonic), ``Vm._alu`` / ``_compare`` (the reference tier), ``opfns``'
 ``alu_source`` / ``cmp_source`` (the specialised tier), ``core.vhdl``'s
-``_alu_expr`` / ``_cmp_expr`` at both widths, and the ``_ALU_LUTS``
-cost. Nothing here is hand-listed: the instructions are generated from
-``isa.ALU_OP_NAMES`` and ``isa.JMP_SYMBOLS``, so a row added to either
-table is swept the moment it exists — and fails until all five
-definitions do.
+``_ALU_ROWS`` / ``_CMP_ROWS`` (one row per op, rendered at its width),
+and the ``_ALU_LUTS`` cost. Nothing here is hand-listed: the
+instructions are generated from ``isa.ALU_OP_NAMES`` and
+``isa.JMP_SYMBOLS``, so a row added to either table is swept the moment
+it exists — and fails until all five definitions do.
 
 * :class:`TestSpecialisedMatchesReference` — the full grid, pure
   Python: the source text, compiled here into a function, equals
   ``alu_step`` / ``cmp_step``.
 * :class:`TestTheReferenceIsIndependent` — a wrong row of the text is a
-  mismatch on the default ``run_differential`` pair: the ``vm`` leg
-  does not run the text it checks.
+  mismatch on the default ``run_differential`` pair, and a wrong VHDL
+  row one on ``vm`` against ``rtl``: the ``vm`` leg runs neither.
 * :class:`TestEveryRowIsComplete` — each row has its specialisation, its
-  VHDL expression at both widths, its LUT cost and an asm <-> disasm
-  round trip.
+  VHDL row rendered at 32 and 64 bits, its LUT cost and an asm <->
+  disasm round trip; the stack atomics' rows are ALU rows.
 * :class:`TestAllEngines` — the same instructions, packed several to a
   program, through ``run_differential`` on all five engines; this is
   what guards the VHDL rows. (``rtl-interp`` costs ~70 ms per frame on
@@ -44,9 +44,9 @@ import struct
 
 import pytest
 
-from repro.core import compile_program
+from repro.core import compile_program, vhdl
 from repro.core.resources import _ALU_LUTS
-from repro.core.vhdl import _alu_expr, _cmp_expr, _swap_expr
+from repro.core.vhdl import _alu_expr, _cmp_expr, _swap_expr, emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.disasm import format_instruction
@@ -65,6 +65,7 @@ from repro.ebpf.vm import Vm, alu_step, atomic_step, cmp_step
 from repro.ebpf.xdp import AddressSpace, XdpAction
 from repro.hwsim import codegen, run_differential
 from repro.hwsim.engines import engine_names
+from repro.rtl.codegen import schedule_digest
 
 VALUES = (0, 1, 2**64 - 1, 2**31, 2**32 - 1, 2**63, 32, 63, 65)
 IMMS = (0, -1, 32, 63, -2**31)
@@ -172,6 +173,10 @@ class TestEveryRowIsComplete:
         assert set(isa.JMP_OP_NAMES) \
             == set(isa.JMP_SYMBOLS) | {isa.BPF_JA, isa.BPF_CALL, isa.BPF_EXIT}
         assert set(_ALU_LUTS) == set(isa.ALU_OP_NAMES)
+        assert set(vhdl._ALU_ROWS) == set(isa.ALU_OP_NAMES) - {isa.BPF_END}
+        assert set(vhdl._CMP_ROWS) == set(isa.JMP_SYMBOLS)
+        # a stack atomic renders the ALU row of its name
+        assert set(isa.ATOMIC_SYMBOLS) <= set(vhdl._ALU_ROWS)
 
     @pytest.mark.parametrize(
         "op", isa.ALU_OP_NAMES, ids=isa.ALU_OP_NAMES.get)
@@ -182,7 +187,7 @@ class TestEveryRowIsComplete:
             if op == isa.BPF_END:
                 assert _swap_expr("a", insn.imm, insn.uses_reg_src)
             else:
-                assert _alu_expr(op, "a", "b", insn.is_alu64)
+                assert _alu_expr(op, "a", "b", 64 if insn.is_alu64 else 32)
             self._round_trips(insn)
 
     @pytest.mark.parametrize(
@@ -190,8 +195,16 @@ class TestEveryRowIsComplete:
     def test_jump_row(self, op):
         for insn in jmp_rows(op):
             assert cmp_fn(insn) is not None
-            assert _cmp_expr(op, "a", "b", insn.opclass == isa.BPF_JMP)
+            assert _cmp_expr(op, "a", "b",
+                             64 if insn.opclass == isa.BPF_JMP else 32)
             self._round_trips(insn)
+
+    def test_a_full_width_copy_is_its_operand(self):
+        # zero-extending by 0 bits hands the operand back
+        assert _alu_expr(isa.BPF_MOV, "a", "b", 64) == "b"
+        assert _swap_expr("a", 64, to_big=False) == "a"
+        assert _alu_expr(isa.BPF_MOV, "a", "b", 32) \
+            == "std_logic_vector(resize(resize(unsigned(b), 32), 64))"
 
     @staticmethod
     def _round_trips(insn):
@@ -238,6 +251,29 @@ class TestTheReferenceIsIndependent:
         for module in (opfns, codegen):
             monkeypatch.setattr(module, name, wrong)
         result = run_differential(program, frames)  # compiles uncached
+        assert [(m.index, m.what) for m in result.mismatches] \
+            == [(0, "action"), (1, "action")]
+
+    VHDL_TABLES = {"alu": "_ALU_ROWS", "jump": "_CMP_ROWS"}
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_a_wrong_vhdl_row_is_a_mismatch(self, monkeypatch, row):
+        # the same wrong row in core.vhdl's table: the rtl leg runs it
+        _name, op, other, source = self.ROWS[row]
+        program = assemble_program(source)
+        pipeline = compile_program(program)
+        frames = [bytes(64)] * 2
+        legs = ["vm", "rtl"]
+        right = emit_vhdl(pipeline)
+        assert run_differential(program, frames, pipeline=pipeline,
+                                engines=legs).ok
+        table = getattr(vhdl, self.VHDL_TABLES[row])
+        monkeypatch.setitem(table, op, table[other])
+        # the compiled schedule is keyed by the text, so a changed row
+        # is never served from one cached for the right text
+        assert schedule_digest(emit_vhdl(pipeline)) != schedule_digest(right)
+        result = run_differential(program, frames, pipeline=pipeline,
+                                  engines=legs)
         assert [(m.index, m.what) for m in result.mismatches] \
             == [(0, "action"), (1, "action")]
 
