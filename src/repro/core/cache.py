@@ -60,7 +60,9 @@ from .pipeline import Pipeline
 #     on the path-parallel layout (leaky_bucket streams), with
 #     CODEGEN_VERSION 10 (per-key window timing, the clock ahead of the
 #     window in ``_stream``).
-_CACHE_VERSION = 14
+# v15: with CODEGEN_VERSION 11 (no generated whole-cycle advance or
+#     observer: the simulator's one loop runs the stage bodies).
+_CACHE_VERSION = 15
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

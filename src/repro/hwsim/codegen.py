@@ -7,32 +7,22 @@ program into specialized hardware beats interpreting it on NIC cores):
 each stage's op list is translated into *generated Python source* — ops
 inlined as statements, widths, offsets, masks and immediates folded
 into literals, predication and snapshot/flush logic emitted only for
-pipelines whose hazard plans need them — and the per-stage bodies are
-additionally stitched into a single generated cycle-advance function so
-the hot shift loop runs without any per-stage dispatch at all.
+pipelines whose hazard plans need them. The cycle itself is not
+generated: :class:`~repro.hwsim.sim.PipelineSimulator`'s one loop shifts
+the packets and calls these stage bodies, as it calls the interpreted
+engine's.
 
 Layout of a generated module:
 
 * ``_s<N>`` — stage N's body with the stage-function contract
-  ``fn(sim, pkt, slots, barrier_queues, input_queue, report) -> bool``
-  (used by the barrier-release / stalled paths, and for stage 1 at
-  injection);
+  ``fn(sim, pkt, slots, barrier_queues, input_queue, report) -> bool``,
+  which the cycle loop's ``_enter`` dispatches;
 * ``_entry`` — the elided-ctx-load entry ops (or ``None``);
-* ``_advance`` — the whole shift phase of one non-stalled cycle: one
-  C-level rotation moves every in-flight packet a slot deeper, then the
-  :func:`advance_sites` execute inline, deepest first — every stage, or
-  only the interaction stages (each running the packet-local stages
-  behind it eagerly) where :func:`restart_blocker` finds no obstacle;
-* ``_observe`` — the per-cycle telemetry increments with the stage-busy
-  loop unrolled; the simulator binds it into the run loop only when
-  telemetry is enabled at construction, so a disabled run carries zero
-  telemetry branches in generated code;
 * ``_stream`` — where :func:`stream_blocker` finds no obstacle: every
   stage fused into one per-packet body, packets run front-to-back, the
   cycle accounting (including one serialization window's stalls)
   computed arithmetically instead of simulated (laid out below);
-* ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` /
-  ``_STREAM`` — the tuple and bindings
+* ``_STAGE_FNS`` / ``_ENTRY`` / ``_STREAM`` — the tuple and bindings
   :class:`~repro.hwsim.sim.PipelineSimulator` consumes — and
   ``_STREAM_SHAPE``, the emitter's one-line account of the stream body
   (``2 of 2 lookups folded, 1 spill site``) that ``engine_path()``
@@ -51,7 +41,7 @@ steps. What the two modes differ in is names and exits
 (``_Emitter.stream``: ``_reg`` / ``_stack`` / ``_ctx`` / ``_packet``,
 ``_drop_if``, ``_fallback_call``, ``_enable_after``):
 
-* the cycle loop (``_s<N>``, ``_advance``) holds many packets and
+* the cycle loop (``_s<N>``) holds many packets and
   nothing else: state is ``pkt``'s fields, a map is ``sim.maps``' entry
   for the fd *as each access finds it* (nothing is cached across runs,
   so a caller may replace ``Map`` objects between them; an fd the
@@ -59,7 +49,7 @@ steps. What the two modes differ in is names and exits
   the next op re-checks ``pkt.done``. Under a hazard plan the map fast
   side keeps the plan's bookkeeping: ``sim._map_read_bytes``
   forwarding, ``value_reads`` / ``addr_reads``, the ``_se`` side-effect
-  descriptor, just-in-time ``pkt.position``;
+  descriptor;
 * ``_stream`` holds one packet and everything that is constant for the
   run, laid out below.
 
@@ -162,9 +152,9 @@ from ..telemetry import get_registry
 #     read-tracking elided when no hazard plan exists.
 # v4: _STREAM for pipelines whose hazard plans sit inside one
 #     serialization window, with the window's stall timing closed-form.
-# v5: interaction-sparse _advance: one C-level shift, packet-local runs
-#     fused into the interaction stage before them, snapshots elided
-#     where restart_blocker proves no elastic-buffer restart is chosen.
+# v5: an interaction-sparse generated cycle advance: one C-level shift,
+#     packet-local runs fused into the interaction stage before them,
+#     snapshots elided where no elastic-buffer restart is ever chosen.
 # v6: run-bound, register-allocated _stream: maps and the helper context
 #     bound once per run, lookups folded to the map's kind and geometry,
 #     eBPF registers in Python locals (spilled around the pkt.regs
@@ -179,7 +169,10 @@ from ..telemetry import get_registry
 # v10: keyed windows: a holder waits for the last holder of its own key
 #     still in the window; a clock read ahead of the window reads the
 #     cycle its packet enters the stage.
-CODEGEN_VERSION = 10
+# v11: no generated cycle: the whole-cycle advance and the unrolled
+#     observer are gone; the simulator's one loop shifts and dispatches
+#     _s<N>, which snapshot at every map side effect under a flush plan.
+CODEGEN_VERSION = 11
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 
@@ -193,12 +186,6 @@ _DATA0 = hex(AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM)
 _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
-
-# Python refuses more than 100 indentation levels. A packet-local run
-# fused into one _advance site nests one level per stage (the deepest
-# app run is 25), so a longer run starts its nest over this often — a
-# stage body's own nesting (about ten levels) fits above it.
-_FUSED_NEST_LIMIT = 64
 
 
 class CodegenError(ValueError):
@@ -303,66 +290,6 @@ def stream_blocker(pipeline: Pipeline) -> Optional[str]:
     return None
 
 
-def restart_blocker(pipeline: Pipeline) -> Optional[str]:
-    """Why a flush on this pipeline may restart a squashed packet from
-    an elastic-buffer snapshot (Appendix A.2) — one line — or ``None``
-    when no snapshot can ever be chosen.
-
-    A snapshot is taken at a map side effect and is usable only if the
-    invalidated read happened after it. When every read stage of every
-    flush-capable map lies strictly before the first write/atomic stage
-    of *any* map, each snapshot of the oldest victim already contains
-    its stale read, so it restarts from the input queue; that sets
-    ``depth_limit = 0`` (see ``_flush_check``) and every younger
-    squashed packet follows it. The stage lists are only complete when
-    every memory access and map call is resolved to its region and map.
-    """
-    if pipeline.serial_windows:
-        return "a serialization window stalls the shift"
-    for stage in pipeline.stages:
-        for op in stage.ops or ():
-            if op.insn.is_call:
-                info = op.call
-                if info is None or (info.map_fd is None and (
-                        info.is_map_read or info.is_map_write)):
-                    return (f"the call at stage {stage.number} reaches an "
-                            "unresolved map")
-            elif op.insn.opclass in (isa.BPF_LDX, isa.BPF_ST, isa.BPF_STX):
-                label = op.label
-                if label is None or (label.region is Region.MAP_VALUE
-                                     and label.map_fd is None):
-                    return (f"the access at stage {stage.number} has an "
-                            "unresolved region")
-    plans = sorted(pipeline.map_hazards.items())
-    first = min((s for _fd, plan in plans
-                 for s in plan.write_stages + plan.atomic_stages), default=0)
-    for fd, plan in plans:
-        late = [r for r in plan.read_stages if r >= first]
-        if plan.needs_flush and late:
-            return (f"map {fd} is read at stage {late[0]} after a side "
-                    f"effect at stage {first}")
-    return None
-
-
-def advance_sites(pipeline: Pipeline) -> List[int]:
-    """The stages the generated ``_advance`` visits, ascending: stage 2
-    (stage 1 runs at injection) and, past it, every stage while
-    ``restart_blocker`` names a reason, else only the interaction
-    stages — a map access or any helper call. The packet-local stages
-    between two sites (ALU, stack/packet/ctx access, branches, exit,
-    empty latency stages) execute eagerly at the site before them:
-    nothing outside the packet can observe them early, and a squash
-    resets the packet whole."""
-    dense = restart_blocker(pipeline) is not None
-    return [
-        stage.number for stage in pipeline.stages[1:]
-        if dense or stage.number == 2 or any(
-            op.insn.is_call or (op.label is not None
-                                and op.label.region is Region.MAP_VALUE)
-            for op in stage.ops or ())
-    ]
-
-
 class _Emitter:
     """Builds the generated module's source for one pipeline."""
 
@@ -371,15 +298,11 @@ class _Emitter:
         self.any_flush = any(
             plan.squashes for plan in pipeline.map_hazards.values()
         )
-        # Whether the generated advance keeps pkt.position / pending-write
-        # commits per shift. When no hazard plan can buffer a write and no
-        # flush can fire, both are dead per-cycle work; the only remaining
-        # position consumer (sim._mem_store's WAR threshold) gets a
-        # just-in-time position write right before the fallback call.
+        # Whether the map fast side keeps the hazard plans' read
+        # bookkeeping (store forwarding, value_reads / addr_reads): dead
+        # work where no plan can buffer a write and no flush can fire.
         self.maintain = self.any_flush or any(
             plan.write_stages for plan in pipeline.map_hazards.values())
-        # Elastic-buffer snapshots are dead work where none is ever chosen.
-        self.snapshots = restart_blocker(pipeline) is not None
         self.commits = pipeline.commit_stages
         # Packets executing any stage op already passed every entry
         # length comparator, so constant packet accesses below the
@@ -556,10 +479,9 @@ class _Emitter:
         return []
 
     def _flush_lines(self, stage_number: int) -> List[str]:
-        out = ["if _se is not None:"]
-        if self.snapshots:
-            out.append(f"    pkt.take_snapshot({stage_number})")
-        return out + [
+        return [
+            "if _se is not None:",
+            f"    pkt.take_snapshot({stage_number})",
             "    if sim._flush_check(pkt, _se, slots, barrier_queues, "
             "input_queue, report):",
             "        flushed = True",
@@ -804,9 +726,9 @@ class _Emitter:
         # and, in _stream, a map store at or past its commit stage, which
         # commits at once with no descriptor to make.
         fallback = []
-        if not self.maintain and not in_entry:
-            # Positions are elided from the generated shift loop; the WAR
-            # threshold compare in sim._mem_store is the one consumer left.
+        if self.stream and not in_entry:
+            # _stream keeps no position; sim._mem_store's WAR threshold
+            # compare reads it.
             fallback.append(f"pkt.position = {stage_number}")
         call = f"sim._mem_store(pkt, _a, {size}, {raw_val}, None)"
         fallback.append(f"_se = {call}" if flush else call)
@@ -1138,14 +1060,14 @@ class _Emitter:
         self.uses_sim_error = True
         return [f'raise SimError("unknown instruction class {cls:#x}")'], False
 
-    # -- stage / entry / advance bodies --------------------------------------
+    # -- stage / entry bodies ------------------------------------------------
 
     def stage_body(self, stage: Stage) -> Optional[Tuple[List[str], bool]]:
         """The guarded op sequence of one stage (relative indent 0).
 
         Returns (lines, has_flush) or None when the stage has nothing to
         execute. The caller guarantees ``pkt.done`` is False on entry
-        (prologue or shift-loop guard), so done is only re-checked after
+        (the ``_s<N>`` prologue), so done is only re-checked after
         ops that can set it — the interpreted path's per-op break.
         """
         if stage.kind is not StageKind.OPS or not stage.ops:
@@ -1183,25 +1105,6 @@ class _Emitter:
                 continue
             out += body[0]
         return out or None
-
-    def observe_body(self, n_stages: int) -> List[str]:
-        out = [
-            "metrics.observed_cycles += 1",
-            "_b = metrics.stage_busy_cycles",
-        ]
-        for pos in range(1, n_stages + 1):
-            out.append(f"if slots[{pos}] is not None:")
-            out.append(f"    _b[{pos - 1}] += 1")
-        if self.any_flush:
-            # Barrier queues only ever fill via flushes.
-            out += [
-                "if barrier_queues:",
-                "    _w = 0",
-                "    for _q in barrier_queues.values():",
-                "        _w += len(_q)",
-                "    metrics.barrier_wait_cycles += _w",
-            ]
-        return out
 
     def _line_rate_timing(self) -> _StreamTiming:
         """Cycle accounting of a stall-free pipeline: every packet is
@@ -1571,26 +1474,19 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         em.stage_body(stage) for stage in pipeline.stages
     ]
     entry = em.entry_body()
-    observe = em.observe_body(n_stages)
-
-    # Scanned once per stage body: the stage function and the advance
-    # function both hoist.
-    named = [
-        _idents(body[0]) if body is not None else frozenset()
-        for body in stage_bodies
-    ]
 
     # -- stage functions ------------------------------------------------------
     fn_sections: List[List[str]] = []
     stage_fn_names: List[str] = []
     stage_params = ["sim", "pkt", "slots", "barrier_queues", "input_queue",
                     "report"]
-    for stage, body, idents in zip(pipeline.stages, stage_bodies, named):
+    for stage, body in zip(pipeline.stages, stage_bodies):
         if body is None:
             stage_fn_names.append("None")
             continue
         lines, has_flush = body
-        fn_body = ["if pkt.done:", "    return False"] + _hoists(idents)
+        fn_body = ["if pkt.done:", "    return False"] + _hoists(
+            _idents(lines))
         if has_flush:
             fn_body.append("flushed = False")
         fn_body += lines
@@ -1603,63 +1499,6 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if entry is not None:
         fn_sections.append(
             ("_entry", ["sim", "pkt"], _hoists(_idents(entry)) + entry))
-
-    # -- advance --------------------------------------------------------------
-    # The whole shift phase of one non-stalled cycle. The uniform shift is
-    # one C-level list rotation (slots[n_stages] is already vacated); then
-    # only the advance_sites are visited, deepest first, each executing
-    # its own stage body and, eagerly, the packet-local run behind it.
-    # pkt.position is written just in time, where the body calls back
-    # into sim._*, and pending writes can first commit at the shallowest
-    # of Pipeline.commit_stages.
-    # LRU serialization windows: the unrolled whole-cycle advance knows
-    # nothing about interlock stalls, so windowed pipelines fall back to
-    # the simulator's generic shift loop (which dispatches _STAGE_FNS
-    # per position) — identical stall timing on both engines by
-    # construction.
-    serial = bool(pipeline.serial_windows)
-    if not serial:
-        first_commit = min(pipeline.commit_stages.values(), default=0)
-        adv = ["slots.insert(1, None)", "del slots[-1]"]
-        any_stage_flush = any(b is not None and b[1] for b in stage_bodies)
-        if any_stage_flush:
-            adv.append("flushed = False")
-        sites = advance_sites(pipeline)
-        for site, end in zip(reversed(sites),
-                             reversed(sites[1:] + [n_stages + 1])):
-            body: List[str] = []
-            depth = 0  # each fused stage nests under the one before it
-            for fused in stage_bodies[site - 1:end - 1]:
-                if fused is not None:
-                    if depth == _FUSED_NEST_LIMIT:
-                        depth = 1  # the same re-check, from the top
-                    if depth:
-                        body += _ind(["if not pkt.done:"], depth - 1)
-                    body += _ind(fused[0], depth)
-                    depth += 1
-            blk: List[str] = []
-            if em.maintain and site >= first_commit:
-                blk.append("if pkt.pending_writes:")
-                blk.append(f"    sim._commit_pending(pkt, {site})")
-            if body:
-                if em.maintain and any("sim._" in line for line in body):
-                    body.insert(0, f"pkt.position = {site}")
-                blk.append("if not pkt.done:")
-                blk += _ind(_hoists(frozenset().union(
-                    *named[site - 1:end - 1])) + body)
-            if blk:
-                adv.append(f"pkt = slots[{site}]")
-                adv.append("if pkt is not None:")
-                adv += _ind(blk)
-        adv.append("return flushed" if any_stage_flush else "return False")
-        fn_sections.append(
-            ("_advance", ["sim", "slots", "barrier_queues", "input_queue",
-                          "report"], adv)
-        )
-
-    # -- observe --------------------------------------------------------------
-    fn_sections.append(("_observe", ["metrics", "slots", "barrier_queues"],
-                        observe))
 
     # -- stream ---------------------------------------------------------------
     # Straight-line per-packet execution wherever stream_blocker finds no
@@ -1681,7 +1520,7 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         "",
         f"Emitted by repro.hwsim.codegen (CODEGEN_VERSION = "
         f"{CODEGEN_VERSION}); flush machinery "
-        f"{'included' if em.any_flush else 'elided'}, position/commit "
+        f"{'included' if em.any_flush else 'elided'}, map-read "
         f"tracking {'included' if em.maintain else 'elided'}. Do not edit.",
         '"""',
         "",
@@ -1765,8 +1604,6 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         out.append("")
     out.append(f"_STAGE_FNS = ({', '.join(stage_fn_names)},)")
     out.append(f"_ENTRY = {'_entry' if entry is not None else 'None'}")
-    out.append(f"_ADVANCE = {'None' if serial else '_advance'}")
-    out.append("_OBSERVE = _observe")
     out.append(f"_STREAM = {'_stream' if stream_ok else 'None'}")
     if stream_ok:
         sites = "site" if em.spill_sites == 1 else "sites"

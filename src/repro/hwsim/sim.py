@@ -190,8 +190,7 @@ class _InFlight:
 
 
 def _generic_observe(metrics, slots, barrier_queues) -> None:
-    """Per-cycle telemetry increments (any engine). The codegen engine
-    substitutes a generated equivalent with the busy loop unrolled."""
+    """Per-cycle telemetry increments (either engine)."""
     metrics.observed_cycles += 1
     busy = metrics.stage_busy_cycles
     for pos in range(1, len(slots)):
@@ -322,8 +321,8 @@ class PipelineSimulator:
         # _stage_fns[pos] (stage number pos + 1), the cycle loop _entry_fn,
         # without knowing who built them: "interpreted" re-decodes ops per
         # packet per cycle; "codegen" exec()s the pipeline's generated
-        # source module, which adds a whole-cycle advance function, an
-        # unrolled observer and, where proven equivalent, _STREAM.
+        # source module, whose stage bodies run in the same loop and
+        # which adds, where proven equivalent, _STREAM.
         engine = self.options.engine
         if engine not in ("interpreted", "codegen"):
             raise SimError(
@@ -331,8 +330,6 @@ class PipelineSimulator:
                 "(expected interpreted or codegen)"
             )
         self.engine = engine
-        self._advance_fn: Optional[Callable] = None
-        self._observe_fn: Optional[Callable] = None
         self._stream_fn: Optional[Callable] = None
         self._stream_shape: Optional[str] = None
         if engine == "codegen":
@@ -341,14 +338,8 @@ class PipelineSimulator:
             module = load_pipeline_module(pipeline)
             self._stage_fns: Sequence[Optional[Callable]] = module["_STAGE_FNS"]
             self._entry_fn: Optional[Callable] = module["_ENTRY"]
-            self._advance_fn = module["_ADVANCE"]
             self._stream_fn = module.get("_STREAM")
             self._stream_shape = module.get("_STREAM_SHAPE")
-            # Binding the generated observer is free; whether any
-            # observer runs is decided once per run() from the
-            # registry's enabled flag, so a simulator built before
-            # telemetry was enabled still gets the unrolled observer.
-            self._observe_fn = module["_OBSERVE"]
         else:
             self._stage_fns = [_interpreted_stage(s) for s in pipeline.stages]
             self._entry_fn = _interpreted_entry(pipeline.entry_ops)
@@ -374,8 +365,8 @@ class PipelineSimulator:
         (0-based): ``(at frame N)`` when one frame is to blame — a stage
         body dispatched from this loop raised on it — else ``(frames
         LO..HI in flight)``, what the pipeline held when the cycle
-        budget ran out or the generated whole-cycle advance raised (an
-        empty pipeline names the next frame due into it)."""
+        budget ran out or a host op or observer raised (an empty
+        pipeline names the next frame due into it)."""
         options = self.options
         n_stages = self.pipeline.n_stages
         # Telemetry: resolved once per run; when off, the whole per-cycle
@@ -396,23 +387,15 @@ class PipelineSimulator:
         cycle_ns = 1000.0 / options.clock_mhz
 
         host_ops = list(self.host_ops)
-        # Only the codegen engine has an advance function covering the
-        # entire hazard-free shift phase; stall cycles and windowed
-        # pipelines enter each packet through _enter, as the interpreted
-        # engine always does.
         entry_fn = self._entry_fn
-        advance = self._advance_fn
         # Per-cycle telemetry with the line-rate common case batched: at
         # line rate every stage slot holds a packet, so the per-stage
         # busy scan degenerates to "add 1 to every stage" — one C-level
         # ``slots.count(None)`` (index 0 is the 1-based pad, always
         # ``None``). Those cycles are tallied in full_cycles and folded
         # into the metrics once per run, below; only partially-occupied
-        # cycles (fill, drain, gaps, barrier activity) pay the engine's
-        # per-slot observer. Final counts are identical either way.
-        observe = None
-        if metrics is not None:
-            observe = self._observe_fn or _generic_observe
+        # cycles (fill, drain, gaps, barrier activity) pay the per-slot
+        # observer. Final counts are identical either way.
         full_cycles = 0
         # Loop-invariant lookups, hoisted off the per-cycle path.
         entry_block_id = self.pipeline.cfg.entry.block_id
@@ -423,10 +406,7 @@ class PipelineSimulator:
         keep_records = options.keep_records
         shift_range = range(n_stages - 1, 0, -1)
         observer = self.observer
-        # Interlock windows. When present, the whole-cycle advance
-        # path is bypassed (codegen emits _ADVANCE=None for windowed
-        # pipelines) so both engines run the same generic shift loop and
-        # stall identically; every way into a stage asks _admits.
+        # Interlock windows: every way into a stage asks _admits.
         windows = self._serial_windows = self._interlocks()
         injected = frozenset((entry_block_id,))
         admits = self._admits
@@ -502,33 +482,25 @@ class PipelineSimulator:
                             out.restarts,
                         )
                     slots[n_stages] = None
-                if advance is not None and stall_below < 0:
-                    # Codegen engine: the whole shift phase is one generated
-                    # call — stage bodies inlined at their shift sites, no
-                    # per-stage dispatch at all.
-                    if advance(self, slots, barrier_queues, input_queue, report):
+                for pos in shift_range:
+                    pkt = slots[pos]
+                    if pkt is None:
+                        continue
+                    if pos <= stall_below:
+                        continue  # held by a draining elastic buffer
+                    npos = pos + 1
+                    if slots[npos] is not None:
+                        continue  # backed up behind an interlocked packet
+                    # Deepest-first iteration: a same-cycle hi -> hi+1
+                    # exit has already vacated a window by the time the
+                    # packet at lo-1 asks to enter it.
+                    if windows and not admits(pkt.enabled, pkt.stack,
+                                              npos, pos):
+                        continue
+                    slots[pos] = None
+                    running = pkt
+                    if enter(pkt, npos, barrier_queues, input_queue, report):
                         reload_stall = max(reload_stall, reload_overhead)
-                else:
-                    for pos in shift_range:
-                        pkt = slots[pos]
-                        if pkt is None:
-                            continue
-                        if pos <= stall_below:
-                            continue  # held by a draining elastic buffer
-                        npos = pos + 1
-                        if slots[npos] is not None:
-                            continue  # backed up behind an interlocked packet
-                        # Deepest-first iteration: a same-cycle hi -> hi+1
-                        # exit has already vacated a window by the time the
-                        # packet at lo-1 asks to enter it.
-                        if windows and not admits(pkt.enabled, pkt.stack,
-                                                  npos, pos):
-                            continue
-                        slots[pos] = None
-                        running = pkt
-                        if enter(pkt, npos, barrier_queues, input_queue,
-                                 report):
-                            reload_stall = max(reload_stall, reload_overhead)
 
                 # 3. release one packet from the deepest non-empty barrier queue
                 released = False
@@ -577,11 +549,11 @@ class PipelineSimulator:
                         reload_stall = max(reload_stall, reload_overhead)
                 running = None
 
-                if observe is not None:
+                if metrics is not None:
                     if not barrier_queues and slots.count(None) == 1:
                         full_cycles += 1
                     else:
-                        observe(metrics, slots, barrier_queues)
+                        _generic_observe(metrics, slots, barrier_queues)
 
                 if observer is not None:
                     observer(cycle, slots, barrier_queues, input_queue, report)
@@ -688,29 +660,15 @@ class PipelineSimulator:
         return None
 
     def engine_path(self, gap: int = 1) -> str:
-        """``stream (<stream shape>)`` or ``cycle-loop (<reason>[;
-        <advance shape>])``: the code path a run of this simulator
-        takes, for attributing its numbers. Both shapes are the
-        emitter's own account of what it specialised: how many of the
-        stream body's map lookups are folded to the map's kind and
-        geometry and how many ``sim._*`` fallbacks spill the register
-        locals; what the generated ``_advance`` visits (see
-        ``codegen.restart_blocker`` — the generic shift loop of the
-        interpreted engine and of windowed pipelines has none)."""
+        """``stream (<stream shape>)`` or ``cycle-loop (<reason>)``: the
+        code path a run of this simulator takes, for attributing its
+        numbers. The shape is the emitter's own account of what it
+        specialised: how many of the stream body's map lookups are
+        folded to the map's kind and geometry and how many ``sim._*``
+        fallbacks spill the register locals."""
         reason = self.stream_blocker(gap)
         if reason is None:
             return f"stream ({self._stream_shape})"
-        if self._advance_fn is not None:
-            from .codegen import advance_sites, restart_blocker
-
-            why = restart_blocker(self.pipeline)
-            if why is None:
-                reason += (
-                    f"; advance visits {len(advance_sites(self.pipeline))}"
-                    f" of {self.pipeline.n_stages - 1} stages, snapshots"
-                    " elided")
-            else:
-                reason += f"; advance visits every stage ({why})"
         return f"cycle-loop ({reason})"
 
     def _new_report(self, metrics: Optional[SimMetrics]) -> SimReport:

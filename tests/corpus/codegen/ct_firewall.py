@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 10); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 11); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -387,51 +387,6 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _observe(metrics, slots, barrier_queues):
-    metrics.observed_cycles += 1
-    _b = metrics.stage_busy_cycles
-    if slots[1] is not None:
-        _b[0] += 1
-    if slots[2] is not None:
-        _b[1] += 1
-    if slots[3] is not None:
-        _b[2] += 1
-    if slots[4] is not None:
-        _b[3] += 1
-    if slots[5] is not None:
-        _b[4] += 1
-    if slots[6] is not None:
-        _b[5] += 1
-    if slots[7] is not None:
-        _b[6] += 1
-    if slots[8] is not None:
-        _b[7] += 1
-    if slots[9] is not None:
-        _b[8] += 1
-    if slots[10] is not None:
-        _b[9] += 1
-    if slots[11] is not None:
-        _b[10] += 1
-    if slots[12] is not None:
-        _b[11] += 1
-    if slots[13] is not None:
-        _b[12] += 1
-    if slots[14] is not None:
-        _b[13] += 1
-    if slots[15] is not None:
-        _b[14] += 1
-    if slots[16] is not None:
-        _b[15] += 1
-    if slots[17] is not None:
-        _b[16] += 1
-    if slots[18] is not None:
-        _b[17] += 1
-    if barrier_queues:
-        _w = 0
-        for _q in barrier_queues.values():
-            _w += len(_q)
-        metrics.barrier_wait_cycles += _w
-
 def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
     pid = 0
     cycle = 0
@@ -645,8 +600,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_ban
 
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, None, _s17, _s18,)
 _ENTRY = _entry
-_ADVANCE = None
-_OBSERVE = _observe
 _STREAM = _stream
 _STREAM_SHAPE = "2 of 2 lookups folded, 3 spill sites"
 

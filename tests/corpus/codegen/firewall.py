@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 10); flush machinery elided, position/commit tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 11); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct
@@ -257,197 +257,6 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _advance(sim, slots, barrier_queues, input_queue, report, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i0=_i0):
-    slots.insert(1, None)
-    del slots[-1]
-    pkt = slots[16]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 4 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-            if not pkt.done and 5 in enabled:
-                _a = regs[0]
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
-                    _old = _u8(_m.storage, _o)[0]
-                    _sv = regs[1]
-                    _p8(_m.storage, _o, (_old + _sv) & 0xffffffffffffffff)
-                else:
-                    sim._atomic(pkt, _i0, _a)
-            if not pkt.done:
-                if 5 in enabled:
-                    regs[0] = 0x3
-                if not pkt.done:
-                    if 5 in enabled:
-                        pkt.done = True
-                        pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[12]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 3 in enabled:
-                _m = sim.maps.maps.get(1)
-                if _m is None:
-                    sim._drop(pkt)
-                else:
-                    _a = regs[2]
-                    _o = _a - 0x200000
-                    if 0 <= _o <= 512 - _m.key_size:
-                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
-                    else:
-                        _k = sim._read_plain(pkt, _a, _m.key_size)
-                    if _k is not None:
-                        _sl = _m.lookup_slot(_k)
-                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
-                regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-            if not pkt.done:
-                if 3 in enabled:
-                    enabled.update((5,) if regs[0] != 0x0 else (4,))
-                if not pkt.done:
-                    if 4 in enabled:
-                        regs[0] = 0x1
-                    if 5 in enabled:
-                        regs[1] = 0x1
-    pkt = slots[7]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 2 in enabled:
-                _m = sim.maps.maps.get(1)
-                if _m is None:
-                    sim._drop(pkt)
-                else:
-                    _a = regs[2]
-                    _o = _a - 0x200000
-                    if 0 <= _o <= 512 - _m.key_size:
-                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
-                    else:
-                        _k = sim._read_plain(pkt, _a, _m.key_size)
-                    if _k is not None:
-                        _sl = _m.lookup_slot(_k)
-                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
-                regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-            if not pkt.done:
-                if 2 in enabled:
-                    enabled.update((5,) if regs[0] != 0x0 else (3,))
-                if not pkt.done:
-                    if 3 in enabled:
-                        regs[2] = _u4(pkt.ctx.packet, 30)[0]
-                    if 3 in enabled:
-                        regs[3] = _u4(pkt.ctx.packet, 26)[0]
-                    if 3 in enabled:
-                        regs[4] = _u2(pkt.ctx.packet, 36)[0]
-                    if 3 in enabled:
-                        regs[5] = _u2(pkt.ctx.packet, 34)[0]
-                    if 3 in enabled:
-                        regs[1] = 0x30000001
-                    if not pkt.done:
-                        if 3 in enabled:
-                            _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-                        if 3 in enabled:
-                            _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-                        if 3 in enabled:
-                            _p2(pkt.stack, 504, regs[4] & 0xffff)
-                        if 3 in enabled:
-                            _p2(pkt.stack, 506, regs[5] & 0xffff)
-                        if 3 in enabled:
-                            regs[2] = regs[10]
-                        if 3 in enabled:
-                            regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-    pkt = slots[2]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 0 in enabled:
-                enabled.update((6,) if regs[2] != 0x8 else (1,))
-            if not pkt.done:
-                if 1 in enabled:
-                    regs[2] = _u1(pkt.ctx.packet, 23)[0]
-                if not pkt.done:
-                    if 1 in enabled:
-                        enabled.update((6,) if regs[2] != 0x11 else (2,))
-                    if not pkt.done:
-                        if 2 in enabled:
-                            regs[2] = _u4(pkt.ctx.packet, 26)[0]
-                        if 2 in enabled:
-                            regs[3] = _u4(pkt.ctx.packet, 30)[0]
-                        if 2 in enabled:
-                            regs[4] = _u2(pkt.ctx.packet, 34)[0]
-                        if 2 in enabled:
-                            regs[5] = _u2(pkt.ctx.packet, 36)[0]
-                        if 2 in enabled:
-                            regs[8] = 0x0
-                        if 2 in enabled:
-                            regs[1] = 0x30000001
-                        if 6 in enabled:
-                            regs[0] = 0x2
-                        if not pkt.done:
-                            if 2 in enabled:
-                                _p4(pkt.stack, 496, regs[2] & 0xffffffff)
-                            if 2 in enabled:
-                                _p4(pkt.stack, 500, regs[3] & 0xffffffff)
-                            if 2 in enabled:
-                                _p2(pkt.stack, 504, regs[4] & 0xffff)
-                            if 2 in enabled:
-                                _p2(pkt.stack, 506, regs[5] & 0xffff)
-                            if 2 in enabled:
-                                _p4(pkt.stack, 508, regs[8] & 0xffffffff)
-                            if 2 in enabled:
-                                regs[2] = regs[10]
-                            if 2 in enabled:
-                                regs[2] = (regs[2] + 0xfffffffffffffff0) & 0xffffffffffffffff
-                            if 6 in enabled:
-                                pkt.done = True
-                                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    return False
-
-def _observe(metrics, slots, barrier_queues):
-    metrics.observed_cycles += 1
-    _b = metrics.stage_busy_cycles
-    if slots[1] is not None:
-        _b[0] += 1
-    if slots[2] is not None:
-        _b[1] += 1
-    if slots[3] is not None:
-        _b[2] += 1
-    if slots[4] is not None:
-        _b[3] += 1
-    if slots[5] is not None:
-        _b[4] += 1
-    if slots[6] is not None:
-        _b[5] += 1
-    if slots[7] is not None:
-        _b[6] += 1
-    if slots[8] is not None:
-        _b[7] += 1
-    if slots[9] is not None:
-        _b[8] += 1
-    if slots[10] is not None:
-        _b[9] += 1
-    if slots[11] is not None:
-        _b[10] += 1
-    if slots[12] is not None:
-        _b[11] += 1
-    if slots[13] is not None:
-        _b[12] += 1
-    if slots[14] is not None:
-        _b[13] += 1
-    if slots[15] is not None:
-        _b[14] += 1
-    if slots[16] is not None:
-        _b[15] += 1
-    if slots[17] is not None:
-        _b[16] += 1
-    if slots[18] is not None:
-        _b[17] += 1
-
 def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _ZSTACK=_ZSTACK):
     pid = 0
     cycle = 0
@@ -573,8 +382,6 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
 
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18,)
 _ENTRY = _entry
-_ADVANCE = _advance
-_OBSERVE = _observe
 _STREAM = _stream
 _STREAM_SHAPE = "2 of 2 lookups folded, 1 spill site"
 

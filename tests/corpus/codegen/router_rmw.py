@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'router_rmw' (28 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 10); flush machinery included, position/commit tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 11); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -85,6 +85,7 @@ def _s7(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.stack, 508, regs[2] & 0xffffffff)
         if _se is not None:
+            pkt.take_snapshot(7)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 2 in enabled:
@@ -175,6 +176,7 @@ def _s13(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.ctx.packet, 0, regs[2] & 0xffffffff)
         if _se is not None:
+            pkt.take_snapshot(13)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -207,6 +209,7 @@ def _s14(sim, pkt, slots, barrier_queues, input_queue, report, _p2=_p2):
         _se = None
         _p2(pkt.ctx.packet, 4, regs[2] & 0xffff)
         if _se is not None:
+            pkt.take_snapshot(14)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -237,6 +240,7 @@ def _s15(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.ctx.packet, 6, regs[2] & 0xffffffff)
         if _se is not None:
+            pkt.take_snapshot(15)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -269,6 +273,7 @@ def _s16(sim, pkt, slots, barrier_queues, input_queue, report, _u1=_u1, _p2=_p2)
         _se = None
         _p2(pkt.ctx.packet, 10, regs[2] & 0xffff)
         if _se is not None:
+            pkt.take_snapshot(16)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -299,12 +304,14 @@ def _s18(sim, pkt, slots, barrier_queues, input_queue, report, _p1=_p1, _p2=_p2)
         _se = None
         _p1(pkt.ctx.packet, 22, regs[2] & 0xff)
         if _se is not None:
+            pkt.take_snapshot(18)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
         _se = None
         _p2(pkt.ctx.packet, 24, regs[3] & 0xffff)
         if _se is not None:
+            pkt.take_snapshot(18)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -321,6 +328,7 @@ def _s19(sim, pkt, slots, barrier_queues, input_queue, report, _p4=_p4):
         _se = None
         _p4(pkt.stack, 504, regs[2] & 0xffffffff)
         if _se is not None:
+            pkt.take_snapshot(19)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     if not pkt.done and 3 in enabled:
@@ -401,6 +409,7 @@ def _s25(sim, pkt, slots, barrier_queues, input_queue, report):
         if not pkt.done:
             enabled.add(5)
         if _se is not None:
+            pkt.take_snapshot(25)
             if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
                 flushed = True
     return flushed
@@ -450,400 +459,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _advance(sim, slots, barrier_queues, input_queue, report, _HC=_HC, _u1=_u1, _u2=_u2, _u4=_u4, _p1=_p1, _p2=_p2, _p4=_p4, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _h23=_h23):
-    slots.insert(1, None)
-    del slots[-1]
-    flushed = False
-    pkt = slots[27]
-    if pkt is not None:
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 27)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            if 5 in enabled:
-                regs[0] = _h23(_HC(sim, pkt), regs[1], regs[2], regs[3], regs[4], regs[5]) & 0xffffffffffffffff
-                regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-            if not pkt.done:
-                if 5 in enabled:
-                    pkt.done = True
-                    pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[26]
-    if pkt is not None:
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 26)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 26
-            if 5 in enabled:
-                _a = (regs[8] + 12) & 0xffffffffffffffff
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
-                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
-                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
-                    regs[1] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 4)
-                    if _v is not None:
-                        regs[1] = _v
-            if not pkt.done and 5 in enabled:
-                regs[2] = 0x0
-    pkt = slots[25]
-    if pkt is not None:
-        if pkt.pending_writes:
-            sim._commit_pending(pkt, 25)
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 25
-            if 4 in enabled:
-                _a = regs[0]
-                _se = sim._mem_store(pkt, _a, 8, regs[2], None)
-                if not pkt.done:
-                    enabled.add(5)
-                if _se is not None:
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-    pkt = slots[23]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 23
-            if 4 in enabled:
-                _a = regs[0]
-                _o = _a - 0x42000000
-                _m = sim.maps.maps.get(2)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 8 <= 16777208:
-                    _d = sim._map_read_bytes(pkt, 2, _o, 8)
-                    pkt.value_reads.setdefault(2, set()).add(_m.slot_of_addr(_o))
-                    regs[2] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 8)
-                    if _v is not None:
-                        regs[2] = _v
-            if not pkt.done:
-                if 4 in enabled:
-                    regs[2] = (regs[2] + 0x1) & 0xffffffffffffffff
-    pkt = slots[20]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 20
-            if 3 in enabled:
-                _m = sim.maps.maps.get(2)
-                if _m is None:
-                    sim._drop(pkt)
-                else:
-                    _a = regs[2]
-                    _o = _a - 0x200000
-                    if 0 <= _o <= 512 - _m.key_size:
-                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
-                    else:
-                        _k = sim._read_plain(pkt, _a, _m.key_size)
-                    if _k is not None:
-                        _sl = _m.lookup_slot(_k)
-                        pkt.addr_reads.setdefault(2, []).append((_k, _sl))
-                        regs[0] = 0 if _sl is None else 0x42000000 + _sl * _m.value_size
-                regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-            if not pkt.done:
-                if 3 in enabled:
-                    enabled.update((5,) if regs[0] == 0x0 else (4,))
-    pkt = slots[15]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 15
-            if 3 in enabled:
-                _se = None
-                _p4(pkt.ctx.packet, 6, regs[2] & 0xffffffff)
-                if _se is not None:
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                _a = (regs[8] + 10) & 0xffffffffffffffff
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
-                    _d = sim._map_read_bytes(pkt, 1, _o, 2)
-                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
-                    regs[2] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 2)
-                    if _v is not None:
-                        regs[2] = _v
-            if not pkt.done and 3 in enabled:
-                regs[4] = regs[3]
-            if not pkt.done and 3 in enabled:
-                regs[4] = regs[4] >> 16
-            if not pkt.done and 3 in enabled:
-                regs[3] = regs[3] & 0xffff
-            if not pkt.done:
-                if 3 in enabled:
-                    _se = None
-                    _p2(pkt.ctx.packet, 10, regs[2] & 0xffff)
-                    if _se is not None:
-                        if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                            flushed = True
-                if not pkt.done and 3 in enabled:
-                    regs[2] = _u1(pkt.ctx.packet, 22)[0]
-                if not pkt.done and 3 in enabled:
-                    regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
-                if not pkt.done:
-                    if 3 in enabled:
-                        regs[2] = (regs[2] + 0xffffffffffffffff) & 0xffffffffffffffff
-                    if 3 in enabled:
-                        _v = regs[3] & 0xffff
-                        regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
-                    if not pkt.done:
-                        if 3 in enabled:
-                            _se = None
-                            _p1(pkt.ctx.packet, 22, regs[2] & 0xff)
-                            if _se is not None:
-                                if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                                    flushed = True
-                        if not pkt.done and 3 in enabled:
-                            _se = None
-                            _p2(pkt.ctx.packet, 24, regs[3] & 0xffff)
-                            if _se is not None:
-                                if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                                    flushed = True
-                        if not pkt.done and 3 in enabled:
-                            regs[2] = 0x0
-                        if not pkt.done:
-                            if 3 in enabled:
-                                _se = None
-                                _p4(pkt.stack, 504, regs[2] & 0xffffffff)
-                                if _se is not None:
-                                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                                        flushed = True
-                            if not pkt.done and 3 in enabled:
-                                regs[2] = regs[10]
-                            if not pkt.done and 3 in enabled:
-                                regs[2] = (regs[2] + 0xfffffffffffffff8) & 0xffffffffffffffff
-    pkt = slots[14]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 14
-            if 3 in enabled:
-                _se = None
-                _p2(pkt.ctx.packet, 4, regs[2] & 0xffff)
-                if _se is not None:
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                _a = (regs[8] + 6) & 0xffffffffffffffff
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
-                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
-                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
-                    regs[2] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 4)
-                    if _v is not None:
-                        regs[2] = _v
-            if not pkt.done and 3 in enabled:
-                regs[4] = regs[4] >> 16
-            if not pkt.done and 3 in enabled:
-                regs[3] = (regs[3] + regs[4]) & 0xffffffffffffffff
-    pkt = slots[13]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 13
-            if 3 in enabled:
-                _se = None
-                _p4(pkt.ctx.packet, 0, regs[2] & 0xffffffff)
-                if _se is not None:
-                    if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                        flushed = True
-            if not pkt.done and 3 in enabled:
-                _a = (regs[8] + 4) & 0xffffffffffffffff
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 2 <= 16777214:
-                    _d = sim._map_read_bytes(pkt, 1, _o, 2)
-                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
-                    regs[2] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 2)
-                    if _v is not None:
-                        regs[2] = _v
-            if not pkt.done and 3 in enabled:
-                regs[3] = (regs[3] + 0x100) & 0xffffffffffffffff
-            if not pkt.done and 3 in enabled:
-                regs[4] = regs[3]
-            if not pkt.done and 3 in enabled:
-                regs[3] = regs[3] & 0xffff
-    pkt = slots[12]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 12
-            if 3 in enabled:
-                _a = regs[8]
-                _o = _a - 0x41000000
-                _m = sim.maps.maps.get(1)
-                if _m is not None and 0 <= _o <= len(_m.storage) - 4 <= 16777212:
-                    _d = sim._map_read_bytes(pkt, 1, _o, 4)
-                    pkt.value_reads.setdefault(1, set()).add(_m.slot_of_addr(_o))
-                    regs[2] = int.from_bytes(_d, "little")
-                else:
-                    _v = sim._mem_load(pkt, _a, 4)
-                    if _v is not None:
-                        regs[2] = _v
-            if not pkt.done and 3 in enabled:
-                _v = regs[3] & 0xffff
-                regs[3] = int.from_bytes(_v.to_bytes(2, "little"), "big")
-            if not pkt.done and 6 in enabled:
-                pkt.done = True
-                pkt.action = _ACTIONS.get(regs[0] & 0xffffffff, _ABORTED)
-    pkt = slots[8]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 8
-            if 2 in enabled:
-                _m = sim.maps.maps.get(1)
-                if _m is None:
-                    sim._drop(pkt)
-                else:
-                    _a = regs[2]
-                    _o = _a - 0x200000
-                    if 0 <= _o <= 512 - _m.key_size:
-                        _k = bytes(pkt.stack[_o:_o + _m.key_size])
-                    else:
-                        _k = sim._read_plain(pkt, _a, _m.key_size)
-                    if _k is not None:
-                        _sl = _m.lookup_slot(_k)
-                        pkt.addr_reads.setdefault(1, []).append((_k, _sl))
-                        regs[0] = 0 if _sl is None else 0x41000000 + _sl * _m.value_size
-                regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
-            if not pkt.done:
-                if 2 in enabled:
-                    enabled.update((6,) if regs[0] == 0x0 else (3,))
-                if not pkt.done:
-                    if 3 in enabled:
-                        regs[8] = regs[0]
-                    if 3 in enabled:
-                        regs[3] = _u2(pkt.ctx.packet, 24)[0]
-                    if 3 in enabled:
-                        regs[1] = 0x30000002
-                    if 6 in enabled:
-                        regs[0] = 0x2
-    pkt = slots[2]
-    if pkt is not None:
-        if not pkt.done:
-            regs = pkt.regs
-            enabled = pkt.enabled
-            pkt.position = 2
-            if 0 in enabled:
-                enabled.update((6,) if regs[2] != 0x8 else (1,))
-            if not pkt.done:
-                if 1 in enabled:
-                    regs[2] = _u1(pkt.ctx.packet, 22)[0]
-                if not pkt.done:
-                    if 1 in enabled:
-                        enabled.update((6,) if regs[2] <= 0x1 else (2,))
-                    if not pkt.done:
-                        if 2 in enabled:
-                            regs[2] = _u4(pkt.ctx.packet, 30)[0]
-                        if 2 in enabled:
-                            regs[1] = 0x30000001
-                        if not pkt.done:
-                            if 2 in enabled:
-                                regs[2] = regs[2] & 0xffffff
-                            if not pkt.done:
-                                if 2 in enabled:
-                                    _se = None
-                                    _p4(pkt.stack, 508, regs[2] & 0xffffffff)
-                                    if _se is not None:
-                                        if sim._flush_check(pkt, _se, slots, barrier_queues, input_queue, report):
-                                            flushed = True
-                                if not pkt.done and 2 in enabled:
-                                    regs[2] = regs[10]
-                                if not pkt.done and 2 in enabled:
-                                    regs[2] = (regs[2] + 0xfffffffffffffffc) & 0xffffffffffffffff
-    return flushed
-
-def _observe(metrics, slots, barrier_queues):
-    metrics.observed_cycles += 1
-    _b = metrics.stage_busy_cycles
-    if slots[1] is not None:
-        _b[0] += 1
-    if slots[2] is not None:
-        _b[1] += 1
-    if slots[3] is not None:
-        _b[2] += 1
-    if slots[4] is not None:
-        _b[3] += 1
-    if slots[5] is not None:
-        _b[4] += 1
-    if slots[6] is not None:
-        _b[5] += 1
-    if slots[7] is not None:
-        _b[6] += 1
-    if slots[8] is not None:
-        _b[7] += 1
-    if slots[9] is not None:
-        _b[8] += 1
-    if slots[10] is not None:
-        _b[9] += 1
-    if slots[11] is not None:
-        _b[10] += 1
-    if slots[12] is not None:
-        _b[11] += 1
-    if slots[13] is not None:
-        _b[12] += 1
-    if slots[14] is not None:
-        _b[13] += 1
-    if slots[15] is not None:
-        _b[14] += 1
-    if slots[16] is not None:
-        _b[15] += 1
-    if slots[17] is not None:
-        _b[16] += 1
-    if slots[18] is not None:
-        _b[17] += 1
-    if slots[19] is not None:
-        _b[18] += 1
-    if slots[20] is not None:
-        _b[19] += 1
-    if slots[21] is not None:
-        _b[20] += 1
-    if slots[22] is not None:
-        _b[21] += 1
-    if slots[23] is not None:
-        _b[22] += 1
-    if slots[24] is not None:
-        _b[23] += 1
-    if slots[25] is not None:
-        _b[24] += 1
-    if slots[26] is not None:
-        _b[25] += 1
-    if slots[27] is not None:
-        _b[26] += 1
-    if slots[28] is not None:
-        _b[27] += 1
-    if barrier_queues:
-        _w = 0
-        for _q in barrier_queues.values():
-            _w += len(_q)
-        metrics.barrier_wait_cycles += _w
-
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, None, _s10, _s11, _s12, _s13, _s14, _s15, _s16, _s17, _s18, _s19, _s20, None, _s22, _s23, _s24, _s25, _s26, _s27, _s28,)
 _ENTRY = _entry
-_ADVANCE = _advance
-_OBSERVE = _observe
 _STREAM = None
 

@@ -17,10 +17,9 @@ machinery around the generated source itself:
   and observably equivalent to the cycle loop — for windowed pipelines
   down to every packet's arrival/inject/exit cycle, the queue drops and
   the LRU recency order;
-* the interaction-sparse ``_advance``: fused packet-local runs and
-  elided snapshots exactly where ``restart_blocker`` proves no
-  elastic-buffer restart can be chosen, the per-stage snapshotting
-  ``interpreted`` engine being the reference.
+* the compiled stage bodies on the cycle loop both engines share, under
+  flushes that restart packets from elastic buffers and from the input
+  queue, the ``interpreted`` engine being the reference.
 """
 
 import copy
@@ -28,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import pickle
-import re
 from pathlib import Path
 
 import pytest
@@ -66,11 +64,9 @@ from repro.hwsim.codegen import (
     CODEGEN_VERSION,
     CodegenError,
     _Emitter,
-    advance_sites,
     ensure_source,
     generate_pipeline_source,
     load_pipeline_module,
-    restart_blocker,
     stream_blocker,
     write_debug_source,
 )
@@ -353,7 +349,7 @@ class TestStreamPath:
 
     def test_hundred_stages_load_and_stream(self):
         # one `if not pkt.done:` per stage used to nest the stream body
-        # (and a fused _advance run) past Python's 100 indentation levels
+        # past Python's 100 indentation levels
         program = deep_branch_program()
         pipeline = compile_program(program)
         assert pipeline.n_stages >= 100
@@ -365,7 +361,7 @@ class TestStreamPath:
             _path, want = _observed(pipeline, program, frames,
                                     "interpreted", gap)
             _assert_same(got, want)
-        # the cycle loop's generated _advance fuses all of it, too (gap 1)
+        # and the cycle loop runs the same stage bodies one by one (gap 1)
         with telemetry.scoped(enabled=True):
             path, loop = _observed(pipeline, program, frames, "codegen")
         assert path.startswith("cycle-loop (telemetry is on")
@@ -383,9 +379,9 @@ class TestStreamPath:
         fallbacks on ``pkt.regs`` directly.
 
         ``atomics`` names the map a program updates by atomics that do
-        not commute: ``stream_blocker`` refuses it (its own cycle loop,
-        the fused ``_advance``, is one more leg), so it streams under a
-        serialization window holding its accesses to that map."""
+        not commute: ``stream_blocker`` refuses it (its own cycle loop is
+        one more leg), so it streams under a serialization window holding
+        its accesses to that map."""
         pipeline = compile_program(program)
         gap = pipeline.n_stages + 2
         legs = []
@@ -393,7 +389,7 @@ class TestStreamPath:
             reason = stream_blocker(pipeline)
             assert reason.startswith(f"atomics on map {atomics} (stages ")
             legs.append(
-                (pipeline, None, f"cycle-loop ({reason}; advance visits"))
+                (pipeline, None, f"cycle-loop ({reason})"))
             plan = pipeline.map_hazards[atomics]
             pipeline = _rewindowed(pipeline, atomics, (
                 min(plan.read_stages), max(plan.atomic_stages)))
@@ -575,9 +571,8 @@ class TestStreamPath:
             labelled = _unresolved(pipeline, 5, label=label)
             for observer, expected in (
                 (None, "stream (1 of 1 lookups folded, 0 spill sites)"),
-                # ... then the advance's shape, which the label decides
                 (_idle_observer,
-                 "cycle-loop (a per-cycle observer is attached; "),
+                 "cycle-loop (a per-cycle observer is attached)"),
             ):
                 path, got = _observed(labelled, program, frames, "codegen",
                                       setup=seed, observer=observer)
@@ -765,9 +760,6 @@ class TestWindowedStream:
         assert pipeline.serial_windows
         assert stream_blocker(pipeline) is None
         assert "_STREAM = _stream" in pipeline.codegen_source
-        # the cycle-loop half of the module still has no whole-cycle
-        # advance: the generic shift loop owns the interlock
-        assert "_ADVANCE = None" in pipeline.codegen_source
 
     @pytest.mark.parametrize("name", sorted(_WINDOWED_APPS))
     def test_app_timing_matches_interpreted(self, name):
@@ -948,8 +940,7 @@ class TestStreamBlockers:
         assert "_STREAM = None" in generate_pipeline_source(pipeline)
         path, got = _observed(pipeline, program, frames, "codegen",
                               setup=setup)
-        # the reason leads; the advance's shape may follow (TestSparseAdvance)
-        assert path.startswith(f"cycle-loop ({stream_blocker(pipeline)}")
+        assert path == f"cycle-loop ({stream_blocker(pipeline)})"
         _path, want = _observed(pipeline, program, frames, "interpreted",
                                 setup=setup)
         _assert_same(got, want)
@@ -1128,20 +1119,17 @@ def _unresolved(pipeline, stage_number, **blanked):
     return clone
 
 
-class TestSparseAdvance:
-    """Where ``restart_blocker`` proves that no flush can ever choose an
-    elastic-buffer snapshot, the generated ``_advance`` visits only the
-    interaction stages (packet-local runs execute eagerly at the site
-    before them) and takes no snapshots; where it names a reason, every
-    stage stays a site and the snapshots stay. Either way the numbers
-    are the ``interpreted`` engine's, which executes stage by stage and
-    snapshots always."""
+class TestCycleLoopFlushes:
+    """A pipeline that cannot stream runs the simulator's one cycle loop
+    on either engine, which differ only in the stage bodies ``_enter``
+    dispatches: compiled ``_s<N>`` or the interpreted ops. Under a flush
+    plan both snapshot at every map side effect, so a squashed packet
+    restarts from the same elastic buffer or input-queue slot, and every
+    count below is the ``interpreted`` engine's."""
 
     # leaky_bucket flushes on the §3.3 layout only
     APPS = {"leaky_bucket": (leaky_bucket, PAPER),
             "dnat": (dnat, CompileOptions())}
-    SITES = {"leaky_bucket": [2, 6, 8, 12, 19, 21, 25],
-             "dnat": [2, 8, 11, 13, 17, 20, 26]}
     RMW = TestInterleavedRmwRegression()._program()
     # both slots of the two-entry array, touched in every order
     RMW_FRAMES = [bytes([b0]) + bytes(24) + bytes([b25]) + bytes(38)
@@ -1153,78 +1141,42 @@ class TestSparseAdvance:
         program = module.build()
         return program, compile_program(program, options)
 
-    @pytest.mark.parametrize("name", sorted(APPS))
-    def test_proof_accepts(self, name):
-        program, pipeline = self._app(name)
-        assert restart_blocker(pipeline) is None
-        assert advance_sites(pipeline) == self.SITES[name]
-        source = pipeline.codegen_source
-        assert "take_snapshot" not in source
-        assert "slots.insert(1, None)" in source
-        advance = source[source.index("def _advance("):
-                         source.index("def _observe(")]
-        visited = [int(n) for n in re.findall(r"pkt = slots\[(\d+)\]",
-                                               advance)]
-        assert visited == self.SITES[name][::-1]
-        sim = PipelineSimulator(pipeline, options=SimOptions())
-        assert sim.engine_path().endswith(
-            f"; advance visits {len(visited)} of {pipeline.n_stages - 1} "
-            "stages, snapshots elided)")
-
-    def _check_refused(self, pipeline, program, frames, reason):
-        """Dense segments, snapshots kept, the reason on show; returns
-        the reference's observations at line rate."""
-        assert restart_blocker(pipeline) == reason
-        assert advance_sites(pipeline) == list(
-            range(2, pipeline.n_stages + 1))
+    def _check_parity(self, pipeline, program, frames):
+        """Snapshots emitted, the cycle loop taken, the reference's
+        numbers at gaps 3, 2 and 1; returns its observations at line
+        rate."""
         assert "take_snapshot" in generate_pipeline_source(pipeline)
         for gap in (3, 2, 1):
             path, got = _observed(pipeline, program, frames, "codegen", gap)
-            assert path.endswith(f"; advance visits every stage ({reason}))")
+            assert path.startswith("cycle-loop ("), path
             _path, want = _observed(pipeline, program, frames,
                                     "interpreted", gap)
             _assert_same(got, want)
         return want
 
-    def test_read_after_a_side_effect_refuses(self):
+    def test_restarts_from_elastic_buffers(self):
         # reads at 4/7/13/16 around writes at 9/18: the second lookup's
         # reads postdate the first store's snapshot, which is therefore
         # clean and chosen — packets do restart from elastic buffers
         pipeline = compile_program(self.RMW)
-        want = self._check_refused(
-            pipeline, self.RMW, self.RMW_FRAMES,
-            "map 1 is read at stage 13 after a side effect at stage 9")
+        want = self._check_parity(pipeline, self.RMW, self.RMW_FRAMES)
         flushes, _squashed, stall_cycles = want["hazards"]
         assert flushes > 0 and stall_cycles > 0
         assert any(record[6] for record in want["records"])
 
-    def test_unresolved_access_refuses(self):
+    def test_unresolved_access(self):
         program, pipeline = self._app("leaky_bucket")
         blind = _unresolved(pipeline, 19, label=None)
-        want = self._check_refused(
-            blind, program, _zipf_frames(flows=6),
-            "the access at stage 19 has an unresolved region")
+        want = self._check_parity(blind, program, _zipf_frames(flows=6))
         assert want["hazards"][0] > 0
 
-    def test_unresolved_map_call_refuses(self):
+    def test_unresolved_map_call(self):
         program, pipeline = self._app("leaky_bucket")
         lookup = pipeline.stages[7].ops[0].call
         assert lookup.is_map_read
         blind = _unresolved(pipeline, 8, call=dataclasses.replace(
             lookup, map_fd=None))
-        self._check_refused(
-            blind, program, _zipf_frames(flows=6),
-            "the call at stage 8 reaches an unresolved map")
-
-    def test_window_refuses(self):
-        pipeline = TestWindowedStream.TINY_PIPELINE
-        assert restart_blocker(pipeline) \
-            == "a serialization window stalls the shift"
-        source = generate_pipeline_source(pipeline)
-        assert "_ADVANCE = None" in source and "take_snapshot" in source
-        with telemetry.scoped(enabled=True):  # off the stream path
-            sim = PipelineSimulator(pipeline, options=SimOptions())
-            assert sim.engine_path() == "cycle-loop (telemetry is on)"
+        self._check_parity(blind, program, _zipf_frames(flows=6))
 
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_sweep_matches_interpreted(self, name):
@@ -1260,10 +1212,10 @@ class TestSparseAdvance:
         _assert_same(got, want)
 
     @pytest.mark.parametrize("name", sorted(APPS))
-    def test_eager_execution_is_invisible_to_observers(self, name):
-        # a tracer and the telemetry observer read ``slots``: occupancy,
-        # never registers — so running a packet-local stage early must
-        # leave every per-cycle snapshot and counter where it was
+    def test_observers_see_the_same_cycles(self, name):
+        # a tracer and the telemetry observer read ``slots`` once per
+        # cycle: occupancy, never registers — both engines must leave
+        # every per-cycle snapshot and counter where the other does
         program, pipeline = self._app(name)
         frames = _zipf_frames(flows=6, packets=150)
 
@@ -1283,5 +1235,5 @@ class TestSparseAdvance:
         assert traces["codegen"].snapshots \
             == traces["interpreted"].snapshots
         with telemetry.scoped(enabled=True):
-            sparse, reference = run("codegen"), run("interpreted")
-        assert sparse is not None and sparse == reference
+            compiled, reference = run("codegen"), run("interpreted")
+        assert compiled is not None and compiled == reference

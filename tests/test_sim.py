@@ -1,13 +1,14 @@
 """Pipeline simulator behaviors: predication, drops, hazards, queueing."""
 
 import dataclasses
+import json
 import re
 from types import SimpleNamespace
 
 import pytest
 
 from repro import apps
-from repro.apps import ct_firewall, firewall, leaky_bucket, router
+from repro.apps import ct_firewall, dnat, firewall, leaky_bucket, router
 from repro.core import CompileOptions, compile_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
@@ -15,12 +16,12 @@ from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import XdpAction
 from repro.ebpf.vm import VmError
 from repro.hwsim import PipelineSimulator, SimError, SimOptions
-from repro.hwsim.codegen import advance_sites
 from repro.hwsim.engines import engine_names, run_engine
 from repro.hwsim.multi import MultiProgramNic
 from repro.net.flows import TrafficGenerator, TrafficSpec
 from repro.net.packet import FiveTuple, ipv4, mac, udp_packet
 from repro.rtl.errors import RtlSimError
+from repro.workloads import make_workload, parse_workload_spec
 
 MAPS = {"m": MapSpec("m", "array", 4, 8, 4)}
 PKT = bytes(range(64))
@@ -335,8 +336,7 @@ class TestCommitStages:
     """``Pipeline.commit_stages``, the one WAR commit policy: a buffered
     write commits on entry to the later of its map's last read stage and
     the deepest flush-capable write stage of any map. ``_mem_store`` and
-    ``_commit_pending`` read it, and the generated ``_advance`` checks
-    pending writes from the shallowest of them on."""
+    ``_commit_pending`` read it."""
 
     @pytest.mark.parametrize("app, pinned", [
         ("leaky_bucket", {1: 18}),
@@ -347,22 +347,6 @@ class TestCommitStages:
     def test_apps_that_buffer_writes(self, app, pinned):
         assert compile_program(
             getattr(apps, app).build()).commit_stages == pinned
-
-    def test_advance_commits_from_the_first_commit_stage(self):
-        committing = []
-        for name in sorted(n for n in apps.__all__ if n.islower()):
-            pipeline = compile_program(getattr(apps, name).build())
-            sites = [int(n) for n in re.findall(
-                r"sim\._commit_pending\(pkt, (\d+)\)",
-                pipeline.codegen_source)]
-            if not sites:
-                continue
-            committing.append(name)
-            first = min(pipeline.commit_stages.values())
-            assert min(sites) == min(
-                site for site in advance_sites(pipeline) if site >= first)
-        # leaky_bucket's window leaves it no generated advance
-        assert committing == ["dnat"]
 
 
 class TestInterlock:
@@ -811,6 +795,12 @@ class TestLazyFrames:
             assert a.report.action_counts == b.report.action_counts
 
 
+def _workload_frames(packets, spec="udp-zipf:flows=100000"):
+    """``packets`` frames of the workload ``spec``."""
+    return make_workload(dataclasses.replace(
+        parse_workload_spec(spec), packets=packets)).materialize()
+
+
 def _location(error):
     """The inclusive frame window a located SimError names."""
     match = re.search(
@@ -876,6 +866,31 @@ class TestLocatedError:
             sim.run_packets(iter(frames))
         self._assert_located(excinfo.value, 123, pipeline.n_stages)
 
+    @pytest.mark.parametrize("engine", ["codegen", "interpreted"])
+    def test_failing_call_on_the_cycle_loop_names_its_frame(self, engine):
+        # dnat cannot stream: a map call raising in any stage body the
+        # cycle loop dispatches names the one frame it raised on, on
+        # either engine (the compiled one inlines lookups, so its first
+        # faulting call can be a later packet's update)
+        program = dnat.build()
+        pipeline = compile_program(program)
+        sim = PipelineSimulator(pipeline, maps=MapSet(program.maps),
+                                options=SimOptions(engine=engine))
+        assert sim.engine_path().startswith("cycle-loop (")
+        channel_call, raised_on = sim._map_channel_call, []
+
+        def faulty(pkt, helper_id):
+            if pkt.pid >= 100:
+                raised_on.append(pkt.index)
+                raise SimError("injected fault")
+            return channel_call(pkt, helper_id)
+
+        sim._map_channel_call = faulty
+        with pytest.raises(SimError, match="injected fault") as excinfo:
+            sim.run_packets(_workload_frames(packets=400))
+        assert raised_on[0] >= 100
+        assert _location(excinfo.value) == (raised_on[0],) * 2
+
     @pytest.mark.parametrize("capacity", [4096, 4])
     def test_failing_op_behind_a_stalled_window(self, capacity):
         # ct_firewall's window admits one packet per 4 cycles while
@@ -909,3 +924,62 @@ class TestLocatedError:
         with pytest.raises(SimError, match="injected fault") as excinfo:
             sim.run_packets(iter(frames))
         self._assert_located(excinfo.value, true_index, pipeline.n_stages)
+
+
+class TestOneShiftLoop:
+    """Both engines shift through ``PipelineSimulator.run``'s one loop,
+    so comparing them checks the stage bodies, not the loop. The loop's
+    rules are held to references outside it: ``_stream``'s closed-form
+    window timing for the interlock, the ledger's row of Table 2's flush
+    recovery for the flush and reload path (the VM holds the commit
+    stage: ``TestInterleavedRmwRegression``)."""
+
+    def test_the_interlock_keeps_the_stream_timing(self):
+        program = ct_firewall.build()
+        pipeline = compile_program(program)
+        frames = _workload_frames(2000, apps.APP_WORKLOADS["ct_firewall"])
+
+        def run(observer=None, admits=None):
+            sim = PipelineSimulator(pipeline, maps=MapSet(program.maps),
+                                    options=SimOptions(keep_records=False))
+            sim.observer = observer
+            if admits is not None:
+                sim._admits = admits
+            report = sim.run_packets(frames)
+            return sim.engine_path(), (report.cycles, report.packets_out,
+                                       report.sum_total_cycles)
+
+        path, stream = run()
+        assert path.startswith("stream (")
+
+        def idle(*_args):
+            pass
+
+        path, loop = run(idle)
+        assert path == "cycle-loop (a per-cycle observer is attached)"
+        assert loop == stream
+        # the witness: a loop whose window admits every packet runs
+        # ahead of the stream's timing
+        _path, unlocked = run(idle, admits=lambda *_args: True)
+        assert unlocked[0] < stream[0]
+
+    @pytest.mark.parametrize("engine", ["codegen", "interpreted"])
+    def test_flush_recovery_reads_the_ledger(self, engine):
+        # leaky_bucket on the §3.3 layout, whose flushes restart packets
+        # from the input queue and cost the reload overhead each
+        from benchmarks import ledger
+
+        row = json.loads(ledger.LEDGER.read_text())["leaky_bucket/paper"]
+        program = leaky_bucket.build()
+        pipeline = compile_program(program, ledger.LAYOUTS["paper"])
+        frames = ledger.trace("leaky_bucket")
+        sim = PipelineSimulator(pipeline, maps=MapSet(program.maps),
+                                options=SimOptions(
+                                    engine=engine, keep_records=False,
+                                    input_queue_capacity=len(frames)))
+        report = sim.run_packets(frames)
+        assert sim.engine_path().startswith("cycle-loop (")
+        figures = ("flush_events", "squashed_packets", "stall_cycles",
+                   "cycles", "sum_total_cycles")
+        assert [getattr(report, f) for f in figures] \
+            == [row[f] for f in figures]
