@@ -15,13 +15,13 @@ out of the schedule this graph permits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Instruction, Program
 from .cfg import Cfg
 from .labeling import CallInfo, MemLabel, ProgramLabels, Region
-from .liveness import regs_read
+from .liveness import _mask, program_facts, regs_read
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,18 @@ class Ddg:
 
 @dataclass(frozen=True)
 class Access:
-    """What one instruction reads and writes: registers, and memory as
-    :class:`MemRef` effects."""
+    """What one instruction reads and writes: registers (bit r is
+    register r), and memory as :class:`MemRef` effects."""
 
-    reads: FrozenSet[int]
-    writes: FrozenSet[int]
+    reads: int
+    writes: int
     mem: Tuple[MemRef, ...]
 
 
 def access_of(
     insn: Instruction, label: Optional[MemLabel], call: Optional[CallInfo]
 ) -> Access:
-    return Access(frozenset(regs_read(insn)), frozenset(insn.regs_written()),
+    return Access(_mask(regs_read(insn)), _mask(insn.regs_written()),
                   tuple(_mem_refs(insn, label, call)))
 
 
@@ -171,11 +171,13 @@ def build_ddg(cfg: Cfg, labels: ProgramLabels) -> Ddg:
     program = cfg.program
     ddg = Ddg(program, labels, {i: {} for i in range(len(program.instructions))})
 
+    facts = program_facts(program)
     for block in cfg.blocks:
         earlier: List[Tuple[int, Access]] = []
         for j in block.indices():
-            access = access_of(program.instructions[j], labels.label_for(j),
-                               labels.call_for(j))
+            access = Access(facts.reads[j], facts.writes[j], tuple(_mem_refs(
+                program.instructions[j], labels.label_for(j),
+                labels.call_for(j))))
             ddg.deps[j] = dependences(access, earlier)
             earlier.append((j, access))
     return ddg

@@ -172,34 +172,25 @@ class LabelError(ValueError):
     """Raised when an access cannot be attributed to a memory region."""
 
 
-def label_program(
-    program: Program, verifier_result: Optional[VerifierResult] = None
-) -> ProgramLabels:
-    """Run the labeling analysis over a verified program."""
-    vres = verifier_result if verifier_result is not None else verify(program)
-    n = len(program.instructions)
+def offset_states(
+    program: Program, vres: VerifierResult
+) -> List[Optional[_OffsetState]]:
+    """Each register's constant region offset before each instruction
+    (None: unreachable), the fixpoint of :func:`_offset_transfer` over
+    the program's control flow."""
+    from .liveness import program_facts  # local: liveness imports labeling
 
-    # Fixpoint for constant offsets, mirroring the verifier's CFG walk.
-    init: _OffsetState = tuple([None] * isa.NUM_REGS)
+    succs = program_facts(program).succs
+    insns = program.instructions
+    n = len(insns)
     states: List[Optional[_OffsetState]] = [None] * n
-    states[0] = init
+    states[0] = tuple([None] * isa.NUM_REGS)
     worklist = [0]
     while worklist:
         index = worklist.pop()
-        state = states[index]
-        assert state is not None
-        insn = program.instructions[index]
-        succs: List[int] = []
-        if insn.is_exit:
-            succs = []
-        elif insn.is_uncond_jump:
-            succs = [program.jump_target_index(index)]
-        elif insn.is_cond_jump:
-            succs = [program.jump_target_index(index), index + 1]
-        else:
-            succs = [index + 1]
-        new_state = _offset_transfer(insn, state, vres.state_before(index))
-        for succ in succs:
+        new_state = _offset_transfer(insns[index], states[index],
+                                     vres.state_before(index))
+        for succ in succs[index]:
             if succ >= n:
                 continue
             old = states[succ]
@@ -207,6 +198,15 @@ def label_program(
             if old is None or joined != old:
                 states[succ] = joined
                 worklist.append(succ)
+    return states
+
+
+def label_program(
+    program: Program, verifier_result: Optional[VerifierResult] = None
+) -> ProgramLabels:
+    """Run the labeling analysis over a verified program."""
+    vres = verifier_result if verifier_result is not None else verify(program)
+    states = offset_states(program, vres)
 
     mem: Dict[int, MemLabel] = {}
     calls: Dict[int, CallInfo] = {}

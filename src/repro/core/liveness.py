@@ -9,7 +9,7 @@ the stage-level passes then project onto pipeline boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -20,22 +20,45 @@ from .labeling import ProgramLabels, Region
 STACK_SIZE = AddressSpace.STACK_SIZE
 
 
+class ProgramFacts(NamedTuple):
+    """What each instruction does to control flow and to the registers,
+    derived once per program (:meth:`Program.derived`) and read by
+    labeling's offset fixpoint, both liveness analyses, dead-code
+    elimination, pruning and the DDG. Shared: read it, never edit it."""
+
+    succs: List[List[int]]  # successor indices, the taken edge first
+    reads: List[int]  # bit r: reads register r (calls: their helper's args)
+    writes: List[int]  # bit r: writes register r
+    forward: bool  # every edge goes to a higher index: one sweep suffices
+
+
+def program_facts(program: Program) -> ProgramFacts:
+    """The program's fact table, derived on first use."""
+    return program.derived(_derive_facts)
+
+
+def _derive_facts(program: Program) -> ProgramFacts:
+    insns = program.instructions
+    n = len(insns)
+    succs: List[List[int]] = []
+    forward = True
+    for index, insn in enumerate(insns):
+        if insn.is_jump:
+            target = program.jump_target_index(index)
+            forward = forward and target > index
+            succs.append([target] if insn.is_uncond_jump or index + 1 == n
+                         else [target, index + 1])
+        else:
+            succs.append([] if insn.is_exit or index + 1 == n
+                         else [index + 1])
+    return ProgramFacts(succs, [_mask(regs_read(insn)) for insn in insns],
+                        [_mask(insn.regs_written()) for insn in insns],
+                        forward)
+
+
 def successors(program: Program) -> List[List[int]]:
     """Instruction-level successor lists."""
-    n = len(program.instructions)
-    succs: List[List[int]] = [[] for _ in range(n)]
-    for index, insn in enumerate(program.instructions):
-        if insn.is_exit:
-            continue
-        if insn.is_uncond_jump:
-            succs[index].append(program.jump_target_index(index))
-        elif insn.is_cond_jump:
-            succs[index].append(program.jump_target_index(index))
-            if index + 1 < n:
-                succs[index].append(index + 1)
-        elif index + 1 < n:
-            succs[index].append(index + 1)
-    return succs
+    return program_facts(program).succs
 
 
 def regs_read(insn: Instruction) -> Tuple[int, ...]:
@@ -50,10 +73,9 @@ def reg_liveness(
 ) -> Tuple[List[FrozenSet[int]], List[FrozenSet[int]]]:
     """Per-instruction (live_in, live_out) register sets."""
     n = len(program.instructions)
-    succs = successors(program)
-    # Bitmask dataflow: bit r is register r.
-    gen = [_mask(regs_read(insn)) for insn in program.instructions]
-    keep = [~_mask(insn.regs_written()) for insn in program.instructions]
+    succs, gen, writes, forward = program_facts(program)
+    # Bitmask dataflow: bit r is register r. When every edge goes
+    # forward, one reverse sweep is the fixpoint.
     live_in = [0] * n
     live_out = [0] * n
     changed = True
@@ -63,11 +85,11 @@ def reg_liveness(
             out = 0
             for s in succs[index]:
                 out |= live_in[s]
-            new_in = gen[index] | (out & keep[index])
+            new_in = gen[index] | (out & ~writes[index])
             if out != live_out[index] or new_in != live_in[index]:
                 live_out[index] = out
                 live_in[index] = new_in
-                changed = True
+                changed = not forward
     sets: Dict[int, FrozenSet[int]] = {}  # a program has few distinct masks
     for mask in live_in + live_out:
         if mask not in sets:
@@ -136,7 +158,7 @@ def _stack_effects(
 def stack_liveness(program: Program, labels: ProgramLabels) -> List[Set[int]]:
     """Per-instruction live-in stack *bytes* (negative offsets from R10)."""
     n = len(program.instructions)
-    succs = successors(program)
+    succs, _reads, _writes, forward = program_facts(program)
     live_in: List[Set[int]] = [set() for _ in range(n)]
     effects = [
         _stack_effects(i, program.instructions[i], labels) for i in range(n)
@@ -152,5 +174,5 @@ def stack_liveness(program: Program, labels: ProgramLabels) -> List[Set[int]]:
             new_in = gen | (out - kill)
             if new_in != live_in[index]:
                 live_in[index] = new_in
-                changed = True
+                changed = not forward
     return live_in

@@ -26,13 +26,7 @@ from ..ebpf import isa
 from ..ebpf.isa import Program
 from ..ebpf.xdp import AddressSpace
 from .labeling import ProgramLabels
-from .liveness import (
-    _stack_effects,
-    reg_liveness,
-    regs_read,
-    stack_liveness,
-    successors,
-)
+from .liveness import _stack_effects, reg_liveness, stack_liveness, successors
 from .pipeline import PipeOp, Stage
 
 STACK_SIZE = AddressSpace.STACK_SIZE

@@ -33,8 +33,9 @@ from ..ebpf.isa import Instruction, Program
 from ..ebpf.verifier import RegKind, VerifierResult, verify
 from .cfg import BasicBlock, Cfg, build_cfg, reachable_blocks
 from .ddg import Access, access_of, dependences
-from .labeling import ProgramLabels, Region, label_program
-from .liveness import _stack_effects, reg_liveness, regs_read, stack_liveness
+from .labeling import ProgramLabels, Region, offset_states
+from .liveness import (_stack_effects, program_facts, reg_liveness, regs_read,
+                       stack_liveness)
 from .scheduler import RowPacker, SchedulerOptions
 
 
@@ -154,6 +155,11 @@ def find_bounds_checks(
     return found
 
 
+def _compares_registers(insn: Instruction) -> bool:
+    """Could ``insn`` compare a packet pointer against ``data_end``?"""
+    return insn.is_cond_jump and insn.uses_reg_src and insn.op in _PTR_CMP_OPS
+
+
 def _classify_check(
     program: Program, vres: VerifierResult, index: int
 ) -> Optional[Tuple[bool, Optional[int]]]:
@@ -164,9 +170,7 @@ def _classify_check(
     not statically known).
     """
     insn = program.instructions[index]
-    if not (insn.is_cond_jump and insn.uses_reg_src):
-        return None
-    if insn.op not in _PTR_CMP_OPS:
+    if not _compares_registers(insn):
         return None
     state = vres.state_before(index)
     if state is None:
@@ -196,20 +200,11 @@ def _classify_check(
         return None
     min_len: Optional[int] = None
     if insn.op not in (isa.BPF_JEQ, isa.BPF_JNE):
-        offset = _packet_offset_of(program, vres, index, ptr_reg)
-        if offset is not None:
-            min_len = offset + (1 if ge_like else 0)
+        # the pointer's constant offset: labeling's fixpoint, nothing more
+        offsets = offset_states(program, vres)[index]
+        if offsets is not None and offsets[ptr_reg] is not None:
+            min_len = offsets[ptr_reg] + (1 if ge_like else 0)
     return taken_is_oob, min_len
-
-
-def _packet_offset_of(program: Program, vres: VerifierResult, index: int,
-                      reg: int) -> Optional[int]:
-    """Constant offset of a PACKET-typed register before ``index``."""
-    labels = label_program(program, vres)
-    state = labels.reg_offsets[index]
-    if state is None:
-        return None
-    return state[reg]
 
 
 def _oob_path_action(program: Program, index: int, taken_is_oob: bool) -> Optional[int]:
@@ -230,14 +225,6 @@ def _oob_path_action(program: Program, index: int, taken_is_oob: bool) -> Option
     return None
 
 
-def _is_entry_side(program: Program, index: int) -> bool:
-    """True when no branch precedes ``index`` — the check runs on every
-    packet, so it can be hoisted to the pipeline input."""
-    return not any(
-        insn.is_jump or insn.is_exit for insn in program.instructions[:index]
-    )
-
-
 def elide_bounds_checks(
     program: Program, vres: Optional[VerifierResult] = None
 ) -> Tuple[Program, ElisionReport]:
@@ -253,52 +240,36 @@ def elide_bounds_checks(
     """
     elided: List[int] = []
     entry_checks: List[EntryCheck] = []
-    # Elide one check per round (indices shift after each rewrite).
-    for _ in range(len(program.instructions)):
-        vres = vres if vres is not None else verify(program)
-        candidate = None
-        for index, insn in enumerate(program.instructions):
-            classified = _classify_check(program, vres, index)
-            if classified is None:
-                continue
-            taken_is_oob, min_len = classified
-            if min_len is None or not _is_entry_side(program, index):
-                continue
-            action = _oob_path_action(program, index, taken_is_oob)
-            if action is None:
-                continue
-            candidate = (index, taken_is_oob, min_len, action)
+    vres = vres or verify(program)
+    # Elide one check per round (indices shift after each rewrite). Only
+    # the program's first branch runs on every packet, so each round has
+    # one candidate, and a rewritten program is verified only when that
+    # branch may be a check.
+    while True:
+        index = next((i for i, insn in enumerate(program.instructions)
+                      if insn.is_terminator), None)
+        if index is None or not _compares_registers(program[index]):
             break
+        classified = _classify_check(program, vres or verify(program), index)
         vres = None  # recompute on subsequent rounds
-        if candidate is None:
+        if classified is None or classified[1] is None:
             break
-        index, taken_is_oob, min_len, action = candidate
+        taken_is_oob, min_len = classified
+        action = _oob_path_action(program, index, taken_is_oob)
+        if action is None:
+            break
         if taken_is_oob:
             # Fall-through is the in-bounds path: drop the branch entirely.
             program = rewrite_program(program, {index: None})
         else:
-            # Taken edge is the in-bounds path: make it unconditional.
-            program = rewrite_program_with_jump(
-                program, index, _retargeted_ja(program, index)
-            )
+            # Taken edge is the in-bounds path: make it unconditional. A
+            # JA has the branch's slot count, so every offset holds.
+            insns = list(program.instructions)
+            insns[index] = isa.jump(insns[index].off)
+            program = program.with_instructions(insns)
         elided.append(index)
         entry_checks.append(EntryCheck(min_len, action))
     return program, ElisionReport(elided, entry_checks)
-
-
-def _retargeted_ja(program: Program, index: int) -> Instruction:
-    insn = program.instructions[index]
-    return isa.jump(insn.off)  # JA has the same slot count as a cond jump
-
-
-def rewrite_program_with_jump(
-    program: Program, index: int, ja: Instruction
-) -> Program:
-    """Replace instruction ``index`` with an unconditional jump carrying
-    the same slot offset (both are single-slot, so offsets are preserved)."""
-    instructions = list(program.instructions)
-    instructions[index] = ja
-    return program.with_instructions(instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +280,39 @@ def rewrite_program_with_jump(
 def _is_pure(insn: Instruction) -> bool:
     """Instructions removable when their destination is dead: anything
     that only writes registers (ALU, loads, LD_IMM64)."""
-    if insn.is_alu or insn.is_ld_imm64 or insn.is_mem_load:
-        return True
-    return False
+    return insn.is_alu or insn.is_ld_imm64 or insn.is_mem_load
 
 
-def dead_code_elimination(program: Program, max_rounds: int = 10) -> Tuple[Program, int]:
-    """Iteratively remove pure instructions whose results are never used.
+def dead_code_elimination(program: Program) -> Tuple[Program, int]:
+    """Remove pure instructions whose results are never used.
 
-    Liveness is :func:`repro.core.liveness.reg_liveness`'s backward
-    dataflow across the CFG. Returns the new program and the number of
-    removed instructions.
+    One backward pass of strong liveness over the program's fact table
+    (:func:`repro.core.liveness.program_facts`): a pure instruction
+    whose written registers are all dead is removed and generates no
+    uses, so a whole chain of dead definitions falls in the same pass.
+    Every edge of a verified program goes forward, so reverse index order
+    visits each instruction after all of its successors. Returns the new
+    program and the number of removed instructions.
     """
-    removed_total = 0
-    for _ in range(max_rounds):
-        dead = _find_dead(program)
-        if not dead:
-            break
-        program = delete_instructions(program, dead)
-        removed_total += len(dead)
-    return program, removed_total
-
-
-def _find_dead(program: Program) -> Set[int]:
-    live_out = reg_liveness(program)[1]
-    dead: Set[int] = set()
-    for index, insn in enumerate(program.instructions):
-        if not _is_pure(insn):
-            continue
-        written = set(insn.regs_written())
-        if written and not (written & live_out[index]):
-            dead.add(index)
-    return dead
+    insns = program.instructions
+    succs, reads, writes, forward = program_facts(program)
+    if not forward:
+        raise TransformError("dead-code elimination needs a loop-free "
+                             "program with forward branches only")
+    live_in = [0] * len(insns)
+    dead: List[int] = []
+    for index in range(len(insns) - 1, -1, -1):
+        out = 0
+        for s in succs[index]:
+            out |= live_in[s]
+        if _is_pure(insns[index]) and not writes[index] & out:
+            dead.append(index)
+            live_in[index] = out
+        else:
+            live_in[index] = reads[index] | (out & ~writes[index])
+    if not dead:
+        return program, 0
+    return delete_instructions(program, dead), len(dead)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ sequences of instructions wrapped by :class:`Program`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 # ---------------------------------------------------------------------------
 # Instruction classes (low 3 bits of the opcode)
@@ -233,6 +235,35 @@ def to_signed32(value: int) -> int:
     return sign_extend(value, 32)
 
 
+def _opcode_row(opcode: int) -> Dict[str, int]:
+    """What an opcode is, whatever its operands."""
+    cls, op, mode = opcode & 0x07, opcode & 0xF0, opcode & 0xE0
+    jump_class = cls in (BPF_JMP, BPF_JMP32)
+    jump = jump_class and op not in (BPF_CALL, BPF_EXIT)  # a branch
+    exit_ = jump_class and op == BPF_EXIT
+    store = cls in (BPF_ST, BPF_STX)
+    ld_imm64 = opcode == BPF_LD | BPF_IMM | BPF_DW
+    return dict(
+        is_alu=cls in (BPF_ALU, BPF_ALU64), is_alu64=cls == BPF_ALU64,
+        is_jump_class=jump_class, is_jump=jump,
+        is_cond_jump=jump and op != BPF_JA,
+        is_uncond_jump=jump_class and op == BPF_JA,
+        is_call=jump_class and op == BPF_CALL, is_exit=exit_,
+        is_load=cls in (BPF_LD, BPF_LDX), is_store=store,
+        is_mem_load=cls == BPF_LDX and mode == BPF_MEM,
+        is_mem_store=store and mode == BPF_MEM,
+        is_atomic=cls == BPF_STX and mode == BPF_ATOMIC,
+        is_ld_imm64=ld_imm64, is_terminator=jump or exit_,
+        slots=2 if ld_imm64 else 1,  # 8-byte encoding slots
+    )
+
+
+# Every predicate an Instruction answers from its opcode alone, decoded
+# once: the compiler asks them of every instruction in every pass.
+_Opcode = namedtuple("_Opcode", _opcode_row(0))
+_OPCODES = tuple(_Opcode(**_opcode_row(op)) for op in range(256))
+
+
 @dataclass(frozen=True)
 class Instruction:
     """A single decoded eBPF instruction.
@@ -293,128 +324,69 @@ class Instruction:
     def uses_reg_src(self) -> bool:
         return bool(self.opcode & BPF_X)
 
-    # -- predicates --------------------------------------------------------
+    # -- predicates: each one index into the per-opcode table ---------------
 
-    @property
-    def is_alu(self) -> bool:
-        return self.opclass in (BPF_ALU, BPF_ALU64)
-
-    @property
-    def is_alu64(self) -> bool:
-        return self.opclass == BPF_ALU64
-
-    @property
-    def is_jump_class(self) -> bool:
-        return self.opclass in (BPF_JMP, BPF_JMP32)
-
-    @property
-    def is_jump(self) -> bool:
-        """True for branch instructions (not call/exit)."""
-        return self.is_jump_class and self.op not in (BPF_CALL, BPF_EXIT)
-
-    @property
-    def is_cond_jump(self) -> bool:
-        return self.is_jump and self.op != BPF_JA
-
-    @property
-    def is_uncond_jump(self) -> bool:
-        return self.is_jump_class and self.op == BPF_JA
-
-    @property
-    def is_call(self) -> bool:
-        return self.is_jump_class and self.op == BPF_CALL
-
-    @property
-    def is_exit(self) -> bool:
-        return self.is_jump_class and self.op == BPF_EXIT
-
-    @property
-    def is_load(self) -> bool:
-        return self.opclass in (BPF_LD, BPF_LDX)
-
-    @property
-    def is_store(self) -> bool:
-        return self.opclass in (BPF_ST, BPF_STX)
-
-    @property
-    def is_mem_load(self) -> bool:
-        return self.opclass == BPF_LDX and self.mode == BPF_MEM
-
-    @property
-    def is_mem_store(self) -> bool:
-        return self.is_store and self.mode == BPF_MEM
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.opclass == BPF_STX and self.mode == BPF_ATOMIC
-
-    @property
-    def is_ld_imm64(self) -> bool:
-        return self.opcode == (BPF_LD | BPF_IMM | BPF_DW)
+    is_alu = property(lambda self: _OPCODES[self.opcode].is_alu)
+    is_alu64 = property(lambda self: _OPCODES[self.opcode].is_alu64)
+    is_jump_class = property(lambda self: _OPCODES[self.opcode].is_jump_class)
+    is_jump = property(lambda self: _OPCODES[self.opcode].is_jump)
+    is_cond_jump = property(lambda self: _OPCODES[self.opcode].is_cond_jump)
+    is_uncond_jump = property(lambda self: _OPCODES[self.opcode].is_uncond_jump)
+    is_call = property(lambda self: _OPCODES[self.opcode].is_call)
+    is_exit = property(lambda self: _OPCODES[self.opcode].is_exit)
+    is_load = property(lambda self: _OPCODES[self.opcode].is_load)
+    is_store = property(lambda self: _OPCODES[self.opcode].is_store)
+    is_mem_load = property(lambda self: _OPCODES[self.opcode].is_mem_load)
+    is_mem_store = property(lambda self: _OPCODES[self.opcode].is_mem_store)
+    is_atomic = property(lambda self: _OPCODES[self.opcode].is_atomic)
+    is_ld_imm64 = property(lambda self: _OPCODES[self.opcode].is_ld_imm64)
+    is_terminator = property(lambda self: _OPCODES[self.opcode].is_terminator)
+    slots = property(lambda self: _OPCODES[self.opcode].slots)
 
     @property
     def is_map_ref(self) -> bool:
-        return self.is_ld_imm64 and self.src in (
-            BPF_PSEUDO_MAP_FD,
-            BPF_PSEUDO_MAP_VALUE,
-        )
-
-    @property
-    def is_terminator(self) -> bool:
-        return self.is_jump or self.is_exit
-
-    @property
-    def slots(self) -> int:
-        """Number of 8-byte encoding slots this instruction occupies."""
-        return 2 if self.is_ld_imm64 else 1
+        return self.is_ld_imm64 and self.src in (BPF_PSEUDO_MAP_FD,
+                                                 BPF_PSEUDO_MAP_VALUE)
 
     # -- register read/write sets -------------------------------------------
 
     def regs_read(self) -> Tuple[int, ...]:
         """Registers whose value this instruction consumes."""
-        if self.is_ld_imm64:
-            return ()
-        if self.is_alu:
-            if self.op == BPF_MOV:
-                return (self.src,) if self.uses_reg_src else ()
-            if self.op == BPF_NEG:
+        row, cls = _OPCODES[self.opcode], self.opcode & 0x07
+        reg_src = self.opcode & BPF_X
+        if row.is_alu:
+            op = self.opcode & 0xF0
+            if op == BPF_MOV:
+                return (self.src,) if reg_src else ()
+            if op in (BPF_NEG, BPF_END) or not reg_src:
                 return (self.dst,)
-            if self.op == BPF_END:
-                return (self.dst,)
-            if self.uses_reg_src:
-                return (self.dst, self.src)
-            return (self.dst,)
-        if self.is_mem_load:
+            return (self.dst, self.src)
+        if row.is_mem_load:
             return (self.src,)
-        if self.opclass == BPF_STX:
-            if self.is_atomic and self.imm == ATOMIC_CMPXCHG:
+        if cls == BPF_STX:
+            if row.is_atomic and self.imm == ATOMIC_CMPXCHG:
                 return (self.dst, self.src, R0)  # compares against R0
             return (self.dst, self.src)
-        if self.opclass == BPF_ST:
+        if cls == BPF_ST:
             return (self.dst,)
-        if self.is_cond_jump:
-            if self.uses_reg_src:
-                return (self.dst, self.src)
-            return (self.dst,)
-        if self.is_call:
+        if row.is_cond_jump:
+            return (self.dst, self.src) if reg_src else (self.dst,)
+        if row.is_call:
             # Helper calls consume R1-R5 conservatively; the VM and
             # compiler refine this per-helper.
             return (R1, R2, R3, R4, R5)
-        if self.is_exit:
+        if row.is_exit:
             return (R0,)
-        return ()
+        return ()  # ld_imm64 and ja among them
 
     def regs_written(self) -> Tuple[int, ...]:
         """Registers this instruction defines."""
-        if self.is_ld_imm64:
+        row = _OPCODES[self.opcode]
+        if row.is_alu or row.is_mem_load or row.is_ld_imm64:
             return (self.dst,)
-        if self.is_alu:
-            return (self.dst,)
-        if self.is_mem_load:
-            return (self.dst,)
-        if self.is_atomic and (self.imm & BPF_FETCH):
+        if row.is_atomic and (self.imm & BPF_FETCH):
             return (self.src,) if (self.imm & 0xF0) != 0xF0 else (R0,)
-        if self.is_call:
+        if row.is_call:
             return (R0, R1, R2, R3, R4, R5)  # caller-saved clobbers
         return ()
 
@@ -534,22 +506,45 @@ class MapSpec:
         return self.map_type == "lru_hash"
 
 
-@dataclass
+_T = TypeVar("_T")
+
+
+@dataclass(frozen=True)
 class Program:
     """An eBPF program: instructions plus the maps it references.
 
     ``maps`` assigns each map a file-descriptor number; LD_IMM64
     instructions with ``src == BPF_PSEUDO_MAP_FD`` reference maps through
     those numbers (stored in the low imm half).
+
+    The instructions are held as a tuple and the program is frozen, so
+    what :meth:`derived` computed from them cannot go stale: a rewrite
+    is a new ``Program`` (:meth:`with_instructions`).
     """
 
-    instructions: List[Instruction]
+    instructions: Tuple[Instruction, ...]
     maps: Dict[int, MapSpec] = field(default_factory=dict)
     name: str = "prog"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
         if not self.instructions:
             raise ISAError("program must contain at least one instruction")
+
+    def __getstate__(self) -> Dict[str, object]:
+        # pickled as its fields alone: derived facts are rebuilt on demand
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def derived(self, build: Callable[["Program"], _T]) -> _T:
+        """``build(self)``, computed on first use and then kept: the one
+        place a per-program fact (slot numbers, successors, register
+        masks) is cached."""
+        try:
+            return self.__dict__["_derived"][build]
+        except KeyError:
+            value = build(self)
+            self.__dict__.setdefault("_derived", {})[build] = value
+            return value
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -563,7 +558,7 @@ class Program:
     @property
     def slot_count(self) -> int:
         """Total 8-byte encoding slots (LD_IMM64 counts twice)."""
-        return sum(insn.slots for insn in self.instructions)
+        return self.derived(_slot_table)[0][-1]
 
     def encode(self) -> bytes:
         return encode(self.instructions)
@@ -594,29 +589,15 @@ class Program:
         return fds
 
     # Offsets in eBPF jumps are expressed in *slots*, not instruction
-    # indices, because LD_IMM64 takes two slots. These helpers convert,
-    # through one table per instruction list (built on first use), so
-    # resolving every jump of a program is linear, not quadratic.
-
-    def _slot_table(self) -> Tuple[List[int], Dict[int, int]]:
-        """The slot each index starts at (plus the end slot), and its
-        inverse."""
-        insns = self.instructions
-        table = self.__dict__.get("_slot_cache")
-        if table is None or table[0] is not insns \
-                or len(table[1]) != len(insns) + 1:
-            starts = [0]
-            for insn in insns:
-                starts.append(starts[-1] + insn.slots)
-            table = (insns, starts, {s: i for i, s in enumerate(starts)})
-            self.__dict__["_slot_cache"] = table
-        return table[1], table[2]
+    # indices, because LD_IMM64 takes two slots. These helpers convert
+    # through one derived table, so resolving every jump of a program is
+    # linear, not quadratic.
 
     def slot_of_index(self, index: int) -> int:
-        return self._slot_table()[0][index]
+        return self.derived(_slot_table)[0][index]
 
     def index_of_slot(self, slot: int) -> int:
-        index = self._slot_table()[1].get(slot)
+        index = self.derived(_slot_table)[1].get(slot)
         if index is None:
             raise ISAError(f"slot {slot} is inside a multi-slot instruction")
         return index
@@ -630,7 +611,15 @@ class Program:
         return self.index_of_slot(target_slot)
 
     def with_instructions(self, instructions: Sequence[Instruction]) -> "Program":
-        return replace(self, instructions=list(instructions))
+        return replace(self, instructions=instructions)
+
+
+def _slot_table(program: Program) -> Tuple[List[int], Dict[int, int]]:
+    """The slot each index starts at (plus the end slot), and its inverse."""
+    starts = [0]
+    for insn in program.instructions:
+        starts.append(starts[-1] + insn.slots)
+    return starts, {s: i for i, s in enumerate(starts)}
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,23 @@ class TestCompileCached:
         assert second is first  # same in-memory object, no disk round-trip
         assert cache.hits == 1
 
+    def test_derived_program_facts_are_not_stored(self, cache):
+        from repro.apps import ct_firewall
+
+        prog = ct_firewall.build()
+        pipeline = compile_program(prog)
+        programs = (pipeline.program, pipeline.original_program)
+        # the compile left slot tables and fact tables on both programs
+        assert all("_derived" in p.__dict__ for p in programs)
+        cache.put(cache_key(prog), pipeline)
+        hit = CompileCache(cache.directory).get(cache_key(prog))
+        for before, after in zip(programs, (hit.program,
+                                            hit.original_program)):
+            assert "_derived" not in after.__dict__
+            assert after == before
+            assert [after.slot_of_index(i) for i in range(len(after))] == \
+                [before.slot_of_index(i) for i in range(len(before))]
+
     def test_cached_pipeline_simulates_identically(self, cache):
         prog = toy_counter.build()
         frames = [toy_counter.packet_for_key(k % 4) for k in range(16)]

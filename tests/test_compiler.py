@@ -89,13 +89,15 @@ class TestCompileCost:
     def test_each_program_is_verified_once(self, monkeypatch):
         from repro.apps import ct_firewall, firewall
 
-        # the input; then, after elision, the elided program (a second
-        # look for entry checks, and the analyses' re-verify). Elision's
-        # first round and its packet-offset labeling reuse the input's
-        # result (five calls before they did).
-        assert self._verify_calls(monkeypatch, firewall.build()) == 3
+        # the input, then the program the analyses read (elided and
+        # dead-code eliminated). Elision's first round and its
+        # packet-offset fixpoint reuse the input's result, and its second
+        # round verifies only when the elided program's first branch may
+        # be a bounds check: firewall's is not (five calls, then three,
+        # before).
+        assert self._verify_calls(monkeypatch, firewall.build()) == 2
         # speculation rewrites ct_firewall, which is verified once more
-        assert self._verify_calls(monkeypatch, ct_firewall.build()) == 4
+        assert self._verify_calls(monkeypatch, ct_firewall.build()) == 3
 
 
 class TestOptions:

@@ -244,6 +244,76 @@ class TestProgram:
         with pytest.raises(ISAError):
             prog.map_for_fd(9)
 
+    def test_no_stale_slots_after_an_edit(self):
+        # Replacing an instruction in place with an ld_imm64 used to keep
+        # the cached slot table: slot_of_index(2) read 2, not 3.
+        insns = [isa.mov64_imm(isa.R0, 1), isa.mov64_imm(isa.R1, 5),
+                 isa.exit_()]
+        prog = Program(insns)
+        assert prog.slot_of_index(2) == 2
+        insns[1] = isa.ld_imm64(isa.R1, 5)  # the caller's list, not prog's
+        with pytest.raises(TypeError):
+            prog.instructions[1] = isa.ld_imm64(isa.R1, 5)
+        with pytest.raises(AttributeError):
+            prog.instructions = insns
+        assert prog.slot_of_index(2) == 2
+        edited = Program(insns)
+        assert edited.slot_of_index(2) == 3
+        assert prog.with_instructions(insns).slot_of_index(2) == 3
+
+    def test_derived_facts_are_not_pickled(self):
+        import pickle
+
+        prog = self._prog()
+        assert prog.slot_of_index(4) == 5 and "_derived" in prog.__dict__
+        again = pickle.loads(pickle.dumps(prog))
+        assert "_derived" not in again.__dict__
+        assert again == prog and isinstance(again.instructions, tuple)
+        assert [again.slot_of_index(i) for i in range(len(again))] == \
+            [prog.slot_of_index(i) for i in range(len(prog))]
+
+
+class TestOpcodeTable:
+    """Every opcode predicate is one index into a 256-row table; this
+    writes each one out again from the opcode's fields, so the table
+    cannot drift from the ISA."""
+
+    @staticmethod
+    def definitions(opcode):
+        cls, op, mode = opcode & 0x07, opcode & 0xF0, opcode & 0xE0
+        jump_class = cls in (isa.BPF_JMP, isa.BPF_JMP32)
+        jump = jump_class and op not in (isa.BPF_CALL, isa.BPF_EXIT)
+        exit_ = jump_class and op == isa.BPF_EXIT
+        ld_imm64 = opcode == isa.BPF_LD | isa.BPF_IMM | isa.BPF_DW
+        return {
+            "is_alu": cls in (isa.BPF_ALU, isa.BPF_ALU64),
+            "is_alu64": cls == isa.BPF_ALU64,
+            "is_jump_class": jump_class,
+            "is_jump": jump,
+            "is_cond_jump": jump and op != isa.BPF_JA,
+            "is_uncond_jump": jump_class and op == isa.BPF_JA,
+            "is_call": jump_class and op == isa.BPF_CALL,
+            "is_exit": exit_,
+            "is_load": cls in (isa.BPF_LD, isa.BPF_LDX),
+            "is_store": cls in (isa.BPF_ST, isa.BPF_STX),
+            "is_mem_load": cls == isa.BPF_LDX and mode == isa.BPF_MEM,
+            "is_mem_store": (cls in (isa.BPF_ST, isa.BPF_STX)
+                             and mode == isa.BPF_MEM),
+            "is_atomic": cls == isa.BPF_STX and mode == isa.BPF_ATOMIC,
+            "is_ld_imm64": ld_imm64,
+            "is_terminator": jump or exit_,
+            "slots": 2 if ld_imm64 else 1,
+        }
+
+    def test_every_opcode(self):
+        for opcode in range(256):
+            insn = Instruction(opcode)
+            for name, expected in self.definitions(opcode).items():
+                assert getattr(insn, name) == expected, (hex(opcode), name)
+
+    def test_every_predicate_is_witnessed(self):
+        assert set(self.definitions(0)) == set(isa._Opcode._fields)
+
 
 class TestMapSpec:
     def test_valid(self):

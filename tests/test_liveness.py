@@ -59,6 +59,13 @@ class TestRegLiveness:
         live_in, _ = reg_liveness(prog)
         assert isa.R2 in live_in[1]  # live across the branch
 
+    def test_back_edge_carries_value_around_the_loop(self):
+        # reverse index order alone misses r2, read at the loop head
+        prog = assemble_program(
+            "r2 = 7\nloop:\nr0 = r2\nif r1 == 0 goto loop\nexit")
+        live_in, live_out = reg_liveness(prog)
+        assert isa.R2 in live_in[2] and isa.R2 in live_out[2]
+
     def test_exit_needs_r0(self):
         prog = assemble_program("r0 = 2\nexit")
         live_in, _ = reg_liveness(prog)

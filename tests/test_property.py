@@ -192,13 +192,13 @@ class TestRandomProgramEquivalence:
     def test_disasm_asm_roundtrip(self, prog):
         text = disassemble(prog.instructions, numbered=False)
         again = assemble(text)
-        assert again == prog.instructions
+        assert again == list(prog.instructions)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(prog=random_programs())
     def test_encode_decode_roundtrip(self, prog):
-        assert decode(prog.encode()) == prog.instructions
+        assert decode(prog.encode()) == list(prog.instructions)
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

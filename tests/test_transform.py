@@ -1,11 +1,18 @@
 """Bytecode transforms: rewriting, bounds-check elision, DCE,
 speculation above branches."""
 
-import pytest
+import pathlib
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro import apps
+from repro.cli import load_program
 from repro.core.cfg import build_cfg
 from repro.core.compiler import compile_program
 from repro.core.labeling import label_program
+from repro.core.liveness import reg_liveness
+from repro.core.loops import unroll_loops
 from repro.core.scheduler import SchedulerOptions
 from repro.core.transform import (
     TransformError,
@@ -24,8 +31,11 @@ from repro.ebpf.maps import MapSet
 from repro.ebpf.vm import run_program
 from repro.ebpf.xdp import XdpAction
 from repro.hwsim.engines import run_differential
+from tests.test_property import random_programs
 
 PKT = bytes(range(64))
+APP_NAMES = sorted(name for name in apps.__all__ if name.islower())
+CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.ebpf"))
 
 
 class TestRewrite:
@@ -228,6 +238,66 @@ class TestDce:
         prog = assemble_program(source)
         new, removed = dead_code_elimination(prog)
         assert removed == 2  # the load, then the now-dead pointer load
+
+    def test_chain_past_ten_rounds(self):
+        # twelve definitions, each read only by the next, the last one
+        # dead: the old round-by-round loop stopped after ten rounds
+        chain = "\n".join(["r5 = 1"] + [f"r{4 + i % 2} = r{5 - i % 2}"
+                                         for i in range(11)])
+        prog = assemble_program(chain + "\nr0 = 2\nexit")
+        new, removed = dead_code_elimination(prog)
+        assert removed == 12
+        assert disassemble(new.instructions, numbered=False).splitlines() \
+            == ["r0 = 2", "exit"]
+
+    def test_loops_are_refused(self):
+        prog = assemble_program("r0 = 0\nloop:\nr0 += 1\n"
+                                "if r0 < 4 goto loop\nexit")
+        with pytest.raises(TransformError):
+            dead_code_elimination(prog)
+
+
+def _iterated_dce(program):
+    """The reference DCE: remove every pure instruction whose written
+    registers are not live-out (:func:`reg_liveness`, where a dead
+    definition still reads its operands), then recompute, until nothing
+    more is dead."""
+    removed = 0
+    while True:
+        live_out = reg_liveness(program)[1]
+        dead = [i for i, insn in enumerate(program.instructions)
+                if (insn.is_alu or insn.is_ld_imm64 or insn.is_mem_load)
+                and not set(insn.regs_written()) & live_out[i]]
+        if not dead:
+            return program, removed
+        program = delete_instructions(program, dead)
+        removed += len(dead)
+
+
+def _assert_dce_matches_reference(program):
+    assert dead_code_elimination(program) == _iterated_dce(program)
+
+
+class TestDceMatchesIteratedLiveness:
+    """One backward pass of strong liveness reaches the fixpoint that
+    round-by-round removal does, on every loop-free program."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_apps(self, app):
+        program = getattr(apps, app).build()
+        _assert_dce_matches_reference(program)
+        _assert_dce_matches_reference(elide_bounds_checks(program)[0])
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+    def test_corpus(self, path):
+        program, _report = unroll_loops(load_program(str(path)))
+        _assert_dce_matches_reference(program)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=random_programs())
+    def test_random_programs(self, program):
+        _assert_dce_matches_reference(program)
 
 
 LRU = {"m": MapSpec("m", "lru_hash", key_size=4, value_size=8,
