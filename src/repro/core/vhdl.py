@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
-from ..ebpf.helpers import helper_spec
+from ..ebpf.helpers import BPF_REDIRECT_MAP, helper_spec
 from ..ebpf.isa import Instruction
 from ..ebpf.xdp import (
     XDP_MD_DATA, XDP_MD_DATA_END, XDP_MD_DATA_META, XDP_MD_EGRESS_IFINDEX,
@@ -1057,7 +1057,7 @@ class _StageBuilder:
         call = op.call
         spec = helper_spec(call.helper_id)
         kb, wb = _map_widths(self.pipeline, call.map_fd)
-        if call.helper_id == 51:  # redirect_map: the key IS r2's low bits
+        if call.helper_id == BPF_REDIRECT_MAP:  # the key IS r2's low bits
             key = _resize(self._src(isa.R2), kb)
             addr = self._src(isa.R3)  # miss fallback action
             ch_op = CH_OP_REDIRECT

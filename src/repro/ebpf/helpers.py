@@ -338,6 +338,13 @@ _register(
 # is observable.
 ORDER_SENSITIVE_HELPERS = frozenset({5, 7})  # ktime_get_ns, prandom_u32
 
+# Helpers that move the packet's head or tail: the frame changes length
+# and every packet pointer the program holds goes stale.
+PACKET_RESIZING_HELPERS = frozenset({44, 65})  # xdp_adjust_head/_tail
+
+# Helpers that pick the interface an XDP_REDIRECT verdict goes to.
+REDIRECT_HELPERS = frozenset({23, BPF_REDIRECT_MAP})  # redirect, _map
+
 
 HELPER_IDS_BY_NAME: Dict[str, int] = {
     spec.name: spec.helper_id for spec, _ in HELPERS.values()

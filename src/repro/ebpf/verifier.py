@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import isa
-from .helpers import HelperError, helper_spec
+from .helpers import PACKET_RESIZING_HELPERS, HelperError, helper_spec
 from .isa import Instruction, Program
 from .xdp import XDP_MD_DATA, XDP_MD_DATA_END, XDP_MD_SIZE, AddressSpace
 
@@ -457,7 +457,7 @@ class Verifier:
             new_state = new_state.with_reg(isa.R0, r0_type)
             for reg in (isa.R1, isa.R2, isa.R3, isa.R4, isa.R5):
                 new_state = new_state.with_reg(reg, UNINIT)
-            if spec.helper_id in (44, 65):  # head/tail adjust invalidates packet pointers
+            if spec.helper_id in PACKET_RESIZING_HELPERS:
                 regs = list(new_state.regs)
                 for i, t in enumerate(regs):
                     if t.kind in (RegKind.PACKET, RegKind.PACKET_END):

@@ -136,6 +136,8 @@ from ..ebpf import isa
 from ..ebpf.helpers import (
     HELPER_IDS_BY_NAME,
     ORDER_SENSITIVE_HELPERS,
+    PACKET_RESIZING_HELPERS,
+    REDIRECT_HELPERS,
     HelperError,
     helper_spec,
     map_ptr,
@@ -321,7 +323,7 @@ class _Emitter:
                 except HelperError:
                     resizes = True
                 else:
-                    if insn.imm in (44, 65):  # adjust_head, adjust_tail
+                    if insn.imm in PACKET_RESIZING_HELPERS:
                         resizes = True
         self.pkt_min_len = 0 if resizes else max(
             (min_len for min_len, _action in pipeline.entry_checks),
@@ -805,9 +807,9 @@ class _Emitter:
             self.pkt_writes = True
             call = f"sim._call(pkt, {helper_id})"
             return [f"_se = {call}" if flush else call]
-        if helper_id in (44, 65):  # adjust_head / adjust_tail resize
+        if helper_id in PACKET_RESIZING_HELPERS:
             self.pkt_writes = True
-        if helper_id in (23, 51):
+        if helper_id in REDIRECT_HELPERS:
             self.redirects = True
 
         if spec.map_channel:

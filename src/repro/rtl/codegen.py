@@ -9,10 +9,10 @@ model into one generated Python module (mirroring
 
 * The elaborator already levelizes the netlist (longest-path ranks, one
   canonical topological order shared with the interpreter), so the node
-  index doubles as the schedule priority. A binary heap of dirty node
-  indices replaces the full settle sweep: each write is change-detected
-  and, only when the value actually moved, marks the reader nodes and
-  processes downstream.
+  index doubles as the schedule priority. A dirty bytearray ``NQ``
+  indexed by node replaces the full settle sweep: each write is
+  change-detected and, only when the value actually moved, marks the
+  reader nodes and processes downstream, always ahead of the scan.
 * Every expression is re-compiled to straight-line Python source with
   constants folded (masks, slice offsets, ``rising_edge`` → ``True``),
   replacing per-AST-node closure calls with single bytecode operations.
@@ -21,19 +21,31 @@ model into one generated Python module (mirroring
   they stay *live*: while the gate reads 1 the node re-queues itself
   for the next settle, and per-primitive activity counters
   (``ehdl_rtl_prim_active_total``) record exactly how often each block
-  really ran. Quiescent cycles cost one empty-heap check.
-* Clocked processes compile to functions over pre-edge values returning
-  a tuple of written nets; commits are change-detected and mark readers,
-  preserving the interpreter's two-phase (read-then-commit) semantics.
+  really ran. Quiescent cycles cost one empty ``NQ`` scan.
+* Each clocked process compiles to one fused evaluate+commit function
+  ``_f<i>``. An edge runs the pending ones in a static *commit order*
+  (process j before process k whenever j reads a net k writes), so every
+  process still reads pre-edge values, as in the interpreter's
+  two-phase (read-then-commit) edge. Commits are change-detected and
+  mark readers.
+* ``_settle``, ``_edge``, ``_run`` (cycles until ``m_axis_tvalid``
+  rises) and ``_frame`` (one s_axis inject, then ``_run``) are the
+  generated half of the stepping contract :mod:`repro.rtl.sim` states.
 
 The generated source is cached in-process by netlist digest and
 persisted as a side artifact through :class:`repro.core.cache
 .CompileCache`, stamped with :data:`RTL_CODEGEN_VERSION`.
 
-Designs outside the emitted subset (a net written by two processes, by
-a process *and* a concurrent assignment, or a node reading its own
-output) raise :class:`~repro.rtl.errors.RtlCodegenError`; callers fall
-back to the interpreter (``rtl-interp``).
+Designs outside the emitted subset raise
+:class:`~repro.rtl.errors.RtlCodegenError`, and callers fall back to the
+interpreter (``rtl-interp``). The subset refuses:
+
+* a net written by two processes, or by a process *and* a concurrent
+  assignment;
+* a node reading its own output;
+* a commit order with a cycle (two processes swapping registers): the
+  rule is *ordered or refused*, there is no second edge scheme;
+* a top without the AXI-stream ports ``_run`` and ``_frame`` use.
 """
 
 from __future__ import annotations
@@ -62,13 +74,12 @@ from .errors import RtlCodegenError
 
 #: Bump whenever the generated schedule source changes shape; the stamp
 #: is folded into the digest so stale disk artifacts never load.
-RTL_CODEGEN_VERSION = 3
+RTL_CODEGEN_VERSION = 4
 
 #: In-process cache: digest -> executed module namespace.
 _MODULE_CACHE: Dict[str, dict] = {}
 
 _BARE_V = re.compile(r"V\[\d+\]")
-_INT_SRC = re.compile(r"-?\d+|0x[0-9a-f]+")
 
 
 def _bswap16(v: int) -> int:
@@ -518,11 +529,9 @@ class _Builder:
         # Per-node sensitivity (⊆ node.reads): what actually feeds the
         # outputs. Populated while compiling bodies.
         self.node_reads: List[Set[int]] = [set() for _ in model.nodes]
-        self.node_bodies: List[List[str]] = [[] for _ in model.nodes]
-        self.proc_srcs: List[List[str]] = []
-        self.proc_commits: List[List[str]] = []
         self.proc_reads: List[Set[int]] = []
         self.proc_writes: List[List[int]] = []
+        self.proc_lines: List[List[str]] = []
         self.readers_nodes: Dict[int, List[int]] = {}
         self.readers_procs: Dict[int, List[int]] = {}
         self._tmp = 0
@@ -532,6 +541,14 @@ class _Builder:
     def _fresh(self, stem: str) -> str:
         self._tmp += 1
         return f"_{stem}{self._tmp}"
+
+    def test_src(self, ref: Ref) -> str:
+        """Unparenthesised read of ``ref`` for an ``if`` test."""
+        if ref.low == 0 and ref.width == self.model.net_widths[ref.net]:
+            return f"V[{ref.net}]"
+        if ref.low == 0:
+            return f"V[{ref.net}] & {_hx(ref.mask)}"
+        return f"V[{ref.net}] >> {ref.low} & {_hx(ref.mask)}"
 
     def mark_lines(self, net: int, ind: str) -> List[str]:
         # Node marks are bare byte stores: NQ *is* the queue (the settle
@@ -628,7 +645,6 @@ class _Builder:
 
     def compile_procs_pass1(self) -> None:
         model = self.model
-        self._proc_comps = []
         owners: Dict[int, int] = {}
         comb_written = set()
         for node in model.nodes:
@@ -654,9 +670,9 @@ class _Builder:
                         f"net {model.net_names[net]!r} is written both "
                         "combinationally and by a process; not "
                         "schedulable")
-            self._proc_comps.append((comp, writes, lines))
             self.proc_reads.append(comp.reads)
             self.proc_writes.append(writes)
+            self.proc_lines.append(lines)
 
     def _simple_value(self, value, target: Ref, comp: _SrcCompiler):
         """Classify a sequential assignment's value as a plain field
@@ -972,15 +988,7 @@ class _Builder:
         pi = len(self.prim_ids)
         self.prim_ids.append(i)
         self.prim_labels.append(node.label)
-        gate = node.gate
-        if gate.low == 0 and gate.width == \
-                self.model.net_widths[gate.net]:
-            gsrc = f"V[{gate.net}]"
-        elif gate.low == 0:
-            gsrc = f"V[{gate.net}] & {_hx(gate.mask)}"
-        else:
-            gsrc = f"V[{gate.net}] >> {gate.low} & {_hx(gate.mask)}"
-        out = [f"    if {gsrc}:",
+        out = [f"    if {self.test_src(node.gate)}:",
                f"        ACT[{pi}] += 1"]
         snaps = []
         for net in sorted(node.writes):
@@ -1037,44 +1045,17 @@ class _Builder:
 
     def emit_proc_fns(self) -> List[str]:
         out: List[str] = []
-        for pi, (comp, writes, lines) in enumerate(self._proc_comps):
+        for pi, (writes, lines) in enumerate(zip(self.proc_writes,
+                                                 self.proc_lines)):
             hoists, lines = _cse_body(lines) if lines else ([], lines)
-            groups = self._commit_groups(writes)
-            slot_of = {net: s for s, net in enumerate(writes)}
-            out.append(f"def _p{pi}(V):")
-            out.append(f"    # {self.model.procs[pi].label}")
-            for net in writes:
-                out.append(f"    t{net} = V[{net}]")
-            out.extend(hoists)
-            out.extend(lines or ["    pass"])
-            rets = ", ".join(f"t{net}" for net in writes)
-            if len(writes) == 1:
-                rets += ","
-            out.append(f"    return ({rets})")
-            out.append("")
-            out.append(f"def _c{pi}(V, t, NQ, PEND, PQ):")
-            body = []
-            for gnets, marks in groups:
-                if marks:
-                    cond = " or ".join(
-                        f"V[{n}] != t[{slot_of[n]}]" for n in gnets)
-                    body.append(f"    if {cond}:")
-                    for n in gnets:
-                        body.append(f"        V[{n}] = t[{slot_of[n]}]")
-                    body.extend(marks)
-                else:
-                    for n in gnets:
-                        body.append(f"    V[{n}] = t[{slot_of[n]}]")
-            out.extend(body or ["    pass"])
-            out.append("")
-            # Fused evaluate+commit, valid when this is the only pending
-            # process on an edge (no other reader of the pre-edge values)
+            # Fused evaluate+commit: run in commit order, so every
+            # process still reads the pre-edge value of any net it reads
             out.append(f"def _f{pi}(V, NQ, PEND, PQ):")
             for net in writes:
                 out.append(f"    t{net} = V[{net}]")
             out.extend(hoists)
             out.extend(lines or ["    pass"])
-            for gnets, marks in groups:
+            for gnets, marks in self._commit_groups(writes):
                 if marks:
                     cond = " or ".join(f"V[{n}] != t{n}" for n in gnets)
                     out.append(f"    if {cond}:")
@@ -1089,9 +1070,68 @@ class _Builder:
 
     # -- assembly ------------------------------------------------------------
 
+    def commit_order(self) -> List[int]:
+        """Each process's rank in the static commit order.
+
+        A fused body commits as it runs, so process j must run before
+        process k whenever j reads a net k writes. A design whose order
+        has a cycle (two processes swapping registers) is refused. Kahn
+        with index tie-break keeps the emitted order deterministic."""
+        n_procs = len(self.model.procs)
+        succ: List[List[int]] = [[] for _ in range(n_procs)]
+        indeg = [0] * n_procs
+        for j in range(n_procs):
+            rj = self.proc_reads[j]
+            for k in range(n_procs):
+                if j != k and rj.intersection(self.proc_writes[k]):
+                    succ[j].append(k)
+                    indeg[k] += 1
+        topo: List[int] = []
+        ready = sorted(p for p in range(n_procs) if not indeg[p])
+        while ready:
+            j = ready.pop(0)
+            topo.append(j)
+            fresh = []
+            for k in succ[j]:
+                indeg[k] -= 1
+                if not indeg[k]:
+                    fresh.append(k)
+            if fresh:
+                ready = sorted(ready + fresh)
+        stuck = set(range(n_procs)).difference(topo)
+        if stuck:
+            # name the cycle, not what merely sits downstream of it
+            tail = {j for j in stuck if not stuck.intersection(succ[j])}
+            while tail:
+                stuck -= tail
+                tail = {j for j in stuck if not stuck.intersection(succ[j])}
+            names = ", ".join(self.model.procs[j].label
+                              for j in sorted(stuck))
+            raise RtlCodegenError(
+                f"commit order has a cycle through processes {names}; "
+                "not schedulable")
+        prio = [0] * n_procs
+        for rank, j in enumerate(topo):
+            prio[j] = rank
+        return prio
+
+    def stream_ports(self) -> List[Ref]:
+        """The AXI-stream ports ``_run`` samples and ``_frame`` drives;
+        a design without them is refused."""
+        names = ("m_axis_tvalid", "s_axis_tvalid", "s_axis_tlast",
+                 "s_axis_tdata", "s_axis_tlen")
+        scope = self.model.top_scope
+        missing = [p for p in names if scope.get(p) is None]
+        if missing:
+            raise RtlCodegenError(
+                f"top has no {', '.join(missing)} port; not schedulable")
+        return [scope[p] for p in names]
+
     def build(self) -> str:
         self.compile_nodes_pass1()
         self.compile_procs_pass1()
+        prio = self.commit_order()
+        mv, sv, sl, sd, sn = self.stream_ports()
         self.build_reader_maps()
         self.compute_fusion()
         node_fns = self.emit_node_fns()
@@ -1119,19 +1159,14 @@ class _Builder:
             '"""',
             "",
         ]
+
+        def table(name: str, items: List[str]) -> str:
+            return (f"{name} = (" + ", ".join(items)
+                    + ("," if len(items) == 1 else "") + ")")
+
         tables = [
-            "_EVAL = (" + ", ".join(
-                f"_e{i}" for i in range(n_nodes)) + ("," if n_nodes == 1
-                                                    else "") + ")",
-            "_PFNS = (" + ", ".join(
-                f"_p{i}" for i in range(n_procs)) + ("," if n_procs == 1
-                                                    else "") + ")",
-            "_PCOMMITS = (" + ", ".join(
-                f"_c{i}" for i in range(n_procs)) + ("," if n_procs == 1
-                                                    else "") + ")",
-            "_PFUSED = (" + ", ".join(
-                f"_f{i}" for i in range(n_procs)) + ("," if n_procs == 1
-                                                    else "") + ")",
+            table("_EVAL", [f"_e{i}" for i in range(n_nodes)]),
+            table("_PFUSED", [f"_f{i}" for i in range(n_procs)]),
             "_READERS = {",
         ]
         for net in sorted(set(self.readers_nodes)
@@ -1140,48 +1175,47 @@ class _Builder:
             procs = tuple(self.readers_procs.get(net, ()))
             tables.append(f"    {net}: ({nodes!r}, {procs!r}),")
         tables.append("}")
-        # Static commit order for multi-process edges: process j must
-        # evaluate before process k commits whenever j reads a net k
-        # writes, so fused evaluate+commit bodies are safe iff that
-        # constraint graph is acyclic. Kahn with index tie-break keeps
-        # the emitted order deterministic.
-        succ: List[List[int]] = [[] for _ in range(n_procs)]
-        indeg = [0] * n_procs
-        for j in range(n_procs):
-            rj = self.proc_reads[j]
-            for k in range(n_procs):
-                if j != k and rj.intersection(self.proc_writes[k]):
-                    succ[j].append(k)
-                    indeg[k] += 1
-        topo: List[int] = []
-        ready = sorted(p for p in range(n_procs) if not indeg[p])
-        while ready:
-            j = ready.pop(0)
-            topo.append(j)
-            fresh = []
-            for k in succ[j]:
-                indeg[k] -= 1
-                if not indeg[k]:
-                    fresh.append(k)
-            if fresh:
-                ready = sorted(ready + fresh)
-        ordered = len(topo) == n_procs
-        if ordered:
-            prio = [0] * n_procs
-            for rank, j in enumerate(topo):
-                prio[j] = rank
-            tables.append(
-                "_PRIO = (" + ", ".join(str(r) for r in prio)
-                + ("," if n_procs == 1 else "") + ")")
-        mv = model.top_scope.get("m_axis_tvalid")
-        if mv is None:
-            mv_src = None
-        elif mv.low == 0 and mv.width == model.net_widths[mv.net]:
-            mv_src = f"V[{mv.net}]"
-        elif mv.low == 0:
-            mv_src = f"V[{mv.net}] & {_hx(mv.mask)}"
-        else:
-            mv_src = f"V[{mv.net}] >> {mv.low} & {_hx(mv.mask)}"
+        tables.append(table("_PRIO", [str(r) for r in prio]))
+
+        def settle_block(ind: str) -> List[str]:
+            return [
+                f"{ind}pos = find(1)",
+                f"{ind}while pos >= 0:",
+                f"{ind}    NQ[pos] = 0",
+                f"{ind}    ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)",
+                f"{ind}    nc += 1",
+                f"{ind}    pos = find(1, pos + 1)",
+            ]
+
+        def edge_block(ind: str) -> List[str]:
+            # pending processes run fused, in commit order
+            return [
+                f"{ind}n = len(PEND)",
+                f"{ind}if n == 1:",
+                f"{ind}    pr += 1",
+                f"{ind}    k = PEND.pop()",
+                f"{ind}    PQ[k] = 0",
+                f"{ind}    pu[k](V, NQ, PEND, PQ)",
+                f"{ind}elif n == 2:",
+                f"{ind}    pr += 2",
+                f"{ind}    b = PEND.pop()",
+                f"{ind}    a = PEND.pop()",
+                f"{ind}    if prio[a] > prio[b]:",
+                f"{ind}        a, b = b, a",
+                f"{ind}    PQ[a] = 0",
+                f"{ind}    PQ[b] = 0",
+                f"{ind}    pu[a](V, NQ, PEND, PQ)",
+                f"{ind}    pu[b](V, NQ, PEND, PQ)",
+                f"{ind}elif n:",
+                f"{ind}    pr += n",
+                f"{ind}    cur = sorted(PEND, key=prio.__getitem__)",
+                f"{ind}    for k in cur:",
+                f"{ind}        PQ[k] = 0",
+                f"{ind}    del PEND[:]",
+                f"{ind}    for k in cur:",
+                f"{ind}        pu[k](V, NQ, PEND, PQ)",
+            ]
+
         tables.extend([
             "",
             "def _mark(net, NQ, PEND, PQ):",
@@ -1196,204 +1230,50 @@ class _Builder:
             "            PEND.append(p)",
             "",
             "def _settle(V, NQ, PEND, PQ, PRIMS, ACT, ev=_EVAL):",
-            "    n = 0",
+            "    nc = 0",
             "    find = NQ.find",
-            "    pos = find(1)",
-            "    while pos >= 0:",
-            "        NQ[pos] = 0",
-            "        ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)",
-            "        n += 1",
-            "        pos = find(1, pos + 1)",
-            "    return n",
+            *settle_block("    "),
+            "    return nc",
             "",
-        ])
-        if ordered:
-            tables.extend([
-                "def _edge(V, NQ, PEND, PQ, pu=_PFUSED, prio=_PRIO):",
-                "    n = len(PEND)",
-                "    if not n:",
-                "        return 0",
-                "    if n == 1:",
-                "        k = PEND[0]",
-                "        PQ[k] = 0",
-                "        del PEND[:]",
-                "        pu[k](V, NQ, PEND, PQ)",
-                "        return 1",
-                "    if n == 2:",
-                "        a = PEND[0]",
-                "        b = PEND[1]",
-                "        if prio[a] > prio[b]:",
-                "            a, b = b, a",
-                "        PQ[a] = 0",
-                "        PQ[b] = 0",
-                "        del PEND[:]",
-                "        pu[a](V, NQ, PEND, PQ)",
-                "        pu[b](V, NQ, PEND, PQ)",
-                "        return 2",
-                "    cur = sorted(PEND, key=prio.__getitem__)",
-                "    for k in cur:",
-                "        PQ[k] = 0",
-                "    del PEND[:]",
-                "    for k in cur:",
-                "        pu[k](V, NQ, PEND, PQ)",
-                "    return n",
-                "",
-            ])
-        else:
-            tables.extend([
-                "def _edge(V, NQ, PEND, PQ,",
-                "          pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED):",
-                "    n = len(PEND)",
-                "    if not n:",
-                "        return 0",
-                "    if n == 1:",
-                "        k = PEND[0]",
-                "        PQ[k] = 0",
-                "        del PEND[:]",
-                "        pu[k](V, NQ, PEND, PQ)",
-                "        return 1",
-                "    todo = [(k, pf[k](V)) for k in PEND]",
-                "    for k in PEND:",
-                "        PQ[k] = 0",
-                "    del PEND[:]",
-                "    for k, t in todo:",
-                "        pc[k](V, t, NQ, PEND, PQ)",
-                "    return n",
-                "",
-            ])
-        def settle_block(ind: str) -> List[str]:
-            return [
-                f"{ind}pos = find(1)",
-                f"{ind}while pos >= 0:",
-                f"{ind}    NQ[pos] = 0",
-                f"{ind}    ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)",
-                f"{ind}    nc += 1",
-                f"{ind}    pos = find(1, pos + 1)",
-            ]
-
-        def edge_block(ind: str) -> List[str]:
-            out = [
-                f"{ind}n = len(PEND)",
-                f"{ind}if n == 1:",
-                f"{ind}    pr += 1",
-                f"{ind}    k = PEND.pop()",
-                f"{ind}    PQ[k] = 0",
-                f"{ind}    pu[k](V, NQ, PEND, PQ)",
-            ]
-            if ordered:
-                out.extend([
-                    f"{ind}elif n == 2:",
-                    f"{ind}    pr += 2",
-                    f"{ind}    b = PEND.pop()",
-                    f"{ind}    a = PEND.pop()",
-                    f"{ind}    if prio[a] > prio[b]:",
-                    f"{ind}        a, b = b, a",
-                    f"{ind}    PQ[a] = 0",
-                    f"{ind}    PQ[b] = 0",
-                    f"{ind}    pu[a](V, NQ, PEND, PQ)",
-                    f"{ind}    pu[b](V, NQ, PEND, PQ)",
-                    f"{ind}elif n:",
-                    f"{ind}    pr += n",
-                    f"{ind}    cur = sorted(PEND, key=prio.__getitem__)",
-                    f"{ind}    for k in cur:",
-                    f"{ind}        PQ[k] = 0",
-                    f"{ind}    del PEND[:]",
-                    f"{ind}    for k in cur:",
-                    f"{ind}        pu[k](V, NQ, PEND, PQ)",
-                ])
-            else:
-                out.extend([
-                    f"{ind}elif n:",
-                    f"{ind}    pr += n",
-                    f"{ind}    todo = [(k, pf[k](V)) for k in PEND]",
-                    f"{ind}    for k in PEND:",
-                    f"{ind}        PQ[k] = 0",
-                    f"{ind}    del PEND[:]",
-                    f"{ind}    for k, t in todo:",
-                    f"{ind}        pc[k](V, t, NQ, PEND, PQ)",
-                ])
-            return out
-
-        stepper_args = ("ev=_EVAL, pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED"
-                        + (", prio=_PRIO):" if ordered else "):"))
-        if mv_src is not None:
-            tables.extend([
-                "def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,",
-                "         " + stepper_args,
-                "    # Fused cycles: settle, stop on m_axis_tvalid (edge",
-                "    # still pending for that cycle), else clock edge.",
-                "    nc = 0",
-                "    pr = 0",
-                "    find = NQ.find",
-                "    for done in range(limit):",
-            ])
-            tables.extend(settle_block("        "))
-            tables.extend([
-                f"        if {mv_src}:",
-                "            return (done, 1, nc, pr)",
-            ])
-            tables.extend(edge_block("        "))
-            tables.extend([
-                "    return (limit, 0, nc, pr)",
-                "",
-                "_RUN = _run",
-                "",
-            ])
-        else:
-            tables.extend(["_RUN = None", ""])
-        scope = model.top_scope
-        s_ports = [scope.get(p) for p in
-                   ("s_axis_tvalid", "s_axis_tlast",
-                    "s_axis_tdata", "s_axis_tlen")]
-        if mv_src is not None and None not in s_ports:
-            sv, sl, sd, sn = s_ports
-            tables.extend([
-                "def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, "
-                "tlen,",
-                "           " + stepper_args,
-                "    # Inject one s_axis beat (marks inlined per port),",
-                "    # then run the window: settle, stop on",
-                "    # m_axis_tvalid (edge deferred to the caller), else",
-                "    # edge; tvalid drops after the first edge.",
-            ])
-            tables.extend(self.write_lines(sv, "1", 0, "i", "    "))
-            tables.extend(self.write_lines(sl, "1", 0, "i", "    "))
-            tables.extend(self.write_lines(sd, "data", sd.width, "u",
-                                           "    "))
-            tables.extend(self.write_lines(sn, "tlen", sn.width, "u",
-                                           "    "))
-            tables.extend([
-                "    nc = 0",
-                "    pr = 0",
-                "    find = NQ.find",
-                "    for done in range(span):",
-            ])
-            tables.extend(settle_block("        "))
-            tables.extend([
-                f"        if {mv_src}:",
-                "            return (done, 1, nc, pr)",
-            ])
-            tables.extend(edge_block("        "))
-            tables.append("        if not done:")
-            tables.extend(self.write_lines(sv, "0", 0, "i",
-                                           "            "))
-            tables.extend([
-                "    return (span, 0, nc, pr)",
-                "",
-                "_FRAME = _frame",
-                "",
-            ])
-        else:
-            tables.extend(["_FRAME = None", ""])
-        tables.extend([
+            "def _edge(V, NQ, PEND, PQ, pu=_PFUSED, prio=_PRIO):",
+            "    pr = 0",
+            *edge_block("    "),
+            "    return pr",
+            "",
+            "def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,",
+            "         ev=_EVAL, pu=_PFUSED, prio=_PRIO):",
+            "    # Fused cycles: settle, stop on m_axis_tvalid (edge",
+            "    # still pending for that cycle), else clock edge.",
+            "    nc = 0",
+            "    pr = 0",
+            "    find = NQ.find",
+            "    for done in range(limit):",
+            *settle_block("        "),
+            f"        if {self.test_src(mv)}:",
+            "            return (done, 1, nc, pr)",
+            *edge_block("        "),
+            "    return (limit, 0, nc, pr)",
+            "",
+            "def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):",
+            "    # Inject one s_axis beat (marks inlined per port), run the",
+            "    # inject cycle, drop tvalid, run the rest of the window.",
+            *self.write_lines(sv, "1", 0, "i", "    "),
+            *self.write_lines(sl, "1", 0, "i", "    "),
+            *self.write_lines(sd, "data", sd.width, "u", "    "),
+            *self.write_lines(sn, "tlen", sn.width, "u", "    "),
+            "    done, hit, nc, pr = _run(V, NQ, PEND, PQ, PRIMS, ACT, 1)",
+            "    if hit:",
+            "        return (0, 1, nc, pr)",
+            *self.write_lines(sv, "0", 0, "i", "    "),
+            "    done, hit, nc2, pr2 = _run(V, NQ, PEND, PQ, PRIMS, ACT,",
+            "                               span - 1)",
+            "    return (done + 1, hit, nc + nc2, pr + pr2)",
+            "",
             f"_GEN_VERSION = {RTL_CODEGEN_VERSION}",
             f"_N_NODES = {n_nodes}",
             f"_N_PROCS = {n_procs}",
             f"_PRIM_NODE_IDS = {tuple(self.prim_ids)!r}",
             f"_PRIM_LABELS = {tuple(self.prim_labels)!r}",
-            "_SETTLE = _settle",
-            "_EDGE = _edge",
-            "_MARK_NET = _mark",
             "",
         ])
         body = "\n".join(node_fns + proc_fns)

@@ -17,7 +17,7 @@ differential (:func:`repro.hwsim.engines.run_three_way`) checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.cache import get_default_cache
 from ..core.pipeline import Pipeline
@@ -38,7 +38,15 @@ RTL_ENGINES = ("rtl", "rtl-interp")
 
 
 class RtlSimulator:
-    """Two-phase simulator over an elaborated design."""
+    """Two-phase simulator over an elaborated design.
+
+    The stepping contract both RTL engines implement: ``drive`` /
+    ``settle`` / ``read`` / ``edge`` for one phase at a time, and on top
+    of them ``run(limit)`` (whole cycles until ``m_axis_tvalid`` rises)
+    and ``frame(span, data, tlen)`` (inject one s_axis beat, then run
+    the window). Here they are written in Python over the four phases;
+    :class:`CompiledRtlSimulator` binds the generated ones.
+    """
 
     def __init__(self, model: Elaborated) -> None:
         self.model = model
@@ -78,39 +86,59 @@ class RtlSimulator:
         for net, value in pending.items():
             values[net] = value
 
+    def run(self, limit: int) -> Tuple[int, int]:
+        """Step up to ``limit`` cycles: settle, then stop if
+        ``m_axis_tvalid`` is high (the cycle's edge left to the
+        caller), else clock the edge. Returns (whole cycles run, 1 if
+        stopped on an output else 0)."""
+        tvalid = self._port("m_axis_tvalid")
+        for done in range(limit):
+            self.settle()
+            if tvalid.get(self.values):
+                return done, 1
+            self.edge()
+        return limit, 0
+
+    def frame(self, span: int, data: int, tlen: int) -> Tuple[int, int]:
+        """Inject one s_axis beat and run a ``span``-cycle window:
+        tvalid is held for the inject cycle only. Returns like
+        :meth:`run`, counting from the inject cycle."""
+        self.drive("s_axis_tvalid", 1)
+        self.drive("s_axis_tlast", 1)
+        self.drive("s_axis_tdata", data)
+        self.drive("s_axis_tlen", tlen)
+        if self.run(1)[1]:
+            return 0, 1
+        self.drive("s_axis_tvalid", 0)
+        done, hit = self.run(span - 1)
+        return done + 1, hit
+
 
 class CompiledRtlSimulator(RtlSimulator):
     """Event-driven simulator over a generated evaluation schedule
     (:mod:`repro.rtl.codegen`).
 
-    Same two-phase drive/settle/read/edge interface as
-    :class:`RtlSimulator` and bit-identical values every phase, but only
-    *dirty* nodes are evaluated: writes are change-detected and mark
-    their readers into a heap keyed by the levelized node index, and
-    clocked processes only re-run when an input net actually moved.
-    Gated primitives stay live while requested (side effects are not
-    idempotent), counted per block in ``prim_active``.
+    Same stepping contract as :class:`RtlSimulator` and bit-identical
+    values every phase, but only *dirty* nodes are evaluated: writes are
+    change-detected and mark their readers, and clocked processes only
+    re-run when an input net actually moved. Gated primitives stay live
+    while requested (side effects are not idempotent), counted per block
+    in ``prim_active``.
     """
 
     def __init__(self, model: Elaborated, namespace: dict) -> None:
         super().__init__(model)
-        self._settle_fn = namespace["_SETTLE"]
-        self._edge_fn = namespace["_EDGE"]
-        self._mark_fn = namespace["_MARK_NET"]
-        # Fused multi-cycle stepper (settle / output check / edge in one
-        # call); None when the design has no m_axis_tvalid port.
-        self._run_fn = namespace.get("_RUN")
-        # Whole-window stepper (inject + window in one call); None for
-        # designs without the s_axis/m_axis streaming ports.
-        self._frame_fn = namespace.get("_FRAME")
+        self._settle_fn = namespace["_settle"]
+        self._edge_fn = namespace["_edge"]
+        self._mark_fn = namespace["_mark"]
+        self._run_fn = namespace["_run"]
+        self._frame_fn = namespace["_frame"]
         n_nodes, n_procs = len(model.nodes), len(model.procs)
         # Power-on: everything is dirty once, mirroring the
         # interpreter's first full sweep.
-        self._NQ = bytearray(b"\x01" * n_nodes) if n_nodes \
-            else bytearray()
+        self._NQ = bytearray(b"\x01" * n_nodes)
         self._PEND = list(range(n_procs))
-        self._PQ = bytearray(b"\x01" * n_procs) if n_procs \
-            else bytearray()
+        self._PQ = bytearray(b"\x01" * n_procs)
         self._PRIMS = [model.nodes[i].fn
                        for i in namespace["_PRIM_NODE_IDS"]]
         self.prim_labels = list(namespace["_PRIM_LABELS"])
@@ -138,6 +166,24 @@ class CompiledRtlSimulator(RtlSimulator):
         self.edge_count += 1
         self.proc_evals += self._edge_fn(
             self.values, self._NQ, self._PEND, self._PQ)
+
+    def _count(self, done: int, hit: int, nc: int,
+               pr: int) -> Tuple[int, int]:
+        self.settle_count += done + hit
+        self.edge_count += done
+        self.comb_evals += nc
+        self.proc_evals += pr
+        return done, hit
+
+    def run(self, limit: int) -> Tuple[int, int]:
+        return self._count(*self._run_fn(
+            self.values, self._NQ, self._PEND, self._PQ,
+            self._PRIMS, self.prim_active, limit))
+
+    def frame(self, span: int, data: int, tlen: int) -> Tuple[int, int]:
+        return self._count(*self._frame_fn(
+            self.values, self._NQ, self._PEND, self._PQ,
+            self._PRIMS, self.prim_active, span, data, tlen))
 
 
 def find_top(text: str) -> Optional[str]:
@@ -231,7 +277,12 @@ class RtlRunner:
         self.n_stages = pipeline.n_stages
         port = self.model.top_entity.port("s_axis_tdata")
         self.window_bytes = port.width // 8
-        self._out_hot = None  # (net, low, mask) of the m_axis sample ports
+        # (net, low, mask) of the m_axis sample ports
+        self._out_hot = tuple(
+            (r.net, r.low, r.mask) for r in (
+                self.sim._port("m_axis_tlen"),
+                self.sim._port("m_axis_tdata"),
+                self.sim._port("m_axis_tverdict")))
         # Telemetry high-water marks (deltas published per run_packets).
         self._published_settles = 0
         self._published_edges = 0
@@ -244,7 +295,11 @@ class RtlRunner:
                     gap: Optional[int] = None) -> SimReport:
         """Push ``frames`` through the design, one injection every
         ``gap`` cycles (default ``n_stages + 2``: single packet in
-        flight, the sequentially-consistent regime)."""
+        flight, the sequentially-consistent regime).
+
+        One window per frame: ``sim.frame`` injects and runs until
+        ``m_axis_tvalid`` rises (settle done, edge pending) or the
+        window ends, so Python only touches injections and outputs."""
         frames = [bytes(f) for f in frames]
         if gap is None:
             gap = self.n_stages + 2
@@ -259,113 +314,9 @@ class RtlRunner:
         report.packets_in = len(frames)
         sim.drive("rst", 0)
         sim.drive("m_axis_tready", 1)
-        shadows: List[PacketShadow] = []
-        run_fn = getattr(sim, "_run_fn", None)
-        if run_fn is not None:
-            out_index = self._run_compiled(frames, gap, report, shadows)
-        else:
-            out_index = self._run_stepped(frames, gap, report, shadows)
-        if out_index != len(frames):
-            raise RtlSimError(
-                f"{len(frames) - out_index} packet(s) never reached "
-                "m_axis"
-            )
-        self._publish_telemetry()
-        return report
-
-    def _inject(self, frame: bytes, shadows: List[PacketShadow]) -> None:
-        """Drive one frame onto ``s_axis_*`` (held for one cycle)."""
-        sim = self.sim
-        wmax = self.window_bytes
-        shadow = PacketShadow(frame)
-        shadow.tail = bytearray(frame[wmax:])
-        shadows.append(shadow)
-        self.context.packet = shadow
-        window = frame[:wmax].ljust(wmax, b"\x00")
-        sim.drive("s_axis_tvalid", 1)
-        sim.drive("s_axis_tlast", 1)
-        sim.drive("s_axis_tdata", int.from_bytes(window, "little"))
-        sim.drive("s_axis_tlen", len(frame) & 0xFFFF)
-
-    def _take_output(self, cycle: int, gap: int,
-                     shadows: List[PacketShadow], out_index: int,
-                     report: SimReport) -> int:
-        """Sample ``m_axis_*`` (post-settle, pre-edge) into a record."""
-        sim = self.sim
-        wmax = self.window_bytes
-        if out_index >= len(shadows):
-            raise RtlSimError(f"cycle {cycle}: spurious m_axis output")
-        shadow = shadows[out_index]
-        hot = self._out_hot
-        if hot is None:
-            hot = self._out_hot = tuple(
-                (r.net, r.low, r.mask) for r in (
-                    sim._port("m_axis_tlen"),
-                    sim._port("m_axis_tdata"),
-                    sim._port("m_axis_tverdict")))
-        (ln, ll, lm), (dn, dl, dm), (vn, vl, vm) = hot
-        values = sim.values
-        plen = (values[ln] >> ll) & lm
-        raw = ((values[dn] >> dl) & dm).to_bytes(wmax, "little")
-        data = raw[:min(plen, wmax)] + bytes(shadow.tail)
-        action = XdpAction.of((values[vn] >> vl) & vm)
-        if shadow.redirect_ifindex is not None \
-                and action is not XdpAction.REDIRECT:
-            shadow.redirect_ifindex = None
-        inject = out_index * gap
-        record = PacketRecord(
-            pid=out_index, action=action, data=data,
-            arrival_cycle=inject, inject_cycle=inject,
-            exit_cycle=cycle,
-        )
-        report.records.append(record)
-        report.packets_out += 1
-        report.action_counts[action] = \
-            report.action_counts.get(action, 0) + 1
-        report.sum_total_cycles += record.total_cycles
-        report.sum_pipeline_cycles += record.pipeline_cycles
-        return out_index + 1
-
-    def _run_stepped(self, frames: List[bytes], gap: int,
-                     report: SimReport,
-                     shadows: List[PacketShadow]) -> int:
-        """Generic cycle-by-cycle loop (interpreter engine)."""
-        sim = self.sim
-        out_index = 0
-        total_cycles = (len(frames) - 1) * gap + self.n_stages + 1 \
-            if frames else 0
-        for cycle in range(total_cycles):
-            if cycle % gap == 0 and cycle // gap < len(frames):
-                self._inject(frames[cycle // gap], shadows)
-            else:
-                sim.drive("s_axis_tvalid", 0)
-            sim.settle()
-            if sim.read("m_axis_tvalid") == 1:
-                out_index = self._take_output(cycle, gap, shadows,
-                                              out_index, report)
-            sim.edge()
-        report.cycles = total_cycles
-        return out_index
-
-    def _run_compiled(self, frames: List[bytes], gap: int,
-                      report: SimReport,
-                      shadows: List[PacketShadow]) -> int:
-        """Fast loop for the compiled engine: the generated ``_run``
-        steps whole idle stretches in one call, returning early (settle
-        done, edge pending) on the cycle ``m_axis_tvalid`` rises, so
-        Python only touches injections and outputs."""
-        sim = self.sim
-        run = sim._run_fn
-        frame_fn = sim._frame_fn
-        values = sim.values
-        NQ, PEND, PQ = sim._NQ, sim._PEND, sim._PQ
-        PRIMS, ACT = sim._PRIMS, sim.prim_active
-        mark = sim._mark_fn
-        edge = sim._edge_fn
-        tvalid = sim._port("s_axis_tvalid")
-        tv_net, tv_bit = tvalid.net, 1 << tvalid.low
         wmax = self.window_bytes
         ctx = self.context
+        shadows: List[PacketShadow] = []
         out_index = 0
         base = 0
         last = len(frames) - 1
@@ -376,44 +327,52 @@ class RtlRunner:
             ctx.packet = shadow
             window = frame[:wmax].ljust(wmax, b"\x00")
             span = gap if idx < last else self.n_stages + 1
-            # Whole window in one generated call (the module has _FRAME
-            # whenever it has _RUN and the s_axis ports): injection
-            # marks are inlined constants and tvalid drops after the
-            # first edge without a Python round-trip.
-            done, hit, nc, pr = frame_fn(
-                values, NQ, PEND, PQ, PRIMS, ACT, span,
-                int.from_bytes(window, "little"), len(frame) & 0xFFFF)
-            consumed = done
-            sim.comb_evals += nc
-            sim.proc_evals += pr
-            sim.settle_count += done + hit
-            sim.edge_count += done
-            while True:
-                if hit:
-                    out_index = self._take_output(
-                        base + consumed, gap, shadows, out_index,
-                        report)
-                    # finish the output cycle
-                    sim.proc_evals += edge(values, NQ, PEND, PQ)
-                    sim.edge_count += 1
-                    consumed += 1
-                if values[tv_net] & tv_bit and consumed:
+            consumed, hit = sim.frame(
+                span, int.from_bytes(window, "little"), len(frame) & 0xFFFF)
+            while hit:
+                out_index = self._take_output(
+                    base + consumed, gap, shadows, out_index, report)
+                sim.edge()  # finish the output cycle
+                consumed += 1
+                if consumed == 1:
                     # output rose on the inject cycle itself, before
-                    # the stepper's first-edge tvalid drop
-                    values[tv_net] &= ~tv_bit
-                    mark(tv_net, NQ, PEND, PQ)
-                if consumed >= span:
-                    break
-                done, hit, nc, pr = run(values, NQ, PEND, PQ,
-                                        PRIMS, ACT, span - consumed)
-                sim.comb_evals += nc
-                sim.proc_evals += pr
-                sim.settle_count += done + hit
-                sim.edge_count += done
+                    # the frame's tvalid drop
+                    sim.drive("s_axis_tvalid", 0)
+                done, hit = sim.run(span - consumed)
                 consumed += done
             base += span
         report.cycles = base
-        return out_index
+        if out_index != len(frames):
+            raise RtlSimError(
+                f"{len(frames) - out_index} packet(s) never reached "
+                "m_axis"
+            )
+        self._publish_telemetry()
+        return report
+
+    def _take_output(self, cycle: int, gap: int,
+                     shadows: List[PacketShadow], out_index: int,
+                     report: SimReport) -> int:
+        """Sample ``m_axis_*`` (post-settle, pre-edge) into a record."""
+        wmax = self.window_bytes
+        if out_index >= len(shadows):
+            raise RtlSimError(f"cycle {cycle}: spurious m_axis output")
+        shadow = shadows[out_index]
+        (ln, ll, lm), (dn, dl, dm), (vn, vl, vm) = self._out_hot
+        values = self.sim.values
+        plen = (values[ln] >> ll) & lm
+        raw = ((values[dn] >> dl) & dm).to_bytes(wmax, "little")
+        data = raw[:min(plen, wmax)] + bytes(shadow.tail)
+        action = XdpAction.of((values[vn] >> vl) & vm)
+        if shadow.redirect_ifindex is not None \
+                and action is not XdpAction.REDIRECT:
+            shadow.redirect_ifindex = None
+        inject = out_index * gap
+        report.record(PacketRecord(
+            pid=out_index, action=action, data=data,
+            arrival_cycle=inject, inject_cycle=inject, exit_cycle=cycle,
+        ))
+        return out_index + 1
 
     def _publish_telemetry(self) -> None:
         """Report settle/edge activity and primitive op counts into the

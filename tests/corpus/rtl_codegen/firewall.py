@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'firewall'.
 
-RTL_CODEGEN_VERSION = 3; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 4; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -530,48 +530,11 @@ def _e57(V, NQ, PEND, PQ, PRIMS, ACT):
     # [tie r4] firewall_map_1.tie
     V[116] = 0
 
-def _p0(V):
-    # ehdl_firewall:process@1294
-    t25 = V[25]
-    if V[26] == 1:
-        t25 = V[21]
-    return (t25,)
-
-def _c0(V, t, NQ, PEND, PQ):
-    V[25] = t[0]
-
 def _f0(V, NQ, PEND, PQ):
     t25 = V[25]
     if V[26] == 1:
         t25 = V[21]
     V[25] = t25
-
-def _p1(V):
-    # ehdl_firewall/s001:process@112
-    t29 = V[29]
-    t30 = V[30]
-    t31 = V[31]
-    if (V[2] == 1) or (V[83] == 1):
-        t29 = 0
-    else:
-        t29 = V[26]
-        t30 = V[27]
-        t31 = V[28] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[28] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[26] == 1) and ((V[27] & 1) == 1)) and ((V[28] >> 544 & 1) == 0):
-            if (V[28] >> 512 & 0xffff) < 0xe:
-                t31 = t31 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t31 = t31 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[28] >> 96 & 0xffff) << 577)
-    return (t29, t30, t31)
-
-def _c1(V, t, NQ, PEND, PQ):
-    if V[29] != t[0] or V[30] != t[1] or V[31] != t[2]:
-        V[29] = t[0]
-        V[30] = t[1]
-        V[31] = t[2]
-        if not PQ[2]:
-            PQ[2] = 1
-            PEND.append(2)
 
 def _f1(V, NQ, PEND, PQ):
     t29 = V[29]
@@ -596,33 +559,6 @@ def _f1(V, NQ, PEND, PQ):
             PQ[2] = 1
             PEND.append(2)
 
-def _p2(V):
-    # ehdl_firewall/s002:process@163
-    t32 = V[32]
-    t33 = V[33]
-    t34 = V[34]
-    if (V[2] == 1) or (V[83] == 1):
-        t32 = 0
-    else:
-        t32 = V[29]
-        t33 = V[30]
-        t34 = V[31] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[31] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[29] == 1) and ((V[30] & 1) == 1)) and ((V[31] >> 544 & 1) == 0):
-            if (V[31] >> 577 & 0xffffffffffffffff) != 8:
-                t33 = t33 & 0xffffffbf | 0x40
-            else:
-                t33 = t33 & 0xfffffffd | 2
-    return (t32, t33, t34)
-
-def _c2(V, t, NQ, PEND, PQ):
-    if V[32] != t[0] or V[33] != t[1] or V[34] != t[2]:
-        V[32] = t[0]
-        V[33] = t[1]
-        V[34] = t[2]
-        if not PQ[3]:
-            PQ[3] = 1
-            PEND.append(3)
-
 def _f2(V, NQ, PEND, PQ):
     t32 = V[32]
     t33 = V[33]
@@ -645,33 +581,6 @@ def _f2(V, NQ, PEND, PQ):
         if not PQ[3]:
             PQ[3] = 1
             PEND.append(3)
-
-def _p3(V):
-    # ehdl_firewall/s003:process@212
-    t35 = V[35]
-    t36 = V[36]
-    t37 = V[37]
-    if (V[2] == 1) or (V[83] == 1):
-        t35 = 0
-    else:
-        t35 = V[32]
-        t36 = V[33]
-        t37 = V[34] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[34] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[32] == 1) and ((V[33] >> 1 & 1) == 1)) and ((V[34] >> 544 & 1) == 0):
-            if (V[34] >> 512 & 0xffff) < 0x18:
-                t37 = t37 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t37 = t37 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[34] >> 184 & 0xff) << 577)
-    return (t35, t36, t37)
-
-def _c3(V, t, NQ, PEND, PQ):
-    if V[35] != t[0] or V[36] != t[1] or V[37] != t[2]:
-        V[35] = t[0]
-        V[36] = t[1]
-        V[37] = t[2]
-        if not PQ[4]:
-            PQ[4] = 1
-            PEND.append(4)
 
 def _f3(V, NQ, PEND, PQ):
     t35 = V[35]
@@ -696,33 +605,6 @@ def _f3(V, NQ, PEND, PQ):
             PQ[4] = 1
             PEND.append(4)
 
-def _p4(V):
-    # ehdl_firewall/s004:process@263
-    t38 = V[38]
-    t39 = V[39]
-    t40 = V[40]
-    if (V[2] == 1) or (V[83] == 1):
-        t38 = 0
-    else:
-        t38 = V[35]
-        t39 = V[36]
-        t40 = V[37] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[37] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[35] == 1) and ((V[36] >> 1 & 1) == 1)) and ((V[37] >> 544 & 1) == 0):
-            if (V[37] >> 577 & 0xffffffffffffffff) != 0x11:
-                t39 = t39 & 0xffffffbf | 0x40
-            else:
-                t39 = t39 & 0xfffffffb | 4
-    return (t38, t39, t40)
-
-def _c4(V, t, NQ, PEND, PQ):
-    if V[38] != t[0] or V[39] != t[1] or V[40] != t[2]:
-        V[38] = t[0]
-        V[39] = t[1]
-        V[40] = t[2]
-        if not PQ[5]:
-            PQ[5] = 1
-            PEND.append(5)
-
 def _f4(V, NQ, PEND, PQ):
     t38 = V[38]
     t39 = V[39]
@@ -745,64 +627,6 @@ def _f4(V, NQ, PEND, PQ):
         if not PQ[5]:
             PQ[5] = 1
             PEND.append(5)
-
-def _p5(V):
-    # ehdl_firewall/s005:process@312
-    t41 = V[41]
-    t42 = V[42]
-    t43 = V[43]
-    _x10 = (V[40] >> 512 & 0xffff)
-    _x9 = ((V[40] >> 544 & 1) == 0)
-    _x8 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
-    _x7 = ((0 if _x10 < 0x26 else 1))
-    _x6 = ((0 if _x10 < 0x24 else 1))
-    _x5 = ((0 if _x10 < 0x22 else 1))
-    _x4 = ((0 if _x10 < 0x1e else 1))
-    _x3 = (_x8 and _x9)
-    _x2 = (_x3 and _x4)
-    _x1 = (_x2 and _x5)
-    _x0 = (_x1 and _x6)
-    if (V[2] == 1) or (V[83] == 1):
-        t41 = 0
-    else:
-        t41 = V[38]
-        t42 = V[39]
-        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 384) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x8 and _x9:
-            if _x10 < 0x1e:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 705)
-        if _x3 and _x4:
-            if _x10 < 0x22:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 769)
-        if _x2 and _x5:
-            if _x10 < 0x24:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 833)
-        if _x1 and _x6:
-            if _x10 < 0x26:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 897)
-        if _x0 and _x7:
-            t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and _x9:
-            t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t41, t42, t43)
-
-def _c5(V, t, NQ, PEND, PQ):
-    if V[41] != t[0] or V[42] != t[1] or V[43] != t[2]:
-        V[41] = t[0]
-        V[42] = t[1]
-        V[43] = t[2]
-        if not PQ[6]:
-            PQ[6] = 1
-            PEND.append(6)
 
 def _f5(V, NQ, PEND, PQ):
     t41 = V[41]
@@ -858,42 +682,6 @@ def _f5(V, NQ, PEND, PQ):
             PQ[6] = 1
             PEND.append(6)
 
-def _p6(V):
-    # ehdl_firewall/s006:process@408
-    t44 = V[44]
-    t45 = V[45]
-    t46 = V[46]
-    _x1 = ((V[43] >> 544 & 1) == 0)
-    _x0 = ((V[41] == 1) and ((V[42] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[83] == 1):
-        t44 = 0
-    else:
-        t44 = V[41]
-        t45 = V[42]
-        t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[43] >> 256) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
-            t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
-            t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
-            t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 1025 & 0xffffffffffffffff)) & 0xffffffff) << 865)
-            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 641)
-        if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and _x1:
-            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t44, t45, t46)
-
-def _c6(V, t, NQ, PEND, PQ):
-    if V[44] != t[0] or V[45] != t[1] or V[46] != t[2]:
-        V[44] = t[0]
-        V[45] = t[1]
-        V[46] = t[2]
-        NQ[13] = 1
-        if not PQ[7]:
-            PQ[7] = 1
-            PEND.append(7)
-
 def _f6(V, NQ, PEND, PQ):
     t44 = V[44]
     t45 = V[45]
@@ -926,33 +714,6 @@ def _f6(V, NQ, PEND, PQ):
             PQ[7] = 1
             PEND.append(7)
 
-def _p7(V):
-    # ehdl_firewall/s007:process@497
-    t47 = V[47]
-    t48 = V[48]
-    t49 = V[49]
-    if (V[2] == 1) or (V[83] == 1):
-        t47 = 0
-    else:
-        t47 = V[44]
-        t48 = V[45]
-        t49 = V[46] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[46] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[46] >> 160) & 0x1fffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
-            if V[106] == 1:
-                t49 = t49 & 0x1fffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t47, t48, t49)
-
-def _c7(V, t, NQ, PEND, PQ):
-    if V[47] != t[0] or V[48] != t[1] or V[49] != t[2]:
-        V[47] = t[0]
-        V[48] = t[1]
-        V[49] = t[2]
-        if not PQ[8]:
-            PQ[8] = 1
-            PEND.append(8)
-
 def _f7(V, NQ, PEND, PQ):
     t47 = V[47]
     t48 = V[48]
@@ -976,28 +737,6 @@ def _f7(V, NQ, PEND, PQ):
             PQ[8] = 1
             PEND.append(8)
 
-def _p8(V):
-    # ehdl_firewall/s008:process@549
-    t50 = V[50]
-    t51 = V[51]
-    t52 = V[52]
-    if (V[2] == 1) or (V[83] == 1):
-        t50 = 0
-    else:
-        t50 = V[47]
-        t51 = V[48]
-        t52 = V[49]
-    return (t50, t51, t52)
-
-def _c8(V, t, NQ, PEND, PQ):
-    if V[50] != t[0] or V[51] != t[1] or V[52] != t[2]:
-        V[50] = t[0]
-        V[51] = t[1]
-        V[52] = t[2]
-        if not PQ[9]:
-            PQ[9] = 1
-            PEND.append(9)
-
 def _f8(V, NQ, PEND, PQ):
     t50 = V[50]
     t51 = V[51]
@@ -1015,33 +754,6 @@ def _f8(V, NQ, PEND, PQ):
         if not PQ[9]:
             PQ[9] = 1
             PEND.append(9)
-
-def _p9(V):
-    # ehdl_firewall/s009:process@592
-    t53 = V[53]
-    t54 = V[54]
-    t55 = V[55]
-    if (V[2] == 1) or (V[83] == 1):
-        t53 = 0
-    else:
-        t53 = V[50]
-        t54 = V[51]
-        t55 = V[52]
-        if ((V[50] == 1) and ((V[51] >> 2 & 1) == 1)) and ((V[52] >> 544 & 1) == 0):
-            if (V[52] >> 577 & 0xffffffffffffffff) != 0:
-                t54 = t54 & 0xffffffdf | 0x20
-            else:
-                t54 = t54 & 0xfffffff7 | 8
-    return (t53, t54, t55)
-
-def _c9(V, t, NQ, PEND, PQ):
-    if V[53] != t[0] or V[54] != t[1] or V[55] != t[2]:
-        V[53] = t[0]
-        V[54] = t[1]
-        V[55] = t[2]
-        if not PQ[10]:
-            PQ[10] = 1
-            PEND.append(10)
 
 def _f9(V, NQ, PEND, PQ):
     t53 = V[53]
@@ -1065,59 +777,6 @@ def _f9(V, NQ, PEND, PQ):
         if not PQ[10]:
             PQ[10] = 1
             PEND.append(10)
-
-def _p10(V):
-    # ehdl_firewall/s010:process@643
-    t56 = V[56]
-    t57 = V[57]
-    t58 = V[58]
-    _x8 = (V[55] >> 512 & 0xffff)
-    _x7 = ((V[55] >> 544 & 1) == 0)
-    _x6 = ((V[53] == 1) and ((V[54] >> 3 & 1) == 1))
-    _x5 = ((0 if _x8 < 0x26 else 1))
-    _x4 = ((0 if _x8 < 0x1e else 1))
-    _x3 = ((0 if _x8 < 0x22 else 1))
-    _x2 = (_x6 and _x7)
-    _x1 = (_x2 and _x3)
-    _x0 = (_x1 and _x4)
-    if (V[2] == 1) or (V[83] == 1):
-        t56 = 0
-    else:
-        t56 = V[53]
-        t57 = V[54]
-        t58 = V[55] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[55] << 320) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[55] << 416) & 0x1fffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x6 and _x7:
-            if _x8 < 0x22:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 240 & 0xffffffff) << 705)
-        if _x2 and _x3:
-            if _x8 < 0x1e:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 208 & 0xffffffff) << 769)
-        if _x1 and _x4:
-            if _x8 < 0x26:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 288 & 0xffff) << 833)
-        if _x0 and _x5:
-            if _x8 < 0x24:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 272 & 0xffff) << 897)
-        if (_x0 and _x5) and ((0 if _x8 < 0x24 else 1)):
-            t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t56, t57, t58)
-
-def _c10(V, t, NQ, PEND, PQ):
-    if V[56] != t[0] or V[57] != t[1] or V[58] != t[2]:
-        V[56] = t[0]
-        V[57] = t[1]
-        V[58] = t[2]
-        if not PQ[11]:
-            PQ[11] = 1
-            PEND.append(11)
 
 def _f10(V, NQ, PEND, PQ):
     t56 = V[56]
@@ -1168,38 +827,6 @@ def _f10(V, NQ, PEND, PQ):
             PQ[11] = 1
             PEND.append(11)
 
-def _p11(V):
-    # ehdl_firewall/s011:process@732
-    t59 = V[59]
-    t60 = V[60]
-    t61 = V[61]
-    _x1 = ((V[58] >> 544 & 1) == 0)
-    _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[83] == 1):
-        t59 = 0
-    else:
-        t59 = V[56]
-        t60 = V[57]
-        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] >> 256) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            t61 = t61 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t61 = t61 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
-            t61 = t61 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
-            t61 = t61 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x40040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 705)
-    return (t59, t60, t61)
-
-def _c11(V, t, NQ, PEND, PQ):
-    if V[59] != t[0] or V[60] != t[1] or V[61] != t[2]:
-        V[59] = t[0]
-        V[60] = t[1]
-        V[61] = t[2]
-        NQ[18] = 1
-        if not PQ[12]:
-            PQ[12] = 1
-            PEND.append(12)
-
 def _f11(V, NQ, PEND, PQ):
     t59 = V[59]
     t60 = V[60]
@@ -1228,33 +855,6 @@ def _f11(V, NQ, PEND, PQ):
             PQ[12] = 1
             PEND.append(12)
 
-def _p12(V):
-    # ehdl_firewall/s012:process@812
-    t62 = V[62]
-    t63 = V[63]
-    t64 = V[64]
-    if (V[2] == 1) or (V[83] == 1):
-        t62 = 0
-    else:
-        t62 = V[59]
-        t63 = V[60]
-        t64 = V[61] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0):
-            if V[106] == 1:
-                t64 = t64 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t64 = t64 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[105] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t62, t63, t64)
-
-def _c12(V, t, NQ, PEND, PQ):
-    if V[62] != t[0] or V[63] != t[1] or V[64] != t[2]:
-        V[62] = t[0]
-        V[63] = t[1]
-        V[64] = t[2]
-        if not PQ[13]:
-            PQ[13] = 1
-            PEND.append(13)
-
 def _f12(V, NQ, PEND, PQ):
     t62 = V[62]
     t63 = V[63]
@@ -1278,28 +878,6 @@ def _f12(V, NQ, PEND, PQ):
             PQ[13] = 1
             PEND.append(13)
 
-def _p13(V):
-    # ehdl_firewall/s013:process@862
-    t65 = V[65]
-    t66 = V[66]
-    t67 = V[67]
-    if (V[2] == 1) or (V[83] == 1):
-        t65 = 0
-    else:
-        t65 = V[62]
-        t66 = V[63]
-        t67 = V[64]
-    return (t65, t66, t67)
-
-def _c13(V, t, NQ, PEND, PQ):
-    if V[65] != t[0] or V[66] != t[1] or V[67] != t[2]:
-        V[65] = t[0]
-        V[66] = t[1]
-        V[67] = t[2]
-        if not PQ[14]:
-            PQ[14] = 1
-            PEND.append(14)
-
 def _f13(V, NQ, PEND, PQ):
     t65 = V[65]
     t66 = V[66]
@@ -1317,33 +895,6 @@ def _f13(V, NQ, PEND, PQ):
         if not PQ[14]:
             PQ[14] = 1
             PEND.append(14)
-
-def _p14(V):
-    # ehdl_firewall/s014:process@903
-    t68 = V[68]
-    t69 = V[69]
-    t70 = V[70]
-    if (V[2] == 1) or (V[83] == 1):
-        t68 = 0
-    else:
-        t68 = V[65]
-        t69 = V[66]
-        t70 = V[67]
-        if ((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0):
-            if (V[67] >> 577 & 0xffffffffffffffff) != 0:
-                t69 = t69 & 0xffffffdf | 0x20
-            else:
-                t69 = t69 & 0xffffffef | 0x10
-    return (t68, t69, t70)
-
-def _c14(V, t, NQ, PEND, PQ):
-    if V[68] != t[0] or V[69] != t[1] or V[70] != t[2]:
-        V[68] = t[0]
-        V[69] = t[1]
-        V[70] = t[2]
-        if not PQ[15]:
-            PQ[15] = 1
-            PEND.append(15)
 
 def _f14(V, NQ, PEND, PQ):
     t68 = V[68]
@@ -1368,34 +919,6 @@ def _f14(V, NQ, PEND, PQ):
             PQ[15] = 1
             PEND.append(15)
 
-def _p15(V):
-    # ehdl_firewall/s015:process@952
-    t71 = V[71]
-    t72 = V[72]
-    t73 = V[73]
-    _x0 = ((V[70] >> 544 & 1) == 0)
-    if (V[2] == 1) or (V[83] == 1):
-        t71 = 0
-    else:
-        t71 = V[68]
-        t72 = V[69]
-        t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and _x0:
-            t73 = t73 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[68] == 1) and ((V[69] >> 5 & 1) == 1)) and _x0:
-            t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t71, t72, t73)
-
-def _c15(V, t, NQ, PEND, PQ):
-    if V[71] != t[0] or V[72] != t[1] or V[73] != t[2]:
-        V[71] = t[0]
-        V[72] = t[1]
-        V[73] = t[2]
-        NQ[24] = 1
-        if not PQ[16]:
-            PQ[16] = 1
-            PEND.append(16)
-
 def _f15(V, NQ, PEND, PQ):
     t71 = V[71]
     t72 = V[72]
@@ -1419,35 +942,6 @@ def _f15(V, NQ, PEND, PQ):
         if not PQ[16]:
             PQ[16] = 1
             PEND.append(16)
-
-def _p16(V):
-    # ehdl_firewall/s016:process@1016
-    t74 = V[74]
-    t75 = V[75]
-    t76 = V[76]
-    _x0 = ((V[73] >> 544 & 1) == 0)
-    if (V[2] == 1) or (V[83] == 1):
-        t74 = 0
-    else:
-        t74 = V[71]
-        t75 = V[72]
-        t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and _x0:
-            t76 = t76 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-        if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and _x0:
-            if V[114] == 1:
-                t76 = t76 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t74, t75, t76)
-
-def _c16(V, t, NQ, PEND, PQ):
-    if V[74] != t[0] or V[75] != t[1] or V[76] != t[2]:
-        V[74] = t[0]
-        V[75] = t[1]
-        V[76] = t[2]
-        if not PQ[17]:
-            PQ[17] = 1
-            PEND.append(17)
 
 def _f16(V, NQ, PEND, PQ):
     t74 = V[74]
@@ -1474,30 +968,6 @@ def _f16(V, NQ, PEND, PQ):
             PQ[17] = 1
             PEND.append(17)
 
-def _p17(V):
-    # ehdl_firewall/s017:process@1069
-    t77 = V[77]
-    t78 = V[78]
-    t79 = V[79]
-    if (V[2] == 1) or (V[83] == 1):
-        t77 = 0
-    else:
-        t77 = V[74]
-        t78 = V[75]
-        t79 = V[76] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[74] == 1) and ((V[75] >> 5 & 1) == 1)) and ((V[76] >> 544 & 1) == 0):
-            t79 = t79 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x6000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t77, t78, t79)
-
-def _c17(V, t, NQ, PEND, PQ):
-    if V[77] != t[0] or V[78] != t[1] or V[79] != t[2]:
-        V[77] = t[0]
-        V[78] = t[1]
-        V[79] = t[2]
-        if not PQ[18]:
-            PQ[18] = 1
-            PEND.append(18)
-
 def _f17(V, NQ, PEND, PQ):
     t77 = V[77]
     t78 = V[78]
@@ -1517,31 +987,6 @@ def _f17(V, NQ, PEND, PQ):
         if not PQ[18]:
             PQ[18] = 1
             PEND.append(18)
-
-def _p18(V):
-    # ehdl_firewall/s018:process@1114
-    t80 = V[80]
-    t81 = V[81]
-    t82 = V[82]
-    if (V[2] == 1) or (V[83] == 1):
-        t80 = 0
-    else:
-        t80 = V[77]
-        t81 = V[78]
-        t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[77] == 1) and ((V[78] >> 5 & 1) == 1)) and ((V[79] >> 544 & 1) == 0):
-            t82 = t82 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t80, t81, t82)
-
-def _c18(V, t, NQ, PEND, PQ):
-    if V[80] != t[0]:
-        V[80] = t[0]
-        NQ[41] = 1
-    V[81] = t[1]
-    if V[82] != t[2]:
-        V[82] = t[2]
-        NQ[27] = 1
 
 def _f18(V, NQ, PEND, PQ):
     t80 = V[80]
@@ -1565,8 +1010,6 @@ def _f18(V, NQ, PEND, PQ):
         NQ[27] = 1
 
 _EVAL = (_e0, _e1, _e2, _e3, _e4, _e5, _e6, _e7, _e8, _e9, _e10, _e11, _e12, _e13, _e14, _e15, _e16, _e17, _e18, _e19, _e20, _e21, _e22, _e23, _e24, _e25, _e26, _e27, _e28, _e29, _e30, _e31, _e32, _e33, _e34, _e35, _e36, _e37, _e38, _e39, _e40, _e41, _e42, _e43, _e44, _e45, _e46, _e47, _e48, _e49, _e50, _e51, _e52, _e53, _e54, _e55, _e56, _e57)
-_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18)
-_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18)
 _PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18)
 _READERS = {
     2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)),
@@ -1685,47 +1128,46 @@ def _mark(net, NQ, PEND, PQ):
             PEND.append(p)
 
 def _settle(V, NQ, PEND, PQ, PRIMS, ACT, ev=_EVAL):
-    n = 0
+    nc = 0
     find = NQ.find
     pos = find(1)
     while pos >= 0:
         NQ[pos] = 0
         ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)
-        n += 1
+        nc += 1
         pos = find(1, pos + 1)
-    return n
+    return nc
 
 def _edge(V, NQ, PEND, PQ, pu=_PFUSED, prio=_PRIO):
+    pr = 0
     n = len(PEND)
-    if not n:
-        return 0
     if n == 1:
-        k = PEND[0]
+        pr += 1
+        k = PEND.pop()
         PQ[k] = 0
-        del PEND[:]
         pu[k](V, NQ, PEND, PQ)
-        return 1
-    if n == 2:
-        a = PEND[0]
-        b = PEND[1]
+    elif n == 2:
+        pr += 2
+        b = PEND.pop()
+        a = PEND.pop()
         if prio[a] > prio[b]:
             a, b = b, a
         PQ[a] = 0
         PQ[b] = 0
-        del PEND[:]
         pu[a](V, NQ, PEND, PQ)
         pu[b](V, NQ, PEND, PQ)
-        return 2
-    cur = sorted(PEND, key=prio.__getitem__)
-    for k in cur:
-        PQ[k] = 0
-    del PEND[:]
-    for k in cur:
-        pu[k](V, NQ, PEND, PQ)
-    return n
+    elif n:
+        pr += n
+        cur = sorted(PEND, key=prio.__getitem__)
+        for k in cur:
+            PQ[k] = 0
+        del PEND[:]
+        for k in cur:
+            pu[k](V, NQ, PEND, PQ)
+    return pr
 
 def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,
-         ev=_EVAL, pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED, prio=_PRIO):
+         ev=_EVAL, pu=_PFUSED, prio=_PRIO):
     # Fused cycles: settle, stop on m_axis_tvalid (edge
     # still pending for that cycle), else clock edge.
     nc = 0
@@ -1766,14 +1208,9 @@ def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,
                 pu[k](V, NQ, PEND, PQ)
     return (limit, 0, nc, pr)
 
-_RUN = _run
-
-def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen,
-           ev=_EVAL, pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED, prio=_PRIO):
-    # Inject one s_axis beat (marks inlined per port),
-    # then run the window: settle, stop on
-    # m_axis_tvalid (edge deferred to the caller), else
-    # edge; tvalid drops after the first edge.
+def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
+    # Inject one s_axis beat (marks inlined per port), run the
+    # inject cycle, drop tvalid, run the rest of the window.
     _v52 = (1) & 1
     if V[5] != _v52:
         V[5] = _v52
@@ -1787,56 +1224,19 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen,
     if V[4] != _v54:
         V[4] = _v54
         NQ[4] = 1
-    nc = 0
-    pr = 0
-    find = NQ.find
-    for done in range(span):
-        pos = find(1)
-        while pos >= 0:
-            NQ[pos] = 0
-            ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)
-            nc += 1
-            pos = find(1, pos + 1)
-        if V[11]:
-            return (done, 1, nc, pr)
-        n = len(PEND)
-        if n == 1:
-            pr += 1
-            k = PEND.pop()
-            PQ[k] = 0
-            pu[k](V, NQ, PEND, PQ)
-        elif n == 2:
-            pr += 2
-            b = PEND.pop()
-            a = PEND.pop()
-            if prio[a] > prio[b]:
-                a, b = b, a
-            PQ[a] = 0
-            PQ[b] = 0
-            pu[a](V, NQ, PEND, PQ)
-            pu[b](V, NQ, PEND, PQ)
-        elif n:
-            pr += n
-            cur = sorted(PEND, key=prio.__getitem__)
-            for k in cur:
-                PQ[k] = 0
-            del PEND[:]
-            for k in cur:
-                pu[k](V, NQ, PEND, PQ)
-        if not done:
-            if V[5]:
-                V[5] = 0
-                NQ[29] = 1
-    return (span, 0, nc, pr)
+    done, hit, nc, pr = _run(V, NQ, PEND, PQ, PRIMS, ACT, 1)
+    if hit:
+        return (0, 1, nc, pr)
+    if V[5]:
+        V[5] = 0
+        NQ[29] = 1
+    done, hit, nc2, pr2 = _run(V, NQ, PEND, PQ, PRIMS, ACT,
+                               span - 1)
+    return (done + 1, hit, nc + nc2, pr + pr2)
 
-_FRAME = _frame
-
-_GEN_VERSION = 3
+_GEN_VERSION = 4
 _N_NODES = 58
 _N_PROCS = 19
 _PRIM_NODE_IDS = (45, 54)
 _PRIM_LABELS = ('firewall_map_1.ch0', 'firewall_map_1.atomic')
-_SETTLE = _settle
-_EDGE = _edge
-_MARK_NET = _mark
 

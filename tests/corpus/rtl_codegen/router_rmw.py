@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'router_rmw'.
 
-RTL_CODEGEN_VERSION = 3; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 4; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -899,48 +899,11 @@ def _e94(V, NQ, PEND, PQ, PRIMS, ACT):
             PQ[28] = 1
             PEND.append(28)
 
-def _p0(V):
-    # ehdl_router_rmw:process@2011
-    t25 = V[25]
-    if V[26] == 1:
-        t25 = V[21]
-    return (t25,)
-
-def _c0(V, t, NQ, PEND, PQ):
-    V[25] = t[0]
-
 def _f0(V, NQ, PEND, PQ):
     t25 = V[25]
     if V[26] == 1:
         t25 = V[21]
     V[25] = t25
-
-def _p1(V):
-    # ehdl_router_rmw/s001:process@164
-    t29 = V[29]
-    t30 = V[30]
-    t31 = V[31]
-    if (V[2] == 1) or (V[113] == 1):
-        t29 = 0
-    else:
-        t29 = V[26]
-        t30 = V[27]
-        t31 = V[28] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[28] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[26] == 1) and ((V[27] & 1) == 1)) and ((V[28] >> 544 & 1) == 0):
-            if (V[28] >> 512 & 0xffff) < 0xe:
-                t31 = t31 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t31 = t31 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[28] >> 96 & 0xffff) << 577)
-    return (t29, t30, t31)
-
-def _c1(V, t, NQ, PEND, PQ):
-    if V[29] != t[0] or V[30] != t[1] or V[31] != t[2]:
-        V[29] = t[0]
-        V[30] = t[1]
-        V[31] = t[2]
-        if not PQ[2]:
-            PQ[2] = 1
-            PEND.append(2)
 
 def _f1(V, NQ, PEND, PQ):
     t29 = V[29]
@@ -965,33 +928,6 @@ def _f1(V, NQ, PEND, PQ):
             PQ[2] = 1
             PEND.append(2)
 
-def _p2(V):
-    # ehdl_router_rmw/s002:process@215
-    t32 = V[32]
-    t33 = V[33]
-    t34 = V[34]
-    if (V[2] == 1) or (V[113] == 1):
-        t32 = 0
-    else:
-        t32 = V[29]
-        t33 = V[30]
-        t34 = V[31] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[31] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[29] == 1) and ((V[30] & 1) == 1)) and ((V[31] >> 544 & 1) == 0):
-            if (V[31] >> 577 & 0xffffffffffffffff) != 8:
-                t33 = t33 & 0xffffffbf | 0x40
-            else:
-                t33 = t33 & 0xfffffffd | 2
-    return (t32, t33, t34)
-
-def _c2(V, t, NQ, PEND, PQ):
-    if V[32] != t[0] or V[33] != t[1] or V[34] != t[2]:
-        V[32] = t[0]
-        V[33] = t[1]
-        V[34] = t[2]
-        if not PQ[3]:
-            PQ[3] = 1
-            PEND.append(3)
-
 def _f2(V, NQ, PEND, PQ):
     t32 = V[32]
     t33 = V[33]
@@ -1014,33 +950,6 @@ def _f2(V, NQ, PEND, PQ):
         if not PQ[3]:
             PQ[3] = 1
             PEND.append(3)
-
-def _p3(V):
-    # ehdl_router_rmw/s003:process@264
-    t35 = V[35]
-    t36 = V[36]
-    t37 = V[37]
-    if (V[2] == 1) or (V[113] == 1):
-        t35 = 0
-    else:
-        t35 = V[32]
-        t36 = V[33]
-        t37 = V[34] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[34] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[32] == 1) and ((V[33] >> 1 & 1) == 1)) and ((V[34] >> 544 & 1) == 0):
-            if (V[34] >> 512 & 0xffff) < 0x17:
-                t37 = t37 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t37 = t37 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[34] >> 176 & 0xff) << 577)
-    return (t35, t36, t37)
-
-def _c3(V, t, NQ, PEND, PQ):
-    if V[35] != t[0] or V[36] != t[1] or V[37] != t[2]:
-        V[35] = t[0]
-        V[36] = t[1]
-        V[37] = t[2]
-        if not PQ[4]:
-            PQ[4] = 1
-            PEND.append(4)
 
 def _f3(V, NQ, PEND, PQ):
     t35 = V[35]
@@ -1065,33 +974,6 @@ def _f3(V, NQ, PEND, PQ):
             PQ[4] = 1
             PEND.append(4)
 
-def _p4(V):
-    # ehdl_router_rmw/s004:process@315
-    t38 = V[38]
-    t39 = V[39]
-    t40 = V[40]
-    if (V[2] == 1) or (V[113] == 1):
-        t38 = 0
-    else:
-        t38 = V[35]
-        t39 = V[36]
-        t40 = V[37] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[37] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[35] == 1) and ((V[36] >> 1 & 1) == 1)) and ((V[37] >> 544 & 1) == 0):
-            if (V[37] >> 577 & 0xffffffffffffffff) <= 1:
-                t39 = t39 & 0xffffffbf | 0x40
-            else:
-                t39 = t39 & 0xfffffffb | 4
-    return (t38, t39, t40)
-
-def _c4(V, t, NQ, PEND, PQ):
-    if V[38] != t[0] or V[39] != t[1] or V[40] != t[2]:
-        V[38] = t[0]
-        V[39] = t[1]
-        V[40] = t[2]
-        if not PQ[5]:
-            PQ[5] = 1
-            PEND.append(5)
-
 def _f4(V, NQ, PEND, PQ):
     t38 = V[38]
     t39 = V[39]
@@ -1114,38 +996,6 @@ def _f4(V, NQ, PEND, PQ):
         if not PQ[5]:
             PQ[5] = 1
             PEND.append(5)
-
-def _p5(V):
-    # ehdl_router_rmw/s005:process@364
-    t41 = V[41]
-    t42 = V[42]
-    t43 = V[43]
-    _x2 = (V[40] >> 512 & 0xffff)
-    _x1 = ((V[40] >> 544 & 1) == 0)
-    _x0 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t41 = 0
-    else:
-        t41 = V[38]
-        t42 = V[39]
-        t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            if _x2 < 0x22:
-                t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t43 = t43 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 641)
-        if (_x0 and _x1) and ((0 if _x2 < 0x22 else 1)):
-            t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t41, t42, t43)
-
-def _c5(V, t, NQ, PEND, PQ):
-    if V[41] != t[0] or V[42] != t[1] or V[43] != t[2]:
-        V[41] = t[0]
-        V[42] = t[1]
-        V[43] = t[2]
-        if not PQ[6]:
-            PQ[6] = 1
-            PEND.append(6)
 
 def _f5(V, NQ, PEND, PQ):
     t41 = V[41]
@@ -1175,30 +1025,6 @@ def _f5(V, NQ, PEND, PQ):
             PQ[6] = 1
             PEND.append(6)
 
-def _p6(V):
-    # ehdl_router_rmw/s006:process@420
-    t44 = V[44]
-    t45 = V[45]
-    t46 = V[46]
-    if (V[2] == 1) or (V[113] == 1):
-        t44 = 0
-    else:
-        t44 = V[41]
-        t45 = V[42]
-        t46 = V[43]
-        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
-            t46 = t46 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[43] >> 641 & 0xffffffffffffffff) & 0xffffff) << 641)
-    return (t44, t45, t46)
-
-def _c6(V, t, NQ, PEND, PQ):
-    if V[44] != t[0] or V[45] != t[1] or V[46] != t[2]:
-        V[44] = t[0]
-        V[45] = t[1]
-        V[46] = t[2]
-        if not PQ[7]:
-            PQ[7] = 1
-            PEND.append(7)
-
 def _f6(V, NQ, PEND, PQ):
     t44 = V[44]
     t45 = V[45]
@@ -1218,35 +1044,6 @@ def _f6(V, NQ, PEND, PQ):
         if not PQ[7]:
             PQ[7] = 1
             PEND.append(7)
-
-def _p7(V):
-    # ehdl_router_rmw/s007:process@467
-    t47 = V[47]
-    t48 = V[48]
-    t49 = V[49]
-    _x1 = ((V[46] >> 544 & 1) == 0)
-    _x0 = ((V[44] == 1) and ((V[45] >> 2 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t47 = 0
-    else:
-        t47 = V[44]
-        t48 = V[45]
-        t49 = V[46] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
-            t49 = t49 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[46] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001fc) & 0xffffffffffffffff) << 641)
-    return (t47, t48, t49)
-
-def _c7(V, t, NQ, PEND, PQ):
-    if V[47] != t[0] or V[48] != t[1] or V[49] != t[2]:
-        V[47] = t[0]
-        V[48] = t[1]
-        V[49] = t[2]
-        NQ[14] = 1
-        if not PQ[8]:
-            PQ[8] = 1
-            PEND.append(8)
 
 def _f7(V, NQ, PEND, PQ):
     t47 = V[47]
@@ -1273,33 +1070,6 @@ def _f7(V, NQ, PEND, PQ):
             PQ[8] = 1
             PEND.append(8)
 
-def _p8(V):
-    # ehdl_router_rmw/s008:process@535
-    t50 = V[50]
-    t51 = V[51]
-    t52 = V[52]
-    if (V[2] == 1) or (V[113] == 1):
-        t50 = 0
-    else:
-        t50 = V[47]
-        t51 = V[48]
-        t52 = V[49] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[49] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[47] == 1) and ((V[48] >> 2 & 1) == 1)) and ((V[49] >> 544 & 1) == 0):
-            if V[165] == 1:
-                t52 = t52 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t52 = t52 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t50, t51, t52)
-
-def _c8(V, t, NQ, PEND, PQ):
-    if V[50] != t[0] or V[51] != t[1] or V[52] != t[2]:
-        V[50] = t[0]
-        V[51] = t[1]
-        V[52] = t[2]
-        if not PQ[9]:
-            PQ[9] = 1
-            PEND.append(9)
-
 def _f8(V, NQ, PEND, PQ):
     t50 = V[50]
     t51 = V[51]
@@ -1323,28 +1093,6 @@ def _f8(V, NQ, PEND, PQ):
             PQ[9] = 1
             PEND.append(9)
 
-def _p9(V):
-    # ehdl_router_rmw/s009:process@586
-    t53 = V[53]
-    t54 = V[54]
-    t55 = V[55]
-    if (V[2] == 1) or (V[113] == 1):
-        t53 = 0
-    else:
-        t53 = V[50]
-        t54 = V[51]
-        t55 = V[52]
-    return (t53, t54, t55)
-
-def _c9(V, t, NQ, PEND, PQ):
-    if V[53] != t[0] or V[54] != t[1] or V[55] != t[2]:
-        V[53] = t[0]
-        V[54] = t[1]
-        V[55] = t[2]
-        if not PQ[10]:
-            PQ[10] = 1
-            PEND.append(10)
-
 def _f9(V, NQ, PEND, PQ):
     t53 = V[53]
     t54 = V[54]
@@ -1362,33 +1110,6 @@ def _f9(V, NQ, PEND, PQ):
         if not PQ[10]:
             PQ[10] = 1
             PEND.append(10)
-
-def _p10(V):
-    # ehdl_router_rmw/s010:process@628
-    t56 = V[56]
-    t57 = V[57]
-    t58 = V[58]
-    if (V[2] == 1) or (V[113] == 1):
-        t56 = 0
-    else:
-        t56 = V[53]
-        t57 = V[54]
-        t58 = V[55]
-        if ((V[53] == 1) and ((V[54] >> 2 & 1) == 1)) and ((V[55] >> 544 & 1) == 0):
-            if (V[55] >> 577 & 0xffffffffffffffff) == 0:
-                t57 = t57 & 0xffffffbf | 0x40
-            else:
-                t57 = t57 & 0xfffffff7 | 8
-    return (t56, t57, t58)
-
-def _c10(V, t, NQ, PEND, PQ):
-    if V[56] != t[0] or V[57] != t[1] or V[58] != t[2]:
-        V[56] = t[0]
-        V[57] = t[1]
-        V[58] = t[2]
-        if not PQ[11]:
-            PQ[11] = 1
-            PEND.append(11)
 
 def _f10(V, NQ, PEND, PQ):
     t56 = V[56]
@@ -1412,42 +1133,6 @@ def _f10(V, NQ, PEND, PQ):
         if not PQ[11]:
             PQ[11] = 1
             PEND.append(11)
-
-def _p11(V):
-    # ehdl_router_rmw/s011:process@678
-    t59 = V[59]
-    t60 = V[60]
-    t61 = V[61]
-    _x2 = (V[58] >> 512 & 0xffff)
-    _x1 = ((V[58] >> 544 & 1) == 0)
-    _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t59 = 0
-    else:
-        t59 = V[56]
-        t60 = V[57]
-        t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 256) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            if _x2 < 0x1a:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 705)
-        if (_x0 and _x1) and ((0 if _x2 < 0x1a else 1)):
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and _x1:
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t59, t60, t61)
-
-def _c11(V, t, NQ, PEND, PQ):
-    if V[59] != t[0] or V[60] != t[1] or V[61] != t[2]:
-        V[59] = t[0]
-        V[60] = t[1]
-        V[61] = t[2]
-        NQ[18] = 1
-        if not PQ[12]:
-            PQ[12] = 1
-            PEND.append(12)
 
 def _f11(V, NQ, PEND, PQ):
     t59 = V[59]
@@ -1481,41 +1166,6 @@ def _f11(V, NQ, PEND, PQ):
             PQ[12] = 1
             PEND.append(12)
 
-def _p12(V):
-    # ehdl_router_rmw/s012:process@756
-    t62 = V[62]
-    t63 = V[63]
-    t64 = V[64]
-    _x1 = ((V[61] >> 544 & 1) == 0)
-    _x0 = ((V[59] == 1) and ((V[60] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t62 = 0
-    else:
-        t62 = V[59]
-        t63 = V[60]
-        t64 = V[61] & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            if V[165] == 1:
-                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
-            t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
-        if ((V[59] == 1) and ((V[60] >> 6 & 1) == 1)) and _x1:
-            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[61] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t62, t63, t64)
-
-def _c12(V, t, NQ, PEND, PQ):
-    if V[62] != t[0] or V[63] != t[1] or V[64] != t[2]:
-        V[62] = t[0]
-        V[63] = t[1]
-        V[64] = t[2]
-        NQ[23] = 1
-        if not PQ[13]:
-            PQ[13] = 1
-            PEND.append(13)
-
 def _f12(V, NQ, PEND, PQ):
     t62 = V[62]
     t63 = V[63]
@@ -1546,51 +1196,6 @@ def _f12(V, NQ, PEND, PQ):
         if not PQ[13]:
             PQ[13] = 1
             PEND.append(13)
-
-def _p13(V):
-    # ehdl_router_rmw/s013:process@831
-    t65 = V[65]
-    t66 = V[66]
-    t67 = V[67]
-    _x7 = (V[64] >> 512 & 0xffff)
-    _x6 = ((V[64] >> 544 & 1) == 0)
-    _x5 = ((0 if V[165] == 1 else 1))
-    _x4 = ((V[62] == 1) and ((V[63] >> 3 & 1) == 1))
-    _x3 = ((0 if _x7 < 4 else 1))
-    _x2 = (((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff)
-    _x1 = (_x4 and _x6)
-    _x0 = (_x1 and _x3)
-    if (V[2] == 1) or (V[113] == 1):
-        t65 = 0
-    else:
-        t65 = V[62]
-        t66 = V[63]
-        t67 = V[64] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[64] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x4 and _x6:
-            if _x7 < 4:
-                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t67 = t67 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000 | (((V[64] >> 641 & 0xffffffffffffffff)) & 0xffffffff)
-        if _x1 and _x3:
-            if V[165] == 1:
-                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x5:
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 705)
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 769)
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((_x2 & 0xffff) << 705)
-    return (t65, t66, t67)
-
-def _c13(V, t, NQ, PEND, PQ):
-    if V[65] != t[0] or V[66] != t[1] or V[67] != t[2]:
-        V[65] = t[0]
-        V[66] = t[1]
-        V[67] = t[2]
-        NQ[28] = 1
-        if not PQ[14]:
-            PQ[14] = 1
-            PEND.append(14)
 
 def _f13(V, NQ, PEND, PQ):
     t65 = V[65]
@@ -1633,46 +1238,6 @@ def _f13(V, NQ, PEND, PQ):
             PQ[14] = 1
             PEND.append(14)
 
-def _p14(V):
-    # ehdl_router_rmw/s014:process@919
-    t68 = V[68]
-    t69 = V[69]
-    t70 = V[70]
-    _x4 = (V[67] >> 512 & 0xffff)
-    _x3 = ((V[67] >> 544 & 1) == 0)
-    _x2 = ((V[65] == 1) and ((V[66] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 6 else 1))
-    _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[113] == 1):
-        t68 = 0
-    else:
-        t68 = V[65]
-        t69 = V[66]
-        t70 = V[67] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[67] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 6:
-                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t70 = t70 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffff | ((((V[67] >> 641 & 0xffffffffffffffff)) & 0xffff) << 32)
-        if _x0 and _x1:
-            if V[165] == 1:
-                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
-            t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 705)
-    return (t68, t69, t70)
-
-def _c14(V, t, NQ, PEND, PQ):
-    if V[68] != t[0] or V[69] != t[1] or V[70] != t[2]:
-        V[68] = t[0]
-        V[69] = t[1]
-        V[70] = t[2]
-        NQ[33] = 1
-        if not PQ[15]:
-            PQ[15] = 1
-            PEND.append(15)
-
 def _f14(V, NQ, PEND, PQ):
     t68 = V[68]
     t69 = V[69]
@@ -1708,50 +1273,6 @@ def _f14(V, NQ, PEND, PQ):
         if not PQ[15]:
             PQ[15] = 1
             PEND.append(15)
-
-def _p15(V):
-    # ehdl_router_rmw/s015:process@999
-    t71 = V[71]
-    t72 = V[72]
-    t73 = V[73]
-    _x7 = (V[70] >> 512 & 0xffff)
-    _x6 = ((V[70] >> 544 & 1) == 0)
-    _x5 = ((0 if V[165] == 1 else 1))
-    _x4 = (V[70] >> 705 & 0xffffffffffffffff)
-    _x3 = ((V[68] == 1) and ((V[69] >> 3 & 1) == 1))
-    _x2 = ((0 if _x7 < 0xa else 1))
-    _x1 = (_x3 and _x6)
-    _x0 = (_x1 and _x2)
-    if (V[2] == 1) or (V[113] == 1):
-        t71 = 0
-    else:
-        t71 = V[68]
-        t72 = V[69]
-        t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x3 and _x6:
-            if _x7 < 0xa:
-                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000ffffffffffff | ((((V[70] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 48)
-        if _x1 and _x2:
-            if V[165] == 1:
-                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x5:
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((_x4 >> 0x10)) & 0xffffffffffffffff) << 769)
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((_x4 & 0xffff) << 705)
-    return (t71, t72, t73)
-
-def _c15(V, t, NQ, PEND, PQ):
-    if V[71] != t[0] or V[72] != t[1] or V[73] != t[2]:
-        V[71] = t[0]
-        V[72] = t[1]
-        V[73] = t[2]
-        if not PQ[16]:
-            PQ[16] = 1
-            PEND.append(16)
 
 def _f15(V, NQ, PEND, PQ):
     t71 = V[71]
@@ -1793,45 +1314,6 @@ def _f15(V, NQ, PEND, PQ):
             PQ[16] = 1
             PEND.append(16)
 
-def _p16(V):
-    # ehdl_router_rmw/s016:process@1075
-    t74 = V[74]
-    t75 = V[75]
-    t76 = V[76]
-    _x4 = (V[73] >> 512 & 0xffff)
-    _x3 = ((V[73] >> 544 & 1) == 0)
-    _x2 = ((V[71] == 1) and ((V[72] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 0xc else 1))
-    _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[113] == 1):
-        t74 = 0
-    else:
-        t74 = V[71]
-        t75 = V[72]
-        t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[73] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 0xc:
-                t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffff | ((((V[73] >> 641 & 0xffffffffffffffff)) & 0xffff) << 80)
-        if _x0 and _x1:
-            if _x4 < 0x17:
-                t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[73] >> 176 & 0xff) << 641)
-        if (_x0 and _x1) and ((0 if _x4 < 0x17 else 1)):
-            t76 = t76 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 705 & 0xffffffffffffffff) + (V[73] >> 769 & 0xffffffffffffffff)) & 0xffffffffffffffff) << 705)
-    return (t74, t75, t76)
-
-def _c16(V, t, NQ, PEND, PQ):
-    if V[74] != t[0] or V[75] != t[1] or V[76] != t[2]:
-        V[74] = t[0]
-        V[75] = t[1]
-        V[76] = t[2]
-        if not PQ[17]:
-            PQ[17] = 1
-            PEND.append(17)
-
 def _f16(V, NQ, PEND, PQ):
     t74 = V[74]
     t75 = V[75]
@@ -1867,33 +1349,6 @@ def _f16(V, NQ, PEND, PQ):
             PQ[17] = 1
             PEND.append(17)
 
-def _p17(V):
-    # ehdl_router_rmw/s017:process@1142
-    t77 = V[77]
-    t78 = V[78]
-    t79 = V[79]
-    _x1 = ((V[76] >> 544 & 1) == 0)
-    _x0 = ((V[74] == 1) and ((V[75] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t77 = 0
-    else:
-        t77 = V[74]
-        t78 = V[75]
-        t79 = V[76]
-        if _x0 and _x1:
-            t79 = t79 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[76] >> 641 & 0xffffffffffffffff) + 0xffffffffffffffff) & 0xffffffffffffffff) << 641)
-            t79 = t79 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[76] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
-    return (t77, t78, t79)
-
-def _c17(V, t, NQ, PEND, PQ):
-    if V[77] != t[0] or V[78] != t[1] or V[79] != t[2]:
-        V[77] = t[0]
-        V[78] = t[1]
-        V[79] = t[2]
-        if not PQ[18]:
-            PQ[18] = 1
-            PEND.append(18)
-
 def _f17(V, NQ, PEND, PQ):
     t77 = V[77]
     t78 = V[78]
@@ -1916,45 +1371,6 @@ def _f17(V, NQ, PEND, PQ):
         if not PQ[18]:
             PQ[18] = 1
             PEND.append(18)
-
-def _p18(V):
-    # ehdl_router_rmw/s018:process@1195
-    t80 = V[80]
-    t81 = V[81]
-    t82 = V[82]
-    _x4 = (V[79] >> 512 & 0xffff)
-    _x3 = ((V[79] >> 544 & 1) == 0)
-    _x2 = ((V[77] == 1) and ((V[78] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 0x17 else 1))
-    _x0 = (_x2 and _x3)
-    if (V[2] == 1) or (V[113] == 1):
-        t80 = 0
-    else:
-        t80 = V[77]
-        t81 = V[78]
-        t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[79] >> 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 0x17:
-                t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00ffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 641 & 0xffffffffffffffff)) & 0xff) << 176)
-        if _x0 and _x1:
-            if _x4 < 0x1a:
-                t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 705 & 0xffffffffffffffff)) & 0xffff) << 192)
-        if (_x0 and _x1) and ((0 if _x4 < 0x1a else 1)):
-            t82 = t82 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-    return (t80, t81, t82)
-
-def _c18(V, t, NQ, PEND, PQ):
-    if V[80] != t[0] or V[81] != t[1] or V[82] != t[2]:
-        V[80] = t[0]
-        V[81] = t[1]
-        V[82] = t[2]
-        if not PQ[19]:
-            PQ[19] = 1
-            PEND.append(19)
 
 def _f18(V, NQ, PEND, PQ):
     t80 = V[80]
@@ -1991,35 +1407,6 @@ def _f18(V, NQ, PEND, PQ):
             PQ[19] = 1
             PEND.append(19)
 
-def _p19(V):
-    # ehdl_router_rmw/s019:process@1260
-    t83 = V[83]
-    t84 = V[84]
-    t85 = V[85]
-    _x1 = ((V[82] >> 544 & 1) == 0)
-    _x0 = ((V[80] == 1) and ((V[81] >> 3 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t83 = 0
-    else:
-        t83 = V[80]
-        t84 = V[81]
-        t85 = V[82] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
-            t85 = t85 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[82] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
-            t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f8) & 0xffffffffffffffff) << 641)
-    return (t83, t84, t85)
-
-def _c19(V, t, NQ, PEND, PQ):
-    if V[83] != t[0] or V[84] != t[1] or V[85] != t[2]:
-        V[83] = t[0]
-        V[84] = t[1]
-        V[85] = t[2]
-        NQ[39] = 1
-        if not PQ[20]:
-            PQ[20] = 1
-            PEND.append(20)
-
 def _f19(V, NQ, PEND, PQ):
     t83 = V[83]
     t84 = V[84]
@@ -2045,33 +1432,6 @@ def _f19(V, NQ, PEND, PQ):
             PQ[20] = 1
             PEND.append(20)
 
-def _p20(V):
-    # ehdl_router_rmw/s020:process@1328
-    t86 = V[86]
-    t87 = V[87]
-    t88 = V[88]
-    if (V[2] == 1) or (V[113] == 1):
-        t86 = 0
-    else:
-        t86 = V[83]
-        t87 = V[84]
-        t88 = V[85] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[85] >> 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[83] == 1) and ((V[84] >> 3 & 1) == 1)) and ((V[85] >> 544 & 1) == 0):
-            if V[174] == 1:
-                t88 = t88 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t88 = t88 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t86, t87, t88)
-
-def _c20(V, t, NQ, PEND, PQ):
-    if V[86] != t[0] or V[87] != t[1] or V[88] != t[2]:
-        V[86] = t[0]
-        V[87] = t[1]
-        V[88] = t[2]
-        if not PQ[21]:
-            PQ[21] = 1
-            PEND.append(21)
-
 def _f20(V, NQ, PEND, PQ):
     t86 = V[86]
     t87 = V[87]
@@ -2095,28 +1455,6 @@ def _f20(V, NQ, PEND, PQ):
             PQ[21] = 1
             PEND.append(21)
 
-def _p21(V):
-    # ehdl_router_rmw/s021:process@1379
-    t89 = V[89]
-    t90 = V[90]
-    t91 = V[91]
-    if (V[2] == 1) or (V[113] == 1):
-        t89 = 0
-    else:
-        t89 = V[86]
-        t90 = V[87]
-        t91 = V[88]
-    return (t89, t90, t91)
-
-def _c21(V, t, NQ, PEND, PQ):
-    if V[89] != t[0] or V[90] != t[1] or V[91] != t[2]:
-        V[89] = t[0]
-        V[90] = t[1]
-        V[91] = t[2]
-        if not PQ[22]:
-            PQ[22] = 1
-            PEND.append(22)
-
 def _f21(V, NQ, PEND, PQ):
     t89 = V[89]
     t90 = V[90]
@@ -2134,34 +1472,6 @@ def _f21(V, NQ, PEND, PQ):
         if not PQ[22]:
             PQ[22] = 1
             PEND.append(22)
-
-def _p22(V):
-    # ehdl_router_rmw/s022:process@1421
-    t92 = V[92]
-    t93 = V[93]
-    t94 = V[94]
-    if (V[2] == 1) or (V[113] == 1):
-        t92 = 0
-    else:
-        t92 = V[89]
-        t93 = V[90]
-        t94 = V[91]
-        if ((V[89] == 1) and ((V[90] >> 3 & 1) == 1)) and ((V[91] >> 544 & 1) == 0):
-            if (V[91] >> 577 & 0xffffffffffffffff) == 0:
-                t93 = t93 & 0xffffffdf | 0x20
-            else:
-                t93 = t93 & 0xffffffef | 0x10
-    return (t92, t93, t94)
-
-def _c22(V, t, NQ, PEND, PQ):
-    if V[92] != t[0] or V[93] != t[1] or V[94] != t[2]:
-        V[92] = t[0]
-        V[93] = t[1]
-        V[94] = t[2]
-        NQ[43] = 1
-        if not PQ[23]:
-            PQ[23] = 1
-            PEND.append(23)
 
 def _f22(V, NQ, PEND, PQ):
     t92 = V[92]
@@ -2187,33 +1497,6 @@ def _f22(V, NQ, PEND, PQ):
             PQ[23] = 1
             PEND.append(23)
 
-def _p23(V):
-    # ehdl_router_rmw/s023:process@1483
-    t95 = V[95]
-    t96 = V[96]
-    t97 = V[97]
-    if (V[2] == 1) or (V[113] == 1):
-        t95 = 0
-    else:
-        t95 = V[92]
-        t96 = V[93]
-        t97 = V[94] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[94] << 64) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[92] == 1) and ((V[93] >> 4 & 1) == 1)) and ((V[94] >> 544 & 1) == 0):
-            if V[174] == 1:
-                t97 = t97 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t97 = t97 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[173] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t95, t96, t97)
-
-def _c23(V, t, NQ, PEND, PQ):
-    if V[95] != t[0] or V[96] != t[1] or V[97] != t[2]:
-        V[95] = t[0]
-        V[96] = t[1]
-        V[97] = t[2]
-        if not PQ[24]:
-            PQ[24] = 1
-            PEND.append(24)
-
 def _f23(V, NQ, PEND, PQ):
     t95 = V[95]
     t96 = V[96]
@@ -2237,31 +1520,6 @@ def _f23(V, NQ, PEND, PQ):
             PQ[24] = 1
             PEND.append(24)
 
-def _p24(V):
-    # ehdl_router_rmw/s024:process@1535
-    t98 = V[98]
-    t99 = V[99]
-    t100 = V[100]
-    if (V[2] == 1) or (V[113] == 1):
-        t98 = 0
-    else:
-        t98 = V[95]
-        t99 = V[96]
-        t100 = V[97]
-        if ((V[95] == 1) and ((V[96] >> 4 & 1) == 1)) and ((V[97] >> 544 & 1) == 0):
-            t100 = t100 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[97] >> 641 & 0xffffffffffffffff) + 1) & 0xffffffffffffffff) << 641)
-    return (t98, t99, t100)
-
-def _c24(V, t, NQ, PEND, PQ):
-    if V[98] != t[0] or V[99] != t[1] or V[100] != t[2]:
-        V[98] = t[0]
-        V[99] = t[1]
-        V[100] = t[2]
-        NQ[50] = 1
-        if not PQ[25]:
-            PQ[25] = 1
-            PEND.append(25)
-
 def _f24(V, NQ, PEND, PQ):
     t98 = V[98]
     t99 = V[99]
@@ -2282,34 +1540,6 @@ def _f24(V, NQ, PEND, PQ):
         if not PQ[25]:
             PQ[25] = 1
             PEND.append(25)
-
-def _p25(V):
-    # ehdl_router_rmw/s025:process@1594
-    t101 = V[101]
-    t102 = V[102]
-    t103 = V[103]
-    if (V[2] == 1) or (V[113] == 1):
-        t101 = 0
-    else:
-        t101 = V[98]
-        t102 = V[99]
-        t103 = V[100] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[100] >> 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[98] == 1) and ((V[99] >> 4 & 1) == 1)) and ((V[100] >> 544 & 1) == 0):
-            if V[174] == 1:
-                t103 = t103 & 0x1fffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t102 = t102 & 0xffffffdf | 0x20
-    return (t101, t102, t103)
-
-def _c25(V, t, NQ, PEND, PQ):
-    if V[101] != t[0] or V[102] != t[1] or V[103] != t[2]:
-        V[101] = t[0]
-        V[102] = t[1]
-        V[103] = t[2]
-        NQ[53] = 1
-        if not PQ[26]:
-            PQ[26] = 1
-            PEND.append(26)
 
 def _f25(V, NQ, PEND, PQ):
     t101 = V[101]
@@ -2334,38 +1564,6 @@ def _f25(V, NQ, PEND, PQ):
         if not PQ[26]:
             PQ[26] = 1
             PEND.append(26)
-
-def _p26(V):
-    # ehdl_router_rmw/s026:process@1656
-    t104 = V[104]
-    t105 = V[105]
-    t106 = V[106]
-    _x1 = ((V[103] >> 544 & 1) == 0)
-    _x0 = ((V[101] == 1) and ((V[102] >> 5 & 1) == 1))
-    if (V[2] == 1) or (V[113] == 1):
-        t104 = 0
-    else:
-        t104 = V[101]
-        t105 = V[102]
-        t106 = V[103] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
-            if V[165] == 1:
-                t106 = t106 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            else:
-                t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
-            t106 = t106 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-    return (t104, t105, t106)
-
-def _c26(V, t, NQ, PEND, PQ):
-    if V[104] != t[0] or V[105] != t[1] or V[106] != t[2]:
-        V[104] = t[0]
-        V[105] = t[1]
-        V[106] = t[2]
-        NQ[58] = 1
-        if not PQ[27]:
-            PQ[27] = 1
-            PEND.append(27)
 
 def _f26(V, NQ, PEND, PQ):
     t104 = V[104]
@@ -2395,30 +1593,6 @@ def _f26(V, NQ, PEND, PQ):
             PQ[27] = 1
             PEND.append(27)
 
-def _p27(V):
-    # ehdl_router_rmw/s027:process@1725
-    t107 = V[107]
-    t108 = V[108]
-    t109 = V[109]
-    if (V[2] == 1) or (V[113] == 1):
-        t107 = 0
-    else:
-        t107 = V[104]
-        t108 = V[105]
-        t109 = V[106] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[104] == 1) and ((V[105] >> 5 & 1) == 1)) and ((V[106] >> 544 & 1) == 0):
-            t109 = t109 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[188] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-    return (t107, t108, t109)
-
-def _c27(V, t, NQ, PEND, PQ):
-    if V[107] != t[0] or V[108] != t[1] or V[109] != t[2]:
-        V[107] = t[0]
-        V[108] = t[1]
-        V[109] = t[2]
-        if not PQ[28]:
-            PQ[28] = 1
-            PEND.append(28)
-
 def _f27(V, NQ, PEND, PQ):
     t107 = V[107]
     t108 = V[108]
@@ -2438,31 +1612,6 @@ def _f27(V, NQ, PEND, PQ):
         if not PQ[28]:
             PQ[28] = 1
             PEND.append(28)
-
-def _p28(V):
-    # ehdl_router_rmw/s028:process@1770
-    t110 = V[110]
-    t111 = V[111]
-    t112 = V[112]
-    if (V[2] == 1) or (V[113] == 1):
-        t110 = 0
-    else:
-        t110 = V[107]
-        t111 = V[108]
-        t112 = V[109] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[107] == 1) and ((V[108] >> 5 & 1) == 1)) and ((V[109] >> 544 & 1) == 0):
-            t112 = t112 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t112 = t112 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[109] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-    return (t110, t111, t112)
-
-def _c28(V, t, NQ, PEND, PQ):
-    if V[110] != t[0]:
-        V[110] = t[0]
-        NQ[76] = 1
-    V[111] = t[1]
-    if V[112] != t[2]:
-        V[112] = t[2]
-        NQ[62] = 1
 
 def _f28(V, NQ, PEND, PQ):
     t110 = V[110]
@@ -2486,8 +1635,6 @@ def _f28(V, NQ, PEND, PQ):
         NQ[62] = 1
 
 _EVAL = (_e0, _e1, _e2, _e3, _e4, _e5, _e6, _e7, _e8, _e9, _e10, _e11, _e12, _e13, _e14, _e15, _e16, _e17, _e18, _e19, _e20, _e21, _e22, _e23, _e24, _e25, _e26, _e27, _e28, _e29, _e30, _e31, _e32, _e33, _e34, _e35, _e36, _e37, _e38, _e39, _e40, _e41, _e42, _e43, _e44, _e45, _e46, _e47, _e48, _e49, _e50, _e51, _e52, _e53, _e54, _e55, _e56, _e57, _e58, _e59, _e60, _e61, _e62, _e63, _e64, _e65, _e66, _e67, _e68, _e69, _e70, _e71, _e72, _e73, _e74, _e75, _e76, _e77, _e78, _e79, _e80, _e81, _e82, _e83, _e84, _e85, _e86, _e87, _e88, _e89, _e90, _e91, _e92, _e93, _e94)
-_PFNS = (_p0, _p1, _p2, _p3, _p4, _p5, _p6, _p7, _p8, _p9, _p10, _p11, _p12, _p13, _p14, _p15, _p16, _p17, _p18, _p19, _p20, _p21, _p22, _p23, _p24, _p25, _p26, _p27, _p28)
-_PCOMMITS = (_c0, _c1, _c2, _c3, _c4, _c5, _c6, _c7, _c8, _c9, _c10, _c11, _c12, _c13, _c14, _c15, _c16, _c17, _c18, _c19, _c20, _c21, _c22, _c23, _c24, _c25, _c26, _c27, _c28)
 _PFUSED = (_f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11, _f12, _f13, _f14, _f15, _f16, _f17, _f18, _f19, _f20, _f21, _f22, _f23, _f24, _f25, _f26, _f27, _f28)
 _READERS = {
     2: ((), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28)),
@@ -2673,47 +1820,46 @@ def _mark(net, NQ, PEND, PQ):
             PEND.append(p)
 
 def _settle(V, NQ, PEND, PQ, PRIMS, ACT, ev=_EVAL):
-    n = 0
+    nc = 0
     find = NQ.find
     pos = find(1)
     while pos >= 0:
         NQ[pos] = 0
         ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)
-        n += 1
+        nc += 1
         pos = find(1, pos + 1)
-    return n
+    return nc
 
 def _edge(V, NQ, PEND, PQ, pu=_PFUSED, prio=_PRIO):
+    pr = 0
     n = len(PEND)
-    if not n:
-        return 0
     if n == 1:
-        k = PEND[0]
+        pr += 1
+        k = PEND.pop()
         PQ[k] = 0
-        del PEND[:]
         pu[k](V, NQ, PEND, PQ)
-        return 1
-    if n == 2:
-        a = PEND[0]
-        b = PEND[1]
+    elif n == 2:
+        pr += 2
+        b = PEND.pop()
+        a = PEND.pop()
         if prio[a] > prio[b]:
             a, b = b, a
         PQ[a] = 0
         PQ[b] = 0
-        del PEND[:]
         pu[a](V, NQ, PEND, PQ)
         pu[b](V, NQ, PEND, PQ)
-        return 2
-    cur = sorted(PEND, key=prio.__getitem__)
-    for k in cur:
-        PQ[k] = 0
-    del PEND[:]
-    for k in cur:
-        pu[k](V, NQ, PEND, PQ)
-    return n
+    elif n:
+        pr += n
+        cur = sorted(PEND, key=prio.__getitem__)
+        for k in cur:
+            PQ[k] = 0
+        del PEND[:]
+        for k in cur:
+            pu[k](V, NQ, PEND, PQ)
+    return pr
 
 def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,
-         ev=_EVAL, pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED, prio=_PRIO):
+         ev=_EVAL, pu=_PFUSED, prio=_PRIO):
     # Fused cycles: settle, stop on m_axis_tvalid (edge
     # still pending for that cycle), else clock edge.
     nc = 0
@@ -2754,14 +1900,9 @@ def _run(V, NQ, PEND, PQ, PRIMS, ACT, limit,
                 pu[k](V, NQ, PEND, PQ)
     return (limit, 0, nc, pr)
 
-_RUN = _run
-
-def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen,
-           ev=_EVAL, pf=_PFNS, pc=_PCOMMITS, pu=_PFUSED, prio=_PRIO):
-    # Inject one s_axis beat (marks inlined per port),
-    # then run the window: settle, stop on
-    # m_axis_tvalid (edge deferred to the caller), else
-    # edge; tvalid drops after the first edge.
+def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
+    # Inject one s_axis beat (marks inlined per port), run the
+    # inject cycle, drop tvalid, run the rest of the window.
     _v75 = (1) & 1
     if V[5] != _v75:
         V[5] = _v75
@@ -2775,56 +1916,19 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen,
     if V[4] != _v77:
         V[4] = _v77
         NQ[4] = 1
-    nc = 0
-    pr = 0
-    find = NQ.find
-    for done in range(span):
-        pos = find(1)
-        while pos >= 0:
-            NQ[pos] = 0
-            ev[pos](V, NQ, PEND, PQ, PRIMS, ACT)
-            nc += 1
-            pos = find(1, pos + 1)
-        if V[11]:
-            return (done, 1, nc, pr)
-        n = len(PEND)
-        if n == 1:
-            pr += 1
-            k = PEND.pop()
-            PQ[k] = 0
-            pu[k](V, NQ, PEND, PQ)
-        elif n == 2:
-            pr += 2
-            b = PEND.pop()
-            a = PEND.pop()
-            if prio[a] > prio[b]:
-                a, b = b, a
-            PQ[a] = 0
-            PQ[b] = 0
-            pu[a](V, NQ, PEND, PQ)
-            pu[b](V, NQ, PEND, PQ)
-        elif n:
-            pr += n
-            cur = sorted(PEND, key=prio.__getitem__)
-            for k in cur:
-                PQ[k] = 0
-            del PEND[:]
-            for k in cur:
-                pu[k](V, NQ, PEND, PQ)
-        if not done:
-            if V[5]:
-                V[5] = 0
-                NQ[64] = 1
-    return (span, 0, nc, pr)
+    done, hit, nc, pr = _run(V, NQ, PEND, PQ, PRIMS, ACT, 1)
+    if hit:
+        return (0, 1, nc, pr)
+    if V[5]:
+        V[5] = 0
+        NQ[64] = 1
+    done, hit, nc2, pr2 = _run(V, NQ, PEND, PQ, PRIMS, ACT,
+                               span - 1)
+    return (done + 1, hit, nc + nc2, pr + pr2)
 
-_FRAME = _frame
-
-_GEN_VERSION = 3
+_GEN_VERSION = 4
 _N_NODES = 95
 _N_PROCS = 29
 _PRIM_NODE_IDS = (65, 80, 81)
 _PRIM_LABELS = ('ehdl_helper_23', 'router_rmw_map_1.ch0', 'router_rmw_map_2.ch0')
-_SETTLE = _settle
-_EDGE = _edge
-_MARK_NET = _mark
 

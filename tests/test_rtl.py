@@ -27,6 +27,7 @@ from repro.ebpf.maps import MapSet
 from repro.ebpf.verifier import verify
 from repro.net.packet import FiveTuple, ipv4, mac, tcp_packet, udp_packet
 from repro.rtl import (
+    RTL_ENGINES,
     RtlElabError,
     RtlParseError,
     RtlRunner,
@@ -292,6 +293,65 @@ end architecture rtl;
         sim.settle()
         assert (sim.read("pa"), sim.read("pb")) == (2, 1)
 
+    def test_signal_semantics_swap_across_processes(self):
+        # the same swap split over two processes, each reading the
+        # other's register: no commit order can fuse them, so the
+        # compiled schedule refuses the design (tests/test_rtl_codegen.py)
+        # and only the interpreter's two-phase edge runs it
+        sim = RtlSimulator(elaborate(_design(SWAP_PROCESSES), "swap2"))
+        sim.drive("seed", 1)
+        sim.drive("da", 1)
+        sim.drive("db", 2)
+        sim.settle()
+        sim.edge()
+        sim.drive("seed", 0)
+        sim.settle()
+        assert (sim.read("pa"), sim.read("pb")) == (1, 2)
+        sim.edge()
+        sim.settle()
+        assert (sim.read("pa"), sim.read("pb")) == (2, 1)
+
+
+SWAP_PROCESSES = """
+entity swap2 is
+  port (
+    clk  : in  std_logic;
+    seed : in  std_logic;
+    da   : in  std_logic_vector(3 downto 0);
+    db   : in  std_logic_vector(3 downto 0);
+    pa   : out std_logic_vector(3 downto 0);
+    pb   : out std_logic_vector(3 downto 0)
+  );
+end entity swap2;
+architecture rtl of swap2 is
+  signal ra : std_logic_vector(3 downto 0);
+  signal rb : std_logic_vector(3 downto 0);
+begin
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if seed = '1' then
+        ra <= da;
+      else
+        ra <= rb;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if seed = '1' then
+        rb <= db;
+      else
+        rb <= ra;
+      end if;
+    end if;
+  end process;
+  pa <= ra;
+  pb <= rb;
+end architecture rtl;
+"""
+
 
 # ---------------------------------------------------------------------------
 # three-way differential: evaluation apps
@@ -394,6 +454,23 @@ class TestThreeWayApps:
         assert [r.pipeline_cycles for r in report.records] \
             == [pipeline.n_stages] * 3
 
+    @pytest.mark.parametrize("engine", RTL_ENGINES)
+    def test_output_on_an_inject_cycle(self, engine):
+        # at gap == n_stages each output lands on the next frame's
+        # inject cycle: the one case where the runner, not sim.frame,
+        # drops s_axis_tvalid after the edge
+        pipeline = compile_program(toy_counter.build())
+        frames = [toy_counter.packet_for_key(k) for k in (1, 2, 1, 0)]
+        spaced = RtlRunner(pipeline, engine=engine)
+        tight = RtlRunner(pipeline, engine=engine)
+        rep_s = spaced.run_packets(frames)
+        rep_t = tight.run_packets(frames, gap=pipeline.n_stages)
+        assert [(r.action, r.data) for r in rep_t.records] \
+            == [(r.action, r.data) for r in rep_s.records]
+        assert [r.exit_cycle for r in rep_t.records] \
+            == [(i + 1) * pipeline.n_stages for i in range(len(frames))]
+        assert tight.maps.snapshot() == spaced.maps.snapshot()
+
     def test_corrupted_rtl_is_detected(self):
         program = toy_counter.build()
         pipeline = compile_program(program)
@@ -484,7 +561,8 @@ def _rtl_engine_run(pipeline, setup, frames, engine):
 def _assert_rtl_engines_agree(pipeline, setup, frames):
     """Run ``frames`` on both RTL engines and compare every observable:
     verdicts, output bytes, per-packet inject/exit cycles, total cycle
-    count, final map state, and the primitive op mix."""
+    count, settles and edges (one of each per cycle on either engine),
+    final map state, and the primitive op mix."""
     interp, rep_i = _rtl_engine_run(pipeline, setup, frames, "rtl-interp")
     compiled, rep_c = _rtl_engine_run(pipeline, setup, frames, "rtl")
     obs_i = [(r.pid, r.action, bytes(r.data), r.inject_cycle, r.exit_cycle)
@@ -493,6 +571,9 @@ def _assert_rtl_engines_agree(pipeline, setup, frames):
              for r in rep_c.records]
     assert obs_i == obs_c
     assert rep_i.cycles == rep_c.cycles
+    assert interp.sim.settle_count == compiled.sim.settle_count \
+        == rep_c.cycles
+    assert interp.sim.edge_count == compiled.sim.edge_count == rep_c.cycles
     assert interp.maps.snapshot() == compiled.maps.snapshot()
     assert interp.context.op_counts == compiled.context.op_counts
     return compiled

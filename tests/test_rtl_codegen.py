@@ -11,6 +11,9 @@ machinery around the generated schedule source itself:
 * determinism: elaborating the same pipeline twice yields identical
   source (the persistent-cache contract — artifacts are keyed by
   netlist digest only);
+* the edge rule, ordered or refused, with one witness each way: every
+  emitted design compiles without fallback, and a register swap across
+  two processes is refused;
 * the version stamp and digest plumbing through ``core/cache.py``.
 """
 
@@ -19,11 +22,18 @@ from pathlib import Path
 import pytest
 
 from repro import apps
+from repro.cli import load_program
 from repro.core.cache import CompileCache
 from repro.core.compiler import compile_program
-from repro.core.vhdl import emit_vhdl
+from repro.core.vhdl import VhdlEmitError, emit_vhdl
 from repro.ebpf.maps import MapSet
-from repro.rtl import RTL_CODEGEN_VERSION, generate_rtl_source
+from repro.rtl import (
+    RTL_CODEGEN_VERSION,
+    RtlCodegenError,
+    RtlRunner,
+    elaborate,
+    generate_rtl_source,
+)
 from repro.rtl.codegen import (
     ARTIFACT_KIND,
     load_rtl_module,
@@ -32,7 +42,9 @@ from repro.rtl.codegen import (
 )
 from repro.rtl.primitives import RtlContext
 from repro.rtl.sim import elaborate_text
-from tests.test_rtl import APP_CASES
+from tests.test_corpus import CORPUS, corpus_ids
+from tests.test_property_maps import LAYOUTS
+from tests.test_rtl import APP_CASES, SWAP_PROCESSES, _design
 
 
 def _elaborated(app):
@@ -86,9 +98,35 @@ class TestGolden:
     @pytest.mark.parametrize(
         "app", sorted(name for name in apps.__all__ if name.islower()))
     def test_every_app_has_the_frame_stepper(self, app):
-        # RtlRunner injects through _frame alone (no manual s_axis path)
-        pipeline, _text, model = _elaborated(app)
-        assert "_FRAME = _frame" in generate_rtl_source(model, pipeline.name)
+        # the accepting witness of "ordered or refused": every app's
+        # commit order is acyclic in either layout, so RtlRunner steps
+        # it through the generated _frame with no interpreter fallback
+        for options in LAYOUTS:
+            pipeline = compile_program(getattr(apps, app).build(), options)
+            assert RtlRunner(pipeline).engine == "rtl"
+
+    @pytest.mark.parametrize("path", CORPUS, ids=corpus_ids)
+    def test_every_corpus_program_has_the_frame_stepper(self, path):
+        for options in LAYOUTS:
+            pipeline = compile_program(load_program(str(path)), options)
+            try:
+                text = emit_vhdl(pipeline)
+            except VhdlEmitError:
+                pytest.skip("outside the VHDL emitter's subset")
+            assert RtlRunner(pipeline, text=text).engine == "rtl"
+
+    def test_register_swap_across_processes_is_refused(self):
+        # the rejecting witness: each process reads the register the
+        # other writes, so no commit order exists. The interpreter runs
+        # the swap (tests/test_rtl.py); the generator names both
+        # processes and refuses
+        model = elaborate(_design(SWAP_PROCESSES), "swap2")
+        labels = [proc.label for proc in model.procs]
+        assert len(labels) == 2
+        with pytest.raises(RtlCodegenError, match="commit order") as exc:
+            generate_rtl_source(model, "swap2")
+        for label in labels:
+            assert label in str(exc.value)
 
 
 class TestCachePlumbing:
