@@ -62,7 +62,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
 
 from ..ebpf import isa
 from ..ebpf.disasm import format_instruction
-from ..ebpf.helpers import HELPER_IDS_BY_NAME, helper_spec
+from ..ebpf.helpers import HELPER_IDS_BY_NAME, REDIRECT_HELPERS, helper_spec
 from ..ebpf.isa import MapSpec, Program
 from ..ebpf.verifier import RegKind
 from .cfg import Cfg
@@ -403,6 +403,7 @@ def _map_access(op: PipeOp) -> Optional[Tuple[int, bool, bool, bool]]:
 
 ACTION = "action"
 PACKET_BYTES = "packet bytes"
+EGRESS_PORT = "egress port"
 
 
 def program_consistency(stages: List[Stage], program: Program, cfg: Cfg,
@@ -410,7 +411,8 @@ def program_consistency(stages: List[Stage], program: Program, cfg: Cfg,
                         plans: Dict[int, MapHazardPlan]) -> Consistency:
     """The weakest class of ``plans`` and, for a relaxed program, every
     observable a relaxed map's contents can reach — the actions, the
-    packet bytes, and each map they flow into (:class:`_Flow`).
+    packet bytes, a redirect's egress port, and each map they flow into
+    (:class:`_Flow`).
 
     The PRNG relaxes a program too. Packets pass one stage in order, so
     draws at one stage step the shared state in packet order. Draws at
@@ -438,7 +440,7 @@ def program_consistency(stages: List[Stage], program: Program, cfg: Cfg,
                  prandom=bool(why)).run()
     maps = sorted(f"map {program.maps[fd].name}"
                   for fd in flow.values | flow.keys)
-    exempt = tuple(sink for sink in (ACTION, PACKET_BYTES)
+    exempt = tuple(sink for sink in (ACTION, PACKET_BYTES, EGRESS_PORT)
                    if sink in flow.sinks) + tuple(maps)
     if not exempt:  # the draws reach nothing observable
         return Consistency(kind)
@@ -486,7 +488,7 @@ class _Flow:
     flows ``nat`` holds, so no verdict. Map taint crosses packets, so
     the pass repeats until no map gains a facet. ``sinks`` collects the
     tainted observables: a verdict (``action``), the packet (``packet
-    bytes``).
+    bytes``), the port a redirect names (``egress port``).
 
     With ``prandom`` every ``bpf_get_prandom_u32`` result is a source
     too. With ``inputs_vary`` the sources are whatever differs between
@@ -627,6 +629,9 @@ class _Flow:
                     self.keys.add(fd)
             elif key and map_spec.serialised:
                 self.keys.add(fd)  # a lookup refreshes LRU recency
+            if insn.imm in REDIRECT_HELPERS and (
+                    key or fd in self.values or fd in self.keys):
+                self.sinks.add(EGRESS_PORT)  # the port is the entry's value
             # an array's slot depends on the key alone
             result = key or (fd in self.keys
                              and map_spec.map_type not in ("array",
@@ -637,6 +642,8 @@ class _Flow:
             if spec.writes_packet and tainted:
                 t.packet = True
                 self.sinks.add(PACKET_BYTES)
+            if insn.imm in REDIRECT_HELPERS and tainted:
+                self.sinks.add(EGRESS_PORT)
             result = tainted or self.inputs_vary or (
                 self.prandom and insn.imm == _PRANDOM)
         for reg in range(isa.R1, isa.R5 + 1):

@@ -241,12 +241,13 @@ def commit_stages_of(plans: Dict[int, MapHazardPlan]) -> Dict[int, int]:
 class Consistency:
     """The program-level verdict: the weakest class of its maps, and what
     a run with packets in flight together may differ on from sequential
-    execution — ``"action"``, ``"packet bytes"`` or ``"map <name>"``, the
-    differential oracle's observables. Only a relaxed program exempts
-    any: the values a relaxed map holds flow into other maps and into
-    the packet, so the verdict is program-level, not per map. ``why`` is
-    set when the PRNG relaxes the program too: ``bpf_get_prandom_u32``
-    draws out of packet order."""
+    execution — ``"action"``, ``"packet bytes"``, ``"egress port"`` or
+    ``"map <name>"``, the differential oracle's observables. Only a
+    relaxed program exempts any: the values a relaxed map holds flow
+    into other maps and into the packet, so the verdict is
+    program-level, not per map. ``why`` is set when the PRNG relaxes
+    the program too: ``bpf_get_prandom_u32`` draws out of packet
+    order."""
 
     kind: str = EXACT
     exempt: Tuple[str, ...] = ()

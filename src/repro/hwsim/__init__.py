@@ -15,6 +15,7 @@ from .engines import (
     Mismatch,
     compare_runs,
     engine_names,
+    engine_run,
     exempt_observables,
     get_engine,
     pipeline_engine_names,
@@ -36,6 +37,7 @@ __all__ = [
     "FROZEN_CLOCK_MHZ",
     "compare_runs",
     "engine_names",
+    "engine_run",
     "ensure_source",
     "exempt_observables",
     "generate_pipeline_source",

@@ -174,9 +174,12 @@ from ..telemetry import get_registry
 # v11: no generated cycle: the whole-cycle advance and the unrolled
 #     observer are gone; the simulator's one loop shifts and dispatches
 #     _s<N>, which snapshot at every map side effect under a flush plan.
-CODEGEN_VERSION = 11
+# v12: a redirecting program's _stream records each packet's egress port.
+CODEGEN_VERSION = 12
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
+_ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
+_ADJUST_TAIL = HELPER_IDS_BY_NAME["bpf_xdp_adjust_tail"]
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -1330,9 +1333,9 @@ class _Emitter:
         else:
             # No emitted op can mutate packet bytes: wrap without copy.
             blk.append("_b = _c.packet = frame")
-        if 44 in self.helpers:
+        if _ADJUST_HEAD in self.helpers:
             blk.append("_c.head_adjust = 0")
-        if 65 in self.helpers:
+        if _ADJUST_TAIL in self.helpers:
             blk.append("_c.tail_adjust = 0")
         if self.redirects:
             blk.append("_c.redirect_ifindex = None")
@@ -1378,7 +1381,9 @@ class _Emitter:
             "if keep_records:",
             "    _recs.append(_PR(pid=pid, action=_act, "
             f"data=bytes(_b), arrival_cycle={arrival}, "
-            f"inject_cycle={inject}, exit_cycle={exit_}, restarts=0))",
+            f"inject_cycle={inject}, exit_cycle={exit_}, restarts=0"
+            + (", egress=_c.redirect_ifindex if _act is _REDIRECT_ACT "
+               "else None" if self.redirects else "") + "))",
             "pid += 1",
             "cycle += gap",
         ]
@@ -1581,6 +1586,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if em.uses_stream:
         pre.append("_DROP = XdpAction.DROP")
         binds.append("_DROP")
+    if em.uses_stream and em.redirects:
+        pre.append("_REDIRECT_ACT = XdpAction.REDIRECT")
+        binds.append("_REDIRECT_ACT")
     for helper_id in sorted(em.helpers):
         pre.append(f"_h{helper_id} = helper_impl({helper_id})")
         binds.append(f"_h{helper_id}")

@@ -19,33 +19,37 @@ rtl-interp  rtl        delta-cycle interpreter over the same netlist
 The two ``pipeline`` engines (``interpreted`` is the reference,
 ``codegen`` the default) are different executions of the *same*
 cycle-level model and must agree on everything — XDP actions, packet
-bytes, map state AND cycle counts (``cycle_exact``). The ``vm`` and
-``rtl*`` engines share the end-to-end observables (actions, bytes,
-maps) but not the cycle structure: the VM has no pipeline, and the RTL
-runner models one packet in flight. The two ``rtl`` engines simulate
-the *same elaborated netlist* and must agree bit-for-bit on every net
-each cycle; ``rtl-interp`` is kept as the slow, obviously-correct
-baseline for differential testing of the compiled schedule.
+bytes, egress ports, map state down to its raw storage AND the cycle
+model's own account (``cycle_exact``). The ``vm`` and ``rtl*`` engines
+share the end-to-end observables (actions, bytes, egress ports, maps
+with their LRU recency) but not the cycle structure: the VM has no
+pipeline, and the RTL runner models one packet in flight. The two
+``rtl`` engines simulate the *same elaborated netlist* and must agree
+bit-for-bit on every net each cycle; ``rtl-interp`` is kept as the
+slow, obviously-correct baseline for differential testing of the
+compiled schedule.
 
 This module is also the repo's one differential oracle — the
 correctness claim for the whole compiler (every pass: elision, fusion,
 ILP scheduling, predication, framing, pruning, hazard handling) and
 for the emitted VHDL is that all engines agree. :func:`run_engine` is
 the only place a leg is run for comparison (fresh maps, the same host
-``setup``, normalized :class:`EngineRun` out) and :func:`compare_runs`
-the only place observables are compared (:class:`Mismatch` records,
-honouring ``cycle_exact``). :func:`run_differential` composes them —
-N legs, each compared against the first under the program's
-consistency verdict — and :func:`run_three_way` is that composition over ``(vm, <pipeline engine>, <rtl engine>)`` on the
-emitted VHDL. ``repro verify``, ``repro bench``'s parity line,
-``XdpOffload.verify_rtl`` and the differential tests all go through
-here.
+``setup``, normalized :class:`EngineRun` out, by :func:`engine_run`)
+and :func:`compare_runs` the only place observables are compared
+(:class:`Mismatch` records, honouring ``cycle_exact``).
+:func:`run_differential` composes them — N legs, each compared against
+the first under the program's consistency verdict — and
+:func:`run_three_way` is that composition over ``(vm, <pipeline
+engine>, <rtl engine>)`` on the emitted VHDL. ``repro verify``,
+``repro bench``'s parity line, ``XdpOffload.verify_rtl`` and the
+differential tests all go through here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.compiler import CompileOptions, compile_program
 from ..core.pipeline import Pipeline
@@ -125,29 +129,98 @@ FROZEN_CLOCK_MHZ = 1e9
 
 @dataclass
 class EngineRun:
-    """Normalized observables of one engine over one packet sequence."""
+    """Normalized observables of one engine over one packet sequence:
+    what a packet leaves the NIC with (action, bytes, egress port), the
+    maps it leaves behind, and — for ``cycle_exact`` engines — the cycle
+    model's own account of the run."""
 
     engine: str
     # Per input packet, in input order; None when the executor produced
     # no verdict for that packet (e.g. dropped before injection).
     actions: List[Optional[XdpAction]]
     frames: List[Optional[bytes]]
-    # fd -> semantic (key -> value) content after the run.
+    # fd -> semantic (key -> value) content after the run, in the map's
+    # own order: an LRU map's is its recency order, oldest first.
     map_items: Dict[int, Dict[bytes, bytes]]
     # fd -> map name: mismatch reports and exemptions go by name.
     map_names: Dict[int, str] = field(default_factory=dict)
-    # (inject_cycle, exit_cycle) per packet for cycle_exact engines.
-    packet_cycles: List[Optional[Tuple[int, int]]] = field(default_factory=list)
-    total_cycles: Optional[int] = None
+    # The interface a REDIRECT leaves by, per packet; None otherwise.
+    egress: List[Optional[int]] = field(default_factory=list)
+    # fds of the LRU maps, whose entry order is an observable.
+    lru_fds: FrozenSet[int] = frozenset()
+    # cycle_exact engines only: (arrival, inject, exit) cycle and the
+    # flush restarts per packet, the whole-run counters (mismatch name
+    # -> value) and each map's raw storage.
+    packet_cycles: List[Optional[Tuple[int, int, int]]] = field(
+        default_factory=list)
+    restarts: List[Optional[int]] = field(default_factory=list)
+    counters: Dict[str, object] = field(default_factory=dict)
+    storage: Dict[int, bytes] = field(default_factory=dict)
     report: Optional[SimReport] = None
 
+    @property
+    def total_cycles(self) -> Optional[int]:
+        return self.counters.get("total cycles")
 
-def _snapshot_maps(maps: MapSet) -> Dict[int, Dict[bytes, bytes]]:
-    # Semantic comparison: the (key -> value) content. Hash maps may
-    # place identical content at different slots when flush-replay
-    # perturbs insertion order — a layout detail, not a divergence (slot
-    # choice is equally order-dependent in the hardware).
-    return {fd: dict(maps[fd].items()) for fd in maps}
+
+# What two runs of the one cycle model must also agree on, run-wide:
+# mismatch name -> how to read it off a SimReport. The sums and the
+# action histogram are kept apart from the records by every engine, so
+# a record-free run (keep_records=False) compares through them.
+_COUNTERS: Tuple[Tuple[str, Callable[[SimReport], object]], ...] = (
+    ("total cycles", lambda r: r.cycles),
+    ("flush events", lambda r: r.flush_events),
+    ("squashed packets", lambda r: r.squashed_packets),
+    ("stall cycles", lambda r: r.stall_cycles),
+    ("queue drops", lambda r: r.packets_dropped_queue),
+    ("action counts", lambda r: dict(r.action_counts)),
+    ("cycle sums", lambda r: (r.sum_total_cycles, r.sum_pipeline_cycles,
+                              r.sum_restarts)),
+)
+
+
+def _map_fields(maps: MapSet, cycle_exact: bool) -> Dict[str, object]:
+    # Contents by key: a hash map's slot choice is layout, equally
+    # order-dependent in the hardware, so engines that replay packets
+    # differently may place the same content at different slots. Its
+    # dict order rides along for the two runs of one cycle model, which
+    # must agree on layout too (the raw storage).
+    return dict(
+        map_items={fd: dict(maps[fd].items()) for fd in maps},
+        map_names={fd: maps[fd].name for fd in maps},
+        lru_fds=frozenset(fd for fd in maps if maps[fd].spec.serialised),
+        storage=maps.snapshot() if cycle_exact else {},
+    )
+
+
+def engine_run(name: str, report: SimReport, maps: MapSet,
+               packets: int) -> EngineRun:
+    """The :class:`EngineRun` of a finished run of the pipeline or RTL
+    engine ``name`` over ``packets`` frames: ``report``'s records matched
+    to the frames by pid (a record-free report leaves every verdict
+    ``None`` and compares through its counters), ``maps`` as the run
+    left them. :func:`run_engine` builds each leg with it; a test that
+    picks the code path itself (an observer, telemetry, the queue's
+    capacity, a generator of frames) runs the simulator and builds its
+    ``EngineRun`` here."""
+    cycle_exact = get_engine(name).cycle_exact
+    by_pid = {rec.pid: rec for rec in report.records}
+    recs = [by_pid.get(i) for i in range(packets)]
+    run = EngineRun(
+        engine=name,
+        actions=[r and r.action for r in recs],
+        frames=[r and bytes(r.data) for r in recs],
+        egress=[r and r.egress for r in recs],
+        report=report,
+        **_map_fields(maps, cycle_exact),
+    )
+    if cycle_exact:
+        run.packet_cycles = [
+            r and (r.arrival_cycle, r.inject_cycle, r.exit_cycle)
+            for r in recs]
+        run.restarts = [r and r.restarts for r in recs]
+        run.counters = {what: read(report) for what, read in _COUNTERS}
+    return run
 
 
 def run_engine(
@@ -189,8 +262,9 @@ def run_engine(
             engine=name,
             actions=[r.action for r in results],
             frames=[r.packet for r in results],
-            map_items=_snapshot_maps(maps),
-            map_names={fd: maps[fd].name for fd in maps},
+            egress=[r.redirect_ifindex if r.action is XdpAction.REDIRECT
+                    else None for r in results],
+            **_map_fields(maps, False),
         )
 
     if pipeline is None:
@@ -211,31 +285,7 @@ def run_engine(
             pipeline, maps=maps, options=options, time_ns=time_ns
         )
         report = sim.run_packets(frames, gap=gap)
-
-    by_pid = {rec.pid: rec for rec in report.records}
-    actions: List[Optional[XdpAction]] = []
-    out_frames: List[Optional[bytes]] = []
-    cycles: List[Optional[Tuple[int, int]]] = []
-    for i in range(len(frames)):
-        rec = by_pid.get(i)
-        if rec is None:
-            actions.append(None)
-            out_frames.append(None)
-            cycles.append(None)
-        else:
-            actions.append(rec.action)
-            out_frames.append(bytes(rec.data))
-            cycles.append((rec.inject_cycle, rec.exit_cycle))
-    return EngineRun(
-        engine=name,
-        actions=actions,
-        frames=out_frames,
-        map_items=_snapshot_maps(maps),
-        map_names={fd: maps[fd].name for fd in maps},
-        packet_cycles=cycles if spec.cycle_exact else [],
-        total_cycles=report.cycles if spec.cycle_exact else None,
-        report=report,
-    )
+    return engine_run(name, report, maps, len(frames))
 
 
 @dataclass
@@ -273,47 +323,75 @@ def exempt_observables(pipeline: Pipeline, ref: str, leg: str,
 def compare_runs(ref: EngineRun, leg: EngineRun) -> List[Mismatch]:
     """Every observable on which ``leg`` diverges from ``ref``.
 
-    Actions, packet bytes and (semantic) map contents always compare,
-    each mismatch's ``what`` naming its observable (``"action"``,
-    ``"packet bytes"``, ``"map <name>"``); cycle structure compares only
-    between two ``cycle_exact`` engines. Runs over different packet
-    counts do not compare at all.
+    Every pair compares what each packet leaves the NIC with — its
+    ``"action"``, its ``"packet bytes"`` (length included) and, for a
+    REDIRECT, its ``"egress port"`` — and the maps, as ``"map <name>"``:
+    contents by key, plus an LRU map's recency order. Two
+    ``cycle_exact`` engines run one cycle model, so they also compare
+    each packet's ``"packet cycles"`` (arrival, inject, exit) and
+    ``"restarts"``, the run's counters (``"total cycles"``, ``"flush
+    events"``, ``"squashed packets"``, ``"stall cycles"``, ``"queue
+    drops"``, ``"action counts"``, ``"cycle sums"``), every map's entry
+    order and its raw storage (``"map <name> storage"``). Runs over
+    different packet counts do not compare at all.
     """
     pair = f"{ref.engine} vs {leg.engine}"
     if len(ref.actions) != len(leg.actions):
         return [Mismatch(-1, "packet count", len(ref.actions),
                          len(leg.actions), pair)]
+    exact = ENGINES[ref.engine].cycle_exact and ENGINES[leg.engine].cycle_exact
     mismatches: List[Mismatch] = []
     for i, (ra, la) in enumerate(zip(ref.actions, leg.actions)):
         if ra != la:
             mismatches.append(Mismatch(i, "action", ra, la, pair))
+        if ra is None or la is None:
+            continue  # a packet without a verdict has no output: said once
         rf, lf = ref.frames[i], leg.frames[i]
-        # a packet without a verdict has no bytes either: said once
-        if rf != lf and rf is not None and lf is not None:
+        if rf != lf:
             mismatches.append(
                 Mismatch(i, "packet bytes", rf.hex(), lf.hex(), pair))
+        # a port belongs to a REDIRECT: another verdict is said once
+        if ra == la and ref.egress[i] != leg.egress[i]:
+            mismatches.append(Mismatch(i, "egress port", ref.egress[i],
+                                       leg.egress[i], pair))
     for fd, rm in ref.map_items.items():
         lm = leg.map_items[fd]
-        name = ref.map_names[fd]
-        if rm == lm:
-            continue
-        differing = [k for k in sorted(set(rm) | set(lm))
-                     if rm.get(k) != lm.get(k)][:4]
-        mismatches.append(Mismatch(
-            -1, f"map {name}",
-            {k.hex(): rm[k].hex() if k in rm else None for k in differing},
-            {k.hex(): lm[k].hex() if k in lm else None for k in differing},
-            pair,
-        ))
-    if ENGINES[ref.engine].cycle_exact and ENGINES[leg.engine].cycle_exact:
-        if ref.total_cycles != leg.total_cycles:
+        what = f"map {ref.map_names[fd]}"
+        if rm != lm:
+            differing = [k for k in sorted(set(rm) | set(lm))
+                         if rm.get(k) != lm.get(k)][:4]
             mismatches.append(Mismatch(
-                -1, "total cycles", ref.total_cycles, leg.total_cycles, pair))
-        for i, (rc, lc) in enumerate(zip(ref.packet_cycles,
-                                         leg.packet_cycles)):
-            if rc != lc:
-                mismatches.append(
-                    Mismatch(i, "inject/exit cycles", rc, lc, pair))
+                -1, what,
+                {k.hex(): rm[k].hex() if k in rm else None for k in differing},
+                {k.hex(): lm[k].hex() if k in lm else None for k in differing},
+                pair,
+            ))
+        elif (exact or fd in ref.lru_fds) and list(rm) != list(lm):
+            at = next(i for i, (rk, lk) in enumerate(zip(rm, lm)) if rk != lk)
+            where = f"order from {at}"
+            mismatches.append(Mismatch(
+                -1, what, {where: [k.hex() for k in list(rm)[at:at + 4]]},
+                {where: [k.hex() for k in list(lm)[at:at + 4]]}, pair))
+    if not exact:
+        return mismatches
+    for fd, raw in ref.storage.items():
+        other = leg.storage[fd]
+        if raw != other:
+            at = next((i for i, (x, y) in enumerate(zip(raw, other))
+                       if x != y), min(len(raw), len(other)))
+            mismatches.append(Mismatch(
+                -1, f"map {ref.map_names[fd]} storage",
+                {f"bytes from {at}": raw[at:at + 8].hex()},
+                {f"bytes from {at}": other[at:at + 8].hex()}, pair))
+    for what, value in ref.counters.items():
+        if value != leg.counters[what]:
+            mismatches.append(
+                Mismatch(-1, what, value, leg.counters[what], pair))
+    for what, rs, ls in (("packet cycles", ref.packet_cycles,
+                          leg.packet_cycles),
+                         ("restarts", ref.restarts, leg.restarts)):
+        mismatches += [Mismatch(i, what, r, l, pair)
+                       for i, (r, l) in enumerate(zip(rs, ls)) if r != l]
     return mismatches
 
 

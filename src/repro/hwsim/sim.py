@@ -469,6 +469,9 @@ class PipelineSimulator:
                                 inject_cycle=out.inject_cycle,
                                 exit_cycle=cycle,
                                 restarts=out.restarts,
+                                egress=(out.ctx.redirect_ifindex
+                                        if verdict is XdpAction.REDIRECT
+                                        else None),
                             )
                         )
                     else:

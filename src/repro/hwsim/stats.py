@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..ebpf.xdp import XdpAction
@@ -90,6 +90,8 @@ class PacketRecord:
     inject_cycle: int
     exit_cycle: int
     restarts: int = 0  # times this packet was squashed by a flush
+    # The interface a REDIRECT leaves by; None for any other verdict.
+    egress: Optional[int] = None
 
     @property
     def pipeline_cycles(self) -> int:
@@ -223,14 +225,12 @@ class SimReport:
             self.action_counts[action] = self.action_counts.get(action, 0) + count
         if self.keep_records:
             for rec in other.records:
-                self.records.append(PacketRecord(
+                self.records.append(replace(
+                    rec,
                     pid=rec.pid + pid_off,
-                    action=rec.action,
-                    data=rec.data,
                     arrival_cycle=rec.arrival_cycle + cycle_off,
                     inject_cycle=rec.inject_cycle + cycle_off,
                     exit_cycle=rec.exit_cycle + cycle_off,
-                    restarts=rec.restarts,
                 ))
         if other.metrics is not None:
             if self.metrics is None:
@@ -272,6 +272,7 @@ class SimReport:
                     "inject_cycle": rec.inject_cycle,
                     "exit_cycle": rec.exit_cycle,
                     "restarts": rec.restarts,
+                    "egress": rec.egress,
                 }
                 for rec in self.records
             ]

@@ -17,6 +17,7 @@ differential (:func:`repro.hwsim.engines.run_three_way`) checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.cache import get_default_cache
@@ -27,6 +28,7 @@ from ..ebpf.xdp import XdpAction
 from .codegen import load_rtl_module
 from .elab import Elaborated, elaborate
 from .errors import RtlCodegenError, RtlSimError
+from .ast import DesignFile
 from .parser import parse_vhdl
 from .primitives import PacketShadow, RtlContext, primitive_factory
 
@@ -196,13 +198,20 @@ def find_top(text: str) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=4)
+def _parsed(text: str) -> DesignFile:
+    # elaborate() only reads the tree, and a differential loads one
+    # design once per RTL engine: the last few designs parse once.
+    return parse_vhdl(text)
+
+
 def elaborate_text(text: str, context: RtlContext) -> Elaborated:
     """Parse emitted VHDL and elaborate the top entity its header names,
     binding the behavioural blocks to primitives over ``context``."""
     top = find_top(text)
     if top is None:
         raise RtlSimError("no '-- top:' marker in the design text")
-    return elaborate(parse_vhdl(text), top, primitive_factory, context)
+    return elaborate(_parsed(text), top, primitive_factory, context)
 
 
 def load_design(text: str, context: Optional[RtlContext] = None
@@ -364,13 +373,12 @@ class RtlRunner:
         raw = ((values[dn] >> dl) & dm).to_bytes(wmax, "little")
         data = raw[:min(plen, wmax)] + bytes(shadow.tail)
         action = XdpAction.of((values[vn] >> vl) & vm)
-        if shadow.redirect_ifindex is not None \
-                and action is not XdpAction.REDIRECT:
-            shadow.redirect_ifindex = None
         inject = out_index * gap
         report.record(PacketRecord(
             pid=out_index, action=action, data=data,
             arrival_cycle=inject, inject_cycle=inject, exit_cycle=cycle,
+            egress=(shadow.redirect_ifindex
+                    if action is XdpAction.REDIRECT else None),
         ))
         return out_index + 1
 

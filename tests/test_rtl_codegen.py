@@ -44,11 +44,12 @@ from repro.rtl.primitives import RtlContext
 from repro.rtl.sim import elaborate_text
 from tests.test_corpus import CORPUS, corpus_ids
 from tests.test_property_maps import LAYOUTS
-from tests.test_rtl import APP_CASES, SWAP_PROCESSES, _design
+from tests.cases import CASES
+from tests.test_rtl import SWAP_PROCESSES, _design
 
 
 def _elaborated(app):
-    build = APP_CASES[app][0] if app in APP_CASES else getattr(apps, app).build
+    build = CASES[app].build
     pipeline = compile_program(build())
     text = emit_vhdl(pipeline)
     model = elaborate_text(text, RtlContext(MapSet(pipeline.program.maps)))
