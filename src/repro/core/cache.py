@@ -62,7 +62,9 @@ from .pipeline import Pipeline
 #     window in ``_stream``).
 # v15: with CODEGEN_VERSION 11 (no generated whole-cycle advance or
 #     observer: the simulator's one loop runs the stage bodies).
-_CACHE_VERSION = 15
+# v16: a keyed window's MapHazardPlan carries its same-key forwarding,
+#     with CODEGEN_VERSION 13 (per-arm forward distance in ``_stream``).
+_CACHE_VERSION = 16
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

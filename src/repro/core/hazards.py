@@ -57,6 +57,7 @@ read the classes and that verdict.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -79,6 +80,7 @@ from .pipeline import (
     BankKey,
     Consistency,
     FlushBlock,
+    Forwarding,
     MapConsistency,
     MapHazardPlan,
     PipeOp,
@@ -216,6 +218,8 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         plan.consistency = _classify(plan, windows, live, commits[fd],
                                      effects.get(fd, []), fd in non_adds,
                                      program, varies)
+        if plan.bank_key is not None and plan.bank_key.keyed:
+            plan.forwarding = forwarding(stages, cfg, plan, commits[fd])
     return plans
 
 
@@ -319,6 +323,103 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
         return None, why
     return BankKey(plan.map_fd, offset, size,
                    spec.banks if spec.serialised else 0), ""
+
+
+# What a map access touches of one key's entry: its slot in the key
+# directory (a map call), its value (a load, a store, an atomic), or both
+# (an update writes the value along with the slot).
+_SLOT, _VALUE = 1, 2
+
+
+def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
+               commit: int) -> Forwarding:
+    """The same-key bypass of a keyed window ``[lo, hi]``: each block's
+    forward distance, or the rule that keeps the width ``W`` for all.
+
+    Two packets of one key conflict where an access of the older one at
+    stage ``a`` and one of the younger at ``s`` touch the same part of
+    the key's entry and either writes. A younger packet that enters
+    ``lo`` while the older sits at ``p`` makes its access ``s - lo``
+    cycles later, the older ``a - p``; stages run deepest-first, so the
+    order holds when ``p >= lo + a - s``. A block's own distance is the
+    largest ``a - s`` over its accesses (a value store the WAR buffer
+    holds lands at the commit stage) and every access in the window —
+    which path the younger packet takes is not known when it enters —
+    capped at ``W``. A packet's distance is the largest over its path.
+
+    The interlock reads a packet's distance while it is in flight, over
+    the blocks it has enabled or can still reach (``Forwarding.distance``),
+    and the stream path over the path it took; the two must agree
+    wherever a release can happen. They do when every block whose paths
+    set different distances decides between them no later than the stage
+    where the least of them releases; a block deciding after it keeps
+    ``W`` for every arm."""
+    lo, hi = plan.serial_window
+    width = hi - lo + 1
+    accesses = []  # (stage, block, touches read, touches written, what)
+    for stage in stages[lo - 1:hi]:
+        for op in stage.ops:
+            access = _map_access(op)
+            if access is None or access[0] != plan.map_fd:
+                continue
+            _fd, reads, writes, atomic = access
+            if op.call is not None:
+                accesses.append((stage.number, op.block_id,
+                                 _SLOT if reads else 0,
+                                 _SLOT | _VALUE if writes else 0,
+                                 format_instruction(op.insn)))
+            elif atomic:
+                accesses.append((stage.number, op.block_id, _VALUE, _VALUE,
+                                 "atomic"))
+            elif writes:
+                accesses.append((max(stage.number, commit), op.block_id, 0,
+                                 _VALUE, "store"))
+            else:
+                accesses.append((stage.number, op.block_id, _VALUE, 0,
+                                 "load"))
+    own: Dict[int, int] = {}
+    pair: Dict[int, str] = {}
+    for a, block, reads, writes, what in accesses:
+        for s, _block, later_reads, later_writes, later in accesses:
+            if a - s > own.get(block, 0) and (
+                    writes & (later_reads | later_writes)
+                    or reads & later_writes):
+                own[block] = min(a - s, width)
+                pair[block] = f"{what} @{a} → {later} @{s}"
+    # Per block, the largest and the least distance of a path from it,
+    # and the block that sets the largest.
+    ahead: Dict[int, int] = {}
+    least: Dict[int, int] = {}
+    setter: Dict[int, int] = {}
+    for bid in reversed(cfg.topo_order):
+        succs = [succ for succ, _kind in cfg.blocks[bid].succs]
+        mine = own.get(bid, 0)
+        further = max(succs, key=ahead.__getitem__, default=None)
+        if further is None or mine >= ahead[further]:
+            ahead[bid], setter[bid] = mine, bid
+        else:
+            ahead[bid], setter[bid] = ahead[further], setter[further]
+        least[bid] = max(mine, min((least[succ] for succ in succs),
+                                   default=0))
+    # An arm: a block all of whose paths set one distance, below a block
+    # whose paths do not.
+    arms = tuple(
+        f"b{bid} after {ahead[bid]} ({pair[setter[bid]]})"
+        for bid in sorted(cfg.topo_order)
+        if least[bid] and least[bid] == ahead[bid]
+        and all(least[pred] != ahead[pred] for pred in cfg.blocks[bid].preds))
+    adopted = Forwarding(own, {bid: d for bid, d in ahead.items() if d}, arms)
+    ends = {block.terminator_index for block in cfg.blocks}
+    decided = {op.block_id: stage.number for stage in stages
+               for op in stage.ops if op.insn_index in ends}
+    for bid in cfg.topo_order:
+        release = lo + max(least[bid], 1)
+        when = decided.get(bid, len(stages) + 1)
+        if ahead[bid] != least[bid] and when > release:
+            return replace(adopted, refused=(
+                f"b{bid} decides between distances {least[bid]} and "
+                f"{ahead[bid]} at stage {when}, after stage {release}"))
+    return adopted
 
 
 def _capacity_in_order(spec: MapSpec, writes: Dict[int, str]) -> str:
@@ -706,6 +807,11 @@ def hazard_summary(pipeline: Pipeline) -> str:
                          f"stack[{key.offset}:{key.size}]")
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}{split} "
                          f"({_window_ends(pipeline, plan)}) held by {held}")
+            forward = plan.forwarding
+            if forward is not None:
+                parts.append(f"no forwarding: {forward.refused}"
+                             if forward.refused
+                             else f"forwards: {', '.join(forward.arms)}")
         elif plan.unbanked:
             parts.append(f"flush kept: {plan.unbanked}")
         lines.append("  ".join(parts))

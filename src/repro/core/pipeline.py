@@ -153,6 +153,43 @@ class BankKey:
         return bank_of(key, self.banks) if self.banks else bytes(key)
 
 
+@dataclass(frozen=True)
+class Forwarding:
+    """A keyed window's same-key bypass (``hazards.forwarding``): a
+    younger holder of a key may enter ``lo`` once the key's older holder
+    sits at stage ``lo + d`` or deeper, where ``d`` is the older packet's
+    forward distance. Its last conflicting in-window write then lands in
+    the cycle of the younger packet's first access that depends on it,
+    ahead of that access (stages run deepest-first): in hardware a
+    write-port → read-port bypass on the map's read data.
+
+    A block's ``own`` distance is the largest its accesses set (absent:
+    0). A packet's is the largest over the blocks of its path; while it
+    is in flight, over the blocks it has enabled or can still reach —
+    ``ahead`` is a block's own distance or a descendant's, whichever is
+    larger. ``arms`` lists, per holder arm, its distance and the access
+    pair that sets it. ``refused`` names the rule that keeps the window's
+    width for every arm instead: the distances are then not used."""
+
+    own: Dict[int, int]
+    ahead: Dict[int, int]
+    arms: Tuple[str, ...] = ()
+    refused: str = ""
+
+    def distance(self, enabled: Set[int], done: bool) -> int:
+        """The forward distance of an in-flight packet that has enabled
+        ``enabled``: its path so far, and, unless it is ``done``, what
+        it can still reach. ``ahead`` never grows down a path, so the
+        least over the enabled blocks is that of the one not yet
+        decided."""
+        own = self.own
+        distance = max([own.get(block, 0) for block in enabled])
+        if done:
+            return distance
+        ahead = self.ahead
+        return max(distance, min([ahead.get(block, 0) for block in enabled]))
+
+
 @dataclass
 class MapHazardPlan:
     """All consistency machinery for one map (§4.1)."""
@@ -191,6 +228,9 @@ class MapHazardPlan:
     # hash map whose flush blocks therefore stay live.
     bank_key: Optional[BankKey] = None
     unbanked: str = ""
+    # A keyed window's same-key bypass, adopted or refused
+    # (``hazards.forwarding``); ``None`` on every other window and map.
+    forwarding: Optional[Forwarding] = None
     # Whether packets in flight together leave this map as sequential
     # execution would (see ``hazards.plan_hazards``).
     consistency: MapConsistency = MapConsistency()
@@ -307,14 +347,19 @@ class Pipeline:
         return [window[:2] for window in self.held_windows]
 
     @property
-    def held_windows(
-            self) -> List[Tuple[int, int, FrozenSet[int], Optional[BankKey]]]:
-        """``(lo, hi, holders, bank_key)`` of each interlock window,
-        sorted by entry stage: the packets that wait for it are those
-        that have enabled one of its holder blocks, and each waits only
-        for a holder of its own lane (``bank_key``; ``None``: one
-        lane)."""
-        return sorted(((*plan.serial_window, plan.holders, plan.bank_key)
+    def held_windows(self) -> List[Tuple[
+            int, int, FrozenSet[int], Optional[BankKey],
+            Optional[Forwarding]]]:
+        """``(lo, hi, holders, bank_key, forwarding)`` of each interlock
+        window, sorted by entry stage: the packets that wait for it are
+        those that have enabled one of its holder blocks, and each waits
+        only for a holder of its own lane (``bank_key``; ``None``: one
+        lane) — for the whole window, or, where a keyed window adopted a
+        bypass (``forwarding``), until that holder is its forward
+        distance in."""
+        return sorted(((*plan.serial_window, plan.holders, plan.bank_key,
+                        None if plan.forwarding is None
+                        or plan.forwarding.refused else plan.forwarding)
                        for plan in self.map_hazards.values()
                        if plan.serial_window is not None),
                       key=lambda window: window[:2])

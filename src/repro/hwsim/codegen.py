@@ -175,7 +175,9 @@ from ..telemetry import get_registry
 #     observer are gone; the simulator's one loop shifts and dispatches
 #     _s<N>, which snapshot at every map side effect under a flush plan.
 # v12: a redirecting program's _stream records each packet's egress port.
-CODEGEN_VERSION = 12
+# v13: forwarding keyed windows: a holder frees its key's lane after the
+#     forward distance of the blocks it enabled, not after the window.
+CODEGEN_VERSION = 13
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
@@ -213,6 +215,24 @@ def _ind(lines: List[str], levels: int = 1) -> List[str]:
     """Indent a block of relative lines by ``levels``."""
     pad = "    " * levels
     return [pad + ln if ln else ln for ln in lines]
+
+
+def _forward_distance(own: Dict[int, int], entry: int,
+                      named: FrozenSet[str]) -> str:
+    """The forward distance of the packet the stream body just ran: the
+    largest own distance over the blocks its flags enabled (the entry
+    block always), as one conditional expression, largest first. It is
+    at least 1, as the cycle loop's is in effect (one packet enters
+    ``lo`` a cycle): a key's ``free`` then grows with each holder, and
+    ``_held`` never queues one ``(free, key)`` twice."""
+    base = max(own.get(entry, 0), 1)
+    expr = str(base)
+    for distance in sorted(set(own.values())):
+        flags = [f"_e{b}" for b, d in sorted(own.items())
+                 if d == distance and f"_e{b}" in named]
+        if distance > base and flags:
+            expr = f"{distance} if {' or '.join(flags)} else {expr}"
+    return expr if expr.isdigit() else f"({expr})"
 
 
 class _StreamTiming(NamedTuple):
@@ -1131,7 +1151,8 @@ class _Emitter:
         )
 
     def _window_timing(self, lo: int, hi: int, held: str,
-                       bank: Optional[BankKey]) -> _StreamTiming:
+                       bank: Optional[BankKey],
+                       after: Optional[str] = None) -> _StreamTiming:
         """Cycle accounting of a pipeline with one serialization window
         ``[lo, hi]``, ``lo >= 2``, that a packet holds when ``held`` (an
         expression over the body's block flags) is true. Which packets
@@ -1155,7 +1176,11 @@ class _Emitter:
           key the packet leaves on its stack (``bank``), which no store
           at or past ``lo`` changes (``hazards.bank_key``), and a keyed
           one takes the key itself, keeping ``free`` only for keys whose
-          last holder is still in the window;
+          last holder is still in the window. Where a keyed window
+          forwards, ``free`` is the last holder's entry plus its forward
+          distance instead (``after``, an expression over the block
+          flags: ``core.pipeline.Forwarding``), the stage from which the
+          cycle loop's interlock lets a packet of its key in;
         * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
           stalls.
 
@@ -1185,8 +1210,9 @@ class _Emitter:
                     "    _went = _free[_bk]",
                     f"_free[_bk] = _went + {width}"]
         else:
-            # per key, the exit of its last holder still in the window;
-            # _held queues (exit, key) in exit order to retire the rest
+            # per key, the cycle its last holder frees it (leaves the
+            # window, or is its forward distance in); _held queues
+            # (free, key) in entry order to retire the rest
             size = bank.size
             start = _STK_SZ + bank.offset
             key = (f"{self._unpack(size)}(stack, {start})[0]"
@@ -1202,7 +1228,7 @@ class _Emitter:
                     "_f = _free.get(_bk, 0)",
                     "if _f > _went:",
                     "    _went = _f",
-                    f"_f = _free[_bk] = _went + {width}",
+                    f"_f = _free[_bk] = _went + {after or width}",
                     "_held.append((_f, _bk))"]
         clock = (["_t0 = sim.time_ns",
                   "_cns = 1000.0 / sim.options.clock_mhz"]
@@ -1281,16 +1307,19 @@ class _Emitter:
             self.any_flush, self.maintain = hazard_modes
         named = _idents(ops)
         if windows:
-            (lo, hi, holders, bank), = windows
+            (lo, hi, holders, bank, forward), = windows
             # The entry block's flag is constant: every packet holds. A
             # holder all of whose predecessors hold is enabled only after
             # one of them, so the others' flags decide.
             blocks = pipeline.cfg.blocks
-            held = "True" if pipeline.cfg.entry.block_id in holders else \
+            entry = pipeline.cfg.entry.block_id
+            held = "True" if entry in holders else \
                 " or ".join(f"_e{b}" for b in sorted(holders)
                             if not holders.issuperset(blocks[b].preds)
                             and f"_e{b}" in named)
-            timing = self._window_timing(lo, hi, held, bank)
+            after = (_forward_distance(forward.own, entry, named)
+                     if forward is not None else None)
+            timing = self._window_timing(lo, hi, held, bank, after)
         else:
             timing = self._line_rate_timing()
 

@@ -45,7 +45,8 @@ from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
-from ..core.pipeline import BankKey, PipeOp, Pipeline, Stage, StageKind
+from ..core.pipeline import (BankKey, Forwarding, PipeOp, Pipeline, Stage,
+                             StageKind)
 from ..telemetry import get_registry
 from .stats import PacketRecord, SimMetrics, SimReport
 
@@ -689,13 +690,14 @@ class PipelineSimulator:
     # -- the cycle loop's rules --------------------------------------------------
 
     def _interlocks(self) -> Tuple[
-            Tuple[int, int, FrozenSet[int], Optional[BankKey]], ...]:
+            Tuple[int, int, FrozenSet[int], Optional[BankKey],
+                  Optional[Forwarding]], ...]:
         """The pipeline's ``held_windows`` over this simulator's maps: a
         window splits by lane only over the kind of map its key was
         planned for — a plain hash map for a keyed window, one of its
         bank count for a banked one — and has one lane over any other (a
         caller's own ``MapSet``), where packets of two lanes need not
-        commute."""
+        commute, and holders wait out the whole window."""
         maps = self.maps.maps
 
         def planned(bank: BankKey) -> bool:
@@ -705,9 +707,11 @@ class PipelineSimulator:
             return getattr(held, "banks", 1) == bank.banks
 
         return tuple(
-            (lo, hi, holders,
-             bank if bank is None or planned(bank) else None)
-            for lo, hi, holders, bank in self.pipeline.held_windows)
+            (lo, hi, holders, bank, forward)
+            if bank is None or planned(bank) else (lo, hi, holders, None,
+                                                   None)
+            for lo, hi, holders, bank, forward
+            in self.pipeline.held_windows)
 
     def _admits(self, enabled: Set[int], stack: bytearray, stage: int,
                 from_stage: int) -> bool:
@@ -722,10 +726,15 @@ class PipelineSimulator:
         a compare of the bank bits on a banked map, of the key (a flush
         block's comparator) in a keyed window. A window without a key
         has one lane; one with a key reads the lane from the stack
-        (``BankKey.of``), which no store changes from ``lo`` on.
-        Movement within a window is free."""
+        (``BankKey.of``), which no store changes from ``lo`` on. A keyed
+        window that forwards lets a packet in beside a holder of its key
+        at stage ``lo + d`` or deeper, ``d`` that holder's forward
+        distance (``Forwarding.distance``): this loop runs the deeper
+        packet's stage first, so its write lands before the access of
+        the entering packet that must see it. Movement within a window
+        is free."""
         slots = self._slots
-        for lo, hi, holders, bank in self._serial_windows:
+        for lo, hi, holders, bank, forward in self._serial_windows:
             if (lo <= stage <= hi and not lo <= from_stage <= hi
                     and not holders.isdisjoint(enabled)):
                 mine = bank.of(stack) if bank is not None else 0
@@ -733,7 +742,10 @@ class PipelineSimulator:
                     if (other is not None
                             and not holders.isdisjoint(other.enabled)
                             and (bank is None
-                                 or bank.of(other.stack) == mine)):
+                                 or bank.of(other.stack) == mine)
+                            and (forward is None or other.position < lo
+                                 + forward.distance(other.enabled,
+                                                    other.done))):
                         return False
         return True
 

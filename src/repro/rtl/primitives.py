@@ -108,6 +108,15 @@ def _bound(ports: Dict[str, Ref], prefix: str, bundle):
     return reads, drives
 
 
+def _hot(ports: Dict[str, Ref], prefix: str, bundle) -> tuple:
+    """The bit positions of a bundle's ports ``prefix + field``, in table
+    order: ``(net, low, mask)`` of a field the block reads, and of one
+    it drives with the mask shifted into place as well."""
+    return tuple((r.net, r.low, r.mask) if d == "in"
+                 else (r.net, r.low, r.mask, r.mask << r.low)
+                 for r, d in ((ports[prefix + f], d) for f, d, _w in bundle))
+
+
 def _bytes_le(value: int, nbytes: int) -> bytes:
     return (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
 
@@ -143,17 +152,14 @@ class MapBlock:
         if not self.n_channels:
             raise RtlElabError(f"{entity_name}: no channels")
         # Flattened bit positions of each channel's fields, in
-        # MAP_CHANNEL order, bound once: _channel runs on the simulation
+        # MAP_CHANNEL order, and of the atomic port's, in ATOMIC_PORT
+        # order, bound once: _channel and _atomic run on the simulation
         # hot path (the idle branch on most calls) and must be a handful
-        # of int ops, not name lookups or Ref method calls. A field the
-        # block drives also carries its mask shifted into place.
-        self._chan_hot = [
-            tuple((r.net, r.low, r.mask) if d == "in"
-                  else (r.net, r.low, r.mask, r.mask << r.low)
-                  for r, d in ((ports[f"ch{c}_{f}"], d)
-                               for f, d, _w in MAP_CHANNEL))
-            for c in range(self.n_channels)
-        ]
+        # of int ops, not name lookups or Ref method calls.
+        self._chan_hot = [_hot(ports, f"ch{c}_", MAP_CHANNEL)
+                          for c in range(self.n_channels)]
+        self._at_hot = (_hot(ports, "at_", ATOMIC_PORT)
+                        if "at_req" in ports else None)
 
     def _map(self):
         maps = self.context.maps
@@ -218,33 +224,33 @@ class MapBlock:
         values[ob_n] = values[ob_n] & ~ob_sm | (out_of_bounds & ob_m) << ob_l
 
     def _atomic(self, values: List[int]) -> None:
-        p = self.ports
-        old_ref, oob = p["at_old"], p["at_oob"]
-        if p["at_req"].get(values) != 1:
-            old_ref.set(values, 0)
-            oob.set(values, 0)
+        ((rq_n, rq_l, rq_m), (op_n, op_l, op_m), (sz_n, sz_l, sz_m),
+         (ad_n, ad_l, ad_m), (wd_n, wd_l, wd_m), (ex_n, ex_l, ex_m),
+         (ol_n, ol_l, ol_m, ol_sm), (ob_n, ob_l, ob_m, ob_sm)) = \
+            self._at_hot
+        if (values[rq_n] >> rq_l) & rq_m != 1:
+            values[ol_n] &= ~ol_sm
+            values[ob_n] &= ~ob_sm
             return
-        op = p["at_op"].get(values)
+        op = (values[op_n] >> op_l) & op_m
         self.context.count_op("atomic")
-        size = p["at_size"].get(values)
-        addr = p["at_addr"].get(values)
-        src = p["at_wdata"].get(values)
-        bpf_map = self._map()
-        offset = self._decode_addr(addr, size)
+        size = (values[sz_n] >> sz_l) & sz_m
+        storage = self._map().storage
+        offset = self._decode_addr((values[ad_n] >> ad_l) & ad_m, size)
+        old, out_of_bounds = 0, 0
         if offset is None:
-            old_ref.set(values, 0)
-            oob.set(values, 1)
-            return
-        old = int.from_bytes(bpf_map.storage[offset:offset + size],
-                             "little")
-        try:
-            new = atomic_step(op, old, src, p["at_expected"].get(values),
-                              (1 << (8 * size)) - 1)
-        except VmError as exc:
-            raise RtlSimError(f"{self.name}: {exc}") from None
-        bpf_map.storage[offset:offset + size] = new.to_bytes(size, "little")
-        old_ref.set(values, old)
-        oob.set(values, 0)
+            out_of_bounds = 1
+        else:
+            old = int.from_bytes(storage[offset:offset + size], "little")
+            try:
+                new = atomic_step(op, old, (values[wd_n] >> wd_l) & wd_m,
+                                  (values[ex_n] >> ex_l) & ex_m,
+                                  (1 << (8 * size)) - 1)
+            except VmError as exc:
+                raise RtlSimError(f"{self.name}: {exc}") from None
+            storage[offset:offset + size] = new.to_bytes(size, "little")
+        values[ol_n] = values[ol_n] & ~ol_sm | (old & ol_m) << ol_l
+        values[ob_n] = values[ob_n] & ~ob_sm | (out_of_bounds & ob_m) << ob_l
 
     def nodes(self) -> List[CombNode]:
         p = self.ports

@@ -41,12 +41,14 @@ from repro.cli import load_program
 from repro.core import compile_program
 from repro.core import hazards
 from repro.core.hazards import hazard_summary
-from repro.core.pipeline import BankKey, Consistency
+from repro.core.pipeline import BankKey, Consistency, Forwarding
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import bank_of
 from repro.hwsim import (FROZEN_CLOCK_MHZ, SimOptions, compare_runs,
                          exempt_observables, run_differential, run_engine)
+from repro.hwsim.codegen import stream_blocker
+from repro.workloads import make_workload, parse_workload_spec
 from tests.cases import CASES as TABLE, F_OTHER, LAYOUTS, udp
 from tests.test_corpus import PACKETS
 from tests.test_path_parallel import _arm_frames
@@ -910,6 +912,12 @@ class TestKeyedWindow:
         assert len(plan.flush_blocks) == 5  # the comparator it reuses
         assert ("window [8, 18] W=11 keyed on buckets by stack[-8:8] "
                 "(opens: b1 call 1 @8; ") in hazard_summary(pipeline)
+        # a packet of the key may follow the hit arm six stages behind,
+        # the insert ten
+        assert ("  forwards: b2 after 6 (store @18 → load @12), "
+                "b8 after 10 (call 2 @18 → call 1 @8)") \
+            in hazard_summary(pipeline)
+        assert pipeline.held_windows[0][4] is plan.forwarding
 
     def test_the_paper_layout_keeps_its_flushes(self):
         plan = compile_program(leaky_bucket.build(),
@@ -975,6 +983,59 @@ class TestKeyedWindow:
         assert {(a, b) for a in (0, 1) for b in (0, 1)} <= set(failing)
         assert all(len({key[k] for k in seq}) < len(seq) for seq in failing)
         assert set().union(*failing.values()) == {"map buckets"}
+
+    # leaky_bucket's arm heads: the hit arm (its stores at 18) and the
+    # insert (call 2 at 18)
+    @pytest.mark.parametrize("arm", [2, 8], ids=["hit", "insert"])
+    def test_each_forward_distance_is_tight(self, monkeypatch, arm):
+        # one cycle sooner, the younger packet of a hot key reads its
+        # bucket (misses it, on the insert arm) the cycle before the
+        # older one writes it
+        program = leaky_bucket.build()
+        pipeline = compile_program(program)
+        frames = make_workload(replace(
+            parse_workload_spec("udp-zipf"), flows=4, packets=200,
+            seed=7)).materialize()
+
+        def mismatches():
+            return run_differential(program, frames, pipeline=pipeline,
+                                    sim_options=FROZEN, gap=1,
+                                    engine="interpreted").mismatches
+
+        assert mismatches() == []
+        distance = Forwarding.distance
+        monkeypatch.setattr(
+            Forwarding, "distance", lambda self, enabled, done:
+            distance(self, enabled, done) - (arm in enabled))
+        found = mismatches()
+        assert found and {m.what for m in found} <= {"action", "map buckets"}
+        assert any(m.index >= 0 for m in found)  # names a packet
+
+    def test_a_late_arm_keeps_the_width(self):
+        # the hit arm chooses between the store (6) and the insert (10)
+        # at stage 10, after a holder of 6 would release its key at 9
+        program = load_program(str(Path(__file__).parent / "corpus"
+                                   / "late_arm.ebpf"))
+        pipeline = compile_program(program)
+        plan = pipeline.map_hazards[1]
+        why = "b1 decides between distances 6 and 10 at stage 10, after stage 9"
+        assert plan.bank_key.keyed and plan.forwarding.refused == why
+        assert pipeline.held_windows[0][4] is None
+        assert f"  no forwarding: {why}" in hazard_summary(pipeline)
+        # adopted anyway, the stream would release a store's key at 9
+        # while the cycle loop, not knowing the arm yet, holds it to 13
+        frames = [bytes([0, key % 2]) + bytes(62) for key in range(24)]
+        forced = copy.deepcopy(pipeline)
+        forced.map_hazards[1].forwarding = replace(plan.forwarding,
+                                                   refused="")
+        forced.codegen_source = None
+        for candidate, agree in ((pipeline, True), (forced, False)):
+            assert stream_blocker(candidate) is None
+            loop, stream = (run_engine(engine, program, frames,
+                                       pipeline=candidate,
+                                       sim_options=FROZEN, gap=1)
+                            for engine in ("interpreted", "codegen"))
+            assert (compare_runs(loop, stream) == []) is agree
 
     @staticmethod
     def _full(maps):

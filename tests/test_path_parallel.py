@@ -72,7 +72,7 @@ def render_stages(pipeline) -> str:
 
 # sha256 of render_stages under path_parallel=False, captured from the
 # compiler before path-parallel scheduling existed (one block per stage);
-# redirect_map.ebpf's when it joined the corpus.
+# redirect_map.ebpf's and late_arm.ebpf's when each joined the corpus.
 PAPER_LAYOUT_DIGESTS = {
     "app:ct_firewall": "50ff2cde9d491de66565ff77311d2a8296bbfef40513fa3f457b22da71519cbc",
     "app:dnat": "c85dfa7d8e86cf2dcb7fee9f77315843878e01e9b2e4df1276283c0a730792b9",
@@ -94,6 +94,7 @@ PAPER_LAYOUT_DIGESTS = {
     "endian_chain.ebpf": "1dce185d03402a9870eae6ff9706fa756487a90596ca685d28cda22d5e840d33",
     "head_tail_resize.ebpf": "227a12920d32fc2d6b37029f64e8c9ede340b977b44a572b7a500d82e0b3e6e7",
     "jmp32_signed.ebpf": "a3e48d7cc6e34d6a03c8b4d198c0168ebd7bbfd765f681675330a8718dee6812",
+    "late_arm.ebpf": "f7858ee92bad430fc52fd7970dd5f49443dad24b0606be63d4ff610dbf93d032",
     "mixed_width_alu.ebpf": "9bab0567f3c4a480411cb477f959a6a587a2fb8de24e9aaa6153fc8e30f26926",
     "multi_map.ebpf": "e464a8365d94b2a373d7e8915771555c63337cb2e023fbc107e38024db30981d",
     "redirect_map.ebpf": "42fb73ccef232fa04308a7c2bbbb37eaf3d4053bc1d80f8e8965c120b9c92969",

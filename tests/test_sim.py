@@ -367,7 +367,7 @@ class TestInterlock:
         sim = PipelineSimulator(pipeline,
                                 options=SimOptions(engine="interpreted"))
         sim._slots = [None] * (pipeline.n_stages + 1)
-        (lo, hi, holders, bank), = sim._serial_windows
+        (lo, hi, holders, bank, _forward), = sim._serial_windows
         return sim, lo, hi, holders, bank
 
     @staticmethod
@@ -422,7 +422,7 @@ class TestInterlock:
         unbanked = {fd: dataclasses.replace(spec, banks=1)
                     for fd, spec in pipeline.program.maps.items()}
         sim = PipelineSimulator(pipeline, maps=MapSet(unbanked))
-        (_lo, _hi, _holders, bank), = sim._serial_windows
+        (_lo, _hi, _holders, bank, _forward), = sim._serial_windows
         assert bank is None
         assert sim.stream_blocker() == (
             "map 1 is not the lru_hash map the pipeline was compiled "
@@ -456,8 +456,32 @@ class TestInterlock:
         for k, (occupant, holds) in enumerate(inside):
             sim._slots[lo + 2 + k] = SimpleNamespace(
                 enabled=holder if holds else other,
-                stack=self._keyed_stack(occupant))
+                stack=self._keyed_stack(occupant), position=lo + 2 + k,
+                done=False)
         assert sim._admits(holder, self._keyed_stack(1), lo,
+                           lo - 1) is admitted
+
+    @pytest.mark.parametrize("path, done, depth, admitted", [
+        # the holder of key 1 inside leaky_bucket's window: the blocks it
+        # has enabled, whether it is done, how far past lo it sits; a
+        # packet of key 1 asks to enter at lo
+        ({0, 1, 2}, False, 5, False),
+        ({0, 1, 2}, False, 6, True),
+        ({0, 1, 8}, False, 9, False),
+        ({0, 1, 8}, False, 10, True),
+        ({0, 1}, False, 9, False),
+        ({0, 1}, True, 2, True),
+    ], ids=["hit_arm_short_of_6", "hit_arm_at_6", "insert_short_of_10",
+            "insert_at_10", "undecided_takes_the_larger",
+            "done_reaches_nothing_more"])
+    def test_admits_after_the_forward_distance(self, path, done, depth,
+                                               admitted):
+        pipeline = compile_program(leaky_bucket.build())
+        sim, lo, _hi, _holders, _key = self._sim(pipeline)
+        sim._slots[lo + depth] = SimpleNamespace(
+            enabled=path, stack=self._keyed_stack(1), position=lo + depth,
+            done=done)
+        assert sim._admits({0, 1}, self._keyed_stack(1), lo,
                            lo - 1) is admitted
 
     @pytest.mark.parametrize("entry_holds", [True, False])
@@ -466,7 +490,8 @@ class TestInterlock:
         sim, _lo, hi, holders, _bank = self._sim(pipeline)
         entry = pipeline.cfg.entry.block_id
         sim._serial_windows = (
-            (1, hi, holders | {entry} if entry_holds else holders, None),)
+            (1, hi, holders | {entry} if entry_holds else holders, None,
+             None),)
         sim._slots[3] = SimpleNamespace(enabled={min(holders)})
         assert sim._admits({entry}, bytearray(512), 1, 0) is not entry_holds
 
