@@ -34,7 +34,7 @@ from ..ebpf.maps import MapSet
 from ..net.packet import FiveTuple
 
 # 16 banks of 256 entries, each its own LRU list: flows of different
-# banks commute, so the serialization window admits one holder per bank
+# banks commute, so the serialization window serialises per bank
 CONNTRACK_MAP = MapSpec(
     "conntrack", "lru_hash", key_size=16, value_size=8, max_entries=4096,
     banks=16,

@@ -150,7 +150,12 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_traffic_flags(parser: argparse.ArgumentParser, packets: int = 2000,
                        flows: int = 100) -> None:
-    parser.add_argument("--packets", type=int, default=packets)
+    # None: the command's own count (``packets``), or an explicit
+    # --workload spec's; a given count truncates a spec as well
+    parser.add_argument("--packets", type=int, default=None,
+                        help=f"frames to generate (default {packets}, or "
+                             "the --workload spec's own count)")
+    parser.set_defaults(default_packets=packets)
     parser.add_argument("--flows", type=int, default=flows)
     parser.add_argument("--packet-size", type=int, default=64)
     parser.add_argument("--seed", type=int, default=1)
@@ -160,9 +165,9 @@ def _add_traffic_flags(parser: argparse.ArgumentParser, packets: int = 2000,
         "--workload", metavar="SPEC",
         help="generate traffic from a repro.workloads spec "
              "(<kind>:k=v,..., e.g. tcp-handshake:packets=20000,"
-             "flows=1000000); overrides the flat traffic flags. "
-             "'auto' uses the app's registered workload (see `repro "
-             "apps`) truncated to --packets")
+             "flows=1000000); overrides the flat traffic flags, and "
+             "--packets, when given, truncates it. 'auto' uses the "
+             "app's registered workload (see `repro apps`)")
 
 
 def _telemetry_setup(args: argparse.Namespace) -> bool:
@@ -389,6 +394,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _packets(args: argparse.Namespace) -> int:
+    """``--packets``, or the command's default count when not given."""
+    return args.default_packets if args.packets is None else args.packets
+
+
 def _auto_workload(args: argparse.Namespace) -> str:
     """Resolve ``--workload auto``: the app's registered workload
     (:data:`repro.apps.APP_WORKLOADS`), truncated to ``--packets``."""
@@ -407,27 +417,35 @@ def _auto_workload(args: argparse.Namespace) -> str:
             f"registered workload (have: {known})"
         )
     spec = dataclasses.replace(
-        parse_workload_spec(spec_text), packets=args.packets
+        parse_workload_spec(spec_text), packets=_packets(args)
     )
     return spec.describe()
 
 
 def _gen_frames(args: argparse.Namespace) -> list:
+    """The frames of a traffic command: its ``--workload`` (an explicit
+    spec truncated to ``--packets`` when that is given), else the flat
+    traffic flags."""
     workload = getattr(args, "workload", None)
     if workload == "auto":
         workload = _auto_workload(args)
     if workload:
+        import dataclasses
+
         from .workloads import make_workload, parse_workload_spec
 
         try:
-            return make_workload(parse_workload_spec(workload)).materialize()
+            spec = parse_workload_spec(workload)
+            if args.packets is not None:
+                spec = dataclasses.replace(spec, packets=args.packets)
+            return make_workload(spec).materialize()
         except ValueError as exc:
             raise SystemExit(f"--workload: {exc}")
     gen = TrafficGenerator(TrafficSpec(
         n_flows=args.flows, packet_size=args.packet_size, seed=args.seed,
         distribution=args.distribution,
     ))
-    return list(gen.packets(args.packets))
+    return list(gen.packets(_packets(args)))
 
 
 def _run_once(pipeline, program, frames, engine: str, setup=None):

@@ -64,7 +64,9 @@ from .pipeline import Pipeline
 #     observer: the simulator's one loop runs the stage bodies).
 # v16: a keyed window's MapHazardPlan carries its same-key forwarding,
 #     with CODEGEN_VERSION 13 (per-arm forward distance in ``_stream``).
-_CACHE_VERSION = 16
+# v17: every window whose accesses all touch its own map carries a
+#     Forwarding with its per-arm release, with CODEGEN_VERSION 14.
+_CACHE_VERSION = 17
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

@@ -57,7 +57,6 @@ read the classes and that verdict.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -85,6 +84,7 @@ from .pipeline import (
     MapHazardPlan,
     PipeOp,
     Pipeline,
+    Release,
     Stage,
     commit_stages_of,
 )
@@ -218,7 +218,7 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         plan.consistency = _classify(plan, windows, live, commits[fd],
                                      effects.get(fd, []), fd in non_adds,
                                      program, varies)
-        if plan.bank_key is not None and plan.bank_key.keyed:
+        if plan.serial_window is not None:
             plan.forwarding = forwarding(stages, cfg, plan, commits[fd])
     return plans
 
@@ -325,48 +325,57 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
                    spec.banks if spec.serialised else 0), ""
 
 
-# What a map access touches of one key's entry: its slot in the key
-# directory (a map call), its value (a load, a store, an atomic), or both
-# (an update writes the value along with the slot).
+# What a map access touches of one lane's entries: a slot in the lane's
+# directory (a map call), a key's value (a load, a store, an atomic), or
+# both (an update writes the value along with the slot).
 _SLOT, _VALUE = 1, 2
 
 
 def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
-               commit: int) -> Forwarding:
-    """The same-key bypass of a keyed window ``[lo, hi]``: each block's
-    forward distance, or the rule that keeps the width ``W`` for all.
+               commit: int) -> Optional[Forwarding]:
+    """The bypass of a window ``[lo, hi]`` whose accesses all touch its
+    own map — keyed, banked or one lane — or ``None``: each block's
+    forward distance, and when each holder arm releases its lane.
 
-    Two packets of one key conflict where an access of the older one at
+    Two packets of one lane conflict where an access of the older one at
     stage ``a`` and one of the younger at ``s`` touch the same part of
-    the key's entry and either writes. A younger packet that enters
-    ``lo`` while the older sits at ``p`` makes its access ``s - lo``
-    cycles later, the older ``a - p``; stages run deepest-first, so the
-    order holds when ``p >= lo + a - s``. A block's own distance is the
-    largest ``a - s`` over its accesses (a value store the WAR buffer
-    holds lands at the commit stage) and every access in the window —
-    which path the younger packet takes is not known when it enters —
-    capped at ``W``. A packet's distance is the largest over its path.
+    the lane and either writes. In a keyed window a lookup only reads
+    its key's slot; in a banked or one-lane window every map call reads
+    and writes the lane's slot directory, since an LRU lookup writes
+    recency and the lane's keys share its capacity. A younger packet
+    that enters ``lo`` while the older sits at ``p`` makes its access
+    ``s - lo`` cycles later, the older ``a - p``; stages run
+    deepest-first, so the order holds when ``p >= lo + a - s``. A
+    block's own distance is the largest ``a - s`` over its accesses (a
+    value store the WAR buffer holds lands at the commit stage) and
+    every access in the window — which path the younger packet takes is
+    not known when it enters — capped at ``W``. A packet's distance is
+    the largest over its path.
 
     The interlock reads a packet's distance while it is in flight, over
     the blocks it has enabled or can still reach (``Forwarding.distance``),
-    and the stream path over the path it took; the two must agree
-    wherever a release can happen. They do when every block whose paths
-    set different distances decides between them no later than the stage
-    where the least of them releases; a block deciding after it keeps
-    ``W`` for every arm."""
+    so a holder releases at the first stage ``p >= lo`` where
+    ``p >= lo + `` the distance known at ``p``: its arm's distance, or
+    the stage where it decides its arm if that is later — a decision
+    floor. ``Forwarding.release`` states that stage over the path's
+    block flags, for the stream path (:func:`_release`)."""
     lo, hi = plan.serial_window
     width = hi - lo + 1
+    keyed = plan.bank_key is not None and plan.bank_key.keyed
     accesses = []  # (stage, block, touches read, touches written, what)
     for stage in stages[lo - 1:hi]:
         for op in stage.ops:
             access = _map_access(op)
-            if access is None or access[0] != plan.map_fd:
+            if access is None:
                 continue
-            _fd, reads, writes, atomic = access
+            fd, reads, writes, atomic = access
+            if fd != plan.map_fd:
+                return None
             if op.call is not None:
                 accesses.append((stage.number, op.block_id,
-                                 _SLOT if reads else 0,
-                                 _SLOT | _VALUE if writes else 0,
+                                 _SLOT if reads or not keyed else 0,
+                                 _SLOT | _VALUE if writes
+                                 else 0 if keyed else _SLOT,
                                  format_instruction(op.insn)))
             elif atomic:
                 accesses.append((stage.number, op.block_id, _VALUE, _VALUE,
@@ -386,40 +395,117 @@ def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
                     or reads & later_writes):
                 own[block] = min(a - s, width)
                 pair[block] = f"{what} @{a} → {later} @{s}"
-    # Per block, the largest and the least distance of a path from it,
-    # and the block that sets the largest.
+    # A block decides its successor at its terminator's stage; one whose
+    # terminator no stage runs enables none.
+    ends = {block.terminator_index: block.block_id for block in cfg.blocks}
+    decided = {op.block_id: stage.number for stage in stages
+               for op in stage.ops if ends.get(op.insn_index) == op.block_id}
+    succs = {bid: [succ for succ, _kind in cfg.blocks[bid].succs]
+             if bid in decided else [] for bid in cfg.topo_order}
+    # Per block, the largest distance of a path from it, and the block
+    # that sets it.
     ahead: Dict[int, int] = {}
-    least: Dict[int, int] = {}
     setter: Dict[int, int] = {}
     for bid in reversed(cfg.topo_order):
-        succs = [succ for succ, _kind in cfg.blocks[bid].succs]
         mine = own.get(bid, 0)
-        further = max(succs, key=ahead.__getitem__, default=None)
+        further = max(succs[bid], key=ahead.__getitem__, default=None)
         if further is None or mine >= ahead[further]:
             ahead[bid], setter[bid] = mine, bid
         else:
             ahead[bid], setter[bid] = ahead[further], setter[further]
-        least[bid] = max(mine, min((least[succ] for succ in succs),
-                                   default=0))
-    # An arm: a block all of whose paths set one distance, below a block
-    # whose paths do not.
-    arms = tuple(
-        f"b{bid} after {ahead[bid]} ({pair[setter[bid]]})"
-        for bid in sorted(cfg.topo_order)
-        if least[bid] and least[bid] == ahead[bid]
-        and all(least[pred] != ahead[pred] for pred in cfg.blocks[bid].preds))
-    adopted = Forwarding(own, {bid: d for bid, d in ahead.items() if d}, arms)
-    ends = {block.terminator_index for block in cfg.blocks}
-    decided = {op.block_id: stage.number for stage in stages
-               for op in stage.ops if op.insn_index in ends}
-    for bid in cfg.topo_order:
-        release = lo + max(least[bid], 1)
-        when = decided.get(bid, len(stages) + 1)
-        if ahead[bid] != least[bid] and when > release:
-            return replace(adopted, refused=(
-                f"b{bid} decides between distances {least[bid]} and "
-                f"{ahead[bid]} at stage {when}, after stage {release}"))
-    return adopted
+    release, arms = _release(cfg, plan, succs, decided, own, ahead,
+                             pair, setter)
+    return Forwarding(own, {bid: d for bid, d in ahead.items() if d},
+                      release, arms)
+
+
+def _release(cfg: Cfg, plan: MapHazardPlan, succs: Dict[int, List[int]],
+             decided: Dict[int, int], own: Dict[int, int],
+             ahead: Dict[int, int], pair: Dict[int, str],
+             setter: Dict[int, int]) -> Tuple[Release, Tuple[str, ...]]:
+    """:func:`forwarding`'s release of a holder over its path's block
+    flags, and the arms it names.
+
+    Down a path, block ``b`` is enabled at stage ``e(b)``, its
+    predecessor's decision (the entry block's before stage 1). While
+    ``b`` is the deepest block enabled, the packet's known distance is
+    ``max(d, ahead[b])``, ``d`` the largest own distance so far; so the
+    holder releases at offset ``max(d_path, m)`` from ``lo``, ``m`` the
+    least ``max(e(b) - lo, ahead[b])`` over the path, capped at ``W``.
+    A packet that stops short of a decision is ``done`` and counts its
+    own distances only; the verifier bounds every access, so only an
+    entry length check stops one, before stage 1. The decision tests a
+    block flag per branch, an ancestor's before a descendant's (a
+    packet that took the ancestor may enable the descendant further
+    down), and leaves out the paths that hold no block of the window.
+
+    An arm is a holder block below which every path releases alike,
+    under a block where they do not: it releases after its distance
+    (and the access pair that sets it), or at its decision."""
+    lo, hi = plan.serial_window
+    width = hi - lo + 1
+    holders = plan.holders
+    entry = cfg.entry.block_id
+    order = {bid: k for k, bid in enumerate(cfg.topo_order)}
+    branches = {bid: sorted(set(succs[bid]), key=order.__getitem__)
+                for bid in succs}
+    memo: Dict[Tuple[int, int, int, bool, str], Optional[Release]] = {}
+    arms: Dict[str, int] = {}
+
+    def tree(bid: int, d: int, m: int, holds: bool,
+             because: str) -> Optional[Release]:
+        """The release below ``bid`` (``None``: no path holds), with
+        ``d``, ``m`` and ``holds`` so far; ``because`` sets ``d``."""
+        key = (bid, d, m, holds, because)
+        if key in memo:
+            return memo[key]
+        tests = []
+        for succ in branches[bid]:
+            mine = own.get(succ, 0)
+            state = (max(d, mine), min(m, max(decided[bid] - lo, ahead[succ])),
+                     holds or succ in holders,
+                     pair[succ] if mine > d else because)
+            then = tree(succ, *state)
+            if then is not None:
+                tests.append((succ, then, state))
+        otherwise = (None if not holds
+                     else min(max(d, m), width) if not branches[bid]
+                     else d if bid == entry else None)
+        chain = [(succ, then) for succ, then, _state in tests]
+        if otherwise is None and chain:
+            otherwise = chain.pop()[1]
+        while chain and chain[-1][1] == otherwise:
+            chain.pop()
+        for succ, then in reversed(chain):
+            otherwise = (succ, then, otherwise)
+        if not isinstance(otherwise, int):
+            # below a block whose paths release apart: name the arms
+            for succ, then, (d_succ, _m, holds_succ, why) in tests:
+                if not isinstance(then, int) or not then or not holds_succ:
+                    continue
+                if then == max(d_succ, ahead[succ]):
+                    if ahead[succ] > d_succ:
+                        why = pair[setter[succ]]
+                    text = f"b{succ} after {then} ({why})"
+                elif lo + then == decided[bid]:
+                    text = f"b{succ} at its decision @{decided[bid]}"
+                else:
+                    text = f"b{succ} at stage {lo + then}"
+                arms.setdefault(text, succ)
+        memo[key] = otherwise
+        return otherwise
+
+    release = tree(entry, own.get(entry, 0), ahead[entry], entry in holders,
+                   pair.get(entry, ""))
+    if release is None:
+        return width, ()
+    if arms:
+        return release, tuple(sorted(arms, key=lambda text: (arms[text],
+                                                             text)))
+    alike = release if isinstance(release, int) else 0
+    because = (f" ({pair[setter[entry]]})"
+               if alike and alike == ahead[entry] else "")
+    return release, (f"every arm after {alike}{because}",)
 
 
 def _capacity_in_order(spec: MapSpec, writes: Dict[int, str]) -> str:
@@ -807,11 +893,8 @@ def hazard_summary(pipeline: Pipeline) -> str:
                          f"stack[{key.offset}:{key.size}]")
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}{split} "
                          f"({_window_ends(pipeline, plan)}) held by {held}")
-            forward = plan.forwarding
-            if forward is not None:
-                parts.append(f"no forwarding: {forward.refused}"
-                             if forward.refused
-                             else f"forwards: {', '.join(forward.arms)}")
+            if plan.forwarding is not None:
+                parts.append(f"forwards: {', '.join(plan.forwarding.arms)}")
         elif plan.unbanked:
             parts.append(f"flush kept: {plan.unbanked}")
         lines.append("  ".join(parts))

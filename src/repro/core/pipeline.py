@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -153,28 +154,39 @@ class BankKey:
         return bank_of(key, self.banks) if self.banks else bytes(key)
 
 
+# When a forwarding window's holder frees its lane, as a decision over
+# the block flags of its path: a stage offset from ``lo``, or
+# ``(block, then, otherwise)`` — ``then`` if the packet enabled
+# ``block``, else ``otherwise`` (``Forwarding.release``).
+Release = Union[int, Tuple[int, "Release", "Release"]]
+
+
 @dataclass(frozen=True)
 class Forwarding:
-    """A keyed window's same-key bypass (``hazards.forwarding``): a
-    younger holder of a key may enter ``lo`` once the key's older holder
-    sits at stage ``lo + d`` or deeper, where ``d`` is the older packet's
-    forward distance. Its last conflicting in-window write then lands in
-    the cycle of the younger packet's first access that depends on it,
-    ahead of that access (stages run deepest-first): in hardware a
-    write-port → read-port bypass on the map's read data.
+    """A window's bypass (``hazards.forwarding``): a younger holder of a
+    lane (a key, a bank, or the window's one lane) may enter ``lo`` once
+    the lane's older holder sits at stage ``lo + d`` or deeper, where
+    ``d`` is the older packet's forward distance. Its last conflicting
+    in-window write then lands in the cycle of the younger packet's
+    first access that depends on it, ahead of that access (stages run
+    deepest-first): in hardware a write-port → read-port bypass on the
+    map's read data, or on an LRU lane's slot directory.
 
     A block's ``own`` distance is the largest its accesses set (absent:
     0). A packet's is the largest over the blocks of its path; while it
     is in flight, over the blocks it has enabled or can still reach —
     ``ahead`` is a block's own distance or a descendant's, whichever is
-    larger. ``arms`` lists, per holder arm, its distance and the access
-    pair that sets it. ``refused`` names the rule that keeps the window's
-    width for every arm instead: the distances are then not used."""
+    larger. A holder therefore releases at the first stage ``p >= lo``
+    with ``p >= lo + distance`` known at ``p``: its arm's distance, or
+    the stage where it decides its arm, if that comes later.
+    ``release`` is that stage's offset from ``lo`` over the path's block
+    flags (the stream path's ``_free``), and ``arms`` names, per holder
+    arm, its release and the access pair or decision that sets it."""
 
     own: Dict[int, int]
     ahead: Dict[int, int]
-    arms: Tuple[str, ...] = ()
-    refused: str = ""
+    release: Release
+    arms: Tuple[str, ...]
 
     def distance(self, enabled: Set[int], done: bool) -> int:
         """The forward distance of an in-flight packet that has enabled
@@ -228,8 +240,8 @@ class MapHazardPlan:
     # hash map whose flush blocks therefore stay live.
     bank_key: Optional[BankKey] = None
     unbanked: str = ""
-    # A keyed window's same-key bypass, adopted or refused
-    # (``hazards.forwarding``); ``None`` on every other window and map.
+    # The window's bypass (``hazards.forwarding``); ``None`` without a
+    # window, and on one that accesses another map too.
     forwarding: Optional[Forwarding] = None
     # Whether packets in flight together leave this map as sequential
     # execution would (see ``hazards.plan_hazards``).
@@ -354,12 +366,10 @@ class Pipeline:
         window, sorted by entry stage: the packets that wait for it are
         those that have enabled one of its holder blocks, and each waits
         only for a holder of its own lane (``bank_key``; ``None``: one
-        lane) — for the whole window, or, where a keyed window adopted a
-        bypass (``forwarding``), until that holder is its forward
-        distance in."""
+        lane) — for the whole window, or, where the window forwards
+        (``forwarding``), until that holder releases its lane."""
         return sorted(((*plan.serial_window, plan.holders, plan.bank_key,
-                        None if plan.forwarding is None
-                        or plan.forwarding.refused else plan.forwarding)
+                        plan.forwarding)
                        for plan in self.map_hazards.values()
                        if plan.serial_window is not None),
                       key=lambda window: window[:2])

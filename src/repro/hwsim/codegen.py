@@ -130,8 +130,8 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from ..core.cfg import BasicBlock
 from ..core.hazards import in_window
 from ..core.labeling import Region
-from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Stage,
-                             StageKind)
+from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Release,
+                             Stage, StageKind)
 from ..ebpf import isa
 from ..ebpf.helpers import (
     HELPER_IDS_BY_NAME,
@@ -177,7 +177,10 @@ from ..telemetry import get_registry
 # v12: a redirecting program's _stream records each packet's egress port.
 # v13: forwarding keyed windows: a holder frees its key's lane after the
 #     forward distance of the blocks it enabled, not after the window.
-CODEGEN_VERSION = 13
+# v14: every window whose accesses all touch its own map forwards, banked
+#     and one-lane too; a holder frees its lane at its arm's release
+#     (``Forwarding.release``), its decision stage if that is later.
+CODEGEN_VERSION = 14
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
@@ -217,22 +220,24 @@ def _ind(lines: List[str], levels: int = 1) -> List[str]:
     return [pad + ln if ln else ln for ln in lines]
 
 
-def _forward_distance(own: Dict[int, int], entry: int,
-                      named: FrozenSet[str]) -> str:
-    """The forward distance of the packet the stream body just ran: the
-    largest own distance over the blocks its flags enabled (the entry
-    block always), as one conditional expression, largest first. It is
-    at least 1, as the cycle loop's is in effect (one packet enters
-    ``lo`` a cycle): a key's ``free`` then grows with each holder, and
-    ``_held`` never queues one ``(free, key)`` twice."""
-    base = max(own.get(entry, 0), 1)
-    expr = str(base)
-    for distance in sorted(set(own.values())):
-        flags = [f"_e{b}" for b, d in sorted(own.items())
-                 if d == distance and f"_e{b}" in named]
-        if distance > base and flags:
-            expr = f"{distance} if {' or '.join(flags)} else {expr}"
-    return expr if expr.isdigit() else f"({expr})"
+def _release_offset(release: Release, named: FrozenSet[str]) -> str:
+    """The stage offset from ``lo`` at which the packet the stream body
+    just ran frees its lane (``Forwarding.release``), as one conditional
+    expression over the block flags the body names (one it does not
+    name stays False). It is at least 1, as the cycle loop's is in
+    effect (one packet enters ``lo`` a cycle): a lane's ``free`` then
+    grows with each holder, and ``_held`` never queues one ``(free,
+    key)`` twice."""
+    if isinstance(release, int):
+        return str(max(release, 1))
+    block, then, otherwise = release
+    then, otherwise = (_release_offset(then, named),
+                       _release_offset(otherwise, named))
+    if f"_e{block}" not in named or then == otherwise:
+        return otherwise
+    if not then.isdigit():
+        then = f"({then})"
+    return f"{then} if _e{block} else {otherwise}"
 
 
 class _StreamTiming(NamedTuple):
@@ -1152,7 +1157,7 @@ class _Emitter:
 
     def _window_timing(self, lo: int, hi: int, held: str,
                        bank: Optional[BankKey],
-                       after: Optional[str] = None) -> _StreamTiming:
+                       after: Optional[str]) -> _StreamTiming:
         """Cycle accounting of a pipeline with one serialization window
         ``[lo, hi]``, ``lo >= 2``, that a packet holds when ``held`` (an
         expression over the body's block flags) is true. Which packets
@@ -1168,19 +1173,19 @@ class _Emitter:
           stage 1 frees when the packet ``lo - 1`` places ahead enters;
         * ``ent[k] = max(inj[k] + lo - 1, ent[k-1] + 1, free[b] if k
           holds)`` — packets enter stage ``lo`` one per cycle at most,
-          and a holder of bank ``b`` enters the cycle the last holder of
-          that bank leaves stage ``hi`` (``free[b]``, its entry plus
-          ``W``: deepest-first shifting vacates it in the same cycle); a
-          packet that does not hold passes through. A window without a
+          and a holder of lane ``b`` enters the cycle the last holder of
+          that lane frees it (``free[b]``): its entry plus its release
+          offset where the window forwards (``after``, an expression
+          over the block flags: ``core.pipeline.Forwarding.release``),
+          the stage from which the cycle loop's interlock lets a packet
+          of its lane in, else plus ``W``, the cycle it leaves stage
+          ``hi`` (deepest-first shifting vacates it in the same cycle);
+          a packet that does not hold passes through. A window without a
           lane key has the one lane; a banked one reads ``b`` from the
           key the packet leaves on its stack (``bank``), which no store
           at or past ``lo`` changes (``hazards.bank_key``), and a keyed
           one takes the key itself, keeping ``free`` only for keys whose
-          last holder is still in the window. Where a keyed window
-          forwards, ``free`` is the last holder's entry plus its forward
-          distance instead (``after``, an expression over the block
-          flags: ``core.pipeline.Forwarding``), the stage from which the
-          cycle loop's interlock lets a packet of its key in;
+          last holder is still in the window;
         * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
           stalls.
 
@@ -1192,13 +1197,13 @@ class _Emitter:
         never executes), the tail ``ent[k]`` after it.
         """
         n = self.pipeline.n_stages
-        width = hi - lo + 1
+        after = after or str(hi - lo + 1)
         self.uses_deque = True
         if bank is None:
             frees = ["_exit = _free = _drops = _tot = _pip = 0"]
             wait = ["if _free > _went:",
                     "    _went = _free",
-                    f"_free = _went + {width}"]
+                    f"_free = _went + {after}"]
         elif not bank.keyed:
             self.uses_bank = True
             start = _STK_SZ + bank.offset
@@ -1208,10 +1213,10 @@ class _Emitter:
                     f"{bank.banks})",
                     "if _free[_bk] > _went:",
                     "    _went = _free[_bk]",
-                    f"_free[_bk] = _went + {width}"]
+                    f"_free[_bk] = _went + {after}"]
         else:
             # per key, the cycle its last holder frees it (leaves the
-            # window, or is its forward distance in); _held queues
+            # window, or is its release in); _held queues
             # (free, key) in entry order to retire the rest
             size = bank.size
             start = _STK_SZ + bank.offset
@@ -1228,7 +1233,7 @@ class _Emitter:
                     "_f = _free.get(_bk, 0)",
                     "if _f > _went:",
                     "    _went = _f",
-                    f"_f = _free[_bk] = _went + {after or width}",
+                    f"_f = _free[_bk] = _went + {after}",
                     "_held.append((_f, _bk))"]
         clock = (["_t0 = sim.time_ns",
                   "_cns = 1000.0 / sim.options.clock_mhz"]
@@ -1317,8 +1322,11 @@ class _Emitter:
                 " or ".join(f"_e{b}" for b in sorted(holders)
                             if not holders.issuperset(blocks[b].preds)
                             and f"_e{b}" in named)
-            after = (_forward_distance(forward.own, entry, named)
-                     if forward is not None else None)
+            after = None
+            if forward is not None:
+                after = _release_offset(forward.release, named)
+                if not after.isdigit():
+                    after = f"({after})"
             timing = self._window_timing(lo, hi, held, bank, after)
         else:
             timing = self._line_rate_timing()

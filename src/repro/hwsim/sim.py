@@ -726,13 +726,15 @@ class PipelineSimulator:
         a compare of the bank bits on a banked map, of the key (a flush
         block's comparator) in a keyed window. A window without a key
         has one lane; one with a key reads the lane from the stack
-        (``BankKey.of``), which no store changes from ``lo`` on. A keyed
-        window that forwards lets a packet in beside a holder of its key
-        at stage ``lo + d`` or deeper, ``d`` that holder's forward
-        distance (``Forwarding.distance``): this loop runs the deeper
-        packet's stage first, so its write lands before the access of
-        the entering packet that must see it. Movement within a window
-        is free."""
+        (``BankKey.of``), which no store changes from ``lo`` on. A
+        window that forwards lets a packet in beside a holder of its
+        lane at stage ``lo + d`` or deeper, ``d`` that holder's forward
+        distance over the blocks it has enabled or can still reach
+        (``Forwarding.distance``), so a holder that has not decided its
+        arm yet holds to the largest: this loop runs the deeper packet's
+        stage first, so its write lands before the access of the
+        entering packet that must see it. Movement within a window is
+        free."""
         slots = self._slots
         for lo, hi, holders, bank, forward in self._serial_windows:
             if (lo <= stage <= hi and not lo <= from_stage <= hi

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 13); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 14); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -571,7 +571,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_ban
             _bk = _bank_of(stack[496:512], 16)
             if _free[_bk] > _went:
                 _went = _free[_bk]
-            _free[_bk] = _went + 4
+            _free[_bk] = _went + (1 if _e4 else 3 if _e7 else 2)
         _ring[_ri] = _went
         _ri += 1
         if _ri == 11:

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 13); flush machinery elided, map-read tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 14); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct

@@ -412,6 +412,16 @@ class TestAppsAndWorkloads:
         out = capsys.readouterr().out
         assert "OK" in out
 
+    @pytest.mark.parametrize("flags, packets", [
+        ([], 25), (["--packets", "7"], 7)], ids=["spec_count", "truncated"])
+    def test_packets_truncates_an_explicit_workload(self, capsys, flags,
+                                                    packets):
+        # without --packets the spec's own count; with it, that many
+        assert main(["verify", "app:vxlan_term", "--workload",
+                     "tunnel-encap:packets=25,flows=40,vnis=4",
+                     *flags]) == 0
+        assert f"OK: {packets} packets agree" in capsys.readouterr().out
+
     def test_workload_auto_uses_registered_spec(self, capsys):
         assert main(["verify", "app:nat64", "--workload", "auto",
                      "--packets", "12"]) == 0

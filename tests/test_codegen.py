@@ -45,7 +45,7 @@ from repro.apps import (
 )
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import CompileOptions, compile_program
-from repro.core.hazards import window_holders
+from repro.core.hazards import forwarding, window_holders
 from repro.core.labeling import Region
 from repro.core.pipeline import MapConsistency
 from repro.core.vhdl import emit_vhdl
@@ -619,11 +619,13 @@ def _idle_observer(*_cycle_state):
 def _rewindowed(pipeline, fd, window):
     """A copy of ``pipeline`` whose map ``fd`` interlocks over
     ``window`` instead of its own access span, with that window's
-    holders, source regenerated."""
+    holders and forwarding, source regenerated."""
     clone = copy.deepcopy(pipeline)
     plan = clone.map_hazards[fd]
     plan.serial_window = window
     plan.holders = window_holders(clone.stages, clone.cfg, *window)
+    plan.forwarding = forwarding(clone.stages, clone.cfg, plan,
+                                 clone.commit_stages[fd])
     clone.codegen_source = None
     return clone
 

@@ -760,9 +760,10 @@ pass:
 
 
 class TestBankedWindow:
-    """ct_firewall's window admits one holder per conntrack bank; a
-    banked map's window that breaks one of ``hazards.bank_key``'s rules
-    keeps one bank and names the rule."""
+    """ct_firewall's window serialises per conntrack bank, and a holder
+    releases its bank at its arm's forward distance or at its decision;
+    a banked map's window that breaks one of ``hazards.bank_key``'s
+    rules keeps one bank and names the rule."""
 
     @pytest.mark.parametrize("source,maps,why", [
         (_COUNTING_ARM, {
@@ -778,6 +779,10 @@ class TestBankedWindow:
         assert (plan.bank_key, plan.unbanked) == (None, why)
         assert pipeline.held_windows[0][3] is None
         assert f" one bank: {why} (opens: " in hazard_summary(pipeline)
+        # the one lane forwards unless another map is accessed inside
+        assert (plan.forwarding is None) == (len(maps) > 1)
+        assert ("  forwards: " in hazard_summary(pipeline)) == (
+            len(maps) == 1)
 
     def test_the_paper_layout_keeps_one_bank(self):
         # §3.3's window [11, 31] holds the outbound arm's key stores
@@ -815,24 +820,60 @@ class TestBankedWindow:
 
     @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
     def test_two_banks_share_the_window(self, engine):
-        # OUT and OTHER hold the window together, one cycle apart; SAME
-        # waits the window's width behind OUT
+        # OUT and OTHER hold the window together, one cycle apart. SAME
+        # trails OUT's insert (call 2 @15 → call 1 @12) by 3 of the
+        # window's 4 stages; OUT trails SAME's refresh, a hit, by 2: the
+        # hit arm is decided at stage 14, before which SAME may still
+        # insert
         build, setup, domain = CASES["ct_firewall"]
         program = build()
         pipeline = compile_program(program)
         (lo, hi), = pipeline.serial_windows
+        out, same, other = (ct_firewall_paths(flow)[0]
+                            for flow in (TestCtFirewall.OUT, _SAME, _OTHER))
+        assert out == domain[0]
 
-        def exits(second):
-            run = run_engine(engine, program,
-                             [domain[0], ct_firewall_paths(second)[0]],
+        def exits(*frames):
+            run = run_engine(engine, program, list(frames),
                              pipeline=pipeline, setup=setup,
                              sim_options=FROZEN, gap=1)
             return [exit_cycle for *_, exit_cycle in run.packet_cycles]
 
-        first, then = exits(_OTHER)
+        first, then = exits(out, other)
         assert then - first == 1
-        assert exits(_SAME) == [first, first + hi - lo + 1]
+        assert exits(out, same) == [first, first + 3]
+        assert exits(same, out) == [first, first + 2]
+        assert hi - lo + 1 == 4
 
+
+    def test_the_insert_distance_is_tight(self, monkeypatch):
+        # one cycle sooner behind an insert (b7), a younger lookup of
+        # its bank runs the cycle before the insert that may evict its
+        # entry or take the bank's last slot: the LRU order parts from
+        # sequential execution
+        program = ct_firewall.build()
+        pipeline = compile_program(program)
+        frames = make_workload(replace(
+            parse_workload_spec("flow-churn:flows=4,churn=0.5"),
+            packets=400, seed=7)).materialize()
+
+        def mismatches():
+            return run_differential(program, frames, pipeline=pipeline,
+                                    sim_options=FROZEN, gap=1,
+                                    engine="interpreted").mismatches
+
+        assert mismatches() == []
+        assert pipeline.map_hazards[1].forwarding.own == {7: 3}
+        distance = Forwarding.distance
+        monkeypatch.setattr(
+            Forwarding, "distance", lambda self, enabled, done:
+            distance(self, enabled, done) - (7 in enabled))
+        # the same entries, in another recency order from a named
+        # position
+        (found,) = mismatches()
+        assert found.what == "map conntrack"
+        (where,) = found.ref_value
+        assert where.startswith("order from ")
 
 # A hash map's lookup, then on a miss an insert, on a hit — further down
 # a longer arm — a delete: its updates and deletes sit at two stages.
@@ -1011,23 +1052,27 @@ class TestKeyedWindow:
         assert found and {m.what for m in found} <= {"action", "map buckets"}
         assert any(m.index >= 0 for m in found)  # names a packet
 
-    def test_a_late_arm_keeps_the_width(self):
+    def test_a_late_arm_releases_at_its_decision(self):
         # the hit arm chooses between the store (6) and the insert (10)
-        # at stage 10, after a holder of 6 would release its key at 9
+        # at stage 10, after a holder of 6 would release its key at 9:
+        # the store arm releases at 10, where the cycle loop learns it
         program = load_program(str(Path(__file__).parent / "corpus"
                                    / "late_arm.ebpf"))
         pipeline = compile_program(program)
         plan = pipeline.map_hazards[1]
-        why = "b1 decides between distances 6 and 10 at stage 10, after stage 9"
-        assert plan.bank_key.keyed and plan.forwarding.refused == why
-        assert pipeline.held_windows[0][4] is None
-        assert f"  no forwarding: {why}" in hazard_summary(pipeline)
-        # adopted anyway, the stream would release a store's key at 9
-        # while the cycle loop, not knowing the arm yet, holds it to 13
+        assert plan.bank_key.keyed and plan.serial_window == (3, 13)
+        assert pipeline.held_windows[0][4] is plan.forwarding
+        assert ("  forwards: b2 at its decision @10, "
+                "b3 after 10 (call 2 @13 → call 1 @3)") \
+            in hazard_summary(pipeline)
+        # released at lo + 6 instead, the stream would let a store's key
+        # in at 9 while the cycle loop, not knowing the arm yet, holds
+        # it to 10
         frames = [bytes([0, key % 2]) + bytes(62) for key in range(24)]
+        own = plan.forwarding.own
         forced = copy.deepcopy(pipeline)
-        forced.map_hazards[1].forwarding = replace(plan.forwarding,
-                                                   refused="")
+        forced.map_hazards[1].forwarding = replace(
+            plan.forwarding, release=(2, own[2], own[3]))
         forced.codegen_source = None
         for candidate, agree in ((pipeline, True), (forced, False)):
             assert stream_blocker(candidate) is None

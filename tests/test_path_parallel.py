@@ -297,7 +297,12 @@ class TestObservability:
             "stack[-16:16] (opens: b4 call 1, b6 call 1 @12; " \
             "closes: b5 lock *(u64 *)(r0 + 0) += r1, b7 call 2, " \
             "b8 lock *(u64 *)(r0 + 0) += r9 @15) " \
-            "held by b4 b5 b6 b7 b8\n" in out
+            "held by b4 b5 b6 b7 b8  " in out
+        # a holder frees its bank for the next one after the insert's
+        # forward distance, or at the refresh's decision; an inbound
+        # lookup frees it at once
+        assert "held by b4 b5 b6 b7 b8  forwards: b7 after 3 " \
+            "(call 2 @15 → call 1 @12), b8 at its decision @14\n" in out
         # a shared stage tags each block's run of ops: both directions'
         # lookups enter the window together, with the insert's initial
         # value ([-32:8]) and the refresh's renamed increment (r9)
@@ -311,11 +316,15 @@ class TestObservability:
         # syn_cookie's lookup and insert sit on one path, behind the
         # cookie recompute; a SYN enables none of the holders (the
         # lookup, established, ACK-check and admit blocks) and passes
-        # through
+        # through. The window has one lane, and only the admit arm's
+        # insert holds it for the lookup after it; every other arm
+        # releases it where it is decided
         assert main(["stats", "app:syn_cookie"]) == 0
         assert "window [15, 31] W=17 (opens: b4 call 1 @15; closes: " \
-            "b9 call 2 @31) held by b4 b5 b7 b8 b9\n" \
-            in capsys.readouterr().out
+            "b9 call 2 @31) held by b4 b5 b7 b8 b9  forwards: " \
+            "b6 at its decision @18, b7 at its decision @17, " \
+            "b9 after 16 (call 2 @31 → call 1 @15), " \
+            "b15 at its decision @28\n" in capsys.readouterr().out
 
     def test_stats_names_each_maps_class_and_the_verdict(self, capsys):
         from repro.cli import main

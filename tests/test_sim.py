@@ -354,9 +354,9 @@ class TestInterlock:
     predicate, on ct_firewall's banked window and leaky_bucket's keyed
     one with hand-placed slots. A packet that holds the window (has
     enabled a holder block) may not enter it from outside while another
-    holder of its lane (bank, key) is inside; one that holds nothing,
-    moves within the window, or meets only holders of other lanes,
-    passes."""
+    holder of its lane (bank, key) is inside, short of its forward
+    distance; one that holds nothing, moves within the window, or meets
+    only holders of other lanes or released ones, passes."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -388,10 +388,11 @@ class TestInterlock:
         (True, "lo", "lo-1", [("lo+2", False)], True),
         (True, "lo", "lo-1", [], True),
         (True, "lo+1", "lo", [("lo+3", True)], True),
-        (True, "lo+1", "0", [("hi", True)], False),
+        (True, "lo+1", "0", [("lo+2", True)], False),
         (True, "hi+1", "hi", [("lo", True)], True),
         (True, "lo", "lo-1", [("lo+2", "other bank")], True),
-        (True, "lo", "lo-1", [("lo+1", "other bank"), ("hi", True)], False),
+        (True, "lo", "lo-1", [("lo+1", "other bank"), ("lo+2", True)],
+         False),
     ], ids=["holder_into_lo_behind_a_holder", "non_holder",
             "only_a_non_holder_inside", "empty_window", "lo_to_lo_plus_1",
             "barrier_release_into_the_window", "leaving_past_hi",
@@ -400,7 +401,10 @@ class TestInterlock:
     def test_admits(self, pipeline, holds, stage, from_stage, inside,
                     admitted):
         sim, lo, hi, holders, bank = self._sim(pipeline)
-        holder = {min(holders)}
+        # the outbound lookup (b6), its arm not yet decided: it may
+        # still insert, so it holds its bank to hi
+        holder = {6}
+        assert holder <= holders
         other = {pipeline.cfg.entry.block_id}
         assert other.isdisjoint(holders)
         mine, theirs = (self._stack_in_bank(bank, b) for b in (3, 5))
@@ -412,7 +416,8 @@ class TestInterlock:
         for where, occupant_holds in inside:
             sim._slots[at(where)] = SimpleNamespace(
                 enabled=holder if occupant_holds else other,
-                stack=theirs if occupant_holds == "other bank" else mine)
+                stack=theirs if occupant_holds == "other bank" else mine,
+                position=at(where), done=False)
         assert sim._admits(holder if holds else other, mine, at(stage),
                            at(from_stage)) is admitted
 
@@ -483,6 +488,25 @@ class TestInterlock:
             done=done)
         assert sim._admits({0, 1}, self._keyed_stack(1), lo,
                            lo - 1) is admitted
+
+    @pytest.mark.parametrize("path, depth, admitted", [
+        # the holder of bank 3 inside ct_firewall's window: the blocks it
+        # has enabled and how far past lo it sits; a packet of bank 3
+        # asks to enter at lo
+        ({0, 1, 3, 4}, 1, True),
+        ({0, 1, 3, 6}, 2, False),
+        ({0, 1, 3, 6, 8}, 2, True),
+        ({0, 1, 3, 6, 7}, 2, False),
+        ({0, 1, 3, 6, 7}, 3, True),
+    ], ids=["inbound_at_once", "outbound_undecided", "refresh_at_its_decision",
+            "insert_short_of_3", "insert_at_3"])
+    def test_admits_behind_a_forwarding_bank(self, pipeline, path, depth,
+                                            admitted):
+        sim, lo, _hi, _holders, bank = self._sim(pipeline)
+        stack = self._stack_in_bank(bank, 3)
+        sim._slots[lo + depth] = SimpleNamespace(
+            enabled=path, stack=stack, position=lo + depth, done=False)
+        assert sim._admits({0, 1, 3, 6}, stack, lo, lo - 1) is admitted
 
     @pytest.mark.parametrize("entry_holds", [True, False])
     def test_injection_into_a_window_from_stage_one(self, pipeline,
