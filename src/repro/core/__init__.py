@@ -9,7 +9,7 @@ from .cache import (
     warm_cache,
 )
 from .cfg import BasicBlock, Cfg, CfgError, build_cfg
-from .compiler import CompileError, CompileOptions, EhdlCompiler, compile_program
+from .compiler import CompileError, CompileOptions, compile_program
 from .ddg import Ddg, build_ddg, critical_path_length
 from .framing import FramingReport, apply_framing
 from .hazards import hazard_summary, plan_hazards
@@ -43,7 +43,6 @@ __all__ = [
     "CompileError",
     "CompileOptions",
     "Ddg",
-    "EhdlCompiler",
     "ElisionReport",
     "FlushBlock",
     "FramingReport",

@@ -22,11 +22,11 @@ The result — a :class:`~repro.core.pipeline.Pipeline` — can be simulated
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from typing import Optional, Set
 
 from ..ebpf.isa import Program
-from ..ebpf.verifier import RegKind, VerifierError, verify
+from ..ebpf.verifier import VerifierError, verify
 from ..telemetry import get_registry
 from .cfg import build_cfg
 from .ddg import build_ddg
@@ -36,8 +36,8 @@ from .framing import (
     apply_framing,
 )
 from .hazards import plan_hazards, program_consistency
-from .labeling import ProgramLabels, Region, label_program
-from .pipeline import PipeOp, Pipeline, Stage, assemble_stages
+from .labeling import Region, label_program
+from .pipeline import PipeOp, Pipeline, assemble_stages
 from .pruning import apply_pruning
 from .loops import unroll_loops
 from .scheduler import SchedulerOptions, schedule_program
@@ -267,28 +267,3 @@ def compile_program(
 
     return pipeline
 
-
-class EhdlCompiler:
-    """Object-style facade over :func:`compile_program`, carrying options.
-
-    Mirrors the command-line tool's role in the paper: "eHDL starts from
-    the eBPF bytecode … and generates the firmware ready to be loaded"
-    (§5.5). ``compile``/``to_vhdl``/``estimate_resources`` correspond to
-    the pipeline-generation, HDL-emission and synthesis-report steps.
-    """
-
-    def __init__(self, options: Optional[CompileOptions] = None) -> None:
-        self.options = options or CompileOptions()
-
-    def compile(self, program: Program) -> Pipeline:
-        return compile_program(program, self.options)
-
-    def to_vhdl(self, program: Program) -> str:
-        from .vhdl import emit_vhdl
-
-        return emit_vhdl(self.compile(program))
-
-    def estimate_resources(self, program: Program, include_shell: bool = True):
-        from .resources import estimate_resources
-
-        return estimate_resources(self.compile(program), include_shell=include_shell)

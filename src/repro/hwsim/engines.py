@@ -16,18 +16,18 @@ rtl         rtl        compiled levelized schedule over the emitted VHDL
 rtl-interp  rtl        delta-cycle interpreter over the same netlist
 =========== ========== ============================================
 
-The two ``pipeline`` engines (``interpreted`` is the reference,
-``codegen`` the default) are different executions of the *same*
-cycle-level model and must agree on everything — XDP actions, packet
-bytes, egress ports, map state down to its raw storage AND the cycle
-model's own account (``cycle_exact``). The ``vm`` and ``rtl*`` engines
-share the end-to-end observables (actions, bytes, egress ports, maps
-with their LRU recency) but not the cycle structure: the VM has no
-pipeline, and the RTL runner models one packet in flight. The two
-``rtl`` engines simulate the *same elaborated netlist* and must agree
-bit-for-bit on every net each cycle; ``rtl-interp`` is kept as the
-slow, obviously-correct baseline for differential testing of the
-compiled schedule.
+One rule says what two engines must agree on: *two engines of one
+kind simulate one model*. The two ``pipeline`` engines (``interpreted``
+is the reference, ``codegen`` the default) run the same cycle-level
+model, and the two ``rtl`` engines (``rtl-interp`` is the slow,
+obviously-correct baseline for the compiled schedule) the same
+elaborated netlist. Such a pair must agree on everything — XDP actions,
+packet bytes, egress ports, map state down to its entry order and raw
+storage AND the model's own account of the run (per-packet cycles,
+restarts, the run's counters). Engines of different kinds share only
+the end-to-end observables (actions, bytes, egress ports, maps with
+their LRU recency): the VM has no pipeline, and the RTL runner models
+one packet in flight where the pipeline engines may hold many.
 
 This module is also the repo's one differential oracle — the
 correctness claim for the whole compiler (every pass: elision, fusion,
@@ -36,7 +36,7 @@ for the emitted VHDL is that all engines agree. :func:`run_engine` is
 the only place a leg is run for comparison (fresh maps, the same host
 ``setup``, normalized :class:`EngineRun` out, by :func:`engine_run`)
 and :func:`compare_runs` the only place observables are compared
-(:class:`Mismatch` records, honouring ``cycle_exact``).
+(:class:`Mismatch` records, by the rule above).
 :func:`run_differential` composes them — N legs, each compared against
 the first under the program's consistency verdict — and
 :func:`run_three_way` is that composition over ``(vm, <pipeline
@@ -68,9 +68,6 @@ class EngineSpec:
     name: str
     kind: str  # "reference" | "pipeline" | "rtl"
     description: str
-    # Whether two runs of cycle_exact engines must agree on per-packet
-    # inject/exit cycles and total cycle count.
-    cycle_exact: bool
 
 
 ENGINES: Dict[str, EngineSpec] = {
@@ -78,25 +75,23 @@ ENGINES: Dict[str, EngineSpec] = {
     for spec in (
         EngineSpec(
             "vm", "reference",
-            "sequential reference interpreter (ebpf.vm.Vm)", False,
+            "sequential reference interpreter (ebpf.vm.Vm)",
         ),
         EngineSpec(
             "interpreted", "pipeline",
-            "cycle-level pipeline simulator with per-op decode", True,
+            "cycle-level pipeline simulator with per-op decode",
         ),
         EngineSpec(
             "codegen", "pipeline",
-            "pipeline simulator running generated, compile()d source", True,
+            "pipeline simulator running generated, compile()d source",
         ),
         EngineSpec(
             "rtl", "rtl",
             "compiled levelized-schedule simulation of the emitted VHDL",
-            False,
         ),
         EngineSpec(
             "rtl-interp", "rtl",
             "delta-cycle netlist interpreter (compiled-schedule baseline)",
-            False,
         ),
     )
 }
@@ -131,7 +126,7 @@ FROZEN_CLOCK_MHZ = 1e9
 class EngineRun:
     """Normalized observables of one engine over one packet sequence:
     what a packet leaves the NIC with (action, bytes, egress port), the
-    maps it leaves behind, and — for ``cycle_exact`` engines — the cycle
+    maps it leaves behind, and — for a pipeline or RTL engine — the
     model's own account of the run."""
 
     engine: str
@@ -148,9 +143,9 @@ class EngineRun:
     egress: List[Optional[int]] = field(default_factory=list)
     # fds of the LRU maps, whose entry order is an observable.
     lru_fds: FrozenSet[int] = frozenset()
-    # cycle_exact engines only: (arrival, inject, exit) cycle and the
-    # flush restarts per packet, the whole-run counters (mismatch name
-    # -> value) and each map's raw storage.
+    # Pipeline and RTL engines only: (arrival, inject, exit) cycle and
+    # the flush restarts per packet, the whole-run counters (mismatch
+    # name -> value) and each map's raw storage.
     packet_cycles: List[Optional[Tuple[int, int, int]]] = field(
         default_factory=list)
     restarts: List[Optional[int]] = field(default_factory=list)
@@ -163,7 +158,7 @@ class EngineRun:
         return self.counters.get("total cycles")
 
 
-# What two runs of the one cycle model must also agree on, run-wide:
+# What two runs of one model must also agree on, run-wide:
 # mismatch name -> how to read it off a SimReport. The sums and the
 # action histogram are kept apart from the records by every engine, so
 # a record-free run (keep_records=False) compares through them.
@@ -179,17 +174,17 @@ _COUNTERS: Tuple[Tuple[str, Callable[[SimReport], object]], ...] = (
 )
 
 
-def _map_fields(maps: MapSet, cycle_exact: bool) -> Dict[str, object]:
+def _map_fields(maps: MapSet, storage: bool) -> Dict[str, object]:
     # Contents by key: a hash map's slot choice is layout, equally
     # order-dependent in the hardware, so engines that replay packets
     # differently may place the same content at different slots. Its
-    # dict order rides along for the two runs of one cycle model, which
-    # must agree on layout too (the raw storage).
+    # dict order rides along for the two runs of one model, which must
+    # agree on layout too (the raw storage).
     return dict(
         map_items={fd: dict(maps[fd].items()) for fd in maps},
         map_names={fd: maps[fd].name for fd in maps},
         lru_fds=frozenset(fd for fd in maps if maps[fd].spec.serialised),
-        storage=maps.snapshot() if cycle_exact else {},
+        storage=maps.snapshot() if storage else {},
     )
 
 
@@ -203,24 +198,20 @@ def engine_run(name: str, report: SimReport, maps: MapSet,
     picks the code path itself (an observer, telemetry, the queue's
     capacity, a generator of frames) runs the simulator and builds its
     ``EngineRun`` here."""
-    cycle_exact = get_engine(name).cycle_exact
     by_pid = {rec.pid: rec for rec in report.records}
     recs = [by_pid.get(i) for i in range(packets)]
-    run = EngineRun(
+    return EngineRun(
         engine=name,
         actions=[r and r.action for r in recs],
         frames=[r and bytes(r.data) for r in recs],
         egress=[r and r.egress for r in recs],
+        packet_cycles=[r and (r.arrival_cycle, r.inject_cycle, r.exit_cycle)
+                       for r in recs],
+        restarts=[r and r.restarts for r in recs],
+        counters={what: read(report) for what, read in _COUNTERS},
         report=report,
-        **_map_fields(maps, cycle_exact),
+        **_map_fields(maps, True),
     )
-    if cycle_exact:
-        run.packet_cycles = [
-            r and (r.arrival_cycle, r.inject_cycle, r.exit_cycle)
-            for r in recs]
-        run.restarts = [r and r.restarts for r in recs]
-        run.counters = {what: read(report) for what, read in _COUNTERS}
-    return run
 
 
 def run_engine(
@@ -326,20 +317,20 @@ def compare_runs(ref: EngineRun, leg: EngineRun) -> List[Mismatch]:
     Every pair compares what each packet leaves the NIC with — its
     ``"action"``, its ``"packet bytes"`` (length included) and, for a
     REDIRECT, its ``"egress port"`` — and the maps, as ``"map <name>"``:
-    contents by key, plus an LRU map's recency order. Two
-    ``cycle_exact`` engines run one cycle model, so they also compare
-    each packet's ``"packet cycles"`` (arrival, inject, exit) and
-    ``"restarts"``, the run's counters (``"total cycles"``, ``"flush
-    events"``, ``"squashed packets"``, ``"stall cycles"``, ``"queue
-    drops"``, ``"action counts"``, ``"cycle sums"``), every map's entry
-    order and its raw storage (``"map <name> storage"``). Runs over
-    different packet counts do not compare at all.
+    contents by key, plus an LRU map's recency order. Two engines of one
+    kind simulate one model, so they also compare each packet's
+    ``"packet cycles"`` (arrival, inject, exit) and ``"restarts"``, the
+    run's counters (``"total cycles"``, ``"flush events"``, ``"squashed
+    packets"``, ``"stall cycles"``, ``"queue drops"``, ``"action
+    counts"``, ``"cycle sums"``), every map's entry order and its raw
+    storage (``"map <name> storage"``). Runs over different packet
+    counts do not compare at all.
     """
     pair = f"{ref.engine} vs {leg.engine}"
     if len(ref.actions) != len(leg.actions):
         return [Mismatch(-1, "packet count", len(ref.actions),
                          len(leg.actions), pair)]
-    exact = ENGINES[ref.engine].cycle_exact and ENGINES[leg.engine].cycle_exact
+    exact = ENGINES[ref.engine].kind == ENGINES[leg.engine].kind
     mismatches: List[Mismatch] = []
     for i, (ra, la) in enumerate(zip(ref.actions, leg.actions)):
         if ra != la:

@@ -95,7 +95,7 @@ class _Snapshot:
         action: Optional[XdpAction],
         addr_reads: Dict[int, List[Tuple[bytes, Optional[int]]]],
         value_reads: Dict[int, Set[int]],
-        pending_writes: List[Tuple[int, int, bytes, int]],
+        pending_writes: List[Tuple[int, int, bytes]],
     ) -> None:
         self.stage = stage
         self.regs = regs
@@ -148,7 +148,7 @@ class _InFlight:
         # map-consistency tracking
         self.addr_reads: Dict[int, List[Tuple[bytes, Optional[int]]]] = {}
         self.value_reads: Dict[int, Set[int]] = {}
-        self.pending_writes: List[Tuple[int, int, bytes, int]] = []
+        self.pending_writes: List[Tuple[int, int, bytes]] = []
         self.snapshots: List[_Snapshot] = []
 
     # -- snapshot / restore (elastic buffers, Appendix A.2) -------------------
@@ -783,12 +783,13 @@ class PipelineSimulator:
         if not pkt.pending_writes:
             return
         remaining = []
-        for fd, offset, data, made_at in pkt.pending_writes:
+        for write in pkt.pending_writes:
+            fd, offset, data = write
             if stage_number >= self._commit_stages[fd]:
                 storage = self.maps[fd].storage
                 storage[offset : offset + len(data)] = data
             else:
-                remaining.append((fd, offset, data, made_at))
+                remaining.append(write)
         pkt.pending_writes = remaining
         # No snapshot here: the commit is covered by the pending-creation
         # snapshot (re-commit is idempotent), and a commit-time snapshot
@@ -817,7 +818,7 @@ class PipelineSimulator:
         # (none shallower than the first map read holds a read) or in
         # elastic-buffer queues (restored after an earlier flush); BOTH
         # can hold stale reads and must be checked.
-        store = kind in ("store", "store_pending")  # side_effect[2]: slot
+        store = kind == "store"  # side_effect[2]: slot
         oldest_victim_pid: Optional[int] = None
         for other in chain(slots[self._first_read:writer.position],
                            *barrier_queues.values()):
@@ -906,7 +907,7 @@ class PipelineSimulator:
             if slot is not None and slot in value_reads.get(fd, set()):
                 return True
             return False
-        if kind in ("store", "store_pending"):
+        if kind == "store":
             # A value store never changes the key->slot mapping, so it can
             # only invalidate packets that read the VALUE; a packet that
             # merely resolved an address (lookup) reads the fresh value
@@ -998,7 +999,7 @@ class PipelineSimulator:
 
     def _finalize(self, pkt: _InFlight) -> None:
         """Packet leaves the pipeline: flush remaining pending writes."""
-        for fd, offset, data, _made_at in pkt.pending_writes:
+        for fd, offset, data in pkt.pending_writes:
             storage = self.maps[fd].storage
             storage[offset : offset + len(data)] = data
         pkt.pending_writes = []
@@ -1035,7 +1036,7 @@ class PipelineSimulator:
             if (other is None or not other.pending_writes
                     or other.pid > pkt.pid):
                 continue
-            for seq, (w_fd, w_off, w_data, _made) in enumerate(other.pending_writes):
+            for seq, (w_fd, w_off, w_data) in enumerate(other.pending_writes):
                 if w_fd != fd:
                     continue
                 overlays.append((other.pid, seq, w_off, w_data))
@@ -1074,8 +1075,8 @@ class PipelineSimulator:
             # RAW check: younger packets that already read this slot
             # hold stale data now, so the write flush-checks at creation
             # like any other.
-            pkt.pending_writes.append((fd, offset, data, pkt.position))
-            return ("store_pending", fd, slot)
+            pkt.pending_writes.append((fd, offset, data))
+            return ("store", fd, slot)
         buf[offset : offset + size] = data
         return ("store", fd, slot)
 
@@ -1092,7 +1093,8 @@ class PipelineSimulator:
         # clobber the atomic's result).
         if fd is not None and pkt.pending_writes:
             remaining = []
-            for w_fd, w_off, w_data, made_at in pkt.pending_writes:
+            for write in pkt.pending_writes:
+                w_fd, w_off, w_data = write
                 overlaps = (
                     w_fd == fd
                     and w_off < offset + size
@@ -1101,7 +1103,7 @@ class PipelineSimulator:
                 if overlaps:
                     buf[w_off : w_off + len(w_data)] = w_data
                 else:
-                    remaining.append((w_fd, w_off, w_data, made_at))
+                    remaining.append(write)
             pkt.pending_writes = remaining
 
         # One decode, one span: read it, step it, write it back.

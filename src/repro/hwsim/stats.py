@@ -67,17 +67,6 @@ class SimMetrics:
         self.packet_cycle_sum += other.packet_cycle_sum
         self.packet_cycle_count += other.packet_cycle_count
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "n_stages": self.n_stages,
-            "stage_busy_cycles": list(self.stage_busy_cycles),
-            "barrier_wait_cycles": self.barrier_wait_cycles,
-            "observed_cycles": self.observed_cycles,
-            "packet_cycle_buckets": list(self.packet_cycle_buckets),
-            "packet_cycle_sum": self.packet_cycle_sum,
-            "packet_cycle_count": self.packet_cycle_count,
-        }
-
 
 @dataclass
 class PacketRecord:
@@ -236,47 +225,6 @@ class SimReport:
             if self.metrics is None:
                 self.metrics = SimMetrics.create(other.metrics.n_stages)
             self.metrics.merge(other.metrics)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self, include_records: bool = False) -> Dict[str, object]:
-        """JSON-able dict carrying every aggregate (and optionally the
-        per-packet records)."""
-        out: Dict[str, object] = {
-            "clock_mhz": self.clock_mhz,
-            "n_stages": self.n_stages,
-            "cycles": self.cycles,
-            "packets_in": self.packets_in,
-            "packets_out": self.packets_out,
-            "packets_dropped_queue": self.packets_dropped_queue,
-            "flush_events": self.flush_events,
-            "squashed_packets": self.squashed_packets,
-            "stall_cycles": self.stall_cycles,
-            "action_counts": {
-                action.name: count
-                for action, count in sorted(self.action_counts.items())
-            },
-            "sum_total_cycles": self.sum_total_cycles,
-            "sum_pipeline_cycles": self.sum_pipeline_cycles,
-            "sum_restarts": self.sum_restarts,
-            "metrics": (self.metrics.to_json()
-                        if self.metrics is not None else None),
-        }
-        if include_records:
-            out["records"] = [
-                {
-                    "pid": rec.pid,
-                    "action": rec.action.name,
-                    "data": rec.data.hex(),
-                    "arrival_cycle": rec.arrival_cycle,
-                    "inject_cycle": rec.inject_cycle,
-                    "exit_cycle": rec.exit_cycle,
-                    "restarts": rec.restarts,
-                    "egress": rec.egress,
-                }
-                for rec in self.records
-            ]
-        return out
 
     def summary(self) -> str:
         lines = [

@@ -36,16 +36,21 @@ The generated source is cached in-process by netlist digest and
 persisted as a side artifact through :class:`repro.core.cache
 .CompileCache`, stamped with :data:`RTL_CODEGEN_VERSION`.
 
-Designs outside the emitted subset raise
-:class:`~repro.rtl.errors.RtlCodegenError`, and callers fall back to the
-interpreter (``rtl-interp``). The subset refuses:
+Elaboration is the one validator: a malformed design (an undeclared
+name, an unknown function, a width or kind mismatch) is an
+:class:`~repro.rtl.errors.RtlElabError` before this module sees it.
+:class:`~repro.rtl.errors.RtlCodegenError` means only "not
+schedulable", and callers fall back to the interpreter
+(``rtl-interp``). The generator refuses:
 
 * a net written by two processes, or by a process *and* a concurrent
   assignment;
 * a node reading its own output;
 * a commit order with a cycle (two processes swapping registers): the
   rule is *ordered or refused*, there is no second edge scheme;
-* a top without the AXI-stream ports ``_run`` and ``_frame`` use.
+* a top without the AXI-stream ports ``_run`` and ``_frame`` use;
+* a model without levelization ranks, or a hand-built node or process
+  that keeps no source tree to compile.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from .errors import RtlCodegenError
 
 #: Bump whenever the generated schedule source changes shape; the stamp
 #: is folded into the digest so stale disk artifacts never load.
-RTL_CODEGEN_VERSION = 4
+RTL_CODEGEN_VERSION = 5
 
 #: In-process cache: digest -> executed module namespace.
 _MODULE_CACHE: Dict[str, dict] = {}
@@ -95,36 +100,13 @@ def _bswap64(v: int) -> int:
         (v & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"), "big")
 
 
-_FOLD_ENV = {
-    "__builtins__": {},
+#: The runtime helpers, one definition each: ``_fold`` evaluates constant
+#: fragments with them, and a generated module imports the ones it calls.
+_HELPERS = {
     "_sign": _sign,
     "_bswap16": _bswap16,
     "_bswap32": _bswap32,
     "_bswap64": _bswap64,
-}
-
-_HELPER_DEFS = {
-    "_sign": (
-        "def _sign(v, w):\n"
-        "    if w and v & (1 << (w - 1)):\n"
-        "        return v - (1 << w)\n"
-        "    return v\n"
-    ),
-    "_bswap16": (
-        "def _bswap16(v):\n"
-        "    return int.from_bytes((v & 0xffff)"
-        ".to_bytes(2, 'little'), 'big')\n"
-    ),
-    "_bswap32": (
-        "def _bswap32(v):\n"
-        "    return int.from_bytes((v & 0xffffffff)"
-        ".to_bytes(4, 'little'), 'big')\n"
-    ),
-    "_bswap64": (
-        "def _bswap64(v):\n"
-        "    return int.from_bytes((v & 0xffffffffffffffff)"
-        ".to_bytes(8, 'little'), 'big')\n"
-    ),
 }
 
 
@@ -137,7 +119,7 @@ def _fold(src: str) -> str:
     if "V[" in src:
         return src
     try:
-        v = eval(src, dict(_FOLD_ENV))  # noqa: S307 - self-generated
+        v = eval(src, dict(_HELPERS, __builtins__={}))  # noqa: S307
     except Exception:
         return src
     if v is True:
@@ -209,81 +191,6 @@ def _masked(src: str, mask: int) -> str:
     return f"(({src}) & {_hx(mask)})"
 
 
-def _v_pure(frag: str) -> bool:
-    """True when ``frag`` reads only nets and pure helpers (no body
-    temps), so its value cannot change inside one process body."""
-    s = re.sub(r"V\[\d+\]|0x[0-9a-f]+|_sign|_bswap(?:16|32|64)"
-               r"|\b(?:if|else|and|or|not)\b|\d+", "", frag)
-    return re.search(r"[A-Za-z_]", s) is None
-
-
-def _cse_body(lines: List[str]) -> Tuple[List[str], List[str]]:
-    """Hoist repeated parenthesised pure-``V`` subexpressions out of a
-    process body (bounds-check chains repeat their guards). Safe
-    because process bodies never write ``V``: any net-only fragment is
-    invariant for the whole evaluation. Returns (hoists, new body)."""
-    text = "\n".join(lines)
-    seen: Dict[str, None] = {}
-    for line in lines:
-        stack: List[int] = []
-        for i, c in enumerate(line):
-            if c == "(":
-                stack.append(i)
-            elif c == ")" and stack:
-                frag = line[stack.pop():i + 1]
-                if len(frag) >= 16 and "V[" in frag:
-                    seen[frag] = None
-    defs: List[Tuple[str, str]] = []  # (name, expr), longest-first
-    n = 0
-    # longest first: hoisting an outer fragment removes the inner
-    # duplicates it carries, so they stop qualifying. A later (inner)
-    # fragment also rewrites earlier hoist bodies, so shared leaves —
-    # e.g. one wide-shift field extract — are computed exactly once.
-    for frag in sorted(seen, key=len, reverse=True):
-        occurrences = text.count(frag) \
-            + sum(expr.count(frag) for _nm, expr in defs)
-        if occurrences < 2 or not _v_pure(frag):
-            continue
-        name = f"_x{n}"
-        n += 1
-        text = text.replace(frag, name)
-        defs = [(nm, expr.replace(frag, name)) for nm, expr in defs]
-        defs.append((name, frag))
-    # inner fragments are defined later but used by earlier (outer)
-    # ones: emit in reverse so every name is bound before use
-    hoists = [f"    {nm} = {expr}" for nm, expr in reversed(defs)]
-    return hoists, _merge_dup_ifs(text.split("\n"))
-
-
-_IF_LINE = re.compile(r"(\s*)if .*:$")
-
-
-def _merge_dup_ifs(lines: List[str]) -> List[str]:
-    """Concatenate the bodies of immediately consecutive ``if`` blocks
-    with byte-identical conditions (bounds-check chains re-test the
-    same guard). Conditions read only nets/hoists, never body temps,
-    so the first body cannot change the verdict."""
-    out: List[str] = []
-    i, n = 0, len(lines)
-    while i < n:
-        line = lines[i]
-        out.append(line)
-        i += 1
-        m = _IF_LINE.match(line)
-        if not m:
-            continue
-        deeper = m.group(1) + " "
-        while True:
-            while i < n and lines[i].startswith(deeper):
-                out.append(lines[i])
-                i += 1
-            if i < n and lines[i] == line:
-                i += 1  # drop the duplicate header; bodies run in order
-                continue
-            break
-    return out
-
-
 # -- expression → source (mirrors elab._Compiler) ----------------------------
 
 #: compiled expression source: (fragment, bit width, kind)
@@ -294,25 +201,21 @@ _CMP_PYOPS = {"=": "==", "/=": "!=", "<": "<", "<=": "<=",
 
 
 class _SrcCompiler:
-    """Re-compiles an already-validated expression tree into Python
-    source. Width/kind bookkeeping mirrors :class:`repro.rtl.elab
-    ._Compiler` branch for branch, so the generated arithmetic is
-    bit-identical to the interpreting closures."""
+    """Re-compiles an expression tree that elaboration has already
+    validated into Python source. Elaboration is the one validator (it
+    rejects undeclared names, unknown functions and operators, width and
+    kind mismatches); this class only repeats its width/kind bookkeeping,
+    so the generated arithmetic is bit-identical to the interpreting
+    closures."""
 
     def __init__(self, net_widths: Sequence[int],
-                 scope: Dict[str, Ref], where: str) -> None:
+                 scope: Dict[str, Ref]) -> None:
         self.net_widths = net_widths
         self.scope = scope
-        self.where = where
         self.reads: Set[int] = set()
 
-    def err(self, message: str) -> RtlCodegenError:
-        return RtlCodegenError(f"{self.where}: {message}")
-
     def ref_of(self, target) -> Ref:
-        base = self.scope.get(target.name)
-        if base is None:
-            raise self.err(f"undeclared signal {target.name!r}")
+        base = self.scope[target.name]
         if isinstance(target, NameRef):
             return base
         if isinstance(target, Index):
@@ -336,8 +239,6 @@ class _SrcCompiler:
             return _hx(expr.value) if expr.value >= 0 \
                 else str(expr.value), expr.width, expr.kind
         if isinstance(expr, OthersZero):
-            if expect_width is None:
-                raise self.err("(others => '0') without a known width")
             return "0", expect_width, "u"
         if isinstance(expr, (NameRef, Index, SliceRef)):
             ref = self.ref_of(expr)
@@ -348,9 +249,7 @@ class _SrcCompiler:
             return self.compile_un(expr)
         if isinstance(expr, Bin):
             return self.compile_bin(expr)
-        if isinstance(expr, WhenElse):
-            return self.compile_when(expr, expect_width)
-        raise self.err(f"cannot compile {type(expr).__name__}")
+        return self.compile_when(expr, expect_width)
 
     def compile_call(self, expr: Call,
                      expect_width: Optional[int]) -> _S:
@@ -366,14 +265,14 @@ class _SrcCompiler:
             return s, w, "s"
         if fn == "resize":
             s, w, k = self.compile(expr.args[0])
-            nw = self._const(expr.args[1])
+            nw = expr.args[1].value
             mask = (1 << nw) - 1
             if k == "s":
                 return f"(_sign({s}, {w}) & {_hx(mask)})", nw, "s"
             return _masked(s, mask), nw, "u"
         if fn in ("to_unsigned", "to_signed"):
             s, _w, _k = self.compile(expr.args[0])
-            nw = self._const(expr.args[1])
+            nw = expr.args[1].value
             mask = (1 << nw) - 1
             kind = "u" if fn == "to_unsigned" else "s"
             return _masked(s, mask), nw, kind
@@ -394,26 +293,18 @@ class _SrcCompiler:
         if fn in ("ehdl_bswap16", "ehdl_bswap32", "ehdl_bswap64"):
             bits = int(fn[len("ehdl_bswap"):])
             s, _w, _k = self.compile(expr.args[0])
-            # width 64 mirrors the interpreter (the assignment width
-            # check relies on it)
+            # width 64 mirrors the interpreter
             return f"_bswap{bits}({s})", 64, "u"
-        if fn in ("ehdl_udiv", "ehdl_urem"):
-            sa, wa, _ka = self.compile(expr.args[0])
-            sb, _wb, _kb = self.compile(expr.args[1])
-            if fn == "ehdl_udiv":
-                return f"(({sa} // {sb}) if {sb} else 0)", wa, "u"
-            return f"(({sa} % {sb}) if {sb} else {sa})", wa, "u"
-        raise self.err(f"unknown function {fn!r}")
-
-    def _const(self, expr) -> int:
-        if isinstance(expr, Lit) and expr.kind == "i":
-            return expr.value
-        raise self.err("expected an integer literal")
+        # ehdl_udiv / ehdl_urem
+        sa, wa, _ka = self.compile(expr.args[0])
+        sb, _wb, _kb = self.compile(expr.args[1])
+        if fn == "ehdl_udiv":
+            return f"(({sa} // {sb}) if {sb} else 0)", wa, "u"
+        return f"(({sa} % {sb}) if {sb} else {sa})", wa, "u"
 
     def compile_un(self, expr: Un) -> _S:
+        # ``not`` is the one unary elaboration accepts
         s, w, k = self.compile(expr.operand)
-        if expr.op != "not":
-            raise self.err(f"unary {expr.op!r} unsupported")
         if k == "b":
             return f"(0 if {_as_cond(s)} else 1)", 0, "b"
         mask = (1 << w) - 1
@@ -431,9 +322,6 @@ class _SrcCompiler:
                 if op == "or":
                     return f"(1 if ({ca}) or ({cb}) else 0)", 0, "b"
                 return f"(1 if {sa} != {sb} else 0)", 0, "b"
-            if wa != wb:
-                raise self.err(f"bitwise {op} width mismatch "
-                               f"({wa} vs {wb})")
             pyop = {"and": "&", "or": "|", "xor": "^"}[op]
             return f"({sa} {pyop} {sb})", wa, ka
         if op in _CMP_PYOPS:
@@ -445,10 +333,6 @@ class _SrcCompiler:
                 return s
 
             ia, ib = interp(sa, wa, ka), interp(sb, wb, kb)
-            if ka not in ("i", "b") and kb not in ("i", "b") \
-                    and wa != wb:
-                raise self.err(f"comparison {op} width mismatch "
-                               f"({wa} vs {wb})")
             return f"(1 if {ia} {_CMP_PYOPS[op]} {ib} else 0)", 0, "b"
         if op == "&":
             return f"(({sa} << {wb}) | {sb})", wa + wb, "u"
@@ -457,8 +341,6 @@ class _SrcCompiler:
                 width, kind = wb, kb
             elif kb == "i":
                 width, kind = wa, ka
-            elif wa != wb:
-                raise self.err(f"{op} width mismatch ({wa} vs {wb})")
             else:
                 width = wa
                 kind = "s" if (ka == "s" or kb == "s") else "u"
@@ -466,11 +348,10 @@ class _SrcCompiler:
             ia = f"_sign({sa}, {wa})" if kind == "s" and ka == "s" else sa
             ib = f"_sign({sb}, {wb})" if kind == "s" and kb == "s" else sb
             return f"(({ia} {op} {ib}) & {_hx(mask)})", width, kind
-        if op == "*":
-            width = wa + wb
-            mask = (1 << width) - 1
-            return f"(({sa} * {sb}) & {_hx(mask)})", width, "u"
-        raise self.err(f"operator {op!r} unsupported")
+        # "*", the last operator elaboration accepts
+        width = wa + wb
+        mask = (1 << width) - 1
+        return f"(({sa} * {sb}) & {_hx(mask)})", width, "u"
 
     def compile_when(self, expr: WhenElse,
                      expect_width: Optional[int]) -> _S:
@@ -478,9 +359,7 @@ class _SrcCompiler:
         width, kind = expect_width, "u"
         for value, cond in expr.arms:
             sv, wv, kv = self.compile(value, expect_width)
-            sc, _wc, kc = self.compile(cond)
-            if kc != "b":
-                raise self.err("when-condition is not boolean")
+            sc, _wc, _kc = self.compile(cond)
             arms.append((sv, sc))
             if not isinstance(value, OthersZero):
                 width, kind = wv, kv
@@ -618,13 +497,10 @@ class _Builder:
             kind = self.kinds[i]
             if kind == "conc":
                 stmt: ConcAssign = node.stmt
-                comp = _SrcCompiler(model.net_widths, node.scope,
-                                    node.where or node.label)
+                comp = _SrcCompiler(model.net_widths, node.scope)
                 target = comp.ref_of(stmt.target)
                 src, width, k = comp.compile(
                     stmt.value, expect_width=target.width)
-                if width not in (0, target.width):
-                    raise comp.err("assignment width mismatch")
                 if comp.reads & {target.net}:
                     raise RtlCodegenError(
                         f"{node.label}: node reads its own output net; "
@@ -654,8 +530,7 @@ class _Builder:
                 raise RtlCodegenError(
                     f"process {proc.label!r} retains no body; "
                     "not schedulable")
-            comp = _SrcCompiler(model.net_widths, proc.scope,
-                                proc.where or proc.label)
+            comp = _SrcCompiler(model.net_widths, proc.scope)
             writes: List[int] = []
             lines = self._emit_seq(proc.body, "    ", comp, writes)
             for net in writes:
@@ -769,12 +644,7 @@ class _Builder:
                     group.append((target, contrib))
                     continue
                 flush()
-                src, width, kind = comp.compile(
-                    stmt.value, expect_width=target.width)
-                if width not in (0, target.width):
-                    raise comp.err(
-                        f"line {stmt.line}: sequential assignment "
-                        "width mismatch")
+                src = comp.compile(stmt.value, expect_width=target.width)[0]
                 if target.net not in writes:
                     writes.append(target.net)
                 t = f"t{target.net}"
@@ -792,12 +662,9 @@ class _Builder:
                         shifted = f"({shifted} << {target.low})"
                     out.append(f"{ind}{t} = {t} & {_hx(keep)} "
                                f"| {shifted}")
-            elif isinstance(stmt, IfStmt):
+            else:  # IfStmt, the parser's other sequential statement
                 flush()
                 out.extend(self._emit_if(stmt, ind, comp, writes))
-            else:  # pragma: no cover - parser yields only the two kinds
-                raise comp.err(
-                    f"unsupported statement {type(stmt).__name__}")
         flush()
         return out
 
@@ -806,9 +673,7 @@ class _Builder:
         out: List[str] = []
         opened = False
         for cond, cbody in stmt.branches:
-            csrc, _w, kc = comp.compile(cond)
-            if kc != "b":
-                raise comp.err(f"line {stmt.line}: non-boolean if")
+            csrc = comp.compile(cond)[0]
             if csrc == "0":
                 continue  # branch can never be taken
             body = self._emit_seq(cbody,
@@ -1016,7 +881,7 @@ class _Builder:
 
     def _emit_fifo(self, node: CombNode) -> List[str]:
         p = node.ports
-        comp = _SrcCompiler(self.model.net_widths, {}, node.label)
+        comp = _SrcCompiler(self.model.net_widths, {})
         wr_data = comp.read_src(p["wr_data"])
         wr_en = comp.read_src(p["wr_en"])
         out = []
@@ -1047,13 +912,11 @@ class _Builder:
         out: List[str] = []
         for pi, (writes, lines) in enumerate(zip(self.proc_writes,
                                                  self.proc_lines)):
-            hoists, lines = _cse_body(lines) if lines else ([], lines)
             # Fused evaluate+commit: run in commit order, so every
             # process still reads the pre-edge value of any net it reads
             out.append(f"def _f{pi}(V, NQ, PEND, PQ):")
             for net in writes:
                 out.append(f"    t{net} = V[{net}]")
-            out.extend(hoists)
             out.extend(lines or ["    pass"])
             for gnets, marks in self._commit_groups(writes):
                 if marks:
@@ -1277,9 +1140,10 @@ class _Builder:
             "",
         ])
         body = "\n".join(node_fns + proc_fns)
-        helpers = [defn for token, defn in sorted(_HELPER_DEFS.items())
-                   if token + "(" in body]
-        text = "\n".join(head + helpers + [body] + tables)
+        used = [name for name in sorted(_HELPERS) if name + "(" in body]
+        imports = [f"from {__name__} import {', '.join(used)}", ""] \
+            if used else []
+        text = "\n".join(head + imports + [body] + tables)
         return re.sub(r"\n{3,}", "\n\n", text) + "\n"
 
 

@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'firewall'.
 
-RTL_CODEGEN_VERSION = 4; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 5; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -632,47 +632,37 @@ def _f5(V, NQ, PEND, PQ):
     t41 = V[41]
     t42 = V[42]
     t43 = V[43]
-    _x10 = (V[40] >> 512 & 0xffff)
-    _x9 = ((V[40] >> 544 & 1) == 0)
-    _x8 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
-    _x7 = ((0 if _x10 < 0x26 else 1))
-    _x6 = ((0 if _x10 < 0x24 else 1))
-    _x5 = ((0 if _x10 < 0x22 else 1))
-    _x4 = ((0 if _x10 < 0x1e else 1))
-    _x3 = (_x8 and _x9)
-    _x2 = (_x3 and _x4)
-    _x1 = (_x2 and _x5)
-    _x0 = (_x1 and _x6)
     if (V[2] == 1) or (V[83] == 1):
         t41 = 0
     else:
         t41 = V[38]
         t42 = V[39]
         t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 384) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x8 and _x9:
-            if _x10 < 0x1e:
+        if ((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
+            if (V[40] >> 512 & 0xffff) < 0x1e:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 705)
-        if _x3 and _x4:
-            if _x10 < 0x22:
+        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1)):
+            if (V[40] >> 512 & 0xffff) < 0x22:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 769)
-        if _x2 and _x5:
-            if _x10 < 0x24:
+        if ((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1)):
+            if (V[40] >> 512 & 0xffff) < 0x24:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 833)
-        if _x1 and _x6:
-            if _x10 < 0x26:
+        if (((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1)):
+            if (V[40] >> 512 & 0xffff) < 0x26:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 897)
-        if _x0 and _x7:
+        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x26 else 1)):
             t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
+        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x26 else 1)):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and _x9:
+        if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[41] != t41 or V[42] != t42 or V[43] != t43:
         V[41] = t41
@@ -686,23 +676,27 @@ def _f6(V, NQ, PEND, PQ):
     t44 = V[44]
     t45 = V[45]
     t46 = V[46]
-    _x1 = ((V[43] >> 544 & 1) == 0)
-    _x0 = ((V[41] == 1) and ((V[42] >> 2 & 1) == 1))
     if (V[2] == 1) or (V[83] == 1):
         t44 = 0
     else:
         t44 = V[41]
         t45 = V[42]
         t46 = V[43] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[43] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[43] >> 256) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 1025 & 0xffffffffffffffff)) & 0xffffffff) << 865)
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 641)
-        if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and _x1:
+        if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     if V[44] != t44 or V[45] != t45 or V[46] != t46:
@@ -782,42 +776,33 @@ def _f10(V, NQ, PEND, PQ):
     t56 = V[56]
     t57 = V[57]
     t58 = V[58]
-    _x8 = (V[55] >> 512 & 0xffff)
-    _x7 = ((V[55] >> 544 & 1) == 0)
-    _x6 = ((V[53] == 1) and ((V[54] >> 3 & 1) == 1))
-    _x5 = ((0 if _x8 < 0x26 else 1))
-    _x4 = ((0 if _x8 < 0x1e else 1))
-    _x3 = ((0 if _x8 < 0x22 else 1))
-    _x2 = (_x6 and _x7)
-    _x1 = (_x2 and _x3)
-    _x0 = (_x1 and _x4)
     if (V[2] == 1) or (V[83] == 1):
         t56 = 0
     else:
         t56 = V[53]
         t57 = V[54]
         t58 = V[55] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[55] << 320) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[55] << 416) & 0x1fffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x6 and _x7:
-            if _x8 < 0x22:
+        if ((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0):
+            if (V[55] >> 512 & 0xffff) < 0x22:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 240 & 0xffffffff) << 705)
-        if _x2 and _x3:
-            if _x8 < 0x1e:
+        if (((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1)):
+            if (V[55] >> 512 & 0xffff) < 0x1e:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 208 & 0xffffffff) << 769)
-        if _x1 and _x4:
-            if _x8 < 0x26:
+        if ((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1)):
+            if (V[55] >> 512 & 0xffff) < 0x26:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 288 & 0xffff) << 833)
-        if _x0 and _x5:
-            if _x8 < 0x24:
+        if (((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x26 else 1)):
+            if (V[55] >> 512 & 0xffff) < 0x24:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 272 & 0xffff) << 897)
-        if (_x0 and _x5) and ((0 if _x8 < 0x24 else 1)):
+        if ((((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x26 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x24 else 1)):
             t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[56] != t56 or V[57] != t57 or V[58] != t58:
         V[56] = t56
@@ -831,20 +816,23 @@ def _f11(V, NQ, PEND, PQ):
     t59 = V[59]
     t60 = V[60]
     t61 = V[61]
-    _x1 = ((V[58] >> 544 & 1) == 0)
-    _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
     if (V[2] == 1) or (V[83] == 1):
         t59 = 0
     else:
         t59 = V[56]
         t60 = V[57]
         t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] >> 256) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 705 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 769 & 0xffffffffffffffff)) & 0xffffffff) << 801)
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 833 & 0xffffffffffffffff)) & 0xffff) << 833)
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffe0001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[58] >> 897 & 0xffffffffffffffff)) & 0xffff) << 849)
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x40040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 705)
     if V[59] != t59 or V[60] != t60 or V[61] != t61:
         V[59] = t59
@@ -923,16 +911,15 @@ def _f15(V, NQ, PEND, PQ):
     t71 = V[71]
     t72 = V[72]
     t73 = V[73]
-    _x0 = ((V[70] >> 544 & 1) == 0)
     if (V[2] == 1) or (V[83] == 1):
         t71 = 0
     else:
         t71 = V[68]
         t72 = V[69]
         t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and _x0:
+        if ((V[68] == 1) and ((V[69] >> 4 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
             t73 = t73 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x2000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[68] == 1) and ((V[69] >> 5 & 1) == 1)) and _x0:
+        if ((V[68] == 1) and ((V[69] >> 5 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
             t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[71] != t71 or V[72] != t72 or V[73] != t73:
         V[71] = t71
@@ -947,17 +934,16 @@ def _f16(V, NQ, PEND, PQ):
     t74 = V[74]
     t75 = V[75]
     t76 = V[76]
-    _x0 = ((V[73] >> 544 & 1) == 0)
     if (V[2] == 1) or (V[83] == 1):
         t74 = 0
     else:
         t74 = V[71]
         t75 = V[72]
         t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and _x0:
+        if ((V[71] == 1) and ((V[72] >> 4 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
             t76 = t76 & 0x1fffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
-        if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and _x0:
+        if ((V[71] == 1) and ((V[72] >> 5 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
             if V[114] == 1:
                 t76 = t76 & 0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[74] != t74 or V[75] != t75 or V[76] != t76:
@@ -1234,7 +1220,7 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 4
+_GEN_VERSION = 5
 _N_NODES = 58
 _N_PROCS = 19
 _PRIM_NODE_IDS = (45, 54)

@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'router_rmw'.
 
-RTL_CODEGEN_VERSION = 4; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 5; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -8,8 +8,7 @@ while requested by re-marking their own slot.
 nodes=95 procs=29 nets=189 ranks=5 fused=40->15
 """
 
-def _bswap16(v):
-    return int.from_bytes((v & 0xffff).to_bytes(2, 'little'), 'big')
+from repro.rtl.codegen import _bswap16
 
 def _e0(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw:1988
@@ -1001,21 +1000,18 @@ def _f5(V, NQ, PEND, PQ):
     t41 = V[41]
     t42 = V[42]
     t43 = V[43]
-    _x2 = (V[40] >> 512 & 0xffff)
-    _x1 = ((V[40] >> 544 & 1) == 0)
-    _x0 = ((V[38] == 1) and ((V[39] >> 2 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t41 = 0
     else:
         t41 = V[38]
         t42 = V[39]
         t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
-            if _x2 < 0x22:
+        if ((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
+            if (V[40] >> 512 & 0xffff) < 0x22:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 641)
-        if (_x0 and _x1) and ((0 if _x2 < 0x22 else 1)):
+        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1)):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[41] != t41 or V[42] != t42 or V[43] != t43:
         V[41] = t41
@@ -1049,17 +1045,17 @@ def _f7(V, NQ, PEND, PQ):
     t47 = V[47]
     t48 = V[48]
     t49 = V[49]
-    _x1 = ((V[46] >> 544 & 1) == 0)
-    _x0 = ((V[44] == 1) and ((V[45] >> 2 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t47 = 0
     else:
         t47 = V[44]
         t48 = V[45]
         t49 = V[46] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
+        if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
             t49 = t49 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[46] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+        if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
             t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
             t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001fc) & 0xffffffffffffffff) << 641)
     if V[47] != t47 or V[48] != t48 or V[49] != t49:
         V[47] = t47
@@ -1138,24 +1134,22 @@ def _f11(V, NQ, PEND, PQ):
     t59 = V[59]
     t60 = V[60]
     t61 = V[61]
-    _x2 = (V[58] >> 512 & 0xffff)
-    _x1 = ((V[58] >> 544 & 1) == 0)
-    _x0 = ((V[56] == 1) and ((V[57] >> 3 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t59 = 0
     else:
         t59 = V[56]
         t60 = V[57]
         t61 = V[58] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 128) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 256) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            if _x2 < 0x1a:
+        if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
+            if (V[58] >> 512 & 0xffff) < 0x1a:
                 t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 705)
-        if (_x0 and _x1) and ((0 if _x2 < 0x1a else 1)):
+        if (((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0)) and ((0 if (V[58] >> 512 & 0xffff) < 0x1a else 1)):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and _x1:
+        if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[59] != t59 or V[60] != t60 or V[61] != t61:
         V[59] = t59
@@ -1170,22 +1164,20 @@ def _f12(V, NQ, PEND, PQ):
     t62 = V[62]
     t63 = V[63]
     t64 = V[64]
-    _x1 = ((V[61] >> 544 & 1) == 0)
-    _x0 = ((V[59] == 1) and ((V[60] >> 3 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t62 = 0
     else:
         t62 = V[59]
         t63 = V[60]
         t64 = V[61] & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000000000000000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[61] >> 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x1:
+        if ((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0):
             if V[165] == 1:
                 t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
+        if (((V[59] == 1) and ((V[60] >> 3 & 1) == 1)) and ((V[61] >> 544 & 1) == 0)) and ((0 if V[165] == 1 else 1)):
             t64 = t64 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[61] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
-        if ((V[59] == 1) and ((V[60] >> 6 & 1) == 1)) and _x1:
+        if ((V[59] == 1) and ((V[60] >> 6 & 1) == 1)) and ((V[61] >> 544 & 1) == 0):
             t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t64 = t64 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[61] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
     if V[62] != t62 or V[63] != t63 or V[64] != t64:
@@ -1201,34 +1193,28 @@ def _f13(V, NQ, PEND, PQ):
     t65 = V[65]
     t66 = V[66]
     t67 = V[67]
-    _x7 = (V[64] >> 512 & 0xffff)
-    _x6 = ((V[64] >> 544 & 1) == 0)
-    _x5 = ((0 if V[165] == 1 else 1))
-    _x4 = ((V[62] == 1) and ((V[63] >> 3 & 1) == 1))
-    _x3 = ((0 if _x7 < 4 else 1))
-    _x2 = (((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff)
-    _x1 = (_x4 and _x6)
-    _x0 = (_x1 and _x3)
     if (V[2] == 1) or (V[113] == 1):
         t65 = 0
     else:
         t65 = V[62]
         t66 = V[63]
         t67 = V[64] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[64] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x4 and _x6:
-            if _x7 < 4:
+        if ((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0):
+            if (V[64] >> 512 & 0xffff) < 4:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t67 = t67 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000 | (((V[64] >> 641 & 0xffffffffffffffff)) & 0xffffffff)
-        if _x1 and _x3:
+        if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1)):
             if V[165] == 1:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x5:
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 705)
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (_x2 << 769)
-            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((_x2 & 0xffff) << 705)
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) << 705)
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+            t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) << 769)
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+            t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) & 0xffff) << 705)
     if V[65] != t65 or V[66] != t66 or V[67] != t67:
         V[65] = t65
         V[66] = t66
@@ -1242,28 +1228,23 @@ def _f14(V, NQ, PEND, PQ):
     t68 = V[68]
     t69 = V[69]
     t70 = V[70]
-    _x4 = (V[67] >> 512 & 0xffff)
-    _x3 = ((V[67] >> 544 & 1) == 0)
-    _x2 = ((V[65] == 1) and ((V[66] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 6 else 1))
-    _x0 = (_x2 and _x3)
     if (V[2] == 1) or (V[113] == 1):
         t68 = 0
     else:
         t68 = V[65]
         t69 = V[66]
         t70 = V[67] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[67] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 6:
+        if ((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0):
+            if (V[67] >> 512 & 0xffff) < 6:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t70 = t70 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffff | ((((V[67] >> 641 & 0xffffffffffffffff)) & 0xffff) << 32)
-        if _x0 and _x1:
+        if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1)):
             if V[165] == 1:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
+        if ((((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1))) and ((0 if V[165] == 1 else 1)):
             t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 705)
     if V[68] != t68 or V[69] != t69 or V[70] != t70:
         V[68] = t68
@@ -1278,34 +1259,28 @@ def _f15(V, NQ, PEND, PQ):
     t71 = V[71]
     t72 = V[72]
     t73 = V[73]
-    _x7 = (V[70] >> 512 & 0xffff)
-    _x6 = ((V[70] >> 544 & 1) == 0)
-    _x5 = ((0 if V[165] == 1 else 1))
-    _x4 = (V[70] >> 705 & 0xffffffffffffffff)
-    _x3 = ((V[68] == 1) and ((V[69] >> 3 & 1) == 1))
-    _x2 = ((0 if _x7 < 0xa else 1))
-    _x1 = (_x3 and _x6)
-    _x0 = (_x1 and _x2)
     if (V[2] == 1) or (V[113] == 1):
         t71 = 0
     else:
         t71 = V[68]
         t72 = V[69]
         t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x3 and _x6:
-            if _x7 < 0xa:
+        if ((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
+            if (V[70] >> 512 & 0xffff) < 0xa:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000ffffffffffff | ((((V[70] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 48)
-        if _x1 and _x2:
+        if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1)):
             if V[165] == 1:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x0 and _x5:
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((_x4 >> 0x10)) & 0xffffffffffffffff) << 769)
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((_x4 & 0xffff) << 705)
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
+            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((((V[70] >> 705 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 769)
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
+            t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[70] >> 705 & 0xffffffffffffffff) & 0xffff) << 705)
     if V[71] != t71 or V[72] != t72 or V[73] != t73:
         V[71] = t71
         V[72] = t72
@@ -1318,28 +1293,23 @@ def _f16(V, NQ, PEND, PQ):
     t74 = V[74]
     t75 = V[75]
     t76 = V[76]
-    _x4 = (V[73] >> 512 & 0xffff)
-    _x3 = ((V[73] >> 544 & 1) == 0)
-    _x2 = ((V[71] == 1) and ((V[72] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 0xc else 1))
-    _x0 = (_x2 and _x3)
     if (V[2] == 1) or (V[113] == 1):
         t74 = 0
     else:
         t74 = V[71]
         t75 = V[72]
         t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[73] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 0xc:
+        if ((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
+            if (V[73] >> 512 & 0xffff) < 0xc:
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffff | ((((V[73] >> 641 & 0xffffffffffffffff)) & 0xffff) << 80)
-        if _x0 and _x1:
-            if _x4 < 0x17:
+        if (((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < 0xc else 1)):
+            if (V[73] >> 512 & 0xffff) < 0x17:
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[73] >> 176 & 0xff) << 641)
-        if (_x0 and _x1) and ((0 if _x4 < 0x17 else 1)):
+        if ((((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < 0xc else 1))) and ((0 if (V[73] >> 512 & 0xffff) < 0x17 else 1)):
             t76 = t76 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 705 & 0xffffffffffffffff) + (V[73] >> 769 & 0xffffffffffffffff)) & 0xffffffffffffffff) << 705)
     if V[74] != t74 or V[75] != t75 or V[76] != t76:
         V[74] = t74
@@ -1353,16 +1323,15 @@ def _f17(V, NQ, PEND, PQ):
     t77 = V[77]
     t78 = V[78]
     t79 = V[79]
-    _x1 = ((V[76] >> 544 & 1) == 0)
-    _x0 = ((V[74] == 1) and ((V[75] >> 3 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t77 = 0
     else:
         t77 = V[74]
         t78 = V[75]
         t79 = V[76]
-        if _x0 and _x1:
+        if ((V[74] == 1) and ((V[75] >> 3 & 1) == 1)) and ((V[76] >> 544 & 1) == 0):
             t79 = t79 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[76] >> 641 & 0xffffffffffffffff) + 0xffffffffffffffff) & 0xffffffffffffffff) << 641)
+        if ((V[74] == 1) and ((V[75] >> 3 & 1) == 1)) and ((V[76] >> 544 & 1) == 0):
             t79 = t79 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((_bswap16((V[76] >> 705 & 0xffffffffffffffff))) & 0xffffffffffffffff) << 705)
     if V[77] != t77 or V[78] != t78 or V[79] != t79:
         V[77] = t77
@@ -1376,28 +1345,23 @@ def _f18(V, NQ, PEND, PQ):
     t80 = V[80]
     t81 = V[81]
     t82 = V[82]
-    _x4 = (V[79] >> 512 & 0xffff)
-    _x3 = ((V[79] >> 544 & 1) == 0)
-    _x2 = ((V[77] == 1) and ((V[78] >> 3 & 1) == 1))
-    _x1 = ((0 if _x4 < 0x17 else 1))
-    _x0 = (_x2 and _x3)
     if (V[2] == 1) or (V[113] == 1):
         t80 = 0
     else:
         t80 = V[77]
         t81 = V[78]
         t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[79] >> 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if _x2 and _x3:
-            if _x4 < 0x17:
+        if ((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0):
+            if (V[79] >> 512 & 0xffff) < 0x17:
                 t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00ffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 641 & 0xffffffffffffffff)) & 0xff) << 176)
-        if _x0 and _x1:
-            if _x4 < 0x1a:
+        if (((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < 0x17 else 1)):
+            if (V[79] >> 512 & 0xffff) < 0x1a:
                 t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 705 & 0xffffffffffffffff)) & 0xffff) << 192)
-        if (_x0 and _x1) and ((0 if _x4 < 0x1a else 1)):
+        if ((((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < 0x17 else 1))) and ((0 if (V[79] >> 512 & 0xffff) < 0x1a else 1)):
             t82 = t82 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if V[80] != t80 or V[81] != t81 or V[82] != t82:
         V[80] = t80
@@ -1411,17 +1375,17 @@ def _f19(V, NQ, PEND, PQ):
     t83 = V[83]
     t84 = V[84]
     t85 = V[85]
-    _x1 = ((V[82] >> 544 & 1) == 0)
-    _x0 = ((V[80] == 1) and ((V[81] >> 3 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t83 = 0
     else:
         t83 = V[80]
         t84 = V[81]
         t85 = V[82] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
+        if ((V[80] == 1) and ((V[81] >> 3 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
             t85 = t85 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[82] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 769)
+        if ((V[80] == 1) and ((V[81] >> 3 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
             t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
+        if ((V[80] == 1) and ((V[81] >> 3 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
             t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f8) & 0xffffffffffffffff) << 641)
     if V[83] != t83 or V[84] != t84 or V[85] != t85:
         V[83] = t83
@@ -1569,20 +1533,18 @@ def _f26(V, NQ, PEND, PQ):
     t104 = V[104]
     t105 = V[105]
     t106 = V[106]
-    _x1 = ((V[103] >> 544 & 1) == 0)
-    _x0 = ((V[101] == 1) and ((V[102] >> 5 & 1) == 1))
     if (V[2] == 1) or (V[113] == 1):
         t104 = 0
     else:
         t104 = V[101]
         t105 = V[102]
         t106 = V[103] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if _x0 and _x1:
+        if ((V[101] == 1) and ((V[102] >> 5 & 1) == 1)) and ((V[103] >> 544 & 1) == 0):
             if V[165] == 1:
                 t106 = t106 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t106 = t106 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 577) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if (_x0 and _x1) and ((0 if V[165] == 1 else 1)):
+        if (((V[101] == 1) and ((V[102] >> 5 & 1) == 1)) and ((V[103] >> 544 & 1) == 0)) and ((0 if V[165] == 1 else 1)):
             t106 = t106 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if V[104] != t104 or V[105] != t105 or V[106] != t106:
         V[104] = t104
@@ -1926,7 +1888,7 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 4
+_GEN_VERSION = 5
 _N_NODES = 95
 _N_PROCS = 29
 _PRIM_NODE_IDS = (65, 80, 81)

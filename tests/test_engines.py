@@ -3,14 +3,14 @@
 The registry is the single enumeration point for every way the repo can
 execute an XDP program. Two properties are load-bearing and pinned here:
 
-* the two ``pipeline`` engines (interpreted, codegen) are different
-  executions of the *same* cycle-level model and must be
-  bit-identical — XDP actions, packet bytes, egress ports, final map
-  state down to its raw storage AND every packet's cycles and restarts;
-* the ``vm`` and ``rtl`` engines share the end-to-end observables
-  (actions, bytes, egress ports, maps) with the pipeline engines but not
-  the cycle structure, and :func:`compare_runs` must honour that
-  distinction.
+* two engines of one kind simulate one model — the ``pipeline`` pair
+  (interpreted, codegen) one cycle-level model, the ``rtl`` pair (rtl,
+  rtl-interp) one elaborated netlist — and must be bit-identical: XDP
+  actions, packet bytes, egress ports, final map state down to its raw
+  storage AND every packet's cycles and restarts;
+* engines of different kinds share the end-to-end observables (actions,
+  bytes, egress ports, maps) but not the cycle structure, and
+  :func:`compare_runs` must honour that distinction.
 
 The module is also the repo's one differential oracle, so the
 comparator itself has negative witnesses here: every observable it
@@ -20,6 +20,7 @@ app × engine sweep itself is ``tests/test_matrix.py``.
 
 import copy
 import functools
+import itertools
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core.compiler import compile_program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import XdpAction
 from repro.hwsim import PipelineSimulator, SimOptions
+from repro.rtl import RtlRunner
 from repro.hwsim.engines import (
     ENGINES,
     FROZEN_CLOCK_MHZ,
@@ -93,9 +95,17 @@ class TestRegistry:
             assert hasattr(repro.hwsim, name), name
 
     def test_cycle_exactness_split(self):
-        # only the pipeline engines promise identical cycle structure
-        for name, spec in ENGINES.items():
-            assert spec.cycle_exact == (spec.kind == "pipeline"), name
+        # two engines of one kind simulate one model: exactly such a
+        # pair compares cycles (interpreted/codegen, rtl/rtl-interp)
+        run = _witness_run("toy_counter")
+        for ref_engine, leg_engine in itertools.product(ENGINES, repeat=2):
+            ref, leg = copy.deepcopy(run), copy.deepcopy(run)
+            ref.engine, leg.engine = ref_engine, leg_engine
+            _shift_cycles(leg)
+            one_model = ENGINES[ref_engine].kind == ENGINES[leg_engine].kind
+            found = [(m.index, m.what) for m in compare_runs(ref, leg)]
+            assert found == ([(0, "packet cycles")] if one_model else []), \
+                (ref_engine, leg_engine)
 
     def test_simulator_rejects_non_pipeline_engine(self):
         from repro.apps import toy_counter
@@ -226,6 +236,26 @@ class TestOracleDetects:
         for case in ("toy_counter", "redirect_map", "ct_firewall"):
             run = _witness_run(case)
             assert compare_runs(run, copy.deepcopy(run)) == [], case
+
+    def test_rtl_pair_compares_cycles(self):
+        # the two RTL engines simulate one netlist: the compiled engine
+        # leaving one packet a cycle late is a mismatch at that packet
+        case = CASES["toy_counter"]  # no host setup
+        pipeline = compile_program(case.build())
+        runs = {}
+        for engine in ("rtl-interp", "rtl"):
+            maps = MapSet(pipeline.program.maps)
+            runner = RtlRunner(pipeline, maps=maps, engine=engine)
+            assert runner.engine == engine
+            runs[engine] = (runner.run_packets(case.frames[:SHORT]), maps)
+        want = engine_run("rtl-interp", *runs["rtl-interp"], SHORT)
+        got = engine_run("rtl", *runs["rtl"], SHORT)
+        assert compare_runs(want, got) == []
+        runs["rtl"][0].records[2].exit_cycle += 1
+        got = engine_run("rtl", *runs["rtl"], SHORT)
+        found = compare_runs(want, got)
+        assert [(m.index, m.what) for m in found] == [(2, "packet cycles")]
+        assert str(found[0]).startswith("rtl-interp vs rtl: packet 2: ")
 
     @pytest.mark.parametrize("name", sorted(WITNESSES))
     def test_witness(self, name):

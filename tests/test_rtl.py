@@ -18,6 +18,7 @@ from repro.core.compiler import CompileOptions, compile_program
 from repro.core.vhdl import emit_vhdl
 from repro.ebpf.maps import MapSet
 from repro.ebpf.verifier import verify
+from repro.hwsim.engines import compare_runs, engine_run
 from repro.net.packet import FiveTuple, ipv4, udp_packet
 from repro.rtl import (
     RTL_ENGINES,
@@ -475,22 +476,19 @@ def _rtl_engine_run(pipeline, setup, frames, engine):
 
 
 def _assert_rtl_engines_agree(pipeline, setup, frames):
-    """Run ``frames`` on both RTL engines and compare every observable:
-    verdicts, output bytes, per-packet inject/exit cycles, total cycle
-    count, settles and edges (one of each per cycle on either engine),
-    final map state, and the primitive op mix."""
+    """Run ``frames`` on both RTL engines and hold them to the oracle
+    (:func:`compare_runs`: one model, so verdicts, bytes, per-packet
+    cycles, the run's counters, map entry order and raw storage), then
+    to what an ``EngineRun`` does not carry: settles and edges (one of
+    each per cycle on either engine) and the primitive op mix."""
     interp, rep_i = _rtl_engine_run(pipeline, setup, frames, "rtl-interp")
     compiled, rep_c = _rtl_engine_run(pipeline, setup, frames, "rtl")
-    obs_i = [(r.pid, r.action, bytes(r.data), r.inject_cycle, r.exit_cycle)
-             for r in rep_i.records]
-    obs_c = [(r.pid, r.action, bytes(r.data), r.inject_cycle, r.exit_cycle)
-             for r in rep_c.records]
-    assert obs_i == obs_c
-    assert rep_i.cycles == rep_c.cycles
+    assert compare_runs(
+        engine_run("rtl-interp", rep_i, interp.maps, len(frames)),
+        engine_run("rtl", rep_c, compiled.maps, len(frames))) == []
     assert interp.sim.settle_count == compiled.sim.settle_count \
         == rep_c.cycles
     assert interp.sim.edge_count == compiled.sim.edge_count == rep_c.cycles
-    assert interp.maps.snapshot() == compiled.maps.snapshot()
     assert interp.context.op_counts == compiled.context.op_counts
     return compiled
 

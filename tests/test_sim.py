@@ -731,7 +731,7 @@ class TestSnapshotRoundTrip:
         pkt.stack[0:4] = b"\x01\x02\x03\x04"
         pkt.ctx.packet[5] = 0x7F
         pkt.enabled = {2, 5}
-        pkt.pending_writes = [(1, 0, b"\x11" * 8, 4)]
+        pkt.pending_writes = [(1, 0, b"\x11" * 8)]
         pkt.value_reads = {1: {0}}
         pkt.addr_reads = {1: [(bytes(4), 0)]}
         pkt.take_snapshot(stage=4)
@@ -741,7 +741,7 @@ class TestSnapshotRoundTrip:
         pkt.stack[0:4] = bytes(4)
         pkt.ctx.packet[5] = 0
         pkt.enabled = {9}
-        pkt.pending_writes.append((1, 8, b"\x22" * 8, 7))
+        pkt.pending_writes.append((1, 8, b"\x22" * 8))
         pkt.value_reads[1].add(1)
         pkt.take_snapshot(stage=9)
 
@@ -752,20 +752,20 @@ class TestSnapshotRoundTrip:
         assert bytes(pkt.stack[0:4]) == b"\x01\x02\x03\x04"
         assert pkt.ctx.packet[5] == 0x7F
         assert pkt.enabled == {2, 5}
-        assert pkt.pending_writes == [(1, 0, b"\x11" * 8, 4)]
+        assert pkt.pending_writes == [(1, 0, b"\x11" * 8)]
         assert pkt.value_reads == {1: {0}}
         # later snapshots are squashed
         assert [s.stage for s in pkt.snapshots] == [4]
 
     def test_snapshot_isolated_from_later_mutation(self):
         pkt = self._packet()
-        pkt.pending_writes = [(1, 0, b"\x11" * 8, 4)]
+        pkt.pending_writes = [(1, 0, b"\x11" * 8)]
         pkt.take_snapshot(stage=2)
         # in-place mutation after the snapshot must not leak into it
-        pkt.pending_writes.append((1, 8, b"\x33" * 8, 5))
+        pkt.pending_writes.append((1, 8, b"\x33" * 8))
         pkt.regs[1] = 77
         snap = pkt.snapshots[0]
-        assert snap.pending_writes == [(1, 0, b"\x11" * 8, 4)]
+        assert snap.pending_writes == [(1, 0, b"\x11" * 8)]
         assert snap.regs[1] != 77 or pkt.regs[1] == snap.regs[1] == 77
 
     def test_war_write_survives_flush_restart(self):

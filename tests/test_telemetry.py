@@ -406,30 +406,6 @@ class TestCompilerSpans:
         assert reg_before.spans == []
 
 
-# -- SimReport JSON ------------------------------------------------------------
-
-
-class TestSimReportJson:
-    def test_to_json_carries_aggregates_records_and_metrics(self):
-        with telemetry.scoped():
-            program = firewall.build()
-            pipeline = compile_program(program)
-            sim = PipelineSimulator(pipeline, maps=MapSet(program.maps),
-                                    options=SimOptions())
-            report = sim.run_packets(_frames(20))
-        data = json.loads(json.dumps(report.to_json(include_records=True)))
-        assert data["cycles"] == report.cycles
-        assert data["packets_out"] == report.packets_out == 20
-        assert data["action_counts"] == {
-            action.name: n for action, n in report.action_counts.items()}
-        assert data["sum_pipeline_cycles"] == report.sum_pipeline_cycles
-        assert len(data["records"]) == len(report.records)
-        assert data["records"][0]["data"] == report.records[0].data.hex()
-        assert data["metrics"] == report.metrics.to_json()
-        # the BENCH rows carry the record-free form
-        assert "records" not in report.to_json()
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
