@@ -35,8 +35,8 @@ class MapError(ValueError):
 class Map:
     """Base class: fixed-size keys and values, flat backing storage.
 
-    Subclasses implement :meth:`_slot_for_key` (data-plane lookup) and
-    :meth:`_insert` (placement policy). Every entry occupies a fixed slot
+    Subclasses implement :meth:`_find` (data-plane lookup), :meth:`_update`
+    (placement policy) and :meth:`delete`. Every entry occupies a fixed slot
     index; ``value_addr(slot)`` converts a slot to a stable offset within
     the map's storage, which the VM maps into its address space.
     """
@@ -97,16 +97,29 @@ class Map:
 
     def lookup_slot(self, key: bytes) -> Optional[int]:
         """Data-plane lookup: return the slot index holding ``key`` or None."""
-        raise NotImplementedError
+        return self._find(self._check_key(key))
 
     def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
         """Insert or overwrite; returns the slot written.
 
         Honors ``BPF_NOEXIST``/``BPF_EXIST`` semantics like the kernel.
         """
-        raise NotImplementedError
+        return self._update(self._check_key(key), self._check_value(value),
+                            flags)
 
     def delete(self, key: bytes) -> bool:
+        raise NotImplementedError
+
+    # The unchecked cores of lookup_slot and update: ``key`` is exactly
+    # key_size bytes and ``value`` exactly value_size bytes, both
+    # ``bytes``. Code that proves the sizes by construction (the codegen
+    # engine's ``_stream``, which slices them off the stack at the
+    # map's own key and value sizes) calls these directly.
+
+    def _find(self, key: bytes) -> Optional[int]:
+        raise NotImplementedError
+
+    def _update(self, key: bytes, value: bytes, flags: int) -> int:
         raise NotImplementedError
 
     # -- host interface ---------------------------------------------------------
@@ -148,22 +161,19 @@ class ArrayMap(Map):
     def entry_count(self) -> int:
         return self.max_entries
 
-    def _index(self, key: bytes) -> Optional[int]:
-        index = int.from_bytes(self._check_key(key), "little")
+    def _find(self, key: bytes) -> Optional[int]:
+        index = int.from_bytes(key, "little")
         if index >= self.max_entries:
             return None
         return index
 
-    def lookup_slot(self, key: bytes) -> Optional[int]:
-        return self._index(key)
-
-    def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
-        index = self._index(key)
+    def _update(self, key: bytes, value: bytes, flags: int) -> int:
+        index = self._find(key)
         if index is None:
             raise MapError(f"{self.name}: index out of bounds")
         if flags == BPF_NOEXIST:
             raise MapError(f"{self.name}: array entries always exist")
-        self._write_slot(index, self._check_value(value))
+        self._write_slot(index, value)
         return index
 
     def delete(self, key: bytes) -> bool:
@@ -197,12 +207,10 @@ class HashMap(Map):
     def storage_size(self) -> int:
         return self._fresh * self.value_size
 
-    def lookup_slot(self, key: bytes) -> Optional[int]:
-        return self._slot_by_key.get(self._check_key(key))
+    def _find(self, key: bytes) -> Optional[int]:
+        return self._slot_by_key.get(key)
 
-    def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
-        key = self._check_key(key)
-        value = self._check_value(value)
+    def _update(self, key: bytes, value: bytes, flags: int) -> int:
         slot = self._slot_by_key.get(key)
         if slot is not None:
             if flags == BPF_NOEXIST:
@@ -287,8 +295,7 @@ class LruHashMap(Map):
         self._free: List[List[int]] = [[] for _ in range(spec.banks)]
         self._fresh = list(range(0, spec.max_entries, self.bank_entries))
 
-    def lookup_slot(self, key: bytes) -> Optional[int]:
-        key = self._check_key(key)
+    def _find(self, key: bytes) -> Optional[int]:
         banks = self.banks
         directory = self._dirs[bank_of(key, banks) if banks > 1 else 0]
         slot = directory.get(key)
@@ -296,8 +303,7 @@ class LruHashMap(Map):
             directory.move_to_end(key)
         return slot
 
-    def update(self, key: bytes, value: bytes, flags: int = BPF_ANY) -> int:
-        key = self._check_key(key)
+    def _update(self, key: bytes, value: bytes, flags: int) -> int:
         banks = self.banks
         bank = bank_of(key, banks) if banks > 1 else 0
         directory = self._dirs[bank]
@@ -305,7 +311,6 @@ class LruHashMap(Map):
         if slot is None and len(directory) >= self.bank_entries:
             self._release(bank, directory.popitem(last=False)[1])
             self.evictions += 1
-        value = self._check_value(value)
         if slot is not None:
             if flags == BPF_NOEXIST:
                 raise MapError(f"{self.name}: key already exists")

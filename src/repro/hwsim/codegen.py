@@ -25,8 +25,8 @@ Layout of a generated module:
 * ``_STAGE_FNS`` / ``_ENTRY`` / ``_STREAM`` — the tuple and bindings
   :class:`~repro.hwsim.sim.PipelineSimulator` consumes — and
   ``_STREAM_SHAPE``, the emitter's one-line account of the stream body
-  (``2 of 2 lookups folded, 1 spill site``) that ``engine_path()``
-  prints.
+  (``2 of 2 lookups, 1 of 1 writes folded, 2 spill sites``) that
+  ``engine_path()`` prints.
 
 Every op has one rendering, whichever function it lands in. A load,
 store or atomic whose verifier label proves a constant offset folds to
@@ -35,9 +35,11 @@ single bounds test against the buffer of the region the verifier
 labelled it with — the fast side — and on its cold side, for an address
 that strays from that region or an op with no label, the interpreted
 engine's own ``sim._mem_load`` / ``_mem_store`` / ``_atomic``, which
-dispatch on the address. A map lookup or ``redirect_map`` names its map
-through ``op.call.map_fd`` and inlines ``sim._map_channel_call``'s
-steps. What the two modes differ in is names and exits
+dispatch on the address. A map-channel call is one request on its map's
+channel, fixed per compile (§4.1): a lookup or ``redirect_map`` names its
+map through ``op.call.map_fd`` and inlines ``sim._map_channel_call``'s
+steps, and so, in ``_stream``, does an update or delete whose operands
+sit in static stack slices. What the two modes differ in is names and exits
 (``_Emitter.stream``: ``_reg`` / ``_stack`` / ``_ctx`` / ``_packet``,
 ``_drop_if``, ``_fallback_call``, ``_enable_after``):
 
@@ -58,14 +60,19 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 * **once per run** (the prologue): the timing model's state; one reused
   ``_InFlight`` and, bound from it, ``_c`` (its context), ``stack`` and —
   only if some fallback spills — ``regs``; one ``_HelperContext``
-  (``_hc``) for every non-map helper call of the run; and per map the
-  body touches ``_m<fd>`` (the map), ``_st<fd>`` (its storage) and
+  (``_hc``) for every non-map helper call of the run but
+  ``bpf_redirect``, whose two steps are inlined; and per map the
+  body touches ``_m<fd>`` (the map), ``_st<fd>`` (its storage),
   ``_lk<fd>`` (its lookup: the slot directory's ``get`` for a hash, the
-  virtual ``lookup_slot`` for an LRU hash). What is constant for the
-  *compile* is not bound but folded: the fd, key slot and key size of a
-  map call come from ``op.call``, the map's kind, geometry and base
-  address from the program's ``MapSpec`` — an array lookup is
-  ``_ix = _u4(stack, K)[0]; r0 = BASE + _ix * VS if _ix < N else 0``.
+  unchecked ``Map._find`` otherwise) and ``_up<fd>`` (its unchecked
+  ``Map._update``). What is constant for the *compile* is not bound but
+  folded: the fd, key and value slots and sizes of a map call come from
+  ``op.call``, the map's kind, geometry and base address from the
+  program's ``MapSpec`` — an array lookup is
+  ``_ix = _u4(stack, K)[0]; r0 = BASE + _ix * VS if _ix < N else 0``, an
+  update ``try: _up<fd>(bytes(stack[K:K+KS]), bytes(stack[V:V+VS]),
+  r4 & 0x3); r0 = 0`` / ``except MapError: r0 = -1``; the slices are
+  the map's own sizes, which is what lets the cores skip the checks.
   Both rest on the run's ``MapSet`` holding exactly the maps those
   specs build, which ``PipelineSimulator.stream_blocker`` checks before
   every run (``MapSet.mismatch``) — that check is also what became of
@@ -84,13 +91,15 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   ``break`` — nothing after it is tested;
 * **the spill contract**: ``sim._atomic`` (XCHG / CMPXCHG, stack and
   packet atomics, the cold path of an inlined one) and
-  ``sim._map_channel_call`` (update, delete, a map the program does not
-  declare) work on ``pkt.regs``. Before such a call the locals it may
-  read — and those it may write, in case it leaves one unwritten — are
-  stored to ``regs``; after it ``pkt.done`` is tested (these calls
-  report a drop only there) and the locals it may write are loaded
-  back. ``sim._mem_load`` / ``_read_plain`` / ``_mem_store`` take their
-  operands as arguments and spill nothing;
+  ``sim._map_channel_call`` (a map the program does not declare, an
+  update or delete whose key or value the verifier did not place in a
+  static stack slice) work on ``pkt.regs``. Before such a call the
+  locals it may read — and those it may write, in case it leaves one
+  unwritten — are stored to ``regs``; after it ``pkt.done`` is tested
+  (these calls report a drop only there) and the locals it may write
+  are loaded back. ``sim._mem_load`` / ``_read_plain`` /
+  ``_mem_store`` take their operands as arguments, and a folded map
+  request drops nothing: neither spills;
 * **after the body**: the timing tail (the window's entry and exit
   cycles, which wait on the flags of its holder blocks, and
   ``max_cycles``), ``sim._finalize`` if a store could have pended a
@@ -134,6 +143,10 @@ from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Release,
                              Stage, StageKind)
 from ..ebpf import isa
 from ..ebpf.helpers import (
+    BPF_MAP_DELETE_ELEM,
+    BPF_MAP_LOOKUP_ELEM,
+    BPF_MAP_UPDATE_ELEM,
+    BPF_REDIRECT_MAP,
     HELPER_IDS_BY_NAME,
     ORDER_SENSITIVE_HELPERS,
     PACKET_RESIZING_HELPERS,
@@ -180,11 +193,15 @@ from ..telemetry import get_registry
 # v14: every window whose accesses all touch its own map forwards, banked
 #     and one-lane too; a holder frees its lane at its arm's release
 #     (``Forwarding.release``), its decision stage if that is later.
-CODEGEN_VERSION = 14
+# v15: _stream folds map updates and deletes whose operands sit in static
+#     stack slices to the map's unchecked cores (no spill); bpf_redirect
+#     is inlined in both modes.
+CODEGEN_VERSION = 15
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
 _ADJUST_TAIL = HELPER_IDS_BY_NAME["bpf_xdp_adjust_tail"]
+_REDIRECT_HELPER = HELPER_IDS_BY_NAME["bpf_redirect"]
 
 # Address-space constants folded into the generated source as literals
 # (LOAD_CONST beats LOAD_GLOBAL on the hot path).
@@ -394,6 +411,9 @@ class _Emitter:
         )
         # What engine_path() says about the stream body (which restarts it).
         self.lookups = self.folded_lookups = self.spill_sites = 0
+        self.writes = self.folded_writes = 0
+        # Whether an inlined map write can raise MapError (_write_lines).
+        self.uses_map_error = False
         # Whether a helper can set ctx.redirect_ifindex (bpf_redirect,
         # bpf_redirect_map): _stream then clears it per frame.
         self.redirects = False
@@ -842,6 +862,10 @@ class _Emitter:
 
         if spec.map_channel:
             return self._map_call(op, flush) + [scrub]
+        if helper_id == _REDIRECT_HELPER:
+            # bpf_redirect: the helper's own two steps
+            return [f"{self._ctx}.redirect_ifindex = {R(1)} & {_M32}",
+                    f"{R(0)} = {_REDIRECT}", scrub]
 
         # Non-map helper: shared VM implementation via the duck-typed
         # execution context — per packet in the cycle loop, one for the
@@ -878,10 +902,14 @@ class _Emitter:
         ]
 
     def _map_call(self, op: PipeOp, flush: bool) -> List[str]:
-        """A map-channel helper. ``op.call`` names the map (the verifier
+        """A map-channel helper: one request on its map's channel (§4.1),
+        fixed per compile. ``op.call`` names the map (the verifier
         resolved r1 to one fd), so a lookup or ``redirect_map`` of it is
-        ``sim._map_channel_call``'s own steps inlined; everything else —
-        update, delete, an unresolved map — is that method.
+        ``sim._map_channel_call``'s own steps inlined, and in ``_stream``
+        so is an update or delete whose operands sit in static stack
+        slots (``_write_lines``); everything else — those in the cycle
+        loop, an unresolved map, an operand the verifier could not place
+        — is that method.
 
         The cycle loop takes ``sim.maps``' entry for the fd as each call
         finds it (an fd the ``MapSet`` lacks drops the packet) and under
@@ -890,19 +918,33 @@ class _Emitter:
         (``_bound_spec``), so there the spec decides per compile, not
         per packet: an array index is compared and scaled in place, a
         hash key goes straight to the run-bound slot directory, an LRU
-        hash keeps its virtual ``lookup_slot`` (it moves the key up the
+        hash to its unchecked ``_find`` (it moves the key up the
         recency order), a key slot on the stack is read where it sits."""
         helper_id = op.insn.imm
         info = op.call
         fd = info.map_fd if info is not None else None
         spec = self._bound_spec(fd) if self.stream else None
-        inlined = helper_id in (1, 51)
-        self.lookups += inlined
-        if not inlined or fd is None or (self.stream and spec is None):
+        if helper_id in (BPF_MAP_UPDATE_ELEM, BPF_MAP_DELETE_ELEM):
+            self.writes += 1
+            out = None if spec is None else self._write_lines(
+                helper_id, fd, info, spec)
+            self.folded_writes += out is not None
+        else:
+            self.lookups += 1
+            out = (None if fd is None or (self.stream and spec is None)
+                   else self._read_lines(helper_id, fd, info, spec))
+            self.folded_lookups += out is not None
+        if out is None:
             return self._fallback_call(
                 f"sim._map_channel_call(pkt, {helper_id})",
                 reads=(1, 2, 3, 4), writes=(0,), flush=flush)
-        self.folded_lookups += 1
+        return out
+
+    def _read_lines(self, helper_id: int, fd: int, info,
+                    spec) -> List[str]:
+        """A lookup or ``redirect_map`` of map ``fd`` (see ``_map_call``):
+        on the run-bound map in ``_stream``, on ``sim.maps``' entry as
+        found in the cycle loop."""
         if self.stream:
             bpf_map, lookup = f"_m{fd}", f"_lk{fd}"
             ks, vs = spec.key_size, spec.value_size
@@ -913,7 +955,7 @@ class _Emitter:
         # (sim._reads_match); with no hazard plans it is dead work.
         track = [f"pkt.addr_reads.setdefault({fd}, []).append((_k, _sl))"
                  ] if self.maintain else []
-        if helper_id == 1:
+        if helper_id == BPF_MAP_LOOKUP_ELEM:
             out = self._lookup_lines(fd, info, spec, lookup, ks, vs, track)
         else:
             out = self._redirect_lines(spec, bpf_map, lookup, ks, track)
@@ -922,6 +964,45 @@ class _Emitter:
         return ([f"_m = sim.maps.maps.get({fd})"]
                 + self._drop_if("_m is None", out))
 
+    def _write_lines(self, helper_id: int, fd: int, info,
+                     spec) -> Optional[List[str]]:
+        """An update or delete of the run-bound map ``fd`` whose key —
+        and an update's value — the verifier placed in a static stack
+        slice (the operands ``core/vhdl.py`` wires to the map's channel),
+        else None. What ``helpers.channel_step`` does, step for step, on
+        the map's unchecked cores (``_up<fd>`` is ``Map._update``): the
+        slices are the map's own key and value sizes, so the size checks
+        cannot fire, and nothing here drops — no spill, no ``pkt.done``
+        test. A ``MapError`` (a full hash map, a flag refused, an array
+        index out of range or deleted) leaves -1 in r0."""
+        R = self._reg
+        stack, ks, vs = self._stack, spec.key_size, spec.value_size
+        update = helper_id == BPF_MAP_UPDATE_ELEM
+        k = self._stack_index(info.key_stack_offset, ks)
+        v = self._stack_index(info.value_stack_offset, vs) if update else 0
+        if k is None or v is None:
+            return None
+        key = f"bytes({stack}[{k}:{k + ks}])"
+        if update:
+            write = [f"_up{fd}({key}, bytes({stack}[{v}:{v + vs}]), "
+                     f"{R(4)} & 0x3)", f"{R(0)} = 0"]
+        else:
+            write = [f"_k = {key}",
+                     f"{R(0)} = 0 if _lk{fd}(_k) is not None and "
+                     f"_m{fd}.delete(_k) else {_M64}"]
+        self.uses_map_error = True
+        return (["try:"] + _ind(write)
+                + ["except MapError:", f"    {R(0)} = {_M64}"])
+
+    @staticmethod
+    def _stack_index(offset: Optional[int], size: int) -> Optional[int]:
+        """Where in the stack the ``size`` bytes at the verifier's static
+        R10-relative ``offset`` start, or None where there is no such
+        offset or the bytes leave the stack."""
+        if offset is None or not 0 <= _STK_SZ + offset <= _STK_SZ - size:
+            return None
+        return _STK_SZ + offset
+
     def _lookup_lines(self, fd: int, info, spec, lookup: str, ks, vs,
                       track: List[str]) -> List[str]:
         """``bpf_map_lookup_elem`` of map ``fd`` (see ``_map_call``):
@@ -929,9 +1010,9 @@ class _Emitter:
         expressions on the map as found."""
         R = self._reg
         base = hex(AddressSpace.map_value_addr(fd, 0))
-        idx = (None if spec is None or info.key_stack_offset is None
-               else _STK_SZ + info.key_stack_offset)
-        if idx is not None and 0 <= idx and idx + ks <= _STK_SZ:
+        idx = (None if spec is None
+               else self._stack_index(info.key_stack_offset, ks))
+        if idx is not None:
             # The key's stack slot is statically in range.
             read = None
             index = f"{self._unpack(4)}({self._stack}, {idx})[0]"
@@ -1304,6 +1385,7 @@ class _Emitter:
         self.window_lo = windows[0][0] if windows else 0
         self.stream = True
         self.lookups = self.folded_lookups = self.spill_sites = 0
+        self.writes = self.folded_writes = 0
         self.any_flush = self.maintain = False
         try:
             ops = self._stream_ops()
@@ -1349,18 +1431,21 @@ class _Emitter:
         if "_hc" in named:
             out.append("_hc = _HC(sim, pkt)")
         for fd, spec in sorted(pipeline.program.maps.items()):
-            handle, storage, lookup = f"_m{fd}", f"_st{fd}", f"_lk{fd}"
-            if {handle, storage, lookup} & named:
+            handle, storage = f"_m{fd}", f"_st{fd}"
+            lookup, update = f"_lk{fd}", f"_up{fd}"
+            if {handle, storage, lookup, update} & named:
                 out.append(f"{handle} = sim.maps[{fd}]")
             if storage in named:
                 out.append(f"{storage} = {handle}.storage")
+            # The unchecked cores (Map._find, Map._update): every key and
+            # value the body passes is sliced at the map's own sizes. A
+            # plain hash map's slot directory IS its lookup.
             if lookup in named:
-                # A plain hash map's slot directory IS the lookup: the
-                # key is exactly key_size bytes, so _check_key cannot
-                # fire. An LRU lookup has recency side effects.
                 out.append(f"{lookup} = {handle}." + (
                     "_slot_by_key.get" if spec.map_type == "hash"
-                    else "lookup_slot"))
+                    else "_find"))
+            if update in named:
+                out.append(f"{update} = {handle}._update")
         out += ["_cnt = {}", "_recs = report.records", "for frame in frames:"]
 
         # -- once per frame ----------------------------------------------------
@@ -1576,9 +1661,15 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if em.uses_deque:
         imports.append("from collections import deque as _deque")
         binds.append("_deque")
+    map_imports = []
+    if em.uses_map_error:
+        map_imports.append("MapError")
+        binds.append("MapError")
     if em.uses_bank:
-        imports.append("from repro.ebpf.maps import bank_of as _bank_of")
+        map_imports.append("bank_of as _bank_of")
         binds.append("_bank_of")
+    if map_imports:
+        imports.append("from repro.ebpf.maps import " + ", ".join(map_imports))
     if em.helpers:
         imports.append("from repro.ebpf.helpers import helper_impl")
     if em.insns:
@@ -1655,8 +1746,9 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if stream_ok:
         sites = "site" if em.spill_sites == 1 else "sites"
         out.append(
-            f'_STREAM_SHAPE = "{em.folded_lookups} of {em.lookups} lookups '
-            f'folded, {em.spill_sites} spill {sites}"')
+            f'_STREAM_SHAPE = "{em.folded_lookups} of {em.lookups} lookups, '
+            f'{em.folded_writes} of {em.writes} writes folded, '
+            f'{em.spill_sites} spill {sites}"')
     out.append("")
     # Collapse double blanks left by empty sections.
     text_lines: List[str] = []

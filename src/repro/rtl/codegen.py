@@ -79,7 +79,7 @@ from .errors import RtlCodegenError
 
 #: Bump whenever the generated schedule source changes shape; the stamp
 #: is folded into the digest so stale disk artifacts never load.
-RTL_CODEGEN_VERSION = 5
+RTL_CODEGEN_VERSION = 6
 
 #: In-process cache: digest -> executed module namespace.
 _MODULE_CACHE: Dict[str, dict] = {}
@@ -100,8 +100,8 @@ def _bswap64(v: int) -> int:
         (v & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"), "big")
 
 
-#: The runtime helpers, one definition each: ``_fold`` evaluates constant
-#: fragments with them, and a generated module imports the ones it calls.
+#: The runtime helpers, one definition each: a generated module imports
+#: the ones it calls.
 _HELPERS = {
     "_sign": _sign,
     "_bswap16": _bswap16,
@@ -112,23 +112,6 @@ _HELPERS = {
 
 def _hx(value: int) -> str:
     return hex(value) if value > 9 else str(value)
-
-
-def _fold(src: str) -> str:
-    """Constant-fold a source fragment that reads no nets."""
-    if "V[" in src:
-        return src
-    try:
-        v = eval(src, dict(_HELPERS, __builtins__={}))  # noqa: S307
-    except Exception:
-        return src
-    if v is True:
-        return "1"
-    if v is False:
-        return "0"
-    if isinstance(v, int):
-        return _hx(v) if v >= 0 else str(v)
-    return src
 
 
 def _as_cond(src: str) -> str:
@@ -231,10 +214,6 @@ class _SrcCompiler:
         return f"(V[{ref.net}] >> {ref.low} & {_hx(ref.mask)})"
 
     def compile(self, expr, expect_width: Optional[int] = None) -> _S:
-        src, width, kind = self._compile(expr, expect_width)
-        return _fold(src), width, kind
-
-    def _compile(self, expr, expect_width: Optional[int]) -> _S:
         if isinstance(expr, Lit):
             return _hx(expr.value) if expr.value >= 0 \
                 else str(expr.value), expr.width, expr.kind

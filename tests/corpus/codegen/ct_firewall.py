@@ -1,12 +1,12 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 14); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 15); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
 
 from collections import deque as _deque
-from repro.ebpf.maps import bank_of as _bank_of
+from repro.ebpf.maps import MapError, bank_of as _bank_of
 from repro.ebpf.isa import Instruction
 from repro.ebpf.xdp import XdpAction
 from repro.hwsim.sim import SimError, _InFlight as _IF
@@ -387,7 +387,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
+def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
     pid = 0
     cycle = 0
     _cap = sim.options.input_queue_capacity
@@ -404,7 +404,8 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_ban
     regs = pkt.regs
     _m1 = sim.maps[1]
     _st1 = _m1.storage
-    _lk1 = _m1.lookup_slot
+    _lk1 = _m1._find
+    _up1 = _m1._update
     _cnt = {}
     _recs = report.records
     for frame in frames:
@@ -524,16 +525,11 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_ban
                 else:
                     _e7 = True
             if _e7:
-                regs[0] = r0
-                regs[1] = r1
-                regs[2] = r2
-                regs[3] = r3
-                regs[4] = r4
-                sim._map_channel_call(pkt, 2)
-                if pkt.done:
-                    _act = pkt.action
-                    break
-                r0 = regs[0]
+                try:
+                    _up1(bytes(stack[496:512]), bytes(stack[480:488]), r4 & 0x3)
+                    r0 = 0
+                except MapError:
+                    r0 = 0xffffffffffffffff
                 r1 = r2 = r3 = r4 = r5 = 0
                 r0 = 0x3
                 _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
@@ -601,5 +597,5 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, _bank_of=_ban
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, None, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups folded, 3 spill sites"
+_STREAM_SHAPE = "2 of 2 lookups, 1 of 1 writes folded, 2 spill sites"
 

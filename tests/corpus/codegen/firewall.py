@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 14); flush machinery elided, map-read tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 15); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct
@@ -383,5 +383,5 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups folded, 1 spill site"
+_STREAM_SHAPE = "2 of 2 lookups, 0 of 0 writes folded, 1 spill site"
 

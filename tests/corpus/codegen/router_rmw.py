@@ -1,13 +1,11 @@
 """Generated execution module for pipeline 'router_rmw' (28 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 14); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 15); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
 
-from repro.ebpf.helpers import helper_impl
 from repro.ebpf.xdp import XdpAction
-from repro.hwsim.sim import _HelperContext as _HC
 
 _u1 = struct.Struct("<B").unpack_from
 _u2 = struct.Struct("<H").unpack_from
@@ -17,7 +15,6 @@ _p2 = struct.Struct("<H").pack_into
 _p4 = struct.Struct("<I").pack_into
 _ACTIONS = {int(_a): _a for _a in XdpAction}
 _ABORTED = XdpAction.ABORTED
-_h23 = helper_impl(23)
 
 def _s1(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
     if pkt.done:
@@ -435,13 +432,14 @@ def _s26(sim, pkt, slots, barrier_queues, input_queue, report):
         regs[2] = 0x0
     return False
 
-def _s27(sim, pkt, slots, barrier_queues, input_queue, report, _HC=_HC, _h23=_h23):
+def _s27(sim, pkt, slots, barrier_queues, input_queue, report):
     if pkt.done:
         return False
     regs = pkt.regs
     enabled = pkt.enabled
     if 5 in enabled:
-        regs[0] = _h23(_HC(sim, pkt), regs[1], regs[2], regs[3], regs[4], regs[5]) & 0xffffffffffffffff
+        pkt.ctx.redirect_ifindex = regs[1] & 0xffffffff
+        regs[0] = 4
         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
     return False
 

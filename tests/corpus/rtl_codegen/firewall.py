@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'firewall'.
 
-RTL_CODEGEN_VERSION = 5; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 6; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -469,12 +469,12 @@ def _e52(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e53(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r3] ehdl_firewall:1284
-    _v43 = ((1 if V[22] < 0x2a else 0)) & 1
+    _v43 = ((1 if V[22] < ((0x2a) & 0xffff) else 0)) & 1
     if V[23] != _v43:
         V[23] = _v43
         NQ[55] = 1
     # [conc r3] ehdl_firewall:1285
-    _v44 = ((2 if V[22] < 0x2a else 0)) & 0xffffffff
+    _v44 = ((2 if V[22] < ((0x2a) & 0xffff) else 0)) & 0xffffffff
     if V[24] != _v44:
         V[24] = _v44
         NQ[56] = 1
@@ -547,7 +547,7 @@ def _f1(V, NQ, PEND, PQ):
         t30 = V[27]
         t31 = V[28] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[28] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[26] == 1) and ((V[27] & 1) == 1)) and ((V[28] >> 544 & 1) == 0):
-            if (V[28] >> 512 & 0xffff) < 0xe:
+            if (V[28] >> 512 & 0xffff) < ((0xe) & 0xffff):
                 t31 = t31 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t31 = t31 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[28] >> 96 & 0xffff) << 577)
@@ -593,7 +593,7 @@ def _f3(V, NQ, PEND, PQ):
         t36 = V[33]
         t37 = V[34] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[34] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[32] == 1) and ((V[33] >> 1 & 1) == 1)) and ((V[34] >> 544 & 1) == 0):
-            if (V[34] >> 512 & 0xffff) < 0x18:
+            if (V[34] >> 512 & 0xffff) < ((0x18) & 0xffff):
                 t37 = t37 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t37 = t37 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[34] >> 184 & 0xff) << 577)
@@ -639,28 +639,28 @@ def _f5(V, NQ, PEND, PQ):
         t42 = V[39]
         t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 384) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
-            if (V[40] >> 512 & 0xffff) < 0x1e:
+            if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff):
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 208 & 0xffffffff) << 705)
-        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1)):
-            if (V[40] >> 512 & 0xffff) < 0x22:
+        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1)):
+            if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff):
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 769)
-        if ((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1)):
-            if (V[40] >> 512 & 0xffff) < 0x24:
+        if ((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1)):
+            if (V[40] >> 512 & 0xffff) < ((0x24) & 0xffff):
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 272 & 0xffff) << 833)
-        if (((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1)):
-            if (V[40] >> 512 & 0xffff) < 0x26:
+        if (((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x24) & 0xffff) else 1)):
+            if (V[40] >> 512 & 0xffff) < ((0x26) & 0xffff):
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 288 & 0xffff) << 897)
-        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x26 else 1)):
+        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x24) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x26) & 0xffff) else 1)):
             t43 = t43 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
-        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x24 else 1))) and ((0 if (V[40] >> 512 & 0xffff) < 0x26 else 1)):
+        if ((((((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x24) & 0xffff) else 1))) and ((0 if (V[40] >> 512 & 0xffff) < ((0x26) & 0xffff) else 1)):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[38] == 1) and ((V[39] >> 6 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
@@ -695,7 +695,7 @@ def _f6(V, NQ, PEND, PQ):
         if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[41] == 1) and ((V[42] >> 2 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
-            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 641)
+            t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x200200 + 0xfffffffffffffff0) & 0xffffffffffffffff) << 641)
         if ((V[41] == 1) and ((V[42] >> 6 & 1) == 1)) and ((V[43] >> 544 & 1) == 0):
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             t46 = t46 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[43] >> 577 & 0xffffffffffffffff)) & 0xffffffff) << 545)
@@ -783,26 +783,26 @@ def _f10(V, NQ, PEND, PQ):
         t57 = V[54]
         t58 = V[55] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[55] << 320) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 | (V[55] << 416) & 0x1fffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0):
-            if (V[55] >> 512 & 0xffff) < 0x22:
+            if (V[55] >> 512 & 0xffff) < ((0x22) & 0xffff):
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 240 & 0xffffffff) << 705)
-        if (((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1)):
-            if (V[55] >> 512 & 0xffff) < 0x1e:
+        if (((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1)):
+            if (V[55] >> 512 & 0xffff) < ((0x1e) & 0xffff):
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 208 & 0xffffffff) << 769)
-        if ((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1)):
-            if (V[55] >> 512 & 0xffff) < 0x26:
+        if ((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1)):
+            if (V[55] >> 512 & 0xffff) < ((0x26) & 0xffff):
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 288 & 0xffff) << 833)
-        if (((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x26 else 1)):
-            if (V[55] >> 512 & 0xffff) < 0x24:
+        if (((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x26) & 0xffff) else 1)):
+            if (V[55] >> 512 & 0xffff) < ((0x24) & 0xffff):
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[55] >> 272 & 0xffff) << 897)
-        if ((((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < 0x22 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x1e else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x26 else 1))) and ((0 if (V[55] >> 512 & 0xffff) < 0x24 else 1)):
+        if ((((((V[53] == 1) and ((V[54] >> 3 & 1) == 1)) and ((V[55] >> 544 & 1) == 0)) and ((0 if (V[55] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x1e) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x26) & 0xffff) else 1))) and ((0 if (V[55] >> 512 & 0xffff) < ((0x24) & 0xffff) else 1)):
             t58 = t58 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[56] != t56 or V[57] != t57 or V[58] != t58:
         V[56] = t56
@@ -833,7 +833,7 @@ def _f11(V, NQ, PEND, PQ):
         if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x40040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
-            t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f0) & 0xffffffffffffffff) << 705)
+            t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x200200 + 0xfffffffffffffff0) & 0xffffffffffffffff) << 705)
     if V[59] != t59 or V[60] != t60 or V[61] != t61:
         V[59] = t59
         V[60] = t60
@@ -1220,7 +1220,7 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 5
+_GEN_VERSION = 6
 _N_NODES = 58
 _N_PROCS = 19
 _PRIM_NODE_IDS = (45, 54)

@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'router_rmw'.
 
-RTL_CODEGEN_VERSION = 5; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 6; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -159,7 +159,7 @@ def _e22(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e23(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s013:826
-    _v17 = ((1 if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1)) else 0)) & 1
+    _v17 = ((1 if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < ((4) & 0xffff) else 1)) else 0)) & 1
     if V[124] != _v17:
         V[124] = _v17
         NQ[70] = 1
@@ -193,7 +193,7 @@ def _e27(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e28(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s014:914
-    _v20 = ((1 if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1)) else 0)) & 1
+    _v20 = ((1 if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < ((6) & 0xffff) else 1)) else 0)) & 1
     if V[129] != _v20:
         V[129] = _v20
         NQ[70] = 1
@@ -227,7 +227,7 @@ def _e32(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e33(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw/s015:994
-    _v23 = ((1 if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1)) else 0)) & 1
+    _v23 = ((1 if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff) else 1)) else 0)) & 1
     if V[134] != _v23:
         V[134] = _v23
         NQ[70] = 1
@@ -759,12 +759,12 @@ def _e88(V, NQ, PEND, PQ, PRIMS, ACT):
 
 def _e89(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r3] ehdl_router_rmw:2001
-    _v66 = ((1 if V[22] < 0x22 else 0)) & 1
+    _v66 = ((1 if V[22] < ((0x22) & 0xffff) else 0)) & 1
     if V[23] != _v66:
         V[23] = _v66
         NQ[92] = 1
     # [conc r3] ehdl_router_rmw:2002
-    _v67 = ((2 if V[22] < 0x22 else 0)) & 0xffffffff
+    _v67 = ((2 if V[22] < ((0x22) & 0xffff) else 0)) & 0xffffffff
     if V[24] != _v67:
         V[24] = _v67
         NQ[93] = 1
@@ -915,7 +915,7 @@ def _f1(V, NQ, PEND, PQ):
         t30 = V[27]
         t31 = V[28] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[28] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[26] == 1) and ((V[27] & 1) == 1)) and ((V[28] >> 544 & 1) == 0):
-            if (V[28] >> 512 & 0xffff) < 0xe:
+            if (V[28] >> 512 & 0xffff) < ((0xe) & 0xffff):
                 t31 = t31 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t31 = t31 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[28] >> 96 & 0xffff) << 577)
@@ -961,7 +961,7 @@ def _f3(V, NQ, PEND, PQ):
         t36 = V[33]
         t37 = V[34] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[34] << 64) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[32] == 1) and ((V[33] >> 1 & 1) == 1)) and ((V[34] >> 544 & 1) == 0):
-            if (V[34] >> 512 & 0xffff) < 0x17:
+            if (V[34] >> 512 & 0xffff) < ((0x17) & 0xffff):
                 t37 = t37 & 0x1fffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t37 = t37 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[34] >> 176 & 0xff) << 577)
@@ -1007,11 +1007,11 @@ def _f5(V, NQ, PEND, PQ):
         t42 = V[39]
         t43 = V[40] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[40] << 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0):
-            if (V[40] >> 512 & 0xffff) < 0x22:
+            if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff):
                 t43 = t43 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t43 = t43 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[40] >> 240 & 0xffffffff) << 641)
-        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < 0x22 else 1)):
+        if (((V[38] == 1) and ((V[39] >> 2 & 1) == 1)) and ((V[40] >> 544 & 1) == 0)) and ((0 if (V[40] >> 512 & 0xffff) < ((0x22) & 0xffff) else 1)):
             t43 = t43 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x60000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
     if V[41] != t41 or V[42] != t42 or V[43] != t43:
         V[41] = t41
@@ -1056,7 +1056,7 @@ def _f7(V, NQ, PEND, PQ):
         if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
             t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[44] == 1) and ((V[45] >> 2 & 1) == 1)) and ((V[46] >> 544 & 1) == 0):
-            t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001fc) & 0xffffffffffffffff) << 641)
+            t49 = t49 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x200200 + 0xfffffffffffffffc) & 0xffffffffffffffff) << 641)
     if V[47] != t47 or V[48] != t48 or V[49] != t49:
         V[47] = t47
         V[48] = t48
@@ -1143,11 +1143,11 @@ def _f11(V, NQ, PEND, PQ):
         if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[58] << 256) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
-            if (V[58] >> 512 & 0xffff) < 0x1a:
+            if (V[58] >> 512 & 0xffff) < ((0x1a) & 0xffff):
                 t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t61 = t61 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[58] >> 192 & 0xffff) << 705)
-        if (((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0)) and ((0 if (V[58] >> 512 & 0xffff) < 0x1a else 1)):
+        if (((V[56] == 1) and ((V[57] >> 3 & 1) == 1)) and ((V[58] >> 544 & 1) == 0)) and ((0 if (V[58] >> 512 & 0xffff) < ((0x1a) & 0xffff) else 1)):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x600000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[56] == 1) and ((V[57] >> 6 & 1) == 1)) and ((V[58] >> 544 & 1) == 0):
             t61 = t61 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
@@ -1200,20 +1200,20 @@ def _f13(V, NQ, PEND, PQ):
         t66 = V[63]
         t67 = V[64] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[64] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0):
-            if (V[64] >> 512 & 0xffff) < 4:
+            if (V[64] >> 512 & 0xffff) < ((4) & 0xffff):
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t67 = t67 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000 | (((V[64] >> 641 & 0xffffffffffffffff)) & 0xffffffff)
-        if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1)):
+        if (((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < ((4) & 0xffff) else 1)):
             if V[165] == 1:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < ((4) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) << 705)
-        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < ((4) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) << 769)
-        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < 4 else 1))) and ((0 if V[165] == 1 else 1)):
+        if ((((V[62] == 1) and ((V[63] >> 3 & 1) == 1)) and ((V[64] >> 544 & 1) == 0)) and ((0 if (V[64] >> 512 & 0xffff) < ((4) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
             t67 = t67 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((((V[64] >> 705 & 0xffffffffffffffff) + 0x100) & 0xffffffffffffffff) & 0xffff) << 705)
     if V[65] != t65 or V[66] != t66 or V[67] != t67:
         V[65] = t65
@@ -1235,17 +1235,17 @@ def _f14(V, NQ, PEND, PQ):
         t69 = V[66]
         t70 = V[67] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[67] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0):
-            if (V[67] >> 512 & 0xffff) < 6:
+            if (V[67] >> 512 & 0xffff) < ((6) & 0xffff):
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t70 = t70 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffff | ((((V[67] >> 641 & 0xffffffffffffffff)) & 0xffff) << 32)
-        if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1)):
+        if (((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < ((6) & 0xffff) else 1)):
             if V[165] == 1:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t70 = t70 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < 6 else 1))) and ((0 if V[165] == 1 else 1)):
-            t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 705)
+        if ((((V[65] == 1) and ((V[66] >> 3 & 1) == 1)) and ((V[67] >> 544 & 1) == 0)) and ((0 if (V[67] >> 512 & 0xffff) < ((6) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
+            t70 = t70 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[67] >> 705 & 0xffffffffffffffff) + ((V[67] >> 769 & 0xffffffffffffffff) >> ((0x10) & 0x3f))) & 0xffffffffffffffff) << 705)
     if V[68] != t68 or V[69] != t69 or V[70] != t70:
         V[68] = t68
         V[69] = t69
@@ -1266,20 +1266,20 @@ def _f15(V, NQ, PEND, PQ):
         t72 = V[69]
         t73 = V[70] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffffffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0):
-            if (V[70] >> 512 & 0xffff) < 0xa:
+            if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff):
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t73 = t73 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000ffffffffffff | ((((V[70] >> 641 & 0xffffffffffffffff)) & 0xffffffff) << 48)
-        if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1)):
+        if (((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff) else 1)):
             if V[165] == 1:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[164] << 641) & 0x1fffffffffffffffe0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[70] << 64) & 0x1fffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
-        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
-            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((((V[70] >> 705 & 0xffffffffffffffff) >> 0x10)) & 0xffffffffffffffff) << 769)
-        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < 0xa else 1))) and ((0 if V[165] == 1 else 1)):
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
+            t73 = t73 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((((V[70] >> 705 & 0xffffffffffffffff) >> ((0x10) & 0x3f))) & 0xffffffffffffffff) << 769)
+        if ((((V[68] == 1) and ((V[69] >> 3 & 1) == 1)) and ((V[70] >> 544 & 1) == 0)) and ((0 if (V[70] >> 512 & 0xffff) < ((0xa) & 0xffff) else 1))) and ((0 if V[165] == 1 else 1)):
             t73 = t73 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((V[70] >> 705 & 0xffffffffffffffff) & 0xffff) << 705)
     if V[71] != t71 or V[72] != t72 or V[73] != t73:
         V[71] = t71
@@ -1300,16 +1300,16 @@ def _f16(V, NQ, PEND, PQ):
         t75 = V[72]
         t76 = V[73] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[73] >> 64) & 0x1fffffffffffffffffffffffffffffffe000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0):
-            if (V[73] >> 512 & 0xffff) < 0xc:
+            if (V[73] >> 512 & 0xffff) < ((0xc) & 0xffff):
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t76 = t76 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffff | ((((V[73] >> 641 & 0xffffffffffffffff)) & 0xffff) << 80)
-        if (((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < 0xc else 1)):
-            if (V[73] >> 512 & 0xffff) < 0x17:
+        if (((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < ((0xc) & 0xffff) else 1)):
+            if (V[73] >> 512 & 0xffff) < ((0x17) & 0xffff):
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t76 = t76 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((V[73] >> 176 & 0xff) << 641)
-        if ((((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < 0xc else 1))) and ((0 if (V[73] >> 512 & 0xffff) < 0x17 else 1)):
+        if ((((V[71] == 1) and ((V[72] >> 3 & 1) == 1)) and ((V[73] >> 544 & 1) == 0)) and ((0 if (V[73] >> 512 & 0xffff) < ((0xc) & 0xffff) else 1))) and ((0 if (V[73] >> 512 & 0xffff) < ((0x17) & 0xffff) else 1)):
             t76 = t76 & 0x1fffffffffffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[73] >> 705 & 0xffffffffffffffff) + (V[73] >> 769 & 0xffffffffffffffff)) & 0xffffffffffffffff) << 705)
     if V[74] != t74 or V[75] != t75 or V[76] != t76:
         V[74] = t74
@@ -1352,16 +1352,16 @@ def _f18(V, NQ, PEND, PQ):
         t81 = V[78]
         t82 = V[79] & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (V[79] >> 128) & 0x1fffffffffffffffe00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0):
-            if (V[79] >> 512 & 0xffff) < 0x17:
+            if (V[79] >> 512 & 0xffff) < ((0x17) & 0xffff):
                 t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff00ffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 641 & 0xffffffffffffffff)) & 0xff) << 176)
-        if (((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < 0x17 else 1)):
-            if (V[79] >> 512 & 0xffff) < 0x1a:
+        if (((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < ((0x17) & 0xffff) else 1)):
+            if (V[79] >> 512 & 0xffff) < ((0x1a) & 0xffff):
                 t82 = t82 & 0x1fffffffffffffffffffffffffffffffffffffffffffffffe00000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x30000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
             else:
                 t82 = t82 & 0x1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff0000ffffffffffffffffffffffffffffffffffffffffffffffff | ((((V[79] >> 705 & 0xffffffffffffffff)) & 0xffff) << 192)
-        if ((((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < 0x17 else 1))) and ((0 if (V[79] >> 512 & 0xffff) < 0x1a else 1)):
+        if ((((V[77] == 1) and ((V[78] >> 3 & 1) == 1)) and ((V[79] >> 544 & 1) == 0)) and ((0 if (V[79] >> 512 & 0xffff) < ((0x17) & 0xffff) else 1))) and ((0 if (V[79] >> 512 & 0xffff) < ((0x1a) & 0xffff) else 1)):
             t82 = t82 & 0x1fffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff
     if V[80] != t80 or V[81] != t81 or V[82] != t82:
         V[80] = t80
@@ -1386,7 +1386,7 @@ def _f19(V, NQ, PEND, PQ):
         if ((V[80] == 1) and ((V[81] >> 3 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
             t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | 0x4004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000
         if ((V[80] == 1) and ((V[81] >> 3 & 1) == 1)) and ((V[82] >> 544 & 1) == 0):
-            t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x2001f8) & 0xffffffffffffffff) << 641)
+            t85 = t85 & 0x1fffffffffffffffffffffffe0000000000000001ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff | (((0x200200 + 0xfffffffffffffff8) & 0xffffffffffffffff) << 641)
     if V[83] != t83 or V[84] != t84 or V[85] != t85:
         V[83] = t83
         V[84] = t84
@@ -1888,7 +1888,7 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 5
+_GEN_VERSION = 6
 _N_NODES = 95
 _N_PROCS = 29
 _PRIM_NODE_IDS = (65, 80, 81)

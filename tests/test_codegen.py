@@ -71,7 +71,7 @@ from repro.hwsim.codegen import (
     stream_blocker,
     write_debug_source,
 )
-from repro.hwsim.engines import engine_run
+from repro.hwsim.engines import engine_run, run_engine
 from repro.net.packet import FiveTuple, ipv4
 from repro.workloads import make_workload, parse_workload_spec
 from tests.cases import CASES, SHORT
@@ -297,6 +297,98 @@ def _paper_leaky_bucket():
     return compile_program(leaky_bucket.build(), PAPER)
 
 
+UPD, DEL = 0, 1
+ANY, NOEXIST, EXIST = 0, 1, 2
+_NEG1 = isa.MASK64
+
+
+def _map_writes_program(spec, key_in_frame=False):
+    """Per frame, a lookup of the key at bytes 4..8 of map ``m`` (the
+    hit lands in byte 2), then — by byte 0 — an update with the value
+    at bytes 8..16 and the flags in byte 1, or a delete (not for an
+    array: the verifier refuses it); the write's r0 replaces the value
+    in the frame, and decides TX (0) or DROP. The writes' key is the
+    stack copy, or with ``key_in_frame`` the frame bytes themselves."""
+    key = "r6\n    r2 += 4" if key_in_frame else "r10\n    r2 += -4"
+    write = [
+        "    r3 = r10",
+        "    r3 += -16",
+        "    r4 = *(u8 *)(r6 + 1)",
+        "    call 2",
+    ]
+    if spec.map_type != "array":
+        write = ["    if r8 != 0 goto delete"] + write + [
+            "    goto verdict", "delete:", "    call 3", "verdict:"]
+    return assemble_program("\n".join([
+        "    r7 = *(u32 *)(r1 + 4)",
+        "    r6 = *(u32 *)(r1 + 0)",
+        "    r2 = r6",
+        "    r2 += 16",
+        "    if r2 > r7 goto out",
+        "    r2 = *(u32 *)(r6 + 4)",
+        "    *(u32 *)(r10 - 4) = r2",
+        "    r3 = *(u64 *)(r6 + 8)",
+        "    *(u64 *)(r10 - 16) = r3",
+        "    r1 = map[m]",
+        "    r2 = r10",
+        "    r2 += -4",
+        "    call 1",
+        "    r9 = 0",
+        "    if r0 == 0 goto miss",
+        "    r9 = 1",
+        "miss:",
+        "    r8 = *(u8 *)(r6 + 0)",
+        "    r1 = map[m]",
+        f"    r2 = {key}",
+    ] + write + [
+        "    *(u64 *)(r6 + 8) = r0",
+        "    *(u8 *)(r6 + 2) = r9",
+        "    if r0 == 0 goto tx",
+        "    r0 = 1",
+        "    exit",
+        "tx:",
+        "    r0 = 3",
+        "    exit",
+        "out:",
+        "    r0 = 2",
+        "    exit",
+    ]), maps={"m": spec}, name=f"map_writes_{spec.map_type}")
+
+
+def _write_frame(op, flags, key):
+    return (bytes([op, flags, 0, 0]) + key.to_bytes(4, "little")
+            + (100 + key).to_bytes(8, "little"))
+
+
+def _stream_source(pipeline):
+    source = ensure_source(pipeline)
+    return source[source.index("def _stream("):]
+
+
+# Every flag on a miss and on a hit, inserts into a full map, a delete
+# that misses and one that hits; for a map of three entries the r0 each
+# write leaves (None: banked, whose evictions follow the key's CRC).
+_WRITE_STEPS = [
+    (UPD, ANY, 1), (UPD, NOEXIST, 1), (UPD, EXIST, 2), (UPD, NOEXIST, 2),
+    (UPD, ANY, 3),
+    (UPD, ANY, 4),  # full: a hash map refuses, an LRU map evicts 1
+    (UPD, 3, 5),    # flags 3 are ANY: refused / evicts 2
+    (DEL, ANY, 9),  # misses
+    (DEL, ANY, 3),  # hits
+    (UPD, ANY, 4), (UPD, EXIST, 1), (UPD, ANY, 6),
+    (UPD, EXIST, 7),  # full LRU: evicts, then refuses
+]
+_WRITE_CASES = {
+    "hash": (MapSpec("m", "hash", 4, 8, 3),
+             [0, _NEG1, _NEG1, 0, 0, _NEG1, _NEG1, _NEG1, 0, 0, 0, _NEG1,
+              _NEG1]),
+    "lru_hash": (MapSpec("m", "lru_hash", 4, 8, 3),
+                 [0, _NEG1, _NEG1, 0, 0, 0, 0, _NEG1, 0, 0, _NEG1, 0,
+                  _NEG1]),
+    "banked_lru_hash": (MapSpec("m", "lru_hash", 4, 8, 4, banks=2), None),
+}
+
+
 class TestStreamPath:
     def test_stream_emitted_only_when_hazard_free(self):
         # firewall: no flush plans, no order-sensitive helpers
@@ -343,7 +435,8 @@ class TestStreamPath:
             + [bytes(1)]
         for gap in (3, 1):
             path, got = _observed(pipeline, program, frames, "codegen", gap)
-            assert path == "stream (0 of 0 lookups folded, 0 spill sites)"
+            assert path == ("stream (0 of 0 lookups, 0 of 0 writes folded, "
+                            "0 spill sites)")
             _path, want = _observed(pipeline, program, frames,
                                     "interpreted", gap)
             assert compare_runs(want, got) == []
@@ -405,7 +498,8 @@ class TestStreamPath:
         corpus = Path(__file__).parent / "corpus" / "atomic_variants.ebpf"
         self._agrees_spaced(
             load_program(str(corpus)), [bytes(range(64))] * 6 + [b""],
-            "1 of 1 lookups folded, 6 spill sites", atomics=1)
+            "1 of 1 lookups, 0 of 0 writes folded, 6 spill sites",
+            atomics=1)
 
     def test_registers_written_inside_the_atomic_fallback_come_back(self):
         # fetch-add (inlined; its cold fallback spills), xchg and cmpxchg
@@ -448,13 +542,15 @@ class TestStreamPath:
             + (i * 5 % 3).to_bytes(8, "little") + bytes(32)
             for i in range(12)
         ] + [bytes(8)]
-        self._agrees_spaced(program, frames,
-                            "1 of 1 lookups folded, 3 spill sites", atomics=1)
+        self._agrees_spaced(
+            program, frames,
+            "1 of 1 lookups, 0 of 0 writes folded, 3 spill sites", atomics=1)
 
     def test_spill_around_map_update_then_branch_on_r0(self):
-        # r0 comes back from sim._map_channel_call through pkt.regs and
-        # decides the verdict: 0 -> TX, -1 (BPF_EXIST on a missing key,
-        # BPF_NOEXIST cannot fail after a miss) -> DROP, a hit -> PASS
+        # r0 of the update — an inline request on the map's unchecked
+        # core, no spill — decides the verdict: 0 -> TX, -1 (BPF_EXIST on
+        # a missing key, BPF_NOEXIST cannot fail after a miss) -> DROP,
+        # a hit -> PASS
         program = assemble_program("""
             r7 = *(u32 *)(r1 + 4)
             r6 = *(u32 *)(r1 + 0)
@@ -495,8 +591,9 @@ class TestStreamPath:
                                (1, 2), (4, 1), (5, 1), (6, 0), (1, 1),
                                (7, 2), (8, 0)]
         ] + [bytes(4)]
-        self._agrees_spaced(program, frames,
-                            "1 of 1 lookups folded, 1 spill site")
+        self._agrees_spaced(
+            program, frames,
+            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites")
         pipeline = compile_program(program)
         verdicts = set()
         for gap in (1, 2, 7):  # windowed: the cycle accounting too
@@ -507,6 +604,91 @@ class TestStreamPath:
             assert compare_runs(want, got) == []
             verdicts |= set(got.actions)
         assert {int(v) for v in verdicts} == {1, 2, 3}
+
+    # -- map writes folded into the stream ----------------------------------
+    # An update or delete whose key (and value) sit in static stack slots
+    # is the map's unchecked core in _stream, with no spill; r0 of each
+    # write lands in the frame, so a wrong -1 / 0 is a bytes mismatch.
+
+    def _writes_agree(self, pipeline, program, frames, shape,
+                      line_rate=True):
+        """Streams with ``shape``; vm, interpreted and codegen agree on
+        verdicts, bytes, map entries and LRU order with one packet in
+        flight and (``line_rate``) at gap 1, the pipeline pair on every
+        packet's cycles too. Returns the r0 each frame's write left
+        (bytes 8..16)."""
+        vm = run_engine("vm", program, frames)
+        for gap in (1,) * line_rate + (pipeline.n_stages + 2,):
+            path, got = _observed(pipeline, program, frames, "codegen", gap)
+            assert path == f"stream ({shape})"
+            _path, want = _observed(pipeline, program, frames,
+                                    "interpreted", gap)
+            assert compare_runs(want, got) == []
+            assert compare_runs(vm, want) == []
+            assert compare_runs(vm, got) == []
+        return [int.from_bytes(frame[8:16], "little")
+                for frame in got.frames]
+
+    @pytest.mark.parametrize("kind", sorted(_WRITE_CASES))
+    def test_map_writes_fold_into_the_stream(self, kind):
+        spec, r0s = _WRITE_CASES[kind]
+        program = _map_writes_program(spec)
+        frames = [_write_frame(*step) for step in _WRITE_STEPS] \
+            + [bytes(15)]
+        pipeline = compile_program(program)
+        assert "sim._map_channel_call" not in _stream_source(pipeline)
+        got = self._writes_agree(
+            pipeline, program, frames,
+            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites")
+        if r0s is None:  # banked: which key evicts which is the CRC's
+            assert {0, _NEG1} <= set(got[:-1])
+        else:
+            assert got[:-1] == r0s
+
+    def test_array_writes_fold_into_the_stream(self):
+        # an array's lookup + update plan flushes: held in one window, it
+        # streams. The verifier refuses an array delete, so a delete
+        # reaches an array only through a spec swapped after compiling
+        # (both engines' channel step raise MapError: -1). The swapped
+        # pipeline keeps the hash map's keyed window, which the cycle
+        # loop runs with one lane over an array: one packet in flight.
+        array = MapSpec("m", "array", 4, 8, 4)
+        program = _map_writes_program(array)
+        pipeline = compile_program(program)
+        plan = pipeline.map_hazards[1]
+        pipeline = _rewindowed(pipeline, 1, (plan.touching[0],
+                                             plan.touching[-1]))
+        pipeline.map_hazards[1].consistency = MapConsistency("windowed")
+        steps = [(UPD, ANY, 1), (UPD, NOEXIST, 0), (UPD, EXIST, 2),
+                 (UPD, ANY, 4), (UPD, ANY, 9), (UPD, 3, 3)]
+        got = self._writes_agree(
+            pipeline, program, [_write_frame(*step) for step in steps],
+            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites")
+        assert got == [0, _NEG1, 0, _NEG1, _NEG1, 0]
+
+        swapped = copy.deepcopy(compile_program(_map_writes_program(
+            dataclasses.replace(array, map_type="hash"))))
+        swapped.program.maps[1] = array
+        swapped.codegen_source = None
+        steps = [(DEL, ANY, 1), (DEL, ANY, 9), (UPD, ANY, 2), (DEL, ANY, 2)]
+        got = self._writes_agree(
+            swapped, swapped.program, [_write_frame(*s) for s in steps],
+            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites",
+            line_rate=False)
+        assert got == [_NEG1, _NEG1, 0, _NEG1]
+
+    def test_write_with_its_key_in_the_frame_keeps_the_channel_call(self):
+        # no static stack slice to fold: sim._map_channel_call behind a
+        # spill, in the same stream
+        spec, r0s = _WRITE_CASES["lru_hash"]
+        program = _map_writes_program(spec, key_in_frame=True)
+        pipeline = compile_program(program)
+        assert "sim._map_channel_call" in _stream_source(pipeline)
+        got = self._writes_agree(
+            pipeline, program,
+            [_write_frame(*step) for step in _WRITE_STEPS],
+            "1 of 1 lookups, 0 of 2 writes folded, 2 spill sites")
+        assert got == r0s
 
     def test_drops_leave_the_packet_body(self):
         # the key is read from the frame (no constant stack slot to
@@ -556,7 +738,8 @@ class TestStreamPath:
                 load.label, region=Region.STACK, map_fd=None)):
             labelled = _unresolved(pipeline, 5, label=label)
             for observer, expected in (
-                (None, "stream (1 of 1 lookups folded, 0 spill sites)"),
+                (None, "stream (1 of 1 lookups, 0 of 0 writes folded, "
+                       "0 spill sites)"),
                 (_idle_observer,
                  "cycle-loop (a per-cycle observer is attached)"),
             ):
@@ -895,8 +1078,8 @@ class TestWindowedStream:
             assert _recompiles(reg, pipeline) == 1
         assert pipeline.codegen_version == CODEGEN_VERSION
         with telemetry.scoped(enabled=False):
-            assert sim.engine_path() \
-                == "stream (2 of 2 lookups folded, 3 spill sites)"
+            assert sim.engine_path() == ("stream (2 of 2 lookups, 1 of 1 "
+                                         "writes folded, 2 spill sites)")
 
 
 class TestStreamBlockers:

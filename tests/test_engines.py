@@ -360,19 +360,19 @@ class TestCliEngineFlag:
         assert main(["run", "app:ct_firewall", "--workload", "auto",
                      "--packets", "60", "--engine", "codegen"]) == 0
         # ... and what the generated stream body is specialised to
-        assert ("engine path: stream (2 of 2 lookups folded, 3 spill "
-                "sites)\n") in capsys.readouterr().out
+        assert ("engine path: stream (2 of 2 lookups, 1 of 1 writes folded, "
+                "2 spill sites)\n") in capsys.readouterr().out
         assert main(["stats", "app:maglev"]) == 0
-        assert ("engine path: stream (2 of 2 lookups folded, 1 spill "
-                "site)\n") in capsys.readouterr().out
+        assert ("engine path: stream (2 of 2 lookups, 0 of 0 writes folded, "
+                "1 spill site)\n") in capsys.readouterr().out
         assert main(["run", "app:ct_firewall", "--workload", "auto",
                      "--packets", "60", "--engine", "interpreted"]) == 0
         assert ("engine path: cycle-loop (engine 'interpreted' has no "
                 "stream path)") in capsys.readouterr().out
         # a keyed window in place of its flushes: leaky_bucket streams
         assert main(["stats", "app:leaky_bucket"]) == 0
-        assert ("engine path: stream (1 of 1 lookups folded, 1 spill "
-                "site)\n") in capsys.readouterr().out
+        assert ("engine path: stream (1 of 1 lookups, 1 of 1 writes folded, "
+                "0 spill sites)\n") in capsys.readouterr().out
         assert main(["stats", "app:dnat"]) == 0
         out = capsys.readouterr().out
         assert ("engine path: cycle-loop (flush plan on map 1 "

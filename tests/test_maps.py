@@ -389,3 +389,61 @@ class TestEntryCount:
         assert m.entry_count() == 4
         m.clear()
         assert m.entry_count() == 4 and m.lookup(key4(2)) == bytes(8)
+
+
+class TestHostInterfaceChecks:
+    """The public ``lookup_slot`` / ``update`` / ``delete`` check the key
+    and value sizes before the unchecked data-plane cores (``_find`` /
+    ``_update``) run, for every map kind."""
+
+    SPECS = {
+        "array": MapSpec("a", "array", 4, 8, 4),
+        "percpu_array": MapSpec("p", "percpu_array", 4, 8, 4),
+        "hash": MapSpec("h", "hash", 4, 8, 2),
+        "lru_hash": MapSpec("l", "lru_hash", 4, 8, 2),
+        "banked_lru_hash": MapSpec("b", "lru_hash", 4, 8, 4, banks=2),
+    }
+
+    def _full(self, kind):
+        m = create_map(self.SPECS[kind])
+        for i in range(m.max_entries):
+            m.update(key4(i), val8(i + 1))
+        return m
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("size", [0, 3, 5])
+    def test_wrong_key_size_raises(self, kind, size):
+        m, key = self._full(kind), b"\x01" * size
+        before = (m.snapshot(), list(m.items()))
+        for call in (lambda: m.lookup_slot(key),
+                     lambda: m.update(key, val8(7)),
+                     lambda: m.delete(key)):
+            with pytest.raises(MapError):
+                call()
+        assert (m.snapshot(), list(m.items())) == before
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("size", [0, 7, 9])
+    def test_wrong_value_size_raises_and_changes_nothing(self, kind, size):
+        # a full LRU map evicts on an insert: a refused one must not
+        m, value = self._full(kind), b"\x01" * size
+        before = (m.snapshot(), list(m.items()))
+        for key in (key4(0), key4(99)):
+            with pytest.raises(MapError):
+                m.update(key, value)
+        assert (m.snapshot(), list(m.items())) == before
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_cores_are_the_checked_calls(self, kind):
+        checked, core = self._full(kind), self._full(kind)
+        for key in (key4(1), key4(3), key4(9)):
+            assert checked.lookup_slot(key) == core._find(key)
+            try:
+                want = checked.update(key, val8(5), BPF_EXIST)
+            except MapError:
+                with pytest.raises(MapError):
+                    core._update(key, val8(5), BPF_EXIST)
+            else:
+                assert core._update(key, val8(5), BPF_EXIST) == want
+        assert list(checked.items()) == list(core.items())
+        assert checked.snapshot() == core.snapshot()
