@@ -242,6 +242,13 @@ def cmd_rtl_sim(args: argparse.Namespace) -> int:
     print(f"rtl[{runner.engine}{note}]: {runner.n_stages}-stage pipeline, "
           f"{runner.window_bytes}-byte window, "
           f"per-packet cycles {cycles}")
+    nodes, procs, ports = runner.sim.evaluations()
+    n = max(len(frames), 1)
+    counted = (f", {ports / n:.1f} port requests" if ports is not None
+               else " (every node each settle, every process each edge)")
+    print(f"rtl[{runner.engine}] schedule: {nodes / n:.1f} node "
+          f"evaluations, {procs / n:.1f} process evaluations{counted} "
+          "per packet")
     return 0
 
 

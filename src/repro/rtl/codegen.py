@@ -13,6 +13,11 @@ model into one generated Python module (mirroring
   indexed by node replaces the full settle sweep: each write is
   change-detected and, only when the value actually moved, marks the
   reader nodes and processes downstream, always ahead of the scan.
+* A process that reads a net only under a positive guard ``g = '1'``
+  is marked by that net's changes only while ``g`` is high
+  (``_Builder.proc_guard`` states the rule and why it is sound): a
+  stage register that reads a shared map channel's response only while
+  its stage is valid no longer re-runs for every other stage's request.
 * Every expression is re-compiled to straight-line Python source with
   constants folded (masks, slice offsets, ``rising_edge`` → ``True``),
   replacing per-AST-node closure calls with single bytecode operations.
@@ -21,7 +26,16 @@ model into one generated Python module (mirroring
   they stay *live*: while the gate reads 1 the node re-queues itself
   for the next settle, and per-primitive activity counters
   (``ehdl_rtl_prim_active_total``) record exactly how often each block
-  really ran. Quiescent cycles cost one empty ``NQ`` scan.
+  really ran. Quiescent cycles cost one empty ``NQ`` scan. A port's
+  common requests are generated code in its node's body (a load, store
+  or atomic in the map's window, a lookup, an update, a delete, a
+  ``redirect_map``, ``bpf_redirect``); the rest — out-of-range
+  addresses, unknown ops, other helpers — call the primitive model
+  (``PRIMS[i]``, :mod:`repro.rtl.primitives`), which stays the
+  reference. What a port reads per run (the map's storage and lookup
+  core, the op counters, the packet shadow) is bound per simulator
+  from ``_BIND``, never named in the module text, since one module
+  serves every runner of its design.
 * Each clocked process compiles to one fused evaluate+commit function
   ``_f<i>``. An edge runs the pending ones in a static *commit order*
   (process j before process k whenever j reads a net k writes), so every
@@ -74,12 +88,20 @@ from .ast import (
     Un,
     WhenElse,
 )
+from ..core.vhdl import (
+    ATOMIC_PORT, CH_OP_LOAD, CH_OP_LOOKUP, CH_OP_STORE, CH_OP_UPDATE,
+    MAP_CHANNEL,
+)
+from ..ebpf.helpers import HELPER_IDS_BY_NAME, channel_step
+from ..ebpf.vm import VmError, atomic_step
+from ..ebpf.xdp import AddressSpace, XdpAction
 from .elab import CombNode, Elaborated, Ref, _sign
 from .errors import RtlCodegenError
+from .primitives import _CH_OP_HELPER, _CH_OP_NAMES
 
 #: Bump whenever the generated schedule source changes shape; the stamp
 #: is folded into the digest so stale disk artifacts never load.
-RTL_CODEGEN_VERSION = 6
+RTL_CODEGEN_VERSION = 7
 
 #: In-process cache: digest -> executed module namespace.
 _MODULE_CACHE: Dict[str, dict] = {}
@@ -107,7 +129,19 @@ _HELPERS = {
     "_bswap16": _bswap16,
     "_bswap32": _bswap32,
     "_bswap64": _bswap64,
+    "_CH_OP_HELPER": _CH_OP_HELPER,
+    "_CH_OP_NAMES": _CH_OP_NAMES,
+    "atomic_step": atomic_step,
+    "channel_step": channel_step,
+    "VmError": VmError,
 }
+
+_REDIRECT_HELPER = HELPER_IDS_BY_NAME["bpf_redirect"]
+_REDIRECT = int(XdpAction.REDIRECT)
+
+
+def _indent(lines: List[str], ind: str) -> List[str]:
+    return [ind + line for line in lines]
 
 
 def _hx(value: int) -> str:
@@ -196,6 +230,20 @@ class _SrcCompiler:
         self.net_widths = net_widths
         self.scope = scope
         self.reads: Set[int] = set()
+        # The positive guards in force where the next read compiles
+        # (outermost first), and per net read the guards every one of
+        # its reads sat under (see _Builder.proc_guard).
+        self.guards: Tuple[Ref, ...] = ()
+        self.guarded: Dict[int, List[Ref]] = {}
+
+    def note(self, net: int) -> None:
+        """Record a read of ``net`` under the guards now in force."""
+        self.reads.add(net)
+        held = self.guarded.get(net)
+        if held is None:
+            self.guarded[net] = list(self.guards)
+        elif held:
+            self.guarded[net] = [g for g in held if g in self.guards]
 
     def ref_of(self, target) -> Ref:
         base = self.scope[target.name]
@@ -206,7 +254,7 @@ class _SrcCompiler:
         return base.sub(target.lo, target.hi - target.lo + 1)
 
     def read_src(self, ref: Ref) -> str:
-        self.reads.add(ref.net)
+        self.note(ref.net)
         if ref.low == 0 and ref.width == self.net_widths[ref.net]:
             return f"V[{ref.net}]"
         if ref.low == 0:
@@ -289,20 +337,38 @@ class _SrcCompiler:
         mask = (1 << w) - 1
         return f"(~{s} & {_hx(mask)})", w, k
 
+    def compile_cond(self, cond) -> Tuple[_S, List[Ref]]:
+        """Compile an ``if`` / ``elsif`` condition, and return with it
+        the positive guards it establishes: each conjunct of its
+        top-level ``and`` chain of the form ``g = '1'``, ``g`` a 1-bit
+        ref. A later conjunct compiles under the guards of the earlier
+        ones: where any of them is low, the condition is false whatever
+        the later conjunct reads."""
+        if isinstance(cond, Bin) and cond.op == "and":
+            left, ga = self.compile_cond(cond.left)
+            outer = self.guards
+            self.guards = outer + tuple(ga)
+            right, gb = self.compile_cond(cond.right)
+            self.guards = outer
+            return self._logic("and", left, right), ga + gb
+        src = self.compile(cond)
+        if (isinstance(cond, Bin) and cond.op == "="
+                and isinstance(cond.left, (NameRef, Index, SliceRef))
+                and isinstance(cond.right, Lit)
+                and (cond.right.value, cond.right.width) == (1, 1)):
+            ref = self.ref_of(cond.left)
+            if ref.width == 1:
+                return src, [ref]
+        return src, []
+
     def compile_bin(self, expr: Bin) -> _S:
         op = expr.op
-        sa, wa, ka = self.compile(expr.left)
-        sb, wb, kb = self.compile(expr.right)
+        a = self.compile(expr.left)
+        b = self.compile(expr.right)
         if op in ("and", "or", "xor"):
-            if ka == "b" and kb == "b":
-                ca, cb = _as_cond(sa), _as_cond(sb)
-                if op == "and":
-                    return f"(1 if ({ca}) and ({cb}) else 0)", 0, "b"
-                if op == "or":
-                    return f"(1 if ({ca}) or ({cb}) else 0)", 0, "b"
-                return f"(1 if {sa} != {sb} else 0)", 0, "b"
-            pyop = {"and": "&", "or": "|", "xor": "^"}[op]
-            return f"({sa} {pyop} {sb})", wa, ka
+            return self._logic(op, a, b)
+        sa, wa, ka = a
+        sb, wb, kb = b
         if op in _CMP_PYOPS:
             signed = ka == "s" or kb == "s"
 
@@ -331,6 +397,19 @@ class _SrcCompiler:
         width = wa + wb
         mask = (1 << width) - 1
         return f"(({sa} * {sb}) & {_hx(mask)})", width, "u"
+
+    @staticmethod
+    def _logic(op: str, a: _S, b: _S) -> _S:
+        (sa, wa, ka), (sb, _wb, kb) = a, b
+        if ka == "b" and kb == "b":
+            ca, cb = _as_cond(sa), _as_cond(sb)
+            if op == "and":
+                return f"(1 if ({ca}) and ({cb}) else 0)", 0, "b"
+            if op == "or":
+                return f"(1 if ({ca}) or ({cb}) else 0)", 0, "b"
+            return f"(1 if {sa} != {sb} else 0)", 0, "b"
+        pyop = {"and": "&", "or": "|", "xor": "^"}[op]
+        return f"({sa} {pyop} {sb})", wa, ka
 
     def compile_when(self, expr: WhenElse,
                      expect_width: Optional[int]) -> _S:
@@ -388,11 +467,16 @@ class _Builder:
         # outputs. Populated while compiling bodies.
         self.node_reads: List[Set[int]] = [set() for _ in model.nodes]
         self.proc_reads: List[Set[int]] = []
+        self.proc_guarded: List[Dict[int, List[Ref]]] = []
         self.proc_writes: List[List[int]] = []
         self.proc_lines: List[List[str]] = []
         self.readers_nodes: Dict[int, List[int]] = {}
         self.readers_procs: Dict[int, List[int]] = {}
         self._tmp = 0
+        # per-simulator bindings of the generated ports (see bound)
+        self.n_prims = self.kinds.count("prim")
+        self.binds: List[Tuple[str, int]] = []
+        self.bind_ix: Dict[Tuple[str, Optional[int]], int] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -408,6 +492,26 @@ class _Builder:
             return f"V[{ref.net}] & {_hx(ref.mask)}"
         return f"V[{ref.net}] >> {ref.low} & {_hx(ref.mask)}"
 
+    def proc_guard(self, p: int, net: int) -> Optional[Ref]:
+        """The guard under which a change of ``net`` wakes process
+        ``p``, or None where every change must.
+
+        That is the outermost ``g`` that every read of ``net`` in ``p``
+        sits under (``_SrcCompiler.compile_cond``: the ``then`` arm of
+        an ``if`` or ``elsif`` whose condition's top-level conjunction
+        holds ``g = '1'``, or a later conjunct of that condition), and
+        whose own net ``p`` reads unguarded. It is sound because every
+        change of ``g``'s net marks ``p``. So between two evaluations
+        of ``p`` either ``g`` stayed high, and every change of ``net``
+        was marked, or ``g`` stayed low, and ``p``'s next value does
+        not depend on ``net``: the guarded arms and conjuncts are all
+        that read it. Drive-time marks (``_mark``) stay unguarded."""
+        guarded = self.proc_guarded[p]
+        for g in guarded.get(net, ()):
+            if not guarded[g.net]:
+                return g
+        return None
+
     def mark_lines(self, net: int, ind: str) -> List[str]:
         # Node marks are bare byte stores: NQ *is* the queue (the settle
         # scan visits set bytes in ascending index order), and marks are
@@ -416,7 +520,9 @@ class _Builder:
         for j in self.readers_nodes.get(net, ()):
             out.append(f"{ind}NQ[{j}] = 1")
         for p in self.readers_procs.get(net, ()):
-            out.append(f"{ind}if not PQ[{p}]:")
+            g = self.proc_guard(p, net)
+            out.append(f"{ind}if not PQ[{p}]:" if g is None
+                       else f"{ind}if not PQ[{p}] and {self.test_src(g)}:")
             out.append(f"{ind}    PQ[{p}] = 1")
             out.append(f"{ind}    PEND.append({p})")
         return out
@@ -525,6 +631,7 @@ class _Builder:
                         "combinationally and by a process; not "
                         "schedulable")
             self.proc_reads.append(comp.reads)
+            self.proc_guarded.append(comp.guarded)
             self.proc_writes.append(writes)
             self.proc_lines.append(lines)
 
@@ -543,7 +650,7 @@ class _Builder:
             ref = comp.ref_of(expr)
             if ref.width != target.width:
                 return None
-            comp.reads.add(ref.net)
+            comp.note(ref.net)
             return ("net", ref.net, target.low - ref.low,
                     target.mask << target.low)
         return None
@@ -651,14 +758,19 @@ class _Builder:
                  writes: List[int]) -> List[str]:
         out: List[str] = []
         opened = False
+        outer = comp.guards
         for cond, cbody in stmt.branches:
-            csrc = comp.compile(cond)[0]
+            (csrc, _w, _k), guards = comp.compile_cond(cond)
             if csrc == "0":
                 continue  # branch can never be taken
+            # the arm runs only where every guard its condition
+            # establishes is high; an elsif's arm gets only its own
+            comp.guards = outer + tuple(guards)
             body = self._emit_seq(cbody,
                                   ind + ("    " if csrc != "1" or opened
                                          else ""),
                                   comp, writes)
+            comp.guards = outer
             if csrc == "1":
                 if not opened:
                     # always taken: inline, drop the rest of the chain
@@ -835,16 +947,17 @@ class _Builder:
         out = [f"    if {self.test_src(node.gate)}:",
                f"        ACT[{pi}] += 1"]
         snaps = []
-        for net in sorted(node.writes):
-            marks = self.mark_lines(net, "            ")
-            if not marks:
-                continue
-            s = self._fresh("s")
-            snaps.append((net, s, marks))
-            out.append(f"        {s} = V[{net}]")
-        out.append(f"        PRIMS[{pi}](V)")
-        for net, s, marks in snaps:
-            out.append(f"        if V[{net}] != {s}:")
+        for nets, marks in self._commit_groups(sorted(node.writes),
+                                               "            "):
+            if marks:
+                names = [self._fresh("s") for _ in nets]
+                snaps.append((nets, names, marks))
+                out.extend(f"        {s} = V[{n}]"
+                           for n, s in zip(nets, names))
+        out.extend(_indent(self._port_lines(pi, i, node), "        "))
+        for nets, names, marks in snaps:
+            cond = " or ".join(f"V[{n}] != {s}" for n, s in zip(nets, names))
+            out.append(f"        if {cond}:")
             out.extend(marks)
         # stay live: side effects must re-run while the gate holds (the
         # settle scan already moved past this index, so the mark lands
@@ -857,6 +970,161 @@ class _Builder:
         for ref in idle:
             out.extend(self.write_lines(ref, "0", 0, "i", "        "))
         return out
+
+    # -- generated ports -----------------------------------------------------
+
+    def bound(self, what: str, node_id: int, fd: Optional[int] = None) -> str:
+        """Source of a per-simulator binding: ``PRIMS[k]`` past the
+        primitives' own callables. ``what`` is the map of ``fd``
+        (``map``, its ``storage`` or its ``find`` core), or the run's
+        ``counts`` (``RtlContext.op_counts``) or ``context``;
+        ``CompiledRtlSimulator`` binds ``_BIND`` from ``node_id``'s
+        block, so the module text names no ``MapSet``."""
+        key = (what, fd)
+        k = self.bind_ix.get(key)
+        if k is None:
+            k = self.bind_ix[key] = self.n_prims + len(self.binds)
+            self.binds.append((what, node_id))
+        return f"PRIMS[{k}]"
+
+    def _field(self, ref: Ref, width: Optional[int] = None) -> str:
+        """A port read, narrowed to its low ``width`` bits."""
+        mask = ref.mask if width is None else ref.mask & ((1 << width) - 1)
+        if ref.low == 0 and mask == (1 << self.model.net_widths[ref.net]) - 1:
+            return f"V[{ref.net}]"
+        if ref.low == 0:
+            return f"(V[{ref.net}] & {_hx(mask)})"
+        return f"(V[{ref.net}] >> {ref.low} & {_hx(mask)})"
+
+    def _store(self, ref: Ref, src: str) -> str:
+        """A port drive, unmarked (the snapshots mark), like ``Ref.set``;
+        a decimal literal is shifted and masked here."""
+        n = ref.net
+        nw = self.model.net_widths[n]
+        keep = _hx(((1 << nw) - 1) ^ (ref.mask << ref.low))
+        if src.isdigit():
+            val = (int(src) & ref.mask) << ref.low
+            if ref.width == nw:
+                return f"V[{n}] = {_hx(val)}"
+            return f"V[{n}] = V[{n}] & {keep}" + (f" | {_hx(val)}"
+                                                  if val else "")
+        shifted = _masked(src, ref.mask)
+        if ref.width == nw:
+            return f"V[{n}] = {shifted}"
+        if ref.low:
+            shifted = f"({shifted} << {ref.low})"
+        return f"V[{n}] = V[{n}] & {keep} | {shifted}"
+
+    def _count(self, kind: str, node_id: int) -> List[str]:
+        """``RtlContext.count_op`` inline, of the source ``kind``."""
+        return [f"_oc = {self.bound('counts', node_id)}",
+                f"_oc[{kind}] = _oc.get({kind}, 0) + 1"]
+
+    def _port_lines(self, pi: int, i: int, node: CombNode) -> List[str]:
+        """The live body of gated primitive ``pi`` (node ``i``): its
+        common requests generated, the rest ``PRIMS[pi](V)``, the
+        reference model in ``rtl/primitives.py``, which also owns every
+        out-of-range address and every error."""
+        ref = [f"PRIMS[{pi}](V)"]
+        if node.prim is None:
+            return ref
+        block, port, c = node.prim
+        if port == "channel":
+            return self._channel_lines(i, block, c, ref)
+        if port == "atomic":
+            return self._atomic_lines(i, block, ref)
+        if (block.helper_id == _REDIRECT_HELPER
+                and "frame_o" not in block.ports):
+            # bpf_redirect: the helper's own two steps on the shadow
+            p = block.ports
+            return ([f"_sh = {self.bound('context', i)}.packet",
+                     "if _sh is None:"] + _indent(ref, "    ")
+                    + ["else:"] + _indent(
+                        self._count(f'"helper:{block.spec.name}"', i)
+                        + [f"_sh.redirect_ifindex = "
+                           f"{self._field(p['r1'], 32)}",
+                           self._store(p["rsp"], str(_REDIRECT))], "    "))
+        return ref
+
+    def _window(self, i: int, block, addr: str, size: str) -> List[str]:
+        """``_o``: the offset of ``addr`` in map ``block.fd``'s window,
+        and the test that its ``size`` bytes lie in the bound storage
+        ``_st`` (what ``MapBlock._decode_addr`` accepts)."""
+        base = _hx(AddressSpace.map_value_addr(block.fd, 0))
+        return [f"_o = {addr} - {base}",
+                f"_z = {size}",
+                f"_st = {self.bound('storage', i, block.fd)}",
+                f"if 0 <= _o < {_hx(AddressSpace.MAP_WINDOW)} "
+                "and _o + _z <= len(_st):"]
+
+    def _channel_lines(self, i: int, block, c: int,
+                       ref: List[str]) -> List[str]:
+        """One map channel (``MapBlock._channel``): a LOAD or STORE in
+        the map's window is a slice of its storage, a LOOKUP its
+        ``_find`` core plus the value address, an UPDATE, DELETE or
+        REDIRECT_MAP ``helpers.channel_step`` on the bound map."""
+        p = {f: block.ports[f"ch{c}_{f}"] for f, _d, _w in MAP_CHANNEL}
+        fd, ks, vs = block.fd, block.key_bytes, block.value_bytes
+        rd, ob = p["rdata"], p["oob"]
+        key = f'{self._field(p["key"], 8 * ks)}.to_bytes({ks}, "little")'
+        base = _hx(AddressSpace.map_value_addr(fd, 0))
+        load = self._window(i, block, self._field(p["addr"]), "_op >> 4")
+        load += _indent(self._count('"load"', i) + [
+            self._store(rd, 'int.from_bytes(_st[_o:_o + _z], "little")'),
+            self._store(ob, "0")], "    ")
+        store = self._window(i, block, self._field(p["addr"]), "_op >> 4")
+        store += _indent(self._count('"store"', i) + [
+            f"_st[_o:_o + _z] = ({self._field(p['wdata'])} "
+            '& ((1 << (_z << 3)) - 1)).to_bytes(_z, "little")',
+            self._store(rd, "0"), self._store(ob, "0")], "    ")
+        value = (f'{self._field(p["wdata"], 8 * vs)}.to_bytes({vs}, '
+                 f'"little") if _cd == {CH_OP_UPDATE} else None')
+        step = ["_nm = _CH_OP_NAMES[_cd]"] + self._count("_nm", i) + [
+            f"_r, _sl, _if = channel_step(_CH_OP_HELPER[_cd], {fd}, "
+            f"{self.bound('map', i, fd)}, {key}, {value}, "
+            f"{self._field(p['addr'])})",
+            "if _if is not None:",
+            f"    _sh = {self.bound('context', i)}.packet",
+            "    if _sh is not None:",
+            "        _sh.redirect_ifindex = _if",
+            self._store(rd, "_r"), self._store(ob, "0")]
+        return ([f"_op = {self._field(p['op'])}",
+                 "_cd = _op & 15",
+                 f"if _cd == {CH_OP_LOAD}:"]
+                + _indent(load + ["else:"] + _indent(ref, "    "), "    ")
+                + [f"elif _cd == {CH_OP_LOOKUP}:"]
+                + _indent(self._count('"lookup"', i) + [
+                    f"_sl = {self.bound('find', i, fd)}({key})",
+                    self._store(rd, f"0 if _sl is None else {base} + "
+                                    f"_sl * {vs}"),
+                    self._store(ob, "0")], "    ")
+                + [f"elif _cd == {CH_OP_STORE}:"]
+                + _indent(store + ["else:"] + _indent(ref, "    "), "    ")
+                + [f"elif _cd in _CH_OP_HELPER:"] + _indent(step, "    ")
+                + ["else:"] + _indent(ref, "    "))
+
+    def _atomic_lines(self, i: int, block, ref: List[str]) -> List[str]:
+        """The atomic port (``MapBlock._atomic``): in the map's window,
+        ``atomic_step`` on a slice of its storage; an op it refuses
+        goes to the reference, which says so."""
+        p = {f: block.ports[f"at_{f}"] for f, _d, _w in ATOMIC_PORT}
+        body = [
+            "_old = int.from_bytes(_st[_o:_o + _z], \"little\")",
+            "try:",
+            f"    _new = atomic_step({self._field(p['op'])}, _old, "
+            f"{self._field(p['wdata'])}, {self._field(p['expected'])}, "
+            "(1 << (_z << 3)) - 1)",
+            "except VmError:",
+            *_indent(ref, "    "),
+            "else:",
+            *_indent(self._count('"atomic"', i) + [
+                '_st[_o:_o + _z] = _new.to_bytes(_z, "little")',
+                self._store(p["old"], "_old"),
+                self._store(p["oob"], "0")], "    "),
+        ]
+        return (self._window(i, block, self._field(p["addr"]),
+                             self._field(p["size"]))
+                + _indent(body, "    ") + ["else:"] + _indent(ref, "    "))
 
     def _emit_fifo(self, node: CombNode) -> List[str]:
         p = node.ports
@@ -872,7 +1140,7 @@ class _Builder:
         out.extend(self.write_lines(p["full"], "0", 0, "i", "    "))
         return out
 
-    def _commit_groups(self, writes: List[int]
+    def _commit_groups(self, writes: List[int], ind: str = "        "
                        ) -> List[Tuple[List[int], Tuple[str, ...]]]:
         """Write nets grouped by identical mark targets: one change
         test (an or-chain) and one mark block per distinct reader set,
@@ -880,7 +1148,7 @@ class _Builder:
         order: List[Tuple[str, ...]] = []
         nets: Dict[Tuple[str, ...], List[int]] = {}
         for net in writes:
-            key = tuple(self.mark_lines(net, "        "))
+            key = tuple(self.mark_lines(net, ind))
             if key not in nets:
                 nets[key] = []
                 order.append(key)
@@ -1116,10 +1384,11 @@ class _Builder:
             f"_N_PROCS = {n_procs}",
             f"_PRIM_NODE_IDS = {tuple(self.prim_ids)!r}",
             f"_PRIM_LABELS = {tuple(self.prim_labels)!r}",
+            f"_BIND = {tuple(self.binds)!r}",
             "",
         ])
         body = "\n".join(node_fns + proc_fns)
-        used = [name for name in sorted(_HELPERS) if name + "(" in body]
+        used = [name for name in sorted(_HELPERS) if name in body]
         imports = [f"from {__name__} import {', '.join(used)}", ""] \
             if used else []
         text = "\n".join(head + imports + [body] + tables)
@@ -1129,6 +1398,23 @@ class _Builder:
 def generate_rtl_source(model: Elaborated, name: str = "design") -> str:
     """Emit the compiled schedule module source for ``model``."""
     return _Builder(model, name).build()
+
+
+def read_guards(model: Elaborated) -> Dict[Tuple[int, str], str]:
+    """The process reads whose changes wake their process only under a
+    guard (``_Builder.proc_guard``): ``(process index, net name)`` to the
+    guard's net name."""
+    builder = _Builder(model, "design")
+    builder.compile_nodes_pass1()
+    builder.compile_procs_pass1()
+    names = model.net_names
+    out = {}
+    for p, reads in enumerate(builder.proc_reads):
+        for net in sorted(reads):
+            g = builder.proc_guard(p, net)
+            if g is not None:
+                out[(p, names[net])] = names[g.net]
+    return out
 
 
 def schedule_digest(vhdl_text: str) -> str:

@@ -84,6 +84,10 @@ class CombNode:
     gate: Optional["Ref"] = None
     idle: Optional[List["Ref"]] = None
     ports: Optional[Dict[str, "Ref"]] = None
+    # A gated primitive's block and which of its ports this node models
+    # ("channel" with its index, "atomic", "helper"), so the scheduler
+    # can generate the port's common requests.
+    prim: Optional[Tuple[object, str, int]] = None
 
 
 @dataclass

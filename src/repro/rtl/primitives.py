@@ -260,14 +260,15 @@ class MapBlock:
             out.append(CombNode(
                 lambda values, c=c: self._channel(c, values),
                 reads, {r.net for r in drives}, label=f"{self.name}.ch{c}",
-                gate=p[f"ch{c}_req"], idle=drives,
+                gate=p[f"ch{c}_req"], idle=drives, prim=(self, "channel", c),
             ))
         if "at_req" in p:
             reads, drives = _bound(p, "at_", ATOMIC_PORT)
             out.append(CombNode(self._atomic, reads,
                                 {r.net for r in drives},
                                 label=f"{self.name}.atomic",
-                                gate=p["at_req"], idle=drives))
+                                gate=p["at_req"], idle=drives,
+                                prim=(self, "atomic", 0)))
         # Quiescent host/flush outputs (host port unused in verification).
         tied = [p[name] for name in ("flush_out", "host_rdata")
                 if name in p]
@@ -385,7 +386,8 @@ class HelperBlock:
         p = self.ports
         reads, drives = _bound(p, "", HELPER_PORT)
         return [CombNode(self._eval, reads, {r.net for r in drives},
-                         label=self.name, gate=p["req"], idle=[p["rsp"]])]
+                         label=self.name, gate=p["req"], idle=[p["rsp"]],
+                         prim=(self, "helper", 0))]
 
 
 class AsyncFifo:

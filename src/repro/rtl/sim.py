@@ -88,6 +88,13 @@ class RtlSimulator:
         for net, value in pending.items():
             values[net] = value
 
+    def evaluations(self) -> Tuple[int, int, Optional[int]]:
+        """Node evaluations, process evaluations and port requests since
+        construction. The interpreter evaluates every node each settle
+        and every process each edge, and does not count its ports."""
+        return (len(self.model.nodes) * self.settle_count,
+                len(self.model.procs) * self.edge_count, None)
+
     def run(self, limit: int) -> Tuple[int, int]:
         """Step up to ``limit`` cycles: settle, then stop if
         ``m_axis_tvalid`` is high (the cycle's edge left to the
@@ -123,9 +130,14 @@ class CompiledRtlSimulator(RtlSimulator):
     Same stepping contract as :class:`RtlSimulator` and bit-identical
     values every phase, but only *dirty* nodes are evaluated: writes are
     change-detected and mark their readers, and clocked processes only
-    re-run when an input net actually moved. Gated primitives stay live
+    re-run when an input net actually moved — one read only under a
+    guard, only while the guard is high. Gated primitives stay live
     while requested (side effects are not idempotent), counted per block
-    in ``prim_active``.
+    in ``prim_active``. Their common requests are generated code; the
+    rest call the primitive models of :mod:`repro.rtl.primitives`. Both
+    read this simulator's maps and context through ``_PRIMS``: the
+    models first, then what the module's ``_BIND`` asks for
+    (:func:`_port_binding`).
     """
 
     def __init__(self, model: Elaborated, namespace: dict) -> None:
@@ -143,6 +155,8 @@ class CompiledRtlSimulator(RtlSimulator):
         self._PQ = bytearray(b"\x01" * n_procs)
         self._PRIMS = [model.nodes[i].fn
                        for i in namespace["_PRIM_NODE_IDS"]]
+        self._PRIMS += [_port_binding(model.nodes[i].prim[0], what)
+                        for what, i in namespace["_BIND"]]
         self.prim_labels = list(namespace["_PRIM_LABELS"])
         self.prim_active = [0] * len(self._PRIMS)
         # Evaluation counters (the interpreter's equivalents would be
@@ -169,6 +183,9 @@ class CompiledRtlSimulator(RtlSimulator):
         self.proc_evals += self._edge_fn(
             self.values, self._NQ, self._PEND, self._PQ)
 
+    def evaluations(self) -> Tuple[int, int, Optional[int]]:
+        return self.comb_evals, self.proc_evals, sum(self.prim_active)
+
     def _count(self, done: int, hit: int, nc: int,
                pr: int) -> Tuple[int, int]:
         self.settle_count += done + hit
@@ -186,6 +203,29 @@ class CompiledRtlSimulator(RtlSimulator):
         return self._count(*self._frame_fn(
             self.values, self._NQ, self._PEND, self._PQ,
             self._PRIMS, self.prim_active, span, data, tlen))
+
+
+def _port_binding(block, what: str):
+    """What a generated port reads per simulator (``codegen._BIND``):
+    the run's ``op_counts`` or context, or the map ``block`` drives —
+    as a ``Map``, its ``storage`` or its ``_find`` core. The generated
+    code folds the map's key and value sizes from the design, so a
+    ``MapSet`` without the design's map for that fd is outside the
+    schedulable subset (the runner falls back to the interpreter)."""
+    context = block.context
+    if what == "counts":
+        return context.op_counts
+    if what == "context":
+        return context
+    bpf_map = context.maps.maps.get(block.fd)
+    if bpf_map is None or (bpf_map.key_size, bpf_map.value_size) \
+            != (block.key_bytes, block.value_bytes):
+        raise RtlCodegenError(
+            f"{block.name}: the MapSet holds no map of the design's "
+            f"geometry for fd {block.fd}; not schedulable")
+    if what == "storage":
+        return bpf_map.storage
+    return bpf_map._find if what == "find" else bpf_map
 
 
 def find_top(text: str) -> Optional[str]:

@@ -1,12 +1,14 @@
 """Generated RTL evaluation schedule for 'firewall'.
 
-RTL_CODEGEN_VERSION = 6; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 7; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
 while requested by re-marking their own slot.
 nodes=58 procs=19 nets=121 ranks=5 fused=26->8
 """
+
+from repro.rtl.codegen import VmError, _CH_OP_HELPER, _CH_OP_NAMES, atomic_step, channel_step
 
 def _e0(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_firewall:1271
@@ -372,7 +374,7 @@ def _e43(V, NQ, PEND, PQ, PRIMS, ACT):
     if V[21] != _v36:
         V[21] = _v36
         NQ[52] = 1
-        if not PQ[0]:
+        if not PQ[0] and V[26]:
             PQ[0] = 1
             PEND.append(0)
     # [conc r2] ehdl_firewall:1283
@@ -399,37 +401,73 @@ def _e45(V, NQ, PEND, PQ, PRIMS, ACT):
         ACT[0] += 1
         _s39 = V[105]
         _s40 = V[106]
-        PRIMS[0](V)
-        if V[105] != _s39:
-            if not PQ[7]:
+        _op = V[101]
+        _cd = _op & 15
+        if _cd == 4:
+            _o = V[102] - 0x41000000
+            _z = _op >> 4
+            _st = PRIMS[2]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[3]
+                _oc["load"] = _oc.get("load", 0) + 1
+                V[105] = ((int.from_bytes(_st[_o:_o + _z], "little")) & 0xffffffffffffffff)
+                V[106] = 0
+            else:
+                PRIMS[0](V)
+        elif _cd == 1:
+            _oc = PRIMS[3]
+            _oc["lookup"] = _oc.get("lookup", 0) + 1
+            _sl = PRIMS[6](V[103].to_bytes(16, "little"))
+            V[105] = ((0 if _sl is None else 0x41000000 + _sl * 8) & 0xffffffffffffffff)
+            V[106] = 0
+        elif _cd == 5:
+            _o = V[102] - 0x41000000
+            _z = _op >> 4
+            _st = PRIMS[2]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[3]
+                _oc["store"] = _oc.get("store", 0) + 1
+                _st[_o:_o + _z] = (V[104] & ((1 << (_z << 3)) - 1)).to_bytes(_z, "little")
+                V[105] = 0
+                V[106] = 0
+            else:
+                PRIMS[0](V)
+        elif _cd in _CH_OP_HELPER:
+            _nm = _CH_OP_NAMES[_cd]
+            _oc = PRIMS[3]
+            _oc[_nm] = _oc.get(_nm, 0) + 1
+            _r, _sl, _if = channel_step(_CH_OP_HELPER[_cd], 1, PRIMS[4], V[103].to_bytes(16, "little"), V[104].to_bytes(8, "little") if _cd == 2 else None, V[102])
+            if _if is not None:
+                _sh = PRIMS[5].packet
+                if _sh is not None:
+                    _sh.redirect_ifindex = _if
+            V[105] = ((_r) & 0xffffffffffffffff)
+            V[106] = 0
+        else:
+            PRIMS[0](V)
+        if V[105] != _s39 or V[106] != _s40:
+            if not PQ[7] and V[44]:
                 PQ[7] = 1
                 PEND.append(7)
-            if not PQ[12]:
-                PQ[12] = 1
-                PEND.append(12)
-        if V[106] != _s40:
-            if not PQ[7]:
-                PQ[7] = 1
-                PEND.append(7)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
         NQ[45] = 1
     else:
         if V[105]:
             V[105] = 0
-            if not PQ[7]:
+            if not PQ[7] and V[44]:
                 PQ[7] = 1
                 PEND.append(7)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
         if V[106]:
             V[106] = 0
-            if not PQ[7]:
+            if not PQ[7] and V[44]:
                 PQ[7] = 1
                 PEND.append(7)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
 
@@ -492,9 +530,25 @@ def _e54(V, NQ, PEND, PQ, PRIMS, ACT):
     if V[107]:
         ACT[1] += 1
         _s47 = V[114]
-        PRIMS[1](V)
+        _o = V[110] - 0x41000000
+        _z = V[109]
+        _st = PRIMS[2]
+        if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+            _old = int.from_bytes(_st[_o:_o + _z], "little")
+            try:
+                _new = atomic_step(V[108], _old, V[111], V[112], (1 << (_z << 3)) - 1)
+            except VmError:
+                PRIMS[1](V)
+            else:
+                _oc = PRIMS[3]
+                _oc["atomic"] = _oc.get("atomic", 0) + 1
+                _st[_o:_o + _z] = _new.to_bytes(_z, "little")
+                V[113] = ((_old) & 0xffffffffffffffff)
+                V[114] = 0
+        else:
+            PRIMS[1](V)
         if V[114] != _s47:
-            if not PQ[16]:
+            if not PQ[16] and V[71]:
                 PQ[16] = 1
                 PEND.append(16)
         NQ[54] = 1
@@ -502,7 +556,7 @@ def _e54(V, NQ, PEND, PQ, PRIMS, ACT):
         V[113] = 0
         if V[114]:
             V[114] = 0
-            if not PQ[16]:
+            if not PQ[16] and V[71]:
                 PQ[16] = 1
                 PEND.append(16)
 
@@ -1220,9 +1274,10 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 6
+_GEN_VERSION = 7
 _N_NODES = 58
 _N_PROCS = 19
 _PRIM_NODE_IDS = (45, 54)
 _PRIM_LABELS = ('firewall_map_1.ch0', 'firewall_map_1.atomic')
+_BIND = (('storage', 45), ('counts', 45), ('map', 45), ('context', 45), ('find', 45))
 

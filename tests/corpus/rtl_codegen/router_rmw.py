@@ -1,6 +1,6 @@
 """Generated RTL evaluation schedule for 'router_rmw'.
 
-RTL_CODEGEN_VERSION = 6; regenerated whenever the netlist or the
+RTL_CODEGEN_VERSION = 7; regenerated whenever the netlist or the
 generator changes (repro.rtl.codegen). Event-driven: the dirty bytearray NQ
 doubles as the queue — levelized indices mean marks always land ahead of the
 scan, so settle is a single NQ.find(1) sweep; gated primitives stay live
@@ -8,7 +8,7 @@ while requested by re-marking their own slot.
 nodes=95 procs=29 nets=189 ranks=5 fused=40->15
 """
 
-from repro.rtl.codegen import _bswap16
+from repro.rtl.codegen import _CH_OP_HELPER, _CH_OP_NAMES, _bswap16, channel_step
 
 def _e0(V, NQ, PEND, PQ, PRIMS, ACT):
     # [conc r0] ehdl_router_rmw:1988
@@ -456,16 +456,23 @@ def _e65(V, NQ, PEND, PQ, PRIMS, ACT):
     if V[182]:
         ACT[0] += 1
         _s44 = V[188]
-        PRIMS[0](V)
+        _sh = PRIMS[3].packet
+        if _sh is None:
+            PRIMS[0](V)
+        else:
+            _oc = PRIMS[4]
+            _oc["helper:bpf_redirect"] = _oc.get("helper:bpf_redirect", 0) + 1
+            _sh.redirect_ifindex = (V[183] & 0xffffffff)
+            V[188] = 4
         if V[188] != _s44:
-            if not PQ[27]:
+            if not PQ[27] and V[104]:
                 PQ[27] = 1
                 PEND.append(27)
         NQ[65] = 1
     else:
         if V[188]:
             V[188] = 0
-            if not PQ[27]:
+            if not PQ[27] and V[104]:
                 PQ[27] = 1
                 PEND.append(27)
 
@@ -568,7 +575,7 @@ def _e78(V, NQ, PEND, PQ, PRIMS, ACT):
     if V[21] != _v57:
         V[21] = _v57
         NQ[88] = 1
-        if not PQ[0]:
+        if not PQ[0] and V[26]:
             PQ[0] = 1
             PEND.append(0)
     # [conc r2] ehdl_router_rmw:2000
@@ -595,85 +602,109 @@ def _e80(V, NQ, PEND, PQ, PRIMS, ACT):
         ACT[1] += 1
         _s60 = V[164]
         _s61 = V[165]
-        PRIMS[1](V)
-        if V[164] != _s60:
-            if not PQ[8]:
+        _op = V[160]
+        _cd = _op & 15
+        if _cd == 4:
+            _o = V[161] - 0x41000000
+            _z = _op >> 4
+            _st = PRIMS[5]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[4]
+                _oc["load"] = _oc.get("load", 0) + 1
+                V[164] = ((int.from_bytes(_st[_o:_o + _z], "little")) & 0xffffffffffffffff)
+                V[165] = 0
+            else:
+                PRIMS[1](V)
+        elif _cd == 1:
+            _oc = PRIMS[4]
+            _oc["lookup"] = _oc.get("lookup", 0) + 1
+            _sl = PRIMS[7](V[162].to_bytes(4, "little"))
+            V[164] = ((0 if _sl is None else 0x41000000 + _sl * 16) & 0xffffffffffffffff)
+            V[165] = 0
+        elif _cd == 5:
+            _o = V[161] - 0x41000000
+            _z = _op >> 4
+            _st = PRIMS[5]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[4]
+                _oc["store"] = _oc.get("store", 0) + 1
+                _st[_o:_o + _z] = (V[163] & ((1 << (_z << 3)) - 1)).to_bytes(_z, "little")
+                V[164] = 0
+                V[165] = 0
+            else:
+                PRIMS[1](V)
+        elif _cd in _CH_OP_HELPER:
+            _nm = _CH_OP_NAMES[_cd]
+            _oc = PRIMS[4]
+            _oc[_nm] = _oc.get(_nm, 0) + 1
+            _r, _sl, _if = channel_step(_CH_OP_HELPER[_cd], 1, PRIMS[6], V[162].to_bytes(4, "little"), V[163].to_bytes(16, "little") if _cd == 2 else None, V[161])
+            if _if is not None:
+                _sh = PRIMS[3].packet
+                if _sh is not None:
+                    _sh.redirect_ifindex = _if
+            V[164] = ((_r) & 0xffffffffffffffff)
+            V[165] = 0
+        else:
+            PRIMS[1](V)
+        if V[164] != _s60 or V[165] != _s61:
+            if not PQ[8] and V[47]:
                 PQ[8] = 1
                 PEND.append(8)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
-            if not PQ[13]:
+            if not PQ[13] and V[62]:
                 PQ[13] = 1
                 PEND.append(13)
-            if not PQ[14]:
+            if not PQ[14] and V[65]:
                 PQ[14] = 1
                 PEND.append(14)
-            if not PQ[15]:
+            if not PQ[15] and V[68]:
                 PQ[15] = 1
                 PEND.append(15)
-            if not PQ[26]:
-                PQ[26] = 1
-                PEND.append(26)
-        if V[165] != _s61:
-            if not PQ[8]:
-                PQ[8] = 1
-                PEND.append(8)
-            if not PQ[12]:
-                PQ[12] = 1
-                PEND.append(12)
-            if not PQ[13]:
-                PQ[13] = 1
-                PEND.append(13)
-            if not PQ[14]:
-                PQ[14] = 1
-                PEND.append(14)
-            if not PQ[15]:
-                PQ[15] = 1
-                PEND.append(15)
-            if not PQ[26]:
+            if not PQ[26] and V[101]:
                 PQ[26] = 1
                 PEND.append(26)
         NQ[80] = 1
     else:
         if V[164]:
             V[164] = 0
-            if not PQ[8]:
+            if not PQ[8] and V[47]:
                 PQ[8] = 1
                 PEND.append(8)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
-            if not PQ[13]:
+            if not PQ[13] and V[62]:
                 PQ[13] = 1
                 PEND.append(13)
-            if not PQ[14]:
+            if not PQ[14] and V[65]:
                 PQ[14] = 1
                 PEND.append(14)
-            if not PQ[15]:
+            if not PQ[15] and V[68]:
                 PQ[15] = 1
                 PEND.append(15)
-            if not PQ[26]:
+            if not PQ[26] and V[101]:
                 PQ[26] = 1
                 PEND.append(26)
         if V[165]:
             V[165] = 0
-            if not PQ[8]:
+            if not PQ[8] and V[47]:
                 PQ[8] = 1
                 PEND.append(8)
-            if not PQ[12]:
+            if not PQ[12] and V[59]:
                 PQ[12] = 1
                 PEND.append(12)
-            if not PQ[13]:
+            if not PQ[13] and V[62]:
                 PQ[13] = 1
                 PEND.append(13)
-            if not PQ[14]:
+            if not PQ[14] and V[65]:
                 PQ[14] = 1
                 PEND.append(14)
-            if not PQ[15]:
+            if not PQ[15] and V[68]:
                 PQ[15] = 1
                 PEND.append(15)
-            if not PQ[26]:
+            if not PQ[26] and V[101]:
                 PQ[26] = 1
                 PEND.append(26)
 
@@ -683,43 +714,86 @@ def _e81(V, NQ, PEND, PQ, PRIMS, ACT):
         ACT[2] += 1
         _s62 = V[173]
         _s63 = V[174]
-        PRIMS[2](V)
+        _op = V[169]
+        _cd = _op & 15
+        if _cd == 4:
+            _o = V[170] - 0x42000000
+            _z = _op >> 4
+            _st = PRIMS[8]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[4]
+                _oc["load"] = _oc.get("load", 0) + 1
+                V[173] = ((int.from_bytes(_st[_o:_o + _z], "little")) & 0xffffffffffffffff)
+                V[174] = 0
+            else:
+                PRIMS[2](V)
+        elif _cd == 1:
+            _oc = PRIMS[4]
+            _oc["lookup"] = _oc.get("lookup", 0) + 1
+            _sl = PRIMS[10](V[171].to_bytes(4, "little"))
+            V[173] = ((0 if _sl is None else 0x42000000 + _sl * 8) & 0xffffffffffffffff)
+            V[174] = 0
+        elif _cd == 5:
+            _o = V[170] - 0x42000000
+            _z = _op >> 4
+            _st = PRIMS[8]
+            if 0 <= _o < 0x1000000 and _o + _z <= len(_st):
+                _oc = PRIMS[4]
+                _oc["store"] = _oc.get("store", 0) + 1
+                _st[_o:_o + _z] = (V[172] & ((1 << (_z << 3)) - 1)).to_bytes(_z, "little")
+                V[173] = 0
+                V[174] = 0
+            else:
+                PRIMS[2](V)
+        elif _cd in _CH_OP_HELPER:
+            _nm = _CH_OP_NAMES[_cd]
+            _oc = PRIMS[4]
+            _oc[_nm] = _oc.get(_nm, 0) + 1
+            _r, _sl, _if = channel_step(_CH_OP_HELPER[_cd], 2, PRIMS[9], V[171].to_bytes(4, "little"), V[172].to_bytes(8, "little") if _cd == 2 else None, V[170])
+            if _if is not None:
+                _sh = PRIMS[3].packet
+                if _sh is not None:
+                    _sh.redirect_ifindex = _if
+            V[173] = ((_r) & 0xffffffffffffffff)
+            V[174] = 0
+        else:
+            PRIMS[2](V)
         if V[173] != _s62:
-            if not PQ[20]:
+            if not PQ[20] and V[83]:
                 PQ[20] = 1
                 PEND.append(20)
-            if not PQ[23]:
+            if not PQ[23] and V[92]:
                 PQ[23] = 1
                 PEND.append(23)
         if V[174] != _s63:
-            if not PQ[20]:
+            if not PQ[20] and V[83]:
                 PQ[20] = 1
                 PEND.append(20)
-            if not PQ[23]:
+            if not PQ[23] and V[92]:
                 PQ[23] = 1
                 PEND.append(23)
-            if not PQ[25]:
+            if not PQ[25] and V[98]:
                 PQ[25] = 1
                 PEND.append(25)
         NQ[81] = 1
     else:
         if V[173]:
             V[173] = 0
-            if not PQ[20]:
+            if not PQ[20] and V[83]:
                 PQ[20] = 1
                 PEND.append(20)
-            if not PQ[23]:
+            if not PQ[23] and V[92]:
                 PQ[23] = 1
                 PEND.append(23)
         if V[174]:
             V[174] = 0
-            if not PQ[20]:
+            if not PQ[20] and V[83]:
                 PQ[20] = 1
                 PEND.append(20)
-            if not PQ[23]:
+            if not PQ[23] and V[92]:
                 PQ[23] = 1
                 PEND.append(23)
-            if not PQ[25]:
+            if not PQ[25] and V[98]:
                 PQ[25] = 1
                 PEND.append(25)
 
@@ -1888,9 +1962,10 @@ def _frame(V, NQ, PEND, PQ, PRIMS, ACT, span, data, tlen):
                                span - 1)
     return (done + 1, hit, nc + nc2, pr + pr2)
 
-_GEN_VERSION = 6
+_GEN_VERSION = 7
 _N_NODES = 95
 _N_PROCS = 29
 _PRIM_NODE_IDS = (65, 80, 81)
 _PRIM_LABELS = ('ehdl_helper_23', 'router_rmw_map_1.ch0', 'router_rmw_map_2.ch0')
+_BIND = (('context', 65), ('counts', 65), ('storage', 80), ('map', 80), ('find', 80), ('storage', 81), ('map', 81), ('find', 81))
 

@@ -279,12 +279,19 @@ class TestRtlCommands:
         # the banner names the engine that actually ran — the compiled
         # schedule, with no silent interpreter fallback
         assert "rtl[rtl]:" in out and "per-packet cycles" in out
+        # what the schedule did: it evaluates only what changed, and
+        # counts the settles its gated ports were live
+        assert ("rtl[rtl] schedule: 16.8 node evaluations, 6.2 process "
+                "evaluations, 0.0 port requests per packet\n") in out
 
     def test_rtl_sim_interp_engine(self, capsys, prog_file):
         assert main(["rtl-sim", prog_file, "--packets", "6",
                      "--flows", "2", "--engine", "rtl-interp"]) == 0
         out = capsys.readouterr().out
         assert "rtl[rtl-interp]:" in out
+        assert ("rtl[rtl-interp] schedule: 99.7 node evaluations, 11.5 "
+                "process evaluations (every node each settle, every "
+                "process each edge) per packet\n") in out
 
     def test_verify_ok(self, capsys, prog_file):
         assert main(["verify", prog_file, "--packets", "6",

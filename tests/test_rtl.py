@@ -16,6 +16,7 @@ from random import Random
 
 from repro.core.compiler import CompileOptions, compile_program
 from repro.core.vhdl import emit_vhdl
+from repro.ebpf.asm import assemble_program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.verifier import verify
 from repro.hwsim.engines import compare_runs, engine_run
@@ -30,6 +31,7 @@ from repro.rtl import (
     parse_vhdl,
     run_three_way,
 )
+from repro.rtl.primitives import PacketShadow
 from repro.rtl.sim import find_top
 from repro.runtime import XdpOffload
 from tests.cases import CASES, SHORT, rt_setup, udp
@@ -493,6 +495,29 @@ def _assert_rtl_engines_agree(pipeline, setup, frames):
     return compiled
 
 
+WIDE_STORES = """
+.map w array key=4 value=16 entries=2
+
+    r2 = 1
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[w]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r3 = *(u64 *)(r0 + 0)
+    r4 = 0xf1e2d3c4b5a69788 ll
+    r3 += r4
+    *(u64 *)(r0 + 0) = r3
+    *(u32 *)(r0 + 8) = r3
+    *(u16 *)(r0 + 12) = r3
+    *(u8 *)(r0 + 14) = r3
+out:
+    r0 = 2
+    exit
+"""
+
+
 class TestCompiledEnginePair:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_compiled_matches_interp(self, name):
@@ -503,6 +528,19 @@ class TestCompiledEnginePair:
         # every evaluation app must be inside the schedulable subset —
         # a silent interpreter fallback would void the bench numbers
         assert compiled.engine == "rtl"
+
+    def test_wide_map_stores(self):
+        # The generated STORE port masks the write data to the access
+        # width: app counters stay small, so store values whose every
+        # byte is set, at each width, on both engines and the VM
+        program = assemble_program(WIDE_STORES, name="wide_stores")
+        frames = [udp_packet(dst_ip="10.0.0.1", size=64)] * 3
+        pipeline = compile_program(program)
+        compiled = _assert_rtl_engines_agree(pipeline, None, frames)
+        assert compiled.engine == "rtl"
+        assert compiled.context.op_counts["store"] == 3 * 4
+        run_three_way(program, frames,
+                      pipeline=pipeline).raise_on_mismatch()
 
     def test_compiled_matches_interp_on_random_traffic(self):
         # Same deterministic seed on both engines, mixed verdicts.
@@ -572,3 +610,111 @@ class TestThreeWayFullTraces:
         # both verdict classes must occur or the trace proves little
         actions = {rec.action for rec in result.rtl_report.records}
         assert len(actions) >= 2
+
+
+# ---------------------------------------------------------------------------
+# engine pair, every net: the compiled schedule against the interpreter
+# phase by phase
+
+EVERY_NET_PACKETS = 60
+
+
+def _every_net_case(name):
+    if name == "firewall":
+        return _firewall_trace()
+    _build, setup, frames = _router_trace()
+    if name == "router_rmw":
+        return (lambda: router.build(use_atomic=False)), setup, frames
+    return router.build, setup, frames
+
+
+def _step_every_net(build, setup, frames):
+    """Step both RTL engines through the runner's protocol (inject, drop
+    ``s_axis_tvalid``, ``n_stages + 2`` cycles a packet) one phase at a
+    time — each drive, settle and edge — and fail at the first phase
+    after which any net differs. Returns the settles and edges
+    compared."""
+    pipeline = compile_program(build())
+    runners = []
+    for engine in RTL_ENGINES:
+        maps = MapSet(pipeline.program.maps)
+        setup(maps)
+        runners.append(RtlRunner(pipeline, maps=maps, engine=engine))
+    compiled, interp = runners
+    assert (compiled.engine, interp.engine) == RTL_ENGINES
+    names = compiled.model.net_names
+    clocked = 0
+
+    def step(phase, *args):
+        for runner in runners:
+            getattr(runner.sim, phase)(*args)
+        ours, theirs = compiled.sim.values, interp.sim.values
+        if ours != theirs:
+            nets = [names[n] for n, (x, y) in enumerate(zip(ours, theirs))
+                    if x != y]
+            pytest.fail(f"after {clocked} settles and edges, {phase}"
+                        f"{args}: {', '.join(nets[:8])} differ")
+
+    step("drive", "rst", 0)
+    step("drive", "m_axis_tready", 1)
+    wmax = compiled.window_bytes
+    for frame in frames:
+        for runner in runners:
+            shadow = PacketShadow(frame)
+            shadow.tail = bytearray(frame[wmax:])
+            runner.context.packet = shadow
+        window = int.from_bytes(frame[:wmax].ljust(wmax, b"\x00"), "little")
+        for port, value in (("s_axis_tvalid", 1), ("s_axis_tlast", 1),
+                            ("s_axis_tdata", window),
+                            ("s_axis_tlen", len(frame) & 0xFFFF)):
+            step("drive", port, value)
+        for cycle in range(pipeline.n_stages + 2):
+            if cycle == 1:
+                step("drive", "s_axis_tvalid", 0)
+            step("settle")
+            step("edge")
+            clocked += 2
+    assert compiled.context.op_counts == interp.context.op_counts
+    assert compiled.maps.snapshot() == interp.maps.snapshot()
+    return clocked
+
+
+class TestEveryNet:
+    """docs/rtl.md §4: ``rtl`` and ``rtl-interp`` agree bit for bit on
+    every net after every phase, not only on what the runner samples."""
+
+    @pytest.mark.parametrize("name, clocked", [
+        ("firewall", 2400), ("router", 3480), ("router_rmw", 3600)])
+    def test_every_net_every_phase(self, name, clocked):
+        build, setup, frames = _every_net_case(name)
+        assert _step_every_net(build, setup,
+                               frames[:EVERY_NET_PACKETS]) == clocked
+
+
+class TestScheduleCounts:
+    """What the compiled schedule evaluates on the full traces. These
+    are counts, stated exactly: a schedule change that moves one
+    restates it here (and says why in CHANGES.md)."""
+
+    @staticmethod
+    def _evaluations(trace):
+        build, setup, frames = trace()
+        pipeline = compile_program(build())
+        maps = MapSet(pipeline.program.maps)
+        setup(maps)
+        runner = RtlRunner(pipeline, maps=maps)
+        runner.run_packets(frames)
+        assert runner.engine == "rtl"
+        return runner.sim.evaluations()
+
+    def test_router_process_evaluations(self):
+        # Six stage registers read m1_ch0's response only while their
+        # stage is valid: the guard rule wakes them for its changes only
+        # then (75.04 process evaluations a packet before it)
+        nodes, procs, ports = self._evaluations(_router_trace)
+        assert (nodes, procs, ports) == (185071, 224026, 17203)
+        assert procs / FULL_TRACE_PACKETS <= 60
+
+    def test_firewall_process_evaluations(self):
+        # 155963 before the guard rule
+        assert self._evaluations(_firewall_trace) == (119422, 152017, 8000)

@@ -14,10 +14,14 @@ machinery around the generated schedule source itself:
 * the edge rule, ordered or refused, with one witness each way: every
   emitted design compiles without fallback, and a register swap across
   two processes is refused;
-* the version stamp and digest plumbing through ``core/cache.py``.
+* the version stamp and digest plumbing through ``core/cache.py``;
+* the guard rule (which process reads wake their process only under a
+  guard), on hand-written designs that hold a guard for several cycles
+  while the net it guards moves.
 """
 
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -29,14 +33,17 @@ from repro.core.vhdl import VhdlEmitError, emit_vhdl
 from repro.ebpf.maps import MapSet
 from repro.rtl import (
     RTL_CODEGEN_VERSION,
+    CompiledRtlSimulator,
     RtlCodegenError,
     RtlRunner,
+    RtlSimulator,
     elaborate,
     generate_rtl_source,
 )
 from repro.rtl.codegen import (
     ARTIFACT_KIND,
     load_rtl_module,
+    read_guards,
     schedule_digest,
     write_debug_source,
 )
@@ -156,3 +163,158 @@ class TestCachePlumbing:
         source = generate_rtl_source(model, pipeline.name)
         out = write_debug_source(source, tmp_path / "dbg", pipeline.name)
         assert out.read_text() == source
+
+
+# Each process but the counter reads an internal net (``n``, ``m``) that
+# moves every cycle; the stimulus holds g, c and a for runs of cycles.
+GUARD_PROCESSES = """
+entity guards is
+  port (
+    clk      : in  std_logic;
+    g        : in  std_logic;
+    c        : in  std_logic;
+    a        : in  std_logic;
+    d        : in  std_logic_vector(7 downto 0);
+    q_if     : out std_logic_vector(7 downto 0);
+    q_elsif  : out std_logic_vector(7 downto 0);
+    q_or     : out std_logic_vector(7 downto 0);
+    q_else   : out std_logic_vector(7 downto 0);
+    q_and    : out std_logic_vector(7 downto 0);
+    q_mixed  : out std_logic_vector(7 downto 0);
+    q_beside : out std_logic_vector(7 downto 0);
+    -- the stream ports every schedule's _run and _frame step
+    s_axis_tvalid : in  std_logic;
+    s_axis_tlast  : in  std_logic;
+    s_axis_tdata  : in  std_logic_vector(7 downto 0);
+    s_axis_tlen   : in  std_logic_vector(15 downto 0);
+    m_axis_tvalid : out std_logic
+  );
+end entity guards;
+architecture rtl of guards is
+  signal cnt : std_logic_vector(7 downto 0);
+  signal n   : std_logic_vector(7 downto 0);
+  signal m   : std_logic_vector(7 downto 0);
+begin
+  n <= cnt xor d;
+  m <= cnt and d;
+  m_axis_tvalid <= '0';
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      cnt <= std_logic_vector(unsigned(cnt) + 1);
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if g = '1' then
+        q_if <= n;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if a = '1' then
+        q_elsif <= d;
+      elsif g = '1' then
+        q_elsif <= n;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if g = '1' or c = '1' then
+        q_or <= n;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if g = '1' then
+        q_else <= d;
+      else
+        q_else <= n;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if g = '1' and n(0) = '1' then
+        q_and <= d;
+      end if;
+    end if;
+  end process;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if g = '1' then
+        q_mixed <= n xor m;
+      end if;
+      q_beside <= n;
+    end if;
+  end process;
+end architecture rtl;
+"""
+
+
+class TestGuardRule:
+    """A process read whose every occurrence sits under a positive guard
+    ``g = '1'`` wakes its process only while ``g`` is high. App traces
+    cannot tell a wrong guard from a right one (each stage-valid bit
+    rises with each packet and wakes the stage anyway), so these
+    designs hold the guards for runs of cycles while the guarded net
+    moves."""
+
+    def test_which_reads_are_guarded(self):
+        model = elaborate(_design(GUARD_PROCESSES), "guards")
+        assert read_guards(model) == {
+            # if g = '1' then ... n
+            (1, "guards.n"): "top.g",
+            # if a = '1' then ... d elsif g = '1' then ... n: an elsif
+            # arm has its own guard, not the if's
+            (2, "top.d"): "top.a",
+            (2, "guards.n"): "top.g",
+            # process 3, under g = '1' or c = '1': nothing guarded
+            # if g = '1' then ... d else ... n: the else arm is not
+            (4, "top.d"): "top.g",
+            # a later conjunct, and the arm, under the first
+            (5, "top.d"): "top.g",
+            (5, "guards.n"): "top.g",
+            # n is also read unguarded beside the guarded read; m is not
+            (6, "guards.m"): "top.g",
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_net_agrees_under_random_stimulus(self, seed):
+        interp = RtlSimulator(elaborate(_design(GUARD_PROCESSES), "guards"))
+        model = elaborate(_design(GUARD_PROCESSES), "guards")
+        compiled = CompiledRtlSimulator(model, load_rtl_module(model, None))
+        rng = Random(seed)
+        held = {}
+        for cycle in range(600):
+            # hold each input for 1-8 cycles: a drive wakes every reader
+            # of the input, guarded or not, so only the counter may move
+            # n and m in between
+            for name, span in (("g", 2), ("c", 2), ("a", 2), ("d", 256)):
+                if held.get(name, (0, 0))[1] <= cycle:
+                    held[name] = (rng.randrange(span),
+                                  cycle + rng.randint(1, 8))
+            drives = {name: v for name, (v, _until) in held.items()}
+            for sim in (interp, compiled):
+                for name, value in drives.items():
+                    sim.drive(name, value)
+            for phase in ("settle", "edge"):
+                interp_step, compiled_step = (getattr(interp, phase),
+                                              getattr(compiled, phase))
+                interp_step()
+                compiled_step()
+                assert compiled.values == interp.values, (
+                    f"cycle {cycle} {phase}: "
+                    + ", ".join(model.net_names[n]
+                                for n, (x, y) in enumerate(
+                                    zip(compiled.values, interp.values))
+                                if x != y))
