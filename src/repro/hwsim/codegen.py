@@ -25,8 +25,8 @@ Layout of a generated module:
 * ``_STAGE_FNS`` / ``_ENTRY`` / ``_STREAM`` — the tuple and bindings
   :class:`~repro.hwsim.sim.PipelineSimulator` consumes — and
   ``_STREAM_SHAPE``, the emitter's one-line account of the stream body
-  (``2 of 2 lookups, 1 of 1 writes folded, 2 spill sites``) that
-  ``engine_path()`` prints.
+  (``2 of 2 lookups, 1 of 1 writes folded, 2 spill sites, 6 stack
+  slots``) that ``engine_path()`` prints.
 
 Every op has one rendering, whichever function it lands in. A load,
 store or atomic whose verifier label proves a constant offset folds to
@@ -58,8 +58,9 @@ sit in static stack slices. What the two modes differ in is names and exits
 Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 
 * **once per run** (the prologue): the timing model's state; one reused
-  ``_InFlight`` and, bound from it, ``_c`` (its context), ``stack`` and —
-  only if some fallback spills — ``regs``; one ``_HelperContext``
+  ``_InFlight`` and, bound from it, ``_c`` (its context) and — only
+  where some site needs them (the spill contract) — ``stack`` and
+  ``regs``; one ``_HelperContext``
   (``_hc``) for every non-map helper call of the run but
   ``bpf_redirect``, whose two steps are inlined; and per map the
   body touches ``_m<fd>`` (the map), ``_st<fd>`` (its storage),
@@ -69,10 +70,13 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   folded: the fd, key and value slots and sizes of a map call come from
   ``op.call``, the map's kind, geometry and base address from the
   program's ``MapSpec`` — an array lookup is
-  ``_ix = _u4(stack, K)[0]; r0 = BASE + _ix * VS if _ix < N else 0``, an
-  update ``try: _up<fd>(bytes(stack[K:K+KS]), bytes(stack[V:V+VS]),
-  r4 & 0x3); r0 = 0`` / ``except MapError: r0 = -1``; the slices are
-  the map's own sizes, which is what lets the cores skip the checks.
+  ``_ix = _s<K>; r0 = BASE + _ix * VS if _ix < N else 0``, an update
+  ``try: _up<fd>(KEY, VALUE, r4 & 0x3); r0 = 0`` / ``except MapError:
+  r0 = -1``, a delete ``r0 = 0 if _m<fd>.delete(KEY) else -1`` (the
+  stream has no flush checks to want the slot ``channel_step``'s lookup
+  names), where ``KEY`` and ``VALUE`` are packed from the stack atoms
+  (below); the slices are the map's own sizes, which is what lets the
+  cores skip the checks.
   Both rest on the run's ``MapSet`` holding exactly the maps those
   specs build, which ``PipelineSimulator.stream_blocker`` checks before
   every run (``MapSet.mismatch``) — that check is also what became of
@@ -80,8 +84,24 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 * **once per frame**: the timing head (``max_cycles``, or the window's
   queue drops and injection cycle), then the reset of what ops can observe —
   ``_b = _c.packet = frame`` (copied only if some op can write it), the
-  stack, the eBPF registers, which are the Python locals ``r0`` … ``r10``,
-  and the block-enable flags ``_e<block>``;
+  stack atoms, the eBPF registers, which are the Python locals ``r0``
+  … ``r10``, and the block-enable flags ``_e<block>``, all 0 / False
+  (the VM's stack starts zeroed); ``stack`` itself only where some site
+  reaches it by address;
+* **the stack atoms**: as the emitted VHDL has no stack memory — the
+  verifier gives every stack access a static offset, and a slot is a
+  slice of the state vector — the stack bytes the body addresses
+  statically are Python locals. Those ranges (constant-offset loads and
+  stores, the key and value slices of folded map requests, the window's
+  lane key) partition the bytes they cover into the coarsest atoms of
+  which each range is a union, each cut into 1-, 2-, 4- or 8-byte
+  little-endian locals ``_s<byte>`` (``_stack_atoms``). A store writes
+  its atoms (shifting its value apart across several), a load ORs
+  them, a key or value slice is one ``Struct.pack`` of them
+  (``_pk_<format>``, bound in the prologue). A slice read more than
+  once is packed into ``_sb<byte>_<size>`` and reused wherever every
+  path to it packed it with no store to its atoms since — ct_firewall's
+  key feeds the lookup, the update and the window's bank;
 * **the packet body**: one ``while True:`` block executed once. Entry
   length checks, entry ops and every block's ops (blocks in topological
   order, each in stage order) follow each other flat; consecutive ops
@@ -99,7 +119,23 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   (these calls report a drop only there) and the locals it may write
   are loaded back. ``sim._mem_load`` / ``_read_plain`` /
   ``_mem_store`` take their operands as arguments, and a folded map
-  request drops nothing: neither spills;
+  request drops nothing: neither spills registers. The stack atoms
+  spill the same way around every site that can reach ``stack`` by
+  address (``_spilled``): a dynamically addressed access labelled STACK
+  or unlabelled (its fast side indexes ``stack``, its cold side
+  dispatches on the address), a stack or unlabelled atomic (always
+  ``sim._atomic``), ``sim._map_channel_call`` and a lookup whose key
+  the verifier did not place (they read the key and value by
+  address), a helper that reads memory by a pointer argument
+  (``reads_stack``; no helper writes it). Every atom is stored into
+  ``stack`` before such a site and loaded back after one that may
+  write; a site that reports a drop has written nothing. A load,
+  store or atomic the verifier labelled PACKET, CTX or MAP_VALUE is
+  none: the label proves the region of every address it computes, and
+  the regions lie apart (``AddressSpace``), so its cold side, which
+  only a region's run-time extent sends it to, never lands on the
+  stack. So a program without such a site — every app that streams —
+  keeps no stack memory at all;
 * **after the body**: the timing tail (the window's entry and exit
   cycles, which wait on the flags of its holder blocks, and
   ``max_cycles``), ``sim._finalize`` if a store could have pended a
@@ -196,7 +232,10 @@ from ..telemetry import get_registry
 # v15: _stream folds map updates and deletes whose operands sit in static
 #     stack slices to the map's unchecked cores (no spill); bpf_redirect
 #     is inlined in both modes.
-CODEGEN_VERSION = 15
+# v16: _stream keeps the statically addressed stack bytes in locals (the
+#     stack atoms), zeroed per frame and spilled to pkt.stack only
+#     around a site that reaches it by address; a delete is one request.
+CODEGEN_VERSION = 16
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
@@ -213,6 +252,7 @@ _DATA0 = hex(AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM)
 _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_ARRAYS = ("array", "percpu_array")
 
 
 class CodegenError(ValueError):
@@ -422,6 +462,17 @@ class _Emitter:
         # and the packet-resizing helpers. When False the stream path
         # wraps the caller's frame without copying it.
         self.pkt_writes = False
+        # _stream's stack (see _stack_atoms): start -> size of each
+        # local _s<start>; the packed slices read more than once, which
+        # are bound to a local _sb<start>_<size> and reused while
+        # ``avail`` holds them; whether some site reaches ``stack`` by
+        # address (the per-frame zeroing stays); the Structs that pack
+        # slices, by format.
+        self.atoms: Dict[int, int] = {}
+        self.bound: FrozenSet[Tuple[int, int]] = frozenset()
+        self.avail: set = set()
+        self.stack_spills = False
+        self.slice_packs: Dict[str, str] = {}
 
     # -- shared sub-emitters -------------------------------------------------
 
@@ -438,6 +489,96 @@ class _Emitter:
         self.helpers[helper_id] = name
         return name
 
+    # -- _stream's stack: atoms in locals --------------------------------------
+
+    def _atoms_in(self, start: int, size: int) -> List[Tuple[int, int]]:
+        """The atoms that tile the stack bytes ``[start, start + size)``
+        (``_stack_atoms`` made each static range a union of atoms)."""
+        pieces, at = [], start
+        while at < start + size:
+            pieces.append((at, self.atoms[at]))
+            at += self.atoms[at]
+        return pieces
+
+    def _atom_int(self, start: int, size: int) -> str:
+        """The little-endian integer in the stack bytes ``[start, start +
+        size)``, ``size`` at most 8: its atoms ORed together."""
+        return " | ".join(f"_s{at}" + (f" << {8 * (at - start)}"
+                                       if at > start else "")
+                          for at, _n in self._atoms_in(start, size))
+
+    def _atom_store(self, start: int, size: int, raw: str,
+                    masked: str) -> List[str]:
+        """Store ``size`` bytes of ``raw`` (a register or a literal;
+        ``masked`` is it cut to ``size`` bytes) at stack byte ``start``:
+        each atom takes its bytes of the value by a shift."""
+        self._kill(start, size)
+        pieces = self._atoms_in(start, size)
+        if len(pieces) == 1:
+            # a register already fits 8 bytes (the invariant)
+            return [f"_s{start} = {raw if size == 8 else masked}"]
+        out = []
+        for at, n in pieces:
+            shift, mask = 8 * (at - start), (1 << (8 * n)) - 1
+            if raw.startswith("0x"):
+                out.append(f"_s{at} = {hex(int(raw, 16) >> shift & mask)}")
+                continue
+            part = f"{raw} >> {shift}" if shift else raw
+            if at + n < start + 8:
+                part = f"{part} & {hex(mask)}"
+            out.append(f"_s{at} = {part}")
+        return out
+
+    def _kill(self, start: int, size: int) -> None:
+        """A store to the stack bytes ``[start, start + size)``: no
+        packed slice that overlaps them is reused past it."""
+        self.avail = {(a, n) for a, n in self.avail
+                      if a + n <= start or start + size <= a}
+
+    def _atom_bytes(self, start: int, size: int) -> Tuple[List[str], str]:
+        """The stack bytes ``[start, start + size)`` as ``bytes``: the
+        statements that pack them and the expression that names them.
+        One ``Struct.pack`` of their atoms; a slice read more than once
+        (``bound``) is packed into its local once and reused while no
+        store to its atoms intervenes (``avail``)."""
+        pieces = self._atoms_in(start, size)
+        fmt = "".join(_STRUCT_FMT[n][1] for _at, n in pieces)
+        name = self.slice_packs.setdefault(fmt, f"_pk_{fmt}")
+        packed = f"{name}({', '.join(f'_s{at}' for at, _n in pieces)})"
+        if (start, size) not in self.bound:
+            return [], packed
+        local = f"_sb{start}_{size}"
+        if (start, size) in self.avail:
+            return [], local
+        self.avail.add((start, size))
+        return [f"{local} = {packed}"], local
+
+    def _stack_out(self) -> List[str]:
+        """Before a site that reaches ``stack`` by address: every atom
+        stored into it (the rest of it is what the frame's zeroing and
+        such sites left there)."""
+        self.stack_spills = True
+        return [f"{self._pack(n)}(stack, {at}, _s{at})"
+                for at, n in sorted(self.atoms.items())]
+
+    def _stack_in(self) -> List[str]:
+        """After a site that may write ``stack``: every atom loaded back
+        from it, and no packed slice reused past it."""
+        self.avail = set()
+        return [f"_s{at} = {self._unpack(n)}(stack, {at})[0]"
+                for at, n in sorted(self.atoms.items())]
+
+    def _spilled(self, label, lines: List[str], writes: bool) -> List[str]:
+        """``lines``, an access the verifier labelled ``label`` that
+        folds to no atom: in ``_stream`` one labelled STACK, or with no
+        label, may reach ``stack``, so it runs between ``_stack_out``
+        and, if it ``writes``, ``_stack_in``."""
+        if not self.stream or (label is not None
+                               and label.region is not Region.STACK):
+            return lines
+        return (self._stack_out() + lines
+                + (self._stack_in() if writes else []))
+
     def _insn_literal(self, insn) -> str:
         name = f"_i{len(self.insns)}"
         self.insns.append(insn)
@@ -445,8 +586,10 @@ class _Emitter:
 
     # Names of the packet's state. The cycle loop holds many packets and
     # reaches each one's state through ``pkt``; ``_stream`` holds one,
-    # whose register file is the locals r0..r10 and whose stack, context
-    # and frame buffer are bound once (per run, per run, per frame).
+    # whose register file is the locals r0..r10, whose statically
+    # addressed stack bytes are the atoms _s<byte> (above) and whose
+    # stack buffer, context and frame buffer are bound once (per run,
+    # per run, per frame).
 
     def _reg(self, number: int) -> str:
         return f"r{number}" if self.stream else f"regs[{number}]"
@@ -565,10 +708,10 @@ class _Emitter:
 
         # sim._mem_load is the interpreted engine's whole region
         # dispatch; None means it dropped the packet.
-        return self._access(
+        return self._spilled(label, self._access(
             insn.src, insn.off, label, size, fast,
             [f"_v = sim._mem_load(pkt, _a, {size})"]
-            + self._unless_none("_v", [f"{D} = _v"]))
+            + self._unless_none("_v", [f"{D} = _v"])), writes=False)
 
     def _address(self, base: int, off: int) -> str:
         """The effective address ``base register + off``, wrapped to 64
@@ -675,11 +818,13 @@ class _Emitter:
         in-value offset is fixed)."""
         off = label.offset
         if label.region is Region.STACK:
-            idx = _STK_SZ + off  # off is negative, R10-relative
-            if 0 <= idx and idx + size <= _STK_SZ:
-                # Statically in range: no bounds check, no drop path.
-                return [f"{D} = {self._unpack(size)}({self._stack}, {idx})[0]"]
-            return None
+            idx = self._stack_index(off, size)
+            if idx is None:
+                return None
+            # Statically in range: no bounds check, no drop path.
+            if self.stream:
+                return [f"{D} = {self._atom_int(idx, size)}"]
+            return [f"{D} = {self._unpack(size)}({self._stack}, {idx})[0]"]
         if label.region is Region.PACKET:
             if off < 0:
                 return None
@@ -716,19 +861,20 @@ class _Emitter:
         return None
 
     def _const_store(
-        self, label, size: int, val: str, flush: bool
+        self, label, size: int, val: str, flush: bool, raw: str = ""
     ) -> Optional[List[str]]:
-        """Constant-offset stack/packet store (see _const_ldx). Emits
-        the dead _se slot when a flush epilogue follows: direct stack
-        and packet stores are never map side effects."""
+        """Constant-offset stack/packet store (see _const_ldx) of
+        ``val``, which is ``raw`` cut to ``size`` bytes. Emits the dead
+        _se slot when a flush epilogue follows: direct stack and packet
+        stores are never map side effects."""
         pre = ["_se = None"] if flush else []
         if label.region is Region.STACK:
-            idx = _STK_SZ + label.offset
-            if 0 <= idx and idx + size <= _STK_SZ:
-                return pre + [
-                    f"{self._pack(size)}({self._stack}, {idx}, {val})"
-                ]
-            return None
+            idx = self._stack_index(label.offset, size)
+            if idx is None:
+                return None
+            return pre + (self._atom_store(idx, size, raw, val)
+                          if self.stream else
+                          [f"{self._pack(size)}({self._stack}, {idx}, {val})"])
         if label.region is Region.PACKET and label.offset >= 0:
             off = label.offset
             if off + size <= self.pkt_min_len:
@@ -763,7 +909,8 @@ class _Emitter:
 
         label = op.label
         if label is not None and label.offset is not None:
-            folded = self._const_store(label, size, masked_val, flush)
+            folded = self._const_store(label, size, masked_val, flush,
+                                       raw_val)
             if folded is not None:
                 if label.region is Region.PACKET:
                     self.pkt_writes = True
@@ -786,11 +933,11 @@ class _Emitter:
             label.region in (Region.STACK, Region.PACKET)
             or self.stream and label.region is Region.MAP_VALUE
             and stage_number >= self.commits.get(label.map_fd, 0)) else None
-        return self._access(
+        return self._spilled(label, self._access(
             insn.dst, insn.off, plain, size,
             lambda buf: [f"{self._pack(size)}({buf}, _o, {masked_val})"]
             + (["_se = None"] if flush else []),
-            fallback + self._left_by_fallback)
+            fallback + self._left_by_fallback), writes=True)
 
     def _atomic_lines(self, op: PipeOp, flush: bool) -> List[str]:
         insn = op.insn
@@ -818,16 +965,17 @@ class _Emitter:
         if new is None:
             # XCHG/CMPXCHG and unknown atomics defer entirely to the
             # interpreted path (which materialises pending overlaps).
-            return self._fallback_call(
+            return self._spilled(label, self._fallback_call(
                 f"sim._atomic(pkt, {iname}, "
-                f"{self._address(insn.dst, insn.off)})", reads, writes, flush)
+                f"{self._address(insn.dst, insn.off)})", reads, writes,
+                flush), writes=True)
 
         unpack = self._unpack(size)
         pack = self._pack(size)
         src = self._reg(insn.src)
         mapped = label if label is not None and (
             label.region is Region.MAP_VALUE) else None
-        return self._access(
+        return self._spilled(label, self._access(
             insn.dst, insn.off, mapped, size,
             lambda buf: [
                 f"_old = {unpack}({buf}, _o)[0]",
@@ -840,7 +988,8 @@ class _Emitter:
             self._fallback_call(f"sim._atomic(pkt, {iname}, _a)",
                                 reads, writes, flush),
             # ... and so does the rare own-pending-write overlap
-            " and not pkt.pending_writes" if self.stores_may_pend else "")
+            " and not pkt.pending_writes" if self.stores_may_pend else ""),
+            writes=True)
 
     def _call_lines(self, op: PipeOp, flush: bool,
                     stage_number: int) -> List[str]:
@@ -876,6 +1025,10 @@ class _Emitter:
         context = "_hc" if self.stream else "_HC(sim, pkt)"
         clock = (self._clock_lines(stage_number)
                  if self.stream and helper_id == _KTIME else [])
+        # a helper that reads memory by a pointer argument reads the
+        # stack through _hc (no helper writes it)
+        if self.stream and spec.reads_stack:
+            clock = self._stack_out() + clock
         return clock + [
             f"{R(0)} = {hname}({context}, {R(1)}, {R(2)}, {R(3)}, "
             f"{R(4)}, {R(5)}) & {_M64}",
@@ -935,9 +1088,10 @@ class _Emitter:
                    else self._read_lines(helper_id, fd, info, spec))
             self.folded_lookups += out is not None
         if out is None:
-            return self._fallback_call(
+            # the channel reads its key and value by address
+            return self._spilled(None, self._fallback_call(
                 f"sim._map_channel_call(pkt, {helper_id})",
-                reads=(1, 2, 3, 4), writes=(0,), flush=flush)
+                reads=(1, 2, 3, 4), writes=(0,), flush=flush), writes=False)
         return out
 
     def _read_lines(self, helper_id: int, fd: int, info,
@@ -976,23 +1130,39 @@ class _Emitter:
         test. A ``MapError`` (a full hash map, a flag refused, an array
         index out of range or deleted) leaves -1 in r0."""
         R = self._reg
-        stack, ks, vs = self._stack, spec.key_size, spec.value_size
-        update = helper_id == BPF_MAP_UPDATE_ELEM
-        k = self._stack_index(info.key_stack_offset, ks)
-        v = self._stack_index(info.value_stack_offset, vs) if update else 0
-        if k is None or v is None:
+        slices = self._stack_operands(helper_id, info, spec)
+        if slices is None:
             return None
-        key = f"bytes({stack}[{k}:{k + ks}])"
-        if update:
-            write = [f"_up{fd}({key}, bytes({stack}[{v}:{v + vs}]), "
-                     f"{R(4)} & 0x3)", f"{R(0)} = 0"]
+        pack, key = self._atom_bytes(*slices[0])
+        if helper_id == BPF_MAP_UPDATE_ELEM:
+            more, value = self._atom_bytes(*slices[1])
+            pack += more
+            write = [f"_up{fd}({key}, {value}, {R(4)} & 0x3)", f"{R(0)} = 0"]
         else:
-            write = [f"_k = {key}",
-                     f"{R(0)} = 0 if _lk{fd}(_k) is not None and "
-                     f"_m{fd}.delete(_k) else {_M64}"]
+            # channel_step's lookup ahead of the delete only names the
+            # slot the flush checks want; the stream has none
+            write = [f"{R(0)} = 0 if _m{fd}.delete({key}) else {_M64}"]
         self.uses_map_error = True
-        return (["try:"] + _ind(write)
+        return (pack + ["try:"] + _ind(write)
                 + ["except MapError:", f"    {R(0)} = {_M64}"])
+
+    def _stack_operands(self, helper_id: int, info,
+                        spec) -> Optional[List[Tuple[int, int]]]:
+        """``(start, size)`` of the stack slices a request of the
+        run-bound map ``spec`` reads: its key, and an update's value —
+        where the verifier placed every one of them in a static stack
+        slice (the operands ``core/vhdl.py`` wires to the map's
+        channel), else None."""
+        sizes = [spec.key_size]
+        offsets = [info.key_stack_offset]
+        if helper_id == BPF_MAP_UPDATE_ELEM:
+            sizes.append(spec.value_size)
+            offsets.append(info.value_stack_offset)
+        slices = [(self._stack_index(offset, size), size)
+                  for offset, size in zip(offsets, sizes)]
+        if any(start is None for start, _size in slices):
+            return None
+        return slices
 
     @staticmethod
     def _stack_index(offset: Optional[int], size: int) -> Optional[int]:
@@ -1010,13 +1180,15 @@ class _Emitter:
         expressions on the map as found."""
         R = self._reg
         base = hex(AddressSpace.map_value_addr(fd, 0))
-        idx = (None if spec is None
-               else self._stack_index(info.key_stack_offset, ks))
-        if idx is not None:
-            # The key's stack slot is statically in range.
+        array = spec is not None and spec.map_type in _ARRAYS
+        slices = (None if spec is None else
+                  self._stack_operands(BPF_MAP_LOOKUP_ELEM, info, spec))
+        if slices is not None:
+            # The key's stack slot is statically in range: its atoms.
+            (idx, _ks), = slices
             read = None
-            index = f"{self._unpack(4)}({self._stack}, {idx})[0]"
-            key = f"bytes({self._stack}[{idx}:{idx + ks}])"
+            pack, key = ([], "") if array else self._atom_bytes(idx, ks)
+            index = self._atom_int(idx, ks) if array else ""
         else:
             room = f"{_STK_SZ} - {ks}" if spec is None else _STK_SZ - ks
             read = [
@@ -1027,9 +1199,8 @@ class _Emitter:
                 "else:",
                 f"    _k = sim._read_plain(pkt, _a, {ks})",
             ]
-            index = 'int.from_bytes(_k, "little")'
-            key = "_k"
-        if spec is not None and spec.map_type in ("array", "percpu_array"):
+            pack, index, key = [], 'int.from_bytes(_k, "little")', "_k"
+        if array:
             # ArrayMap.lookup_slot: key_size is 4 by construction
             out = [
                 f"_ix = {index}",
@@ -1039,12 +1210,14 @@ class _Emitter:
         else:
             # value_addr folded: directory slots are in range by
             # construction, so it is just slot * value_size.
-            out = [f"_sl = {lookup}({key})"] + track + [
+            out = pack + [f"_sl = {lookup}({key})"] + track + [
                 f"{R(0)} = 0 if _sl is None else {base} + _sl * {vs}",
             ]
         if read is None:
             return out
-        return read + self._unless_none("_k", out)
+        # the key is read by address
+        return self._spilled(None, read + self._unless_none("_k", out),
+                             writes=False)
 
     def _redirect_lines(self, spec, bpf_map: str, lookup: str, ks,
                         track: List[str]) -> List[str]:
@@ -1237,7 +1410,7 @@ class _Emitter:
         )
 
     def _window_timing(self, lo: int, hi: int, held: str,
-                       bank: Optional[BankKey],
+                       bank: Optional[BankKey], lane: Tuple[List[str], str],
                        after: Optional[str]) -> _StreamTiming:
         """Cycle accounting of a pipeline with one serialization window
         ``[lo, hi]``, ``lo >= 2``, that a packet holds when ``held`` (an
@@ -1263,9 +1436,11 @@ class _Emitter:
           ``hi`` (deepest-first shifting vacates it in the same cycle);
           a packet that does not hold passes through. A window without a
           lane key has the one lane; a banked one reads ``b`` from the
-          key the packet leaves on its stack (``bank``), which no store
-          at or past ``lo`` changes (``hazards.bank_key``), and a keyed
-          one takes the key itself, keeping ``free`` only for keys whose
+          key the packet leaves on its stack (``bank``; ``lane`` holds
+          the statements and the expression that read it off the
+          atoms), which no store at or past ``lo`` changes
+          (``hazards.bank_key``), and a keyed one takes the key itself,
+          keeping ``free`` only for keys whose
           last holder is still in the window;
         * ``exit[k] = ent[k] + n - lo + 1`` — past stage ``lo`` nothing
           stalls.
@@ -1279,6 +1454,7 @@ class _Emitter:
         """
         n = self.pipeline.n_stages
         after = after or str(hi - lo + 1)
+        pack, key = lane
         self.uses_deque = True
         if bank is None:
             frees = ["_exit = _free = _drops = _tot = _pip = 0"]
@@ -1287,35 +1463,28 @@ class _Emitter:
                     f"_free = _went + {after}"]
         elif not bank.keyed:
             self.uses_bank = True
-            start = _STK_SZ + bank.offset
             frees = [f"_free = [0] * {bank.banks}",
                      "_exit = _drops = _tot = _pip = 0"]
-            wait = [f"_bk = _bank_of(stack[{start}:{start + bank.size}], "
-                    f"{bank.banks})",
-                    "if _free[_bk] > _went:",
-                    "    _went = _free[_bk]",
-                    f"_free[_bk] = _went + {after}"]
+            wait = pack + [f"_bk = _bank_of({key}, {bank.banks})",
+                           "if _free[_bk] > _went:",
+                           "    _went = _free[_bk]",
+                           f"_free[_bk] = _went + {after}"]
         else:
             # per key, the cycle its last holder frees it (leaves the
             # window, or is its release in); _held queues
             # (free, key) in entry order to retire the rest
-            size = bank.size
-            start = _STK_SZ + bank.offset
-            key = (f"{self._unpack(size)}(stack, {start})[0]"
-                   if size in (1, 2, 4, 8)
-                   else f"bytes(stack[{start}:{start + size}])")
             frees = ["_free = {}", "_held = _deque()",
                      "_exit = _drops = _tot = _pip = 0"]
-            wait = [f"_bk = {key}",
-                    "while _held and _held[0][0] <= _went:",
-                    "    _f, _k = _held.popleft()",
-                    "    if _free[_k] == _f:",
-                    "        del _free[_k]",
-                    "_f = _free.get(_bk, 0)",
-                    "if _f > _went:",
-                    "    _went = _f",
-                    f"_f = _free[_bk] = _went + {after}",
-                    "_held.append((_f, _bk))"]
+            wait = pack + [f"_bk = {key}",
+                           "while _held and _held[0][0] <= _went:",
+                           "    _f, _k = _held.popleft()",
+                           "    if _free[_k] == _f:",
+                           "        del _free[_k]",
+                           "_f = _free.get(_bk, 0)",
+                           "if _f > _went:",
+                           "    _went = _f",
+                           f"_f = _free[_bk] = _went + {after}",
+                           "_held.append((_f, _bk))"]
         clock = (["_t0 = sim.time_ns",
                   "_cns = 1000.0 / sim.options.clock_mhz"]
                  if self.uses_clock else [])
@@ -1386,15 +1555,26 @@ class _Emitter:
         self.stream = True
         self.lookups = self.folded_lookups = self.spill_sites = 0
         self.writes = self.folded_writes = 0
+        self.stack_spills = False
         self.any_flush = self.maintain = False
+        placed = self._stream_placed()
+        bank = windows[0][3] if windows else None
+        self._stack_atoms(placed, bank)
         try:
-            ops = self._stream_ops()
+            ops, exits, avail_out = self._stream_ops(placed)
         finally:
             self.stream = False
             self.any_flush, self.maintain = hazard_modes
         named = _idents(ops)
         if windows:
             (lo, hi, holders, bank, forward), = windows
+            lane: Tuple[List[str], str] = ([], "")
+            if bank is not None:
+                self.avail = self._avail_after(holders, exits, avail_out)
+                start = _STK_SZ + bank.offset
+                lane = (([], self._atom_int(start, bank.size))
+                        if bank.keyed and bank.size in _STRUCT_FMT
+                        else self._atom_bytes(start, bank.size))
             # The entry block's flag is constant: every packet holds. A
             # holder all of whose predecessors hold is enabled only after
             # one of them, so the others' flags decide.
@@ -1409,7 +1589,7 @@ class _Emitter:
                 after = _release_offset(forward.release, named)
                 if not after.isdigit():
                     after = f"({after})"
-            timing = self._window_timing(lo, hi, held, bank, after)
+            timing = self._window_timing(lo, hi, held, bank, lane, after)
         else:
             timing = self._line_rate_timing()
 
@@ -1424,8 +1604,9 @@ class _Emitter:
             "_max = sim.options.max_cycles",
             'pkt = _IF(0, b"", 0)',
             "_c = pkt.ctx",
-            "stack = pkt.stack",
         ]
+        if self.stack_spills:
+            out.append("stack = pkt.stack")
         if "regs" in named:
             out.append("regs = pkt.regs")
         if "_hc" in named:
@@ -1463,7 +1644,14 @@ class _Emitter:
             blk.append("_c.redirect_ifindex = None")
         if "done" in named:  # some fallback reports through pkt.done
             blk.append("pkt.done = False")
-        blk.append("stack[:] = _ZSTACK")
+        # A stack atom reads 0 until stored, as the VM's zeroed stack
+        # does; ``stack`` itself needs it only where some site reaches
+        # it by address, which also reads the bytes that are no atom.
+        if self.stack_spills:
+            blk.append("stack[:] = _ZSTACK")
+        if self.atoms:
+            blk.append(" = ".join(f"_s{at}" for at in sorted(self.atoms))
+                       + " = 0")
         init = {isa.R1: AddressSpace.CTX_BASE,
                 isa.R10: AddressSpace.stack_top()}
         used = [n for n in range(isa.NUM_REGS) if f"r{n}" in named]
@@ -1525,41 +1713,139 @@ class _Emitter:
         ]
         return out
 
-    def _stream_ops(self) -> List[str]:
-        """Entry ops, then every block's ops in topological block order,
-        each block's in stage order, for one packet that is never done
-        when an op starts (a decided packet has left). On the packet's
-        one path that is the order the stages run them: every block
-        starts after its predecessors end, and blocks sharing a stage
-        are exclusive. Consecutive ops of one basic block share one
-        ``if _e<block>:``; the entry block's flag is constant, so its
-        ops carry none. Nesting depth therefore follows op structure,
-        not the stage count."""
+    def _stream_placed(self) -> Dict[int, List[Tuple[PipeOp, int, bool]]]:
+        """Per block, ``(op, stage, in_entry)`` of its ops in stage
+        order — the entry ops first in the entry block."""
         pipeline = self.pipeline
-        entry_block = pipeline.cfg.entry.block_id
-        topo = {b: k for k, b in enumerate(pipeline.cfg.topo_order)}
-        placed = [(op, 1, True) for op in pipeline.entry_ops] + sorted((
-            (op, stage.number, False)
-            for stage in pipeline.stages
-            if stage.kind is StageKind.OPS
-            for op in stage.ops or ()
-        ), key=lambda placement: topo[placement[0].block_id])
-        groups: List[Tuple[Optional[int], List[str]]] = []
-        for op, stage_number, in_entry in placed:
-            emitted = self._op_body(op, stage_number, in_entry)
-            if emitted is None:
-                continue
-            block = (None if in_entry or op.block_id == entry_block
-                     else op.block_id)
-            if groups and groups[-1][0] == block:
-                groups[-1][1].extend(emitted[0])
-            else:
-                groups.append((block, list(emitted[0])))
+        placed: Dict[int, List[Tuple[PipeOp, int, bool]]] = {
+            pipeline.cfg.entry.block_id: [
+                (op, 1, True) for op in pipeline.entry_ops]}
+        for stage in pipeline.stages:
+            if stage.kind is StageKind.OPS:
+                for op in stage.ops or ():
+                    placed.setdefault(op.block_id, []).append(
+                        (op, stage.number, False))
+        return placed
+
+    def _stack_atoms(self, placed, bank: Optional[BankKey]) -> None:
+        """Partition the stack bytes the stream body addresses statically
+        — constant-offset loads and stores, the key and value slices of
+        folded map requests, the window's lane key (``bank``) — into the
+        coarsest atoms of which each of those ranges is a union, each
+        cut into 1-, 2-, 4- or 8-byte little-endian locals ``_s<start>``
+        (``atoms``). A slice read as bytes more than once is ``bound``."""
+        ranges: List[Tuple[int, int]] = []
+        reads: Dict[Tuple[int, int], int] = {}
+        stack = Region.STACK  # an enum member read is a metaclass lookup
+        for op, _stage, _in_entry in (p for ops in placed.values()
+                                      for p in ops):
+            info, label = op.call, op.label
+            if info is not None:
+                spec = self._bound_spec(info.map_fd)
+                helper_id = op.insn.imm
+                if spec is None or helper_id not in (
+                        BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM,
+                        BPF_MAP_DELETE_ELEM):
+                    continue
+                slices = self._stack_operands(helper_id, info, spec) or []
+                ranges += slices
+                if helper_id == BPF_MAP_LOOKUP_ELEM and \
+                        spec.map_type in _ARRAYS:
+                    continue  # the index is an integer
+                for piece in slices:
+                    reads[piece] = reads.get(piece, 0) + 1
+            elif (label is not None and label.region is stack
+                  and label.offset is not None and not op.insn.is_atomic
+                  and op.insn.opclass in (isa.BPF_LDX, isa.BPF_ST,
+                                          isa.BPF_STX)):
+                size = op.insn.size_bytes
+                start = self._stack_index(label.offset, size)
+                if start is not None:
+                    ranges.append((start, size))
+        if bank is not None:
+            lane = (_STK_SZ + bank.offset, bank.size)
+            ranges.append(lane)
+            if not (bank.keyed and bank.size in _STRUCT_FMT):
+                reads[lane] = reads.get(lane, 0) + 1
+        covered: set = set()
+        for start, size in ranges:
+            covered.update(range(start, start + size))
+        cuts = sorted({start for start, _size in ranges}
+                      | {start + size for start, size in ranges})
+        self.atoms = {}
+        for lo, hi in zip(cuts, cuts[1:]):
+            while lo < hi and lo in covered:
+                size = next(n for n in (8, 4, 2, 1) if n <= hi - lo)
+                self.atoms[lo] = size
+                lo += size
+        self.bound = frozenset(piece for piece, count in reads.items()
+                               if count > 1)
+
+    def _stream_ops(self, placed) -> Tuple[
+            List[str], List[Tuple[int, FrozenSet[Tuple[int, int]]]],
+            Dict[int, FrozenSet[Tuple[int, int]]]]:
+        """Every block's ops in topological block order, each block's in
+        stage order, for one packet that is never done when an op starts
+        (a decided packet has left). On the packet's one path that is
+        the order the stages run them: every block starts after its
+        predecessors end, and blocks sharing a stage are exclusive. A
+        block's ops share one ``if _e<block>:``; the entry block's flag
+        is constant, so its ops carry none. Nesting depth therefore
+        follows op structure, not the stage count.
+
+        Returns the lines; per op that can leave the body, its block
+        and the packed slices that are available wherever it leaves;
+        per block, those available at its end. A slice is available
+        where every path to it packed it with no store to its atoms
+        since (``_atom_bytes``, ``_kill``, ``_stack_in``): at a block's
+        start, the slices available at the end of all its
+        predecessors."""
+        cfg = self.pipeline.cfg
+        entry_block = cfg.entry.block_id
         out: List[str] = []
-        for block, lines in groups:
-            out += lines if block is None else (
-                [f"if _e{block}:"] + _ind(lines))
-        return out
+        exits: List[Tuple[int, FrozenSet[Tuple[int, int]]]] = []
+        avail_out: Dict[int, FrozenSet[Tuple[int, int]]] = {}
+        for block in cfg.topo_order:
+            preds = cfg.blocks[block].preds
+            self.avail = set(frozenset.intersection(*(
+                avail_out.get(p, frozenset()) for p in preds))) \
+                if preds and block != entry_block else set()
+            lines: List[str] = []
+            for op, stage_number, in_entry in placed.get(block, ()):
+                before = set(self.avail)
+                emitted = self._op_body(op, stage_number, in_entry)
+                if emitted is None:
+                    continue
+                lines += emitted[0]
+                if self.bound and any(line.endswith("break")
+                                      for line in emitted[0]):
+                    # no op both kills a slice and packs it
+                    exits.append((block, frozenset(before & self.avail)))
+            avail_out[block] = frozenset(self.avail)
+            if lines and block != entry_block:
+                lines = [f"if _e{block}:"] + _ind(lines)
+            out += lines
+        return out, exits, avail_out
+
+    def _avail_after(self, holders, exits, avail_out) -> set:
+        """The packed slices available after the body to a packet that
+        holds the window: it ran one of the ``holders``, so it left the
+        body in one of them or in a block they reach — by a ``break``
+        (``exits``), past the last op of a block with no successor, or,
+        if the entry block holds, at an entry length check."""
+        cfg = self.pipeline.cfg
+        reach, todo = set(), list(holders)
+        while todo:
+            block = todo.pop()
+            if block not in reach:
+                reach.add(block)
+                todo += [succ for succ, _kind in cfg.blocks[block].succs]
+        ways = [avail for block, avail in exits if block in reach]
+        ways += [avail_out.get(block, frozenset()) for block in reach
+                 if not cfg.blocks[block].succs]
+        if cfg.entry.block_id in reach and self.pipeline.entry_checks:
+            ways.append(frozenset())
+        return set(frozenset.intersection(*ways)) if ways else set()
 
 
 _IDENT_RUN = re.compile(r"[A-Za-z0-9_]+")
@@ -1655,7 +1941,7 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         "",
     ]
     imports: List[str] = []
-    if em.unpack_widths or em.pack_widths:
+    if em.unpack_widths or em.pack_widths or em.slice_packs:
         imports.append("import struct")
         imports.append("")
     if em.uses_deque:
@@ -1727,7 +2013,10 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
             f"imm64={insn.imm64!r})"
         )
         binds.append(f"_i{idx}")
-    if em.uses_stream:
+    for fmt, name in sorted(em.slice_packs.items()):
+        pre.append(f'{name} = struct.Struct("<{fmt}").pack')
+        binds.append(name)
+    if em.stack_spills:
         # Stack-zero block for the in-place per-packet reset of the
         # stream path's reused _InFlight.
         pre.append(f"_ZSTACK = bytes({_STK_SZ})")
@@ -1745,10 +2034,12 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     out.append(f"_STREAM = {'_stream' if stream_ok else 'None'}")
     if stream_ok:
         sites = "site" if em.spill_sites == 1 else "sites"
+        slots = "slot" if len(em.atoms) == 1 else "slots"
         out.append(
             f'_STREAM_SHAPE = "{em.folded_lookups} of {em.lookups} lookups, '
             f'{em.folded_writes} of {em.writes} writes folded, '
-            f'{em.spill_sites} spill {sites}"')
+            f'{em.spill_sites} spill {sites}, '
+            f'{len(em.atoms)} stack {slots}"')
     out.append("")
     # Collapse double blanks left by empty sections.
     text_lines: List[str] = []

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 15); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 16); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -26,7 +26,8 @@ _i0 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
 _i1 = Instruction(opcode=219, dst=0, src=9, off=0, imm=0, imm64=None)
 _i2 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
 _i3 = Instruction(opcode=219, dst=0, src=9, off=0, imm=0, imm64=None)
-_ZSTACK = bytes(512)
+_pk_IIHHI = struct.Struct("<IIHHI").pack
+_pk_Q = struct.Struct("<Q").pack
 
 def _s1(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
     if pkt.done:
@@ -387,7 +388,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _ZSTACK=_ZSTACK):
+def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _pk_IIHHI=_pk_IIHHI, _pk_Q=_pk_Q):
     pid = 0
     cycle = 0
     _cap = sim.options.input_queue_capacity
@@ -400,7 +401,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
-    stack = pkt.stack
     regs = pkt.regs
     _m1 = sim.maps[1]
     _st1 = _m1.storage
@@ -423,7 +423,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
         _inq.append(_inj)
         _b = _c.packet = frame
         pkt.done = False
-        stack[:] = _ZSTACK
+        _s480 = _s496 = _s500 = _s504 = _s506 = _s508 = 0
         r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
         r1 = 0x1000
         r10 = 0x200200
@@ -460,18 +460,19 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                     _e4 = True
             if _e4:
                 r2 = _u4(_b, 30)[0]
-                _p4(stack, 500, r8 & 0xffffffff)
+                _s500 = r8 & 0xffffffff
                 r4 = _u2(_b, 36)[0]
                 r5 = _u2(_b, 34)[0]
                 r3 = 0x0
                 r1 = 0x30000001
-                _p4(stack, 496, r2 & 0xffffffff)
-                _p2(stack, 504, r4 & 0xffff)
-                _p2(stack, 506, r5 & 0xffff)
-                _p4(stack, 508, r3 & 0xffffffff)
+                _s496 = r2 & 0xffffffff
+                _s504 = r4 & 0xffff
+                _s506 = r5 & 0xffff
+                _s508 = r3 & 0xffffffff
                 r2 = r10
                 r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                _sl = _lk1(bytes(stack[496:512]))
+                _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
+                _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
                 r1 = 0x1
@@ -498,20 +499,21 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
             if _e6:
                 r7 = 0x1
                 r9 = 0x1
-                _p4(stack, 496, r8 & 0xffffffff)
+                _s496 = r8 & 0xffffffff
                 r3 = _u4(_b, 30)[0]
                 r4 = _u2(_b, 34)[0]
                 r5 = _u2(_b, 36)[0]
                 r1 = 0x30000001
                 r2 = r10
                 r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                _p8(stack, 480, r7 & 0xffffffffffffffff)
-                _p4(stack, 500, r3 & 0xffffffff)
-                _p2(stack, 504, r4 & 0xffff)
-                _p2(stack, 506, r5 & 0xffff)
+                _s480 = r7
+                _s500 = r3 & 0xffffffff
+                _s504 = r4 & 0xffff
+                _s506 = r5 & 0xffff
                 r3 = 0x0
-                _p4(stack, 508, r3 & 0xffffffff)
-                _sl = _lk1(bytes(stack[496:512]))
+                _s508 = r3 & 0xffffffff
+                _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
+                _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
                 r1 = 0x30000001
@@ -526,7 +528,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                     _e7 = True
             if _e7:
                 try:
-                    _up1(bytes(stack[496:512]), bytes(stack[480:488]), r4 & 0x3)
+                    _up1(_sb496_16, _pk_Q(_s480), r4 & 0x3)
                     r0 = 0
                 except MapError:
                     r0 = 0xffffffffffffffff
@@ -564,7 +566,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
         if _inj + 11 > _went:
             _went = _inj + 11
         if _e4 or _e6:
-            _bk = _bank_of(stack[496:512], 16)
+            _bk = _bank_of(_sb496_16, 16)
             if _free[_bk] > _went:
                 _went = _free[_bk]
             _free[_bk] = _went + (1 if _e4 else 3 if _e7 else 2)
@@ -597,5 +599,5 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, None, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups, 1 of 1 writes folded, 2 spill sites"
+_STREAM_SHAPE = "2 of 2 lookups, 1 of 1 writes folded, 2 spill sites, 6 stack slots"
 

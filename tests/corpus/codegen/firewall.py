@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 15); flush machinery elided, map-read tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 16); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct
@@ -22,7 +22,7 @@ _ABORTED = XdpAction.ABORTED
 _DROP = XdpAction.DROP
 _i0 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
 _i1 = Instruction(opcode=219, dst=0, src=1, off=0, imm=0, imm64=None)
-_ZSTACK = bytes(512)
+_pk_IIHHI = struct.Struct("<IIHHI").pack
 
 def _s1(sim, pkt, slots, barrier_queues, input_queue, report, _u2=_u2):
     if pkt.done:
@@ -257,13 +257,12 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p2=_p2, _p4=_p4, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _ZSTACK=_ZSTACK):
+def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _pk_IIHHI=_pk_IIHHI):
     pid = 0
     cycle = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
-    stack = pkt.stack
     regs = pkt.regs
     _m1 = sim.maps[1]
     _st1 = _m1.storage
@@ -275,7 +274,7 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
             raise SimError("simulation exceeded %d cycles" % _max)
         _b = _c.packet = frame
         pkt.done = False
-        stack[:] = _ZSTACK
+        _s496 = _s500 = _s504 = _s506 = _s508 = 0
         r0 = r2 = r3 = r4 = r5 = r6 = r8 = 0
         r1 = 0x1000
         r10 = 0x200200
@@ -304,14 +303,15 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 r5 = _u2(_b, 36)[0]
                 r8 = 0x0
                 r1 = 0x30000001
-                _p4(stack, 496, r2 & 0xffffffff)
-                _p4(stack, 500, r3 & 0xffffffff)
-                _p2(stack, 504, r4 & 0xffff)
-                _p2(stack, 506, r5 & 0xffff)
-                _p4(stack, 508, r8 & 0xffffffff)
+                _s496 = r2 & 0xffffffff
+                _s500 = r3 & 0xffffffff
+                _s504 = r4 & 0xffff
+                _s506 = r5 & 0xffff
+                _s508 = r8 & 0xffffffff
                 r2 = r10
                 r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                _sl = _lk1(bytes(stack[496:512]))
+                _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
+                _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
                 if r0 != 0x0:
@@ -324,13 +324,14 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 r4 = _u2(_b, 36)[0]
                 r5 = _u2(_b, 34)[0]
                 r1 = 0x30000001
-                _p4(stack, 496, r2 & 0xffffffff)
-                _p4(stack, 500, r3 & 0xffffffff)
-                _p2(stack, 504, r4 & 0xffff)
-                _p2(stack, 506, r5 & 0xffff)
+                _s496 = r2 & 0xffffffff
+                _s500 = r3 & 0xffffffff
+                _s504 = r4 & 0xffff
+                _s506 = r5 & 0xffff
                 r2 = r10
                 r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                _sl = _lk1(bytes(stack[496:512]))
+                _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
+                _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
                 r1 = r2 = r3 = r4 = r5 = 0
                 if r0 != 0x0:
@@ -383,5 +384,5 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups, 0 of 0 writes folded, 1 spill site"
+_STREAM_SHAPE = "2 of 2 lookups, 0 of 0 writes folded, 1 spill site, 5 stack slots"
 

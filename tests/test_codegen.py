@@ -436,7 +436,7 @@ class TestStreamPath:
         for gap in (3, 1):
             path, got = _observed(pipeline, program, frames, "codegen", gap)
             assert path == ("stream (0 of 0 lookups, 0 of 0 writes folded, "
-                            "0 spill sites)")
+                            "0 spill sites, 0 stack slots)")
             _path, want = _observed(pipeline, program, frames,
                                     "interpreted", gap)
             assert compare_runs(want, got) == []
@@ -498,7 +498,8 @@ class TestStreamPath:
         corpus = Path(__file__).parent / "corpus" / "atomic_variants.ebpf"
         self._agrees_spaced(
             load_program(str(corpus)), [bytes(range(64))] * 6 + [b""],
-            "1 of 1 lookups, 0 of 0 writes folded, 6 spill sites",
+            "1 of 1 lookups, 0 of 0 writes folded, 6 spill sites, "
+            "1 stack slot",
             atomics=1)
 
     def test_registers_written_inside_the_atomic_fallback_come_back(self):
@@ -544,7 +545,8 @@ class TestStreamPath:
         ] + [bytes(8)]
         self._agrees_spaced(
             program, frames,
-            "1 of 1 lookups, 0 of 0 writes folded, 3 spill sites", atomics=1)
+            "1 of 1 lookups, 0 of 0 writes folded, 3 spill sites, "
+            "1 stack slot", atomics=1)
 
     def test_spill_around_map_update_then_branch_on_r0(self):
         # r0 of the update — an inline request on the map's unchecked
@@ -593,7 +595,8 @@ class TestStreamPath:
         ] + [bytes(4)]
         self._agrees_spaced(
             program, frames,
-            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites")
+            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
+            "2 stack slots")
         pipeline = compile_program(program)
         verdicts = set()
         for gap in (1, 2, 7):  # windowed: the cycle accounting too
@@ -639,7 +642,8 @@ class TestStreamPath:
         assert "sim._map_channel_call" not in _stream_source(pipeline)
         got = self._writes_agree(
             pipeline, program, frames,
-            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites")
+            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites, "
+            "2 stack slots")
         if r0s is None:  # banked: which key evicts which is the CRC's
             assert {0, _NEG1} <= set(got[:-1])
         else:
@@ -663,7 +667,8 @@ class TestStreamPath:
                  (UPD, ANY, 4), (UPD, ANY, 9), (UPD, 3, 3)]
         got = self._writes_agree(
             pipeline, program, [_write_frame(*step) for step in steps],
-            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites")
+            "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
+            "2 stack slots")
         assert got == [0, _NEG1, 0, _NEG1, _NEG1, 0]
 
         swapped = copy.deepcopy(compile_program(_map_writes_program(
@@ -673,8 +678,8 @@ class TestStreamPath:
         steps = [(DEL, ANY, 1), (DEL, ANY, 9), (UPD, ANY, 2), (DEL, ANY, 2)]
         got = self._writes_agree(
             swapped, swapped.program, [_write_frame(*s) for s in steps],
-            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites",
-            line_rate=False)
+            "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites, "
+            "2 stack slots", line_rate=False)
         assert got == [_NEG1, _NEG1, 0, _NEG1]
 
     def test_write_with_its_key_in_the_frame_keeps_the_channel_call(self):
@@ -687,7 +692,8 @@ class TestStreamPath:
         got = self._writes_agree(
             pipeline, program,
             [_write_frame(*step) for step in _WRITE_STEPS],
-            "1 of 1 lookups, 0 of 2 writes folded, 2 spill sites")
+            "1 of 1 lookups, 0 of 2 writes folded, 2 spill sites, "
+            "2 stack slots")
         assert got == r0s
 
     def test_drops_leave_the_packet_body(self):
@@ -739,7 +745,7 @@ class TestStreamPath:
             labelled = _unresolved(pipeline, 5, label=label)
             for observer, expected in (
                 (None, "stream (1 of 1 lookups, 0 of 0 writes folded, "
-                       "0 spill sites)"),
+                       "0 spill sites, 0 stack slots)"),
                 (_idle_observer,
                  "cycle-loop (a per-cycle observer is attached)"),
             ):
@@ -755,6 +761,209 @@ class TestStreamPath:
             1, 1, 1,  # the key is not all in the frame: sim._read_plain
             2,  # under the entry length check
         ]
+
+    # -- the stack in locals ------------------------------------------------
+    # _stream keeps the stack bytes it addresses statically in atoms
+    # (locals, zeroed per frame); every result below lands in the frame,
+    # so a wrong atom is a bytes mismatch, a wrong key a map mismatch.
+
+    def _atoms_agree(self, body, frames, shape, maps=None):
+        """``_writes_agree`` on ``body`` in a frame program; returns the
+        pipeline and the frames the three engines agree on."""
+        program = _frame_program(body, maps)
+        pipeline = compile_program(program)
+        self._writes_agree(pipeline, program, frames, shape)
+        return pipeline, run_engine("vm", program, frames).frames
+
+    def test_a_slot_read_before_any_write_reads_zero(self):
+        # written on one arm only: the frame after a writing one must
+        # not see its value
+        pipeline, got = self._atoms_agree("""
+            r2 = *(u8 *)(r6 + 0)
+            if r2 == 0 goto skip
+            r3 = *(u64 *)(r6 + 8)
+            *(u64 *)(r10 - 8) = r3
+        skip:
+            r4 = *(u64 *)(r10 - 8)
+            r4 += 1
+            *(u64 *)(r6 + 16) = r4
+        """, [bytes([flag]) + bytes(7) + (7 + i).to_bytes(8, "little")
+              + bytes(24) for i, flag in enumerate([0, 1, 0, 1, 1, 0])],
+            "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "1 stack slot")
+        assert [int.from_bytes(frame[16:24], "little") for frame in got] \
+            == [1, 9, 1, 11, 12, 1]
+        assert "stack[:] = _ZSTACK" not in _stream_source(pipeline)
+
+    def test_narrow_stores_read_back_wide_and_a_wide_store_narrow(self):
+        # u32 + u16 + u16 read as one u64; a u64 read as its middle u16
+        # and whole again, its atoms cut at that u16
+        self._atoms_agree("""
+            r2 = *(u32 *)(r6 + 0)
+            *(u32 *)(r10 - 8) = r2
+            r3 = *(u16 *)(r6 + 4)
+            *(u16 *)(r10 - 4) = r3
+            r4 = *(u16 *)(r6 + 6)
+            *(u16 *)(r10 - 2) = r4
+            r5 = *(u64 *)(r10 - 8)
+            *(u64 *)(r6 + 8) = r5
+            r2 = *(u64 *)(r6 + 16)
+            *(u64 *)(r10 - 16) = r2
+            r3 = *(u16 *)(r10 - 14)
+            *(u64 *)(r6 + 24) = r3
+            r4 = *(u64 *)(r10 - 16)
+            r4 ^= r5
+            *(u64 *)(r6 + 32) = r4
+        """, [bytes(range(i, i + 40)) for i in (0, 40, 200)],
+            "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "6 stack slots")
+
+    def test_a_key_with_unwritten_bytes_changed_between_lookup_and_update(
+            self):
+        # the key's last two bytes are never written (0); its second
+        # byte is stored again between the lookup and the update, which
+        # must not reuse the lookup's packed key
+        frames = [bytes([k0, k1, 0, 0, 5, 0, r, 0])
+                  + (100 + i).to_bytes(8, "little") * 4
+                  for i, (k0, k1, r) in enumerate(
+                      [(1, 0, 1), (1, 1, 0), (2, 0, 0), (1, 1, 1),
+                       (2, 0, 1), (2, 1, 0), (1, 0, 0), (2, 1, 1)])]
+        self._atoms_agree("""
+            r2 = *(u32 *)(r6 + 0)
+            *(u32 *)(r10 - 8) = r2
+            r3 = *(u16 *)(r6 + 4)
+            *(u16 *)(r10 - 4) = r3
+            r1 = map[m]
+            r2 = r10
+            r2 += -8
+            call 1
+            r9 = 0
+            if r0 == 0 goto miss
+            r9 = *(u64 *)(r0 + 0)
+        miss:
+            *(u64 *)(r6 + 8) = r9
+            r3 = *(u64 *)(r6 + 16)
+            *(u64 *)(r10 - 16) = r3
+            r4 = *(u8 *)(r6 + 6)
+            *(u8 *)(r10 - 7) = r4
+            r1 = map[m]
+            r2 = r10
+            r2 += -8
+            r3 = r10
+            r3 += -16
+            r4 = 0
+            call 2
+            *(u64 *)(r6 + 24) = r0
+        """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
+            "6 stack slots", maps=_ATOM_MAPS)
+
+    def test_a_slot_written_on_one_arm_is_read_after_the_join(self):
+        # the lookup's key, changed on one arm only: the update after
+        # the join packs it again, and the whole slot lands in the frame
+        frames = [(key).to_bytes(4, "little") + bytes([arm]) + bytes(11)
+                  + (100 + i).to_bytes(8, "little") + bytes(16)
+                  for i, (key, arm) in enumerate(
+                      [(1, 0), (1, 3), (1, 0), (2, 3), (2, 0), (1, 3),
+                       (2, 3)])]
+        self._atoms_agree("""
+            r2 = *(u32 *)(r6 + 0)
+            *(u64 *)(r10 - 8) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -8
+            call 1
+            r9 = 0
+            if r0 == 0 goto miss
+            r9 = *(u64 *)(r0 + 0)
+        miss:
+            *(u64 *)(r6 + 8) = r9
+            r3 = *(u8 *)(r6 + 4)
+            if r3 == 0 goto join
+            *(u8 *)(r10 - 2) = r3
+        join:
+            r3 = *(u64 *)(r6 + 16)
+            *(u64 *)(r10 - 16) = r3
+            r1 = map[m]
+            r2 = r10
+            r2 += -8
+            r3 = r10
+            r3 += -16
+            r4 = 0
+            call 2
+            *(u64 *)(r6 + 24) = r0
+            r5 = *(u64 *)(r10 - 8)
+            *(u64 *)(r6 + 32) = r5
+        """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
+            "5 stack slots", maps=_ATOM_MAPS)
+
+    def test_stack_atomics_and_dynamic_stack_accesses_spill_the_atoms(self):
+        # a stack atomic (sim._atomic), a load and a store whose stack
+        # address is dynamic (r10 - 16 or r10 - 8) and a helper reading
+        # its buffer by pointer (bpf_csum_diff) reach the stack by
+        # address: the atoms go to it before, and come back after a
+        # write; so the per-frame zeroing of the stack stays
+        pipeline, got = self._atoms_agree("""
+            r2 = *(u64 *)(r6 + 0)
+            *(u64 *)(r10 - 8) = r2
+            r3 = *(u64 *)(r6 + 8)
+            lock *(u64 *)(r10 - 8) += r3
+            r4 = *(u64 *)(r10 - 8)
+            *(u64 *)(r6 + 16) = r4
+            r5 = *(u8 *)(r6 + 24)
+            r5 &= 8
+            r2 = r10
+            r2 += -16
+            r2 += r5
+            r7 = *(u64 *)(r2 + 0)
+            *(u64 *)(r6 + 24) = r7
+            r8 = *(u64 *)(r6 + 32)
+            *(u64 *)(r2 + 0) = r8
+            r4 = *(u64 *)(r10 - 8)
+            *(u64 *)(r6 + 32) = r4
+            r2 = *(u64 *)(r6 + 8)
+            *(u64 *)(r10 - 8) = r2
+            r1 = r10
+            r1 += -16
+            r2 = 16
+            r3 = 0
+            r4 = 0
+            r5 = 0
+            call 28
+            *(u64 *)(r6 + 0) = r0
+        """, [(5 + i).to_bytes(8, "little") + (3 * i).to_bytes(8, "little")
+              + bytes(8) + bytes([8 * (i % 2)]) + bytes(7)
+              + (50 + i).to_bytes(8, "little") for i in range(6)],
+            "0 of 0 lookups, 0 of 0 writes folded, 1 spill site, "
+            "1 stack slot")
+        # the atomic's sum; r10 - 16 (never written) or that sum; the
+        # dynamic store's value where it hit r10 - 8
+        assert [(int.from_bytes(frame[16:24], "little"),
+                 int.from_bytes(frame[24:32], "little"),
+                 int.from_bytes(frame[32:40], "little"))
+                for frame in got[:2]] == [(5, 0, 5), (9, 9, 51)]
+        assert "stack[:] = _ZSTACK" in _stream_source(pipeline)
+
+
+_ATOM_MAPS = {"m": MapSpec("m", "lru_hash", key_size=8, value_size=8,
+                             max_entries=8)}
+
+
+def _frame_program(body, maps=None):
+    """``body`` between a 40-byte frame bounds check (r6: the frame)
+    and TX; a shorter frame is dropped."""
+    return assemble_program("""
+        r7 = *(u32 *)(r1 + 4)
+        r6 = *(u32 *)(r1 + 0)
+        r2 = r6
+        r2 += 40
+        if r2 > r7 goto out
+    """ + body + """
+        r0 = 3
+        exit
+    out:
+        r0 = 1
+        exit
+    """, maps=maps or {}, name="stack_atoms")
 
 
 def deep_branch_program(branches=50):
@@ -1079,7 +1288,8 @@ class TestWindowedStream:
         assert pipeline.codegen_version == CODEGEN_VERSION
         with telemetry.scoped(enabled=False):
             assert sim.engine_path() == ("stream (2 of 2 lookups, 1 of 1 "
-                                         "writes folded, 2 spill sites)")
+                                         "writes folded, 2 spill sites, "
+                                         "6 stack slots)")
 
 
 class TestStreamBlockers:
