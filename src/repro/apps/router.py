@@ -26,6 +26,7 @@ from typing import Optional
 from ..ebpf.asm import assemble_program
 from ..ebpf.isa import MapSpec, Program
 from ..ebpf.maps import MapSet
+from ..net.packet import ipv4, mac
 
 ROUTES_MAP = MapSpec("routes", "hash", key_size=4, value_size=16, max_entries=4096)
 STATS_MAP = MapSpec("stats", "array", key_size=4, value_size=8, max_entries=1)
@@ -151,6 +152,17 @@ def add_route(
     """Host-side: install a /24 route covering ``dst_ip``."""
     value = dst_mac + src_mac + out_ifindex.to_bytes(4, "little")
     maps.by_name("routes").update(route_key(dst_ip), value)
+
+
+# The /24 every synthetic workload sends to (192.168.0.1-254), and the
+# next hop's and the router's MACs on port 3.
+DEFAULT_ROUTE = (ipv4("192.168.0.0"), mac("02:0a:0b:0c:0d:0e"),
+                 mac("02:01:02:03:04:05"), 3)
+
+
+def default_setup(maps: MapSet) -> None:
+    """CLI hook: install :data:`DEFAULT_ROUTE`."""
+    add_route(maps, *DEFAULT_ROUTE)
 
 
 def routed_count(maps: MapSet) -> int:

@@ -66,7 +66,9 @@ from .pipeline import Pipeline
 #     with CODEGEN_VERSION 13 (per-arm forward distance in ``_stream``).
 # v17: every window whose accesses all touch its own map carries a
 #     Forwarding with its per-arm release, with CODEGEN_VERSION 14.
-_CACHE_VERSION = 17
+# v18: Forwarding is its release and arms alone, each test of the release
+#     carrying its branch; formats unchanged.
+_CACHE_VERSION = 18
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

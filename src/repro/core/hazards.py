@@ -334,8 +334,8 @@ _SLOT, _VALUE = 1, 2
 def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
                commit: int) -> Optional[Forwarding]:
     """The bypass of a window ``[lo, hi]`` whose accesses all touch its
-    own map — keyed, banked or one lane — or ``None``: each block's
-    forward distance, and when each holder arm releases its lane.
+    own map — keyed, banked or one lane — or ``None``: when each
+    holder arm releases its lane.
 
     Two packets of one lane conflict where an access of the older one at
     stage ``a`` and one of the younger at ``s`` touch the same part of
@@ -350,15 +350,11 @@ def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
     value store the WAR buffer holds lands at the commit stage) and
     every access in the window — which path the younger packet takes is
     not known when it enters — capped at ``W``. A packet's distance is
-    the largest over its path.
-
-    The interlock reads a packet's distance while it is in flight, over
-    the blocks it has enabled or can still reach (``Forwarding.distance``),
-    so a holder releases at the first stage ``p >= lo`` where
-    ``p >= lo + `` the distance known at ``p``: its arm's distance, or
-    the stage where it decides its arm if that is later — a decision
-    floor. ``Forwarding.release`` states that stage over the path's
-    block flags, for the stream path (:func:`_release`)."""
+    the largest over its path; it releases at that distance, or at the
+    stage where it decides its arm if that is later (:func:`_release`).
+    ``Forwarding.release`` is the one statement of it: the cycle loop
+    evaluates it, an undecided test holding, and the stream renders
+    it."""
     lo, hi = plan.serial_window
     width = hi - lo + 1
     keyed = plan.bank_key is not None and plan.bank_key.keyed
@@ -415,8 +411,7 @@ def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
             ahead[bid], setter[bid] = ahead[further], setter[further]
     release, arms = _release(cfg, plan, succs, decided, own, ahead,
                              pair, setter)
-    return Forwarding(own, {bid: d for bid, d in ahead.items() if d},
-                      release, arms)
+    return Forwarding(release, arms)
 
 
 def _release(cfg: Cfg, plan: MapHazardPlan, succs: Dict[int, List[int]],
@@ -431,13 +426,12 @@ def _release(cfg: Cfg, plan: MapHazardPlan, succs: Dict[int, List[int]],
     ``b`` is the deepest block enabled, the packet's known distance is
     ``max(d, ahead[b])``, ``d`` the largest own distance so far; so the
     holder releases at offset ``max(d_path, m)`` from ``lo``, ``m`` the
-    least ``max(e(b) - lo, ahead[b])`` over the path, capped at ``W``.
-    A packet that stops short of a decision is ``done`` and counts its
-    own distances only; the verifier bounds every access, so only an
-    entry length check stops one, before stage 1. The decision tests a
-    block flag per branch, an ancestor's before a descendant's (a
-    packet that took the ancestor may enable the descendant further
-    down), and leaves out the paths that hold no block of the window.
+    least ``max(e(b) - lo, ahead[b])`` over the path, capped at ``W``;
+    one that stops at the entry block releases at ``d``. The decision
+    tests a block flag per branch, an ancestor's before a descendant's
+    (a packet that took the ancestor may enable the descendant further
+    down), each test with its branch, and leaves out the paths that
+    hold no block of the window.
 
     An arm is a holder block below which every path releases alike,
     under a block where they do not: it releases after its distance
@@ -477,7 +471,7 @@ def _release(cfg: Cfg, plan: MapHazardPlan, succs: Dict[int, List[int]],
         while chain and chain[-1][1] == otherwise:
             chain.pop()
         for succ, then in reversed(chain):
-            otherwise = (succ, then, otherwise)
+            otherwise = (succ, frozenset(branches[bid]), then, otherwise)
         if not isinstance(otherwise, int):
             # below a block whose paths release apart: name the arms
             for succ, then, (d_succ, _m, holds_succ, why) in tests:

@@ -13,6 +13,7 @@ the per-map hazard machinery. This IR is consumed by three backends:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
                     Union)
@@ -156,50 +157,44 @@ class BankKey:
 
 # When a forwarding window's holder frees its lane, as a decision over
 # the block flags of its path: a stage offset from ``lo``, or
-# ``(block, then, otherwise)`` — ``then`` if the packet enabled
-# ``block``, else ``otherwise`` (``Forwarding.release``).
-Release = Union[int, Tuple[int, "Release", "Release"]]
+# ``(block, branch, then, otherwise)`` — ``then`` if the packet enabled
+# ``block``, else ``otherwise``; ``branch`` is the set of successors of
+# the block that decides the test (``Forwarding.release``).
+Release = Union[int, Tuple[int, FrozenSet[int], "Release", "Release"]]
 
 
 @dataclass(frozen=True)
 class Forwarding:
     """A window's bypass (``hazards.forwarding``): a younger holder of a
     lane (a key, a bank, or the window's one lane) may enter ``lo`` once
-    the lane's older holder sits at stage ``lo + d`` or deeper, where
-    ``d`` is the older packet's forward distance. Its last conflicting
-    in-window write then lands in the cycle of the younger packet's
-    first access that depends on it, ahead of that access (stages run
-    deepest-first): in hardware a write-port → read-port bypass on the
-    map's read data, or on an LRU lane's slot directory.
+    the lane's older holder sits at stage ``lo + release`` or deeper.
+    Its last conflicting in-window write then lands in the cycle of the
+    younger packet's first access that depends on it, ahead of that
+    access (stages run deepest-first): in hardware a write-port →
+    read-port bypass on the map's read data, or on an LRU lane's slot
+    directory. The cycle loop evaluates ``release`` (:meth:`released`),
+    the stream path renders it (``codegen._release_offset``); ``arms``
+    names, per holder arm, its release and the access pair or decision
+    that sets it."""
 
-    A block's ``own`` distance is the largest its accesses set (absent:
-    0). A packet's is the largest over the blocks of its path; while it
-    is in flight, over the blocks it has enabled or can still reach —
-    ``ahead`` is a block's own distance or a descendant's, whichever is
-    larger. A holder therefore releases at the first stage ``p >= lo``
-    with ``p >= lo + distance`` known at ``p``: its arm's distance, or
-    the stage where it decides its arm, if that comes later.
-    ``release`` is that stage's offset from ``lo`` over the path's block
-    flags (the stream path's ``_free``), and ``arms`` names, per holder
-    arm, its release and the access pair or decision that sets it."""
-
-    own: Dict[int, int]
-    ahead: Dict[int, int]
     release: Release
     arms: Tuple[str, ...]
 
-    def distance(self, enabled: Set[int], done: bool) -> int:
-        """The forward distance of an in-flight packet that has enabled
-        ``enabled``: its path so far, and, unless it is ``done``, what
-        it can still reach. ``ahead`` never grows down a path, so the
-        least over the enabled blocks is that of the one not yet
-        decided."""
-        own = self.own
-        distance = max([own.get(block, 0) for block in enabled])
-        if done:
-            return distance
-        ahead = self.ahead
-        return max(distance, min([ahead.get(block, 0) for block in enabled]))
+    def released(self, enabled: Set[int], done: bool) -> float:
+        """``release`` for an in-flight holder that has enabled
+        ``enabled``. It has decided a test once it enabled a block of
+        the test's ``branch``, or once it is ``done`` (a flag it never
+        set reads False); an undecided test holds the lane."""
+        release = self.release
+        while not isinstance(release, int):
+            block, branch, then, otherwise = release
+            if block in enabled:
+                release = then
+            elif done or not branch.isdisjoint(enabled):
+                release = otherwise
+            else:
+                return math.inf
+        return release
 
 
 @dataclass

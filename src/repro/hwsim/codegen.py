@@ -287,7 +287,7 @@ def _release_offset(release: Release, named: FrozenSet[str]) -> str:
     key)`` twice."""
     if isinstance(release, int):
         return str(max(release, 1))
-    block, then, otherwise = release
+    block, _branch, then, otherwise = release
     then, otherwise = (_release_offset(then, named),
                        _release_offset(otherwise, named))
     if f"_e{block}" not in named or then == otherwise:

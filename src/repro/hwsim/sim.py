@@ -728,13 +728,14 @@ class PipelineSimulator:
         has one lane; one with a key reads the lane from the stack
         (``BankKey.of``), which no store changes from ``lo`` on. A
         window that forwards lets a packet in beside a holder of its
-        lane at stage ``lo + d`` or deeper, ``d`` that holder's forward
-        distance over the blocks it has enabled or can still reach
-        (``Forwarding.distance``), so a holder that has not decided its
-        arm yet holds to the largest: this loop runs the deeper packet's
-        stage first, so its write lands before the access of the
-        entering packet that must see it. Movement within a window is
-        free."""
+        lane at stage ``lo + release`` or deeper, ``release`` evaluated
+        over the holder's flags (``Forwarding.released``; an undecided
+        test holds): this loop runs the deeper packet's stage first, so
+        its write lands before the access of the entering packet that
+        must see it. A holder is ``done`` before its decision only where
+        an entry comparator drops it before stage 1, or a map call finds
+        no map in the map set: every other mid-body drop is an access
+        the verifier bounds. Movement within a window is free."""
         slots = self._slots
         for lo, hi, holders, bank, forward in self._serial_windows:
             if (lo <= stage <= hi and not lo <= from_stage <= hi
@@ -746,7 +747,7 @@ class PipelineSimulator:
                             and (bank is None
                                  or bank.of(other.stack) == mine)
                             and (forward is None or other.position < lo
-                                 + forward.distance(other.enabled,
+                                 + forward.released(other.enabled,
                                                     other.done))):
                         return False
         return True

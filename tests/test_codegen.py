@@ -65,6 +65,7 @@ from repro.hwsim.codegen import (
     CODEGEN_VERSION,
     CodegenError,
     _Emitter,
+    _release_offset,
     ensure_source,
     generate_pipeline_source,
     load_pipeline_module,
@@ -74,7 +75,7 @@ from repro.hwsim.codegen import (
 from repro.hwsim.engines import engine_run, run_engine
 from repro.net.packet import FiveTuple, ipv4
 from repro.workloads import make_workload, parse_workload_spec
-from tests.cases import CASES, SHORT
+from tests.cases import CASES, LAYOUTS, SHORT
 from tests.test_second_gen_apps import (_TINY_LRU_MAPS, _TINY_LRU_SRC,
                                         _key_frames, _tiny_lru_program,
                                         syn_cookie_paths)
@@ -1116,6 +1117,53 @@ class TestWindowedStream:
         assert pipeline.serial_windows
         assert stream_blocker(pipeline) is None
         assert "_STREAM = _stream" in pipeline.codegen_source
+
+    @staticmethod
+    def _paths(cfg, bid):
+        """The blocks of each CFG path from ``bid`` to an exit, in
+        order."""
+        succs = cfg.blocks[bid].succs
+        if not succs:
+            yield (bid,)
+        for succ, _kind in succs:
+            for path in TestWindowedStream._paths(cfg, succ):
+                yield (bid,) + path
+
+    @pytest.mark.parametrize("layout,windows", [("path_parallel", 4),
+                                                ("paper", 2)])
+    def test_the_stream_renders_the_loops_release(self, layout, windows):
+        # wherever a packet that holds a forwarding window stops on its
+        # path, the stream's release over the flags it set is the one
+        # the cycle loop reads of it done (at least 1: one packet enters
+        # lo a cycle)
+        programs = [getattr(apps, name).build()
+                    for name in sorted(apps.__all__) if name.islower()]
+        programs.append(load_program(str(Path(__file__).parent / "corpus"
+                                         / "late_arm.ebpf")))
+        forwarding_windows = 0
+        for program in programs:
+            pipeline = compile_program(program, LAYOUTS[layout])
+            cfg = pipeline.cfg
+            named = frozenset(f"_e{block.block_id}" for block in cfg.blocks)
+            stops = {frozenset(path[:k])
+                     for path in self._paths(cfg, cfg.entry.block_id)
+                     for k in range(1, len(path) + 1)}
+            for plan in pipeline.map_hazards.values():
+                forward = plan.forwarding
+                if forward is None:
+                    continue
+                forwarding_windows += 1
+                after = _release_offset(forward.release, named)
+                for enabled in stops:
+                    if plan.holders.isdisjoint(enabled):
+                        continue
+                    flags = {f"_e{block.block_id}":
+                             block.block_id in enabled
+                             for block in cfg.blocks}
+                    assert eval(after, flags) == max(
+                        forward.released(enabled, done=True), 1), (
+                            program.name, sorted(enabled))
+        assert forwarding_windows == windows
 
     @pytest.mark.parametrize("name", sorted(_WINDOWED_APPS))
     def test_app_timing_matches_interpreted(self, name):

@@ -41,7 +41,7 @@ from repro.cli import load_program
 from repro.core import compile_program
 from repro.core import hazards
 from repro.core.hazards import hazard_summary
-from repro.core.pipeline import BankKey, Consistency, Forwarding
+from repro.core.pipeline import BankKey, Consistency
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import bank_of
@@ -575,6 +575,41 @@ def _reheld(pipeline, fd, holders):
     return clone
 
 
+def _released_at(pipeline, release):
+    """A copy of ``pipeline`` whose window on map 1 releases its lane at
+    ``release`` instead (``Forwarding.release``), for the cycle loop and
+    the stream alike."""
+    clone = copy.deepcopy(pipeline)
+    plan = clone.map_hazards[1]
+    plan.forwarding = replace(plan.forwarding, release=release)
+    clone.codegen_source = None
+    return clone
+
+
+def _released_sooner(program, pipeline, frames, sooner):
+    """The cycle loop's mismatches against the vm on ``pipeline``
+    released at ``sooner``; none on either engine at its own release.
+    The stream renders ``sooner`` too (its packet cycles move) but runs
+    each packet to completion in order, so its maps and actions stay
+    the vm's: the loop's mismatches are where that timing breaks
+    order."""
+    runs = {}
+    for release in (None, sooner):
+        candidate = pipeline if release is None else _released_at(
+            pipeline, release)
+        assert stream_blocker(candidate) is None
+        for engine in ("interpreted", "codegen"):
+            runs[release, engine] = run_differential(
+                program, frames, pipeline=candidate, sim_options=FROZEN,
+                gap=1, engine=engine)
+    assert all(not result.mismatches for (release, engine), result
+               in runs.items() if release is None or engine == "codegen")
+    streams = (runs[release, "codegen"].runs["codegen"]
+               for release in (None, sooner))
+    assert "packet cycles" in {m.what for m in compare_runs(*streams)}
+    return runs[sooner, "interpreted"].mismatches
+
+
 def _blocks_touching(pipeline, fd, helper=None):
     """The blocks with an op on map ``fd`` (a call of ``helper`` only,
     if given)."""
@@ -846,7 +881,7 @@ class TestBankedWindow:
         assert hi - lo + 1 == 4
 
 
-    def test_the_insert_distance_is_tight(self, monkeypatch):
+    def test_the_insert_distance_is_tight(self):
         # one cycle sooner behind an insert (b7), a younger lookup of
         # its bank runs the cycle before the insert that may evict its
         # entry or take the bank's last slot: the LRU order parts from
@@ -856,21 +891,13 @@ class TestBankedWindow:
         frames = make_workload(replace(
             parse_workload_spec("flow-churn:flows=4,churn=0.5"),
             packets=400, seed=7)).materialize()
-
-        def mismatches():
-            return run_differential(program, frames, pipeline=pipeline,
-                                    sim_options=FROZEN, gap=1,
-                                    engine="interpreted").mismatches
-
-        assert mismatches() == []
-        assert pipeline.map_hazards[1].forwarding.own == {7: 3}
-        distance = Forwarding.distance
-        monkeypatch.setattr(
-            Forwarding, "distance", lambda self, enabled, done:
-            distance(self, enabled, done) - (7 in enabled))
+        inbound, outbound = frozenset({4, 6}), frozenset({7, 8})
+        assert pipeline.map_hazards[1].forwarding.release == (
+            4, inbound, 0, (7, outbound, 3, 2))
         # the same entries, in another recency order from a named
         # position
-        (found,) = mismatches()
+        (found,) = _released_sooner(program, pipeline, frames,
+                                    (4, inbound, 0, (7, outbound, 2, 2)))
         assert found.what == "map conntrack"
         (where,) = found.ref_value
         assert where.startswith("order from ")
@@ -1025,10 +1052,14 @@ class TestKeyedWindow:
         assert all(len({key[k] for k in seq}) < len(seq) for seq in failing)
         assert set().union(*failing.values()) == {"map buckets"}
 
-    # leaky_bucket's arm heads: the hit arm (its stores at 18) and the
-    # insert (call 2 at 18)
-    @pytest.mark.parametrize("arm", [2, 8], ids=["hit", "insert"])
-    def test_each_forward_distance_is_tight(self, monkeypatch, arm):
+    # leaky_bucket's arm heads: the hit arm (its stores at 18, released
+    # at 6) and the insert (call 2 at 18, released at 10), each released
+    # one stage sooner
+    @pytest.mark.parametrize("sooner", [
+        (2, frozenset({2, 8}), 5, 10),
+        (2, frozenset({2, 8}), 6, 9),
+    ], ids=["hit", "insert"])
+    def test_each_forward_distance_is_tight(self, sooner):
         # one cycle sooner, the younger packet of a hot key reads its
         # bucket (misses it, on the insert arm) the cycle before the
         # older one writes it
@@ -1037,18 +1068,9 @@ class TestKeyedWindow:
         frames = make_workload(replace(
             parse_workload_spec("udp-zipf"), flows=4, packets=200,
             seed=7)).materialize()
-
-        def mismatches():
-            return run_differential(program, frames, pipeline=pipeline,
-                                    sim_options=FROZEN, gap=1,
-                                    engine="interpreted").mismatches
-
-        assert mismatches() == []
-        distance = Forwarding.distance
-        monkeypatch.setattr(
-            Forwarding, "distance", lambda self, enabled, done:
-            distance(self, enabled, done) - (arm in enabled))
-        found = mismatches()
+        assert pipeline.map_hazards[1].forwarding.release == (
+            2, frozenset({2, 8}), 6, 10)
+        found = _released_sooner(program, pipeline, frames, sooner)
         assert found and {m.what for m in found} <= {"action", "map buckets"}
         assert any(m.index >= 0 for m in found)  # names a packet
 
@@ -1069,11 +1091,7 @@ class TestKeyedWindow:
         # in at 9 while the cycle loop, not knowing the arm yet, holds
         # it to 10
         frames = [bytes([0, key % 2]) + bytes(62) for key in range(24)]
-        own = plan.forwarding.own
-        forced = copy.deepcopy(pipeline)
-        forced.map_hazards[1].forwarding = replace(
-            plan.forwarding, release=(2, own[2], own[3]))
-        forced.codegen_source = None
+        forced = _released_at(pipeline, (2, frozenset({2, 3}), 6, 10))
         for candidate, agree in ((pipeline, True), (forced, False)):
             assert stream_blocker(candidate) is None
             loop, stream = (run_engine(engine, program, frames,

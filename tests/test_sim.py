@@ -354,9 +354,10 @@ class TestInterlock:
     predicate, on ct_firewall's banked window and leaky_bucket's keyed
     one with hand-placed slots. A packet that holds the window (has
     enabled a holder block) may not enter it from outside while another
-    holder of its lane (bank, key) is inside, short of its forward
-    distance; one that holds nothing, moves within the window, or meets
-    only holders of other lanes or released ones, passes."""
+    holder of its lane (bank, key) is inside, short of its release
+    (``Forwarding.released``); one that holds nothing, moves within the
+    window, or meets only holders of other lanes or released ones,
+    passes."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -469,13 +470,15 @@ class TestInterlock:
     @pytest.mark.parametrize("path, done, depth, admitted", [
         # the holder of key 1 inside leaky_bucket's window: the blocks it
         # has enabled, whether it is done, how far past lo it sits; a
-        # packet of key 1 asks to enter at lo
+        # packet of key 1 asks to enter at lo. Undecided, the holder
+        # holds; done, it reads as not having taken the hit arm (b2),
+        # as the stream reads a flag it never set, and holds to 10
         ({0, 1, 2}, False, 5, False),
         ({0, 1, 2}, False, 6, True),
         ({0, 1, 8}, False, 9, False),
         ({0, 1, 8}, False, 10, True),
         ({0, 1}, False, 9, False),
-        ({0, 1}, True, 2, True),
+        ({0, 1}, True, 2, False),
     ], ids=["hit_arm_short_of_6", "hit_arm_at_6", "insert_short_of_10",
             "insert_at_10", "undecided_takes_the_larger",
             "done_reaches_nothing_more"])
