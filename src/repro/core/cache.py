@@ -68,7 +68,9 @@ from .pipeline import Pipeline
 #     Forwarding with its per-arm release, with CODEGEN_VERSION 14.
 # v18: Forwarding is its release and arms alone, each test of the release
 #     carrying its branch; formats unchanged.
-_CACHE_VERSION = 18
+# v19: a MapHazardPlan holds its map's access table, its stage lists
+#     views of it; two plain atomic adds commute in a window's release.
+_CACHE_VERSION = 19
 
 CACHE_ENV = "EHDL_CACHE_DIR"
 _MEMORY_ENTRIES = 32

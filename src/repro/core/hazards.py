@@ -2,15 +2,19 @@
 
 Maps are the only state shared between in-flight packets, so they are the
 only source of hazards in the pipeline. This pass scans the assembled
-stages for map accesses and instantiates, per map:
+stages once for map accesses, into one table per map
+(:class:`~repro.core.pipeline.MapAccess`), and instantiates, per map:
 
 * **WAR protection** (Figure 6): when a write stage precedes a read stage,
   writes are delayed in a buffer sized to the write→read distance so an
-  older packet's late read still sees pre-write data;
+  older packet's late read still sees pre-write data — "long enough to
+  enable the last pipeline stage that requests a read to actually
+  perform a read on the previous value" (§4.1.1);
 * **Flush Evaluation Blocks** (Figure 7): when a read stage precedes a
   write stage (the lookup-then-update pattern), a RAW hazard window of
   ``L`` stages exists; one flush block is instantiated *per write
-  instruction* (§4.1.3), each squashing ``K`` stages on a hit;
+  instruction* ("a Flush Evaluation Block for every single map write",
+  §4.1.3), each squashing ``K`` stages on a hit;
 * **Atomic blocks**: ``lock`` instructions on map memory execute
   read-modify-write in place at the map port and need no hazard handling
   — the global-state strategy of §4.1.2.
@@ -24,16 +28,16 @@ whether packets in flight together leave a map as sequential execution
 of the same packets would. Each plan carries its map's class:
 
 * ``exact`` — no other packet can observe the map: one stage touches
-  it, or it is only looked up, loaded and added to by plain (non-fetch)
-  atomic adds, which commute;
+  it, or it is only looked up and updated by atomics that commute
+  (:func:`commutes`) with every value access at another stage;
 * ``windowed`` — one serialization window holds every access, so at
   most one packet that touches a map there (one of the window's
   holders, :func:`window_holders`) is between the first and the last;
 * ``repaired`` — WAR buffers and flush blocks make it exact;
 * ``relaxed(<why>)`` — it may differ, for one of three reasons:
 
-  - atomics at several stages outside a window that do not commute, or
-    that a value load observes, interleave across packets (§4.1.2);
+  - an atomic and a value access at another stage, outside a window,
+    that do not commute interleave across packets (§4.1.2);
   - an effect committed at once — an atomic or a helper update/delete —
     ahead of a live flush block on any map is repeated when the flush
     replays its packet from scratch (Appendix A.2: the hardware does not
@@ -57,6 +61,7 @@ read the classes and that verdict.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -67,27 +72,11 @@ from ..ebpf.isa import MapSpec, Program
 from ..ebpf.verifier import RegKind
 from .cfg import Cfg
 from .labeling import ProgramLabels, Region
-from .pipeline import (
-    ATOMICS,
-    CLASSES,
-    EXACT,
-    HELPER_WRITE,
-    RELAXED,
-    REPAIRED,
-    REPLAY,
-    WINDOWED,
-    BankKey,
-    Consistency,
-    FlushBlock,
-    Forwarding,
-    MapConsistency,
-    MapHazardPlan,
-    PipeOp,
-    Pipeline,
-    Release,
-    Stage,
-    commit_stages_of,
-)
+from .pipeline import (ATOMIC, ATOMICS, CALL, CLASSES, EXACT, HELPER_WRITE,
+                       LOAD, RELAXED, REPAIRED, REPLAY, SLOT, STORE, VALUE,
+                       WINDOWED, BankKey, Consistency, FlushBlock, Forwarding,
+                       MapAccess, MapConsistency, MapHazardPlan, PipeOp,
+                       Pipeline, Release, Stage, commit_stages_of)
 
 # The one helper whose result depends on the order of all packets' calls:
 # every engine steps one PRNG state per draw. (The clock's reading
@@ -99,75 +88,19 @@ _PRANDOM = HELPER_IDS_BY_NAME["bpf_get_prandom_u32"]
 def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
                  labels: ProgramLabels,
                  keyed_windows: bool = False) -> Dict[int, MapHazardPlan]:
-    """Build per-map hazard plans from the staged map accesses.
-    ``keyed_windows`` (the path-parallel layout) turns a plain hash
-    map's live flush blocks into a keyed window where
-    :func:`bank_key` allows one."""
+    """Build per-map hazard plans from one scan of the staged map
+    accesses (``MapHazardPlan.accesses``). ``keyed_windows`` (the
+    path-parallel layout) turns a plain hash map's live flush blocks
+    into a keyed window where :func:`bank_key` allows one."""
     maps = program.maps
-    plans: Dict[int, MapHazardPlan] = {}
-    # Per map, in stage order: (stage, insn index, op) of every effect
-    # committed at once, which no flush undoes — atomics and helper
-    # writes. Value stores wait in the write buffers instead, until no
-    # flush block can squash their packet.
-    effects: Dict[int, List[Tuple[int, int, str]]] = {}
-    non_adds: Set[int] = set()  # maps with an atomic other than a plain add
-
-    for stage in stages:
-        for op in stage.ops:
-            access = _map_access(op)
-            if access is None:
-                continue
-            fd, is_read, is_write, is_atomic = access
-            plan = plans.setdefault(fd, MapHazardPlan(map_fd=fd))
-            number = stage.number
-            if is_atomic:
-                # exclusive blocks' atomics on one map share its port
-                if number not in plan.atomic_stages:
-                    plan.atomic_stages.append(number)
-                effects.setdefault(fd, []).append(
-                    (number, op.insn_index, isa.ATOMIC_OP_NAMES[op.insn.imm]))
-                if op.insn.imm != isa.ATOMIC_ADD:
-                    non_adds.add(fd)
-            if is_read:
-                plan.read_stages.append(number)
-            if is_write:
-                plan.write_stages.append(number)
-            if op.call is not None:
-                if is_write:
-                    effects.setdefault(fd, []).append(
-                        (number, op.insn_index, helper_spec(op.insn.imm).name))
-            elif is_read:
-                plan.load_stages.append(number)
-            elif is_write:
-                plan.store_stages.append(number)
+    accesses = [access for stage in stages for op in stage.ops
+                if (access := _map_access(op, stage.number)) is not None]
+    plans = {fd: MapHazardPlan(fd, tuple(a for a in accesses
+                                         if a.map_fd == fd))
+             for fd in dict.fromkeys(a.map_fd for a in accesses)}
+    last, decided = block_stages(stages, cfg)
 
     for plan in plans.values():
-        plan.read_stages.sort()
-        plan.write_stages.sort()
-        plan.atomic_stages.sort()
-        # WAR buffers: writes landing before the last read stage must be
-        # delayed until that read is finalised (§4.1.1). The buffer is
-        # "long enough to enable the last pipeline stage that requests a
-        # read to actually perform a read on the previous value".
-        if plan.read_stages and plan.write_stages:
-            last_read = plan.read_stages[-1]
-            early_writes = [w for w in plan.write_stages if w < last_read]
-            if early_writes:
-                plan.war_buffer_depth = last_read - min(early_writes)
-        # Flush blocks: one per map-write instruction downstream of a read
-        # (§4.1.3: "a Flush Evaluation Block for every single map write").
-        for w in plan.write_stages:
-            earlier_reads = [r for r in plan.read_stages if r < w]
-            if earlier_reads:
-                plan.flush_blocks.append(
-                    FlushBlock(plan.map_fd, read_stage=min(earlier_reads),
-                               write_stage=w)
-                )
-        # Memory channels: distinct stages touching the map need parallel
-        # ports; "in all the examined use cases at most two memory channels
-        # to the same map were needed" (§4.1).
-        touching = plan.touching
-        plan.channels = max(1, min(len(touching), 2))
         # Serialization window: LRU maps mutate recency state on every
         # lookup, so even read-only accesses from two in-flight packets
         # interleave observably (a different eviction victim later).
@@ -177,11 +110,11 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
         # between the first and last touching stage (its holders). Single-
         # stage access is already serialized by the pipeline itself.
         spec = maps.get(plan.map_fd)
+        touching = plan.touching
         if len(touching) > 1 and spec is not None and spec.serialised:
             plan.serial_window = (touching[0], touching[-1])
-            plan.holders = window_holders(stages, cfg, *plan.serial_window)
             if spec.banks > 1:
-                plan.bank_key, plan.unbanked = bank_key(stages, plan,
+                plan.bank_key, plan.unbanked = bank_key(accesses, stages, plan,
                                                         program)
 
     if keyed_windows:
@@ -196,12 +129,10 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
                 continue
             plan = plans[fd]
             plan.serial_window = (plan.touching[0], plan.touching[-1])
-            plan.bank_key, plan.unbanked = bank_key(stages, plan, program)
+            plan.bank_key, plan.unbanked = bank_key(accesses, stages, plan,
+                                                    program)
             if plan.bank_key is None:
                 plan.serial_window = None
-            else:
-                plan.holders = window_holders(stages, cfg,
-                                              *plan.serial_window)
 
     windows = [p.serial_window for p in plans.values() if p.serial_window]
     live = live_flush_blocks(plans)
@@ -216,11 +147,25 @@ def plan_hazards(stages: List[Stage], program: Program, cfg: Cfg,
     commits = commit_stages_of(plans)
     for fd, plan in plans.items():
         plan.consistency = _classify(plan, windows, live, commits[fd],
-                                     effects.get(fd, []), fd in non_adds,
                                      program, varies)
         if plan.serial_window is not None:
-            plan.forwarding = forwarding(stages, cfg, plan, commits[fd])
+            plan.holders = window_holders(accesses, cfg, last,
+                                          *plan.serial_window)
+            plan.forwarding = forwarding(accesses, cfg, decided, plan,
+                                         commits[fd])
     return plans
+
+
+def block_stages(stages: Sequence[Stage],
+                 cfg: Cfg) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per block, the stage of its last op, and the stage where it
+    decides its successor, its terminator's (a block whose terminator no
+    stage runs decides none)."""
+    ends = {block.terminator_index: block.block_id for block in cfg.blocks}
+    ops = [(op, stage.number) for stage in stages for op in stage.ops]
+    return ({op.block_id: number for op, number in ops},
+            {op.block_id: number for op, number in ops
+             if ends.get(op.insn_index) == op.block_id})
 
 
 def in_window(windows: Sequence[Tuple[int, int]], first: int,
@@ -229,11 +174,11 @@ def in_window(windows: Sequence[Tuple[int, int]], first: int,
     return any(lo <= first and last <= hi for lo, hi in windows)
 
 
-def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
-                   hi: int) -> FrozenSet[int]:
-    """The blocks that hold the window ``[lo, hi]``: a block with an op
-    in it that touches any map, and a block whose last op is at or past
-    ``lo`` with such an op among its descendants.
+def window_holders(accesses: Sequence[MapAccess], cfg: Cfg,
+                   last: Dict[int, int], lo: int, hi: int) -> FrozenSet[int]:
+    """The blocks that hold the window ``[lo, hi]``: a block with one of
+    ``accesses`` (every map's) in it, and a block whose ``last`` op is
+    at or past ``lo`` with such an access among its descendants.
 
     A packet enables the blocks of its path as it goes, so one that has
     enabled no holder when it enters ``lo`` touches no map inside the
@@ -242,13 +187,7 @@ def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
     or past ``lo``. Counting every map, not only the windowed one, keeps
     sound what ``in_window`` discharges: only a holder runs the flush
     blocks and accesses inside the window, one at a time."""
-    touching: Set[int] = set()
-    last: Dict[int, int] = {}
-    for stage in stages:
-        for op in stage.ops:
-            last[op.block_id] = stage.number
-            if lo <= stage.number <= hi and _map_access(op) is not None:
-                touching.add(op.block_id)
+    touching = {a.block for a in accesses if lo <= a.stage <= hi}
     reaching: Set[int] = set()  # a descendant touches a map in the window
     for bid in reversed(cfg.topo_order):
         if any(succ in touching or succ in reaching
@@ -258,10 +197,12 @@ def window_holders(stages: Sequence[Stage], cfg: Cfg, lo: int,
                                  if last.get(bid, 0) >= lo})
 
 
-def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
+def bank_key(accesses: Sequence[MapAccess], stages: Sequence[Stage],
+             plan: MapHazardPlan,
              program: Program) -> Tuple[Optional[BankKey], str]:
     """The lane key of a map's window — a banked LRU map's bank, a plain
-    hash map's key — or ``None`` and the rule that keeps it at one lane.
+    hash map's key — or ``None`` and the first rule, over every map's
+    ``accesses`` in stage order, that keeps it at one lane.
 
     Packets of two lanes touch disjoint entries and slots (and, banked,
     recency lists), so they commute inside the window, and a holder need
@@ -281,27 +222,26 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
     lo, hi = plan.serial_window
     slot: Optional[Tuple[int, int]] = None
     writes: Dict[int, str] = {}  # stage -> its first helper write
-    for stage in stages[lo - 1:hi]:
-        for op in stage.ops:
-            access = _map_access(op)
-            if access is None:
-                continue
-            where = (f"b{op.block_id} {format_instruction(op.insn)} "
-                     f"@{stage.number}")
-            if access[0] != plan.map_fd:
-                return None, (f"map {program.maps[access[0]].name} is "
-                              f"accessed inside the window ({where})")
-            if op.call is None:
-                continue
-            key = (op.call.key_stack_offset, op.call.key_size)
-            if key[0] is None:
-                return None, f"no constant stack key ({where})"
-            if slot is not None and key != slot:
-                return None, (f"keys from stack[{slot[0]}:{slot[1]}] and "
-                              f"stack[{key[0]}:{key[1]}] ({where})")
-            slot = key
-            if access[2]:
-                writes.setdefault(stage.number, where)
+    for access in accesses:
+        if not lo <= access.stage <= hi:
+            continue
+        op = access.op
+        where = (f"b{op.block_id} {format_instruction(op.insn)} "
+                 f"@{access.stage}")
+        if access.map_fd != plan.map_fd:
+            return None, (f"map {program.maps[access.map_fd].name} is "
+                          f"accessed inside the window ({where})")
+        if access.kind != CALL:
+            continue
+        key = (op.call.key_stack_offset, op.call.key_size)
+        if key[0] is None:
+            return None, f"no constant stack key ({where})"
+        if slot is not None and key != slot:
+            return None, (f"keys from stack[{slot[0]}:{slot[1]}] and "
+                          f"stack[{key[0]}:{key[1]}] ({where})")
+        slot = key
+        if access.writes:
+            writes.setdefault(access.stage, where)
     if slot is None:
         return None, "no map call inside the window"
     offset, size = slot
@@ -325,22 +265,42 @@ def bank_key(stages: Sequence[Stage], plan: MapHazardPlan,
                    spec.banks if spec.serialised else 0), ""
 
 
-# What a map access touches of one lane's entries: a slot in the lane's
-# directory (a map call), a key's value (a load, a store, an atomic), or
-# both (an update writes the value along with the slot).
-_SLOT, _VALUE = 1, 2
+_COMMUTING = frozenset({isa.ATOMIC_ADD, isa.ATOMIC_AND, isa.ATOMIC_OR,
+                        isa.ATOMIC_XOR})
 
 
-def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
+def commutes(a: MapAccess, b: MapAccess) -> bool:
+    """Whether two accesses to one lane leave it alike in either order,
+    neither observing the other — the one rule the consistency classes
+    and :func:`forwarding` read. Two plain atomics of one op commute: two
+    ands, two ors, two xors, and two adds on the same bytes or on
+    disjoint ones (an add carries out of its own bytes, so a 32-bit and
+    a 64-bit add on one word do not). A fetch variant, an xchg or a
+    cmpxchg commutes with nothing. Any other two commute unless one
+    writes a part of the lane (``SLOT``, ``VALUE``) the other reads or
+    writes."""
+    if a.kind == b.kind == ATOMIC:
+        x, y = a.op.label, b.op.label
+        carried = None in (x.offset, y.offset) or (
+            (x.offset, x.size) != (y.offset, y.size)
+            and x.offset < y.offset + y.size and y.offset < x.offset + x.size)
+        return a.op.insn.imm == b.op.insn.imm in _COMMUTING and not (
+            carried and a.op.insn.imm == isa.ATOMIC_ADD)
+    return not (a.writes & (b.reads | b.writes) or a.reads & b.writes)
+
+
+def forwarding(accesses: Sequence[MapAccess], cfg: Cfg,
+               decided: Dict[int, int], plan: MapHazardPlan,
                commit: int) -> Optional[Forwarding]:
-    """The bypass of a window ``[lo, hi]`` whose accesses all touch its
-    own map — keyed, banked or one lane — or ``None``: when each
-    holder arm releases its lane.
+    """The bypass of a window ``[lo, hi]`` whose ``accesses`` (every
+    map's, each map's in stage order) all touch its own map — keyed,
+    banked or one lane — or ``None``: when each holder arm releases its
+    lane.
 
     Two packets of one lane conflict where an access of the older one at
-    stage ``a`` and one of the younger at ``s`` touch the same part of
-    the lane and either writes. In a keyed window a lookup only reads
-    its key's slot; in a banked or one-lane window every map call reads
+    stage ``a`` and one of the younger at ``s`` do not commute
+    (:func:`commutes`). In a keyed window a lookup only reads its key's
+    slot; in a banked or one-lane window every map call reads
     and writes the lane's slot directory, since an LRU lookup writes
     recency and the lane's keys share its capacity. A younger packet
     that enters ``lo`` while the older sits at ``p`` makes its access
@@ -351,51 +311,32 @@ def forwarding(stages: Sequence[Stage], cfg: Cfg, plan: MapHazardPlan,
     every access in the window — which path the younger packet takes is
     not known when it enters — capped at ``W``. A packet's distance is
     the largest over its path; it releases at that distance, or at the
-    stage where it decides its arm if that is later (:func:`_release`).
-    ``Forwarding.release`` is the one statement of it: the cycle loop
-    evaluates it, an undecided test holding, and the stream renders
-    it."""
+    stage where it decides its arm if that is later (:func:`_release`)."""
     lo, hi = plan.serial_window
     width = hi - lo + 1
     keyed = plan.bank_key is not None and plan.bank_key.keyed
-    accesses = []  # (stage, block, touches read, touches written, what)
-    for stage in stages[lo - 1:hi]:
-        for op in stage.ops:
-            access = _map_access(op)
-            if access is None:
-                continue
-            fd, reads, writes, atomic = access
-            if fd != plan.map_fd:
-                return None
-            if op.call is not None:
-                accesses.append((stage.number, op.block_id,
-                                 _SLOT if reads or not keyed else 0,
-                                 _SLOT | _VALUE if writes
-                                 else 0 if keyed else _SLOT,
-                                 format_instruction(op.insn)))
-            elif atomic:
-                accesses.append((stage.number, op.block_id, _VALUE, _VALUE,
-                                 "atomic"))
-            elif writes:
-                accesses.append((max(stage.number, commit), op.block_id, 0,
-                                 _VALUE, "store"))
-            else:
-                accesses.append((stage.number, op.block_id, _VALUE, 0,
-                                 "load"))
+    lane = []
+    for a in accesses:
+        if not lo <= a.stage <= hi:
+            continue
+        if a.map_fd != plan.map_fd:
+            return None
+        if a.kind == STORE:
+            a = replace(a, stage=max(a.stage, commit))
+        elif a.kind == CALL and not keyed:
+            a = replace(a, reads=a.reads | SLOT, writes=a.writes | SLOT)
+        lane.append(a)
     own: Dict[int, int] = {}
     pair: Dict[int, str] = {}
-    for a, block, reads, writes, what in accesses:
-        for s, _block, later_reads, later_writes, later in accesses:
-            if a - s > own.get(block, 0) and (
-                    writes & (later_reads | later_writes)
-                    or reads & later_writes):
-                own[block] = min(a - s, width)
-                pair[block] = f"{what} @{a} → {later} @{s}"
-    # A block decides its successor at its terminator's stage; one whose
-    # terminator no stage runs enables none.
-    ends = {block.terminator_index: block.block_id for block in cfg.blocks}
-    decided = {op.block_id: stage.number for stage in stages
-               for op in stage.ops if ends.get(op.insn_index) == op.block_id}
+    for a in lane:
+        for b in lane:
+            distance = a.stage - b.stage
+            if distance > own.get(a.block, 0) and not commutes(a, b):
+                own[a.block] = min(distance, width)
+                pair[a.block] = (f"{_what(a)} @{a.stage} → "
+                                 f"{_what(b)} @{b.stage}")
+    # A block decides its successor at its terminator's stage
+    # (``decided``); one whose terminator no stage runs enables none.
     succs = {bid: [succ for succ, _kind in cfg.blocks[bid].succs]
              if bid in decided else [] for bid in cfg.topo_order}
     # Per block, the largest distance of a path from it, and the block
@@ -523,17 +464,26 @@ def live_flush_blocks(plans: Dict[int, MapHazardPlan]) -> List[FlushBlock]:
             if not in_window(windows, fb.read_stage, fb.write_stage)]
 
 
+def _what(access: MapAccess) -> str:
+    """An access as :func:`forwarding`'s arms name it."""
+    return format_instruction(access.op.insn) if access.kind == CALL \
+        else access.kind
+
+
 def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
-              commit: int, effects: List[Tuple[int, int, str]],
-              non_add: bool, program: Program,
+              commit: int, program: Program,
               varies: Callable[[int], bool]) -> MapConsistency:
     """The map's consistency class (see the module docstring)."""
-    for stage, _index, what in effects:
-        ahead = [fb for fb in live if stage < fb.write_stage]
+    # the effects committed at once, which no flush undoes (value stores
+    # wait in the write buffers until no flush block can squash them)
+    effects = [a for a in plan.accesses
+               if a.kind == ATOMIC or a.kind == CALL and a.writes]
+    for a in effects:
+        ahead = [fb for fb in live if a.stage < fb.write_stage]
         if ahead:
             fb = ahead[0]
             return MapConsistency(RELAXED, REPLAY, (
-                f"{what} at stage {stage} commits ahead of "
+                f"{_effect(a)} at stage {a.stage} commits ahead of "
                 f"{program.maps[fb.map_fd].name}'s flush block at stage "
                 f"{fb.write_stage}, A.2"))
     touching = plan.touching
@@ -542,16 +492,16 @@ def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
     if in_window(windows, touching[0], touching[-1]):
         return MapConsistency(WINDOWED)
     values = plan.value_stages
-    if (plan.atomic_stages and (plan.load_stages or plan.store_stages
-                                or non_add)
-            and values[0] < values[-1]
-            and not in_window(windows, values[0], values[-1])):
+    if any(a.kind == ATOMIC and b.kind != CALL and a.stage != b.stage
+           and not commutes(a, b)
+           for a in plan.accesses for b in plan.accesses) and not in_window(
+               windows, values[0], values[-1]):
         return MapConsistency(RELAXED, ATOMICS, (
             f"atomics at stages {values[0]}-{values[-1]} do not commute "
             "unobserved, §4.1.2"))
-    writes = [e for e in effects if program.instructions[e[1]].is_call]
+    writes = [a for a in effects if a.kind == CALL]
     if writes:
-        first, _index, what = writes[0]
+        first, what = writes[0].stage, _effect(writes[0])
         # a value store waits in the WAR buffer until stage ``commit``
         other = [s for s in plan.write_stages + plan.atomic_stages
                  if s > first] + [s for s in plan.store_stages
@@ -561,23 +511,34 @@ def _classify(plan: MapHazardPlan, windows, live: List[FlushBlock],
                 f"{what} at stage {first} and the write at stage "
                 f"{min(other)} land out of packet order"))
         later = [s for s in touching if s > first]
-        if later and any(varies(index) for _s, index, _w in writes):
+        if later and any(varies(a.op.insn_index) for a in writes):
             return MapConsistency(RELAXED, HELPER_WRITE, (
                 f"{what} at stage {first} commits before older packets' "
                 f"read at stage {later[0]}"))
     return MapConsistency(REPAIRED if plan.write_stages else EXACT)
 
 
-def _map_access(op: PipeOp) -> Optional[Tuple[int, bool, bool, bool]]:
-    """(map fd, reads, writes, atomic) of an op touching a map, else None."""
-    if op.call is not None and op.call.map_fd is not None:
-        return op.call.map_fd, op.call.is_map_read, op.call.is_map_write, False
-    label = op.label
+def _effect(access: MapAccess) -> str:
+    """An atomic's op or a helper write's helper, by name."""
+    imm = access.op.insn.imm
+    return isa.ATOMIC_OP_NAMES[imm] if access.kind == ATOMIC \
+        else helper_spec(imm).name
+
+
+def _map_access(op: PipeOp, stage: int) -> Optional[MapAccess]:
+    """The access of ``op`` at ``stage`` to a map, or None."""
+    call, label = op.call, op.label
+    if call is not None and call.map_fd is not None:
+        return MapAccess(stage, op, op.block_id, call.map_fd, CALL,
+                         SLOT if call.is_map_read else 0,
+                         SLOT | VALUE if call.is_map_write else 0)
     if label is None or label.region is not Region.MAP_VALUE:
         return None
-    writes = label.is_write and not label.is_atomic
-    return (label.map_fd, not (label.is_write or label.is_atomic), writes,
-            label.is_atomic)
+    kind = (ATOMIC if label.is_atomic else STORE if label.is_write
+            else LOAD)
+    return MapAccess(stage, op, op.block_id, label.map_fd, kind,
+                     0 if kind == STORE else VALUE,
+                     0 if kind == LOAD else VALUE)
 
 
 # -- the program-level verdict ------------------------------------------------
@@ -844,23 +805,11 @@ class _Flow:
         return arg.kind is RegKind.MAP_VALUE and arg.map_fd in self.values
 
 
-def _window_ends(pipeline: Pipeline, plan: MapHazardPlan) -> str:
-    """The map's ops on the window's first and last stage, with their
-    blocks: what forces the window's extent."""
-    ends = []
-    for what, number in zip(("opens", "closes"), plan.serial_window):
-        ops = [f"b{op.block_id} {format_instruction(op.insn)}"
-               for op in pipeline.stages[number - 1].ops
-               if (access := _map_access(op)) and access[0] == plan.map_fd]
-        ends.append(f"{what}: {', '.join(ops)} @{number}")
-    return "; ".join(ends)
-
-
 def hazard_summary(pipeline: Pipeline) -> str:
     """One line per map — its consistency class, the (K, L) pairs Table 3
-    reports, and the serialization window with its width, the ops at its
-    two ends and its holder blocks — then the program's consistency
-    verdict."""
+    reports, and the serialization window with its width, the map's ops
+    on its two ends (what forces its extent) and its holder blocks — then
+    the program's consistency verdict."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
@@ -885,8 +834,14 @@ def hazard_summary(pipeline: Pipeline) -> str:
                 lane = "keyed" if key.keyed else f"banked x{key.banks}"
                 split = (f" {lane} on {name} by "
                          f"stack[{key.offset}:{key.size}]")
+            ends = "; ".join(
+                f"{end}: " + ", ".join(
+                    f"b{a.block} {format_instruction(a.op.insn)}"
+                    for a in plan.accesses if a.stage == number)
+                + f" @{number}"
+                for end, number in zip(("opens", "closes"), (lo, hi)))
             parts.append(f"window [{lo}, {hi}] W={hi - lo + 1}{split} "
-                         f"({_window_ends(pipeline, plan)}) held by {held}")
+                         f"({ends}) held by {held}")
             if plan.forwarding is not None:
                 parts.append(f"forwards: {', '.join(plan.forwarding.arms)}")
         elif plan.unbanked:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
                     Union)
 
@@ -197,50 +198,104 @@ class Forwarding:
         return release
 
 
+# A map access's kinds (an atomic's op is its instruction's ``imm``), and
+# the parts of a lane's entries it reads or writes: a slot in the lane's
+# directory (a map call), a key's value (a load, a store, an atomic), or
+# both (an update writes the value along with the slot).
+CALL, LOAD, STORE, ATOMIC = "call", "load", "store", "atomic"
+SLOT, VALUE = 1, 2
+
+
+@dataclass(frozen=True)
+class MapAccess:
+    """One staged op's access to a map (``hazards.plan_hazards``). A
+    call's lane parts are a keyed window's: a lookup reads its key's
+    slot, an update or a delete writes slot and value."""
+
+    stage: int
+    op: PipeOp
+    block: int
+    map_fd: int
+    kind: str
+    reads: int
+    writes: int
+
+
 @dataclass
 class MapHazardPlan:
-    """All consistency machinery for one map (§4.1)."""
+    """All consistency machinery for one map (§4.1): its accesses in
+    stage order (program order within a stage), the views of them, each
+    computed once, and what ``hazards.plan_hazards`` decides."""
 
     map_fd: int
-    # lookups and value loads / helper writes and value stores / atomics
-    read_stages: List[int] = field(default_factory=list)
-    write_stages: List[int] = field(default_factory=list)
-    atomic_stages: List[int] = field(default_factory=list)
-    # the value loads and value stores among them
-    load_stages: List[int] = field(default_factory=list)
-    store_stages: List[int] = field(default_factory=list)
-    flush_blocks: List[FlushBlock] = field(default_factory=list)
-    war_buffer_depth: int = 0  # write-delay registers (Figure 6)
-    channels: int = 1  # parallel read/write channels into the memory
-    # Structural interlock for recency-ordered maps (LRU hash): the
-    # inclusive 1-based stage range [lo, hi] spanning every access to
-    # the map. At most one packet may occupy the window at a time, so
-    # recency mutations (and hence eviction choices) happen strictly in
-    # packet order — squash/replay cannot undo an eviction, so the
-    # flush machinery alone cannot repair LRU divergence. ``None`` when
-    # all accesses share one stage (order is then automatic). On the
-    # path-parallel layout a plain hash map whose flush blocks would
-    # fire gets a keyed window instead: a same-key stall at ``lo`` in
-    # place of a flush at the write stage (``hazards.plan_hazards``).
+    accesses: Tuple[MapAccess, ...] = ()
+    # The serialization window [lo, hi] (1-based, inclusive; ``None``:
+    # none), its holder blocks, its lane key (``None``: one lane, and
+    # ``unbanked`` names the rule that refused a split) and its bypass
+    # (``None`` on a window that accesses another map too), as
+    # ``hazards.plan_hazards`` decides them.
     serial_window: Optional[Tuple[int, int]] = None
-    # The window's holder blocks: a packet that has enabled one may still
-    # reach an op inside the window that touches any map, so it waits for
-    # the window; any other packet passes through it unhindered (see
-    # ``hazards.window_holders``). Empty without a window.
     holders: FrozenSet[int] = frozenset()
-    # A banked map's window serialises per bank, a keyed window per key:
-    # a holder waits only for a holder of its own lane
-    # (``hazards.bank_key``). ``None`` is one lane; ``unbanked`` then
-    # names the rule that refused the split — on a banked map, or on a
-    # hash map whose flush blocks therefore stay live.
     bank_key: Optional[BankKey] = None
     unbanked: str = ""
-    # The window's bypass (``hazards.forwarding``); ``None`` without a
-    # window, and on one that accesses another map too.
     forwarding: Optional[Forwarding] = None
     # Whether packets in flight together leave this map as sequential
     # execution would (see ``hazards.plan_hazards``).
     consistency: MapConsistency = MapConsistency()
+
+    @cached_property
+    def read_stages(self) -> List[int]:
+        """The stages of its lookups and value loads."""
+        return [a.stage for a in self.accesses
+                if a.reads and a.kind != ATOMIC]
+
+    @cached_property
+    def write_stages(self) -> List[int]:
+        """The stages of its helper writes and value stores."""
+        return [a.stage for a in self.accesses
+                if a.writes and a.kind != ATOMIC]
+
+    @cached_property
+    def atomic_stages(self) -> List[int]:
+        """The stages of its atomics, once each: exclusive blocks'
+        atomics on one map share its port."""
+        return sorted({a.stage for a in self.accesses if a.kind == ATOMIC})
+
+    @cached_property
+    def store_stages(self) -> List[int]:
+        return [a.stage for a in self.accesses if a.kind == STORE]
+
+    @cached_property
+    def value_stages(self) -> List[int]:
+        """The stages that load, store or atomically update its values."""
+        return sorted({a.stage for a in self.accesses if a.kind != CALL})
+
+    @cached_property
+    def touching(self) -> List[int]:
+        """Every stage that accesses the map, ascending."""
+        return sorted({a.stage for a in self.accesses})
+
+    @cached_property
+    def war_buffer_depth(self) -> int:
+        """Write-delay registers (Figure 6): from the first write to the
+        last read stage behind it (see ``hazards``)."""
+        last_read = max(self.read_stages, default=0)
+        early = [w for w in self.write_stages if w < last_read]
+        return last_read - min(early) if early else 0
+
+    @cached_property
+    def flush_blocks(self) -> List[FlushBlock]:
+        """One per write downstream of a read (Figure 7, ``hazards``)."""
+        reads = self.read_stages
+        return [FlushBlock(self.map_fd, reads[0], w)
+                for w in self.write_stages if reads and reads[0] < w]
+
+    @property
+    def channels(self) -> int:
+        """Parallel read/write channels into the memory, one per stage
+        that touches the map: "in all the examined use cases at most two
+        memory channels to the same map were needed" (§4.1)."""
+        return max(1, min(len(self.touching), 2))
 
     @property
     def uses_atomic(self) -> bool:
@@ -257,18 +312,6 @@ class MapHazardPlan:
         entrance instead."""
         return self.needs_flush and not (self.bank_key is not None
                                          and self.bank_key.keyed)
-
-    @property
-    def touching(self) -> List[int]:
-        """Every stage that accesses the map, ascending."""
-        return sorted(set(self.read_stages) | set(self.write_stages)
-                      | set(self.atomic_stages))
-
-    @property
-    def value_stages(self) -> List[int]:
-        """The stages that load, store or atomically update its values."""
-        return sorted(self.load_stages + self.store_stages
-                      + self.atomic_stages)
 
 
 def commit_stages_of(plans: Dict[int, MapHazardPlan]) -> Dict[int, int]:

@@ -45,7 +45,7 @@ from repro.apps import (
 )
 from repro.core.cache import CompileCache, compile_cached
 from repro.core.compiler import CompileOptions, compile_program
-from repro.core.hazards import forwarding, window_holders
+from repro.core.hazards import block_stages, forwarding, window_holders
 from repro.core.labeling import Region
 from repro.core.pipeline import MapConsistency
 from repro.core.vhdl import emit_vhdl
@@ -1012,12 +1012,16 @@ def _idle_observer(*_cycle_state):
 def _rewindowed(pipeline, fd, window):
     """A copy of ``pipeline`` whose map ``fd`` interlocks over
     ``window`` instead of its own access span, with that window's
-    holders and forwarding, source regenerated."""
+    holders and forwarding from the plans' access tables, source
+    regenerated."""
     clone = copy.deepcopy(pipeline)
     plan = clone.map_hazards[fd]
+    accesses = [a for each in clone.map_hazards.values()
+                for a in each.accesses]
+    last, decided = block_stages(clone.stages, clone.cfg)
     plan.serial_window = window
-    plan.holders = window_holders(clone.stages, clone.cfg, *window)
-    plan.forwarding = forwarding(clone.stages, clone.cfg, plan,
+    plan.holders = window_holders(accesses, clone.cfg, last, *window)
+    plan.forwarding = forwarding(accesses, clone.cfg, decided, plan,
                                  clone.commit_stages[fd])
     clone.codegen_source = None
     return clone
@@ -1340,6 +1344,35 @@ class TestWindowedStream:
                                          "6 stack slots)")
 
 
+def _two_atomics(first, second):
+    """An array slot updated by the atomic ``first``, then by ``second``
+    a stage later: each an operator, after ``fetch`` for a fetch variant
+    and ``u32`` for a 32-bit one."""
+    def lock(atomic, operand):
+        *flags, op = atomic.split()
+        fetch = "fetch " if "fetch" in flags else ""
+        size = "u32" if "u32" in flags else "u64"
+        return f"lock {fetch}*({size} *)(r8 + 0) {op} {operand}"
+    return assemble_program(f"""
+        r2 = 0
+        *(u32 *)(r10 - 4) = r2
+        r1 = map[m]
+        r2 = r10
+        r2 += -4
+        call 1
+        if r0 == 0 goto out
+        r8 = r0
+        r2 = 0x0c
+        {lock(first, "r2")}
+        r3 = 0x21
+        {lock(second, "r3")}
+    out:
+        r0 = 2
+        exit
+    """, maps={"m": MapSpec("m", "array", key_size=4, value_size=8,
+                            max_entries=1)}, name=f"{first}, {second}")
+
+
 class TestStreamBlockers:
     """Pipelines the proof does not cover say why, and run the cycle
     loop to the same numbers as the reference."""
@@ -1406,6 +1439,12 @@ class TestStreamBlockers:
         """, maps={"m": MapSpec("m", "array", key_size=4, value_size=8,
                                 max_entries=1)}, name="load_beside_add"),
          "7-9"),
+        # an or commutes with an or only, a fetch variant (the ISA's one
+        # is fetch-add) with nothing, not even its plain op
+        (_two_atomics("|=", "+="), "7-8"),
+        (_two_atomics("fetch +=", "+="), "7-8"),
+        # an add carries out of its own bytes
+        (_two_atomics("u32 +=", "+="), "7-8"),
     ], ids=lambda value: getattr(value, "name", None))
     def test_atomics_that_do_not_commute_unobserved(self, program, stages):
         # in the pipeline a younger packet's shallow access to the slot
@@ -1415,6 +1454,19 @@ class TestStreamBlockers:
         self._check_cycle_loop(
             compile_program(program), program, [bytes(range(64))] * 12,
             f"atomics on map 1 (stages {stages}) do not commute unobserved")
+
+    def test_atomics_that_commute_stream(self):
+        # two ors land alike in either order, and nothing observes the
+        # slot between them
+        program = _two_atomics("|=", "|=")
+        pipeline = compile_program(program)
+        assert pipeline.map_hazards[1].atomic_stages == [7, 8]
+        assert str(pipeline.map_hazards[1].consistency) == "exact"
+        assert stream_blocker(pipeline) is None
+        run_differential(program, [bytes(range(64))] * 12,
+                         pipeline=pipeline,
+                         engines=("vm", "interpreted", "codegen"),
+                         ).raise_on_mismatch()
 
     def test_the_apps_keep_their_verdicts(self):
         # ct_firewall and syn_cookie add to one map at several stages,

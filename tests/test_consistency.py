@@ -1134,3 +1134,53 @@ class TestKeyedWindow:
         differ = _differences(program, pipeline, frames, self._full)
         assert "map w" in differ[1]
         assert not differ[pipeline.n_stages]
+
+
+class TestCommutingAccesses:
+    """``hazards.commutes`` is the one rule for which two accesses to a
+    lane need packet order: the consistency classes read it, and so does
+    each window's release. Two plain adds commute, so a holder releases
+    its lane without waiting for another packet's add; a fetch-add
+    commutes with nothing, so it keeps its ordered release."""
+
+    @pytest.mark.parametrize("flows,churn", [(4, 0.5), (16, 0.2), (2, 0.9)])
+    def test_two_adds_hold_no_lane(self, flows, churn):
+        # §3.3 layout: the outbound refresh (b8) adds at 31, the inbound
+        # refresh at 15. The adds commute, so b8 releases at its decision
+        # (23), not 16 stages after the inbound add.
+        program = ct_firewall.build()
+        pipeline = compile_program(program, LAYOUTS["paper"])
+        assert ("forwards: b7 after 15 (call 2 @26 → call 1 @11), "
+                "b8 at its decision @23") in hazard_summary(pipeline)
+        frames = make_workload(replace(parse_workload_spec(
+            f"flow-churn:flows={flows},churn={churn}"), packets=1500,
+            seed=7)).materialize()
+        result = run_differential(
+            program, frames, pipeline=pipeline, sim_options=FROZEN, gap=1,
+            engines=("vm", "interpreted", "codegen"))
+        result.raise_on_mismatch()
+        assert compare_runs(result.runs["interpreted"],
+                            result.runs["codegen"]) == []
+
+    def test_a_fetch_add_keeps_its_ordered_release(self):
+        # the hit arm's fetch-add (7) and add (12) do not commute: a
+        # younger packet of the key enters once the older one is 5 stages
+        # in, and its fetch meets the older add's value. Released one
+        # stage sooner, it fetches the value before that add, writes it
+        # into its packet and adds a value derived from it. (The miss
+        # arm's insert, at 10, alone would release the hit arm at 2.)
+        program = load_program(str(Path(__file__).parent / "corpus"
+                                   / "fetch_beside_add.ebpf"))
+        pipeline = compile_program(program)
+        arms = frozenset({1, 2})  # the hit arm and the insert
+        assert pipeline.map_hazards[1].forwarding.release == (
+            1, arms, 5, (2, arms, 7, 0))
+        assert ("forwards: b1 after 5 (atomic @12 → atomic @7), "
+                "b2 after 7 (call 2 @10 → call 1 @3)") \
+            in hazard_summary(pipeline)
+        frames = [bytes([0, k]) + bytes(62) for k in range(24)]
+        found = _released_sooner(program, pipeline, frames,
+                                 (1, arms, 4, (2, arms, 7, 0)))
+        assert "packet bytes" in {m.what for m in found} <= {
+            "packet bytes", "map m"}
+        assert any(m.index >= 0 for m in found)  # names a packet

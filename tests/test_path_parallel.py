@@ -72,7 +72,8 @@ def render_stages(pipeline) -> str:
 
 # sha256 of render_stages under path_parallel=False, captured from the
 # compiler before path-parallel scheduling existed (one block per stage);
-# redirect_map.ebpf's and late_arm.ebpf's when each joined the corpus.
+# redirect_map.ebpf's, late_arm.ebpf's and fetch_beside_add.ebpf's when
+# each joined the corpus.
 PAPER_LAYOUT_DIGESTS = {
     "app:ct_firewall": "50ff2cde9d491de66565ff77311d2a8296bbfef40513fa3f457b22da71519cbc",
     "app:dnat": "c85dfa7d8e86cf2dcb7fee9f77315843878e01e9b2e4df1276283c0a730792b9",
@@ -92,6 +93,7 @@ PAPER_LAYOUT_DIGESTS = {
     "deep_nesting.ebpf": "b769a20352163537fd34ace7f71a62cc97caaf26f8fb83877452efe0f1f8a87b",
     "div_mod_edge.ebpf": "2ef501471f225056693ea8a881748b19564e723d0eb44b61f5f01adf47899275",
     "endian_chain.ebpf": "1dce185d03402a9870eae6ff9706fa756487a90596ca685d28cda22d5e840d33",
+    "fetch_beside_add.ebpf": "1c31675ab95679d9d95bb784c9e8229bb52e5a0c0a6d1f0444b1d9cad3445b52",
     "head_tail_resize.ebpf": "227a12920d32fc2d6b37029f64e8c9ede340b977b44a572b7a500d82e0b3e6e7",
     "jmp32_signed.ebpf": "a3e48d7cc6e34d6a03c8b4d198c0168ebd7bbfd765f681675330a8718dee6812",
     "late_arm.ebpf": "f7858ee92bad430fc52fd7970dd5f49443dad24b0606be63d4ff610dbf93d032",
