@@ -554,7 +554,7 @@ class _MapPortUse:
 
     port: str  # stage-side port prefix, e.g. "mp0"
     fd: int
-    channel: int  # per-fd channel index within this stage
+    channel: int  # the map's channel (``MapHazardPlan.ports``)
 
 
 @dataclass
@@ -610,7 +610,6 @@ class _StageBuilder:
         self._reg_exprs: Dict[int, Dict[int, str]] = {}
         self._mp_count = 0
         self._helper_count = 0
-        self._fd_channels: Dict[int, int] = {}
 
     # -- operand access ------------------------------------------------------
 
@@ -703,8 +702,9 @@ class _StageBuilder:
         returns the port prefix (``mp<N>``)."""
         port = f"mp{self._mp_count}"
         self._mp_count += 1
-        channel = self._fd_channels.get(fd, 0)
-        self._fd_channels[fd] = channel + 1
+        plan = self.pipeline.map_hazards[fd]
+        channel = next(ch for a, ch in zip(plan.accesses, plan.ports)
+                       if a.op.insn_index == op.insn_index)
         self.map_uses.append(_MapPortUse(port=port, fd=fd, channel=channel))
         rows = _channel_rows(self.pipeline, fd)
         self.ports += _port_decls(rows, f"{port}_", flip=True)
@@ -1359,8 +1359,7 @@ def _helper_entity(name: str, spec, win_bytes: int, stack_bits: int,
     ])
 
 
-def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
-                uses_atomic: bool) -> List[str]:
+def _map_entity(pipeline: Pipeline, fd: int, name: str) -> List[str]:
     plan = pipeline.map_hazards[fd]
     spec = pipeline.program.maps.get(fd)
     interlock = ("keyed interlock: at most one packet per key"
@@ -1369,9 +1368,9 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
     _kb, wb = _map_widths(pipeline, fd)
     ports = ["clk : in  std_logic", "rst : in  std_logic"]
     rows = _channel_rows(pipeline, fd)
-    for ch in range(channels):
+    for ch in range(plan.channels):
         ports += _port_decls(rows, f"ch{ch}_")
-    if uses_atomic:
+    if plan.uses_atomic:
         ports += _port_decls(ATOMIC_PORT, "at_")
     if plan.needs_flush:
         ports.append("flush_out : out std_logic")
@@ -1385,10 +1384,10 @@ def _map_entity(pipeline: Pipeline, fd: int, name: str, channels: int,
     return _entity(name, ports, doc=[
         f"-- eHDL map block for fd {fd}"
         + (f" ({spec.name}, {spec.map_type})" if spec else ""),
-        f"--   channels: {channels}"
+        f"--   channels: {plan.channels}"
         f"  WAR buffer depth: {plan.war_buffer_depth}"
         f"  flush blocks: {len(plan.flush_blocks)}"
-        f"  atomic port: {'yes' if uses_atomic else 'no'}"
+        f"  atomic port: {'yes' if plan.uses_atomic else 'no'}"
         + (
             f"  serial window: stages "
             f"{plan.serial_window[0]}..{plan.serial_window[1]}"
@@ -1442,8 +1441,7 @@ def _entry_value(op: PipeOp) -> str:
 def _top(pipeline: Pipeline, name: str, fifo_name: str,
          stage_names: List[str], builders: List["_StageBuilder"],
          layouts: List[StateLayout], windows: List[int], ew: int,
-         map_names: Dict[int, str], map_channels: Dict[int, int],
-         map_atomics: Dict[int, bool]) -> List[str]:
+         map_names: Dict[int, str]) -> List[str]:
     n = len(pipeline.stages)
     wmax = windows[-1]
     wbits = 8 * wmax
@@ -1573,13 +1571,14 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
 
     # map-side shared wires
     for fd in sorted(map_names):
+        plan = pipeline.map_hazards[fd]
         _kb, wb = _map_widths(pipeline, fd)
-        for ch in range(map_channels[fd]):
+        for ch in range(plan.channels):
             decls += _signal_decls(_channel_rows(pipeline, fd),
                                    f"m{fd}_ch{ch}_")
-        if map_atomics[fd]:
+        if plan.uses_atomic:
             decls += _signal_decls(ATOMIC_PORT, f"m{fd}_at_")
-        if pipeline.map_hazards[fd].needs_flush:
+        if plan.needs_flush:
             sig(f"m{fd}_flush : std_logic")
         sig(f"m{fd}_host_wdata : std_logic_vector({wb - 1} downto 0)")
         sig(f"m{fd}_host_rdata : std_logic_vector({wb - 1} downto 0)")
@@ -1619,14 +1618,15 @@ def _top(pipeline: Pipeline, name: str, fifo_name: str,
                         f"s{num}_{use.port}_")
             if b.atomic_use is not None and b.atomic_use.fd == fd:
                 at_users.append(f"s{num}_ap_")
+        plan = pipeline.map_hazards[fd]
         assoc = [("clk", "pipe_clk"), ("rst", "rst")]
-        for ch in range(map_channels[fd]):
+        for ch in range(plan.channels):
             conc += _mux(MAP_CHANNEL, f"m{fd}_ch{ch}_", users.get(ch, []))
             assoc += _assoc(MAP_CHANNEL, f"ch{ch}_", f"m{fd}_ch{ch}_")
-        if map_atomics[fd]:
+        if plan.uses_atomic:
             conc += _mux(ATOMIC_PORT, f"m{fd}_at_", at_users)
             assoc += _assoc(ATOMIC_PORT, "at_", f"m{fd}_at_")
-        if pipeline.map_hazards[fd].needs_flush:
+        if plan.needs_flush:
             assoc.append(("flush_out", f"m{fd}_flush"))
         assoc += [
             ("host_req", "tie_zero"), ("host_wr", "tie_zero"),
@@ -1769,18 +1769,6 @@ def _emit_vhdl(pipeline: Pipeline) -> str:
         stage_names.append(names.claim(f"{prog}_stage_{stage.number:03d}"))
     top_name = names.claim(f"ehdl_{prog}")
 
-    map_channels: Dict[int, int] = {}
-    map_atomics: Dict[int, bool] = {}
-    for fd in map_names:
-        per_stage = [
-            sum(1 for use in b.map_uses if use.fd == fd) for b in builders
-        ]
-        map_channels[fd] = max([1] + per_stage)
-        map_atomics[fd] = any(
-            b.atomic_use is not None and b.atomic_use.fd == fd
-            for b in builders
-        )
-
     lines = [
         f"-- {pipeline.name}: eHDL-generated pipeline "
         f"({pipeline.n_stages} stages, {n_blocks} blocks)",
@@ -1797,11 +1785,9 @@ def _emit_vhdl(pipeline: Pipeline) -> str:
         ename, spec, win, sbits, sdesc = helper_entities[key]
         lines += _helper_entity(ename, spec, win, sbits, sdesc)
     for fd in sorted(map_names):
-        lines += _map_entity(pipeline, fd, map_names[fd],
-                             map_channels[fd], map_atomics[fd])
+        lines += _map_entity(pipeline, fd, map_names[fd])
     for i, b in enumerate(builders):
         lines += b.render(stage_names[i])
     lines += _top(pipeline, top_name, fifo_name, stage_names, builders,
-                  layouts, windows, ew, map_names, map_channels,
-                  map_atomics)
+                  layouts, windows, ew, map_names)
     return "\n".join(lines) + "\n"
