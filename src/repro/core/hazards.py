@@ -805,11 +805,26 @@ class _Flow:
         return arg.kind is RegKind.MAP_VALUE and arg.map_fd in self.values
 
 
+def _port_users(plan: MapHazardPlan) -> str:
+    """Each of the plan's ports (``ch<k>``, ``at`` the atomic port) with
+    the stages that drive it and, per stage, the blocks that share it."""
+    users: Dict[Optional[int], Dict[int, Set[int]]] = {}
+    for access, port in zip(plan.accesses, plan.ports):
+        users.setdefault(port, {}).setdefault(access.stage, set()).add(
+            access.block)
+    return "; ".join(
+        ("at" if port is None else f"ch{port}") + " " + " · ".join(
+            f"s{stage} " + "|".join(f"b{b}" for b in sorted(blocks))
+            for stage, blocks in users[port].items())
+        for port in sorted(users, key=lambda port: (port is None, port)))
+
+
 def hazard_summary(pipeline: Pipeline) -> str:
-    """One line per map — its consistency class, the (K, L) pairs Table 3
-    reports, and the serialization window with its width, the map's ops
-    on its two ends (what forces its extent) and its holder blocks — then
-    the program's consistency verdict."""
+    """One line per map — its consistency class, its ports with the
+    stages and blocks that share each, the (K, L) pairs Table 3 reports,
+    and the serialization window with its width, the map's ops on its
+    two ends (what forces its extent) and its holder blocks — then the
+    program's consistency verdict."""
     lines = []
     for fd, plan in sorted(pipeline.map_hazards.items()):
         spec = pipeline.program.maps.get(fd)
@@ -818,6 +833,7 @@ def hazard_summary(pipeline: Pipeline) -> str:
                  f"reads@{plan.read_stages} writes@{plan.write_stages}"]
         if plan.uses_atomic:
             parts.append(f"atomic@{plan.atomic_stages}")
+        parts.append(f"ports: {_port_users(plan)}")
         if plan.war_buffer_depth:
             parts.append(f"WAR buffer depth {plan.war_buffer_depth}")
         for fb in plan.flush_blocks:

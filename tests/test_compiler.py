@@ -1,14 +1,20 @@
 """End-to-end compiler tests: pipeline structure, framing, pruning, hazards."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro import apps
 from repro.apps import toy_counter
+from repro.cli import load_program
 from repro.core import (
     CompileOptions,
     StageKind,
     compile_program,
 )
 from repro.core.framing import apply_framing, stage_packet_depth
+from repro.core.vhdl import VhdlEmitError, emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
@@ -278,7 +284,40 @@ class TestHazardPlanning:
         assert fb.L == fb.write_stage - fb.read_stage
         assert fb.K() == fb.read_stage + 4
 
-    def test_channel_cap_two(self):
-        pipe = compile_program(toy_counter.build())
-        for plan in pipe.map_hazards.values():
-            assert 1 <= plan.channels <= 2
+    def test_emitted_ports_are_the_plans(self):
+        # every map entity's header states the channels and the atomic
+        # port its plan's ports call for, and the stages are wired to
+        # those and no others: on every app in both layouts and every
+        # corpus program that emits (counted_loop's loop refuses VHDL)
+        programs = [getattr(apps, name).build() for name in sorted(
+            apps.__all__) if name.islower()]
+        programs += [load_program(str(path)) for path in sorted(
+            (Path(__file__).parent / "corpus").glob("*.ebpf"))]
+        for program in programs:
+            for options in (CompileOptions(),
+                            CompileOptions(path_parallel=False)):
+                pipeline = compile_program(program, options)
+                try:
+                    text = emit_vhdl(pipeline)
+                except VhdlEmitError:
+                    assert program.name == "counted_loop"
+                    continue
+                header = {int(fd): (int(channels), atomic == "yes")
+                          for fd, channels, atomic in re.findall(
+                              r"-- eHDL map block for fd (\d+).*\n"
+                              r"--   channels: (\d+) .* atomic port: "
+                              r"(yes|no)", text)}
+                plans = pipeline.map_hazards
+                assert header == {fd: (plan.channels, plan.uses_atomic)
+                                  for fd, plan in plans.items()}, \
+                    program.name
+                wired = {fd: {0} for fd in plans}
+                for fd, channel in re.findall(
+                        r"mp\d+_rdata => m(\d+)_ch(\d+)_rdata", text):
+                    wired[int(fd)].add(int(channel))
+                atomic = {int(fd) for fd in re.findall(
+                    r"ap_old => m(\d+)_at_old", text)}
+                assert header == {fd: (len(wired[fd]), fd in atomic)
+                                  for fd in plans}, program.name
+        toy = compile_program(toy_counter.build())
+        assert [plan.channels for plan in toy.map_hazards.values()] == [1]
