@@ -13,6 +13,7 @@ from repro.apps import EVALUATION_APPS
 from repro.baselines import compile_for_hxdp
 from repro.ebpf.maps import MapSet
 from repro.hwsim import NicSystem
+from repro.hwsim.shell import SHELL_LATENCY_NS
 
 
 def _latency(name, pipelines, traffic):
@@ -31,10 +32,9 @@ def figure9b(pipelines, traffic):
     for name, mod in EVALUATION_APPS.items():
         ehdl_ns = _latency(name, pipelines, traffic)
         hxdp = compile_for_hxdp(mod.build())
-        shell_ns = NicSystem(pipelines[name]).shell.shell_latency_ns
         rows[name] = {
             "ehdl_ns": ehdl_ns,
-            "hxdp_ns": hxdp.forwarding_latency_ns(shell_ns),
+            "hxdp_ns": hxdp.forwarding_latency_ns(SHELL_LATENCY_NS),
             "stages": pipelines[name].n_stages,
         }
     print_table(

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.hazards import live_flush_blocks
-from ..core.pipeline import Pipeline
+from ..core.pipeline import RELOAD_OVERHEAD, Pipeline
 
 THEORETICAL_MPPS = 250.0  # one packet per cycle at 250 MHz
 LINE_RATE_MPPS = 148.8  # 100 Gbps of minimum-size frames
-RELOAD_OVERHEAD = 4
 #: why a pipeline with flush blocks has no flush analysis
 WINDOWED = "window, no live flush block"
 

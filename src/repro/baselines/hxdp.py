@@ -23,14 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ebpf.helpers import helper_spec
 from ..ebpf.isa import Program
-from ..core.cfg import build_cfg
 from ..core.compiler import CompileOptions, compile_program
-from ..core.ddg import build_ddg
-from ..core.labeling import label_program
-from ..core.resources import ALVEO_U50, DeviceSpec, ResourceEstimate
-from ..core.scheduler import SchedulerOptions, schedule_program
+from ..core.resources import ALVEO_U50, ResourceEstimate
 
 CLOCK_MHZ = 250.0
 VLIW_LANES = 2
@@ -82,17 +77,11 @@ def compile_for_hxdp(program: Program) -> HxdpReport:
     schedule length — consistent with the paper's Figure 9c, which
     compares total counts.
     """
-    options = CompileOptions(
-        max_row_width=VLIW_LANES,
-        # hXDP executes the verifier's bytecode as-is, including bounds
-        # checks (its runtime re-checks bounds anyway; keep the shared
-        # elision so instruction counts match Figure 9c's "reduced" bars).
-        elide_bounds_checks=True,
-        dead_code_elimination=True,
-        # A processor executes one path's bundles in order: exclusive
-        # arms never share a bundle, so the layout is the paper's.
-        path_parallel=False,
-    )
+    # The shared bounds-check elision and dead-code elimination stay on,
+    # so instruction counts match Figure 9c's "reduced" bars. A processor
+    # executes one path's bundles in order: exclusive arms never share a
+    # bundle, so the layout is the paper's.
+    options = CompileOptions(max_row_width=VLIW_LANES, path_parallel=False)
     pipeline = compile_program(program, options)
     bundles = len(pipeline.schedule.rows)
     helper_calls = sum(

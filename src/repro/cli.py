@@ -86,6 +86,15 @@ def _app_setup(path: str):
     return getattr(module, "default_setup", None)
 
 
+def _app_maps(path: str, program: Program) -> MapSet:
+    """The program's maps, with its app's ``default_setup`` applied."""
+    maps = MapSet(program.maps)
+    setup = _app_setup(path)
+    if setup is not None:
+        setup(maps)
+    return maps
+
+
 def load_program(path: str) -> Program:
     """Load a program from verifier-syntax text, raw binary bytecode, or
     a built-in evaluation app via the ``app:<name>`` scheme."""
@@ -229,11 +238,8 @@ def cmd_rtl_sim(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     pipeline = _compile(args, program)
     engine = getattr(args, "engine", None) or "rtl"
-    maps = MapSet(program.maps)
-    setup = _app_setup(args.program)
-    if setup is not None:
-        setup(maps)
-    runner = RtlRunner(pipeline, maps=maps, engine=engine)
+    runner = RtlRunner(pipeline, maps=_app_maps(args.program, program),
+                       engine=engine)
     frames = _gen_frames(args)
     report = runner.run_packets(frames)
     print(report.summary())
@@ -367,17 +373,13 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .hwsim import OccupancyTracer, PipelineSimulator, render_occupancy
-    from .hwsim.sim import SimOptions
 
     program = load_program(args.program)
     pipeline = _compile(args, program)
-    maps = MapSet(program.maps)
-    sim = PipelineSimulator(pipeline, maps=maps, options=SimOptions())
+    sim = PipelineSimulator(pipeline, maps=_app_maps(args.program, program))
     tracer = OccupancyTracer(max_cycles=args.cycles)
     sim.observer = tracer
-    gen = TrafficGenerator(TrafficSpec(n_flows=args.flows,
-                                       packet_size=args.packet_size))
-    sim.run_packets(list(gen.packets(args.packets)))
+    sim.run_packets(_gen_frames(args))
     print(render_occupancy(tracer, last_cycle=args.cycles,
                            max_stages=args.stages))
     return 0
@@ -386,11 +388,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     pipeline = _compile(args, program)
-    maps = MapSet(program.maps)
-    setup = _app_setup(args.program)
-    if setup is not None:
-        setup(maps)
-    nic = NicSystem(pipeline, maps=maps)
+    nic = NicSystem(pipeline, maps=_app_maps(args.program, program))
     frames = _gen_frames(args)
     if args.rate_mpps:
         report = nic.run_at_rate(frames, args.rate_mpps)
@@ -886,9 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="render the pipeline timeline")
     _add_compile_flags(p_trace)
-    p_trace.add_argument("--packets", type=int, default=20)
-    p_trace.add_argument("--flows", type=int, default=4)
-    p_trace.add_argument("--packet-size", type=int, default=64)
+    _add_traffic_flags(p_trace, packets=20, flows=4)
     p_trace.add_argument("--cycles", type=int, default=40)
     p_trace.add_argument("--stages", type=int, default=24)
     p_trace.set_defaults(func=cmd_trace)

@@ -24,7 +24,7 @@ from .pipeline import (
     StageKind,
 )
 from .pruning import PruningReport, apply_pruning
-from .scheduler import Schedule, ScheduleRow, SchedulerOptions, schedule_program
+from .scheduler import Schedule, ScheduleRow, schedule_program
 from .transform import (
     ElisionReport,
     TransformError,
@@ -57,7 +57,6 @@ __all__ = [
     "Region",
     "Schedule",
     "ScheduleRow",
-    "SchedulerOptions",
     "Stage",
     "StageKind",
     "TransformError",

@@ -30,17 +30,13 @@ from ..ebpf.verifier import VerifierError, verify
 from ..telemetry import get_registry
 from .cfg import build_cfg
 from .ddg import build_ddg
-from .framing import (
-    DEFAULT_DYNAMIC_ACCESS_DEPTH,
-    DEFAULT_FRAME_SIZE,
-    apply_framing,
-)
+from .framing import DEFAULT_FRAME_SIZE, apply_framing
 from .hazards import plan_hazards, program_consistency
 from .labeling import Region, label_program
 from .pipeline import PipeOp, Pipeline, assemble_stages
 from .pruning import apply_pruning
 from .loops import unroll_loops
-from .scheduler import SchedulerOptions, schedule_program
+from .scheduler import schedule_program
 from .transform import dead_code_elimination, elide_bounds_checks, speculate
 
 
@@ -54,18 +50,17 @@ class CompileOptions:
     is the paper's §3.3 layout (one basic block per stage, blocks
     concatenated), which the paper-table benchmarks compile under; the
     default lets mutually exclusive blocks share stages.
+    ``max_row_width=2`` is the hXDP baseline's 2-lane VLIW bundle. Fixed
+    by the paper, not knobs: loop unrolling, dead-code elimination, ctx
+    loads as entry ops, ``scheduler.MAX_FUSE_CHAIN`` and
+    ``framing.DEFAULT_DYNAMIC_ACCESS_DEPTH``.
     """
 
     frame_size: int = DEFAULT_FRAME_SIZE
-    dynamic_access_depth: int = DEFAULT_DYNAMIC_ACCESS_DEPTH
     enable_ilp: bool = True
     enable_fusion: bool = True
-    max_fuse_chain: int = 2
     enable_pruning: bool = True
     elide_bounds_checks: bool = True
-    dead_code_elimination: bool = True
-    elide_ctx_loads: bool = True
-    unroll_loops: bool = True
     max_row_width: Optional[int] = None
     path_parallel: bool = True
 
@@ -107,11 +102,8 @@ def compile_program(
 
     # 0. Bounded loops are unrolled so the pipeline is strictly forward
     # feeding (§2.2, §3.5); unbounded loops raise LoopError here.
-    unrolled = 0
-    if options.unroll_loops:
-        with _pass_span("unroll_loops", program=program.name):
-            program, loop_report = unroll_loops(program)
-            unrolled = loop_report.loops_unrolled
+    with _pass_span("unroll_loops", program=program.name):
+        program, loop_report = unroll_loops(program)
 
     # 1. The input must be a valid (DAG-shaped) eBPF program.
     with _pass_span("verify", program=program.name):
@@ -119,7 +111,6 @@ def compile_program(
 
     # 2. Bytecode transforms.
     elided = 0
-    dce_removed = 0
     entry_checks = ()
     if options.elide_bounds_checks:
         with _pass_span("elide_bounds_checks", program=program.name):
@@ -128,20 +119,12 @@ def compile_program(
             entry_checks = tuple(
                 (check.min_len, check.action) for check in report.entry_checks
             )
-    if options.dead_code_elimination:
-        with _pass_span("dead_code_elimination", program=program.name):
-            program, dce_removed = dead_code_elimination(program)
+    with _pass_span("dead_code_elimination", program=program.name):
+        program, dce_removed = dead_code_elimination(program)
 
     # 3. Analysis.
     with _pass_span("reverify", program=program.name):
         vres = verify(program)
-    sched_options = SchedulerOptions(
-        enable_ilp=options.enable_ilp,
-        enable_fusion=options.enable_fusion,
-        max_fuse_chain=options.max_fuse_chain,
-        max_row_width=options.max_row_width,
-        path_parallel=options.path_parallel,
-    )
     speculated = (0, 0)
     with _pass_span("labeling", program=program.name):
         labels = label_program(program, vres)
@@ -150,8 +133,7 @@ def compile_program(
         # The re-verify is its safety net: a rewrite the verifier rejects
         # is dropped, and the program compiles as it was.
         if options.path_parallel and options.enable_ilp:
-            rewritten, moved, renamed = speculate(program, labels,
-                                                  sched_options)
+            rewritten, moved, renamed = speculate(program, labels, options)
             try:
                 rewritten_vres = verify(rewritten) if moved else None
             except VerifierError:
@@ -169,18 +151,16 @@ def compile_program(
     # packet pointers/metadata directly into the first stage, so they cost
     # no stage (Figure 8 omits Listing 2's instructions 0-1).
     entry_op_indices: Set[int] = set()
-    if options.elide_ctx_loads:
-        entry_block = cfg.entry
-        for i in entry_block.indices():
-            label = labels.label_for(i)
-            insn = program.instructions[i]
-            if insn.is_mem_load and label is not None and label.region is Region.CTX:
-                entry_op_indices.add(i)
+    for i in cfg.entry.indices():
+        label = labels.label_for(i)
+        insn = program.instructions[i]
+        if insn.is_mem_load and label is not None and label.region is Region.CTX:
+            entry_op_indices.add(i)
 
     # 4. Parallel schedule.
     with _pass_span("schedule", program=program.name):
         schedule = schedule_program(
-            cfg, ddg, labels, sched_options, entry_op_indices
+            cfg, ddg, labels, options, entry_op_indices
         )
 
     # 5. Stage assembly.
@@ -189,7 +169,7 @@ def compile_program(
 
     # 6. Packet framing.
     with _pass_span("framing", program=program.name):
-        apply_framing(stages, options.frame_size, options.dynamic_access_depth)
+        apply_framing(stages, options.frame_size)
 
     # 7. Map hazard machinery. Keyed windows belong to the path-parallel
     # layout (the scheduler's own condition); §3.3's keeps its flushes.
@@ -254,7 +234,7 @@ def compile_program(
         dce_removed=dce_removed,
         speculated=speculated,
         entry_checks=entry_checks,
-        loops_unrolled=unrolled,
+        loops_unrolled=loop_report.loops_unrolled,
     )
 
     # 9. Codegen-engine source. Attached at compile time — rather than

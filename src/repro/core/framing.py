@@ -13,8 +13,9 @@ touch packet bytes whose frame has already entered the pipeline:
   stages "with the only goal of making the pipeline longer".
 
 This pass walks the assembled stages, computes each stage's deepest packet
-access (constant offsets from the labeling pass; dynamic accesses assume a
-configurable worst-case depth) and inserts the NOP stages.
+access (constant offsets from the labeling pass; dynamic accesses assume
+the fixed worst-case depth :data:`DEFAULT_DYNAMIC_ACCESS_DEPTH`, §4.2)
+and inserts the NOP stages.
 """
 
 from __future__ import annotations
@@ -41,26 +42,25 @@ class FramingReport:
     bypass_stages: int  # stages reading frames from earlier stages
 
 
-def stage_packet_depth(stage: Stage, dynamic_depth: int) -> int:
+def stage_packet_depth(stage: Stage) -> int:
     """Deepest packet byte (exclusive) this stage's ops may touch."""
     depth = 0
     for op in stage.ops:
         if op.label is not None and op.label.region is Region.PACKET:
             if op.label.offset is None:
-                depth = max(depth, dynamic_depth)
+                depth = max(depth, DEFAULT_DYNAMIC_ACCESS_DEPTH)
             else:
                 depth = max(depth, op.label.offset + op.label.size)
         if op.insn.is_call:
             spec = helper_spec(op.insn.imm)
             if spec.reads_packet or spec.writes_packet:
-                depth = max(depth, dynamic_depth)
+                depth = max(depth, DEFAULT_DYNAMIC_ACCESS_DEPTH)
     return depth
 
 
 def apply_framing(
     stages: List[Stage],
     frame_size: int = DEFAULT_FRAME_SIZE,
-    dynamic_depth: int = DEFAULT_DYNAMIC_ACCESS_DEPTH,
 ) -> FramingReport:
     """Insert NOP stages so every access's frame is in the pipeline.
 
@@ -75,7 +75,7 @@ def apply_framing(
     while pos < len(stages):
         stage = stages[pos]
         stage_number = pos + 1
-        depth = stage_packet_depth(stage, dynamic_depth)
+        depth = stage_packet_depth(stage)
         max_offset = max(max_offset, depth)
         if depth > 0:
             frame_index = (depth - 1) // frame_size

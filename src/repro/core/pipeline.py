@@ -107,6 +107,11 @@ class MapConsistency:
         return f"{self.kind}({self.why})" if self.why else self.kind
 
 
+# Cycles lost reloading the pipeline after a flush (Appendix A.1: "K has
+# an additional overhead of 4 clock cycles").
+RELOAD_OVERHEAD = 4
+
+
 @dataclass
 class FlushBlock:
     """A Flush Evaluation Block (§4.1.2, Figure 7) guarding one RAW pair.
@@ -114,7 +119,7 @@ class FlushBlock:
     ``read_stage``/``write_stage`` are 1-based stage numbers; ``L`` is the
     distance between them (the hazard window of Appendix A.1) and ``K``
     the number of stages squashed on a flush (pipeline start → read stage,
-    plus the 4-cycle reload overhead the appendix charges)."""
+    plus the :data:`RELOAD_OVERHEAD` the appendix charges)."""
 
     map_fd: int
     read_stage: int
@@ -124,8 +129,8 @@ class FlushBlock:
     def L(self) -> int:
         return self.write_stage - self.read_stage
 
-    def K(self, reload_overhead: int = 4) -> int:
-        return self.read_stage + reload_overhead
+    def K(self) -> int:
+        return self.read_stage + RELOAD_OVERHEAD
 
 
 @dataclass(frozen=True)

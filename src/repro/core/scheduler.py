@@ -48,7 +48,7 @@ stage" — which is where Table 5's max-ILP numbers come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ebpf import isa
 from ..ebpf.helpers import ORDER_SENSITIVE_HELPERS, helper_spec
@@ -56,6 +56,12 @@ from ..ebpf.isa import Instruction, Program
 from .cfg import Cfg, reachable_blocks
 from .ddg import RAW, WAR, Ddg
 from .labeling import ProgramLabels, Region
+
+if TYPE_CHECKING:
+    from .compiler import CompileOptions
+
+# Ops per fused combinational chain (§3.2 footnote 1: keeps Fmax).
+MAX_FUSE_CHAIN = 2
 
 
 @dataclass
@@ -155,17 +161,6 @@ def _is_fusible(insn: Instruction) -> bool:
     return insn.is_alu and insn.op != isa.BPF_END
 
 
-@dataclass
-class SchedulerOptions:
-    enable_ilp: bool = True
-    enable_fusion: bool = True
-    max_fuse_chain: int = 2  # ops per combinational chain (footnote 1: keep Fmax)
-    max_row_width: Optional[int] = None  # None = unbounded (eHDL); 2 = hXDP-like
-    # Exclusive blocks share rows (the module docstring); False is the
-    # paper's one-block-per-row concatenation. Needs enable_ilp.
-    path_parallel: bool = True
-
-
 # Each reachable block's id and list schedule, in topological order.
 _BlockRows = List[Tuple[int, List[ScheduleRow]]]
 
@@ -174,7 +169,7 @@ def schedule_program(
     cfg: Cfg,
     ddg: Ddg,
     labels: ProgramLabels,
-    options: Optional[SchedulerOptions] = None,
+    options: CompileOptions,
     excluded: Optional[Set[int]] = None,
 ) -> Schedule:
     """List-schedule each reachable basic block and place the block
@@ -184,7 +179,6 @@ def schedule_program(
     ``excluded`` instructions (e.g. ctx loads realised at packet injection)
     are not scheduled; dependencies on them count as already satisfied.
     """
-    options = options or SchedulerOptions()
     excluded = excluded or set()
     program = cfg.program
     reachable = reachable_blocks(cfg)
@@ -229,7 +223,7 @@ def _place(
     related: Dict[int, int],
     domains: Dict[int, Optional[int]],
     atomic_fds: Dict[int, int],
-    options: SchedulerOptions,
+    options: CompileOptions,
     floors: Dict[Tuple[int, int], int],
 ) -> Tuple[List[ScheduleRow], Dict[Tuple[int, int], int]]:
     """Place the block schedules ASAP (the module docstring's rules).
@@ -363,7 +357,7 @@ def _schedule_block(
     program: Program,
     ddg: Ddg,
     indices: List[int],
-    options: SchedulerOptions,
+    options: CompileOptions,
 ) -> List[ScheduleRow]:
     """Greedy list scheduling of one block (see :class:`RowPacker`).
 
@@ -400,7 +394,7 @@ class RowPacker:
     short combinational chain. Helper calls and atomics own a fresh row.
     ``insns`` maps an op's key to its instruction."""
 
-    def __init__(self, insns, options: SchedulerOptions) -> None:
+    def __init__(self, insns, options: CompileOptions) -> None:
         self.insns = insns
         self.options = options
         self.rows: List[ScheduleRow] = []
@@ -430,7 +424,7 @@ class RowPacker:
                 others_ok
                 and deps[last_dep] == RAW
                 and _is_fusible(self.insns[last_dep])
-                and self.chain_len[last_dep] < options.max_fuse_chain
+                and self.chain_len[last_dep] < MAX_FUSE_CHAIN
                 and (
                     options.max_row_width is None
                     or rows[d_row].width < options.max_row_width

@@ -24,8 +24,8 @@ The rewrites preserve eBPF jump-offset (slot-based) encoding via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -36,7 +36,10 @@ from .ddg import Access, access_of, dependences
 from .labeling import ProgramLabels, Region, offset_states
 from .liveness import (_stack_effects, program_facts, reg_liveness, regs_read,
                        stack_liveness)
-from .scheduler import RowPacker, SchedulerOptions
+from .scheduler import RowPacker
+
+if TYPE_CHECKING:
+    from .compiler import CompileOptions
 
 
 class TransformError(ValueError):
@@ -326,7 +329,7 @@ _CALL_CLOBBERED = frozenset(range(isa.R1, isa.R5 + 1))
 
 
 def speculate(
-    program: Program, labels: ProgramLabels, options: SchedulerOptions,
+    program: Program, labels: ProgramLabels, options: CompileOptions,
 ) -> Tuple[Program, int, int]:
     """Hoist a branch arm's pure setup into the branch block above it.
 
@@ -488,7 +491,7 @@ class _Edits:
 
 
 def _hoist_into(program: Program, labels: ProgramLabels, cfg: Cfg, d: int,
-                arms: List[int], live: _Liveness, options: SchedulerOptions,
+                arms: List[int], live: _Liveness, options: CompileOptions,
                 edits: _Edits) -> bool:
     """Move what may move from ``arms`` into branch block ``d``; True if
     anything moved."""

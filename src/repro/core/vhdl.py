@@ -58,6 +58,7 @@ from ..ebpf.xdp import (
     XDP_MD_DATA, XDP_MD_DATA_END, XDP_MD_DATA_META, XDP_MD_EGRESS_IFINDEX,
     XDP_MD_INGRESS_IFINDEX, XDP_MD_RX_QUEUE_INDEX, AddressSpace, XdpContext,
 )
+from .framing import DEFAULT_DYNAMIC_ACCESS_DEPTH
 from .labeling import Region
 from .pipeline import PipeOp, Pipeline, Stage
 
@@ -148,7 +149,6 @@ def max_window_bytes(pipeline: Pipeline) -> int:
                 f"packet access at depth {static_need} behind a packet "
                 f"helper whose window is only {helper_cap} bytes"
             )
-        from .framing import DEFAULT_DYNAMIC_ACCESS_DEPTH
         wmax = max(wmax, min(ceil_frame(DEFAULT_DYNAMIC_ACCESS_DEPTH),
                              helper_cap))
     return wmax

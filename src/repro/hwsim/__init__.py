@@ -23,7 +23,7 @@ from .engines import (
     run_engine,
 )
 from .multi import MultiProgramNic, SlotResult, ethertype_classifier
-from .shell import NicSystem, ShellConfig
+from .shell import NicSystem
 from .sim import PipelineSimulator, SimError, SimOptions
 from .stats import PacketRecord, SimMetrics, SimReport, publish_report
 from .trace import CycleSnapshot, OccupancyTracer, render_occupancy
@@ -50,7 +50,6 @@ __all__ = [
     "NicSystem",
     "PacketRecord",
     "PipelineSimulator",
-    "ShellConfig",
     "SimError",
     "SimMetrics",
     "SimOptions",

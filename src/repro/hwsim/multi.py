@@ -27,7 +27,6 @@ from ..core.resources import (
     estimate_resources,
 )
 from ..ebpf.maps import MapSet
-from .shell import ShellConfig
 from .sim import PipelineSimulator, SimError, SimOptions
 from .stats import SimReport
 
@@ -71,14 +70,12 @@ class MultiProgramNic:
         pipelines: Sequence[Pipeline],
         classifier: Classifier,
         maps: Optional[Sequence[MapSet]] = None,
-        shell: Optional[ShellConfig] = None,
         engine: Optional[str] = None,
     ) -> None:
         if not pipelines:
             raise ValueError("need at least one pipeline")
         self.pipelines = list(pipelines)
         self.classifier = classifier
-        self.shell = shell or ShellConfig()
         if maps is None:
             maps = [MapSet(p.program.maps) for p in self.pipelines]
         if len(maps) != len(self.pipelines):
@@ -202,8 +199,7 @@ class MultiProgramNic:
         if sim is None:
             sim = PipelineSimulator(
                 self.pipelines[index], maps=self.maps[index],
-                options=SimOptions(clock_mhz=self.shell.clock_mhz,
-                                   keep_records=False, engine=self.engine),
+                options=SimOptions(keep_records=False, engine=self.engine),
             )
             self._sims[index] = sim
         return sim

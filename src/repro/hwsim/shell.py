@@ -20,7 +20,6 @@ helpers for the throughput experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ..ebpf.maps import MapSet
@@ -31,22 +30,10 @@ from .stats import SimReport
 LINE_RATE_GBPS = 100.0
 LINE_RATE_64B_MPPS = 148.8
 WIRE_OVERHEAD_BYTES = 24  # preamble + FCS + inter-frame gap
-
-
-@dataclass
-class ShellConfig:
-    """Constants of the Corundum integration."""
-
-    clock_mhz: float = 250.0
-    # One-way MAC/PHY/FIFO latency, charged twice (rx + tx). Calibrated so
-    # end-to-end latency sits near the paper's ~1 us for 20-110 stage
-    # pipelines.
-    mac_fifo_latency_ns: float = 420.0
-    input_queue_capacity: int = 4096
-
-    @property
-    def shell_latency_ns(self) -> float:
-        return 2 * self.mac_fifo_latency_ns
+# MAC/PHY/FIFO latency, 420 ns one way, charged twice (rx + tx).
+# Calibrated so end-to-end latency sits near the paper's ~1 us for
+# 20-110 stage pipelines.
+SHELL_LATENCY_NS = 2 * 420.0
 
 
 class NicSystem:
@@ -56,22 +43,16 @@ class NicSystem:
         self,
         pipeline: Pipeline,
         maps: Optional[MapSet] = None,
-        shell: Optional[ShellConfig] = None,
         keep_records: bool = True,
         engine: Optional[str] = None,
     ) -> None:
         self.pipeline = pipeline
-        self.shell = shell or ShellConfig()
         self.maps = maps if maps is not None else MapSet(pipeline.program.maps)
         self.sim = PipelineSimulator(
             pipeline,
             maps=self.maps,
-            options=SimOptions(
-                clock_mhz=self.shell.clock_mhz,
-                input_queue_capacity=self.shell.input_queue_capacity,
-                keep_records=keep_records,
-                engine=engine or SimOptions.engine,
-            ),
+            options=SimOptions(keep_records=keep_records,
+                               engine=engine or SimOptions.engine),
         )
 
     # -- experiments -----------------------------------------------------------
@@ -82,7 +63,7 @@ class NicSystem:
 
     def run_at_rate(self, frames: Iterable[bytes], offered_mpps: float) -> SimReport:
         """Offer frames at a fixed packet rate."""
-        cycles_per_packet = self.shell.clock_mhz / offered_mpps
+        cycles_per_packet = self.sim.options.clock_mhz / offered_mpps
         arrivals = (
             (int(i * cycles_per_packet), frame) for i, frame in enumerate(frames)
         )
@@ -94,7 +75,7 @@ class NicSystem:
         from ..net.flows import TrafficGenerator, TrafficSpec
 
         gen = TrafficGenerator(TrafficSpec(n_flows=1))
-        cycle_ns = 1000.0 / self.shell.clock_mhz
+        cycle_ns = 1000.0 / self.sim.options.clock_mhz
 
         def arrivals() -> Iterable[Tuple[int, bytes]]:
             for record in trace:
@@ -131,7 +112,7 @@ class NicSystem:
 
     def forwarding_latency_ns(self, report: SimReport) -> float:
         """Pipeline traversal + shell overhead: the Figure 9b metric."""
-        return report.latency_ns(self.shell.shell_latency_ns)
+        return report.latency_ns(SHELL_LATENCY_NS)
 
     def achieved_mpps(self, report: SimReport, offered_mpps: float) -> float:
         """Forwarded rate capped by what was offered (the generator-side

@@ -45,8 +45,8 @@ from ..ebpf.vm import alu_step, atomic_step, cmp_step
 from ..ebpf.xdp import AddressSpace, XdpAction, XdpContext
 from ..core.cfg import BasicBlock
 from ..core.labeling import Region
-from ..core.pipeline import (BankKey, Forwarding, PipeOp, Pipeline, Stage,
-                             StageKind)
+from ..core.pipeline import (RELOAD_OVERHEAD, BankKey, Forwarding, PipeOp,
+                             Pipeline, Stage, StageKind)
 from ..telemetry import get_registry
 from .stats import PacketRecord, SimMetrics, SimReport
 
@@ -57,7 +57,6 @@ class SimOptions:
 
     clock_mhz: float = 250.0
     input_queue_capacity: int = 4096
-    reload_overhead: int = 4  # cycles lost after a flush (Appendix A.1)
     max_cycles: int = 50_000_000
     keep_records: bool = True
     # Execution backend (see repro.hwsim.engines): "codegen" runs the
@@ -402,7 +401,6 @@ class PipelineSimulator:
         entry_block_id = self.pipeline.cfg.entry.block_id
         entry_checks = self.pipeline.entry_checks
         capacity = options.input_queue_capacity
-        reload_overhead = options.reload_overhead
         max_cycles = options.max_cycles
         keep_records = options.keep_records
         shift_range = range(n_stages - 1, 0, -1)
@@ -504,7 +502,7 @@ class PipelineSimulator:
                     slots[pos] = None
                     running = pkt
                     if enter(pkt, npos, barrier_queues, input_queue, report):
-                        reload_stall = max(reload_stall, reload_overhead)
+                        reload_stall = max(reload_stall, RELOAD_OVERHEAD)
 
                 # 3. release one packet from the deepest non-empty barrier queue
                 released = False
@@ -519,7 +517,7 @@ class PipelineSimulator:
                         pkt = running = queue.popleft()
                         if enter(pkt, stall_below + 1, barrier_queues,
                                  input_queue, report):
-                            reload_stall = max(reload_stall, reload_overhead)
+                            reload_stall = max(reload_stall, RELOAD_OVERHEAD)
                         released = True
 
                 # 4. inject from the input queue into stage 1
@@ -550,7 +548,7 @@ class PipelineSimulator:
                     if entry_fn is not None and not pkt.done:
                         entry_fn(self, pkt)
                     if enter(pkt, 1, barrier_queues, input_queue, report):
-                        reload_stall = max(reload_stall, reload_overhead)
+                        reload_stall = max(reload_stall, RELOAD_OVERHEAD)
                 running = None
 
                 if metrics is not None:

@@ -29,7 +29,7 @@ from .core.resources import ResourceEstimate, estimate_resources
 from .ebpf.asm import assemble_program
 from .ebpf.isa import Program
 from .ebpf.maps import Map, MapSet
-from .hwsim.shell import NicSystem, ShellConfig
+from .hwsim.shell import NicSystem
 from .hwsim.stats import SimReport
 
 ProgramLike = Union[Program, str, pathlib.Path]
@@ -112,13 +112,12 @@ class XdpOffload:
         self,
         program: ProgramLike,
         options: Optional[CompileOptions] = None,
-        shell: Optional[ShellConfig] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.program = self._resolve(program)
         self.pipeline: Pipeline = compile_program(self.program, options)
         self.maps = MapSet(self.program.maps)
-        self._nic = NicSystem(self.pipeline, maps=self.maps, shell=shell,
+        self._nic = NicSystem(self.pipeline, maps=self.maps,
                               keep_records=True, engine=engine)
         self._last_report: Optional[SimReport] = None
 
@@ -226,7 +225,7 @@ class XdpOffload:
             on_batch(self, index)
             index += 1
         if total is None:
-            total = SimReport(clock_mhz=self._nic.shell.clock_mhz,
+            total = SimReport(clock_mhz=self._nic.sim.options.clock_mhz,
                               n_stages=self.pipeline.n_stages)
         self._last_report = total
         return total

@@ -49,7 +49,6 @@ from ..core.pipeline import Pipeline
 from ..ebpf.isa import Program
 from ..ebpf.maps import MapError, MapSet
 from ..hwsim.multi import MultiProgramNic, ethertype_classifier
-from ..hwsim.shell import ShellConfig
 from ..telemetry import get_registry
 from .feeder import FeedSpec, Feeder
 from .protocol import OPS, PROTOCOL_VERSION
@@ -79,7 +78,6 @@ class ServeConfig:
     batch_size: int = 256
     compile_options: Any = None
     exit_when_drained: bool = True
-    shell: Optional[ShellConfig] = None
 
 
 @dataclass
@@ -236,7 +234,6 @@ class NicDaemon:
         self.nic = MultiProgramNic(
             pipelines,
             classifier=lambda frame: 0,  # replaced by _rebuild_classifier
-            shell=config.shell,
             engine=config.engine,
         )
         self._slots: List[SlotState] = []

@@ -17,7 +17,8 @@ from repro.core.vhdl import VhdlEmitError, emit_vhdl
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.maps import MapSet
 from repro.ebpf.xdp import XDP_MD_SIZE, XdpContext
-from repro.hwsim import NicSystem, ShellConfig
+from repro.hwsim import NicSystem
+from repro.hwsim.shell import SHELL_LATENCY_NS
 from repro.net.packet import ipv4, mac, udp_packet
 from repro.rtl import run_three_way
 
@@ -215,8 +216,12 @@ class TestNicShell:
         assert report.packets_dropped_queue == 0
 
     def test_shell_latency_constant(self):
-        cfg = ShellConfig()
-        assert cfg.shell_latency_ns == 2 * cfg.mac_fifo_latency_ns
+        # 420 ns of MAC/PHY/FIFO each way, on top of the pipeline
+        nic = self._system()
+        report = nic.run_at_line_rate([udp_packet(size=64)])
+        assert SHELL_LATENCY_NS == 840.0
+        assert nic.forwarding_latency_ns(report) == pytest.approx(
+            report.latency_ns(0.0) + 840.0)
 
 
 class TestReflash:

@@ -210,6 +210,19 @@ out:
         out = capsys.readouterr().out
         assert "cycle" in out and "p0" in out
 
+    def test_trace_takes_the_shared_traffic_path(self, capsys, monkeypatch):
+        # simulate's traffic flags and the app's default_setup: without
+        # its route, every router frame would take the FIB-miss path
+        from repro.apps import router
+
+        install, tables = router.default_setup, []
+        monkeypatch.setattr(router, "default_setup",
+                            lambda maps: (install(maps), tables.append(maps)))
+        assert main(["trace", "app:router", "--packets", "8", "--seed", "3",
+                     "--distribution", "zipf", "--cycles", "4"]) == 0
+        [maps] = tables
+        assert router.routed_count(maps) == 8
+
 
 # a counter read again after it was stored: the second read postdates
 # the store's elastic-buffer snapshot, so restarts from it are possible

@@ -13,7 +13,8 @@ from repro.core import (
     StageKind,
     compile_program,
 )
-from repro.core.framing import apply_framing, stage_packet_depth
+from repro.core.framing import DEFAULT_DYNAMIC_ACCESS_DEPTH, stage_packet_depth
+from repro.core.labeling import Region
 from repro.core.vhdl import VhdlEmitError, emit_vhdl
 from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
@@ -144,21 +145,20 @@ class TestOptions:
             compile_program(bad)
 
     def test_every_option_is_one_the_compiler_reads(self):
-        # every field perturbs cache_key; the simulator's clock and
-        # flush-reload cost live on SimOptions, the shell's on ShellConfig
+        # every field perturbs cache_key; the simulator's clock lives on
+        # SimOptions, and what the paper fixes is a module constant
         import dataclasses
 
         assert {f.name for f in dataclasses.fields(CompileOptions)} == {
-            "frame_size", "dynamic_access_depth", "enable_ilp",
-            "enable_fusion", "max_fuse_chain", "enable_pruning",
-            "elide_bounds_checks", "dead_code_elimination",
-            "elide_ctx_loads", "unroll_loops", "max_row_width",
-            "path_parallel",
+            "frame_size", "enable_ilp", "enable_fusion", "enable_pruning",
+            "elide_bounds_checks", "max_row_width", "path_parallel",
         }
         with pytest.raises(TypeError):
             CompileOptions(clock_mhz=250.0)
         with pytest.raises(TypeError):
             CompileOptions(flush_reload_overhead=4)
+        with pytest.raises(TypeError):
+            CompileOptions(dynamic_access_depth=128)
 
 
 class TestFraming:
@@ -224,10 +224,17 @@ class TestFraming:
             r0 = 2
             exit
         """
-        prog = assemble_program(source)
-        small = compile_program(prog, CompileOptions(dynamic_access_depth=64))
-        large = compile_program(prog, CompileOptions(dynamic_access_depth=512))
-        assert large.n_stages > small.n_stages
+        # a dynamic packet offset may reach the fixed worst-case depth
+        # (§4.2): its stage waits for every frame up to it
+        pipeline = compile_program(assemble_program(source),
+                                   CompileOptions(frame_size=32))
+        dynamic = [stage for stage in pipeline.stages if any(
+            op.label is not None and op.label.region is Region.PACKET
+            and op.label.offset is None for op in stage.ops)]
+        assert dynamic
+        for stage in dynamic:
+            assert stage_packet_depth(stage) == DEFAULT_DYNAMIC_ACCESS_DEPTH
+            assert stage.number >= DEFAULT_DYNAMIC_ACCESS_DEPTH // 32
 
 
 class TestHazardPlanning:

@@ -15,6 +15,8 @@ from repro.cli import load_program
 from repro.core import CompileOptions, compile_program
 from repro.ebpf.verifier import verify
 from repro.hwsim import SimOptions, run_differential
+from tests.cases import LAYOUTS
+from tests.test_matrix import ctx_stage_ops
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.ebpf"))
 
@@ -60,8 +62,11 @@ class TestCorpus:
         verify(program)
 
     def test_compiles(self, path):
-        pipeline = compile_program(load_program(str(path)))
-        assert pipeline.n_stages > 0
+        program = load_program(str(path))
+        assert compile_program(program).n_stages > 0
+        if path.stem == "head_tail_resize":  # re-reads ctx after a resize
+            for options in LAYOUTS.values():
+                assert ctx_stage_ops(compile_program(program, options)) == 2
 
     def test_pipeline_matches_vm(self, path):
         program = load_program(str(path))

@@ -42,14 +42,12 @@ class TestToyCounter:
             CompileOptions(enable_fusion=False),
             CompileOptions(enable_pruning=False),
             CompileOptions(elide_bounds_checks=False),
-            CompileOptions(dead_code_elimination=False),
-            CompileOptions(elide_ctx_loads=False),
             CompileOptions(frame_size=32),
             CompileOptions(max_row_width=2),
         ],
         ids=[
-            "no-ilp", "no-fusion", "no-pruning", "keep-bounds",
-            "no-dce", "no-ctx-elide", "frame32", "vliw2",
+            "no-ilp", "no-fusion", "no-pruning", "keep-bounds", "frame32",
+            "vliw2",
         ],
     )
     def test_all_compiler_option_corners(self, options):

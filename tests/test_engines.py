@@ -82,11 +82,13 @@ class TestRegistry:
         from repro.cli import main
 
         assert {f.name for f in dataclasses.fields(SimOptions)} == {
-            "clock_mhz", "input_queue_capacity", "reload_overhead",
-            "max_cycles", "keep_records", "engine",
+            "clock_mhz", "input_queue_capacity", "max_cycles",
+            "keep_records", "engine",
         }
         with pytest.raises(TypeError):
             SimOptions(workers=2)
+        with pytest.raises(TypeError):
+            SimOptions(reload_overhead=4)
         with pytest.raises(SystemExit) as exc:
             main(["run", "app:firewall", "--workers", "2"])
         assert exc.value.code == 2

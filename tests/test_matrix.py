@@ -38,6 +38,7 @@ import functools
 import pytest
 
 from repro.core.compiler import compile_program
+from repro.core.labeling import Region
 from repro.hwsim import FROZEN_CLOCK_MHZ, SimOptions, run_differential
 from repro.hwsim.codegen import write_debug_source
 from repro.hwsim.engines import pipeline_engine_names
@@ -50,6 +51,14 @@ CELLS = (["interpreted-codegen"]
             for spaced in ("", "-spaced")]
          + [f"three-way-{e}" for e in RTL_ENGINES])
 _FROZEN = SimOptions(clock_mhz=FROZEN_CLOCK_MHZ)
+# Cases that load from ctx past the entry block (whose ctx loads are
+# entry ops): two ctx loads in a stage each, on every engine.
+CTX_IN_A_STAGE = {"nat64", "tunnel", "vxlan_term"}
+
+
+def ctx_stage_ops(pipeline):
+    return sum(1 for stage in pipeline.stages for op in stage.ops
+               if op.label is not None and op.label.region is Region.CTX)
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,6 +91,8 @@ def run_cell(case, layout, cell):
 def check_cell(case, layout, cell):
     """Run one cell and hold it to :func:`compare_runs` and to the
     case's flush claim (a raise is not cached: only a pass is kept)."""
+    if case in CTX_IN_A_STAGE:
+        assert ctx_stage_ops(compiled(case, layout)[1]) == 2
     result = run_cell(case, layout, cell)
     if not result.ok and cell == "interpreted-codegen":
         path = write_debug_source(compiled(case, layout)[1], "codegen-debug")

@@ -182,7 +182,7 @@ class TestRandomProgramEquivalence:
     def test_pipeline_matches_vm_without_optimisations(self, prog, frames):
         options = CompileOptions(
             enable_ilp=False, enable_fusion=False, enable_pruning=False,
-            elide_bounds_checks=False, dead_code_elimination=False,
+            elide_bounds_checks=False,
         )
         run_differential(prog, frames, compile_options=options).raise_on_mismatch()
 

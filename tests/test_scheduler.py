@@ -5,7 +5,8 @@ import pytest
 from repro.core.cfg import build_cfg
 from repro.core.ddg import RAW, WAR, WAW, build_ddg, critical_path_length
 from repro.core.labeling import label_program
-from repro.core.scheduler import SchedulerOptions, schedule_program
+from repro.core.compiler import CompileOptions
+from repro.core.scheduler import schedule_program
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 
@@ -15,7 +16,7 @@ def schedule_src(source: str, maps=None, **opts):
     labels = label_program(prog)
     cfg = build_cfg(prog)
     ddg = build_ddg(cfg, labels)
-    return schedule_program(cfg, ddg, labels, SchedulerOptions(**opts))
+    return schedule_program(cfg, ddg, labels, CompileOptions(**opts))
 
 
 class TestDdg:
@@ -115,10 +116,8 @@ class TestParallelism:
         assert plain.row_of(1) > plain.row_of(0)
 
     def test_fusion_chain_limit(self):
-        # 4-deep chain with limit 2: needs at least 2 rows
-        sched = schedule_src(
-            "r1 = 1\nr1 += 1\nr1 += 1\nr1 += 1\nr0 = 2\nexit", max_fuse_chain=2
-        )
+        # 4-deep chain with MAX_FUSE_CHAIN 2: needs at least 2 rows
+        sched = schedule_src("r1 = 1\nr1 += 1\nr1 += 1\nr1 += 1\nr0 = 2\nexit")
         chain_rows = [r for r in sched.rows if 0 in r.ops or 1 in r.ops
                       or 2 in r.ops or 3 in r.ops]
         assert len(chain_rows) >= 2

@@ -9,11 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from repro import apps
 from repro.cli import load_program
 from repro.core.cfg import build_cfg
-from repro.core.compiler import compile_program
+from repro.core.compiler import CompileOptions, compile_program
 from repro.core.labeling import label_program
 from repro.core.liveness import reg_liveness
 from repro.core.loops import unroll_loops
-from repro.core.scheduler import SchedulerOptions
 from repro.core.transform import (
     TransformError,
     dead_code_elimination,
@@ -336,7 +335,7 @@ miss:
 def _speculate(source, maps=LRU):
     program = assemble_program(source, maps=maps)
     new, moved, renamed = speculate(program, label_program(program),
-                                    SchedulerOptions())
+                                    CompileOptions())
     return program, new, moved, renamed
 
 
@@ -652,7 +651,7 @@ class TestSpeculation:
             "m": MapSpec("m", "hash", key_size=4, value_size=8,
                          max_entries=16)})
         new, moved, renamed = speculate(
-            program, label_program(program), SchedulerOptions())
+            program, label_program(program), CompileOptions())
         assert new is program and (moved, renamed) == (0, 0)
         with_pass = digests()
         monkeypatch.setattr(compiler, "speculate",
