@@ -52,12 +52,11 @@ def _measure(n_flows: int):
     predicted_p = zipf_flush_probability(worst.L, n_flows)
     return {
         "L": worst.L,
-        "K": worst.write_stage - 1 + 4,
+        "K": worst.K(),
         "measured_p": measured_p,
         "predicted_p": predicted_p,
         "measured_mpps": report.throughput_mpps,
-        "predicted_mpps": pipeline_throughput(worst.write_stage - 1 + 4,
-                                              predicted_p),
+        "predicted_mpps": pipeline_throughput(worst.K(), predicted_p),
     }
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.hazards import live_flush_blocks
-from ..core.pipeline import RELOAD_OVERHEAD, Pipeline
+from ..core.pipeline import Pipeline
 
 THEORETICAL_MPPS = 250.0  # one packet per cycle at 250 MHz
 LINE_RATE_MPPS = 148.8  # 100 Gbps of minimum-size frames
@@ -129,9 +129,10 @@ def analyze_pipeline(
     blocks, then apply the analytical model at ``n_flows`` flows.
 
     Follows the appendix's convention: the dominant hazard is the one
-    with the largest window L; K spans the pipeline prefix up to the
-    hazard plus the reload overhead. Only flush blocks that can fire
-    count: one inside a serialization window never does.
+    with the largest window L; K is its flush block's (``FlushBlock.K``:
+    the pipeline prefix the cycle loop squashes behind the writer plus
+    the reload overhead). Only flush blocks that can fire count: one
+    inside a serialization window never does.
     """
     blocks = live_flush_blocks(pipeline.map_hazards)
     if not blocks:
@@ -140,8 +141,7 @@ def analyze_pipeline(
         return FlushAnalysis(pipeline.name, None, None, n_flows, None, None,
                              windowed)
     worst = max(blocks, key=lambda fb: fb.L)
-    L = worst.L
-    K = worst.write_stage - 1 + RELOAD_OVERHEAD
+    L, K = worst.L, worst.K()
     if distribution == "zipf":
         p = zipf_flush_probability(L, n_flows)
     elif distribution == "uniform":

@@ -9,7 +9,8 @@ the stage-level passes then project onto pipeline boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from ..ebpf import isa
 from ..ebpf.helpers import helper_spec
@@ -69,11 +70,24 @@ def regs_read(insn: Instruction) -> Tuple[int, ...]:
 
 
 def reg_liveness(
-    program: Program,
+    program: Program, reads: Optional[Sequence[int]] = None,
+    only_writes: Optional[Dict[int, int]] = None,
 ) -> Tuple[List[FrozenSet[int]], List[FrozenSet[int]]]:
-    """Per-instruction (live_in, live_out) register sets."""
+    """Per-instruction (live_in, live_out) register sets.
+
+    ``reads`` replaces the instructions' read masks (bit r: reads
+    register r) where a consumer executes fewer or other reads than the
+    ISA states — the codegen engine's ``_stream``, which folds pointers
+    into offsets and map operands into stack slices. The writes stay the
+    ISA's. ``only_writes`` maps an instruction whose one effect is to
+    write a register to that register: its reads count only where the
+    register is live after it (strong liveness: a store no read takes
+    keeps nothing alive, so a chain of them dies at once)."""
     n = len(program.instructions)
     succs, gen, writes, forward = program_facts(program)
+    if reads is not None:
+        gen = reads
+    only_writes = only_writes or {}
     # Bitmask dataflow: bit r is register r. When every edge goes
     # forward, one reverse sweep is the fixpoint.
     live_in = [0] * n
@@ -85,7 +99,9 @@ def reg_liveness(
             out = 0
             for s in succs[index]:
                 out |= live_in[s]
-            new_in = gen[index] | (out & ~writes[index])
+            dst = only_writes.get(index)
+            used = dst is None or out >> dst & 1
+            new_in = (gen[index] if used else 0) | (out & ~writes[index])
             if out != live_out[index] or new_in != live_in[index]:
                 live_out[index] = out
                 live_in[index] = new_in

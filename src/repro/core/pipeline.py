@@ -118,8 +118,13 @@ class FlushBlock:
 
     ``read_stage``/``write_stage`` are 1-based stage numbers; ``L`` is the
     distance between them (the hazard window of Appendix A.1) and ``K``
-    the number of stages squashed on a flush (pipeline start → read stage,
-    plus the :data:`RELOAD_OVERHEAD` the appendix charges)."""
+    the cycles a flush costs, Eq. 2's K: the stages the cycle loop
+    squashes when the packet right behind the writer is the victim,
+    plus the :data:`RELOAD_OVERHEAD` the appendix charges. The writer
+    commits as it enters ``write_stage``; shifting deepest first, the
+    packet right behind it has not yet left ``write_stage - 2``, so
+    stages 1 .. ``write_stage - 2`` restart. The one definition:
+    ``repro stats`` prints it and ``analysis.flush_model`` reads it."""
 
     map_fd: int
     read_stage: int
@@ -130,7 +135,7 @@ class FlushBlock:
         return self.write_stage - self.read_stage
 
     def K(self) -> int:
-        return self.read_stage + RELOAD_OVERHEAD
+        return self.write_stage - 2 + RELOAD_OVERHEAD
 
 
 @dataclass(frozen=True)

@@ -295,17 +295,23 @@ class LruHashMap(Map):
         self._free: List[List[int]] = [[] for _ in range(spec.banks)]
         self._fresh = list(range(0, spec.max_entries, self.bank_entries))
 
-    def _find(self, key: bytes) -> Optional[int]:
-        banks = self.banks
-        directory = self._dirs[bank_of(key, banks) if banks > 1 else 0]
+    # ``bank``, where given, is ``bank_of(key, banks)`` as the caller
+    # already computed it (the codegen engine's ``_stream`` hashes a
+    # packet's key once for its window lane and both requests).
+
+    def _find(self, key: bytes, bank: Optional[int] = None) -> Optional[int]:
+        if bank is None:
+            bank = bank_of(key, self.banks) if self.banks > 1 else 0
+        directory = self._dirs[bank]
         slot = directory.get(key)
         if slot is not None:
             directory.move_to_end(key)
         return slot
 
-    def _update(self, key: bytes, value: bytes, flags: int) -> int:
-        banks = self.banks
-        bank = bank_of(key, banks) if banks > 1 else 0
+    def _update(self, key: bytes, value: bytes, flags: int,
+                bank: Optional[int] = None) -> int:
+        if bank is None:
+            bank = bank_of(key, self.banks) if self.banks > 1 else 0
         directory = self._dirs[bank]
         slot = directory.get(key)
         if slot is None and len(directory) >= self.bank_entries:

@@ -84,10 +84,38 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 * **once per frame**: the timing head (``max_cycles``, or the window's
   queue drops and injection cycle), then the reset of what ops can observe —
   ``_b = _c.packet = frame`` (copied only if some op can write it), the
-  stack atoms, the eBPF registers, which are the Python locals ``r0``
-  … ``r10``, and the block-enable flags ``_e<block>``, all 0 / False
-  (the VM's stack starts zeroed); ``stack`` itself only where some site
-  reaches it by address;
+  stack atoms and the block-enable flags ``_e<block>``, all 0 / False
+  (the VM's stack starts zeroed), and the eBPF registers — the Python
+  locals ``r0`` … ``r10`` — that a read may take before any store (r1
+  the context, r10 the stack top, any other 0: see *the registers*);
+  ``stack`` itself only where some site reaches it by address;
+* **the registers**: the body renders a register store only where a
+  read it renders takes the value. ``core.liveness.reg_liveness`` runs
+  over the reads the rendering performs (``_stream_reads``), not the
+  ones the ISA states: a load or store folded to a stack atom or a
+  ``_b`` / ``_c`` offset reads no pointer, a folded map request reads
+  no map or key pointer (its fd is folded, its key and value are stack
+  atoms), a helper reads r1..r<nargs> (``HelperSpec.nargs``; it is
+  passed 0 for the rest), a spill site the registers it spills, and an
+  exit whose r0 its own block set to a constant reads none — that
+  verdict is a local bound once per run (``_PASS = _ACTIONS[2]``). A
+  store left out reads nothing either (strong liveness:
+  ``reg_liveness``'s ``only_writes``), so a chain of them dies at once.
+  Gone with it: the caller-saved scrub after
+  a call (``r1 = r2 = r3 = r4 = r5 = 0``, which the verifier makes
+  unobservable: it marks r1-r5 uninitialised after a call and rejects
+  reading one), the map and key pointers of folded requests, the
+  ``r6 = data`` pointer where every read of it is folded, and the
+  per-frame zeroing of registers written before every read. That is
+  sound by definite assignment: every local a rendered path reads is
+  assigned on that path. A register read is live there; walking the
+  path back, liveness carries it to the last instruction that writes
+  it, whose store is then live and rendered (a call renders the
+  clobbered registers still live, normally none), or to the entry,
+  whose live registers each frame initialises. So a read never takes
+  another frame's value or an unbound local. Arity is part of the
+  rule: passing r1..r5 to a helper of fewer arguments would read
+  registers no store on the path wrote;
 * **the stack atoms**: as the emitted VHDL has no stack memory — the
   verifier gives every stack access a static offset, and a slot is a
   slice of the state vector — the stack bytes the body addresses
@@ -101,7 +129,11 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   (``_pk_<format>``, bound in the prologue). A slice read more than
   once is packed into ``_sb<byte>_<size>`` and reused wherever every
   path to it packed it with no store to its atoms since — ct_firewall's
-  key feeds the lookup, the update and the window's bank;
+  key feeds the lookup, the update and the window's bank. A banked
+  window's lane key is hashed where it is packed (``_bk =
+  _bank_of(...)``) and the bank rides with it: the LRU cores take it
+  (``_lk<fd>(KEY, _bk)``, ``_up<fd>(KEY, VALUE, FLAGS, _bk)``) and the
+  timing reads it, one CRC a packet;
 * **the packet body**: one ``while True:`` block executed once. Entry
   length checks, entry ops and every block's ops (blocks in topological
   order, each in stage order) follow each other flat; consecutive ops
@@ -175,6 +207,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from ..core.cfg import BasicBlock
 from ..core.hazards import in_window
 from ..core.labeling import Region
+from ..core.liveness import program_facts, reg_liveness
 from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Release,
                              Stage, StageKind)
 from ..ebpf import isa
@@ -235,7 +268,12 @@ from ..telemetry import get_registry
 # v16: _stream keeps the statically addressed stack bytes in locals (the
 #     stack atoms), zeroed per frame and spilled to pkt.stack only
 #     around a site that reaches it by address; a delete is one request.
-CODEGEN_VERSION = 16
+# v17: _stream renders only the register stores some rendered read takes
+#     (no caller-saved scrub, no per-frame zeroing of registers written
+#     before every read, no map or key pointer of a folded request), a
+#     helper its arguments only, a constant verdict as a bound action;
+#     the window's banked lane is hashed once, where its key is packed.
+CODEGEN_VERSION = 17
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
@@ -473,6 +511,17 @@ class _Emitter:
         self.avail: set = set()
         self.stack_spills = False
         self.slice_packs: Dict[str, str] = {}
+        # _stream's registers (see _stream_liveness): per instruction, the
+        # registers some rendered read may still take from it — a store
+        # to any other is not rendered; None outside _stream. The
+        # verdicts its constant exits leave, each bound once per run.
+        self.live_out: Optional[List[FrozenSet[int]]] = None
+        self.dead_stores: set = set()  # the _pure ops _stream leaves out
+        self.verdicts: set = set()
+        # The window's banked lane — its map fd, key slice, bank count —
+        # while the body computes ``_bk`` once where it packs that key
+        # for the map's requests (_atom_bytes), else None.
+        self.lane_bank: Optional[Tuple[int, Tuple[int, int], int]] = None
 
     # -- shared sub-emitters -------------------------------------------------
 
@@ -551,7 +600,22 @@ class _Emitter:
         if (start, size) in self.avail:
             return [], local
         self.avail.add((start, size))
-        return [f"{local} = {packed}"], local
+        lines = [f"{local} = {packed}"]
+        if self.lane_bank is not None and self.lane_bank[1] == (start, size):
+            # the window's lane key: its bank rides with it
+            self.uses_bank = True
+            lines.append(f"_bk = _bank_of({local}, {self.lane_bank[2]})")
+        return lines, local
+
+    def _bank_arg(self, fd: int, piece: Tuple[int, int]) -> str:
+        """``, _bk`` where a request on map ``fd`` keyed by the stack
+        slice ``piece`` is keyed by the window's banked lane, whose bank
+        ``_atom_bytes`` computed where it packed the key: the LRU cores
+        then hash no key of their own."""
+        if (self.lane_bank is not None and self.lane_bank[:2] == (fd, piece)
+                and piece in self.bound):
+            return ", _bk"
+        return ""
 
     def _stack_out(self) -> List[str]:
         """Before a site that reaches ``stack`` by address: every atom
@@ -867,15 +931,15 @@ class _Emitter:
         ``val``, which is ``raw`` cut to ``size`` bytes. Emits the dead
         _se slot when a flush epilogue follows: direct stack and packet
         stores are never map side effects."""
+        if not self._store_folds(label, size):
+            return None
         pre = ["_se = None"] if flush else []
         if label.region is Region.STACK:
             idx = self._stack_index(label.offset, size)
-            if idx is None:
-                return None
             return pre + (self._atom_store(idx, size, raw, val)
                           if self.stream else
                           [f"{self._pack(size)}({self._stack}, {idx}, {val})"])
-        if label.region is Region.PACKET and label.offset >= 0:
+        if label.region is Region.PACKET:
             off = label.offset
             if off + size <= self.pkt_min_len:
                 return pre + [
@@ -884,7 +948,16 @@ class _Emitter:
             return pre + self._bind_packet() + self._drop_if(
                 f"len(_b) < {off + size}",
                 [f"{self._pack(size)}(_b, {off}, {val})"])
-        return None
+
+    def _store_folds(self, label, size: int) -> bool:
+        """Whether ``_const_store`` folds a store the verifier labelled
+        ``label``: one at a constant offset in the stack or past the
+        frame's data pointer."""
+        if label is None or label.offset is None:
+            return False
+        if label.region is Region.STACK:
+            return self._stack_index(label.offset, size) is not None
+        return label.region is Region.PACKET and label.offset >= 0
 
     def _ld_lines(self, insn) -> List[str]:
         if insn.src == isa.BPF_PSEUDO_MAP_FD:
@@ -955,6 +1028,7 @@ class _Emitter:
         writes = ({isa.R0} if cmpxchg else
                   {insn.src} if fetch or insn.imm == isa.ATOMIC_XCHG
                   else set())
+        writes = {n for n in writes if self._keeps(op, n)}
 
         new = {
             isa.ATOMIC_ADD: f"(_old + _sv) & {smask}",
@@ -982,7 +1056,7 @@ class _Emitter:
                 # a register already fits 8 bytes (the invariant)
                 f"_sv = {src}" if size == 8 else f"_sv = {src} & {smask}",
                 f"{pack}({buf}, _o, {new})",
-            ] + ([f"{src} = _old"] if fetch else [])
+            ] + ([f"{src} = _old"] if insn.src in writes else [])
             + ([f'_se = ("atomic", {mapped.map_fd})'] if flush else []),
             # stack/packet atomics keep the interpreted path ...
             self._fallback_call(f"sim._atomic(pkt, {iname}, _a)",
@@ -996,7 +1070,6 @@ class _Emitter:
         """Helper-call body."""
         helper_id = op.insn.imm
         R = self._reg
-        scrub = f"{R(1)} = {R(2)} = {R(3)} = {R(4)} = {R(5)} = 0"
         try:
             spec = helper_spec(helper_id)
         except HelperError:
@@ -1008,13 +1081,22 @@ class _Emitter:
             self.pkt_writes = True
         if helper_id in REDIRECT_HELPERS:
             self.redirects = True
+        # The caller-saved registers a call clobbers: the cycle loop
+        # zeroes them all, _stream those some rendered read still takes
+        # (the verifier lets no program read one before writing it, so
+        # only a conservative spill ever does).
+        clobbered = [R(n) for n in range(isa.R1, isa.R5 + 1)
+                     if self._keeps(op, n)]
+        scrub = [" = ".join(clobbered) + " = 0"] if clobbered else []
 
         if spec.map_channel:
-            return self._map_call(op, flush) + [scrub]
+            return self._map_call(op, flush) + scrub
         if helper_id == _REDIRECT_HELPER:
             # bpf_redirect: the helper's own two steps
-            return [f"{self._ctx}.redirect_ifindex = {R(1)} & {_M32}",
-                    f"{R(0)} = {_REDIRECT}", scrub]
+            verdict = ([f"{R(0)} = {_REDIRECT}"]
+                       if self._keeps(op, isa.R0) else [])
+            return ([f"{self._ctx}.redirect_ifindex = {R(1)} & {_M32}"]
+                    + verdict + scrub)
 
         # Non-map helper: shared VM implementation via the duck-typed
         # execution context — per packet in the cycle loop, one for the
@@ -1029,11 +1111,14 @@ class _Emitter:
         # stack through _hc (no helper writes it)
         if self.stream and spec.reads_stack:
             clock = self._stack_out() + clock
-        return clock + [
-            f"{R(0)} = {hname}({context}, {R(1)}, {R(2)}, {R(3)}, "
-            f"{R(4)}, {R(5)}) & {_M64}",
-            scrub,
-        ]
+        # _stream passes the helper its arguments only: a register past
+        # its arity may hold nothing this packet wrote
+        args = ", ".join(R(n) if n in self._arity(helper_id)
+                         or not self.stream else "0"
+                         for n in range(isa.R1, isa.R5 + 1))
+        call = f"{hname}({context}, {args})"
+        return clock + [f"{R(0)} = {call} & {_M64}"
+                        if self._keeps(op, isa.R0) else call] + scrub
 
     def _clock_lines(self, stage: int) -> List[str]:
         """Set ``_hc``'s clock to the cycle the stream's packet enters
@@ -1077,28 +1162,37 @@ class _Emitter:
         info = op.call
         fd = info.map_fd if info is not None else None
         spec = self._bound_spec(fd) if self.stream else None
+        r0 = self._keeps(op, isa.R0)
         if helper_id in (BPF_MAP_UPDATE_ELEM, BPF_MAP_DELETE_ELEM):
             self.writes += 1
             out = None if spec is None else self._write_lines(
-                helper_id, fd, info, spec)
+                helper_id, fd, info, spec, r0)
             self.folded_writes += out is not None
         else:
             self.lookups += 1
             out = (None if fd is None or (self.stream and spec is None)
-                   else self._read_lines(helper_id, fd, info, spec))
+                   else self._read_lines(helper_id, fd, info, spec, r0))
             self.folded_lookups += out is not None
         if out is None:
-            # the channel reads its key and value by address
+            # the channel reads its key and value by address, and its
+            # operands in r1..r<nargs>
             return self._spilled(None, self._fallback_call(
                 f"sim._map_channel_call(pkt, {helper_id})",
-                reads=(1, 2, 3, 4), writes=(0,), flush=flush), writes=False)
+                reads=self._arity(helper_id), writes=(isa.R0,) if r0 else (),
+                flush=flush), writes=False)
         return out
 
+    @staticmethod
+    def _arity(helper_id: int) -> range:
+        """The argument registers of a helper: r1..r<nargs>."""
+        return range(isa.R1, isa.R1 + helper_spec(helper_id).nargs)
+
     def _read_lines(self, helper_id: int, fd: int, info,
-                    spec) -> List[str]:
+                    spec, r0: bool) -> List[str]:
         """A lookup or ``redirect_map`` of map ``fd`` (see ``_map_call``):
         on the run-bound map in ``_stream``, on ``sim.maps``' entry as
-        found in the cycle loop."""
+        found in the cycle loop. ``r0``: whether a lookup's result is
+        stored (a redirect's always is)."""
         if self.stream:
             bpf_map, lookup = f"_m{fd}", f"_lk{fd}"
             ks, vs = spec.key_size, spec.value_size
@@ -1110,7 +1204,8 @@ class _Emitter:
         track = [f"pkt.addr_reads.setdefault({fd}, []).append((_k, _sl))"
                  ] if self.maintain else []
         if helper_id == BPF_MAP_LOOKUP_ELEM:
-            out = self._lookup_lines(fd, info, spec, lookup, ks, vs, track)
+            out = self._lookup_lines(fd, info, spec, lookup, ks, vs, track,
+                                     r0)
         else:
             out = self._redirect_lines(spec, bpf_map, lookup, ks, track)
         if self.stream:
@@ -1119,7 +1214,7 @@ class _Emitter:
                 + self._drop_if("_m is None", out))
 
     def _write_lines(self, helper_id: int, fd: int, info,
-                     spec) -> Optional[List[str]]:
+                     spec, r0: bool) -> Optional[List[str]]:
         """An update or delete of the run-bound map ``fd`` whose key —
         and an update's value — the verifier placed in a static stack
         slice (the operands ``core/vhdl.py`` wires to the map's channel),
@@ -1128,7 +1223,8 @@ class _Emitter:
         slices are the map's own key and value sizes, so the size checks
         cannot fire, and nothing here drops — no spill, no ``pkt.done``
         test. A ``MapError`` (a full hash map, a flag refused, an array
-        index out of range or deleted) leaves -1 in r0."""
+        index out of range or deleted) leaves -1 in r0 — where ``r0``
+        says a read takes it."""
         R = self._reg
         slices = self._stack_operands(helper_id, info, spec)
         if slices is None:
@@ -1137,14 +1233,19 @@ class _Emitter:
         if helper_id == BPF_MAP_UPDATE_ELEM:
             more, value = self._atom_bytes(*slices[1])
             pack += more
-            write = [f"_up{fd}({key}, {value}, {R(4)} & 0x3)", f"{R(0)} = 0"]
+            bank = self._bank_arg(fd, slices[0])
+            write = [f"_up{fd}({key}, {value}, {R(4)} & 0x3{bank})"]
+            if r0:
+                write.append(f"{R(0)} = 0")
         else:
             # channel_step's lookup ahead of the delete only names the
             # slot the flush checks want; the stream has none
-            write = [f"{R(0)} = 0 if _m{fd}.delete({key}) else {_M64}"]
+            delete = f"_m{fd}.delete({key})"
+            write = [f"{R(0)} = 0 if {delete} else {_M64}" if r0 else delete]
         self.uses_map_error = True
         return (pack + ["try:"] + _ind(write)
-                + ["except MapError:", f"    {R(0)} = {_M64}"])
+                + ["except MapError:",
+                   f"    {R(0)} = {_M64}" if r0 else "    pass"])
 
     def _stack_operands(self, helper_id: int, info,
                         spec) -> Optional[List[Tuple[int, int]]]:
@@ -1174,10 +1275,12 @@ class _Emitter:
         return _STK_SZ + offset
 
     def _lookup_lines(self, fd: int, info, spec, lookup: str, ks, vs,
-                      track: List[str]) -> List[str]:
+                      track: List[str], r0: bool) -> List[str]:
         """``bpf_map_lookup_elem`` of map ``fd`` (see ``_map_call``):
         ``ks`` / ``vs`` are literals where ``spec`` is known, else
-        expressions on the map as found."""
+        expressions on the map as found. Where no read takes the
+        result (``r0``), a hash lookup only moves the key up the
+        recency order, and an array lookup is nothing."""
         R = self._reg
         base = hex(AddressSpace.map_value_addr(fd, 0))
         array = spec is not None and spec.map_type in _ARRAYS
@@ -1189,6 +1292,7 @@ class _Emitter:
             read = None
             pack, key = ([], "") if array else self._atom_bytes(idx, ks)
             index = self._atom_int(idx, ks) if array else ""
+            bank = self._bank_arg(fd, (idx, ks))
         else:
             room = f"{_STK_SZ} - {ks}" if spec is None else _STK_SZ - ks
             read = [
@@ -1200,19 +1304,20 @@ class _Emitter:
                 f"    _k = sim._read_plain(pkt, _a, {ks})",
             ]
             pack, index, key = [], 'int.from_bytes(_k, "little")', "_k"
+            bank = ""
         if array:
             # ArrayMap.lookup_slot: key_size is 4 by construction
             out = [
                 f"_ix = {index}",
                 f"{R(0)} = {base} + _ix * {vs} if _ix < {spec.max_entries} "
                 "else 0",
-            ]
+            ] if r0 else []
         else:
             # value_addr folded: directory slots are in range by
             # construction, so it is just slot * value_size.
-            out = pack + [f"_sl = {lookup}({key})"] + track + [
+            out = pack + [f"_sl = {lookup}({key}{bank})"] + track + ([
                 f"{R(0)} = 0 if _sl is None else {base} + _sl * {vs}",
-            ]
+            ] if r0 else [])
         if read is None:
             return out
         # the key is read by address
@@ -1284,7 +1389,7 @@ class _Emitter:
         )
 
         if cls in (isa.BPF_ALU64, isa.BPF_ALU):
-            out = _specialised(
+            out = [] if self._dead_store(op) else _specialised(
                 alu_source(insn, self._reg), insn, stage_number)
             # ALU ops never set done: successor enabling needs no done
             # re-check.
@@ -1292,7 +1397,7 @@ class _Emitter:
             return out, False
 
         if cls == isa.BPF_LDX:
-            out = self._ldx_lines(op)
+            out = [] if self._dead_store(op) else self._ldx_lines(op)
             # Fully folded loads (constant stack offset, packet offset
             # under the entry threshold, ctx field) have no drop path:
             # no sim._* call appears, so done needs no re-check.
@@ -1301,7 +1406,7 @@ class _Emitter:
             return out, sets_done
 
         if cls == isa.BPF_LD:
-            out = self._ld_lines(insn)
+            out = [] if self._dead_store(op) else self._ld_lines(insn)
             self._enable_after(out, block, False)
             return out, False
 
@@ -1321,6 +1426,9 @@ class _Emitter:
                 self.uses_actions = True
                 verdict = f"_ACTIONS.get({self._reg(0)} & {_M32}, _ABORTED)"
                 if self.stream:
+                    constant = self._verdict(op)
+                    if constant is not None:
+                        verdict = self._action_name(constant)
                     return [f"_act = {verdict}", "break"], True
                 return ["pkt.done = True", f"pkt.action = {verdict}"], True
             if insn.is_call:
@@ -1465,10 +1573,12 @@ class _Emitter:
             self.uses_bank = True
             frees = [f"_free = [0] * {bank.banks}",
                      "_exit = _drops = _tot = _pip = 0"]
-            wait = pack + [f"_bk = _bank_of({key}, {bank.banks})",
-                           "if _free[_bk] > _went:",
-                           "    _went = _free[_bk]",
-                           f"_free[_bk] = _went + {after}"]
+            # a lane key the body packed comes with its bank (_atom_bytes)
+            hashed = [] if key.startswith("_sb") else [
+                f"_bk = _bank_of({key}, {bank.banks})"]
+            wait = pack + hashed + ["if _free[_bk] > _went:",
+                                    "    _went = _free[_bk]",
+                                    f"_free[_bk] = _went + {after}"]
         else:
             # per key, the cycle its last holder frees it (leaves the
             # window, or is its release in); _held queues
@@ -1560,11 +1670,16 @@ class _Emitter:
         placed = self._stream_placed()
         bank = windows[0][3] if windows else None
         self._stack_atoms(placed, bank)
+        if bank is not None and not bank.keyed:
+            self.lane_bank = (bank.map_fd, (_STK_SZ + bank.offset, bank.size),
+                              bank.banks)
         try:
+            entry_live = self._stream_liveness(placed)
             ops, exits, avail_out = self._stream_ops(placed)
         finally:
             self.stream = False
             self.any_flush, self.maintain = hazard_modes
+            self.live_out, self.dead_stores = None, set()
         named = _idents(ops)
         if windows:
             (lo, hi, holders, bank, forward), = windows
@@ -1575,6 +1690,7 @@ class _Emitter:
                 lane = (([], self._atom_int(start, bank.size))
                         if bank.keyed and bank.size in _STRUCT_FMT
                         else self._atom_bytes(start, bank.size))
+            self.lane_bank = None
             # The entry block's flag is constant: every packet holds. A
             # holder all of whose predecessors hold is enabled only after
             # one of them, so the others' flags decide.
@@ -1627,7 +1743,6 @@ class _Emitter:
                     else "_find"))
             if update in named:
                 out.append(f"{update} = {handle}._update")
-        out += ["_cnt = {}", "_recs = report.records", "for frame in frames:"]
 
         # -- once per frame ----------------------------------------------------
         blk: List[str] = list(timing.head)
@@ -1652,9 +1767,12 @@ class _Emitter:
         if self.atoms:
             blk.append(" = ".join(f"_s{at}" for at in sorted(self.atoms))
                        + " = 0")
+        # A register starts as the VM starts it (r1 the context, r10
+        # the stack top, the rest 0) only where a rendered read may take
+        # that value: the others are assigned before every read.
         init = {isa.R1: AddressSpace.CTX_BASE,
                 isa.R10: AddressSpace.stack_top()}
-        used = [n for n in range(isa.NUM_REGS) if f"r{n}" in named]
+        used = sorted(entry_live)
         zeroed = [f"r{n}" for n in used if n not in init]
         if zeroed:
             blk.append(" = ".join(zeroed) + " = 0")
@@ -1672,7 +1790,7 @@ class _Emitter:
             for min_len, action in pipeline.entry_checks:
                 body += [
                     f"if _pl < {min_len}:",
-                    f"    _act = _ACTIONS.get({action & MASK32}, _ABORTED)",
+                    f"    _act = {self._action_name(action)}",
                     "    break",
                 ]
         # Past the last stage without an exit: like the kernel treats a
@@ -1699,6 +1817,10 @@ class _Emitter:
         ]
 
         total, in_pipeline = timing.sums
+        # the constant verdicts (_action_name)
+        out += [f"_{action.name} = _ACTIONS[{int(action)}]"
+                for action in sorted(self.verdicts)]
+        out += ["_cnt = {}", "_recs = report.records", "for frame in frames:"]
         out += _ind(blk)
         out += ["if pid:", "    " + timing.cycles] + [
             "report.packets_in += pid",
@@ -1780,6 +1902,128 @@ class _Emitter:
                 lo += size
         self.bound = frozenset(piece for piece, count in reads.items()
                                if count > 1)
+
+    # -- _stream's registers: liveness over what the rendering reads ----------
+
+    def _stream_liveness(self, placed) -> FrozenSet[int]:
+        """Set ``live_out`` from ``liveness.reg_liveness`` over the reads
+        the stream body renders (``_stream_reads``) and return the
+        registers live on entry, which each frame initialises. An
+        instruction the body never renders (an arm whose bounds check
+        became an entry length check) is made to kill nothing."""
+        program = self.pipeline.program
+        facts = program_facts(program)
+        reads = [r | w for r, w in zip(facts.reads, facts.writes)]
+        pure: Dict[int, int] = {}  # insn index -> destination register
+        for op, _stage, _in_entry in (p for ops in placed.values()
+                                      for p in ops):
+            reads[op.insn_index] = self._stream_reads(op)
+            if self._pure(op):
+                pure[op.insn_index] = op.insn.dst
+        # a store the body leaves out reads nothing either: the whole
+        # chain ``r2 = r10; r2 += -16`` of a folded key pointer dies
+        live_in, self.live_out = reg_liveness(program, reads, pure)
+        self.dead_stores = {index for index, dst in pure.items()
+                            if dst not in self.live_out[index]}
+        return live_in[0]
+
+    def _stream_reads(self, op: PipeOp) -> int:
+        """Bit r: the stream body's rendering of ``op`` reads register r.
+        That is the ISA's read set (``liveness.regs_read``: a helper
+        reads r1..r<nargs>) but where the rendering folds the read away
+        or adds one: a load or store at a constant offset reads no
+        pointer (a stack atom, ``_b`` or ``_c`` at a literal offset), a
+        folded map request reads only an update's flags in r4 (its fd is
+        folded, its key and value are stack atoms), ``bpf_redirect``
+        only r1, a ``sim._map_channel_call`` fallback the registers it
+        spills, and an exit whose verdict is a constant no r0."""
+        insn = op.insn
+        label, size = op.label, insn.size_bytes
+        if insn.is_exit:
+            return 0 if self._verdict(op) is not None else 1 << isa.R0
+        if insn.is_call:
+            return self._call_reads(op)
+        if insn.is_mem_load and label is not None \
+                and label.offset is not None \
+                and self._const_ldx(label, size, "") is not None:
+            return 0
+        if insn.opclass in (isa.BPF_ST, isa.BPF_STX) and not insn.is_atomic \
+                and self._store_folds(label, size):
+            return 1 << insn.src if insn.opclass == isa.BPF_STX else 0
+        return program_facts(self.pipeline.program).reads[op.insn_index]
+
+    def _call_reads(self, op: PipeOp) -> int:
+        """``_stream_reads`` of a helper call (``_call_lines``)."""
+        helper_id = op.insn.imm
+        if helper_id == _REDIRECT_HELPER:
+            return 1 << isa.R1
+        arity = sum(1 << n for n in self._arity(helper_id))
+        if not helper_spec(helper_id).map_channel:
+            return arity
+        info = op.call
+        spec = self._bound_spec(info.map_fd if info is not None else None)
+        if spec is not None and helper_id == BPF_REDIRECT_MAP:
+            return 1 << isa.R3 | (1 << isa.R2 if spec.key_size == 4 else 0)
+        folded = spec is not None and self._stack_operands(
+            helper_id, info, spec) is not None
+        if helper_id == BPF_MAP_LOOKUP_ELEM and spec is not None:
+            return 0 if folded else 1 << isa.R2  # else the key by address
+        if folded:
+            return 1 << isa.R4 if helper_id == BPF_MAP_UPDATE_ELEM else 0
+        return arity | 1 << isa.R0  # sim._map_channel_call's spill
+
+    def _pure(self, op: PipeOp) -> bool:
+        """Whether all ``op`` does in the stream body is write its
+        destination register: an ALU op, a 64-bit immediate, a load
+        folded to a stack atom, a context field or a frame offset the
+        entry length checks cover (no drop path)."""
+        insn = op.insn
+        if insn.opclass in (isa.BPF_ALU64, isa.BPF_ALU, isa.BPF_LD):
+            return True
+        label = op.label
+        lines = (insn.is_mem_load and label is not None
+                 and label.offset is not None
+                 and self._const_ldx(label, insn.size_bytes, ""))
+        return bool(lines) and not any(line.endswith("break")
+                                       for line in lines)
+
+    def _keeps(self, op: PipeOp, reg: int) -> bool:
+        """Whether the body renders ``op``'s store to register ``reg``:
+        the cycle loop always, ``_stream`` where some read it renders
+        takes the value (``live_out``)."""
+        return self.live_out is None or reg in self.live_out[op.insn_index]
+
+    def _dead_store(self, op: PipeOp) -> bool:
+        """Whether the stream body leaves ``op`` out: it is ``_pure`` and
+        no read the body renders takes the value it leaves."""
+        return op.insn_index in self.dead_stores
+
+    def _verdict(self, op: PipeOp) -> Optional[int]:
+        """The r0 the exit ``op`` reads where its reaching definition is
+        a constant: the last write of r0 before it in its own block is
+        ``r0 = imm``. None where r0 comes from anywhere else — another
+        block (two arms that set it join before the exit), a helper, an
+        ALU op."""
+        program = self.pipeline.program
+        writes = program_facts(program).writes
+        block = self.pipeline.cfg.blocks[op.block_id]
+        for index in range(op.insn_index - 1, block.start - 1, -1):
+            if writes[index] >> isa.R0 & 1:
+                insn = program.instructions[index]
+                if insn.is_alu and insn.op == isa.BPF_MOV \
+                        and not insn.uses_reg_src:
+                    return insn.imm & MASK32
+                return None
+        return None
+
+    def _action_name(self, code: int) -> str:
+        """The local that holds the verdict ``code`` names
+        (``XdpAction.of``): ``_ABORTED`` and ``_DROP`` are bound for the
+        module, the others once per run in ``_stream``'s prologue."""
+        action = XdpAction.of(code)
+        if action not in (XdpAction.ABORTED, XdpAction.DROP):
+            self.verdicts.add(action)
+        return f"_{action.name}"
 
     def _stream_ops(self, placed) -> Tuple[
             List[str], List[Tuple[int, FrozenSet[Tuple[int, int]]]],

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 16); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 17); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -388,7 +388,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i2=_i2, _i3=_i3, _pk_IIHHI=_pk_IIHHI, _pk_Q=_pk_Q):
+def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _i2=_i2, _i3=_i3, _pk_IIHHI=_pk_IIHHI, _pk_Q=_pk_Q):
     pid = 0
     cycle = 0
     _cap = sim.options.input_queue_capacity
@@ -406,6 +406,8 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
     _st1 = _m1.storage
     _lk1 = _m1._find
     _up1 = _m1._update
+    _PASS = _ACTIONS[2]
+    _TX = _ACTIONS[3]
     _cnt = {}
     _recs = report.records
     for frame in frames:
@@ -424,16 +426,12 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
         _b = _c.packet = frame
         pkt.done = False
         _s480 = _s496 = _s500 = _s504 = _s506 = _s508 = 0
-        r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
-        r1 = 0x1000
-        r10 = 0x200200
         _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = _e7 = _e8 = _e9 = _e10 = False
         while True:
             _pl = len(_b)
             if _pl < 42:
-                _act = _ACTIONS.get(2, _ABORTED)
+                _act = _PASS
                 break
-            r6 = 0x100100 + _c.head_adjust
             r2 = _u2(_b, 12)[0]
             if r2 != 0x8:
                 _e10 = True
@@ -464,17 +462,14 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                 r4 = _u2(_b, 36)[0]
                 r5 = _u2(_b, 34)[0]
                 r3 = 0x0
-                r1 = 0x30000001
                 _s496 = r2 & 0xffffffff
                 _s504 = r4 & 0xffff
                 _s506 = r5 & 0xffff
                 _s508 = r3 & 0xffffffff
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
-                _sl = _lk1(_sb496_16)
+                _bk = _bank_of(_sb496_16, 16)
+                _sl = _lk1(_sb496_16, _bk)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                r1 = r2 = r3 = r4 = r5 = 0
                 r1 = 0x1
                 if r0 == 0x0:
                     _e9 = True
@@ -493,8 +488,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                     if pkt.done:
                         _act = pkt.action
                         break
-                r0 = 0x2
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _PASS
                 break
             if _e6:
                 r7 = 0x1
@@ -503,9 +497,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                 r3 = _u4(_b, 30)[0]
                 r4 = _u2(_b, 34)[0]
                 r5 = _u2(_b, 36)[0]
-                r1 = 0x30000001
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
                 _s480 = r7
                 _s500 = r3 & 0xffffffff
                 _s504 = r4 & 0xffff
@@ -513,14 +504,9 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                 r3 = 0x0
                 _s508 = r3 & 0xffffffff
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
-                _sl = _lk1(_sb496_16)
+                _bk = _bank_of(_sb496_16, 16)
+                _sl = _lk1(_sb496_16, _bk)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                r1 = r2 = r3 = r4 = r5 = 0
-                r1 = 0x30000001
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
-                r3 = r10
-                r3 = (r3 + 0xffffffffffffffe0) & 0xffffffffffffffff
                 r4 = 0x0
                 if r0 != 0x0:
                     _e8 = True
@@ -528,13 +514,10 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                     _e7 = True
             if _e7:
                 try:
-                    _up1(_sb496_16, _pk_Q(_s480), r4 & 0x3)
-                    r0 = 0
+                    _up1(_sb496_16, _pk_Q(_s480), r4 & 0x3, _bk)
                 except MapError:
-                    r0 = 0xffffffffffffffff
-                r1 = r2 = r3 = r4 = r5 = 0
-                r0 = 0x3
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                    pass
+                _act = _TX
                 break
             if _e8:
                 _a = r0
@@ -549,16 +532,13 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                     if pkt.done:
                         _act = pkt.action
                         break
-                r0 = 0x3
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _TX
                 break
             if _e9:
-                r0 = 0x1
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _DROP
                 break
             if _e10:
-                r0 = 0x2
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _PASS
                 break
             _act = _ABORTED
             break
@@ -566,7 +546,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
         if _inj + 11 > _went:
             _went = _inj + 11
         if _e4 or _e6:
-            _bk = _bank_of(_sb496_16, 16)
             if _free[_bk] > _went:
                 _went = _free[_bk]
             _free[_bk] = _went + (1 if _e4 else 3 if _e7 else 2)

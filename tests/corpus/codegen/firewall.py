@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 16); flush machinery elided, map-read tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 17); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct
@@ -257,7 +257,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _i1=_i1, _pk_IIHHI=_pk_IIHHI):
+def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _i1=_i1, _pk_IIHHI=_pk_IIHHI):
     pid = 0
     cycle = 0
     _max = sim.options.max_cycles
@@ -267,6 +267,8 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
     _m1 = sim.maps[1]
     _st1 = _m1.storage
     _lk1 = _m1._slot_by_key.get
+    _PASS = _ACTIONS[2]
+    _TX = _ACTIONS[3]
     _cnt = {}
     _recs = report.records
     for frame in frames:
@@ -275,16 +277,12 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
         _b = _c.packet = frame
         pkt.done = False
         _s496 = _s500 = _s504 = _s506 = _s508 = 0
-        r0 = r2 = r3 = r4 = r5 = r6 = r8 = 0
-        r1 = 0x1000
-        r10 = 0x200200
         _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = False
         while True:
             _pl = len(_b)
             if _pl < 42:
-                _act = _ACTIONS.get(2, _ABORTED)
+                _act = _PASS
                 break
-            r6 = 0x100100 + _c.head_adjust
             r2 = _u2(_b, 12)[0]
             if r2 != 0x8:
                 _e6 = True
@@ -302,18 +300,14 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 r4 = _u2(_b, 34)[0]
                 r5 = _u2(_b, 36)[0]
                 r8 = 0x0
-                r1 = 0x30000001
                 _s496 = r2 & 0xffffffff
                 _s500 = r3 & 0xffffffff
                 _s504 = r4 & 0xffff
                 _s506 = r5 & 0xffff
                 _s508 = r8 & 0xffffffff
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                r1 = r2 = r3 = r4 = r5 = 0
                 if r0 != 0x0:
                     _e5 = True
                 else:
@@ -323,24 +317,19 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 r3 = _u4(_b, 26)[0]
                 r4 = _u2(_b, 36)[0]
                 r5 = _u2(_b, 34)[0]
-                r1 = 0x30000001
                 _s496 = r2 & 0xffffffff
                 _s500 = r3 & 0xffffffff
                 _s504 = r4 & 0xffff
                 _s506 = r5 & 0xffff
-                r2 = r10
-                r2 = (r2 + 0xfffffffffffffff0) & 0xffffffffffffffff
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _sl = _lk1(_sb496_16)
                 r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                r1 = r2 = r3 = r4 = r5 = 0
                 if r0 != 0x0:
                     _e5 = True
                 else:
                     _e4 = True
             if _e4:
-                r0 = 0x1
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _DROP
                 break
             if _e5:
                 r1 = 0x1
@@ -356,12 +345,10 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                     if pkt.done:
                         _act = pkt.action
                         break
-                r0 = 0x3
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _TX
                 break
             if _e6:
-                r0 = 0x2
-                _act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)
+                _act = _PASS
                 break
             _act = _ABORTED
             break

@@ -104,7 +104,7 @@ class TestPipelineAnalysis:
 
     def test_dnat_keeps_its_row(self):
         analysis = analyze_pipeline(compile_program(dnat.build()))
-        assert (analysis.K, analysis.L) == (23, 12)
+        assert (analysis.K, analysis.L) == (22, 12)
 
     @pytest.mark.parametrize(
         "app", [ct_firewall, leaky_bucket, syn_cookie],
@@ -124,7 +124,7 @@ class TestPipelineAnalysis:
         # §3.3's one block per stage keeps leaky_bucket's flush blocks live
         analysis = analyze_pipeline(compile_program(
             leaky_bucket.build(), CompileOptions(path_parallel=False)))
-        assert (analysis.K, analysis.L) == (28, 17)
+        assert (analysis.K, analysis.L) == (27, 17)
 
     def test_uniform_vs_zipf(self):
         pipe = compile_program(router.build(use_atomic=False))

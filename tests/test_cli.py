@@ -106,7 +106,7 @@ class TestCommands:
             "(opens: b1 call 1 @8; " in capsys.readouterr().out
         # ... nat's stay, and the line says which rule kept them
         assert main(["stats", "app:dnat"]) == 0
-        assert "flush block L=12 K=12  flush kept: map ports is accessed " \
+        assert "flush block L=12 K=22  flush kept: map ports is accessed " \
             "inside the window (b4 call 1 @13)\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["stats", "run", "compile"])

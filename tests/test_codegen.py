@@ -22,11 +22,14 @@ machinery around the generated source itself:
   queue, the ``interpreted`` engine being the reference.
 """
 
+import ast
 import copy
 import dataclasses
 import hashlib
 import json
 import pickle
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -53,7 +56,7 @@ from repro.ebpf import isa
 from repro.ebpf.asm import assemble_program
 from repro.cli import load_program
 from repro.ebpf.isa import MapSpec
-from repro.ebpf.maps import MapSet, create_map
+from repro.ebpf.maps import MapSet, bank_of, create_map
 from repro.hwsim import (
     OccupancyTracer,
     PipelineSimulator,
@@ -364,6 +367,52 @@ def _write_frame(op, flags, key):
 def _stream_source(pipeline):
     source = ensure_source(pipeline)
     return source[source.index("def _stream("):]
+
+
+# What _stream no longer renders: the caller-saved scrub after a call,
+# and a register store no read takes.
+SCRUB = "r1 = r2 = r3 = r4 = r5 = 0"
+_REGISTER = re.compile(r"r(\d+)")
+_REGISTER_TARGETS = re.compile(r"\s*(?:r\d+ = )*")
+
+
+def stream_dead_stores(source):
+    """``(register, line)`` of each store to a register local of the
+    generated module's ``_stream`` that no later line of it reads. Its
+    packet body is laid out in topological block order, so a store some
+    path reads is read further down."""
+    stream = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_stream")
+    stores, last_read = [], {}
+    for node in ast.walk(stream):
+        if isinstance(node, ast.Name) and _REGISTER.fullmatch(node.id):
+            if isinstance(node.ctx, ast.Store):
+                stores.append((node.id, node.lineno))
+            else:
+                last_read[node.id] = max(last_read.get(node.id, 0),
+                                         node.lineno)
+    return [(name, line) for name, line in stores
+            if last_read.get(name, 0) <= line]
+
+
+def _rendered_reads(lines):
+    """Bit r: some line reads the register local ``r<r>`` (anywhere but
+    as the target of an assignment)."""
+    mask = 0
+    for line in lines:
+        line = line[_REGISTER_TARGETS.match(line).end():]
+        for number in re.findall(r"\br(\d+)\b", line):
+            mask |= 1 << int(number)
+    return mask
+
+
+def streaming_programs():
+    """``(name, program)`` of the 13 apps and every corpus program."""
+    named = [(app, getattr(apps, app).build()) for app in TestDigests.APPS]
+    corpus = Path(__file__).parent / "corpus"
+    return named + [(path.stem, load_program(str(path)))
+                    for path in sorted(corpus.glob("*.ebpf"))]
 
 
 # Every flag on a miss and on a hit, inserts into a full map, a delete
@@ -944,8 +993,206 @@ class TestStreamPath:
                 for frame in got[:2]] == [(5, 0, 5), (9, 9, 51)]
         assert "stack[:] = _ZSTACK" in _stream_source(pipeline)
 
+    # -- what the stream leaves out -----------------------------------------
+    # _stream renders a register store only where a read it renders takes
+    # the value; a frame starts with only the registers such a read may
+    # take before any store. A store left out that a read needs, or a
+    # read of a register no store on its path wrote, is a wrong value or
+    # an UnboundLocalError on the first frame down that path.
 
-_ATOM_MAPS = {"m": MapSpec("m", "lru_hash", key_size=8, value_size=8,
+    def test_a_callee_saved_value_lives_across_folded_requests(self):
+        # r7 and r9 cross a folded lookup and a folded update, whose map
+        # and key pointers (r1, r2, r3) the stream never materialises
+        frames = [(key).to_bytes(4, "little") + bytes(4)
+                  + (10 * i + 1).to_bytes(8, "little") + bytes(24)
+                  for i, key in enumerate([1, 2, 1, 3, 1, 2])]
+        pipeline, got = self._atoms_agree("""
+            r7 = *(u64 *)(r6 + 8)
+            r2 = *(u32 *)(r6 + 0)
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            r9 = 0
+            if r0 == 0 goto miss
+            r9 = *(u64 *)(r0 + 0)
+        miss:
+            r9 += r7
+            *(u64 *)(r10 - 16) = r9
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            r3 = r10
+            r3 += -16
+            r4 = 0
+            call 2
+            *(u64 *)(r6 + 16) = r7
+            *(u64 *)(r6 + 24) = r9
+        """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
+            "2 stack slots", maps=_KEY4_MAPS)
+        # key 1's running sum: 1, 1 + 21, 22 + 41
+        assert [int.from_bytes(frame[24:32], "little")
+                for frame in got] == [1, 11, 22, 31, 63, 62]
+        body = _stream_source(pipeline)
+        for gone in ("r1 = ", "r2 = r10", "r3 = r10", "r10 = ", "r5 = 0"):
+            assert gone not in body, gone
+
+    def test_a_helper_reads_only_its_arguments(self):
+        # bpf_xdp_adjust_tail takes r1 and r2; r4 and r5 hold values on
+        # one arm only, so the first frame, down the other, has never
+        # written them: passed to the helper, they would be unbound
+        frames = [bytes([arm]) + bytes(7) + (3 + i).to_bytes(8, "little")
+                  + bytes(24) for i, arm in enumerate([0, 1, 0, 1])]
+        pipeline, got = self._atoms_agree("""
+            r2 = *(u8 *)(r6 + 0)
+            if r2 == 0 goto trim
+            r4 = *(u64 *)(r6 + 8)
+            r5 = r4
+            r5 += 1
+            *(u64 *)(r6 + 16) = r5
+        trim:
+            r2 = -4
+            call 65
+            if r0 != 0 goto out
+        """, frames, "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "0 stack slots")
+        assert [len(frame) for frame in got] == [36] * 4
+        assert "_h65(_hc, r1, r2, 0, 0, 0)" in _stream_source(pipeline)
+
+    def test_a_verdict_set_on_two_arms_is_not_folded(self):
+        # r0 reaches the exit from two arms: its verdict is read from r0;
+        # the exits whose own block sets r0 are bound actions
+        program = assemble_program("""
+            r7 = *(u32 *)(r1 + 4)
+            r6 = *(u32 *)(r1 + 0)
+            r2 = r6
+            r2 += 2
+            if r2 > r7 goto out
+            r2 = *(u8 *)(r6 + 0)
+            r0 = 2
+            if r2 == 0 goto join
+            r0 = 3
+            r3 = *(u8 *)(r6 + 1)
+            if r3 == 0 goto join
+            r0 = 1
+            exit
+        join:
+            exit
+        out:
+            r0 = 0
+            exit
+        """, name="two_arm_verdict")
+        frames = [bytes([0, 0]), bytes([1, 0]), bytes([1, 1]), bytes(1)]
+        pipeline = compile_program(program)
+        self._writes_agree(pipeline, program, frames,
+                           "0 of 0 lookups, 0 of 0 writes folded, "
+                           "0 spill sites, 0 stack slots")
+        body = _stream_source(pipeline)
+        assert body.count("_act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)") \
+            == 1
+        assert "_act = _DROP" in body and "_act = _ABORTED" in body
+        got = run_engine("codegen", program, frames, pipeline=pipeline)
+        assert [int(a) for a in got.actions] == [2, 3, 1, 0]
+
+    def test_a_spill_site_takes_a_register_assigned_on_one_arm(self):
+        # the flags of an update that keeps sim._map_channel_call (its
+        # key is in the frame; the lookup ahead of it holds the map in a
+        # window) are 0 from before the branch, or 1 (BPF_NOEXIST) from
+        # one arm: both stores reach the spill
+        frames = [bytes([0, noexist, 0, 0]) + key.to_bytes(4, "little")
+                  + (50 + i).to_bytes(8, "little")
+                  for i, (noexist, key) in enumerate(
+                      [(0, 1), (1, 1), (1, 2), (0, 2), (1, 3), (0, 1)])]
+        program = assemble_program("""
+            r7 = *(u32 *)(r1 + 4)
+            r6 = *(u32 *)(r1 + 0)
+            r2 = r6
+            r2 += 16
+            if r2 > r7 goto out
+            r2 = *(u32 *)(r6 + 4)
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            r3 = *(u64 *)(r6 + 8)
+            *(u64 *)(r10 - 16) = r3
+            r4 = 0
+            r5 = *(u8 *)(r6 + 1)
+            if r5 == 0 goto go
+            r4 = 1
+        go:
+            r1 = map[m]
+            r2 = r6
+            r2 += 4
+            r3 = r10
+            r3 += -16
+            call 2
+            *(u64 *)(r6 + 8) = r0
+            r0 = 3
+            exit
+        out:
+            r0 = 1
+            exit
+        """, maps=_KEY4_MAPS, name="one_arm_flags")
+        pipeline = compile_program(program)
+        got = self._writes_agree(pipeline, program, frames,
+                                 "1 of 1 lookups, 0 of 1 writes folded, "
+                                 "1 spill site, 2 stack slots")
+        assert got == [0, _NEG1, 0, 0, 0, 0]
+        assert "regs[4] = r4" in _stream_source(pipeline)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_the_stream_renders_no_scrub_and_no_dead_store(
+            self, layout, monkeypatch):
+        # every op's rendering reads only registers its read mask names
+        # (the liveness is over those masks), and of the registers it
+        # stores, some later line reads each
+        render = _Emitter._op_body
+
+        def checked(em, op, stage_number, in_entry):
+            body = render(em, op, stage_number, in_entry)
+            if em.stream and body is not None:
+                extra = _rendered_reads(body[0]) & ~em._stream_reads(op)
+                assert not extra, (op.insn_index, op.insn, body[0])
+            return body
+
+        monkeypatch.setattr(_Emitter, "_op_body", checked)
+        streamed = 0
+        for name, program in streaming_programs():
+            pipeline = compile_program(program, LAYOUTS[layout])
+            if stream_blocker(pipeline) is not None:
+                continue
+            streamed += 1
+            assert SCRUB not in _stream_source(pipeline), name
+            assert stream_dead_stores(pipeline.codegen_source) == [], name
+        assert streamed >= 20
+
+    def test_a_bank_handed_in_is_the_bank_computed(self):
+        # _stream hashes ct_firewall's key once and hands the bank to
+        # both LRU cores: the maps must not tell the two apart
+        spec = MapSpec("l", "lru_hash", 4, 8, 64, banks=16)
+        handed, computed = create_map(spec), create_map(spec)
+        rng = random.Random(5)
+        for step in range(600):
+            key = rng.randrange(200).to_bytes(4, "little")
+            bank = bank_of(key, 16)
+            if step % 3:
+                value = step.to_bytes(8, "little")
+                assert handed._update(key, value, 0, bank) \
+                    == computed._update(key, value, 0)
+            else:
+                assert handed._find(key, bank) == computed._find(key)
+        assert handed.evictions == computed.evictions > 0
+        assert handed.lru_keys() == computed.lru_keys()
+        assert handed.storage == computed.storage
+        assert all(len(d) == 4 for d in handed._dirs)  # every bank full
+
+
+_KEY4_MAPS = {"m": MapSpec("m", "lru_hash", key_size=4, value_size=8,
+                             max_entries=8)}
+_ATOM_MAPS ={"m": MapSpec("m", "lru_hash", key_size=8, value_size=8,
                              max_entries=8)}
 
 

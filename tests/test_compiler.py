@@ -289,7 +289,7 @@ class TestHazardPlanning:
         fb = plan.flush_blocks[0]
         assert fb.write_stage > fb.read_stage
         assert fb.L == fb.write_stage - fb.read_stage
-        assert fb.K() == fb.read_stage + 4
+        assert fb.K() == fb.write_stage - 2 + 4
 
     def test_emitted_ports_are_the_plans(self):
         # every map entity's header states the channels and the atomic

@@ -9,7 +9,10 @@ import pytest
 
 from repro import apps
 from repro.apps import ct_firewall, dnat, firewall, leaky_bucket, router
+from repro.analysis import analyze_pipeline
 from repro.core import CompileOptions, compile_program
+from repro.core.hazards import live_flush_blocks
+from repro.core.pipeline import RELOAD_OVERHEAD
 from repro.ebpf.asm import assemble_program
 from repro.ebpf.isa import MapSpec
 from repro.ebpf.maps import MapSet
@@ -269,6 +272,40 @@ class TestHazards:
     def test_restart_counter_recorded(self):
         rep, _ = simulate(self.RMW, [PKT] * 10, maps=MAPS)
         assert any(r.restarts > 0 for r in rep.records)
+
+
+class TestFlushCost:
+    """``FlushBlock.K`` — what ``repro stats`` prints and the Table 3
+    model reads — is what a flush costs the cycle loop."""
+
+    @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
+    @pytest.mark.parametrize("path_parallel", [True, False])
+    def test_dnat_pays_its_flush_blocks_k(self, engine, path_parallel):
+        # twenty new flows, each sent twice back to back — the second
+        # packet, right behind its update of nat, is its victim — and
+        # then quiet flows for longer than the pipeline is deep
+        pipeline = compile_program(
+            dnat.build(), CompileOptions(path_parallel=path_parallel))
+        block, = live_flush_blocks(pipeline.map_hazards)
+        frames = []
+        for k in range(20):
+            frames += [udp_packet(src_ip=f"10.1.{k}.1", dst_ip="10.0.0.80",
+                                  sport=5000, dport=80)] * 2
+            frames += [udp_packet(src_ip=f"10.3.{k}.{j}", dst_ip="10.0.0.80",
+                                  sport=7000 + j, dport=80)
+                       for j in range(30)]
+        report = PipelineSimulator(
+            pipeline, maps=MapSet(pipeline.program.maps),
+            options=SimOptions(engine=engine)).run_packets(frames)
+        assert report.flush_events == 20
+        # each flush restarts the packets in stages 1 .. write_stage - 2
+        assert report.squashed_packets \
+            == 20 * (block.K() - RELOAD_OVERHEAD) \
+            == 20 * (block.write_stage - 2)
+        # and takes K cycles where a packet takes one (Eq. 2)
+        assert report.cycles - (len(frames) + pipeline.n_stages) \
+            == 20 * (block.K() - 1)
+        assert analyze_pipeline(pipeline).K == block.K()
 
 
 class TestWarBuffer:
