@@ -83,13 +83,33 @@ def reg_liveness(
     write a register to that register: its reads count only where the
     register is live after it (strong liveness: a store no read takes
     keeps nothing alive, so a chain of them dies at once)."""
+    facts = program_facts(program)
+    live_in, live_out = mask_liveness(
+        program, facts.reads if reads is None else reads, facts.writes,
+        only_writes)
+    sets: Dict[int, FrozenSet[int]] = {}  # a program has few distinct masks
+    for mask in live_in + live_out:
+        if mask not in sets:
+            sets[mask] = frozenset(
+                reg for reg in range(isa.R10 + 1) if mask >> reg & 1)
+    return [sets[m] for m in live_in], [sets[m] for m in live_out]
+
+
+def mask_liveness(
+    program: Program, gen: Sequence[int], kill: Sequence[int],
+    only_writes: Optional[Dict[int, int]] = None,
+) -> Tuple[List[int], List[int]]:
+    """Per-instruction (live_in, live_out) bitmasks of a backward
+    dataflow over the program's control flow: instruction i reads the
+    bits ``gen[i]`` and overwrites the bits ``kill[i]``; ``only_writes``
+    is :func:`reg_liveness`'s strong rule (bit -> its reads count only
+    where that bit is live after it). What the bits name is the
+    caller's: registers here, the codegen stream's value-slot shadows and
+    stack atoms elsewhere."""
     n = len(program.instructions)
-    succs, gen, writes, forward = program_facts(program)
-    if reads is not None:
-        gen = reads
+    succs, _reads, _writes, forward = program_facts(program)
     only_writes = only_writes or {}
-    # Bitmask dataflow: bit r is register r. When every edge goes
-    # forward, one reverse sweep is the fixpoint.
+    # When every edge goes forward, one reverse sweep is the fixpoint.
     live_in = [0] * n
     live_out = [0] * n
     changed = True
@@ -101,17 +121,12 @@ def reg_liveness(
                 out |= live_in[s]
             dst = only_writes.get(index)
             used = dst is None or out >> dst & 1
-            new_in = (gen[index] if used else 0) | (out & ~writes[index])
+            new_in = (gen[index] if used else 0) | (out & ~kill[index])
             if out != live_out[index] or new_in != live_in[index]:
                 live_out[index] = out
                 live_in[index] = new_in
                 changed = not forward
-    sets: Dict[int, FrozenSet[int]] = {}  # a program has few distinct masks
-    for mask in live_in + live_out:
-        if mask not in sets:
-            sets[mask] = frozenset(
-                reg for reg in range(isa.R10 + 1) if mask >> reg & 1)
-    return [sets[m] for m in live_in], [sets[m] for m in live_out]
+    return live_in, live_out
 
 
 def _mask(regs: Sequence[int]) -> int:

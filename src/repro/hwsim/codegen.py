@@ -25,8 +25,9 @@ Layout of a generated module:
 * ``_STAGE_FNS`` / ``_ENTRY`` / ``_STREAM`` — the tuple and bindings
   :class:`~repro.hwsim.sim.PipelineSimulator` consumes — and
   ``_STREAM_SHAPE``, the emitter's one-line account of the stream body
-  (``2 of 2 lookups, 1 of 1 writes folded, 2 spill sites, 6 stack
-  slots``) that ``engine_path()`` prints.
+  (``2 of 2 lookups, 1 of 1 writes folded, 0 spill sites, 6 stack
+  slots, 2 of 2 value accesses by slot, 2 coalesced runs``) that
+  ``engine_path()`` prints.
 
 Every op has one rendering, whichever function it lands in. A load,
 store or atomic whose verifier label proves a constant offset folds to
@@ -84,20 +85,25 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
 * **once per frame**: the timing head (``max_cycles``, or the window's
   queue drops and injection cycle), then the reset of what ops can observe —
   ``_b = _c.packet = frame`` (copied only if some op can write it), the
-  stack atoms and the block-enable flags ``_e<block>``, all 0 / False
-  (the VM's stack starts zeroed), and the eBPF registers — the Python
+  block-enable flags ``_e<block>``, all False, the stack atoms some
+  path reads before any store, 0 as the VM's zeroed stack reads (see
+  *the stack atoms*), and the eBPF registers — the Python
   locals ``r0`` … ``r10`` — that a read may take before any store (r1
   the context, r10 the stack top, any other 0: see *the registers*);
-  ``stack`` itself only where some site reaches it by address;
+  ``stack`` itself only where some site reaches it by address (and
+  then every atom);
 * **the registers**: the body renders a register store only where a
   read it renders takes the value. ``core.liveness.reg_liveness`` runs
   over the reads the rendering performs (``_stream_reads``), not the
   ones the ISA states: a load or store folded to a stack atom or a
-  ``_b`` / ``_c`` offset reads no pointer, a folded map request reads
-  no map or key pointer (its fd is folded, its key and value are stack
-  atoms), a helper reads r1..r<nargs> (``HelperSpec.nargs``; it is
-  passed 0 for the rest), a spill site the registers it spills, and an
-  exit whose r0 its own block set to a constant reads none — that
+  ``_b`` / ``_c`` offset reads no pointer, nor does a map-value access
+  or null test that reads the pointer's shadow (*map values*), a store
+  run's last member reads every member's source (*runs*), a folded map
+  request reads no map or key pointer (its fd is folded, its key and
+  value are stack atoms), a helper reads r1..r<nargs>
+  (``HelperSpec.nargs``; it is passed 0 for the rest), a spill site the
+  registers it spills, and an exit whose r0 its own block set to a
+  constant reads none — that
   verdict is a local bound once per run (``_PASS = _ACTIONS[2]``). A
   store left out reads nothing either (strong liveness:
   ``reg_liveness``'s ``only_writes``), so a chain of them dies at once.
@@ -133,7 +139,44 @@ Layout of ``_stream(sim, frames, gap, report, keep_records)``:
   window's lane key is hashed where it is packed (``_bk =
   _bank_of(...)``) and the bank rides with it: the LRU cores take it
   (``_lk<fd>(KEY, _bk)``, ``_up<fd>(KEY, VALUE, FLAGS, _bk)``) and the
-  timing reads it, one CRC a packet;
+  timing reads it, one CRC a packet. Which atoms a frame zeroes is
+  ``liveness.mask_liveness`` over them (``_atom_effects``): read by a
+  rendered load (a load left out reads none, the strong rule of *the
+  registers*), a folded request's slices and, where a packet that held
+  the window leaves the body, the lane key; overwritten by a store. An
+  atom every path stores before reading it is not zeroed;
+* **map values**: as the VHDL wires a looked-up value as a static slice
+  of the entry (§4.1), a map-value access whose label proves a constant
+  in-value offset ``k`` with ``0 <= k <= VS - size`` is addressed by
+  its slot: a folded lookup keeps the slot's storage offset in the
+  register's *shadow*, ``_v0 = None if _sl is None else _sl * VS``
+  (an array's ``_v0 = _ix * VS if _ix < N else None``), a 64-bit
+  ``mov`` copies it (``_v6 = _v0``), ``±`` an immediate on a pointer
+  the verifier proved non-null keeps it, and the access is
+  ``_uN(_st<fd>, _v<base> + k)`` — no address, no bounds test, no cold
+  side: the verifier proved the bytes in the value, and the shadow is
+  the slot the lookup returned. A null test of the pointer reads its
+  shadow (``if _v0 is None``), so ``r0 = BASE + …`` is rendered only
+  where another read takes it. ``_stream_values`` decides it, one
+  forward sweep over the program that knows, before each instruction,
+  which register's shadow addresses which map (lost by any other write
+  or where two paths disagree); a shadow is rendered where a read takes
+  it (``_shadow_liveness``). A store before its map's commit stage
+  keeps ``sim._mem_store`` (it may stay WAR-buffered), and so does an
+  atomic whose fast side tests ``pkt.pending_writes``;
+* **runs**: in one block, loads at constant offsets of one buffer —
+  ``_b`` within the entry length checks, or one value by slot — are one
+  ``unpack_from`` at the first of them (``r2, r3 = _u_II(_b, 26)``;
+  ``x`` pads the gaps; ``_u_<format>`` bound in the prologue), so long
+  as nothing between writes that buffer, calls a helper, reads or
+  writes a later load's destination or redefines an earlier one (a
+  value's base register too); adjacent stores into one value that tile
+  one span are one ``pack_into`` (``_p_QQ(_st1, _v8, r9, r3)``). A
+  load whose register's one rendered reader is a store into one stack
+  atom no narrower than the load writes the atom itself
+  (``_s504, _s508 = _u_I4xH(_b, 26)``), and a store drops its mask
+  where its block last wrote the register with a load no wider than
+  the store (``_load_runs``, ``_store_runs``, ``fits``);
 * **the packet body**: one ``while True:`` block executed once. Entry
   length checks, entry ops and every block's ops (blocks in topological
   order, each in stage order) follow each other flat; consecutive ops
@@ -207,7 +250,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 from ..core.cfg import BasicBlock
 from ..core.hazards import in_window
 from ..core.labeling import Region
-from ..core.liveness import program_facts, reg_liveness
+from ..core.liveness import mask_liveness, program_facts, reg_liveness
 from ..core.pipeline import (ATOMICS, BankKey, PipeOp, Pipeline, Release,
                              Stage, StageKind)
 from ..ebpf import isa
@@ -226,6 +269,7 @@ from ..ebpf.helpers import (
 )
 from ..ebpf.isa import MASK32, MASK64, to_signed32
 from ..ebpf.opfns import alu_source, cmp_source
+from ..ebpf.verifier import RegKind
 from ..ebpf.xdp import AddressSpace, XDP_MD_SIZE, XdpAction
 from ..telemetry import get_registry
 
@@ -273,7 +317,12 @@ from ..telemetry import get_registry
 #     before every read, no map or key pointer of a folded request), a
 #     helper its arguments only, a constant verdict as a bound action;
 #     the window's banked lane is hashed once, where its key is packed.
-CODEGEN_VERSION = 17
+# v18: _stream addresses a map value by its slot (the shadow _v<reg>, no
+#     bounds test), reads neighbouring constant offsets of one buffer in
+#     one Struct call (a store run in one pack_into), loads a register
+#     whose one reader is a stack store straight into the atom, and
+#     zeroes per frame only the atoms some path reads before a store.
+CODEGEN_VERSION = 18
 
 _KTIME = HELPER_IDS_BY_NAME["bpf_ktime_get_ns"]
 _ADJUST_HEAD = HELPER_IDS_BY_NAME["bpf_xdp_adjust_head"]
@@ -290,7 +339,29 @@ _DATA0 = hex(AddressSpace.PACKET_BASE + AddressSpace.PACKET_HEADROOM)
 _REDIRECT = int(XdpAction.REDIRECT)
 
 _STRUCT_FMT = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+# the opcodes _stream's analyses sort ops by (_Emitter._stream_scan)
+_MOV64_X = isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_X
+_SHIFTS_K = (isa.BPF_ALU64 | isa.BPF_ADD | isa.BPF_K,
+             isa.BPF_ALU64 | isa.BPF_SUB | isa.BPF_K)
+_NULL_TESTS = (isa.BPF_JMP | isa.BPF_JEQ | isa.BPF_K,
+               isa.BPF_JMP | isa.BPF_JNE | isa.BPF_K)
+_CALL = isa.BPF_JMP | isa.BPF_CALL
+_ALU_CLASSES = (isa.BPF_ALU64, isa.BPF_ALU, isa.BPF_LD)
 _ARRAYS = ("array", "percpu_array")
+
+
+def _fits_in(insn, size: int, label) -> bool:
+    """Whether the value ``insn`` writes to its register fits ``size``
+    bytes: a load no wider (its bytes, zero-extended; a context field
+    may hold an address), or a non-negative immediate below
+    ``1 << 8 * size``."""
+    if insn.is_mem_load:
+        return insn.size_bytes <= size and (
+            label is None or label.region is not Region.CTX)
+    if insn.is_alu and insn.op == isa.BPF_MOV and not insn.uses_reg_src:
+        value = to_signed32(insn.imm) & (MASK64 if insn.is_alu64 else MASK32)
+        return value < 1 << (8 * size)
+    return False
 
 
 class CodegenError(ValueError):
@@ -522,6 +593,31 @@ class _Emitter:
         # while the body computes ``_bk`` once where it packs that key
         # for the map's requests (_atom_bytes), else None.
         self.lane_bank: Optional[Tuple[int, Tuple[int, int], int]] = None
+        # _stream's map values (see _stream_values): per value access
+        # addressed by slot, its base register, whose shadow ``_v<reg>``
+        # holds the storage offset of the value it points into; per null
+        # test read off a shadow, its register; the shadow copies a mov
+        # renders (insn -> (dst, src)) and the lookups that render
+        # ``_v0``; the stores whose register already fits their width.
+        self.by_slot: Dict[int, int] = {}
+        self.null_tests: Dict[int, int] = {}
+        self.copies: Dict[int, Tuple[int, int]] = {}
+        self.shadowed: FrozenSet[int] = frozenset()
+        self.fits: FrozenSet[int] = frozenset()
+        # _stream's runs (see _store_runs, _load_runs): the lines a load
+        # or store renders instead of its own (none for a run's other
+        # members), the read mask of a store run's last member, the
+        # stack stores a load already wrote (insn -> the atom), and the
+        # Structs the runs call (format -> local), bound per run.
+        self.runs: Dict[int, List[str]] = {}
+        self.run_reads: Dict[int, int] = {}
+        self.fed: Dict[int, Tuple[int, int]] = {}
+        self.run_structs: Dict[str, str] = {}
+        self.value_accesses = self.slot_accesses = self.coalesced = 0
+        # the ops _stream's body leaves after, where a window's lane key
+        # is read after the body (_atoms_read_first)
+        self.leaving: Optional[set] = None
+        self.stream_names: FrozenSet[str] = frozenset()  # _fn's, of _stream
 
     # -- shared sub-emitters -------------------------------------------------
 
@@ -751,6 +847,10 @@ class _Emitter:
         size = insn.size_bytes
         D = self._reg(insn.dst)
         label = op.label
+        if self.stream:
+            self._count_value_access(op)
+            if op.insn_index in self.runs:
+                return self.runs[op.insn_index]
         if label is not None and label.offset is not None:
             folded = self._const_ldx(label, size, D)
             if folded is not None:
@@ -877,9 +977,11 @@ class _Emitter:
         insn computes lands at one fixed byte offset inside its region —
         the same guarantee the VHDL backend uses to wire static slices —
         so the region dispatch chain and the offset arithmetic fold away
-        entirely. Returns None when the label can't be folded (map
-        values stay dynamic: the *slot* varies per packet even when the
-        in-value offset is fixed)."""
+        entirely. Returns None when the label can't be folded. A map
+        value is not folded here: the *slot* varies per packet even when
+        the in-value offset is fixed. The cycle loop tests its address;
+        ``_stream`` keeps the slot's storage offset in a local and
+        addresses the value by it (``_stream_values``)."""
         off = label.offset
         if label.region is Region.STACK:
             idx = self._stack_index(off, size)
@@ -924,6 +1026,21 @@ class _Emitter:
             ]
         return None
 
+    def _ldx_folds(self, label, size: int) -> Optional[bool]:
+        """Whether ``_const_ldx`` folds a load labelled ``label``: None
+        where it does not, else whether the fold keeps a drop path (a
+        frame offset past the entry length checks)."""
+        off, region = label.offset, label.region
+        if off is None:
+            return None
+        if region is Region.STACK:
+            return None if self._stack_index(off, size) is None else False
+        if region is Region.PACKET:
+            return None if off < 0 else off + size > self.pkt_min_len
+        if region is Region.CTX:
+            return None if off < 0 or off + size > XDP_MD_SIZE else False
+        return None
+
     def _const_store(
         self, label, size: int, val: str, flush: bool, raw: str = ""
     ) -> Optional[List[str]]:
@@ -959,6 +1076,35 @@ class _Emitter:
             return self._stack_index(label.offset, size) is not None
         return label.region is Region.PACKET and label.offset >= 0
 
+    def _store_value(self, op: PipeOp) -> Tuple[str, str]:
+        """``(raw, masked)``: what a store writes, and that cut to the
+        store's width — which ``_stream`` leaves uncut where the register
+        already fits it (``fits``)."""
+        insn = op.insn
+        if insn.opclass != isa.BPF_STX:
+            imm = to_signed32(insn.imm) & MASK64
+            return hex(imm), hex(imm & ((1 << (8 * insn.size_bytes)) - 1))
+        raw = self._reg(insn.src)
+        if self.stream and op.insn_index in self.fits:
+            return raw, raw
+        return raw, f"{raw} & {hex((1 << (8 * insn.size_bytes)) - 1)}"
+
+    def _slot_at(self, op: PipeOp, offset: Optional[int] = None) -> str:
+        """Where in its map's storage ``_stream`` finds the value bytes an
+        access addressed by slot (``by_slot``) reaches: its base
+        register's shadow plus the in-value offset (``offset``, else
+        the label's)."""
+        offset = op.label.offset if offset is None else offset
+        shadow = f"_v{self.by_slot[op.insn_index]}"
+        return f"{shadow} + {offset}" if offset else shadow
+
+    def _count_value_access(self, op: PipeOp) -> None:
+        """Count a map-value load, store or atomic ``_stream`` renders,
+        and whether by slot, for ``_STREAM_SHAPE``."""
+        if op.label is not None and op.label.region is Region.MAP_VALUE:
+            self.value_accesses += 1
+            self.slot_accesses += op.insn_index in self.by_slot
+
     def _ld_lines(self, insn) -> List[str]:
         if insn.src == isa.BPF_PSEUDO_MAP_FD:
             value = map_ptr((insn.imm64 or insn.imm) & MASK32)
@@ -971,16 +1117,20 @@ class _Emitter:
     ) -> List[str]:
         insn = op.insn
         size = insn.size_bytes
-        mask = (1 << (8 * size)) - 1
-        if insn.opclass == isa.BPF_STX:
-            raw_val = self._reg(insn.src)
-            masked_val = f"{raw_val} & {hex(mask)}"
-        else:
-            imm_val = to_signed32(insn.imm) & MASK64
-            raw_val = hex(imm_val)
-            masked_val = hex(imm_val & mask)
-
+        raw_val, masked_val = self._store_value(op)
         label = op.label
+        if self.stream:
+            self._count_value_access(op)
+            index = op.insn_index
+            if index in self.fed:
+                # a load already wrote the atom (_load_runs)
+                self._kill(*self.fed[index])
+                return []
+            if index in self.runs:
+                return self.runs[index]
+            if index in self.by_slot:
+                return [f"{self._pack(size)}(_st{label.map_fd}, "
+                        f"{self._slot_at(op)}, {masked_val})"]
         if label is not None and label.offset is not None:
             folded = self._const_store(label, size, masked_val, flush,
                                        raw_val)
@@ -1049,14 +1199,25 @@ class _Emitter:
         src = self._reg(insn.src)
         mapped = label if label is not None and (
             label.region is Region.MAP_VALUE) else None
-        return self._spilled(label, self._access(
-            insn.dst, insn.off, mapped, size,
-            lambda buf: [
-                f"_old = {unpack}({buf}, _o)[0]",
+
+        def rmw(buf: str, at: str) -> List[str]:
+            return [
+                f"_old = {unpack}({buf}, {at})[0]",
                 # a register already fits 8 bytes (the invariant)
                 f"_sv = {src}" if size == 8 else f"_sv = {src} & {smask}",
-                f"{pack}({buf}, _o, {new})",
+                f"{pack}({buf}, {at}, {new})",
             ] + ([f"{src} = _old"] if insn.src in writes else [])
+
+        if self.stream:
+            self._count_value_access(op)
+            if op.insn_index in self.by_slot:
+                at = self._slot_at(op)
+                if "+" not in at:
+                    return rmw(f"_st{label.map_fd}", at)
+                return [f"_o = {at}"] + rmw(f"_st{label.map_fd}", "_o")
+        return self._spilled(label, self._access(
+            insn.dst, insn.off, mapped, size,
+            lambda buf: rmw(buf, "_o")
             + ([f'_se = ("atomic", {mapped.map_fd})'] if flush else []),
             # stack/packet atomics keep the interpreted path ...
             self._fallback_call(f"sim._atomic(pkt, {iname}, _a)",
@@ -1171,7 +1332,8 @@ class _Emitter:
         else:
             self.lookups += 1
             out = (None if fd is None or (self.stream and spec is None)
-                   else self._read_lines(helper_id, fd, info, spec, r0))
+                   else self._read_lines(helper_id, fd, info, spec, r0,
+                                         op.insn_index in self.shadowed))
             self.folded_lookups += out is not None
         if out is None:
             # the channel reads its key and value by address, and its
@@ -1188,11 +1350,12 @@ class _Emitter:
         return range(isa.R1, isa.R1 + helper_spec(helper_id).nargs)
 
     def _read_lines(self, helper_id: int, fd: int, info,
-                    spec, r0: bool) -> List[str]:
+                    spec, r0: bool, shadow: bool = False) -> List[str]:
         """A lookup or ``redirect_map`` of map ``fd`` (see ``_map_call``):
         on the run-bound map in ``_stream``, on ``sim.maps``' entry as
         found in the cycle loop. ``r0``: whether a lookup's result is
-        stored (a redirect's always is)."""
+        stored (a redirect's always is); ``shadow``: whether its slot's
+        storage offset is (``_v0``, ``_stream_values``)."""
         if self.stream:
             bpf_map, lookup = f"_m{fd}", f"_lk{fd}"
             ks, vs = spec.key_size, spec.value_size
@@ -1205,7 +1368,7 @@ class _Emitter:
                  ] if self.maintain else []
         if helper_id == BPF_MAP_LOOKUP_ELEM:
             out = self._lookup_lines(fd, info, spec, lookup, ks, vs, track,
-                                     r0)
+                                     r0, shadow)
         else:
             out = self._redirect_lines(spec, bpf_map, lookup, ks, track)
         if self.stream:
@@ -1275,12 +1438,15 @@ class _Emitter:
         return _STK_SZ + offset
 
     def _lookup_lines(self, fd: int, info, spec, lookup: str, ks, vs,
-                      track: List[str], r0: bool) -> List[str]:
+                      track: List[str], r0: bool,
+                      shadow: bool = False) -> List[str]:
         """``bpf_map_lookup_elem`` of map ``fd`` (see ``_map_call``):
         ``ks`` / ``vs`` are literals where ``spec`` is known, else
         expressions on the map as found. Where no read takes the
         result (``r0``), a hash lookup only moves the key up the
-        recency order, and an array lookup is nothing."""
+        recency order, and an array lookup is nothing. ``shadow``: the
+        slot's storage offset goes to ``_v0`` (None on a miss), which
+        the accesses and null tests ``_stream_values`` admits read."""
         R = self._reg
         base = hex(AddressSpace.map_value_addr(fd, 0))
         array = spec is not None and spec.map_type in _ARRAYS
@@ -1307,17 +1473,19 @@ class _Emitter:
             bank = ""
         if array:
             # ArrayMap.lookup_slot: key_size is 4 by construction
-            out = [
-                f"_ix = {index}",
-                f"{R(0)} = {base} + _ix * {vs} if _ix < {spec.max_entries} "
-                "else 0",
-            ] if r0 else []
+            hit = f"_ix < {spec.max_entries}"
+            out = ([f"_ix = {index}"] if r0 or shadow else []) + (
+                [f"_v0 = _ix * {vs} if {hit} else None"] if shadow else []
+            ) + ([f"{R(0)} = {base} + _ix * {vs} if {hit} else 0"]
+                 if r0 else [])
         else:
             # value_addr folded: directory slots are in range by
             # construction, so it is just slot * value_size.
-            out = pack + [f"_sl = {lookup}({key}{bank})"] + track + ([
-                f"{R(0)} = 0 if _sl is None else {base} + _sl * {vs}",
-            ] if r0 else [])
+            out = pack + [f"_sl = {lookup}({key}{bank})"] + track + (
+                [f"_v0 = None if _sl is None else _sl * {vs}"]
+                if shadow else []) + ([
+                    f"{R(0)} = 0 if _sl is None else {base} + _sl * {vs}",
+                ] if r0 else [])
         if read is None:
             return out
         # the key is read by address
@@ -1345,10 +1513,16 @@ class _Emitter:
         ]
 
     def _branch_lines(
-        self, insn, block: BasicBlock, stage_number: int
+        self, op: PipeOp, block: BasicBlock, stage_number: int
     ) -> List[str]:
+        insn = op.insn
         taken = tuple(s for s, k in block.succs if k == "taken")
         fall = tuple(s for s, k in block.succs if k != "taken")
+        if self.stream and op.insn_index in self.null_tests:
+            # a value pointer is null exactly where its shadow is None
+            test = "is" if insn.op == isa.BPF_JEQ else "is not"
+            cond = f"_v{insn.dst} {test} None"
+            return self._enable_branch(cond, taken, fall)
         prelude, cond = _specialised(
             cmp_source(insn, self._reg), insn, stage_number)
         return prelude + self._enable_branch(cond, taken, fall)
@@ -1391,6 +1565,9 @@ class _Emitter:
         if cls in (isa.BPF_ALU64, isa.BPF_ALU):
             out = [] if self._dead_store(op) else _specialised(
                 alu_source(insn, self._reg), insn, stage_number)
+            if self.stream and op.insn_index in self.copies:
+                out = out + ["_v{} = _v{}".format(
+                    *self.copies[op.insn_index])]
             # ALU ops never set done: successor enabling needs no done
             # re-check.
             self._enable_after(out, block, False)
@@ -1445,7 +1622,7 @@ class _Emitter:
                 # A jump with no block to terminate has no behaviour.
                 return None
             if insn.is_cond_jump:
-                return self._branch_lines(insn, block, stage_number), False
+                return self._branch_lines(op, block, stage_number), False
             return self._enable_lines(block), False
 
         # Unknown class: canonical simulator error at execution time.
@@ -1674,12 +1851,27 @@ class _Emitter:
             self.lane_bank = (bank.map_fd, (_STK_SZ + bank.offset, bank.size),
                               bank.banks)
         try:
+            scan = self._stream_scan(placed)
+            shadows = self._stream_values(scan)
+            self._stream_fits(scan)
+            self._store_runs(scan)
             entry_live = self._stream_liveness(placed)
+            self._shadow_liveness(*shadows)
+            gen, kill, touch = self._atom_effects(scan)
+            if bank is not None and self.atoms:
+                self.leaving = set()
+            self._load_runs(placed, scan, touch)
             ops, exits, avail_out = self._stream_ops(placed)
+            zeroed = self._atoms_read_first(
+                gen, kill, windows[0] if windows else None, self.leaving)
         finally:
             self.stream = False
             self.any_flush, self.maintain = hazard_modes
             self.live_out, self.dead_stores = None, set()
+            self.by_slot, self.null_tests, self.copies = {}, {}, {}
+            self.runs, self.run_reads, self.fed = {}, {}, {}
+            self.shadowed = self.fits = frozenset()
+            self.leaving = None
         named = _idents(ops)
         if windows:
             (lo, hi, holders, bank, forward), = windows
@@ -1727,6 +1919,9 @@ class _Emitter:
             out.append("regs = pkt.regs")
         if "_hc" in named:
             out.append("_hc = _HC(sim, pkt)")
+        out += [f"{name} = {struct}"
+                for name, struct in sorted(self.run_structs.items())
+                if name in named]
         for fd, spec in sorted(pipeline.program.maps.items()):
             handle, storage = f"_m{fd}", f"_st{fd}"
             lookup, update = f"_lk{fd}", f"_up{fd}"
@@ -1764,9 +1959,10 @@ class _Emitter:
         # it by address, which also reads the bytes that are no atom.
         if self.stack_spills:
             blk.append("stack[:] = _ZSTACK")
-        if self.atoms:
-            blk.append(" = ".join(f"_s{at}" for at in sorted(self.atoms))
-                       + " = 0")
+        if self.stack_spills:
+            zeroed = sorted(self.atoms)
+        if zeroed:
+            blk.append(" = ".join(f"_s{at}" for at in zeroed) + " = 0")
         # A register starts as the VM starts it (r1 the context, r10
         # the stack top, the rest 0) only where a rendered read may take
         # that value: the others are assigned before every read.
@@ -1795,13 +1991,14 @@ class _Emitter:
                 ]
         # Past the last stage without an exit: like the kernel treats a
         # fault (sim._finalize).
+        ops_at = len(blk) + 1 + len(body)  # where the ops start in blk
         body += ops + ["_act = _ABORTED", "break"]
         blk += ["while True:"] + _ind(body) + timing.tail
 
         # Exit accounting. The per-packet aggregates are batched: the
         # cycle sums come from the timing model and only the action
         # histogram needs per-packet work.
-        if self.stores_may_pend:
+        if self.stores_may_pend and "_mem_store" in named:
             blk += ["if pkt.pending_writes:", "    sim._finalize(pkt)"]
         arrival, inject, exit_ = timing.record
         blk += [
@@ -1821,6 +2018,7 @@ class _Emitter:
         out += [f"_{action.name} = _ACTIONS[{int(action)}]"
                 for action in sorted(self.verdicts)]
         out += ["_cnt = {}", "_recs = report.records", "for frame in frames:"]
+        ops_at += len(out)
         out += _ind(blk)
         out += ["if pid:", "    " + timing.cycles] + [
             "report.packets_in += pid",
@@ -1833,6 +2031,9 @@ class _Emitter:
             f"report.sum_pipeline_cycles += {in_pipeline}",
             "return pid",
         ]
+        # every name the function uses, the ops' scanned once (_fn)
+        self.stream_names = named | _idents(
+            out[:ops_at] + out[ops_at + len(ops):])
         return out
 
     def _stream_placed(self) -> Dict[int, List[Tuple[PipeOp, int, bool]]]:
@@ -1936,16 +2137,28 @@ class _Emitter:
         folded map request reads only an update's flags in r4 (its fd is
         folded, its key and value are stack atoms), ``bpf_redirect``
         only r1, a ``sim._map_channel_call`` fallback the registers it
-        spills, and an exit whose verdict is a constant no r0."""
+        spills, and an exit whose verdict is a constant no r0. A map-value
+        access addressed by slot reads its base register's shadow, not
+        the register (a store its source, a store run's last member all
+        the run's sources, ``run_reads``), and so does a null test read
+        off a shadow."""
         insn = op.insn
+        index = op.insn_index
+        if insn.opcode & 0x07 in _ALU_CLASSES:  # as the ISA states
+            return program_facts(self.pipeline.program).reads[index]
         label, size = op.label, insn.size_bytes
+        if index in self.null_tests:
+            return 0
+        if index in self.by_slot:
+            if index in self.runs:
+                return self.run_reads.get(index, 0)
+            return 1 << insn.src if insn.opclass == isa.BPF_STX else 0
         if insn.is_exit:
             return 0 if self._verdict(op) is not None else 1 << isa.R0
         if insn.is_call:
             return self._call_reads(op)
         if insn.is_mem_load and label is not None \
-                and label.offset is not None \
-                and self._const_ldx(label, size, "") is not None:
+                and self._ldx_folds(label, size) is not None:
             return 0
         if insn.opclass in (isa.BPF_ST, isa.BPF_STX) and not insn.is_atomic \
                 and self._store_folds(label, size):
@@ -1976,16 +2189,15 @@ class _Emitter:
         """Whether all ``op`` does in the stream body is write its
         destination register: an ALU op, a 64-bit immediate, a load
         folded to a stack atom, a context field or a frame offset the
-        entry length checks cover (no drop path)."""
+        entry length checks cover (no drop path), or of a map value
+        addressed by slot."""
         insn = op.insn
-        if insn.opclass in (isa.BPF_ALU64, isa.BPF_ALU, isa.BPF_LD):
+        if insn.opcode & 0x07 in _ALU_CLASSES:
             return True
-        label = op.label
-        lines = (insn.is_mem_load and label is not None
-                 and label.offset is not None
-                 and self._const_ldx(label, insn.size_bytes, ""))
-        return bool(lines) and not any(line.endswith("break")
-                                       for line in lines)
+        if not insn.is_mem_load:
+            return False
+        return op.insn_index in self.by_slot or op.label is not None \
+            and self._ldx_folds(op.label, insn.size_bytes) is False
 
     def _keeps(self, op: PipeOp, reg: int) -> bool:
         """Whether the body renders ``op``'s store to register ``reg``:
@@ -2061,8 +2273,10 @@ class _Emitter:
                 if emitted is None:
                     continue
                 lines += emitted[0]
-                if self.bound and any(line.endswith("break")
-                                      for line in emitted[0]):
+                if (self.bound or self.leaving is not None) and any(
+                        line.endswith("break") for line in emitted[0]):
+                    if self.leaving is not None:
+                        self.leaving.add(op.insn_index)
                     # no op both kills a slice and packs it
                     exits.append((block, frozenset(before & self.avail)))
             avail_out[block] = frozenset(self.avail)
@@ -2078,18 +2292,618 @@ class _Emitter:
         (``exits``), past the last op of a block with no successor, or,
         if the entry block holds, at an entry length check."""
         cfg = self.pipeline.cfg
-        reach, todo = set(), list(holders)
-        while todo:
-            block = todo.pop()
-            if block not in reach:
-                reach.add(block)
-                todo += [succ for succ, _kind in cfg.blocks[block].succs]
+        reach = self._reach(holders)
         ways = [avail for block, avail in exits if block in reach]
         ways += [avail_out.get(block, frozenset()) for block in reach
                  if not cfg.blocks[block].succs]
         if cfg.entry.block_id in reach and self.pipeline.entry_checks:
             ways.append(frozenset())
         return set(frozenset.intersection(*ways)) if ways else set()
+
+    def _reach(self, holders) -> set:
+        """The blocks a packet that ran one of ``holders`` may run after:
+        they and every block they reach."""
+        blocks = self.pipeline.cfg.blocks
+        reach, todo = set(), list(holders)
+        while todo:
+            block = todo.pop()
+            if block not in reach:
+                reach.add(block)
+                todo += [succ for succ, _kind in blocks[block].succs]
+        return reach
+
+    # -- _stream's map values: slots, runs and fed atoms ----------------------
+
+    def _stream_scan(self, placed) -> "_Scan":
+        """One pass over the body's ops, by opcode and label, that sorts
+        out the few each analysis below reads (``_Scan``)."""
+        scan = _Scan({}, {}, {}, [], [], {}, [], {})
+        for block, ops in placed.items():
+            for position, (op, stage, entry) in enumerate(ops):
+                insn, label, index = op.insn, op.label, op.insn_index
+                code = insn.opcode
+                cls = code & 0x07
+                scan.at[index] = (block, position)
+                if cls == isa.BPF_ALU64:
+                    if code == _MOV64_X:
+                        scan.moves[index] = (insn.dst, insn.src)
+                    elif code in _SHIFTS_K:
+                        scan.shifts[index] = insn.dst
+                elif cls == isa.BPF_JMP:
+                    if code == _CALL:
+                        scan.stack.append(op)
+                        if self._folded_lookup(op):
+                            scan.lookups[index] = op.call.map_fd
+                    elif code in _NULL_TESTS and insn.imm == 0:
+                        scan.readers.append((op, stage))
+                elif cls in (isa.BPF_LDX, isa.BPF_ST, isa.BPF_STX):
+                    region = None if label is None else label.region
+                    if region is None or region is Region.STACK:
+                        scan.stack.append(op)
+                    elif region is Region.MAP_VALUE:
+                        scan.readers.append((op, stage))
+                    if code & 0xE7 == isa.BPF_STX | isa.BPF_MEM:
+                        scan.stores.append((block, op))
+                    elif code & 0xE7 == isa.BPF_LDX | isa.BPF_MEM \
+                            and not entry and (
+                                region is Region.MAP_VALUE
+                                or region is Region.PACKET
+                                and label.offset is not None
+                                and 0 <= label.offset
+                                <= self.pkt_min_len - insn.size_bytes):
+                        scan.loads.setdefault(block, []).append(op)
+        return scan
+
+    def _stream_values(self, scan: "_Scan") -> Tuple[
+            Dict[int, Tuple[int, int]], FrozenSet[int], FrozenSet[int]]:
+        """Rule 1 of the module docstring's *map values*, one forward
+        sweep over the program's blocks (a program with a backward edge
+        addresses no value by slot). Before each instruction it knows,
+        per register, the map whose value the register's shadow
+        ``_v<reg>`` addresses — set by a folded lookup, copied by a
+        64-bit ``mov``, kept by ``±`` an immediate on a pointer the
+        verifier proved non-null, lost by any other write or where two
+        paths disagree.
+
+        Sets ``by_slot`` (a load, store or arithmetic atomic at a
+        constant in-value offset ``k``, ``0 <= k <= VS - size``, through
+        a register whose shadow addresses the labelled map; a store at
+        or past the map's commit stage, an atomic only where no store
+        can pend a write) and ``null_tests`` (``== 0`` / ``!= 0`` on such
+        a register). Returns the candidate shadow copies, the shifts
+        that keep a shadow and the folded lookups, for
+        ``_shadow_liveness``."""
+        sets, moves, shifts, readers = (scan.lookups, scan.moves,
+                                        scan.shifts, scan.readers)
+        facts = program_facts(self.pipeline.program)
+        if not sets or not facts.forward:
+            return {}, frozenset(), frozenset()
+        # per block in topological order (the edges go forward: the CFG
+        # has no cycle), the state two paths agree on at its start, then
+        # each instruction in turn; the state before each op that reads
+        # or moves a shadow is kept
+        cfg = self.pipeline.cfg
+        care = {*moves, *shifts, *(op.insn_index for op, _stage in readers)}
+        # a block that sets, copies or keeps no shadow passes no shadow on
+        # from a start that has none
+        acting = {scan.at[index][0] for index in (*sets, *moves, *shifts)}
+        flow: Dict[int, Dict[int, int]] = {}
+        ends: Dict[int, Dict[int, int]] = {}
+        for block in cfg.topo_order:
+            outs = [ends[pred] for pred in cfg.blocks[block].preds
+                    if pred in ends]
+            if block == cfg.entry.block_id:
+                state: Dict[int, int] = {}
+            elif not outs:
+                continue  # unreachable
+            else:
+                state = outs[0]
+                for other in outs[1:]:
+                    state = {reg: fd for reg, fd in state.items()
+                             if other.get(reg) == fd}
+            if not state and block not in acting:
+                ends[block] = state
+                continue
+            held = sum(1 << reg for reg in state)
+            for index in cfg.blocks[block].indices():
+                if index in care:
+                    flow[index] = state
+                writes = facts.writes[index]
+                if writes & held:
+                    state = {reg: fd for reg, fd in state.items()
+                             if not writes >> reg & 1}
+                    held &= ~writes
+                move, shift = moves.get(index), shifts.get(index)
+                if index in sets:
+                    state, held = {**state, isa.R0: sets[index]}, held | 1
+                elif move is not None and move[1] in flow[index]:
+                    state = {**state, move[0]: flow[index][move[1]]}
+                    held |= 1 << move[0]
+                elif shift in flow.get(index, ()) \
+                        and self._non_null(index, shift):
+                    state = {**state, shift: flow[index][shift]}
+                    held |= 1 << shift
+            ends[block] = state
+        copies = {index: move for index, move in moves.items()
+                  if move[1] in flow.get(index, ())}
+        keeps = frozenset(index for index, reg in shifts.items()
+                          if reg in flow.get(index, ())
+                          and self._non_null(index, reg))
+        for op, stage in readers:
+            state, insn, label = flow.get(op.insn_index), op.insn, op.label
+            if state is None:
+                continue
+            if insn.opclass == isa.BPF_JMP:
+                if insn.dst in state:
+                    self.null_tests[op.insn_index] = insn.dst
+                continue
+            base = insn.src if insn.is_mem_load else insn.dst
+            spec = self._bound_spec(label.map_fd)
+            if (spec is not None and label.offset is not None
+                    and state.get(base) == label.map_fd
+                    and 0 <= label.offset <= spec.value_size - insn.size_bytes
+                    and self._slot_kind(op, stage)):
+                self.by_slot[op.insn_index] = base
+        return copies, keeps, frozenset(sets)
+
+    def _non_null(self, index: int, reg: int) -> bool:
+        """Whether the verifier proved register ``reg`` a non-null map
+        value pointer before instruction ``index``: moved by ``±`` an
+        immediate, its shadow, the value's start, stays (a null one
+        would stop being 0, where its shadow stays None)."""
+        state = self.pipeline.labels.verifier.state_before(index)
+        return state is not None and state.reg(reg).kind is RegKind.MAP_VALUE
+
+    def _stream_fits(self, scan: "_Scan") -> None:
+        """Set ``fits``: the register stores whose source the body last
+        wrote, in the store's own block, with a load no wider than the
+        store or a non-negative immediate that fits it (an 8-byte store
+        always fits: the register invariant). Their values need no
+        mask."""
+        program = self.pipeline.program
+        insns, writes = program.instructions, program_facts(program).writes
+        blocks = self.pipeline.cfg.blocks
+        fits = set()
+        for block, op in scan.stores:
+            size, src = op.insn.size_bytes, op.insn.src
+            if size == 8:
+                fits.add(op.insn_index)
+                continue
+            for index in range(op.insn_index - 1,
+                               blocks[block].start - 1, -1):
+                if writes[index] >> src & 1:
+                    if index in scan.at and _fits_in(
+                            insns[index], size,
+                            self.pipeline.labels.label_for(index)):
+                        fits.add(op.insn_index)
+                    break
+        self.fits = frozenset(fits)
+
+    def _folded_lookup(self, op: PipeOp) -> bool:
+        """Whether ``op`` is a lookup ``_stream`` folds (``_map_call``)."""
+        return (op.insn.is_call and op.insn.imm == BPF_MAP_LOOKUP_ELEM
+                and op.call is not None
+                and self._bound_spec(op.call.map_fd) is not None)
+
+    def _slot_kind(self, op: PipeOp, stage: int) -> bool:
+        """Whether a map-value access of ``op``'s kind may be addressed by
+        slot: a load; a store at or past its map's commit stage (one
+        before may stay WAR-buffered: ``sim._mem_store``); an arithmetic
+        atomic where no store can pend a write (else its fast side tests
+        ``pkt.pending_writes``)."""
+        insn = op.insn
+        if insn.is_mem_load:
+            return True
+        if not insn.is_atomic:
+            return stage >= self.commits.get(op.label.map_fd, 0)
+        return not self.stores_may_pend and insn.imm & ~isa.BPF_FETCH in (
+            isa.ATOMIC_ADD, isa.ATOMIC_OR, isa.ATOMIC_AND, isa.ATOMIC_XOR)
+
+    def _shadow_liveness(self, copies: Dict[int, Tuple[int, int]],
+                         keeps: FrozenSet[int],
+                         lookups: FrozenSet[int]) -> None:
+        """Keep the shadow copies and lookup shadows some rendered read
+        takes: ``liveness.mask_liveness`` over the shadows (bit r is
+        ``_v<r>``), read by the accesses addressed by slot and the null
+        tests, copied by a ``mov`` only where its destination is live
+        after it (the strong rule), kept through a shift, lost by any
+        other write of the register."""
+        if not (self.by_slot or self.null_tests):
+            return
+        program = self.pipeline.program
+        kill = list(program_facts(program).writes)
+        gen = [0] * len(kill)
+        for index, reg in (*self.by_slot.items(), *self.null_tests.items()):
+            gen[index] |= 1 << reg
+        for index, (_dst, src) in copies.items():
+            gen[index] |= 1 << src
+        for index in keeps:
+            kill[index] = 0
+        _live_in, live_out = mask_liveness(
+            program, gen, kill,
+            {index: dst for index, (dst, _src) in copies.items()})
+        self.copies = {index: copy for index, copy in copies.items()
+                       if live_out[index] >> copy[0] & 1}
+        self.shadowed = frozenset(index for index in lookups
+                                  if live_out[index] >> isa.R0 & 1)
+
+    def _store_runs(self, scan: "_Scan") -> None:
+        """Rule 2's stores: stores addressed by slot through one register
+        into one value, next to each other both in a block's body and in
+        the program, whose bytes tile one span, are one ``pack_into`` at
+        the last of them — which reads every source (``run_reads``)."""
+        stores = sorted((op for op, _stage in scan.readers
+                         if self._slot_store(op)),
+                        key=lambda op: op.insn_index)
+        run: List[PipeOp] = []
+        for op in (*stores, None):
+            if run and op is not None:
+                prev = run[-1]
+                block, position = scan.at[prev.insn_index]
+                if op.insn_index == prev.insn_index + 1 \
+                        and scan.at[op.insn_index] == (block, position + 1) \
+                        and self.by_slot[op.insn_index] \
+                        == self.by_slot[prev.insn_index] \
+                        and op.label.map_fd == prev.label.map_fd \
+                        and op.label.offset \
+                        == prev.label.offset + prev.insn.size_bytes:
+                    run.append(op)
+                    continue
+            if len(run) > 1:
+                for member in run:  # the preamble binds it, as it did
+                    self._pack(member.insn.size_bytes)
+                fmt = "".join(_STRUCT_FMT[member.insn.size_bytes][1]
+                              for member in run)
+                name = self._run_struct("_p_", fmt, "pack_into")
+                values = ", ".join(self._store_value(member)[1]
+                                   for member in run)
+                last = run[-1].insn_index
+                self.runs.update({member.insn_index: [] for member in run})
+                self.runs[last] = [
+                    f"{name}(_st{run[0].label.map_fd}, "
+                    f"{self._slot_at(run[0])}, {values})"]
+                self.run_reads[last] = sum(
+                    1 << member.insn.src for member in run
+                    if member.insn.opclass == isa.BPF_STX)
+                self.coalesced += 1
+            run = [op] if op is not None else []
+
+    def _slot_store(self, op: PipeOp) -> bool:
+        insn = op.insn
+        return (op.insn_index in self.by_slot and not insn.is_atomic
+                and insn.opclass in (isa.BPF_ST, isa.BPF_STX))
+
+    def _run_struct(self, prefix: str, fmt: str, method: str) -> str:
+        """The local, bound once per run, that is the ``method`` of
+        ``Struct("<" + fmt)``."""
+        name = prefix + fmt
+        self.run_structs[name] = f'struct.Struct("<{fmt}").{method}'
+        return name
+
+    def _atom_effects(self, scan: "_Scan") -> Tuple[
+            List[int], List[int], Dict[int, int]]:
+        """Per instruction, the stack atoms (bit k: the k-th atom) the
+        body reads before it writes any and those it overwrites, and per
+        rendered op the atoms it touches either way. A rendered constant
+        stack load reads its atoms (a load left out, none: the strong
+        rule), a folded map request its key and value slices, a site that
+        reaches ``stack`` by address all of them; a constant stack store
+        overwrites its atoms. An instruction the body never renders does
+        neither."""
+        program = self.pipeline.program
+        gen = [0] * len(program.instructions)
+        kill = [0] * len(gen)
+        touch: Dict[int, int] = {}
+        if not self.atoms:
+            return gen, kill, touch
+        bits = {start: 1 << k for k, start in enumerate(sorted(self.atoms))}
+        every = (1 << len(bits)) - 1
+
+        def span(start: int, size: int) -> int:
+            return sum(bits[at] for at, _n in self._atoms_in(start, size))
+
+        for op in scan.stack:  # calls, memory ops on the stack or unknown
+            insn, label, index = op.insn, op.label, op.insn_index
+            reads = writes = 0
+            if insn.opcode == _CALL:
+                reads = self._call_atoms(op, span, every)
+            elif label is None or label.offset is None or insn.is_atomic \
+                    or (start := self._stack_index(
+                        label.offset, insn.size_bytes)) is None:
+                reads = every  # reaches ``stack`` by address
+            elif insn.opclass != isa.BPF_LDX:
+                writes = span(start, insn.size_bytes)
+            elif not self._dead_store(op):
+                reads = span(start, insn.size_bytes)
+            gen[index], kill[index] = reads, writes
+            touch[index] = reads | writes
+        return gen, kill, touch
+
+    def _call_atoms(self, op: PipeOp, span, every: int) -> int:
+        """The atoms a helper call reads (``_atom_effects``): a folded
+        map request its slices, a call that reaches ``stack`` by address
+        (``_spilled``) all of them, any other none."""
+        insn, info = op.insn, op.call
+        spec = helper_spec(insn.imm)
+        if not spec.map_channel:
+            return every if spec.reads_stack else 0
+        bound = self._bound_spec(info.map_fd if info is not None else None)
+        if bound is None:
+            return every  # sim._map_channel_call
+        if insn.imm == BPF_REDIRECT_MAP:
+            return 0
+        slices = self._stack_operands(insn.imm, info, bound)
+        if slices is None:
+            # a lookup reads its key by address; an update or delete is
+            # sim._map_channel_call
+            return every
+        return sum(span(*piece) for piece in slices)
+
+    def _load_runs(self, placed, scan: "_Scan",
+                   touch: Dict[int, int]) -> None:
+        """Rule 2's loads, per block in the body's order. A load that is
+        a run's member (``_run_item``: a constant ``_b`` offset the entry
+        checks cover, or a value by slot) writes a register — or, where
+        that register's one rendered reader is a store into one stack
+        atom no wider than the load, that atom (``_fed_loads``) — and
+        joins the open run on its buffer if, since the run's first
+        member, nothing wrote that buffer, called a helper, or read or
+        wrote its destination, and its bytes overlap no member's. A run
+        ends where something writes its buffer, calls a helper, or
+        redefines one of its destinations (a value's base register too).
+        A run of one renders its load alone; a longer one is one
+        ``unpack_from`` at its first member (``x`` pads the gaps)."""
+        facts = program_facts(self.pipeline.program)
+        # the blocks where a load may write a stack atom itself
+        feeding = {block for block, op in scan.stores
+                   if op.label is not None
+                   and op.label.region is Region.STACK}
+        for block, loads in scan.loads.items():
+            items = {op.insn_index: item for op in loads
+                     if not self._dead_store(op)
+                     and (item := self._run_item(op)) is not None}
+            if not items:
+                continue
+            if len(items) == 1 and block not in feeding:
+                (index, (key, offset)), = items.items()
+                op = next(op for op in loads if op.insn_index == index)
+                self._close_run(_Run(key, op, offset, 0, 0), {})
+                continue
+            body = [op for op, _stage, entry in placed[block]
+                    if not entry and not self._dead_store(op)]
+            at = {op.insn_index: k for k, op in enumerate(body)}
+            fed = self._fed_loads(block, body, at, items, touch) \
+                if touch else {}
+            feeds = {store: load for load, store in fed.items()}
+            first = min(at[index] for index in items)
+            last = max(at[index] for index in items)
+            runs: Dict[tuple, _Run] = {}
+            for op in body[first:last + 1]:
+                item = items.get(op.insn_index)
+                index = op.insn_index
+                if item is None:
+                    # the ISA's reads cover the rendered ones inside a
+                    # run: a spill's extra r0 is a call's, which ends it,
+                    # and a store run's sources its first member's too
+                    reads, regs = facts.reads[index], facts.writes[index]
+                    atoms = touch.get(index, 0)
+                else:
+                    key, offset = item
+                    regs = 0 if index in fed else 1 << op.insn.dst
+                    atoms = touch[fed[index]] if index in fed else 0
+                    reads = 0
+                    run = runs.get(key)
+                    if run is not None and run.admits(
+                            offset, op.insn.size_bytes, regs, atoms):
+                        run.add(op, offset, regs, atoms)
+                    else:
+                        if run is not None:
+                            self._close_run(run, fed)
+                        runs[key] = _Run(key, op, offset, regs, atoms)
+                for key, run in list(runs.items()):
+                    # a member's fed store is that member's own write
+                    if index in run.loads or feeds.get(index) in run.loads:
+                        continue
+                    if run.ended_by(op, regs, atoms):
+                        self._close_run(run, fed)
+                        del runs[key]
+                    else:
+                        run.regs |= reads | regs
+                        run.atoms |= atoms
+            for run in runs.values():
+                self._close_run(run, fed)
+
+    def _run_item(self, op: PipeOp) -> Optional[Tuple[tuple, int]]:
+        """``(buffer, offset)`` of a load a run may take: a value by slot
+        (its map and base register name the buffer) or a constant frame
+        offset the entry length checks cover; else None."""
+        insn, label = op.insn, op.label
+        if not insn.is_mem_load or label is None:
+            return None
+        if op.insn_index in self.by_slot:
+            return (label.map_fd, self.by_slot[op.insn_index]), label.offset
+        if label.region is Region.PACKET and label.offset is not None \
+                and 0 <= label.offset <= self.pkt_min_len - insn.size_bytes:
+            return ("_b",), label.offset
+        return None
+
+    def _fed_loads(self, block: int, body: List[PipeOp],
+                   at: Dict[int, int], items,
+                   touch: Dict[int, int]) -> Dict[int, int]:
+        """Load -> the stack store that is its register's one rendered
+        reader, where the load may write that store's atom itself: the
+        store writes exactly one atom, is no narrower than the load and
+        is the first instruction after it (in program order) to read the
+        register, which nothing reads after it (``live_out``), and no op
+        between the two in the body touches the atom. ``at``: each op's
+        place in the body; ``items``: the body's run members. Records
+        each such store in ``fed``."""
+        facts = program_facts(self.pipeline.program)
+        ops = {op.insn_index: op for op in body}
+        pending: Dict[int, int] = {}  # register -> the load that wrote it
+        held = 0  # the registers pending names
+        fed: Dict[int, int] = {}
+        last = max(items)
+        for index in range(min(items), self.pipeline.cfg.blocks[block].end):
+            if not held and index > last:
+                break
+            reads = facts.reads[index]
+            touched = (reads | facts.writes[index]) & held
+            held &= ~touched
+            while touched:
+                reg = touched.bit_length() - 1
+                touched &= ~(1 << reg)
+                load = pending.pop(reg)
+                store = ops.get(index)
+                if (reads >> reg & 1 and store is not None
+                        and self._feeds(ops[load], store)
+                        and at[load] < at[index]
+                        and not any(touch.get(op.insn_index, 0)
+                                    & touch[index]
+                                    for op in body[at[load] + 1:at[index]])):
+                    fed[load] = index
+            if index in items:
+                pending[ops[index].insn.dst] = index
+                held |= 1 << ops[index].insn.dst
+        for load, store in fed.items():
+            label = ops[store].label
+            self.fed[store] = (self._stack_index(
+                label.offset, ops[store].insn.size_bytes),
+                ops[store].insn.size_bytes)
+        return fed
+
+    def _feeds(self, load: PipeOp, store: PipeOp) -> bool:
+        """Whether ``store`` writes ``load``'s register, and nothing
+        else reads it after, into one stack atom no narrower than the
+        load (``_fed_loads``)."""
+        insn, label = store.insn, store.label
+        if insn.opclass != isa.BPF_STX or insn.is_atomic \
+                or insn.src != load.insn.dst or label is None \
+                or label.region is not Region.STACK \
+                or insn.size_bytes < load.insn.size_bytes \
+                or insn.src in self.live_out[store.insn_index]:
+            return False
+        start = self._stack_index(label.offset, insn.size_bytes)
+        return start is not None and self.atoms.get(start) == insn.size_bytes
+
+    def _close_run(self, run: "_Run", fed: Dict[int, int]) -> None:
+        """Render a finished run (``_load_runs``) into ``runs``."""
+        members = sorted(run.members, key=lambda member: member[0])
+        start, first = members[0]
+        targets, fmt, end = [], "", start
+        for offset, op in members:
+            index, size = op.insn_index, op.insn.size_bytes
+            self._unpack(size)  # the preamble binds it, as it did
+            targets.append(f"_s{self.fed[fed[index]][0]}" if index in fed
+                           else self._reg(op.insn.dst))
+            fmt += (f"{offset - end}x" if offset > end else "") \
+                + _STRUCT_FMT[size][1]
+            end = offset + size
+            self.runs[index] = []
+        if len(run.key) == 1:
+            buf, at = "_b", str(start)
+        else:
+            buf, at = f"_st{run.key[0]}", self._slot_at(first, start)
+        if len(members) == 1:
+            self.runs[first.insn_index] = [
+                f"{targets[0]} = _u{first.insn.size_bytes}({buf}, {at})[0]"]
+            return
+        self.coalesced += 1
+        name = self._run_struct("_u_", fmt, "unpack_from")
+        self.runs[run.members[0][1].insn_index] = [
+            f"{', '.join(targets)} = {name}({buf}, {at})"]
+
+    def _atoms_read_first(self, gen: List[int], kill: List[int],
+                          window, leaving: set) -> List[int]:
+        """The atoms some path reads before any store (``_atom_effects``):
+        those live on entry, which each frame zeroes. The timing reads the
+        lane key of ``window`` (``held_windows``' entry, or None) after
+        the body of a packet that ran one of its holders: wherever such a
+        packet leaves it — an op that breaks (``leaving``), the end of a
+        block with no successor, an entry length check."""
+        if not self.atoms:
+            return []
+        if window is not None and window[3] is not None:
+            _lo, _hi, holders, bank, _forward = window
+            lane = sum(1 << k for k, start in enumerate(sorted(self.atoms))
+                       if 0 <= start - _STK_SZ - bank.offset < bank.size)
+            gen = list(gen)
+            blocks = self.pipeline.cfg.blocks
+            for block in self._reach(holders):
+                ends = blocks[block].indices()
+                if not blocks[block].succs:
+                    gen[ends[-1]] |= lane
+                for index in leaving.intersection(ends):
+                    gen[index] |= lane
+            if self.pipeline.cfg.entry.block_id in holders \
+                    and self.pipeline.entry_checks:
+                gen[0] |= lane
+        live_in, _live_out = mask_liveness(self.pipeline.program, gen, kill)
+        entry = live_in[0] if live_in else 0
+        return [start for k, start in enumerate(sorted(self.atoms))
+                if entry >> k & 1]
+
+
+class _Scan(NamedTuple):
+    """The ops of ``_stream``'s body each of its analyses reads
+    (``_Emitter._stream_scan``)."""
+
+    lookups: Dict[int, int]  # folded lookup -> its map
+    moves: Dict[int, Tuple[int, int]]  # 64-bit mov -> (dst, src)
+    shifts: Dict[int, int]  # 64-bit ± an immediate -> its register
+    readers: List[Tuple[PipeOp, int]]  # (op, stage): value accesses, == 0
+    stores: List[Tuple[int, PipeOp]]  # (block, register store)
+    loads: Dict[int, List[PipeOp]]  # block -> the loads a run may take
+    stack: List[PipeOp]  # calls, memory ops on the stack or unlabelled
+    at: Dict[int, Tuple[int, int]]  # insn -> (block, place in its body)
+
+
+class _Run:
+    """An open run of loads from one buffer (``_Emitter._load_runs``):
+    its members ``(offset, op)`` in body order and their
+    instructions (``loads``), the registers and atoms its members write
+    (``dest_*``) and those the ops since its first member read or wrote
+    (``regs`` / ``atoms``)."""
+
+    def __init__(self, key: tuple, op: PipeOp, offset: int, regs: int,
+                 atoms: int) -> None:
+        self.key = key
+        self.members: List[Tuple[int, PipeOp]] = []
+        self.loads: set = set()
+        self.dest_regs = self.dest_atoms = self.regs = self.atoms = 0
+        self.add(op, offset, regs, atoms)
+
+    def add(self, op: PipeOp, offset: int, regs: int, atoms: int) -> None:
+        self.members.append((offset, op))
+        self.loads.add(op.insn_index)
+        self.dest_regs |= regs
+        self.dest_atoms |= atoms
+
+    def admits(self, offset: int, size: int, regs: int, atoms: int) -> bool:
+        """Whether a load of ``size`` bytes at ``offset`` into ``regs`` /
+        ``atoms`` may join: its bytes overlap no member's, and nothing
+        since the first member read or wrote its destination."""
+        return (not (regs & (self.regs | self.dest_regs)
+                     or atoms & (self.atoms | self.dest_atoms))
+                and all(offset + size <= start
+                        or start + op.insn.size_bytes <= offset
+                        for start, op in self.members))
+
+    def ended_by(self, op: PipeOp, regs: int, atoms: int) -> bool:
+        """Whether ``op`` — writing ``regs`` and touching ``atoms`` —
+        closes the run: a helper call, a write to its buffer, or a
+        redefinition of a destination or of a value's base register."""
+        insn, label = op.insn, op.label
+        if insn.is_call or regs & self.dest_regs or atoms & self.dest_atoms:
+            return True
+        if len(self.key) == 2 and regs >> self.key[1] & 1:
+            return True
+        if insn.opclass not in (isa.BPF_ST, isa.BPF_STX) or (
+                label is not None and label.region is Region.STACK):
+            return False
+        if len(self.key) == 1:
+            return label is None or label.region is Region.PACKET
+        return label is None or label.map_fd == self.key[0]
 
 
 _IDENT_RUN = re.compile(r"[A-Za-z0-9_]+")
@@ -2110,10 +2924,13 @@ def _hoists(named: FrozenSet[str]) -> List[str]:
     )
 
 
-def _fn(name: str, params: List[str], body: List[str], binds: List[str]) -> List[str]:
+def _fn(name: str, params: List[str], body: List[str], binds: List[str],
+        named: Optional[FrozenSet[str]] = None) -> List[str]:
     """Assemble a def with module-level names re-bound as keyword-default
-    locals (LOAD_FAST beats LOAD_GLOBAL on the hot path)."""
-    named = _idents(body)
+    locals (LOAD_FAST beats LOAD_GLOBAL on the hot path); ``named``: the
+    body's ``_idents``, where the caller has them."""
+    if named is None:
+        named = _idents(body)
     used = [b for b in binds if b in named]
     sig = ", ".join(params + [f"{b}={b}" for b in used])
     return [f"def {name}({sig}):"] + _ind(body) + [""]
@@ -2167,7 +2984,7 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
         fn_sections.append(
             ("_stream",
              ["sim", "frames", "gap", "report", "keep_records"],
-             em.stream_body())
+             em.stream_body(), em.stream_names)
         )
 
     # -- preamble -------------------------------------------------------------
@@ -2270,8 +3087,8 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
 
     # -- assembly -------------------------------------------------------------
     out = head + imports + pre + [""]
-    for name, params, body in fn_sections:
-        out += _fn(name, params, body, binds)
+    for name, params, body, *named in fn_sections:
+        out += _fn(name, params, body, binds, *named)
         out.append("")
     out.append(f"_STAGE_FNS = ({', '.join(stage_fn_names)},)")
     out.append(f"_ENTRY = {'_entry' if entry is not None else 'None'}")
@@ -2279,11 +3096,14 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     if stream_ok:
         sites = "site" if em.spill_sites == 1 else "sites"
         slots = "slot" if len(em.atoms) == 1 else "slots"
+        runs = "run" if em.coalesced == 1 else "runs"
         out.append(
             f'_STREAM_SHAPE = "{em.folded_lookups} of {em.lookups} lookups, '
             f'{em.folded_writes} of {em.writes} writes folded, '
             f'{em.spill_sites} spill {sites}, '
-            f'{len(em.atoms)} stack {slots}"')
+            f'{len(em.atoms)} stack {slots}, '
+            f'{em.slot_accesses} of {em.value_accesses} value accesses '
+            f'by slot, {em.coalesced} coalesced {runs}"')
     out.append("")
     # Collapse double blanks left by empty sections.
     text_lines: List[str] = []

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'ct_firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 17); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 18); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct
@@ -388,7 +388,7 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _i2=_i2, _i3=_i3, _pk_IIHHI=_pk_IIHHI, _pk_Q=_pk_Q):
+def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapError, _bank_of=_bank_of, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _pk_IIHHI=_pk_IIHHI, _pk_Q=_pk_Q):
     pid = 0
     cycle = 0
     _cap = sim.options.input_queue_capacity
@@ -401,7 +401,7 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
-    regs = pkt.regs
+    _u_IHH = struct.Struct("<IHH").unpack_from
     _m1 = sim.maps[1]
     _st1 = _m1.storage
     _lk1 = _m1._find
@@ -424,8 +424,6 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
             _inj = _ring[_ri]
         _inq.append(_inj)
         _b = _c.packet = frame
-        pkt.done = False
-        _s480 = _s496 = _s500 = _s504 = _s506 = _s508 = 0
         _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = _e7 = _e8 = _e9 = _e10 = False
         while True:
             _pl = len(_b)
@@ -457,58 +455,39 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                 else:
                     _e4 = True
             if _e4:
-                r2 = _u4(_b, 30)[0]
+                _s496, _s506, _s504 = _u_IHH(_b, 30)
                 _s500 = r8 & 0xffffffff
-                r4 = _u2(_b, 36)[0]
-                r5 = _u2(_b, 34)[0]
                 r3 = 0x0
-                _s496 = r2 & 0xffffffff
-                _s504 = r4 & 0xffff
-                _s506 = r5 & 0xffff
-                _s508 = r3 & 0xffffffff
+                _s508 = r3
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _bk = _bank_of(_sb496_16, 16)
                 _sl = _lk1(_sb496_16, _bk)
-                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
+                _v0 = None if _sl is None else _sl * 8
                 r1 = 0x1
-                if r0 == 0x0:
+                if _v0 is None:
                     _e9 = True
                 else:
                     _e5 = True
             if _e5:
-                _a = r0
-                _o = _a - 0x41000000
-                if 0 <= _o <= 32760:
-                    _old = _u8(_st1, _o)[0]
-                    _sv = r1
-                    _p8(_st1, _o, (_old + _sv) & 0xffffffffffffffff)
-                else:
-                    regs[1] = r1
-                    sim._atomic(pkt, _i2, _a)
-                    if pkt.done:
-                        _act = pkt.action
-                        break
+                _old = _u8(_st1, _v0)[0]
+                _sv = r1
+                _p8(_st1, _v0, (_old + _sv) & 0xffffffffffffffff)
                 _act = _PASS
                 break
             if _e6:
                 r7 = 0x1
                 r9 = 0x1
                 _s496 = r8 & 0xffffffff
-                r3 = _u4(_b, 30)[0]
-                r4 = _u2(_b, 34)[0]
-                r5 = _u2(_b, 36)[0]
+                _s500, _s504, _s506 = _u_IHH(_b, 30)
                 _s480 = r7
-                _s500 = r3 & 0xffffffff
-                _s504 = r4 & 0xffff
-                _s506 = r5 & 0xffff
                 r3 = 0x0
-                _s508 = r3 & 0xffffffff
+                _s508 = r3
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _bk = _bank_of(_sb496_16, 16)
                 _sl = _lk1(_sb496_16, _bk)
-                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
+                _v0 = None if _sl is None else _sl * 8
                 r4 = 0x0
-                if r0 != 0x0:
+                if _v0 is not None:
                     _e8 = True
                 else:
                     _e7 = True
@@ -520,18 +499,9 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
                 _act = _TX
                 break
             if _e8:
-                _a = r0
-                _o = _a - 0x41000000
-                if 0 <= _o <= 32760:
-                    _old = _u8(_st1, _o)[0]
-                    _sv = r9
-                    _p8(_st1, _o, (_old + _sv) & 0xffffffffffffffff)
-                else:
-                    regs[9] = r9
-                    sim._atomic(pkt, _i3, _a)
-                    if pkt.done:
-                        _act = pkt.action
-                        break
+                _old = _u8(_st1, _v0)[0]
+                _sv = r9
+                _p8(_st1, _v0, (_old + _sv) & 0xffffffffffffffff)
                 _act = _TX
                 break
             if _e9:
@@ -578,5 +548,5 @@ def _stream(sim, frames, gap, report, keep_records, _deque=_deque, MapError=MapE
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, _s8, _s9, _s10, _s11, _s12, None, _s14, _s15, None, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups, 1 of 1 writes folded, 2 spill sites, 6 stack slots"
+_STREAM_SHAPE = "2 of 2 lookups, 1 of 1 writes folded, 0 spill sites, 6 stack slots, 2 of 2 value accesses by slot, 2 coalesced runs"
 

@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'firewall' (18 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 17); flush machinery elided, map-read tracking elided. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 18); flush machinery elided, map-read tracking elided. Do not edit.
 """
 
 import struct
@@ -257,13 +257,13 @@ def _entry(sim, pkt):
     regs = pkt.regs
     regs[6] = 0x100100 + pkt.ctx.head_adjust
 
-def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u4=_u4, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _i1=_i1, _pk_IIHHI=_pk_IIHHI):
+def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, _PR=_PR, _u1=_u1, _u2=_u2, _u8=_u8, _p8=_p8, _ACTIONS=_ACTIONS, _ABORTED=_ABORTED, _DROP=_DROP, _pk_IIHHI=_pk_IIHHI):
     pid = 0
     cycle = 0
     _max = sim.options.max_cycles
     pkt = _IF(0, b"", 0)
     _c = pkt.ctx
-    regs = pkt.regs
+    _u_IIHH = struct.Struct("<IIHH").unpack_from
     _m1 = sim.maps[1]
     _st1 = _m1.storage
     _lk1 = _m1._slot_by_key.get
@@ -275,8 +275,6 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
         if cycle + 18 >= _max:
             raise SimError("simulation exceeded %d cycles" % _max)
         _b = _c.packet = frame
-        pkt.done = False
-        _s496 = _s500 = _s504 = _s506 = _s508 = 0
         _e1 = _e2 = _e3 = _e4 = _e5 = _e6 = False
         while True:
             _pl = len(_b)
@@ -295,36 +293,22 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 else:
                     _e2 = True
             if _e2:
-                r2 = _u4(_b, 26)[0]
-                r3 = _u4(_b, 30)[0]
-                r4 = _u2(_b, 34)[0]
-                r5 = _u2(_b, 36)[0]
+                _s496, _s500, _s504, _s506 = _u_IIHH(_b, 26)
                 r8 = 0x0
-                _s496 = r2 & 0xffffffff
-                _s500 = r3 & 0xffffffff
-                _s504 = r4 & 0xffff
-                _s506 = r5 & 0xffff
-                _s508 = r8 & 0xffffffff
+                _s508 = r8
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _sl = _lk1(_sb496_16)
-                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                if r0 != 0x0:
+                _v0 = None if _sl is None else _sl * 8
+                if _v0 is not None:
                     _e5 = True
                 else:
                     _e3 = True
             if _e3:
-                r2 = _u4(_b, 30)[0]
-                r3 = _u4(_b, 26)[0]
-                r4 = _u2(_b, 36)[0]
-                r5 = _u2(_b, 34)[0]
-                _s496 = r2 & 0xffffffff
-                _s500 = r3 & 0xffffffff
-                _s504 = r4 & 0xffff
-                _s506 = r5 & 0xffff
+                _s500, _s496, _s506, _s504 = _u_IIHH(_b, 26)
                 _sb496_16 = _pk_IIHHI(_s496, _s500, _s504, _s506, _s508)
                 _sl = _lk1(_sb496_16)
-                r0 = 0 if _sl is None else 0x41000000 + _sl * 8
-                if r0 != 0x0:
+                _v0 = None if _sl is None else _sl * 8
+                if _v0 is not None:
                     _e5 = True
                 else:
                     _e4 = True
@@ -333,18 +317,9 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
                 break
             if _e5:
                 r1 = 0x1
-                _a = r0
-                _o = _a - 0x41000000
-                if 0 <= _o <= 65528:
-                    _old = _u8(_st1, _o)[0]
-                    _sv = r1
-                    _p8(_st1, _o, (_old + _sv) & 0xffffffffffffffff)
-                else:
-                    regs[1] = r1
-                    sim._atomic(pkt, _i1, _a)
-                    if pkt.done:
-                        _act = pkt.action
-                        break
+                _old = _u8(_st1, _v0)[0]
+                _sv = r1
+                _p8(_st1, _v0, (_old + _sv) & 0xffffffffffffffff)
                 _act = _TX
                 break
             if _e6:
@@ -371,5 +346,5 @@ def _stream(sim, frames, gap, report, keep_records, SimError=SimError, _IF=_IF, 
 _STAGE_FNS = (_s1, _s2, _s3, _s4, _s5, _s6, _s7, None, _s9, _s10, _s11, _s12, None, _s14, _s15, _s16, _s17, _s18,)
 _ENTRY = _entry
 _STREAM = _stream
-_STREAM_SHAPE = "2 of 2 lookups, 0 of 0 writes folded, 1 spill site, 5 stack slots"
+_STREAM_SHAPE = "2 of 2 lookups, 0 of 0 writes folded, 0 spill sites, 5 stack slots, 1 of 1 value accesses by slot, 2 coalesced runs"
 

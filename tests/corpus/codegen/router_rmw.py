@@ -1,6 +1,6 @@
 """Generated execution module for pipeline 'router_rmw' (28 stages).
 
-Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 17); flush machinery included, map-read tracking included. Do not edit.
+Emitted by repro.hwsim.codegen (CODEGEN_VERSION = 18); flush machinery included, map-read tracking included. Do not edit.
 """
 
 import struct

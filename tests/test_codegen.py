@@ -75,6 +75,7 @@ from repro.hwsim.codegen import (
     stream_blocker,
     write_debug_source,
 )
+from repro.ebpf.xdp import AddressSpace
 from repro.hwsim.engines import engine_run, run_engine
 from repro.net.packet import FiveTuple, ipv4
 from repro.workloads import make_workload, parse_workload_spec
@@ -372,15 +373,17 @@ def _stream_source(pipeline):
 # What _stream no longer renders: the caller-saved scrub after a call,
 # and a register store no read takes.
 SCRUB = "r1 = r2 = r3 = r4 = r5 = 0"
-_REGISTER = re.compile(r"r(\d+)")
-_REGISTER_TARGETS = re.compile(r"\s*(?:r\d+ = )*")
+_REGISTER = re.compile(r"r(\d+)|_v(\d+)")
+_REGISTER_TARGETS = re.compile(r"\s*(?:[\w, ]+ = )*")
 
 
 def stream_dead_stores(source):
     """``(register, line)`` of each store to a register local of the
-    generated module's ``_stream`` that no later line of it reads. Its
-    packet body is laid out in topological block order, so a store some
-    path reads is read further down."""
+    generated module's ``_stream`` — ``r<n>``, or the shadow ``_v<n>``
+    that holds the storage offset of the map value ``r<n>`` points into
+    — that no later line of it reads. Its packet body is laid out in
+    topological block order, so a store some path reads is read further
+    down."""
     stream = next(node for node in ast.parse(source).body
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_stream")
@@ -394,6 +397,46 @@ def stream_dead_stores(source):
                                          node.lineno)
     return [(name, line) for name, line in stores
             if last_read.get(name, 0) <= line]
+
+
+def value_bound_tests(pipeline):
+    """``(tested, refused)``: how many map-value accesses the generated
+    ``_stream`` still bounds-tests (``_o = _a - <the map's base>``), and
+    how many the module docstring's *map values* rule refuses on the
+    label alone: an offset that is not constant or leaves ``[0, VS -
+    size]``, a store ahead of its map's commit stage, an arithmetic
+    atomic whose fast side tests ``pkt.pending_writes``. Every other
+    access is addressed by its slot, so where each value pointer comes
+    from a lookup by moves and immediate shifts the two are equal."""
+    program = pipeline.program
+    source = pipeline.codegen_source
+    body = source[source.index("def _stream("):]
+    tested = sum(
+        body.count(f"_o = _a - {hex(AddressSpace.map_value_addr(fd, 0))}\n")
+        for fd in program.maps)
+    pends = _Emitter(pipeline).stores_may_pend
+    commits = pipeline.commit_stages
+    refused = 0
+    for stage in pipeline.stages:
+        for op in stage.ops or ():
+            insn, label = op.insn, op.label
+            if label is None or label.region is not Region.MAP_VALUE:
+                continue
+            arithmetic = insn.imm & ~isa.BPF_FETCH in (
+                isa.ATOMIC_ADD, isa.ATOMIC_OR, isa.ATOMIC_AND,
+                isa.ATOMIC_XOR)
+            spec = program.maps.get(label.map_fd)
+            if (insn.is_atomic and not arithmetic) or spec is None or \
+                    spec.max_entries * spec.value_size \
+                    > AddressSpace.MAP_WINDOW:
+                continue  # no bounds test to begin with
+            refused += (
+                label.offset is None
+                or not 0 <= label.offset <= spec.value_size - insn.size_bytes
+                or insn.is_atomic and pends
+                or insn.is_mem_store and not insn.is_atomic
+                and stage.number < commits.get(label.map_fd, 0))
+    return tested, refused
 
 
 def _rendered_reads(lines):
@@ -486,7 +529,8 @@ class TestStreamPath:
         for gap in (3, 1):
             path, got = _observed(pipeline, program, frames, "codegen", gap)
             assert path == ("stream (0 of 0 lookups, 0 of 0 writes folded, "
-                            "0 spill sites, 0 stack slots)")
+                            "0 spill sites, 0 stack slots, 0 of 0 value "
+                            "accesses by slot, 0 coalesced runs)")
             _path, want = _observed(pipeline, program, frames,
                                     "interpreted", gap)
             assert compare_runs(want, got) == []
@@ -548,8 +592,8 @@ class TestStreamPath:
         corpus = Path(__file__).parent / "corpus" / "atomic_variants.ebpf"
         self._agrees_spaced(
             load_program(str(corpus)), [bytes(range(64))] * 6 + [b""],
-            "1 of 1 lookups, 0 of 0 writes folded, 6 spill sites, "
-            "1 stack slot",
+            "1 of 1 lookups, 0 of 0 writes folded, 1 spill site, "
+            "1 stack slot, 5 of 5 value accesses by slot, 0 coalesced runs",
             atomics=1)
 
     def test_registers_written_inside_the_atomic_fallback_come_back(self):
@@ -595,8 +639,9 @@ class TestStreamPath:
         ] + [bytes(8)]
         self._agrees_spaced(
             program, frames,
-            "1 of 1 lookups, 0 of 0 writes folded, 3 spill sites, "
-            "1 stack slot", atomics=1)
+            "1 of 1 lookups, 0 of 0 writes folded, 2 spill sites, "
+            "1 stack slot, 1 of 1 value accesses by slot, 1 coalesced run",
+            atomics=1)
 
     def test_spill_around_map_update_then_branch_on_r0(self):
         # r0 of the update — an inline request on the map's unchecked
@@ -646,7 +691,7 @@ class TestStreamPath:
         self._agrees_spaced(
             program, frames,
             "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
-            "2 stack slots")
+            "2 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
         pipeline = compile_program(program)
         verdicts = set()
         for gap in (1, 2, 7):  # windowed: the cycle accounting too
@@ -693,7 +738,7 @@ class TestStreamPath:
         got = self._writes_agree(
             pipeline, program, frames,
             "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites, "
-            "2 stack slots")
+            "2 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
         if r0s is None:  # banked: which key evicts which is the CRC's
             assert {0, _NEG1} <= set(got[:-1])
         else:
@@ -718,7 +763,7 @@ class TestStreamPath:
         got = self._writes_agree(
             pipeline, program, [_write_frame(*step) for step in steps],
             "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
-            "2 stack slots")
+            "2 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
         assert got == [0, _NEG1, 0, _NEG1, _NEG1, 0]
 
         swapped = copy.deepcopy(compile_program(_map_writes_program(
@@ -729,7 +774,8 @@ class TestStreamPath:
         got = self._writes_agree(
             swapped, swapped.program, [_write_frame(*s) for s in steps],
             "1 of 1 lookups, 2 of 2 writes folded, 0 spill sites, "
-            "2 stack slots", line_rate=False)
+            "2 stack slots, 0 of 0 value accesses by slot, 1 coalesced run",
+            line_rate=False)
         assert got == [_NEG1, _NEG1, 0, _NEG1]
 
     def test_write_with_its_key_in_the_frame_keeps_the_channel_call(self):
@@ -743,7 +789,7 @@ class TestStreamPath:
             pipeline, program,
             [_write_frame(*step) for step in _WRITE_STEPS],
             "1 of 1 lookups, 0 of 2 writes folded, 2 spill sites, "
-            "2 stack slots")
+            "2 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
         assert got == r0s
 
     def test_drops_leave_the_packet_body(self):
@@ -793,9 +839,13 @@ class TestStreamPath:
         for label in (load.label, None, dataclasses.replace(
                 load.label, region=Region.STACK, map_fd=None)):
             labelled = _unresolved(pipeline, 5, label=label)
+            # a load no longer labelled MAP_VALUE is no value access
+            accesses = int(label is load.label)
             for observer, expected in (
                 (None, "stream (1 of 1 lookups, 0 of 0 writes folded, "
-                       "0 spill sites, 0 stack slots)"),
+                       "0 spill sites, 0 stack slots, "
+                       f"0 of {accesses} value accesses by slot, "
+                       "0 coalesced runs)"),
                 (_idle_observer,
                  "cycle-loop (a per-cycle observer is attached)"),
             ):
@@ -840,7 +890,7 @@ class TestStreamPath:
         """, [bytes([flag]) + bytes(7) + (7 + i).to_bytes(8, "little")
               + bytes(24) for i, flag in enumerate([0, 1, 0, 1, 1, 0])],
             "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
-            "1 stack slot")
+            "1 stack slot, 0 of 0 value accesses by slot, 0 coalesced runs")
         assert [int.from_bytes(frame[16:24], "little") for frame in got] \
             == [1, 9, 1, 11, 12, 1]
         assert "stack[:] = _ZSTACK" not in _stream_source(pipeline)
@@ -866,7 +916,7 @@ class TestStreamPath:
             *(u64 *)(r6 + 32) = r4
         """, [bytes(range(i, i + 40)) for i in (0, 40, 200)],
             "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
-            "6 stack slots")
+            "6 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
 
     def test_a_key_with_unwritten_bytes_changed_between_lookup_and_update(
             self):
@@ -905,7 +955,8 @@ class TestStreamPath:
             call 2
             *(u64 *)(r6 + 24) = r0
         """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
-            "6 stack slots", maps=_ATOM_MAPS)
+            "6 stack slots, 1 of 1 value accesses by slot, 2 coalesced runs",
+            maps=_ATOM_MAPS)
 
     def test_a_slot_written_on_one_arm_is_read_after_the_join(self):
         # the lookup's key, changed on one arm only: the update after
@@ -944,7 +995,8 @@ class TestStreamPath:
             r5 = *(u64 *)(r10 - 8)
             *(u64 *)(r6 + 32) = r5
         """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
-            "5 stack slots", maps=_ATOM_MAPS)
+            "5 stack slots, 1 of 1 value accesses by slot, 0 coalesced runs",
+            maps=_ATOM_MAPS)
 
     def test_stack_atomics_and_dynamic_stack_accesses_spill_the_atoms(self):
         # a stack atomic (sim._atomic), a load and a store whose stack
@@ -984,7 +1036,7 @@ class TestStreamPath:
               + bytes(8) + bytes([8 * (i % 2)]) + bytes(7)
               + (50 + i).to_bytes(8, "little") for i in range(6)],
             "0 of 0 lookups, 0 of 0 writes folded, 1 spill site, "
-            "1 stack slot")
+            "1 stack slot, 0 of 0 value accesses by slot, 1 coalesced run")
         # the atomic's sum; r10 - 16 (never written) or that sum; the
         # dynamic store's value where it hit r10 - 8
         assert [(int.from_bytes(frame[16:24], "little"),
@@ -1030,7 +1082,8 @@ class TestStreamPath:
             *(u64 *)(r6 + 16) = r7
             *(u64 *)(r6 + 24) = r9
         """, frames, "1 of 1 lookups, 1 of 1 writes folded, 0 spill sites, "
-            "2 stack slots", maps=_KEY4_MAPS)
+            "2 stack slots, 1 of 1 value accesses by slot, 1 coalesced run",
+            maps=_KEY4_MAPS)
         # key 1's running sum: 1, 1 + 21, 22 + 41
         assert [int.from_bytes(frame[24:32], "little")
                 for frame in got] == [1, 11, 22, 31, 63, 62]
@@ -1056,7 +1109,7 @@ class TestStreamPath:
             call 65
             if r0 != 0 goto out
         """, frames, "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
-            "0 stack slots")
+            "0 stack slots, 0 of 0 value accesses by slot, 0 coalesced runs")
         assert [len(frame) for frame in got] == [36] * 4
         assert "_h65(_hc, r1, r2, 0, 0, 0)" in _stream_source(pipeline)
 
@@ -1087,7 +1140,8 @@ class TestStreamPath:
         pipeline = compile_program(program)
         self._writes_agree(pipeline, program, frames,
                            "0 of 0 lookups, 0 of 0 writes folded, "
-                           "0 spill sites, 0 stack slots")
+                           "0 spill sites, 0 stack slots, 0 of 0 value "
+                           "accesses by slot, 0 coalesced runs")
         body = _stream_source(pipeline)
         assert body.count("_act = _ACTIONS.get(r0 & 0xffffffff, _ABORTED)") \
             == 1
@@ -1139,7 +1193,8 @@ class TestStreamPath:
         pipeline = compile_program(program)
         got = self._writes_agree(pipeline, program, frames,
                                  "1 of 1 lookups, 0 of 1 writes folded, "
-                                 "1 spill site, 2 stack slots")
+                                 "1 spill site, 2 stack slots, 0 of 0 value "
+                                 "accesses by slot, 1 coalesced run")
         assert got == [0, _NEG1, 0, 0, 0, 0]
         assert "regs[4] = r4" in _stream_source(pipeline)
 
@@ -1167,6 +1222,8 @@ class TestStreamPath:
             streamed += 1
             assert SCRUB not in _stream_source(pipeline), name
             assert stream_dead_stores(pipeline.codegen_source) == [], name
+            tested, refused = value_bound_tests(pipeline)
+            assert tested == refused, name
         assert streamed >= 20
 
     def test_a_bank_handed_in_is_the_bank_computed(self):
@@ -1189,9 +1246,174 @@ class TestStreamPath:
         assert handed.storage == computed.storage
         assert all(len(d) == 4 for d in handed._dirs)  # every bank full
 
+    # -- map values by slot, runs of loads --------------------------------
+    # _stream addresses a map value through the shadow _v<reg> of the
+    # register that points into it (the slot's storage offset) and reads
+    # neighbouring constant offsets of one buffer in one Struct call.
+
+    def _values_agree(self, body, frames, shape, setup=None):
+        """``body`` in a frame program over ``_VALUE_MAPS`` streams with
+        ``shape``; vm, interpreted and codegen agree on every frame with
+        one packet in flight and at gap 1 (the pipeline pair on every
+        packet's cycles too). Returns the pipeline and the codegen run."""
+        program = _frame_program(body, _VALUE_MAPS)
+        pipeline = compile_program(program)
+        vm = run_engine("vm", program, frames, setup=setup)
+        for gap in (1, pipeline.n_stages + 2):
+            path, got = _observed(pipeline, program, frames, "codegen", gap,
+                                  setup=setup)
+            assert path == f"stream ({shape})"
+            _path, want = _observed(pipeline, program, frames,
+                                    "interpreted", gap, setup=setup)
+            assert compare_runs(want, got) == []
+            assert compare_runs(vm, got) == []
+        return pipeline, got
+
+    def test_two_value_pointers_into_one_map_live_at_once(self):
+        # lookup A's pointer waits in r6 while lookup B's is in r0, and
+        # both are read: each register keeps its own shadow (one shadow
+        # per map reads B's slot for A)
+        rng = random.Random(7)
+        frames = [bytes([rng.randrange(5), 0, 0, 0, rng.randrange(5)])
+                  + bytes(35) for _ in range(40)]
+        pipeline, got = self._values_agree("""
+            r9 = r6
+            r2 = *(u32 *)(r9 + 0)
+            *(u32 *)(r10 - 4) = r2
+            r2 = *(u32 *)(r9 + 4)
+            *(u32 *)(r10 - 8) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r6 = r0
+            r1 = map[m]
+            r2 = r10
+            r2 += -8
+            call 1
+            if r0 == 0 goto out
+            r3 = *(u64 *)(r6 + 0)
+            r4 = *(u64 *)(r0 + 0)
+            *(u64 *)(r9 + 8) = r3
+            *(u64 *)(r9 + 16) = r4
+        """, frames, "2 of 2 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "2 stack slots, 2 of 2 value accesses by slot, 1 coalesced run",
+            setup=_seed_values)
+        source = _stream_source(pipeline)
+        assert "_s508, _s504 = _u_II(_b, 0)" in source  # the two keys
+        assert "_u8(_st1, _v6)[0]" in source
+        assert "_u8(_st1, _v0)[0]" in source
+        values = {int.from_bytes(frame[8:16], "little")
+                  for frame in got.frames}
+        assert len(values - {0}) == 4  # every slot read through r6
+
+    def test_a_value_offset_past_the_slot_stays_tested(self):
+        # 8 bytes at in-value offset 4 of an 8-byte value: the label's
+        # offset is constant but past VS - size, so the load keeps its
+        # bounds test — slot 0 reads into slot 1, the last slot drops,
+        # as the interpreted engine does (the VM faults there instead)
+        frames = [bytes([key]) + bytes(39) for key in (0, 1, 3, 2, 0, 9, 1)]
+        body = """
+            r2 = *(u32 *)(r6 + 0)
+            *(u32 *)(r10 - 4) = r2
+            r1 = map[m]
+            r2 = r10
+            r2 += -4
+            call 1
+            if r0 == 0 goto out
+            r3 = *(u64 *)(r0 + 4)
+            *(u64 *)(r6 + 8) = r3
+        """
+        shape = ("1 of 1 lookups, 0 of 0 writes folded, 0 spill sites, "
+                 "1 stack slot, 0 of 1 value accesses by slot, "
+                 "0 coalesced runs")
+        in_range = [frame for frame in frames if frame[0] < 3]
+        pipeline, _got = self._values_agree(body, in_range, shape,
+                                            setup=_seed_values)
+        assert "if 0 <= _o <= 24:" in _stream_source(pipeline)
+        program = _frame_program(body, _VALUE_MAPS)
+        runs = [_observed(pipeline, program, frames, engine,
+                          setup=_seed_values)
+                for engine in ("interpreted", "codegen")]
+        assert runs[1][0] == f"stream ({shape})"
+        assert compare_runs(runs[0][1], runs[1][1]) == []
+        assert [int(action) for action in runs[1][1].actions] == [
+            3, 3, 1, 3, 3, 1, 3]  # slot 3 of 4 drops; key 9 misses
+
+    def test_a_run_stops_at_a_store_over_its_bytes(self):
+        # the second load reads bytes a store between the two wrote: the
+        # two loads are not one unpack_from ahead of the store
+        rng = random.Random(3)
+        frames = [bytes(rng.randrange(256) for _ in range(40))
+                  for _ in range(12)]
+        pipeline, _vm = self._atoms_agree("""
+            r2 = *(u16 *)(r6 + 0)
+            *(u16 *)(r6 + 1) = 0x5a5a
+            r3 = *(u16 *)(r6 + 2)
+            r2 <<= 16
+            r2 |= r3
+            *(u32 *)(r6 + 8) = r2
+        """, frames, "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "0 stack slots, 0 of 0 value accesses by slot, 0 coalesced runs")
+        source = _stream_source(pipeline)
+        assert "r2 = _u2(_b, 0)[0]" in source
+        assert "r3 = _u2(_b, 2)[0]" in source
+
+    def test_a_destination_redefined_in_the_middle_of_a_run(self):
+        # maglev's hash: the third load's register was read since the
+        # run began, so it stays a load of its own after the xor
+        rng = random.Random(4)
+        frames = [bytes(rng.randrange(256) for _ in range(40))
+                  for _ in range(12)]
+        pipeline, _vm = self._atoms_agree("""
+            r2 = *(u32 *)(r6 + 0)
+            r3 = *(u32 *)(r6 + 4)
+            r2 ^= r3
+            r3 = *(u32 *)(r6 + 8)
+            r2 ^= r3
+            *(u32 *)(r6 + 12) = r2
+        """, frames, "0 of 0 lookups, 0 of 0 writes folded, 0 spill sites, "
+            "0 stack slots, 0 of 0 value accesses by slot, 1 coalesced run")
+        source = _stream_source(pipeline)
+        assert "r2, r3 = _u_II(_b, 0)" in source
+        assert "r3 = _u4(_b, 8)[0]" in source
+
+    @pytest.mark.parametrize("app, shape", [
+        ("maglev", "2 of 2 lookups, 0 of 0 writes folded, 0 spill sites, "
+                   "2 stack slots, 3 of 3 value accesses by slot, "
+                   "2 coalesced runs"),
+        ("leaky_bucket", "1 of 1 lookups, 1 of 1 writes folded, 0 spill "
+                         "sites, 5 stack slots, 6 of 6 value accesses by "
+                         "slot, 4 coalesced runs"),
+        ("ct_firewall", "2 of 2 lookups, 1 of 1 writes folded, 0 spill "
+                        "sites, 6 stack slots, 2 of 2 value accesses by "
+                        "slot, 2 coalesced runs"),
+        ("firewall", "2 of 2 lookups, 0 of 0 writes folded, 0 spill sites, "
+                     "5 stack slots, 1 of 1 value accesses by slot, "
+                     "2 coalesced runs"),
+    ])
+    def test_the_apps_address_every_value_by_slot(self, app, shape):
+        # every value access of the four addressed by its slot, none
+        # spilled, and the runs engine_path() reports
+        pipeline = compile_program(getattr(apps, app).build())
+        sim = PipelineSimulator(pipeline,
+                                options=SimOptions(engine="codegen"))
+        with telemetry.scoped(enabled=False):
+            assert sim.engine_path() == f"stream ({shape})"
+
 
 _KEY4_MAPS = {"m": MapSpec("m", "lru_hash", key_size=4, value_size=8,
                              max_entries=8)}
+_VALUE_MAPS = {"m": MapSpec("m", "array", key_size=4, value_size=8,
+                            max_entries=4)}
+
+
+def _seed_values(maps):
+    """A distinct value in every slot of ``_VALUE_MAPS``' array."""
+    for key in range(4):
+        maps[1].update(key.to_bytes(4, "little"),
+                       (0x1111 * (key + 1)).to_bytes(8, "little"))
 _ATOM_MAPS ={"m": MapSpec("m", "lru_hash", key_size=8, value_size=8,
                              max_entries=8)}
 
@@ -1587,8 +1809,9 @@ class TestWindowedStream:
         assert pipeline.codegen_version == CODEGEN_VERSION
         with telemetry.scoped(enabled=False):
             assert sim.engine_path() == ("stream (2 of 2 lookups, 1 of 1 "
-                                         "writes folded, 2 spill sites, "
-                                         "6 stack slots)")
+                                         "writes folded, 0 spill sites, "
+                                         "6 stack slots, 2 of 2 value "
+                                         "accesses by slot, 2 coalesced runs)")
 
 
 def _two_atomics(first, second):

@@ -363,10 +363,12 @@ class TestCliEngineFlag:
                      "--packets", "60", "--engine", "codegen"]) == 0
         # ... and what the generated stream body is specialised to
         assert ("engine path: stream (2 of 2 lookups, 1 of 1 writes folded, "
-                "2 spill sites, 6 stack slots)\n") in capsys.readouterr().out
+                "0 spill sites, 6 stack slots, 2 of 2 value accesses by slot, "
+                "2 coalesced runs)\n") in capsys.readouterr().out
         assert main(["stats", "app:maglev"]) == 0
         assert ("engine path: stream (2 of 2 lookups, 0 of 0 writes folded, "
-                "1 spill site, 2 stack slots)\n") in capsys.readouterr().out
+                "0 spill sites, 2 stack slots, 3 of 3 value accesses by slot, "
+                "2 coalesced runs)\n") in capsys.readouterr().out
         assert main(["run", "app:ct_firewall", "--workload", "auto",
                      "--packets", "60", "--engine", "interpreted"]) == 0
         assert ("engine path: cycle-loop (engine 'interpreted' has no "
@@ -374,7 +376,8 @@ class TestCliEngineFlag:
         # a keyed window in place of its flushes: leaky_bucket streams
         assert main(["stats", "app:leaky_bucket"]) == 0
         assert ("engine path: stream (1 of 1 lookups, 1 of 1 writes folded, "
-                "0 spill sites, 5 stack slots)\n") in capsys.readouterr().out
+                "0 spill sites, 5 stack slots, 6 of 6 value accesses by slot, "
+                "4 coalesced runs)\n") in capsys.readouterr().out
         assert main(["stats", "app:dnat"]) == 0
         out = capsys.readouterr().out
         assert ("engine path: cycle-loop (flush plan on map 1 "
